@@ -11,13 +11,12 @@
 //! Table 4 (Linpack impact) lives in `phoenix-hpl::measure_impact` since
 //! it runs on real threads, not the simulator.
 //!
-//! The `src/bin/` binaries print the corresponding paper artifacts;
-//! `benches/` holds dependency-free timing benches built on [`timing`]
-//! (gated behind the off-by-default `heavy-deps` feature).
+//! The `src/bin/` binaries print the corresponding paper artifacts. Host
+//! time is measured by the repo-level perf ledger (`benchmark/run.sh`),
+//! not here.
 
 pub mod ft;
 pub mod pws_pbs;
 pub mod report;
 pub mod scale;
 pub mod sweep;
-pub mod timing;

@@ -115,6 +115,10 @@ fn main() {
     let mut failures = 0u64;
     let mut total_faults = 0usize;
     for seed in seed_base..seed_base + seeds {
+        // Every schedule's virtual clock restarts at 0: marks left in the
+        // thread's registry by earlier schedules would all look recent to
+        // the telemetry-leak check.
+        phoenix_telemetry::reset();
         let out = run_schedule(seed, &cfg, u64::MAX, false);
         total_faults += out.faults_injected;
         if !out.failed() {
@@ -167,6 +171,8 @@ fn run_replay(seed: u64, mask: Option<u64>, cfg: &ChaosConfig) -> i32 {
         println!("  {} [{i:>2}] {step}", if selected { "*" } else { " " });
     }
     println!("running:");
+    // Drop what the schedule-printing boot above recorded.
+    phoenix_telemetry::reset();
     let out = run_schedule(seed, cfg, mask, true);
     println!(
         "result: {} steps applied, {} faults, quiesced={}, {:.1}s virtual",

@@ -1693,6 +1693,11 @@ pub fn shrink(seed: u64, cfg: &ChaosConfig, start_mask: u64, total_steps: usize)
             }
             let candidate = mask & !bit;
             runs += 1;
+            // Each candidate boots a world whose clock restarts at 0, so
+            // marks left by earlier runs would all look recent to the
+            // telemetry-leak check: give it a registry of its own (dropped
+            // with the shard; the caller's registry is untouched).
+            let _isolated = phoenix_telemetry::shard_begin();
             if run_schedule(seed, cfg, candidate, false).failed() {
                 mask = candidate;
                 improved = true;

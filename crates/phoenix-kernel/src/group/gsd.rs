@@ -20,6 +20,7 @@
 //!   registry, after which they restore state from the checkpoint service
 //!   (paper Fig 4).
 
+use crate::group::liveness::{self, Beat, Liveness, Silence, Watched};
 use crate::group::registry::{kernel_factory_key, RespawnArgs, SharedRegistry};
 use crate::group::wd::Wd;
 use crate::nic_health::{HealthTransition, NicHealth};
@@ -61,33 +62,6 @@ fn takeover_key(observer: Pid, partition: PartitionId, plan: u64) -> u64 {
     phoenix_telemetry::key(&[3, partition.0 as u64, observer.0, plan])
 }
 const OP_BASE: u64 = 100;
-
-/// A heartbeat seq at or below the last seen one within this window is a
-/// duplicate (network-level duplication or reordering) and is dropped. A
-/// backward jump of the window or more means the sender restarted and its
-/// counter reset — accept and resynchronize.
-const SEQ_RESTART_WINDOW: u64 = 64;
-
-/// Duplicate / stale-reorder check shared by WD and meta heartbeats.
-fn is_dup_seq(last: u64, seq: u64) -> bool {
-    seq <= last && last - seq < SEQ_RESTART_WINDOW
-}
-
-/// Per-NIC loss evidence from a heartbeat seq: how many beats on this
-/// interface silently died between the previous one and this one. Zero for
-/// duplicates, restarts (backward jumps past the window) and absurd
-/// forward jumps (a long partition is one fault, not `gap` loss events —
-/// the EWMA cap bounds it further, this bounds the loop).
-fn seq_gap(last: u64, seq: u64) -> u64 {
-    if last == 0 || seq <= last {
-        return 0;
-    }
-    let gap = seq - last - 1;
-    if gap >= SEQ_RESTART_WINDOW {
-        return 0;
-    }
-    gap
-}
 
 /// Fixed-literal gauge keys (the telemetry registry requires `&'static
 /// str`); clusters model up to a handful of parallel networks.
@@ -151,28 +125,19 @@ enum GsdInit {
     },
 }
 
-/// Per-node watch-daemon tracking state.
-struct WdTrack {
-    wd: Pid,
-    last: Vec<SimTime>,
-    /// Highest heartbeat seq seen per NIC (duplicate suppression).
-    last_seq: Vec<u64>,
-    nic_down: Vec<bool>,
-    node_down: bool,
-    probing: Option<u64>,
-}
-
-impl WdTrack {
-    fn new(wd: Pid, nics: usize, now: SimTime) -> WdTrack {
-        WdTrack {
-            wd,
-            last: vec![now; nics],
-            last_seq: vec![0; nics],
-            nic_down: vec![false; nics],
-            node_down: false,
-            probing: None,
-        }
-    }
+/// One watched daemon — a partition node's WD or the ring predecessor —
+/// and its heartbeat state.
+struct Peer {
+    watched: Watched,
+    /// The daemon itself: what a process diagnosis names.
+    pid: Pid,
+    node: NodeId,
+    /// The PPM agent on `node`, probed when the daemon falls silent.
+    ppm: Pid,
+    /// Ring only: the predecessor's coordinates as of the role refresh
+    /// that started the watch — the takeover hint.
+    member: Option<MemberInfo>,
+    live: Liveness,
 }
 
 /// Supervised-service tracking state.
@@ -182,20 +147,9 @@ struct SvcTrack {
     last: SimTime,
 }
 
-/// Ring-predecessor tracking state.
-struct PredTrack {
-    member: MemberInfo,
-    last: Vec<SimTime>,
-    /// Highest ring-heartbeat seq seen per NIC (duplicate suppression).
-    last_seq: Vec<u64>,
-    nic_down: Vec<bool>,
-    probing: Option<u64>,
-    down: bool,
-}
-
 /// An in-flight liveness probe session.
 struct ProbeSession {
-    kind: ProbeKind,
+    watched: Watched,
     target_ppm: Pid,
     rounds_sent: u32,
     responses: u32,
@@ -206,14 +160,6 @@ struct ProbeSession {
     /// Telemetry span covering the whole session (open → resolution);
     /// aborted (not closed) if this GSD dies mid-probe.
     span: phoenix_telemetry::SpanId,
-}
-
-#[derive(Clone, Copy)]
-enum ProbeKind {
-    /// Diagnosing a silent watch daemon on a partition node.
-    Wd(NodeId),
-    /// Diagnosing a silent ring predecessor.
-    Meta(PartitionId),
 }
 
 /// Work scheduled for a later virtual instant.
@@ -243,17 +189,15 @@ enum RestartWhat {
         kind: ServiceKind,
         factory: String,
     },
-    GsdInPlace {
-        hint: MemberInfo,
-        members: Vec<MemberInfo>,
-        epoch: u64,
-        plan: u64,
-    },
-    GsdMigrate {
+    /// Respawn a failed member's GSD on `to`: its old host for an
+    /// in-place restart, a backup node for a migration (`action` says
+    /// which).
+    GsdTakeover {
         hint: MemberInfo,
         members: Vec<MemberInfo>,
         epoch: u64,
         to: NodeId,
+        action: RecoveryAction,
         plan: u64,
     },
     /// Leader safety net: a partition has had no meta-group member for a
@@ -282,9 +226,10 @@ pub struct Gsd {
     /// `DirectoryUpdateNode` fan-out (vote-table profiles only).
     cluster_wds: HashMap<NodeId, Pid>,
 
-    wd_tracks: HashMap<NodeId, WdTrack>,
+    /// Every daemon this GSD watches, in scan order: the partition's WDs
+    /// by node, then the ring predecessor (at most one).
+    peers: Vec<Peer>,
     svc_tracks: HashMap<Pid, SvcTrack>,
-    pred: Option<PredTrack>,
     my_nic_known: Vec<bool>,
     /// EWMA delivery-health per parallel network, fed by heartbeat seq
     /// gaps (WD and meta-ring). Inert unless `params.ft.nic.enabled`.
@@ -442,9 +387,8 @@ impl Gsd {
             epoch: 0,
             node_daemons: HashMap::new(),
             cluster_wds: HashMap::new(),
-            wd_tracks: HashMap::new(),
+            peers: Vec::new(),
             svc_tracks: HashMap::new(),
-            pred: None,
             my_nic_known: Vec::new(),
             nic_health,
             probes: HashMap::new(),
@@ -625,20 +569,58 @@ impl Gsd {
         }
         // Reset predecessor tracking if the predecessor changed.
         let pred = self.predecessor();
-        let changed = match (&self.pred, &pred) {
-            (Some(t), Some(p)) => t.member.gsd != p.gsd,
-            (None, None) => false,
-            _ => true,
+        let watching = self
+            .peers
+            .last()
+            .filter(|p| matches!(p.watched, Watched::Ring(_)))
+            .map(|p| p.pid);
+        if watching != pred.map(|m| m.gsd) {
+            if watching.is_some() {
+                self.peers.pop();
+            }
+            // Ring tracks always get a slot: roles can refresh before
+            // wiring has counted this node's interfaces.
+            let nics = self.my_nic_known.len().max(1);
+            self.peers.extend(pred.map(|member| Peer {
+                watched: Watched::Ring(member.partition),
+                pid: member.gsd,
+                node: member.node,
+                ppm: member.host_ppm,
+                member: Some(member),
+                live: Liveness::new(nics, ctx.now()),
+            }));
+        }
+    }
+
+    // ---- the watch table ---------------------------------------------------
+
+    /// Where `watched` sits in the table (`Ok`), or would (`Err`).
+    fn peer_slot(&self, watched: Watched) -> Result<usize, usize> {
+        self.peers.binary_search_by_key(&watched, |p| p.watched)
+    }
+
+    fn peer_of(&self, watched: Watched) -> Option<&Peer> {
+        self.peer_slot(watched).ok().map(|i| &self.peers[i])
+    }
+
+    fn peer_of_mut(&mut self, watched: Watched) -> Option<&mut Peer> {
+        self.peer_slot(watched).ok().map(|i| &mut self.peers[i])
+    }
+
+    /// Start watching `node`'s watch daemon `wd` from scratch, replacing
+    /// any track the node already had.
+    fn watch_wd(&mut self, node: NodeId, wd: Pid, now: SimTime) {
+        let peer = Peer {
+            watched: Watched::Wd(node),
+            pid: wd,
+            node,
+            ppm: self.node_daemons.get(&node).map_or(Pid(0), |n| n.ppm),
+            member: None,
+            live: Liveness::new(self.my_nic_known.len(), now),
         };
-        if changed {
-            self.pred = pred.map(|member| PredTrack {
-                member,
-                last: vec![ctx.now(); self.my_nic_known.len().max(1)],
-                last_seq: vec![0; self.my_nic_known.len().max(1)],
-                nic_down: vec![false; self.my_nic_known.len().max(1)],
-                probing: None,
-                down: false,
-            });
+        match self.peer_slot(peer.watched) {
+            Ok(i) => self.peers[i] = peer,
+            Err(i) => self.peers.insert(i, peer),
         }
     }
 
@@ -871,11 +853,11 @@ impl Gsd {
         let now = ctx.now();
         if let Some(spec) = self.topology.partition(self.partition).cloned() {
             for node in spec.all_nodes() {
-                if let Some(ns) = self.node_daemons.get(&node) {
-                    let nics = self.my_nic_known.len();
-                    self.wd_tracks
-                        .entry(node)
-                        .or_insert_with(|| WdTrack::new(ns.wd, nics, now));
+                // A track config already pushed (`DirectoryUpdateNode`
+                // ahead of the wiring reply) stays as it is.
+                let wd = self.node_daemons.get(&node).map(|ns| ns.wd);
+                if let (Some(wd), None) = (wd, self.peer_of(Watched::Wd(node))) {
+                    self.watch_wd(node, wd, now);
                 }
             }
         }
@@ -1023,219 +1005,100 @@ impl Gsd {
     // ---- scanning --------------------------------------------------------
 
     fn stale(&self, now: SimTime, last: SimTime) -> bool {
-        // K-of-N suspicion: with `suspect_beats` > 1 a peer is only
-        // suspected after that many consecutive intervals of silence, so a
-        // single heartbeat lost to the network never starts a diagnosis.
-        let window = self.params.ft.hb_interval * self.params.ft.suspect_beats as u64
-            + self.params.ft.hb_grace;
-        now.since(last) > window
+        liveness::stale(now, last, liveness::window(&self.params.ft))
     }
 
-    /// Has any (locally reachable) NIC of the probed peer produced a fresh
-    /// heartbeat since the probe started? Used by the probe-abort path.
-    fn probe_target_fresh(&self, kind: ProbeKind, now: SimTime) -> bool {
-        match kind {
-            ProbeKind::Wd(node) => self
-                .wd_tracks
-                .get(&node)
-                .map(|t| t.last.iter().any(|&l| !self.stale(now, l)))
-                .unwrap_or(false),
-            ProbeKind::Meta(partition) => self
-                .pred
-                .as_ref()
-                .filter(|t| t.member.partition == partition)
-                .map(|t| t.last.iter().any(|&l| !self.stale(now, l)))
-                .unwrap_or(false),
+    /// Detect→diagnose telemetry key for a suspicion of `watched`.
+    fn suspicion_key(watched: Watched) -> u64 {
+        match watched {
+            Watched::Wd(node) => phoenix_telemetry::key(&[1, node.0 as u64]),
+            Watched::Ring(partition) => phoenix_telemetry::key(&[2, partition.0 as u64]),
         }
+    }
+
+    /// Has any NIC of the probed peer produced a fresh heartbeat since the
+    /// probe started? Used by the probe-abort path.
+    fn probe_target_fresh(&self, watched: Watched, now: SimTime) -> bool {
+        let window = liveness::window(&self.params.ft);
+        self.peer_of(watched)
+            .is_some_and(|p| p.live.any_fresh(now, window))
     }
 
     /// Suspicion cleared: beats resumed while the probe was in flight, so
     /// they were lost in the network, not stopped at the source. Ends the
     /// session without a diagnosis (no trace events — the paper pipeline
     /// never reaches this state, so traces stay byte-identical).
-    fn abort_probe(&mut self, kind: ProbeKind) {
+    fn abort_probe(&mut self, watched: Watched) {
         phoenix_telemetry::counter_add("gsd.suspicion.aborted", 1);
-        match kind {
-            ProbeKind::Wd(node) => {
-                if let Some(t) = self.wd_tracks.get_mut(&node) {
-                    t.probing = None;
-                }
-                // Retract the detect→diagnose mark stamped at suspicion
-                // time — the suspicion was false, so there is no diagnose
-                // latency to measure and the mark must not leak.
-                phoenix_telemetry::unmark(
-                    "gsd.detect_to_diagnose",
-                    phoenix_telemetry::key(&[1, node.0 as u64]),
-                );
-            }
-            ProbeKind::Meta(partition) => {
-                if let Some(t) = &mut self.pred {
-                    if t.member.partition == partition {
-                        t.probing = None;
-                    }
-                }
-                phoenix_telemetry::unmark(
-                    "gsd.detect_to_diagnose",
-                    phoenix_telemetry::key(&[2, partition.0 as u64]),
-                );
-            }
+        if let Some(p) = self.peer_of_mut(watched) {
+            p.live.end_probe(false);
         }
+        // Retract the detect→diagnose mark stamped at suspicion time — the
+        // suspicion was false, so there is no diagnose latency to measure
+        // and the mark must not leak.
+        phoenix_telemetry::unmark("gsd.detect_to_diagnose", Self::suspicion_key(watched));
     }
 
     fn scan(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         let now = ctx.now();
-        self.scan_wds(ctx, now);
-        self.scan_pred(ctx, now);
+        self.scan_peers(ctx, now);
         self.scan_svcs(ctx, now);
     }
 
-    fn scan_wds(&mut self, ctx: &mut Ctx<'_, KernelMsg>, now: SimTime) {
+    /// Judge every watched daemon, in table order: the scan order decides
+    /// the order probes are sent (and suspicion marks stamped) in, and the
+    /// event queue and the seeded network draws depend on it.
+    fn scan_peers(&mut self, ctx: &mut Ctx<'_, KernelMsg>, now: SimTime) {
         let own_node = ctx.node();
-        // Sorted: `wd_tracks` is a HashMap, and the scan order decides the
-        // order probes are sent (and suspicion marks stamped) in — the
-        // event queue and the seeded network draws must not depend on
-        // hash-iteration order.
-        let mut nodes: Vec<NodeId> = self.wd_tracks.keys().copied().collect();
-        nodes.sort_unstable();
-        for node in nodes {
-            // Split-borrow dance: compute the decision, then mutate.
-            let decision = {
-                let t = &self.wd_tracks[&node];
-                if t.node_down || t.probing.is_some() {
-                    continue;
-                }
-                let mut stale_nics = Vec::new();
-                let mut fresh = 0usize;
-                for (i, &last) in t.last.iter().enumerate() {
-                    if t.nic_down[i] {
-                        continue;
-                    }
-                    // Skip NICs that are down on our own side: the
-                    // introspection path owns those.
-                    if !ctx.nic_is_up(own_node, NicId(i as u8)) {
-                        continue;
-                    }
-                    if self.stale(now, last) {
-                        stale_nics.push(i);
-                    } else {
-                        fresh += 1;
-                    }
-                }
-                (stale_nics, fresh)
-            };
-            let (stale_nics, fresh) = decision;
-            if stale_nics.is_empty() {
-                continue;
-            }
-            if fresh == 0 {
-                // Every interface silent: process or node failure; probe
-                // the node's PPM agent to find out.
-                let wd_pid = self.wd_tracks[&node].wd;
-                ctx.trace(TraceEvent::FaultDetected {
-                    observer: ctx.pid(),
-                    target: FaultTarget::Process(wd_pid),
-                });
-                phoenix_telemetry::counter_add("gsd.faults.detected", 1);
-                phoenix_telemetry::counter_add("gsd.suspicion.raised", 1);
-                phoenix_telemetry::mark(
-                    "gsd.detect_to_diagnose",
-                    phoenix_telemetry::key(&[1, node.0 as u64]),
-                );
-                let session = self.start_probe(
-                    ctx,
-                    ProbeKind::Wd(node),
-                    self.node_daemons.get(&node).map(|n| n.ppm).unwrap_or(Pid(0)),
-                    self.params.ft.wd_node_probe_timeout,
-                );
-                self.wd_tracks.get_mut(&node).unwrap().probing = Some(session);
-            } else {
-                // Partial silence: network failure on those interfaces.
-                for i in stale_nics {
+        let window = liveness::window(&self.params.ft);
+        for i in 0..self.peers.len() {
+            let peer = &mut self.peers[i];
+            let (watched, pid, node, ppm) = (peer.watched, peer.pid, peer.node, peer.ppm);
+            match peer
+                .live
+                .silence(now, window, |nic| ctx.nic_is_up(own_node, nic))
+            {
+                Silence::None => {}
+                Silence::Total => {
+                    // Every interface silent: process or node failure;
+                    // probe the node's PPM agent to find out.
                     ctx.trace(TraceEvent::FaultDetected {
                         observer: ctx.pid(),
-                        target: FaultTarget::Nic(node, NicId(i as u8)),
+                        target: FaultTarget::Process(pid),
                     });
-                    self.wd_tracks.get_mut(&node).unwrap().nic_down[i] = true;
-                    self.schedule(
-                        ctx,
-                        self.params.ft.nic_analysis_delay,
-                        DelayedOp::NicDiag {
-                            node,
-                            nic: NicId(i as u8),
-                        },
-                    );
+                    phoenix_telemetry::counter_add("gsd.faults.detected", 1);
+                    phoenix_telemetry::counter_add("gsd.suspicion.raised", 1);
+                    phoenix_telemetry::mark("gsd.detect_to_diagnose", Self::suspicion_key(watched));
+                    let ring = matches!(watched, Watched::Ring(_));
+                    let timeout = if ring {
+                        self.params.ft.meta_node_probe_timeout
+                    } else {
+                        self.params.ft.wd_node_probe_timeout
+                    };
+                    self.start_probe(ctx, watched, ppm, timeout);
+                    if ring {
+                        // A silent ring predecessor is exactly what a
+                        // partition looks like from here: open a regroup
+                        // round alongside the probe. The round concludes
+                        // before the probe pipeline can ripen into a
+                        // takeover, so the quorum verdict is in first.
+                        self.start_regroup_round(ctx);
+                    }
                 }
-            }
-        }
-    }
-
-    fn scan_pred(&mut self, ctx: &mut Ctx<'_, KernelMsg>, now: SimTime) {
-        let own_node = ctx.node();
-        let Some(t) = &self.pred else { return };
-        if t.down || t.probing.is_some() {
-            return;
-        }
-        let member = t.member;
-        let mut stale_nics = Vec::new();
-        let mut fresh = 0usize;
-        for (i, &last) in t.last.iter().enumerate() {
-            if t.nic_down[i] {
-                continue;
-            }
-            if !ctx.nic_is_up(own_node, NicId(i as u8)) {
-                continue;
-            }
-            if self.stale(now, last) {
-                stale_nics.push(i);
-            } else {
-                fresh += 1;
-            }
-        }
-        if stale_nics.is_empty() {
-            return;
-        }
-        if fresh == 0 {
-            ctx.trace(TraceEvent::FaultDetected {
-                observer: ctx.pid(),
-                target: FaultTarget::Process(member.gsd),
-            });
-            phoenix_telemetry::counter_add("gsd.faults.detected", 1);
-            phoenix_telemetry::counter_add("gsd.suspicion.raised", 1);
-            phoenix_telemetry::mark(
-                "gsd.detect_to_diagnose",
-                phoenix_telemetry::key(&[2, member.partition.0 as u64]),
-            );
-            let session = self.start_probe(
-                ctx,
-                ProbeKind::Meta(member.partition),
-                member.host_ppm,
-                self.params.ft.meta_node_probe_timeout,
-            );
-            if let Some(t) = &mut self.pred {
-                t.probing = Some(session);
-            }
-            // A silent ring predecessor is exactly what a partition looks
-            // like from here: open a regroup round alongside the probe.
-            // The round concludes before the probe pipeline can ripen
-            // into a takeover, so the quorum verdict is in first.
-            self.start_regroup_round(ctx);
-        } else {
-            for i in stale_nics {
-                ctx.trace(TraceEvent::FaultDetected {
-                    observer: ctx.pid(),
-                    target: FaultTarget::Nic(member.node, NicId(i as u8)),
-                });
-                if let Some(t) = &mut self.pred {
-                    t.nic_down[i] = true;
+                Silence::Partial(nics) => {
+                    // Partial silence: network failure on those interfaces.
+                    for nic in nics {
+                        ctx.trace(TraceEvent::FaultDetected {
+                            observer: ctx.pid(),
+                            target: FaultTarget::Nic(node, nic),
+                        });
+                        self.schedule(
+                            ctx,
+                            self.params.ft.nic_analysis_delay,
+                            DelayedOp::NicDiag { node, nic },
+                        );
+                    }
                 }
-                self.schedule(
-                    ctx,
-                    self.params.ft.nic_analysis_delay,
-                    DelayedOp::NicDiag {
-                        node: member.node,
-                        nic: NicId(i as u8),
-                    },
-                );
             }
         }
     }
@@ -1268,16 +1131,16 @@ impl Gsd {
     fn start_probe(
         &mut self,
         ctx: &mut Ctx<'_, KernelMsg>,
-        kind: ProbeKind,
+        watched: Watched,
         target_ppm: Pid,
         timeout: phoenix_sim::SimDuration,
-    ) -> u64 {
+    ) {
         let id = self.fresh_id();
         let span = phoenix_telemetry::span_start("gsd.probe.session", "gsd", ctx.node().0);
         self.probes.insert(
             id,
             ProbeSession {
-                kind,
+                watched,
                 target_ppm,
                 rounds_sent: 0,
                 responses: 0,
@@ -1291,7 +1154,6 @@ impl Gsd {
         let spacing = self.params.ft.probe_round_interval;
         self.schedule_probe_round(ctx, id, spacing);
         self.schedule(ctx, timeout, DelayedOp::ProbeTimeout(id));
-        id
     }
 
     fn schedule_probe_round(
@@ -1315,20 +1177,13 @@ impl Gsd {
         s.rounds_sent += 1;
         s.last_round_at = Some(ctx.now());
         let target = s.target_ppm;
-        let kind = s.kind;
+        let watched = s.watched;
         phoenix_telemetry::counter_add("gsd.probes.sent", 1);
         phoenix_telemetry::mark("gsd.probe.rtt", phoenix_telemetry::key(&[session]));
         // Probes are single-path: route them over the healthiest usable
         // interface so a degraded NIC cannot eat the very traffic that
         // decides whether a silent peer is dead.
-        let peer = match kind {
-            ProbeKind::Wd(node) => Some(node),
-            ProbeKind::Meta(partition) => self
-                .pred
-                .as_ref()
-                .filter(|t| t.member.partition == partition)
-                .map(|t| t.member.node),
-        };
+        let peer = self.peer_of(watched).map(|p| p.node);
         let req = KernelMsg::ProbeReq { req: RequestId(session) };
         match peer.and_then(|p| self.best_nic_for(ctx, p)) {
             Some(nic) => ctx.send_via(target, nic, req),
@@ -1355,21 +1210,14 @@ impl Gsd {
         // One RTT sample per probe round (take() so a duplicate response
         // in the same round cannot double-count).
         let sent_at = s.last_round_at.take();
-        let kind = s.kind;
+        let watched = s.watched;
         let done = s.responses >= self.params.ft.probe_rounds;
         if done {
             s.active = false;
             phoenix_telemetry::span_end(s.span);
         }
         if self.slow.enabled() {
-            let peer = match kind {
-                ProbeKind::Wd(node) => Some(node),
-                ProbeKind::Meta(partition) => self
-                    .pred
-                    .as_ref()
-                    .filter(|t| t.member.partition == partition)
-                    .map(|t| t.member.node),
-            };
+            let peer = self.peer_of(watched).map(|p| p.node);
             if let (Some(node), Some(at)) = (peer, sent_at) {
                 self.observe_peer_rtt(ctx, node, (ctx.now() - at).as_nanos());
             }
@@ -1377,15 +1225,12 @@ impl Gsd {
         if !done {
             return;
         }
-        if self.params.ft.probe_abort_on_fresh && self.probe_target_fresh(kind, ctx.now()) {
-            self.abort_probe(kind);
+        if self.params.ft.probe_abort_on_fresh && self.probe_target_fresh(watched, ctx.now()) {
+            self.abort_probe(watched);
             return;
         }
         // Node is alive, daemon silent: process failure.
-        match kind {
-            ProbeKind::Wd(node) => self.diagnose_wd_process(ctx, node),
-            ProbeKind::Meta(partition) => self.diagnose_gsd_process(ctx, partition),
-        }
+        self.diagnose(ctx, watched, Diagnosis::ProcessFailure);
     }
 
     fn on_probe_timeout(&mut self, ctx: &mut Ctx<'_, KernelMsg>, session: u64) {
@@ -1396,11 +1241,11 @@ impl Gsd {
             return;
         }
         s.active = false;
-        let kind = s.kind;
+        let watched = s.watched;
         let responses = s.responses;
         phoenix_telemetry::span_end(s.span);
-        if self.params.ft.probe_abort_on_fresh && self.probe_target_fresh(kind, ctx.now()) {
-            self.abort_probe(kind);
+        if self.params.ft.probe_abort_on_fresh && self.probe_target_fresh(watched, ctx.now()) {
+            self.abort_probe(watched);
             return;
         }
         if responses > 0 {
@@ -1411,49 +1256,106 @@ impl Gsd {
             // path never restarts daemons). On a clean network all rounds
             // complete long before the timeout, so this arm never fires.
             phoenix_telemetry::counter_add("gsd.probes.partial", 1);
-            match kind {
-                ProbeKind::Wd(node) => self.diagnose_wd_process(ctx, node),
-                ProbeKind::Meta(partition) => self.diagnose_gsd_process(ctx, partition),
-            }
+            self.diagnose(ctx, watched, Diagnosis::ProcessFailure);
             return;
         }
-        match kind {
-            ProbeKind::Wd(node) => self.diagnose_wd_node(ctx, node),
-            ProbeKind::Meta(partition) => self.diagnose_gsd_node(ctx, partition),
-        }
+        self.diagnose(ctx, watched, Diagnosis::NodeFailure);
     }
 
     // ---- diagnoses & recovery ---------------------------------------------
 
-    fn diagnose_wd_process(&mut self, ctx: &mut Ctx<'_, KernelMsg>, node: NodeId) {
-        let Some(t) = self.wd_tracks.get_mut(&node) else {
+    /// A probe session resolved: the silent daemon's node answered
+    /// (`ProcessFailure`) or never did (`NodeFailure`). One pipeline for
+    /// both kinds of peer; what differs is the recovery — a WD is restarted
+    /// in place, or needs nothing when its node died; a ring predecessor is
+    /// taken over, and only under the regroup layer's licence.
+    fn diagnose(&mut self, ctx: &mut Ctx<'_, KernelMsg>, watched: Watched, verdict: Diagnosis) {
+        if let Watched::Ring(partition) = watched {
+            if !self.regroup_licenses_takeover(ctx, partition) {
+                return;
+            }
+        }
+        let Ok(slot) = self.peer_slot(watched) else {
             return;
         };
-        let wd_pid = t.wd;
-        t.probing = None;
+        let peer = &self.peers[slot];
+        let (pid, node, member) = (peer.pid, peer.node, peer.member);
+        let node_down = verdict == Diagnosis::NodeFailure;
+        // Slow ≠ down: a node whose RTT evidence says "alive but degraded"
+        // must never be declared dead while that evidence is fresh. Once
+        // its pongs stop, the veto lapses and fail-stop diagnosis resumes
+        // (the quarantine path handles degraded-but-alive peers).
+        let vetoed = node_down && self.slow_alive_veto(ctx.now(), node);
+        self.peers[slot].live.end_probe(node_down && !vetoed);
+        if vetoed {
+            phoenix_telemetry::counter_add("gsd.slow.dead_vetoed", 1);
+            ctx.trace(TraceEvent::Milestone {
+                label: "slow-not-dead",
+                value: node.0 as f64,
+            });
+            return;
+        }
+        if node_down {
+            self.slow.mark_dead(node);
+        }
         phoenix_telemetry::measure(
             "gsd.detect_to_diagnose",
             "gsd",
             ctx.node().0,
-            phoenix_telemetry::key(&[1, node.0 as u64]),
+            Self::suspicion_key(watched),
         );
+        let takeover = member.map(|failed| {
+            self.takeover_seq += 1;
+            let plan = self.takeover_seq;
+            phoenix_telemetry::mark(
+                "gsd.takeover",
+                takeover_key(ctx.pid(), failed.partition, plan),
+            );
+            (failed, plan)
+        });
         ctx.trace(TraceEvent::FaultDiagnosed {
             observer: ctx.pid(),
-            target: FaultTarget::Process(wd_pid),
-            diagnosis: Diagnosis::ProcessFailure,
+            target: if node_down {
+                FaultTarget::Node(node)
+            } else {
+                FaultTarget::Process(pid)
+            },
+            diagnosis: verdict,
         });
-        self.publish(
-            ctx,
-            EventType::ServiceFault,
-            node,
-            EventPayload::Service(ServiceKind::WatchDaemon, node),
-        );
-        // Restart in place (cost ≈ 0: Table 1 reports 0 µs).
-        let cost = self.params.ft.wd_restart_cost;
-        if cost == phoenix_sim::SimDuration::ZERO {
-            self.restart_wd(ctx, node);
+        if node_down {
+            if takeover.is_none() {
+                // "for WD, in case of node failure, the recovery time is
+                // 0, because ... migrating WD means nothing."
+                ctx.trace(TraceEvent::Recovered {
+                    target: FaultTarget::Node(node),
+                    action: RecoveryAction::NoneNeeded,
+                });
+            }
+            self.publish(ctx, EventType::NodeFault, node, EventPayload::Node(node));
         } else {
-            self.schedule(ctx, cost, DelayedOp::Restart(RestartWhat::Wd(node)));
+            let kind = match watched {
+                Watched::Wd(_) => ServiceKind::WatchDaemon,
+                Watched::Ring(_) => ServiceKind::Group,
+            };
+            self.publish(
+                ctx,
+                EventType::ServiceFault,
+                node,
+                EventPayload::Service(kind, node),
+            );
+        }
+        match takeover {
+            Some((failed, plan)) => self.plan_takeover(ctx, failed, verdict, plan),
+            None if node_down => {}
+            None => {
+                // Restart in place (cost ≈ 0: Table 1 reports 0 µs).
+                let cost = self.params.ft.wd_restart_cost;
+                if cost == phoenix_sim::SimDuration::ZERO {
+                    self.restart_wd(ctx, node);
+                } else {
+                    self.schedule(ctx, cost, DelayedOp::Restart(RestartWhat::Wd(node)));
+                }
+            }
         }
     }
 
@@ -1474,9 +1376,7 @@ impl Gsd {
                 self.dir_resend_nodes.insert(node, (updated, DIR_RESEND_TICKS));
             }
         }
-        let now = ctx.now();
-        let nics = self.my_nic_known.len();
-        self.wd_tracks.insert(node, WdTrack::new(new_pid, nics, now));
+        self.watch_wd(node, new_pid, ctx.now());
         self.publish(
             ctx,
             EventType::ServiceRecovery,
@@ -1485,179 +1385,76 @@ impl Gsd {
         );
     }
 
-    fn diagnose_wd_node(&mut self, ctx: &mut Ctx<'_, KernelMsg>, node: NodeId) {
-        // Slow ≠ down: a node whose RTT evidence says "alive but degraded"
-        // must never be declared dead while that evidence is fresh. Once
-        // its pongs stop, the veto lapses and fail-stop diagnosis resumes.
-        if self.slow_alive_veto(ctx.now(), node) {
-            if let Some(t) = self.wd_tracks.get_mut(&node) {
-                t.probing = None;
-            }
-            phoenix_telemetry::counter_add("gsd.slow.dead_vetoed", 1);
-            ctx.trace(TraceEvent::Milestone {
-                label: "slow-not-dead",
-                value: node.0 as f64,
-            });
-            return;
-        }
-        if let Some(t) = self.wd_tracks.get_mut(&node) {
-            t.probing = None;
-            t.node_down = true;
-        }
-        self.slow.mark_dead(node);
-        phoenix_telemetry::measure(
-            "gsd.detect_to_diagnose",
-            "gsd",
-            ctx.node().0,
-            phoenix_telemetry::key(&[1, node.0 as u64]),
-        );
-        ctx.trace(TraceEvent::FaultDiagnosed {
-            observer: ctx.pid(),
-            target: FaultTarget::Node(node),
-            diagnosis: Diagnosis::NodeFailure,
-        });
-        // "for WD, in case of node failure, the recovery time is 0,
-        // because ... migrating WD means nothing."
-        ctx.trace(TraceEvent::Recovered {
-            target: FaultTarget::Node(node),
-            action: RecoveryAction::NoneNeeded,
-        });
-        self.publish(ctx, EventType::NodeFault, node, EventPayload::Node(node));
-    }
-
-    fn diagnose_gsd_process(&mut self, ctx: &mut Ctx<'_, KernelMsg>, partition: PartitionId) {
-        if !self.regroup_licenses_takeover(ctx, partition) {
-            return;
-        }
-        let Some(t) = &mut self.pred else { return };
-        if t.member.partition != partition {
-            return;
-        }
-        t.probing = None;
-        t.down = true;
-        let failed = t.member;
-        phoenix_telemetry::measure(
-            "gsd.detect_to_diagnose",
-            "gsd",
-            ctx.node().0,
-            phoenix_telemetry::key(&[2, partition.0 as u64]),
-        );
-        self.takeover_seq += 1;
-        let plan = self.takeover_seq;
-        phoenix_telemetry::mark("gsd.takeover", takeover_key(ctx.pid(), partition, plan));
-        ctx.trace(TraceEvent::FaultDiagnosed {
-            observer: ctx.pid(),
-            target: FaultTarget::Process(failed.gsd),
-            diagnosis: Diagnosis::ProcessFailure,
-        });
-        self.publish(
-            ctx,
-            EventType::ServiceFault,
-            failed.node,
-            EventPayload::Service(ServiceKind::Group, failed.node),
-        );
-        self.remove_member(ctx, partition, Diagnosis::ProcessFailure);
-        let members = self.members.clone();
-        self.schedule(
-            ctx,
-            self.params.ft.gsd_restart_cost,
-            DelayedOp::Restart(RestartWhat::GsdInPlace {
-                hint: failed,
-                members,
-                epoch: self.epoch,
-                plan,
-            }),
-        );
-    }
-
-    fn diagnose_gsd_node(&mut self, ctx: &mut Ctx<'_, KernelMsg>, partition: PartitionId) {
-        if !self.regroup_licenses_takeover(ctx, partition) {
-            return;
-        }
-        let Some(failed) = self
-            .pred
-            .as_ref()
-            .map(|t| t.member)
-            .filter(|m| m.partition == partition)
-        else {
-            return;
-        };
-        // Slow ≠ down: fresh RTT evidence of life vetoes the dead verdict
-        // (the quarantine path handles degraded-but-alive predecessors).
-        if self.slow_alive_veto(ctx.now(), failed.node) {
-            if let Some(t) = &mut self.pred {
-                t.probing = None;
-            }
-            phoenix_telemetry::counter_add("gsd.slow.dead_vetoed", 1);
-            ctx.trace(TraceEvent::Milestone {
-                label: "slow-not-dead",
-                value: failed.node.0 as f64,
-            });
-            return;
-        }
-        let Some(t) = &mut self.pred else { return };
-        t.probing = None;
-        t.down = true;
-        self.slow.mark_dead(failed.node);
-        phoenix_telemetry::measure(
-            "gsd.detect_to_diagnose",
-            "gsd",
-            ctx.node().0,
-            phoenix_telemetry::key(&[2, partition.0 as u64]),
-        );
-        self.takeover_seq += 1;
-        let plan = self.takeover_seq;
-        phoenix_telemetry::mark("gsd.takeover", takeover_key(ctx.pid(), partition, plan));
-        ctx.trace(TraceEvent::FaultDiagnosed {
-            observer: ctx.pid(),
-            target: FaultTarget::Node(failed.node),
-            diagnosis: Diagnosis::NodeFailure,
-        });
-        self.publish(ctx, EventType::NodeFault, failed.node, EventPayload::Node(failed.node));
-        self.remove_member(ctx, partition, Diagnosis::NodeFailure);
-        // Choose a backup node of the failed partition to migrate to,
-        // preferring nodes the fail-slow detector considers healthy
-        // (falling back to a degraded one over not migrating at all).
-        let target = self
-            .topology
-            .partition(partition)
-            .map(|spec| {
-                let up: Vec<NodeId> = spec
-                    .backups
-                    .iter()
-                    .chain(spec.compute.iter())
-                    .copied()
-                    .filter(|&n| n != failed.node && ctx.node_is_up(n))
-                    .collect();
-                up.iter()
-                    .copied()
-                    .find(|&n| !self.placement_degraded(n))
-                    .or_else(|| up.first().copied())
-            })
-            .unwrap_or(None);
-        match target {
-            Some(to) => {
-                let members = self.members.clone();
-                self.schedule(
-                    ctx,
-                    self.params.ft.gsd_migrate_cost,
-                    DelayedOp::Restart(RestartWhat::GsdMigrate {
-                        hint: failed,
-                        members,
-                        epoch: self.epoch,
-                        to,
-                        plan,
-                    }),
-                );
-            }
-            None => {
-                phoenix_telemetry::unmark("gsd.takeover", takeover_key(ctx.pid(), partition, plan));
+    /// The ring predecessor `failed` is diagnosed: drop it from the
+    /// membership and schedule its replacement — in place when only the
+    /// daemon died, on a backup node of its partition when the host did.
+    fn plan_takeover(
+        &mut self,
+        ctx: &mut Ctx<'_, KernelMsg>,
+        failed: MemberInfo,
+        verdict: Diagnosis,
+        plan: u64,
+    ) {
+        self.remove_member(ctx, failed.partition, verdict);
+        let (cost, to, action) = if verdict == Diagnosis::NodeFailure {
+            let Some(to) = self.takeover_node(ctx, failed.partition, failed.node) else {
+                self.retract_takeover(ctx, failed.partition, plan);
                 ctx.trace(TraceEvent::Milestone {
                     label: "no-backup-node",
-                    value: partition.0 as f64,
+                    value: failed.partition.0 as f64,
                 });
-            }
-        }
+                return;
+            };
+            let cost = self.params.ft.gsd_migrate_cost;
+            (cost, to, RecoveryAction::Migrated(to))
+        } else {
+            let cost = self.params.ft.gsd_restart_cost;
+            (cost, failed.node, RecoveryAction::RestartedInPlace)
+        };
+        let takeover = RestartWhat::GsdTakeover {
+            hint: failed,
+            members: self.members.clone(),
+            epoch: self.epoch,
+            to,
+            action,
+            plan,
+        };
+        self.schedule(ctx, cost, DelayedOp::Restart(takeover));
+    }
+
+    /// The first live home node of `partition` other than `avoid` — or,
+    /// with `healthy_only`, the first the fail-slow detector does not read
+    /// Slow.
+    fn backup_node(
+        &self,
+        ctx: &Ctx<'_, KernelMsg>,
+        partition: PartitionId,
+        avoid: NodeId,
+        healthy_only: bool,
+    ) -> Option<NodeId> {
+        let spec = self.topology.partition(partition)?;
+        let mut nodes = spec.backups.iter().chain(spec.compute.iter()).copied();
+        nodes.find(|&n| {
+            n != avoid && ctx.node_is_up(n) && !(healthy_only && self.placement_degraded(n))
+        })
+    }
+
+    /// Where to migrate a dead member's GSD: a healthy backup node, else a
+    /// degraded one over not migrating at all.
+    fn takeover_node(
+        &self,
+        ctx: &Ctx<'_, KernelMsg>,
+        partition: PartitionId,
+        avoid: NodeId,
+    ) -> Option<NodeId> {
+        self.backup_node(ctx, partition, avoid, true)
+            .or_else(|| self.backup_node(ctx, partition, avoid, false))
+    }
+
+    /// Retract a takeover plan's mark: the plan was abandoned, and a
+    /// pending mark must not linger or swallow another plan's measure.
+    fn retract_takeover(&self, ctx: &Ctx<'_, KernelMsg>, partition: PartitionId, plan: u64) {
+        phoenix_telemetry::unmark("gsd.takeover", takeover_key(ctx.pid(), partition, plan));
     }
 
     fn remove_member(
@@ -1692,7 +1489,7 @@ impl Gsd {
         if ctx.node_reachable(node) {
             return true;
         }
-        phoenix_telemetry::unmark("gsd.takeover", takeover_key(ctx.pid(), partition, plan));
+        self.retract_takeover(ctx, partition, plan);
         ctx.trace(TraceEvent::Milestone {
             label: "gsd-spawn-unreachable",
             value: partition.0 as f64,
@@ -1727,56 +1524,17 @@ impl Gsd {
                     }),
                 }
             }
-            RestartWhat::GsdInPlace {
-                hint,
-                members,
-                epoch,
-                plan,
-            } => {
-                if self.members.iter().any(|m| m.partition == hint.partition) {
-                    // Already rejoined (rescued by someone else); retract the
-                    // abandoned plan's mark so it cannot linger.
-                    phoenix_telemetry::unmark(
-                        "gsd.takeover",
-                        takeover_key(ctx.pid(), hint.partition, plan),
-                    );
-                    return;
-                }
-                if !self.spawn_target_reachable(ctx, hint.partition, hint.node, plan) {
-                    return;
-                }
-                phoenix_telemetry::counter_add("gsd.takeovers", 1);
-                phoenix_telemetry::measure(
-                    "gsd.takeover",
-                    "gsd",
-                    ctx.node().0,
-                    takeover_key(ctx.pid(), hint.partition, plan),
-                );
-                let gsd = Gsd::respawn(
-                    hint.partition,
-                    self.params.clone(),
-                    self.topology.clone(),
-                    self.config,
-                    self.registry.clone(),
-                    hint,
-                    members,
-                    epoch.max(self.epoch),
-                    RecoveryAction::RestartedInPlace,
-                );
-                ctx.spawn(hint.node, Box::new(gsd));
-            }
-            RestartWhat::GsdMigrate {
+            RestartWhat::GsdTakeover {
                 hint,
                 members,
                 epoch,
                 to,
+                action,
                 plan,
             } => {
                 if self.members.iter().any(|m| m.partition == hint.partition) {
-                    phoenix_telemetry::unmark(
-                        "gsd.takeover",
-                        takeover_key(ctx.pid(), hint.partition, plan),
-                    );
+                    // Already rejoined (rescued by someone else).
+                    self.retract_takeover(ctx, hint.partition, plan);
                     return;
                 }
                 if !self.spawn_target_reachable(ctx, hint.partition, to, plan) {
@@ -1798,72 +1556,36 @@ impl Gsd {
                     hint,
                     members,
                     epoch.max(self.epoch),
-                    RecoveryAction::Migrated(to),
+                    action,
                 );
                 ctx.spawn(to, Box::new(gsd));
             }
             RestartWhat::GsdRescue { partition, plan } => {
                 self.rescuing.remove(&partition);
-                if self.members.iter().any(|m| m.partition == partition) {
-                    phoenix_telemetry::unmark(
-                        "gsd.takeover",
-                        takeover_key(ctx.pid(), partition, plan),
-                    );
-                    return;
-                }
-                let Some(hint) = self.last_known.get(&partition).copied() else {
-                    phoenix_telemetry::unmark(
-                        "gsd.takeover",
-                        takeover_key(ctx.pid(), partition, plan),
-                    );
+                let rejoined = self.members.iter().any(|m| m.partition == partition);
+                let hint = self.last_known.get(&partition).filter(|_| !rejoined);
+                // Restart in place if the old host is up, else migrate.
+                let target = hint.and_then(|&hint| {
+                    if ctx.node_is_up(hint.node) {
+                        return Some((hint, hint.node, RecoveryAction::RestartedInPlace));
+                    }
+                    let to = self.takeover_node(ctx, partition, hint.node)?;
+                    Some((hint, to, RecoveryAction::Migrated(to)))
+                });
+                let Some((hint, to, action)) = target else {
+                    // Rejoined meanwhile, never known, or nowhere to go.
+                    self.retract_takeover(ctx, partition, plan);
                     return;
                 };
-                let members = self.members.clone();
-                let epoch = self.epoch;
-                // Restart in place if the old host is up, else migrate.
-                if ctx.node_is_up(hint.node) {
-                    self.execute_restart(
-                        ctx,
-                        RestartWhat::GsdInPlace {
-                            hint,
-                            members,
-                            epoch,
-                            plan,
-                        },
-                    );
-                } else if let Some(to) = self
-                    .topology
-                    .partition(partition)
-                    .and_then(|spec| {
-                        let up: Vec<NodeId> = spec
-                            .backups
-                            .iter()
-                            .chain(spec.compute.iter())
-                            .copied()
-                            .filter(|&n| n != hint.node && ctx.node_is_up(n))
-                            .collect();
-                        up.iter()
-                            .copied()
-                            .find(|&n| !self.placement_degraded(n))
-                            .or_else(|| up.first().copied())
-                    })
-                {
-                    self.execute_restart(
-                        ctx,
-                        RestartWhat::GsdMigrate {
-                            hint,
-                            members,
-                            epoch,
-                            to,
-                            plan,
-                        },
-                    );
-                } else {
-                    phoenix_telemetry::unmark(
-                        "gsd.takeover",
-                        takeover_key(ctx.pid(), partition, plan),
-                    );
-                }
+                let takeover = RestartWhat::GsdTakeover {
+                    hint,
+                    members: self.members.clone(),
+                    epoch: self.epoch,
+                    to,
+                    action,
+                    plan,
+                };
+                self.execute_restart(ctx, takeover);
             }
         }
     }
@@ -2301,13 +2023,7 @@ impl Gsd {
         // A gray-self observer's placement vetoes are its own slowness
         // reflected back — ignore them, or the drain could never fire.
         let gray = self.gray_self();
-        let Some(to) = self.topology.partition(self.partition).and_then(|spec| {
-            spec.backups
-                .iter()
-                .chain(spec.compute.iter())
-                .copied()
-                .find(|&n| n != own && ctx.node_is_up(n) && (gray || !self.placement_degraded(n)))
-        }) else {
+        let Some(to) = self.backup_node(ctx, self.partition, own, !gray) else {
             return; // no healthy home node: stay put, keep serving
         };
         self.draining = true;
@@ -2596,19 +2312,19 @@ impl Gsd {
         // Abort in-flight probe sessions: a pending diagnosis must not
         // ripen into a takeover after we lost quorum. `abort_probe`
         // retracts the suspicion marks so they cannot leak.
-        let mut active: Vec<(u64, ProbeKind)> = self
+        let mut active: Vec<(u64, Watched)> = self
             .probes
             .iter()
             .filter(|(_, s)| s.active)
-            .map(|(&id, s)| (id, s.kind))
+            .map(|(&id, s)| (id, s.watched))
             .collect();
         active.sort_unstable_by_key(|(id, _)| *id);
-        for (id, kind) in active {
+        for (id, watched) in active {
             if let Some(s) = self.probes.get_mut(&id) {
                 s.active = false;
                 phoenix_telemetry::span_end(s.span);
             }
-            self.abort_probe(kind);
+            self.abort_probe(watched);
         }
         self.freeze_fanout(ctx, true);
     }
@@ -2669,7 +2385,7 @@ impl Gsd {
         }
         if self.regroup.frozen() {
             phoenix_telemetry::counter_add("gsd.regroup.suppressed", 1);
-            self.abort_probe(ProbeKind::Meta(partition));
+            self.abort_probe(Watched::Ring(partition));
             return false;
         }
         // Reachability veto: if the suspected partition acked the last
@@ -2677,7 +2393,7 @@ impl Gsd {
         // beats are a transient (e.g. just-healed links), not a failure.
         if self.regroup.recently_reachable(partition, ctx.now()) {
             phoenix_telemetry::counter_add("gsd.regroup.vetoed", 1);
-            self.abort_probe(ProbeKind::Meta(partition));
+            self.abort_probe(Watched::Ring(partition));
             return false;
         }
         // MSCS-style regroup period: a takeover needs an unbroken chain
@@ -2685,7 +2401,7 @@ impl Gsd {
         // enough for any minority islet to have frozen itself.
         if !self.regroup.takeover_licensed(ctx.now()) {
             phoenix_telemetry::counter_add("gsd.regroup.deferred", 1);
-            self.abort_probe(ProbeKind::Meta(partition));
+            self.abort_probe(Watched::Ring(partition));
             self.start_regroup_round(ctx);
             return false;
         }
@@ -2703,128 +2419,76 @@ impl Gsd {
 
     // ---- heartbeat ingestion -----------------------------------------------
 
-    fn on_wd_heartbeat(
+    /// One heartbeat from a watched daemon, WD or ring predecessor: the
+    /// same per-NIC evidence stream either way (network `i` is shared
+    /// infrastructure). `from` is the sender, for the WD's ack.
+    fn on_heartbeat(
         &mut self,
         ctx: &mut Ctx<'_, KernelMsg>,
         from: Pid,
-        node: NodeId,
+        watched: Watched,
         nic: NicId,
         seq: u64,
     ) {
-        // Duplicate suppression before any bookkeeping: a beat already seen
-        // on this NIC (network duplication, or an old reordered copy) must
-        // not refresh liveness or count in telemetry. A seq far below the
-        // window means the WD restarted and its counter reset — accept it.
+        let now = ctx.now();
+        let tracked = self
+            .peer_of_mut(watched)
+            .map(|p| (p.node, p.live.observe(nic, seq, now)));
+        // A daemon not in the table (this GSD is not wired yet) is like a
+        // NIC beyond a track's slots: accepted, but evidence of nothing.
+        let unwatched = Beat::Accepted {
+            gap: None,
+            node_recovered: false,
+            nic_recovered: false,
+        };
+        let Beat::Accepted {
+            gap,
+            node_recovered,
+            nic_recovered,
+        } = tracked.map_or(unwatched, |(_, beat)| beat)
+        else {
+            // Duplicate suppression before any bookkeeping: a beat already
+            // seen on this NIC must not refresh liveness or count in
+            // telemetry.
+            phoenix_telemetry::counter_add("gsd.dedup.dropped", 1);
+            return;
+        };
+        // The seq jump on this interface is per-NIC loss evidence; the
+        // arrival itself is delivery evidence.
         let mut transitions: Vec<HealthTransition> = Vec::new();
-        if let Some(t) = self.wd_tracks.get_mut(&node) {
-            if let Some(last_seq) = t.last_seq.get_mut(nic.0 as usize) {
-                if is_dup_seq(*last_seq, seq) {
-                    phoenix_telemetry::counter_add("gsd.dedup.dropped", 1);
-                    return;
-                }
-                // The seq jump on this interface is per-NIC loss evidence;
-                // the arrival itself is delivery evidence.
-                let gap = seq_gap(*last_seq, seq);
-                if gap > 0 {
-                    transitions.extend(self.nic_health.observe_misses(nic, gap));
-                }
-                transitions.extend(self.nic_health.observe_delivery(nic));
-                *last_seq = seq;
+        if let Some(gap) = gap {
+            if gap > 0 {
+                transitions.extend(self.nic_health.observe_misses(nic, gap));
             }
+            transitions.extend(self.nic_health.observe_delivery(nic));
         }
-        if self.nic_health.enabled() {
+        let (flight, service, at, id) = match watched {
+            Watched::Wd(node) => ("wd.heartbeat.flight", "wd", node.0, node.0 as u64),
+            Watched::Ring(p) => ("meta.heartbeat.flight", "gsd", ctx.node().0, p.0 as u64),
+        };
+        let wd = matches!(watched, Watched::Wd(_));
+        if wd && self.nic_health.enabled() {
             // Echo the beat over the same interface — the WD's only window
             // onto its per-NIC round trips (it sends, we receive).
             ctx.send_via(from, nic, KernelMsg::WdHeartbeatAck { nic, seq });
         }
         self.apply_health_transitions(ctx, transitions);
-        phoenix_telemetry::counter_add("gsd.wd_heartbeats.received", 1);
-        phoenix_telemetry::measure(
-            "wd.heartbeat.flight",
-            "wd",
-            node.0,
-            phoenix_telemetry::key(&[node.0 as u64, nic.0 as u64, seq]),
-        );
-        let now = ctx.now();
-        let mut recovered_node = false;
-        let mut recovered_nic = false;
-        if let Some(t) = self.wd_tracks.get_mut(&node) {
-            if let Some(last) = t.last.get_mut(nic.0 as usize) {
-                *last = now;
-            }
-            if t.node_down {
-                t.node_down = false;
-                recovered_node = true;
-            }
-            if t.nic_down.get(nic.0 as usize).copied().unwrap_or(false) {
-                t.nic_down[nic.0 as usize] = false;
-                recovered_nic = true;
-            }
+        if wd {
+            phoenix_telemetry::counter_add("gsd.wd_heartbeats.received", 1);
         }
-        if recovered_node {
+        phoenix_telemetry::measure(
+            flight,
+            service,
+            at,
+            phoenix_telemetry::key(&[id, nic.0 as u64, seq]),
+        );
+        let Some((node, _)) = tracked else {
+            return;
+        };
+        if wd && node_recovered {
             self.publish(ctx, EventType::NodeRecovery, node, EventPayload::Node(node));
         }
-        if recovered_nic {
-            self.publish(
-                ctx,
-                EventType::NetworkRecovery,
-                node,
-                EventPayload::Nic(node, nic),
-            );
-        }
-    }
-
-    fn on_meta_heartbeat(
-        &mut self,
-        ctx: &mut Ctx<'_, KernelMsg>,
-        from_partition: PartitionId,
-        nic: NicId,
-        seq: u64,
-    ) {
-        // Duplicate suppression, same contract as WD beats: a replayed seq
-        // must not refresh the predecessor's liveness window.
-        let mut transitions: Vec<HealthTransition> = Vec::new();
-        if let Some(t) = &mut self.pred {
-            if t.member.partition == from_partition {
-                if let Some(last_seq) = t.last_seq.get_mut(nic.0 as usize) {
-                    if is_dup_seq(*last_seq, seq) {
-                        phoenix_telemetry::counter_add("gsd.dedup.dropped", 1);
-                        return;
-                    }
-                    // Ring beats feed the same per-NIC evidence stream as
-                    // WD beats: network `i` is shared infrastructure.
-                    let gap = seq_gap(*last_seq, seq);
-                    if gap > 0 {
-                        transitions.extend(self.nic_health.observe_misses(nic, gap));
-                    }
-                    transitions.extend(self.nic_health.observe_delivery(nic));
-                    *last_seq = seq;
-                }
-            }
-        }
-        self.apply_health_transitions(ctx, transitions);
-        phoenix_telemetry::measure(
-            "meta.heartbeat.flight",
-            "gsd",
-            ctx.node().0,
-            phoenix_telemetry::key(&[from_partition.0 as u64, nic.0 as u64, seq]),
-        );
-        let now = ctx.now();
-        let mut recovered_nic = false;
-        let mut node = NodeId(0);
-        if let Some(t) = &mut self.pred {
-            if t.member.partition == from_partition {
-                node = t.member.node;
-                if let Some(last) = t.last.get_mut(nic.0 as usize) {
-                    *last = now;
-                }
-                if t.nic_down.get(nic.0 as usize).copied().unwrap_or(false) {
-                    t.nic_down[nic.0 as usize] = false;
-                    recovered_nic = true;
-                }
-            }
-        }
-        if recovered_nic {
+        if nic_recovered {
             self.publish(
                 ctx,
                 EventType::NetworkRecovery,
@@ -2967,14 +2631,14 @@ impl Actor<KernelMsg> for Gsd {
                 }
             }
             KernelMsg::WdHeartbeat { node, nic, seq } => {
-                self.on_wd_heartbeat(ctx, from, node, nic, seq)
+                self.on_heartbeat(ctx, from, Watched::Wd(node), nic, seq)
             }
             KernelMsg::MetaHeartbeat {
                 from_partition,
                 nic,
                 seq,
                 ..
-            } => self.on_meta_heartbeat(ctx, from_partition, nic, seq),
+            } => self.on_heartbeat(ctx, from, Watched::Ring(from_partition), nic, seq),
             KernelMsg::MetaJoin { member } => {
                 if self.regroup.frozen() {
                     // A frozen GSD must not admit members or bump epochs.
@@ -3342,15 +3006,8 @@ impl Actor<KernelMsg> for Gsd {
                         // does not trip deadlines computed from beats that
                         // were sent on the old cadence.
                         let now = ctx.now();
-                        for t in self.wd_tracks.values_mut() {
-                            for l in t.last.iter_mut() {
-                                *l = now;
-                            }
-                        }
-                        if let Some(p) = &mut self.pred {
-                            for l in p.last.iter_mut() {
-                                *l = now;
-                            }
+                        for p in &mut self.peers {
+                            p.live.rebase(now);
                         }
                     }
                 }
@@ -3373,13 +3030,9 @@ impl Actor<KernelMsg> for Gsd {
                 self.dir_resend_nodes.remove(&node);
                 self.node_daemons.insert(node, services);
                 let was_down = self
-                    .wd_tracks
-                    .get(&node)
-                    .map(|t| t.node_down)
-                    .unwrap_or(false);
-                let nics = self.my_nic_known.len();
-                self.wd_tracks
-                    .insert(node, WdTrack::new(services.wd, nics, ctx.now()));
+                    .peer_of(Watched::Wd(node))
+                    .is_some_and(|p| p.live.is_down());
+                self.watch_wd(node, services.wd, ctx.now());
                 if was_down {
                     self.publish(ctx, EventType::NodeRecovery, node, EventPayload::Node(node));
                 }

@@ -10,12 +10,15 @@
 //! * [`wd`] — the watch daemon on every node (heartbeats over all NICs);
 //! * [`gsd`] — the per-partition Group Service Daemon and the ring-shaped
 //!   meta-group with Leader/Princess takeover;
+//! * `liveness` — the per-peer heartbeat state machine the GSD runs over
+//!   its watch daemons and its ring predecessor alike (no actor context);
 //! * [`registry`] — respawn-policy registration for supervised services;
 //! * [`flat`] — the flat all-to-all membership baseline the paper argues
 //!   against, kept for the scalability ablation.
 
 pub mod flat;
 pub mod gsd;
+mod liveness;
 pub mod registry;
 pub mod wd;
 

@@ -20,7 +20,10 @@
 # (verbose, with a flight-recorder dump). Seeds are deterministic: the same
 # seed generates the same schedule on every machine. A second chaos pass
 # re-runs 25 seeds on a 2% random-loss network (--lossy 20: baseline loss
-# plus generated loss bursts) with the loss-tolerant kernel profile.
+# plus generated loss bursts) with the loss-tolerant kernel profile. A
+# third, 150-seed lossy pass guards the chaos binary itself: every schedule
+# must get a telemetry registry of its own, or from about seed 100 the
+# marks of earlier schedules read as leaks (spurious telemetry-leak lines).
 #
 # The loss_sweep smoke sweeps loss rates on a fault-free and a WD-kill
 # cluster; the bin exits non-zero if any spurious takeover fires, and the
@@ -107,6 +110,21 @@ cargo run --release --offline -p phoenix-chaos --bin chaos -- --seeds 25 --small
 
 echo "== smoke: chaos, 25 seeded fault schedules on a 2% lossy network =="
 cargo run --release --offline -p phoenix-chaos --bin chaos -- --seeds 25 --lossy 20
+
+echo "== regression: 150 lossy chaos schedules report no spurious telemetry-leak =="
+# Seeds 104 and 143 violate *other* invariants at this commit (known
+# defects, benchmark/README.md) — reported, not hidden — so the exit status
+# is not the gate here; the leak lines are.
+cargo run --release --offline -p phoenix-chaos --bin chaos -- --seeds 150 --small --lossy 20 \
+    > /tmp/chaos_150.out || true
+grep 'chaos sweep done' /tmp/chaos_150.out || {
+    echo "FAIL: the 150-seed chaos sweep did not finish" >&2
+    exit 1
+}
+if grep 'telemetry-leak' /tmp/chaos_150.out; then
+    echo "FAIL: chaos --seeds 150 reports telemetry-leak (registry not isolated per schedule?)" >&2
+    exit 1
+fi
 
 echo "== smoke: loss_sweep (--small --serial) writes results/BENCH_loss.json =="
 rm -f results/BENCH_loss.json
@@ -344,5 +362,13 @@ awk "BEGIN { exit !($fresh_eps >= 1.10 * $base_eps) }" || {
     echo "FAIL: wheel events/sec ${fresh_eps} < 1.10 * baseline ${base_eps}" >&2
     exit 1
 }
+
+echo "== report: non-blank, non-comment lines (ROADMAP aim 2: net line count is a number we report) =="
+for f in crates/phoenix-kernel/src/group/*.rs; do
+    printf '%6d  %s\n' "$(grep -cvE '^\s*(//|$)' "$f")" "$f"
+done
+for d in crates/*/src; do
+    printf '%6d  %s (total)\n' "$(find "$d" -name '*.rs' -exec cat {} + | grep -cvE '^\s*(//|$)')" "$d"
+done
 
 echo "verify: OK"

@@ -9,8 +9,12 @@
 //! surfaces. The serial-vs-parallel `cmp` gate from the sweep runner is
 //! the template; here the axis is the scheduler, not the thread count.
 //!
+//! Each scenario also carries a pinned FNV-1a digest per surface (see
+//! [`Golden`]): heap ≡ wheel cannot see a change that shifts both
+//! schedulers the same way; the digests can.
+//!
 //! A divergence report names the first differing line, not the full
-//! multi-megabyte streams.
+//! multi-megabyte streams; a golden mismatch names the surfaces that moved.
 
 use phoenix::chaos::{flight_recorder_dump, run_schedule, ChaosConfig, RunOutcome};
 use phoenix::sim::SchedulerKind;
@@ -42,11 +46,25 @@ fn observe(seed: u64, mask: u64, mut cfg: ChaosConfig, kind: SchedulerKind) -> O
     }
 }
 
-/// Panic with the first differing line instead of dumping both streams.
-fn assert_stream_eq(what: &str, seed: u64, heap: &str, wheel: &str) {
+/// One surface of one scenario: heap and wheel must agree byte for byte
+/// (else panic with the first differing line, and which side still matches
+/// the golden), and both must hash to `want` (else return a line saying so,
+/// so the caller can name every surface that moved at once).
+fn check_surface(what: &str, seed: u64, heap: &str, wheel: &str, want: u64) -> Option<String> {
     if heap == wheel {
-        return;
+        let now = fnv1a(heap);
+        return (now != want).then(|| {
+            format!(
+                "  {what}: pinned {want:#018x}, now {now:#018x} ({} lines)",
+                heap.lines().count()
+            )
+        });
     }
+    let still = match (fnv1a(heap) == want, fnv1a(wheel) == want) {
+        (true, _) => "heap still matches the golden",
+        (_, true) => "wheel still matches the golden",
+        _ => "neither matches the golden",
+    };
     let mut h = heap.lines();
     let mut w = wheel.lines();
     let mut line = 0usize;
@@ -56,7 +74,7 @@ fn assert_stream_eq(what: &str, seed: u64, heap: &str, wheel: &str) {
             (Some(a), Some(b)) if a == b => continue,
             (a, b) => panic!(
                 "seed {seed}: {what} streams diverge at line {line} \
-                 ({} vs {} total lines)\n  heap:  {a:?}\n  wheel: {b:?}",
+                 ({} vs {} total lines; {still})\n  heap:  {a:?}\n  wheel: {b:?}",
                 heap.lines().count(),
                 wheel.lines().count(),
             ),
@@ -64,9 +82,29 @@ fn assert_stream_eq(what: &str, seed: u64, heap: &str, wheel: &str) {
     }
 }
 
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a digests of one scenario's four surfaces, computed at the commit
+/// that last changed behaviour on purpose. Heap ≡ wheel only proves the
+/// scheduler is unobservable *within* a commit; these pin the kernel
+/// *across* commits, so a refactor that shifts both schedulers the same
+/// way fails here. A constant may change only together with a CHANGES.md
+/// line saying which behaviour changed and why.
+struct Golden {
+    events: u64,
+    trace: u64,
+    flight: u64,
+    registry: u64,
+}
+
 /// Replay `seed` (restricted to `mask`) under both schedulers and require
-/// byte-identity on every observable surface.
-fn assert_byte_identical(seed: u64, mask: u64, cfg: &ChaosConfig) {
+/// byte-identity on every observable surface, with each other and with
+/// the pinned `golden` digests.
+fn assert_byte_identical(seed: u64, mask: u64, cfg: &ChaosConfig, golden: Golden) {
     let heap = observe(seed, mask, cfg.clone(), SchedulerKind::Heap);
     let wheel = observe(seed, mask, cfg.clone(), SchedulerKind::Wheel);
 
@@ -76,14 +114,35 @@ fn assert_byte_identical(seed: u64, mask: u64, cfg: &ChaosConfig) {
         .streams
         .as_ref()
         .expect("wheel streams recorded");
-    assert_stream_eq("event", seed, &hs.events, &ws.events);
     assert!(
         !hs.events.is_empty(),
         "seed {seed}: event stream is empty — recording is broken"
     );
-    assert_stream_eq("trace", seed, &hs.trace, &ws.trace);
-    assert_stream_eq("flight-recorder", seed, &heap.flight, &wheel.flight);
-    assert_stream_eq("telemetry-registry", seed, &heap.registry, &wheel.registry);
+    let moved: Vec<String> = [
+        ("event", &hs.events, &ws.events, golden.events),
+        ("trace", &hs.trace, &ws.trace, golden.trace),
+        (
+            "flight-recorder",
+            &heap.flight,
+            &wheel.flight,
+            golden.flight,
+        ),
+        (
+            "telemetry-registry",
+            &heap.registry,
+            &wheel.registry,
+            golden.registry,
+        ),
+    ]
+    .into_iter()
+    .filter_map(|(what, h, w, want)| check_surface(what, seed, h, w, want))
+    .collect();
+    assert!(
+        moved.is_empty(),
+        "seed {seed}:{mask:x}: behaviour moved against the cross-commit golden \
+         (heap and wheel still agree):\n{}",
+        moved.join("\n")
+    );
 
     // Scalar outcome fields must agree too (violations carry strings).
     assert_eq!(heap.outcome.virtual_ns, wheel.outcome.virtual_ns, "seed {seed}");
@@ -112,31 +171,81 @@ fn assert_byte_identical(seed: u64, mask: u64, cfg: &ChaosConfig) {
 /// seed 8's schedule that once broke loss tolerance.
 #[test]
 fn differential_lossy_shrunk_mask_8_88() {
-    assert_byte_identical(8, 0x88, &ChaosConfig::small_lossy(20));
+    assert_byte_identical(
+        8,
+        0x88,
+        &ChaosConfig::small_lossy(20),
+        Golden {
+            events: 0x15c7_88d7_ca8b_3fe7,
+            trace: 0x6fdc_043f_0dfa_5bfb,
+            flight: 0x615b_1d61_1de7_a7aa,
+            registry: 0x817d_e925_dd85_f6dd,
+        },
+    );
 }
 
 /// Pinned shrunk reproducer 15:5ee (lossy).
 #[test]
 fn differential_lossy_shrunk_mask_15_5ee() {
-    assert_byte_identical(15, 0x5ee, &ChaosConfig::small_lossy(20));
+    assert_byte_identical(
+        15,
+        0x5ee,
+        &ChaosConfig::small_lossy(20),
+        Golden {
+            events: 0x29e5_1362_e84b_6ed3,
+            trace: 0x7d45_f66c_aaac_d85f,
+            flight: 0x201c_94a2_c83d_2699,
+            registry: 0xb6b9_0c20_5d8c_1556,
+        },
+    );
 }
 
 /// Seed 26: island split storm overlapping a GSD kill (partition config).
 #[test]
 fn differential_partition_island_split_seed_26() {
-    assert_byte_identical(26, u64::MAX, &ChaosConfig::small_partition());
+    assert_byte_identical(
+        26,
+        u64::MAX,
+        &ChaosConfig::small_partition(),
+        Golden {
+            events: 0xb993_e699_b1af_c43e,
+            trace: 0x2270_0f07_a90e_2732,
+            flight: 0x1dea_fe0f_1fd3_784f,
+            registry: 0x7b61_ab58_885d_a53a,
+        },
+    );
 }
 
 /// Seed 4: the flapping-NIC storm pin (lossy config).
 #[test]
 fn differential_nic_flap_seed_4() {
-    assert_byte_identical(4, u64::MAX, &ChaosConfig::small_lossy(20));
+    assert_byte_identical(
+        4,
+        u64::MAX,
+        &ChaosConfig::small_lossy(20),
+        Golden {
+            events: 0xa36e_a42c_f8e5_f87c,
+            trace: 0x4a96_45ae_7fbc_ac15,
+            flight: 0xf969_4c0b_5362_f66f,
+            registry: 0x102f_24b1_d0a4_6532,
+        },
+    );
 }
 
 /// Seed 178: loss bursts plus a GSD kill on a 2% lossy network.
 #[test]
 fn differential_lossy_seed_178() {
-    assert_byte_identical(178, u64::MAX, &ChaosConfig::small_lossy(20));
+    assert_byte_identical(
+        178,
+        u64::MAX,
+        &ChaosConfig::small_lossy(20),
+        Golden {
+            events: 0x93da_8e83_27f9_fff5,
+            trace: 0x79ad_ed7e_fe48_7ad1,
+            flight: 0x4ece_1ad6_a285_6dcf,
+            registry: 0xb68a_7cf1_c700_fcfe,
+        },
+    );
 }
 
 /// Seed 21: the quorum profile's overlapping-takeover-plans scenario
@@ -145,7 +254,17 @@ fn differential_lossy_seed_178() {
 /// home-node testimony and the weighted vote table all ride this replay.
 #[test]
 fn differential_quorum_even_split_seed_21() {
-    assert_byte_identical(21, u64::MAX, &ChaosConfig::small_quorum());
+    assert_byte_identical(
+        21,
+        u64::MAX,
+        &ChaosConfig::small_quorum(),
+        Golden {
+            events: 0x69a1_ad83_9707_2ae7,
+            trace: 0x2f84_cbb3_7d5f_bf62,
+            flight: 0x5899_9cdc_3880_c46f,
+            registry: 0xf4a8_8a6d_8b3a_f689,
+        },
+    );
 }
 
 /// Seed 1 (slow profile): both member-partition servers gray at once —
@@ -154,7 +273,17 @@ fn differential_quorum_even_split_seed_21() {
 /// under either scheduler.
 #[test]
 fn differential_slow_double_gray_seed_1() {
-    assert_byte_identical(1, u64::MAX, &ChaosConfig::small_slow());
+    assert_byte_identical(
+        1,
+        u64::MAX,
+        &ChaosConfig::small_slow(),
+        Golden {
+            events: 0xeff6_16f2_01e1_525a,
+            trace: 0x5d4d_fdb5_dd6c_ee07,
+            flight: 0xf3e1_e1f4_503c_6829,
+            registry: 0xcb9b_daab_91d9_7087,
+        },
+    );
 }
 
 /// The fail-slow storm stream rides its own salted RNG and is appended
