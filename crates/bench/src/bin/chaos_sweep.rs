@@ -15,25 +15,10 @@
 //! chaos_sweep [--seeds N] [--seed-base S] [--small|--paper] [--serial]
 //! ```
 
-use std::path::PathBuf;
-
 use phoenix_bench::sweep::run_sweep;
 use phoenix_chaos::{full_mask, replay_command, run_schedule, shrink, ChaosConfig};
+use phoenix_telemetry::report::workspace_root;
 use phoenix_telemetry::Json;
-
-fn workspace_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if let Ok(text) = std::fs::read_to_string(dir.join("Cargo.toml")) {
-            if text.contains("[workspace]") {
-                return dir;
-            }
-        }
-        if !dir.pop() {
-            return std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-        }
-    }
-}
 
 fn main() {
     let mut seeds = 50u64;

@@ -23,27 +23,13 @@
 //! event_core [--small]
 //! ```
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use phoenix_chaos::{flight_recorder_dump, run_schedule, ChaosConfig};
 use phoenix_sim::sched::{HeapScheduler, Scheduler, WheelScheduler};
 use phoenix_sim::{SchedulerKind, SimRng, SimTime};
+use phoenix_telemetry::report::workspace_root;
 use phoenix_telemetry::{BenchReport, Json};
-
-fn workspace_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if let Ok(text) = std::fs::read_to_string(dir.join("Cargo.toml")) {
-            if text.contains("[workspace]") {
-                return dir;
-            }
-        }
-        if !dir.pop() {
-            return std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // FNV-1a digests

@@ -30,28 +30,13 @@
 //! loss_sweep [--small] [--serial]
 //! ```
 
-use std::path::PathBuf;
-
 use phoenix_bench::sweep::run_sweep;
 use phoenix_kernel::boot::boot_cluster_with_net;
 use phoenix_kernel::KernelParams;
 use phoenix_proto::{ClusterTopology, KernelMsg};
 use phoenix_sim::{FaultTarget, NetParams, SimDuration, TraceEvent, World};
+use phoenix_telemetry::report::workspace_root;
 use phoenix_telemetry::Json;
-
-fn workspace_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if let Ok(text) = std::fs::read_to_string(dir.join("Cargo.toml")) {
-            if text.contains("[workspace]") {
-                return dir;
-            }
-        }
-        if !dir.pop() {
-            return std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-        }
-    }
-}
 
 fn boot(seed: u64, loss_permille: u16) -> (World<KernelMsg>, phoenix_kernel::PhoenixCluster) {
     let topo = ClusterTopology::uniform(3, 5, 1);

@@ -29,30 +29,15 @@
 //! partition_sweep [--small] [--serial]
 //! ```
 
-use std::path::PathBuf;
-
-use phoenix_bench::sweep::run_sweep;
+use phoenix_bench::sweep::{mean, run_sweep};
 use phoenix_kernel::boot::boot_and_stabilize;
 use phoenix_kernel::config::ConfigService;
 use phoenix_kernel::group::Gsd;
 use phoenix_kernel::{ClientHandle, KernelParams, PhoenixCluster};
 use phoenix_proto::{ClusterTopology, KernelMsg, RequestId};
 use phoenix_sim::{Fault, NodeId, Pid, SimDuration, World};
+use phoenix_telemetry::report::workspace_root;
 use phoenix_telemetry::Json;
-
-fn workspace_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if let Ok(text) = std::fs::read_to_string(dir.join("Cargo.toml")) {
-            if text.contains("[workspace]") {
-                return dir;
-            }
-        }
-        if !dir.pop() {
-            return std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-        }
-    }
-}
 
 fn boot(seed: u64) -> (World<KernelMsg>, PhoenixCluster) {
     boot_and_stabilize(
@@ -175,14 +160,6 @@ fn episode(seed: u64, minority: usize) -> Episode {
         double_leader_instants: double,
         converge_ms,
         dir_converge_ms,
-    }
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        f64::NAN
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
     }
 }
 

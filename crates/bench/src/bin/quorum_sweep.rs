@@ -43,29 +43,14 @@
 //! quorum_sweep [--small] [--serial]
 //! ```
 
-use std::path::PathBuf;
-
-use phoenix_bench::sweep::run_sweep;
+use phoenix_bench::sweep::{mean, run_sweep};
 use phoenix_kernel::boot::boot_and_stabilize;
 use phoenix_kernel::group::Gsd;
 use phoenix_kernel::{KernelParams, PhoenixCluster};
 use phoenix_proto::{ClusterTopology, KernelMsg, PartitionId};
 use phoenix_sim::{Fault, NodeId, Pid, SimDuration, World};
+use phoenix_telemetry::report::workspace_root;
 use phoenix_telemetry::Json;
-
-fn workspace_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if let Ok(text) = std::fs::read_to_string(dir.join("Cargo.toml")) {
-            if text.contains("[workspace]") {
-                return dir;
-            }
-        }
-        if !dir.pop() {
-            return std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-        }
-    }
-}
 
 /// The quorum profile on the even testbed: 4 partitions × 3 nodes, the
 /// witness designated away from the config partition (p1) so both split
@@ -251,14 +236,6 @@ fn takeover_episode(seed: u64, adaptive: bool) -> TakeoverEpisode {
         }
     }
     TakeoverEpisode { takeover_ms }
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        f64::NAN
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
 }
 
 fn main() {

@@ -46,9 +46,7 @@
 //! slow_sweep [--small] [--serial]
 //! ```
 
-use std::path::PathBuf;
-
-use phoenix_bench::sweep::run_sweep;
+use phoenix_bench::sweep::{mean, run_sweep};
 use phoenix_kernel::boot::boot_and_stabilize;
 use phoenix_kernel::group::Gsd;
 use phoenix_kernel::{KernelParams, PhoenixCluster};
@@ -56,21 +54,8 @@ use phoenix_proto::{ClusterTopology, KernelMsg};
 use phoenix_sim::{
     Diagnosis, Fault, FaultTarget, NodeId, Pid, SimDuration, SimTime, TraceEvent, World,
 };
+use phoenix_telemetry::report::workspace_root;
 use phoenix_telemetry::Json;
-
-fn workspace_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if let Ok(text) = std::fs::read_to_string(dir.join("Cargo.toml")) {
-            if text.contains("[workspace]") {
-                return dir;
-            }
-        }
-        if !dir.pop() {
-            return std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-        }
-    }
-}
 
 /// Same testbed as `chaos --slow`: 3 partitions × 5 nodes, fail-slow
 /// detector enabled on top of the fast fail-stop profile.
@@ -215,14 +200,6 @@ fn episode(seed: u64, factor_permille: u16, shape: &Shape) -> Episode {
         reinstate_ms,
         false_dead: dead_diagnoses(&w, victim),
         relocated,
-    }
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        f64::NAN
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
     }
 }
 

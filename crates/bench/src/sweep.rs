@@ -44,6 +44,15 @@ pub struct SweepOutcome<R> {
     pub wall: Duration,
 }
 
+/// Arithmetic mean of a sweep's per-run samples; NaN when there are none.
+pub fn mean(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        f64::NAN
+    } else {
+        xs.iter().sum::<f64>() / xs.len() as f64
+    }
+}
+
 /// Resolve the worker-thread count for `n_items` parallel jobs.
 pub fn thread_count(n_items: usize) -> usize {
     let configured = std::env::var("PHOENIX_SWEEP_THREADS")

@@ -188,10 +188,12 @@ impl DataBulletin {
                 ctx.node().0,
                 phoenix_telemetry::key(&[self.partition.0 as u64, fed]),
             );
-            if !complete {
+            if complete {
+                ctx.cancel_timer(p.timer);
+            } else {
+                // Called from that timer's own handler: it has fired.
                 phoenix_telemetry::counter_add("bulletin.fed_queries.timed_out", 1);
             }
-            ctx.cancel_timer(p.timer);
             ctx.send(
                 p.client,
                 KernelMsg::DbResp {

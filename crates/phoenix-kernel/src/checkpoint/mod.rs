@@ -13,7 +13,7 @@
 
 use crate::params::KernelParams;
 use phoenix_proto::{CheckpointData, KernelMsg, PartitionId, RequestId, ServiceKind};
-use phoenix_sim::{Actor, Ctx, Pid, RecoveryAction, SimDuration, TraceEvent};
+use phoenix_sim::{Actor, Ctx, Pid, RecoveryAction, TraceEvent};
 use std::collections::BTreeMap;
 
 const TOK_HB: u64 = 1;
@@ -292,16 +292,11 @@ impl Actor<KernelMsg> for CheckpointService {
     }
 }
 
-/// Convenience: how long a migrated instance waits for peers at most.
-pub fn sync_deadline(params: &KernelParams) -> SimDuration {
-    params.fed_query_timeout * 4
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use phoenix_proto::MemberInfo;
-    use phoenix_sim::{ClusterBuilder, NodeSpec, World};
+    use phoenix_sim::{ClusterBuilder, NodeSpec, SimDuration, World};
 
     fn world() -> World<KernelMsg> {
         ClusterBuilder::new()

@@ -126,12 +126,6 @@ impl EventService {
         );
     }
 
-    /// Pids of the currently registered consumers (read-only
-    /// introspection for the chaos harness's delivery invariant).
-    pub fn consumer_pids(&self) -> Vec<Pid> {
-        self.consumers.iter().map(|r| r.consumer).collect()
-    }
-
     /// Deliver to local consumers whose filter accepts the event.
     fn notify_local(&self, ctx: &mut Ctx<'_, KernelMsg>, event: &Event) {
         for reg in &self.consumers {

@@ -34,7 +34,7 @@ use phoenix_proto::{
 use phoenix_sim::{
     Actor, Ctx, Diagnosis, FaultTarget, NicId, NodeId, Pid, RecoveryAction, SimTime, TraceEvent,
 };
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 const TOK_SCAN: u64 = 1;
 const TOK_TICK: u64 = 2;
@@ -153,7 +153,6 @@ struct ProbeSession {
     target_ppm: Pid,
     rounds_sent: u32,
     responses: u32,
-    active: bool,
     /// When the most recent probe round was sent; each response consumes
     /// it as an RTT sample for the fail-slow detector.
     last_round_at: Option<SimTime>,
@@ -235,7 +234,7 @@ pub struct Gsd {
     /// gaps (WD and meta-ring). Inert unless `params.ft.nic.enabled`.
     nic_health: NicHealth,
 
-    probes: HashMap<u64, ProbeSession>,
+    probes: BTreeMap<u64, ProbeSession>,
     ops: HashMap<u64, DelayedOp>,
     next_id: u64,
     last_role: &'static str,
@@ -391,7 +390,7 @@ impl Gsd {
             svc_tracks: HashMap::new(),
             my_nic_known: Vec::new(),
             nic_health,
-            probes: HashMap::new(),
+            probes: BTreeMap::new(),
             ops: HashMap::new(),
             next_id: 0,
             last_role: "",
@@ -494,31 +493,9 @@ impl Gsd {
         self.role()
     }
 
-    /// Whether this GSD froze itself after losing quorum.
-    pub fn quorum_frozen(&self) -> bool {
-        self.regroup.frozen()
-    }
-
-    /// Regroup epoch (number of concluded regroup rounds).
-    pub fn regroup_epoch(&self) -> u64 {
-        self.regroup.epoch()
-    }
-
-    /// Partitions in this GSD's current membership view, sorted.
-    pub fn meta_view(&self) -> Vec<PartitionId> {
-        let mut v: Vec<PartitionId> = self.members.iter().map(|m| m.partition).collect();
-        v.sort();
-        v
-    }
-
     /// The partition this GSD believes leads the meta-group.
     pub fn leader_view(&self) -> Option<PartitionId> {
         self.leader().map(|m| m.partition)
-    }
-
-    /// Current membership epoch.
-    pub fn meta_epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Current witness view when the vote table is active:
@@ -536,18 +513,9 @@ impl Gsd {
         self.regroup.effective_takeover_delay()
     }
 
-    /// Per-NIC EWMA health scores (all 1.0 when the layer is disabled).
-    pub fn nic_health_scores(&self) -> Vec<f64> {
-        (0..self.nic_health.nic_count())
-            .map(|i| self.nic_health.score(NicId(i as u8)))
-            .collect()
-    }
-
-    /// Which NICs this GSD has demoted (degraded, not down).
-    pub fn nic_demoted(&self) -> Vec<bool> {
-        (0..self.nic_health.nic_count())
-            .map(|i| self.nic_health.is_demoted(NicId(i as u8)))
-            .collect()
+    /// Test/introspection: probe sessions opened and not yet resolved.
+    pub fn probes_in_flight(&self) -> usize {
+        self.probes.len()
     }
 
     fn refresh_roles(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
@@ -770,9 +738,8 @@ impl Gsd {
     /// otherwise the takeover would stall forever on a single lost message.
     fn send_directory_query(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         // Under NIC-health routing each resend rotates one step down the
-        // health ranking (same contract as `Retrier::nic_for_attempt`): a
-        // query whose preferred path eats packets escapes to an independent
-        // network instead of re-rolling the same dice.
+        // health ranking: a query whose preferred path eats packets escapes
+        // to an independent network instead of re-rolling the same dice.
         let via = if self.nic_health.enabled() && self.nic_health.nic_count() > 0 {
             let ranked = self.nic_health.ranked();
             Some(ranked[self.dir_attempts as usize % ranked.len()])
@@ -1144,7 +1111,6 @@ impl Gsd {
                 target_ppm,
                 rounds_sent: 0,
                 responses: 0,
-                active: true,
                 last_round_at: None,
                 span,
             },
@@ -1171,7 +1137,7 @@ impl Gsd {
         let Some(s) = self.probes.get_mut(&session) else {
             return;
         };
-        if !s.active || s.rounds_sent >= self.params.ft.probe_rounds {
+        if s.rounds_sent >= self.params.ft.probe_rounds {
             return;
         }
         s.rounds_sent += 1;
@@ -1197,9 +1163,6 @@ impl Gsd {
         let Some(s) = self.probes.get_mut(&session) else {
             return;
         };
-        if !s.active {
-            return;
-        }
         phoenix_telemetry::measure(
             "gsd.probe.rtt",
             "gsd",
@@ -1213,8 +1176,8 @@ impl Gsd {
         let watched = s.watched;
         let done = s.responses >= self.params.ft.probe_rounds;
         if done {
-            s.active = false;
             phoenix_telemetry::span_end(s.span);
+            self.probes.remove(&session);
         }
         if self.slow.enabled() {
             let peer = self.peer_of(watched).map(|p| p.node);
@@ -1234,13 +1197,9 @@ impl Gsd {
     }
 
     fn on_probe_timeout(&mut self, ctx: &mut Ctx<'_, KernelMsg>, session: u64) {
-        let Some(s) = self.probes.get_mut(&session) else {
+        let Some(s) = self.probes.remove(&session) else {
             return;
         };
-        if !s.active {
-            return;
-        }
-        s.active = false;
         let watched = s.watched;
         let responses = s.responses;
         phoenix_telemetry::span_end(s.span);
@@ -2058,12 +2017,6 @@ impl Gsd {
         ctx.spawn(to, Box::new(gsd));
     }
 
-    /// Test/introspection: per-peer fail-slow verdicts as this GSD sees
-    /// them.
-    pub fn slow_verdicts(&self) -> Vec<(NodeId, SlowVerdict)> {
-        self.slow.verdicts()
-    }
-
     /// Test/introspection: the adopted quarantine view.
     pub fn quarantine_view(&self) -> (u64, Vec<PartitionId>) {
         (
@@ -2075,11 +2028,6 @@ impl Gsd {
     /// Test/introspection: ring membership order as currently sorted.
     pub fn ring_order(&self) -> Vec<PartitionId> {
         self.members.iter().map(|m| m.partition).collect()
-    }
-
-    /// Test/introspection: whether a slow-drain handoff is in flight.
-    pub fn is_draining(&self) -> bool {
-        self.draining
     }
 
     // ---- quorum regroup (MSCS-style; paper-adjacent split-brain cure) ------
@@ -2312,19 +2260,9 @@ impl Gsd {
         // Abort in-flight probe sessions: a pending diagnosis must not
         // ripen into a takeover after we lost quorum. `abort_probe`
         // retracts the suspicion marks so they cannot leak.
-        let mut active: Vec<(u64, Watched)> = self
-            .probes
-            .iter()
-            .filter(|(_, s)| s.active)
-            .map(|(&id, s)| (id, s.watched))
-            .collect();
-        active.sort_unstable_by_key(|(id, _)| *id);
-        for (id, watched) in active {
-            if let Some(s) = self.probes.get_mut(&id) {
-                s.active = false;
-                phoenix_telemetry::span_end(s.span);
-            }
-            self.abort_probe(watched);
+        for s in std::mem::take(&mut self.probes).into_values() {
+            phoenix_telemetry::span_end(s.span);
+            self.abort_probe(s.watched);
         }
         self.freeze_fanout(ctx, true);
     }
@@ -3124,20 +3062,9 @@ impl Actor<KernelMsg> for Gsd {
     fn on_kill(&mut self, _now: phoenix_sim::SimTime) {
         // Probe sessions die with this GSD: abandon their spans with an
         // `aborted` disposition so `open_spans()` cannot climb across
-        // fault schedules. Deterministic order (BTreeMap-free probes map
-        // is a HashMap, so sort by session id first).
-        let mut active: Vec<u64> = self
-            .probes
-            .iter()
-            .filter(|(_, s)| s.active)
-            .map(|(&id, _)| id)
-            .collect();
-        active.sort_unstable();
-        for id in active {
-            if let Some(s) = self.probes.get_mut(&id) {
-                s.active = false;
-                phoenix_telemetry::span_abort(s.span);
-            }
+        // fault schedules.
+        for s in std::mem::take(&mut self.probes).into_values() {
+            phoenix_telemetry::span_abort(s.span);
         }
         // A GSD that dies frozen (most often: yielding to the majority's
         // replacement after a heal) abandons its frozen-episode span, and

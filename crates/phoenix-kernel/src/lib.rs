@@ -44,5 +44,5 @@ pub use client::ClientHandle;
 pub use nic_health::{HealthTransition, NicHealth, NicHealthParams};
 pub use params::{FtParams, KernelParams};
 pub use regroup::{Regroup, RegroupParams, Verdict};
-pub use rpc::{DedupWindow, Retrier, RetryPolicy};
+pub use rpc::{DedupWindow, RetryPolicy};
 pub use slow_detect::{SlowDetect, SlowDetectParams, SlowTransition, Verdict as SlowVerdict};

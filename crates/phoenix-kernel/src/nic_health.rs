@@ -11,9 +11,9 @@
 //! every probe.
 //!
 //! Demotion/promotion is hysteretic: an interface whose score falls below
-//! `demote_below` is demoted (and the GSD publishes `NetworkDegraded`);
-//! it is promoted again only once its score recovers past `promote_above`
-//! *and* it has delivered `promote_streak` consecutive messages — a
+//! `DEMOTE_BELOW` is demoted (and the GSD publishes `NetworkDegraded`);
+//! it is promoted again only once its score recovers past `PROMOTE_ABOVE`
+//! *and* it has delivered `PROMOTE_STREAK` consecutive messages — a
 //! flapping NIC cannot oscillate the routing preference every beat.
 //!
 //! Everything here is plain arithmetic on observed traffic: no RNG, no
@@ -22,44 +22,30 @@
 
 use phoenix_sim::NicId;
 
-/// Tuning for the per-NIC health layer. Default: disabled, so the paper
+/// EWMA smoothing factor: `score = (1-ALPHA)*score + ALPHA*evidence` with
+/// evidence 1.0 for a delivery, 0.0 for a miss.
+const ALPHA: f64 = 0.2;
+/// Demote an interface when its score falls below this.
+const DEMOTE_BELOW: f64 = 0.5;
+/// A demoted interface must climb back above this to be promoted...
+const PROMOTE_ABOVE: f64 = 0.8;
+/// ...and must also have this many consecutive clean deliveries.
+const PROMOTE_STREAK: u32 = 8;
+
+/// The per-NIC health layer's one option. Default: disabled, so the paper
 /// pipeline (and every pre-existing seeded trace) is untouched;
 /// `KernelParams::fast_lossy()` opts in.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct NicHealthParams {
     /// Master switch: when false no acks are sent, no scores move, and
     /// routing falls back to the default first-healthy-NIC policy.
     pub enabled: bool,
-    /// EWMA smoothing factor: `score = (1-alpha)*score + alpha*evidence`
-    /// with evidence 1.0 for a delivery, 0.0 for a miss.
-    pub alpha: f64,
-    /// Demote an interface when its score falls below this.
-    pub demote_below: f64,
-    /// A demoted interface must climb back above this to be promoted...
-    pub promote_above: f64,
-    /// ...and must also have this many consecutive clean deliveries.
-    pub promote_streak: u32,
-}
-
-impl Default for NicHealthParams {
-    fn default() -> Self {
-        NicHealthParams {
-            enabled: false,
-            alpha: 0.2,
-            demote_below: 0.5,
-            promote_above: 0.8,
-            promote_streak: 8,
-        }
-    }
 }
 
 impl NicHealthParams {
     /// The profile enabled by `KernelParams::fast_lossy()`.
     pub fn lossy() -> NicHealthParams {
-        NicHealthParams {
-            enabled: true,
-            ..NicHealthParams::default()
-        }
+        NicHealthParams { enabled: true }
     }
 }
 
@@ -136,15 +122,14 @@ impl NicHealth {
         if !self.params.enabled {
             return None;
         }
-        let p = self.params.clone();
         let s = self.nics.get_mut(nic.0 as usize)?;
         // Written as `score += alpha*(1-score)` rather than the textbook
         // `(1-alpha)*score + alpha`: algebraically identical, but exact at
         // the fixed point, so an interface with only clean deliveries stays
         // at precisely 1.0 instead of drifting a few ULPs below it.
-        s.score += p.alpha * (1.0 - s.score);
+        s.score += ALPHA * (1.0 - s.score);
         s.clean_streak = s.clean_streak.saturating_add(1);
-        if s.demoted && s.score > p.promote_above && s.clean_streak >= p.promote_streak {
+        if s.demoted && s.score > PROMOTE_ABOVE && s.clean_streak >= PROMOTE_STREAK {
             s.demoted = false;
             return Some(HealthTransition::Promoted(nic));
         }
@@ -157,13 +142,12 @@ impl NicHealth {
         if !self.params.enabled || gap == 0 {
             return None;
         }
-        let p = self.params.clone();
         let s = self.nics.get_mut(nic.0 as usize)?;
         for _ in 0..gap.min(MAX_MISSES_PER_GAP) {
-            s.score *= 1.0 - p.alpha;
+            s.score *= 1.0 - ALPHA;
         }
         s.clean_streak = 0;
-        if !s.demoted && s.score < p.demote_below {
+        if !s.demoted && s.score < DEMOTE_BELOW {
             s.demoted = true;
             return Some(HealthTransition::Demoted(nic));
         }
@@ -255,9 +239,8 @@ mod tests {
         }
         let at = promoted_at.expect("clean deliveries must eventually promote");
         assert!(
-            at >= 8,
-            "promotion before the {}-delivery hysteresis window (at {at})",
-            NicHealthParams::lossy().promote_streak
+            at >= PROMOTE_STREAK,
+            "promotion before the {PROMOTE_STREAK}-delivery hysteresis window (at {at})"
         );
         assert!(h.score(NicId(0)) > 0.8);
         assert!(!h.is_demoted(NicId(0)));

@@ -1,11 +1,11 @@
 //! Loss-tolerant request/reply machinery shared by the kernel services.
 //!
 //! The paper's kernel ran over real Ethernet where requests and replies are
-//! lost; every service therefore needs the same three ingredients:
+//! lost; every service therefore needs the same two ingredients:
 //!
 //! * a **retry policy** — bounded attempts with exponential backoff and
-//!   seeded jitter (deterministic under the simulator's RNG);
-//! * a **retrier** — per-request attempt bookkeeping for the client side;
+//!   seeded jitter (deterministic under the simulator's RNG); each client
+//!   counts its own attempts;
 //! * a **dedup window** — server-side request-id memory that replays the
 //!   cached reply for a retried request instead of re-executing it, making
 //!   non-idempotent operations (like `CfgNodeOp::Start`) safe to retry.
@@ -14,7 +14,7 @@
 //! module behave exactly as before unless a lossy profile opts in
 //! (`KernelParams::fast_lossy`).
 
-use phoenix_sim::{NicId, SimDuration, SimRng};
+use phoenix_sim::{SimDuration, SimRng};
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 
@@ -82,67 +82,6 @@ impl RetryPolicy {
             rng.gen_range(0..=span)
         };
         Some(SimDuration::from_nanos(ns + jitter))
-    }
-}
-
-/// Client-side attempt bookkeeping for in-flight requests, keyed however
-/// the adopting service identifies them.
-#[derive(Debug)]
-pub struct Retrier<K: Hash + Eq + Clone> {
-    policy: RetryPolicy,
-    attempts: HashMap<K, u32>,
-}
-
-impl<K: Hash + Eq + Clone> Retrier<K> {
-    pub fn new(policy: RetryPolicy) -> Retrier<K> {
-        Retrier {
-            policy,
-            attempts: HashMap::new(),
-        }
-    }
-
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
-    /// Record a (re)send of `key` and return the backoff to wait before
-    /// the *next* retry, or `None` when the budget is exhausted (give up
-    /// or fall back after the deadline). Counts `rpc.retries` telemetry
-    /// from the second attempt on.
-    pub fn next_backoff(&mut self, key: K, rng: &mut SimRng) -> Option<SimDuration> {
-        let n = self.attempts.entry(key).or_insert(0);
-        *n += 1;
-        if *n > 1 {
-            phoenix_telemetry::counter_add("rpc.retries", 1);
-        }
-        self.policy.delay(*n, rng)
-    }
-
-    /// The reply arrived (or the caller gave up): forget the request.
-    pub fn done(&mut self, key: &K) {
-        self.attempts.remove(key);
-    }
-
-    /// Attempts made so far for `key` (0 if unknown).
-    pub fn attempts(&self, key: &K) -> u32 {
-        self.attempts.get(key).copied().unwrap_or(0)
-    }
-
-    /// NIC-selection hook for adaptive multi-NIC routing: given the
-    /// health-ranked interface list (best first, from
-    /// [`crate::nic_health::NicHealth::ranked`]), pick the NIC for the next
-    /// send of `key`. The first attempt goes over the healthiest
-    /// interface; each retry rotates one step down the ranking, so a
-    /// request whose preferred path is silently eating packets escapes to
-    /// an independent network instead of re-rolling the same dice.
-    /// `None` when no ranking is available (caller falls back to default
-    /// routing).
-    pub fn nic_for_attempt(&self, key: &K, ranked: &[NicId]) -> Option<NicId> {
-        if ranked.is_empty() {
-            return None;
-        }
-        let attempt = self.attempts(key) as usize;
-        Some(ranked[attempt % ranked.len()])
     }
 }
 
@@ -249,39 +188,6 @@ mod tests {
             assert!(jittered >= base);
             assert!(jittered <= base + base / 4);
         }
-    }
-
-    #[test]
-    fn retrier_tracks_attempts_per_key() {
-        let mut r: Retrier<u64> = Retrier::new(RetryPolicy::lossy());
-        let mut rng = SimRng::seed_from_u64(3);
-        assert!(r.next_backoff(1, &mut rng).is_some()); // original send
-        assert!(r.next_backoff(1, &mut rng).is_some()); // retry 1
-        assert!(r.next_backoff(1, &mut rng).is_some()); // retry 2
-        assert_eq!(r.next_backoff(1, &mut rng), None); // budget spent
-        assert_eq!(r.attempts(&1), 4);
-        // Independent keys don't share the budget.
-        assert!(r.next_backoff(2, &mut rng).is_some());
-        r.done(&1);
-        assert_eq!(r.attempts(&1), 0);
-    }
-
-    #[test]
-    fn nic_for_attempt_rotates_down_the_ranking() {
-        let mut r: Retrier<u64> = Retrier::new(RetryPolicy::lossy());
-        let mut rng = SimRng::seed_from_u64(4);
-        let ranked = [NicId(2), NicId(0), NicId(1)];
-        // Before the first send: best NIC.
-        assert_eq!(r.nic_for_attempt(&1, &ranked), Some(NicId(2)));
-        r.next_backoff(1, &mut rng);
-        assert_eq!(r.nic_for_attempt(&1, &ranked), Some(NicId(0)));
-        r.next_backoff(1, &mut rng);
-        assert_eq!(r.nic_for_attempt(&1, &ranked), Some(NicId(1)));
-        r.next_backoff(1, &mut rng);
-        // Wraps around once the ranking is exhausted.
-        assert_eq!(r.nic_for_attempt(&1, &ranked), Some(NicId(2)));
-        // Unranked callers keep default routing.
-        assert_eq!(r.nic_for_attempt(&1, &[]), None);
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //! (EWMA mean + EWMA absolute deviation) over a frozen-floor baseline
 //! (the minimum RTT ever observed — slowness inflates samples, so the
 //! floor stays honest). A peer reads *over* when its smoothed RTT exceeds
-//! `max(slow_after × base, base + dev_gate × dev)` — the deviation term
+//! `max(SLOW_AFTER × base, base + DEV_GATE × dev)` — the deviation term
 //! keeps a naturally jittery link from being flagged. Hysteresis on both
-//! edges: `slow_streak` consecutive over-samples to quarantine,
-//! `clean_windows` consecutive clean samples to reinstate, so a single
+//! edges: `SLOW_STREAK` consecutive over-samples to quarantine,
+//! `CLEAN_WINDOWS` consecutive clean samples to reinstate, so a single
 //! stall cannot flap a peer's eligibility.
 //!
 //! The verdict never kills: a Slow peer loses leadership / meta-ring
@@ -34,55 +34,38 @@
 use phoenix_sim::NodeId;
 use std::collections::BTreeMap;
 
-/// Tuning for the fail-slow detector. Default: disabled, so the fail-stop
-/// pipeline (and every pre-existing seeded trace) is untouched.
-#[derive(Clone, Debug)]
+/// EWMA smoothing factor for both the RTT mean and the deviation.
+const ALPHA: f64 = 0.3;
+/// A peer reads over when its smoothed RTT exceeds this multiple of its
+/// baseline (minimum-ever) RTT...
+const SLOW_AFTER: f64 = 3.0;
+/// ...and also exceeds `base + DEV_GATE × dev`, so jittery-but-honest
+/// links are not flagged.
+const DEV_GATE: f64 = 4.0;
+/// Consecutive over-samples before the verdict flips to Slow.
+const SLOW_STREAK: u32 = 3;
+/// A Slow peer must fall back under this multiple of baseline...
+const CLEAR_BEFORE: f64 = 1.5;
+/// ...for this many consecutive samples ("N clean windows") before it is
+/// reinstated.
+const CLEAN_WINDOWS: u32 = 8;
+/// Samples needed before any verdict: the baseline must mean something
+/// first.
+const WARMUP: u32 = 3;
+
+/// The fail-slow detector's one option. Default: disabled, so the
+/// fail-stop pipeline (and every pre-existing seeded trace) is untouched.
+#[derive(Clone, Debug, Default)]
 pub struct SlowDetectParams {
     /// Master switch: when false no pings are sent, no scores move, and
     /// no peer is ever quarantined.
     pub enabled: bool,
-    /// EWMA smoothing factor for both the RTT mean and the deviation.
-    pub alpha: f64,
-    /// A peer reads over when its smoothed RTT exceeds this multiple of
-    /// its baseline (minimum-ever) RTT...
-    pub slow_after: f64,
-    /// ...and also exceeds `base + dev_gate × dev`, so jittery-but-honest
-    /// links are not flagged.
-    pub dev_gate: f64,
-    /// Consecutive over-samples before the verdict flips to Slow.
-    pub slow_streak: u32,
-    /// A Slow peer must fall back under this multiple of baseline...
-    pub clear_before: f64,
-    /// ...for this many consecutive samples ("N clean windows") before it
-    /// is reinstated.
-    pub clean_windows: u32,
-    /// Samples needed before any verdict: the baseline must mean
-    /// something first.
-    pub warmup: u32,
-}
-
-impl Default for SlowDetectParams {
-    fn default() -> Self {
-        SlowDetectParams {
-            enabled: false,
-            alpha: 0.3,
-            slow_after: 3.0,
-            dev_gate: 4.0,
-            slow_streak: 3,
-            clear_before: 1.5,
-            clean_windows: 8,
-            warmup: 3,
-        }
-    }
 }
 
 impl SlowDetectParams {
     /// The profile enabled by `KernelParams::fast_slow()`.
     pub fn slow() -> SlowDetectParams {
-        SlowDetectParams {
-            enabled: true,
-            ..SlowDetectParams::default()
-        }
+        SlowDetectParams { enabled: true }
     }
 }
 
@@ -183,18 +166,13 @@ impl SlowDetect {
             .unwrap_or(1.0)
     }
 
-    /// Smoothed absolute deviation of the peer's RTT, in ns.
-    pub fn deviation_ns(&self, peer: NodeId) -> f64 {
-        self.peers.get(&peer).map(|p| p.dev_ns).unwrap_or(0.0)
-    }
-
     /// Whether a peer has cleared the warmup window: its baseline has
     /// enough samples for the verdict to mean anything. A reinstatement
     /// decision must never ride on a cold, unwarmed Healthy default.
     pub fn warmed(&self, peer: NodeId) -> bool {
         self.peers
             .get(&peer)
-            .map(|p| p.samples >= self.params.warmup)
+            .map(|p| p.samples >= WARMUP)
             .unwrap_or(false)
     }
 
@@ -220,7 +198,6 @@ impl SlowDetect {
         if !self.params.enabled {
             return None;
         }
-        let p = self.params.clone();
         let s = self
             .peers
             .entry(peer)
@@ -231,23 +208,23 @@ impl SlowDetect {
         }
         // RFC 6298 order: fold the sample's deviation in against the old
         // estimate, then move the estimate.
-        s.dev_ns += p.alpha * ((sample - s.ewma_ns).abs() - s.dev_ns);
-        s.ewma_ns += p.alpha * (sample - s.ewma_ns);
+        s.dev_ns += ALPHA * ((sample - s.ewma_ns).abs() - s.dev_ns);
+        s.ewma_ns += ALPHA * (sample - s.ewma_ns);
         s.samples = s.samples.saturating_add(1);
         if s.verdict == Verdict::Dead {
             // Evidence of life; scores below decide Healthy vs Slow.
             s.verdict = Verdict::Healthy;
         }
-        let over_bar = (p.slow_after * s.base_ns).max(s.base_ns + p.dev_gate * s.dev_ns);
-        let clean_bar = p.clear_before * s.base_ns;
-        if s.samples < p.warmup {
+        let over_bar = (SLOW_AFTER * s.base_ns).max(s.base_ns + DEV_GATE * s.dev_ns);
+        let clean_bar = CLEAR_BEFORE * s.base_ns;
+        if s.samples < WARMUP {
             return None;
         }
         match s.verdict {
             Verdict::Healthy if s.ewma_ns > over_bar => {
                 s.over_streak += 1;
                 s.clean_streak = 0;
-                if s.over_streak >= p.slow_streak {
+                if s.over_streak >= SLOW_STREAK {
                     s.verdict = Verdict::Slow;
                     s.clean_streak = 0;
                     return Some(SlowTransition::Quarantined(peer));
@@ -258,7 +235,7 @@ impl SlowDetect {
             }
             Verdict::Slow if s.ewma_ns < clean_bar => {
                 s.clean_streak += 1;
-                if s.clean_streak >= p.clean_windows {
+                if s.clean_streak >= CLEAN_WINDOWS {
                     s.verdict = Verdict::Healthy;
                     s.over_streak = 0;
                     return Some(SlowTransition::Reinstated(peer));
@@ -386,7 +363,7 @@ mod tests {
         }
         let at = reinstated_at.expect("clean samples must eventually reinstate");
         assert!(
-            at + 1 >= SlowDetectParams::slow().clean_windows,
+            at + 1 >= CLEAN_WINDOWS,
             "reinstated inside the clean window (at {at})"
         );
         assert_eq!(d.verdict(NodeId(4)), Verdict::Healthy);
@@ -416,7 +393,7 @@ mod tests {
     fn jittery_link_is_not_flagged() {
         // A link whose RTT swings 1×–3× baseline keeps a high deviation;
         // the dev gate holds the bar above the swings and the EWMA mean
-        // (~2×) never crosses slow_after (3×) anyway.
+        // (~2×) never crosses SLOW_AFTER (3×) anyway.
         let mut d = detector();
         for i in 0..300u64 {
             let rtt = BASE + (i % 3) * BASE;

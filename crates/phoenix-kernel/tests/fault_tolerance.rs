@@ -5,6 +5,7 @@
 
 use phoenix_kernel::boot::boot_and_stabilize;
 use phoenix_kernel::client::ClientHandle;
+use phoenix_kernel::group::Gsd;
 use phoenix_kernel::KernelParams;
 use phoenix_proto::{
     BulletinQuery, ClusterTopology, ConsumerReg, EventFilter, EventType, KernelMsg, RequestId,
@@ -78,6 +79,41 @@ fn wd_process_failure_detected_diagnosed_restarted() {
         matches!(e, TraceEvent::FaultDiagnosed { diagnosis: Diagnosis::NodeFailure, .. })
     });
     assert_eq!(nodefaults, 0, "no false node-failure diagnosis");
+}
+
+#[test]
+fn repeated_wd_restarts_leave_no_probe_session_behind() {
+    let (mut w, _cluster) = small();
+    let victim_node = NodeId(2);
+    // Open probe sessions of every live GSD, in node order.
+    let probes_in_flight = |w: &World<KernelMsg>| -> Vec<usize> {
+        (0..w.node_count() as u32)
+            .flat_map(|n| w.pids_on(NodeId(n)))
+            .filter_map(|pid| w.actor_as::<Gsd>(pid))
+            .map(Gsd::probes_in_flight)
+            .collect()
+    };
+    for _ in 0..10 {
+        let wd = w
+            .pids_on(victim_node)
+            .into_iter()
+            .find(|&pid| w.actor(pid).is_some_and(|a| a.name() == "wd"))
+            .expect("a WD runs on the victim node");
+        w.kill_process(wd);
+        let deadline = w.now() + SimDuration::from_secs(30);
+        assert!(w.run_until_quiet(SimDuration::from_secs(3), deadline));
+        assert_eq!(probes_in_flight(&w), vec![0, 0]);
+    }
+    let restarts = w.trace().count(|e| {
+        matches!(
+            e,
+            TraceEvent::FaultDiagnosed {
+                diagnosis: Diagnosis::ProcessFailure,
+                ..
+            }
+        )
+    });
+    assert_eq!(restarts, 10, "every cycle ran a probe to its verdict");
 }
 
 #[test]
@@ -359,6 +395,8 @@ fn bulletin_failure_partial_then_recovered_answers() {
         }
         other => panic!("unexpected {other:?}"),
     }
+    // The timed-out query's timer had already fired: nothing to cancel.
+    assert_eq!(w.cancelled_timers(), 0);
 
     // GSD restarts the bulletin; queries become complete again.
     w.run_for(SimDuration::from_secs(4));

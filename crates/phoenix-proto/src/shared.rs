@@ -37,11 +37,6 @@ impl<T> Shared<T> {
         }
     }
 
-    /// The wrapped value. `Deref` also works; this reads better in matches.
-    pub fn get_ref(&self) -> &T {
-        &self.inner.value
-    }
-
     /// Take the value out of the wrapper: a move when this is the only
     /// reference (the common case for a freshly decoded message), a clone
     /// only when the payload is genuinely still shared.

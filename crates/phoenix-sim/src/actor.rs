@@ -89,9 +89,16 @@ pub struct Ctx<'a, M: Message> {
 /// Immutable facts about the world that actors may consult.
 pub struct WorldView<'a> {
     pub(crate) nodes: &'a [NodeState],
-    pub(crate) live: &'a std::collections::HashMap<Pid, NodeId>,
+    /// The liveness column of the world's process table.
+    pub(crate) live: &'a [Option<NodeId>],
     /// Active island-split mask (`Fault::Partition`), 0 when whole.
     pub(crate) island: u64,
+}
+
+/// Node of a live pid, read from the liveness column (indexed by `pid.0`).
+/// `None` for every pid that is not alive, including ones past the end.
+pub(crate) fn live_node(live: &[Option<NodeId>], pid: Pid) -> Option<NodeId> {
+    *live.get(usize::try_from(pid.0).ok()?)?
 }
 
 impl<'a, M: Message> Ctx<'a, M> {
@@ -218,11 +225,6 @@ impl<'a, M: Message> Ctx<'a, M> {
             .unwrap_or(false)
     }
 
-    /// Current resource usage of a node, if it exists.
-    pub fn node_usage(&self, node: NodeId) -> Option<ResourceUsage> {
-        self.view.nodes.get(node.index()).map(|n| n.usage)
-    }
-
     /// Number of NICs configured on `node`.
     pub fn nic_count(&self, node: NodeId) -> usize {
         self.view
@@ -232,24 +234,15 @@ impl<'a, M: Message> Ctx<'a, M> {
             .unwrap_or(0)
     }
 
-    /// Number of CPUs on `node` (0 if unknown).
-    pub fn node_cpus(&self, node: NodeId) -> u32 {
-        self.view
-            .nodes
-            .get(node.index())
-            .map(|n| n.spec.cpus)
-            .unwrap_or(0)
-    }
-
     /// Is the given process currently alive? (Models OS-level process
     /// liveness checks such as the application-state detector's scan.)
     pub fn process_is_alive(&self, pid: Pid) -> bool {
-        self.view.live.contains_key(&pid)
+        self.node_of(pid).is_some()
     }
 
     /// Node a live process runs on.
     pub fn node_of(&self, pid: Pid) -> Option<NodeId> {
-        self.view.live.get(&pid).copied()
+        live_node(self.view.live, pid)
     }
 
     /// Deterministic per-world random source.

@@ -1,6 +1,6 @@
 //! The simulation world: nodes, processes, the event queue, and the run loop.
 
-use crate::actor::{Actor, Command, Ctx, WorldView};
+use crate::actor::{live_node, Actor, Command, Ctx, WorldView};
 use crate::fault::Fault;
 use crate::ids::{NicId, NodeId, Pid, TimerId};
 use crate::message::Message;
@@ -12,7 +12,7 @@ use crate::sched::{make_scheduler, Scheduler, SchedulerKind};
 use crate::time::{SimDuration, SimTime};
 use crate::rng::SimRng;
 use crate::trace::{TraceEvent, TraceLog};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Builder for a simulated cluster.
 #[derive(Clone, Debug)]
@@ -83,7 +83,7 @@ impl ClusterBuilder {
 
     /// Construct the world.
     pub fn build<M: Message>(self) -> World<M> {
-        let nodes = self
+        let nodes: Vec<NodeState> = self
             .nodes
             .into_iter()
             .enumerate()
@@ -94,9 +94,9 @@ impl ClusterBuilder {
             seq: 0,
             queue: make_scheduler(self.sched),
             event_log: if self.record { Some(String::new()) } else { None },
-            procs: HashMap::new(),
-            live: HashMap::new(),
-            pids_by_node: HashMap::new(),
+            actors: Vec::new(),
+            live: Vec::new(),
+            pids_on: vec![Vec::new(); nodes.len()],
             nodes,
             network: Network::new(self.net),
             metrics: Metrics::default(),
@@ -156,11 +156,6 @@ impl std::fmt::Display for SchedulePastError {
 
 impl std::error::Error for SchedulePastError {}
 
-struct Proc<M: Message> {
-    node: NodeId,
-    actor: Option<Box<dyn Actor<M>>>,
-}
-
 /// The deterministic discrete-event world. Generic over the message type
 /// exchanged by actors.
 pub struct World<M: Message> {
@@ -171,10 +166,18 @@ pub struct World<M: Message> {
     /// (`ClusterBuilder::record_events`) — the differential harness's
     /// byte-comparison stream.
     event_log: Option<String>,
-    procs: HashMap<Pid, Proc<M>>,
-    /// Parallel liveness map exposed read-only to actor contexts.
-    live: HashMap<Pid, NodeId>,
-    pids_by_node: HashMap<NodeId, HashSet<Pid>>,
+    /// The process table, indexed by `pid.0` (pids come from a counter and
+    /// are never reused, so it is dense): two columns of equal length, so a
+    /// handler can hold its actor mutably while its `Ctx` reads liveness.
+    /// A slot is `None` in both for a pid that is not alive — killed, never
+    /// registered (`Pid(0)`, a spawn on a down node), or past the end.
+    actors: Vec<Option<Box<dyn Actor<M>>>>,
+    /// Node of each live pid: the one answer to "alive? where?" for the
+    /// world and for actor contexts.
+    live: Vec<Option<NodeId>>,
+    /// Live pids per node, indexed by `NodeId`; ascending, because
+    /// registration order is pid order.
+    pids_on: Vec<Vec<Pid>>,
     nodes: Vec<NodeState>,
     network: Network,
     metrics: Metrics,
@@ -234,12 +237,12 @@ impl<M: Message> World<M> {
 
     /// Is the process alive?
     pub fn is_alive(&self, pid: Pid) -> bool {
-        self.procs.contains_key(&pid)
+        self.node_of(pid).is_some()
     }
 
     /// Node a live process runs on.
     pub fn node_of(&self, pid: Pid) -> Option<NodeId> {
-        self.procs.get(&pid).map(|p| p.node)
+        live_node(&self.live, pid)
     }
 
     /// Set a node's resource gauges directly (workload generators).
@@ -261,15 +264,18 @@ impl<M: Message> World<M> {
             // Spawning on a dead node silently fails; the pid is never live.
             return;
         }
-        self.procs.insert(
-            pid,
-            Proc {
-                node,
-                actor: Some(actor),
-            },
-        );
-        self.live.insert(pid, node);
-        self.pids_by_node.entry(node).or_default().insert(pid);
+        // Growing past pids that never registered (spawns on down nodes)
+        // leaves their slots empty.
+        let slot = pid.0 as usize;
+        if self.live.len() <= slot {
+            self.live.resize(slot + 1, None);
+            self.actors.resize_with(slot + 1, || None);
+        }
+        self.live[slot] = Some(node);
+        self.actors[slot] = Some(actor);
+        let on_node = &mut self.pids_on[node.index()];
+        debug_assert!(on_node.last().is_none_or(|&last| last < pid));
+        on_node.push(pid);
         self.metrics.spawns += 1;
         self.push(self.clock, SimEvent::Start { pid });
     }
@@ -405,12 +411,11 @@ impl<M: Message> World<M> {
                 bytes,
                 dup,
             } => {
-                if self.procs.contains_key(&to) {
+                if self.with_actor(to, |actor, ctx| actor.on_message(ctx, from, msg)) {
                     if dup {
                         phoenix_telemetry::counter_add("net.dup.delivered", 1);
                     }
                     self.metrics.on_deliver(label, bytes);
-                    self.with_actor(to, |actor, ctx| actor.on_message(ctx, from, msg));
                 } else {
                     self.metrics.on_drop(label, DropReason::DeadProcess);
                 }
@@ -419,9 +424,13 @@ impl<M: Message> World<M> {
                 if self.cancelled.remove(&id) {
                     return;
                 }
-                if self.procs.contains_key(&pid) {
+                if self.with_actor(pid, |actor, ctx| actor.on_timer(ctx, token)) {
                     self.metrics.timers_fired += 1;
-                    self.with_actor(pid, |actor, ctx| actor.on_timer(ctx, token));
+                    // The handler may have cancelled the timer that just
+                    // fired; nothing is left to suppress.
+                    if !self.cancelled.is_empty() {
+                        self.cancelled.remove(&id);
+                    }
                 }
             }
             SimEvent::Fault(f) => self.do_fault(f),
@@ -496,42 +505,37 @@ impl<M: Message> World<M> {
         self.queue.arena_stats()
     }
 
-    fn with_actor<F>(&mut self, pid: Pid, f: F)
+    /// Run one handler of a live actor, then apply the commands it issued.
+    /// Returns false, running nothing, when `pid` is not alive.
+    fn with_actor<F>(&mut self, pid: Pid, f: F) -> bool
     where
-        F: FnOnce(&mut Box<dyn Actor<M>>, &mut Ctx<'_, M>),
+        F: FnOnce(&mut dyn Actor<M>, &mut Ctx<'_, M>),
     {
-        let (node, mut actor) = match self.procs.get_mut(&pid) {
-            Some(p) => match p.actor.take() {
-                Some(a) => (p.node, a),
-                None => return, // re-entrant dispatch; cannot happen in DES
-            },
-            None => return,
+        let Some(node) = self.node_of(pid) else {
+            return false;
         };
+        let actor = self.actors[pid.0 as usize]
+            .as_deref_mut()
+            .expect("a live pid has an actor: the two columns change together");
         let mut buf = std::mem::take(&mut self.cmdbuf);
-        {
-            let mut ctx = Ctx {
-                now: self.clock,
-                self_pid: pid,
-                self_node: node,
-                commands: &mut buf,
-                next_timer: &mut self.next_timer,
-                next_pid: &mut self.next_pid,
-                rng: &mut self.rng,
-                view: WorldView {
-                    nodes: &self.nodes,
-                    live: &self.live,
-                    island: self.network.island(),
-                },
-            };
-            f(&mut actor, &mut ctx);
-        }
-        // The actor may have killed itself via a command; put it back first
-        // so the Kill command can find it.
-        if let Some(p) = self.procs.get_mut(&pid) {
-            p.actor = Some(actor);
-        }
+        let mut ctx = Ctx {
+            now: self.clock,
+            self_pid: pid,
+            self_node: node,
+            commands: &mut buf,
+            next_timer: &mut self.next_timer,
+            next_pid: &mut self.next_pid,
+            rng: &mut self.rng,
+            view: WorldView {
+                nodes: &self.nodes,
+                live: &self.live,
+                island: self.network.island(),
+            },
+        };
+        f(actor, &mut ctx);
         self.apply_commands(pid, &mut buf);
         self.cmdbuf = buf;
+        true
     }
 
     fn apply_commands(&mut self, issuer: Pid, buf: &mut Vec<Command<M>>) {
@@ -578,20 +582,10 @@ impl<M: Message> World<M> {
         let bytes = msg.wire_size();
         self.metrics.on_send(label, bytes);
 
-        let src = match self.procs.get(&from) {
-            Some(p) => p.node,
-            None => {
-                // Sender died mid-handler (self-kill ordered before send).
-                self.metrics.on_drop(label, DropReason::DeadProcess);
-                return;
-            }
-        };
-        let dst = match self.procs.get(&to) {
-            Some(p) => p.node,
-            None => {
-                self.metrics.on_drop(label, DropReason::DeadProcess);
-                return;
-            }
+        // A dead sender killed itself earlier in the same handler.
+        let (Some(src), Some(dst)) = (self.node_of(from), self.node_of(to)) else {
+            self.metrics.on_drop(label, DropReason::DeadProcess);
+            return;
         };
 
         let route = self.resolve_route(src, dst, via);
@@ -706,16 +700,19 @@ impl<M: Message> World<M> {
 
     /// Kill one process immediately.
     pub fn kill_process(&mut self, pid: Pid) {
-        self.live.remove(&pid);
-        if let Some(mut p) = self.procs.remove(&pid) {
-            if let Some(a) = p.actor.as_mut() {
-                a.on_kill(self.clock);
-            }
-            if let Some(set) = self.pids_by_node.get_mut(&p.node) {
-                set.remove(&pid);
-            }
-            self.metrics.kills += 1;
+        let Some(node) = self.node_of(pid) else {
+            return;
+        };
+        let slot = pid.0 as usize;
+        self.live[slot] = None;
+        if let Some(mut actor) = self.actors[slot].take() {
+            actor.on_kill(self.clock);
         }
+        let on_node = &mut self.pids_on[node.index()];
+        if let Ok(at) = on_node.binary_search(&pid) {
+            on_node.remove(at);
+        }
+        self.metrics.kills += 1;
     }
 
     fn do_fault(&mut self, fault: Fault) {
@@ -728,16 +725,9 @@ impl<M: Message> World<M> {
                 }
                 n.up = false;
                 n.usage = ResourceUsage::IDLE;
-                let mut pids: Vec<Pid> = self
-                    .pids_by_node
-                    .get(&node)
-                    .map(|s| s.iter().copied().collect())
-                    .unwrap_or_default();
-                // HashSet iteration order is process-random; kill in pid
-                // order so telemetry recorded from on_kill hooks (aborted
-                // spans) is deterministic across runs and threads.
-                pids.sort_unstable();
-                for pid in pids {
+                // Ascending pid order: telemetry recorded from on_kill
+                // hooks (aborted spans) depends on it.
+                for pid in std::mem::take(&mut self.pids_on[node.index()]) {
                     self.kill_process(pid);
                 }
                 // Backstop for the span leak: any span still open on the
@@ -787,7 +777,7 @@ impl<M: Message> World<M> {
 
     /// Live process count (for assertions in tests).
     pub fn live_processes(&self) -> usize {
-        self.procs.len()
+        self.pids_on.iter().map(Vec::len).sum()
     }
 
     /// Number of events waiting in the queue.
@@ -801,11 +791,9 @@ impl<M: Message> World<M> {
         self.queue.earliest()
     }
 
-    /// Borrow a live actor for read-only inspection. `None` for dead pids
-    /// and while the actor is executing a handler (never the case between
-    /// `run_*` calls).
+    /// Borrow a live actor for read-only inspection. `None` for dead pids.
     pub fn actor(&self, pid: Pid) -> Option<&dyn Actor<M>> {
-        self.procs.get(&pid).and_then(|p| p.actor.as_deref())
+        self.actors.get(usize::try_from(pid.0).ok()?)?.as_deref()
     }
 
     /// Downcast a live actor to a concrete type via [`Actor::as_any`].
@@ -817,16 +805,15 @@ impl<M: Message> World<M> {
             .and_then(|a| a.downcast_ref::<T>())
     }
 
-    /// Pids currently hosted on `node`.
+    /// Pids currently hosted on `node`, ascending.
     pub fn pids_on(&self, node: NodeId) -> Vec<Pid> {
-        self.pids_by_node
-            .get(&node)
-            .map(|s| {
-                let mut v: Vec<Pid> = s.iter().copied().collect();
-                v.sort_unstable();
-                v
-            })
-            .unwrap_or_default()
+        self.pids_on.get(node.index()).cloned().unwrap_or_default()
+    }
+
+    /// Cancelled timers whose firing has not been suppressed yet (leak
+    /// tests).
+    pub fn cancelled_timers(&self) -> usize {
+        self.cancelled.len()
     }
 }
 
@@ -1033,13 +1020,61 @@ mod tests {
         assert_eq!(clean, cleared);
     }
 
+    /// Live slots of the process table, counted the slow way.
+    fn live_slots(w: &World<u64>) -> usize {
+        (0..=w.next_pid + 1).filter(|&p| w.is_alive(Pid(p))).count()
+    }
+
     #[test]
-    fn spawn_on_dead_node_never_lives() {
+    fn spawn_on_dead_node_leaves_a_hole() {
         let mut w = two_node_world();
         w.apply_fault(Fault::CrashNode(NodeId(1)));
-        let pid = w.spawn(NodeId(1), Box::new(Echo));
+        let hole = w.spawn(NodeId(1), Box::new(Echo));
+        let next = w.spawn(NodeId(0), Box::new(Echo));
         w.run_for(SimDuration::from_millis(1));
-        assert!(!w.is_alive(pid));
+        assert!(!w.is_alive(hole));
+        assert_eq!(w.node_of(hole), None);
+        assert!(w.actor(hole).is_none());
+        assert_eq!(next, Pid(hole.0 + 1));
+        assert_eq!(w.node_of(next), Some(NodeId(0)));
+        assert_eq!(w.live_processes(), 1);
+        assert_eq!(live_slots(&w), 1);
+    }
+
+    /// Sends one message to each target on start.
+    struct SendTo(Vec<Pid>);
+    impl Actor<u64> for SendTo {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+            for &to in &self.0 {
+                ctx.send(to, 0);
+            }
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, u64>, _from: Pid, _msg: u64) {}
+    }
+
+    #[test]
+    fn sends_to_pids_that_are_not_alive_drop_and_never_panic() {
+        let mut w = two_node_world();
+        w.apply_fault(Fault::CrashNode(NodeId(1)));
+        let hole = w.spawn(NodeId(1), Box::new(Echo));
+        let killed = w.spawn(NodeId(0), Box::new(Echo));
+        w.kill_process(killed);
+        let targets = vec![Pid(0), hole, killed, Pid(u64::MAX)];
+        let sender = w.spawn(NodeId(0), Box::new(SendTo(targets.clone())));
+        for &to in &targets {
+            w.send_from(sender, to, 0);
+            w.inject(to, 0);
+            assert!(!w.is_alive(to));
+            assert!(w.actor(to).is_none());
+            w.kill_process(to);
+        }
+        w.run_for(SimDuration::from_millis(1));
+        // Four targets by Ctx::send, send_from and inject: one drop each.
+        assert_eq!(w.metrics().drops_by_reason["dead_process"], 12);
+        assert_eq!(w.metrics().total.dropped, 12);
+        assert_eq!(w.metrics().total.delivered, 0);
+        assert_eq!(w.metrics().kills, 1);
+        assert_eq!(w.live_processes(), live_slots(&w));
     }
 
     #[test]
@@ -1201,8 +1236,35 @@ mod tests {
     fn cancelled_timer_never_fires() {
         let mut w = two_node_world();
         w.spawn(NodeId(0), Box::new(Canceller));
+        assert_eq!(w.cancelled_timers(), 0);
+        w.run_for(SimDuration::from_secs(1));
+        assert_eq!(w.cancelled_timers(), 1, "pending until the timer comes due");
         w.run_for(SimDuration::from_secs(10));
         assert_eq!(w.metrics().timers_fired, 0);
+        assert_eq!(w.cancelled_timers(), 0);
+    }
+
+    /// Actor that cancels its timer from that timer's own handler.
+    struct LateCanceller {
+        timer: Option<TimerId>,
+    }
+    impl Actor<u64> for LateCanceller {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+            self.timer = Some(ctx.set_timer(SimDuration::from_secs(1), 1));
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, u64>, _from: Pid, _msg: u64) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, _token: u64) {
+            ctx.cancel_timer(self.timer.take().expect("fires once"));
+        }
+    }
+
+    #[test]
+    fn cancelling_a_timer_from_its_own_handler_leaks_nothing() {
+        let mut w = two_node_world();
+        w.spawn(NodeId(0), Box::new(LateCanceller { timer: None }));
+        w.run_for(SimDuration::from_secs(10));
+        assert_eq!(w.metrics().timers_fired, 1);
+        assert_eq!(w.cancelled_timers(), 0);
     }
 
     /// Actor that spawns a child on another node when poked.
@@ -1215,6 +1277,50 @@ mod tests {
             let pid = ctx.spawn(self.target, Box::new(Echo));
             self.child.set(pid);
         }
+    }
+
+    type LiveView = Vec<(bool, Option<NodeId>)>;
+
+    /// On 1: spawns two children, kills the first of them and itself.
+    /// On anything else: records what its `Ctx` says about pids 0..=8.
+    struct Brood {
+        seen: std::rc::Rc<std::cell::RefCell<LiveView>>,
+    }
+    impl Actor<u64> for Brood {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, _from: Pid, msg: u64) {
+            if msg == 1 {
+                let first = ctx.spawn(NodeId(1), Box::new(Echo));
+                ctx.spawn(NodeId(0), Box::new(Echo));
+                ctx.kill(first);
+                ctx.kill(ctx.pid());
+            } else {
+                *self.seen.borrow_mut() = (0..=8)
+                    .map(|p| (ctx.process_is_alive(Pid(p)), ctx.node_of(Pid(p))))
+                    .collect();
+            }
+        }
+    }
+
+    #[test]
+    fn ctx_and_world_read_the_same_liveness() {
+        let mut w = two_node_world();
+        let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let brood = w.spawn(NodeId(0), Box::new(Brood { seen: seen.clone() }));
+        let observer = w.spawn(NodeId(1), Box::new(Brood { seen: seen.clone() }));
+        w.inject(brood, 1);
+        w.run_for(SimDuration::from_millis(1));
+        w.inject(observer, 2);
+        w.run_for(SimDuration::from_millis(1));
+        let world: LiveView = (0..=8)
+            .map(|p| (w.is_alive(Pid(p)), w.node_of(Pid(p))))
+            .collect();
+        assert_eq!(*seen.borrow(), world);
+        // Pids 1-4: brood (self-killed), observer, first child (killed),
+        // second child.
+        let alive: Vec<u64> = (0..=8).filter(|&p| world[p as usize].0).collect();
+        assert_eq!(alive, vec![2, 4]);
+        assert_eq!(w.live_processes(), 2);
+        assert_eq!(live_slots(&w), 2);
     }
 
     #[test]
@@ -1558,5 +1664,59 @@ mod tests {
         assert_eq!(w.pids_on(NodeId(0)), vec![a, b]);
         w.kill_process(a);
         assert_eq!(w.pids_on(NodeId(0)), vec![b]);
+        // Interleaved spawns and kills on two nodes keep both lists
+        // ascending.
+        let c = w.spawn(NodeId(1), Box::new(Echo));
+        let d = w.spawn(NodeId(0), Box::new(Echo));
+        let e = w.spawn(NodeId(1), Box::new(Echo));
+        w.kill_process(b);
+        let f = w.spawn(NodeId(0), Box::new(Echo));
+        let g = w.spawn(NodeId(1), Box::new(Echo));
+        w.kill_process(e);
+        assert_eq!(w.pids_on(NodeId(0)), vec![d, f]);
+        assert_eq!(w.pids_on(NodeId(1)), vec![c, g]);
+        assert_eq!(w.pids_on(NodeId(9)), vec![]);
+        assert_eq!(w.live_processes(), 4);
+        assert_eq!(live_slots(&w), 4);
+    }
+
+    /// Appends its tag to a shared list when killed.
+    struct KillLog {
+        tag: u64,
+        order: std::rc::Rc<std::cell::RefCell<Vec<u64>>>,
+    }
+    impl Actor<u64> for KillLog {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, u64>, _from: Pid, _msg: u64) {}
+        fn on_kill(&mut self, _now: SimTime) {
+            self.order.borrow_mut().push(self.tag);
+        }
+    }
+
+    #[test]
+    fn crash_node_kills_in_ascending_pid_order() {
+        let mut w = two_node_world();
+        let order = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let mut on_node_1 = Vec::new();
+        for i in 0..40u32 {
+            let node = NodeId(i % 2);
+            let pid = w.spawn(
+                node,
+                Box::new(KillLog {
+                    tag: u64::from(i) + 1,
+                    order: order.clone(),
+                }),
+            );
+            assert_eq!(pid.0, u64::from(i) + 1);
+            if node == NodeId(1) {
+                on_node_1.push(pid.0);
+            }
+        }
+        w.kill_process(Pid(on_node_1.remove(3)));
+        order.borrow_mut().clear();
+        w.apply_fault(Fault::CrashNode(NodeId(1)));
+        assert_eq!(*order.borrow(), on_node_1);
+        assert_eq!(w.pids_on(NodeId(1)), vec![]);
+        assert_eq!(w.live_processes(), 20);
+        assert_eq!(live_slots(&w), 20);
     }
 }

@@ -213,10 +213,6 @@ impl MetricsRegistry {
         &self.recorder
     }
 
-    pub fn recorder_mut(&mut self) -> &mut FlightRecorder {
-        &mut self.recorder
-    }
-
     // --- cross-actor mark/measure ------------------------------------------
 
     /// Stamp the current virtual time under `(path, key)`. A second mark

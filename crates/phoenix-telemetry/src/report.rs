@@ -16,6 +16,10 @@ use crate::registry::MetricsRegistry;
 /// Default output path, relative to the workspace root.
 pub const DEFAULT_PATH: &str = "results/BENCH_kernel.json";
 
+/// Flight-recorder records a written report keeps (the newest ones), so the
+/// committed `results/` files stay small enough to diff.
+const WRITTEN_RECENT_CAP: usize = 256;
+
 pub struct BenchReport {
     name: String,
     sections: Vec<(String, Json)>,
@@ -34,8 +38,15 @@ impl BenchReport {
         self
     }
 
-    /// Build the JSON document from a registry snapshot.
+    /// Build the JSON document from a registry snapshot, flight recorder
+    /// in full.
     pub fn to_json(&self, reg: &MetricsRegistry) -> Json {
+        self.document(reg, usize::MAX)
+    }
+
+    /// The document with at most the newest `recent_cap` flight-recorder
+    /// records; `retained` and `evicted` report the true counts either way.
+    fn document(&self, reg: &MetricsRegistry, recent_cap: usize) -> Json {
         let mut hists = Json::obj();
         for (path, stats) in reg.histograms() {
             let s = stats.hist.summary();
@@ -67,7 +78,8 @@ impl BenchReport {
         }
 
         let mut flight = Vec::new();
-        for rec in reg.recorder().iter() {
+        let skip = reg.recorder().len().saturating_sub(recent_cap);
+        for rec in reg.recorder().iter().skip(skip) {
             flight.push(
                 Json::obj()
                     .set("node", Json::UInt(rec.node as u64))
@@ -98,8 +110,9 @@ impl BenchReport {
         doc
     }
 
-    /// Write the report to `path`, creating parent directories. Returns
-    /// the path written.
+    /// Write the report to `path`, creating parent directories; only the
+    /// newest `WRITTEN_RECENT_CAP` flight-recorder records go to disk. Returns the path
+    /// written.
     pub fn write_to(&self, reg: &MetricsRegistry, path: impl AsRef<Path>) -> io::Result<PathBuf> {
         let path = path.as_ref();
         if let Some(dir) = path.parent() {
@@ -107,21 +120,21 @@ impl BenchReport {
                 fs::create_dir_all(dir)?;
             }
         }
-        fs::write(path, self.to_json(reg).render())?;
+        fs::write(path, self.document(reg, WRITTEN_RECENT_CAP).render())?;
         Ok(path.to_path_buf())
     }
 
-    /// Write to [`DEFAULT_PATH`] under the workspace root: walks up from
-    /// the current directory looking for the directory that contains
-    /// `Cargo.toml` with a `[workspace]` table, falling back to the
-    /// current directory (so `cargo run` from any crate dir and direct
-    /// binary invocation both land the report in the same place).
+    /// Write to [`DEFAULT_PATH`] under the [`workspace_root`].
     pub fn write_default(&self, reg: &MetricsRegistry) -> io::Result<PathBuf> {
         self.write_to(reg, workspace_root().join(DEFAULT_PATH))
     }
 }
 
-fn workspace_root() -> PathBuf {
+/// The workspace root: walks up from the current directory looking for the
+/// directory that contains `Cargo.toml` with a `[workspace]` table, falling
+/// back to the current directory (so `cargo run` from any crate dir and
+/// direct binary invocation both land reports in the same place).
+pub fn workspace_root() -> PathBuf {
     let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
     loop {
         let manifest = dir.join("Cargo.toml");
@@ -173,5 +186,24 @@ mod tests {
         let text = fs::read_to_string(&written).unwrap();
         assert!(text.contains("\"schema\": \"phoenix-telemetry/v1\""));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn written_report_keeps_the_newest_records_and_the_true_counts() {
+        let mut reg = MetricsRegistry::new();
+        let total = WRITTEN_RECENT_CAP as u64 + 44;
+        for i in 0..total {
+            clock::set_now(i);
+            let span = reg.span_start("p", "svc", 0, crate::SpanId::NONE);
+            reg.span_end(span);
+        }
+        let rep = BenchReport::new("t");
+        let full = rep.to_json(&reg).render();
+        assert_eq!(full.matches("\"start_ns\"").count() as u64, total);
+        let written = rep.document(&reg, WRITTEN_RECENT_CAP).render();
+        assert_eq!(written.matches("\"start_ns\"").count(), WRITTEN_RECENT_CAP);
+        assert!(written.contains(&format!("\"retained\": {total}")));
+        assert!(!written.contains("\"start_ns\": 43,"), "oldest dropped");
+        assert!(written.contains(&format!("\"start_ns\": {}", total - 1)));
     }
 }

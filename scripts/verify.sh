@@ -363,6 +363,10 @@ awk "BEGIN { exit !($fresh_eps >= 1.10 * $base_eps) }" || {
     exit 1
 }
 
+echo "== report: results/ sizes in KB (ROADMAP 4d: written reports keep the newest 256 recorder spans) =="
+du -k results/*
+du -sk results
+
 echo "== report: non-blank, non-comment lines (ROADMAP aim 2: net line count is a number we report) =="
 for f in crates/phoenix-kernel/src/group/*.rs; do
     printf '%6d  %s\n' "$(grep -cvE '^\s*(//|$)' "$f")" "$f"
