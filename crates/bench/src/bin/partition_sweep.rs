@@ -30,12 +30,11 @@
 //! ```
 
 use phoenix_bench::sweep::{mean, run_sweep};
-use phoenix_kernel::boot::boot_and_stabilize;
+use phoenix_kernel::boot::{boot_and_stabilize, GsdView};
 use phoenix_kernel::config::ConfigService;
-use phoenix_kernel::group::Gsd;
 use phoenix_kernel::{ClientHandle, KernelParams, PhoenixCluster};
 use phoenix_proto::{ClusterTopology, KernelMsg, RequestId};
-use phoenix_sim::{Fault, NodeId, Pid, SimDuration, World};
+use phoenix_sim::{Fault, SimDuration, World};
 use phoenix_telemetry::report::workspace_root;
 use phoenix_telemetry::Json;
 
@@ -47,36 +46,10 @@ fn boot(seed: u64) -> (World<KernelMsg>, PhoenixCluster) {
     )
 }
 
-/// Bitmask of every node belonging to the given topology partition.
-fn island_mask(cluster: &PhoenixCluster, part: usize) -> u64 {
-    let mut mask = 0u64;
-    for n in cluster.topology.partitions[part].all_nodes() {
-        mask |= 1u64 << n.0;
-    }
-    mask
-}
-
-/// Every live GSD in the world: (pid, partition it serves, role name).
-fn gsd_views(w: &World<KernelMsg>) -> Vec<(Pid, u32, &'static str)> {
-    let mut out = Vec::new();
-    for node in 0..w.node_count() {
-        for pid in w.pids_on(NodeId(node as u32)) {
-            if let Some(g) = w.actor_as::<Gsd>(pid) {
-                out.push((pid, g.partition_id().0, g.role_name()));
-            }
-        }
-    }
-    out
-}
-
-/// Post-heal steady state on the role level: one live GSD per partition,
-/// exactly one leader, nobody frozen.
-fn roles_converged(w: &World<KernelMsg>, cluster: &PhoenixCluster) -> bool {
-    let views = gsd_views(w);
-    let parts = cluster.topology.partitions.len();
-    (0..parts).all(|p| views.iter().filter(|(_, part, _)| *part == p as u32).count() == 1)
-        && views.iter().filter(|(_, _, r)| *r == "leader").count() == 1
-        && views.iter().all(|(_, _, r)| *r != "frozen")
+/// How many live GSDs report the meta-leader role.
+fn leaders(w: &World<KernelMsg>) -> usize {
+    let gsds = PhoenixCluster::live_gsds(w);
+    gsds.iter().filter(|g| g.role == "leader").count()
 }
 
 /// Ask the config service for the directory and check it is complete,
@@ -116,18 +89,17 @@ fn episode(seed: u64, minority: usize) -> Episode {
     w.run_for(SimDuration::from_secs(3));
 
     let t_cut = w.now();
-    w.apply_fault(Fault::Partition { island: island_mask(&cluster, minority) });
+    let island = cluster.island_mask(&[minority]);
+    w.apply_fault(Fault::Partition { island });
     let mut freeze_ms = None;
     let mut double = 0u64;
     while w.now().since(t_cut) < SimDuration::from_secs(6) {
         w.run_for(SimDuration::from_millis(20));
-        let views = gsd_views(&w);
-        if freeze_ms.is_none()
-            && views.iter().any(|(_, p, r)| *p == minority as u32 && *r == "frozen")
-        {
+        let frozen = |g: &GsdView| g.partition.index() == minority && g.role == "frozen";
+        if freeze_ms.is_none() && PhoenixCluster::live_gsds(&w).iter().any(frozen) {
             freeze_ms = Some(w.now().since(t_cut).as_nanos() as f64 / 1e6);
         }
-        if views.iter().filter(|(_, _, r)| *r == "leader").count() > 1 {
+        if leaders(&w) > 1 {
             double += 1;
         }
     }
@@ -139,10 +111,10 @@ fn episode(seed: u64, minority: usize) -> Episode {
     let mut req = seed * 1_000;
     while w.now().since(t_heal) < SimDuration::from_secs(15) {
         w.run_for(SimDuration::from_millis(100));
-        if gsd_views(&w).iter().filter(|(_, _, r)| *r == "leader").count() > 1 {
+        if leaders(&w) > 1 {
             double += 1;
         }
-        if converge_ms.is_none() && roles_converged(&w, &cluster) {
+        if converge_ms.is_none() && cluster.roles_converged(&w) {
             converge_ms = Some(w.now().since(t_heal).as_nanos() as f64 / 1e6);
         }
         if converge_ms.is_some() {

@@ -44,11 +44,10 @@
 //! ```
 
 use phoenix_bench::sweep::{mean, run_sweep};
-use phoenix_kernel::boot::boot_and_stabilize;
-use phoenix_kernel::group::Gsd;
+use phoenix_kernel::boot::{boot_and_stabilize, GsdView};
 use phoenix_kernel::{KernelParams, PhoenixCluster};
 use phoenix_proto::{ClusterTopology, KernelMsg, PartitionId};
-use phoenix_sim::{Fault, NodeId, Pid, SimDuration, World};
+use phoenix_sim::{Fault, SimDuration, World};
 use phoenix_telemetry::report::workspace_root;
 use phoenix_telemetry::Json;
 
@@ -69,40 +68,6 @@ fn quorum_params(adaptive: bool) -> KernelParams {
 
 fn boot(seed: u64, adaptive: bool) -> (World<KernelMsg>, PhoenixCluster) {
     boot_and_stabilize(ClusterTopology::uniform(4, 3, 1), quorum_params(adaptive), seed)
-}
-
-/// Bitmask of every node belonging to the given topology partitions.
-fn island_mask(cluster: &PhoenixCluster, parts: &[usize]) -> u64 {
-    let mut mask = 0u64;
-    for &part in parts {
-        for n in cluster.topology.partitions[part].all_nodes() {
-            mask |= 1u64 << n.0;
-        }
-    }
-    mask
-}
-
-/// Every live GSD: (pid, node, partition it serves, role name).
-fn gsd_views(w: &World<KernelMsg>) -> Vec<(Pid, u32, u32, &'static str)> {
-    let mut out = Vec::new();
-    for node in 0..w.node_count() {
-        for pid in w.pids_on(NodeId(node as u32)) {
-            if let Some(g) = w.actor_as::<Gsd>(pid) {
-                out.push((pid, node as u32, g.partition_id().0, g.role_name()));
-            }
-        }
-    }
-    out
-}
-
-/// Post-heal steady state: one live GSD per partition, exactly one
-/// leader, nobody frozen.
-fn roles_converged(w: &World<KernelMsg>, cluster: &PhoenixCluster) -> bool {
-    let views = gsd_views(w);
-    let parts = cluster.topology.partitions.len();
-    (0..parts).all(|p| views.iter().filter(|(_, _, part, _)| *part == p as u32).count() == 1)
-        && views.iter().filter(|(_, _, _, r)| *r == "leader").count() == 1
-        && views.iter().all(|(_, _, _, r)| *r != "frozen")
 }
 
 /// One even-split shape: which partitions are severed, and whether the
@@ -132,8 +97,8 @@ fn split_episode(seed: u64, shape: &Shape) -> SplitEpisode {
     let (mut w, cluster) = boot(seed, true);
     w.run_for(SimDuration::from_secs(3));
 
-    let mask = island_mask(&cluster, &shape.island_parts);
-    let on_island = |node: u32| (mask >> node) & 1 == 1;
+    let mask = cluster.island_mask(&shape.island_parts);
+    let winning = |g: &&GsdView| ((mask >> g.node.0) & 1 == 1) == shape.island_wins;
     let t_cut = w.now();
     w.apply_fault(Fault::Partition { island: mask });
 
@@ -148,33 +113,26 @@ fn split_episode(seed: u64, shape: &Shape) -> SplitEpisode {
     let grace = SimDuration::from_secs(5);
     while w.now().since(t_cut) < SimDuration::from_secs(8) {
         w.run_for(SimDuration::from_millis(20));
-        let views = gsd_views(&w);
-        let leaders = views.iter().filter(|(_, _, _, r)| *r == "leader").count();
+        let views = PhoenixCluster::live_gsds(&w);
+        let leaders = views.iter().filter(|g| g.role == "leader").count();
         samples += 1;
         live_samples += (leaders >= 1) as u64;
         if leaders > 1 {
             double += 1;
         }
-        let losing_frozen = views
-            .iter()
-            .filter(|(_, node, _, _)| on_island(*node) != shape.island_wins)
-            .all(|(_, _, _, r)| *r == "frozen");
-        if freeze_ms.is_none()
-            && losing_frozen
-            && views.iter().any(|(_, node, _, _)| on_island(*node) != shape.island_wins)
-        {
+        let losing: Vec<&GsdView> = views.iter().filter(|g| !winning(g)).collect();
+        let losing_frozen = losing.iter().all(|g| g.role == "frozen");
+        if freeze_ms.is_none() && losing_frozen && !losing.is_empty() {
             freeze_ms = Some(w.now().since(t_cut).as_nanos() as f64 / 1e6);
         }
-        let winning_leaders = views
-            .iter()
-            .filter(|(_, node, _, r)| on_island(*node) == shape.island_wins && *r == "leader")
-            .count();
+        let leads = |g: &&GsdView| g.role == "leader";
+        let winning_leaders = views.iter().filter(winning).filter(leads).count();
         if decision_ms.is_none() && losing_frozen && winning_leaders == 1 {
             decision_ms = Some(w.now().since(t_cut).as_nanos() as f64 / 1e6);
         }
         if w.now().since(t_cut) > grace
             && !views.is_empty()
-            && views.iter().all(|(_, _, _, r)| *r == "frozen")
+            && views.iter().all(|g| g.role == "frozen")
         {
             both_frozen += 1;
         }
@@ -185,14 +143,14 @@ fn split_episode(seed: u64, shape: &Shape) -> SplitEpisode {
     let mut converge_ms = None;
     while w.now().since(t_heal) < SimDuration::from_secs(15) {
         w.run_for(SimDuration::from_millis(100));
-        let views = gsd_views(&w);
-        let leaders = views.iter().filter(|(_, _, _, r)| *r == "leader").count();
+        let views = PhoenixCluster::live_gsds(&w);
+        let leaders = views.iter().filter(|g| g.role == "leader").count();
         samples += 1;
         live_samples += (leaders >= 1) as u64;
         if leaders > 1 {
             double += 1;
         }
-        if roles_converged(&w, &cluster) {
+        if cluster.roles_converged(&w) {
             converge_ms = Some(w.now().since(t_heal).as_nanos() as f64 / 1e6);
             break;
         }
@@ -218,8 +176,9 @@ struct TakeoverEpisode {
 fn takeover_episode(seed: u64, adaptive: bool) -> TakeoverEpisode {
     let (mut w, cluster) = boot(seed, adaptive);
     w.run_for(SimDuration::from_secs(3));
-    let victim = 2u32; // plain member: not leader (p0), not witness (p1)
-    let Some(&(pid, ..)) = gsd_views(&w).iter().find(|(_, _, p, _)| *p == victim) else {
+    let victim = PartitionId(2); // plain member: not leader (p0), not witness (p1)
+    let gsds = PhoenixCluster::live_gsds(&w);
+    let Some(pid) = gsds.iter().find(|g| g.partition == victim).map(|g| g.pid) else {
         return TakeoverEpisode { takeover_ms: None };
     };
     let t_kill = w.now();
@@ -227,10 +186,10 @@ fn takeover_episode(seed: u64, adaptive: bool) -> TakeoverEpisode {
     let mut takeover_ms = None;
     while w.now().since(t_kill) < SimDuration::from_secs(45) {
         w.run_for(SimDuration::from_millis(50));
-        let replaced = gsd_views(&w)
+        let replaced = PhoenixCluster::live_gsds(&w)
             .iter()
-            .any(|&(p, _, part, _)| part == victim && p != pid);
-        if replaced && roles_converged(&w, &cluster) {
+            .any(|g| g.partition == victim && g.pid != pid);
+        if replaced && cluster.roles_converged(&w) {
             takeover_ms = Some(w.now().since(t_kill).as_nanos() as f64 / 1e6);
             break;
         }

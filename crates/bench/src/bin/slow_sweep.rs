@@ -47,13 +47,11 @@
 //! ```
 
 use phoenix_bench::sweep::{mean, run_sweep};
-use phoenix_kernel::boot::boot_and_stabilize;
+use phoenix_kernel::boot::{boot_and_stabilize, GsdView};
 use phoenix_kernel::group::Gsd;
 use phoenix_kernel::{KernelParams, PhoenixCluster};
 use phoenix_proto::{ClusterTopology, KernelMsg};
-use phoenix_sim::{
-    Diagnosis, Fault, FaultTarget, NodeId, Pid, SimDuration, SimTime, TraceEvent, World,
-};
+use phoenix_sim::{Diagnosis, Fault, FaultTarget, NodeId, SimDuration, SimTime, TraceEvent, World};
 use phoenix_telemetry::report::workspace_root;
 use phoenix_telemetry::Json;
 
@@ -63,30 +61,14 @@ fn boot(seed: u64) -> (World<KernelMsg>, PhoenixCluster) {
     boot_and_stabilize(ClusterTopology::uniform(3, 5, 1), KernelParams::fast_slow(), seed)
 }
 
-/// Every live GSD: (pid, node, partition it serves, role name).
-fn gsd_views(w: &World<KernelMsg>) -> Vec<(Pid, u32, u32, &'static str)> {
-    let mut out = Vec::new();
-    for node in 0..w.node_count() {
-        for pid in w.pids_on(NodeId(node as u32)) {
-            if let Some(g) = w.actor_as::<Gsd>(pid) {
-                out.push((pid, node as u32, g.partition_id().0, g.role_name()));
-            }
-        }
-    }
-    out
-}
-
 /// Post-clear steady state: one live GSD per partition, exactly one
 /// leader, nobody frozen, and every live GSD's quarantine view empty.
 fn recovered(w: &World<KernelMsg>, cluster: &PhoenixCluster) -> bool {
-    let views = gsd_views(w);
-    let parts = cluster.topology.partitions.len();
-    (0..parts).all(|p| views.iter().filter(|(_, _, part, _)| *part == p as u32).count() == 1)
-        && views.iter().filter(|(_, _, _, r)| *r == "leader").count() == 1
-        && views.iter().all(|(_, _, _, r)| *r != "frozen")
-        && views.iter().all(|&(pid, ..)| {
-            w.actor_as::<Gsd>(pid).map(|g| g.quarantine_view().1.is_empty()).unwrap_or(true)
-        })
+    let unquarantined = |g: &GsdView| {
+        let gsd = w.actor_as::<Gsd>(g.pid);
+        gsd.is_none_or(|g| g.quarantine_view().1.is_empty())
+    };
+    cluster.roles_converged(w) && PhoenixCluster::live_gsds(w).iter().all(unquarantined)
 }
 
 /// Dead diagnoses of the victim — the zero-tolerance counter: the node
@@ -188,9 +170,9 @@ fn episode(seed: u64, factor_permille: u16, shape: &Shape) -> Episode {
         }
     }
 
-    let relocated = gsd_views(&w)
+    let relocated = PhoenixCluster::live_gsds(&w)
         .iter()
-        .any(|&(_, node, p, _)| p == shape.victim_part as u32 && node != victim.0);
+        .any(|g| g.partition.index() == shape.victim_part && g.node != victim);
 
     Episode {
         suspect_ms,

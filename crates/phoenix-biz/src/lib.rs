@@ -17,6 +17,8 @@
 //!   restarted by the GSD if it dies, restoring its deployment from the
 //!   **checkpoint service**.
 
+use phoenix_kernel::federation::{Member, TOK_HB};
+use phoenix_kernel::group::RespawnArgs;
 use phoenix_kernel::params::KernelParams;
 use phoenix_proto::{
     BulletinKey, BulletinQuery, BulletinValue, CheckpointData, ConsumerReg, EventFilter,
@@ -26,7 +28,8 @@ use phoenix_proto::{
 use phoenix_sim::{Actor, Ctx, NodeId, Pid, ResourceUsage, TraceEvent};
 use std::collections::{BTreeMap, HashMap};
 
-const TOK_HB: u64 = 1;
+/// Service name in traces, and registry key of the respawn factory.
+const NAME: &str = "biz-runtime";
 const TOK_RECONCILE: u64 = 2;
 
 /// One tier of a multi-tier business application.
@@ -66,25 +69,17 @@ struct Instance {
 
 /// The business application runtime actor.
 pub struct BizRuntime {
-    partition: PartitionId,
+    member: Member,
     params: KernelParams,
     directory: ServiceDirectory,
     tiers: Vec<TierSpec>,
     /// Nodes the application may use.
     pool: Vec<NodeId>,
 
-    gsd: Pid,
-    event: Pid,
-    bulletin: Pid,
-    checkpoint: Pid,
-
     instances: BTreeMap<JobId, Instance>,
     /// Latest resource view per pool node (from the bulletin).
     usage: HashMap<NodeId, ResourceUsage>,
     next_req: u64,
-    hb_seq: u64,
-    restoring: bool,
-    recovery: Option<phoenix_sim::RecoveryAction>,
 }
 
 impl BizRuntime {
@@ -95,13 +90,9 @@ impl BizRuntime {
         tiers: Vec<TierSpec>,
         pool: Vec<NodeId>,
     ) -> Self {
-        let member = directory.partition(partition).copied().unwrap();
+        let info = directory.partition(partition).copied().unwrap();
         BizRuntime {
-            gsd: member.gsd,
-            event: member.event,
-            bulletin: member.bulletin,
-            checkpoint: member.checkpoint,
-            partition,
+            member: Member::new(ServiceKind::UserEnvironment, NAME, info),
             params,
             directory,
             tiers,
@@ -109,30 +100,18 @@ impl BizRuntime {
             instances: BTreeMap::new(),
             usage: HashMap::new(),
             next_req: 0,
-            hb_seq: 0,
-            restoring: false,
-            recovery: None,
         }
     }
 
     /// Respawned runtime: restores its deployment map from checkpoint.
     pub fn respawn(
-        partition: PartitionId,
-        params: KernelParams,
+        args: &RespawnArgs,
         directory: ServiceDirectory,
         tiers: Vec<TierSpec>,
         pool: Vec<NodeId>,
-        gsd: Pid,
-        checkpoint: Pid,
-        event: Pid,
-        action: phoenix_sim::RecoveryAction,
     ) -> Self {
-        let mut s = Self::new(partition, params, directory, tiers, pool);
-        s.gsd = gsd;
-        s.checkpoint = checkpoint;
-        s.event = event;
-        s.restoring = true;
-        s.recovery = Some(action);
+        let mut s = Self::new(args.partition, args.params.clone(), directory, tiers, pool);
+        s.member = Member::respawn(ServiceKind::UserEnvironment, NAME, args);
         s
     }
 
@@ -234,17 +213,9 @@ impl BizRuntime {
             .filter(|i| i.up)
             .map(|i| (i.job, vec![i.node]))
             .collect();
-        ctx.send(
-            self.checkpoint,
-            KernelMsg::CkSave {
-                service: ServiceKind::UserEnvironment,
-                partition: self.partition,
-                data: CheckpointData::Scheduler {
-                    queued: vec![],
-                    running,
-                },
-            },
-        );
+        let queued = vec![];
+        let state = CheckpointData::Scheduler { queued, running };
+        self.member.save(ctx, state);
     }
 
     /// Current endpoints per tier (the "router table" a front end would
@@ -266,25 +237,12 @@ impl BizRuntime {
         out
     }
 
-    fn heartbeat(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        self.hb_seq += 1;
-        ctx.send(
-            self.gsd,
-            KernelMsg::SvcHeartbeat {
-                kind: ServiceKind::UserEnvironment,
-                pid: ctx.pid(),
-                seq: self.hb_seq,
-            },
-        );
-        ctx.set_timer(self.params.ft.hb_interval, TOK_HB);
-    }
-
     /// Periodic reconcile: refresh the load view from the bulletin and
     /// report endpoints as a trace milestone (observability hook).
     fn reconcile(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         let req = self.req();
         ctx.send(
-            self.bulletin,
+            self.member.info().bulletin,
             KernelMsg::DbQuery {
                 req,
                 query: BulletinQuery::Resources,
@@ -301,22 +259,11 @@ impl BizRuntime {
 
 impl Actor<KernelMsg> for BizRuntime {
     fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        ctx.trace(TraceEvent::ServiceUp {
-            pid: ctx.pid(),
-            service: "biz-runtime",
-            node: ctx.node(),
-        });
+        self.member.started(ctx, NAME);
+        self.member.register(ctx);
+        self.member.beat(ctx, self.params.ft.hb_interval);
         ctx.send(
-            self.gsd,
-            KernelMsg::SvcRegister {
-                kind: ServiceKind::UserEnvironment,
-                pid: ctx.pid(),
-                factory: "biz-runtime".to_string(),
-            },
-        );
-        self.heartbeat(ctx);
-        ctx.send(
-            self.event,
+            self.member.info().event,
             KernelMsg::EsRegisterConsumer {
                 req: RequestId(0),
                 reg: ConsumerReg {
@@ -328,15 +275,8 @@ impl Actor<KernelMsg> for BizRuntime {
                 },
             },
         );
-        if self.restoring {
-            ctx.send(
-                self.checkpoint,
-                KernelMsg::CkLoad {
-                    req: RequestId(0),
-                    service: ServiceKind::UserEnvironment,
-                    partition: self.partition,
-                },
-            );
+        if self.member.restoring() {
+            self.member.load(ctx);
         } else {
             self.deploy_all(ctx);
         }
@@ -384,23 +324,13 @@ impl Actor<KernelMsg> for BizRuntime {
                     }
                 }
             }
-            KernelMsg::PartitionView { local, .. } => {
-                self.gsd = local.gsd;
-                self.event = local.event;
-                self.bulletin = local.bulletin;
-                self.checkpoint = local.checkpoint;
-                ctx.send(
-                    self.gsd,
-                    KernelMsg::SvcRegister {
-                        kind: ServiceKind::UserEnvironment,
-                        pid: ctx.pid(),
-                        factory: "biz-runtime".to_string(),
-                    },
-                );
+            KernelMsg::PartitionView { members, local } => {
+                // On every view, like the PWS scheduler.
+                self.member.wire(local, &members);
+                self.member.register(ctx);
             }
             KernelMsg::CkLoadResp { data, .. } => {
-                if self.restoring {
-                    self.restoring = false;
+                if self.member.restoring() {
                     if let Some(CheckpointData::Scheduler { running, .. }) = data {
                         for (job, nodes) in running {
                             if let Some(&node) = nodes.first() {
@@ -408,12 +338,7 @@ impl Actor<KernelMsg> for BizRuntime {
                             }
                         }
                     }
-                    if let Some(action) = self.recovery.take() {
-                        ctx.trace(TraceEvent::Recovered {
-                            target: phoenix_sim::FaultTarget::Process(ctx.pid()),
-                            action,
-                        });
-                    }
+                    self.member.restored(ctx);
                     // Fill any gaps (instances that died while we were down
                     // get re-deployed by deploy_all's contains_key check —
                     // dead ones are still in the map, so reconcile via
@@ -448,14 +373,14 @@ impl Actor<KernelMsg> for BizRuntime {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, KernelMsg>, token: u64) {
         match token {
-            TOK_HB => self.heartbeat(ctx),
+            TOK_HB => self.member.beat(ctx, self.params.ft.hb_interval),
             TOK_RECONCILE => self.reconcile(ctx),
             _ => {}
         }
     }
 
     fn name(&self) -> &str {
-        "biz-runtime"
+        NAME
     }
 }
 
@@ -473,22 +398,13 @@ pub fn install_biz(
         let pool = pool.clone();
         let directory = cluster.directory.clone();
         cluster.registry.borrow_mut().register(
-            "biz-runtime",
+            NAME,
             Box::new(move |args| {
                 Box::new(BizRuntime::respawn(
-                    args.partition,
-                    args.params.clone(),
+                    args,
                     directory.clone(),
                     tiers.clone(),
                     pool.clone(),
-                    args.gsd,
-                    args.checkpoint,
-                    args.members
-                        .iter()
-                        .find(|m| m.partition == args.partition)
-                        .map(|m| m.event)
-                        .unwrap_or(Pid(0)),
-                    args.action,
                 ))
             }),
         );

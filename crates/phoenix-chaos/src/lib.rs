@@ -34,7 +34,9 @@
 //!    of the telemetry-leak invariant).
 
 use std::fmt;
+use std::ops::Range;
 
+use phoenix_kernel::boot::GsdView;
 use phoenix_kernel::group::{Gsd, Wd};
 use phoenix_kernel::{boot_cluster_custom, ClientHandle, KernelParams, PhoenixCluster};
 use phoenix_proto::{
@@ -443,47 +445,15 @@ pub fn generate_schedule(seed: u64, cfg: &ChaosConfig, cluster: &PhoenixCluster)
     // Island-partition storms: one or two cycles of "sever a random subset
     // of whole topology partitions into an island, hold long enough for
     // suspicion and the regroup takeover delay to engage, heal, let the
-    // cluster reconverge". Cycles are sequential in their own salted
-    // stream (`Fault::Partition` replaces any active island, so ordering
-    // stays well-defined even interleaved with other steps).
+    // cluster reconverge". The island is a nonempty proper subset of the
+    // configured partitions, so one side always holds a strict majority or
+    // the split is even (both sides freeze).
     if cfg.partition_steps {
-        let mut prng = SimRng::seed_from_u64(seed ^ PARTITION_SALT);
-        let cycles = 1 + prng.gen_range(0..2u64);
-        let mut at = SimDuration::from_millis(prng.gen_range(0..horizon_ms));
-        for _ in 0..cycles {
-            if steps.len() + 2 > MAX_STEPS {
-                break;
-            }
-            // The island is a nonempty proper subset of the configured
-            // partitions, so one side always holds a strict majority or
-            // the split is even (both sides freeze).
-            let k = 1 + prng.gen_range(0..(topo.partitions.len() - 1) as u64) as usize;
-            let mut chosen: Vec<usize> = Vec::new();
-            while chosen.len() < k {
-                let p = prng.gen_range(0..topo.partitions.len() as u64) as usize;
-                if !chosen.contains(&p) {
-                    chosen.push(p);
-                }
-            }
-            let mut island = 0u64;
-            for &p in &chosen {
-                for n in topo.partitions[p].all_nodes() {
-                    if n.0 < 64 {
-                        island |= 1u64 << n.0;
-                    }
-                }
-            }
-            steps.push(Step {
-                offset: at,
-                action: StepAction::Fault(Fault::Partition { island }),
-            });
-            let hold = SimDuration::from_millis(prng.gen_range(4_000..8_000u64));
-            steps.push(Step {
-                offset: at + hold,
-                action: StepAction::Fault(Fault::Heal),
-            });
-            at = at + hold + SimDuration::from_millis(prng.gen_range(10_000..16_000u64));
-        }
+        let prng = SimRng::seed_from_u64(seed ^ PARTITION_SALT);
+        let parts = topo.partitions.len() as u64;
+        let size = |rng: &mut SimRng| 1 + rng.gen_range(0..parts - 1) as usize;
+        let (hold_ms, gap_ms) = (4_000..8_000, 10_000..16_000);
+        island_storms(&mut steps, cluster, prng, horizon_ms, size, hold_ms, gap_ms);
     }
     // Even-split storms: exactly half the configured partitions islanded
     // at once — the shape count-majority regroup cannot win (both sides
@@ -494,40 +464,10 @@ pub fn generate_schedule(seed: u64, cfg: &ChaosConfig, cluster: &PhoenixCluster)
     // leader stands, and the sampled exactly-one-live-side check needs
     // instants past that deadline to bite on.
     if cfg.quorum_steps && cfg.partitions >= 2 {
-        let mut qrng = SimRng::seed_from_u64(seed ^ QUORUM_SALT);
-        let cycles = 1 + qrng.gen_range(0..2u64);
-        let mut at = SimDuration::from_millis(qrng.gen_range(0..horizon_ms));
-        for _ in 0..cycles {
-            if steps.len() + 2 > MAX_STEPS {
-                break;
-            }
-            let k = topo.partitions.len() / 2;
-            let mut chosen: Vec<usize> = Vec::new();
-            while chosen.len() < k {
-                let p = qrng.gen_range(0..topo.partitions.len() as u64) as usize;
-                if !chosen.contains(&p) {
-                    chosen.push(p);
-                }
-            }
-            let mut island = 0u64;
-            for &p in &chosen {
-                for n in topo.partitions[p].all_nodes() {
-                    if n.0 < 64 {
-                        island |= 1u64 << n.0;
-                    }
-                }
-            }
-            steps.push(Step {
-                offset: at,
-                action: StepAction::Fault(Fault::Partition { island }),
-            });
-            let hold = SimDuration::from_millis(qrng.gen_range(9_000..12_000u64));
-            steps.push(Step {
-                offset: at + hold,
-                action: StepAction::Fault(Fault::Heal),
-            });
-            at = at + hold + SimDuration::from_millis(qrng.gen_range(12_000..18_000u64));
-        }
+        let qrng = SimRng::seed_from_u64(seed ^ QUORUM_SALT);
+        let half = |_: &mut SimRng| topo.partitions.len() / 2;
+        let (hold_ms, gap_ms) = (9_000..12_000, 12_000..18_000);
+        island_storms(&mut steps, cluster, qrng, horizon_ms, half, hold_ms, gap_ms);
     }
     // Fail-slow storms: a node turns gray — alive, answering, late — for a
     // bounded window, then heals. Factors run 5x-49x: far past the
@@ -567,6 +507,51 @@ pub fn generate_schedule(seed: u64, cfg: &ChaosConfig, cluster: &PhoenixCluster)
     }
     steps.sort_by_key(|s| s.offset.as_nanos());
     steps
+}
+
+/// Append one or two island split → heal cycles drawn from `rng`, a storm
+/// kind's own salted stream, so every other stream stays byte-identical per
+/// seed whether or not the kind is enabled. Cycles are sequential
+/// (`Fault::Partition` replaces any active island, so ordering stays
+/// well-defined even interleaved with other steps). Per cycle the draws
+/// are, in order: the island's size (`size`, which may draw), its member
+/// partitions, the hold, the gap to the next cycle.
+fn island_storms(
+    steps: &mut Vec<Step>,
+    cluster: &PhoenixCluster,
+    mut rng: SimRng,
+    horizon_ms: u64,
+    mut size: impl FnMut(&mut SimRng) -> usize,
+    hold_ms: Range<u64>,
+    gap_ms: Range<u64>,
+) {
+    let parts = cluster.topology.partitions.len();
+    let cycles = 1 + rng.gen_range(0..2u64);
+    let mut at = SimDuration::from_millis(rng.gen_range(0..horizon_ms));
+    for _ in 0..cycles {
+        if steps.len() + 2 > MAX_STEPS {
+            break;
+        }
+        let k = size(&mut rng);
+        let mut chosen: Vec<usize> = Vec::new();
+        while chosen.len() < k {
+            let p = rng.gen_range(0..parts as u64) as usize;
+            if !chosen.contains(&p) {
+                chosen.push(p);
+            }
+        }
+        let island = cluster.island_mask(&chosen);
+        steps.push(Step {
+            offset: at,
+            action: StepAction::Fault(Fault::Partition { island }),
+        });
+        let hold = SimDuration::from_millis(rng.gen_range(hold_ms.clone()));
+        steps.push(Step {
+            offset: at + hold,
+            action: StepAction::Fault(Fault::Heal),
+        });
+        at = at + hold + SimDuration::from_millis(rng.gen_range(gap_ms.clone()));
+    }
 }
 
 /// Bitmask selecting every step of a schedule of `n` steps.
@@ -1019,7 +1004,7 @@ fn sampled_split_brain_check(
     last_step: SimTime,
     violations: &mut Vec<Violation>,
 ) {
-    let gsds = live_gsds(world);
+    let gsds = PhoenixCluster::live_gsds(world);
     let leaders: Vec<&GsdView> = gsds.iter().filter(|g| g.role == "leader").collect();
     if leaders.len() > 1 && !violations.iter().any(|v| v.invariant == "split-brain") {
         violations.push(Violation {
@@ -1186,33 +1171,6 @@ fn sampled_split_brain_check(
 // Invariants
 // ---------------------------------------------------------------------------
 
-struct GsdView {
-    pid: Pid,
-    node: NodeId,
-    partition: PartitionId,
-    role: &'static str,
-    leader: Option<PartitionId>,
-}
-
-fn live_gsds(world: &World<KernelMsg>) -> Vec<GsdView> {
-    let mut out = Vec::new();
-    for node in 0..world.node_count() {
-        let node = NodeId(node as u32);
-        for pid in world.pids_on(node) {
-            if let Some(g) = world.actor_as::<Gsd>(pid) {
-                out.push(GsdView {
-                    pid,
-                    node,
-                    partition: g.partition_id(),
-                    role: g.role_name(),
-                    leader: g.leader_view(),
-                });
-            }
-        }
-    }
-    out
-}
-
 fn check_invariants(
     world: &mut World<KernelMsg>,
     cluster: &PhoenixCluster,
@@ -1223,7 +1181,7 @@ fn check_invariants(
     violations: &mut Vec<Violation>,
 ) {
     // -- 1. meta-leader ----------------------------------------------------
-    let gsds = live_gsds(world);
+    let gsds = PhoenixCluster::live_gsds(world);
     for p in 0..cluster.topology.partitions.len() {
         let n = gsds
             .iter()
@@ -1453,7 +1411,7 @@ fn check_slow_invariants(
     if !cfg.params.ft.slow.enabled {
         return;
     }
-    for g in live_gsds(world) {
+    for g in PhoenixCluster::live_gsds(world) {
         let Some(actor) = world.actor_as::<Gsd>(g.pid) else {
             continue;
         };

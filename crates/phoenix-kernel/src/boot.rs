@@ -13,15 +13,16 @@ use crate::checkpoint::CheckpointService;
 use crate::config::ConfigService;
 use crate::detect::Detector;
 use crate::event::EventService;
-use crate::group::{kernel_factory_key, shared_registry, Gsd, RespawnArgs, SharedRegistry, Wd};
+use crate::group::{kernel_factory_key, shared_registry, Gsd, SharedRegistry, Wd};
 use crate::params::KernelParams;
 use crate::ppm::PpmAgent;
 use crate::security::SecurityService;
 use phoenix_proto::{
-    ClusterTopology, KernelMsg, MemberInfo, NodeServices, Role, ServiceDirectory, ServiceKind,
+    ClusterTopology, KernelMsg, MemberInfo, NodeServices, PartitionId, Role, ServiceDirectory,
+    ServiceKind,
 };
 use phoenix_sim::{
-    ClusterBuilder, NetParams, NodeSpec, Pid, RecoveryAction, SchedulerKind, SimDuration, World,
+    ClusterBuilder, NetParams, NodeId, NodeSpec, Pid, SchedulerKind, SimDuration, World,
 };
 
 /// Handle to a booted Phoenix cluster.
@@ -58,6 +59,56 @@ impl PhoenixCluster {
     pub fn security(&self) -> Pid {
         self.directory.security
     }
+
+    /// Link-level island (`Fault::Partition`) of every node of the given
+    /// topology partitions. The mask has 64 bits; nodes past it stay out.
+    pub fn island_mask(&self, parts: &[usize]) -> u64 {
+        let nodes = |&p: &usize| self.topology.partitions[p].all_nodes();
+        let bit = |n: NodeId| 1u64.checked_shl(n.0).unwrap_or(0);
+        let nodes = parts.iter().flat_map(nodes);
+        nodes.fold(0, |mask, n| mask | bit(n))
+    }
+
+    /// Every live GSD in `world`, by node then pid.
+    pub fn live_gsds(world: &World<KernelMsg>) -> Vec<GsdView> {
+        let nodes = (0..world.node_count()).map(|n| NodeId(n as u32));
+        nodes
+            .flat_map(|node| world.pids_on(node).into_iter().map(move |pid| (node, pid)))
+            .filter_map(|(node, pid)| {
+                let g = world.actor_as::<Gsd>(pid)?;
+                Some(GsdView {
+                    pid,
+                    node,
+                    partition: g.partition_id(),
+                    role: g.role_name(),
+                    leader: g.leader_view(),
+                })
+            })
+            .collect()
+    }
+
+    /// The meta-group's steady state on the role level: one live GSD per
+    /// partition, exactly one leader, nobody frozen.
+    pub fn roles_converged(&self, world: &World<KernelMsg>) -> bool {
+        let gsds = Self::live_gsds(world);
+        let owners = |p| gsds.iter().filter(|g| g.partition == p).count();
+        self.topology.partitions.iter().all(|p| owners(p.id) == 1)
+            && gsds.iter().filter(|g| g.role == "leader").count() == 1
+            && gsds.iter().all(|g| g.role != "frozen")
+    }
+}
+
+/// A live GSD as the harnesses see it from outside the simulation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GsdView {
+    pub pid: Pid,
+    pub node: NodeId,
+    pub partition: PartitionId,
+    /// `Gsd::role_name`: "leader" / "princess" / "member" / "orphan" /
+    /// "frozen".
+    pub role: &'static str,
+    /// The partition this GSD believes leads the meta-group.
+    pub leader: Option<PartitionId>,
 }
 
 /// Default user accounts installed at boot.
@@ -214,64 +265,15 @@ pub fn boot_onto(
             let p = spec.id;
             reg.register(
                 kernel_factory_key(ServiceKind::Event, p),
-                Box::new(move |args: &RespawnArgs| {
-                    let peers = args
-                        .members
-                        .iter()
-                        .filter(|m| m.partition != args.partition)
-                        .map(|m| m.event)
-                        .collect();
-                    Box::new(EventService::respawn(
-                        args.partition,
-                        args.params.clone(),
-                        args.gsd,
-                        args.checkpoint,
-                        peers,
-                        args.action,
-                    ))
-                }),
+                Box::new(|args| Box::new(EventService::respawn(args))),
             );
             reg.register(
                 kernel_factory_key(ServiceKind::DataBulletin, p),
-                Box::new(move |args: &RespawnArgs| {
-                    let peers = args
-                        .members
-                        .iter()
-                        .filter(|m| m.partition != args.partition)
-                        .map(|m| (m.partition, m.bulletin))
-                        .collect();
-                    Box::new(DataBulletin::respawn(
-                        args.partition,
-                        args.params.clone(),
-                        args.gsd,
-                        args.checkpoint,
-                        peers,
-                        args.action,
-                    ))
-                }),
+                Box::new(|args| Box::new(DataBulletin::respawn(args))),
             );
             reg.register(
                 kernel_factory_key(ServiceKind::Checkpoint, p),
-                Box::new(move |args: &RespawnArgs| {
-                    let peers = args
-                        .members
-                        .iter()
-                        .filter(|m| m.partition != args.partition)
-                        .map(|m| m.checkpoint)
-                        .collect();
-                    let action = if matches!(args.action, RecoveryAction::Migrated(_)) {
-                        args.action
-                    } else {
-                        RecoveryAction::RestartedInPlace
-                    };
-                    Box::new(CheckpointService::respawn(
-                        args.partition,
-                        args.params.clone(),
-                        args.gsd,
-                        peers,
-                        action,
-                    ))
-                }),
+                Box::new(|args| Box::new(CheckpointService::respawn(args))),
             );
         }
     }

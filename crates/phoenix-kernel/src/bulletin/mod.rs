@@ -13,14 +13,17 @@
 //! the reply is delivered with `complete = false`: "only the state of one
 //! partition can't be obtained".
 
+use crate::federation::{Member, TOK_HB};
+use crate::group::registry::{kernel_factory_key, RespawnArgs};
 use crate::params::KernelParams;
 use phoenix_proto::{
-    BulletinEntry, BulletinQuery, CheckpointData, KernelMsg, PartitionId, RequestId, ServiceKind,
+    BulletinEntry, BulletinQuery, CheckpointData, KernelMsg, MemberInfo, PartitionId, RequestId,
+    ServiceKind,
 };
-use phoenix_sim::{Actor, Ctx, FaultTarget, Pid, RecoveryAction, TimerId, TraceEvent};
+use phoenix_sim::{Actor, Ctx, Pid, TimerId};
 use std::collections::{BTreeMap, HashMap};
 
-const TOK_HB: u64 = 1;
+const KIND: ServiceKind = ServiceKind::DataBulletin;
 const TOK_CKPT: u64 = 2;
 const TOK_FED_BASE: u64 = 1_000;
 
@@ -39,18 +42,11 @@ struct PendingQuery {
 
 /// The data-bulletin actor.
 pub struct DataBulletin {
-    partition: PartitionId,
+    member: Member,
     params: KernelParams,
-    gsd: Pid,
-    checkpoint: Pid,
-    /// Peer instances: (partition, pid).
-    peers: Vec<(PartitionId, Pid)>,
     entries: BTreeMap<phoenix_proto::BulletinKey, (phoenix_proto::BulletinValue, u64)>,
     pending: HashMap<u64, PendingQuery>,
     next_fed: u64,
-    hb_seq: u64,
-    recovery: Option<RecoveryAction>,
-    restoring: bool,
     /// Set by the GSD's `RegroupFreeze` while this partition sits on a
     /// minority island: answers degrade to `complete = false` without
     /// fanning out (the federation is unreachable by definition, and a
@@ -61,74 +57,31 @@ pub struct DataBulletin {
 impl DataBulletin {
     /// Boot-time instance.
     pub fn new(partition: PartitionId, params: KernelParams) -> Self {
-        DataBulletin {
-            partition,
-            params,
-            gsd: Pid(0),
-            checkpoint: Pid(0),
-            peers: Vec::new(),
-            entries: BTreeMap::new(),
-            pending: HashMap::new(),
-            next_fed: 0,
-            hb_seq: 0,
-            recovery: None,
-            restoring: false,
-            frozen: false,
-        }
+        let key = kernel_factory_key(KIND, partition);
+        let member = Member::new(KIND, key, MemberInfo::unwired(partition));
+        Self::with(member, params)
     }
 
     /// Respawned instance; restores its soft state from checkpoint so it
     /// can answer queries before detectors re-push.
-    pub fn respawn(
-        partition: PartitionId,
-        params: KernelParams,
-        gsd: Pid,
-        checkpoint: Pid,
-        peers: Vec<(PartitionId, Pid)>,
-        action: RecoveryAction,
-    ) -> Self {
+    pub fn respawn(args: &RespawnArgs) -> Self {
+        let member = Member::respawn(KIND, kernel_factory_key(KIND, args.partition), args);
+        Self::with(member, args.params.clone())
+    }
+
+    fn with(member: Member, params: KernelParams) -> Self {
         DataBulletin {
-            partition,
+            member,
             params,
-            gsd,
-            checkpoint,
-            peers,
             entries: BTreeMap::new(),
             pending: HashMap::new(),
             next_fed: 0,
-            hb_seq: 0,
-            recovery: Some(action),
-            restoring: true,
             frozen: false,
         }
     }
 
-    fn register_with_gsd(&self, ctx: &mut Ctx<'_, KernelMsg>) {
-        ctx.send(
-            self.gsd,
-            KernelMsg::SvcRegister {
-                kind: ServiceKind::DataBulletin,
-                pid: ctx.pid(),
-                factory: format!("bulletin:p{}", self.partition.0),
-            },
-        );
-    }
-
-    fn heartbeat(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        self.hb_seq += 1;
-        ctx.send(
-            self.gsd,
-            KernelMsg::SvcHeartbeat {
-                kind: ServiceKind::DataBulletin,
-                pid: ctx.pid(),
-                seq: self.hb_seq,
-            },
-        );
-        ctx.set_timer(self.params.ft.hb_interval, TOK_HB);
-    }
-
     fn local_matches(&self, query: BulletinQuery) -> Vec<BulletinEntry> {
-        if !query.wants_partition(self.partition) {
+        if !query.wants_partition(self.member.partition()) {
             return Vec::new();
         }
         self.entries
@@ -152,14 +105,7 @@ impl DataBulletin {
                 stamp_ns,
             })
             .collect();
-        ctx.send(
-            self.checkpoint,
-            KernelMsg::CkSave {
-                service: ServiceKind::DataBulletin,
-                partition: self.partition,
-                data: CheckpointData::Bulletin { entries },
-            },
-        );
+        self.member.save(ctx, CheckpointData::Bulletin { entries });
     }
 
     /// Read-only snapshot of the locally stored entries (introspection
@@ -177,7 +123,7 @@ impl DataBulletin {
 
     /// Partition this instance serves.
     pub fn partition_id(&self) -> PartitionId {
-        self.partition
+        self.member.partition()
     }
 
     fn finish_query(&mut self, ctx: &mut Ctx<'_, KernelMsg>, fed: u64, complete: bool) {
@@ -186,7 +132,7 @@ impl DataBulletin {
                 "bulletin.query.fed",
                 "bulletin",
                 ctx.node().0,
-                phoenix_telemetry::key(&[self.partition.0 as u64, fed]),
+                phoenix_telemetry::key(&[self.member.partition().0 as u64, fed]),
             );
             if complete {
                 ctx.cancel_timer(p.timer);
@@ -208,56 +154,29 @@ impl DataBulletin {
 
 impl Actor<KernelMsg> for DataBulletin {
     fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        ctx.trace(TraceEvent::ServiceUp {
-            pid: ctx.pid(),
-            service: "bulletin",
-            node: ctx.node(),
-        });
-        if self.gsd != Pid(0) {
-            self.register_with_gsd(ctx);
-            self.heartbeat(ctx);
+        self.member.started(ctx, "bulletin");
+        if self.member.wired() {
+            self.member.register(ctx);
+            self.member.beat(ctx, self.params.ft.hb_interval);
             ctx.set_timer(self.params.detector_sample * 2, TOK_CKPT);
         }
-        if self.restoring {
-            ctx.send(
-                self.checkpoint,
-                KernelMsg::CkLoad {
-                    req: RequestId(0),
-                    service: ServiceKind::DataBulletin,
-                    partition: self.partition,
-                },
-            );
+        if self.member.restoring() {
+            self.member.load(ctx);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, from: Pid, msg: KernelMsg) {
         match msg {
             KernelMsg::Boot(dir) => {
-                if let Some(me) = dir.partition(self.partition) {
-                    self.gsd = me.gsd;
-                    self.checkpoint = me.checkpoint;
-                }
-                self.peers = dir
-                    .partitions
-                    .iter()
-                    .filter(|m| m.partition != self.partition)
-                    .map(|m| (m.partition, m.bulletin))
-                    .collect();
-                self.register_with_gsd(ctx);
-                self.heartbeat(ctx);
+                self.member.wire_boot(&dir);
+                self.member.register(ctx);
+                self.member.beat(ctx, self.params.ft.hb_interval);
                 ctx.set_timer(self.params.detector_sample * 2, TOK_CKPT);
             }
             KernelMsg::PartitionView { members, local } => {
-                let gsd_changed = self.gsd != local.gsd;
-                self.gsd = local.gsd;
-                self.checkpoint = local.checkpoint;
-                self.peers = members
-                    .iter()
-                    .filter(|m| m.partition != self.partition)
-                    .map(|m| (m.partition, m.bulletin))
-                    .collect();
-                if gsd_changed {
-                    self.register_with_gsd(ctx);
+                let supervisor_changed = self.member.wire(local, &members);
+                if supervisor_changed {
+                    self.member.register(ctx);
                 }
             }
             KernelMsg::DbPut { entries } => {
@@ -292,7 +211,8 @@ impl Actor<KernelMsg> for DataBulletin {
                 let acc = self.local_matches(query);
                 // Which peers need to contribute?
                 let waiting: Vec<PartitionId> = self
-                    .peers
+                    .member
+                    .peers()
                     .iter()
                     .filter(|(p, _)| query.wants_partition(*p))
                     .map(|(p, _)| *p)
@@ -313,9 +233,9 @@ impl Actor<KernelMsg> for DataBulletin {
                 let fed_req = RequestId(fed);
                 phoenix_telemetry::mark(
                     "bulletin.query.fed",
-                    phoenix_telemetry::key(&[self.partition.0 as u64, fed]),
+                    phoenix_telemetry::key(&[self.member.partition().0 as u64, fed]),
                 );
-                for (p, pid) in &self.peers {
+                for (p, pid) in self.member.peers() {
                     if query.wants_partition(*p) {
                         ctx.send(*pid, KernelMsg::DbFedQuery { req: fed_req, query });
                     }
@@ -341,7 +261,7 @@ impl Actor<KernelMsg> for DataBulletin {
                     from,
                     KernelMsg::DbFedResp {
                         req,
-                        partition: self.partition,
+                        partition: self.member.partition(),
                         entries,
                     },
                 );
@@ -372,19 +292,13 @@ impl Actor<KernelMsg> for DataBulletin {
                 }
             }
             KernelMsg::CkLoadResp { data, .. } => {
-                if self.restoring {
-                    self.restoring = false;
+                if self.member.restoring() {
                     if let Some(CheckpointData::Bulletin { entries }) = data {
                         for e in entries {
                             self.entries.insert(e.key, (e.value, e.stamp_ns));
                         }
                     }
-                    if let Some(action) = self.recovery.take() {
-                        ctx.trace(TraceEvent::Recovered {
-                            target: FaultTarget::Process(ctx.pid()),
-                            action,
-                        });
-                    }
+                    self.member.restored(ctx);
                 }
             }
             _ => {}
@@ -393,7 +307,7 @@ impl Actor<KernelMsg> for DataBulletin {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, KernelMsg>, token: u64) {
         match token {
-            TOK_HB => self.heartbeat(ctx),
+            TOK_HB => self.member.beat(ctx, self.params.ft.hb_interval),
             TOK_CKPT => {
                 self.save_state(ctx);
                 ctx.set_timer(self.params.detector_sample * 2, TOK_CKPT);
@@ -415,7 +329,8 @@ impl Actor<KernelMsg> for DataBulletin {
                 if let Some((query, waiting)) = retry {
                     phoenix_telemetry::counter_add("rpc.retries", 1);
                     let targets: Vec<Pid> = self
-                        .peers
+                        .member
+                        .peers()
                         .iter()
                         .filter(|(p, _)| waiting.contains(p))
                         .map(|&(_, pid)| pid)

@@ -11,12 +11,14 @@
 //! resynchronize the partition's state from any surviving peer
 //! (`CkSyncReq` / `CkSyncResp`).
 
+use crate::federation::{Member, TOK_HB};
+use crate::group::registry::{kernel_factory_key, RespawnArgs};
 use crate::params::KernelParams;
-use phoenix_proto::{CheckpointData, KernelMsg, PartitionId, RequestId, ServiceKind};
-use phoenix_sim::{Actor, Ctx, Pid, RecoveryAction, TraceEvent};
+use phoenix_proto::{CheckpointData, KernelMsg, MemberInfo, PartitionId, RequestId, ServiceKind};
+use phoenix_sim::{Actor, Ctx, Pid, RecoveryAction};
 use std::collections::BTreeMap;
 
-const TOK_HB: u64 = 1;
+const KIND: ServiceKind = ServiceKind::Checkpoint;
 const TOK_SYNC_TIMEOUT: u64 = 2;
 /// Backoff timer for re-sending `CkSyncReq` while still unsynced.
 const TOK_SYNC_RETRY: u64 = 3;
@@ -26,16 +28,12 @@ pub type CkKey = (ServiceKind, PartitionId);
 
 /// The checkpoint-service actor.
 pub struct CheckpointService {
-    partition: PartitionId,
+    member: Member,
     params: KernelParams,
-    gsd: Pid,
-    peers: Vec<Pid>,
     store: BTreeMap<CkKey, CheckpointData>,
     /// Migrated instances must pull state from a peer before answering.
     synced: bool,
     pending_loads: Vec<(Pid, RequestId, CkKey)>,
-    hb_seq: u64,
-    recovery: Option<RecoveryAction>,
     /// Send attempts for the post-migration sync fan-out (a lost request
     /// or reply is retried with backoff under a retrying policy).
     sync_attempts: u32,
@@ -45,41 +43,26 @@ impl CheckpointService {
     /// A boot-time instance: wired later by the `Boot` message; starts
     /// synced (there is nothing to recover).
     pub fn new(partition: PartitionId, params: KernelParams) -> Self {
-        CheckpointService {
-            partition,
-            params,
-            gsd: Pid(0),
-            peers: Vec::new(),
-            store: BTreeMap::new(),
-            synced: true,
-            pending_loads: Vec::new(),
-            hb_seq: 0,
-            recovery: None,
-            sync_attempts: 0,
-        }
+        let key = kernel_factory_key(KIND, partition);
+        let member = Member::new(KIND, key, MemberInfo::unwired(partition));
+        Self::with(member, params, true)
     }
 
-    /// A respawned instance. `peers` are surviving federation members; if
-    /// the restart followed a migration the store starts empty and is
-    /// pulled from a peer.
-    pub fn respawn(
-        partition: PartitionId,
-        params: KernelParams,
-        gsd: Pid,
-        peers: Vec<Pid>,
-        action: RecoveryAction,
-    ) -> Self {
-        let migrated = matches!(action, RecoveryAction::Migrated(_));
+    /// A respawned instance. If the restart followed a migration the store
+    /// starts empty and is pulled from the surviving federation members.
+    pub fn respawn(args: &RespawnArgs) -> Self {
+        let member = Member::respawn(KIND, kernel_factory_key(KIND, args.partition), args);
+        let migrated = matches!(args.action, RecoveryAction::Migrated(_));
+        Self::with(member, args.params.clone(), !migrated)
+    }
+
+    fn with(member: Member, params: KernelParams, synced: bool) -> Self {
         CheckpointService {
-            partition,
+            member,
             params,
-            gsd,
-            peers,
             store: BTreeMap::new(),
-            synced: !migrated,
+            synced,
             pending_loads: Vec::new(),
-            hb_seq: 0,
-            recovery: Some(action),
             sync_attempts: 0,
         }
     }
@@ -101,7 +84,7 @@ impl CheckpointService {
     /// the attempt budget is spent; the give-up timer remains the final
     /// fallback either way.
     fn send_sync_reqs(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        for &p in &self.peers.clone() {
+        for p in self.member.peer_pids() {
             ctx.send(p, KernelMsg::CkSyncReq { req: RequestId(0) });
         }
         self.sync_attempts += 1;
@@ -114,38 +97,14 @@ impl CheckpointService {
             }
         }
     }
-
-    fn heartbeat(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        self.hb_seq += 1;
-        ctx.send(
-            self.gsd,
-            KernelMsg::SvcHeartbeat {
-                kind: ServiceKind::Checkpoint,
-                pid: ctx.pid(),
-                seq: self.hb_seq,
-            },
-        );
-        ctx.set_timer(self.params.ft.hb_interval, TOK_HB);
-    }
 }
 
 impl Actor<KernelMsg> for CheckpointService {
     fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        ctx.trace(TraceEvent::ServiceUp {
-            pid: ctx.pid(),
-            service: "checkpoint",
-            node: ctx.node(),
-        });
-        if self.gsd != Pid(0) {
-            ctx.send(
-                self.gsd,
-                KernelMsg::SvcRegister {
-                    kind: ServiceKind::Checkpoint,
-                    pid: ctx.pid(),
-                    factory: format!("checkpoint:p{}", self.partition.0),
-                },
-            );
-            self.heartbeat(ctx);
+        self.member.started(ctx, "checkpoint");
+        if self.member.wired() {
+            self.member.register(ctx);
+            self.member.beat(ctx, self.params.ft.hb_interval);
         }
         if !self.synced {
             // Pull the federation's replicated state from every peer; the
@@ -159,42 +118,14 @@ impl Actor<KernelMsg> for CheckpointService {
     fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, from: Pid, msg: KernelMsg) {
         match msg {
             KernelMsg::Boot(dir) => {
-                if let Some(me) = dir.partition(self.partition) {
-                    self.gsd = me.gsd;
-                }
-                self.peers = dir
-                    .partitions
-                    .iter()
-                    .filter(|m| m.partition != self.partition)
-                    .map(|m| m.checkpoint)
-                    .collect();
-                ctx.send(
-                    self.gsd,
-                    KernelMsg::SvcRegister {
-                        kind: ServiceKind::Checkpoint,
-                        pid: ctx.pid(),
-                        factory: format!("checkpoint:p{}", self.partition.0),
-                    },
-                );
-                self.heartbeat(ctx);
+                self.member.wire_boot(&dir);
+                self.member.register(ctx);
+                self.member.beat(ctx, self.params.ft.hb_interval);
             }
             KernelMsg::PartitionView { members, local } => {
-                let gsd_changed = self.gsd != local.gsd;
-                self.gsd = local.gsd;
-                self.peers = members
-                    .iter()
-                    .filter(|m| m.partition != self.partition)
-                    .map(|m| m.checkpoint)
-                    .collect();
-                if gsd_changed {
-                    ctx.send(
-                        self.gsd,
-                        KernelMsg::SvcRegister {
-                            kind: ServiceKind::Checkpoint,
-                            pid: ctx.pid(),
-                            factory: format!("checkpoint:p{}", self.partition.0),
-                        },
-                    );
+                let supervisor_changed = self.member.wire(local, &members);
+                if supervisor_changed {
+                    self.member.register(ctx);
                 }
             }
             KernelMsg::CkSave {
@@ -203,7 +134,7 @@ impl Actor<KernelMsg> for CheckpointService {
                 data,
             } => {
                 self.store.insert((service, partition), data.clone());
-                for &p in &self.peers {
+                for p in self.member.peer_pids() {
                     ctx.send(
                         p,
                         KernelMsg::CkReplicate {
@@ -236,8 +167,8 @@ impl Actor<KernelMsg> for CheckpointService {
             KernelMsg::CkDelete { service, partition } => {
                 self.store.remove(&(service, partition));
                 // Forward once; peers recognise each other and stop.
-                if !self.peers.contains(&from) {
-                    for &p in &self.peers {
+                if !self.member.peer_pids().any(|p| p == from) {
+                    for p in self.member.peer_pids() {
                         ctx.send(p, KernelMsg::CkDelete { service, partition });
                     }
                 }
@@ -257,12 +188,7 @@ impl Actor<KernelMsg> for CheckpointService {
                 if !self.synced {
                     self.synced = true;
                     self.flush_pending(ctx);
-                    if let Some(action) = self.recovery.take() {
-                        ctx.trace(TraceEvent::Recovered {
-                            target: phoenix_sim::FaultTarget::Process(ctx.pid()),
-                            action,
-                        });
-                    }
+                    self.member.restored(ctx);
                 }
             }
             _ => {}
@@ -271,7 +197,7 @@ impl Actor<KernelMsg> for CheckpointService {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, KernelMsg>, token: u64) {
         match token {
-            TOK_HB => self.heartbeat(ctx),
+            TOK_HB => self.member.beat(ctx, self.params.ft.hb_interval),
             TOK_SYNC_TIMEOUT => {
                 if !self.synced {
                     self.synced = true;

@@ -13,14 +13,17 @@
 //! registrations and the publish cursor are checkpointed so a restarted or
 //! migrated instance keeps serving its consumers (paper Fig 4).
 
+use crate::federation::{Member, TOK_HB};
+use crate::group::registry::{kernel_factory_key, RespawnArgs};
 use crate::params::KernelParams;
 use phoenix_proto::{
-    CheckpointData, ConsumerReg, Event, EventType, KernelMsg, PartitionId, RequestId, ServiceKind,
+    CheckpointData, ConsumerReg, Event, EventType, KernelMsg, MemberInfo, PartitionId, RequestId,
+    ServiceKind,
 };
-use phoenix_sim::{Actor, Ctx, FaultTarget, Pid, RecoveryAction, TraceEvent};
+use phoenix_sim::{Actor, Ctx, Pid};
 use std::collections::HashMap;
 
-const TOK_HB: u64 = 1;
+const KIND: ServiceKind = ServiceKind::Event;
 const TOK_RESTORE_TIMEOUT: u64 = 2;
 
 /// Save the cursor every this many publishes (registrations always save).
@@ -28,102 +31,47 @@ const SEQ_SAVE_STRIDE: u64 = 16;
 
 /// The event-service actor.
 pub struct EventService {
-    partition: PartitionId,
+    member: Member,
     params: KernelParams,
-    gsd: Pid,
-    checkpoint: Pid,
-    peers: Vec<Pid>,
     consumers: Vec<ConsumerReg>,
     suppliers: HashMap<Pid, Vec<EventType>>,
     next_seq: u64,
-    /// While Some, we are waiting for checkpoint state; publishes queue.
-    restoring: bool,
+    /// Publishes held back while waiting for checkpoint state.
     queued: Vec<(Pid, Event)>,
-    hb_seq: u64,
-    recovery: Option<RecoveryAction>,
 }
 
 impl EventService {
     /// Boot-time instance; wired by the `Boot` message.
     pub fn new(partition: PartitionId, params: KernelParams) -> Self {
-        EventService {
-            partition,
-            params,
-            gsd: Pid(0),
-            checkpoint: Pid(0),
-            peers: Vec::new(),
-            consumers: Vec::new(),
-            suppliers: HashMap::new(),
-            next_seq: 1,
-            restoring: false,
-            queued: Vec::new(),
-            hb_seq: 0,
-            recovery: None,
-        }
+        let key = kernel_factory_key(KIND, partition);
+        let member = Member::new(KIND, key, MemberInfo::unwired(partition));
+        Self::with(member, params)
     }
 
     /// Respawned instance: restores registrations from the checkpoint
     /// service before resuming notification.
-    pub fn respawn(
-        partition: PartitionId,
-        params: KernelParams,
-        gsd: Pid,
-        checkpoint: Pid,
-        peers: Vec<Pid>,
-        action: RecoveryAction,
-    ) -> Self {
+    pub fn respawn(args: &RespawnArgs) -> Self {
+        let member = Member::respawn(KIND, kernel_factory_key(KIND, args.partition), args);
+        Self::with(member, args.params.clone())
+    }
+
+    fn with(member: Member, params: KernelParams) -> Self {
         EventService {
-            partition,
+            member,
             params,
-            gsd,
-            checkpoint,
-            peers,
             consumers: Vec::new(),
             suppliers: HashMap::new(),
             next_seq: 1,
-            restoring: true,
             queued: Vec::new(),
-            hb_seq: 0,
-            recovery: Some(action),
         }
     }
 
-    fn register_with_gsd(&self, ctx: &mut Ctx<'_, KernelMsg>) {
-        ctx.send(
-            self.gsd,
-            KernelMsg::SvcRegister {
-                kind: ServiceKind::Event,
-                pid: ctx.pid(),
-                factory: format!("event:p{}", self.partition.0),
-            },
-        );
-    }
-
-    fn heartbeat(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        self.hb_seq += 1;
-        ctx.send(
-            self.gsd,
-            KernelMsg::SvcHeartbeat {
-                kind: ServiceKind::Event,
-                pid: ctx.pid(),
-                seq: self.hb_seq,
-            },
-        );
-        ctx.set_timer(self.params.ft.hb_interval, TOK_HB);
-    }
-
     fn save_state(&self, ctx: &mut Ctx<'_, KernelMsg>) {
-        ctx.send(
-            self.checkpoint,
-            KernelMsg::CkSave {
-                service: ServiceKind::Event,
-                partition: self.partition,
-                data: CheckpointData::EventService {
-                    consumers: self.consumers.clone(),
-                    next_seq: self.next_seq,
-                },
-            },
-        );
+        let data = CheckpointData::EventService {
+            consumers: self.consumers.clone(),
+            next_seq: self.next_seq,
+        };
+        self.member.save(ctx, data);
     }
 
     /// Deliver to local consumers whose filter accepts the event.
@@ -144,12 +92,12 @@ impl EventService {
     }
 
     fn publish(&mut self, ctx: &mut Ctx<'_, KernelMsg>, mut event: Event) {
-        event.partition = self.partition;
+        event.partition = self.member.partition();
         event.seq = self.next_seq;
         self.next_seq += 1;
         phoenix_telemetry::counter_add("es.events.published", 1);
         self.notify_local(ctx, &event);
-        if !self.peers.is_empty() {
+        if !self.member.peers().is_empty() {
             // One mark per publish: the first peer to receive the forward
             // consumes it, giving one federation flight sample per event.
             phoenix_telemetry::mark(
@@ -157,7 +105,7 @@ impl EventService {
                 phoenix_telemetry::key(&[event.partition.0 as u64, event.seq]),
             );
         }
-        for &peer in &self.peers {
+        for peer in self.member.peer_pids() {
             ctx.send(peer, KernelMsg::EsFedForward { event: event.clone() });
         }
         if self.next_seq % SEQ_SAVE_STRIDE == 0 {
@@ -166,13 +114,7 @@ impl EventService {
     }
 
     fn finish_restore(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        self.restoring = false;
-        if let Some(action) = self.recovery.take() {
-            ctx.trace(TraceEvent::Recovered {
-                target: FaultTarget::Process(ctx.pid()),
-                action,
-            });
-        }
+        self.member.restored(ctx);
         let queued = std::mem::take(&mut self.queued);
         for (_from, ev) in queued {
             self.publish(ctx, ev);
@@ -182,24 +124,13 @@ impl EventService {
 
 impl Actor<KernelMsg> for EventService {
     fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        ctx.trace(TraceEvent::ServiceUp {
-            pid: ctx.pid(),
-            service: "event",
-            node: ctx.node(),
-        });
-        if self.gsd != Pid(0) {
-            self.register_with_gsd(ctx);
-            self.heartbeat(ctx);
+        self.member.started(ctx, "event");
+        if self.member.wired() {
+            self.member.register(ctx);
+            self.member.beat(ctx, self.params.ft.hb_interval);
         }
-        if self.restoring {
-            ctx.send(
-                self.checkpoint,
-                KernelMsg::CkLoad {
-                    req: RequestId(0),
-                    service: ServiceKind::Event,
-                    partition: self.partition,
-                },
-            );
+        if self.member.restoring() {
+            self.member.load(ctx);
             ctx.set_timer(self.params.fed_query_timeout * 8, TOK_RESTORE_TIMEOUT);
         }
     }
@@ -207,33 +138,17 @@ impl Actor<KernelMsg> for EventService {
     fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, from: Pid, msg: KernelMsg) {
         match msg {
             KernelMsg::Boot(dir) => {
-                if let Some(me) = dir.partition(self.partition) {
-                    self.gsd = me.gsd;
-                    self.checkpoint = me.checkpoint;
-                }
-                self.peers = dir
-                    .partitions
-                    .iter()
-                    .filter(|m| m.partition != self.partition)
-                    .map(|m| m.event)
-                    .collect();
-                self.register_with_gsd(ctx);
-                self.heartbeat(ctx);
+                self.member.wire_boot(&dir);
+                self.member.register(ctx);
+                self.member.beat(ctx, self.params.ft.hb_interval);
             }
             KernelMsg::PartitionView { members, local } => {
-                let gsd_changed = self.gsd != local.gsd;
-                self.gsd = local.gsd;
-                self.checkpoint = local.checkpoint;
-                self.peers = members
-                    .iter()
-                    .filter(|m| m.partition != self.partition)
-                    .map(|m| m.event)
-                    .collect();
                 // Register only when the supervisor changed: an
                 // unconditional register would echo every view push into
                 // another membership announcement.
-                if gsd_changed {
-                    self.register_with_gsd(ctx);
+                let supervisor_changed = self.member.wire(local, &members);
+                if supervisor_changed {
+                    self.member.register(ctx);
                 }
             }
             KernelMsg::EsRegisterConsumer { req, reg } => {
@@ -254,7 +169,7 @@ impl Actor<KernelMsg> for EventService {
                 self.suppliers.insert(supplier, types);
             }
             KernelMsg::EsPublish { event } => {
-                if self.restoring {
+                if self.member.restoring() {
                     self.queued.push((from, event));
                 } else {
                     self.publish(ctx, event);
@@ -270,7 +185,7 @@ impl Actor<KernelMsg> for EventService {
                 self.notify_local(ctx, &event);
             }
             KernelMsg::CkLoadResp { data, .. } => {
-                if self.restoring {
+                if self.member.restoring() {
                     if let Some(CheckpointData::EventService { consumers, next_seq }) = data {
                         self.consumers = consumers;
                         self.next_seq = next_seq;
@@ -284,9 +199,9 @@ impl Actor<KernelMsg> for EventService {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, KernelMsg>, token: u64) {
         match token {
-            TOK_HB => self.heartbeat(ctx),
+            TOK_HB => self.member.beat(ctx, self.params.ft.hb_interval),
             TOK_RESTORE_TIMEOUT => {
-                if self.restoring {
+                if self.member.restoring() {
                     self.finish_restore(ctx);
                 }
             }

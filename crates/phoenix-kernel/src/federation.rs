@@ -1,0 +1,714 @@
+//! Service federation: the supervision protocol between a partition's GSD
+//! and the service instances it keeps alive — both ends, and nothing else.
+//!
+//! Paper Sec 4.4 / Fig 4: per-partition service instances form groups on
+//! top of the group service; each instance registers with its partition's
+//! GSD and heartbeats it, the GSD restarts or migrates an instance that
+//! falls silent, and the replacement re-loads its state from the
+//! checkpoint service. MSCS (Vogels et al.) runs every resource through
+//! one small uniform interface; this file is that interface:
+//!
+//! * [`Member`] is the service's half. The three kernel services (event,
+//!   bulletin, checkpoint) and the user-environment services embed one and
+//!   drive it from their own handlers: wire from `Boot` / `PartitionView`,
+//!   `SvcRegister`, the `SvcHeartbeat` timer, `CkSave` / `CkLoad` against
+//!   the partition's checkpoint instance, the `Recovered` trace.
+//! * [`Supervisor`] is the GSD's half: who is registered, who displaced
+//!   whom, who fell silent, what a restart costs, and the roster a migrated
+//!   GSD rebuilds its user-environment services from. It takes no actor
+//!   context and records no telemetry; the `Gsd` actor turns its answers
+//!   into kills, spawns, timers and trace records.
+
+use crate::group::liveness;
+use crate::group::registry::RespawnArgs;
+use crate::params::{FtParams, KernelParams};
+use phoenix_proto::{
+    CheckpointData, KernelMsg, MemberInfo, PartitionId, RequestId, ServiceDirectory, ServiceKind,
+};
+use phoenix_sim::{Ctx, FaultTarget, Pid, RecoveryAction, SimDuration, SimTime, TraceEvent};
+use std::collections::BTreeMap;
+
+/// Timer token of every member's supervision heartbeat.
+pub const TOK_HB: u64 = 1;
+
+/// The same-kind instances of every partition but `partition`.
+fn peers_of(
+    kind: ServiceKind,
+    partition: PartitionId,
+    members: &[MemberInfo],
+) -> Vec<(PartitionId, Pid)> {
+    members
+        .iter()
+        .filter(|m| m.partition != partition)
+        .filter_map(|m| Some((m.partition, m.service(kind)?)))
+        .collect()
+}
+
+/// The member half: one supervised service instance's view of its
+/// supervisor, its partition and its federation.
+pub struct Member {
+    kind: ServiceKind,
+    /// Registry key the supervisor rebuilds this instance from.
+    factory: String,
+    /// The partition's services as the supervisor last announced them:
+    /// `gsd` is whom to register with and heartbeat, `checkpoint` is where
+    /// state is saved, the rest are the siblings.
+    info: MemberInfo,
+    /// Same-kind instances of the other partitions (empty for kinds that
+    /// do not federate).
+    peers: Vec<(PartitionId, Pid)>,
+    hb_seq: u64,
+    /// How this instance came back, until its state is back too.
+    recovery: Option<RecoveryAction>,
+}
+
+impl Member {
+    /// A boot-time instance: nothing to recover.
+    pub fn new(kind: ServiceKind, factory: impl Into<String>, info: MemberInfo) -> Member {
+        Member {
+            kind,
+            factory: factory.into(),
+            info,
+            peers: Vec::new(),
+            hb_seq: 0,
+            recovery: None,
+        }
+    }
+
+    /// A replacement built by a factory: wired from the supervisor's own
+    /// view of the partition, with state still to restore.
+    pub fn respawn(kind: ServiceKind, factory: impl Into<String>, args: &RespawnArgs) -> Member {
+        let own = args.members.iter().find(|m| m.partition == args.partition);
+        let mut info = own.copied().unwrap_or(MemberInfo::unwired(args.partition));
+        info.gsd = args.gsd;
+        info.checkpoint = args.checkpoint;
+        Member {
+            peers: peers_of(kind, args.partition, &args.members),
+            recovery: Some(args.action),
+            ..Member::new(kind, factory, info)
+        }
+    }
+
+    pub fn partition(&self) -> PartitionId {
+        self.info.partition
+    }
+
+    /// The partition's services as last announced.
+    pub fn info(&self) -> &MemberInfo {
+        &self.info
+    }
+
+    pub fn peers(&self) -> &[(PartitionId, Pid)] {
+        &self.peers
+    }
+
+    pub fn peer_pids(&self) -> impl Iterator<Item = Pid> + '_ {
+        self.peers.iter().map(|&(_, pid)| pid)
+    }
+
+    /// Does this instance know its supervisor yet?
+    pub fn wired(&self) -> bool {
+        self.info.gsd != Pid(0)
+    }
+
+    /// Respawned and still waiting for its state.
+    pub fn restoring(&self) -> bool {
+        self.recovery.is_some()
+    }
+
+    /// Record that the instance is up.
+    pub fn started(&self, ctx: &mut Ctx<'_, KernelMsg>, service: &'static str) {
+        ctx.trace(TraceEvent::ServiceUp {
+            pid: ctx.pid(),
+            service,
+            node: ctx.node(),
+        });
+    }
+
+    /// [`wire`](Self::wire) from the boot directory.
+    pub fn wire_boot(&mut self, dir: &ServiceDirectory) {
+        let local = dir.partition(self.info.partition).copied();
+        self.wire(local.unwrap_or(self.info), &dir.partitions);
+    }
+
+    /// Adopt the partition's services and the federation's membership.
+    /// Returns whether the supervisor changed.
+    pub fn wire(&mut self, local: MemberInfo, members: &[MemberInfo]) -> bool {
+        let supervisor_changed = self.info.gsd != local.gsd;
+        self.info = local;
+        self.peers = peers_of(self.kind, local.partition, members);
+        supervisor_changed
+    }
+
+    pub fn register(&self, ctx: &mut Ctx<'_, KernelMsg>) {
+        ctx.send(
+            self.info.gsd,
+            KernelMsg::SvcRegister {
+                kind: self.kind,
+                pid: ctx.pid(),
+                factory: self.factory.clone(),
+            },
+        );
+    }
+
+    /// One heartbeat to the supervisor, and the timer for the next.
+    pub fn beat(&mut self, ctx: &mut Ctx<'_, KernelMsg>, interval: SimDuration) {
+        self.hb_seq += 1;
+        ctx.send(
+            self.info.gsd,
+            KernelMsg::SvcHeartbeat {
+                kind: self.kind,
+                pid: ctx.pid(),
+                seq: self.hb_seq,
+            },
+        );
+        ctx.set_timer(interval, TOK_HB);
+    }
+
+    /// Checkpoint this instance's state under `(kind, partition)`.
+    pub fn save(&self, ctx: &mut Ctx<'_, KernelMsg>, data: CheckpointData) {
+        ck_save(ctx, &self.info, self.kind, data);
+    }
+
+    /// Ask for the state [`save`](Self::save) stored.
+    pub fn load(&self, ctx: &mut Ctx<'_, KernelMsg>) {
+        ck_load(ctx, &self.info, self.kind);
+    }
+
+    /// State is back (or given up on): record the recovery, once.
+    pub fn restored(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
+        if let Some(action) = self.recovery.take() {
+            ctx.trace(TraceEvent::Recovered {
+                target: FaultTarget::Process(ctx.pid()),
+                action,
+            });
+        }
+    }
+}
+
+/// Save `data` under `(kind, partition)` at the partition's checkpoint
+/// instance.
+pub fn ck_save(
+    ctx: &mut Ctx<'_, KernelMsg>,
+    local: &MemberInfo,
+    kind: ServiceKind,
+    data: CheckpointData,
+) {
+    ctx.send(
+        local.checkpoint,
+        KernelMsg::CkSave {
+            service: kind,
+            partition: local.partition,
+            data,
+        },
+    );
+}
+
+/// Ask the partition's checkpoint instance for `(kind, partition)`.
+pub fn ck_load(ctx: &mut Ctx<'_, KernelMsg>, local: &MemberInfo, kind: ServiceKind) {
+    ctx.send(
+        local.checkpoint,
+        KernelMsg::CkLoad {
+            req: RequestId(0),
+            service: kind,
+            partition: local.partition,
+        },
+    );
+}
+
+/// What a factory gets to rebuild a `kind` instance under the GSD
+/// described by `local`.
+pub fn respawn_args(
+    kind: ServiceKind,
+    local: &MemberInfo,
+    members: &[MemberInfo],
+    action: RecoveryAction,
+    params: &KernelParams,
+) -> RespawnArgs {
+    RespawnArgs {
+        kind,
+        partition: local.partition,
+        node: local.node,
+        gsd: local.gsd,
+        checkpoint: local.checkpoint,
+        members: members.to_vec(),
+        action,
+        params: params.clone(),
+    }
+}
+
+/// Virtual time a restart of a `kind` instance takes (paper Table 3).
+pub fn restart_cost(ft: &FtParams, kind: ServiceKind) -> SimDuration {
+    match kind {
+        ServiceKind::Event => ft.es_restart_cost,
+        ServiceKind::DataBulletin => ft.db_restart_cost,
+        ServiceKind::Checkpoint => ft.ck_restart_cost,
+        _ => ft.userenv_restart_cost,
+    }
+}
+
+struct Track {
+    kind: ServiceKind,
+    factory: String,
+    last: SimTime,
+}
+
+/// A registered member whose heartbeats stopped.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Lapsed {
+    pub pid: Pid,
+    pub kind: ServiceKind,
+    pub factory: String,
+}
+
+/// What a `SvcRegister` meant.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Registered {
+    /// Tracked; the partition's slots are unchanged.
+    Tracked,
+    /// An older instance than the live one holding the slot (left over
+    /// from a false takeover): not tracked, to be killed — adopting it
+    /// would flip-flop the slot and re-announce cluster-wide every flip.
+    StaleDuplicate,
+    /// Now the partition's instance of its kind. `displaced` is the live
+    /// instance it replaces, to be killed.
+    Adopted { displaced: Option<Pid> },
+}
+
+/// How a restored roster entry comes back under a respawned GSD.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Rejoin {
+    /// The old instance survived: show it the partition view so it
+    /// re-registers here.
+    Rebind(Pid),
+    /// It died with the old host: rebuild it from this factory.
+    Respawn(String),
+}
+
+/// The supervisor half: the GSD's table of registered members, ordered by
+/// pid — every answer that drives sends, kills or spawns comes out in pid
+/// order, never in hash order.
+#[derive(Default)]
+pub struct Supervisor {
+    tracks: BTreeMap<Pid, Track>,
+    /// The user-environment roster changed since it was last checkpointed.
+    roster_dirty: bool,
+}
+
+impl Supervisor {
+    /// `pid` registers as a `kind` instance. For the federated kernel kinds
+    /// the newest live pid owns the partition's slot in `local`.
+    pub fn on_register(
+        &mut self,
+        local: &mut MemberInfo,
+        kind: ServiceKind,
+        pid: Pid,
+        factory: String,
+        now: SimTime,
+        alive: impl Fn(Pid) -> bool,
+    ) -> Registered {
+        let track = Track {
+            kind,
+            factory,
+            last: now,
+        };
+        self.tracks.insert(pid, track);
+        self.roster_dirty |= kind == ServiceKind::UserEnvironment;
+        let Some(slot) = local.service_mut(kind).filter(|slot| **slot != pid) else {
+            return Registered::Tracked;
+        };
+        if pid < *slot && alive(*slot) {
+            self.tracks.remove(&pid);
+            return Registered::StaleDuplicate;
+        }
+        let old = std::mem::replace(slot, pid);
+        let displaced = (old != Pid(0) && alive(old)).then_some(old);
+        if let Some(old) = displaced {
+            self.tracks.remove(&old);
+        }
+        Registered::Adopted { displaced }
+    }
+
+    pub fn on_heartbeat(&mut self, pid: Pid, now: SimTime) {
+        if let Some(t) = self.tracks.get_mut(&pid) {
+            t.last = now;
+        }
+    }
+
+    /// Drop every member silent for longer than `window` and report it,
+    /// in pid order.
+    pub fn scan(&mut self, now: SimTime, window: SimDuration) -> Vec<Lapsed> {
+        let mut lapsed = Vec::new();
+        self.tracks.retain(|&pid, t| {
+            let stale = liveness::stale(now, t.last, window);
+            if stale {
+                lapsed.push(Lapsed {
+                    pid,
+                    kind: t.kind,
+                    factory: std::mem::take(&mut t.factory),
+                });
+            }
+            !stale
+        });
+        lapsed
+    }
+
+    /// Every tracked member, in pid order.
+    pub fn pids(&self) -> impl Iterator<Item = Pid> + '_ {
+        self.tracks.keys().copied()
+    }
+
+    /// The tracked user-environment services, `(factory, pid)` in pid order.
+    pub fn roster(&self) -> impl Iterator<Item = (&str, Pid)> {
+        self.tracks
+            .iter()
+            .filter(|(_, t)| t.kind == ServiceKind::UserEnvironment)
+            .map(|(&pid, t)| (t.factory.as_str(), pid))
+    }
+
+    /// The roster to checkpoint, if it changed since this was last asked.
+    pub fn roster_to_save(&mut self) -> Option<Vec<(String, Pid)>> {
+        std::mem::take(&mut self.roster_dirty)
+            .then(|| self.roster().map(|(f, pid)| (f.to_string(), pid)).collect())
+    }
+
+    /// The steps that bring a checkpointed roster back, in roster order.
+    pub fn rejoin(roster: Vec<(String, Pid)>, alive: impl Fn(Pid) -> bool) -> Vec<Rejoin> {
+        let step = |(factory, pid)| match alive(pid) {
+            true => Rejoin::Rebind(pid),
+            false => Rejoin::Respawn(factory),
+        };
+        roster.into_iter().map(step).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use phoenix_sim::{Actor, ClusterBuilder, NodeId, NodeSpec};
+
+    const EVENT: ServiceKind = ServiceKind::Event;
+    const USER: ServiceKind = ServiceKind::UserEnvironment;
+
+    fn at(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    #[test]
+    fn register_table() {
+        use Registered::*;
+        // (kind, registering pid, live pids, expected outcome, event slot after)
+        let table = [
+            (EVENT, 5, vec![5], Adopted { displaced: None }, 5),
+            (EVENT, 5, vec![5], Tracked, 5),
+            (
+                EVENT,
+                9,
+                vec![5, 9],
+                Adopted {
+                    displaced: Some(Pid(5)),
+                },
+                9,
+            ),
+            (EVENT, 5, vec![5, 9], StaleDuplicate, 9),
+            (USER, 7, vec![7, 9], Tracked, 9),
+            (EVENT, 12, vec![12], Adopted { displaced: None }, 12),
+            // Older than the slot's holder, but that one is dead: adopted.
+            (EVENT, 5, vec![5], Adopted { displaced: None }, 5),
+        ];
+        let mut sup = Supervisor::default();
+        let mut local = MemberInfo::unwired(PartitionId(0));
+        for (row, (kind, pid, live, want, slot)) in table.into_iter().enumerate() {
+            let alive = |p: Pid| live.contains(&p.0);
+            let got = sup.on_register(&mut local, kind, Pid(pid), "f".into(), at(0), alive);
+            assert_eq!(got, want, "row {row}");
+            assert_eq!(local.event, Pid(slot), "row {row}");
+            let tracked = sup.pids().any(|p| p == Pid(pid));
+            assert_eq!(tracked, want != StaleDuplicate, "row {row}");
+            if let Adopted {
+                displaced: Some(old),
+            } = want
+            {
+                assert!(
+                    sup.pids().all(|p| p != old),
+                    "row {row}: displaced pid dropped"
+                );
+            }
+        }
+        assert_eq!((local.bulletin, local.checkpoint), (Pid(0), Pid(0)));
+    }
+
+    #[test]
+    fn scan_reports_lapsed_members_in_pid_order() {
+        let ft = FtParams::fast();
+        let window = liveness::window(&ft);
+        let mut sup = Supervisor::default();
+        let mut local = MemberInfo::unwired(PartitionId(3));
+        let members = [
+            (USER, 30, "sched:b"),
+            (ServiceKind::Checkpoint, 10, "checkpoint:p3"),
+            (EVENT, 20, "event:p3"),
+        ];
+        for (kind, pid, factory) in members {
+            sup.on_register(&mut local, kind, Pid(pid), factory.into(), at(0), |_| true);
+        }
+        assert!(
+            sup.scan(at(0) + window, window).is_empty(),
+            "the window is inclusive"
+        );
+        sup.on_heartbeat(Pid(20), at(500));
+        sup.on_heartbeat(Pid(99), at(500)); // never registered: ignored
+        let lapsed = sup.scan(at(1) + window, window);
+        let want = [
+            (10, ServiceKind::Checkpoint, "checkpoint:p3"),
+            (30, USER, "sched:b"),
+        ];
+        let want = want.map(|(pid, kind, factory)| Lapsed {
+            pid: Pid(pid),
+            kind,
+            factory: factory.to_string(),
+        });
+        assert_eq!(lapsed, want);
+        assert_eq!(
+            sup.pids().collect::<Vec<_>>(),
+            vec![Pid(20)],
+            "lapsed members are dropped"
+        );
+        assert!(
+            sup.scan(at(1) + window, window).is_empty(),
+            "and reported once"
+        );
+
+        assert_eq!(restart_cost(&ft, EVENT), ft.es_restart_cost);
+        assert_eq!(
+            restart_cost(&ft, ServiceKind::DataBulletin),
+            ft.db_restart_cost
+        );
+        assert_eq!(
+            restart_cost(&ft, ServiceKind::Checkpoint),
+            ft.ck_restart_cost
+        );
+        assert_eq!(restart_cost(&ft, USER), ft.userenv_restart_cost);
+    }
+
+    #[test]
+    fn roster_round_trip() {
+        let mut sup = Supervisor::default();
+        let mut local = MemberInfo::unwired(PartitionId(0));
+        assert_eq!(
+            sup.roster_to_save(),
+            None,
+            "nothing registered, nothing to save"
+        );
+        for (kind, pid, factory) in [
+            (USER, 41, "sched:b"),
+            (EVENT, 8, "event:p0"),
+            (USER, 17, "biz"),
+        ] {
+            sup.on_register(&mut local, kind, Pid(pid), factory.into(), at(0), |_| true);
+        }
+        // Pid order, whatever order they registered in; kernel kinds are
+        // not on the roster (the GSD rebuilds those itself).
+        let roster = sup
+            .roster_to_save()
+            .expect("user-environment registrations dirty it");
+        assert_eq!(
+            roster,
+            vec![
+                ("biz".to_string(), Pid(17)),
+                ("sched:b".to_string(), Pid(41))
+            ]
+        );
+        assert_eq!(sup.roster_to_save(), None, "saved once per change");
+        sup.on_register(&mut local, USER, Pid(17), "biz".into(), at(5), |_| true);
+        assert_eq!(
+            sup.roster_to_save(),
+            Some(roster.clone()),
+            "a re-registration re-saves"
+        );
+
+        // Over the wire to the checkpoint service and back into a
+        // respawned supervisor.
+        let saved = phoenix_proto::wire::encode(&CheckpointData::Supervision { entries: roster });
+        let Ok(CheckpointData::Supervision { entries }) = phoenix_proto::wire::decode(&saved)
+        else {
+            panic!("the roster decodes as what was saved");
+        };
+        let steps = Supervisor::rejoin(entries, |p| p == Pid(41));
+        assert_eq!(
+            steps,
+            vec![Rejoin::Respawn("biz".to_string()), Rejoin::Rebind(Pid(41))]
+        );
+    }
+
+    /// The supervisor half behind the thinnest possible actor: it scans
+    /// when probed, and also plays the partition's checkpoint instance,
+    /// with nothing stored.
+    struct Sup {
+        sup: Supervisor,
+        local: MemberInfo,
+        lapsed: Vec<Lapsed>,
+    }
+
+    const WINDOW: SimDuration = SimDuration::from_millis(250);
+
+    impl Actor<KernelMsg> for Sup {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
+            (self.local.gsd, self.local.checkpoint) = (ctx.pid(), ctx.pid());
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, from: Pid, msg: KernelMsg) {
+            match msg {
+                KernelMsg::SvcRegister { kind, pid, factory } => {
+                    let alive = |p| ctx.process_is_alive(p);
+                    let local = &mut self.local;
+                    self.sup
+                        .on_register(local, kind, pid, factory, ctx.now(), alive);
+                }
+                KernelMsg::SvcHeartbeat { pid, .. } => self.sup.on_heartbeat(pid, ctx.now()),
+                KernelMsg::ProbeReq { .. } => self.lapsed.extend(self.sup.scan(ctx.now(), WINDOW)),
+                KernelMsg::CkLoad { req, .. } => {
+                    ctx.send(from, KernelMsg::CkLoadResp { req, data: None })
+                }
+                _ => {}
+            }
+        }
+
+        fn as_any(&self) -> Option<&dyn std::any::Any> {
+            Some(self)
+        }
+    }
+
+    /// The member half behind the thinnest possible actor, with the kernel
+    /// kinds' registration policy.
+    struct Svc(Member);
+
+    impl Actor<KernelMsg> for Svc {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
+            self.0.started(ctx, "svc");
+            if self.0.wired() {
+                self.0.register(ctx);
+                self.0.beat(ctx, SimDuration::from_millis(100));
+            }
+            if self.0.restoring() {
+                self.0.load(ctx);
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, _from: Pid, msg: KernelMsg) {
+            match msg {
+                KernelMsg::PartitionView { members, local } => {
+                    let supervisor_changed = self.0.wire(local, &members);
+                    if supervisor_changed {
+                        self.0.register(ctx);
+                        self.0.beat(ctx, SimDuration::from_millis(100));
+                    }
+                }
+                KernelMsg::CkLoadResp { .. } => self.0.restored(ctx),
+                _ => {}
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, KernelMsg>, token: u64) {
+            if token == TOK_HB {
+                self.0.beat(ctx, SimDuration::from_millis(100));
+            }
+        }
+
+        fn as_any(&self) -> Option<&dyn std::any::Any> {
+            Some(self)
+        }
+    }
+
+    #[test]
+    fn member_and_supervisor_meet_through_a_world() {
+        let mut w = ClusterBuilder::new()
+            .nodes(2, NodeSpec::default())
+            .build::<KernelMsg>();
+        let sup = Sup {
+            sup: Supervisor::default(),
+            local: MemberInfo::unwired(PartitionId(0)),
+            lapsed: Vec::new(),
+        };
+        let sup = w.spawn(NodeId(0), Box::new(sup));
+        let state = |w: &phoenix_sim::World<KernelMsg>| {
+            let s = w.actor_as::<Sup>(sup).expect("supervisor introspectable");
+            (s.local.event, s.sup.pids().collect::<Vec<_>>())
+        };
+        let scan = |w: &mut phoenix_sim::World<KernelMsg>| {
+            w.inject(sup, KernelMsg::ProbeReq { req: RequestId(0) });
+            w.run_for(SimDuration::from_millis(1));
+            let s = w.actor_as::<Sup>(sup).expect("supervisor introspectable");
+            s.lapsed.iter().map(|l| l.pid).collect::<Vec<_>>()
+        };
+
+        // A boot-time member: silent until a view names its supervisor.
+        let unwired = Member::new(EVENT, "event:p0", MemberInfo::unwired(PartitionId(0)));
+        let first = w.spawn(NodeId(1), Box::new(Svc(unwired)));
+        w.run_for(SimDuration::from_millis(300));
+        assert_eq!(state(&w), (Pid(0), vec![]));
+        let local = w
+            .actor_as::<Sup>(sup)
+            .expect("supervisor introspectable")
+            .local;
+        assert_eq!((local.gsd, local.checkpoint), (sup, sup));
+        let peer = MemberInfo {
+            event: Pid(77),
+            ..MemberInfo::unwired(PartitionId(1))
+        };
+        let view = KernelMsg::PartitionView {
+            members: vec![local, peer],
+            local,
+        };
+        w.inject(first, view.clone());
+        w.run_for(SimDuration::from_millis(300));
+        assert_eq!(state(&w), (first, vec![first]), "registered and adopted");
+        let member = &w.actor_as::<Svc>(first).expect("member introspectable").0;
+        assert_eq!(member.peers(), [(PartitionId(1), Pid(77))]);
+        // The same supervisor again: no second registration, beats go on.
+        w.inject(first, view);
+        w.run_for(SimDuration::from_secs(1));
+        assert_eq!(scan(&mut w), [], "heartbeats flow");
+
+        // It dies and is found silent; a replacement is built the way a
+        // factory would, restores (from an empty checkpoint), and takes
+        // the slot.
+        w.kill_process(first);
+        w.run_for(SimDuration::from_millis(300));
+        assert_eq!(scan(&mut w), [first]);
+        assert_eq!(
+            state(&w),
+            (first, vec![]),
+            "the track is gone, the slot waits"
+        );
+        let args = {
+            let s = w.actor_as::<Sup>(sup).expect("supervisor introspectable");
+            let action = RecoveryAction::RestartedInPlace;
+            respawn_args(
+                EVENT,
+                &s.local,
+                &[s.local, peer],
+                action,
+                &KernelParams::fast(),
+            )
+        };
+        assert_eq!(
+            (args.gsd, args.checkpoint, args.partition),
+            (sup, sup, PartitionId(0))
+        );
+        let second = w.spawn(
+            NodeId(1),
+            Box::new(Svc(Member::respawn(EVENT, "event:p0", &args))),
+        );
+        w.run_for(SimDuration::from_millis(300));
+        assert_eq!(state(&w), (second, vec![second]));
+        let member = &w.actor_as::<Svc>(second).expect("member introspectable").0;
+        assert!(!member.restoring(), "the load reply ended the restore");
+        assert_eq!(member.peers(), [(PartitionId(1), Pid(77))]);
+        let recovered = w.trace().count(|e| {
+            matches!(e, TraceEvent::Recovered { target: FaultTarget::Process(p), action }
+                if *p == second && *action == RecoveryAction::RestartedInPlace)
+        });
+        assert_eq!(recovered, 1);
+    }
+}

@@ -14,14 +14,14 @@
 //!   it — with its partition services — to a backup node (node fault).
 //!   The first member is the Leader, the second the Princess; when the
 //!   Leader fails the Princess takes over, and so on down the ring.
-//! * **Service supervision** — per-partition services (event, bulletin,
-//!   checkpoint, user-environment services) register with their GSD and
-//!   heartbeat it; the GSD restarts failed members from the factory
-//!   registry, after which they restore state from the checkpoint service
-//!   (paper Fig 4).
+//!
+//! Supervision of the partition's services (paper Fig 4) is the
+//! [`federation`] layer's protocol; this actor only routes to its
+//! `Supervisor` and executes what it answers.
 
+use crate::federation::{self, Lapsed, Registered, Rejoin, Supervisor};
 use crate::group::liveness::{self, Beat, Liveness, Silence, Watched};
-use crate::group::registry::{kernel_factory_key, RespawnArgs, SharedRegistry};
+use crate::group::registry::{kernel_factory_key, SharedRegistry};
 use crate::group::wd::Wd;
 use crate::nic_health::{HealthTransition, NicHealth};
 use crate::params::KernelParams;
@@ -140,13 +140,6 @@ struct Peer {
     live: Liveness,
 }
 
-/// Supervised-service tracking state.
-struct SvcTrack {
-    kind: ServiceKind,
-    factory: String,
-    last: SimTime,
-}
-
 /// An in-flight liveness probe session.
 struct ProbeSession {
     watched: Watched,
@@ -165,29 +158,20 @@ struct ProbeSession {
 enum DelayedOp {
     ProbeRound(u64),
     ProbeTimeout(u64),
-    /// Network-failure analysis completes (per-NIC heartbeat pattern).
+    /// Network-failure analysis completes: the per-NIC heartbeat pattern
+    /// of a watched node, or introspection of this node's own interface.
     NicDiag {
         node: NodeId,
         nic: NicId,
     },
     /// Local (same-host) failure classification completes.
-    LocalDiagSvc {
-        pid: Pid,
-        kind: ServiceKind,
-        factory: String,
-    },
-    /// Own-NIC introspection classification completes.
-    LocalDiagNic { nic: NicId },
+    LocalDiagSvc(Lapsed),
     /// Execute a scheduled restart/migration.
     Restart(RestartWhat),
 }
 
 enum RestartWhat {
-    Wd(NodeId),
-    Svc {
-        kind: ServiceKind,
-        factory: String,
-    },
+    Svc(Lapsed),
     /// Respawn a failed member's GSD on `to`: its old host for an
     /// in-place restart, a backup node for a migration (`action` says
     /// which).
@@ -228,7 +212,7 @@ pub struct Gsd {
     /// Every daemon this GSD watches, in scan order: the partition's WDs
     /// by node, then the ring predecessor (at most one).
     peers: Vec<Peer>,
-    svc_tracks: HashMap<Pid, SvcTrack>,
+    supervisor: Supervisor,
     my_nic_known: Vec<bool>,
     /// EWMA delivery-health per parallel network, fed by heartbeat seq
     /// gaps (WD and meta-ring). Inert unless `params.ft.nic.enabled`.
@@ -239,8 +223,6 @@ pub struct Gsd {
     next_id: u64,
     last_role: &'static str,
     monitoring: bool,
-    recovery: Option<RecoveryAction>,
-    supervision_dirty: bool,
     /// Last known member info per partition (rescue hints).
     last_known: HashMap<PartitionId, MemberInfo>,
     /// Partitions the leader is currently rescuing.
@@ -263,7 +245,7 @@ pub struct Gsd {
     /// retrying policy: the `DirectoryUpdateNode` push is fire-and-forget,
     /// and a lost one would leave the config directory pointing at a dead
     /// pid forever. Entries are dropped when config pushes a fresher one.
-    dir_resend_nodes: HashMap<NodeId, (NodeServices, u32)>,
+    dir_resend_nodes: BTreeMap<NodeId, (NodeServices, u32)>,
     /// Remaining ticks over which our own `DirectoryUpdate` (membership
     /// announce after a takeover/migration) is re-asserted to config.
     dir_resend_local: u32,
@@ -325,34 +307,26 @@ impl Gsd {
         Self::build(partition, params, topology, config, registry, GsdInit::Boot)
     }
 
-    /// A GSD spawned by a ring neighbour to replace a failed member.
-    /// `hint` is the failed member's info (for an in-place restart its
-    /// service pids are still valid); `members` is the takeover-time
-    /// membership snapshot (failed member already removed).
-    pub fn respawn(
-        partition: PartitionId,
-        params: KernelParams,
-        topology: ClusterTopology,
-        config: Pid,
-        registry: SharedRegistry,
+    /// A GSD to replace a failed (or draining) member's, configured like
+    /// this one. `hint` is the replaced member's info (for an in-place
+    /// restart its service pids are still valid); `members` is the
+    /// takeover-time membership snapshot (replaced member already removed).
+    fn replacement(
+        &self,
         hint: MemberInfo,
         members: Vec<MemberInfo>,
         epoch: u64,
         action: RecoveryAction,
     ) -> Self {
-        Self::build(
-            partition,
-            params,
-            topology,
-            config,
-            registry,
-            GsdInit::Respawn {
-                hint,
-                members,
-                epoch,
-                action,
-            },
-        )
+        let init = GsdInit::Respawn {
+            hint,
+            members,
+            epoch,
+            action,
+        };
+        let (params, topology) = (self.params.clone(), self.topology.clone());
+        let (config, registry) = (self.config, self.registry.clone());
+        Self::build(hint.partition, params, topology, config, registry, init)
     }
 
     fn build(
@@ -373,21 +347,13 @@ impl Gsd {
             config,
             registry,
             init: Some(init),
-            local: MemberInfo {
-                partition,
-                node: NodeId(0),
-                gsd: Pid(0),
-                event: Pid(0),
-                bulletin: Pid(0),
-                checkpoint: Pid(0),
-                host_ppm: Pid(0),
-            },
+            local: MemberInfo::unwired(partition),
             members: Vec::new(),
             epoch: 0,
             node_daemons: HashMap::new(),
             cluster_wds: HashMap::new(),
             peers: Vec::new(),
-            svc_tracks: HashMap::new(),
+            supervisor: Supervisor::default(),
             my_nic_known: Vec::new(),
             nic_health,
             probes: BTreeMap::new(),
@@ -395,15 +361,13 @@ impl Gsd {
             next_id: 0,
             last_role: "",
             monitoring: false,
-            recovery: None,
-            supervision_dirty: false,
             last_known: HashMap::new(),
             rescuing: std::collections::HashSet::new(),
             takeover_seq: 0,
             needs_rejoin: false,
             hb_seq: 0,
             dir_attempts: 0,
-            dir_resend_nodes: HashMap::new(),
+            dir_resend_nodes: BTreeMap::new(),
             dir_resend_local: 0,
             regroup,
             frozen_span: None,
@@ -430,6 +394,15 @@ impl Gsd {
         self.members
             .sort_by_key(|m| (q.contains(&m.partition), m.partition));
         self.members.dedup_by_key(|m| m.partition);
+    }
+
+    /// Keep our own entry in the member list authoritative.
+    fn patch_own_entry(&mut self) {
+        let local = self.local;
+        let own = |m: &&mut MemberInfo| m.partition == local.partition;
+        for m in self.members.iter_mut().filter(own) {
+            *m = local;
+        }
     }
 
     fn my_index(&self) -> Option<usize> {
@@ -659,16 +632,8 @@ impl Gsd {
                 ctx.send(pid, view.clone());
             }
         }
-        // Supervised user-environment services also get the view (in pid
-        // order — send order must not follow HashMap order).
-        let mut svc_pids: Vec<Pid> = self
-            .svc_tracks
-            .iter()
-            .filter(|(_, t)| t.kind == ServiceKind::UserEnvironment)
-            .map(|(&pid, _)| pid)
-            .collect();
-        svc_pids.sort_unstable();
-        for pid in svc_pids {
+        // Supervised user-environment services also get the view.
+        for (_, pid) in self.supervisor.roster() {
             ctx.send(pid, view.clone());
         }
         if let Some(spec) = self.topology.partition(self.partition) {
@@ -681,16 +646,20 @@ impl Gsd {
         }
     }
 
+    /// The membership as this GSD holds it, at its current epoch.
+    fn membership_msg(&self) -> KernelMsg {
+        KernelMsg::MetaMembership {
+            epoch: self.epoch,
+            members: self.members.clone().into(),
+        }
+    }
+
     fn announce_membership_change(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         // Route the change through the leader (ourselves, perhaps).
         if let Some(leader) = self.leader() {
             if leader.partition == self.partition {
                 self.epoch += 1;
-                let msg = KernelMsg::MetaMembership {
-                    epoch: self.epoch,
-                    members: self.members.clone().into(),
-                };
-                self.broadcast_meta(ctx, msg);
+                self.broadcast_meta(ctx, self.membership_msg());
             } else {
                 self.send_routed(
                     ctx,
@@ -711,24 +680,6 @@ impl Gsd {
             self.dir_resend_local = DIR_RESEND_TICKS;
         }
         self.push_partition_view(ctx);
-    }
-
-    fn save_supervision(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        let entries: Vec<(String, Pid)> = self
-            .svc_tracks
-            .iter()
-            .filter(|(_, t)| t.kind == ServiceKind::UserEnvironment)
-            .map(|(&pid, t)| (t.factory.clone(), pid))
-            .collect();
-        ctx.send(
-            self.local.checkpoint,
-            KernelMsg::CkSave {
-                service: ServiceKind::Group,
-                partition: self.partition,
-                data: CheckpointData::Supervision { entries },
-            },
-        );
-        self.supervision_dirty = false;
     }
 
     // ---- wiring ----------------------------------------------------------
@@ -774,12 +725,8 @@ impl Gsd {
             self.local.gsd = ctx.pid();
         }
         self.members = dir.partitions.clone();
-        // Patch our own entry (directory was built before spawn order).
-        for m in &mut self.members {
-            if m.partition == self.partition {
-                *m = self.local;
-            }
-        }
+        // The directory was built before spawn order.
+        self.patch_own_entry();
         self.ingest_node_daemons(dir.nodes.iter());
         self.finish_wiring(ctx);
     }
@@ -870,7 +817,6 @@ impl Gsd {
         self.local.gsd = ctx.pid();
         self.local.node = ctx.node();
         self.epoch = epoch;
-        self.recovery = Some(action);
 
         // Migrated: the whole server node died, rebuild the partition
         // services here. An *in-place* rescue needs the same treatment
@@ -885,36 +831,17 @@ impl Gsd {
         let rebuild = matches!(action, RecoveryAction::Migrated(_)) || services_died;
         if rebuild {
             // Checkpoint first so the others can restore from it.
-            let mut args = RespawnArgs {
-                kind: ServiceKind::Checkpoint,
-                partition: self.partition,
-                node: ctx.node(),
-                gsd: ctx.pid(),
-                checkpoint: Pid(0),
-                members: self.members.clone(),
-                action,
-                params: self.params.clone(),
-            };
-            let reg = self.registry.clone();
-            let spawn_kind = |ctx: &mut Ctx<'_, KernelMsg>,
-                                  args: &RespawnArgs,
-                                  kind: ServiceKind|
-             -> Pid {
-                let key = kernel_factory_key(kind, args.partition);
-                let mut args2 = args.clone();
-                args2.kind = kind;
-                match reg.borrow_mut().build(&key, &args2) {
-                    Some(actor) => ctx.spawn(args2.node, actor),
-                    None => Pid(0),
+            for kind in [
+                ServiceKind::Checkpoint,
+                ServiceKind::Event,
+                ServiceKind::DataBulletin,
+            ] {
+                let key = kernel_factory_key(kind, self.partition);
+                let pid = self.respawn_service(ctx, kind, &key, action);
+                if let Some(slot) = self.local.service_mut(kind) {
+                    *slot = pid.unwrap_or(Pid(0));
                 }
-            };
-            let ck = spawn_kind(ctx, &args, ServiceKind::Checkpoint);
-            args.checkpoint = ck;
-            let es = spawn_kind(ctx, &args, ServiceKind::Event);
-            let db = spawn_kind(ctx, &args, ServiceKind::DataBulletin);
-            self.local.checkpoint = ck;
-            self.local.event = es;
-            self.local.bulletin = db;
+            }
         }
 
         // Upsert ourselves into the membership and tell the world.
@@ -946,27 +873,33 @@ impl Gsd {
         }
 
         // Restore the user-environment supervision roster.
-        ctx.send(
-            self.local.checkpoint,
-            KernelMsg::CkLoad {
-                req: RequestId(0),
-                service: ServiceKind::Group,
-                partition: self.partition,
-            },
-        );
+        federation::ck_load(ctx, &self.local, ServiceKind::Group);
 
-        if let Some(action) = self.recovery.take() {
-            ctx.trace(TraceEvent::Recovered {
-                target: FaultTarget::Process(ctx.pid()),
-                action,
-            });
-            self.publish(
-                ctx,
-                EventType::ServiceRecovery,
-                ctx.node(),
-                EventPayload::Service(ServiceKind::Group, ctx.node()),
-            );
-        }
+        ctx.trace(TraceEvent::Recovered {
+            target: FaultTarget::Process(ctx.pid()),
+            action,
+        });
+        self.publish(
+            ctx,
+            EventType::ServiceRecovery,
+            ctx.node(),
+            EventPayload::Service(ServiceKind::Group, ctx.node()),
+        );
+    }
+
+    /// Build a supervised service's replacement from its factory and start
+    /// it on this node. The replacement registers itself (`SvcRegister`),
+    /// which is what updates `local` and tells the world.
+    fn respawn_service(
+        &mut self,
+        ctx: &mut Ctx<'_, KernelMsg>,
+        kind: ServiceKind,
+        factory: &str,
+        action: RecoveryAction,
+    ) -> Option<Pid> {
+        let args = federation::respawn_args(kind, &self.local, &self.members, action, &self.params);
+        let actor = self.registry.borrow_mut().build(factory, &args)?;
+        Some(ctx.spawn(ctx.node(), actor))
     }
 
     // ---- scanning --------------------------------------------------------
@@ -1009,7 +942,14 @@ impl Gsd {
     fn scan(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         let now = ctx.now();
         self.scan_peers(ctx, now);
-        self.scan_svcs(ctx, now);
+        for lapsed in self.supervisor.scan(now, liveness::window(&self.params.ft)) {
+            ctx.trace(TraceEvent::FaultDetected {
+                observer: ctx.pid(),
+                target: FaultTarget::Process(lapsed.pid),
+            });
+            let delay = self.params.ft.local_diag_delay;
+            self.schedule(ctx, delay, DelayedOp::LocalDiagSvc(lapsed));
+        }
     }
 
     /// Judge every watched daemon, in table order: the scan order decides
@@ -1067,29 +1007,6 @@ impl Gsd {
                     }
                 }
             }
-        }
-    }
-
-    fn scan_svcs(&mut self, ctx: &mut Ctx<'_, KernelMsg>, now: SimTime) {
-        let mut stale: Vec<(Pid, ServiceKind, String)> = self
-            .svc_tracks
-            .iter()
-            .filter(|(_, t)| self.stale(now, t.last))
-            .map(|(&pid, t)| (pid, t.kind, t.factory.clone()))
-            .collect();
-        // Sorted: diagnosis scheduling order must not follow HashMap order.
-        stale.sort_unstable_by_key(|(pid, ..)| *pid);
-        for (pid, kind, factory) in stale {
-            self.svc_tracks.remove(&pid);
-            ctx.trace(TraceEvent::FaultDetected {
-                observer: ctx.pid(),
-                target: FaultTarget::Process(pid),
-            });
-            self.schedule(
-                ctx,
-                self.params.ft.local_diag_delay,
-                DelayedOp::LocalDiagSvc { pid, kind, factory },
-            );
         }
     }
 
@@ -1306,15 +1223,8 @@ impl Gsd {
         match takeover {
             Some((failed, plan)) => self.plan_takeover(ctx, failed, verdict, plan),
             None if node_down => {}
-            None => {
-                // Restart in place (cost ≈ 0: Table 1 reports 0 µs).
-                let cost = self.params.ft.wd_restart_cost;
-                if cost == phoenix_sim::SimDuration::ZERO {
-                    self.restart_wd(ctx, node);
-                } else {
-                    self.schedule(ctx, cost, DelayedOp::Restart(RestartWhat::Wd(node)));
-                }
-            }
+            // Restart in place, at once: Table 1 reports 0 µs.
+            None => self.restart_wd(ctx, node),
         }
     }
 
@@ -1458,29 +1368,13 @@ impl Gsd {
 
     fn execute_restart(&mut self, ctx: &mut Ctx<'_, KernelMsg>, what: RestartWhat) {
         match what {
-            RestartWhat::Wd(node) => self.restart_wd(ctx, node),
-            RestartWhat::Svc { kind, factory } => {
-                let args = RespawnArgs {
-                    kind,
-                    partition: self.partition,
-                    node: ctx.node(),
-                    gsd: ctx.pid(),
-                    checkpoint: self.local.checkpoint,
-                    members: self.members.clone(),
-                    action: RecoveryAction::RestartedInPlace,
-                    params: self.params.clone(),
-                };
-                let built = self.registry.borrow_mut().build(&factory, &args);
-                match built {
-                    Some(actor) => {
-                        ctx.spawn(ctx.node(), actor);
-                        // The replacement registers itself (SvcRegister),
-                        // which updates `local` and broadcasts.
-                    }
-                    None => ctx.trace(TraceEvent::Milestone {
+            RestartWhat::Svc(Lapsed { kind, factory, .. }) => {
+                let action = RecoveryAction::RestartedInPlace;
+                if self.respawn_service(ctx, kind, &factory, action).is_none() {
+                    ctx.trace(TraceEvent::Milestone {
                         label: "no-factory",
                         value: 0.0,
-                    }),
+                    });
                 }
             }
             RestartWhat::GsdTakeover {
@@ -1506,17 +1400,7 @@ impl Gsd {
                     ctx.node().0,
                     takeover_key(ctx.pid(), hint.partition, plan),
                 );
-                let gsd = Gsd::respawn(
-                    hint.partition,
-                    self.params.clone(),
-                    self.topology.clone(),
-                    self.config,
-                    self.registry.clone(),
-                    hint,
-                    members,
-                    epoch.max(self.epoch),
-                    action,
-                );
+                let gsd = self.replacement(hint, members, epoch.max(self.epoch), action);
                 ctx.spawn(to, Box::new(gsd));
             }
             RestartWhat::GsdRescue { partition, plan } => {
@@ -1583,24 +1467,22 @@ impl Gsd {
     fn introspect_own_nics(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         let own = ctx.node();
         for i in 0..self.my_nic_known.len() {
-            let up = ctx.nic_is_up(own, NicId(i as u8));
+            let nic = NicId(i as u8);
+            let up = ctx.nic_is_up(own, nic);
             let was = self.my_nic_known[i];
             if was && !up {
                 ctx.trace(TraceEvent::FaultDetected {
                     observer: ctx.pid(),
-                    target: FaultTarget::Nic(own, NicId(i as u8)),
+                    target: FaultTarget::Nic(own, nic),
                 });
-                self.schedule(
-                    ctx,
-                    self.params.ft.local_diag_delay,
-                    DelayedOp::LocalDiagNic { nic: NicId(i as u8) },
-                );
+                let delay = self.params.ft.local_diag_delay;
+                self.schedule(ctx, delay, DelayedOp::NicDiag { node: own, nic });
             } else if !was && up {
                 self.publish(
                     ctx,
                     EventType::NetworkRecovery,
                     own,
-                    EventPayload::Nic(own, NicId(i as u8)),
+                    EventPayload::Nic(own, nic),
                 );
             }
             self.my_nic_known[i] = up;
@@ -1620,24 +1502,14 @@ impl Gsd {
                 },
             );
         }
-        if self.dir_resend_nodes.is_empty() {
-            return;
-        }
-        // Sorted so send order (and thus the event queue) is deterministic.
-        let mut nodes: Vec<NodeId> = self.dir_resend_nodes.keys().copied().collect();
-        nodes.sort_by_key(|n| n.0);
-        for node in nodes {
-            let Some((ns, left)) = self.dir_resend_nodes.get_mut(&node) else {
-                continue;
-            };
-            let services = *ns;
+        // In node order: send order decides the event queue's.
+        let config = self.config;
+        self.dir_resend_nodes.retain(|_, (services, left)| {
+            let services = *services;
+            ctx.send(config, KernelMsg::DirectoryUpdateNode { services });
             *left -= 1;
-            let done = *left == 0;
-            ctx.send(self.config, KernelMsg::DirectoryUpdateNode { services });
-            if done {
-                self.dir_resend_nodes.remove(&node);
-            }
-        }
+            *left > 0
+        });
     }
 
     fn tick(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
@@ -1655,8 +1527,9 @@ impl Gsd {
         // rejoin toward a leader view that predates the partition.
         if !self.regroup.frozen() {
             self.directory_anti_entropy(ctx);
-            if self.supervision_dirty {
-                self.save_supervision(ctx);
+            if let Some(entries) = self.supervisor.roster_to_save() {
+                let roster = CheckpointData::Supervision { entries };
+                federation::ck_save(ctx, &self.local, ServiceKind::Group, roster);
             }
             self.rescue_sweep(ctx);
             if self.slow.enabled() {
@@ -1998,17 +1871,7 @@ impl Gsd {
             .copied()
             .filter(|m| m.partition != self.partition)
             .collect();
-        let mut gsd = Gsd::respawn(
-            self.partition,
-            self.params.clone(),
-            self.topology.clone(),
-            self.config,
-            self.registry.clone(),
-            hint,
-            members,
-            self.epoch,
-            RecoveryAction::Migrated(to),
-        );
+        let mut gsd = self.replacement(hint, members, self.epoch, RecoveryAction::Migrated(to));
         // The clone must share our quarantine view (ring order!) and must
         // not re-drain off its fresh node on a not-yet-warmed-out entry.
         gsd.quarantined = self.quarantined.clone();
@@ -2502,38 +2365,20 @@ impl Gsd {
                     EventPayload::Nic(node, nic),
                 );
             }
-            DelayedOp::LocalDiagSvc { pid, kind, factory } => {
+            DelayedOp::LocalDiagSvc(lapsed) => {
                 ctx.trace(TraceEvent::FaultDiagnosed {
                     observer: ctx.pid(),
-                    target: FaultTarget::Process(pid),
+                    target: FaultTarget::Process(lapsed.pid),
                     diagnosis: Diagnosis::ProcessFailure,
                 });
                 self.publish(
                     ctx,
                     EventType::ServiceFault,
                     ctx.node(),
-                    EventPayload::Service(kind, ctx.node()),
+                    EventPayload::Service(lapsed.kind, ctx.node()),
                 );
-                let cost = match kind {
-                    ServiceKind::Event => self.params.ft.es_restart_cost,
-                    ServiceKind::DataBulletin => self.params.ft.db_restart_cost,
-                    ServiceKind::Checkpoint => self.params.ft.ck_restart_cost,
-                    _ => self.params.ft.userenv_restart_cost,
-                };
-                self.schedule(ctx, cost, DelayedOp::Restart(RestartWhat::Svc { kind, factory }));
-            }
-            DelayedOp::LocalDiagNic { nic } => {
-                let own = ctx.node();
-                ctx.trace(TraceEvent::FaultDiagnosed {
-                    observer: ctx.pid(),
-                    target: FaultTarget::Nic(own, nic),
-                    diagnosis: Diagnosis::NetworkFailure,
-                });
-                ctx.trace(TraceEvent::Recovered {
-                    target: FaultTarget::Nic(own, nic),
-                    action: RecoveryAction::NoneNeeded,
-                });
-                self.publish(ctx, EventType::NetworkFault, own, EventPayload::Nic(own, nic));
+                let cost = federation::restart_cost(&self.params.ft, lapsed.kind);
+                self.schedule(ctx, cost, DelayedOp::Restart(RestartWhat::Svc(lapsed)));
             }
             DelayedOp::Restart(what) => self.execute_restart(ctx, what),
         }
@@ -2589,53 +2434,30 @@ impl Actor<KernelMsg> for Gsd {
                         .iter()
                         .find(|m| m.partition == member.partition)
                         .copied();
-                    if old_entry == Some(member) {
-                        // Idempotent re-join: nothing changed, do not bump
-                        // the epoch or rebroadcast (damps membership wars).
-                        // Under regroup the joiner may be a frozen peer
-                        // asking back in after a heal that required no
-                        // takeover — answer it directly with the current
-                        // membership so it can thaw.
+                    // Idempotent re-join: nothing changed, do not bump the
+                    // epoch or rebroadcast (damps membership wars).
+                    let unchanged = old_entry == Some(member);
+                    // The entry we hold is NEWER than the joiner: a stale
+                    // pre-partition instance is asking back in after the
+                    // majority already replaced it. The newer pid stays
+                    // authoritative.
+                    let superseded = old_entry.is_some_and(|old| old.gsd > member.gsd);
+                    if unchanged || (self.regroup.enabled() && superseded) {
+                        // Under regroup, answer with the current membership:
+                        // a frozen peer asking back in after a heal that
+                        // required no takeover can thaw on it, and a
+                        // superseded instance yields and dies on it.
                         if self.regroup.enabled() {
-                            ctx.send(
-                                member.gsd,
-                                KernelMsg::MetaMembership {
-                                    epoch: self.epoch,
-                                    members: self.members.clone().into(),
-                                },
-                            );
+                            ctx.send(member.gsd, self.membership_msg());
                         }
                         return;
-                    }
-                    if self.regroup.enabled() {
-                        if let Some(old) = old_entry {
-                            if old.gsd > member.gsd {
-                                // The entry we hold is NEWER than the
-                                // joiner: a stale pre-partition instance
-                                // is asking back in after the majority
-                                // already replaced it. Keep the newer
-                                // pid authoritative and show the joiner
-                                // the membership so it yields and dies.
-                                ctx.send(
-                                    member.gsd,
-                                    KernelMsg::MetaMembership {
-                                        epoch: self.epoch,
-                                        members: self.members.clone().into(),
-                                    },
-                                );
-                                return;
-                            }
-                        }
                     }
                     let old_gsd = old_entry.map(|m| m.gsd);
                     self.members.retain(|m| m.partition != member.partition);
                     self.members.push(member);
                     self.refresh_roles(ctx);
                     self.epoch += 1;
-                    let msg = KernelMsg::MetaMembership {
-                        epoch: self.epoch,
-                        members: self.members.clone().into(),
-                    };
+                    let msg = self.membership_msg();
                     self.broadcast_meta(ctx, msg.clone());
                     // If a still-running instance was replaced (e.g. a
                     // false takeover after a link partition), tell it
@@ -2677,7 +2499,7 @@ impl Actor<KernelMsg> for Gsd {
                             // runs fresh kernel services on its new node,
                             // and unlike a dead-node takeover this node is
                             // still alive — ours would leak as orphans.
-                            let mut orphans: BTreeSet<Pid> = self.svc_tracks.keys().copied().collect();
+                            let mut orphans: BTreeSet<Pid> = self.supervisor.pids().collect();
                             orphans.extend([
                                 self.local.event,
                                 self.local.bulletin,
@@ -2707,15 +2529,9 @@ impl Actor<KernelMsg> for Gsd {
                         .any(|m| m.partition == self.partition && m.gsd == ctx.pid());
                     self.epoch = epoch;
                     self.members = members.unwrap_or_clone();
-                    // Keep our own entry authoritative.
-                    let local = self.local;
-                    for m in &mut self.members {
-                        if m.partition == local.partition {
-                            *m = local;
-                        }
-                    }
+                    self.patch_own_entry();
                     if self.my_index().is_none() {
-                        self.members.push(local);
+                        self.members.push(self.local);
                         // Re-join at the next tick, not instantly: a
                         // stale broadcast must not trigger a join →
                         // broadcast → join cycle at network latency.
@@ -2735,48 +2551,16 @@ impl Actor<KernelMsg> for Gsd {
                 }
             }
             KernelMsg::SvcRegister { kind, pid, factory } => {
-                self.svc_tracks.insert(
-                    pid,
-                    SvcTrack {
-                        kind,
-                        factory,
-                        last: ctx.now(),
-                    },
-                );
-                // Adopt new kernel-service pids into our MemberInfo.
-                let slot = match kind {
-                    ServiceKind::Event => Some(&mut self.local.event),
-                    ServiceKind::DataBulletin => Some(&mut self.local.bulletin),
-                    ServiceKind::Checkpoint => Some(&mut self.local.checkpoint),
-                    _ => None,
-                };
-                if let Some(slot) = slot {
-                    if *slot != pid {
-                        // Canonical-instance resolution: the NEWER pid is
-                        // the legitimate instance; a register from an older
-                        // pid is a stale duplicate (e.g. left over from a
-                        // false takeover) and is terminated rather than
-                        // adopted — otherwise two instances flip-flop the
-                        // slot and every flip re-announces cluster-wide.
-                        if pid < *slot && ctx.process_is_alive(*slot) {
-                            self.svc_tracks.remove(&pid);
-                            ctx.kill(pid);
-                            return;
+                let (now, alive) = (ctx.now(), |p| ctx.process_is_alive(p));
+                let sup = &mut self.supervisor;
+                match sup.on_register(&mut self.local, kind, pid, factory, now, alive) {
+                    Registered::Tracked => {}
+                    Registered::StaleDuplicate => ctx.kill(pid),
+                    Registered::Adopted { displaced } => {
+                        if let Some(old) = displaced {
+                            ctx.kill(old);
                         }
-                        let displaced = *slot;
-                        *slot = pid;
-                        if displaced != Pid(0) && ctx.process_is_alive(displaced) {
-                            // Clean up the instance we are replacing.
-                            self.svc_tracks.remove(&displaced);
-                            ctx.kill(displaced);
-                        }
-                        // Update membership copy of ourselves.
-                        let local = self.local;
-                        for m in &mut self.members {
-                            if m.partition == local.partition {
-                                *m = local;
-                            }
-                        }
+                        self.patch_own_entry();
                         self.announce_membership_change(ctx);
                         self.publish(
                             ctx,
@@ -2786,15 +2570,8 @@ impl Actor<KernelMsg> for Gsd {
                         );
                     }
                 }
-                if kind == ServiceKind::UserEnvironment {
-                    self.supervision_dirty = true;
-                }
             }
-            KernelMsg::SvcHeartbeat { pid, .. } => {
-                if let Some(t) = self.svc_tracks.get_mut(&pid) {
-                    t.last = ctx.now();
-                }
-            }
+            KernelMsg::SvcHeartbeat { pid, .. } => self.supervisor.on_heartbeat(pid, ctx.now()),
             KernelMsg::ProbeResp { req } => self.on_probe_resp(ctx, req.0),
             KernelMsg::ProbeReq { req } => {
                 ctx.send(from, KernelMsg::ProbeResp { req });
@@ -2975,37 +2752,24 @@ impl Actor<KernelMsg> for Gsd {
                     self.publish(ctx, EventType::NodeRecovery, node, EventPayload::Node(node));
                 }
             }
-            KernelMsg::CkLoadResp { data, .. } => {
+            KernelMsg::CkLoadResp {
+                data: Some(CheckpointData::Supervision { entries }),
+                ..
+            } => {
                 // Supervision roster restore after GSD respawn.
-                if let Some(CheckpointData::Supervision { entries }) = data {
-                    for (factory, old_pid) in entries {
-                        if matches!(self.recovery, None) {
-                            // In-place restart: old instances may be alive;
-                            // ping them with the view so they re-register.
-                            if ctx.process_is_alive(old_pid) {
-                                ctx.send(
-                                    old_pid,
-                                    KernelMsg::PartitionView {
-                                        members: self.members.clone(),
-                                        local: self.local,
-                                    },
-                                );
-                                continue;
-                            }
-                        }
-                        let args = RespawnArgs {
-                            kind: ServiceKind::UserEnvironment,
-                            partition: self.partition,
-                            node: ctx.node(),
-                            gsd: ctx.pid(),
-                            checkpoint: self.local.checkpoint,
-                            members: self.members.clone(),
-                            action: RecoveryAction::Migrated(ctx.node()),
-                            params: self.params.clone(),
-                        };
-                        let built = self.registry.borrow_mut().build(&factory, &args);
-                        if let Some(actor) = built {
-                            ctx.spawn(ctx.node(), actor);
+                for step in Supervisor::rejoin(entries, |p| ctx.process_is_alive(p)) {
+                    match step {
+                        Rejoin::Rebind(pid) => ctx.send(
+                            pid,
+                            KernelMsg::PartitionView {
+                                members: self.members.clone(),
+                                local: self.local,
+                            },
+                        ),
+                        Rejoin::Respawn(factory) => {
+                            let kind = ServiceKind::UserEnvironment;
+                            let action = RecoveryAction::Migrated(ctx.node());
+                            self.respawn_service(ctx, kind, &factory, action);
                         }
                     }
                 }

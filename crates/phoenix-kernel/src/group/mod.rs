@@ -18,7 +18,7 @@
 
 pub mod flat;
 pub mod gsd;
-mod liveness;
+pub(crate) mod liveness;
 pub mod registry;
 pub mod wd;
 

@@ -11,6 +11,7 @@
 //! | Parallel process management | [`ppm`] |
 //! | Detector services | [`detect`] (+ heartbeat analysis in [`group`]) |
 //! | Group service (GSD/WD, meta-group ring) | [`group`] |
+//! | Service federation (GSD↔service supervision) | [`federation`] |
 //! | Checkpoint service | [`checkpoint`] |
 //! | Event service | [`event`] |
 //! | Data bulletin service | [`bulletin`] |
@@ -27,6 +28,7 @@ pub mod client;
 pub mod config;
 pub mod detect;
 pub mod event;
+pub mod federation;
 pub mod group;
 pub mod nic_health;
 pub mod params;

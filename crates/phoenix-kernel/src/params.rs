@@ -42,8 +42,6 @@ pub struct FtParams {
     pub nic_analysis_delay: SimDuration,
     /// Same-host failure classification cost (Table 3 process row: 12 µs).
     pub local_diag_delay: SimDuration,
-    /// Cost to restart a watch daemon in place (≈0 in Table 1).
-    pub wd_restart_cost: SimDuration,
     /// Cost to restart a GSD in place (Table 2 process row: 2.03 s).
     pub gsd_restart_cost: SimDuration,
     /// Cost to migrate a GSD (and its partition services) to a backup node
@@ -92,7 +90,6 @@ impl Default for FtParams {
             meta_node_probe_timeout: SimDuration::from_millis(295),
             nic_analysis_delay: SimDuration::from_micros(348),
             local_diag_delay: SimDuration::from_micros(12),
-            wd_restart_cost: SimDuration::ZERO,
             gsd_restart_cost: SimDuration::from_millis(2020),
             gsd_migrate_cost: SimDuration::from_millis(2930),
             es_restart_cost: SimDuration::from_millis(118),

@@ -33,6 +33,42 @@ pub struct MemberInfo {
     pub host_ppm: Pid,
 }
 
+impl MemberInfo {
+    /// A partition whose service pids are not known yet (all `Pid(0)`).
+    pub fn unwired(partition: PartitionId) -> MemberInfo {
+        MemberInfo {
+            partition,
+            node: NodeId(0),
+            gsd: Pid(0),
+            event: Pid(0),
+            bulletin: Pid(0),
+            checkpoint: Pid(0),
+            host_ppm: Pid(0),
+        }
+    }
+
+    /// The partition's instance of a federated kernel service; `None` for
+    /// every kind that has no per-partition slot here.
+    pub fn service(&self, kind: ServiceKind) -> Option<Pid> {
+        match kind {
+            ServiceKind::Event => Some(self.event),
+            ServiceKind::DataBulletin => Some(self.bulletin),
+            ServiceKind::Checkpoint => Some(self.checkpoint),
+            _ => None,
+        }
+    }
+
+    /// The slot [`service`](Self::service) reads.
+    pub fn service_mut(&mut self, kind: ServiceKind) -> Option<&mut Pid> {
+        match kind {
+            ServiceKind::Event => Some(&mut self.event),
+            ServiceKind::DataBulletin => Some(&mut self.bulletin),
+            ServiceKind::Checkpoint => Some(&mut self.checkpoint),
+            _ => None,
+        }
+    }
+}
+
 /// Per-node daemon pids (watch daemon, detector, PPM agent).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct NodeServices {

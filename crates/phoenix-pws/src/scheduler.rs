@@ -10,6 +10,8 @@
 //! scheduler resumes where it left off.
 
 use crate::policy::{pick, PolicyCtx, PolicyKind};
+use phoenix_kernel::federation::{Member, TOK_HB};
+use phoenix_kernel::group::RespawnArgs;
 use phoenix_kernel::params::KernelParams;
 use phoenix_proto::{
     Action, AuthToken, CheckpointData, ConsumerReg, Event, EventFilter, EventPayload, EventType,
@@ -21,7 +23,6 @@ use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 
-const TOK_HB: u64 = 1;
 const TOK_TICK: u64 = 2;
 
 /// Shared pool→scheduler-pid directory (a stand-in for a name service;
@@ -79,14 +80,11 @@ struct RunningJob {
 /// The PWS scheduler actor for one pool.
 pub struct PwsScheduler {
     pool: PoolConfig,
-    partition: PartitionId,
+    member: Member,
     params: KernelParams,
     directory: ServiceDirectory,
     pools: PoolDirectory,
 
-    gsd: Pid,
-    checkpoint: Pid,
-    event: Pid,
     security: Pid,
     config: Pid,
 
@@ -104,9 +102,6 @@ pub struct PwsScheduler {
     pending_cancel: HashMap<u64, (Pid, RequestId, JobId)>,
     pending_lease: Option<u64>,
     next_req: u64,
-    hb_seq: u64,
-    restoring: bool,
-    recovery: Option<phoenix_sim::RecoveryAction>,
 }
 
 impl PwsScheduler {
@@ -118,24 +113,15 @@ impl PwsScheduler {
         directory: ServiceDirectory,
         pools: PoolDirectory,
     ) -> Self {
-        let member = directory.partition(partition).copied().unwrap_or(MemberInfo {
-            partition,
-            node: NodeId(0),
-            gsd: Pid(0),
-            event: Pid(0),
-            bulletin: Pid(0),
-            checkpoint: Pid(0),
-            host_ppm: Pid(0),
-        });
+        let info = directory.partition(partition).copied();
+        let info = info.unwrap_or(MemberInfo::unwired(partition));
         let free: BTreeSet<NodeId> = pool.nodes.iter().copied().collect();
+        let key = Self::factory_key(&pool.name);
         PwsScheduler {
-            gsd: member.gsd,
-            checkpoint: member.checkpoint,
-            event: member.event,
+            member: Member::new(ServiceKind::UserEnvironment, key, info),
             security: directory.security,
             config: directory.config,
             pool,
-            partition,
             params,
             directory,
             pools,
@@ -150,30 +136,19 @@ impl PwsScheduler {
             pending_cancel: HashMap::new(),
             pending_lease: None,
             next_req: 0,
-            hb_seq: 0,
-            restoring: false,
-            recovery: None,
         }
     }
 
     /// Respawned scheduler: restores queue/placements from checkpoint.
     pub fn respawn(
         pool: PoolConfig,
-        partition: PartitionId,
-        params: KernelParams,
+        args: &RespawnArgs,
         directory: ServiceDirectory,
         pools: PoolDirectory,
-        gsd: Pid,
-        checkpoint: Pid,
-        event: Pid,
-        action: phoenix_sim::RecoveryAction,
     ) -> Self {
-        let mut s = Self::new(pool, partition, params, directory, pools);
-        s.gsd = gsd;
-        s.checkpoint = checkpoint;
-        s.event = event;
-        s.restoring = true;
-        s.recovery = Some(action);
+        let key = Self::factory_key(&pool.name);
+        let mut s = Self::new(pool, args.partition, args.params.clone(), directory, pools);
+        s.member = Member::respawn(ServiceKind::UserEnvironment, key, args);
         s
     }
 
@@ -182,8 +157,9 @@ impl PwsScheduler {
         RequestId(self.next_req)
     }
 
-    fn factory_key(&self) -> String {
-        format!("sched:{}", self.pool.name)
+    /// Registry key of the respawn factory of the scheduler of `pool`.
+    pub fn factory_key(pool: &str) -> String {
+        format!("sched:{pool}")
     }
 
     fn save_state(&self, ctx: &mut Ctx<'_, KernelMsg>) {
@@ -192,22 +168,14 @@ impl PwsScheduler {
             .iter()
             .map(|(&id, r)| (id, r.nodes.clone()))
             .collect();
-        ctx.send(
-            self.checkpoint,
-            KernelMsg::CkSave {
-                service: ServiceKind::UserEnvironment,
-                partition: self.partition,
-                data: CheckpointData::Scheduler {
-                    queued: self.queued.clone(),
-                    running,
-                },
-            },
-        );
+        let queued = self.queued.clone();
+        let state = CheckpointData::Scheduler { queued, running };
+        self.member.save(ctx, state);
     }
 
     fn publish_job_event(&self, ctx: &mut Ctx<'_, KernelMsg>, job: JobId) {
         ctx.send(
-            self.event,
+            self.member.info().event,
             KernelMsg::EsPublish {
                 event: Event::new(
                     EventType::JobStateChange,
@@ -444,19 +412,6 @@ impl PwsScheduler {
         }
     }
 
-    fn heartbeat(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        self.hb_seq += 1;
-        ctx.send(
-            self.gsd,
-            KernelMsg::SvcHeartbeat {
-                kind: ServiceKind::UserEnvironment,
-                pid: ctx.pid(),
-                seq: self.hb_seq,
-            },
-        );
-        ctx.set_timer(self.params.ft.hb_interval, TOK_HB);
-    }
-
     fn check_token(
         &mut self,
         ctx: &mut Ctx<'_, KernelMsg>,
@@ -474,26 +429,15 @@ impl PwsScheduler {
 
 impl Actor<KernelMsg> for PwsScheduler {
     fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        ctx.trace(TraceEvent::ServiceUp {
-            pid: ctx.pid(),
-            service: "pws-sched",
-            node: ctx.node(),
-        });
+        self.member.started(ctx, "pws-sched");
         self.pools
             .borrow_mut()
             .insert(self.pool.name.clone(), ctx.pid());
-        ctx.send(
-            self.gsd,
-            KernelMsg::SvcRegister {
-                kind: ServiceKind::UserEnvironment,
-                pid: ctx.pid(),
-                factory: self.factory_key(),
-            },
-        );
-        self.heartbeat(ctx);
+        self.member.register(ctx);
+        self.member.beat(ctx, self.params.ft.hb_interval);
         // Event-driven resource view: app lifecycle + node health.
         ctx.send(
-            self.event,
+            self.member.info().event,
             KernelMsg::EsRegisterConsumer {
                 req: RequestId(0),
                 reg: ConsumerReg {
@@ -507,32 +451,19 @@ impl Actor<KernelMsg> for PwsScheduler {
             },
         );
         ctx.set_timer(self.pool.tick, TOK_TICK);
-        if self.restoring {
-            ctx.send(
-                self.checkpoint,
-                KernelMsg::CkLoad {
-                    req: RequestId(0),
-                    service: ServiceKind::UserEnvironment,
-                    partition: self.partition,
-                },
-            );
+        if self.member.restoring() {
+            self.member.load(ctx);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, from: Pid, msg: KernelMsg) {
         match msg {
-            KernelMsg::PartitionView { local, .. } => {
-                self.gsd = local.gsd;
-                self.checkpoint = local.checkpoint;
-                self.event = local.event;
-                ctx.send(
-                    self.gsd,
-                    KernelMsg::SvcRegister {
-                        kind: ServiceKind::UserEnvironment,
-                        pid: ctx.pid(),
-                        factory: self.factory_key(),
-                    },
-                );
+            KernelMsg::PartitionView { members, local } => {
+                // On every view, unlike the kernel kinds: this registration
+                // announces nothing, and it makes the GSD re-save its roster
+                // to the checkpoint instance the view may have replaced.
+                self.member.wire(local, &members);
+                self.member.register(ctx);
             }
             KernelMsg::PwsSubmit { req, token, spec } => {
                 let auth = self.check_token(ctx, token, Action::SubmitJob);
@@ -796,8 +727,7 @@ impl Actor<KernelMsg> for PwsScheduler {
                 self.schedule_pass(ctx);
             }
             KernelMsg::CkLoadResp { data, .. } => {
-                if self.restoring {
-                    self.restoring = false;
+                if self.member.restoring() {
                     if let Some(CheckpointData::Scheduler { queued, running }) = data {
                         self.queued = queued;
                         // Restored placements: assume still running; app
@@ -828,12 +758,7 @@ impl Actor<KernelMsg> for PwsScheduler {
                             );
                         }
                     }
-                    if let Some(action) = self.recovery.take() {
-                        ctx.trace(TraceEvent::Recovered {
-                            target: phoenix_sim::FaultTarget::Process(ctx.pid()),
-                            action,
-                        });
-                    }
+                    self.member.restored(ctx);
                     self.schedule_pass(ctx);
                 }
             }
@@ -843,7 +768,7 @@ impl Actor<KernelMsg> for PwsScheduler {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, KernelMsg>, token: u64) {
         match token {
-            TOK_HB => self.heartbeat(ctx),
+            TOK_HB => self.member.beat(ctx, self.params.ft.hb_interval),
             TOK_TICK => {
                 self.reap_overdue(ctx);
                 self.schedule_pass(ctx);

@@ -51,22 +51,13 @@ pub fn install_pws(
             let dir = dir.clone();
             let directory = cluster.directory.clone();
             cluster.registry.borrow_mut().register(
-                format!("sched:{}", pool.name),
+                PwsScheduler::factory_key(&pool.name),
                 Box::new(move |args| {
                     Box::new(PwsScheduler::respawn(
                         pool.clone(),
-                        args.partition,
-                        args.params.clone(),
+                        args,
                         directory.clone(),
                         dir.clone(),
-                        args.gsd,
-                        args.checkpoint,
-                        args.members
-                            .iter()
-                            .find(|m| m.partition == args.partition)
-                            .map(|m| m.event)
-                            .unwrap_or(Pid(0)),
-                        args.action,
                     ))
                 }),
             );

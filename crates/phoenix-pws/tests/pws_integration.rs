@@ -9,7 +9,7 @@ use phoenix_proto::{ClusterTopology, JobSpec, JobState, KernelMsg, TaskSpec};
 use phoenix_pws::{
     install_pbs, install_pws, login, queue_status, submit, PolicyKind, PoolConfig,
 };
-use phoenix_sim::{NodeId, SimDuration, TraceEvent, World};
+use phoenix_sim::{Fault, NodeId, SimDuration, TraceEvent, World};
 
 fn cluster_2x4() -> (
     World<KernelMsg>,
@@ -181,6 +181,35 @@ fn scheduler_failure_recovers_with_queue() {
     assert_eq!(rows.len(), 1, "queued job survived the restart");
     assert_eq!(rows[0].job, phoenix_proto::JobId(9));
     assert_eq!(rows[0].state, JobState::Queued);
+}
+
+/// Two schedulers under one GSD. Its server node crashes, the ring
+/// neighbour migrates the GSD to the backup node, and the migrated GSD
+/// respawns both schedulers from the roster it had checkpointed. The
+/// roster is in pid order, so the replacements come up in the order the
+/// originals did, with the same pids on every run.
+#[test]
+fn migrated_gsd_respawns_its_schedulers_in_roster_order() {
+    let run = || {
+        let (mut w, cluster) = cluster_2x4();
+        let nodes = compute_nodes(&cluster);
+        // Pools go round-robin over the two partitions: b and d share p1.
+        let pools = ["a", "b", "c", "d"].iter().zip(&nodes);
+        let pools = pools.map(|(name, &n)| PoolConfig::new(name, vec![n], PolicyKind::Fifo));
+        let pws = install_pws(&mut w, &cluster, pools.collect());
+        w.run_for(SimDuration::from_secs(3));
+        let before = (pws.scheduler("b").unwrap(), pws.scheduler("d").unwrap());
+        w.apply_fault(Fault::CrashNode(cluster.topology.partitions[1].server));
+        w.run_for(SimDuration::from_secs(12));
+        let after = (pws.scheduler("b").unwrap(), pws.scheduler("d").unwrap());
+        assert!(w.is_alive(after.0) && w.is_alive(after.1), "both schedulers are back");
+        (before, after)
+    };
+    let (before, after) = run();
+    assert!(before.0 < before.1, "b was installed before d");
+    assert!(before.1 < after.0, "both are replacements");
+    assert!(after.0 < after.1, "respawned in roster order, which is pid order");
+    assert_eq!(run(), (before, after), "the same pids on every run");
 }
 
 #[test]

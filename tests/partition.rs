@@ -17,10 +17,9 @@
 
 use phoenix_kernel::boot::boot_and_stabilize;
 use phoenix_kernel::config::ConfigService;
-use phoenix_kernel::group::Gsd;
 use phoenix_kernel::{ClientHandle, KernelParams, PhoenixCluster};
 use phoenix_proto::{ClusterTopology, KernelMsg, PartitionId};
-use phoenix_sim::{Fault, NodeId, Pid, SimDuration, World};
+use phoenix_sim::{Fault, SimDuration, World};
 
 fn boot(seed: u64) -> (World<KernelMsg>, PhoenixCluster) {
     boot_and_stabilize(
@@ -30,32 +29,8 @@ fn boot(seed: u64) -> (World<KernelMsg>, PhoenixCluster) {
     )
 }
 
-/// Bitmask of every node belonging to the given topology partitions.
-fn island_mask(cluster: &PhoenixCluster, parts: &[usize]) -> u64 {
-    let mut mask = 0u64;
-    for &p in parts {
-        for n in cluster.topology.partitions[p].all_nodes() {
-            mask |= 1u64 << n.0;
-        }
-    }
-    mask
-}
-
-/// Every live GSD in the world: (pid, partition it serves, role name).
-fn gsd_views(w: &World<KernelMsg>) -> Vec<(Pid, PartitionId, &'static str)> {
-    let mut out = Vec::new();
-    for node in 0..w.node_count() {
-        for pid in w.pids_on(NodeId(node as u32)) {
-            if let Some(g) = w.actor_as::<Gsd>(pid) {
-                out.push((pid, g.partition_id(), g.role_name()));
-            }
-        }
-    }
-    out
-}
-
 fn leader_count(w: &World<KernelMsg>) -> usize {
-    gsd_views(w).iter().filter(|(_, _, r)| *r == "leader").count()
+    PhoenixCluster::live_gsds(w).iter().filter(|g| g.role == "leader").count()
 }
 
 /// Advance in small slices, asserting at every sampled instant that at
@@ -71,7 +46,7 @@ fn run_sampled_single_leader(w: &mut World<KernelMsg>, total: SimDuration, what:
             leaders <= 1,
             "{what}: {leaders} simultaneous leaders at {:?}: {:?}",
             w.now(),
-            gsd_views(w)
+            PhoenixCluster::live_gsds(w)
         );
     }
 }
@@ -103,17 +78,14 @@ fn query_directory(
 /// Post-heal steady state: one live GSD per partition, complete
 /// directory, no partitions still marked stale.
 fn assert_converged(w: &mut World<KernelMsg>, cluster: &PhoenixCluster, req: u64, what: &str) {
-    let views = gsd_views(w);
+    let views = PhoenixCluster::live_gsds(w);
     for p in 0..cluster.topology.partitions.len() {
-        let owners = views
-            .iter()
-            .filter(|(_, part, _)| part.0 == p as u32)
-            .count();
+        let owners = views.iter().filter(|g| g.partition.index() == p).count();
         assert_eq!(owners, 1, "{what}: partition {p} has {owners} live GSDs: {views:?}");
     }
     assert_eq!(leader_count(w), 1, "{what}: exactly one leader: {views:?}");
     assert!(
-        views.iter().all(|(_, _, r)| *r != "frozen"),
+        views.iter().all(|g| g.role != "frozen"),
         "{what}: nobody stays frozen after heal: {views:?}"
     );
     let dir = query_directory(w, cluster, req);
@@ -137,22 +109,22 @@ fn minority_leader_freezes_and_majority_elects() {
     let (mut w, cluster) = boot(401);
     w.run_for(SimDuration::from_secs(3));
 
-    let island = island_mask(&cluster, &[0]);
+    let island = cluster.island_mask(&[0]);
     w.apply_fault(Fault::Partition { island });
     // The partition phase must out-last suspicion (up to ~3.1 s after the
     // cut: 3 missed 1 s beats plus scan jitter) *and* the regroup layer's
     // 1.5 s held-majority takeover delay before the replacement election.
     run_sampled_single_leader(&mut w, SimDuration::from_secs(6), "scenario A partitioned");
 
-    let views = gsd_views(&w);
-    let minority: Vec<_> = views.iter().filter(|(_, p, _)| p.0 == 0).collect();
+    let views = PhoenixCluster::live_gsds(&w);
+    let minority: Vec<_> = views.iter().filter(|g| g.partition.0 == 0).collect();
     assert!(
-        minority.iter().any(|(_, _, r)| *r == "frozen"),
+        minority.iter().any(|g| g.role == "frozen"),
         "partition 0's GSD froze on the minority island: {views:?}"
     );
     let majority_leader = views
         .iter()
-        .find(|(_, p, r)| *r == "leader" && p.0 != 0);
+        .find(|g| g.role == "leader" && g.partition.0 != 0);
     assert!(
         majority_leader.is_some(),
         "majority island elected a replacement leader: {views:?}"
@@ -172,17 +144,17 @@ fn minority_member_freezes_and_directory_goes_stale() {
     let (mut w, cluster) = boot(402);
     w.run_for(SimDuration::from_secs(3));
 
-    let island = island_mask(&cluster, &[2]);
+    let island = cluster.island_mask(&[2]);
     w.apply_fault(Fault::Partition { island });
     run_sampled_single_leader(&mut w, SimDuration::from_secs(6), "scenario B partitioned");
 
-    let views = gsd_views(&w);
+    let views = PhoenixCluster::live_gsds(&w);
     assert!(
-        views.iter().any(|(_, p, r)| p.0 == 2 && *r == "frozen"),
+        views.iter().any(|g| g.partition.0 == 2 && g.role == "frozen"),
         "partition 2's GSD froze: {views:?}"
     );
     assert!(
-        views.iter().any(|(_, p, r)| p.0 == 0 && *r == "leader"),
+        views.iter().any(|g| g.partition.0 == 0 && g.role == "leader"),
         "majority kept its leader: {views:?}"
     );
     let stale = w
@@ -208,7 +180,7 @@ fn partition_cycle_is_deterministic() {
         let (mut w, cluster) = boot(777);
         w.run_for(SimDuration::from_secs(3));
         w.apply_fault(Fault::Partition {
-            island: island_mask(&cluster, &[0]),
+            island: cluster.island_mask(&[0]),
         });
         w.run_for(SimDuration::from_secs(6));
         w.apply_fault(Fault::Heal);
@@ -238,7 +210,7 @@ fn forty_partition_heal_cycles_never_double_lead() {
             // member partition; both must stay single-leader.
             let parts: &[usize] = if cycle % 2 == 0 { &[0] } else { &[2] };
             w.apply_fault(Fault::Partition {
-                island: island_mask(&cluster, parts),
+                island: cluster.island_mask(parts),
             });
             run_sampled_single_leader(
                 &mut w,

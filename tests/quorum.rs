@@ -17,11 +17,11 @@
 //!     clamp and never licenses a spurious takeover, even on a lossy
 //!     network with regroup probe traffic flying.
 
-use phoenix::kernel::boot::boot_and_stabilize;
+use phoenix::kernel::boot::{boot_and_stabilize, GsdView};
 use phoenix::kernel::group::Gsd;
 use phoenix::kernel::{boot_cluster_with_net, ClientHandle, KernelParams, PhoenixCluster};
 use phoenix::proto::{ClusterTopology, KernelMsg, NodeOp, PartitionId, RequestId};
-use phoenix::sim::{Fault, NetParams, NodeId, Pid, SimDuration, TraceEvent, World};
+use phoenix::sim::{Fault, NetParams, NodeId, SimDuration, TraceEvent, World};
 
 /// The even testbed: 4 partitions × 3 nodes, witness designated away
 /// from the config partition (p0) so splits can island it.
@@ -35,30 +35,6 @@ fn boot(seed: u64) -> (World<KernelMsg>, PhoenixCluster) {
     boot_and_stabilize(ClusterTopology::uniform(4, 3, 1), quorum_params(), seed)
 }
 
-/// Bitmask of every node belonging to the given topology partitions.
-fn island_mask(cluster: &PhoenixCluster, parts: &[usize]) -> u64 {
-    let mut mask = 0u64;
-    for &p in parts {
-        for n in cluster.topology.partitions[p].all_nodes() {
-            mask |= 1u64 << n.0;
-        }
-    }
-    mask
-}
-
-/// Every live GSD: (pid, node, partition it serves, role name).
-fn gsd_views(w: &World<KernelMsg>) -> Vec<(Pid, u32, PartitionId, &'static str)> {
-    let mut out = Vec::new();
-    for node in 0..w.node_count() {
-        for pid in w.pids_on(NodeId(node as u32)) {
-            if let Some(g) = w.actor_as::<Gsd>(pid) {
-                out.push((pid, node as u32, g.partition_id(), g.role_name()));
-            }
-        }
-    }
-    out
-}
-
 /// Advance in 20 ms slices, asserting at every sampled instant that at
 /// most one live unfrozen GSD claims the meta-leader role.
 fn run_sampled_single_leader(w: &mut World<KernelMsg>, total: SimDuration, what: &str) {
@@ -67,8 +43,8 @@ fn run_sampled_single_leader(w: &mut World<KernelMsg>, total: SimDuration, what:
     while elapsed < total {
         w.run_for(slice);
         elapsed = elapsed + slice;
-        let views = gsd_views(w);
-        let leaders = views.iter().filter(|(_, _, _, r)| *r == "leader").count();
+        let views = PhoenixCluster::live_gsds(w);
+        let leaders = views.iter().filter(|g| g.role == "leader").count();
         assert!(
             leaders <= 1,
             "{what}: {leaders} simultaneous leaders at {:?}: {views:?}",
@@ -79,15 +55,15 @@ fn run_sampled_single_leader(w: &mut World<KernelMsg>, total: SimDuration, what:
 
 /// Steady state: one live GSD per partition, one leader, nobody frozen.
 fn assert_converged(w: &World<KernelMsg>, cluster: &PhoenixCluster, what: &str) {
-    let views = gsd_views(w);
+    let views = PhoenixCluster::live_gsds(w);
     for p in 0..cluster.topology.partitions.len() {
-        let owners = views.iter().filter(|(_, _, part, _)| part.0 == p as u32).count();
+        let owners = views.iter().filter(|g| g.partition.index() == p).count();
         assert_eq!(owners, 1, "{what}: partition {p} has {owners} live GSDs: {views:?}");
     }
-    let leaders = views.iter().filter(|(_, _, _, r)| *r == "leader").count();
+    let leaders = views.iter().filter(|g| g.role == "leader").count();
     assert_eq!(leaders, 1, "{what}: exactly one leader: {views:?}");
     assert!(
-        views.iter().all(|(_, _, _, r)| *r != "frozen"),
+        views.iter().all(|g| g.role != "frozen"),
         "{what}: nobody stays frozen: {views:?}"
     );
 }
@@ -95,21 +71,15 @@ fn assert_converged(w: &World<KernelMsg>, cluster: &PhoenixCluster, what: &str) 
 /// Assert the side given by `on_island(node) == winner_inside` runs
 /// exactly one unfrozen leader while the other side is fully frozen.
 fn assert_one_live_side(w: &World<KernelMsg>, mask: u64, winner_inside: bool, what: &str) {
-    let views = gsd_views(w);
-    let on_island = |node: u32| (mask >> node) & 1 == 1;
-    let losing: Vec<_> = views
-        .iter()
-        .filter(|(_, node, _, _)| on_island(*node) != winner_inside)
-        .collect();
+    let views = PhoenixCluster::live_gsds(w);
+    let winning = |g: &&GsdView| ((mask >> g.node.0) & 1 == 1) == winner_inside;
+    let losing: Vec<_> = views.iter().filter(|g| !winning(g)).collect();
     assert!(!losing.is_empty(), "{what}: losing side has live GSDs to freeze");
     assert!(
-        losing.iter().all(|(_, _, _, r)| *r == "frozen"),
+        losing.iter().all(|g| g.role == "frozen"),
         "{what}: weighted-losing side fully frozen: {views:?}"
     );
-    let winners = views
-        .iter()
-        .filter(|(_, node, _, r)| on_island(*node) == winner_inside && *r == "leader")
-        .count();
+    let winners = views.iter().filter(winning).filter(|g| g.role == "leader").count();
     assert_eq!(winners, 1, "{what}: winning side runs one unfrozen leader: {views:?}");
 }
 
@@ -122,7 +92,7 @@ fn even_split_witness_island_survives() {
     let (mut w, cluster) = boot(601);
     w.run_for(SimDuration::from_secs(3));
 
-    let mask = island_mask(&cluster, &[1, 2]);
+    let mask = cluster.island_mask(&[1, 2]);
     w.apply_fault(Fault::Partition { island: mask });
     // Freeze pipeline ~3.1 s + the island's replacement election after
     // the 1.5 s held-majority delay: 7 s covers both with margin.
@@ -141,7 +111,7 @@ fn even_split_leader_side_survives() {
     let (mut w, cluster) = boot(602);
     w.run_for(SimDuration::from_secs(3));
 
-    let mask = island_mask(&cluster, &[2, 3]);
+    let mask = cluster.island_mask(&[2, 3]);
     w.apply_fault(Fault::Partition { island: mask });
     run_sampled_single_leader(&mut w, SimDuration::from_secs(7), "leader kept");
     assert_one_live_side(&w, mask, false, "leader kept");
@@ -167,9 +137,9 @@ fn witness_failover_anchors_next_split() {
     // Suspicion (~3.1 s) + held-majority delay before the failover may
     // fire; no backup node exists, so p1 stays down meanwhile.
     w.run_for(SimDuration::from_secs(8));
-    let moved = gsd_views(&w)
+    let moved = PhoenixCluster::live_gsds(&w)
         .iter()
-        .filter_map(|(pid, ..)| w.actor_as::<Gsd>(*pid).and_then(|g| g.witness_view()))
+        .filter_map(|g| w.actor_as::<Gsd>(g.pid).and_then(|g| g.witness_view()))
         .max_by_key(|&(_, e)| e)
         .expect("live GSDs expose a witness view");
     assert_eq!(moved.0, PartitionId(0), "witness failed over to the lowest partition");
@@ -190,7 +160,7 @@ fn witness_failover_anchors_next_split() {
 
     // The next even split leans on the *new* witness: {p0, p1} mainland
     // holds p0 (doubled) and wins 3 of 5; {p2, p3} freezes.
-    let mask = island_mask(&cluster, &[2, 3]);
+    let mask = cluster.island_mask(&[2, 3]);
     w.apply_fault(Fault::Partition { island: mask });
     run_sampled_single_leader(&mut w, SimDuration::from_secs(7), "post-failover split");
     assert_one_live_side(&w, mask, false, "post-failover split");
@@ -232,9 +202,9 @@ fn three_island_fragmentation_freezes_all_then_witness_reseeds() {
         w.apply_fault(Fault::PartitionLink(a, b));
     }
     w.run_for(SimDuration::from_secs(8));
-    let views = gsd_views(&w);
+    let views = PhoenixCluster::live_gsds(&w);
     assert!(
-        !views.is_empty() && views.iter().all(|(_, _, _, r)| *r == "frozen"),
+        !views.is_empty() && views.iter().all(|g| g.role == "frozen"),
         "no island holds quorum: everything frozen: {views:?}"
     );
 
@@ -289,17 +259,17 @@ fn adaptive_delay_stays_clamped_with_zero_spurious_takeovers() {
             "loss {loss_permille}‰: spurious takeover on a fault-free cluster"
         );
 
-        let views = gsd_views(&w);
+        let views = PhoenixCluster::live_gsds(&w);
         assert_eq!(views.len(), 4, "loss {loss_permille}‰: one live GSD per partition");
-        let leaders = views.iter().filter(|(_, _, _, r)| *r == "leader").count();
+        let leaders = views.iter().filter(|g| g.role == "leader").count();
         assert_eq!(leaders, 1, "loss {loss_permille}‰: exactly one leader: {views:?}");
 
         let params = quorum_params();
         let floor = params.ft.regroup.delay_floor;
         let ceil = params.ft.regroup.delay_ceil;
-        for (pid, ..) in &views {
+        for g in &views {
             let eff = w
-                .actor_as::<Gsd>(*pid)
+                .actor_as::<Gsd>(g.pid)
                 .expect("live GSD introspectable")
                 .effective_takeover_delay();
             assert!(
@@ -319,7 +289,7 @@ fn quorum_split_cycle_is_deterministic() {
     let run = || {
         let (mut w, cluster) = boot(605);
         w.run_for(SimDuration::from_secs(3));
-        w.apply_fault(Fault::Partition { island: island_mask(&cluster, &[1, 2]) });
+        w.apply_fault(Fault::Partition { island: cluster.island_mask(&[1, 2]) });
         w.run_for(SimDuration::from_secs(7));
         w.apply_fault(Fault::Heal);
         w.run_for(SimDuration::from_secs(10));
