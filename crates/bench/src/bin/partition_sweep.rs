@@ -46,9 +46,8 @@ fn boot(seed: u64) -> (World<KernelMsg>, PhoenixCluster) {
     )
 }
 
-/// How many live GSDs report the meta-leader role.
-fn leaders(w: &World<KernelMsg>) -> usize {
-    let gsds = PhoenixCluster::live_gsds(w);
+/// How many of the live GSDs report the meta-leader role.
+fn leaders(gsds: &[GsdView]) -> usize {
     gsds.iter().filter(|g| g.role == "leader").count()
 }
 
@@ -95,11 +94,12 @@ fn episode(seed: u64, minority: usize) -> Episode {
     let mut double = 0u64;
     while w.now().since(t_cut) < SimDuration::from_secs(6) {
         w.run_for(SimDuration::from_millis(20));
+        let gsds = PhoenixCluster::live_gsds(&w);
         let frozen = |g: &GsdView| g.partition.index() == minority && g.role == "frozen";
-        if freeze_ms.is_none() && PhoenixCluster::live_gsds(&w).iter().any(frozen) {
+        if freeze_ms.is_none() && gsds.iter().any(frozen) {
             freeze_ms = Some(w.now().since(t_cut).as_nanos() as f64 / 1e6);
         }
-        if leaders(&w) > 1 {
+        if leaders(&gsds) > 1 {
             double += 1;
         }
     }
@@ -111,7 +111,7 @@ fn episode(seed: u64, minority: usize) -> Episode {
     let mut req = seed * 1_000;
     while w.now().since(t_heal) < SimDuration::from_secs(15) {
         w.run_for(SimDuration::from_millis(100));
-        if leaders(&w) > 1 {
+        if leaders(&PhoenixCluster::live_gsds(&w)) > 1 {
             double += 1;
         }
         if converge_ms.is_none() && cluster.roles_converged(&w) {

@@ -63,10 +63,13 @@ impl PhoenixCluster {
     /// Link-level island (`Fault::Partition`) of every node of the given
     /// topology partitions. The mask has 64 bits; nodes past it stay out.
     pub fn island_mask(&self, parts: &[usize]) -> u64 {
-        let nodes = |&p: &usize| self.topology.partitions[p].all_nodes();
-        let bit = |n: NodeId| 1u64.checked_shl(n.0).unwrap_or(0);
-        let nodes = parts.iter().flat_map(nodes);
-        nodes.fold(0, |mask, n| mask | bit(n))
+        let mut mask = 0u64;
+        for &p in parts {
+            for n in self.topology.partitions[p].all_nodes() {
+                mask |= 1u64.checked_shl(n.0).unwrap_or(0);
+            }
+        }
+        mask
     }
 
     /// Every live GSD in `world`, by node then pid.

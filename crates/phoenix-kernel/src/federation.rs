@@ -254,7 +254,7 @@ struct Track {
 }
 
 /// A registered member whose heartbeats stopped.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Lapsed {
     pub pid: Pid,
     pub kind: ServiceKind,
@@ -276,7 +276,7 @@ pub enum Registered {
 }
 
 /// How a restored roster entry comes back under a respawned GSD.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum Rejoin {
     /// The old instance survived: show it the partition view so it
     /// re-registers here.

@@ -399,9 +399,10 @@ impl Gsd {
     /// Keep our own entry in the member list authoritative.
     fn patch_own_entry(&mut self) {
         let local = self.local;
-        let own = |m: &&mut MemberInfo| m.partition == local.partition;
-        for m in self.members.iter_mut().filter(own) {
-            *m = local;
+        for m in &mut self.members {
+            if m.partition == local.partition {
+                *m = local;
+            }
         }
     }
 

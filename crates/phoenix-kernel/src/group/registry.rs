@@ -76,14 +76,10 @@ pub fn shared_registry() -> SharedRegistry {
     Rc::new(RefCell::new(FactoryRegistry::default()))
 }
 
-/// Conventional factory keys for the per-partition kernel services.
+/// Conventional factory keys for the per-partition kernel services:
+/// `"event:p3"`, `"bulletin:p0"`, `"checkpoint:p1"`.
 pub fn kernel_factory_key(kind: ServiceKind, partition: PartitionId) -> String {
-    match kind {
-        ServiceKind::Event => format!("event:p{}", partition.0),
-        ServiceKind::DataBulletin => format!("bulletin:p{}", partition.0),
-        ServiceKind::Checkpoint => format!("checkpoint:p{}", partition.0),
-        other => format!("{}:p{}", other.label(), partition.0),
-    }
+    format!("{}:p{}", kind.label(), partition.0)
 }
 
 #[cfg(test)]

@@ -193,11 +193,10 @@ impl MetricsRegistry {
     /// Abort every open span owned by `node` (chaos killed it). Returns
     /// the number of spans aborted.
     pub fn abort_node_spans(&mut self, node: u32) -> usize {
-        let mut doomed: Vec<SpanId> =
+        // In span-id order (`open` is a `BTreeMap`): the abort order decides
+        // how the records land in the flight recorder (same abort timestamp).
+        let doomed: Vec<SpanId> =
             self.open.iter().filter(|(_, s)| s.node == node).map(|(&id, _)| id).collect();
-        // Sorted: `open` is a HashMap, and the abort order decides how the
-        // records land in the flight recorder (same abort timestamp).
-        doomed.sort_unstable();
         for id in &doomed {
             self.span_abort(*id);
         }
