@@ -6,16 +6,17 @@
 //! by calling interface of checkpoint service."
 //!
 //! One instance runs per partition on the server node. Instances form a
-//! federation: every save is replicated to the peers, so a checkpoint
-//! instance that migrates to a backup node after a server-node crash can
-//! resynchronize the partition's state from any surviving peer
-//! (`CkSyncReq` / `CkSyncResp`).
+//! federation: every save is replicated to the peers, so every respawned
+//! instance — restarted in place after a process fault, or migrated to a
+//! backup node after a server-node crash — starts empty and resynchronizes
+//! the partition's state from any surviving peer (`CkSyncReq` /
+//! `CkSyncResp`) before it answers a load.
 
 use crate::federation::{Member, TOK_HB};
 use crate::group::registry::{kernel_factory_key, RespawnArgs};
 use crate::params::KernelParams;
 use phoenix_proto::{CheckpointData, KernelMsg, MemberInfo, PartitionId, RequestId, ServiceKind};
-use phoenix_sim::{Actor, Ctx, Pid, RecoveryAction};
+use phoenix_sim::{Actor, Ctx, Pid};
 use std::collections::BTreeMap;
 
 const KIND: ServiceKind = ServiceKind::Checkpoint;
@@ -31,10 +32,10 @@ pub struct CheckpointService {
     member: Member,
     params: KernelParams,
     store: BTreeMap<CkKey, CheckpointData>,
-    /// Migrated instances must pull state from a peer before answering.
+    /// Respawned instances must pull state from a peer before answering.
     synced: bool,
     pending_loads: Vec<(Pid, RequestId, CkKey)>,
-    /// Send attempts for the post-migration sync fan-out (a lost request
+    /// Send attempts for the post-respawn sync fan-out (a lost request
     /// or reply is retried with backoff under a retrying policy).
     sync_attempts: u32,
 }
@@ -45,23 +46,22 @@ impl CheckpointService {
     pub fn new(partition: PartitionId, params: KernelParams) -> Self {
         let key = kernel_factory_key(KIND, partition);
         let member = Member::new(KIND, key, MemberInfo::unwired(partition));
-        Self::with(member, params, true)
+        Self::with(member, params)
     }
 
-    /// A respawned instance. If the restart followed a migration the store
-    /// starts empty and is pulled from the surviving federation members.
+    /// A respawned instance: the store starts empty and is pulled from the
+    /// surviving federation members, if there are any.
     pub fn respawn(args: &RespawnArgs) -> Self {
         let member = Member::respawn(KIND, kernel_factory_key(KIND, args.partition), args);
-        let migrated = matches!(args.action, RecoveryAction::Migrated(_));
-        Self::with(member, args.params.clone(), !migrated)
+        Self::with(member, args.params.clone())
     }
 
-    fn with(member: Member, params: KernelParams, synced: bool) -> Self {
+    fn with(member: Member, params: KernelParams) -> Self {
         CheckpointService {
+            synced: !member.restoring() || member.peers().is_empty(),
             member,
             params,
             store: BTreeMap::new(),
-            synced,
             pending_loads: Vec::new(),
             sync_attempts: 0,
         }

@@ -349,6 +349,61 @@ fn es_process_failure_restarts_with_state() {
     assert!(got_fault, "consumer survived ES restart via checkpoint");
 }
 
+/// A checkpoint instance restarted *in place* comes back empty like a
+/// migrated one, so it too must pull the partition's state from the
+/// federation: otherwise everything saved before the restart is gone for
+/// the next service that restores from it.
+#[test]
+fn checkpoint_restart_in_place_keeps_partition_state() {
+    let (mut w, cluster) = small();
+    let es0 = cluster.event();
+    let ck0 = cluster.directory.partitions[0].checkpoint;
+    let consumer = ClientHandle::spawn(&mut w, NodeId(1));
+    consumer.send(
+        &mut w,
+        es0,
+        KernelMsg::EsRegisterConsumer {
+            req: RequestId(0),
+            reg: ConsumerReg {
+                consumer: consumer.pid,
+                filter: EventFilter::All,
+            },
+        },
+    );
+    w.run_for(SimDuration::from_millis(2500));
+
+    let t0 = w.now();
+    w.kill_process(ck0);
+    w.run_for(SimDuration::from_secs(4));
+    let new_ck = w
+        .trace()
+        .find_after(t0, |e| matches!(e, TraceEvent::ServiceUp { service: "checkpoint", .. }))
+        .map(|r| match r.event {
+            TraceEvent::ServiceUp { pid, .. } => pid,
+            _ => unreachable!(),
+        })
+        .expect("checkpoint service restarted");
+    let resynced = first_after(&w, t0, |e| {
+        matches!(e, TraceEvent::Recovered {
+            action: RecoveryAction::RestartedInPlace,
+            target: FaultTarget::Process(p),
+        } if *p == new_ck)
+    });
+    assert!(resynced.is_some(), "restarted checkpoint resynced from its peers");
+
+    // The ES now restores from the restarted checkpoint instance.
+    w.kill_process(es0);
+    w.run_for(SimDuration::from_secs(4));
+    let _ = consumer.drain();
+    w.apply_fault(Fault::CrashNode(NodeId(3)));
+    w.run_for(SimDuration::from_secs(4));
+    let got_fault = consumer
+        .drain()
+        .iter()
+        .any(|(_, m)| matches!(m, KernelMsg::EsNotify { event } if event.etype == EventType::NodeFault));
+    assert!(got_fault, "consumer registration survived both restarts");
+}
+
 #[test]
 fn bulletin_failure_partial_then_recovered_answers() {
     let (mut w, cluster) = small();

@@ -20,10 +20,15 @@
 # (verbose, with a flight-recorder dump). Seeds are deterministic: the same
 # seed generates the same schedule on every machine. A second chaos pass
 # re-runs 25 seeds on a 2% random-loss network (--lossy 20: baseline loss
-# plus generated loss bursts) with the loss-tolerant kernel profile. A
-# third, 150-seed lossy pass guards the chaos binary itself: every schedule
-# must get a telemetry registry of its own, or from about seed 100 the
-# marks of earlier schedules read as leaks (spurious telemetry-leak lines).
+# plus generated loss bursts) with the loss-tolerant kernel profile.
+#
+# The ratchet stage sweeps seeds 1..=300 under each of --lossy 20,
+# --partition, --quorum and --slow and compares the set of failing seeds
+# with scripts/known_chaos_failures.txt: an unlisted failure is a
+# regression, a listed seed that passes must be deleted from the list. The
+# lossy sweep also guards the chaos binary itself: every schedule must get
+# a telemetry registry of its own, or from about seed 100 the marks of
+# earlier schedules read as leaks (spurious telemetry-leak lines).
 #
 # The loss_sweep smoke sweeps loss rates on a fault-free and a WD-kill
 # cluster; the bin exits non-zero if any spurious takeover fires, and the
@@ -111,18 +116,38 @@ cargo run --release --offline -p phoenix-chaos --bin chaos -- --seeds 25 --small
 echo "== smoke: chaos, 25 seeded fault schedules on a 2% lossy network =="
 cargo run --release --offline -p phoenix-chaos --bin chaos -- --seeds 25 --lossy 20
 
-echo "== regression: 150 lossy chaos schedules report no spurious telemetry-leak =="
-# Seeds 104 and 143 violate *other* invariants at this commit (known
-# defects, benchmark/README.md) — reported, not hidden — so the exit status
-# is not the gate here; the leak lines are.
-cargo run --release --offline -p phoenix-chaos --bin chaos -- --seeds 150 --small --lossy 20 \
-    > /tmp/chaos_150.out || true
-grep 'chaos sweep done' /tmp/chaos_150.out || {
-    echo "FAIL: the 150-seed chaos sweep did not finish" >&2
+echo "== ratchet: 300 chaos schedules per preset fail exactly as scripts/known_chaos_failures.txt says =="
+# The sweep exits 1 when any seed failed, which says nothing about which;
+# the gate is the set of failing seeds. A failing seed that is not listed is
+# a regression; a listed seed that passes was fixed and must leave the
+# list, so the list can only shrink.
+: > /tmp/chaos_failing.txt
+for preset in lossy partition quorum slow; do
+    case $preset in
+        lossy) flags="--lossy 20" ;;
+        *) flags="--$preset" ;;
+    esac
+    rc=0
+    # shellcheck disable=SC2086
+    cargo run --release --offline -p phoenix-chaos --bin chaos -- --seeds 300 $flags \
+        > "/tmp/chaos_300_$preset.out" || rc=$?
+    [ "$rc" -le 1 ] && grep 'chaos sweep done' "/tmp/chaos_300_$preset.out" || {
+        echo "FAIL: the 300-seed $preset chaos sweep did not finish (exit $rc)" >&2
+        exit 1
+    }
+    sed -n "s/^ *seed *\([0-9]*\): FAIL.*/$preset \1/p" "/tmp/chaos_300_$preset.out" \
+        >> /tmp/chaos_failing.txt
+done
+grep -v '^#' scripts/known_chaos_failures.txt | sort > /tmp/chaos_known.txt
+sort /tmp/chaos_failing.txt | diff /tmp/chaos_known.txt - || {
+    echo "FAIL: failing chaos seeds differ from scripts/known_chaos_failures.txt" >&2
+    echo "      ('<' listed but passes: delete the line; '>' fails but unlisted: a regression)" >&2
     exit 1
 }
-if grep 'telemetry-leak' /tmp/chaos_150.out; then
-    echo "FAIL: chaos --seeds 150 reports telemetry-leak (registry not isolated per schedule?)" >&2
+# Every schedule must get a telemetry registry of its own, or from about
+# seed 100 the marks of earlier schedules read as leaks.
+if grep 'telemetry-leak' /tmp/chaos_300_lossy.out; then
+    echo "FAIL: chaos --seeds 300 reports telemetry-leak (registry not isolated per schedule?)" >&2
     exit 1
 fi
 

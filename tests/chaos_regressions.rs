@@ -213,6 +213,44 @@ fn island_split_during_takeover() {
     );
 }
 
+/// Partition-storm pin, shrunk to three steps: partition 2 is severed into
+/// an island, its server node crashes there, and the node is repaired (the
+/// harness heals the island before settling). The leader's rescue brings
+/// the GSD back on the repaired node, which rebuilds the partition's
+/// services *in place*; the rebuilt checkpoint instance used to start empty
+/// and never resync (only a migrated one did), which left the partition's
+/// bulletin without its nodes' resource entries.
+///
+/// Replay: `cargo run --release -p phoenix-chaos --bin chaos -- --partition --replay 232:490`
+#[test]
+fn islanded_server_crash_then_repair() {
+    use phoenix::chaos::StepAction::{Fault, RepairNode};
+    use phoenix::sim::Fault::{CrashNode, Partition};
+    const SEED: u64 = 232;
+    const MASK: u64 = 0x490;
+    let cfg = ChaosConfig::small_partition();
+    let (_world, cluster) = boot_cluster(cfg.topology(), cfg.params.clone(), SEED);
+    let steps = generate_schedule(SEED, &cfg, &cluster);
+    let picked = steps.iter().enumerate().filter(|(i, _)| MASK >> i & 1 == 1);
+    let picked: Vec<_> = picked.map(|(_, s)| s.action).collect();
+    let island = cluster.island_mask(&[2]);
+    let server = cluster.topology.partitions[2].server;
+    assert_eq!(
+        picked,
+        [Fault(Partition { island }), Fault(CrashNode(server)), RepairNode(server)],
+        "pin drifted: seed {SEED} mask {MASK:#x} no longer islands partition 2 and \
+         crash+repairs its server — re-run the partition scan and re-pin"
+    );
+    let out = run_schedule(SEED, &cfg, MASK, false);
+    assert!(out.quiesced, "seed {SEED}:{MASK:x}: islanded cluster never quiesced");
+    assert!(
+        out.violations.is_empty(),
+        "seed {SEED}:{MASK:x} violated invariants: {:#?}\nreplay: cargo run --release \
+         -p phoenix-chaos --bin chaos -- --partition --replay {SEED}:{MASK:x}",
+        out.violations
+    );
+}
+
 /// A 12-step mixed schedule: node crashes, a NIC outage, two link
 /// partitions and three repairs, all overlapping.
 #[test]
