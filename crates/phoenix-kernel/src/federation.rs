@@ -21,7 +21,7 @@
 
 use crate::group::liveness;
 use crate::group::registry::RespawnArgs;
-use crate::params::{FtParams, KernelParams};
+use crate::params::KernelParams;
 use phoenix_proto::{
     CheckpointData, KernelMsg, MemberInfo, PartitionId, RequestId, ServiceDirectory, ServiceKind,
 };
@@ -237,13 +237,22 @@ pub fn respawn_args(
     }
 }
 
+/// Cost to restart the event service in place (Table 3: 0.12 s).
+pub const ES_RESTART_COST: SimDuration = SimDuration::from_millis(118);
+/// Cost to restart a data-bulletin instance in place.
+pub const DB_RESTART_COST: SimDuration = SimDuration::from_millis(150);
+/// Cost to restart a checkpoint instance in place.
+pub const CK_RESTART_COST: SimDuration = SimDuration::from_millis(150);
+/// Cost to restart a user-environment service (PWS scheduler) in place.
+pub const USERENV_RESTART_COST: SimDuration = SimDuration::from_millis(200);
+
 /// Virtual time a restart of a `kind` instance takes (paper Table 3).
-pub fn restart_cost(ft: &FtParams, kind: ServiceKind) -> SimDuration {
+pub fn restart_cost(kind: ServiceKind) -> SimDuration {
     match kind {
-        ServiceKind::Event => ft.es_restart_cost,
-        ServiceKind::DataBulletin => ft.db_restart_cost,
-        ServiceKind::Checkpoint => ft.ck_restart_cost,
-        _ => ft.userenv_restart_cost,
+        ServiceKind::Event => ES_RESTART_COST,
+        ServiceKind::DataBulletin => DB_RESTART_COST,
+        ServiceKind::Checkpoint => CK_RESTART_COST,
+        _ => USERENV_RESTART_COST,
     }
 }
 
@@ -385,6 +394,7 @@ impl Supervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::FtParams;
     use phoenix_sim::{Actor, ClusterBuilder, NodeId, NodeSpec};
 
     const EVENT: ServiceKind = ServiceKind::Event;
@@ -479,16 +489,10 @@ mod tests {
             "and reported once"
         );
 
-        assert_eq!(restart_cost(&ft, EVENT), ft.es_restart_cost);
-        assert_eq!(
-            restart_cost(&ft, ServiceKind::DataBulletin),
-            ft.db_restart_cost
-        );
-        assert_eq!(
-            restart_cost(&ft, ServiceKind::Checkpoint),
-            ft.ck_restart_cost
-        );
-        assert_eq!(restart_cost(&ft, USER), ft.userenv_restart_cost);
+        assert_eq!(restart_cost(EVENT), ES_RESTART_COST);
+        assert_eq!(restart_cost(ServiceKind::DataBulletin), DB_RESTART_COST);
+        assert_eq!(restart_cost(ServiceKind::Checkpoint), CK_RESTART_COST);
+        assert_eq!(restart_cost(USER), USERENV_RESTART_COST);
     }
 
     #[test]

@@ -15,24 +15,34 @@
 //!   The first member is the Leader, the second the Princess; when the
 //!   Leader fails the Princess takes over, and so on down the ring.
 //!
-//! Supervision of the partition's services (paper Fig 4) is the
-//! [`federation`] layer's protocol; this actor only routes to its
-//! `Supervisor` and executes what it answers.
+//! This actor is a router. What the protocol *decides* lives in layers
+//! that know nothing of the simulator or of telemetry — `liveness` (is a
+//! watched daemon silent), `ring` (who is a member, in which seat, and who
+//! may join), `failover` (where a replacement GSD goes), `regroup` (does
+//! this side hold quorum), `slow_detect` (is a peer slow, and what may be
+//! done about it), `dirsync` (what the config directory is still owed),
+//! and [`federation`]'s `Supervisor` for the partition's services (paper
+//! Fig 4). The actor feeds them messages and timer instants and turns
+//! their answers into sends, timers, trace records and counters.
 
 use crate::federation::{self, Lapsed, Registered, Rejoin, Supervisor};
+use crate::group::dirsync::DirSync;
+use crate::group::failover::{self, Cause, Failover, Placement};
 use crate::group::liveness::{self, Beat, Liveness, Silence, Watched};
 use crate::group::registry::{kernel_factory_key, SharedRegistry};
+use crate::group::ring::{Adoption, Join, Ring, Role};
 use crate::group::wd::Wd;
 use crate::nic_health::{HealthTransition, NicHealth};
 use crate::params::KernelParams;
-use crate::regroup::{AckInfo, Regroup, Verdict};
-use crate::slow_detect::{SlowDetect, SlowTransition, Verdict as SlowVerdict};
+use crate::regroup::{self, AckInfo, Regroup, Verdict};
+use crate::slow_detect::{self, SlowDetect, SlowTransition, Verdict as SlowVerdict};
 use phoenix_proto::{
     CheckpointData, ClusterTopology, Event, EventPayload, EventType, KernelMsg, MemberInfo,
     NodeServices, PartitionId, RequestId, ServiceKind,
 };
 use phoenix_sim::{
-    Actor, Ctx, Diagnosis, FaultTarget, NicId, NodeId, Pid, RecoveryAction, SimTime, TraceEvent,
+    Actor, Ctx, Diagnosis, FaultTarget, NicId, NodeId, Pid, RecoveryAction, SimDuration, SimTime,
+    TraceEvent,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -45,10 +55,11 @@ const TOK_DIR_RETRY: u64 = 3;
 const TOK_REGROUP: u64 = 4;
 /// Heal-probe cadence while frozen: opens a fresh regroup round.
 const TOK_REGROUP_RETRY: u64 = 5;
-/// Ticks over which a changed directory entry is re-asserted to config
-/// under a retrying policy (~2 s at the fast heartbeat interval — enough
-/// to straddle any loss burst a chaos schedule can generate).
-const DIR_RESEND_TICKS: u32 = 20;
+/// Per-NIC heartbeat pattern analysis cost (Tables 1–2 network rows:
+/// 348 µs).
+pub const NIC_ANALYSIS_DELAY: SimDuration = SimDuration::from_micros(348);
+/// Same-host failure classification cost (Table 3 process row: 12 µs).
+pub const LOCAL_DIAG_DELAY: SimDuration = SimDuration::from_micros(12);
 
 /// Telemetry key for a `gsd.takeover` mark/measure/unmark. Scoped by the
 /// observing pid, the partition, AND a per-plan sequence number: one
@@ -63,47 +74,15 @@ fn takeover_key(observer: Pid, partition: PartitionId, plan: u64) -> u64 {
 }
 const OP_BASE: u64 = 100;
 
-/// Fixed-literal gauge keys (the telemetry registry requires `&'static
-/// str`); clusters model up to a handful of parallel networks.
-fn nic_health_gauge(nic: NicId) -> &'static str {
-    match nic.0 {
-        0 => "nic.health.nic0",
-        1 => "nic.health.nic1",
-        2 => "nic.health.nic2",
-        _ => "nic.health.nicN",
-    }
+fn milestone(ctx: &mut Ctx<'_, KernelMsg>, label: &'static str, value: impl Into<f64>) {
+    let value = value.into();
+    ctx.trace(TraceEvent::Milestone { label, value });
 }
 
-/// Per-node fail-slow verdict gauges, exported by the meta-group leader
-/// (0 = healthy, 1 = slow, 2 = dead). Fixed literals for the same reason
-/// as the NIC gauges; simulated clusters use small node ids.
-fn slow_verdict_gauge(node: NodeId) -> &'static str {
-    match node.0 {
-        0 => "slow.verdict.node0",
-        1 => "slow.verdict.node1",
-        2 => "slow.verdict.node2",
-        3 => "slow.verdict.node3",
-        4 => "slow.verdict.node4",
-        5 => "slow.verdict.node5",
-        6 => "slow.verdict.node6",
-        7 => "slow.verdict.node7",
-        _ => "slow.verdict.nodeN",
-    }
-}
-
-/// Per-node slowness-score gauges (smoothed RTT over baseline; 1.0 = at
-/// baseline), exported alongside the verdicts.
-fn slow_score_gauge(node: NodeId) -> &'static str {
-    match node.0 {
-        0 => "slow.score.node0",
-        1 => "slow.score.node1",
-        2 => "slow.score.node2",
-        3 => "slow.score.node3",
-        4 => "slow.score.node4",
-        5 => "slow.score.node5",
-        6 => "slow.score.node6",
-        7 => "slow.score.node7",
-        _ => "slow.score.nodeN",
+fn quarantine_msg(epoch: u64, set: &BTreeSet<PartitionId>) -> KernelMsg {
+    KernelMsg::MetaQuarantine {
+        epoch,
+        quarantined: set.iter().copied().collect(),
     }
 }
 
@@ -172,15 +151,13 @@ enum DelayedOp {
 
 enum RestartWhat {
     Svc(Lapsed),
-    /// Respawn a failed member's GSD on `to`: its old host for an
-    /// in-place restart, a backup node for a migration (`action` says
-    /// which).
+    /// Respawn a failed member's GSD where it was `placed`: on its old
+    /// host for an in-place restart, on a backup node for a migration.
     GsdTakeover {
         hint: MemberInfo,
         members: Vec<MemberInfo>,
         epoch: u64,
-        to: NodeId,
-        action: RecoveryAction,
+        placed: Placement,
         plan: u64,
     },
     /// Leader safety net: a partition has had no meta-group member for a
@@ -199,15 +176,17 @@ pub struct Gsd {
     init: Option<GsdInit>,
 
     local: MemberInfo,
-    members: Vec<MemberInfo>,
-    epoch: u64,
-    node_daemons: HashMap<NodeId, NodeServices>,
+    /// The meta-group as this GSD holds it: members in ring order, epoch,
+    /// quarantine set, last known coordinates.
+    ring: Ring,
+    /// This partition's per-node daemons, by node.
+    node_daemons: BTreeMap<NodeId, NodeServices>,
     /// Watch-daemon pids for *every* cluster node (not just our own
     /// partition's): regroup rounds probe a silent partition's home-node
     /// WDs for dead-GSD testimony. Seeded from the boot/respawn
     /// directory; foreign entries refreshed by config's
     /// `DirectoryUpdateNode` fan-out (vote-table profiles only).
-    cluster_wds: HashMap<NodeId, Pid>,
+    cluster_wds: BTreeMap<NodeId, Pid>,
 
     /// Every daemon this GSD watches, in scan order: the partition's WDs
     /// by node, then the ring predecessor (at most one).
@@ -221,34 +200,20 @@ pub struct Gsd {
     probes: BTreeMap<u64, ProbeSession>,
     ops: HashMap<u64, DelayedOp>,
     next_id: u64,
-    last_role: &'static str,
+    /// The role last announced in a `RoleChange`; `None` before the first
+    /// and after "frozen", which is no seat in the ring.
+    last_role: Option<Role>,
     monitoring: bool,
-    /// Last known member info per partition (rescue hints).
-    last_known: HashMap<PartitionId, MemberInfo>,
-    /// Partitions the leader is currently rescuing.
-    rescuing: std::collections::HashSet<PartitionId>,
-    /// Monotone id for takeover plans; keys their telemetry marks so
-    /// overlapping plans for one partition cannot clobber each other.
-    takeover_seq: u64,
+    /// Takeover plan ids and the partitions the leader is rescuing.
+    failover: Failover,
     /// Re-announce ourselves to the leader at the next tick (set when a
     /// membership broadcast was missing us).
     needs_rejoin: bool,
     /// Ring-heartbeat sequence counter (bumped once per tick; carried in
     /// every `MetaHeartbeat` so successors can discard duplicates).
     hb_seq: u64,
-    /// Send attempts for the respawn-time directory query (retried with
-    /// backoff when the retry policy allows — a lost query or reply must
-    /// not strand the takeover forever).
-    dir_attempts: u32,
-    /// Node-daemon directory entries this GSD changed (WD restarts),
-    /// re-asserted to config for a bounded number of ticks under a
-    /// retrying policy: the `DirectoryUpdateNode` push is fire-and-forget,
-    /// and a lost one would leave the config directory pointing at a dead
-    /// pid forever. Entries are dropped when config pushes a fresher one.
-    dir_resend_nodes: BTreeMap<NodeId, (NodeServices, u32)>,
-    /// Remaining ticks over which our own `DirectoryUpdate` (membership
-    /// announce after a takeover/migration) is re-asserted to config.
-    dir_resend_local: u32,
+    /// Directory queries sent and directory pushes still to be repeated.
+    dir: DirSync,
     /// MSCS-style quorum regroup state (inert unless
     /// `params.ft.regroup.enabled`).
     regroup: Regroup,
@@ -259,31 +224,10 @@ pub struct Gsd {
     /// `frozen_span` while frozen, so a post-mortem span tree shows the
     /// heal-probing rounds nested inside the frozen episode.
     round_span: Option<phoenix_telemetry::SpanId>,
-    /// Latency-aware fail-slow detector: per-peer RTT EWMA + deviation
-    /// scores from slow pings, probe rounds, and heartbeat echoes. Inert
-    /// unless `params.ft.slow.enabled`.
+    /// Latency-aware fail-slow detector: per-peer RTT scores from slow
+    /// pings and probe rounds, and what they license. Inert unless
+    /// `params.ft.slow.enabled`.
     slow: SlowDetect,
-    /// Outstanding slow pings: seq → (target node, send time).
-    slow_ping_sent: HashMap<u64, (NodeId, SimTime)>,
-    slow_ping_seq: u64,
-    /// Last time each peer answered *anything* RTT-measurable. A Slow
-    /// verdict only vetoes a dead diagnosis while this is fresh — once
-    /// pongs stop, the veto lapses and fail-stop diagnosis proceeds.
-    slow_last_seen: HashMap<NodeId, SimTime>,
-    /// Leader-maintained quarantine set (partitions whose server node is
-    /// diagnosed Slow): demoted to the ring tail, skipped for new-service
-    /// placement. Adopted by everyone via `MetaQuarantine`.
-    quarantined: BTreeSet<PartitionId>,
-    /// Epoch guard for `MetaQuarantine` broadcasts (stale ones ignored).
-    quarantine_epoch: u64,
-    /// Quarantine candidates from the previous maintenance tick. An
-    /// addition must survive two consecutive ticks: when this observer is
-    /// the degraded one, its Slow verdicts cross their streaks a ping
-    /// round apart, so at the first tick the strict-majority `gray_self`
-    /// veto can lag the earliest verdicts — one tick later the inversion
-    /// is complete and the veto holds. A healthy leader watching a
-    /// genuinely slow member sees a stable candidate both ticks.
-    slow_pending: BTreeSet<PartitionId>,
     /// Set while this GSD is handing its partition to a healthier node
     /// (slow-drain): suppresses double-spawns and gates orphan-service
     /// cleanup when the replacement's membership arrives.
@@ -340,6 +284,7 @@ impl Gsd {
         let nic_health = NicHealth::new(params.ft.nic.clone(), 0);
         let regroup = Regroup::new(params.ft.regroup.clone());
         let slow = SlowDetect::new(params.ft.slow.clone());
+        let dir = DirSync::new(params.rpc.retries_enabled());
         Gsd {
             partition,
             params,
@@ -348,10 +293,9 @@ impl Gsd {
             registry,
             init: Some(init),
             local: MemberInfo::unwired(partition),
-            members: Vec::new(),
-            epoch: 0,
-            node_daemons: HashMap::new(),
-            cluster_wds: HashMap::new(),
+            ring: Ring::new(partition),
+            node_daemons: BTreeMap::new(),
+            cluster_wds: BTreeMap::new(),
             peers: Vec::new(),
             supervisor: Supervisor::default(),
             my_nic_known: Vec::new(),
@@ -359,91 +303,19 @@ impl Gsd {
             probes: BTreeMap::new(),
             ops: HashMap::new(),
             next_id: 0,
-            last_role: "",
+            last_role: None,
             monitoring: false,
-            last_known: HashMap::new(),
-            rescuing: std::collections::HashSet::new(),
-            takeover_seq: 0,
+            failover: Failover::default(),
             needs_rejoin: false,
             hb_seq: 0,
-            dir_attempts: 0,
-            dir_resend_nodes: BTreeMap::new(),
-            dir_resend_local: 0,
+            dir,
             regroup,
             frozen_span: None,
             round_span: None,
             slow,
-            slow_ping_sent: HashMap::new(),
-            slow_ping_seq: 0,
-            slow_last_seen: HashMap::new(),
-            quarantined: BTreeSet::new(),
-            quarantine_epoch: 0,
-            slow_pending: BTreeSet::new(),
             draining: false,
             drained: false,
         }
-    }
-
-    // ---- identity & ring geometry ---------------------------------------
-
-    fn sorted(&mut self) {
-        // Quarantined partitions sink to the ring tail so they can never
-        // hold leader (index 0) or princess (index 1) while degraded.
-        // With an empty set this is the classic lowest-partition order.
-        let q = self.quarantined.clone();
-        self.members
-            .sort_by_key(|m| (q.contains(&m.partition), m.partition));
-        self.members.dedup_by_key(|m| m.partition);
-    }
-
-    /// Keep our own entry in the member list authoritative.
-    fn patch_own_entry(&mut self) {
-        let local = self.local;
-        for m in &mut self.members {
-            if m.partition == local.partition {
-                *m = local;
-            }
-        }
-    }
-
-    fn my_index(&self) -> Option<usize> {
-        self.members
-            .iter()
-            .position(|m| m.partition == self.partition)
-    }
-
-    /// The ring successor (whom I heartbeat).
-    fn successor(&self) -> Option<MemberInfo> {
-        let i = self.my_index()?;
-        let n = self.members.len();
-        if n < 2 {
-            return None;
-        }
-        Some(self.members[(i + 1) % n])
-    }
-
-    /// The ring predecessor (whom I monitor).
-    fn predecessor(&self) -> Option<MemberInfo> {
-        let i = self.my_index()?;
-        let n = self.members.len();
-        if n < 2 {
-            return None;
-        }
-        Some(self.members[(i + n - 1) % n])
-    }
-
-    /// "Leader" / "princess" / "member" per ring position (paper Fig 3).
-    fn role(&self) -> &'static str {
-        match self.my_index() {
-            Some(0) => "leader",
-            Some(1) => "princess",
-            Some(_) => "member",
-            None => "orphan",
-        }
-    }
-
-    fn leader(&self) -> Option<MemberInfo> {
-        self.members.first().copied()
     }
 
     // ---- read-only introspection (chaos / invariant harnesses) ----------
@@ -464,12 +336,12 @@ impl Gsd {
         if self.regroup.frozen() {
             return "frozen";
         }
-        self.role()
+        self.ring.role().as_str()
     }
 
     /// The partition this GSD believes leads the meta-group.
     pub fn leader_view(&self) -> Option<PartitionId> {
-        self.leader().map(|m| m.partition)
+        self.ring.leader().map(|m| m.partition)
     }
 
     /// Current witness view when the vote table is active:
@@ -492,25 +364,23 @@ impl Gsd {
         self.probes.len()
     }
 
+    /// The ring changed: export its size, drop the rescues the change made
+    /// moot, announce a new role, and watch the predecessor the new order
+    /// gives.
     fn refresh_roles(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        self.sorted();
-        phoenix_telemetry::gauge_set("gsd.meta_group.members", self.members.len() as f64);
-        for m in &self.members {
-            self.last_known.insert(m.partition, *m);
-        }
-        let present: std::collections::HashSet<PartitionId> =
-            self.members.iter().map(|m| m.partition).collect();
-        self.rescuing.retain(|p| !present.contains(p));
-        let role = self.role();
-        if role != self.last_role {
-            self.last_role = role;
+        let ring = &self.ring;
+        phoenix_telemetry::gauge_set("gsd.meta_group.members", ring.members().len() as f64);
+        self.failover.forget_present(|p| ring.get(p).is_some());
+        let role = ring.role();
+        if Some(role) != self.last_role {
+            self.last_role = Some(role);
             ctx.trace(TraceEvent::RoleChange {
                 pid: ctx.pid(),
-                role,
+                role: role.as_str(),
             });
         }
         // Reset predecessor tracking if the predecessor changed.
-        let pred = self.predecessor();
+        let pred = self.ring.predecessor();
         let watching = self
             .peers
             .last()
@@ -573,24 +443,20 @@ impl Gsd {
         self.next_id
     }
 
-    fn schedule(
-        &mut self,
-        ctx: &mut Ctx<'_, KernelMsg>,
-        after: phoenix_sim::SimDuration,
-        op: DelayedOp,
-    ) {
+    fn schedule(&mut self, ctx: &mut Ctx<'_, KernelMsg>, after: SimDuration, op: DelayedOp) {
         let id = self.fresh_id();
         self.ops.insert(id, op);
         ctx.set_timer(after, OP_BASE + id);
     }
 
-    fn publish(&self, ctx: &mut Ctx<'_, KernelMsg>, etype: EventType, origin: NodeId, payload: EventPayload) {
-        ctx.send(
-            self.local.event,
-            KernelMsg::EsPublish {
-                event: Event::new(etype, origin, payload),
-            },
-        );
+    /// Publish a fault or recovery event about the node `payload` names.
+    fn publish(&self, ctx: &mut Ctx<'_, KernelMsg>, etype: EventType, payload: EventPayload) {
+        let origin = match payload {
+            EventPayload::Node(n) | EventPayload::Nic(n, _) | EventPayload::Service(_, n) => n,
+            _ => ctx.node(),
+        };
+        let event = Event::new(etype, origin, payload);
+        ctx.send(self.local.event, KernelMsg::EsPublish { event });
     }
 
     /// The healthiest interface usable toward `peer` (up at both ends), or
@@ -615,60 +481,66 @@ impl Gsd {
     }
 
     fn broadcast_meta(&self, ctx: &mut Ctx<'_, KernelMsg>, msg: KernelMsg) {
-        for m in &self.members {
-            if m.partition != self.partition {
-                self.send_routed(ctx, m.gsd, m.node, msg.clone());
-            }
+        for m in self.ring.others() {
+            self.send_routed(ctx, m.gsd, m.node, msg.clone());
+        }
+    }
+
+    /// `member` asks the leader this GSD holds — unless that is this GSD —
+    /// to be let in.
+    fn join_leader(&self, ctx: &mut Ctx<'_, KernelMsg>, member: MemberInfo) {
+        if let Some(leader) = self.ring.leader().filter(|l| l.partition != self.partition) {
+            self.send_routed(ctx, leader.gsd, leader.node, KernelMsg::MetaJoin { member });
+        }
+    }
+
+    /// The partition's kernel services that exist, in slot order.
+    fn kernel_services(&self) -> impl Iterator<Item = Pid> {
+        let slots = [self.local.event, self.local.bulletin, self.local.checkpoint];
+        slots.into_iter().filter(|&pid| pid != Pid(0))
+    }
+
+    fn partition_view(&self) -> KernelMsg {
+        KernelMsg::PartitionView {
+            members: self.ring.members().to_vec(),
+            local: self.local,
         }
     }
 
     fn push_partition_view(&self, ctx: &mut Ctx<'_, KernelMsg>) {
         phoenix_telemetry::counter_add("gsd.partition_view.pushes", 1);
-        let view = KernelMsg::PartitionView {
-            members: self.members.clone(),
-            local: self.local,
-        };
-        for pid in [self.local.event, self.local.bulletin, self.local.checkpoint] {
-            if pid != Pid(0) {
-                ctx.send(pid, view.clone());
-            }
-        }
-        // Supervised user-environment services also get the view.
-        for (_, pid) in self.supervisor.roster() {
+        let view = self.partition_view();
+        // The kernel services, the supervised user-environment services,
+        // then every node's daemons.
+        for pid in self.kernel_services().chain(self.supervisor.roster().map(|(_, pid)| pid)) {
             ctx.send(pid, view.clone());
         }
-        if let Some(spec) = self.topology.partition(self.partition) {
-            for node in spec.all_nodes() {
-                if let Some(ns) = self.node_daemons.get(&node) {
-                    ctx.send(ns.wd, view.clone());
-                    ctx.send(ns.detector, view.clone());
-                }
-            }
+        for ns in self.node_daemons.values() {
+            ctx.send(ns.wd, view.clone());
+            ctx.send(ns.detector, view.clone());
+        }
+    }
+
+    /// The membership as this GSD holds it, announced under `epoch`.
+    fn membership_at(&self, epoch: u64) -> KernelMsg {
+        KernelMsg::MetaMembership {
+            epoch,
+            members: self.ring.members().to_vec().into(),
         }
     }
 
     /// The membership as this GSD holds it, at its current epoch.
     fn membership_msg(&self) -> KernelMsg {
-        KernelMsg::MetaMembership {
-            epoch: self.epoch,
-            members: self.members.clone().into(),
-        }
+        self.membership_at(self.ring.epoch())
     }
 
     fn announce_membership_change(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         // Route the change through the leader (ourselves, perhaps).
-        if let Some(leader) = self.leader() {
-            if leader.partition == self.partition {
-                self.epoch += 1;
-                self.broadcast_meta(ctx, self.membership_msg());
-            } else {
-                self.send_routed(
-                    ctx,
-                    leader.gsd,
-                    leader.node,
-                    KernelMsg::MetaJoin { member: self.local },
-                );
-            }
+        if self.ring.role() == Role::Leader {
+            self.ring.bump_epoch();
+            self.broadcast_meta(ctx, self.membership_msg());
+        } else {
+            self.join_leader(ctx, self.local);
         }
         ctx.send(
             self.config,
@@ -677,9 +549,7 @@ impl Gsd {
                 member: self.local,
             },
         );
-        if self.params.rpc.retries_enabled() {
-            self.dir_resend_local = DIR_RESEND_TICKS;
-        }
+        self.dir.local_changed();
         self.push_partition_view(ctx);
     }
 
@@ -692,9 +562,10 @@ impl Gsd {
         // Under NIC-health routing each resend rotates one step down the
         // health ranking: a query whose preferred path eats packets escapes
         // to an independent network instead of re-rolling the same dice.
+        let earlier = self.dir.next_query();
         let via = if self.nic_health.enabled() && self.nic_health.nic_count() > 0 {
             let ranked = self.nic_health.ranked();
-            Some(ranked[self.dir_attempts as usize % ranked.len()])
+            Some(ranked[earlier as usize % ranked.len()])
         } else {
             None
         };
@@ -703,12 +574,11 @@ impl Gsd {
             Some(nic) => ctx.send_via(self.config, nic, query),
             None => ctx.send(self.config, query),
         }
-        self.dir_attempts += 1;
-        if self.dir_attempts > 1 {
+        if earlier > 0 {
             phoenix_telemetry::counter_add("rpc.retries", 1);
         }
         if self.params.rpc.retries_enabled() {
-            if let Some(delay) = self.params.rpc.delay(self.dir_attempts, ctx.rng()) {
+            if let Some(delay) = self.params.rpc.delay(earlier + 1, ctx.rng()) {
                 ctx.set_timer(delay, TOK_DIR_RETRY);
             } else if self.regroup.enabled() && self.init.is_some() {
                 // Retry budget exhausted while still unwired. An island
@@ -725,9 +595,8 @@ impl Gsd {
             self.local = *me;
             self.local.gsd = ctx.pid();
         }
-        self.members = dir.partitions.clone();
-        // The directory was built before spawn order.
-        self.patch_own_entry();
+        // The directory was built before spawn order: our own entry is ours.
+        self.ring.install(dir.partitions.clone(), self.local);
         self.ingest_node_daemons(dir.nodes.iter());
         self.finish_wiring(ctx);
     }
@@ -813,11 +682,9 @@ impl Gsd {
             return;
         };
         self.ingest_node_daemons(dir.nodes.iter());
-        self.members = members;
         self.local = hint;
         self.local.gsd = ctx.pid();
         self.local.node = ctx.node();
-        self.epoch = epoch;
 
         // Migrated: the whole server node died, rebuild the partition
         // services here. An *in-place* rescue needs the same treatment
@@ -838,17 +705,18 @@ impl Gsd {
                 ServiceKind::DataBulletin,
             ] {
                 let key = kernel_factory_key(kind, self.partition);
-                let pid = self.respawn_service(ctx, kind, &key, action);
+                // Their peers are the rescuer's snapshot, as it held it.
+                let pid = self.respawn_service(ctx, kind, &key, action, &members);
                 if let Some(slot) = self.local.service_mut(kind) {
                     *slot = pid.unwrap_or(Pid(0));
                 }
             }
         }
 
-        // Upsert ourselves into the membership and tell the world.
+        // Enter the membership ourselves and tell the world.
         let old_gsd = hint.gsd;
-        self.members.retain(|m| m.partition != self.partition);
-        self.members.push(self.local);
+        self.ring.set_epoch(epoch);
+        self.ring.install(members, self.local);
         self.finish_wiring(ctx);
         // Adopt the surviving services: they are still bound to the GSD we
         // replace, and if that instance died *frozen* (yielded while a
@@ -864,13 +732,7 @@ impl Gsd {
         // Make sure the instance we replace (if it is somehow still
         // running — false takeover) learns about us and yields.
         if old_gsd != ctx.pid() && old_gsd != Pid(0) {
-            ctx.send(
-                old_gsd,
-                KernelMsg::MetaMembership {
-                    epoch: self.epoch + 1,
-                    members: self.members.clone().into(),
-                },
-            );
+            ctx.send(old_gsd, self.membership_at(self.ring.epoch() + 1));
         }
 
         // Restore the user-environment supervision roster.
@@ -880,34 +742,27 @@ impl Gsd {
             target: FaultTarget::Process(ctx.pid()),
             action,
         });
-        self.publish(
-            ctx,
-            EventType::ServiceRecovery,
-            ctx.node(),
-            EventPayload::Service(ServiceKind::Group, ctx.node()),
-        );
+        let recovered = EventPayload::Service(ServiceKind::Group, ctx.node());
+        self.publish(ctx, EventType::ServiceRecovery, recovered);
     }
 
     /// Build a supervised service's replacement from its factory and start
     /// it on this node. The replacement registers itself (`SvcRegister`),
     /// which is what updates `local` and tells the world.
     fn respawn_service(
-        &mut self,
+        &self,
         ctx: &mut Ctx<'_, KernelMsg>,
         kind: ServiceKind,
         factory: &str,
         action: RecoveryAction,
+        members: &[MemberInfo],
     ) -> Option<Pid> {
-        let args = federation::respawn_args(kind, &self.local, &self.members, action, &self.params);
+        let args = federation::respawn_args(kind, &self.local, members, action, &self.params);
         let actor = self.registry.borrow_mut().build(factory, &args)?;
         Some(ctx.spawn(ctx.node(), actor))
     }
 
     // ---- scanning --------------------------------------------------------
-
-    fn stale(&self, now: SimTime, last: SimTime) -> bool {
-        liveness::stale(now, last, liveness::window(&self.params.ft))
-    }
 
     /// Detect→diagnose telemetry key for a suspicion of `watched`.
     fn suspicion_key(watched: Watched) -> u64 {
@@ -948,8 +803,7 @@ impl Gsd {
                 observer: ctx.pid(),
                 target: FaultTarget::Process(lapsed.pid),
             });
-            let delay = self.params.ft.local_diag_delay;
-            self.schedule(ctx, delay, DelayedOp::LocalDiagSvc(lapsed));
+            self.schedule(ctx, LOCAL_DIAG_DELAY, DelayedOp::LocalDiagSvc(lapsed));
         }
     }
 
@@ -1000,11 +854,7 @@ impl Gsd {
                             observer: ctx.pid(),
                             target: FaultTarget::Nic(node, nic),
                         });
-                        self.schedule(
-                            ctx,
-                            self.params.ft.nic_analysis_delay,
-                            DelayedOp::NicDiag { node, nic },
-                        );
+                        self.schedule(ctx, NIC_ANALYSIS_DELAY, DelayedOp::NicDiag { node, nic });
                     }
                 }
             }
@@ -1018,7 +868,7 @@ impl Gsd {
         ctx: &mut Ctx<'_, KernelMsg>,
         watched: Watched,
         target_ppm: Pid,
-        timeout: phoenix_sim::SimDuration,
+        timeout: SimDuration,
     ) {
         let id = self.fresh_id();
         let span = phoenix_telemetry::span_start("gsd.probe.session", "gsd", ctx.node().0);
@@ -1036,19 +886,8 @@ impl Gsd {
         // First probe round fires after one spacing; the paper's process
         // diagnosing time ≈ rounds × spacing.
         let spacing = self.params.ft.probe_round_interval;
-        self.schedule_probe_round(ctx, id, spacing);
+        self.schedule(ctx, spacing, DelayedOp::ProbeRound(id));
         self.schedule(ctx, timeout, DelayedOp::ProbeTimeout(id));
-    }
-
-    fn schedule_probe_round(
-        &mut self,
-        ctx: &mut Ctx<'_, KernelMsg>,
-        session: u64,
-        after: phoenix_sim::SimDuration,
-    ) {
-        let id = self.fresh_id();
-        self.ops.insert(id, DelayedOp::ProbeRound(session));
-        ctx.set_timer(after, OP_BASE + id);
     }
 
     fn probe_round(&mut self, ctx: &mut Ctx<'_, KernelMsg>, session: u64) {
@@ -1074,7 +913,7 @@ impl Gsd {
             None => ctx.send(target, req),
         }
         let spacing = self.params.ft.probe_round_interval;
-        self.schedule_probe_round(ctx, session, spacing);
+        self.schedule(ctx, spacing, DelayedOp::ProbeRound(session));
     }
 
     fn on_probe_resp(&mut self, ctx: &mut Ctx<'_, KernelMsg>, session: u64) {
@@ -1097,11 +936,9 @@ impl Gsd {
             phoenix_telemetry::span_end(s.span);
             self.probes.remove(&session);
         }
-        if self.slow.enabled() {
-            let peer = self.peer_of(watched).map(|p| p.node);
-            if let (Some(node), Some(at)) = (peer, sent_at) {
-                self.observe_peer_rtt(ctx, node, (ctx.now() - at).as_nanos());
-            }
+        let peer = self.peer_of(watched).map(|p| p.node);
+        if let (Some(node), Some(at)) = (peer, sent_at) {
+            self.observe_peer_rtt(ctx, node, (ctx.now() - at).as_nanos());
         }
         if !done {
             return;
@@ -1162,14 +999,12 @@ impl Gsd {
         // must never be declared dead while that evidence is fresh. Once
         // its pongs stop, the veto lapses and fail-stop diagnosis resumes
         // (the quarantine path handles degraded-but-alive peers).
-        let vetoed = node_down && self.slow_alive_veto(ctx.now(), node);
+        let window = liveness::window(&self.params.ft);
+        let vetoed = node_down && self.slow.alive_veto(node, ctx.now(), window);
         self.peers[slot].live.end_probe(node_down && !vetoed);
         if vetoed {
             phoenix_telemetry::counter_add("gsd.slow.dead_vetoed", 1);
-            ctx.trace(TraceEvent::Milestone {
-                label: "slow-not-dead",
-                value: node.0 as f64,
-            });
+            milestone(ctx, "slow-not-dead", node.0);
             return;
         }
         if node_down {
@@ -1182,8 +1017,7 @@ impl Gsd {
             Self::suspicion_key(watched),
         );
         let takeover = member.map(|failed| {
-            self.takeover_seq += 1;
-            let plan = self.takeover_seq;
+            let plan = self.failover.next_plan();
             phoenix_telemetry::mark(
                 "gsd.takeover",
                 takeover_key(ctx.pid(), failed.partition, plan),
@@ -1208,18 +1042,13 @@ impl Gsd {
                     action: RecoveryAction::NoneNeeded,
                 });
             }
-            self.publish(ctx, EventType::NodeFault, node, EventPayload::Node(node));
+            self.publish(ctx, EventType::NodeFault, EventPayload::Node(node));
         } else {
             let kind = match watched {
                 Watched::Wd(_) => ServiceKind::WatchDaemon,
                 Watched::Ring(_) => ServiceKind::Group,
             };
-            self.publish(
-                ctx,
-                EventType::ServiceFault,
-                node,
-                EventPayload::Service(kind, node),
-            );
+            self.publish(ctx, EventType::ServiceFault, EventPayload::Service(kind, node));
         }
         match takeover {
             Some((failed, plan)) => self.plan_takeover(ctx, failed, verdict, plan),
@@ -1242,17 +1071,39 @@ impl Gsd {
             ns.wd = new_pid;
             let updated = *ns;
             ctx.send(self.config, KernelMsg::DirectoryUpdateNode { services: updated });
-            if self.params.rpc.retries_enabled() {
-                self.dir_resend_nodes.insert(node, (updated, DIR_RESEND_TICKS));
-            }
+            self.dir.node_changed(updated);
         }
         self.watch_wd(node, new_pid, ctx.now());
-        self.publish(
-            ctx,
-            EventType::ServiceRecovery,
-            node,
-            EventPayload::Service(ServiceKind::WatchDaemon, node),
-        );
+        let recovered = EventPayload::Service(ServiceKind::WatchDaemon, node);
+        self.publish(ctx, EventType::ServiceRecovery, recovered);
+    }
+
+    /// Where the replacement of `hint`'s GSD goes (`failover::place`, on
+    /// this GSD's view of the machines). A gray-self observer's placement
+    /// vetoes are its own slowness reflected back: a drain ignores them, or
+    /// it could never fire.
+    fn place(
+        &self,
+        ctx: &Ctx<'_, KernelMsg>,
+        hint: &MemberInfo,
+        cause: Cause,
+    ) -> Option<Placement> {
+        let spec = self.topology.partition(hint.partition)?;
+        let trusted = cause != Cause::Drain || !self.slow.gray_self();
+        let degraded = |n| trusted && self.slow.is_slow(n);
+        failover::place(spec, hint.node, cause, |n| ctx.node_is_up(n), degraded)
+    }
+
+    /// The spawn of `hint`'s replacement as placed, on the membership held
+    /// now (`hint` is out of it).
+    fn takeover(&self, hint: MemberInfo, placed: Placement, plan: u64) -> RestartWhat {
+        RestartWhat::GsdTakeover {
+            hint,
+            members: self.ring.members().to_vec(),
+            epoch: self.ring.epoch(),
+            placed,
+            plan,
+        }
     }
 
     /// The ring predecessor `failed` is diagnosed: drop it from the
@@ -1266,59 +1117,13 @@ impl Gsd {
         plan: u64,
     ) {
         self.remove_member(ctx, failed.partition, verdict);
-        let (cost, to, action) = if verdict == Diagnosis::NodeFailure {
-            let Some(to) = self.takeover_node(ctx, failed.partition, failed.node) else {
-                self.retract_takeover(ctx, failed.partition, plan);
-                ctx.trace(TraceEvent::Milestone {
-                    label: "no-backup-node",
-                    value: failed.partition.0 as f64,
-                });
-                return;
-            };
-            let cost = self.params.ft.gsd_migrate_cost;
-            (cost, to, RecoveryAction::Migrated(to))
-        } else {
-            let cost = self.params.ft.gsd_restart_cost;
-            (cost, failed.node, RecoveryAction::RestartedInPlace)
+        let Some(placed) = self.place(ctx, &failed, Cause::Diagnosed(verdict)) else {
+            self.retract_takeover(ctx, failed.partition, plan);
+            milestone(ctx, "no-backup-node", failed.partition.0);
+            return;
         };
-        let takeover = RestartWhat::GsdTakeover {
-            hint: failed,
-            members: self.members.clone(),
-            epoch: self.epoch,
-            to,
-            action,
-            plan,
-        };
-        self.schedule(ctx, cost, DelayedOp::Restart(takeover));
-    }
-
-    /// The first live home node of `partition` other than `avoid` — or,
-    /// with `healthy_only`, the first the fail-slow detector does not read
-    /// Slow.
-    fn backup_node(
-        &self,
-        ctx: &Ctx<'_, KernelMsg>,
-        partition: PartitionId,
-        avoid: NodeId,
-        healthy_only: bool,
-    ) -> Option<NodeId> {
-        let spec = self.topology.partition(partition)?;
-        let mut nodes = spec.backups.iter().chain(spec.compute.iter()).copied();
-        nodes.find(|&n| {
-            n != avoid && ctx.node_is_up(n) && !(healthy_only && self.placement_degraded(n))
-        })
-    }
-
-    /// Where to migrate a dead member's GSD: a healthy backup node, else a
-    /// degraded one over not migrating at all.
-    fn takeover_node(
-        &self,
-        ctx: &Ctx<'_, KernelMsg>,
-        partition: PartitionId,
-        avoid: NodeId,
-    ) -> Option<NodeId> {
-        self.backup_node(ctx, partition, avoid, true)
-            .or_else(|| self.backup_node(ctx, partition, avoid, false))
+        let takeover = self.takeover(failed, placed, plan);
+        self.schedule(ctx, placed.cost, DelayedOp::Restart(takeover));
     }
 
     /// Retract a takeover plan's mark: the plan was abandoned, and a
@@ -1333,7 +1138,7 @@ impl Gsd {
         partition: PartitionId,
         diagnosis: Diagnosis,
     ) {
-        self.members.retain(|m| m.partition != partition);
+        self.ring.remove(partition);
         self.broadcast_meta(
             ctx,
             KernelMsg::MetaMemberDown {
@@ -1344,54 +1149,34 @@ impl Gsd {
         self.refresh_roles(ctx);
     }
 
-    /// A replacement GSD can only be started on a machine we can route to:
-    /// remote exec across a severed island is a connection failure, not a
-    /// silent success. Retracts the takeover mark stamped at diagnosis /
-    /// rescue time so the skipped spawn does not leak a pending measure;
-    /// the rescue sweep retries once the partition heals.
-    fn spawn_target_reachable(
-        &mut self,
-        ctx: &mut Ctx<'_, KernelMsg>,
-        partition: PartitionId,
-        node: NodeId,
-        plan: u64,
-    ) -> bool {
-        if ctx.node_reachable(node) {
-            return true;
-        }
-        self.retract_takeover(ctx, partition, plan);
-        ctx.trace(TraceEvent::Milestone {
-            label: "gsd-spawn-unreachable",
-            value: partition.0 as f64,
-        });
-        false
-    }
-
     fn execute_restart(&mut self, ctx: &mut Ctx<'_, KernelMsg>, what: RestartWhat) {
         match what {
             RestartWhat::Svc(Lapsed { kind, factory, .. }) => {
                 let action = RecoveryAction::RestartedInPlace;
-                if self.respawn_service(ctx, kind, &factory, action).is_none() {
-                    ctx.trace(TraceEvent::Milestone {
-                        label: "no-factory",
-                        value: 0.0,
-                    });
+                let members = self.ring.members();
+                if self.respawn_service(ctx, kind, &factory, action, members).is_none() {
+                    milestone(ctx, "no-factory", 0.0);
                 }
             }
             RestartWhat::GsdTakeover {
                 hint,
                 members,
                 epoch,
-                to,
-                action,
+                placed,
                 plan,
             } => {
-                if self.members.iter().any(|m| m.partition == hint.partition) {
+                if self.ring.get(hint.partition).is_some() {
                     // Already rejoined (rescued by someone else).
                     self.retract_takeover(ctx, hint.partition, plan);
                     return;
                 }
-                if !self.spawn_target_reachable(ctx, hint.partition, to, plan) {
+                if !ctx.node_reachable(placed.to) {
+                    // A replacement can only be started on a machine we
+                    // can route to: remote exec across a severed island
+                    // is a connection failure, not a silent success. The
+                    // rescue sweep retries once the partition heals.
+                    self.retract_takeover(ctx, hint.partition, plan);
+                    milestone(ctx, "gsd-spawn-unreachable", hint.partition.0);
                     return;
                 }
                 phoenix_telemetry::counter_add("gsd.takeovers", 1);
@@ -1401,34 +1186,21 @@ impl Gsd {
                     ctx.node().0,
                     takeover_key(ctx.pid(), hint.partition, plan),
                 );
-                let gsd = self.replacement(hint, members, epoch.max(self.epoch), action);
-                ctx.spawn(to, Box::new(gsd));
+                let epoch = epoch.max(self.ring.epoch());
+                let gsd = self.replacement(hint, members, epoch, placed.action);
+                ctx.spawn(placed.to, Box::new(gsd));
             }
             RestartWhat::GsdRescue { partition, plan } => {
-                self.rescuing.remove(&partition);
-                let rejoined = self.members.iter().any(|m| m.partition == partition);
-                let hint = self.last_known.get(&partition).filter(|_| !rejoined);
-                // Restart in place if the old host is up, else migrate.
-                let target = hint.and_then(|&hint| {
-                    if ctx.node_is_up(hint.node) {
-                        return Some((hint, hint.node, RecoveryAction::RestartedInPlace));
-                    }
-                    let to = self.takeover_node(ctx, partition, hint.node)?;
-                    Some((hint, to, RecoveryAction::Migrated(to)))
-                });
-                let Some((hint, to, action)) = target else {
+                self.failover.end_rescue(partition);
+                let rejoined = self.ring.get(partition).is_some();
+                let hint = self.ring.known(partition).filter(|_| !rejoined);
+                let placed = hint.and_then(|hint| self.place(ctx, &hint, Cause::Rescue));
+                let (Some(hint), Some(placed)) = (hint, placed) else {
                     // Rejoined meanwhile, never known, or nowhere to go.
                     self.retract_takeover(ctx, partition, plan);
                     return;
                 };
-                let takeover = RestartWhat::GsdTakeover {
-                    hint,
-                    members: self.members.clone(),
-                    epoch: self.epoch,
-                    to,
-                    action,
-                    plan,
-                };
+                let takeover = self.takeover(hint, placed, plan);
                 self.execute_restart(ctx, takeover);
             }
         }
@@ -1437,7 +1209,7 @@ impl Gsd {
     // ---- tick (ring heartbeats + introspection) ----------------------------
 
     fn send_meta_heartbeats(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        if let Some(succ) = self.successor() {
+        if let Some(succ) = self.ring.successor() {
             self.hb_seq += 1;
             phoenix_telemetry::counter_add(
                 "gsd.meta_heartbeats.sent",
@@ -1457,7 +1229,7 @@ impl Gsd {
                     KernelMsg::MetaHeartbeat {
                         from_partition: self.partition,
                         nic: NicId(i as u8),
-                        epoch: self.epoch,
+                        epoch: self.ring.epoch(),
                         seq: self.hb_seq,
                     },
                 );
@@ -1476,15 +1248,9 @@ impl Gsd {
                     observer: ctx.pid(),
                     target: FaultTarget::Nic(own, nic),
                 });
-                let delay = self.params.ft.local_diag_delay;
-                self.schedule(ctx, delay, DelayedOp::NicDiag { node: own, nic });
+                self.schedule(ctx, LOCAL_DIAG_DELAY, DelayedOp::NicDiag { node: own, nic });
             } else if !was && up {
-                self.publish(
-                    ctx,
-                    EventType::NetworkRecovery,
-                    own,
-                    EventPayload::Nic(own, nic),
-                );
+                self.publish(ctx, EventType::NetworkRecovery, EventPayload::Nic(own, nic));
             }
             self.my_nic_known[i] = up;
         }
@@ -1493,8 +1259,8 @@ impl Gsd {
     /// Re-assert recently changed directory entries to config. Only active
     /// under a retrying policy; a bounded number of repeats per change.
     fn directory_anti_entropy(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        if self.dir_resend_local > 0 {
-            self.dir_resend_local -= 1;
+        let (local, nodes) = self.dir.tick();
+        if local {
             ctx.send(
                 self.config,
                 KernelMsg::DirectoryUpdate {
@@ -1503,24 +1269,16 @@ impl Gsd {
                 },
             );
         }
-        // In node order: send order decides the event queue's.
-        let config = self.config;
-        self.dir_resend_nodes.retain(|_, (services, left)| {
-            let services = *services;
-            ctx.send(config, KernelMsg::DirectoryUpdateNode { services });
-            *left -= 1;
-            *left > 0
-        });
+        for services in nodes {
+            ctx.send(self.config, KernelMsg::DirectoryUpdateNode { services });
+        }
     }
 
     fn tick(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         self.send_meta_heartbeats(ctx);
         self.introspect_own_nics(ctx);
-        if self.nic_health.enabled() {
-            for i in 0..self.nic_health.nic_count() {
-                let nic = NicId(i as u8);
-                phoenix_telemetry::gauge_set(nic_health_gauge(nic), self.nic_health.score(nic));
-            }
+        for (gauge, score) in self.nic_health.gauges() {
+            phoenix_telemetry::gauge_set(gauge, score);
         }
         // A frozen GSD keeps beating (so its same-island successor never
         // mistakes the freeze for a death) but performs no authoritative
@@ -1537,18 +1295,8 @@ impl Gsd {
                 self.slow_probe_round(ctx);
                 self.slow_maintenance(ctx);
             }
-            if self.needs_rejoin {
-                self.needs_rejoin = false;
-                if let Some(leader) = self.leader() {
-                    if leader.partition != self.partition {
-                        self.send_routed(
-                            ctx,
-                            leader.gsd,
-                            leader.node,
-                            KernelMsg::MetaJoin { member: self.local },
-                        );
-                    }
-                }
+            if std::mem::take(&mut self.needs_rejoin) {
+                self.join_leader(ctx, self.local);
             }
         }
         ctx.set_timer(self.params.ft.hb_interval, TOK_TICK);
@@ -1559,116 +1307,38 @@ impl Gsd {
     /// leader schedules a rescue. Executed with a still-missing guard, so
     /// a concurrent normal takeover wins harmlessly.
     fn rescue_sweep(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        if self.role() != "leader" {
+        if self.ring.role() != Role::Leader {
             return;
         }
-        let missing: Vec<PartitionId> = self
-            .topology
-            .partitions
-            .iter()
-            .map(|p| p.id)
-            .filter(|p| {
-                self.members.iter().all(|m| m.partition != *p) && !self.rescuing.contains(p)
-            })
-            .collect();
-        for partition in missing {
-            self.rescuing.insert(partition);
-            self.takeover_seq += 1;
-            let plan = self.takeover_seq;
+        let configured = self.topology.partitions.iter().map(|p| p.id);
+        for partition in self.ring.missing(configured) {
+            let Some(plan) = self.failover.begin_rescue(partition) else {
+                continue;
+            };
             phoenix_telemetry::mark("gsd.takeover", takeover_key(ctx.pid(), partition, plan));
-            ctx.trace(TraceEvent::Milestone {
-                label: "gsd-rescue-scheduled",
-                value: partition.0 as f64,
-            });
-            self.schedule(
-                ctx,
-                self.params.ft.gsd_restart_cost,
-                DelayedOp::Restart(RestartWhat::GsdRescue { partition, plan }),
-            );
+            milestone(ctx, "gsd-rescue-scheduled", partition.0);
+            let rescue = RestartWhat::GsdRescue { partition, plan };
+            self.schedule(ctx, failover::RESCUE_AFTER, DelayedOp::Restart(rescue));
         }
     }
 
     // ---- fail-slow detection (latency-aware suspicion & quarantine) --------
 
-    /// A node is a poor placement target while the detector reads it Slow.
-    /// Callers always keep a degraded fallback: quarantine must never turn
-    /// "migrate somewhere imperfect" into "migrate nowhere".
-    fn placement_degraded(&self, node: NodeId) -> bool {
-        self.slow.enabled() && self.slow.is_slow(node)
-    }
-
-    /// "It's not everyone else — it's me": when a strict majority of this
-    /// observer's warmed peers read Slow, the common element in every one
-    /// of those stretched RTTs is this node itself. While that holds, the
-    /// verdicts must not be used *against* peers (no quarantine additions,
-    /// no yield requests, no placement vetoes) — a degraded node handing
-    /// out quarantines would decapitate a healthy cluster.
-    fn gray_self(&self) -> bool {
-        let mut warmed = 0u32;
-        let mut slow = 0u32;
-        for (node, v) in self.slow.verdicts() {
-            if v != SlowVerdict::Dead && self.slow.warmed(node) {
-                warmed += 1;
-                if v == SlowVerdict::Slow {
-                    slow += 1;
-                }
-            }
-        }
-        warmed >= 2 && slow * 2 > warmed
-    }
-
-    /// Slow ≠ down: a Slow verdict plus *fresh* RTT evidence vetoes a dead
-    /// diagnosis. The freshness gate keeps the veto from becoming a
-    /// livelock — a slow node that later genuinely dies stops answering,
-    /// the evidence goes stale within one suspicion window, and the
-    /// fail-stop pipeline proceeds as if the veto never existed.
-    fn slow_alive_veto(&self, now: SimTime, node: NodeId) -> bool {
-        self.slow.enabled()
-            && self.slow.is_slow(node)
-            && self
-                .slow_last_seen
-                .get(&node)
-                .map(|&l| !self.stale(now, l))
-                .unwrap_or(false)
-    }
-
     /// One RTT sample for a peer node, from any source (slow pong, probe
-    /// response). Feeds the detector and refreshes the evidence-of-life
-    /// stamp the dead-veto consults.
+    /// response): the detector's evidence, and what it made of it.
     fn observe_peer_rtt(&mut self, ctx: &mut Ctx<'_, KernelMsg>, node: NodeId, rtt_ns: u64) {
-        if !self.slow.enabled() {
-            return;
-        }
-        self.slow_last_seen.insert(node, ctx.now());
-        if let Some(tr) = self.slow.observe_rtt(node, rtt_ns) {
-            self.apply_slow_transition(ctx, tr);
-        }
+        let transition = self.slow.observe(node, rtt_ns, ctx.now());
+        self.apply_slow_transition(ctx, transition);
     }
 
-    fn apply_slow_transition(&mut self, ctx: &mut Ctx<'_, KernelMsg>, tr: SlowTransition) {
-        match tr {
-            SlowTransition::Quarantined(node) => {
-                phoenix_telemetry::counter_add("gsd.slow.suspected", 1);
-                ctx.trace(TraceEvent::Milestone {
-                    label: "slow-suspected",
-                    value: node.0 as f64,
-                });
-            }
-            SlowTransition::Reinstated(node) => {
-                phoenix_telemetry::counter_add("gsd.slow.reinstated", 1);
-                ctx.trace(TraceEvent::Milestone {
-                    label: "slow-reinstated",
-                    value: node.0 as f64,
-                });
-            }
-        }
-    }
-
-    fn send_slow_ping(&mut self, ctx: &mut Ctx<'_, KernelMsg>, node: NodeId, to: Pid) {
-        self.slow_ping_seq += 1;
-        let seq = self.slow_ping_seq;
-        self.slow_ping_sent.insert(seq, (node, ctx.now()));
-        self.send_routed(ctx, to, node, KernelMsg::SlowPing { seq });
+    fn apply_slow_transition(&self, ctx: &mut Ctx<'_, KernelMsg>, tr: Option<SlowTransition>) {
+        let (counter, label, node) = match tr {
+            Some(SlowTransition::Quarantined(n)) => ("gsd.slow.suspected", "slow-suspected", n),
+            Some(SlowTransition::Reinstated(n)) => ("gsd.slow.reinstated", "slow-reinstated", n),
+            None => return,
+        };
+        phoenix_telemetry::counter_add(counter, 1);
+        milestone(ctx, label, node.0);
     }
 
     /// One slow-ping round per tick. Everyone samples its ring
@@ -1678,58 +1348,22 @@ impl Gsd {
     /// placement-candidate nodes via their watch daemons.
     fn slow_probe_round(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         let now = ctx.now();
-        // Expire pings past the horizon: a pong that took 8 beats is not
-        // a latency sample, and the map must stay bounded under loss.
-        let horizon = self.params.ft.hb_interval * 8;
-        self.slow_ping_sent.retain(|_, (_, at)| now.since(*at) <= horizon);
+        self.slow.expire_pings(now, self.params.ft.hb_interval);
         let mut targets: Vec<(NodeId, Pid)> = Vec::new();
-        if let Some(p) = self.predecessor() {
-            if p.gsd != Pid(0) {
-                targets.push((p.node, p.gsd));
-            }
-        }
-        if self.role() == "leader" {
-            for m in &self.members {
-                if m.partition != self.partition && m.gsd != Pid(0) {
-                    targets.push((m.node, m.gsd));
-                }
-            }
-            // Placement candidates: this partition's own nodes, via their
-            // watch daemons (sorted node order for determinism).
-            let mut wds: Vec<(NodeId, Pid)> = self
-                .node_daemons
-                .iter()
-                .map(|(&n, s)| (n, s.wd))
-                .collect();
-            wds.sort_by_key(|&(n, _)| n);
-            targets.extend(wds.into_iter().filter(|&(_, wd)| wd != Pid(0)));
+        targets.extend(self.ring.predecessor().map(|p| (p.node, p.gsd)));
+        if self.ring.role() == Role::Leader {
+            targets.extend(self.ring.others().map(|m| (m.node, m.gsd)));
+            targets.extend(self.node_daemons.values().map(|ns| (ns.node, ns.wd)));
         }
         let own = ctx.node();
         let mut seen: BTreeSet<NodeId> = BTreeSet::new();
         for (node, to) in targets {
-            if node == own || !seen.insert(node) {
+            if to == Pid(0) || node == own || !seen.insert(node) {
                 continue;
             }
-            self.send_slow_ping(ctx, node, to);
+            let seq = self.slow.ping(node, now);
+            self.send_routed(ctx, to, node, KernelMsg::SlowPing { seq });
         }
-    }
-
-    /// Health-ranked witness candidates: healthy partitions before
-    /// quarantined/slow ones, then by slowness score, ties by partition
-    /// id — so with no slowness observed this is exactly the legacy
-    /// lowest-id order.
-    fn witness_preference(&self) -> Vec<PartitionId> {
-        let mut pref: Vec<(bool, f64, PartitionId)> = self
-            .members
-            .iter()
-            .map(|m| {
-                let degraded =
-                    self.quarantined.contains(&m.partition) || self.slow.is_slow(m.node);
-                (degraded, self.slow.score(m.node), m.partition)
-            })
-            .collect();
-        pref.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
-        pref.into_iter().map(|(_, _, p)| p).collect()
     }
 
     /// Per-tick fail-slow duties beyond pinging: the princess asks a
@@ -1737,87 +1371,51 @@ impl Gsd {
     /// preference, and the leader converges the quarantine set.
     fn slow_maintenance(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         let now = ctx.now();
+        let gray = self.slow.gray_self();
         // Princess duty: the leader has no ring successor judging it for
         // takeover purposes, but the princess (whose predecessor it is)
         // holds a live RTT profile — a degraded leader is asked to shed
         // leadership *without* any takeover machinery firing.
-        if self.role() == "princess" && !self.gray_self() {
-            if let Some(l) = self.leader() {
-                if l.partition != self.partition
-                    && self.slow.is_slow(l.node)
-                    && !self.quarantined.contains(&l.partition)
-                {
-                    phoenix_telemetry::counter_add("gsd.slow.yield_requests", 1);
-                    self.send_routed(
-                        ctx,
-                        l.gsd,
-                        l.node,
-                        KernelMsg::SlowLeaderYield {
-                            from_partition: self.partition,
-                        },
-                    );
-                }
+        if self.ring.role() == Role::Princess && !gray {
+            let held = self.ring.quarantined();
+            let slow = |l: &MemberInfo| self.slow.is_slow(l.node) && !held.contains(&l.partition);
+            if let Some(l) = self.ring.leader().filter(slow) {
+                phoenix_telemetry::counter_add("gsd.slow.yield_requests", 1);
+                let from_partition = self.partition;
+                self.send_routed(ctx, l.gsd, l.node, KernelMsg::SlowLeaderYield { from_partition });
             }
         }
         // Witness preference is only consulted when a failover fires
         // under a ripened licence; refresh it on the same licence so a
         // minority island can never install a ranking, and never from a
         // gray-self observer whose ranking is its own slowness.
-        if self.regroup.votes_enabled() && !self.gray_self() && self.regroup.takeover_licensed(now)
-        {
-            let pref = self.witness_preference();
+        if self.regroup.votes_enabled() && !gray && self.regroup.takeover_licensed(now) {
+            let pref = self.slow.witness_preference(self.ring.members(), self.ring.quarantined());
             self.regroup.set_witness_preference(pref);
         }
-        if self.role() != "leader" {
+        if self.ring.role() != Role::Leader {
             return;
         }
         for (node, v) in self.slow.verdicts() {
+            let (verdict, score) = slow_detect::gauges(node);
             let val = match v {
                 SlowVerdict::Healthy => 0.0,
                 SlowVerdict::Slow => 1.0,
                 SlowVerdict::Dead => 2.0,
             };
-            phoenix_telemetry::gauge_set(slow_verdict_gauge(node), val);
-            phoenix_telemetry::gauge_set(slow_score_gauge(node), self.slow.score(node));
+            phoenix_telemetry::gauge_set(verdict, val);
+            phoenix_telemetry::gauge_set(score, self.slow.score(node));
         }
-        phoenix_telemetry::gauge_set("gsd.slow.quarantined", self.quarantined.len() as f64);
+        let held = self.ring.quarantined();
+        phoenix_telemetry::gauge_set("gsd.slow.quarantined", held.len() as f64);
         // Converge the quarantine set from member-server-node verdicts.
-        // Removal requires a *warmed* Healthy verdict, not the absence of
-        // a Slow one: a fresh leader whose detector never saw the node
-        // slow must re-earn the reinstatement, not inherit it.
-        let gray = self.gray_self();
-        let mut cand: BTreeSet<PartitionId> = BTreeSet::new();
-        let mut next = self.quarantined.clone();
-        for m in &self.members {
-            if m.partition == self.partition {
-                continue; // the leader's own health is the princess's call
-            }
-            if self.slow.is_slow(m.node) {
-                if !gray {
-                    cand.insert(m.partition);
-                    if self.slow_pending.contains(&m.partition) {
-                        next.insert(m.partition);
-                    }
-                }
-            } else if self.slow.warmed(m.node) && self.slow.verdict(m.node) == SlowVerdict::Healthy
-            {
-                next.remove(&m.partition);
-            }
-        }
-        self.slow_pending = cand;
-        // A partition that left the membership entirely is the fail-stop
-        // pipeline's problem, not quarantine's.
-        next.retain(|p| self.members.iter().any(|m| m.partition == *p));
-        if next != self.quarantined {
+        let next = self.slow.converge_quarantine(self.partition, self.ring.members(), held);
+        if next != *held {
             self.set_quarantine(ctx, next);
-        } else if !self.quarantined.is_empty() {
+        } else if !held.is_empty() {
             // Same-epoch refresh: late joiners (empty set, epoch 0) adopt
             // the ring order within one tick; everyone else no-ops.
-            let msg = KernelMsg::MetaQuarantine {
-                epoch: self.quarantine_epoch,
-                quarantined: self.quarantined.iter().copied().collect(),
-            };
-            self.broadcast_meta(ctx, msg);
+            self.broadcast_meta(ctx, quarantine_msg(self.ring.quarantine_epoch(), held));
         }
     }
 
@@ -1825,18 +1423,12 @@ impl Gsd {
     /// and re-derive the ring order locally. Called by the leader's
     /// convergence pass and by a leader self-quarantining on yield.
     fn set_quarantine(&mut self, ctx: &mut Ctx<'_, KernelMsg>, next: BTreeSet<PartitionId>) {
-        self.quarantined = next;
-        self.quarantine_epoch += 1;
-        phoenix_telemetry::gauge_set("gsd.slow.quarantined", self.quarantined.len() as f64);
-        ctx.trace(TraceEvent::Milestone {
-            label: "slow-quarantine",
-            value: self.quarantined.len() as f64,
-        });
-        let msg = KernelMsg::MetaQuarantine {
-            epoch: self.quarantine_epoch,
-            quarantined: self.quarantined.iter().copied().collect(),
-        };
-        self.broadcast_meta(ctx, msg);
+        let epoch = self.ring.quarantine_epoch() + 1;
+        phoenix_telemetry::gauge_set("gsd.slow.quarantined", next.len() as f64);
+        milestone(ctx, "slow-quarantine", next.len() as f64);
+        // Peers hear of the change in the order the ring had before it.
+        self.broadcast_meta(ctx, quarantine_msg(epoch, &next));
+        self.ring.set_quarantine(epoch, next);
         self.refresh_roles(ctx);
         self.push_partition_view(ctx);
         self.maybe_drain(ctx);
@@ -1849,49 +1441,35 @@ impl Gsd {
     /// naming the newer pid makes us yield). No `FaultDiagnosed`, no
     /// takeover marks: nothing died.
     fn maybe_drain(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        if self.draining || self.drained || !self.quarantined.contains(&self.partition) {
+        let ring = &self.ring;
+        if self.draining || self.drained || !ring.quarantined().contains(&self.partition) {
             return;
         }
-        let own = ctx.node();
-        // A gray-self observer's placement vetoes are its own slowness
-        // reflected back — ignore them, or the drain could never fire.
-        let gray = self.gray_self();
-        let Some(to) = self.backup_node(ctx, self.partition, own, !gray) else {
+        let Some(placed) = self.place(ctx, &self.local, Cause::Drain) else {
             return; // no healthy home node: stay put, keep serving
         };
         self.draining = true;
         phoenix_telemetry::counter_add("gsd.slow.drains", 1);
-        ctx.trace(TraceEvent::Milestone {
-            label: "slow-drain",
-            value: self.partition.0 as f64,
-        });
-        let hint = self.local;
-        let members: Vec<MemberInfo> = self
-            .members
-            .iter()
-            .copied()
-            .filter(|m| m.partition != self.partition)
-            .collect();
-        let mut gsd = self.replacement(hint, members, self.epoch, RecoveryAction::Migrated(to));
+        milestone(ctx, "slow-drain", self.partition.0);
+        let ring = &self.ring;
+        let members = ring.others().copied().collect();
+        let mut gsd = self.replacement(self.local, members, ring.epoch(), placed.action);
         // The clone must share our quarantine view (ring order!) and must
         // not re-drain off its fresh node on a not-yet-warmed-out entry.
-        gsd.quarantined = self.quarantined.clone();
-        gsd.quarantine_epoch = self.quarantine_epoch;
+        gsd.ring.set_quarantine(ring.quarantine_epoch(), ring.quarantined().clone());
         gsd.drained = true;
-        ctx.spawn(to, Box::new(gsd));
+        ctx.spawn(placed.to, Box::new(gsd));
     }
 
     /// Test/introspection: the adopted quarantine view.
     pub fn quarantine_view(&self) -> (u64, Vec<PartitionId>) {
-        (
-            self.quarantine_epoch,
-            self.quarantined.iter().copied().collect(),
-        )
+        let ring = &self.ring;
+        (ring.quarantine_epoch(), ring.quarantined().iter().copied().collect())
     }
 
     /// Test/introspection: ring membership order as currently sorted.
     pub fn ring_order(&self) -> Vec<PartitionId> {
-        self.members.iter().map(|m| m.partition).collect()
+        self.ring.members().iter().map(|m| m.partition).collect()
     }
 
     // ---- quorum regroup (MSCS-style; paper-adjacent split-brain cure) ------
@@ -1916,7 +1494,7 @@ impl Gsd {
         });
         let ping = KernelMsg::RegroupPing {
             from_partition: self.partition,
-            epoch: self.epoch,
+            epoch: self.ring.epoch(),
             round,
             witness: self.regroup.witness().unwrap_or(PartitionId(0)),
             witness_epoch: self.regroup.witness_epoch(),
@@ -1924,21 +1502,13 @@ impl Gsd {
         // Every *configured* partition, not just current members: a
         // frozen side keeps pinging partitions its stale membership may
         // have lost, and a majority side pings the minority it removed
-        // (`last_known` keeps the pre-removal coordinates).
+        // (the ring keeps the pre-removal coordinates).
         for p in self.topology.partitions.iter().map(|p| p.id) {
             if p == self.partition {
                 continue;
             }
-            let target = self
-                .members
-                .iter()
-                .find(|m| m.partition == p)
-                .copied()
-                .or_else(|| self.last_known.get(&p).copied());
-            if let Some(m) = target {
-                if m.gsd != Pid(0) {
-                    self.send_routed(ctx, m.gsd, m.node, ping.clone());
-                }
+            if let Some(m) = self.ring.known(p).filter(|m| m.gsd != Pid(0)) {
+                self.send_routed(ctx, m.gsd, m.node, ping.clone());
             }
         }
         // Vote-table profiles also collect home-node testimony: each
@@ -1952,24 +1522,13 @@ impl Gsd {
         // evidence cannot sit on the far side of a split from a rescued
         // replacement.
         if self.regroup.votes_enabled() {
-            let mut probe_targets: Vec<(Pid, NodeId)> = Vec::new();
-            for spec in &self.topology.partitions {
-                if spec.id == self.partition {
-                    continue;
+            for (&node, &wd) in &self.cluster_wds {
+                if wd != Pid(0) && !self.node_daemons.contains_key(&node) {
+                    self.send_routed(ctx, wd, node, KernelMsg::RegroupProbe { round });
                 }
-                for node in spec.all_nodes() {
-                    if let Some(&wd) = self.cluster_wds.get(&node) {
-                        if wd != Pid(0) {
-                            probe_targets.push((wd, node));
-                        }
-                    }
-                }
-            }
-            for (wd, node) in probe_targets {
-                self.send_routed(ctx, wd, node, KernelMsg::RegroupProbe { round });
             }
         }
-        ctx.set_timer(self.params.ft.regroup.round_window, TOK_REGROUP);
+        ctx.set_timer(regroup::ROUND_WINDOW, TOK_REGROUP);
     }
 
     /// The round window closed: compute the connected component and act
@@ -1992,13 +1551,7 @@ impl Gsd {
                 self.regroup.effective_takeover_delay().as_secs_f64() * 1e3,
             );
         }
-        if let Some(w) = self.regroup.witness() {
-            phoenix_telemetry::gauge_set("gsd.regroup.witness", w.0 as f64);
-            phoenix_telemetry::gauge_set(
-                "gsd.regroup.witness_epoch",
-                self.regroup.witness_epoch() as f64,
-            );
-        }
+        self.export_witness();
         if !c.dead.is_empty() {
             // Quorum denominator shrank on home-node dead testimony.
             phoenix_telemetry::counter_add(
@@ -2011,10 +1564,7 @@ impl Gsd {
             // partition; record it and tell the config service so an
             // operator (and GridView) can see the new quorum anchor.
             phoenix_telemetry::counter_add("gsd.regroup.witness_failover", 1);
-            ctx.trace(TraceEvent::Milestone {
-                label: "witness-failover",
-                value: w.0 as f64,
-            });
+            milestone(ctx, "witness-failover", w.0);
             if c.reachable.first() == Some(&self.partition) {
                 ctx.send(
                     self.config,
@@ -2047,7 +1597,7 @@ impl Gsd {
                     }
                 }
                 if self.regroup.witness_lost() {
-                    ctx.set_timer(self.params.ft.regroup.frozen_retry, TOK_REGROUP_RETRY);
+                    ctx.set_timer(regroup::FROZEN_RETRY, TOK_REGROUP_RETRY);
                 }
             }
             Verdict::Majority => {
@@ -2084,18 +1634,18 @@ impl Gsd {
                             // Shrinking to ourselves makes us the leader;
                             // peers' retry rounds find us unfrozen, join,
                             // and thaw when our broadcast names them.
-                            self.members.retain(|m| m.partition == self.partition);
-                            self.leave_frozen(ctx);
+                            self.ring.reseed_singleton();
+                            self.leave_frozen(ctx, self.ring.role());
                             self.refresh_roles(ctx);
                             self.announce_membership_change(ctx);
                         }
                     }
                 }
-                ctx.set_timer(self.params.ft.regroup.frozen_retry, TOK_REGROUP_RETRY);
+                ctx.set_timer(regroup::FROZEN_RETRY, TOK_REGROUP_RETRY);
             }
             Verdict::Minority => {
                 self.enter_frozen(ctx);
-                ctx.set_timer(self.params.ft.regroup.frozen_retry, TOK_REGROUP_RETRY);
+                ctx.set_timer(regroup::FROZEN_RETRY, TOK_REGROUP_RETRY);
             }
         }
     }
@@ -2112,15 +1662,12 @@ impl Gsd {
         phoenix_telemetry::gauge_set("gsd.regroup.frozen", 1.0);
         self.frozen_span =
             Some(phoenix_telemetry::span_start("gsd.regroup.frozen", "gsd", ctx.node().0));
-        ctx.trace(TraceEvent::Milestone {
-            label: "gsd-frozen",
-            value: self.partition.0 as f64,
-        });
+        milestone(ctx, "gsd-frozen", self.partition.0);
         ctx.trace(TraceEvent::RoleChange {
             pid: ctx.pid(),
             role: "frozen",
         });
-        self.last_role = "frozen";
+        self.last_role = None;
         // Abort in-flight probe sessions: a pending diagnosis must not
         // ripen into a takeover after we lost quorum. `abort_probe`
         // retracts the suspicion marks so they cannot leak.
@@ -2131,8 +1678,8 @@ impl Gsd {
         self.freeze_fanout(ctx, true);
     }
 
-    /// Quorum regained and the majority named us: thaw.
-    fn leave_frozen(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
+    /// Quorum regained and the majority named us, as `role`: thaw.
+    fn leave_frozen(&mut self, ctx: &mut Ctx<'_, KernelMsg>, role: Role) {
         if !self.regroup.thaw() {
             return;
         }
@@ -2140,16 +1687,12 @@ impl Gsd {
         if let Some(span) = self.frozen_span.take() {
             phoenix_telemetry::span_end(span);
         }
-        ctx.trace(TraceEvent::Milestone {
-            label: "gsd-thawed",
-            value: self.partition.0 as f64,
-        });
-        let role = self.role();
+        milestone(ctx, "gsd-thawed", self.partition.0);
         ctx.trace(TraceEvent::RoleChange {
             pid: ctx.pid(),
-            role,
+            role: role.as_str(),
         });
-        self.last_role = role;
+        self.last_role = Some(role);
         self.freeze_fanout(ctx, false);
     }
 
@@ -2158,17 +1701,9 @@ impl Gsd {
     /// frozen detector stops exporting.
     fn freeze_fanout(&self, ctx: &mut Ctx<'_, KernelMsg>, frozen: bool) {
         let msg = KernelMsg::RegroupFreeze { frozen };
-        for pid in [self.local.event, self.local.bulletin, self.local.checkpoint] {
-            if pid != Pid(0) {
-                ctx.send(pid, msg.clone());
-            }
-        }
-        if let Some(spec) = self.topology.partition(self.partition) {
-            for node in spec.all_nodes() {
-                if let Some(ns) = self.node_daemons.get(&node) {
-                    ctx.send(ns.detector, msg.clone());
-                }
-            }
+        let detectors = self.node_daemons.values().map(|ns| ns.detector);
+        for pid in self.kernel_services().chain(detectors) {
+            ctx.send(pid, msg.clone());
         }
     }
 
@@ -2214,8 +1749,95 @@ impl Gsd {
     /// the telemetry gauges current when it changes.
     fn observe_witness(&mut self, witness: PartitionId, witness_epoch: u64) {
         if self.regroup.observe_witness(witness, witness_epoch) {
-            phoenix_telemetry::gauge_set("gsd.regroup.witness", witness.0 as f64);
-            phoenix_telemetry::gauge_set("gsd.regroup.witness_epoch", witness_epoch as f64);
+            self.export_witness();
+        }
+    }
+
+    fn export_witness(&self) {
+        if let Some(w) = self.regroup.witness() {
+            let epoch = self.regroup.witness_epoch();
+            phoenix_telemetry::gauge_set("gsd.regroup.witness", w.0 as f64);
+            phoenix_telemetry::gauge_set("gsd.regroup.witness_epoch", epoch as f64);
+        }
+    }
+
+    // ---- membership traffic --------------------------------------------------
+
+    fn on_join(&mut self, ctx: &mut Ctx<'_, KernelMsg>, member: MemberInfo) {
+        if self.regroup.frozen() {
+            // A frozen GSD must not admit members or bump epochs.
+            phoenix_telemetry::counter_add("gsd.regroup.suppressed", 1);
+            return;
+        }
+        let regroup = self.regroup.enabled();
+        match self.ring.on_join(member, regroup) {
+            Join::Forward => self.join_leader(ctx, member),
+            Join::Unchanged | Join::Superseded => {
+                // Under regroup, answer with the current membership: a
+                // frozen peer asking back in after a heal that required no
+                // takeover can thaw on it, and a superseded instance
+                // yields and dies on it.
+                if regroup {
+                    ctx.send(member.gsd, self.membership_msg());
+                }
+            }
+            Join::Admitted { displaced } => {
+                self.refresh_roles(ctx);
+                let msg = self.membership_msg();
+                self.broadcast_meta(ctx, msg.clone());
+                // A still-running instance that was replaced (e.g. a false
+                // takeover after a link partition) is told directly so it
+                // can yield: the broadcast no longer reaches it.
+                if let Some(old) = displaced {
+                    ctx.send(old, msg);
+                }
+                if regroup {
+                    // The partition is vouched-for again: clear any stale
+                    // flag a regroup round put on its entry.
+                    ctx.send(
+                        self.config,
+                        KernelMsg::DirectoryStale {
+                            partition: member.partition,
+                            stale: false,
+                        },
+                    );
+                }
+                self.push_partition_view(ctx);
+            }
+        }
+    }
+
+    fn on_membership(&mut self, ctx: &mut Ctx<'_, KernelMsg>, epoch: u64, members: &[MemberInfo]) {
+        match self.ring.on_membership(epoch, members, self.local) {
+            Adoption::Stale => {}
+            Adoption::Yield => {
+                if self.draining {
+                    // Slow-drain handoff complete: the replacement runs
+                    // fresh kernel services on its new node, and unlike a
+                    // dead-node takeover this node is still alive — ours
+                    // would leak as orphans.
+                    let mut orphans: BTreeSet<Pid> = self.supervisor.pids().collect();
+                    orphans.extend(self.kernel_services());
+                    for pid in orphans {
+                        if pid != ctx.pid() && ctx.process_is_alive(pid) {
+                            ctx.kill(pid);
+                        }
+                    }
+                }
+                milestone(ctx, "gsd-yielded", self.partition.0);
+                ctx.kill(ctx.pid());
+            }
+            Adoption::Adopted { named_as, rejoin } => {
+                // Re-join at the next tick, not instantly: a stale
+                // broadcast must not trigger a join → broadcast → join
+                // cycle at network latency.
+                self.needs_rejoin |= rejoin;
+                if let Some(role) = named_as {
+                    self.leave_frozen(ctx, role);
+                }
+                self.refresh_roles(ctx);
+                self.push_partition_view(ctx);
+            }
         }
     }
 
@@ -2288,15 +1910,10 @@ impl Gsd {
             return;
         };
         if wd && node_recovered {
-            self.publish(ctx, EventType::NodeRecovery, node, EventPayload::Node(node));
+            self.publish(ctx, EventType::NodeRecovery, EventPayload::Node(node));
         }
         if nic_recovered {
-            self.publish(
-                ctx,
-                EventType::NetworkRecovery,
-                node,
-                EventPayload::Nic(node, nic),
-            );
+            self.publish(ctx, EventType::NetworkRecovery, EventPayload::Nic(node, nic));
         }
     }
 
@@ -2314,29 +1931,13 @@ impl Gsd {
             match tr {
                 HealthTransition::Demoted(nic) => {
                     phoenix_telemetry::counter_add("gsd.nic.demotions", 1);
-                    ctx.trace(TraceEvent::Milestone {
-                        label: "nic-degraded",
-                        value: nic.0 as f64,
-                    });
-                    self.publish(
-                        ctx,
-                        EventType::NetworkDegraded,
-                        own,
-                        EventPayload::Nic(own, nic),
-                    );
+                    milestone(ctx, "nic-degraded", nic.0);
+                    self.publish(ctx, EventType::NetworkDegraded, EventPayload::Nic(own, nic));
                 }
                 HealthTransition::Promoted(nic) => {
                     phoenix_telemetry::counter_add("gsd.nic.promotions", 1);
-                    ctx.trace(TraceEvent::Milestone {
-                        label: "nic-repromoted",
-                        value: nic.0 as f64,
-                    });
-                    self.publish(
-                        ctx,
-                        EventType::NetworkRecovery,
-                        own,
-                        EventPayload::Nic(own, nic),
-                    );
+                    milestone(ctx, "nic-repromoted", nic.0);
+                    self.publish(ctx, EventType::NetworkRecovery, EventPayload::Nic(own, nic));
                 }
             }
         }
@@ -2359,12 +1960,7 @@ impl Gsd {
                     target: FaultTarget::Nic(node, nic),
                     action: RecoveryAction::NoneNeeded,
                 });
-                self.publish(
-                    ctx,
-                    EventType::NetworkFault,
-                    node,
-                    EventPayload::Nic(node, nic),
-                );
+                self.publish(ctx, EventType::NetworkFault, EventPayload::Nic(node, nic));
             }
             DelayedOp::LocalDiagSvc(lapsed) => {
                 ctx.trace(TraceEvent::FaultDiagnosed {
@@ -2372,13 +1968,9 @@ impl Gsd {
                     target: FaultTarget::Process(lapsed.pid),
                     diagnosis: Diagnosis::ProcessFailure,
                 });
-                self.publish(
-                    ctx,
-                    EventType::ServiceFault,
-                    ctx.node(),
-                    EventPayload::Service(lapsed.kind, ctx.node()),
-                );
-                let cost = federation::restart_cost(&self.params.ft, lapsed.kind);
+                let failed = EventPayload::Service(lapsed.kind, ctx.node());
+                self.publish(ctx, EventType::ServiceFault, failed);
+                let cost = federation::restart_cost(lapsed.kind);
                 self.schedule(ctx, cost, DelayedOp::Restart(RestartWhat::Svc(lapsed)));
             }
             DelayedOp::Restart(what) => self.execute_restart(ctx, what),
@@ -2423,131 +2015,13 @@ impl Actor<KernelMsg> for Gsd {
                 seq,
                 ..
             } => self.on_heartbeat(ctx, from, Watched::Ring(from_partition), nic, seq),
-            KernelMsg::MetaJoin { member } => {
-                if self.regroup.frozen() {
-                    // A frozen GSD must not admit members or bump epochs.
-                    phoenix_telemetry::counter_add("gsd.regroup.suppressed", 1);
-                    return;
-                }
-                if self.role() == "leader" {
-                    let old_entry = self
-                        .members
-                        .iter()
-                        .find(|m| m.partition == member.partition)
-                        .copied();
-                    // Idempotent re-join: nothing changed, do not bump the
-                    // epoch or rebroadcast (damps membership wars).
-                    let unchanged = old_entry == Some(member);
-                    // The entry we hold is NEWER than the joiner: a stale
-                    // pre-partition instance is asking back in after the
-                    // majority already replaced it. The newer pid stays
-                    // authoritative.
-                    let superseded = old_entry.is_some_and(|old| old.gsd > member.gsd);
-                    if unchanged || (self.regroup.enabled() && superseded) {
-                        // Under regroup, answer with the current membership:
-                        // a frozen peer asking back in after a heal that
-                        // required no takeover can thaw on it, and a
-                        // superseded instance yields and dies on it.
-                        if self.regroup.enabled() {
-                            ctx.send(member.gsd, self.membership_msg());
-                        }
-                        return;
-                    }
-                    let old_gsd = old_entry.map(|m| m.gsd);
-                    self.members.retain(|m| m.partition != member.partition);
-                    self.members.push(member);
-                    self.refresh_roles(ctx);
-                    self.epoch += 1;
-                    let msg = self.membership_msg();
-                    self.broadcast_meta(ctx, msg.clone());
-                    // If a still-running instance was replaced (e.g. a
-                    // false takeover after a link partition), tell it
-                    // directly so it can yield — it is no longer in the
-                    // member list and would miss the broadcast.
-                    if let Some(old) = old_gsd {
-                        if old != member.gsd {
-                            ctx.send(old, msg);
-                        }
-                    }
-                    if self.regroup.enabled() {
-                        // The partition is vouched-for again: clear any
-                        // stale flag a regroup round put on its entry.
-                        ctx.send(
-                            self.config,
-                            KernelMsg::DirectoryStale {
-                                partition: member.partition,
-                                stale: false,
-                            },
-                        );
-                    }
-                    self.push_partition_view(ctx);
-                } else if let Some(leader) = self.leader() {
-                    self.send_routed(ctx, leader.gsd, leader.node, KernelMsg::MetaJoin { member });
-                }
-            }
+            KernelMsg::MetaJoin { member } => self.on_join(ctx, member),
             KernelMsg::MetaMembership { epoch, members } => {
-                // Duplicate resolution first, independent of epoch: if the
-                // group installed a NEWER GSD for our partition (a rescue
-                // or false takeover raced us), yield to it.
-                if let Some(other) = members
-                    .iter()
-                    .find(|m| m.partition == self.partition)
-                    .map(|m| m.gsd)
-                {
-                    if other != ctx.pid() && other > ctx.pid() {
-                        if self.draining {
-                            // Slow-drain handoff complete: the replacement
-                            // runs fresh kernel services on its new node,
-                            // and unlike a dead-node takeover this node is
-                            // still alive — ours would leak as orphans.
-                            let mut orphans: BTreeSet<Pid> = self.supervisor.pids().collect();
-                            orphans.extend([
-                                self.local.event,
-                                self.local.bulletin,
-                                self.local.checkpoint,
-                            ]);
-                            for pid in orphans {
-                                if pid != Pid(0) && pid != ctx.pid() && ctx.process_is_alive(pid) {
-                                    ctx.kill(pid);
-                                }
-                            }
-                        }
-                        ctx.trace(TraceEvent::Milestone {
-                            label: "gsd-yielded",
-                            value: self.partition.0 as f64,
-                        });
-                        ctx.kill(ctx.pid());
-                        return;
-                    }
-                }
-                if epoch >= self.epoch {
-                    // A fresh broadcast naming *our* pid is the majority
-                    // vouching for us: the only thaw edge a frozen GSD
-                    // accepts (self-election on heal would re-split the
-                    // brain the moment views diverge).
-                    let named_me = members
-                        .iter()
-                        .any(|m| m.partition == self.partition && m.gsd == ctx.pid());
-                    self.epoch = epoch;
-                    self.members = members.unwrap_or_clone();
-                    self.patch_own_entry();
-                    if self.my_index().is_none() {
-                        self.members.push(self.local);
-                        // Re-join at the next tick, not instantly: a
-                        // stale broadcast must not trigger a join →
-                        // broadcast → join cycle at network latency.
-                        self.needs_rejoin = true;
-                    }
-                    if named_me && self.regroup.frozen() {
-                        self.leave_frozen(ctx);
-                    }
-                    self.refresh_roles(ctx);
-                    self.push_partition_view(ctx);
-                }
+                self.on_membership(ctx, epoch, &members)
             }
             KernelMsg::MetaMemberDown { partition, .. } => {
                 if partition != self.partition {
-                    self.members.retain(|m| m.partition != partition);
+                    self.ring.remove(partition);
                     self.refresh_roles(ctx);
                 }
             }
@@ -2561,14 +2035,10 @@ impl Actor<KernelMsg> for Gsd {
                         if let Some(old) = displaced {
                             ctx.kill(old);
                         }
-                        self.patch_own_entry();
+                        self.ring.refresh_own(self.local);
                         self.announce_membership_change(ctx);
-                        self.publish(
-                            ctx,
-                            EventType::ServiceRecovery,
-                            ctx.node(),
-                            EventPayload::Service(kind, ctx.node()),
-                        );
+                        let recovered = EventPayload::Service(kind, ctx.node());
+                        self.publish(ctx, EventType::ServiceRecovery, recovered);
                     }
                 }
             }
@@ -2584,9 +2054,8 @@ impl Actor<KernelMsg> for Gsd {
                 ctx.send(from, KernelMsg::SlowPong { seq });
             }
             KernelMsg::SlowPong { seq } => {
-                if let Some((node, at)) = self.slow_ping_sent.remove(&seq) {
-                    self.observe_peer_rtt(ctx, node, ctx.now().since(at).as_nanos());
-                }
+                let transition = self.slow.on_pong(seq, ctx.now());
+                self.apply_slow_transition(ctx, transition);
             }
             KernelMsg::SlowLeaderYield { from_partition } => {
                 // Honoured only while actually leading, only from the
@@ -2598,22 +2067,19 @@ impl Actor<KernelMsg> for Gsd {
                 // that is itself the degraded one (it observes only us,
                 // so it cannot tell) is rejected instead of toppling a
                 // healthy leader.
-                if self.slow.enabled()
-                    && !self.regroup.frozen()
-                    && self.role() == "leader"
-                    && self.members.get(1).map(|m| m.partition) == Some(from_partition)
-                    && !self.quarantined.contains(&self.partition)
-                    && self.gray_self()
+                let ring = &self.ring;
+                if !self.regroup.frozen()
+                    && ring.role() == Role::Leader
+                    && ring.princess().map(|m| m.partition) == Some(from_partition)
+                    && !ring.quarantined().contains(&self.partition)
+                    && self.slow.gray_self()
                 {
                     phoenix_telemetry::counter_add("gsd.slow.leader_yields", 1);
-                    ctx.trace(TraceEvent::Milestone {
-                        label: "slow-leader-yield",
-                        value: self.partition.0 as f64,
-                    });
+                    milestone(ctx, "slow-leader-yield", self.partition.0);
                     // Self-quarantine: the same broadcast that demotes us
                     // to the ring tail promotes the princess — a 0-leader
                     // gap at worst, never two leaders.
-                    let mut next = self.quarantined.clone();
+                    let mut next = ring.quarantined().clone();
                     next.insert(self.partition);
                     self.set_quarantine(ctx, next);
                 }
@@ -2622,15 +2088,10 @@ impl Actor<KernelMsg> for Gsd {
                 if !self.slow.enabled() {
                     return;
                 }
-                let set: BTreeSet<PartitionId> = quarantined.into_iter().collect();
-                if epoch < self.quarantine_epoch
-                    || (epoch == self.quarantine_epoch && set == self.quarantined)
-                {
+                if !self.ring.set_quarantine(epoch, quarantined.into_iter().collect()) {
                     return;
                 }
-                self.quarantine_epoch = epoch;
-                self.quarantined = set;
-                if !self.quarantined.contains(&self.partition) {
+                if !self.ring.quarantined().contains(&self.partition) {
                     // Reinstated (or never in): a future quarantine may
                     // legitimately drain again.
                     self.draining = false;
@@ -2654,7 +2115,7 @@ impl Actor<KernelMsg> for Gsd {
                         from,
                         KernelMsg::RegroupAck {
                             from_partition: self.partition,
-                            epoch: self.epoch,
+                            epoch: self.ring.epoch(),
                             round,
                             frozen: self.regroup.frozen(),
                             weight: self.regroup.configured_weight(self.partition),
@@ -2743,14 +2204,14 @@ impl Actor<KernelMsg> for Gsd {
                     return;
                 }
                 // Config's push supersedes anything we were re-asserting.
-                self.dir_resend_nodes.remove(&node);
+                self.dir.node_superseded(node);
                 self.node_daemons.insert(node, services);
                 let was_down = self
                     .peer_of(Watched::Wd(node))
                     .is_some_and(|p| p.live.is_down());
                 self.watch_wd(node, services.wd, ctx.now());
                 if was_down {
-                    self.publish(ctx, EventType::NodeRecovery, node, EventPayload::Node(node));
+                    self.publish(ctx, EventType::NodeRecovery, EventPayload::Node(node));
                 }
             }
             KernelMsg::CkLoadResp {
@@ -2760,17 +2221,11 @@ impl Actor<KernelMsg> for Gsd {
                 // Supervision roster restore after GSD respawn.
                 for step in Supervisor::rejoin(entries, |p| ctx.process_is_alive(p)) {
                     match step {
-                        Rejoin::Rebind(pid) => ctx.send(
-                            pid,
-                            KernelMsg::PartitionView {
-                                members: self.members.clone(),
-                                local: self.local,
-                            },
-                        ),
+                        Rejoin::Rebind(pid) => ctx.send(pid, self.partition_view()),
                         Rejoin::Respawn(factory) => {
                             let kind = ServiceKind::UserEnvironment;
                             let action = RecoveryAction::Migrated(ctx.node());
-                            self.respawn_service(ctx, kind, &factory, action);
+                            self.respawn_service(ctx, kind, &factory, action, self.ring.members());
                         }
                     }
                 }

@@ -10,16 +10,22 @@
 //! * [`wd`] — the watch daemon on every node (heartbeats over all NICs);
 //! * [`gsd`] — the per-partition Group Service Daemon and the ring-shaped
 //!   meta-group with Leader/Princess takeover;
-//! * `liveness` — the per-peer heartbeat state machine the GSD runs over
-//!   its watch daemons and its ring predecessor alike (no actor context);
+//! * `liveness`, `ring`, `failover`, `dirsync` — what the GSD decides,
+//!   with no actor context: is a watched daemon (watch daemon or ring
+//!   predecessor alike) silent; who is in the meta-group, in which seat,
+//!   and who may join; where a replacement GSD goes and at what cost;
+//!   what the config directory is still owed;
 //! * [`registry`] — respawn-policy registration for supervised services;
 //! * [`flat`] — the flat all-to-all membership baseline the paper argues
 //!   against, kept for the scalability ablation.
 
+pub(crate) mod dirsync;
+pub(crate) mod failover;
 pub mod flat;
 pub mod gsd;
 pub(crate) mod liveness;
 pub mod registry;
+pub(crate) mod ring;
 pub mod wd;
 
 pub use flat::FlatMember;

@@ -31,6 +31,15 @@ const DEMOTE_BELOW: f64 = 0.5;
 const PROMOTE_ABOVE: f64 = 0.8;
 /// ...and must also have this many consecutive clean deliveries.
 const PROMOTE_STREAK: u32 = 8;
+/// Score gauge per parallel network. The telemetry registry wants
+/// `&'static str`; clusters model up to a handful of networks, and every
+/// one past the table shares its last name.
+const GAUGES: [&str; 4] = [
+    "nic.health.nic0",
+    "nic.health.nic1",
+    "nic.health.nic2",
+    "nic.health.nicN",
+];
 
 /// The per-NIC health layer's one option. Default: disabled, so the paper
 /// pipeline (and every pre-existing seeded trace) is untouched;
@@ -107,6 +116,13 @@ impl NicHealth {
 
     pub fn score(&self, nic: NicId) -> f64 {
         self.nics.get(nic.0 as usize).map(|n| n.score).unwrap_or(1.0)
+    }
+
+    /// `(gauge name, score)` per interface; nothing while the layer is off.
+    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
+        let n = if self.params.enabled { self.nics.len() } else { 0 };
+        let named = |(i, nic): (usize, &NicState)| (GAUGES[i.min(GAUGES.len() - 1)], nic.score);
+        self.nics[..n].iter().enumerate().map(named)
     }
 
     pub fn is_demoted(&self, nic: NicId) -> bool {

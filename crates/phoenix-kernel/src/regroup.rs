@@ -46,13 +46,32 @@
 //! The **adaptive takeover delay** replaces the fixed 1.5 s/31 s
 //! profile constants with a clamp-bounded function of observed regroup
 //! round latency: an integer EWMA of (first ping → last ack) per round,
-//! scaled and clamped to `[delay_floor, delay_ceil]`. Clean networks
+//! scaled and clamped to `[DELAY_FLOOR, DELAY_CEIL]`. Clean networks
 //! converge near the floor (fast profile); lossy ones back off, never
 //! past the paper's 31 s ceiling.
 
 use phoenix_proto::PartitionId;
 use phoenix_sim::{Pid, SimDuration, SimTime};
 use std::collections::BTreeMap;
+
+/// How long a round collects acks before concluding. Must be shorter
+/// than the suspicion→diagnosis pipeline (probe rounds + node timeout) so
+/// a minority freezes *before* the majority elects a replacement leader.
+pub const ROUND_WINDOW: SimDuration = SimDuration::from_millis(60);
+/// Spacing between heal-probe rounds while frozen.
+pub const FROZEN_RETRY: SimDuration = SimDuration::from_millis(400);
+/// How long a concluded majority verdict stays valid as a takeover
+/// licence. A diagnosis may only ripen into a takeover if a round
+/// concluded with majority within this window (a suspicion always opens a
+/// fresh round, so the licence is at most one round old by the time the
+/// probe pipeline completes).
+pub const VERDICT_VALIDITY: SimDuration = SimDuration::from_secs(1);
+/// Adaptive clamp floor: the proven-safe fast-profile constant. The
+/// derived delay never drops below it, so adaptation can never license a
+/// takeover earlier than the fixed fast profile would.
+pub const DELAY_FLOOR: SimDuration = SimDuration::from_millis(1500);
+/// Adaptive clamp ceiling: the paper-profile constant.
+pub const DELAY_CEIL: SimDuration = SimDuration::from_secs(31);
 
 /// Tuning for the regroup protocol. Disabled by default.
 #[derive(Clone, Debug)]
@@ -61,19 +80,6 @@ pub struct RegroupParams {
     /// traffic and the paper pipeline is byte-identical to a build
     /// without this module.
     pub enabled: bool,
-    /// How long a round collects acks before concluding. Must be shorter
-    /// than the suspicion→diagnosis pipeline (probe rounds + node
-    /// timeout) so a minority freezes *before* the majority elects a
-    /// replacement leader.
-    pub round_window: SimDuration,
-    /// Spacing between heal-probe rounds while frozen.
-    pub frozen_retry: SimDuration,
-    /// How long a concluded majority verdict stays valid as a takeover
-    /// licence. A diagnosis may only ripen into a takeover if a round
-    /// concluded with majority within this window (a suspicion always
-    /// opens a fresh round, so the licence is at most one round old by
-    /// the time the probe pipeline completes).
-    pub verdict_validity: SimDuration,
     /// How long an *unbroken chain* of majority verdicts must stand
     /// before a takeover is licensed. This is MSCS's "wait out the
     /// regroup period": the two sides of a split suspect at different
@@ -81,7 +87,7 @@ pub struct RegroupParams {
     /// skew is up to one `hb_interval` plus scan jitter), and the
     /// majority must out-wait the minority's worst-case freeze or both a
     /// frozen ex-leader and a fresh election could briefly coexist. Must
-    /// exceed `hb_interval + round_window + check_interval`.
+    /// exceed `hb_interval + ROUND_WINDOW + check_interval`.
     pub takeover_delay: SimDuration,
     /// Weighted/witness vote table. Disabled ⇒ plain partition-count
     /// majority, byte-identical to the pre-vote-table protocol.
@@ -89,12 +95,6 @@ pub struct RegroupParams {
     /// Derive the takeover delay from observed round latency instead of
     /// the fixed `takeover_delay` constant. Off by default.
     pub adaptive_delay: bool,
-    /// Adaptive clamp floor: the proven-safe fast-profile constant. The
-    /// derived delay never drops below it, so adaptation can never
-    /// license a takeover earlier than the fixed fast profile would.
-    pub delay_floor: SimDuration,
-    /// Adaptive clamp ceiling: the paper-profile constant.
-    pub delay_ceil: SimDuration,
 }
 
 /// Per-partition vote weights plus the witness designation.
@@ -122,16 +122,11 @@ impl Default for RegroupParams {
     fn default() -> Self {
         RegroupParams {
             enabled: false,
-            round_window: SimDuration::from_millis(60),
-            frozen_retry: SimDuration::from_millis(400),
-            verdict_validity: SimDuration::from_secs(1),
             // Default FtParams heartbeat every 30 s: out-wait a full beat
             // plus the round window and scan jitter.
             takeover_delay: SimDuration::from_secs(31),
             votes: VoteTable::default(),
             adaptive_delay: false,
-            delay_floor: SimDuration::from_millis(1500),
-            delay_ceil: SimDuration::from_secs(31),
         }
     }
 }
@@ -218,10 +213,6 @@ pub struct Conclusion {
 /// message/timer handlers.
 pub struct Regroup {
     params: RegroupParams,
-    /// Quorum denominator: number of partitions in the configured
-    /// topology (not the live membership — a shrunken membership must
-    /// not shrink the bar for "majority").
-    total: u32,
     /// Regroup epoch: bumps on every concluded round. Telemetry-visible.
     epoch: u64,
     /// Current round id; `None` when idle.
@@ -246,11 +237,9 @@ pub struct Regroup {
     /// — the reachability veto consults these.
     last_concluded_at: Option<SimTime>,
     last_reachable: Vec<PartitionId>,
-    rounds_concluded: u64,
-    freezes: u64,
-    /// Configured partitions, sorted. Empty until `set_partitions` (the
-    /// legacy `set_total` path leaves it empty and keeps count-majority
-    /// semantics even if the vote table is switched on).
+    /// Configured partitions, sorted: the quorum denominator (not the
+    /// live membership — a shrunken membership must not shrink the bar
+    /// for "majority"). Empty until `set_partitions`.
     parts: Vec<PartitionId>,
     /// Current witness; `Some` only while the vote table is active.
     witness: Option<PartitionId>,
@@ -274,7 +263,6 @@ impl Regroup {
     pub fn new(params: RegroupParams) -> Regroup {
         Regroup {
             params,
-            total: 0,
             epoch: 0,
             round: None,
             next_round: 0,
@@ -285,8 +273,6 @@ impl Regroup {
             majority_since: None,
             last_concluded_at: None,
             last_reachable: Vec::new(),
-            rounds_concluded: 0,
-            freezes: 0,
             parts: Vec::new(),
             witness: None,
             witness_epoch: 0,
@@ -301,15 +287,6 @@ impl Regroup {
         self.params.enabled
     }
 
-    pub fn params(&self) -> &RegroupParams {
-        &self.params
-    }
-
-    /// Fix the quorum denominator (configured partition count).
-    pub fn set_total(&mut self, total: u32) {
-        self.total = total;
-    }
-
     /// Fix the configured partition set (and the quorum denominator).
     /// Activates the vote table when enabled: resolves the initial
     /// witness (explicit designation, else the lowest configured
@@ -318,7 +295,6 @@ impl Regroup {
         self.parts = parts.to_vec();
         self.parts.sort();
         self.parts.dedup();
-        self.total = self.parts.len() as u32;
         if self.votes_enabled() {
             self.witness = self
                 .params
@@ -440,10 +416,6 @@ impl Regroup {
         }
     }
 
-    pub fn total(&self) -> u32 {
-        self.total
-    }
-
     pub fn frozen(&self) -> bool {
         self.frozen
     }
@@ -452,21 +424,13 @@ impl Regroup {
         self.epoch
     }
 
-    pub fn rounds_concluded(&self) -> u64 {
-        self.rounds_concluded
-    }
-
-    pub fn freezes(&self) -> u64 {
-        self.freezes
-    }
-
     pub fn round_active(&self) -> bool {
         self.round.is_some()
     }
 
     /// Strict-majority test over the configured partition count.
     pub fn is_majority(&self, reachable: u32) -> bool {
-        2 * reachable > self.total
+        2 * reachable > self.parts.len() as u32
     }
 
     /// Open a new round; returns its id. No-op (returns the live round's
@@ -529,7 +493,6 @@ impl Regroup {
     /// Returns `None` if no round was active (stale timer).
     pub fn conclude(&mut self, me: PartitionId, now: SimTime) -> Option<Conclusion> {
         self.round.take()?;
-        self.rounds_concluded += 1;
         self.epoch += 1;
         let mut reachable: Vec<PartitionId> = self.acks.keys().copied().collect();
         if !reachable.contains(&me) {
@@ -626,7 +589,6 @@ impl Regroup {
             return false;
         }
         self.frozen = true;
-        self.freezes += 1;
         true
     }
 
@@ -656,7 +618,7 @@ impl Regroup {
     /// enough that the verdict still reflects post-fault connectivity.
     pub fn majority_confirmed(&self, now: SimTime) -> bool {
         match self.last_majority_at {
-            Some(at) => now.since(at) <= self.params.verdict_validity,
+            Some(at) => now.since(at) <= VERDICT_VALIDITY,
             None => false,
         }
     }
@@ -679,7 +641,7 @@ impl Regroup {
 
     /// The takeover delay actually enforced: the fixed parameter, or —
     /// with adaptation on and at least one sampled round — a multiple of
-    /// the smoothed round latency clamped to `[delay_floor, delay_ceil]`.
+    /// the smoothed round latency clamped to `[DELAY_FLOOR, DELAY_CEIL]`.
     /// The floor is the proven-safe fast-profile constant, so adaptation
     /// can only ever *lengthen* the wait relative to that baseline.
     pub fn effective_takeover_delay(&self) -> SimDuration {
@@ -689,8 +651,7 @@ impl Regroup {
         match self.latency_ewma_ns {
             None => self.params.takeover_delay,
             Some(ewma) => {
-                let floor = self.params.delay_floor.as_nanos();
-                let ceil = self.params.delay_ceil.as_nanos();
+                let (floor, ceil) = (DELAY_FLOOR.as_nanos(), DELAY_CEIL.as_nanos());
                 let derived = floor.saturating_add(ewma.saturating_mul(16));
                 SimDuration::from_nanos(derived.clamp(floor, ceil))
             }
@@ -704,7 +665,7 @@ impl Regroup {
     pub fn recently_reachable(&self, p: PartitionId, now: SimTime) -> bool {
         match self.last_concluded_at {
             Some(at) => {
-                now.since(at) <= self.params.verdict_validity && self.last_reachable.contains(&p)
+                now.since(at) <= VERDICT_VALIDITY && self.last_reachable.contains(&p)
             }
             None => false,
         }
@@ -735,13 +696,13 @@ mod tests {
     #[test]
     fn quorum_is_strict_majority() {
         let mut rg = Regroup::new(RegroupParams::fast());
-        rg.set_total(3);
+        rg.set_partitions(&parts(3));
         assert!(!rg.is_majority(1));
         assert!(rg.is_majority(2));
-        rg.set_total(4);
+        rg.set_partitions(&parts(4));
         assert!(!rg.is_majority(2), "even split: neither side wins");
         assert!(rg.is_majority(3));
-        rg.set_total(8);
+        rg.set_partitions(&parts(8));
         assert!(!rg.is_majority(4));
         assert!(rg.is_majority(5));
     }
@@ -749,7 +710,7 @@ mod tests {
     #[test]
     fn round_collects_acks_and_concludes() {
         let mut rg = Regroup::new(RegroupParams::fast());
-        rg.set_total(3);
+        rg.set_partitions(&parts(3));
         let r = rg.begin_round(t(0));
         assert!(rg.round_active());
         assert_eq!(rg.begin_round(t(0)), r, "re-entrant begin keeps the round");
@@ -766,14 +727,13 @@ mod tests {
     #[test]
     fn minority_concludes_and_freezes_once() {
         let mut rg = Regroup::new(RegroupParams::fast());
-        rg.set_total(3);
+        rg.set_partitions(&parts(3));
         let _ = rg.begin_round(t(0));
         let c = rg.conclude(PartitionId(2), t(0)).unwrap();
         assert_eq!(c.verdict, Verdict::Minority);
         assert_eq!(c.reachable, vec![PartitionId(2)]);
         assert!(rg.freeze(), "freeze edge fires once");
         assert!(!rg.freeze(), "already frozen");
-        assert_eq!(rg.freezes(), 1);
         assert!(rg.thaw());
         assert!(!rg.thaw());
     }
@@ -781,7 +741,7 @@ mod tests {
     #[test]
     fn rejoin_target_prefers_fresh_unfrozen_acker() {
         let mut rg = Regroup::new(RegroupParams::fast());
-        rg.set_total(3);
+        rg.set_partitions(&parts(3));
         let r = rg.begin_round(t(0));
         rg.on_ack(r, PartitionId(0), ack(20, 9, false), t(0));
         rg.on_ack(r, PartitionId(1), ack(21, 12, true), t(0)); // frozen: not a target
@@ -802,13 +762,13 @@ mod tests {
     #[test]
     fn majority_verdict_expires() {
         let mut rg = Regroup::new(RegroupParams::fast());
-        rg.set_total(3);
+        rg.set_partitions(&parts(3));
         assert!(!rg.majority_confirmed(t(0)), "no round yet");
         let r = rg.begin_round(t(0));
         rg.on_ack(r, PartitionId(1), ack(10, 0, false), t(0));
         rg.conclude(PartitionId(0), t(1_000)).unwrap();
         assert!(rg.majority_confirmed(t(1_000)));
-        let validity = RegroupParams::fast().verdict_validity;
+        let validity = VERDICT_VALIDITY;
         // Within the window it holds; past it, it expires.
         let inside = SimTime::ZERO + SimDuration::from_nanos(1_000) + validity;
         let outside = inside + SimDuration::from_nanos(1);
@@ -839,7 +799,7 @@ mod tests {
     #[test]
     fn takeover_needs_majority_held_for_delay() {
         let mut rg = Regroup::new(RegroupParams::fast());
-        rg.set_total(3);
+        rg.set_partitions(&parts(3));
         let delay = RegroupParams::fast().takeover_delay;
         let t0 = t(0);
         let r = rg.begin_round(t(0));
@@ -869,14 +829,14 @@ mod tests {
     #[test]
     fn lapsed_majority_chain_restarts_delay_clock() {
         let mut rg = Regroup::new(RegroupParams::fast());
-        rg.set_total(3);
+        rg.set_partitions(&parts(3));
         let p = RegroupParams::fast();
         let r = rg.begin_round(t(0));
         rg.on_ack(r, PartitionId(1), ack(10, 0, false), t(0));
         rg.conclude(PartitionId(0), t(0)).unwrap();
         // Silence past the validity window, then a new majority: the
         // delay clock must restart, not credit the stale chain.
-        let later = t(0) + p.verdict_validity + p.takeover_delay + SimDuration::from_millis(1);
+        let later = t(0) + VERDICT_VALIDITY + p.takeover_delay + SimDuration::from_millis(1);
         let r = rg.begin_round(t(0));
         rg.on_ack(r, PartitionId(1), ack(10, 0, false), t(0));
         rg.conclude(PartitionId(0), later).unwrap();
@@ -886,7 +846,7 @@ mod tests {
     #[test]
     fn acked_partition_is_recently_reachable() {
         let mut rg = Regroup::new(RegroupParams::fast());
-        rg.set_total(3);
+        rg.set_partitions(&parts(3));
         assert!(!rg.recently_reachable(PartitionId(1), t(0)), "no round yet");
         let r = rg.begin_round(t(0));
         rg.on_ack(r, PartitionId(1), ack(10, 0, false), t(0));
@@ -897,7 +857,7 @@ mod tests {
             !rg.recently_reachable(PartitionId(2), t(0)),
             "the silent partition stays takeover-eligible"
         );
-        let expired = t(0) + RegroupParams::fast().verdict_validity + SimDuration::from_nanos(1);
+        let expired = t(0) + VERDICT_VALIDITY + SimDuration::from_nanos(1);
         assert!(
             !rg.recently_reachable(PartitionId(1), expired),
             "the veto expires with the verdict"
@@ -1062,7 +1022,7 @@ mod tests {
         // reachable partition, under a bumped witness epoch.
         let mut rg = Regroup::new(RegroupParams::quorum());
         rg.set_partitions(&parts(4));
-        let delay = rg.params().delay_floor + SimDuration::from_secs(1);
+        let delay = DELAY_FLOOR + SimDuration::from_secs(1);
         let mut now = t(0);
         let c = conclude_side(&mut rg, PartitionId(1), &[2, 3], now);
         assert_eq!(c.verdict, Verdict::Majority);
@@ -1099,7 +1059,7 @@ mod tests {
             PartitionId(2),
             PartitionId(1),
         ]);
-        let delay = rg.params().delay_floor + SimDuration::from_secs(1);
+        let delay = DELAY_FLOOR + SimDuration::from_secs(1);
         let mut now = t(0);
         let c = conclude_side(&mut rg, PartitionId(1), &[2, 3], now);
         assert_eq!(c.verdict, Verdict::Majority);
@@ -1137,11 +1097,11 @@ mod tests {
     fn adaptive_delay_tracks_latency_inside_clamp() {
         let mut rg = Regroup::new(RegroupParams::quorum());
         rg.set_partitions(&parts(4));
-        let floor = rg.params().delay_floor;
-        let ceil = rg.params().delay_ceil;
+        let floor = DELAY_FLOOR;
+        let ceil = DELAY_CEIL;
         assert_eq!(
             rg.effective_takeover_delay(),
-            rg.params().takeover_delay,
+            RegroupParams::quorum().takeover_delay,
             "no samples yet: fixed constant"
         );
         // Constant 40 ms rounds: the EWMA converges to 40 ms and the

@@ -27,12 +27,19 @@
 //! the takeover licence — may declare Dead, and the owner uses a Slow
 //! verdict as one more veto against doing so.
 //!
+//! Beside the scores the detector keeps what only makes sense next to
+//! them: the pings still out and when each peer last answered anything
+//! (the veto above lapses when answers stop), the gray-*self* test (an
+//! observer that reads most of its peers Slow is itself the slow one),
+//! and the leader's two-tick convergence of the quarantine set.
+//!
 //! Plain arithmetic on observed traffic: no RNG, no clock reads, fully
 //! deterministic, and completely dormant unless a parameter profile opts
 //! in (`KernelParams::fast_slow()`).
 
-use phoenix_sim::NodeId;
-use std::collections::BTreeMap;
+use phoenix_proto::{MemberInfo, PartitionId};
+use phoenix_sim::{NodeId, SimDuration, SimTime};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// EWMA smoothing factor for both the RTT mean and the deviation.
 const ALPHA: f64 = 0.3;
@@ -52,6 +59,31 @@ const CLEAN_WINDOWS: u32 = 8;
 /// Samples needed before any verdict: the baseline must mean something
 /// first.
 const WARMUP: u32 = 3;
+/// A ping out for longer than this many heartbeat intervals is forgotten:
+/// a pong that took 8 beats is not a latency sample, and the table must
+/// stay bounded under loss.
+const PING_HORIZON_BEATS: u64 = 8;
+
+/// Gauge names for a node's verdict (0 = healthy, 1 = slow, 2 = dead) and
+/// slowness score, as the meta-group leader exports them. The telemetry
+/// registry wants `&'static str`; simulated clusters use small node ids,
+/// and every node past the table shares its last row.
+const GAUGES: [(&str, &str); 9] = [
+    ("slow.verdict.node0", "slow.score.node0"),
+    ("slow.verdict.node1", "slow.score.node1"),
+    ("slow.verdict.node2", "slow.score.node2"),
+    ("slow.verdict.node3", "slow.score.node3"),
+    ("slow.verdict.node4", "slow.score.node4"),
+    ("slow.verdict.node5", "slow.score.node5"),
+    ("slow.verdict.node6", "slow.score.node6"),
+    ("slow.verdict.node7", "slow.score.node7"),
+    ("slow.verdict.nodeN", "slow.score.nodeN"),
+];
+
+/// `(verdict gauge, score gauge)` for `node`.
+pub fn gauges(node: NodeId) -> (&'static str, &'static str) {
+    GAUGES[(node.0 as usize).min(GAUGES.len() - 1)]
+}
 
 /// The fail-slow detector's one option. Default: disabled, so the
 /// fail-stop pipeline (and every pre-existing seeded trace) is untouched.
@@ -102,6 +134,8 @@ struct PeerState {
     over_streak: u32,
     clean_streak: u32,
     verdict: Verdict,
+    /// When the peer last answered anything its observer timed.
+    last_seen: Option<SimTime>,
 }
 
 impl PeerState {
@@ -114,6 +148,7 @@ impl PeerState {
             over_streak: 0,
             clean_streak: 0,
             verdict: Verdict::Healthy,
+            last_seen: None,
         }
     }
 }
@@ -125,6 +160,11 @@ impl PeerState {
 pub struct SlowDetect {
     params: SlowDetectParams,
     peers: BTreeMap<NodeId, PeerState>,
+    /// Pings still out: seq → (target node, send time).
+    pings: BTreeMap<u64, (NodeId, SimTime)>,
+    ping_seq: u64,
+    /// The partitions the last convergence pass wanted to quarantine.
+    pending: BTreeSet<PartitionId>,
 }
 
 impl SlowDetect {
@@ -132,6 +172,9 @@ impl SlowDetect {
         SlowDetect {
             params,
             peers: BTreeMap::new(),
+            pings: BTreeMap::new(),
+            ping_seq: 0,
+            pending: BTreeSet::new(),
         }
     }
 
@@ -179,15 +222,6 @@ impl SlowDetect {
     /// Every observed peer with its current verdict, ascending node id.
     pub fn verdicts(&self) -> Vec<(NodeId, Verdict)> {
         self.peers.iter().map(|(&n, p)| (n, p.verdict)).collect()
-    }
-
-    /// All peers currently under a Slow verdict, ascending node id.
-    pub fn slow_peers(&self) -> Vec<NodeId> {
-        self.peers
-            .iter()
-            .filter(|(_, p)| p.verdict == Verdict::Slow)
-            .map(|(&n, _)| n)
-            .collect()
     }
 
     /// One RTT sample for a peer. Returns the quarantine / reinstatement
@@ -262,25 +296,128 @@ impl SlowDetect {
         }
     }
 
-    /// Drop a peer's history (e.g. its partition migrated to another
-    /// node): the next sample restarts its baseline from scratch.
-    pub fn forget(&mut self, peer: NodeId) {
-        self.peers.remove(&peer);
+    // ---- pings and evidence of life ---------------------------------------
+
+    /// A ping leaves for `node` at `now`: the sequence number it carries.
+    pub fn ping(&mut self, node: NodeId, now: SimTime) -> u64 {
+        self.ping_seq += 1;
+        self.pings.insert(self.ping_seq, (node, now));
+        self.ping_seq
     }
 
-    /// Peers ordered healthiest-first: non-Slow before Slow, then by
-    /// slowness score ascending, ties by node id — a deterministic
-    /// preference order for placement decisions.
-    pub fn ranked(&self) -> Vec<NodeId> {
-        let mut order: Vec<&NodeId> = self.peers.keys().collect();
-        order.sort_by(|&&a, &&b| {
-            let (sa, sb) = (&self.peers[&a], &self.peers[&b]);
-            (sa.verdict == Verdict::Slow)
-                .cmp(&(sb.verdict == Verdict::Slow))
-                .then(self.score(a).total_cmp(&self.score(b)))
-                .then(a.cmp(&b))
-        });
-        order.into_iter().copied().collect()
+    /// Forget the pings out for more than the horizon, in beats of
+    /// `hb_interval`.
+    pub fn expire_pings(&mut self, now: SimTime, hb_interval: SimDuration) {
+        let horizon = hb_interval * PING_HORIZON_BEATS;
+        self.pings.retain(|_, (_, at)| now.since(*at) <= horizon);
+    }
+
+    /// The pong for ping `seq` arrived: one RTT sample for its target. A
+    /// pong for no ping still out (expired, duplicated) is nothing.
+    pub fn on_pong(&mut self, seq: u64, now: SimTime) -> Option<SlowTransition> {
+        let (node, at) = self.pings.remove(&seq)?;
+        self.observe(node, now.since(at).as_nanos(), now)
+    }
+
+    /// [`observe_rtt`](Self::observe_rtt), for a sample that ended `now`:
+    /// also the peer's latest evidence of life.
+    pub fn observe(&mut self, peer: NodeId, rtt_ns: u64, now: SimTime) -> Option<SlowTransition> {
+        let transition = self.observe_rtt(peer, rtt_ns);
+        if let Some(s) = self.peers.get_mut(&peer) {
+            s.last_seen = Some(now);
+        }
+        transition
+    }
+
+    /// Slow ≠ down: a Slow verdict plus evidence of life no older than
+    /// `window` vetoes a dead diagnosis of `peer`. The freshness gate
+    /// keeps the veto from becoming a livelock — a slow node that later
+    /// genuinely dies stops answering, the evidence goes stale within one
+    /// suspicion window, and the fail-stop pipeline proceeds as if the
+    /// veto never existed.
+    pub fn alive_veto(&self, peer: NodeId, now: SimTime, window: SimDuration) -> bool {
+        self.peers.get(&peer).is_some_and(|p| {
+            p.verdict == Verdict::Slow && p.last_seen.is_some_and(|at| now.since(at) <= window)
+        })
+    }
+
+    // ---- what the verdicts may be used for --------------------------------
+
+    /// "It's not everyone else — it's me": when a strict majority of this
+    /// observer's warmed peers read Slow, the common element in every one
+    /// of those stretched RTTs is this node itself. While that holds, the
+    /// verdicts must not be used *against* peers (no quarantine additions,
+    /// no yield requests, no placement vetoes) — a degraded node handing
+    /// out quarantines would decapitate a healthy cluster.
+    pub fn gray_self(&self) -> bool {
+        let (mut warmed, mut slow) = (0u32, 0u32);
+        for p in self.peers.values() {
+            if p.verdict != Verdict::Dead && p.samples >= WARMUP {
+                warmed += 1;
+                slow += u32::from(p.verdict == Verdict::Slow);
+            }
+        }
+        warmed >= 2 && slow * 2 > warmed
+    }
+
+    /// The leader's convergence pass, once per maintenance tick: the
+    /// quarantine set that should follow `current`, from the verdicts on
+    /// the server nodes of `members` (the ring; `me` is the leader's own
+    /// partition, whose health is the princess's call).
+    ///
+    /// An addition must survive two consecutive ticks: when this observer
+    /// is the degraded one, its Slow verdicts cross their streaks a ping
+    /// round apart, so at the first tick the strict-majority
+    /// [`gray_self`](Self::gray_self) veto can lag the earliest verdicts —
+    /// one tick later the inversion is complete and the veto holds. A
+    /// healthy leader watching a genuinely slow member sees a stable
+    /// candidate both ticks. Removal requires a *warmed* Healthy verdict,
+    /// not the absence of a Slow one: a fresh leader whose detector never
+    /// saw the node slow must re-earn the reinstatement, not inherit it.
+    pub fn converge_quarantine(
+        &mut self,
+        me: PartitionId,
+        members: &[MemberInfo],
+        current: &BTreeSet<PartitionId>,
+    ) -> BTreeSet<PartitionId> {
+        let gray = self.gray_self();
+        let mut candidates = BTreeSet::new();
+        let mut next = current.clone();
+        for m in members.iter().filter(|m| m.partition != me) {
+            if self.is_slow(m.node) {
+                if !gray {
+                    candidates.insert(m.partition);
+                    if self.pending.contains(&m.partition) {
+                        next.insert(m.partition);
+                    }
+                }
+            } else if self.warmed(m.node) && self.verdict(m.node) == Verdict::Healthy {
+                next.remove(&m.partition);
+            }
+        }
+        self.pending = candidates;
+        // A partition that left the membership entirely is the fail-stop
+        // pipeline's problem, not quarantine's.
+        next.retain(|p| members.iter().any(|m| m.partition == *p));
+        next
+    }
+
+    /// Health-ranked witness candidates among `members`: healthy
+    /// partitions before quarantined or slow ones, then by slowness score,
+    /// ties by partition id — so with no slowness observed this is exactly
+    /// the lowest-id order.
+    pub fn witness_preference(
+        &self,
+        members: &[MemberInfo],
+        quarantined: &BTreeSet<PartitionId>,
+    ) -> Vec<PartitionId> {
+        let seat = |m: &MemberInfo| {
+            let degraded = quarantined.contains(&m.partition) || self.is_slow(m.node);
+            (degraded, self.score(m.node), m.partition)
+        };
+        let mut pref: Vec<(bool, f64, PartitionId)> = members.iter().map(seat).collect();
+        pref.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
+        pref.into_iter().map(|(_, _, p)| p).collect()
     }
 }
 
@@ -309,7 +446,7 @@ mod tests {
         }
         assert_eq!(d.verdict(NodeId(1)), Verdict::Healthy);
         assert_eq!(d.score(NodeId(1)), 1.0);
-        assert!(d.slow_peers().is_empty());
+        assert!(d.verdicts().is_empty());
     }
 
     #[test]
@@ -339,7 +476,7 @@ mod tests {
         // Hysteresis: not before the streak window (warmup already done).
         assert!(edges[0].0 >= 2, "streak must gate the edge (at {})", edges[0].0);
         assert_eq!(d.verdict(NodeId(3)), Verdict::Slow);
-        assert_eq!(d.slow_peers(), vec![NodeId(3)]);
+        assert_eq!(d.verdicts(), vec![(NodeId(3), Verdict::Slow)]);
         assert!(d.score(NodeId(3)) > 3.0);
     }
 
@@ -424,30 +561,133 @@ mod tests {
         assert_eq!(d.verdict(NodeId(8)), Verdict::Slow);
     }
 
-    #[test]
-    fn ranked_prefers_healthy_then_fast() {
-        let mut d = detector();
-        warm(&mut d, NodeId(1), 10);
-        warm(&mut d, NodeId(2), 10);
-        warm(&mut d, NodeId(3), 10);
+    fn at(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    /// Warm `peer` at its baseline, then hold it at 6× until it reads Slow.
+    fn slow_down(d: &mut SlowDetect, peer: NodeId) {
+        warm(d, peer, 10);
         for _ in 0..10 {
-            d.observe_rtt(NodeId(2), BASE * 6); // quarantined
-            d.observe_rtt(NodeId(3), BASE * 2); // slower but healthy
-            d.observe_rtt(NodeId(1), BASE); // fastest
+            d.observe_rtt(peer, BASE * 6);
         }
-        assert_eq!(d.ranked(), vec![NodeId(1), NodeId(3), NodeId(2)]);
+        assert!(d.is_slow(peer));
     }
 
     #[test]
-    fn forget_restarts_the_baseline() {
+    fn pings_expire_past_the_horizon() {
+        let beat = SimDuration::from_secs(1);
         let mut d = detector();
-        warm(&mut d, NodeId(9), 10);
-        d.forget(NodeId(9));
-        // A migrated partition lands on a different machine: its old
-        // 300µs floor must not make the new home's 600µs read as slow.
-        for _ in 0..50 {
-            assert_eq!(d.observe_rtt(NodeId(9), BASE * 2), None);
+        let old = d.ping(NodeId(1), at(0));
+        let new = d.ping(NodeId(2), at(1_000));
+        assert_eq!((old, new), (1, 2));
+        d.expire_pings(at(8_000), beat);
+        d.expire_pings(at(8_001), beat); // `old` is now past 8 beats
+        assert_eq!(d.on_pong(old, at(8_002)), None);
+        assert_eq!(d.verdicts(), vec![], "a pong that late is no sample");
+        assert_eq!(d.on_pong(new, at(8_002)), None);
+        assert_eq!(d.verdicts(), vec![(NodeId(2), Verdict::Healthy)]);
+        assert!((d.score(NodeId(2)) - 1.0).abs() < 1e-9);
+        // A duplicated pong finds its ping gone: one sample per ping.
+        d.on_pong(new, at(9_000));
+        assert!((d.score(NodeId(2)) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn alive_veto_lapses_when_pongs_stop() {
+        let window = SimDuration::from_millis(3_050);
+        let peer = NodeId(3);
+        let mut d = detector();
+        for i in 0..10 {
+            d.observe(peer, BASE, at(i * 100));
         }
-        assert_eq!(d.verdict(NodeId(9)), Verdict::Healthy);
+        assert!(!d.alive_veto(peer, at(1_000), window), "healthy: no veto");
+        for i in 10..20 {
+            d.observe(peer, BASE * 6, at(i * 100));
+        }
+        assert!(d.is_slow(peer));
+        // Last answer at 1.9 s: the veto holds for one window after it.
+        assert!(d.alive_veto(peer, at(1_900) + window, window));
+        assert!(!d.alive_veto(peer, at(1_901) + window, window), "lapsed");
+        d.observe(peer, BASE * 6, at(9_000));
+        assert!(d.alive_veto(peer, at(9_500), window), "answering again");
+        // A verdict without a timed answer behind it vetoes nothing.
+        slow_down(&mut d, NodeId(4));
+        assert!(!d.alive_veto(NodeId(4), at(0), window));
+        assert!(!d.alive_veto(NodeId(5), at(0), window), "never observed");
+    }
+
+    #[test]
+    fn gray_self_is_a_strict_majority_of_warmed_live_peers() {
+        let mut d = detector();
+        slow_down(&mut d, NodeId(1));
+        assert!(!d.gray_self(), "one warmed peer proves nothing");
+        warm(&mut d, NodeId(2), 10);
+        assert!(!d.gray_self(), "1 slow of 2: not a strict majority");
+        slow_down(&mut d, NodeId(3));
+        assert!(d.gray_self(), "2 slow of 3");
+        d.observe_rtt(NodeId(4), BASE);
+        assert!(d.gray_self(), "an unwarmed peer does not count");
+        warm(&mut d, NodeId(4), 10);
+        assert!(!d.gray_self(), "2 slow of 4");
+        d.mark_dead(NodeId(4));
+        assert!(d.gray_self(), "nor does a dead one");
+    }
+
+    #[test]
+    fn a_quarantine_addition_must_survive_two_ticks() {
+        let seat = |p: u32, node: u32| MemberInfo {
+            node: NodeId(node),
+            ..MemberInfo::unwired(PartitionId(p))
+        };
+        let (p0, p1) = (PartitionId(0), PartitionId(1));
+        let ring = [seat(0, 0), seat(1, 4), seat(2, 8)];
+        let (none, only_p1) = (BTreeSet::new(), BTreeSet::from([p1]));
+        let mut d = detector();
+        warm(&mut d, NodeId(8), 10);
+        slow_down(&mut d, NodeId(4));
+        assert_eq!(d.converge_quarantine(p0, &ring, &none), none, "a candidate");
+        assert_eq!(d.converge_quarantine(p0, &ring, &none), only_p1, "confirmed");
+        assert_eq!(d.converge_quarantine(p0, &ring, &only_p1), only_p1, "held");
+        // Out again only on a warmed Healthy verdict.
+        for _ in 0..40 {
+            d.observe_rtt(NodeId(4), BASE);
+        }
+        assert_eq!(d.verdict(NodeId(4)), Verdict::Healthy);
+        assert_eq!(d.converge_quarantine(p0, &ring, &only_p1), none);
+        // A partition that left the ring is not quarantine's business.
+        let without_p1 = [seat(0, 0), seat(2, 8)];
+        assert_eq!(d.converge_quarantine(p0, &without_p1, &only_p1), none);
+        // The leader never judges its own partition, slow node or not.
+        slow_down(&mut d, NodeId(0));
+        assert_eq!(d.converge_quarantine(p0, &ring, &none), none);
+        assert_eq!(d.converge_quarantine(p0, &ring, &none), none);
+        // A gray-self observer adds nobody, however long it looks.
+        slow_down(&mut d, NodeId(4));
+        slow_down(&mut d, NodeId(8));
+        assert!(d.gray_self());
+        assert_eq!(d.converge_quarantine(p0, &ring, &none), none);
+        assert_eq!(d.converge_quarantine(p0, &ring, &none), none);
+    }
+
+    #[test]
+    fn witness_preference_ranks_healthy_then_fast_then_low() {
+        let seat = |p: u32, node: u32| MemberInfo {
+            node: NodeId(node),
+            ..MemberInfo::unwired(PartitionId(p))
+        };
+        let ring = [seat(0, 0), seat(1, 4), seat(2, 8), seat(3, 12)];
+        let ids = |v: &[u32]| v.iter().map(|&p| PartitionId(p)).collect::<Vec<_>>();
+        let mut d = detector();
+        let none = BTreeSet::new();
+        assert_eq!(d.witness_preference(&ring, &none), ids(&[0, 1, 2, 3]));
+        slow_down(&mut d, NodeId(0));
+        warm(&mut d, NodeId(4), 10);
+        for _ in 0..10 {
+            d.observe_rtt(NodeId(4), BASE * 2); // slower, but healthy
+        }
+        assert_eq!(d.witness_preference(&ring, &none), ids(&[2, 3, 1, 0]));
+        let q = BTreeSet::from([PartitionId(2)]);
+        assert_eq!(d.witness_preference(&ring, &q), ids(&[3, 1, 2, 0]));
     }
 }

@@ -19,6 +19,7 @@
 
 use phoenix::kernel::boot::{boot_and_stabilize, GsdView};
 use phoenix::kernel::group::Gsd;
+use phoenix::kernel::regroup::{DELAY_CEIL, DELAY_FLOOR};
 use phoenix::kernel::{boot_cluster_with_net, ClientHandle, KernelParams, PhoenixCluster};
 use phoenix::proto::{ClusterTopology, KernelMsg, NodeOp, PartitionId, RequestId};
 use phoenix::sim::{Fault, NetParams, NodeId, SimDuration, TraceEvent, World};
@@ -264,9 +265,7 @@ fn adaptive_delay_stays_clamped_with_zero_spurious_takeovers() {
         let leaders = views.iter().filter(|g| g.role == "leader").count();
         assert_eq!(leaders, 1, "loss {loss_permille}‰: exactly one leader: {views:?}");
 
-        let params = quorum_params();
-        let floor = params.ft.regroup.delay_floor;
-        let ceil = params.ft.regroup.delay_ceil;
+        let (floor, ceil) = (DELAY_FLOOR, DELAY_CEIL);
         for g in &views {
             let eff = w
                 .actor_as::<Gsd>(g.pid)
