@@ -16,7 +16,7 @@
 //! ```
 
 use phoenix_bench::sweep::run_sweep;
-use phoenix_chaos::{full_mask, replay_command, run_schedule, shrink, ChaosConfig};
+use phoenix_chaos::{replay_command, run_schedule, shrink, ChaosConfig};
 use phoenix_telemetry::report::workspace_root;
 use phoenix_telemetry::Json;
 
@@ -59,11 +59,7 @@ fn main() {
     let cfg_ref = &cfg;
     let outcome = run_sweep(&seed_list, serial, |&seed| {
         let out = run_schedule(seed, cfg_ref, u64::MAX, false);
-        let shrunk = if out.failed() {
-            Some(shrink(seed, cfg_ref, full_mask(out.total_steps), out.total_steps))
-        } else {
-            None
-        };
+        let shrunk = out.failed().then(|| shrink(cfg_ref, &out));
         (out, shrunk)
     });
     println!(

@@ -140,8 +140,7 @@ fn main() {
         for v in &out.violations {
             println!("      {v}");
         }
-        let start = full_mask(out.total_steps);
-        let s = shrink(seed, &cfg, start, out.total_steps);
+        let s = shrink(&cfg, &out);
         println!(
             "      shrunk {} -> {} steps in {} runs; minimal mask {:#x}",
             out.total_steps, s.steps, s.runs, s.mask

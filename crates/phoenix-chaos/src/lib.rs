@@ -1636,11 +1636,18 @@ pub struct ShrinkOutcome {
     pub runs: usize,
 }
 
-/// Greedy ddmin-lite: repeatedly try dropping one selected step; keep the
-/// drop if the run still violates an invariant; stop at a fixpoint. The
-/// result is 1-minimal with respect to single-step removal.
-pub fn shrink(seed: u64, cfg: &ChaosConfig, start_mask: u64, total_steps: usize) -> ShrinkOutcome {
-    let mut mask = start_mask;
+/// Greedy ddmin-lite over the failed run `failed` of `cfg`: repeatedly try
+/// dropping one selected step; keep the drop if the run still fails *the
+/// same way* — its first violation is of the invariant `failed`'s first
+/// violation was of; stop at a fixpoint. The result is 1-minimal with
+/// respect to single-step removal, and reproduces what was reported:
+/// keeping any failing candidate drifts to other bugs, most often to
+/// `quiescence` once the step that clears a loss burst or heals a link is
+/// dropped.
+pub fn shrink(cfg: &ChaosConfig, failed: &RunOutcome) -> ShrinkOutcome {
+    let (seed, total_steps) = (failed.seed, failed.total_steps);
+    let reported = failed.violations.first().map(|v| v.invariant);
+    let mut mask = full_mask(total_steps);
     let mut runs = 0usize;
     loop {
         let mut improved = false;
@@ -1656,7 +1663,8 @@ pub fn shrink(seed: u64, cfg: &ChaosConfig, start_mask: u64, total_steps: usize)
             // telemetry-leak check: give it a registry of its own (dropped
             // with the shard; the caller's registry is untouched).
             let _isolated = phoenix_telemetry::shard_begin();
-            if run_schedule(seed, cfg, candidate, false).failed() {
+            let out = run_schedule(seed, cfg, candidate, false);
+            if out.failed() && out.violations.first().map(|v| v.invariant) == reported {
                 mask = candidate;
                 improved = true;
             }
@@ -1876,6 +1884,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Lossy seed 347 fails `wd-convergence`. Dropping everything but step
+    /// 7 (a `LossBurst` whose clearing step went with the rest) still
+    /// fails, but as `quiescence`: a shrinker that accepts that reports a
+    /// reproducer for another bug than the one it announced.
+    #[test]
+    fn a_shrunk_reproducer_reproduces_the_reported_invariant() {
+        let cfg = ChaosConfig::small_lossy(20);
+        let first = |out: &RunOutcome| out.violations.first().map(|v| v.invariant);
+        let full = run_schedule(347, &cfg, u64::MAX, false);
+        assert_eq!(first(&full), Some("wd-convergence"), "pin drifted: re-pick a seed");
+        let drifted = run_schedule(347, &cfg, 0x80, false);
+        assert_eq!(first(&drifted), Some("quiescence"), "pin drifted: re-pick a mask");
+        let shrunk = shrink(&cfg, &full);
+        assert!(shrunk.steps < full.total_steps, "nothing was dropped");
+        assert_ne!(shrunk.mask, 0x80);
+        let replayed = run_schedule(347, &cfg, shrunk.mask, false);
+        assert_eq!(first(&replayed), first(&full));
     }
 
     #[test]
