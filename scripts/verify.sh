@@ -32,11 +32,13 @@
 #
 # The loss_sweep smoke sweeps loss rates on a fault-free and a WD-kill
 # cluster; the bin exits non-zero if any spurious takeover fires, and the
-# export is asserted to land in results/BENCH_loss.json. It runs twice:
-# once --serial and once through the parallel sweep runner (4 forced
-# worker threads); the two BENCH_loss.json files must be byte-identical
-# (sharded-telemetry determinism gate), and on multi-core machines the
-# parallel run must be >1.5x faster.
+# export is asserted to land in results/BENCH_loss.json. It runs --serial
+# and through the parallel sweep runner (4 forced worker threads); the two
+# BENCH_loss.json files must be byte-identical (sharded-telemetry
+# determinism gate), and on multi-core machines the parallel run must be
+# >1.5x faster. Host time on a shared box is noisy and interference only
+# ever adds to it, so each side is timed three times and the gate reads the
+# best of each.
 #
 # The nic_asymmetry smoke degrades NIC 0 only (NICs 1-2 clean) and gates
 # the adaptive multi-NIC routing acceptance criteria: zero spurious
@@ -62,7 +64,13 @@
 # population (results/BENCH_events.json). The bin replays pinned chaos
 # scenarios under both schedulers and digests every observable stream; the
 # two digest files must be byte-identical (scheduler determinism gate), and
-# on multi-core machines the wheel must be >1.5x faster than the heap.
+# on multi-core machines the wheel must be >1.5x faster than the heap. The
+# wheel's events/sec against the committed baseline is, like the loss_sweep
+# speedup, the best of three runs.
+#
+# The last stage prints the non-test code-line counts ROADMAP item 4 quotes
+# and fails when group/gsd.rs, phoenix-kernel or the workspace exceeds its
+# line in scripts/code_budget.txt, whose numbers may only be lowered.
 
 set -eu
 
@@ -171,25 +179,39 @@ done
 
 echo "== determinism gate: parallel loss_sweep must be byte-identical to serial =="
 cp results/BENCH_loss.json /tmp/BENCH_loss_serial.json
-rm -f results/BENCH_loss.json
-# Force 4 worker threads so shard hand-off and the in-order merge are
-# genuinely exercised even on a single-core runner.
-PHOENIX_SWEEP_THREADS=4 \
-    cargo run --release --offline -p phoenix-bench --bin loss_sweep -- --small \
-    | tee /tmp/loss_parallel.out
-cmp results/BENCH_loss.json /tmp/BENCH_loss_serial.json || {
-    echo "FAIL: parallel BENCH_loss.json differs from serial (determinism gate)" >&2
-    exit 1
+# Host time on a shared box is noisy, and interference only ever adds to
+# it: each side of the speedup gate is timed three times, serial and
+# parallel runs alternating so both see the same minute of the host, and
+# the gate reads the least of each. The parallel side forces 4 worker
+# threads so shard hand-off and the in-order merge are genuinely exercised
+# even on a single-core runner.
+: > /tmp/loss_parallel.out
+for again in 1 2 3; do
+    rm -f results/BENCH_loss.json
+    PHOENIX_SWEEP_THREADS=4 \
+        cargo run --release --offline -p phoenix-bench --bin loss_sweep -- --small \
+        | grep '^sweep: ' | tee -a /tmp/loss_parallel.out
+    cmp results/BENCH_loss.json /tmp/BENCH_loss_serial.json || {
+        echo "FAIL: parallel BENCH_loss.json differs from serial (determinism gate)" >&2
+        exit 1
+    }
+    if [ "$again" -lt 3 ]; then
+        cargo run --release --offline -p phoenix-bench --bin loss_sweep -- --small --serial \
+            | grep '^sweep: ' | tee -a /tmp/loss_serial.out
+    fi
+done
+least_ms() {
+    sed -n 's/.*sweep: [0-9]* runs on [0-9]* thread(s), \([0-9]*\) ms wall/\1/p' "$1" | sort -n | head -1
 }
-serial_ms=$(sed -n 's/.*sweep: [0-9]* runs on [0-9]* thread(s), \([0-9]*\) ms wall/\1/p' /tmp/loss_serial.out)
-par_ms=$(sed -n 's/.*sweep: [0-9]* runs on [0-9]* thread(s), \([0-9]*\) ms wall/\1/p' /tmp/loss_parallel.out)
+serial_ms=$(least_ms /tmp/loss_serial.out)
+par_ms=$(least_ms /tmp/loss_parallel.out)
 cores=$(nproc 2>/dev/null || echo 1)
 [ -n "$serial_ms" ] && [ -n "$par_ms" ] || {
     echo "FAIL: sweep wall-clock lines missing from loss_sweep output" >&2
     exit 1
 }
 speedup=$(awk "BEGIN { printf \"%.2f\", $serial_ms / ($par_ms + 0.001) }")
-echo "loss_sweep wall-clock: serial ${serial_ms} ms, parallel ${par_ms} ms, speedup x${speedup} (${cores} core(s))"
+echo "loss_sweep wall-clock, best of 3: serial ${serial_ms} ms, parallel ${par_ms} ms, speedup x${speedup} (${cores} core(s))"
 if [ "$cores" -ge 2 ]; then
     awk "BEGIN { exit !($serial_ms / ($par_ms + 0.001) > 1.5) }" || {
         echo "FAIL: parallel speedup x${speedup} <= 1.5 on a ${cores}-core machine" >&2
@@ -376,13 +398,23 @@ echo "== perf gate: wheel events/sec >= 1.10x committed baseline =="
 # results/BENCH_events_baseline.json pins the wheel throughput of the last
 # PR that claimed a scheduler perf win; it only advances with such a PR, so
 # this gate is a regression floor, not a ratchet.
-base_eps=$(sed -n 's/.*"wheel_events_per_sec": \([0-9.]*\).*/\1/p' results/BENCH_events_baseline.json)
-fresh_eps=$(sed -n 's/.*"wheel_events_per_sec": \([0-9.]*\).*/\1/p' results/BENCH_events.json)
+wheel_eps() {
+    sed -n 's/.*"wheel_events_per_sec": \([0-9.]*\).*/\1/p' "$1"
+}
+base_eps=$(wheel_eps results/BENCH_events_baseline.json)
+# The fresh side is the best of three event_core runs: the one above and
+# two more (interference from the shared host only ever slows a run).
+wheel_eps results/BENCH_events.json > /tmp/wheel_eps.txt
+for again in 2 3; do
+    cargo run --release --offline -p phoenix-bench --bin event_core -- --small > /dev/null
+    wheel_eps results/BENCH_events.json >> /tmp/wheel_eps.txt
+done
+fresh_eps=$(sort -n /tmp/wheel_eps.txt | tail -1)
 [ -n "$base_eps" ] && [ -n "$fresh_eps" ] || {
     echo "FAIL: wheel_events_per_sec missing from baseline or fresh results" >&2
     exit 1
 }
-echo "wheel events/sec: fresh ${fresh_eps} vs baseline ${base_eps} (need >= 1.10x)"
+echo "wheel events/sec: fresh ${fresh_eps} (best of 3) vs baseline ${base_eps} (need >= 1.10x)"
 awk "BEGIN { exit !($fresh_eps >= 1.10 * $base_eps) }" || {
     echo "FAIL: wheel events/sec ${fresh_eps} < 1.10 * baseline ${base_eps}" >&2
     exit 1
@@ -392,12 +424,42 @@ echo "== report: results/ sizes in KB (ROADMAP 4d: written reports keep the newe
 du -k results/*
 du -sk results
 
-echo "== report: non-blank, non-comment lines (ROADMAP aim 2: net line count is a number we report) =="
+echo "== ratchet: non-test code lines stay within scripts/code_budget.txt (ROADMAP aim 2, item 4) =="
+# The roadmap's number: each file cut at its first #[cfg(test)], then its
+# non-blank, non-comment lines.
+code_lines() {
+    for f in "$@"; do
+        sed '/#\[cfg(test)\]/,$d' "$f"
+    done | grep -cvE '^\s*(//|$)'
+}
 for f in crates/phoenix-kernel/src/group/*.rs; do
-    printf '%6d  %s\n' "$(grep -cvE '^\s*(//|$)' "$f")" "$f"
+    printf '%6d  %s\n' "$(code_lines "$f")" "$f"
 done
 for d in crates/*/src; do
-    printf '%6d  %s (total)\n' "$(find "$d" -name '*.rs' -exec cat {} + | grep -cvE '^\s*(//|$)')" "$d"
+    # shellcheck disable=SC2046
+    printf '%6d  %s (total)\n' "$(code_lines $(find "$d" -name '*.rs'))" "$d"
 done
+gsd=$(code_lines crates/phoenix-kernel/src/group/gsd.rs)
+# shellcheck disable=SC2046
+kernel=$(code_lines $(find crates/phoenix-kernel/src -name '*.rs'))
+# shellcheck disable=SC2046
+workspace=$(code_lines $(find crates/*/src -name '*.rs'))
+while read -r what limit; do
+    case $what in
+        '#'* | '') continue ;;
+        gsd) have=$gsd ;;
+        kernel) have=$kernel ;;
+        workspace) have=$workspace ;;
+        *)
+            echo "FAIL: scripts/code_budget.txt: no such count: $what" >&2
+            exit 1
+            ;;
+    esac
+    printf '%6d  %s (budget %d)\n' "$have" "$what" "$limit"
+    [ "$have" -le "$limit" ] || {
+        echo "FAIL: $what has $have non-test code lines, over its budget of $limit" >&2
+        exit 1
+    }
+done < scripts/code_budget.txt
 
 echo "verify: OK"
