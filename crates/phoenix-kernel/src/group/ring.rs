@@ -54,10 +54,12 @@ pub(crate) enum Join {
     /// Only the leader admits, and this member is not it: the leader it
     /// holds, if it holds any yet, should hear of it.
     Forward,
-    /// The joiner is held exactly as it describes itself. Nothing changes
-    /// (no epoch bump, no rebroadcast: that damps membership wars); under
-    /// regroup the joiner is answered with the membership, on which a
-    /// frozen instance asking back in after a heal thaws.
+    /// The joiner is held exactly as it describes itself — or, under
+    /// regroup at a non-leader, is the very instance held as leader.
+    /// Nothing changes (no epoch bump, no rebroadcast: that damps
+    /// membership wars); under regroup the joiner is answered with the
+    /// membership, on which a frozen instance asking back in after a heal
+    /// thaws.
     Unchanged,
     /// The entry held is newer than the joiner: a stale pre-partition
     /// instance asks back in after the majority replaced it. The newer
@@ -267,6 +269,15 @@ impl Ring {
     /// nothing.
     pub(crate) fn on_join(&mut self, member: MemberInfo, regroup: bool) -> Join {
         if self.role() != Role::Leader {
+            // A leader that froze on a minority island and asks back in
+            // before any takeover ripened is still the leader every peer
+            // holds. Forwarded, its join would come back to itself and be
+            // dropped as frozen, for ever. Any unfrozen member may vouch
+            // for it instead: the membership it holds names that pid.
+            let is_leader = |l: MemberInfo| (l.partition, l.gsd) == (member.partition, member.gsd);
+            if regroup && self.leader().is_some_and(is_leader) {
+                return Join::Unchanged;
+            }
             return Join::Forward;
         }
         let held = self.get(member.partition);
@@ -400,6 +411,23 @@ mod tests {
             // A non-leader passes the join to the leader it holds.
             (P1, member(P2, 40), true, Forward, 0, 12),
             (P1, member(P2, 40), false, Forward, 0, 12),
+            // ...unless the joiner *is* that leader, frozen and asking back
+            // in: forwarded, its join would only come back to it. Under
+            // regroup any member vouches for it, whatever else it says of
+            // itself; a newer instance of its partition is the leader's call.
+            (
+                P1,
+                MemberInfo {
+                    node: NodeId(9),
+                    ..member(P0, 10)
+                },
+                true,
+                Unchanged,
+                0,
+                12,
+            ),
+            (P1, member(P0, 10), false, Forward, 0, 12),
+            (P1, member(P0, 40), true, Forward, 0, 12),
             // The leader: a joiner held as it describes itself.
             (P0, member(P2, 12), true, Unchanged, 0, 12),
             // A newer instance of a held partition displaces the old one.

@@ -251,6 +251,43 @@ fn islanded_server_crash_then_repair() {
     );
 }
 
+/// Partition-storm pin, shrunk to two steps: partitions 1 and 2 are severed
+/// from the leader's for 4.3 s and healed — longer than the leader takes
+/// to freeze on its minority island, shorter than the majority's takeover
+/// takes to ripen, so nobody is replaced and every member still holds the
+/// frozen partition 0 as leader. A member used to forward the ex-leader's
+/// re-join to "the leader", the joiner itself, which drops joins while
+/// frozen: no leader, for ever. The member now vouches for it.
+///
+/// Replay: `cargo run --release -p phoenix-chaos --bin chaos -- --partition --replay 56:c`
+#[test]
+fn short_split_of_the_leader() {
+    use phoenix::chaos::StepAction::Fault;
+    use phoenix::sim::Fault::{Heal, Partition};
+    const SEED: u64 = 56;
+    const MASK: u64 = 0xc;
+    let cfg = ChaosConfig::small_partition();
+    let (_world, cluster) = boot_cluster(cfg.topology(), cfg.params.clone(), SEED);
+    let steps = generate_schedule(SEED, &cfg, &cluster);
+    let picked: Vec<_> = steps.iter().enumerate().filter(|(i, _)| MASK >> i & 1 == 1).collect();
+    let island = cluster.island_mask(&[1, 2]);
+    let shape: Vec<_> = picked.iter().map(|(_, s)| s.action).collect();
+    let apart = picked.last().unwrap().1.offset - picked[0].1.offset;
+    assert!(
+        shape == [Fault(Partition { island }), Fault(Heal)] && apart.as_nanos() == 4_298_000_000,
+        "pin drifted: seed {SEED} mask {MASK:#x} no longer islands partitions 1+2 for \
+         4,298 ms ({shape:?}, {apart:?}) — re-run the partition scan and re-pin"
+    );
+    let out = run_schedule(SEED, &cfg, MASK, false);
+    assert!(out.quiesced, "seed {SEED}:{MASK:x}: healed cluster never quiesced");
+    assert!(
+        out.violations.is_empty(),
+        "seed {SEED}:{MASK:x} violated invariants: {:#?}\nreplay: cargo run --release \
+         -p phoenix-chaos --bin chaos -- --partition --replay {SEED}:{MASK:x}",
+        out.violations
+    );
+}
+
 /// A 12-step mixed schedule: node crashes, a NIC outage, two link
 /// partitions and three repairs, all overlapping.
 #[test]

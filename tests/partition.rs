@@ -172,6 +172,42 @@ fn minority_member_freezes_and_directory_goes_stale() {
     assert_converged(&mut w, &cluster, 22, "scenario B healed");
 }
 
+/// A split that out-lasts the leader's freeze (~3.1 s) but not the
+/// majority's takeover (~4.6 s: suspicion plus the 1.5 s held-majority
+/// delay) heals with nobody replaced: every peer still holds partition 0
+/// as leader, and partition 0 is frozen. Its re-join must not be forwarded
+/// to "the leader" — itself, which drops joins while frozen — or the
+/// cluster has no leader for ever: the member that receives it vouches
+/// for it with the membership that still names its pid.
+#[test]
+fn short_split_of_the_leader_heals_to_one_leader() {
+    let (mut w, cluster) = boot_and_stabilize(
+        ClusterTopology::uniform(3, 5, 1),
+        KernelParams::fast_partition(),
+        56,
+    );
+    w.run_for(SimDuration::from_secs(3));
+    w.apply_fault(Fault::Partition {
+        island: cluster.island_mask(&[1, 2]),
+    });
+    run_sampled_single_leader(&mut w, SimDuration::from_secs(4), "short split");
+    let views = PhoenixCluster::live_gsds(&w);
+    assert!(
+        views.iter().any(|g| g.partition.0 == 0 && g.role == "frozen"),
+        "the split out-lasted the leader's freeze: {views:?}"
+    );
+    assert_eq!(views.len(), 3, "and ended before any takeover: {views:?}");
+
+    w.apply_fault(Fault::Heal);
+    w.run_for(SimDuration::from_secs(30));
+    let views = PhoenixCluster::live_gsds(&w);
+    assert!(
+        views.iter().any(|g| g.partition.0 == 0 && g.role == "leader"),
+        "partition 0 thawed and leads again: {views:?}"
+    );
+    assert_eq!(leader_count(&w), 1, "exactly one leader: {views:?}");
+}
+
 /// The regroup layer must not cost determinism: identical seeds replay
 /// to byte-identical traces through a partition → regroup → heal cycle.
 #[test]
