@@ -84,6 +84,11 @@ impl DataBulletin {
         if !query.wants_partition(self.member.partition()) {
             return Vec::new();
         }
+        self.entries().filter(|e| query.matches(e)).collect()
+    }
+
+    /// The stored entries in key order, as the wire carries them.
+    fn entries(&self) -> impl Iterator<Item = BulletinEntry> + '_ {
         self.entries
             .iter()
             .map(|(&key, &(ref value, stamp_ns))| BulletinEntry {
@@ -91,34 +96,17 @@ impl DataBulletin {
                 value: value.clone(),
                 stamp_ns,
             })
-            .filter(|e| query.matches(e))
-            .collect()
     }
 
     fn save_state(&self, ctx: &mut Ctx<'_, KernelMsg>) {
-        let entries: Vec<BulletinEntry> = self
-            .entries
-            .iter()
-            .map(|(&key, &(ref value, stamp_ns))| BulletinEntry {
-                key,
-                value: value.clone(),
-                stamp_ns,
-            })
-            .collect();
+        let entries = self.entries().collect();
         self.member.save(ctx, CheckpointData::Bulletin { entries });
     }
 
     /// Read-only snapshot of the locally stored entries (introspection
     /// for the chaos harness's ground-truth comparison).
     pub fn snapshot(&self) -> Vec<BulletinEntry> {
-        self.entries
-            .iter()
-            .map(|(&key, &(ref value, stamp_ns))| BulletinEntry {
-                key,
-                value: value.clone(),
-                stamp_ns,
-            })
-            .collect()
+        self.entries().collect()
     }
 
     /// Partition this instance serves.
