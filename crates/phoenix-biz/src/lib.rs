@@ -331,8 +331,8 @@ impl Actor<KernelMsg> for BizRuntime {
             }
             KernelMsg::CkLoadResp { data, .. } => {
                 if self.member.restoring() {
-                    if let Some(CheckpointData::Scheduler { running, .. }) = data {
-                        for (job, nodes) in running {
+                    if let Some(CheckpointData::Scheduler { running, .. }) = data.as_deref() {
+                        for &(job, ref nodes) in running {
                             if let Some(&node) = nodes.first() {
                                 self.instances.insert(job, Instance { job, node, up: true });
                             }

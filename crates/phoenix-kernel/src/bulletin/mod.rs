@@ -18,7 +18,7 @@ use crate::group::registry::{kernel_factory_key, RespawnArgs};
 use crate::params::KernelParams;
 use phoenix_proto::{
     BulletinEntry, BulletinQuery, CheckpointData, KernelMsg, MemberInfo, PartitionId, RequestId,
-    ServiceKind,
+    ServiceKind, Shared,
 };
 use phoenix_sim::{Actor, Ctx, Pid, TimerId};
 use std::collections::{BTreeMap, HashMap};
@@ -281,7 +281,9 @@ impl Actor<KernelMsg> for DataBulletin {
             }
             KernelMsg::CkLoadResp { data, .. } => {
                 if self.member.restoring() {
-                    if let Some(CheckpointData::Bulletin { entries }) = data {
+                    if let Some(CheckpointData::Bulletin { entries }) =
+                        data.map(Shared::unwrap_or_clone)
+                    {
                         for e in entries {
                             self.entries.insert(e.key, (e.value, e.stamp_ns));
                         }

@@ -11,11 +11,20 @@
 //! backup node after a server-node crash — starts empty and resynchronizes
 //! the partition's state from any surviving peer (`CkSyncReq` /
 //! `CkSyncResp`) before it answers a load.
+//!
+//! A snapshot is built once, by the service that saves it. `CkSave` is the
+//! one hop that carries it by value; the instance that receives it moves it
+//! into a `Shared<CheckpointData>`, and the store, every `CkReplicate`,
+//! every `CkLoadResp` and every `CkSyncResp` item hold that one allocation
+//! by pointer, sized once. Replicating to `n` peers costs `n` refcount
+//! bumps, whatever the snapshot's depth.
 
 use crate::federation::{Member, TOK_HB};
 use crate::group::registry::{kernel_factory_key, RespawnArgs};
 use crate::params::KernelParams;
-use phoenix_proto::{CheckpointData, KernelMsg, MemberInfo, PartitionId, RequestId, ServiceKind};
+use phoenix_proto::{
+    CheckpointData, KernelMsg, MemberInfo, PartitionId, RequestId, ServiceKind, Shared,
+};
 use phoenix_sim::{Actor, Ctx, Pid};
 use std::collections::BTreeMap;
 
@@ -31,7 +40,7 @@ pub type CkKey = (ServiceKind, PartitionId);
 pub struct CheckpointService {
     member: Member,
     params: KernelParams,
-    store: BTreeMap<CkKey, CheckpointData>,
+    store: BTreeMap<CkKey, Shared<CheckpointData>>,
     /// Respawned instances must pull state from a peer before answering.
     synced: bool,
     pending_loads: Vec<(Pid, RequestId, CkKey)>,
@@ -133,7 +142,9 @@ impl Actor<KernelMsg> for CheckpointService {
                 partition,
                 data,
             } => {
-                self.store.insert((service, partition), data.clone());
+                // Moved, never cloned: the store and every replica share
+                // this one allocation and its memoized size.
+                let data = Shared::new(data);
                 for p in self.member.peer_pids() {
                     ctx.send(
                         p,
@@ -144,6 +155,7 @@ impl Actor<KernelMsg> for CheckpointService {
                         },
                     );
                 }
+                self.store.insert((service, partition), data);
             }
             KernelMsg::CkReplicate {
                 service,
@@ -174,7 +186,7 @@ impl Actor<KernelMsg> for CheckpointService {
                 }
             }
             KernelMsg::CkSyncReq { req } => {
-                let items: Vec<(ServiceKind, PartitionId, CheckpointData)> = self
+                let items = self
                     .store
                     .iter()
                     .map(|(&(s, p), d)| (s, p, d.clone()))
@@ -297,7 +309,7 @@ mod tests {
         let msgs = client.drain();
         assert!(matches!(
             &msgs[..],
-            [(_, KernelMsg::CkLoadResp { data: Some(CheckpointData::Raw(v)), .. })] if v == &vec![1,2,3]
+            [(_, KernelMsg::CkLoadResp { data: Some(d), .. })] if **d == CheckpointData::Raw(vec![1, 2, 3])
         ));
     }
 }

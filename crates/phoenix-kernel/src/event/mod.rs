@@ -18,7 +18,7 @@ use crate::group::registry::{kernel_factory_key, RespawnArgs};
 use crate::params::KernelParams;
 use phoenix_proto::{
     CheckpointData, ConsumerReg, Event, EventType, KernelMsg, MemberInfo, PartitionId, RequestId,
-    ServiceKind,
+    ServiceKind, Shared,
 };
 use phoenix_sim::{Actor, Ctx, Pid};
 use std::collections::HashMap;
@@ -186,7 +186,9 @@ impl Actor<KernelMsg> for EventService {
             }
             KernelMsg::CkLoadResp { data, .. } => {
                 if self.member.restoring() {
-                    if let Some(CheckpointData::EventService { consumers, next_seq }) = data {
+                    if let Some(CheckpointData::EventService { consumers, next_seq }) =
+                        data.map(Shared::unwrap_or_clone)
+                    {
                         self.consumers = consumers;
                         self.next_seq = next_seq;
                     }

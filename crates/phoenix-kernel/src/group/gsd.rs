@@ -2215,11 +2215,13 @@ impl Actor<KernelMsg> for Gsd {
                 }
             }
             KernelMsg::CkLoadResp {
-                data: Some(CheckpointData::Supervision { entries }),
-                ..
+                data: Some(data), ..
             } => {
+                let CheckpointData::Supervision { entries } = &*data else {
+                    return;
+                };
                 // Supervision roster restore after GSD respawn.
-                for step in Supervisor::rejoin(entries, |p| ctx.process_is_alive(p)) {
+                for step in Supervisor::rejoin(entries.clone(), |p| ctx.process_is_alive(p)) {
                     match step {
                         Rejoin::Rebind(pid) => ctx.send(pid, self.partition_view()),
                         Rejoin::Respawn(factory) => {

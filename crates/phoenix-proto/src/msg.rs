@@ -320,6 +320,9 @@ pub enum KernelMsg {
     },
 
     // ---- checkpoint service ("ckpt") -------------------------------------
+    /// The one hop that carries the snapshot by value: the saver built it
+    /// and the checkpoint instance moves it into the `Shared` that its
+    /// store and every message below hand on by pointer.
     CkSave {
         service: ServiceKind,
         partition: PartitionId,
@@ -332,7 +335,7 @@ pub enum KernelMsg {
     },
     CkLoadResp {
         req: RequestId,
-        data: Option<CheckpointData>,
+        data: Option<Shared<CheckpointData>>,
     },
     CkDelete {
         service: ServiceKind,
@@ -342,13 +345,13 @@ pub enum KernelMsg {
     CkReplicate {
         service: ServiceKind,
         partition: PartitionId,
-        data: CheckpointData,
+        data: Shared<CheckpointData>,
     },
     /// A freshly (re)started checkpoint instance pulls state from a peer.
     CkSyncReq { req: RequestId },
     CkSyncResp {
         req: RequestId,
-        items: Vec<(ServiceKind, PartitionId, CheckpointData)>,
+        items: Vec<(ServiceKind, PartitionId, Shared<CheckpointData>)>,
     },
 
     // ---- configuration service ("config") --------------------------------

@@ -257,7 +257,7 @@ impl<'a> KernelMsgView<'a> {
             } => KernelMsg::CkReplicate {
                 service,
                 partition,
-                data: CheckpointData::Raw(raw.to_vec()),
+                data: CheckpointData::Raw(raw.to_vec()).into(),
             },
             KernelMsgView::EsFedForwardText {
                 etype,
@@ -310,7 +310,7 @@ mod tests {
             KernelMsg::CkReplicate {
                 service: ServiceKind::Checkpoint,
                 partition: PartitionId(2),
-                data: CheckpointData::Raw(vec![0xAB; 64]),
+                data: CheckpointData::Raw(vec![0xAB; 64]).into(),
             },
             KernelMsg::EsFedForward {
                 event: Event {
@@ -335,7 +335,7 @@ mod tests {
         let msg = KernelMsg::CkReplicate {
             service: ServiceKind::Event,
             partition: PartitionId(1),
-            data: CheckpointData::Raw(vec![1, 2, 3, 4]),
+            data: CheckpointData::Raw(vec![1, 2, 3, 4]).into(),
         };
         let bytes = encode(&msg);
         match KernelMsgView::parse(&bytes).expect("parse") {

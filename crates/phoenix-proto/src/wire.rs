@@ -855,7 +855,7 @@ mod tests {
                 items: vec![(
                     ServiceKind::Event,
                     PartitionId(0),
-                    CheckpointData::Raw(vec![1, 2, 3]),
+                    CheckpointData::Raw(vec![1, 2, 3]).into(),
                 )],
             },
             KernelMsg::PwsSubmit {

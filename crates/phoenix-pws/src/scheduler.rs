@@ -16,7 +16,7 @@ use phoenix_kernel::params::KernelParams;
 use phoenix_proto::{
     Action, AuthToken, CheckpointData, ConsumerReg, Event, EventFilter, EventPayload, EventType,
     JobId, JobSpec, KernelMsg, MemberInfo, PartitionId, QueueRow, RequestId, ServiceDirectory,
-    ServiceKind,
+    ServiceKind, Shared,
 };
 use phoenix_sim::{Actor, Ctx, NodeId, Pid, SimDuration, TraceEvent};
 use std::cell::RefCell;
@@ -728,7 +728,9 @@ impl Actor<KernelMsg> for PwsScheduler {
             }
             KernelMsg::CkLoadResp { data, .. } => {
                 if self.member.restoring() {
-                    if let Some(CheckpointData::Scheduler { queued, running }) = data {
+                    if let Some(CheckpointData::Scheduler { queued, running }) =
+                        data.map(Shared::unwrap_or_clone)
+                    {
                         self.queued = queued;
                         // Restored placements: assume still running; app
                         // exit events will complete them.

@@ -384,7 +384,7 @@ fn kernel_msg_surface() -> Vec<phoenix::proto::KernelMsg> {
         },
         KernelMsg::CkLoadResp {
             req: RequestId(9),
-            data: Some(CheckpointData::Bulletin { entries: vec![entry] }),
+            data: Some(CheckpointData::Bulletin { entries: vec![entry] }.into()),
         },
         KernelMsg::CkDelete { service: ServiceKind::Group, partition: PartitionId(2) },
         KernelMsg::CkReplicate {
@@ -393,7 +393,8 @@ fn kernel_msg_surface() -> Vec<phoenix::proto::KernelMsg> {
             data: CheckpointData::Scheduler {
                 queued: vec![spec.clone()],
                 running: vec![(JobId(11), vec![NodeId(1), NodeId(2)])],
-            },
+            }
+            .into(),
         },
         KernelMsg::CkSyncReq { req: RequestId(10) },
         KernelMsg::CkSyncResp {
@@ -401,7 +402,7 @@ fn kernel_msg_surface() -> Vec<phoenix::proto::KernelMsg> {
             items: vec![(
                 ServiceKind::Group,
                 PartitionId(1),
-                CheckpointData::Supervision { entries: vec![("pws".into(), Pid(80))] },
+                CheckpointData::Supervision { entries: vec![("pws".into(), Pid(80))] }.into(),
             )],
         },
         KernelMsg::CfgQueryTopology { req: RequestId(11) },
