@@ -1,6 +1,7 @@
 //! Protocol-level identifiers (on top of the simulator's hardware ids).
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A cluster partition: one server node, at least one backup server node,
 /// and a set of computing nodes (paper Sec 4.3).
@@ -76,13 +77,15 @@ impl fmt::Display for JobId {
     }
 }
 
-/// A user principal known to the security service.
+/// A user principal known to the security service. The name is
+/// reference-counted: every queued job carries one, and a checkpoint
+/// snapshot copies the whole queue.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct UserId(pub String);
+pub struct UserId(pub Arc<str>);
 
 impl UserId {
     pub fn new(name: impl Into<String>) -> UserId {
-        UserId(name.into())
+        UserId(name.into().into())
     }
 }
 

@@ -1,6 +1,7 @@
 //! Job and task descriptions shared by PPM (kernel) and PWS (user env).
 
 use crate::ids::{JobId, UserId};
+use std::sync::Arc;
 
 /// What one task of a job does on a node, in simulation terms: how many
 //  CPUs it pins and what resource load it generates while it runs.
@@ -33,8 +34,9 @@ pub struct JobSpec {
     pub id: JobId,
     pub user: UserId,
     /// Scheduling pool the job targets (PWS supports multiple pools with
-    /// customized policies, paper Sec 5.4).
-    pub pool: String,
+    /// customized policies, paper Sec 5.4). Reference-counted, like the
+    /// user's name: copying a `JobSpec` allocates nothing.
+    pub pool: Arc<str>,
     /// Number of nodes requested.
     pub nodes: u32,
     pub task: TaskSpec,
@@ -50,7 +52,7 @@ impl JobSpec {
         JobSpec {
             id: JobId(id),
             user: UserId::new(user),
-            pool: pool.to_string(),
+            pool: pool.into(),
             nodes,
             task: TaskSpec::default(),
             priority: 0,

@@ -26,6 +26,7 @@
 
 use phoenix_sim::{Diagnosis, NicId, NodeId, Pid, ResourceUsage};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Compute the compact binary encoded size of any [`Wire`] value without
 /// producing bytes. O(1) whenever the value reports a [`Wire::fixed_size`];
@@ -261,6 +262,19 @@ impl Wire for String {
     fn get(reader: &mut Reader<'_>) -> Result<Self, WireError> {
         // Validate borrowed, allocate once at the end.
         Ok(reader.get_str()?.to_owned())
+    }
+    fn fixed_size(&self) -> Option<usize> {
+        Some(8 + self.len())
+    }
+}
+
+/// Exactly `String`'s bytes, so a name may be held either way.
+impl Wire for Arc<str> {
+    fn put<S: Sink>(&self, sink: &mut S) {
+        (**self).put(sink);
+    }
+    fn get(reader: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(reader.get_str()?.into())
     }
     fn fixed_size(&self) -> Option<usize> {
         Some(8 + self.len())
