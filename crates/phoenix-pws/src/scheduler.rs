@@ -20,18 +20,19 @@ use phoenix_proto::{
 };
 use phoenix_sim::{Actor, Ctx, NodeId, Pid, SimDuration, TraceEvent};
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
 
 const TOK_TICK: u64 = 2;
 
 /// Shared pool→scheduler-pid directory (a stand-in for a name service;
-/// updated by each scheduler instance as it starts).
-pub type PoolDirectory = Rc<RefCell<HashMap<String, Pid>>>;
+/// updated by each scheduler instance as it starts). Ordered by pool name:
+/// lease requests go out in its iteration order.
+pub type PoolDirectory = Rc<RefCell<BTreeMap<String, Pid>>>;
 
 /// Create an empty pool directory.
 pub fn pool_directory() -> PoolDirectory {
-    Rc::new(RefCell::new(HashMap::new()))
+    Rc::new(RefCell::new(BTreeMap::new()))
 }
 
 /// Static configuration of one scheduling pool.
@@ -89,7 +90,9 @@ pub struct PwsScheduler {
     config: Pid,
 
     queued: Vec<JobSpec>,
-    running: HashMap<JobId, RunningJob>,
+    /// Ordered by job id: this is the order of the saved placements and of
+    /// every sweep that sends.
+    running: BTreeMap<JobId, RunningJob>,
     free: BTreeSet<NodeId>,
     /// Nodes lent out, by borrowing pool.
     lent: HashMap<String, Vec<NodeId>>,
@@ -126,7 +129,7 @@ impl PwsScheduler {
             directory,
             pools,
             queued: Vec::new(),
-            running: HashMap::new(),
+            running: BTreeMap::new(),
             free,
             lent: HashMap::new(),
             borrowed_idle: HashMap::new(),
@@ -367,14 +370,12 @@ impl PwsScheduler {
     /// with an idempotent PPM delete, whose acks drive normal completion.
     fn reap_overdue(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         let now = ctx.now().as_nanos();
-        let mut overdue: Vec<(phoenix_proto::JobId, Vec<NodeId>)> = self
+        let overdue: Vec<(JobId, Vec<NodeId>)> = self
             .running
             .iter()
             .filter(|(_, r)| !r.reaping && r.reap_deadline_ns.map(|d| now > d).unwrap_or(false))
             .map(|(&id, r)| (id, r.outstanding.iter().copied().collect()))
             .collect();
-        // Sorted: `running` is a HashMap and reaping sends messages.
-        overdue.sort_unstable_by_key(|(id, _)| *id);
         for (job, outstanding) in overdue {
             ctx.trace(TraceEvent::Milestone {
                 label: "job-reaped",

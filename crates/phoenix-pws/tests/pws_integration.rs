@@ -2,14 +2,16 @@
 //! the security service, PPM launch, event-driven completion, multi-pool
 //! leasing, scheduler HA, and the PBS-baseline contrast of paper Sec 5.4.
 
-use phoenix_kernel::boot::boot_and_stabilize;
+use phoenix_kernel::boot::{boot_and_stabilize, boot_cluster_custom};
 use phoenix_kernel::client::ClientHandle;
 use phoenix_kernel::KernelParams;
 use phoenix_proto::{ClusterTopology, JobSpec, JobState, KernelMsg, TaskSpec};
 use phoenix_pws::{
     install_pbs, install_pws, login, queue_status, submit, PolicyKind, PoolConfig,
 };
-use phoenix_sim::{Fault, NodeId, SimDuration, TraceEvent, World};
+use phoenix_sim::{
+    Fault, NetParams, NodeId, SchedulerKind, SimDuration, TraceEvent, World,
+};
 
 fn cluster_2x4() -> (
     World<KernelMsg>,
@@ -181,6 +183,42 @@ fn scheduler_failure_recovers_with_queue() {
     assert_eq!(rows.len(), 1, "queued job survived the restart");
     assert_eq!(rows[0].job, phoenix_proto::JobId(9));
     assert_eq!(rows[0].state, JobState::Queued);
+}
+
+/// A starved pool asks its three peers for nodes. The requests leave in
+/// pool-name order, so the run repeats exactly; in the iteration order of a
+/// hash map they did not, and every later sequence number and latency draw
+/// moved with them.
+#[test]
+fn lease_requests_go_out_in_pool_order() {
+    let run = || {
+        let (mut w, cluster) = boot_cluster_custom(
+            ClusterTopology::uniform(2, 4, 1),
+            KernelParams::fast(),
+            31,
+            NetParams::default(),
+            SchedulerKind::default(),
+            true,
+        );
+        w.run_for(SimDuration::from_millis(50));
+        let nodes = compute_nodes(&cluster);
+        let pools = ["a", "b", "c", "d"].iter().zip(&nodes);
+        let pools = pools.map(|(name, &n)| PoolConfig::new(name, vec![n], PolicyKind::Fifo));
+        let pws = install_pws(&mut w, &cluster, pools.collect());
+        w.run_for(SimDuration::from_millis(100));
+        let client = ClientHandle::spawn(&mut w, NodeId(2));
+        let token = login(&mut w, &cluster, &client, "alice", "alice-secret");
+        // Pool "c" owns one node and the job needs two: it must lease.
+        let sched = pws.scheduler("c").unwrap();
+        assert!(submit(&mut w, &client, sched, token, short_job(1, "alice", "c", 2, 1)));
+        w.run_for(SimDuration::from_secs(3));
+        let done = |e: &TraceEvent| matches!(e, TraceEvent::Milestone { label: "job-completed", .. });
+        assert_eq!(w.trace().count(done), 1, "the job ran on leased capacity");
+        w.take_event_log()
+    };
+    let first = run();
+    assert!(first.contains("pws"), "the log records the lease traffic");
+    assert!(first == run(), "two runs of one seed dispatch the same events");
 }
 
 /// Two schedulers under one GSD. Its server node crashes, the ring
