@@ -233,83 +233,142 @@ impl Actor<KernelMsg> for CheckpointService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phoenix_proto::MemberInfo;
-    use phoenix_sim::{ClusterBuilder, NodeSpec, SimDuration, World};
+    use crate::client::ClientHandle;
+    use crate::federation::respawn_args;
+    use phoenix_sim::{ClusterBuilder, NodeId, NodeSpec, RecoveryAction, SimDuration, World};
 
-    fn world() -> World<KernelMsg> {
-        ClusterBuilder::new()
-            .nodes(4, NodeSpec::default())
-            .build::<KernelMsg>()
+    const KEY: CkKey = (ServiceKind::Event, PartitionId(0));
+
+    /// `n` instances on nodes `0..n`, wired to one another by hand (no full
+    /// boot in a unit test), and a client on node `n`.
+    fn federation(n: u32) -> (World<KernelMsg>, Vec<MemberInfo>, ClientHandle) {
+        let mut w = ClusterBuilder::new()
+            .nodes(n as usize + 1, NodeSpec::default())
+            .build::<KernelMsg>();
+        let members: Vec<MemberInfo> = (0..n)
+            .map(|i| {
+                let service = CheckpointService::new(PartitionId(i), KernelParams::fast());
+                MemberInfo {
+                    node: NodeId(i),
+                    checkpoint: w.spawn(NodeId(i), Box::new(service)),
+                    ..MemberInfo::unwired(PartitionId(i))
+                }
+            })
+            .collect();
+        rewire(&mut w, &members);
+        let client = ClientHandle::spawn(&mut w, NodeId(n));
+        (w, members, client)
+    }
+
+    fn rewire(w: &mut World<KernelMsg>, members: &[MemberInfo]) {
+        for &local in members {
+            let members = members.to_vec();
+            w.inject(
+                local.checkpoint,
+                KernelMsg::PartitionView { members, local },
+            );
+        }
+        w.run_for(SimDuration::from_millis(10));
+    }
+
+    fn save(w: &mut World<KernelMsg>, at: Pid, data: CheckpointData) {
+        let (service, partition) = KEY;
+        w.inject(
+            at,
+            KernelMsg::CkSave {
+                service,
+                partition,
+                data,
+            },
+        );
+        w.run_for(SimDuration::from_millis(10));
+    }
+
+    /// What every instance answers to a load of `KEY`, in member order.
+    fn loads(
+        w: &mut World<KernelMsg>,
+        members: &[MemberInfo],
+        client: &ClientHandle,
+    ) -> Vec<Option<Shared<CheckpointData>>> {
+        let (service, partition) = KEY;
+        let load = |m: &MemberInfo| {
+            let req = RequestId(9);
+            client.send(
+                w,
+                m.checkpoint,
+                KernelMsg::CkLoad {
+                    req,
+                    service,
+                    partition,
+                },
+            );
+            w.run_for(SimDuration::from_millis(10));
+            match client.drain().pop() {
+                Some((
+                    from,
+                    KernelMsg::CkLoadResp {
+                        req: RequestId(9),
+                        data,
+                    },
+                )) => {
+                    assert_eq!(from, m.checkpoint);
+                    data
+                }
+                other => panic!("no answer from {:?}: {other:?}", m.partition),
+            }
+        };
+        members.iter().map(load).collect()
     }
 
     /// Drives a save and a load through a two-instance federation.
     #[test]
     fn save_replicates_to_peers() {
-        let mut w = world();
-        let a = w.spawn(
-            phoenix_sim::NodeId(0),
-            Box::new(CheckpointService::new(PartitionId(0), KernelParams::fast())),
+        let (mut w, members, client) = federation(2);
+        save(
+            &mut w,
+            members[0].checkpoint,
+            CheckpointData::Raw(vec![1, 2, 3]),
         );
-        let b = w.spawn(
-            phoenix_sim::NodeId(1),
-            Box::new(CheckpointService::new(PartitionId(1), KernelParams::fast())),
-        );
-        // Wire peers manually (no full boot in a unit test).
-        let dir = phoenix_proto::ServiceDirectory {
-            config: Pid(0),
-            security: Pid(0),
-            partitions: vec![
-                MemberInfo {
-                    partition: PartitionId(0),
-                    node: phoenix_sim::NodeId(0),
-                    gsd: Pid(0),
-                    event: Pid(0),
-                    bulletin: Pid(0),
-                    checkpoint: a,
-                    host_ppm: Pid(0),
-                },
-                MemberInfo {
-                    partition: PartitionId(1),
-                    node: phoenix_sim::NodeId(1),
-                    gsd: Pid(0),
-                    event: Pid(0),
-                    bulletin: Pid(0),
-                    checkpoint: b,
-                    host_ppm: Pid(0),
-                },
-            ],
-            nodes: vec![],
-        };
-        w.inject(a, KernelMsg::Boot((dir.clone()).into()));
-        w.inject(b, KernelMsg::Boot((dir).into()));
-        w.run_for(SimDuration::from_millis(10));
-
-        w.inject(
-            a,
-            KernelMsg::CkSave {
-                service: ServiceKind::Event,
-                partition: PartitionId(0),
-                data: CheckpointData::Raw(vec![1, 2, 3]),
-            },
-        );
-        w.run_for(SimDuration::from_millis(10));
-
         // Load from the *peer*: replication must have carried it over.
-        let client = crate::client::ClientHandle::spawn(&mut w, phoenix_sim::NodeId(2));
+        let answers = loads(&mut w, &members[1..], &client);
+        assert_eq!(answers, [Some(CheckpointData::Raw(vec![1, 2, 3]).into())]);
+    }
+
+    /// One snapshot through a three-instance federation: saved once and
+    /// answered by every instance, pulled by a respawned instance from its
+    /// peers, and deleted everywhere by one delete.
+    #[test]
+    fn a_snapshot_is_saved_resynced_and_deleted_across_three_instances() {
+        let (mut w, mut members, client) = federation(3);
+        let saved = CheckpointData::EventService {
+            consumers: vec![phoenix_proto::ConsumerReg {
+                consumer: Pid(70),
+                filter: phoenix_proto::EventFilter::All,
+            }],
+            next_seq: 12,
+        };
+        save(&mut w, members[1].checkpoint, saved.clone());
+        let everywhere = vec![Some(Shared::new(saved)); 3];
+        assert_eq!(loads(&mut w, &members, &client), everywhere);
+
+        // Partition 2's instance dies; its replacement starts empty and
+        // answers only once a peer's `CkSyncResp` has filled it.
+        w.kill_process(members[2].checkpoint);
+        let action = RecoveryAction::RestartedInPlace;
+        let args = respawn_args(KIND, &members[2], &members, action, &KernelParams::fast());
+        let respawned = Box::new(CheckpointService::respawn(&args));
+        members[2].checkpoint = w.spawn(NodeId(2), respawned);
+        assert_eq!(loads(&mut w, &members, &client), everywhere);
+
+        // Its peers learn the replacement's pid, so the delete reaches it.
+        rewire(&mut w, &members);
+        let (service, partition) = KEY;
         client.send(
             &mut w,
-            b,
-            KernelMsg::CkLoad {
-                req: RequestId(9),
-                service: ServiceKind::Event,
-                partition: PartitionId(0),
-            },
+            members[0].checkpoint,
+            KernelMsg::CkDelete { service, partition },
         );
         w.run_for(SimDuration::from_millis(10));
-        let msgs = client.drain();
-        assert!(matches!(
-            &msgs[..],
-            [(_, KernelMsg::CkLoadResp { data: Some(d), .. })] if **d == CheckpointData::Raw(vec![1, 2, 3])
-        ));
+        assert_eq!(loads(&mut w, &members, &client), [None, None, None]);
     }
 }

@@ -677,6 +677,87 @@ fn kernel_msg_decode_survives_random_mutations() {
     }
 }
 
+/// A snapshot costs the same bytes on every hop: `CkReplicate` carrying a
+/// `Shared` of a value encodes as the `CkSave` carrying the value itself,
+/// but for the 4-byte message tag. One exemplar per `CheckpointData` variant.
+#[test]
+fn shared_snapshot_encodes_as_the_owned_one() {
+    use phoenix::proto::checkpoint::CheckpointData;
+    use phoenix::proto::wire::encode;
+    use phoenix::proto::{
+        BulletinEntry, BulletinKey, BulletinValue, ConsumerReg, JobId, KernelMsg, PartitionId,
+        ServiceKind,
+    };
+    use phoenix::sim::{NodeId, Pid, ResourceUsage};
+
+    let entry = BulletinEntry {
+        key: BulletinKey::Resource(NodeId(3)),
+        value: BulletinValue::Resource(ResourceUsage::IDLE),
+        stamp_ns: 12_345,
+    };
+    let snapshots = [
+        CheckpointData::EventService {
+            consumers: vec![ConsumerReg { consumer: Pid(70), filter: EventFilter::All }],
+            next_seq: 12,
+        },
+        CheckpointData::Bulletin { entries: vec![entry.clone(), entry] },
+        CheckpointData::Scheduler {
+            queued: vec![JobSpec::simple(11, "alice", "hpc", 4), JobSpec::simple(12, "bob", "hpc", 1)],
+            running: vec![(JobId(9), vec![NodeId(1), NodeId(2)])],
+        },
+        CheckpointData::Supervision { entries: vec![("sched:hpc".into(), Pid(80))] },
+        CheckpointData::Raw(vec![1, 2, 3, 5, 8]),
+    ];
+    let mut labels: Vec<&str> = snapshots.iter().map(CheckpointData::label).collect();
+    labels.dedup();
+    assert_eq!(labels.len(), 5, "one exemplar of each variant");
+    for data in snapshots {
+        let (service, partition) = (ServiceKind::UserEnvironment, PartitionId(3));
+        let shared = data.clone().into();
+        let replicate = encode(&KernelMsg::CkReplicate { service, partition, data: shared });
+        let save = encode(&KernelMsg::CkSave { service, partition, data });
+        assert_ne!(save[..4], replicate[..4], "the tags differ");
+        assert_eq!(save[4..], replicate[4..], "and nothing else does");
+    }
+}
+
+/// A name held as `Arc<str>` is the `String` of the same text on the wire:
+/// same bytes, same size, each decodes the other's encoding, and both
+/// reject the same malformed input.
+#[test]
+fn arc_str_is_string_on_the_wire() {
+    use phoenix::proto::wire::{decode, encode, WireError};
+    use std::sync::Arc;
+    for text in ["", "alice", "batch-pool-7", "日本語 naïve ✓"] {
+        let (owned, counted) = (String::from(text), Arc::<str>::from(text));
+        let bytes = encode(&owned);
+        assert_eq!(encode(&counted), bytes);
+        assert_eq!(bytes.len(), 8 + text.len());
+        assert_eq!(encoded_size(&counted), encoded_size(&owned));
+        assert_eq!(decode::<Arc<str>>(&bytes).expect("decode"), counted);
+        assert_eq!(decode::<String>(&encode(&counted)).expect("decode"), owned);
+    }
+    let mut bad_utf8 = encode(&String::from("ab"));
+    bad_utf8[8] = 0xFF;
+    let long_prefix = [&9u64.to_le_bytes()[..], b"ab"].concat();
+    for (bytes, error) in [
+        (bad_utf8, WireError::BadUtf8),
+        (long_prefix, WireError::BadLen(9)),
+        (vec![2, 0, 0], WireError::Eof),
+    ] {
+        assert_eq!(decode::<Arc<str>>(&bytes), Err(error));
+        assert_eq!(decode::<String>(&bytes), Err(error));
+    }
+}
+
+/// Every queued event holds a `KernelMsg` by value, so the event arena and
+/// the process's resident size scale with this number.
+#[test]
+fn kernel_msg_does_not_grow() {
+    let size = std::mem::size_of::<phoenix::proto::KernelMsg>();
+    assert!(size <= 168, "KernelMsg is {size} bytes, it was 168 before the shared snapshots");
+}
+
 // ---- determinism of the whole simulated kernel (three seeds suffice;
 // each case is expensive) ----------------------------------------------------
 
