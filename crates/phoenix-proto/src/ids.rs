@@ -85,7 +85,7 @@ pub struct UserId(pub Arc<str>);
 
 impl UserId {
     pub fn new(name: impl Into<String>) -> UserId {
-        UserId(name.into().into())
+        UserId(Arc::from(name.into()))
     }
 }
 

@@ -30,6 +30,10 @@
 # a telemetry registry of its own, or from about seed 100 the marks of
 # earlier schedules read as leaks (spurious telemetry-leak lines).
 #
+# The digest stage runs every BENCHMARK.json workload for one host second on
+# seed 1 and compares its sim_digest with scripts/bench_digests.txt: a PR
+# that must not alter behaviour no longer copies ten digests by hand.
+#
 # The loss_sweep smoke sweeps loss rates on a fault-free and a WD-kill
 # cluster; the bin exits non-zero if any spurious takeover fires, and the
 # export is asserted to land in results/BENCH_loss.json. It runs --serial
@@ -158,6 +162,31 @@ if grep 'telemetry-leak' /tmp/chaos_300_lossy.out; then
     echo "FAIL: chaos --seeds 300 reports telemetry-leak (registry not isolated per schedule?)" >&2
     exit 1
 fi
+
+echo "== ratchet: benchmark sim_digests equal scripts/bench_digests.txt =="
+# Every event a workload dispatches goes into its digest, so an unchanged
+# digest is unchanged behaviour on that workload. The stage only calls the
+# benchmark; nothing under benchmark/ is written but its ignored results/.
+moved=""
+while read -r workload seed want; do
+    case $workload in
+        '#'* | '') continue ;;
+    esac
+    rc=0
+    bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 1 \
+        > "/tmp/bench_digest_$workload.out" || rc=$?
+    if [ "$rc" -ne 0 ] || grep 'CHECK-FAILED' "/tmp/bench_digest_$workload.out"; then
+        echo "FAIL: benchmark/run.sh --workload $workload --seed $seed failed a check (exit $rc)" >&2
+        exit 1
+    fi
+    have=$(sed -n "s/^$workload sim_digest \([0-9a-f]*\) .*/\1/p" "/tmp/bench_digest_$workload.out")
+    echo "$workload seed $seed: sim_digest ${have:-missing} (pinned $want)"
+    [ "$have" = "$want" ] || moved="$moved $workload"
+done < scripts/bench_digests.txt
+[ -z "$moved" ] || {
+    echo "FAIL: behaviour moved on:$moved (sim_digest differs from scripts/bench_digests.txt)" >&2
+    exit 1
+}
 
 echo "== smoke: loss_sweep (--small --serial) writes results/BENCH_loss.json =="
 rm -f results/BENCH_loss.json
