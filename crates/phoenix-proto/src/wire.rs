@@ -277,7 +277,7 @@ impl Wire for Arc<str> {
         Ok(reader.get_str()?.into())
     }
     fn fixed_size(&self) -> Option<usize> {
-        Some(8 + self.len())
+        (**self).fixed_size()
     }
 }
 

@@ -19,7 +19,7 @@ use phoenix::kernel::{KernelParams, PhoenixCluster};
 use phoenix::proto::{
     AuthToken, CheckpointData, ClusterTopology, JobSpec, KernelMsg, RequestId, ServiceKind,
 };
-use phoenix::pws::{install_pws, login, PolicyKind, PoolConfig};
+use phoenix::pws::{install_pws, login, submit, PolicyKind, PoolConfig};
 use phoenix::sim::{NodeId, Pid, SimDuration, SimTime, World};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -71,31 +71,27 @@ struct Pws {
 
 impl Pws {
     /// Submit one job that can never start and report whether it was accepted.
-    fn submit(&mut self, settle: SimDuration) -> bool {
+    fn submit(&mut self) -> bool {
         self.submitted += 1;
         // One node more than the pool owns.
         let spec = JobSpec::simple(self.submitted, "alice", "batch", 121);
-        let req = RequestId(self.submitted);
         let token = self.token.clone();
-        let msg = KernelMsg::PwsSubmit { req, token, spec };
-        self.client.send(&mut self.world, self.sched, msg);
-        self.world.run_for(settle);
-        let accepted = |(_, m)| matches!(m, KernelMsg::PwsSubmitResp { accepted: true, .. });
-        self.client.drain().into_iter().any(accepted)
+        submit(&mut self.world, &self.client, self.sched, token, spec)
     }
 
     /// Fill the queue to `depth`, wait for the next window phase, and count
     /// what one more accepted submit allocates: `(calls, bytes)`.
     fn submit_at_depth(&mut self, depth: u64) -> (u64, u64) {
         while self.submitted < depth {
-            assert!(self.submit(SimDuration::from_millis(2)));
+            assert!(self.submit());
         }
         let second = 1_000_000_000;
         let now = self.world.now().as_nanos();
-        let opens = (now / second + 2) * second + PHASE_NS;
-        self.world.run_until(SimTime(opens));
+        let opens = SimTime((now / second + 2) * second + PHASE_NS);
+        self.world.run_until(opens);
         let before = (CALLS.load(Relaxed), BYTES.load(Relaxed));
-        let accepted = self.submit(WINDOW);
+        let accepted = self.submit();
+        self.world.run_until(opens + WINDOW);
         let after = (CALLS.load(Relaxed), BYTES.load(Relaxed));
         assert!(accepted, "submit {} was accepted", depth + 1);
         // The window reached the last replica: every instance holds the
