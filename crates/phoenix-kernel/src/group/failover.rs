@@ -7,12 +7,14 @@
 //! handing a quarantined partition to a healthier node (a drain) — and
 //! every one of them is placed by [`place`]: in place on the old host
 //! while that can still run it, else on the partition's first live backup
-//! or compute node, healthy ones first. [`Failover`] numbers the plans and
+//! or compute node, healthy ones first. [`rebuild_services`] is the
+//! replacement's own question once it runs: adopt the partition's kernel
+//! services, or start them again here. [`Failover`] numbers the plans and
 //! remembers which partitions a rescue is already under way for. No
 //! sends, no telemetry, no simulator context.
 
-use phoenix_proto::{PartitionId, PartitionSpec};
-use phoenix_sim::{Diagnosis, NodeId, RecoveryAction, SimDuration};
+use phoenix_proto::{MemberInfo, PartitionId, PartitionSpec};
+use phoenix_sim::{Diagnosis, NodeId, Pid, RecoveryAction, SimDuration};
 use std::collections::BTreeSet;
 
 /// Cost to restart a GSD in place (Table 2 process row: 2.03 s).
@@ -80,6 +82,24 @@ pub(crate) fn place(
         action: RecoveryAction::Migrated(to),
         cost,
     })
+}
+
+/// Must a replacement GSD, started by `action` for the member `hint`
+/// describes, rebuild the partition's kernel services on its own node —
+/// or adopt the ones `hint` names? Migrated: the whole server node died,
+/// and they with it. Restarted in place, they should have survived; but
+/// when the host crashed and rebooted between diagnosis and respawn, the
+/// old pids died with the node even though it reports up again. `alive`
+/// is a liveness check of co-resident pids, not remote omniscience: in
+/// place means they share the replacement's node.
+pub(crate) fn rebuild_services(
+    hint: &MemberInfo,
+    action: RecoveryAction,
+    alive: impl Fn(Pid) -> bool,
+) -> bool {
+    let services = [hint.checkpoint, hint.event, hint.bulletin];
+    matches!(action, RecoveryAction::Migrated(_))
+        || services.iter().any(|&pid| pid == Pid(0) || !alive(pid))
 }
 
 /// The planner's bookkeeping: plan ids and rescues under way.
@@ -171,6 +191,39 @@ mod tests {
                 placed(cause, down, slow),
                 want,
                 "{cause:?} {down:?} {slow:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rebuild_services_table() {
+        use RecoveryAction::{Migrated, RestartedInPlace};
+        let hint = |checkpoint, event, bulletin| MemberInfo {
+            checkpoint: Pid(checkpoint),
+            event: Pid(event),
+            bulletin: Pid(bulletin),
+            ..MemberInfo::unwired(PartitionId(2))
+        };
+        // (action, hinted checkpoint / event / bulletin, dead pids, rebuild)
+        let rows = [
+            // Migrated: rebuilt whatever the hint says is alive.
+            (Migrated(NodeId(11)), hint(5, 6, 7), &[][..], true),
+            // In place and every hinted service alive: adopted.
+            (RestartedInPlace, hint(5, 6, 7), &[], false),
+            // In place, but one of them died with a rebooted host.
+            (RestartedInPlace, hint(5, 6, 7), &[5], true),
+            (RestartedInPlace, hint(5, 6, 7), &[6], true),
+            (RestartedInPlace, hint(5, 6, 7), &[7], true),
+            // A slot never filled is nothing to adopt.
+            (RestartedInPlace, hint(5, 0, 7), &[], true),
+            (RestartedInPlace, MemberInfo::unwired(PartitionId(2)), &[], true),
+        ];
+        for (action, hint, dead, want) in rows {
+            let alive = |pid: Pid| !dead.contains(&pid.0);
+            assert_eq!(
+                rebuild_services(&hint, action, alive),
+                want,
+                "{action:?} {hint:?} dead {dead:?}"
             );
         }
     }

@@ -33,8 +33,9 @@ use crate::group::registry::{kernel_factory_key, SharedRegistry};
 use crate::group::ring::{Adoption, Join, Ring, Role};
 use crate::group::wd::Wd;
 use crate::nic_health::{HealthTransition, NicHealth};
-use crate::params::KernelParams;
-use crate::regroup::{self, AckInfo, Regroup, Verdict};
+use crate::group::probe::{Outcome, Probes};
+use crate::params::{FtParams, KernelParams};
+use crate::regroup::{self, Licence, Regroup, Why};
 use crate::slow_detect::{self, SlowDetect, SlowTransition, Verdict as SlowVerdict};
 use phoenix_proto::{
     CheckpointData, ClusterTopology, Event, EventPayload, EventType, KernelMsg, MemberInfo,
@@ -79,6 +80,14 @@ fn milestone(ctx: &mut Ctx<'_, KernelMsg>, label: &'static str, value: impl Into
     ctx.trace(TraceEvent::Milestone { label, value });
 }
 
+/// Keep the witness gauges current.
+fn export_witness(view: Option<(PartitionId, u64)>) {
+    if let Some((witness, epoch)) = view {
+        phoenix_telemetry::gauge_set("gsd.regroup.witness", witness.0 as f64);
+        phoenix_telemetry::gauge_set("gsd.regroup.witness_epoch", epoch as f64);
+    }
+}
+
 fn quarantine_msg(epoch: u64, set: &BTreeSet<PartitionId>) -> KernelMsg {
     KernelMsg::MetaQuarantine {
         epoch,
@@ -119,18 +128,17 @@ struct Peer {
     live: Liveness,
 }
 
-/// An in-flight liveness probe session.
-struct ProbeSession {
-    watched: Watched,
-    target_ppm: Pid,
-    rounds_sent: u32,
-    responses: u32,
-    /// When the most recent probe round was sent; each response consumes
-    /// it as an RTT sample for the fail-slow detector.
-    last_round_at: Option<SimTime>,
-    /// Telemetry span covering the whole session (open → resolution);
-    /// aborted (not closed) if this GSD dies mid-probe.
-    span: phoenix_telemetry::SpanId,
+fn peer_in(peers: &[Peer], watched: Watched) -> Option<&Peer> {
+    let slot = peers.binary_search_by_key(&watched, |p| p.watched);
+    slot.ok().map(|i| &peers[i])
+}
+
+/// Has any NIC of a watched daemon produced a heartbeat inside the
+/// suspicion window ending `now`? What a resolving probe session asks:
+/// such a beat was lost in the network, not stopped at the source.
+fn fresh_beats<'a>(peers: &'a [Peer], ft: &FtParams, now: SimTime) -> impl Fn(Watched) -> bool + 'a {
+    let window = liveness::window(ft);
+    move |watched| peer_in(peers, watched).is_some_and(|p| p.live.any_fresh(now, window))
 }
 
 /// Work scheduled for a later virtual instant.
@@ -197,7 +205,10 @@ pub struct Gsd {
     /// gaps (WD and meta-ring). Inert unless `params.ft.nic.enabled`.
     nic_health: NicHealth,
 
-    probes: BTreeMap<u64, ProbeSession>,
+    probes: Probes,
+    /// Telemetry span covering each probe session (open → resolution), by
+    /// session id; aborted (not closed) if this GSD dies mid-probe.
+    probe_spans: BTreeMap<u64, phoenix_telemetry::SpanId>,
     ops: HashMap<u64, DelayedOp>,
     next_id: u64,
     /// The role last announced in a `RoleChange`; `None` before the first
@@ -285,6 +296,7 @@ impl Gsd {
         let regroup = Regroup::new(params.ft.regroup.clone());
         let slow = SlowDetect::new(params.ft.slow.clone());
         let dir = DirSync::new(params.rpc.retries_enabled());
+        let probes = Probes::new(&params.ft);
         Gsd {
             partition,
             params,
@@ -300,7 +312,8 @@ impl Gsd {
             supervisor: Supervisor::default(),
             my_nic_known: Vec::new(),
             nic_health,
-            probes: BTreeMap::new(),
+            probes,
+            probe_spans: BTreeMap::new(),
             ops: HashMap::new(),
             next_id: 0,
             last_role: None,
@@ -349,19 +362,17 @@ impl Gsd {
     /// quorum bench read it to evaluate the weighted win rule the same
     /// way the GSDs themselves do.
     pub fn witness_view(&self) -> Option<(PartitionId, u64)> {
-        self.regroup
-            .witness()
-            .map(|w| (w, self.regroup.witness_epoch()))
+        self.regroup.outlook().witness
     }
 
     /// Effective takeover delay currently enforced by the regroup layer.
     pub fn effective_takeover_delay(&self) -> phoenix_sim::SimDuration {
-        self.regroup.effective_takeover_delay()
+        self.regroup.outlook().takeover_delay
     }
 
     /// Test/introspection: probe sessions opened and not yet resolved.
     pub fn probes_in_flight(&self) -> usize {
-        self.probes.len()
+        self.probes.in_flight()
     }
 
     /// The ring changed: export its size, drop the rescues the change made
@@ -412,7 +423,7 @@ impl Gsd {
     }
 
     fn peer_of(&self, watched: Watched) -> Option<&Peer> {
-        self.peer_slot(watched).ok().map(|i| &self.peers[i])
+        peer_in(&self.peers, watched)
     }
 
     fn peer_of_mut(&mut self, watched: Watched) -> Option<&mut Peer> {
@@ -590,17 +601,6 @@ impl Gsd {
         }
     }
 
-    fn wire_from_boot(&mut self, ctx: &mut Ctx<'_, KernelMsg>, dir: &phoenix_proto::ServiceDirectory) {
-        if let Some(me) = dir.partition(self.partition) {
-            self.local = *me;
-            self.local.gsd = ctx.pid();
-        }
-        // The directory was built before spawn order: our own entry is ours.
-        self.ring.install(dir.partitions.clone(), self.local);
-        self.ingest_node_daemons(dir.nodes.iter());
-        self.finish_wiring(ctx);
-    }
-
     fn ingest_node_daemons<'a, I: Iterator<Item = &'a NodeServices>>(&mut self, nodes: I) {
         let Some(spec) = self.topology.partition(self.partition) else {
             return;
@@ -671,33 +671,36 @@ impl Gsd {
         self.send_meta_heartbeats(ctx);
     }
 
-    fn wire_from_respawn(&mut self, ctx: &mut Ctx<'_, KernelMsg>, dir: &phoenix_proto::ServiceDirectory) {
-        let Some(GsdInit::Respawn {
-            hint,
-            members,
-            epoch,
-            action,
-        }) = self.init.take()
-        else {
+    /// The directory arrived: take up the partition. A boot-time GSD is
+    /// wired from the boot directory's own entry and membership; a
+    /// replacement from its rescuer's hint and snapshot — and it alone has
+    /// a recovery to finish.
+    fn wire(&mut self, ctx: &mut Ctx<'_, KernelMsg>, dir: &phoenix_proto::ServiceDirectory) {
+        let Some(init) = self.init.take() else {
             return;
         };
         self.ingest_node_daemons(dir.nodes.iter());
+        let (hint, members, epoch, recovery) = match init {
+            // The directory was built before spawn order: our own entry
+            // is ours.
+            GsdInit::Boot => {
+                let own = dir.partition(self.partition).copied().unwrap_or(self.local);
+                (own, dir.partitions.clone(), self.ring.epoch(), None)
+            }
+            GsdInit::Respawn {
+                hint,
+                members,
+                epoch,
+                action,
+            } => (hint, members, epoch, Some(action)),
+        };
         self.local = hint;
         self.local.gsd = ctx.pid();
         self.local.node = ctx.node();
-
-        // Migrated: the whole server node died, rebuild the partition
-        // services here. An *in-place* rescue needs the same treatment
-        // when the host crashed and rebooted between diagnosis and this
-        // respawn — the old service pids died with the node even though
-        // the node reports up again (a liveness check of co-resident
-        // pids, not remote omniscience: in-place means they share our
-        // node).
-        let services_died = [hint.checkpoint, hint.event, hint.bulletin]
-            .iter()
-            .any(|&p| p == Pid(0) || !ctx.process_is_alive(p));
-        let rebuild = matches!(action, RecoveryAction::Migrated(_)) || services_died;
-        if rebuild {
+        let rebuild = recovery.filter(|&action| {
+            failover::rebuild_services(&hint, action, |pid| ctx.process_is_alive(pid))
+        });
+        if let Some(action) = rebuild {
             // Checkpoint first so the others can restore from it.
             for kind in [
                 ServiceKind::Checkpoint,
@@ -712,19 +715,30 @@ impl Gsd {
                 }
             }
         }
-
-        // Enter the membership ourselves and tell the world.
-        let old_gsd = hint.gsd;
+        // Enter the membership ourselves.
         self.ring.set_epoch(epoch);
         self.ring.install(members, self.local);
         self.finish_wiring(ctx);
+        if let Some(action) = recovery {
+            self.announce_recovery(ctx, hint.gsd, action, rebuild.is_none());
+        }
+    }
+
+    /// A replacement is wired: tell the world, and the instance replaced.
+    fn announce_recovery(
+        &mut self,
+        ctx: &mut Ctx<'_, KernelMsg>,
+        old_gsd: Pid,
+        action: RecoveryAction,
+        adopted: bool,
+    ) {
         // Adopt the surviving services: they are still bound to the GSD we
         // replace, and if that instance died *frozen* (yielded while a
         // regroup verdict had it suppressed) its last freeze fan-out is
         // stale forever — nobody else will ever thaw them. Rebind them to
         // us and clear the flag; we start unfrozen, and our own regroup
         // will re-freeze them if this island really has lost quorum.
-        if !rebuild {
+        if adopted {
             self.push_partition_view(ctx);
             self.freeze_fanout(ctx, false);
         }
@@ -770,14 +784,6 @@ impl Gsd {
             Watched::Wd(node) => phoenix_telemetry::key(&[1, node.0 as u64]),
             Watched::Ring(partition) => phoenix_telemetry::key(&[2, partition.0 as u64]),
         }
-    }
-
-    /// Has any NIC of the probed peer produced a fresh heartbeat since the
-    /// probe started? Used by the probe-abort path.
-    fn probe_target_fresh(&self, watched: Watched, now: SimTime) -> bool {
-        let window = liveness::window(&self.params.ft);
-        self.peer_of(watched)
-            .is_some_and(|p| p.live.any_fresh(now, window))
     }
 
     /// Suspicion cleared: beats resumed while the probe was in flight, so
@@ -844,7 +850,7 @@ impl Gsd {
                         // round alongside the probe. The round concludes
                         // before the probe pipeline can ripen into a
                         // takeover, so the quorum verdict is in first.
-                        self.start_regroup_round(ctx);
+                        self.start_regroup_round(ctx, Why::Suspicion);
                     }
                 }
                 Silence::Partial(nics) => {
@@ -872,35 +878,17 @@ impl Gsd {
     ) {
         let id = self.fresh_id();
         let span = phoenix_telemetry::span_start("gsd.probe.session", "gsd", ctx.node().0);
-        self.probes.insert(
-            id,
-            ProbeSession {
-                watched,
-                target_ppm,
-                rounds_sent: 0,
-                responses: 0,
-                last_round_at: None,
-                span,
-            },
-        );
-        // First probe round fires after one spacing; the paper's process
-        // diagnosing time ≈ rounds × spacing.
+        self.probe_spans.insert(id, span);
+        self.probes.open(id, watched, target_ppm);
         let spacing = self.params.ft.probe_round_interval;
         self.schedule(ctx, spacing, DelayedOp::ProbeRound(id));
         self.schedule(ctx, timeout, DelayedOp::ProbeTimeout(id));
     }
 
     fn probe_round(&mut self, ctx: &mut Ctx<'_, KernelMsg>, session: u64) {
-        let Some(s) = self.probes.get_mut(&session) else {
+        let Some((watched, target)) = self.probes.round(session, ctx.now()) else {
             return;
         };
-        if s.rounds_sent >= self.params.ft.probe_rounds {
-            return;
-        }
-        s.rounds_sent += 1;
-        s.last_round_at = Some(ctx.now());
-        let target = s.target_ppm;
-        let watched = s.watched;
         phoenix_telemetry::counter_add("gsd.probes.sent", 1);
         phoenix_telemetry::mark("gsd.probe.rtt", phoenix_telemetry::key(&[session]));
         // Probes are single-path: route them over the healthiest usable
@@ -917,7 +905,8 @@ impl Gsd {
     }
 
     fn on_probe_resp(&mut self, ctx: &mut Ctx<'_, KernelMsg>, session: u64) {
-        let Some(s) = self.probes.get_mut(&session) else {
+        let fresh = fresh_beats(&self.peers, &self.params.ft, ctx.now());
+        let Some(resp) = self.probes.on_response(session, ctx.now(), fresh) else {
             return;
         };
         phoenix_telemetry::measure(
@@ -926,54 +915,40 @@ impl Gsd {
             ctx.node().0,
             phoenix_telemetry::key(&[session]),
         );
-        s.responses += 1;
-        // One RTT sample per probe round (take() so a duplicate response
-        // in the same round cannot double-count).
-        let sent_at = s.last_round_at.take();
-        let watched = s.watched;
-        let done = s.responses >= self.params.ft.probe_rounds;
-        if done {
-            phoenix_telemetry::span_end(s.span);
-            self.probes.remove(&session);
+        let peer = self.peer_of(resp.watched).map(|p| p.node);
+        if let (Some(node), Some(rtt)) = (peer, resp.rtt) {
+            self.observe_peer_rtt(ctx, node, rtt.as_nanos());
         }
-        let peer = self.peer_of(watched).map(|p| p.node);
-        if let (Some(node), Some(at)) = (peer, sent_at) {
-            self.observe_peer_rtt(ctx, node, (ctx.now() - at).as_nanos());
+        if let Some(outcome) = resp.outcome {
+            self.resolve_probe(ctx, session, resp.watched, outcome);
         }
-        if !done {
-            return;
-        }
-        if self.params.ft.probe_abort_on_fresh && self.probe_target_fresh(watched, ctx.now()) {
-            self.abort_probe(watched);
-            return;
-        }
-        // Node is alive, daemon silent: process failure.
-        self.diagnose(ctx, watched, Diagnosis::ProcessFailure);
     }
 
     fn on_probe_timeout(&mut self, ctx: &mut Ctx<'_, KernelMsg>, session: u64) {
-        let Some(s) = self.probes.remove(&session) else {
-            return;
-        };
-        let watched = s.watched;
-        let responses = s.responses;
-        phoenix_telemetry::span_end(s.span);
-        if self.params.ft.probe_abort_on_fresh && self.probe_target_fresh(watched, ctx.now()) {
-            self.abort_probe(watched);
-            return;
+        let fresh = fresh_beats(&self.peers, &self.params.ft, ctx.now());
+        if let Some((watched, outcome)) = self.probes.on_timeout(session, fresh) {
+            self.resolve_probe(ctx, session, watched, outcome);
         }
-        if responses > 0 {
-            // The target's PPM answered at least one round before the
-            // deadline: the node is provably reachable, so the missing
-            // rounds are packet loss, not a dead machine. Diagnosing node
-            // death here would strand a live node without a WD (the node
-            // path never restarts daemons). On a clean network all rounds
-            // complete long before the timeout, so this arm never fires.
+    }
+
+    /// A probe session is over: close its span and act on the outcome.
+    fn resolve_probe(
+        &mut self,
+        ctx: &mut Ctx<'_, KernelMsg>,
+        session: u64,
+        watched: Watched,
+        outcome: Outcome,
+    ) {
+        if let Some(span) = self.probe_spans.remove(&session) {
+            phoenix_telemetry::span_end(span);
+        }
+        if outcome == Outcome::PartialProcessFailure {
             phoenix_telemetry::counter_add("gsd.probes.partial", 1);
-            self.diagnose(ctx, watched, Diagnosis::ProcessFailure);
-            return;
         }
-        self.diagnose(ctx, watched, Diagnosis::NodeFailure);
+        match outcome.diagnosis() {
+            Some(verdict) => self.diagnose(ctx, watched, verdict),
+            None => self.abort_probe(watched),
+        }
     }
 
     // ---- diagnoses & recovery ---------------------------------------------
@@ -1389,9 +1364,10 @@ impl Gsd {
         // under a ripened licence; refresh it on the same licence so a
         // minority island can never install a ranking, and never from a
         // gray-self observer whose ranking is its own slowness.
-        if self.regroup.votes_enabled() && !gray && self.regroup.takeover_licensed(now) {
-            let pref = self.slow.witness_preference(self.ring.members(), self.ring.quarantined());
-            self.regroup.set_witness_preference(pref);
+        if !gray {
+            let (slow, ring) = (&self.slow, &self.ring);
+            let ranking = || slow.witness_preference(ring.members(), ring.quarantined());
+            self.regroup.rank_witness(now, ranking);
         }
         if self.ring.role() != Role::Leader {
             return;
@@ -1474,14 +1450,13 @@ impl Gsd {
 
     // ---- quorum regroup (MSCS-style; paper-adjacent split-brain cure) ------
 
-    /// Open a regroup round: ping the best-known GSD of every configured
-    /// partition and arm the round-window timer. No-op when the layer is
-    /// disabled or a round is already collecting.
-    fn start_regroup_round(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        if !self.regroup.enabled() || self.regroup.round_active() {
+    /// Open a regroup round if the layer wants one: send what it says and
+    /// arm the round-window timer.
+    fn start_regroup_round(&mut self, ctx: &mut Ctx<'_, KernelMsg>, why: Why) {
+        let (me, epoch) = (self.partition, self.ring.epoch());
+        let Some(round) = self.regroup.open_round(me, epoch, ctx.now(), why) else {
             return;
-        }
-        let round = self.regroup.begin_round(ctx.now());
+        };
         phoenix_telemetry::counter_add("gsd.regroup.rounds", 1);
         self.round_span = Some(match self.frozen_span {
             Some(parent) => phoenix_telemetry::span_child(
@@ -1492,47 +1467,27 @@ impl Gsd {
             ),
             None => phoenix_telemetry::span_start("gsd.regroup.round", "gsd", ctx.node().0),
         });
-        let ping = KernelMsg::RegroupPing {
-            from_partition: self.partition,
-            epoch: self.ring.epoch(),
-            round,
-            witness: self.regroup.witness().unwrap_or(PartitionId(0)),
-            witness_epoch: self.regroup.witness_epoch(),
-        };
-        // Every *configured* partition, not just current members: a
-        // frozen side keeps pinging partitions its stale membership may
-        // have lost, and a majority side pings the minority it removed
-        // (the ring keeps the pre-removal coordinates).
+        // The ring keeps the coordinates of partitions it removed.
         for p in self.topology.partitions.iter().map(|p| p.id) {
             if p == self.partition {
                 continue;
             }
             if let Some(m) = self.ring.known(p).filter(|m| m.gsd != Pid(0)) {
-                self.send_routed(ctx, m.gsd, m.node, ping.clone());
+                self.send_routed(ctx, m.gsd, m.node, round.ping.clone());
             }
         }
-        // Vote-table profiles also collect home-node testimony: each
-        // peer partition's own watch daemons are asked whether the GSD
-        // they track is alive. A partition that never acks but whose own
-        // nodes unanimously report its GSD dead is discounted from the
-        // quorum denominator — the escape hatch from the all-dark state
-        // where enough GSDs (witness included) died that every island
-        // is a strict weighted minority. Only home nodes may testify:
-        // they are the nodes an in-place respawn lands on, so the
-        // evidence cannot sit on the far side of a split from a rescued
-        // replacement.
-        if self.regroup.votes_enabled() {
+        if let Some(probe) = round.home_probe {
             for (&node, &wd) in &self.cluster_wds {
                 if wd != Pid(0) && !self.node_daemons.contains_key(&node) {
-                    self.send_routed(ctx, wd, node, KernelMsg::RegroupProbe { round });
+                    self.send_routed(ctx, wd, node, probe.clone());
                 }
             }
         }
         ctx.set_timer(regroup::ROUND_WINDOW, TOK_REGROUP);
     }
 
-    /// The round window closed: compute the connected component and act
-    /// on the quorum verdict.
+    /// The round window closed: record the verdict and do what the
+    /// conclusion says.
     fn conclude_regroup(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         let Some(c) = self.regroup.conclude(self.partition, ctx.now()) else {
             return;
@@ -1540,124 +1495,64 @@ impl Gsd {
         if let Some(span) = self.round_span.take() {
             phoenix_telemetry::span_end(span);
         }
-        phoenix_telemetry::gauge_set("gsd.regroup.epoch", self.regroup.epoch() as f64);
-        if let Some(lat) = self.regroup.round_latency_ewma() {
-            phoenix_telemetry::gauge_set(
-                "gsd.regroup.round_latency",
-                lat.as_secs_f64() * 1e3,
-            );
+        let outlook = self.regroup.outlook();
+        phoenix_telemetry::gauge_set("gsd.regroup.epoch", outlook.epoch as f64);
+        if let Some(lat) = outlook.round_latency {
+            phoenix_telemetry::gauge_set("gsd.regroup.round_latency", lat.as_secs_f64() * 1e3);
             phoenix_telemetry::gauge_set(
                 "gsd.regroup.takeover_delay",
-                self.regroup.effective_takeover_delay().as_secs_f64() * 1e3,
+                outlook.takeover_delay.as_secs_f64() * 1e3,
             );
         }
-        self.export_witness();
+        export_witness(outlook.witness);
         if !c.dead.is_empty() {
             // Quorum denominator shrank on home-node dead testimony.
-            phoenix_telemetry::counter_add(
-                "gsd.regroup.dead_discounts",
-                c.dead.len() as u64,
-            );
+            phoenix_telemetry::counter_add("gsd.regroup.dead_discounts", c.dead.len() as u64);
         }
-        if let Some(w) = c.witness_failover {
-            // The held majority moved the witness off an unreachable
-            // partition; record it and tell the config service so an
-            // operator (and GridView) can see the new quorum anchor.
+        if let Some(moved) = c.witness_failover {
             phoenix_telemetry::counter_add("gsd.regroup.witness_failover", 1);
-            milestone(ctx, "witness-failover", w.0);
-            if c.reachable.first() == Some(&self.partition) {
+            milestone(ctx, "witness-failover", moved.to.0);
+            if moved.report {
                 ctx.send(
                     self.config,
                     KernelMsg::CfgSetParam {
                         req: RequestId(0),
                         key: "regroup_witness".to_string(),
-                        value: format!("{}:{}", w.0, self.regroup.witness_epoch()),
+                        value: format!("{}:{}", moved.to.0, moved.epoch),
                     },
                 );
             }
         }
-        match c.verdict {
-            Verdict::Majority if !self.regroup.frozen() => {
-                // We hold quorum: normal operation (the concluded round
-                // is the takeover licence `majority_confirmed` checks).
-                // The lowest reachable partition flags the unreachable
-                // side's directory entries stale so clients stop routing
-                // to daemons nobody can vouch for.
-                if c.reachable.first() == Some(&self.partition) {
-                    for p in self.topology.partitions.iter().map(|p| p.id) {
-                        if !c.reachable.contains(&p) {
-                            ctx.send(
-                                self.config,
-                                KernelMsg::DirectoryStale {
-                                    partition: p,
-                                    stale: true,
-                                },
-                            );
-                        }
-                    }
-                }
-                if self.regroup.witness_lost() {
-                    ctx.set_timer(regroup::FROZEN_RETRY, TOK_REGROUP_RETRY);
-                }
-            }
-            Verdict::Majority => {
-                // Frozen, but a majority answered: the partition healed.
-                // Ask the freshest unfrozen peer to take us back in; thaw
-                // happens only when the majority's broadcast names us.
-                // If *everyone* reachable is frozen (the whole cluster
-                // fragmented and re-healed), one partition re-seeds the
-                // group by thawing and announcing itself: the witness's
-                // partition when the vote table is on and the witness is
-                // reachable (it anchors the quorum, so the rebuilt group
-                // forms around it), else the lowest reachable.
-                match c.rejoin_target {
-                    Some((gsd, _)) => ctx.send(gsd, KernelMsg::MetaJoin { member: self.local }),
-                    None => {
-                        let reseed = self
-                            .regroup
-                            .witness()
-                            .filter(|w| c.reachable.contains(w))
-                            .or_else(|| c.reachable.first().copied());
-                        // A majority that leans on dead-partition
-                        // discounts is testimony, not reachability:
-                        // out-wait a full takeover-delay chain of such
-                        // verdicts before re-seeding, as hysteresis
-                        // against a transient or one-sided view.
-                        let licensed = c.dead.is_empty()
-                            || self.regroup.takeover_licensed(ctx.now());
-                        if reseed == Some(self.partition) && licensed {
-                            // Re-seed as a *singleton* group. Our
-                            // pre-fragmentation member list still names
-                            // frozen peers, so ring leadership would point
-                            // at one of them — a leader that drops every
-                            // MetaJoin while frozen, wedging the rebuild.
-                            // Shrinking to ourselves makes us the leader;
-                            // peers' retry rounds find us unfrozen, join,
-                            // and thaw when our broadcast names them.
-                            self.ring.reseed_singleton();
-                            self.leave_frozen(ctx, self.ring.role());
-                            self.refresh_roles(ctx);
-                            self.announce_membership_change(ctx);
-                        }
-                    }
-                }
-                ctx.set_timer(regroup::FROZEN_RETRY, TOK_REGROUP_RETRY);
-            }
-            Verdict::Minority => {
-                self.enter_frozen(ctx);
-                ctx.set_timer(regroup::FROZEN_RETRY, TOK_REGROUP_RETRY);
-            }
+        if c.froze {
+            self.enter_frozen(ctx);
+        }
+        for partition in c.stale {
+            let stale = true;
+            ctx.send(self.config, KernelMsg::DirectoryStale { partition, stale });
+        }
+        if let Some(gsd) = c.ask_back_in {
+            ctx.send(gsd, KernelMsg::MetaJoin { member: self.local });
+        }
+        if c.reseed {
+            // Re-seed as a *singleton* group. Our pre-fragmentation member
+            // list still names frozen peers, so ring leadership would point
+            // at one of them — a leader that drops every MetaJoin while
+            // frozen, wedging the rebuild. Shrinking to ourselves makes us
+            // the leader; peers' retry rounds find us unfrozen, join, and
+            // thaw when our broadcast names them.
+            self.ring.reseed_singleton();
+            self.leave_frozen(ctx, self.ring.role());
+            self.refresh_roles(ctx);
+            self.announce_membership_change(ctx);
+        }
+        if c.keep_polling {
+            ctx.set_timer(regroup::FROZEN_RETRY, TOK_REGROUP_RETRY);
         }
     }
 
-    /// Lost quorum: freeze. The GSD stays alive and answers pings, but
-    /// every membership-changing action (diagnosis, takeover, rescue,
-    /// rejoin, directory writes) is suppressed until a majority-side
-    /// membership broadcast names us again.
+    /// Quorum just lost: tell the world, and unwind whatever could still
+    /// ripen into a takeover.
     fn enter_frozen(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        if !self.regroup.freeze() {
-            return;
-        }
         phoenix_telemetry::counter_add("gsd.regroup.freezes", 1);
         phoenix_telemetry::gauge_set("gsd.regroup.frozen", 1.0);
         self.frozen_span =
@@ -1671,9 +1566,11 @@ impl Gsd {
         // Abort in-flight probe sessions: a pending diagnosis must not
         // ripen into a takeover after we lost quorum. `abort_probe`
         // retracts the suspicion marks so they cannot leak.
-        for s in std::mem::take(&mut self.probes).into_values() {
-            phoenix_telemetry::span_end(s.span);
-            self.abort_probe(s.watched);
+        for (session, watched) in self.probes.abandon() {
+            if let Some(span) = self.probe_spans.remove(&session) {
+                phoenix_telemetry::span_end(span);
+            }
+            self.abort_probe(watched);
         }
         self.freeze_fanout(ctx, true);
     }
@@ -1707,57 +1604,39 @@ impl Gsd {
         }
     }
 
-    /// Gate a ripened meta diagnosis on quorum. Returns true when the
-    /// takeover may proceed. On false the probe session is unwound
-    /// (suspicion mark retracted, probing flag cleared) so the next scan
-    /// re-suspects — by which time our own round has concluded and the
-    /// verdict is in.
+    /// A ripened meta diagnosis goes ahead only under the regroup layer's
+    /// licence. Refused, the probe session is unwound (suspicion mark
+    /// retracted, probing flag cleared) so the next scan re-suspects.
     fn regroup_licenses_takeover(
         &mut self,
         ctx: &mut Ctx<'_, KernelMsg>,
         partition: PartitionId,
     ) -> bool {
-        if !self.regroup.enabled() {
-            return true;
+        let licence = self.regroup.licence(partition, ctx.now());
+        let refused = match licence {
+            Licence::Granted => return true,
+            Licence::Suppressed => "gsd.regroup.suppressed",
+            Licence::Vetoed => "gsd.regroup.vetoed",
+            Licence::Deferred => "gsd.regroup.deferred",
+        };
+        phoenix_telemetry::counter_add(refused, 1);
+        self.abort_probe(Watched::Ring(partition));
+        if licence == Licence::Deferred {
+            self.start_regroup_round(ctx, Why::Suspicion);
         }
-        if self.regroup.frozen() {
-            phoenix_telemetry::counter_add("gsd.regroup.suppressed", 1);
-            self.abort_probe(Watched::Ring(partition));
-            return false;
-        }
-        // Reachability veto: if the suspected partition acked the last
-        // concluded regroup round it is alive and routable — the stale
-        // beats are a transient (e.g. just-healed links), not a failure.
-        if self.regroup.recently_reachable(partition, ctx.now()) {
-            phoenix_telemetry::counter_add("gsd.regroup.vetoed", 1);
-            self.abort_probe(Watched::Ring(partition));
-            return false;
-        }
-        // MSCS-style regroup period: a takeover needs an unbroken chain
-        // of majority verdicts held for at least `takeover_delay`, long
-        // enough for any minority islet to have frozen itself.
-        if !self.regroup.takeover_licensed(ctx.now()) {
-            phoenix_telemetry::counter_add("gsd.regroup.deferred", 1);
-            self.abort_probe(Watched::Ring(partition));
-            self.start_regroup_round(ctx);
-            return false;
-        }
-        true
+        false
     }
 
-    /// Adopt a gossiped witness view (regroup ping/ack traffic) and keep
-    /// the telemetry gauges current when it changes.
-    fn observe_witness(&mut self, witness: PartitionId, witness_epoch: u64) {
-        if self.regroup.observe_witness(witness, witness_epoch) {
-            self.export_witness();
+    /// Regroup traffic: the layer says what it meant.
+    fn on_regroup_msg(&mut self, ctx: &mut Ctx<'_, KernelMsg>, from: Pid, msg: &KernelMsg) {
+        let (me, epoch) = (self.partition, self.ring.epoch());
+        let heard = self.regroup.on_message(me, epoch, from, msg, ctx.now());
+        export_witness(heard.witness);
+        if let Some(reply) = heard.reply {
+            ctx.send(from, reply);
         }
-    }
-
-    fn export_witness(&self) {
-        if let Some(w) = self.regroup.witness() {
-            let epoch = self.regroup.witness_epoch();
-            phoenix_telemetry::gauge_set("gsd.regroup.witness", w.0 as f64);
-            phoenix_telemetry::gauge_set("gsd.regroup.witness_epoch", epoch as f64);
+        if heard.echo {
+            self.start_regroup_round(ctx, Why::Suspicion);
         }
     }
 
@@ -1997,13 +1876,12 @@ impl Actor<KernelMsg> for Gsd {
         match msg {
             KernelMsg::Boot(dir) => {
                 if matches!(self.init, Some(GsdInit::Boot)) {
-                    self.init = None;
-                    self.wire_from_boot(ctx, &dir);
+                    self.wire(ctx, &dir);
                 }
             }
             KernelMsg::CfgDirectory { directory, .. } => {
                 if matches!(self.init, Some(GsdInit::Respawn { .. })) {
-                    self.wire_from_respawn(ctx, &directory);
+                    self.wire(ctx, &directory);
                 }
             }
             KernelMsg::WdHeartbeat { node, nic, seq } => {
@@ -2100,80 +1978,9 @@ impl Actor<KernelMsg> for Gsd {
                 self.refresh_roles(ctx);
                 self.maybe_drain(ctx);
             }
-            KernelMsg::RegroupPing {
-                round,
-                witness,
-                witness_epoch,
-                ..
-            } => {
-                // Always answer (even frozen — reachability is
-                // reachability; the `frozen` bit tells the pinger whether
-                // we can vouch for a membership).
-                if self.regroup.enabled() {
-                    self.observe_witness(witness, witness_epoch);
-                    ctx.send(
-                        from,
-                        KernelMsg::RegroupAck {
-                            from_partition: self.partition,
-                            epoch: self.ring.epoch(),
-                            round,
-                            frozen: self.regroup.frozen(),
-                            weight: self.regroup.configured_weight(self.partition),
-                            witness: self.regroup.witness().unwrap_or(PartitionId(0)),
-                            witness_epoch: self.regroup.witness_epoch(),
-                        },
-                    );
-                    // Verdict propagation: a peer opening a round suspects
-                    // the topology changed. On an even split the losing
-                    // side's leader can have its entire ring neighbourhood
-                    // on its own island (predecessor reachable, so no
-                    // suspicion ever fires) and would lead until heal —
-                    // echo a round of our own so every reachable GSD
-                    // concludes a verdict within one window of the first
-                    // detector. `start_regroup_round` dedups on an active
-                    // round, and echoes only chain while pings keep
-                    // arriving, so steady state stays quiet.
-                    if self.regroup.votes_enabled() {
-                        self.start_regroup_round(ctx);
-                    }
-                }
-            }
-            KernelMsg::RegroupAck {
-                from_partition,
-                epoch,
-                round,
-                frozen,
-                weight,
-                witness,
-                witness_epoch,
-            } => {
-                if self.regroup.enabled() {
-                    self.observe_witness(witness, witness_epoch);
-                    self.regroup.on_ack(
-                        round,
-                        from_partition,
-                        AckInfo {
-                            gsd: from,
-                            epoch,
-                            frozen,
-                            weight,
-                        },
-                        ctx.now(),
-                    );
-                }
-            }
-            KernelMsg::RegroupProbeAck {
-                round,
-                partition,
-                alive,
-                ..
-            } => {
-                // Home-node testimony about a peer partition's GSD. Our
-                // own partition never needs testifying about.
-                if self.regroup.enabled() && partition != self.partition {
-                    self.regroup.on_home_report(round, partition, alive);
-                }
-            }
+            KernelMsg::RegroupPing { .. }
+            | KernelMsg::RegroupAck { .. }
+            | KernelMsg::RegroupProbeAck { .. } => self.on_regroup_msg(ctx, from, &msg),
             KernelMsg::CfgSetParam { key, value, .. } => {
                 if key == "hb_interval_ms" {
                     if let Ok(ms) = value.parse::<u64>() {
@@ -2262,16 +2069,7 @@ impl Actor<KernelMsg> for Gsd {
                 }
             }
             TOK_REGROUP => self.conclude_regroup(ctx),
-            TOK_REGROUP_RETRY => {
-                // Heal detection: while frozen, keep opening rounds until
-                // a majority answers. An unfrozen majority polls too while
-                // the witness is unreachable, so the failover can fire the
-                // moment the takeover licence ripens (and so a healed
-                // witness is re-observed promptly).
-                if self.regroup.frozen() || self.regroup.witness_lost() {
-                    self.start_regroup_round(ctx);
-                }
-            }
+            TOK_REGROUP_RETRY => self.start_regroup_round(ctx, Why::Poll),
             t if t > OP_BASE => {
                 if let Some(op) = self.ops.remove(&(t - OP_BASE)) {
                     self.run_op(ctx, op);
@@ -2285,8 +2083,8 @@ impl Actor<KernelMsg> for Gsd {
         // Probe sessions die with this GSD: abandon their spans with an
         // `aborted` disposition so `open_spans()` cannot climb across
         // fault schedules.
-        for s in std::mem::take(&mut self.probes).into_values() {
-            phoenix_telemetry::span_abort(s.span);
+        for span in std::mem::take(&mut self.probe_spans).into_values() {
+            phoenix_telemetry::span_abort(span);
         }
         // A GSD that dies frozen (most often: yielding to the majority's
         // replacement after a heal) abandons its frozen-episode span, and

@@ -24,6 +24,7 @@ pub(crate) mod failover;
 pub mod flat;
 pub mod gsd;
 pub(crate) mod liveness;
+pub(crate) mod probe;
 pub mod registry;
 pub(crate) mod ring;
 pub mod wd;

@@ -22,10 +22,13 @@
 //!   when the majority's membership broadcast names it — or yields and
 //!   dies if the majority already replaced it.
 //!
-//! The module holds the pure protocol state machine (no actor plumbing):
-//! round bookkeeping, quorum math, and freeze/thaw edges. The GSD drives
-//! it and owns all message traffic. Everything is gated behind
-//! [`RegroupParams::enabled`] so the paper pipeline stays byte-identical.
+//! The module holds the protocol state machine and its wire messages, and
+//! nothing of the actor: no sends, no timers, no telemetry. The GSD hands
+//! it regroup traffic, timer instants and diagnoses, and gets whole
+//! answers back — a [`Round`] to send, what was [`Heard`], a
+//! [`Conclusion`] that says what this partition does next, a takeover
+//! [`Licence`]. With [`RegroupParams::enabled`] off every answer is
+//! "nothing", so the paper pipeline stays byte-identical.
 //!
 //! ## Weighted / witness quorum (DESIGN.md §13)
 //!
@@ -50,7 +53,7 @@
 //! converge near the floor (fast profile); lossy ones back off, never
 //! past the paper's 31 s ceiling.
 
-use phoenix_proto::PartitionId;
+use phoenix_proto::{KernelMsg, PartitionId};
 use phoenix_sim::{Pid, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -184,29 +187,132 @@ pub struct AckInfo {
     pub weight: u32,
 }
 
-/// The outcome handed back to the GSD when a round concludes.
+/// The outcome handed back to the GSD when a round concludes: the verdict,
+/// and what this partition does about it.
 #[derive(Clone, Debug)]
 pub struct Conclusion {
     pub verdict: Verdict,
     /// Partitions reachable this round (self included), sorted.
     pub reachable: Vec<PartitionId>,
-    /// Best rejoin target among the ackers: the unfrozen member with the
-    /// highest (epoch, pid). `None` means every reachable peer is frozen
-    /// too (or nobody acked) — with majority, the lowest reachable
-    /// partition must then self-thaw to re-seed the group (the
-    /// witness's partition when the vote table is on and the witness is
-    /// reachable).
-    pub rejoin_target: Option<(Pid, u64)>,
-    /// Set when this conclusion failed the witness over to a new
-    /// partition (majority held, old witness unreachable for a full
-    /// takeover-delay period). The GSD reports it to the config service.
-    pub witness_failover: Option<PartitionId>,
     /// Partitions confirmed dead by their own home nodes this round and
     /// discounted from the quorum denominator (sorted; empty while the
     /// vote table is off). A non-empty set means the verdict leans on
     /// testimony rather than pure reachability, so the all-frozen
-    /// re-seed path additionally out-waits the takeover delay.
+    /// re-seed additionally out-waits the takeover delay.
     pub dead: Vec<PartitionId>,
+    /// Set when this conclusion failed the witness over (majority held,
+    /// old witness unreachable for a full takeover-delay period).
+    pub witness_failover: Option<WitnessMove>,
+    /// This conclusion froze the partition (the edge, not the state).
+    pub froze: bool,
+    /// Unreachable partitions whose directory entries this partition
+    /// flags stale, so clients stop routing to daemons nobody can vouch
+    /// for. Only an unfrozen majority's lowest reachable partition does.
+    pub stale: Vec<PartitionId>,
+    /// Frozen, and a majority answered — the partition healed: the
+    /// freshest unfrozen acker (highest epoch, then pid), to be asked to
+    /// take us back in. The thaw itself waits for a membership that names
+    /// us.
+    pub ask_back_in: Option<Pid>,
+    /// Frozen, a majority answered and every one of them is frozen too
+    /// (the whole cluster fragmented and re-healed): this partition
+    /// re-seeds the group — the witness's when the witness is reachable
+    /// (the rebuilt group forms around the quorum anchor), else the lowest
+    /// reachable.
+    pub reseed: bool,
+    /// Open another round after [`FROZEN_RETRY`]: frozen (heal detection),
+    /// or a majority that cannot reach its witness (so the failover fires
+    /// the moment the licence ripens, and a healed witness is seen).
+    pub keep_polling: bool,
+}
+
+/// A witness failover, as concluded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WitnessMove {
+    pub to: PartitionId,
+    /// The witness epoch the move bumped to.
+    pub epoch: u64,
+    /// This partition is the lowest reachable: the one that tells the
+    /// config service, so an operator can see the new quorum anchor.
+    pub report: bool,
+}
+
+/// A round just opened: what to send.
+#[derive(Clone, Debug)]
+pub struct Round {
+    /// For the best-known GSD of every other *configured* partition, not
+    /// just current members: a frozen side keeps pinging partitions its
+    /// stale membership may have lost, and a majority side pings the
+    /// minority it removed.
+    pub ping: KernelMsg,
+    /// Vote-table profiles also collect home-node testimony: for the
+    /// watch daemon of every node outside this partition. A partition
+    /// that never acks but whose own nodes unanimously report its GSD
+    /// dead is discounted from the quorum denominator — the escape hatch
+    /// from the all-dark state where enough GSDs (witness included) died
+    /// that every island is a strict weighted minority. Only home nodes
+    /// may testify: they are the nodes an in-place respawn lands on, so
+    /// the evidence cannot sit on the far side of a split from a rescued
+    /// replacement.
+    pub home_probe: Option<KernelMsg>,
+}
+
+/// Why a round is asked for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Why {
+    /// The topology may have changed: a ring predecessor fell silent, a
+    /// takeover was deferred, a peer's round is echoed.
+    Suspicion,
+    /// The retry timer a conclusion asked for. Nothing to do unless still
+    /// frozen or still without the witness.
+    Poll,
+}
+
+/// What a piece of regroup traffic meant.
+#[derive(Debug, Default)]
+pub struct Heard {
+    /// The gossip it carried moved the witness view: the new one.
+    pub witness: Option<(PartitionId, u64)>,
+    /// Send this back (the ack of a ping).
+    pub reply: Option<KernelMsg>,
+    /// Open a round of our own. A peer opening one suspects the topology
+    /// changed. On an even split the losing side's leader can have its
+    /// entire ring neighbourhood on its own island (predecessor reachable,
+    /// so no suspicion ever fires) and would lead until heal — echoing
+    /// makes every reachable GSD conclude a verdict within one window of
+    /// the first detector. Echoes only chain while pings keep arriving,
+    /// so steady state stays quiet. Vote-table profiles only.
+    pub echo: bool,
+}
+
+/// May a ripened diagnosis of a ring predecessor become a takeover?
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Licence {
+    Granted,
+    /// This side is frozen: it takes nobody over.
+    Suppressed,
+    /// The suspect acked the last concluded round: alive and routable.
+    /// The stale beats are a transient (just-healed links), not a death.
+    Vetoed,
+    /// MSCS's regroup period: the majority has not been held in an
+    /// unbroken chain for the takeover delay — long enough for any
+    /// minority islet to have frozen itself. Open a round and let the
+    /// next scan suspect again.
+    Deferred,
+}
+
+/// The numbers a dashboard or an invariant checker reads; no decision
+/// hangs on them.
+#[derive(Clone, Copy, Debug)]
+pub struct Outlook {
+    /// Bumps on every concluded round.
+    pub epoch: u64,
+    /// `(witness, witness epoch)` while the vote table is active.
+    pub witness: Option<(PartitionId, u64)>,
+    /// Smoothed first-ping→last-ack latency, once a round has sampled.
+    pub round_latency: Option<SimDuration>,
+    /// The takeover delay currently enforced.
+    pub takeover_delay: SimDuration,
 }
 
 /// Pure regroup state machine. The GSD owns one and drives it from its
@@ -305,15 +411,15 @@ impl Regroup {
         }
     }
 
-    /// Whether weighted/witness voting is active (vote table on *and*
-    /// a configured partition set was installed).
-    pub fn votes_enabled(&self) -> bool {
-        self.params.votes.enabled && !self.parts.is_empty()
+    /// Whether weighted/witness voting is active (the layer and its vote
+    /// table on *and* a configured partition set installed).
+    fn votes_enabled(&self) -> bool {
+        self.params.enabled && self.params.votes.enabled && !self.parts.is_empty()
     }
 
     /// This partition's configured weight (no witness doubling — that is
     /// applied by whoever tallies, against their own witness view).
-    pub fn configured_weight(&self, p: PartitionId) -> u32 {
+    fn configured_weight(&self, p: PartitionId) -> u32 {
         self.params
             .votes
             .weights
@@ -323,37 +429,51 @@ impl Regroup {
             .unwrap_or(1)
     }
 
-    /// Current witness partition; `None` while the vote table is off.
-    pub fn witness(&self) -> Option<PartitionId> {
-        if self.votes_enabled() {
-            self.witness
-        } else {
-            None
+    /// Current `(witness, witness epoch)`; `None` while the vote table is
+    /// off. The epoch bumps on every failover and is gossiped in regroup
+    /// traffic; the higher one wins on conflict.
+    fn witness_view(&self) -> Option<(PartitionId, u64)> {
+        let witness = self.witness.filter(|_| self.votes_enabled())?;
+        Some((witness, self.witness_epoch))
+    }
+
+    /// The witness view as the wire carries it: `PartitionId(0)` / the
+    /// epoch held when there is no vote table.
+    fn gossip(&self) -> (PartitionId, u64) {
+        let witness = self.witness_view().map_or(PartitionId(0), |(w, _)| w);
+        (witness, self.witness_epoch)
+    }
+
+    pub fn outlook(&self) -> Outlook {
+        Outlook {
+            epoch: self.epoch,
+            witness: self.witness_view(),
+            round_latency: self.latency_ewma_ns.map(SimDuration::from_nanos),
+            takeover_delay: self.effective_takeover_delay(),
         }
     }
 
-    pub fn witness_epoch(&self) -> u64 {
-        self.witness_epoch
-    }
-
-    /// Install a health-ranked witness preference (best candidate first),
-    /// as observed by the fail-slow detector. Consulted only when a
-    /// failover actually fires — under a ripened takeover licence — so
-    /// ranking churn can never move a healthy witness; an empty ranking
-    /// keeps the legacy lowest-reachable-id pick byte for byte.
-    pub fn set_witness_preference(&mut self, pref: Vec<PartitionId>) {
-        self.witness_pref = pref;
+    /// The fail-slow layer's health-ranked witness candidates (best
+    /// first). The ranking is only consulted when a failover fires under a
+    /// ripened takeover licence, and only taken under the same licence: a
+    /// minority island can never install one, and ranking churn can never
+    /// move a healthy witness. An empty ranking keeps the lowest-reachable
+    /// pick.
+    pub fn rank_witness(&mut self, now: SimTime, ranking: impl FnOnce() -> Vec<PartitionId>) {
+        if self.votes_enabled() && self.takeover_licensed(now) {
+            self.witness_pref = ranking();
+        }
     }
 
     /// Adopt a gossiped witness identity if it carries a higher witness
-    /// epoch than ours. Returns true when the view changed.
-    pub fn observe_witness(&mut self, witness: PartitionId, epoch: u64) -> bool {
+    /// epoch than ours: the view, when it changed.
+    fn observe_witness(&mut self, witness: PartitionId, epoch: u64) -> Option<(PartitionId, u64)> {
         if self.votes_enabled() && epoch > self.witness_epoch {
             self.witness = Some(witness);
             self.witness_epoch = epoch;
-            return true;
+            return Some((witness, epoch));
         }
-        false
+        None
     }
 
     /// A partition's vote as tallied by this side: configured weight,
@@ -416,6 +536,9 @@ impl Regroup {
         }
     }
 
+    /// On a minority island: alive and answering pings, but every
+    /// membership-changing action (diagnosis, takeover, rescue, rejoin,
+    /// directory writes) is suppressed.
     pub fn frozen(&self) -> bool {
         self.frozen
     }
@@ -424,12 +547,8 @@ impl Regroup {
         self.epoch
     }
 
-    pub fn round_active(&self) -> bool {
-        self.round.is_some()
-    }
-
     /// Strict-majority test over the configured partition count.
-    pub fn is_majority(&self, reachable: u32) -> bool {
+    fn is_majority(&self, reachable: u32) -> bool {
         2 * reachable > self.parts.len() as u32
     }
 
@@ -449,6 +568,105 @@ impl Regroup {
         self.next_round
     }
 
+    /// Open a round for `me`, whose membership epoch is `ring_epoch`, and
+    /// say what to send; the caller concludes it [`ROUND_WINDOW`] later.
+    /// `None`: the layer is off, a round is already collecting, or there
+    /// is nothing to [`Why::Poll`] for.
+    pub fn open_round(
+        &mut self,
+        me: PartitionId,
+        ring_epoch: u64,
+        now: SimTime,
+        why: Why,
+    ) -> Option<Round> {
+        let wanted = why == Why::Suspicion || self.frozen || self.witness_lost();
+        if !self.params.enabled || self.round.is_some() || !wanted {
+            return None;
+        }
+        let round = self.begin_round(now);
+        let (witness, witness_epoch) = self.gossip();
+        Some(Round {
+            ping: KernelMsg::RegroupPing {
+                from_partition: me,
+                epoch: ring_epoch,
+                round,
+                witness,
+                witness_epoch,
+            },
+            home_probe: self
+                .votes_enabled()
+                .then_some(KernelMsg::RegroupProbe { round }),
+        })
+    }
+
+    /// Regroup traffic `from` a peer GSD or a home-node watch daemon
+    /// reached `me`, whose membership epoch is `ring_epoch`.
+    pub fn on_message(
+        &mut self,
+        me: PartitionId,
+        ring_epoch: u64,
+        from: Pid,
+        msg: &KernelMsg,
+        now: SimTime,
+    ) -> Heard {
+        let mut heard = Heard::default();
+        if !self.params.enabled {
+            return heard;
+        }
+        match *msg {
+            KernelMsg::RegroupPing {
+                round,
+                witness,
+                witness_epoch,
+                ..
+            } => {
+                heard.witness = self.observe_witness(witness, witness_epoch);
+                // Always answered, even frozen — reachability is
+                // reachability; the `frozen` bit tells the pinger whether
+                // we can vouch for a membership.
+                let (witness, witness_epoch) = self.gossip();
+                heard.reply = Some(KernelMsg::RegroupAck {
+                    from_partition: me,
+                    epoch: ring_epoch,
+                    round,
+                    frozen: self.frozen,
+                    weight: self.configured_weight(me),
+                    witness,
+                    witness_epoch,
+                });
+                heard.echo = self.votes_enabled();
+            }
+            KernelMsg::RegroupAck {
+                from_partition,
+                epoch,
+                round,
+                frozen,
+                weight,
+                witness,
+                witness_epoch,
+            } => {
+                heard.witness = self.observe_witness(witness, witness_epoch);
+                let info = AckInfo {
+                    gsd: from,
+                    epoch,
+                    frozen,
+                    weight,
+                };
+                self.on_ack(round, from_partition, info, now);
+            }
+            // Home-node testimony about a peer partition's GSD. Our own
+            // partition never needs testifying about.
+            KernelMsg::RegroupProbeAck {
+                round,
+                partition,
+                alive,
+                ..
+            } if partition != me => self.on_home_report(round, partition, alive),
+            _ => {}
+        }
+        heard
+    }
+
     /// Record an ack for the current round. Stale/foreign round ids are
     /// ignored.
     pub fn on_ack(&mut self, round: u64, from: PartitionId, info: AckInfo, now: SimTime) {
@@ -461,7 +679,7 @@ impl Regroup {
     /// Record home-node testimony about `partition`'s GSD for the current
     /// round (a `RegroupProbeAck` from one of that partition's own watch
     /// daemons). Stale/foreign round ids are ignored.
-    pub fn on_home_report(&mut self, round: u64, partition: PartitionId, alive: bool) {
+    fn on_home_report(&mut self, round: u64, partition: PartitionId, alive: bool) {
         if self.round == Some(round) {
             let e = self.home_reports.entry(partition).or_insert((0, 0));
             if alive {
@@ -489,7 +707,8 @@ impl Regroup {
             .collect()
     }
 
-    /// Conclude the current round (the round-window timer fired).
+    /// Conclude the current round (the round-window timer fired): the
+    /// connected component, the quorum verdict, and what `me` does next.
     /// Returns `None` if no round was active (stale timer).
     pub fn conclude(&mut self, me: PartitionId, now: SimTime) -> Option<Conclusion> {
         self.round.take()?;
@@ -543,22 +762,18 @@ impl Regroup {
             .values()
             .filter(|a| !a.frozen)
             .max_by_key(|a| (a.epoch, a.gsd))
-            .map(|a| (a.gsd, a.epoch));
+            .map(|a| a.gsd);
         self.acks.clear();
         self.home_reports.clear();
+        let lowest = reachable.first() == Some(&me);
+        let held = verdict == Verdict::Majority && !self.frozen;
         // Witness failover: an unfrozen majority that has out-waited a
         // full takeover-delay period without reaching the witness moves
         // the witness to the lowest reachable partition under a bumped
         // witness epoch. Only the majority side can conclude Majority,
         // so the two sides of a split can never fail over divergently.
         let mut witness_failover = None;
-        if verdict == Verdict::Majority
-            && !self.frozen
-            && self.takeover_licensed(now)
-            && self
-                .witness()
-                .is_some_and(|w| !reachable.contains(&w))
-        {
+        if held && self.takeover_licensed(now) && self.witness_lost() {
             // Preference-first: the healthiest reachable candidate per the
             // fail-slow ranking, falling back to the lowest reachable id.
             let new = self
@@ -567,37 +782,54 @@ impl Regroup {
                 .copied()
                 .find(|p| reachable.contains(p))
                 .or_else(|| reachable.first().copied());
-            if let Some(new) = new {
-                self.witness = Some(new);
+            if let Some(to) = new {
+                self.witness = Some(to);
                 self.witness_epoch += 1;
-                witness_failover = Some(new);
+                witness_failover = Some(WitnessMove {
+                    to,
+                    epoch: self.witness_epoch,
+                    report: lowest,
+                });
             }
+        }
+        let healed = verdict == Verdict::Majority && self.frozen;
+        let froze = verdict == Verdict::Minority && !std::mem::replace(&mut self.frozen, true);
+        // Every reachable peer frozen too: one partition thaws itself and
+        // announces a singleton group for the others to join. A majority
+        // that leans on dead-partition discounts is testimony, not
+        // reachability: out-wait a full takeover-delay chain of such
+        // verdicts first, as hysteresis against a one-sided view.
+        let seed = self
+            .witness_view()
+            .map(|(w, _)| w)
+            .filter(|w| reachable.contains(w))
+            .or_else(|| reachable.first().copied());
+        let reseed = healed
+            && rejoin_target.is_none()
+            && seed == Some(me)
+            && (dead.is_empty() || self.takeover_licensed(now));
+        let mut stale = Vec::new();
+        if held && lowest {
+            stale.extend(self.parts.iter().filter(|p| !reachable.contains(p)));
         }
         Some(Conclusion {
             verdict,
+            keep_polling: self.frozen || self.witness_lost(),
             reachable,
-            rejoin_target,
-            witness_failover,
             dead,
+            witness_failover,
+            froze,
+            stale,
+            ask_back_in: rejoin_target.filter(|_| healed),
+            reseed,
         })
     }
 
-    /// Enter the frozen state. Returns true on the freeze *edge* (was
-    /// unfrozen), so callers fire side effects exactly once.
-    pub fn freeze(&mut self) -> bool {
-        if self.frozen {
-            return false;
-        }
-        self.frozen = true;
-        true
-    }
-
-    /// Leave the frozen state (majority named us in a fresh membership).
-    /// Returns true on the thaw edge.
+    /// Leave the frozen state: a majority-side membership named us, or
+    /// this partition re-seeds the group. Returns true on the thaw edge,
+    /// so callers fire side effects exactly once.
     pub fn thaw(&mut self) -> bool {
-        let was = self.frozen;
-        self.frozen = false;
-        was
+        std::mem::take(&mut self.frozen)
     }
 
     /// The witness is configured but missing from the last concluded
@@ -606,17 +838,16 @@ impl Regroup {
     /// *conclusion* under a ripened takeover licence, and without a
     /// poller the rounds opened by fault probes stop exactly when the
     /// diagnosis completes — one conclude too early.
-    pub fn witness_lost(&self) -> bool {
-        self.votes_enabled()
-            && self.last_concluded_at.is_some()
+    fn witness_lost(&self) -> bool {
+        self.last_concluded_at.is_some()
             && self
-                .witness()
-                .is_some_and(|w| !self.last_reachable.contains(&w))
+                .witness_view()
+                .is_some_and(|(w, _)| !self.last_reachable.contains(&w))
     }
 
     /// Takeover licence, part 1: a round concluded with majority recently
     /// enough that the verdict still reflects post-fault connectivity.
-    pub fn majority_confirmed(&self, now: SimTime) -> bool {
+    fn majority_confirmed(&self, now: SimTime) -> bool {
         match self.last_majority_at {
             Some(at) => now.since(at) <= VERDICT_VALIDITY,
             None => false,
@@ -627,16 +858,29 @@ impl Regroup {
     /// unbroken chain for at least `takeover_delay` — long enough that a
     /// minority on the other side of a split has certainly concluded its
     /// own round and frozen.
-    pub fn takeover_licensed(&self, now: SimTime) -> bool {
+    fn takeover_licensed(&self, now: SimTime) -> bool {
         self.majority_confirmed(now)
             && self
                 .majority_since
                 .is_some_and(|s| now.since(s) >= self.effective_takeover_delay())
     }
 
-    /// Latest smoothed round latency, if any rounds have sampled.
-    pub fn round_latency_ewma(&self) -> Option<SimDuration> {
-        self.latency_ewma_ns.map(SimDuration::from_nanos)
+    /// Gate a ripened diagnosis of ring predecessor `partition` on quorum.
+    /// A round opened with the suspicion has concluded by now, so the
+    /// verdict is in. Anything but `Granted` unwinds the probe session;
+    /// the next scan suspects again.
+    pub fn licence(&self, partition: PartitionId, now: SimTime) -> Licence {
+        if !self.params.enabled {
+            Licence::Granted
+        } else if self.frozen {
+            Licence::Suppressed
+        } else if self.recently_reachable(partition, now) {
+            Licence::Vetoed
+        } else if !self.takeover_licensed(now) {
+            Licence::Deferred
+        } else {
+            Licence::Granted
+        }
     }
 
     /// The takeover delay actually enforced: the fixed parameter, or —
@@ -644,7 +888,7 @@ impl Regroup {
     /// the smoothed round latency clamped to `[DELAY_FLOOR, DELAY_CEIL]`.
     /// The floor is the proven-safe fast-profile constant, so adaptation
     /// can only ever *lengthen* the wait relative to that baseline.
-    pub fn effective_takeover_delay(&self) -> SimDuration {
+    fn effective_takeover_delay(&self) -> SimDuration {
         if !self.params.adaptive_delay {
             return self.params.takeover_delay;
         }
@@ -662,7 +906,7 @@ impl Regroup {
     /// concluded round*, so it is alive and routable — the heartbeat
     /// staleness is a heal artifact (beats resume on their own cadence),
     /// not a death. A takeover of such a partition must be refused.
-    pub fn recently_reachable(&self, p: PartitionId, now: SimTime) -> bool {
+    fn recently_reachable(&self, p: PartitionId, now: SimTime) -> bool {
         match self.last_concluded_at {
             Some(at) => {
                 now.since(at) <= VERDICT_VALIDITY && self.last_reachable.contains(&p)
@@ -689,6 +933,10 @@ mod tests {
         }
     }
 
+    fn witness(rg: &Regroup) -> Option<PartitionId> {
+        rg.witness_view().map(|(w, _)| w)
+    }
+
     fn parts(n: u32) -> Vec<PartitionId> {
         (0..n).map(PartitionId).collect()
     }
@@ -712,14 +960,14 @@ mod tests {
         let mut rg = Regroup::new(RegroupParams::fast());
         rg.set_partitions(&parts(3));
         let r = rg.begin_round(t(0));
-        assert!(rg.round_active());
+        assert!(rg.round.is_some());
         assert_eq!(rg.begin_round(t(0)), r, "re-entrant begin keeps the round");
         rg.on_ack(r, PartitionId(1), ack(10, 0, false), t(0));
         rg.on_ack(r + 7, PartitionId(2), ack(11, 0, false), t(0)); // stale round id
         let c = rg.conclude(PartitionId(0), t(0)).unwrap();
         assert_eq!(c.verdict, Verdict::Majority);
         assert_eq!(c.reachable, vec![PartitionId(0), PartitionId(1)]);
-        assert!(!rg.round_active());
+        assert!(!rg.round.is_some());
         assert_eq!(rg.epoch(), 1);
         assert!(rg.conclude(PartitionId(0), t(0)).is_none(), "stale timer");
     }
@@ -732,8 +980,11 @@ mod tests {
         let c = rg.conclude(PartitionId(2), t(0)).unwrap();
         assert_eq!(c.verdict, Verdict::Minority);
         assert_eq!(c.reachable, vec![PartitionId(2)]);
-        assert!(rg.freeze(), "freeze edge fires once");
-        assert!(!rg.freeze(), "already frozen");
+        assert!(c.froze && rg.frozen(), "freeze edge fires once");
+        assert!(c.keep_polling, "a frozen side probes for the heal");
+        let _ = rg.begin_round(t(0));
+        let c = rg.conclude(PartitionId(2), t(0)).unwrap();
+        assert!(!c.froze && rg.frozen(), "already frozen");
         assert!(rg.thaw());
         assert!(!rg.thaw());
     }
@@ -742,21 +993,29 @@ mod tests {
     fn rejoin_target_prefers_fresh_unfrozen_acker() {
         let mut rg = Regroup::new(RegroupParams::fast());
         rg.set_partitions(&parts(3));
+        // Unfrozen, nobody is asked anything.
+        let r = rg.begin_round(t(0));
+        rg.on_ack(r, PartitionId(0), ack(20, 9, false), t(0));
+        assert_eq!(rg.conclude(PartitionId(2), t(0)).unwrap().ask_back_in, None);
+        let _ = rg.begin_round(t(0));
+        assert!(rg.conclude(PartitionId(2), t(0)).unwrap().froze);
         let r = rg.begin_round(t(0));
         rg.on_ack(r, PartitionId(0), ack(20, 9, false), t(0));
         rg.on_ack(r, PartitionId(1), ack(21, 12, true), t(0)); // frozen: not a target
         let c = rg.conclude(PartitionId(2), t(0)).unwrap();
-        assert_eq!(c.rejoin_target, Some((Pid(20), 9)));
+        assert_eq!(c.ask_back_in, Some(Pid(20)));
         // An unfrozen acker is a target even at a lower epoch (the
         // majority may never have bumped it); only all-frozen → None.
         let r = rg.begin_round(t(0));
         rg.on_ack(r, PartitionId(0), ack(20, 2, false), t(0));
+        rg.on_ack(r, PartitionId(1), ack(21, 2, false), t(0));
         let c = rg.conclude(PartitionId(2), t(0)).unwrap();
-        assert_eq!(c.rejoin_target, Some((Pid(20), 2)));
+        assert_eq!(c.ask_back_in, Some(Pid(21)), "same epoch: the higher pid");
         let r = rg.begin_round(t(0));
         rg.on_ack(r, PartitionId(0), ack(20, 2, true), t(0));
         let c = rg.conclude(PartitionId(2), t(0)).unwrap();
-        assert_eq!(c.rejoin_target, None, "all reachable peers frozen");
+        assert_eq!(c.ask_back_in, None, "all reachable peers frozen");
+        assert!(c.keep_polling && rg.frozen(), "asking is not thawing");
     }
 
     #[test]
@@ -880,7 +1139,7 @@ mod tests {
         // 5, so a 2/2 split has a strict weighted winner.
         let mut a = Regroup::new(RegroupParams::quorum());
         a.set_partitions(&parts(4));
-        assert_eq!(a.witness(), Some(PartitionId(0)));
+        assert_eq!(witness(&a), Some(PartitionId(0)));
         let c = conclude_side(&mut a, PartitionId(0), &[1], t(0));
         assert_eq!(c.verdict, Verdict::Majority, "witness side stays live");
 
@@ -971,7 +1230,7 @@ mod tests {
         // count majority: both sides of a 2/2 split freeze.
         let mut a = Regroup::new(RegroupParams::fast());
         a.set_partitions(&parts(4));
-        assert_eq!(a.witness(), None);
+        assert_eq!(witness(&a), None);
         let c = conclude_side(&mut a, PartitionId(0), &[1], t(0));
         assert_eq!(c.verdict, Verdict::Minority);
     }
@@ -1027,22 +1286,24 @@ mod tests {
         let c = conclude_side(&mut rg, PartitionId(1), &[2, 3], now);
         assert_eq!(c.verdict, Verdict::Majority);
         assert_eq!(c.witness_failover, None, "fresh majority: no failover");
+        assert!(c.keep_polling, "witness lost: rounds go on until it ripens");
         let t0 = now;
         let mut failed_over = None;
         while now.since(t0) < delay {
             now = now + SimDuration::from_millis(500);
             let c = conclude_side(&mut rg, PartitionId(1), &[2, 3], now);
-            if let Some(w) = c.witness_failover {
-                failed_over = Some(w);
+            if let Some(moved) = c.witness_failover {
+                failed_over = Some(moved.to);
                 break;
             }
         }
         assert_eq!(failed_over, Some(PartitionId(1)), "lowest reachable");
-        assert_eq!(rg.witness(), Some(PartitionId(1)));
-        assert_eq!(rg.witness_epoch(), 1);
+        assert_eq!(witness(&rg), Some(PartitionId(1)));
+        assert_eq!(rg.witness_epoch, 1);
         // Witness now reachable (it is us): no repeated failover.
         let c = conclude_side(&mut rg, PartitionId(1), &[2, 3], now);
         assert_eq!(c.witness_failover, None);
+        assert!(!c.keep_polling);
     }
 
     #[test]
@@ -1053,12 +1314,12 @@ mod tests {
         // witness) are skipped, not waited for.
         let mut rg = Regroup::new(RegroupParams::quorum());
         rg.set_partitions(&parts(4));
-        rg.set_witness_preference(vec![
+        rg.witness_pref = vec![
             PartitionId(0),
             PartitionId(3),
             PartitionId(2),
             PartitionId(1),
-        ]);
+        ];
         let delay = DELAY_FLOOR + SimDuration::from_secs(1);
         let mut now = t(0);
         let c = conclude_side(&mut rg, PartitionId(1), &[2, 3], now);
@@ -1068,13 +1329,13 @@ mod tests {
         while now.since(t0) < delay {
             now = now + SimDuration::from_millis(500);
             let c = conclude_side(&mut rg, PartitionId(1), &[2, 3], now);
-            if let Some(w) = c.witness_failover {
-                failed_over = Some(w);
+            if let Some(moved) = c.witness_failover {
+                failed_over = Some(moved.to);
                 break;
             }
         }
         assert_eq!(failed_over, Some(PartitionId(3)), "healthiest reachable");
-        assert_eq!(rg.witness(), Some(PartitionId(3)));
+        assert_eq!(witness(&rg), Some(PartitionId(3)));
         // An empty preference restores the legacy lowest-id pick — proven
         // by `witness_failover_after_held_majority` above.
     }
@@ -1083,14 +1344,15 @@ mod tests {
     fn observe_witness_adopts_higher_epoch_only() {
         let mut rg = Regroup::new(RegroupParams::quorum());
         rg.set_partitions(&parts(4));
-        assert!(rg.observe_witness(PartitionId(2), 1), "higher epoch wins");
-        assert_eq!(rg.witness(), Some(PartitionId(2)));
-        assert!(!rg.observe_witness(PartitionId(1), 1), "same epoch ignored");
-        assert_eq!(rg.witness(), Some(PartitionId(2)));
+        let adopted = rg.observe_witness(PartitionId(2), 1);
+        assert_eq!(adopted, Some((PartitionId(2), 1)), "higher epoch wins");
+        assert_eq!(witness(&rg), Some(PartitionId(2)));
+        assert_eq!(rg.observe_witness(PartitionId(1), 1), None, "same epoch ignored");
+        assert_eq!(witness(&rg), Some(PartitionId(2)));
         let mut off = Regroup::new(RegroupParams::fast());
         off.set_partitions(&parts(4));
-        assert!(!off.observe_witness(PartitionId(2), 9), "vote table off");
-        assert_eq!(off.witness(), None);
+        assert_eq!(off.observe_witness(PartitionId(2), 9), None, "vote table off");
+        assert_eq!(witness(&off), None);
     }
 
     #[test]
@@ -1100,7 +1362,7 @@ mod tests {
         let floor = DELAY_FLOOR;
         let ceil = DELAY_CEIL;
         assert_eq!(
-            rg.effective_takeover_delay(),
+            rg.outlook().takeover_delay,
             RegroupParams::quorum().takeover_delay,
             "no samples yet: fixed constant"
         );
@@ -1114,16 +1376,16 @@ mod tests {
             rg.on_ack(r, PartitionId(2), ack(102, 0, false), now + lat);
             rg.conclude(PartitionId(0), now + lat).unwrap();
             now = now + SimDuration::from_millis(500);
-            let eff = rg.effective_takeover_delay();
+            let eff = rg.outlook().takeover_delay;
             assert!(eff >= floor && eff <= ceil, "never exits the clamp");
         }
-        let ewma = rg.round_latency_ewma().unwrap();
+        let ewma = rg.outlook().round_latency.unwrap();
         assert!(
             ewma.as_nanos().abs_diff(lat.as_nanos()) < lat.as_nanos() / 10,
             "EWMA converged near the true latency: {ewma:?}"
         );
         let expect = floor + SimDuration::from_nanos(16 * ewma.as_nanos());
-        assert_eq!(rg.effective_takeover_delay(), expect);
+        assert_eq!(rg.outlook().takeover_delay, expect);
 
         // Pathological latencies pin to the clamp edges.
         for _ in 0..32 {
@@ -1132,14 +1394,14 @@ mod tests {
             rg.conclude(PartitionId(0), now + SimDuration::from_secs(10)).unwrap();
             now = now + SimDuration::from_secs(11);
         }
-        assert_eq!(rg.effective_takeover_delay(), ceil, "clamped to paper ceiling");
+        assert_eq!(rg.outlook().takeover_delay, ceil, "clamped to paper ceiling");
         for _ in 0..160 {
             let r = rg.begin_round(now);
             rg.on_ack(r, PartitionId(1), ack(101, 0, false), now);
             rg.conclude(PartitionId(0), now).unwrap();
             now = now + SimDuration::from_millis(500);
         }
-        assert_eq!(rg.effective_takeover_delay(), floor, "clamped to fast floor");
+        assert_eq!(rg.outlook().takeover_delay, floor, "clamped to fast floor");
     }
 
     #[test]
@@ -1152,9 +1414,9 @@ mod tests {
         let r = rg.begin_round(t(0));
         rg.on_ack(r, PartitionId(1), ack(101, 0, false), t(50_000_000));
         rg.conclude(PartitionId(0), t(60_000_000)).unwrap();
-        let before = rg.round_latency_ewma().unwrap();
+        let before = rg.outlook().round_latency.unwrap();
         let _ = rg.begin_round(t(100_000_000));
         rg.conclude(PartitionId(0), t(160_000_000)).unwrap();
-        assert_eq!(rg.round_latency_ewma().unwrap(), before);
+        assert_eq!(rg.outlook().round_latency.unwrap(), before);
     }
 }
