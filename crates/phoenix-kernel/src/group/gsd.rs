@@ -88,6 +88,34 @@ fn export_witness(view: Option<(PartitionId, u64)>) {
     }
 }
 
+fn detected(ctx: &mut Ctx<'_, KernelMsg>, target: FaultTarget) {
+    let observer = ctx.pid();
+    ctx.trace(TraceEvent::FaultDetected { observer, target });
+}
+
+fn diagnosed(ctx: &mut Ctx<'_, KernelMsg>, target: FaultTarget, diagnosis: Diagnosis) {
+    let observer = ctx.pid();
+    ctx.trace(TraceEvent::FaultDiagnosed {
+        observer,
+        target,
+        diagnosis,
+    });
+}
+
+fn recovered(ctx: &mut Ctx<'_, KernelMsg>, target: FaultTarget, action: RecoveryAction) {
+    ctx.trace(TraceEvent::Recovered { target, action });
+}
+
+fn role_change(ctx: &mut Ctx<'_, KernelMsg>, role: &'static str) {
+    let pid = ctx.pid();
+    ctx.trace(TraceEvent::RoleChange { pid, role });
+}
+
+/// Close a mark→measure flight observed by this GSD.
+fn measure(ctx: &Ctx<'_, KernelMsg>, name: &'static str, key: u64) {
+    phoenix_telemetry::measure(name, "gsd", ctx.node().0, key);
+}
+
 fn quarantine_msg(epoch: u64, set: &BTreeSet<PartitionId>) -> KernelMsg {
     KernelMsg::MetaQuarantine {
         epoch,
@@ -99,18 +127,25 @@ fn quarantine_msg(epoch: u64, set: &BTreeSet<PartitionId>) -> KernelMsg {
 enum GsdInit {
     /// Spawned by the boot driver; wiring arrives in the `Boot` message.
     Boot,
-    /// Spawned by a ring neighbour taking over a failed member.
-    Respawn {
-        hint: MemberInfo,
-        members: Vec<MemberInfo>,
-        /// The rescuer's membership epoch at spawn time. The respawn
-        /// adopts it so its own announcements are credible: a rescued
-        /// partition that sorts to ring position 0 *is* the leader and
-        /// broadcasts directly — from epoch 0 every peer would discard
-        /// the broadcast as stale and re-rescue forever.
-        epoch: u64,
-        action: RecoveryAction,
-    },
+    /// Spawned by a ring neighbour taking over a failed member, or by a
+    /// draining member itself.
+    Respawn(Handover),
+}
+
+/// What a replacement GSD starts from.
+struct Handover {
+    /// The replaced member's info: for an in-place restart its service
+    /// pids are still valid.
+    hint: MemberInfo,
+    /// The membership as the rescuer held it, replaced member removed.
+    members: Vec<MemberInfo>,
+    /// The rescuer's membership epoch. The respawn adopts it so its own
+    /// announcements are credible: a rescued partition that sorts to ring
+    /// position 0 *is* the leader and broadcasts directly — from epoch 0
+    /// every peer would discard the broadcast as stale and re-rescue
+    /// forever.
+    epoch: u64,
+    action: RecoveryAction,
 }
 
 /// One watched daemon — a partition node's WD or the ring predecessor —
@@ -153,19 +188,13 @@ enum DelayedOp {
     },
     /// Local (same-host) failure classification completes.
     LocalDiagSvc(Lapsed),
-    /// Execute a scheduled restart/migration.
-    Restart(RestartWhat),
-}
-
-enum RestartWhat {
-    Svc(Lapsed),
-    /// Respawn a failed member's GSD where it was `placed`: on its old
-    /// host for an in-place restart, on a backup node for a migration.
+    /// Restart a supervised service in place.
+    RestartSvc(Lapsed),
+    /// Respawn a failed member's GSD on the node it was placed `on`: its
+    /// old host for an in-place restart, a backup node for a migration.
     GsdTakeover {
-        hint: MemberInfo,
-        members: Vec<MemberInfo>,
-        epoch: u64,
-        placed: Placement,
+        handover: Handover,
+        on: NodeId,
         plan: u64,
     },
     /// Leader safety net: a partition has had no meta-group member for a
@@ -214,7 +243,6 @@ pub struct Gsd {
     /// The role last announced in a `RoleChange`; `None` before the first
     /// and after "frozen", which is no seat in the ring.
     last_role: Option<Role>,
-    monitoring: bool,
     /// Takeover plan ids and the partitions the leader is rescuing.
     failover: Failover,
     /// Re-announce ourselves to the leader at the next tick (set when a
@@ -263,25 +291,13 @@ impl Gsd {
     }
 
     /// A GSD to replace a failed (or draining) member's, configured like
-    /// this one. `hint` is the replaced member's info (for an in-place
-    /// restart its service pids are still valid); `members` is the
-    /// takeover-time membership snapshot (replaced member already removed).
-    fn replacement(
-        &self,
-        hint: MemberInfo,
-        members: Vec<MemberInfo>,
-        epoch: u64,
-        action: RecoveryAction,
-    ) -> Self {
-        let init = GsdInit::Respawn {
-            hint,
-            members,
-            epoch,
-            action,
-        };
+    /// this one.
+    fn replacement(&self, handover: Handover) -> Self {
+        let partition = handover.hint.partition;
         let (params, topology) = (self.params.clone(), self.topology.clone());
         let (config, registry) = (self.config, self.registry.clone());
-        Self::build(hint.partition, params, topology, config, registry, init)
+        let init = GsdInit::Respawn(handover);
+        Self::build(partition, params, topology, config, registry, init)
     }
 
     fn build(
@@ -317,7 +333,6 @@ impl Gsd {
             ops: HashMap::new(),
             next_id: 0,
             last_role: None,
-            monitoring: false,
             failover: Failover::default(),
             needs_rejoin: false,
             hb_seq: 0,
@@ -385,10 +400,7 @@ impl Gsd {
         let role = ring.role();
         if Some(role) != self.last_role {
             self.last_role = Some(role);
-            ctx.trace(TraceEvent::RoleChange {
-                pid: ctx.pid(),
-                role: role.as_str(),
-            });
+            role_change(ctx, role.as_str());
         }
         // Reset predecessor tracking if the predecessor changed.
         let pred = self.ring.predecessor();
@@ -545,6 +557,12 @@ impl Gsd {
         self.membership_at(self.ring.epoch())
     }
 
+    /// Tell config where this partition's services are.
+    fn push_directory_entry(&self, ctx: &mut Ctx<'_, KernelMsg>) {
+        let (partition, member) = (self.partition, self.local);
+        ctx.send(self.config, KernelMsg::DirectoryUpdate { partition, member });
+    }
+
     fn announce_membership_change(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         // Route the change through the leader (ourselves, perhaps).
         if self.ring.role() == Role::Leader {
@@ -553,18 +571,18 @@ impl Gsd {
         } else {
             self.join_leader(ctx, self.local);
         }
-        ctx.send(
-            self.config,
-            KernelMsg::DirectoryUpdate {
-                partition: self.partition,
-                member: self.local,
-            },
-        );
+        self.push_directory_entry(ctx);
         self.dir.local_changed();
         self.push_partition_view(ctx);
     }
 
     // ---- wiring ----------------------------------------------------------
+
+    /// A replacement not wired yet: it needs the current node-daemon
+    /// directory from config first.
+    fn awaits_directory(&self) -> bool {
+        matches!(self.init, Some(GsdInit::Respawn(_)))
+    }
 
     /// Ask config for the current directory (respawn wiring). Under a
     /// retrying policy a lost query or reply re-sends with backoff —
@@ -591,7 +609,7 @@ impl Gsd {
         if self.params.rpc.retries_enabled() {
             if let Some(delay) = self.params.rpc.delay(earlier + 1, ctx.rng()) {
                 ctx.set_timer(delay, TOK_DIR_RETRY);
-            } else if self.regroup.enabled() && self.init.is_some() {
+            } else if self.regroup.enabled() {
                 // Retry budget exhausted while still unwired. An island
                 // split can out-last every bounded attempt, and a respawned
                 // GSD that gives up on wiring is a permanent orphan — keep
@@ -601,7 +619,7 @@ impl Gsd {
         }
     }
 
-    fn ingest_node_daemons<'a, I: Iterator<Item = &'a NodeServices>>(&mut self, nodes: I) {
+    fn ingest_node_daemons(&mut self, nodes: &[NodeServices]) {
         let Some(spec) = self.topology.partition(self.partition) else {
             return;
         };
@@ -631,7 +649,6 @@ impl Gsd {
         if let Some(ns) = self.node_daemons.get(&ctx.node()) {
             self.local.host_ppm = ns.ppm;
         }
-        self.local.node = ctx.node();
 
         // Initialize WD tracking for every partition node.
         let now = ctx.now();
@@ -647,7 +664,6 @@ impl Gsd {
         }
 
         self.refresh_roles(ctx);
-        self.monitoring = true;
         ctx.set_timer(self.params.ft.check_interval, TOK_SCAN);
         ctx.set_timer(self.params.ft.hb_interval, TOK_TICK);
         // Register as an event supplier (fault/recovery events).
@@ -679,7 +695,7 @@ impl Gsd {
         let Some(init) = self.init.take() else {
             return;
         };
-        self.ingest_node_daemons(dir.nodes.iter());
+        self.ingest_node_daemons(&dir.nodes);
         let (hint, members, epoch, recovery) = match init {
             // The directory was built before spawn order: our own entry
             // is ours.
@@ -687,12 +703,7 @@ impl Gsd {
                 let own = dir.partition(self.partition).copied().unwrap_or(self.local);
                 (own, dir.partitions.clone(), self.ring.epoch(), None)
             }
-            GsdInit::Respawn {
-                hint,
-                members,
-                epoch,
-                action,
-            } => (hint, members, epoch, Some(action)),
+            GsdInit::Respawn(h) => (h.hint, h.members, h.epoch, Some(h.action)),
         };
         self.local = hint;
         self.local.gsd = ctx.pid();
@@ -752,10 +763,7 @@ impl Gsd {
         // Restore the user-environment supervision roster.
         federation::ck_load(ctx, &self.local, ServiceKind::Group);
 
-        ctx.trace(TraceEvent::Recovered {
-            target: FaultTarget::Process(ctx.pid()),
-            action,
-        });
+        recovered(ctx, FaultTarget::Process(ctx.pid()), action);
         let recovered = EventPayload::Service(ServiceKind::Group, ctx.node());
         self.publish(ctx, EventType::ServiceRecovery, recovered);
     }
@@ -801,23 +809,12 @@ impl Gsd {
         phoenix_telemetry::unmark("gsd.detect_to_diagnose", Self::suspicion_key(watched));
     }
 
-    fn scan(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        let now = ctx.now();
-        self.scan_peers(ctx, now);
-        for lapsed in self.supervisor.scan(now, liveness::window(&self.params.ft)) {
-            ctx.trace(TraceEvent::FaultDetected {
-                observer: ctx.pid(),
-                target: FaultTarget::Process(lapsed.pid),
-            });
-            self.schedule(ctx, LOCAL_DIAG_DELAY, DelayedOp::LocalDiagSvc(lapsed));
-        }
-    }
-
-    /// Judge every watched daemon, in table order: the scan order decides
+    /// Judge every watched daemon, in table order — the scan order decides
     /// the order probes are sent (and suspicion marks stamped) in, and the
-    /// event queue and the seeded network draws depend on it.
-    fn scan_peers(&mut self, ctx: &mut Ctx<'_, KernelMsg>, now: SimTime) {
-        let own_node = ctx.node();
+    /// event queue and the seeded network draws depend on it — then the
+    /// supervised services.
+    fn scan(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
+        let (own_node, now) = (ctx.node(), ctx.now());
         let window = liveness::window(&self.params.ft);
         for i in 0..self.peers.len() {
             let peer = &mut self.peers[i];
@@ -830,10 +827,7 @@ impl Gsd {
                 Silence::Total => {
                     // Every interface silent: process or node failure;
                     // probe the node's PPM agent to find out.
-                    ctx.trace(TraceEvent::FaultDetected {
-                        observer: ctx.pid(),
-                        target: FaultTarget::Process(pid),
-                    });
+                    detected(ctx, FaultTarget::Process(pid));
                     phoenix_telemetry::counter_add("gsd.faults.detected", 1);
                     phoenix_telemetry::counter_add("gsd.suspicion.raised", 1);
                     phoenix_telemetry::mark("gsd.detect_to_diagnose", Self::suspicion_key(watched));
@@ -843,7 +837,13 @@ impl Gsd {
                     } else {
                         self.params.ft.wd_node_probe_timeout
                     };
-                    self.start_probe(ctx, watched, ppm, timeout);
+                    let session = self.fresh_id();
+                    let span = phoenix_telemetry::span_start("gsd.probe.session", "gsd", own_node.0);
+                    self.probe_spans.insert(session, span);
+                    self.probes.open(session, watched, ppm);
+                    let spacing = self.params.ft.probe_round_interval;
+                    self.schedule(ctx, spacing, DelayedOp::ProbeRound(session));
+                    self.schedule(ctx, timeout, DelayedOp::ProbeTimeout(session));
                     if ring {
                         // A silent ring predecessor is exactly what a
                         // partition looks like from here: open a regroup
@@ -856,34 +856,19 @@ impl Gsd {
                 Silence::Partial(nics) => {
                     // Partial silence: network failure on those interfaces.
                     for nic in nics {
-                        ctx.trace(TraceEvent::FaultDetected {
-                            observer: ctx.pid(),
-                            target: FaultTarget::Nic(node, nic),
-                        });
+                        detected(ctx, FaultTarget::Nic(node, nic));
                         self.schedule(ctx, NIC_ANALYSIS_DELAY, DelayedOp::NicDiag { node, nic });
                     }
                 }
             }
         }
+        for lapsed in self.supervisor.scan(now, window) {
+            detected(ctx, FaultTarget::Process(lapsed.pid));
+            self.schedule(ctx, LOCAL_DIAG_DELAY, DelayedOp::LocalDiagSvc(lapsed));
+        }
     }
 
     // ---- probes ----------------------------------------------------------
-
-    fn start_probe(
-        &mut self,
-        ctx: &mut Ctx<'_, KernelMsg>,
-        watched: Watched,
-        target_ppm: Pid,
-        timeout: SimDuration,
-    ) {
-        let id = self.fresh_id();
-        let span = phoenix_telemetry::span_start("gsd.probe.session", "gsd", ctx.node().0);
-        self.probe_spans.insert(id, span);
-        self.probes.open(id, watched, target_ppm);
-        let spacing = self.params.ft.probe_round_interval;
-        self.schedule(ctx, spacing, DelayedOp::ProbeRound(id));
-        self.schedule(ctx, timeout, DelayedOp::ProbeTimeout(id));
-    }
 
     fn probe_round(&mut self, ctx: &mut Ctx<'_, KernelMsg>, session: u64) {
         let Some((watched, target)) = self.probes.round(session, ctx.now()) else {
@@ -894,10 +879,9 @@ impl Gsd {
         // Probes are single-path: route them over the healthiest usable
         // interface so a degraded NIC cannot eat the very traffic that
         // decides whether a silent peer is dead.
-        let peer = self.peer_of(watched).map(|p| p.node);
         let req = KernelMsg::ProbeReq { req: RequestId(session) };
-        match peer.and_then(|p| self.best_nic_for(ctx, p)) {
-            Some(nic) => ctx.send_via(target, nic, req),
+        match self.peer_of(watched).map(|p| p.node) {
+            Some(node) => self.send_routed(ctx, target, node, req),
             None => ctx.send(target, req),
         }
         let spacing = self.params.ft.probe_round_interval;
@@ -909,15 +893,11 @@ impl Gsd {
         let Some(resp) = self.probes.on_response(session, ctx.now(), fresh) else {
             return;
         };
-        phoenix_telemetry::measure(
-            "gsd.probe.rtt",
-            "gsd",
-            ctx.node().0,
-            phoenix_telemetry::key(&[session]),
-        );
+        measure(ctx, "gsd.probe.rtt", phoenix_telemetry::key(&[session]));
         let peer = self.peer_of(resp.watched).map(|p| p.node);
         if let (Some(node), Some(rtt)) = (peer, resp.rtt) {
-            self.observe_peer_rtt(ctx, node, rtt.as_nanos());
+            let transition = self.slow.observe(node, rtt.as_nanos(), ctx.now());
+            self.apply_slow_transition(ctx, transition);
         }
         if let Some(outcome) = resp.outcome {
             self.resolve_probe(ctx, session, resp.watched, outcome);
@@ -942,13 +922,16 @@ impl Gsd {
         if let Some(span) = self.probe_spans.remove(&session) {
             phoenix_telemetry::span_end(span);
         }
-        if outcome == Outcome::PartialProcessFailure {
-            phoenix_telemetry::counter_add("gsd.probes.partial", 1);
-        }
-        match outcome.diagnosis() {
-            Some(verdict) => self.diagnose(ctx, watched, verdict),
-            None => self.abort_probe(watched),
-        }
+        let verdict = match outcome {
+            Outcome::Aborted => return self.abort_probe(watched),
+            Outcome::NodeFailure => Diagnosis::NodeFailure,
+            Outcome::ProcessFailure => Diagnosis::ProcessFailure,
+            Outcome::PartialProcessFailure => {
+                phoenix_telemetry::counter_add("gsd.probes.partial", 1);
+                Diagnosis::ProcessFailure
+            }
+        };
+        self.diagnose(ctx, watched, verdict);
     }
 
     // ---- diagnoses & recovery ---------------------------------------------
@@ -985,12 +968,7 @@ impl Gsd {
         if node_down {
             self.slow.mark_dead(node);
         }
-        phoenix_telemetry::measure(
-            "gsd.detect_to_diagnose",
-            "gsd",
-            ctx.node().0,
-            Self::suspicion_key(watched),
-        );
+        measure(ctx, "gsd.detect_to_diagnose", Self::suspicion_key(watched));
         let takeover = member.map(|failed| {
             let plan = self.failover.next_plan();
             phoenix_telemetry::mark(
@@ -999,23 +977,13 @@ impl Gsd {
             );
             (failed, plan)
         });
-        ctx.trace(TraceEvent::FaultDiagnosed {
-            observer: ctx.pid(),
-            target: if node_down {
-                FaultTarget::Node(node)
-            } else {
-                FaultTarget::Process(pid)
-            },
-            diagnosis: verdict,
-        });
+        let target = if node_down { FaultTarget::Node(node) } else { FaultTarget::Process(pid) };
+        diagnosed(ctx, target, verdict);
         if node_down {
             if takeover.is_none() {
                 // "for WD, in case of node failure, the recovery time is
                 // 0, because ... migrating WD means nothing."
-                ctx.trace(TraceEvent::Recovered {
-                    target: FaultTarget::Node(node),
-                    action: RecoveryAction::NoneNeeded,
-                });
+                recovered(ctx, FaultTarget::Node(node), RecoveryAction::NoneNeeded);
             }
             self.publish(ctx, EventType::NodeFault, EventPayload::Node(node));
         } else {
@@ -1071,14 +1039,15 @@ impl Gsd {
 
     /// The spawn of `hint`'s replacement as placed, on the membership held
     /// now (`hint` is out of it).
-    fn takeover(&self, hint: MemberInfo, placed: Placement, plan: u64) -> RestartWhat {
-        RestartWhat::GsdTakeover {
+    fn takeover(&self, hint: MemberInfo, placed: Placement, plan: u64) -> DelayedOp {
+        let handover = Handover {
             hint,
             members: self.ring.members().to_vec(),
             epoch: self.ring.epoch(),
-            placed,
-            plan,
-        }
+            action: placed.action,
+        };
+        let on = placed.to;
+        DelayedOp::GsdTakeover { handover, on, plan }
     }
 
     /// The ring predecessor `failed` is diagnosed: drop it from the
@@ -1091,14 +1060,17 @@ impl Gsd {
         verdict: Diagnosis,
         plan: u64,
     ) {
-        self.remove_member(ctx, failed.partition, verdict);
+        self.ring.remove(failed.partition);
+        let (partition, diagnosis) = (failed.partition, verdict);
+        self.broadcast_meta(ctx, KernelMsg::MetaMemberDown { partition, diagnosis });
+        self.refresh_roles(ctx);
         let Some(placed) = self.place(ctx, &failed, Cause::Diagnosed(verdict)) else {
             self.retract_takeover(ctx, failed.partition, plan);
             milestone(ctx, "no-backup-node", failed.partition.0);
             return;
         };
         let takeover = self.takeover(failed, placed, plan);
-        self.schedule(ctx, placed.cost, DelayedOp::Restart(takeover));
+        self.schedule(ctx, placed.cost, takeover);
     }
 
     /// Retract a takeover plan's mark: the plan was abandoned, and a
@@ -1107,45 +1079,43 @@ impl Gsd {
         phoenix_telemetry::unmark("gsd.takeover", takeover_key(ctx.pid(), partition, plan));
     }
 
-    fn remove_member(
-        &mut self,
-        ctx: &mut Ctx<'_, KernelMsg>,
-        partition: PartitionId,
-        diagnosis: Diagnosis,
-    ) {
-        self.ring.remove(partition);
-        self.broadcast_meta(
-            ctx,
-            KernelMsg::MetaMemberDown {
-                partition,
-                diagnosis,
-            },
-        );
-        self.refresh_roles(ctx);
-    }
-
-    fn execute_restart(&mut self, ctx: &mut Ctx<'_, KernelMsg>, what: RestartWhat) {
-        match what {
-            RestartWhat::Svc(Lapsed { kind, factory, .. }) => {
+    /// A delayed op's instant came.
+    fn run_op(&mut self, ctx: &mut Ctx<'_, KernelMsg>, op: DelayedOp) {
+        match op {
+            DelayedOp::ProbeRound(s) => self.probe_round(ctx, s),
+            DelayedOp::ProbeTimeout(s) => self.on_probe_timeout(ctx, s),
+            DelayedOp::NicDiag { node, nic } => {
+                diagnosed(ctx, FaultTarget::Nic(node, nic), Diagnosis::NetworkFailure);
+                // One of several redundant networks: no recovery needed.
+                recovered(ctx, FaultTarget::Nic(node, nic), RecoveryAction::NoneNeeded);
+                self.publish(ctx, EventType::NetworkFault, EventPayload::Nic(node, nic));
+            }
+            DelayedOp::LocalDiagSvc(lapsed) => {
+                diagnosed(ctx, FaultTarget::Process(lapsed.pid), Diagnosis::ProcessFailure);
+                let failed = EventPayload::Service(lapsed.kind, ctx.node());
+                self.publish(ctx, EventType::ServiceFault, failed);
+                let cost = federation::restart_cost(lapsed.kind);
+                self.schedule(ctx, cost, DelayedOp::RestartSvc(lapsed));
+            }
+            DelayedOp::RestartSvc(Lapsed { kind, factory, .. }) => {
                 let action = RecoveryAction::RestartedInPlace;
                 let members = self.ring.members();
                 if self.respawn_service(ctx, kind, &factory, action, members).is_none() {
                     milestone(ctx, "no-factory", 0.0);
                 }
             }
-            RestartWhat::GsdTakeover {
-                hint,
-                members,
-                epoch,
-                placed,
+            DelayedOp::GsdTakeover {
+                mut handover,
+                on,
                 plan,
             } => {
+                let hint = handover.hint;
                 if self.ring.get(hint.partition).is_some() {
                     // Already rejoined (rescued by someone else).
                     self.retract_takeover(ctx, hint.partition, plan);
                     return;
                 }
-                if !ctx.node_reachable(placed.to) {
+                if !ctx.node_reachable(on) {
                     // A replacement can only be started on a machine we
                     // can route to: remote exec across a severed island
                     // is a connection failure, not a silent success. The
@@ -1155,17 +1125,11 @@ impl Gsd {
                     return;
                 }
                 phoenix_telemetry::counter_add("gsd.takeovers", 1);
-                phoenix_telemetry::measure(
-                    "gsd.takeover",
-                    "gsd",
-                    ctx.node().0,
-                    takeover_key(ctx.pid(), hint.partition, plan),
-                );
-                let epoch = epoch.max(self.ring.epoch());
-                let gsd = self.replacement(hint, members, epoch, placed.action);
-                ctx.spawn(placed.to, Box::new(gsd));
+                measure(ctx, "gsd.takeover", takeover_key(ctx.pid(), hint.partition, plan));
+                handover.epoch = handover.epoch.max(self.ring.epoch());
+                ctx.spawn(on, Box::new(self.replacement(handover)));
             }
-            RestartWhat::GsdRescue { partition, plan } => {
+            DelayedOp::GsdRescue { partition, plan } => {
                 self.failover.end_rescue(partition);
                 let rejoined = self.ring.get(partition).is_some();
                 let hint = self.ring.known(partition).filter(|_| !rejoined);
@@ -1176,7 +1140,7 @@ impl Gsd {
                     return;
                 };
                 let takeover = self.takeover(hint, placed, plan);
-                self.execute_restart(ctx, takeover);
+                self.run_op(ctx, takeover);
             }
         }
     }
@@ -1219,10 +1183,7 @@ impl Gsd {
             let up = ctx.nic_is_up(own, nic);
             let was = self.my_nic_known[i];
             if was && !up {
-                ctx.trace(TraceEvent::FaultDetected {
-                    observer: ctx.pid(),
-                    target: FaultTarget::Nic(own, nic),
-                });
+                detected(ctx, FaultTarget::Nic(own, nic));
                 self.schedule(ctx, LOCAL_DIAG_DELAY, DelayedOp::NicDiag { node: own, nic });
             } else if !was && up {
                 self.publish(ctx, EventType::NetworkRecovery, EventPayload::Nic(own, nic));
@@ -1236,13 +1197,7 @@ impl Gsd {
     fn directory_anti_entropy(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         let (local, nodes) = self.dir.tick();
         if local {
-            ctx.send(
-                self.config,
-                KernelMsg::DirectoryUpdate {
-                    partition: self.partition,
-                    member: self.local,
-                },
-            );
+            self.push_directory_entry(ctx);
         }
         for services in nodes {
             ctx.send(self.config, KernelMsg::DirectoryUpdateNode { services });
@@ -1292,19 +1247,12 @@ impl Gsd {
             };
             phoenix_telemetry::mark("gsd.takeover", takeover_key(ctx.pid(), partition, plan));
             milestone(ctx, "gsd-rescue-scheduled", partition.0);
-            let rescue = RestartWhat::GsdRescue { partition, plan };
-            self.schedule(ctx, failover::RESCUE_AFTER, DelayedOp::Restart(rescue));
+            let rescue = DelayedOp::GsdRescue { partition, plan };
+            self.schedule(ctx, failover::RESCUE_AFTER, rescue);
         }
     }
 
     // ---- fail-slow detection (latency-aware suspicion & quarantine) --------
-
-    /// One RTT sample for a peer node, from any source (slow pong, probe
-    /// response): the detector's evidence, and what it made of it.
-    fn observe_peer_rtt(&mut self, ctx: &mut Ctx<'_, KernelMsg>, node: NodeId, rtt_ns: u64) {
-        let transition = self.slow.observe(node, rtt_ns, ctx.now());
-        self.apply_slow_transition(ctx, transition);
-    }
 
     fn apply_slow_transition(&self, ctx: &mut Ctx<'_, KernelMsg>, tr: Option<SlowTransition>) {
         let (counter, label, node) = match tr {
@@ -1428,8 +1376,12 @@ impl Gsd {
         phoenix_telemetry::counter_add("gsd.slow.drains", 1);
         milestone(ctx, "slow-drain", self.partition.0);
         let ring = &self.ring;
-        let members = ring.others().copied().collect();
-        let mut gsd = self.replacement(self.local, members, ring.epoch(), placed.action);
+        let mut gsd = self.replacement(Handover {
+            hint: self.local,
+            members: ring.others().copied().collect(),
+            epoch: ring.epoch(),
+            action: placed.action,
+        });
         // The clone must share our quarantine view (ring order!) and must
         // not re-drain off its fresh node on a not-yet-warmed-out entry.
         gsd.ring.set_quarantine(ring.quarantine_epoch(), ring.quarantined().clone());
@@ -1509,19 +1461,19 @@ impl Gsd {
             // Quorum denominator shrank on home-node dead testimony.
             phoenix_telemetry::counter_add("gsd.regroup.dead_discounts", c.dead.len() as u64);
         }
-        if let Some(moved) = c.witness_failover {
+        if let Some(witness) = c.witness_failover {
             phoenix_telemetry::counter_add("gsd.regroup.witness_failover", 1);
-            milestone(ctx, "witness-failover", moved.to.0);
-            if moved.report {
-                ctx.send(
-                    self.config,
-                    KernelMsg::CfgSetParam {
-                        req: RequestId(0),
-                        key: "regroup_witness".to_string(),
-                        value: format!("{}:{}", moved.to.0, moved.epoch),
-                    },
-                );
-            }
+            milestone(ctx, "witness-failover", witness.0);
+        }
+        if let Some((witness, epoch)) = c.report_witness {
+            ctx.send(
+                self.config,
+                KernelMsg::CfgSetParam {
+                    req: RequestId(0),
+                    key: "regroup_witness".to_string(),
+                    value: format!("{}:{}", witness.0, epoch),
+                },
+            );
         }
         if c.froze {
             self.enter_frozen(ctx);
@@ -1558,10 +1510,7 @@ impl Gsd {
         self.frozen_span =
             Some(phoenix_telemetry::span_start("gsd.regroup.frozen", "gsd", ctx.node().0));
         milestone(ctx, "gsd-frozen", self.partition.0);
-        ctx.trace(TraceEvent::RoleChange {
-            pid: ctx.pid(),
-            role: "frozen",
-        });
+        role_change(ctx, "frozen");
         self.last_role = None;
         // Abort in-flight probe sessions: a pending diagnosis must not
         // ripen into a takeover after we lost quorum. `abort_probe`
@@ -1585,10 +1534,7 @@ impl Gsd {
             phoenix_telemetry::span_end(span);
         }
         milestone(ctx, "gsd-thawed", self.partition.0);
-        ctx.trace(TraceEvent::RoleChange {
-            pid: ctx.pid(),
-            role: role.as_str(),
-        });
+        role_change(ctx, role.as_str());
         self.last_role = Some(role);
         self.freeze_fanout(ctx, false);
     }
@@ -1673,13 +1619,8 @@ impl Gsd {
                 if regroup {
                     // The partition is vouched-for again: clear any stale
                     // flag a regroup round put on its entry.
-                    ctx.send(
-                        self.config,
-                        KernelMsg::DirectoryStale {
-                            partition: member.partition,
-                            stale: false,
-                        },
-                    );
+                    let (partition, stale) = (member.partition, false);
+                    ctx.send(self.config, KernelMsg::DirectoryStale { partition, stale });
                 }
                 self.push_partition_view(ctx);
             }
@@ -1756,15 +1697,6 @@ impl Gsd {
             phoenix_telemetry::counter_add("gsd.dedup.dropped", 1);
             return;
         };
-        // The seq jump on this interface is per-NIC loss evidence; the
-        // arrival itself is delivery evidence.
-        let mut transitions: Vec<HealthTransition> = Vec::new();
-        if let Some(gap) = gap {
-            if gap > 0 {
-                transitions.extend(self.nic_health.observe_misses(nic, gap));
-            }
-            transitions.extend(self.nic_health.observe_delivery(nic));
-        }
         let (flight, service, at, id) = match watched {
             Watched::Wd(node) => ("wd.heartbeat.flight", "wd", node.0, node.0 as u64),
             Watched::Ring(p) => ("meta.heartbeat.flight", "gsd", ctx.node().0, p.0 as u64),
@@ -1775,7 +1707,16 @@ impl Gsd {
             // onto its per-NIC round trips (it sends, we receive).
             ctx.send_via(from, nic, KernelMsg::WdHeartbeatAck { nic, seq });
         }
-        self.apply_health_transitions(ctx, transitions);
+        // The seq jump on this interface is per-NIC loss evidence; the
+        // arrival itself is delivery evidence.
+        if let Some(gap) = gap {
+            if gap > 0 {
+                let edge = self.nic_health.observe_misses(nic, gap);
+                self.publish_health_edge(ctx, edge);
+            }
+            let edge = self.nic_health.observe_delivery(nic);
+            self.publish_health_edge(ctx, edge);
+        }
         if wd {
             phoenix_telemetry::counter_add("gsd.wd_heartbeats.received", 1);
         }
@@ -1800,60 +1741,19 @@ impl Gsd {
     /// demoted interface is *degraded* — lossy but not down: WD heartbeats
     /// still fan out over it (paper semantics), but single-path traffic
     /// avoids it until the hysteresis window of clean deliveries closes.
-    fn apply_health_transitions(
-        &mut self,
-        ctx: &mut Ctx<'_, KernelMsg>,
-        transitions: Vec<HealthTransition>,
-    ) {
-        let own = ctx.node();
-        for tr in transitions {
-            match tr {
-                HealthTransition::Demoted(nic) => {
-                    phoenix_telemetry::counter_add("gsd.nic.demotions", 1);
-                    milestone(ctx, "nic-degraded", nic.0);
-                    self.publish(ctx, EventType::NetworkDegraded, EventPayload::Nic(own, nic));
-                }
-                HealthTransition::Promoted(nic) => {
-                    phoenix_telemetry::counter_add("gsd.nic.promotions", 1);
-                    milestone(ctx, "nic-repromoted", nic.0);
-                    self.publish(ctx, EventType::NetworkRecovery, EventPayload::Nic(own, nic));
-                }
+    fn publish_health_edge(&self, ctx: &mut Ctx<'_, KernelMsg>, edge: Option<HealthTransition>) {
+        let (counter, label, etype, nic) = match edge {
+            Some(HealthTransition::Demoted(nic)) => {
+                ("gsd.nic.demotions", "nic-degraded", EventType::NetworkDegraded, nic)
             }
-        }
-    }
-
-    // ---- delayed-op dispatch -------------------------------------------------
-
-    fn run_op(&mut self, ctx: &mut Ctx<'_, KernelMsg>, op: DelayedOp) {
-        match op {
-            DelayedOp::ProbeRound(s) => self.probe_round(ctx, s),
-            DelayedOp::ProbeTimeout(s) => self.on_probe_timeout(ctx, s),
-            DelayedOp::NicDiag { node, nic } => {
-                ctx.trace(TraceEvent::FaultDiagnosed {
-                    observer: ctx.pid(),
-                    target: FaultTarget::Nic(node, nic),
-                    diagnosis: Diagnosis::NetworkFailure,
-                });
-                // One of several redundant networks: no recovery needed.
-                ctx.trace(TraceEvent::Recovered {
-                    target: FaultTarget::Nic(node, nic),
-                    action: RecoveryAction::NoneNeeded,
-                });
-                self.publish(ctx, EventType::NetworkFault, EventPayload::Nic(node, nic));
+            Some(HealthTransition::Promoted(nic)) => {
+                ("gsd.nic.promotions", "nic-repromoted", EventType::NetworkRecovery, nic)
             }
-            DelayedOp::LocalDiagSvc(lapsed) => {
-                ctx.trace(TraceEvent::FaultDiagnosed {
-                    observer: ctx.pid(),
-                    target: FaultTarget::Process(lapsed.pid),
-                    diagnosis: Diagnosis::ProcessFailure,
-                });
-                let failed = EventPayload::Service(lapsed.kind, ctx.node());
-                self.publish(ctx, EventType::ServiceFault, failed);
-                let cost = federation::restart_cost(lapsed.kind);
-                self.schedule(ctx, cost, DelayedOp::Restart(RestartWhat::Svc(lapsed)));
-            }
-            DelayedOp::Restart(what) => self.execute_restart(ctx, what),
-        }
+            None => return,
+        };
+        phoenix_telemetry::counter_add(counter, 1);
+        milestone(ctx, label, nic.0);
+        self.publish(ctx, etype, EventPayload::Nic(ctx.node(), nic));
     }
 }
 
@@ -1866,23 +1766,18 @@ impl Actor<KernelMsg> for Gsd {
         });
         self.local.gsd = ctx.pid();
         self.local.node = ctx.node();
-        if matches!(self.init, Some(GsdInit::Respawn { .. })) {
-            // Need the current node-daemon directory before wiring.
+        if self.awaits_directory() {
             self.send_directory_query(ctx);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, from: Pid, msg: KernelMsg) {
         match msg {
-            KernelMsg::Boot(dir) => {
-                if matches!(self.init, Some(GsdInit::Boot)) {
-                    self.wire(ctx, &dir);
-                }
+            KernelMsg::Boot(dir) if matches!(self.init, Some(GsdInit::Boot)) => {
+                self.wire(ctx, &dir)
             }
-            KernelMsg::CfgDirectory { directory, .. } => {
-                if matches!(self.init, Some(GsdInit::Respawn { .. })) {
-                    self.wire(ctx, &directory);
-                }
+            KernelMsg::CfgDirectory { directory, .. } if self.awaits_directory() => {
+                self.wire(ctx, &directory)
             }
             KernelMsg::WdHeartbeat { node, nic, seq } => {
                 self.on_heartbeat(ctx, from, Watched::Wd(node), nic, seq)
@@ -2045,29 +1940,20 @@ impl Actor<KernelMsg> for Gsd {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, KernelMsg>, token: u64) {
         match token {
+            // Both armed by wiring, and by themselves from then on.
             TOK_SCAN => {
-                if self.monitoring {
-                    // Frozen: no suspicion processing at all — the scan
-                    // deadline loop is what ripens into takeovers. The
-                    // timer stays armed so monitoring resumes on thaw.
-                    if !self.regroup.frozen() {
-                        self.scan(ctx);
-                    }
-                    ctx.set_timer(self.params.ft.check_interval, TOK_SCAN);
+                // Frozen: no suspicion processing at all — the scan
+                // deadline loop is what ripens into takeovers. The timer
+                // stays armed so monitoring resumes on thaw.
+                if !self.regroup.frozen() {
+                    self.scan(ctx);
                 }
+                ctx.set_timer(self.params.ft.check_interval, TOK_SCAN);
             }
-            TOK_TICK => {
-                if self.monitoring {
-                    self.tick(ctx);
-                }
-            }
-            TOK_DIR_RETRY => {
-                // Still waiting for the respawn directory: the query or its
-                // reply was lost — ask again.
-                if matches!(self.init, Some(GsdInit::Respawn { .. })) {
-                    self.send_directory_query(ctx);
-                }
-            }
+            TOK_TICK => self.tick(ctx),
+            // Still waiting for the respawn directory: the query or its
+            // reply was lost — ask again.
+            TOK_DIR_RETRY if self.awaits_directory() => self.send_directory_query(ctx),
             TOK_REGROUP => self.conclude_regroup(ctx),
             TOK_REGROUP_RETRY => self.start_regroup_round(ctx, Why::Poll),
             t if t > OP_BASE => {

@@ -15,7 +15,7 @@
 
 use crate::group::liveness::Watched;
 use crate::params::FtParams;
-use phoenix_sim::{Diagnosis, Pid, SimDuration, SimTime};
+use phoenix_sim::{Pid, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// How a session ended.
@@ -23,29 +23,18 @@ use std::collections::BTreeMap;
 pub(crate) enum Outcome {
     /// Every round was answered: the node is alive, its daemon silent.
     ProcessFailure,
-    /// The deadline passed with only some rounds answered. The node is
-    /// provably reachable, so the missing rounds are packet loss, not a
-    /// dead machine — and a node-death verdict would strand a live node
-    /// without its daemon (the node path restarts nothing). On a clean
-    /// network every round completes long before the deadline.
+    /// The deadline passed with only some rounds answered: a process
+    /// failure all the same. The node is provably reachable, so the
+    /// missing rounds are packet loss, not a dead machine — and a
+    /// node-death verdict would strand a live node without its daemon (the
+    /// node path restarts nothing). On a clean network every round
+    /// completes long before the deadline.
     PartialProcessFailure,
     /// The deadline passed without one answer.
     NodeFailure,
     /// A beat arrived while the session ran: the silence was loss in the
     /// network, not a stop at the source. No diagnosis.
     Aborted,
-}
-
-impl Outcome {
-    pub(crate) fn diagnosis(self) -> Option<Diagnosis> {
-        match self {
-            Outcome::ProcessFailure | Outcome::PartialProcessFailure => {
-                Some(Diagnosis::ProcessFailure)
-            }
-            Outcome::NodeFailure => Some(Diagnosis::NodeFailure),
-            Outcome::Aborted => None,
-        }
-    }
 }
 
 /// What a probe response meant.
@@ -230,8 +219,6 @@ mod tests {
             assert_eq!(got, Some(want), "{answered} answered, fresh {fresh}, abort {abort}");
             assert_eq!(p.in_flight(), 0, "a resolved session is gone");
         }
-        assert_eq!(PartialProcessFailure.diagnosis(), Some(Diagnosis::ProcessFailure));
-        assert_eq!(Aborted.diagnosis(), None);
     }
 
     #[test]

@@ -45,6 +45,6 @@ pub use boot::{
 pub use client::ClientHandle;
 pub use nic_health::{HealthTransition, NicHealth, NicHealthParams};
 pub use params::{FtParams, KernelParams};
-pub use regroup::{Regroup, RegroupParams, Verdict};
+pub use regroup::{Regroup, RegroupParams};
 pub use rpc::{DedupWindow, RetryPolicy};
 pub use slow_detect::{SlowDetect, SlowDetectParams, SlowTransition, Verdict as SlowVerdict};

@@ -163,15 +163,6 @@ impl RegroupParams {
     }
 }
 
-/// What a concluded round decided.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Verdict {
-    /// This side holds a strict majority of configured partitions.
-    Majority,
-    /// This side is a minority island: freeze.
-    Minority,
-}
-
 /// An acker's state, as carried in its `RegroupAck`.
 #[derive(Clone, Copy, Debug)]
 pub struct AckInfo {
@@ -191,7 +182,9 @@ pub struct AckInfo {
 /// and what this partition does about it.
 #[derive(Clone, Debug)]
 pub struct Conclusion {
-    pub verdict: Verdict,
+    /// This side holds a strict (weighted) majority of the configured
+    /// partitions. Otherwise it is a minority island, and frozen.
+    pub majority: bool,
     /// Partitions reachable this round (self included), sorted.
     pub reachable: Vec<PartitionId>,
     /// Partitions confirmed dead by their own home nodes this round and
@@ -200,9 +193,14 @@ pub struct Conclusion {
     /// testimony rather than pure reachability, so the all-frozen
     /// re-seed additionally out-waits the takeover delay.
     pub dead: Vec<PartitionId>,
-    /// Set when this conclusion failed the witness over (majority held,
-    /// old witness unreachable for a full takeover-delay period).
-    pub witness_failover: Option<WitnessMove>,
+    /// Set when this conclusion failed the witness over to a new
+    /// partition (majority held, old witness unreachable for a full
+    /// takeover-delay period).
+    pub witness_failover: Option<PartitionId>,
+    /// ...and this partition, the lowest reachable, is the one that tells
+    /// the config service `(witness, witness epoch)`, so an operator can
+    /// see the new quorum anchor.
+    pub report_witness: Option<(PartitionId, u64)>,
     /// This conclusion froze the partition (the edge, not the state).
     pub froze: bool,
     /// Unreachable partitions whose directory entries this partition
@@ -224,17 +222,6 @@ pub struct Conclusion {
     /// or a majority that cannot reach its witness (so the failover fires
     /// the moment the licence ripens, and a healed witness is seen).
     pub keep_polling: bool,
-}
-
-/// A witness failover, as concluded.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WitnessMove {
-    pub to: PartitionId,
-    /// The witness epoch the move bumped to.
-    pub epoch: u64,
-    /// This partition is the lowest reachable: the one that tells the
-    /// config service, so an operator can see the new quorum anchor.
-    pub report: bool,
 }
 
 /// A round just opened: what to send.
@@ -317,6 +304,7 @@ pub struct Outlook {
 
 /// Pure regroup state machine. The GSD owns one and drives it from its
 /// message/timer handlers.
+#[derive(Default)]
 pub struct Regroup {
     params: RegroupParams,
     /// Regroup epoch: bumps on every concluded round. Telemetry-visible.
@@ -369,23 +357,7 @@ impl Regroup {
     pub fn new(params: RegroupParams) -> Regroup {
         Regroup {
             params,
-            epoch: 0,
-            round: None,
-            next_round: 0,
-            acks: BTreeMap::new(),
-            home_reports: BTreeMap::new(),
-            frozen: false,
-            last_majority_at: None,
-            majority_since: None,
-            last_concluded_at: None,
-            last_reachable: Vec::new(),
-            parts: Vec::new(),
-            witness: None,
-            witness_epoch: 0,
-            witness_pref: Vec::new(),
-            round_started_at: None,
-            last_ack_at: None,
-            latency_ewma_ns: None,
+            ..Regroup::default()
         }
     }
 
@@ -425,8 +397,7 @@ impl Regroup {
             .weights
             .iter()
             .find(|(id, _)| *id == p)
-            .map(|&(_, w)| w)
-            .unwrap_or(1)
+            .map_or(1, |&(_, w)| w)
     }
 
     /// Current `(witness, witness epoch)`; `None` while the vote table is
@@ -734,23 +705,21 @@ impl Regroup {
         } else {
             Vec::new()
         };
-        let won = if self.votes_enabled() {
+        let majority = if self.votes_enabled() {
             self.weighted_majority(me, &reachable, &dead)
         } else {
             self.is_majority(reachable.len() as u32)
         };
-        let verdict = if won {
+        if majority {
             // A lapsed chain (no majority within the validity window)
             // restarts the takeover-delay clock.
             if self.majority_since.is_none() || !self.majority_confirmed(now) {
                 self.majority_since = Some(now);
             }
             self.last_majority_at = Some(now);
-            Verdict::Majority
         } else {
             self.majority_since = None;
-            Verdict::Minority
-        };
+        }
         self.last_concluded_at = Some(now);
         self.last_reachable = reachable.clone();
         // Rejoin target: the freshest unfrozen acker. Not restricted to
@@ -766,7 +735,7 @@ impl Regroup {
         self.acks.clear();
         self.home_reports.clear();
         let lowest = reachable.first() == Some(&me);
-        let held = verdict == Verdict::Majority && !self.frozen;
+        let held = majority && !self.frozen;
         // Witness failover: an unfrozen majority that has out-waited a
         // full takeover-delay period without reaching the witness moves
         // the witness to the lowest reachable partition under a bumped
@@ -782,18 +751,14 @@ impl Regroup {
                 .copied()
                 .find(|p| reachable.contains(p))
                 .or_else(|| reachable.first().copied());
-            if let Some(to) = new {
-                self.witness = Some(to);
+            if let Some(new) = new {
+                self.witness = Some(new);
                 self.witness_epoch += 1;
-                witness_failover = Some(WitnessMove {
-                    to,
-                    epoch: self.witness_epoch,
-                    report: lowest,
-                });
+                witness_failover = Some(new);
             }
         }
-        let healed = verdict == Verdict::Majority && self.frozen;
-        let froze = verdict == Verdict::Minority && !std::mem::replace(&mut self.frozen, true);
+        let healed = majority && self.frozen;
+        let froze = !majority && !std::mem::replace(&mut self.frozen, true);
         // Every reachable peer frozen too: one partition thaws itself and
         // announces a singleton group for the others to join. A majority
         // that leans on dead-partition discounts is testimony, not
@@ -813,10 +778,11 @@ impl Regroup {
             stale.extend(self.parts.iter().filter(|p| !reachable.contains(p)));
         }
         Some(Conclusion {
-            verdict,
+            majority,
             keep_polling: self.frozen || self.witness_lost(),
             reachable,
             dead,
+            report_witness: witness_failover.filter(|_| lowest).map(|w| (w, self.witness_epoch)),
             witness_failover,
             froze,
             stale,
@@ -848,10 +814,8 @@ impl Regroup {
     /// Takeover licence, part 1: a round concluded with majority recently
     /// enough that the verdict still reflects post-fault connectivity.
     fn majority_confirmed(&self, now: SimTime) -> bool {
-        match self.last_majority_at {
-            Some(at) => now.since(at) <= VERDICT_VALIDITY,
-            None => false,
-        }
+        self.last_majority_at
+            .is_some_and(|at| now.since(at) <= VERDICT_VALIDITY)
     }
 
     /// Takeover licence, part 2: the majority verdict has been held in an
@@ -907,12 +871,9 @@ impl Regroup {
     /// staleness is a heal artifact (beats resume on their own cadence),
     /// not a death. A takeover of such a partition must be refused.
     fn recently_reachable(&self, p: PartitionId, now: SimTime) -> bool {
-        match self.last_concluded_at {
-            Some(at) => {
-                now.since(at) <= VERDICT_VALIDITY && self.last_reachable.contains(&p)
-            }
-            None => false,
-        }
+        self.last_reachable.contains(&p)
+            && self.last_concluded_at
+                .is_some_and(|at| now.since(at) <= VERDICT_VALIDITY)
     }
 }
 
@@ -965,7 +926,7 @@ mod tests {
         rg.on_ack(r, PartitionId(1), ack(10, 0, false), t(0));
         rg.on_ack(r + 7, PartitionId(2), ack(11, 0, false), t(0)); // stale round id
         let c = rg.conclude(PartitionId(0), t(0)).unwrap();
-        assert_eq!(c.verdict, Verdict::Majority);
+        assert!(c.majority);
         assert_eq!(c.reachable, vec![PartitionId(0), PartitionId(1)]);
         assert!(!rg.round.is_some());
         assert_eq!(rg.epoch(), 1);
@@ -978,7 +939,7 @@ mod tests {
         rg.set_partitions(&parts(3));
         let _ = rg.begin_round(t(0));
         let c = rg.conclude(PartitionId(2), t(0)).unwrap();
-        assert_eq!(c.verdict, Verdict::Minority);
+        assert!(!c.majority);
         assert_eq!(c.reachable, vec![PartitionId(2)]);
         assert!(c.froze && rg.frozen(), "freeze edge fires once");
         assert!(c.keep_polling, "a frozen side probes for the heal");
@@ -1141,12 +1102,12 @@ mod tests {
         a.set_partitions(&parts(4));
         assert_eq!(witness(&a), Some(PartitionId(0)));
         let c = conclude_side(&mut a, PartitionId(0), &[1], t(0));
-        assert_eq!(c.verdict, Verdict::Majority, "witness side stays live");
+        assert!(c.majority, "witness side stays live");
 
         let mut b = Regroup::new(RegroupParams::quorum());
         b.set_partitions(&parts(4));
         let c = conclude_side(&mut b, PartitionId(2), &[3], t(0));
-        assert_eq!(c.verdict, Verdict::Minority, "witness-less side freezes");
+        assert!(!c.majority, "witness-less side freezes");
     }
 
     #[test]
@@ -1158,11 +1119,11 @@ mod tests {
         let mut a = Regroup::new(p.clone());
         a.set_partitions(&parts(4));
         let c = conclude_side(&mut a, PartitionId(2), &[3], t(0));
-        assert_eq!(c.verdict, Verdict::Majority);
+        assert!(c.majority);
         let mut b = Regroup::new(p);
         b.set_partitions(&parts(4));
         let c = conclude_side(&mut b, PartitionId(0), &[1], t(0));
-        assert_eq!(c.verdict, Verdict::Minority);
+        assert!(!c.majority);
     }
 
     #[test]
@@ -1182,7 +1143,7 @@ mod tests {
         rg.on_home_report(r, PartitionId(1), false);
         let c = rg.conclude(PartitionId(0), t(0)).unwrap();
         assert_eq!(c.dead, vec![PartitionId(1)], "discount recorded");
-        assert_eq!(c.verdict, Verdict::Majority, "denominator shrank");
+        assert!(c.majority, "denominator shrank");
 
         // One dissenting "alive" report blocks the discount entirely.
         let mut rg = Regroup::new(p.clone());
@@ -1193,7 +1154,7 @@ mod tests {
         rg.on_home_report(r, PartitionId(1), true);
         let c = rg.conclude(PartitionId(0), t(0)).unwrap();
         assert!(c.dead.is_empty(), "any alive vote vetoes the discount");
-        assert_eq!(c.verdict, Verdict::Minority);
+        assert!(!c.majority);
 
         // An acked partition is never discounted, whatever the reports
         // claim (a racing respawn acks mid-round: testimony is stale).
@@ -1207,7 +1168,7 @@ mod tests {
         rg.on_home_report(r, PartitionId(1), false);
         let c = rg.conclude(PartitionId(0), t(0)).unwrap();
         assert!(c.dead.is_empty(), "an acker is alive by definition");
-        assert_eq!(c.verdict, Verdict::Majority, "witness acked: 4+2 > half");
+        assert!(c.majority, "witness acked: 4+2 > half");
 
         // Reports are cleared between rounds: the next round must gather
         // fresh testimony before it may discount again.
@@ -1221,7 +1182,7 @@ mod tests {
         rg.on_ack(r2, PartitionId(3), ack(103, 0, false), t(1));
         let c = rg.conclude(PartitionId(0), t(1)).unwrap();
         assert!(c.dead.is_empty(), "testimony does not carry across rounds");
-        assert_eq!(c.verdict, Verdict::Minority);
+        assert!(!c.majority);
     }
 
     #[test]
@@ -1232,7 +1193,7 @@ mod tests {
         a.set_partitions(&parts(4));
         assert_eq!(witness(&a), None);
         let c = conclude_side(&mut a, PartitionId(0), &[1], t(0));
-        assert_eq!(c.verdict, Verdict::Minority);
+        assert!(!c.majority);
     }
 
     #[test]
@@ -1247,7 +1208,7 @@ mod tests {
         let r = a.begin_round(t(0));
         a.on_ack(r, PartitionId(1), ack(101, 0, false), t(0));
         let c = a.conclude(PartitionId(0), t(0)).unwrap();
-        assert_eq!(c.verdict, Verdict::Majority, "tie + witness reachable");
+        assert!(c.majority, "tie + witness reachable");
 
         let mut b = Regroup::new(p.clone());
         b.set_partitions(&parts(4));
@@ -1256,7 +1217,7 @@ mod tests {
         heavy.weight = 2;
         b.on_ack(r, PartitionId(3), heavy, t(0));
         let c = b.conclude(PartitionId(2), t(0)).unwrap();
-        assert_eq!(c.verdict, Verdict::Minority, "tie, no witness, no p0");
+        assert!(!c.majority, "tie, no witness, no p0");
 
         // Witness dead entirely: p0 weight 2, witness p3. {p0,p1} ties
         // at 3 of 6 and wins via the lowest-configured-partition clause.
@@ -1270,7 +1231,7 @@ mod tests {
         heavy.weight = 2;
         d.on_ack(r, PartitionId(0), heavy, t(0));
         let c = d.conclude(PartitionId(1), t(0)).unwrap();
-        assert_eq!(c.verdict, Verdict::Majority, "tie broken by lowest pid");
+        assert!(c.majority, "tie broken by lowest pid");
     }
 
     #[test]
@@ -1284,7 +1245,7 @@ mod tests {
         let delay = DELAY_FLOOR + SimDuration::from_secs(1);
         let mut now = t(0);
         let c = conclude_side(&mut rg, PartitionId(1), &[2, 3], now);
-        assert_eq!(c.verdict, Verdict::Majority);
+        assert!(c.majority);
         assert_eq!(c.witness_failover, None, "fresh majority: no failover");
         assert!(c.keep_polling, "witness lost: rounds go on until it ripens");
         let t0 = now;
@@ -1292,8 +1253,8 @@ mod tests {
         while now.since(t0) < delay {
             now = now + SimDuration::from_millis(500);
             let c = conclude_side(&mut rg, PartitionId(1), &[2, 3], now);
-            if let Some(moved) = c.witness_failover {
-                failed_over = Some(moved.to);
+            if let Some(w) = c.witness_failover {
+                failed_over = Some(w);
                 break;
             }
         }
@@ -1323,14 +1284,14 @@ mod tests {
         let delay = DELAY_FLOOR + SimDuration::from_secs(1);
         let mut now = t(0);
         let c = conclude_side(&mut rg, PartitionId(1), &[2, 3], now);
-        assert_eq!(c.verdict, Verdict::Majority);
+        assert!(c.majority);
         let t0 = now;
         let mut failed_over = None;
         while now.since(t0) < delay {
             now = now + SimDuration::from_millis(500);
             let c = conclude_side(&mut rg, PartitionId(1), &[2, 3], now);
-            if let Some(moved) = c.witness_failover {
-                failed_over = Some(moved.to);
+            if let Some(w) = c.witness_failover {
+                failed_over = Some(w);
                 break;
             }
         }
@@ -1418,5 +1379,283 @@ mod tests {
         let _ = rg.begin_round(t(100_000_000));
         rg.conclude(PartitionId(0), t(160_000_000)).unwrap();
         assert_eq!(rg.outlook().round_latency.unwrap(), before);
+    }
+
+    // ---- the answers the GSD acts on, one table per decision -------------
+
+    const P0: PartitionId = PartitionId(0);
+    const P1: PartitionId = PartitionId(1);
+    const P2: PartitionId = PartitionId(2);
+    const P3: PartitionId = PartitionId(3);
+
+    /// A layer over four partitions.
+    fn four(params: RegroupParams) -> Regroup {
+        let mut rg = Regroup::new(params);
+        rg.set_partitions(&parts(4));
+        rg
+    }
+
+    /// One round of `me`'s, acked by `(partition, frozen)` peers.
+    fn concluded(rg: &mut Regroup, me: PartitionId, acks: &[(u32, bool)], now: SimTime) -> Conclusion {
+        let r = rg.begin_round(now);
+        for &(p, frozen) in acks {
+            rg.on_ack(r, PartitionId(p), ack(100 + u64::from(p), 0, frozen), now);
+        }
+        rg.conclude(me, now).unwrap()
+    }
+
+    /// Hold `me`'s majority with `acks` in rounds 500 ms apart until the
+    /// fast profile's takeover delay has passed; the instant reached.
+    fn hold(rg: &mut Regroup, me: PartitionId, acks: &[(u32, bool)], from: SimTime) -> SimTime {
+        let mut now = from;
+        while now.since(from) < RegroupParams::fast().takeover_delay {
+            now = now + SimDuration::from_millis(500);
+            concluded(rg, me, acks, now);
+        }
+        now
+    }
+
+    #[test]
+    fn licence_table() {
+        let peers = [(1, false), (2, false)];
+        // Disabled: the paper pipeline takes over on diagnosis alone.
+        let off = four(RegroupParams::default());
+        assert_eq!(off.licence(P3, t(0)), Licence::Granted);
+        // No verdict yet, or a fresh one: deferred, and a round asked for.
+        let mut rg = four(RegroupParams::fast());
+        assert_eq!(rg.licence(P3, t(0)), Licence::Deferred);
+        concluded(&mut rg, P0, &peers, t(0));
+        assert_eq!(rg.licence(P3, t(0)), Licence::Deferred);
+        // Acked the last round: vetoed, however long the majority stood.
+        let now = hold(&mut rg, P0, &peers, t(0));
+        assert_eq!(rg.licence(P1, now), Licence::Vetoed);
+        // Silent, and the majority held for the delay: granted...
+        assert_eq!(rg.licence(P3, now), Licence::Granted);
+        // ...while the verdict is valid.
+        let late = now + VERDICT_VALIDITY + SimDuration::from_nanos(1);
+        assert_eq!(rg.licence(P3, late), Licence::Deferred);
+        // Frozen: suppressed, whatever else holds.
+        assert!(concluded(&mut rg, P0, &[], now).froze);
+        assert_eq!(rg.licence(P3, now), Licence::Suppressed);
+        assert_eq!(rg.licence(P1, now), Licence::Suppressed);
+    }
+
+    #[test]
+    fn a_held_majority_flags_the_unreachable_stale_from_its_lowest_partition_only() {
+        // {p1, p2, p3} hold the majority; p0 is beyond reach.
+        let mut low = four(RegroupParams::fast());
+        let c = concluded(&mut low, P1, &[(2, false), (3, false)], t(0));
+        assert!(c.majority && !c.froze && !c.keep_polling);
+        assert_eq!(c.stale, vec![P0], "p1 is the lowest reachable");
+        assert_eq!((c.ask_back_in, c.reseed), (None, false));
+        let mut high = four(RegroupParams::fast());
+        let c = concluded(&mut high, P2, &[(1, false), (3, false)], t(0));
+        assert!(c.majority && c.stale.is_empty(), "p2 leaves it to p1");
+        // A minority flags nothing: it freezes.
+        let mut alone = four(RegroupParams::fast());
+        let c = concluded(&mut alone, P0, &[], t(0));
+        assert!(!c.majority && c.froze && c.stale.is_empty() && c.keep_polling);
+    }
+
+    #[test]
+    fn a_healed_minority_asks_back_in_or_reseeds() {
+        // (profile, me, acks once healed, asked back in, re-seeds)
+        let fast = RegroupParams::fast;
+        let quorum = || RegroupParams {
+            votes: VoteTable {
+                witness: Some(P2),
+                ..RegroupParams::quorum().votes
+            },
+            ..RegroupParams::quorum()
+        };
+        let rows: [(fn() -> RegroupParams, _, &[(u32, bool)], _, _); 6] = [
+            // An unfrozen peer answers: ask it, never re-seed.
+            (fast, P1, &[(0, true), (2, false)], Some(Pid(102)), false),
+            (fast, P0, &[(1, false), (2, true)], Some(Pid(101)), false),
+            // Every reachable peer frozen: the lowest reachable re-seeds.
+            (fast, P0, &[(1, true), (2, true)], None, true),
+            (fast, P1, &[(0, true), (2, true)], None, false),
+            // With a vote table, the witness's partition when reachable...
+            (quorum as fn() -> _, P2, &[(0, true), (1, true)], None, true),
+            (quorum as fn() -> _, P0, &[(1, true), (2, true)], None, false),
+        ];
+        for (params, me, acks, ask, reseed) in rows {
+            let mut rg = four(params());
+            assert!(concluded(&mut rg, me, &[], t(0)).froze, "{me:?} alone: frozen");
+            let c = concluded(&mut rg, me, acks, t(1));
+            assert!(c.majority && c.keep_polling && c.stale.is_empty());
+            assert_eq!((c.ask_back_in, c.reseed), (ask, reseed), "{me:?} {acks:?}");
+            assert!(rg.frozen(), "the thaw is the caller's: a membership names it");
+        }
+        // ...else the lowest: the witness p2 stays dark.
+        let mut rg = four(quorum());
+        assert!(concluded(&mut rg, P0, &[], t(0)).froze);
+        let c = concluded(&mut rg, P0, &[(1, true), (3, true)], t(1));
+        assert!(c.majority && c.reseed, "3 of 5 votes, no witness: p0 seeds");
+    }
+
+    #[test]
+    fn no_reseed_on_dead_testimony_before_the_licence_ripens() {
+        // p0 and p3 frozen; the witness p1's own nodes say its GSD is dead,
+        // which is what makes {p0, p3} a majority at all.
+        let mut params = RegroupParams::quorum();
+        params.votes.witness = Some(P1);
+        let mut rg = four(params);
+        assert!(concluded(&mut rg, P0, &[], t(0)).froze);
+        let testified = |rg: &mut Regroup, now| {
+            let r = rg.begin_round(now);
+            rg.on_ack(r, P3, ack(103, 0, true), now);
+            rg.on_home_report(r, P1, false);
+            rg.conclude(P0, now).unwrap()
+        };
+        let c = testified(&mut rg, t(1));
+        assert_eq!((c.majority, c.dead.as_slice()), (true, &[P1][..]));
+        assert!(!c.reseed && c.keep_polling, "testimony is not reachability");
+        let delay = rg.outlook().takeover_delay;
+        let mut now = t(1);
+        while now.since(t(1)) < delay {
+            now = now + SimDuration::from_millis(400);
+            let c = testified(&mut rg, now);
+            assert_eq!(c.reseed, now.since(t(1)) >= delay, "at {now:?}");
+        }
+    }
+
+    #[test]
+    fn rounds_open_on_suspicion_and_poll_only_for_a_reason() {
+        let mut off = four(RegroupParams::default());
+        assert!(off.open_round(P0, 7, t(0), Why::Suspicion).is_none(), "disabled");
+        let mut rg = four(RegroupParams::fast());
+        assert!(rg.open_round(P0, 7, t(0), Why::Poll).is_none(), "nothing to poll for");
+        let opened = rg.open_round(P0, 7, t(0), Why::Suspicion).unwrap();
+        let KernelMsg::RegroupPing {
+            from_partition,
+            epoch,
+            round,
+            witness,
+            witness_epoch,
+        } = opened.ping
+        else {
+            panic!("not a ping: {:?}", opened.ping);
+        };
+        assert_eq!((from_partition, epoch, round), (P0, 7, 1));
+        assert_eq!((witness, witness_epoch), (P0, 0), "no vote table: zeroes");
+        assert!(opened.home_probe.is_none(), "no vote table: no testimony");
+        assert!(rg.open_round(P0, 7, t(0), Why::Suspicion).is_none(), "one at a time");
+        // Frozen by that round: the poll timer now opens the next.
+        assert!(rg.conclude(P0, t(0)).unwrap().froze);
+        assert!(rg.open_round(P0, 7, t(1), Why::Poll).is_some());
+        // A vote table adds the home-node probe and gossips its witness.
+        let mut votes = four(RegroupParams::quorum());
+        let opened = votes.open_round(P2, 0, t(0), Why::Suspicion).unwrap();
+        assert!(matches!(opened.ping, KernelMsg::RegroupPing { witness: P0, .. }));
+        assert!(matches!(opened.home_probe, Some(KernelMsg::RegroupProbe { round: 1 })));
+        // Unfrozen, but the witness was not in the last round: keep polling.
+        votes.on_ack(1, P3, ack(103, 0, false), t(0));
+        votes.on_ack(1, P1, ack(101, 0, false), t(0));
+        let c = votes.conclude(P2, t(0)).unwrap();
+        assert!(c.majority && !c.froze && c.keep_polling);
+        assert!(votes.open_round(P2, 0, t(1), Why::Poll).is_some());
+    }
+
+    #[test]
+    fn regroup_traffic_table() {
+        let ping = |witness, witness_epoch| KernelMsg::RegroupPing {
+            from_partition: P1,
+            epoch: 3,
+            round: 9,
+            witness,
+            witness_epoch,
+        };
+        // Disabled: not even an ack.
+        let mut off = four(RegroupParams::default());
+        let heard = off.on_message(P0, 5, Pid(11), &ping(P1, 4), t(0));
+        assert!(heard.reply.is_none() && heard.witness.is_none() && !heard.echo);
+        // Count majority: acked with our epoch and freeze bit, no echo, and
+        // witness gossip falls on deaf ears.
+        let mut rg = four(RegroupParams::fast());
+        let heard = rg.on_message(P0, 5, Pid(11), &ping(P1, 4), t(0));
+        let KernelMsg::RegroupAck {
+            from_partition,
+            epoch,
+            round,
+            frozen,
+            weight,
+            witness,
+            witness_epoch,
+        } = heard.reply.unwrap()
+        else {
+            panic!("a ping is acked");
+        };
+        assert_eq!((from_partition, epoch, round), (P0, 5, 9), "the pinger's round");
+        assert_eq!((frozen, weight, witness, witness_epoch), (false, 1, P0, 0));
+        assert!(heard.witness.is_none() && !heard.echo);
+        // A frozen side still acks, and says so.
+        assert!(concluded(&mut rg, P0, &[], t(0)).froze);
+        let heard = rg.on_message(P0, 5, Pid(11), &ping(P0, 0), t(1));
+        assert!(matches!(heard.reply, Some(KernelMsg::RegroupAck { frozen: true, .. })));
+        // Vote table: configured weight, newer witness adopted and gossiped
+        // back, and the pinger's round echoed.
+        let mut params = RegroupParams::quorum();
+        params.votes.weights = vec![(P2, 3)];
+        let mut votes = four(params);
+        let heard = votes.on_message(P2, 0, Pid(11), &ping(P3, 2), t(0));
+        assert_eq!(heard.witness, Some((P3, 2)));
+        assert!(heard.echo);
+        let reply = heard.reply.unwrap();
+        assert!(
+            matches!(reply, KernelMsg::RegroupAck { weight: 3, witness: P3, witness_epoch: 2, .. }),
+            "{reply:?}"
+        );
+        // An ack counts for the round it names, from the pid that sent it;
+        // its gossip is heard too.
+        let r = votes.begin_round(t(0));
+        let acked = |round, witness_epoch| KernelMsg::RegroupAck {
+            from_partition: P0,
+            epoch: 8,
+            round,
+            frozen: false,
+            weight: 1,
+            witness: P1,
+            witness_epoch,
+        };
+        let stale = votes.on_message(P2, 0, Pid(40), &acked(r + 1, 2), t(0));
+        assert!(stale.reply.is_none() && stale.witness.is_none() && !stale.echo);
+        let heard = votes.on_message(P2, 0, Pid(40), &acked(r, 5), t(0));
+        assert_eq!(heard.witness, Some((P1, 5)));
+        // Home-node testimony: never about ourselves.
+        let report = |partition| KernelMsg::RegroupProbeAck {
+            round: r,
+            partition,
+            gsd: Pid(0),
+            alive: false,
+        };
+        votes.on_message(P2, 0, Pid(50), &report(P2), t(0));
+        votes.on_message(P2, 0, Pid(51), &report(P3), t(0));
+        let c = votes.conclude(P2, t(0)).unwrap();
+        assert_eq!(c.reachable, vec![P0, P2], "one ack, the stale one dropped");
+        assert_eq!(c.dead, vec![P3]);
+    }
+
+    #[test]
+    fn a_witness_ranking_is_taken_only_under_a_ripe_licence() {
+        let mut rg = four(RegroupParams::quorum());
+        let peers = [(2, false), (3, false)];
+        rg.rank_witness(t(0), || panic!("no verdict yet: nobody is asked"));
+        concluded(&mut rg, P1, &peers, t(0));
+        rg.rank_witness(t(0), || panic!("a fresh majority is no licence"));
+        // Ripe — and the witness p0 was never reachable: the conclusion
+        // that ripens it moves the witness (no ranking yet: to the lowest
+        // reachable), and p1, the lowest reachable, tells config.
+        let mut now = t(0);
+        let mut moved = None;
+        while rg.licence(P0, now) != Licence::Granted {
+            assert_eq!(moved, None, "not before the licence");
+            now = now + SimDuration::from_millis(500);
+            let c = concluded(&mut rg, P1, &peers, now);
+            moved = c.witness_failover.map(|to| (to, c.report_witness));
+        }
+        assert_eq!(moved, Some((P1, Some((P1, 1)))));
+        rg.rank_witness(now, || vec![P3, P2, P1]);
+        assert_eq!(rg.witness_pref, vec![P3, P2, P1]);
     }
 }
