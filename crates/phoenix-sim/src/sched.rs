@@ -9,8 +9,8 @@
 //!
 //! * [`HeapScheduler`] — the original global `BinaryHeap`. O(log n) per
 //!   operation with n = every pending event in the cluster. Kept as the
-//!   reference/baseline for the differential harness (`tests/differential.rs`)
-//!   and the `event_core` microbench.
+//!   reference/baseline for the differential harness (`tests/differential.rs`,
+//!   `tests/sched_properties.rs`) and the perf ledger's replay probes.
 //! * [`WheelScheduler`] — a hierarchical timer wheel. Heartbeats and retry
 //!   timers — the overwhelming majority of events — are regular and
 //!   short-horizon, so they land in O(1) bucketed slots; only the events

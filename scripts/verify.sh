@@ -18,17 +18,21 @@
 #
 # which re-runs exactly the minimal failing subset of that seed's schedule
 # (verbose, with a flight-recorder dump). Seeds are deterministic: the same
-# seed generates the same schedule on every machine. A second chaos pass
-# re-runs 25 seeds on a 2% random-loss network (--lossy 20: baseline loss
-# plus generated loss bursts) with the loss-tolerant kernel profile.
+# seed generates the same schedule on every machine.
 #
-# The ratchet stage sweeps seeds 1..=300 under each of --lossy 20,
-# --partition, --quorum and --slow and compares the set of failing seeds
-# with scripts/known_chaos_failures.txt: an unlisted failure is a
+# The ratchet stage sweeps seeds 1..=300 under each of --lossy 20 (2%
+# random loss plus generated loss bursts, loss-tolerant profile),
+# --partition (whole-partition splits and heals, split-brain invariants
+# sampled during the splits), --quorum (even 4x3 testbed with a witness,
+# weighted invariants) and --slow (3x5 testbed, slow-node episodes,
+# slow-not-dead and quarantine convergence) and compares the set of failing
+# seeds with scripts/known_chaos_failures.txt: an unlisted failure is a
 # regression, a listed seed that passes must be deleted from the list. The
-# lossy sweep also guards the chaos binary itself: every schedule must get
-# a telemetry registry of its own, or from about seed 100 the marks of
-# earlier schedules read as leaks (spurious telemetry-leak lines).
+# lowest listed seed is 99, so the 25-seed smokes these presets used to
+# have were prefixes of this stage and are gone. The lossy sweep also
+# guards the chaos binary itself: every schedule must get a telemetry
+# registry of its own, or from about seed 100 the marks of earlier
+# schedules read as leaks (spurious telemetry-leak lines).
 #
 # The digest stage runs every BENCHMARK.json workload for one host second on
 # seed 1 and compares its sim_digest with scripts/bench_digests.txt: a PR
@@ -50,27 +54,19 @@
 # (results/BENCH_nic.json); the flapping-NIC pin replays chaos seed 4's
 # NIC degrade/restore storms end-to-end first.
 #
-# The partition chaos pass re-runs 25 seeds with island-storm schedules
-# (--partition: whole-partition splits + heals layered on the usual fault
-# mix) and the split-brain invariants sampled *during* the splits; the
-# partition_sweep smoke then gates zero double-leader instants, every
+# The partition_sweep smoke gates zero double-leader instants, every
 # minority frozen, and post-heal convergence (results/BENCH_partition.json).
 #
-# The fail-slow chaos pass re-runs 25 seeds on the 3x5 fail-slow testbed
-# (--slow: slow-node episodes layered on the usual fault mix) under the
-# slow-not-dead and quarantine-convergence invariants; the slow_sweep
-# smoke then gates zero false-dead diagnoses, every member-gray episode
-# drained, every leader-gray episode yielded, and every reinstatement
-# converged (results/BENCH_slow.json), serial vs parallel byte-identical.
+# The slow_sweep smoke gates zero false-dead diagnoses, every member-gray
+# episode drained, every leader-gray episode yielded, and every
+# reinstatement converged (results/BENCH_slow.json), serial vs parallel
+# byte-identical.
 #
-# The event_core smoke benches the raw event loop: the heap baseline vs the
-# hierarchical timer-wheel scheduler on an identical seeded timer
-# population (results/BENCH_events.json). The bin replays pinned chaos
-# scenarios under both schedulers and digests every observable stream; the
-# two digest files must be byte-identical (scheduler determinism gate), and
-# on multi-core machines the wheel must be >1.5x faster than the heap. The
-# wheel's events/sec against the committed baseline is, like the loss_sweep
-# speedup, the best of three runs.
+# The layering stage holds the rule the group service's layers were built
+# by: under crates/phoenix-kernel/src/group/ only the actors (gsd.rs, wd.rs,
+# flat.rs) and the factory registry may name the simulator's Ctx, and only
+# gsd.rs and wd.rs may name phoenix_telemetry; regroup.rs, slow_detect.rs
+# and nic_health.rs name neither telemetry.
 #
 # The last stage prints the non-test code-line counts ROADMAP item 4 quotes
 # and fails when group/gsd.rs, phoenix-kernel or the workspace exceeds its
@@ -124,9 +120,6 @@ wall_ms=$(sed -n 's/.*exercise pass: 1 world.*, \([0-9]*\) ms wall/\1/p' /tmp/ta
 
 echo "== smoke: chaos, 25 seeded fault schedules =="
 cargo run --release --offline -p phoenix-chaos --bin chaos -- --seeds 25 --small
-
-echo "== smoke: chaos, 25 seeded fault schedules on a 2% lossy network =="
-cargo run --release --offline -p phoenix-chaos --bin chaos -- --seeds 25 --lossy 20
 
 echo "== ratchet: 300 chaos schedules per preset fail exactly as scripts/known_chaos_failures.txt says =="
 # The sweep exits 1 when any seed failed, which says nothing about which;
@@ -280,9 +273,6 @@ for needle in '"nic_curve"' '"spurious_takeovers"' '"detect_ratio_vs_clean"' '"w
     }
 done
 
-echo "== smoke: chaos, 25 seeded partition-storm schedules =="
-cargo run --release --offline -p phoenix-chaos --bin chaos -- --seeds 25 --partition
-
 echo "== smoke: partition_sweep (--small) writes results/BENCH_partition.json =="
 rm -f results/BENCH_partition.json
 # The bin exits non-zero on any sampled double-leader instant, an
@@ -315,12 +305,6 @@ for needle in '"schedules_run"' '"faults_injected"' '"violating_schedules"' '"sh
     }
 done
 
-echo "== smoke: chaos, 25 seeded even-split quorum schedules =="
-# The even 4x3 testbed with a witness: split-heavy schedules under the
-# weighted sampled invariants (exactly one live side of an even split,
-# no double leader, no frozen weighted-winner).
-cargo run --release --offline -p phoenix-chaos --bin chaos -- --seeds 25 --quorum
-
 echo "== smoke: quorum_sweep (--small --serial) writes results/BENCH_quorum.json =="
 rm -f results/BENCH_quorum.json
 # The bin exits non-zero on a double-leader or both-sides-frozen instant,
@@ -348,12 +332,6 @@ cmp results/BENCH_quorum.json /tmp/BENCH_quorum_serial.json || {
     echo "FAIL: parallel quorum_sweep report differs from serial (determinism gate)" >&2
     exit 1
 }
-
-echo "== smoke: chaos, 25 seeded fail-slow schedules =="
-# The 3x5 testbed with the fail-slow profile: slow-node episodes riding a
-# salt-separated RNG stream, under the slow-not-dead invariant (zero dead
-# diagnoses of a slow-but-alive node) and post-heal quarantine convergence.
-cargo run --release --offline -p phoenix-chaos --bin chaos -- --seeds 25 --slow
 
 echo "== smoke: slow_sweep (--small --serial) writes results/BENCH_slow.json =="
 rm -f results/BENCH_slow.json
@@ -383,75 +361,24 @@ cmp results/BENCH_slow.json /tmp/BENCH_slow_serial.json || {
     exit 1
 }
 
-echo "== smoke: event_core (--small) writes results/BENCH_events.json =="
-rm -f results/BENCH_events.json results/event_core_heap.trace results/event_core_wheel.trace
-# The bin exits non-zero if the heap and wheel schedulers diverge on any
-# pinned chaos scenario, or if the wheel's raw speedup drops below x1.2.
-cargo run --release --offline -p phoenix-bench --bin event_core -- --small \
-    | tee /tmp/event_core.out
-
-test -s results/BENCH_events.json || {
-    echo "FAIL: results/BENCH_events.json missing or empty" >&2
-    exit 1
-}
-for needle in '"heap_events_per_sec"' '"wheel_events_per_sec"' '"speedup"' '"identical": true'; do
-    grep -q "$needle" results/BENCH_events.json || {
-        echo "FAIL: $needle not found in results/BENCH_events.json" >&2
-        exit 1
-    }
-done
-
-echo "== determinism gate: wheel scheduler must be byte-identical to heap =="
-cmp results/event_core_heap.trace results/event_core_wheel.trace || {
-    echo "FAIL: wheel digest stream differs from heap (scheduler determinism gate)" >&2
-    exit 1
-}
-heap_ms=$(sed -n 's/.*event_core wall-clock: heap \([0-9]*\) ms.*/\1/p' /tmp/event_core.out)
-wheel_ms=$(sed -n 's/.*event_core wall-clock: heap [0-9]* ms, wheel \([0-9]*\) ms.*/\1/p' /tmp/event_core.out)
-[ -n "$heap_ms" ] && [ -n "$wheel_ms" ] || {
-    echo "FAIL: event_core wall-clock line missing from output" >&2
-    exit 1
-}
-ev_speedup=$(awk "BEGIN { printf \"%.2f\", $heap_ms / ($wheel_ms + 0.001) }")
-echo "event_core wall-clock: heap ${heap_ms} ms, wheel ${wheel_ms} ms, speedup x${ev_speedup} (${cores} core(s))"
-if [ "$cores" -ge 2 ]; then
-    awk "BEGIN { exit !($heap_ms / ($wheel_ms + 0.001) > 1.5) }" || {
-        echo "FAIL: wheel speedup x${ev_speedup} <= 1.5 on a ${cores}-core machine" >&2
-        exit 1
-    }
-else
-    echo "(single-core runner: speedup gate skipped, determinism gate enforced)"
-fi
-
-echo "== perf gate: wheel events/sec >= 1.10x committed baseline =="
-# results/BENCH_events_baseline.json pins the wheel throughput of the last
-# PR that claimed a scheduler perf win; it only advances with such a PR, so
-# this gate is a regression floor, not a ratchet.
-wheel_eps() {
-    sed -n 's/.*"wheel_events_per_sec": \([0-9.]*\).*/\1/p' "$1"
-}
-base_eps=$(wheel_eps results/BENCH_events_baseline.json)
-# The fresh side is the best of three event_core runs: the one above and
-# two more (interference from the shared host only ever slows a run).
-wheel_eps results/BENCH_events.json > /tmp/wheel_eps.txt
-for again in 2 3; do
-    cargo run --release --offline -p phoenix-bench --bin event_core -- --small > /dev/null
-    wheel_eps results/BENCH_events.json >> /tmp/wheel_eps.txt
-done
-fresh_eps=$(sort -n /tmp/wheel_eps.txt | tail -1)
-[ -n "$base_eps" ] && [ -n "$fresh_eps" ] || {
-    echo "FAIL: wheel_events_per_sec missing from baseline or fresh results" >&2
-    exit 1
-}
-echo "wheel events/sec: fresh ${fresh_eps} (best of 3) vs baseline ${base_eps} (need >= 1.10x)"
-awk "BEGIN { exit !($fresh_eps >= 1.10 * $base_eps) }" || {
-    echo "FAIL: wheel events/sec ${fresh_eps} < 1.10 * baseline ${base_eps}" >&2
-    exit 1
-}
-
 echo "== report: results/ sizes in KB (ROADMAP 4d: written reports keep the newest 256 recorder spans) =="
 du -k results/*
 du -sk results
+
+echo "== layering: the group service's layers name neither Ctx nor phoenix_telemetry =="
+group=crates/phoenix-kernel/src/group
+kernel_src=crates/phoenix-kernel/src
+# shellcheck disable=SC2046
+if grep -nw 'Ctx' $(ls $group/*.rs | grep -vE '/(gsd|wd|flat|registry)\.rs$'); then
+    echo "FAIL: a group/ layer names the simulator's Ctx (only gsd.rs, wd.rs, flat.rs and registry.rs may)" >&2
+    exit 1
+fi
+# shellcheck disable=SC2046
+if grep -n 'phoenix_telemetry' $(ls $group/*.rs | grep -vE '/(gsd|wd)\.rs$') \
+    $kernel_src/regroup.rs $kernel_src/slow_detect.rs $kernel_src/nic_health.rs; then
+    echo "FAIL: a protocol layer names phoenix_telemetry (under group/ only gsd.rs and wd.rs may)" >&2
+    exit 1
+fi
 
 echo "== ratchet: non-test code lines stay within scripts/code_budget.txt (ROADMAP aim 2, item 4) =="
 # The roadmap's number: each file cut at its first #[cfg(test)], then its
