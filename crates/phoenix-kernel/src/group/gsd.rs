@@ -16,14 +16,26 @@
 //!   Leader fails the Princess takes over, and so on down the ring.
 //!
 //! This actor is a router. What the protocol *decides* lives in layers
-//! that know nothing of the simulator or of telemetry — `liveness` (is a
-//! watched daemon silent), `ring` (who is a member, in which seat, and who
-//! may join), `failover` (where a replacement GSD goes), `regroup` (does
-//! this side hold quorum), `slow_detect` (is a peer slow, and what may be
-//! done about it), `dirsync` (what the config directory is still owed),
-//! and [`federation`]'s `Supervisor` for the partition's services (paper
-//! Fig 4). The actor feeds them messages and timer instants and turns
-//! their answers into sends, timers, trace records and counters.
+//! that know nothing of the simulator or of telemetry (DESIGN.md §16):
+//!
+//! * `liveness` — is a watched daemon silent, and on which interfaces;
+//! * `probe` — what a probe session of its node's PPM agent found;
+//! * `regroup` — does this side hold quorum, and what follows: the round
+//!   to send, the reply to a ping, what a conclusion asks of this
+//!   partition, the takeover licence;
+//! * `ring` — who is a member, in which seat, and who may join;
+//! * `failover` — where a replacement GSD goes, and whether it rebuilds
+//!   the partition's services or adopts them;
+//! * `dirsync` — what the config directory is still owed;
+//! * `slow_detect`, `nic_health` — is a peer slow, is an interface lossy,
+//!   and what may be done about it;
+//! * [`federation`]'s `Supervisor` — the partition's services (paper
+//!   Fig 4).
+//!
+//! The actor feeds them messages and timer instants and turns their
+//! answers into sends, timers, spawns, trace records, counters and spans.
+//! It keeps the watch table, the delayed-op table and the telemetry span
+//! ids, which are no decisions.
 
 use crate::federation::{self, Lapsed, Registered, Rejoin, Supervisor};
 use crate::group::dirsync::DirSync;

@@ -10,11 +10,12 @@
 //! * [`wd`] — the watch daemon on every node (heartbeats over all NICs);
 //! * [`gsd`] — the per-partition Group Service Daemon and the ring-shaped
 //!   meta-group with Leader/Princess takeover;
-//! * `liveness`, `ring`, `failover`, `dirsync` — what the GSD decides,
-//!   with no actor context: is a watched daemon (watch daemon or ring
-//!   predecessor alike) silent; who is in the meta-group, in which seat,
-//!   and who may join; where a replacement GSD goes and at what cost;
-//!   what the config directory is still owed;
+//! * `liveness`, `probe`, `ring`, `failover`, `dirsync` — what the GSD
+//!   decides, with no actor context: is a watched daemon (watch daemon or
+//!   ring predecessor alike) silent; what probing its node found; who is
+//!   in the meta-group, in which seat, and who may join; where a
+//!   replacement GSD goes, at what cost, and whether it rebuilds the
+//!   partition's services; what the config directory is still owed;
 //! * [`registry`] — respawn-policy registration for supervised services;
 //! * [`flat`] — the flat all-to-all membership baseline the paper argues
 //!   against, kept for the scalability ablation.
