@@ -666,11 +666,14 @@ impl Gsd {
         let now = ctx.now();
         if let Some(spec) = self.topology.partition(self.partition).cloned() {
             for node in spec.all_nodes() {
-                // A track config already pushed (`DirectoryUpdateNode`
-                // ahead of the wiring reply) stays as it is.
                 let wd = self.node_daemons.get(&node).map(|ns| ns.wd);
-                if let (Some(wd), None) = (wd, self.peer_of(Watched::Wd(node))) {
-                    self.watch_wd(node, wd, now);
+                match (self.peer_of_mut(Watched::Wd(node)), wd) {
+                    // A track config already pushed (`DirectoryUpdateNode`
+                    // ahead of the wiring reply) stays, sized to the
+                    // interfaces counted just now.
+                    (Some(peer), _) => peer.live.size(nics, now),
+                    (None, Some(wd)) => self.watch_wd(node, wd, now),
+                    (None, None) => {}
                 }
             }
         }

@@ -115,6 +115,15 @@ impl Liveness {
         }
     }
 
+    /// The observer has counted its interfaces: `nics`. A track opened
+    /// before it had — with no slot at all, so with nothing that could
+    /// ever fall silent — gets the missing ones, last heard `now`.
+    pub(crate) fn size(&mut self, nics: usize, now: SimTime) {
+        self.last.resize(nics, now);
+        self.last_seq.resize(nics, 0);
+        self.nic_down.resize(nics, false);
+    }
+
     /// Ingest one heartbeat. A duplicate changes nothing; anything else
     /// refreshes the NIC and clears the node's and the NIC's down marks.
     pub(crate) fn observe(&mut self, nic: NicId, seq: u64, now: SimTime) -> Beat {
@@ -416,6 +425,35 @@ mod tests {
         assert_eq!(live.observe(NicId(1), 5, at(10)), untracked);
         assert_eq!(live.observe(NicId(1), 5, at(20)), untracked);
         assert!(!live.any_fresh(at(2_000), SimDuration::from_secs(1)));
+    }
+
+    #[test]
+    fn a_watch_opened_before_the_nic_count_is_known_is_judged_once_sized() {
+        // A `DirectoryUpdateNode` that overtakes a respawned GSD's wiring
+        // opens the node's track over zero interfaces.
+        let window = SimDuration::from_secs(1);
+        let mut live = Liveness::new(0, SimTime::ZERO);
+        assert_eq!(
+            live.silence(SimTime(60 * SEC), window, |_| true),
+            Silence::None,
+            "no slot, nothing to be silent on: never judged"
+        );
+        // Wiring counts two interfaces at 60 s; the daemon never beats.
+        live.size(2, SimTime(60 * SEC));
+        assert_eq!(live.silence(SimTime(61 * SEC), window, |_| true), Silence::None);
+        assert_eq!(
+            live.silence(SimTime(61 * SEC + 1), window, |_| true),
+            Silence::Total,
+            "one window after wiring"
+        );
+        // Sized, a beat is evidence like any other; sizing again is a no-op.
+        live.end_probe(false);
+        assert_eq!(live.observe(NicId(1), 4, SimTime(62 * SEC)), accepted(0));
+        live.size(2, SimTime(70 * SEC));
+        assert_eq!(
+            live.silence(SimTime(63 * SEC), window, |_| true),
+            Silence::Partial(vec![NicId(0)])
+        );
     }
 
     #[test]
