@@ -723,6 +723,8 @@ impl Gsd {
         self.local = hint;
         self.local.gsd = ctx.pid();
         self.local.node = ctx.node();
+        // The recovery action again, when it means starting the partition's
+        // kernel services here instead of adopting the hinted ones.
         let rebuild = recovery.filter(|&action| {
             failover::rebuild_services(&hint, action, |pid| ctx.process_is_alive(pid))
         });

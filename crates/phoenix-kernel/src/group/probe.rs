@@ -106,11 +106,11 @@ impl Probes {
     }
 
     /// The session is over: has the silence it was opened on ended?
-    fn resolve(&self, s: &Session, fresh: impl FnOnce(Watched) -> bool, or: Outcome) -> Outcome {
+    fn resolve(&self, s: &Session, fresh: impl FnOnce(Watched) -> bool, silent: Outcome) -> Outcome {
         if self.abort_on_fresh && fresh(s.watched) {
             Outcome::Aborted
         } else {
-            or
+            silent
         }
     }
 

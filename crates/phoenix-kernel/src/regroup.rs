@@ -1087,11 +1087,8 @@ mod tests {
     /// Drive one side of a split to a conclusion: `me` plus acks from
     /// `others`, all at time `now`.
     fn conclude_side(rg: &mut Regroup, me: PartitionId, others: &[u64], now: SimTime) -> Conclusion {
-        let r = rg.begin_round(now);
-        for &p in others {
-            rg.on_ack(r, PartitionId(p as u32), ack(100 + p, 0, false), now);
-        }
-        rg.conclude(me, now).unwrap()
+        let acks: Vec<(u32, bool)> = others.iter().map(|&p| (p as u32, false)).collect();
+        concluded(rg, me, &acks, now)
     }
 
     #[test]
