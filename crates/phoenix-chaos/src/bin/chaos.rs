@@ -17,85 +17,24 @@
 //! Exit status is non-zero iff any schedule violated an invariant.
 
 use phoenix_chaos::{
-    dump_flight_recorder, full_mask, generate_schedule, parse_replay, replay_command,
-    run_schedule, shrink, ChaosConfig,
+    flight_recorder_dump, full_mask, generate_schedule, parse_args, run_schedule, run_seed,
+    ChaosConfig,
 };
 use phoenix_kernel::boot_cluster;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: chaos [--seeds N] [--seed-base S] [--small] [--paper] [--partition] \
-         [--quorum] [--slow] [--lossy PERMILLE] [--max-faults K] [--replay SEED[:MASK_HEX]]"
-    );
-    std::process::exit(2);
-}
-
 fn main() {
-    let mut seeds = 50u64;
-    let mut seed_base = 1u64;
-    let mut cfg = ChaosConfig::small();
-    let mut mode = String::from("--small");
-    let mut lossy: Option<u16> = None;
-    let mut replay: Option<String> = None;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seeds" => {
-                seeds = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--seed-base" => {
-                seed_base = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--small" => {
-                cfg = ChaosConfig::small();
-                mode = "--small".into();
-            }
-            "--paper" => {
-                cfg = ChaosConfig::paper();
-                mode = "--paper".into();
-            }
-            "--partition" => {
-                cfg = ChaosConfig::small_partition();
-                mode = "--partition".into();
-            }
-            "--quorum" => {
-                cfg = ChaosConfig::small_quorum();
-                mode = "--quorum".into();
-            }
-            "--slow" => {
-                cfg = ChaosConfig::small_slow();
-                mode = "--slow".into();
-            }
-            "--lossy" => {
-                lossy = Some(args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()))
-            }
-            "--max-faults" => {
-                cfg.max_faults =
-                    args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--replay" => replay = Some(args.next().unwrap_or_else(|| usage())),
-            _ => usage(),
-        }
-    }
-    // Applied after the parse loop: --small/--paper replace the whole
-    // config, so the lossy overlay must win regardless of flag order.
-    if let Some(permille) = lossy {
-        let max_faults = cfg.max_faults;
-        cfg = ChaosConfig::small_lossy(permille);
-        cfg.max_faults = max_faults;
-        mode = format!("--lossy {permille}");
-    }
-
-    if let Some(spec) = replay {
-        let (seed, mask) = match parse_replay(&spec) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("chaos: {e}");
-                std::process::exit(2);
-            }
-        };
-        std::process::exit(run_replay(seed, mask, &cfg));
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!(
+            "chaos: {e}\nusage: chaos [--seeds N] [--seed-base S] [--small] [--paper] \
+             [--partition] [--quorum] [--slow] [--lossy PERMILLE] [--max-faults K] \
+             [--replay SEED[:MASK_HEX]]"
+        );
+        std::process::exit(2);
+    });
+    let (seeds, seed_base, cfg) = (cli.seeds, cli.seed_base, &cli.cfg);
+    if let Some((seed, mask)) = cli.replay {
+        std::process::exit(run_replay(seed, mask, cfg));
     }
 
     println!(
@@ -115,40 +54,12 @@ fn main() {
     let mut failures = 0u64;
     let mut total_faults = 0usize;
     for seed in seed_base..seed_base + seeds {
-        // Every schedule's virtual clock restarts at 0: marks left in the
-        // thread's registry by earlier schedules would all look recent to
-        // the telemetry-leak check.
+        // `run_seed` wants a fresh registry per schedule.
         phoenix_telemetry::reset();
-        let out = run_schedule(seed, &cfg, u64::MAX, false);
-        total_faults += out.faults_injected;
-        if !out.failed() {
-            println!(
-                "  seed {seed:>5}: ok   ({} steps, {} faults, settled at {:.1}s virtual)",
-                out.applied_steps,
-                out.faults_injected,
-                out.virtual_ns as f64 / 1e9
-            );
-            continue;
-        }
-        failures += 1;
-        println!(
-            "  seed {seed:>5}: FAIL ({} steps, {} faults) — {} violation(s):",
-            out.applied_steps,
-            out.faults_injected,
-            out.violations.len()
-        );
-        for v in &out.violations {
-            println!("      {v}");
-        }
-        let s = shrink(&cfg, &out);
-        println!(
-            "      shrunk {} -> {} steps in {} runs; minimal mask {:#x}",
-            out.total_steps, s.steps, s.runs, s.mask
-        );
-        println!(
-            "      replay: {}",
-            replay_command(seed, s.mask, out.total_steps, &mode)
-        );
+        let run = run_seed(seed, cfg, &cli.flag);
+        print!("{run}");
+        total_faults += run.out.faults_injected;
+        failures += run.out.failed() as u64;
     }
     println!(
         "chaos sweep done: {}/{} schedules clean, {} faults injected",
@@ -164,7 +75,10 @@ fn run_replay(seed: u64, mask: Option<u64>, cfg: &ChaosConfig) -> i32 {
     let (_world, cluster) = boot_cluster(cfg.topology(), cfg.params.clone(), seed);
     let steps = generate_schedule(seed, cfg, &cluster);
     let mask = mask.unwrap_or_else(|| full_mask(steps.len()));
-    println!("replay seed {seed} mask {mask:#x} — schedule ({} steps):", steps.len());
+    println!(
+        "replay seed {seed} mask {mask:#x} — schedule ({} steps):",
+        steps.len()
+    );
     for (i, step) in steps.iter().enumerate() {
         let selected = mask & (1u64 << i) != 0;
         println!("  {} [{i:>2}] {step}", if selected { "*" } else { " " });
@@ -188,10 +102,6 @@ fn run_replay(seed: u64, mask: Option<u64>, cfg: &ChaosConfig) -> i32 {
         }
     }
     println!("flight recorder (most recent spans):");
-    dump_flight_recorder(40);
-    if out.failed() {
-        1
-    } else {
-        0
-    }
+    print!("{}", flight_recorder_dump(40));
+    out.failed() as i32
 }

@@ -5,7 +5,8 @@
 //! *schedules* of overlapping faults — process kills, node crashes and
 //! restarts, NIC failures, link partitions and heals — generated from a
 //! seed, applied to a booted simulated cluster, and checked against
-//! kernel-level invariants once the fault cascade quiesces.
+//! kernel-level invariants while a split stands and once the fault cascade
+//! quiesces.
 //!
 //! Because the simulator is fully deterministic (one `SimRng`, a virtual
 //! clock, FIFO tie-breaking), a seed *is* a reproducer: any violation can
@@ -13,72 +14,43 @@
 //! schedule is greedily shrunk (drop one step at a time, keep the drop if
 //! the violation persists) to a minimal mask before being reported.
 //!
-//! Invariants checked after quiescence:
+//! By layer:
 //!
-//! 1. **meta-leader** — every partition runs exactly one live GSD, exactly
-//!    one GSD in the whole cluster holds the meta-group Leader role, and
-//!    all live GSDs agree on who that is.
-//! 2. **wd-convergence** — the WD of every live node heartbeats a live GSD
-//!    of its own partition (detection would silently stop otherwise).
-//! 3. **takeover** — the `gsd.takeover` histogram grew iff a GSD actually
-//!    died (no missed takeovers; no spurious ones on clean networks).
-//! 4. **bulletin** — the single-access-point resource query completes and
-//!    covers every live node.
-//! 5. **event-delivery** — a consumer registered on every partition's event
-//!    service receives a freshly published event (federation forwards it).
-//! 6. **quiescence** — the cluster reaches trace silence at all: a cascade
-//!    that never settles is itself a bug.
-//! 7. **arena-leak** — the scheduler's event pool balances: live pooled
-//!    slots equal pending queue events and `allocs - frees == live`, so a
-//!    full fault schedule leaks no message slots (the event-core analogue
-//!    of the telemetry-leak invariant).
+//! * this file — [`ChaosConfig`], the [`PRESETS`] table every front end
+//!   names a configuration by, and the command line both sweep binaries
+//!   share ([`parse_args`]);
+//! * [`schedule`] — what a seed means: `generate_schedule` and the shape
+//!   classifiers; runs no world;
+//! * [`run`] — the only code that drives a world: `run_schedule` applies
+//!   the steps, settles, questions the cluster and gathers an `Observed`;
+//! * [`invariants`] — what must hold: one table of named, pure checks over
+//!   an `Observed` (see [`invariants::INVARIANTS`] for the list);
+//! * [`shrink`] — from a failing seed to a reproducer: `shrink`, the replay
+//!   spec and command, and `run_seed`, the one per-seed sweep driver.
 
-use std::fmt;
-use std::ops::Range;
+pub mod invariants;
+pub mod run;
+pub mod schedule;
+pub mod shrink;
 
-use phoenix_kernel::boot::GsdView;
-use phoenix_kernel::group::{Gsd, Wd};
-use phoenix_kernel::{boot_cluster_custom, ClientHandle, KernelParams, PhoenixCluster};
-use phoenix_proto::{
-    BulletinKey, BulletinQuery, ClusterTopology, ConsumerReg, Event, EventFilter, EventPayload,
-    EventType, KernelMsg, NodeOp, PartitionId, PartitionSpec, RequestId, ServiceDirectory,
+pub use invariants::Violation;
+pub use run::{run_schedule, RunOutcome, RunStreams};
+pub use schedule::{
+    crash_repair_nodes, double_nic_nodes, full_mask, generate_schedule, gsd_kills,
+    island_partitions, link_partitions, loss_bursts, nic_flaps, slow_storms, Step, StepAction,
+    MAX_STEPS,
 };
-use phoenix_sim::{
-    Diagnosis, Fault, FaultTarget, NetParams, NicId, NodeId, Pid, SchedulerKind, SimDuration,
-    SimRng, SimTime, TraceEvent, World,
+pub use shrink::{
+    flight_recorder_dump, parse_replay, replay_command, run_seed, shrink, SeedRun, ShrinkOutcome,
 };
 
-/// Salt mixed into the schedule RNG so the schedule stream is independent
-/// of the boot/network RNG stream seeded from the same user-facing seed.
-const SCHEDULE_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
+use phoenix_kernel::KernelParams;
+use phoenix_proto::{ClusterTopology, PartitionId};
+use phoenix_sim::{NetParams, SchedulerKind, SimDuration};
 
-/// Salt for the flapping-NIC step stream. Flap steps are drawn from their
-/// own RNG and *appended* to the schedule, so enabling them leaves every
-/// seed's pre-existing steps (and the main schedule stream) untouched.
-const FLAP_SALT: u64 = 0x6c62_272e_07bb_0142;
-
-/// Salt for the island-partition storm stream. Like flap steps, partition
-/// cycles ride their own RNG and are appended, keeping every other stream
-/// byte-identical per seed whether or not storms are enabled.
-const PARTITION_SALT: u64 = 0x2545_f491_4f6c_dd1d;
-
-/// Salt for the even-split storm stream (exact half/half islands for the
-/// weighted/witness quorum). Appended from its own RNG like the other
-/// optional shapes, so every pre-existing stream stays byte-identical.
-const QUORUM_SALT: u64 = 0x94d0_49bb_1331_11eb;
-
-/// Salt for the fail-slow (gray failure) storm stream: nodes that stay
-/// alive and keep answering — late. Appended from its own RNG like the
-/// other optional shapes, so every pre-existing stream stays
-/// byte-identical per seed whether or not slow storms are enabled.
-const SLOW_SALT: u64 = 0xd6e8_feb8_6659_fd93;
-
-/// Schedules are capped at 64 steps so a subset is a `u64` bitmask.
-pub const MAX_STEPS: usize = 64;
-
-// ---------------------------------------------------------------------------
-// Configuration
-// ---------------------------------------------------------------------------
+pub(crate) fn fmt_ns(ns: u64) -> String {
+    format!("{:.3}s", ns as f64 / 1e9)
+}
 
 /// Everything that shapes a chaos run besides the seed.
 #[derive(Clone)]
@@ -230,20 +202,12 @@ impl ChaosConfig {
         ChaosConfig {
             partitions: 8,
             nodes_per_partition: 17,
-            backups: 1,
             max_faults: 8,
             horizon: SimDuration::from_secs(120),
             settle_window: SimDuration::from_secs(70),
             settle_deadline: SimDuration::from_secs(1200),
             params: KernelParams::default(),
-            net: NetParams::default(),
-            loss_steps: false,
-            nic_flap_steps: false,
-            partition_steps: false,
-            quorum_steps: false,
-            slow_steps: false,
-            scheduler: SchedulerKind::default(),
-            record_streams: false,
+            ..ChaosConfig::small()
         }
     }
 
@@ -252,1513 +216,82 @@ impl ChaosConfig {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Schedules
-// ---------------------------------------------------------------------------
+/// A named configuration: the command-line flag that selects it, and its
+/// constructor. `chaos`, `chaos_sweep`, the differential suite and every
+/// printed replay command name a configuration by its flag.
+pub type Preset = (&'static str, fn() -> ChaosConfig);
 
-/// One scheduled action: a simulator fault, or a repair request sent to the
-/// configuration service (paper Sec 3: node management via the config
-/// service's single access point).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum StepAction {
-    Fault(Fault),
-    RepairNode(NodeId),
+/// `--lossy` takes its loss rate as an argument; the table lists it at the
+/// one rate the pinned seeds, the ratchet and the benchmark use.
+pub const PRESETS: &[Preset] = &[
+    ("--small", ChaosConfig::small),
+    ("--paper", ChaosConfig::paper),
+    ("--lossy 20", || ChaosConfig::small_lossy(20)),
+    ("--partition", ChaosConfig::small_partition),
+    ("--quorum", ChaosConfig::small_quorum),
+    ("--slow", ChaosConfig::small_slow),
+];
+
+/// A parsed `chaos` / `chaos_sweep` command line.
+pub struct Cli {
+    pub seeds: u64,
+    pub seed_base: u64,
+    /// The preset flag `cfg` was built from, as replay commands print it.
+    pub flag: String,
+    pub cfg: ChaosConfig,
+    pub replay: Option<(u64, Option<u64>)>,
 }
 
-/// An action at a virtual-time offset from the end of stabilization.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct Step {
-    pub offset: SimDuration,
-    pub action: StepAction,
-}
-
-impl fmt::Display for Step {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let ms = self.offset.as_nanos() / 1_000_000;
-        match self.action {
-            StepAction::Fault(fault) => write!(f, "+{ms:>6}ms  {fault:?}"),
-            StepAction::RepairNode(n) => write!(f, "+{ms:>6}ms  RepairNode({})", n.0),
-        }
+/// `[--seeds N] [--seed-base S] [PRESET] [--lossy PERMILLE] [--max-faults K]
+/// [--replay SEED[:MASK_HEX]]` in any order. A preset flag replaces the
+/// whole configuration, so the preset is settled first — `--lossy` over
+/// any other, the last one given otherwise, `--small` when none is — and
+/// `--max-faults` is applied to the result.
+pub fn parse_args(args: &[String]) -> Result<Cli, String> {
+    fn number<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
+        v.and_then(|v| v.parse().ok())
+            .ok_or_else(|| format!("{flag} needs a number"))
     }
-}
-
-/// Generate the fault schedule for `seed`. Deterministic: the same seed and
-/// config always produce the same schedule, and the pids it references are
-/// the boot-time pids (boot is itself deterministic per seed).
-pub fn generate_schedule(seed: u64, cfg: &ChaosConfig, cluster: &PhoenixCluster) -> Vec<Step> {
-    let mut rng = SimRng::seed_from_u64(seed ^ SCHEDULE_SALT);
-    let dir = &cluster.directory;
-    let topo = &cluster.topology;
-    let horizon_ms = (cfg.horizon.as_nanos() / 1_000_000).max(1);
-
-    // Node-crash candidates: compute nodes anywhere, plus servers of
-    // partitions >= 1. Partition 0's server hosts the config and security
-    // services (single-instance by design, paper Sec 3.1) and backup nodes
-    // are the migration targets the takeover invariant depends on.
-    let mut crashable: Vec<NodeId> = Vec::new();
-    for (i, p) in topo.partitions.iter().enumerate() {
-        if i > 0 {
-            crashable.push(p.server);
-        }
-        crashable.extend(p.compute.iter().copied());
-    }
-
-    // Killable pids: per-node daemons and per-partition services. Config and
-    // security are deliberately excluded (single-instance services; their
-    // loss is a different experiment than kernel self-healing).
-    let mut killable: Vec<Pid> = Vec::new();
-    for ns in &dir.nodes {
-        killable.extend([ns.wd, ns.detector, ns.ppm]);
-    }
-    for m in &dir.partitions {
-        killable.extend([m.gsd, m.event, m.bulletin, m.checkpoint]);
-    }
-
-    let all_nodes: Vec<NodeId> = topo
-        .partitions
-        .iter()
-        .flat_map(|p| p.all_nodes())
-        .collect();
-
-    let n_faults = rng.gen_range(1..=cfg.max_faults.min(16) as u64) as usize;
-    let mut steps: Vec<Step> = Vec::new();
-    let mut crashed: Vec<NodeId> = Vec::new();
-    for _ in 0..n_faults {
-        if steps.len() + 2 > MAX_STEPS {
-            break;
-        }
-        let at = SimDuration::from_millis(rng.gen_range(0..horizon_ms));
-        // The extra loss-burst kind is only in the draw when enabled, so
-        // schedules of the default configurations are unchanged.
-        let kinds = if cfg.loss_steps { 5u64 } else { 4 };
-        match rng.gen_range(0..kinds) {
-            0 => {
-                let pid = killable[rng.gen_range(0..killable.len() as u64) as usize];
-                steps.push(Step {
-                    offset: at,
-                    action: StepAction::Fault(Fault::KillProcess(pid)),
-                });
+    let (mut seeds, mut seed_base, mut replay) = (50, 1, None);
+    let mut preset = &PRESETS[0];
+    let mut lossy: Option<u16> = None;
+    let mut max_faults: Option<usize> = None;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--seeds" => seeds = number(arg, args.next())?,
+            "--seed-base" => seed_base = number(arg, args.next())?,
+            "--lossy" => lossy = Some(number(arg, args.next())?),
+            "--max-faults" => max_faults = Some(number(arg, args.next())?),
+            "--replay" => {
+                let spec = args.next().ok_or("--replay needs SEED[:MASK_HEX]")?;
+                replay = Some(parse_replay(spec)?);
             }
-            1 => {
-                let node = crashable[rng.gen_range(0..crashable.len() as u64) as usize];
-                if crashed.contains(&node) {
-                    continue;
-                }
-                crashed.push(node);
-                steps.push(Step {
-                    offset: at,
-                    action: StepAction::Fault(Fault::CrashNode(node)),
-                });
-                // Usually repair the node later so schedules also exercise
-                // the config-service restart path (and WD re-wiring).
-                if rng.gen_range(0..10u64) < 7 {
-                    let delay = SimDuration::from_millis(rng.gen_range(2_000u64..20_000));
-                    steps.push(Step {
-                        offset: at + delay,
-                        action: StepAction::RepairNode(node),
-                    });
-                }
-            }
-            2 => {
-                let node = all_nodes[rng.gen_range(0..all_nodes.len() as u64) as usize];
-                let nic = NicId(rng.gen_range(0..3u64) as u8);
-                steps.push(Step {
-                    offset: at,
-                    action: StepAction::Fault(Fault::NicDown(node, nic)),
-                });
-                let delay = SimDuration::from_millis(rng.gen_range(1_000u64..4_000));
-                steps.push(Step {
-                    offset: at + delay,
-                    action: StepAction::Fault(Fault::NicUp(node, nic)),
-                });
-            }
-            3 => {
-                let a = all_nodes[rng.gen_range(0..all_nodes.len() as u64) as usize];
-                let mut b = all_nodes[rng.gen_range(0..all_nodes.len() as u64) as usize];
-                if a == b {
-                    b = all_nodes[(a.0 as usize + 1) % all_nodes.len()];
-                }
-                steps.push(Step {
-                    offset: at,
-                    action: StepAction::Fault(Fault::PartitionLink(a, b)),
-                });
-                let delay = SimDuration::from_millis(rng.gen_range(1_000u64..5_000));
-                steps.push(Step {
-                    offset: at + delay,
-                    action: StepAction::Fault(Fault::HealLink(a, b)),
-                });
-            }
-            _ => {
-                // A cluster-wide loss burst (congestion spike): random loss
-                // jumps to 5-30% for a bounded window, then clears back to
-                // the configured baseline.
-                let permille = 50 + rng.gen_range(0..251u64) as u16;
-                steps.push(Step {
-                    offset: at,
-                    action: StepAction::Fault(Fault::LossBurst { permille }),
-                });
-                let delay = SimDuration::from_millis(rng.gen_range(1_000u64..6_000));
-                steps.push(Step {
-                    offset: at + delay,
-                    action: StepAction::Fault(Fault::LossClear),
-                });
-            }
-        }
-    }
-    // Flapping-NIC storms: one interface of one node oscillates between
-    // heavy loss and clean several times — the adversarial input for the
-    // NIC-health hysteresis (a naive scorer would flip routing every
-    // cycle; a naive detector would declare the NIC down). Drawn from a
-    // separate salted stream and appended, so the steps above are
-    // byte-identical whether or not flaps are enabled.
-    if cfg.nic_flap_steps {
-        let mut frng = SimRng::seed_from_u64(seed ^ FLAP_SALT);
-        let storms = 1 + frng.gen_range(0..2u64);
-        for _ in 0..storms {
-            if steps.len() + 2 > MAX_STEPS {
-                break;
-            }
-            let node = all_nodes[frng.gen_range(0..all_nodes.len() as u64) as usize];
-            let nic = NicId(frng.gen_range(0..3u64) as u8);
-            let mut at = SimDuration::from_millis(frng.gen_range(0..horizon_ms));
-            let cycles = 2 + frng.gen_range(0..3u64);
-            for _ in 0..cycles {
-                if steps.len() + 2 > MAX_STEPS {
-                    break;
-                }
-                // 10-50% loss while degraded: bad enough to bleed through
-                // K-of-N suspicion if routing ignores it, not a hard outage.
-                let permille = 100 + frng.gen_range(0..401u64) as u16;
-                steps.push(Step {
-                    offset: at,
-                    action: StepAction::Fault(Fault::NicDegrade(node, nic, permille)),
-                });
-                let hold = SimDuration::from_millis(frng.gen_range(300..2_000u64));
-                steps.push(Step {
-                    offset: at + hold,
-                    action: StepAction::Fault(Fault::NicRestore(node, nic)),
-                });
-                at = at + hold + SimDuration::from_millis(frng.gen_range(200..1_500u64));
-            }
-        }
-    }
-    // Island-partition storms: one or two cycles of "sever a random subset
-    // of whole topology partitions into an island, hold long enough for
-    // suspicion and the regroup takeover delay to engage, heal, let the
-    // cluster reconverge". The island is a nonempty proper subset of the
-    // configured partitions, so one side always holds a strict majority or
-    // the split is even (both sides freeze).
-    if cfg.partition_steps {
-        let prng = SimRng::seed_from_u64(seed ^ PARTITION_SALT);
-        let parts = topo.partitions.len() as u64;
-        let size = |rng: &mut SimRng| 1 + rng.gen_range(0..parts - 1) as usize;
-        let (hold_ms, gap_ms) = (4_000..8_000, 10_000..16_000);
-        island_storms(&mut steps, cluster, prng, horizon_ms, size, hold_ms, gap_ms);
-    }
-    // Even-split storms: exactly half the configured partitions islanded
-    // at once — the shape count-majority regroup cannot win (both sides
-    // freeze) and the vote table must (the witness's side stays live).
-    // Random halves cover witness-in-island and witness-in-rest alike.
-    // Holds run longer than partition storms: the winning side may need a
-    // full suspicion + held-majority + election pipeline before its
-    // leader stands, and the sampled exactly-one-live-side check needs
-    // instants past that deadline to bite on.
-    if cfg.quorum_steps && cfg.partitions >= 2 {
-        let qrng = SimRng::seed_from_u64(seed ^ QUORUM_SALT);
-        let half = |_: &mut SimRng| topo.partitions.len() / 2;
-        let (hold_ms, gap_ms) = (9_000..12_000, 12_000..18_000);
-        island_storms(&mut steps, cluster, qrng, horizon_ms, half, hold_ms, gap_ms);
-    }
-    // Fail-slow storms: a node turns gray — alive, answering, late — for a
-    // bounded window, then heals. Factors run 5x-49x: far past the
-    // detector's slow-after gate, far under anything that could starve the
-    // fail-stop pipeline's probe timeouts (so a dead verdict during a
-    // clean slow window is unambiguously a false positive). Each episode
-    // is paired with its `SlowClear` so every schedule ends healed and the
-    // quarantine-convergence invariant is meaningful.
-    if cfg.slow_steps {
-        let mut srng = SimRng::seed_from_u64(seed ^ SLOW_SALT);
-        let episodes = 1 + srng.gen_range(0..2u64);
-        let mut slowed: Vec<NodeId> = Vec::new();
-        for _ in 0..episodes {
-            if steps.len() + 2 > MAX_STEPS {
-                break;
-            }
-            let node = all_nodes[srng.gen_range(0..all_nodes.len() as u64) as usize];
-            if slowed.contains(&node) {
-                continue;
-            }
-            slowed.push(node);
-            let at = SimDuration::from_millis(srng.gen_range(0..horizon_ms));
-            let factor_permille = (4_000 + srng.gen_range(0..44_001u64)) as u16;
-            steps.push(Step {
-                offset: at,
-                action: StepAction::Fault(Fault::SlowNode {
-                    node,
-                    factor_permille,
-                }),
-            });
-            let hold = SimDuration::from_millis(srng.gen_range(8_000..16_000u64));
-            steps.push(Step {
-                offset: at + hold,
-                action: StepAction::Fault(Fault::SlowClear(node)),
-            });
-        }
-    }
-    steps.sort_by_key(|s| s.offset.as_nanos());
-    steps
-}
-
-/// Append one or two island split → heal cycles drawn from `rng`, a storm
-/// kind's own salted stream, so every other stream stays byte-identical per
-/// seed whether or not the kind is enabled. Cycles are sequential
-/// (`Fault::Partition` replaces any active island, so ordering stays
-/// well-defined even interleaved with other steps). Per cycle the draws
-/// are, in order: the island's size (`size`, which may draw), its member
-/// partitions, the hold, the gap to the next cycle.
-fn island_storms(
-    steps: &mut Vec<Step>,
-    cluster: &PhoenixCluster,
-    mut rng: SimRng,
-    horizon_ms: u64,
-    mut size: impl FnMut(&mut SimRng) -> usize,
-    hold_ms: Range<u64>,
-    gap_ms: Range<u64>,
-) {
-    let parts = cluster.topology.partitions.len();
-    let cycles = 1 + rng.gen_range(0..2u64);
-    let mut at = SimDuration::from_millis(rng.gen_range(0..horizon_ms));
-    for _ in 0..cycles {
-        if steps.len() + 2 > MAX_STEPS {
-            break;
-        }
-        let k = size(&mut rng);
-        let mut chosen: Vec<usize> = Vec::new();
-        while chosen.len() < k {
-            let p = rng.gen_range(0..parts as u64) as usize;
-            if !chosen.contains(&p) {
-                chosen.push(p);
-            }
-        }
-        let island = cluster.island_mask(&chosen);
-        steps.push(Step {
-            offset: at,
-            action: StepAction::Fault(Fault::Partition { island }),
-        });
-        let hold = SimDuration::from_millis(rng.gen_range(hold_ms.clone()));
-        steps.push(Step {
-            offset: at + hold,
-            action: StepAction::Fault(Fault::Heal),
-        });
-        at = at + hold + SimDuration::from_millis(rng.gen_range(gap_ms.clone()));
-    }
-}
-
-/// Bitmask selecting every step of a schedule of `n` steps.
-pub fn full_mask(n: usize) -> u64 {
-    debug_assert!(n <= MAX_STEPS);
-    if n >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << n) - 1
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Schedule classification (used by the pinned regression scenarios to prove
-// a seed still exhibits the shape it was pinned for)
-// ---------------------------------------------------------------------------
-
-/// Partitions whose boot-time GSD the schedule kills — directly via
-/// `KillProcess`, or by crashing the node hosting it.
-pub fn gsd_kills(steps: &[Step], cluster: &PhoenixCluster) -> Vec<PartitionId> {
-    let mut out = Vec::new();
-    for m in &cluster.directory.partitions {
-        let hit = steps.iter().any(|s| match s.action {
-            StepAction::Fault(Fault::KillProcess(pid)) => pid == m.gsd,
-            StepAction::Fault(Fault::CrashNode(node)) => node == m.node,
-            _ => false,
-        });
-        if hit && !out.contains(&m.partition) {
-            out.push(m.partition);
-        }
-    }
-    out
-}
-
-/// Nodes with two overlapping NIC-outage windows (a second interface fails
-/// while another is still down — the diagnosis ambiguity case).
-pub fn double_nic_nodes(steps: &[Step], horizon: SimDuration) -> Vec<NodeId> {
-    let mut windows: Vec<(NodeId, NicId, u64, u64)> = Vec::new();
-    for s in steps {
-        if let StepAction::Fault(Fault::NicDown(node, nic)) = s.action {
-            let down = s.offset.as_nanos();
-            let up = steps
-                .iter()
-                .filter_map(|t| match t.action {
-                    StepAction::Fault(Fault::NicUp(n, c)) if n == node && c == nic => {
-                        Some(t.offset.as_nanos())
-                    }
-                    _ => None,
-                })
-                .find(|&u| u > down)
-                .unwrap_or(horizon.as_nanos());
-            windows.push((node, nic, down, up));
-        }
-    }
-    let mut out = Vec::new();
-    for (i, &(node, nic, d0, u0)) in windows.iter().enumerate() {
-        for &(n2, c2, d1, u1) in &windows[i + 1..] {
-            let overlaps = d0 < u1 && d1 < u0;
-            if node == n2 && nic != c2 && overlaps && !out.contains(&node) {
-                out.push(node);
-            }
-        }
-    }
-    out
-}
-
-/// Number of NIC-degrade faults (flapping-NIC storm steps) in the schedule.
-pub fn nic_flaps(steps: &[Step]) -> usize {
-    steps
-        .iter()
-        .filter(|s| matches!(s.action, StepAction::Fault(Fault::NicDegrade(..))))
-        .count()
-}
-
-/// Number of loss-burst faults in the schedule.
-pub fn loss_bursts(steps: &[Step]) -> usize {
-    steps
-        .iter()
-        .filter(|s| matches!(s.action, StepAction::Fault(Fault::LossBurst { .. })))
-        .count()
-}
-
-/// Number of link-partition faults in the schedule.
-pub fn link_partitions(steps: &[Step]) -> usize {
-    steps
-        .iter()
-        .filter(|s| matches!(s.action, StepAction::Fault(Fault::PartitionLink(..))))
-        .count()
-}
-
-/// Number of island-partition storms (`Fault::Partition`) in the schedule.
-pub fn island_partitions(steps: &[Step]) -> usize {
-    steps
-        .iter()
-        .filter(|s| matches!(s.action, StepAction::Fault(Fault::Partition { .. })))
-        .count()
-}
-
-/// Number of fail-slow storms (`Fault::SlowNode`) in the schedule.
-pub fn slow_storms(steps: &[Step]) -> usize {
-    steps
-        .iter()
-        .filter(|s| matches!(s.action, StepAction::Fault(Fault::SlowNode { .. })))
-        .count()
-}
-
-/// Crash/repair pairs: nodes the schedule crashes and later repairs through
-/// the configuration service.
-pub fn crash_repair_nodes(steps: &[Step]) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    for s in steps {
-        if let StepAction::Fault(Fault::CrashNode(node)) = s.action {
-            let repaired = steps.iter().any(|t| {
-                matches!(t.action, StepAction::RepairNode(n) if n == node)
-                    && t.offset.as_nanos() > s.offset.as_nanos()
-            });
-            if repaired && !out.contains(&node) {
-                out.push(node);
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Running a schedule
-// ---------------------------------------------------------------------------
-
-/// A single invariant violation.
-#[derive(Clone, Debug)]
-pub struct Violation {
-    pub invariant: &'static str,
-    pub detail: String,
-}
-
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] {}", self.invariant, self.detail)
-    }
-}
-
-/// The byte-comparison streams of a run, captured when
-/// [`ChaosConfig::record_streams`] is set. Two runs of the same seed are
-/// byte-identical iff both streams match.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RunStreams {
-    /// One line per dispatched simulator event (time, sequence, routing).
-    pub events: String,
-    /// The rendered structured trace log.
-    pub trace: String,
-}
-
-/// Everything a schedule run produced.
-#[derive(Clone, Debug)]
-pub struct RunOutcome {
-    pub seed: u64,
-    pub total_steps: usize,
-    pub applied_steps: usize,
-    pub faults_injected: usize,
-    /// A step killed a live GSD (directly or by crashing its node).
-    pub gsd_died: bool,
-    pub quiesced: bool,
-    /// Virtual time consumed by the whole run.
-    pub virtual_ns: u64,
-    pub violations: Vec<Violation>,
-    /// Recorded event/trace streams (`None` unless
-    /// `ChaosConfig::record_streams`).
-    pub streams: Option<RunStreams>,
-}
-
-impl RunOutcome {
-    pub fn failed(&self) -> bool {
-        !self.violations.is_empty()
-    }
-}
-
-fn takeover_count() -> u64 {
-    phoenix_telemetry::with(|reg| {
-        reg.histogram("gsd.takeover").map(|h| h.count()).unwrap_or(0)
-    })
-}
-
-/// Does applying `fault` right now kill a live GSD?
-fn kills_live_gsd(world: &World<KernelMsg>, fault: Fault) -> bool {
-    match fault {
-        Fault::KillProcess(pid) => world.actor_as::<Gsd>(pid).is_some(),
-        Fault::CrashNode(node) => world
-            .pids_on(node)
-            .iter()
-            .any(|&p| world.actor_as::<Gsd>(p).is_some()),
-        _ => false,
-    }
-}
-
-/// One fail-slow episode as applied to the world. `clean` means no network
-/// fault touched the node (or the whole network) while it was slow, so a
-/// dead-diagnosis inside the window is unambiguously a false positive of
-/// the fail-stop pipeline — the node was answering the whole time, late.
-struct SlowWindow {
-    node: NodeId,
-    from: SimTime,
-    to: Option<SimTime>,
-    clean: bool,
-}
-
-/// Boot a cluster, apply the masked subset of the seed's schedule, wait for
-/// quiescence, and check every invariant.
-pub fn run_schedule(seed: u64, cfg: &ChaosConfig, mask: u64, verbose: bool) -> RunOutcome {
-    let (mut world, cluster) = boot_cluster_custom(
-        cfg.topology(),
-        cfg.params.clone(),
-        seed,
-        cfg.net.clone(),
-        cfg.scheduler,
-        cfg.record_streams,
-    );
-    let hb = cfg.params.ft.hb_interval;
-    world.run_until(SimTime::ZERO + hb * 2 + SimDuration::from_millis(10));
-
-    let steps = generate_schedule(seed, cfg, &cluster);
-    let t0 = world.now();
-    let client = ClientHandle::spawn(&mut world, cluster.topology.partitions[0].server);
-    world.run_for(SimDuration::from_millis(1));
-
-    let takeovers_before = takeover_count();
-    let mut applied = 0usize;
-    let mut faults_injected = 0usize;
-    let mut gsd_died = false;
-    // Baseline random loss already makes the network "dirty": a lost
-    // heartbeat run can legitimately raise suspicion.
-    let mut clean_network = cfg.net.loss_permille == 0;
-    let mut violations = Vec::new();
-    let mut island_since: Option<SimTime> = None;
-    let mut slow_windows: Vec<SlowWindow> = Vec::new();
-    // The sampled checks grant the protocol a reaction window after *any*
-    // schedule step, not just island formation: a GSD kill or node repair
-    // mid-split shifts the weighted verdict instantly in the oracle, while
-    // the cluster needs a detection pipeline to catch up.
-    let mut last_step = t0;
-
-    for (i, step) in steps.iter().enumerate() {
-        if mask & (1u64 << i) == 0 {
-            continue;
-        }
-        advance_sampled(
-            &mut world,
-            &cluster,
-            cfg,
-            t0 + step.offset,
-            island_since,
-            last_step,
-            &mut violations,
-        );
-        match step.action {
-            StepAction::Fault(fault) => {
-                if kills_live_gsd(&world, fault) {
-                    gsd_died = true;
-                }
-                if matches!(
-                    fault,
-                    Fault::NicDown(..)
-                        | Fault::PartitionLink(..)
-                        | Fault::LossBurst { .. }
-                        | Fault::NicDegrade(..)
-                        | Fault::Partition { .. }
-                ) {
-                    clean_network = false;
-                }
-                match fault {
-                    Fault::Partition { .. } => island_since = Some(world.now()),
-                    Fault::Heal => island_since = None,
-                    _ => {}
-                }
-                // Fail-slow window bookkeeping for the slow-not-dead
-                // invariant. Slowing an already-dead node opens no window
-                // (it answers nothing, late or otherwise, and its dead
-                // verdict is correct); a crash ends the window (the node
-                // really is dead from then on); a network fault taints it
-                // (a dead verdict could then be the network's fault, not
-                // the detector's).
-                match fault {
-                    Fault::SlowNode { node, .. } if world.node(node).up => {
-                        slow_windows.push(SlowWindow {
-                            node,
-                            from: world.now(),
-                            to: None,
-                            clean: true,
-                        })
-                    }
-                    Fault::SlowClear(node) | Fault::CrashNode(node) => {
-                        for w in slow_windows.iter_mut().filter(|w| w.node == node) {
-                            w.to.get_or_insert(world.now());
-                        }
-                    }
-                    Fault::NicDown(node, _) | Fault::NicDegrade(node, _, _) => {
-                        for w in slow_windows
-                            .iter_mut()
-                            .filter(|w| w.node == node && w.to.is_none())
-                        {
-                            w.clean = false;
-                        }
-                    }
-                    Fault::PartitionLink(a, b) => {
-                        for w in slow_windows
-                            .iter_mut()
-                            .filter(|w| (w.node == a || w.node == b) && w.to.is_none())
-                        {
-                            w.clean = false;
-                        }
-                    }
-                    Fault::LossBurst { .. } | Fault::Partition { .. } => {
-                        for w in slow_windows.iter_mut().filter(|w| w.to.is_none()) {
-                            w.clean = false;
-                        }
-                    }
-                    _ => {}
-                }
-                if verbose {
-                    println!("  t={:>9} apply {:?}", fmt_ns(world.now().0), fault);
-                }
-                world.apply_fault(fault);
-                faults_injected += 1;
-            }
-            StepAction::RepairNode(node) => {
-                // The config service spawns fresh daemons unconditionally;
-                // repairing a node that is already up would duplicate them.
-                if world.node(node).up {
-                    continue;
-                }
-                if verbose {
-                    println!("  t={:>9} repair node {}", fmt_ns(world.now().0), node.0);
-                }
-                client.send(
-                    &mut world,
-                    cluster.config(),
-                    KernelMsg::CfgNodeOp {
-                        req: RequestId(90_000 + i as u64),
-                        node,
-                        op: NodeOp::Start,
-                    },
-                );
-            }
-        }
-        applied += 1;
-        last_step = world.now();
-    }
-
-    // A shrunk mask may keep a `Partition` step but drop its `Heal`: a
-    // cluster left split forever can never reconverge, so every run heals
-    // any leftover island before settling (exactly like the generated
-    // schedules always pair the two).
-    if world.island() != 0 {
-        world.apply_fault(Fault::Heal);
-    }
-    // Same for leftover slowness: a shrunk mask may keep a `SlowNode` but
-    // drop its `SlowClear`. A cluster with a permanently slow node would
-    // (correctly) hold its quarantine forever, so heal before settling —
-    // the convergence invariant then asserts the quarantine warms out.
-    for n in 0..world.node_count() {
-        let node = NodeId(n as u32);
-        if world.slow_factor(node) != 0 {
-            world.apply_fault(Fault::SlowClear(node));
-            for w in slow_windows.iter_mut().filter(|w| w.node == node) {
-                w.to.get_or_insert(world.now());
-            }
-        }
-    }
-
-    let deadline = world.now() + cfg.settle_deadline;
-    let quiesced = world.run_until_quiet(cfg.settle_window, deadline);
-    client.drain(); // discard CfgAcks before the invariant queries
-
-    if !quiesced {
-        violations.push(Violation {
-            invariant: "quiescence",
-            detail: format!(
-                "trace never went quiet for {} within {} after last step",
-                fmt_ns(cfg.settle_window.as_nanos()),
-                fmt_ns(cfg.settle_deadline.as_nanos())
-            ),
-        });
-    }
-    let takeover_delta = takeover_count() - takeovers_before;
-    check_invariants(
-        &mut world,
-        &cluster,
-        &client,
-        gsd_died,
-        clean_network,
-        takeover_delta,
-        &mut violations,
-    );
-    check_slow_invariants(&world, cfg, &slow_windows, &mut violations);
-
-    let streams = cfg.record_streams.then(|| RunStreams {
-        events: world.take_event_log(),
-        trace: world.trace().render(),
-    });
-
-    RunOutcome {
-        seed,
-        total_steps: steps.len(),
-        applied_steps: applied,
-        faults_injected,
-        gsd_died,
-        quiesced,
-        virtual_ns: world.now().0,
-        violations,
-        streams,
-    }
-}
-
-fn fmt_ns(ns: u64) -> String {
-    format!("{:.3}s", ns as f64 / 1e9)
-}
-
-/// Advance virtual time to `target`. While an island split is active the
-/// advance happens in 100 ms slices, checking the split-brain invariants at
-/// every sampled instant — not just after quiescence, because a split brain
-/// is precisely a *transient* with two sides acting at once.
-fn advance_sampled(
-    world: &mut World<KernelMsg>,
-    cluster: &PhoenixCluster,
-    cfg: &ChaosConfig,
-    target: SimTime,
-    island_since: Option<SimTime>,
-    last_step: SimTime,
-    violations: &mut Vec<Violation>,
-) {
-    let slice = SimDuration::from_millis(100);
-    while world.now().0 < target.0 {
-        if world.island() == 0 {
-            world.run_until(target);
-            return;
-        }
-        let next = world.now() + slice;
-        world.run_until(if next.0 < target.0 { next } else { target });
-        sampled_split_brain_check(world, cluster, cfg, island_since, last_step, violations);
-    }
-}
-
-/// The two sampled invariants of an island split: never two simultaneous
-/// live meta-leaders, and — once the split has out-lived the worst-case
-/// detect→regroup→freeze pipeline — no leader at all on a minority island.
-fn sampled_split_brain_check(
-    world: &World<KernelMsg>,
-    cluster: &PhoenixCluster,
-    cfg: &ChaosConfig,
-    island_since: Option<SimTime>,
-    last_step: SimTime,
-    violations: &mut Vec<Violation>,
-) {
-    let gsds = PhoenixCluster::live_gsds(world);
-    let leaders: Vec<&GsdView> = gsds.iter().filter(|g| g.role == "leader").collect();
-    if leaders.len() > 1 && !violations.iter().any(|v| v.invariant == "split-brain") {
-        violations.push(Violation {
-            invariant: "split-brain",
-            detail: format!(
-                "{} simultaneous meta-leaders at {} during an island split \
-                 (partitions {:?})",
-                leaders.len(),
-                fmt_ns(world.now().0),
-                leaders.iter().map(|g| g.partition.0).collect::<Vec<_>>()
-            ),
-        });
-    }
-    // Worst-case pipeline: suspicion (suspect-beats missed heartbeats plus
-    // one in-flight interval) + a regroup round + freeze fanout. Five
-    // heartbeat intervals bounds it with margin for every profile.
-    let deadline = cfg.params.ft.hb_interval * 5;
-    let held = island_since.map_or(SimDuration::ZERO, |s| world.now().since(s));
-    if held <= deadline || world.now().since(last_step) <= deadline {
-        return;
-    }
-    let island = world.island();
-    let side = |n: NodeId| n.0 < 64 && (island >> n.0) & 1 == 1;
-    let votes = &cfg.params.ft.regroup.votes;
-    if votes.enabled {
-        // Weighted rule: a side may lead iff it wins the weighted vote
-        // (witness doubled, ties to the witness side then the lowest
-        // configured partition) — the exact rule `Regroup::conclude`
-        // applies. The witness may have failed over mid-run, so read the
-        // freshest witness view off the live GSDs instead of the config.
-        let witness = gsds
-            .iter()
-            .filter_map(|g| world.actor_as::<Gsd>(g.pid).and_then(|a| a.witness_view()))
-            .max_by_key(|&(_, e)| e)
-            .map(|(w, _)| w)
-            .or(votes.witness)
-            .unwrap_or(PartitionId(0));
-        let weight_of = |p: PartitionId| -> u32 {
-            let w = votes
-                .weights
-                .iter()
-                .find(|(id, _)| *id == p)
-                .map(|&(_, w)| w)
-                .unwrap_or(1);
-            if p == witness {
-                w * 2
-            } else {
-                w
-            }
-        };
-        // Per-side verdict, mirroring `Regroup::conclude` including the
-        // home-node dead discount: a partition with no live GSD anywhere
-        // is excluded from a side's quorum denominator iff at least one
-        // of its home nodes is up on that side (those WDs would testify
-        // its GSD dead in the side's regroup rounds). A side's reachable
-        // votes come from the partitions whose live GSDs actually sit on
-        // it — a migrated GSD votes where it runs, not where its home
-        // server is.
-        let side_wins = |inside: bool| -> bool {
-            let members: Vec<PartitionId> = {
-                let mut m: Vec<PartitionId> = gsds
+            flag => {
+                preset = PRESETS
                     .iter()
-                    .filter(|g| side(g.node) == inside)
-                    .map(|g| g.partition)
-                    .collect();
-                m.sort();
-                m.dedup();
-                m
-            };
-            let dead_for_side = |p: &PartitionSpec| -> bool {
-                gsds.iter().all(|g| g.partition != p.id)
-                    && p.all_nodes()
-                        .iter()
-                        .any(|&n| world.node(n).up && side(n) == inside)
-            };
-            let live_parts: Vec<PartitionId> = cluster
-                .topology
-                .partitions
-                .iter()
-                .filter(|p| !dead_for_side(p))
-                .map(|p| p.id)
-                .collect();
-            let tv: u32 = live_parts.iter().map(|&p| weight_of(p)).sum();
-            let lowest = live_parts.first().copied().unwrap_or(PartitionId(0));
-            let v: u32 = members.iter().map(|&p| weight_of(p)).sum();
-            2 * v > tv
-                || (2 * v == tv
-                    && v > 0
-                    && (members.contains(&witness) || members.contains(&lowest)))
-        };
-        for g in &leaders {
-            if !side_wins(side(g.node))
-                && !violations.iter().any(|v| v.invariant == "minority-leader")
-            {
-                violations.push(Violation {
-                    invariant: "minority-leader",
-                    detail: format!(
-                        "partition {}'s GSD still leads on the weighted-losing \
-                         side at {} (witness {})",
-                        g.partition.0,
-                        fmt_ns(world.now().0),
-                        witness.0
-                    ),
-                });
-            }
-        }
-        // Exactly-one-live-side, part 2: once past a full election
-        // pipeline (suspicion + held-majority delay + takeover), the
-        // weighted winner's side must not sit entirely frozen — that
-        // would be the very total-outage the vote table exists to
-        // prevent. Gated on the winner side still hosting a live GSD
-        // (a crash storm may have taken its daemons out entirely).
-        let dark_deadline = cfg.params.ft.hb_interval * 8;
-        if held > dark_deadline && world.now().since(last_step) > dark_deadline {
-            for inside in [true, false] {
-                if !side_wins(inside) {
-                    continue;
-                }
-                let on_side: Vec<&GsdView> =
-                    gsds.iter().filter(|g| side(g.node) == inside).collect();
-                if !on_side.is_empty()
-                    && on_side.iter().all(|g| g.role == "frozen")
-                    && !violations.iter().any(|v| v.invariant == "quorum-dark")
-                {
-                    violations.push(Violation {
-                        invariant: "quorum-dark",
-                        detail: format!(
-                            "the weighted-winning side (island={inside}) is \
-                             entirely frozen at {} under witness {} — both \
-                             sides of the split are dark",
-                            fmt_ns(world.now().0),
-                            witness.0
-                        ),
-                    });
-                }
-            }
-        }
-        return;
-    }
-    let total = cluster.topology.partitions.len();
-    let inside = cluster
-        .topology
-        .partitions
-        .iter()
-        .filter(|p| side(p.server))
-        .count();
-    for g in leaders {
-        let count = if side(g.node) { inside } else { total - inside };
-        if 2 * count <= total && !violations.iter().any(|v| v.invariant == "minority-leader") {
-            violations.push(Violation {
-                invariant: "minority-leader",
-                detail: format!(
-                    "partition {}'s GSD still leads on a minority island at {} \
-                     ({count}/{total} partitions on its side)",
-                    g.partition.0,
-                    fmt_ns(world.now().0)
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Invariants
-// ---------------------------------------------------------------------------
-
-fn check_invariants(
-    world: &mut World<KernelMsg>,
-    cluster: &PhoenixCluster,
-    client: &ClientHandle,
-    gsd_died: bool,
-    clean_network: bool,
-    takeover_delta: u64,
-    violations: &mut Vec<Violation>,
-) {
-    // -- 1. meta-leader ----------------------------------------------------
-    let gsds = PhoenixCluster::live_gsds(world);
-    for p in 0..cluster.topology.partitions.len() {
-        let n = gsds
-            .iter()
-            .filter(|g| g.partition == PartitionId(p as u32))
-            .count();
-        if n != 1 {
-            violations.push(Violation {
-                invariant: "meta-leader",
-                detail: format!("partition {p} has {n} live GSDs (want exactly 1)"),
-            });
-        }
-    }
-    let leaders: Vec<&GsdView> = gsds.iter().filter(|g| g.role == "leader").collect();
-    if leaders.len() != 1 {
-        violations.push(Violation {
-            invariant: "meta-leader",
-            detail: format!(
-                "{} meta-group leaders among {} live GSDs: {:?}",
-                leaders.len(),
-                gsds.len(),
-                leaders.iter().map(|g| g.partition.0).collect::<Vec<_>>()
-            ),
-        });
-    } else {
-        let lead = leaders[0].partition;
-        for g in &gsds {
-            if g.role == "orphan" {
-                violations.push(Violation {
-                    invariant: "meta-leader",
-                    detail: format!(
-                        "GSD of partition {} (pid {} on node {}) is still an orphan \
-                         after quiescence",
-                        g.partition.0, g.pid.0, g.node.0
-                    ),
-                });
-            } else if g.leader != Some(lead) {
-                violations.push(Violation {
-                    invariant: "meta-leader",
-                    detail: format!(
-                        "GSD of partition {} thinks leader is {:?}, cluster leader is {}",
-                        g.partition.0,
-                        g.leader.map(|p| p.0),
-                        lead.0
-                    ),
-                });
+                    .find(|p| p.0 == flag)
+                    .ok_or_else(|| format!("unknown argument {flag:?}"))?
             }
         }
     }
-
-    // A fresh directory from the config service underpins invariants 2-5.
-    let Some(dir) = query_directory(world, client, cluster) else {
-        violations.push(Violation {
-            invariant: "wd-convergence",
-            detail: "config service did not answer CfgQueryDirectory".into(),
-        });
-        return;
+    let (flag, mut cfg) = match lossy {
+        Some(permille) => (
+            format!("--lossy {permille}"),
+            ChaosConfig::small_lossy(permille),
+        ),
+        None => (preset.0.to_string(), preset.1()),
     };
-
-    // -- 2. wd-convergence -------------------------------------------------
-    for state in world.nodes() {
-        if !state.up {
-            continue;
-        }
-        let node = state.id;
-        let Some(ns) = dir.node(node) else {
-            violations.push(Violation {
-                invariant: "wd-convergence",
-                detail: format!("live node {} missing from the service directory", node.0),
-            });
-            continue;
-        };
-        let Some(wd) = world.actor_as::<Wd>(ns.wd) else {
-            violations.push(Violation {
-                invariant: "wd-convergence",
-                detail: format!("WD {} of live node {} is dead", ns.wd.0, node.0),
-            });
-            continue;
-        };
-        let gsd_pid = wd.gsd_pid();
-        let part = cluster.topology.partition_of(node);
-        match world.actor_as::<Gsd>(gsd_pid) {
-            None => violations.push(Violation {
-                invariant: "wd-convergence",
-                detail: format!(
-                    "WD on node {} heartbeats pid {} which is not a live GSD",
-                    node.0, gsd_pid.0
-                ),
-            }),
-            Some(g) if Some(g.partition_id()) != part => violations.push(Violation {
-                invariant: "wd-convergence",
-                detail: format!(
-                    "WD on node {} (partition {:?}) heartbeats the GSD of partition {}",
-                    node.0,
-                    part.map(|p| p.0),
-                    g.partition_id().0
-                ),
-            }),
-            Some(_) => {}
-        }
+    if let Some(k) = max_faults {
+        cfg.max_faults = k;
     }
-
-    // -- 3. takeover -------------------------------------------------------
-    if gsd_died && takeover_delta == 0 {
-        violations.push(Violation {
-            invariant: "takeover",
-            detail: "a GSD died but the gsd.takeover histogram never grew".into(),
-        });
-    }
-    // On a clean network a takeover without a GSD death is a false positive
-    // in the detection pipeline. With NIC/link faults in the schedule,
-    // takeovers triggered by (legitimate) network-failure suspicion are
-    // expected, so the spurious check only runs on clean-network schedules.
-    if !gsd_died && clean_network && takeover_delta > 0 {
-        violations.push(Violation {
-            invariant: "takeover",
-            detail: format!(
-                "{takeover_delta} takeover(s) recorded with no GSD death and no network faults"
-            ),
-        });
-    }
-
-    // -- 4. bulletin -------------------------------------------------------
-    check_bulletin(world, client, &dir, violations);
-
-    // -- 5. event-delivery -------------------------------------------------
-    check_event_delivery(world, &dir, violations);
-
-    // -- 6. telemetry-leak -------------------------------------------------
-    // The measurement layer itself must not leak across fault schedules:
-    // every span opened on a node that died must have been closed or
-    // aborted (open_spans == 0 — post-quiescence no probe is legitimately
-    // mid-flight), and outstanding marks must be bounded by what can be in
-    // flight *right now*, not by the run's history of lost messages. The
-    // background TTL is 120 virtual seconds; here we force a much tighter
-    // sweep — any mark older than 5 virtual seconds is a lost flight (the
-    // longest legitimate flight, a detect→diagnose episode, resolves
-    // within a probe timeout, ~2 s) — and bound what remains.
-    let node_count = world.node_count();
-    let (open_spans, recent_marks) = phoenix_telemetry::with(|reg| {
-        reg.expire_marks_older_than(5_000_000_000);
-        (reg.open_spans(), reg.outstanding_marks())
-    });
-    if open_spans != 0 {
-        violations.push(Violation {
-            invariant: "telemetry-leak",
-            detail: format!(
-                "{open_spans} span(s) still open after quiescence (spans on killed \
-                 nodes must be aborted, not leaked)"
-            ),
-        });
-    }
-    let mark_bound = node_count * 4 + 32;
-    if recent_marks > mark_bound {
-        violations.push(Violation {
-            invariant: "telemetry-leak",
-            detail: format!(
-                "{recent_marks} marks outstanding within the 5s in-flight window \
-                 (bound {mark_bound} for {node_count} nodes) — mark/measure pairs \
-                 are leaking"
-            ),
-        });
-    }
-
-    // -- 7. arena-leak -----------------------------------------------------
-    // The event core's message pool must balance after a full schedule:
-    // every pooled slot either holds a genuinely pending event or has been
-    // returned to the free list. A mismatch means dispatched events leaked
-    // their slots (or a slot was double-freed).
-    let pool = world.scheduler_stats();
-    if pool.live != world.queue_len() || pool.allocs - pool.frees != pool.live as u64 {
-        violations.push(Violation {
-            invariant: "arena-leak",
-            detail: format!(
-                "event pool out of balance: {} live slots vs {} queued events \
-                 ({} allocs, {} frees)",
-                pool.live,
-                world.queue_len(),
-                pool.allocs,
-                pool.frees
-            ),
-        });
-    }
-}
-
-/// The fail-slow invariants, checked after quiescence.
-///
-/// 8. slow-not-dead: "slow ≠ down" — no node was ever diagnosed dead while
-///    fail-slow, alive, and untouched by network faults. Slowness stretches
-///    latency; it drops nothing — a dead verdict inside a clean window
-///    means the fail-stop pipeline mistook lateness for death.
-/// 9. slow-quarantine: every slow episode healed before settling, so every
-///    live GSD's quarantine view must have warmed back to empty — the
-///    hysteresis must not latch a recovered node out of the ring forever.
-fn check_slow_invariants(
-    world: &World<KernelMsg>,
-    cfg: &ChaosConfig,
-    windows: &[SlowWindow],
-    violations: &mut Vec<Violation>,
-) {
-    // -- 8. slow-not-dead --------------------------------------------------
-    for r in world.trace().records() {
-        let TraceEvent::FaultDiagnosed {
-            target: FaultTarget::Node(node),
-            diagnosis: Diagnosis::NodeFailure,
-            ..
-        } = r.event
-        else {
-            continue;
-        };
-        let in_clean_window = windows.iter().any(|w| {
-            w.clean && w.node == node && w.from <= r.at && r.at <= w.to.unwrap_or(r.at)
-        });
-        if in_clean_window && !violations.iter().any(|v| v.invariant == "slow-not-dead") {
-            violations.push(Violation {
-                invariant: "slow-not-dead",
-                detail: format!(
-                    "node {} diagnosed dead at {} while fail-slow but alive and \
-                     answering (late)",
-                    node.0,
-                    fmt_ns(r.at.0)
-                ),
-            });
-        }
-    }
-
-    // -- 9. slow-quarantine ------------------------------------------------
-    if !cfg.params.ft.slow.enabled {
-        return;
-    }
-    for g in PhoenixCluster::live_gsds(world) {
-        let Some(actor) = world.actor_as::<Gsd>(g.pid) else {
-            continue;
-        };
-        let (_, quarantined) = actor.quarantine_view();
-        if !quarantined.is_empty() {
-            violations.push(Violation {
-                invariant: "slow-quarantine",
-                detail: format!(
-                    "partition {}'s GSD still quarantines {:?} after quiescence \
-                     with all slowness healed",
-                    g.partition.0,
-                    quarantined.iter().map(|p| p.0).collect::<Vec<_>>()
-                ),
-            });
-        }
-    }
-}
-
-fn query_directory(
-    world: &mut World<KernelMsg>,
-    client: &ClientHandle,
-    cluster: &PhoenixCluster,
-) -> Option<ServiceDirectory> {
-    // The harness query itself crosses the (possibly lossy) network, so it
-    // retries; on a reliable network the first attempt always answers and
-    // the extra attempts send nothing.
-    for attempt in 0..3u64 {
-        client.send(
-            &mut *world,
-            cluster.config(),
-            KernelMsg::CfgQueryDirectory {
-                req: RequestId(91_000 + attempt),
-            },
-        );
-        world.run_for(SimDuration::from_millis(200));
-        for (_, msg) in client.drain() {
-            if let KernelMsg::CfgDirectory { directory, .. } = msg {
-                return Some(*directory);
-            }
-        }
-    }
-    None
-}
-
-fn check_bulletin(
-    world: &mut World<KernelMsg>,
-    client: &ClientHandle,
-    dir: &ServiceDirectory,
-    violations: &mut Vec<Violation>,
-) {
-    let bulletin = dir.partitions[0].bulletin;
-    let mut seen: Vec<NodeId> = Vec::new();
-    let mut answered = false;
-    let mut complete_seen = false;
-    // Retried like the directory query: a lost DbQuery or DbResp must not
-    // read as a bulletin failure. Only the last answer's completeness
-    // counts (earlier attempts may have been cut short by loss).
-    for attempt in 0..3u64 {
-        client.send(
-            &mut *world,
-            bulletin,
-            KernelMsg::DbQuery {
-                req: RequestId(92_000 + attempt),
-                query: BulletinQuery::Resources,
-            },
-        );
-        world.run_for(SimDuration::from_millis(500));
-        for (_, msg) in client.drain() {
-            if let KernelMsg::DbResp {
-                entries, complete, ..
-            } = msg
-            {
-                answered = true;
-                complete_seen = complete;
-                for e in entries.iter() {
-                    if let BulletinKey::Resource(n) = e.key {
-                        seen.push(n);
-                    }
-                }
-            }
-        }
-        if answered {
-            break;
-        }
-    }
-    if answered && !complete_seen {
-        violations.push(Violation {
-            invariant: "bulletin",
-            detail: "single-access-point Resources query returned complete=false \
-                     after quiescence"
-                .into(),
-        });
-    }
-    if !answered {
-        violations.push(Violation {
-            invariant: "bulletin",
-            detail: format!("bulletin {} never answered the Resources query", bulletin.0),
-        });
-        return;
-    }
-    for state in world.nodes() {
-        if state.up && !seen.contains(&state.id) {
-            violations.push(Violation {
-                invariant: "bulletin",
-                detail: format!(
-                    "live node {} has no resource entry in the federated bulletin",
-                    state.id.0
-                ),
-            });
-        }
-    }
-}
-
-fn check_event_delivery(
-    world: &mut World<KernelMsg>,
-    dir: &ServiceDirectory,
-    violations: &mut Vec<Violation>,
-) {
-    let etype = EventType::Custom(4242);
-    // One consumer per partition, registered at that partition's ES on the
-    // node the directory says hosts it. Registrations are acknowledged
-    // (req != 0) and re-sent until acked so a lost registration does not
-    // read as a federation failure; registration is idempotent server-side.
-    let mut consumers: Vec<(PartitionId, Pid, ClientHandle)> = Vec::new();
-    for m in &dir.partitions {
-        if !world.is_alive(m.event) || !world.node(m.node).up {
-            continue;
-        }
-        let c = ClientHandle::spawn(world, m.node);
-        world.run_for(SimDuration::from_millis(1));
-        consumers.push((m.partition, m.event, c));
-    }
-    if consumers.is_empty() {
-        violations.push(Violation {
-            invariant: "event-delivery",
-            detail: "no live event service found in any partition".into(),
-        });
-        return;
-    }
-    let mut acked = vec![false; consumers.len()];
-    for attempt in 0..3u64 {
-        for (i, (_, es, c)) in consumers.iter().enumerate() {
-            if acked[i] {
-                continue;
-            }
-            c.send(
-                &mut *world,
-                *es,
-                KernelMsg::EsRegisterConsumer {
-                    req: RequestId(93_000 + attempt),
-                    reg: ConsumerReg {
-                        consumer: c.pid,
-                        filter: EventFilter::Types(vec![etype]),
-                    },
-                },
-            );
-        }
-        world.run_for(SimDuration::from_millis(100));
-        for (i, (_, _, c)) in consumers.iter().enumerate() {
-            if c.drain()
-                .into_iter()
-                .any(|(_, m)| matches!(m, KernelMsg::EsRegisterAck { .. }))
-            {
-                acked[i] = true;
-            }
-        }
-        if acked.iter().all(|&a| a) {
-            break;
-        }
-    }
-    // Publish (re-publishing if loss swallowed the probe); a consumer
-    // counts as served once it sees any copy of the event.
-    let mut got = vec![false; consumers.len()];
-    for _attempt in 0..3 {
-        let publisher = &consumers[0].2;
-        publisher.send(
-            &mut *world,
-            dir.partitions[0].event,
-            KernelMsg::EsPublish {
-                event: Event::new(etype, NodeId(0), EventPayload::Text("chaos-probe".into())),
-            },
-        );
-        world.run_for(SimDuration::from_millis(500));
-        for (i, (_, _, c)) in consumers.iter().enumerate() {
-            if c.drain()
-                .into_iter()
-                .any(|(_, m)| matches!(m, KernelMsg::EsNotify { event } if event.etype == etype))
-            {
-                got[i] = true;
-            }
-        }
-        if got.iter().all(|&g| g) {
-            break;
-        }
-    }
-    for (i, (partition, _, _)) in consumers.iter().enumerate() {
-        if !got[i] {
-            violations.push(Violation {
-                invariant: "event-delivery",
-                detail: format!(
-                    "consumer registered at partition {}'s event service missed the \
-                     published event",
-                    partition.0
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shrinking
-// ---------------------------------------------------------------------------
-
-/// Result of greedily shrinking a failing schedule.
-#[derive(Clone, Copy, Debug)]
-pub struct ShrinkOutcome {
-    /// Minimal failing mask found.
-    pub mask: u64,
-    /// Steps remaining in the minimal schedule.
-    pub steps: usize,
-    /// Schedule executions spent shrinking.
-    pub runs: usize,
-}
-
-/// Greedy ddmin-lite over the failed run `failed` of `cfg`: repeatedly try
-/// dropping one selected step; keep the drop if the run still fails *the
-/// same way* — its first violation is of the invariant `failed`'s first
-/// violation was of; stop at a fixpoint. The result is 1-minimal with
-/// respect to single-step removal, and reproduces what was reported:
-/// keeping any failing candidate drifts to other bugs, most often to
-/// `quiescence` once the step that clears a loss burst or heals a link is
-/// dropped.
-pub fn shrink(cfg: &ChaosConfig, failed: &RunOutcome) -> ShrinkOutcome {
-    let (seed, total_steps) = (failed.seed, failed.total_steps);
-    let reported = failed.violations.first().map(|v| v.invariant);
-    let mut mask = full_mask(total_steps);
-    let mut runs = 0usize;
-    loop {
-        let mut improved = false;
-        for i in 0..total_steps.min(MAX_STEPS) {
-            let bit = 1u64 << i;
-            if mask & bit == 0 {
-                continue;
-            }
-            let candidate = mask & !bit;
-            runs += 1;
-            // Each candidate boots a world whose clock restarts at 0, so
-            // marks left by earlier runs would all look recent to the
-            // telemetry-leak check: give it a registry of its own (dropped
-            // with the shard; the caller's registry is untouched).
-            let _isolated = phoenix_telemetry::shard_begin();
-            let out = run_schedule(seed, cfg, candidate, false);
-            if out.failed() && out.violations.first().map(|v| v.invariant) == reported {
-                mask = candidate;
-                improved = true;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    ShrinkOutcome {
-        mask,
-        steps: mask.count_ones() as usize,
-        runs,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Replay support
-// ---------------------------------------------------------------------------
-
-/// Parse a `SEED` or `SEED:MASK_HEX` replay spec.
-pub fn parse_replay(spec: &str) -> Result<(u64, Option<u64>), String> {
-    let mut parts = spec.splitn(2, ':');
-    let seed = parts
-        .next()
-        .unwrap_or("")
-        .parse::<u64>()
-        .map_err(|_| format!("bad seed in replay spec {spec:?}"))?;
-    match parts.next() {
-        None => Ok((seed, None)),
-        Some(hex) => {
-            let mask = u64::from_str_radix(hex.trim_start_matches("0x"), 16)
-                .map_err(|_| format!("bad hex mask in replay spec {spec:?}"))?;
-            Ok((seed, Some(mask)))
-        }
-    }
-}
-
-/// The exact command that reproduces a (possibly shrunk) failure.
-/// `mode_flag` is the CLI flag selecting the configuration the failure was
-/// found under (`"--small"`, `"--partition"`, `"--lossy 20"`, …).
-pub fn replay_command(seed: u64, mask: u64, total_steps: usize, mode_flag: &str) -> String {
-    let flag = if mode_flag.is_empty() {
-        String::new()
-    } else {
-        format!(" {mode_flag}")
-    };
-    if mask == full_mask(total_steps) {
-        format!("cargo run --release -p phoenix-chaos --bin chaos --{flag} --replay {seed}")
-    } else {
-        format!(
-            "cargo run --release -p phoenix-chaos --bin chaos --{flag} --replay {seed}:{mask:x}"
-        )
-    }
-}
-
-/// Render the tail of the telemetry flight recorder (most recent spans
-/// last, in virtual-time order of span end) as one line per span. Also the
-/// byte-comparison surface of the differential suite: two runs with
-/// identical recorders render identically.
-pub fn flight_recorder_dump(limit: usize) -> String {
-    use std::fmt::Write as _;
-    phoenix_telemetry::with(|reg| {
-        let mut out = String::new();
-        let mut spans: Vec<_> = reg.recorder().iter().collect();
-        spans.sort_by_key(|s| s.end_ns);
-        let skip = spans.len().saturating_sub(limit);
-        if skip > 0 || reg.recorder().evicted() > 0 {
-            let _ = writeln!(
-                out,
-                "  ... ({} earlier spans not shown, {} evicted from rings)",
-                skip,
-                reg.recorder().evicted()
-            );
-        }
-        for s in spans.into_iter().skip(skip) {
-            let _ = writeln!(
-                out,
-                "  [{:>10} - {:>10}] node {:>2} {:<12} {}{}",
-                fmt_ns(s.start_ns),
-                fmt_ns(s.end_ns),
-                s.node,
-                s.service,
-                s.path,
-                if s.aborted { " (aborted: node died)" } else { "" }
-            );
-        }
-        out
+    Ok(Cli {
+        seeds,
+        seed_base,
+        flag,
+        cfg,
+        replay,
     })
-}
-
-/// Dump the tail of the telemetry flight recorder (most recent spans first
-/// in wall order), for replay-mode post-mortems.
-pub fn dump_flight_recorder(limit: usize) {
-    print!("{}", flight_recorder_dump(limit));
 }
 
 #[cfg(test)]
@@ -1777,6 +310,101 @@ mod tests {
         assert_eq!(s1, s2);
         let other = generate_schedule(8, &cfg, &c1);
         assert_ne!(s1, other, "different seeds should differ");
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    /// A preset flag replaces the whole configuration, so `--max-faults`
+    /// given before it used to be discarded.
+    #[test]
+    fn max_faults_applies_in_either_order() {
+        for line in ["--max-faults 3 --partition", "--partition --max-faults 3"] {
+            let cli = parse_args(&args(line)).unwrap();
+            assert_eq!(cli.flag, "--partition", "{line}");
+            assert!(cli.cfg.partition_steps, "{line}");
+            assert_eq!(cli.cfg.max_faults, 3, "{line}");
+        }
+        for line in [
+            "--max-faults 3 --lossy 20 --quorum",
+            "--quorum --lossy 20 --max-faults 3",
+        ] {
+            let cli = parse_args(&args(line)).unwrap();
+            assert_eq!(
+                cli.flag, "--lossy 20",
+                "--lossy wins over another preset: {line}"
+            );
+            assert!(cli.cfg.loss_steps && !cli.cfg.quorum_steps, "{line}");
+            assert_eq!(cli.cfg.max_faults, 3, "{line}");
+        }
+    }
+
+    #[test]
+    fn command_lines_parse_or_say_why_not() {
+        let cli = parse_args(&[]).unwrap();
+        assert_eq!(
+            (cli.seeds, cli.seed_base, cli.flag.as_str()),
+            (50, 1, "--small")
+        );
+        assert!(cli.replay.is_none());
+        let cli = parse_args(&args("--slow --seeds 7 --seed-base 40 --replay 9:1f")).unwrap();
+        assert_eq!(
+            (cli.seeds, cli.seed_base, cli.flag.as_str()),
+            (7, 40, "--slow")
+        );
+        assert_eq!(cli.replay, Some((9, Some(0x1f))));
+        for bad in [
+            "--bogus",
+            "--seeds",
+            "--seeds x",
+            "--lossy",
+            "--replay",
+            "--replay x",
+            "--lossy 20 30",
+        ] {
+            assert!(parse_args(&args(bad)).is_err(), "{bad:?} parsed");
+        }
+    }
+
+    /// Every table entry's flag parses back to the configuration its
+    /// constructor builds: same schedules, same testbed, and the flag a
+    /// replay command will print. (One boot per entry: a schedule names
+    /// boot-time pids.)
+    #[test]
+    fn every_preset_flag_round_trips_through_the_command_line() {
+        for &(flag, config) in PRESETS {
+            let built = config();
+            let cli = parse_args(&args(flag)).unwrap();
+            assert_eq!(cli.flag, flag);
+            assert_eq!(
+                (
+                    cli.cfg.partitions,
+                    cli.cfg.nodes_per_partition,
+                    cli.cfg.max_faults
+                ),
+                (
+                    built.partitions,
+                    built.nodes_per_partition,
+                    built.max_faults
+                ),
+                "{}",
+                flag
+            );
+            let (_world, cluster) =
+                boot_cluster_with_net(built.topology(), built.params.clone(), 1, built.net.clone());
+            for seed in 1..=5 {
+                assert_eq!(
+                    generate_schedule(seed, &cli.cfg, &cluster),
+                    generate_schedule(seed, &built, &cluster),
+                    "{} seed {seed}",
+                    flag
+                );
+            }
+            assert!(
+                replay_command(3, 0b101, 4, flag).contains(&format!("-- {} --replay 3:5", flag))
+            );
+        }
     }
 
     #[test]
@@ -1895,9 +523,17 @@ mod tests {
         let cfg = ChaosConfig::small_lossy(20);
         let first = |out: &RunOutcome| out.violations.first().map(|v| v.invariant);
         let full = run_schedule(347, &cfg, u64::MAX, false);
-        assert_eq!(first(&full), Some("wd-convergence"), "pin drifted: re-pick a seed");
+        assert_eq!(
+            first(&full),
+            Some("wd-convergence"),
+            "pin drifted: re-pick a seed"
+        );
         let drifted = run_schedule(347, &cfg, 0x80, false);
-        assert_eq!(first(&drifted), Some("quiescence"), "pin drifted: re-pick a mask");
+        assert_eq!(
+            first(&drifted),
+            Some("quiescence"),
+            "pin drifted: re-pick a mask"
+        );
         let shrunk = shrink(&cfg, &full);
         assert!(shrunk.steps < full.total_steps, "nothing was dropped");
         assert_ne!(shrunk.mask, 0x80);

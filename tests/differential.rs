@@ -16,7 +16,9 @@
 //! A divergence report names the first differing line, not the full
 //! multi-megabyte streams; a golden mismatch names the surfaces that moved.
 
-use phoenix::chaos::{flight_recorder_dump, run_schedule, ChaosConfig, RunOutcome};
+use phoenix::chaos::{
+    flight_recorder_dump, replay_command, run_schedule, ChaosConfig, RunOutcome, PRESETS,
+};
 use phoenix::sim::SchedulerKind;
 use phoenix::telemetry::BenchReport;
 
@@ -101,12 +103,14 @@ struct Golden {
     registry: u64,
 }
 
-/// Replay `seed` (restricted to `mask`) under both schedulers and require
-/// byte-identity on every observable surface, with each other and with
-/// the pinned `golden` digests.
-fn assert_byte_identical(seed: u64, mask: u64, cfg: &ChaosConfig, golden: Golden) {
+/// Replay `seed` (restricted to `mask`) of the preset `flag` names under
+/// both schedulers and require byte-identity on every observable surface,
+/// with each other and with the pinned `golden` digests.
+fn assert_byte_identical(seed: u64, mask: u64, flag: &str, golden: Golden) {
+    let preset = PRESETS.iter().find(|p| p.0 == flag).expect("a PRESETS flag");
+    let cfg = preset.1();
     let heap = observe(seed, mask, cfg.clone(), SchedulerKind::Heap);
-    let wheel = observe(seed, mask, cfg.clone(), SchedulerKind::Wheel);
+    let wheel = observe(seed, mask, cfg, SchedulerKind::Wheel);
 
     let hs = heap.outcome.streams.as_ref().expect("heap streams recorded");
     let ws = wheel
@@ -140,8 +144,9 @@ fn assert_byte_identical(seed: u64, mask: u64, cfg: &ChaosConfig, golden: Golden
     assert!(
         moved.is_empty(),
         "seed {seed}:{mask:x}: behaviour moved against the cross-commit golden \
-         (heap and wheel still agree):\n{}",
-        moved.join("\n")
+         (heap and wheel still agree):\n{}\nreplay: {}",
+        moved.join("\n"),
+        replay_command(seed, mask, heap.outcome.total_steps, flag)
     );
 
     // Scalar outcome fields must agree too (violations carry strings).
@@ -174,7 +179,7 @@ fn differential_lossy_shrunk_mask_8_88() {
     assert_byte_identical(
         8,
         0x88,
-        &ChaosConfig::small_lossy(20),
+        "--lossy 20",
         Golden {
             events: 0x15c7_88d7_ca8b_3fe7,
             trace: 0x6fdc_043f_0dfa_5bfb,
@@ -190,7 +195,7 @@ fn differential_lossy_shrunk_mask_15_5ee() {
     assert_byte_identical(
         15,
         0x5ee,
-        &ChaosConfig::small_lossy(20),
+        "--lossy 20",
         Golden {
             events: 0x29e5_1362_e84b_6ed3,
             trace: 0x7d45_f66c_aaac_d85f,
@@ -206,7 +211,7 @@ fn differential_partition_island_split_seed_26() {
     assert_byte_identical(
         26,
         u64::MAX,
-        &ChaosConfig::small_partition(),
+        "--partition",
         Golden {
             events: 0xb993_e699_b1af_c43e,
             trace: 0x2270_0f07_a90e_2732,
@@ -222,7 +227,7 @@ fn differential_nic_flap_seed_4() {
     assert_byte_identical(
         4,
         u64::MAX,
-        &ChaosConfig::small_lossy(20),
+        "--lossy 20",
         Golden {
             events: 0xa36e_a42c_f8e5_f87c,
             trace: 0x4a96_45ae_7fbc_ac15,
@@ -238,7 +243,7 @@ fn differential_lossy_seed_178() {
     assert_byte_identical(
         178,
         u64::MAX,
-        &ChaosConfig::small_lossy(20),
+        "--lossy 20",
         Golden {
             events: 0x93da_8e83_27f9_fff5,
             trace: 0x79ad_ed7e_fe48_7ad1,
@@ -257,7 +262,7 @@ fn differential_quorum_even_split_seed_21() {
     assert_byte_identical(
         21,
         u64::MAX,
-        &ChaosConfig::small_quorum(),
+        "--quorum",
         Golden {
             events: 0x69a1_ad83_9707_2ae7,
             trace: 0x2f84_cbb3_7d5f_bf62,
@@ -276,7 +281,7 @@ fn differential_slow_double_gray_seed_1() {
     assert_byte_identical(
         1,
         u64::MAX,
-        &ChaosConfig::small_slow(),
+        "--slow",
         Golden {
             events: 0xeff6_16f2_01e1_525a,
             trace: 0x5d4d_fdb5_dd6c_ee07,
