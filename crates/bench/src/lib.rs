@@ -15,6 +15,7 @@
 //! time is measured by the repo-level perf ledger (`benchmark/run.sh`),
 //! not here.
 
+pub mod episodes;
 pub mod ft;
 pub mod pws_pbs;
 pub mod report;

@@ -191,11 +191,13 @@ fn parallel_sweep_report_is_byte_identical_to_serial() {
         phoenix::telemetry::with(|r| r.counter("gsd.takeovers"))
     };
 
-    let serial = run_sweep(&seeds, true, job);
+    std::env::set_var("PHOENIX_SWEEP_THREADS", "1");
+    let serial = run_sweep(&seeds, job);
     std::env::set_var("PHOENIX_SWEEP_THREADS", "3");
-    let parallel = run_sweep(&seeds, false, job);
+    let parallel = run_sweep(&seeds, job);
     std::env::remove_var("PHOENIX_SWEEP_THREADS");
 
+    assert_eq!((serial.threads, parallel.threads), (1, 3));
     assert_eq!(serial.results, parallel.results);
     let rep = BenchReport::new("sweep-gate");
     assert_eq!(
