@@ -38,29 +38,16 @@
 # seed 1 and compares its sim_digest with scripts/bench_digests.txt: a PR
 # that must not alter behaviour no longer copies ten digests by hand.
 #
-# The loss_sweep smoke sweeps loss rates on a fault-free and a WD-kill
-# cluster; the bin exits non-zero if any spurious takeover fires, and the
-# export is asserted to land in results/BENCH_loss.json. It runs --serial
-# and through the parallel sweep runner (4 forced worker threads); the two
-# BENCH_loss.json files must be byte-identical (sharded-telemetry
-# determinism gate), and on multi-core machines the parallel run must be
-# >1.5x faster. Host time on a shared box is noisy and interference only
-# ever adds to it, so each side is timed three times and the gate reads the
-# best of each.
-#
-# The nic_asymmetry smoke degrades NIC 0 only (NICs 1-2 clean) and gates
-# the adaptive multi-NIC routing acceptance criteria: zero spurious
-# takeovers and detection within 25% of the clean baseline
-# (results/BENCH_nic.json); the flapping-NIC pin replays chaos seed 4's
-# NIC degrade/restore storms end-to-end first.
-#
-# The partition_sweep smoke gates zero double-leader instants, every
-# minority frozen, and post-heal convergence (results/BENCH_partition.json).
-#
-# The slow_sweep smoke gates zero false-dead diagnoses, every member-gray
-# episode drained, every leader-gray episode yielded, and every
-# reinstatement converged (results/BENCH_slow.json), serial vs parallel
-# byte-identical.
+# The sweep stage is one stanza over loss_sweep, nic_asymmetry,
+# partition_sweep, quorum_sweep, slow_sweep and chaos_sweep: each runs
+# --serial (its exit status is its gate, and its report must land under
+# results/ with the keys listed there), then on 4 forced worker threads,
+# and the two reports must be byte-identical (sharded-telemetry determinism
+# gate). On multi-core machines loss_sweep's parallel run must also be >1.5x
+# faster than its serial one; host time on a shared box is noisy and
+# interference only ever adds to it, so each side is timed three times and
+# the gate reads the best of each. The flapping-NIC pin replays chaos seed
+# 4's NIC degrade/restore storms end-to-end.
 #
 # The layering stage holds the rule the group service's layers were built
 # by: under crates/phoenix-kernel/src/group/ only the actors (gsd.rs, wd.rs,
@@ -69,8 +56,9 @@
 # and nic_health.rs name neither telemetry.
 #
 # The last stage prints the non-test code-line counts ROADMAP item 4 quotes
-# and fails when group/gsd.rs, phoenix-kernel or the workspace exceeds its
-# line in scripts/code_budget.txt, whose numbers may only be lowered.
+# and fails when group/gsd.rs, phoenix-kernel, phoenix-chaos, crates/bench or
+# the workspace exceeds its line in scripts/code_budget.txt, whose numbers
+# may only be lowered.
 
 set -eu
 
@@ -82,21 +70,34 @@ cargo build --release --offline
 echo "== tier-1: cargo test -q =="
 cargo test -q --offline
 
-echo "== smoke: table1_wd (--small) writes results/BENCH_kernel.json =="
-rm -f results/BENCH_kernel.json
-cargo run --release --offline -p phoenix-bench --bin table1_wd -- --small \
-    | tee /tmp/table1_wd.out
-
-test -s results/BENCH_kernel.json || {
-    echo "FAIL: results/BENCH_kernel.json missing or empty" >&2
-    exit 1
-}
-for needle in '"p50_ns"' '"p99_ns"' '"wd.heartbeat.flight"' '"counters"' '"table1"'; do
-    grep -q "$needle" results/BENCH_kernel.json || {
-        echo "FAIL: $needle not found in results/BENCH_kernel.json" >&2
+# smoke FILE NEEDLES BIN [ARGS...]: run a bench bin (its exit status is its
+# own gate: every sweep exits non-zero when what it measures regressed), keep
+# its output in /tmp/BIN.out, and assert that results/FILE landed and names
+# every comma-separated NEEDLE as a JSON key.
+smoke() {
+    file=$1 needles=$2
+    shift 2
+    echo "== smoke: $* writes results/$file =="
+    rm -f "results/$file"
+    cargo run --release --offline -p phoenix-bench --bin "$@" > "/tmp/$1.out" 2>&1 < /dev/null || {
+        cat "/tmp/$1.out" >&2
+        echo "FAIL: $* exited non-zero" >&2
         exit 1
     }
-done
+    cat "/tmp/$1.out"
+    test -s "results/$file" || {
+        echo "FAIL: results/$file missing or empty" >&2
+        exit 1
+    }
+    for needle in $(echo "$needles" | tr ',' ' '); do
+        grep -q "\"$needle\"" "results/$file" || {
+            echo "FAIL: \"$needle\" not found in results/$file" >&2
+            exit 1
+        }
+    done
+}
+
+smoke BENCH_kernel.json p50_ns,p99_ns,wd.heartbeat.flight,counters,table1 table1_wd -- --small
 
 # The trace-mined table rows must agree with the kernel's own histograms
 # (the bin panics on divergence, but assert the check actually ran).
@@ -181,46 +182,57 @@ done < scripts/bench_digests.txt
     exit 1
 }
 
-echo "== smoke: loss_sweep (--small --serial) writes results/BENCH_loss.json =="
-rm -f results/BENCH_loss.json
-# The bin itself exits non-zero on any spurious takeover, so this line is
-# the zero-spurious gate; the greps below assert the export landed.
-cargo run --release --offline -p phoenix-bench --bin loss_sweep -- --small --serial \
-    | tee /tmp/loss_serial.out
-
-test -s results/BENCH_loss.json || {
-    echo "FAIL: results/BENCH_loss.json missing or empty" >&2
-    exit 1
-}
-for needle in '"loss_curve"' '"spurious_takeovers"' '"detect_ms_mean"' '"net_loss_dropped"'; do
-    grep -q "$needle" results/BENCH_loss.json || {
-        echo "FAIL: $needle not found in results/BENCH_loss.json" >&2
+# The five sweeps and chaos_sweep, one stanza: the smoke run is --serial (one
+# worker), then the same sweep on 4 forced workers — so shard hand-off and
+# the in-order merge are genuinely exercised even on a single-core runner —
+# must write a byte-identical report (sharded-telemetry determinism gate).
+# What each bin's exit status gates: loss_sweep any spurious takeover;
+# nic_asymmetry that, or detection more than 25% above the clean baseline;
+# partition_sweep a double-leader instant, an unfrozen minority or an episode
+# that fails to re-converge after heal; quorum_sweep a double-leader or
+# both-sides-frozen instant, an undecided split, a failed re-convergence or
+# an adaptive-delay episode that never recovers the killed GSD; slow_sweep a
+# dead diagnosis of a slow-but-alive node, an unsuspected, unquarantined,
+# undrained or unyielded episode, or a failed reinstatement; chaos_sweep any
+# invariant violation.
+while read -r bin file needles args; do
+    # shellcheck disable=SC2086
+    smoke "$file" "$needles" "$bin" -- $args --serial
+    cp "results/$file" "/tmp/$file.serial"
+    echo "== determinism gate: parallel $bin must be byte-identical to serial =="
+    # shellcheck disable=SC2086
+    PHOENIX_SWEEP_THREADS=4 cargo run --release --offline -p phoenix-bench --bin "$bin" -- $args \
+        > "/tmp/$bin.parallel.out" < /dev/null
+    cmp "results/$file" "/tmp/$file.serial" || {
+        echo "FAIL: parallel $file differs from serial (determinism gate)" >&2
         exit 1
     }
-done
+done <<'SWEEPS'
+loss_sweep BENCH_loss.json loss_curve,spurious_takeovers,detect_ms_mean,net_loss_dropped --small
+nic_asymmetry BENCH_nic.json nic_curve,spurious_takeovers,detect_ratio_vs_clean,worst_detect_ratio,nic0_routed_share --small
+partition_sweep BENCH_partition.json episodes,double_leader_instants,freeze_ms,dir_converge_ms,unfrozen_minorities --small
+quorum_sweep BENCH_quorum.json double_leader_instants,both_frozen_instants,undecided_splits,availability_mean,takeover_adaptive_ms_mean,takeover_fixed31_ms_mean --small
+slow_sweep BENCH_slow.json false_dead_diagnoses,unyielded_leader_episodes,unreinstated_episodes,suspect_ms_mean,factor_permille,curve --small
+chaos_sweep BENCH_chaos.json schedules_run,faults_injected,violating_schedules,shrink,schedules --seeds 25 --small
+SWEEPS
 
-echo "== determinism gate: parallel loss_sweep must be byte-identical to serial =="
-cp results/BENCH_loss.json /tmp/BENCH_loss_serial.json
+echo "== speedup gate: loss_sweep on 4 workers against one =="
 # Host time on a shared box is noisy, and interference only ever adds to
-# it: each side of the speedup gate is timed three times, serial and
-# parallel runs alternating so both see the same minute of the host, and
-# the gate reads the least of each. The parallel side forces 4 worker
-# threads so shard hand-off and the in-order merge are genuinely exercised
-# even on a single-core runner.
-: > /tmp/loss_parallel.out
-for again in 1 2 3; do
-    rm -f results/BENCH_loss.json
+# it: each side of the speedup gate is timed three times (the stanza above
+# was the first), serial and parallel runs alternating so both see the same
+# minute of the host, and the gate reads the least of each.
+grep '^sweep: ' /tmp/loss_sweep.out > /tmp/loss_serial.out
+grep '^sweep: ' /tmp/loss_sweep.parallel.out > /tmp/loss_parallel.out
+for again in 2 3; do
+    cargo run --release --offline -p phoenix-bench --bin loss_sweep -- --small --serial \
+        | grep '^sweep: ' | tee -a /tmp/loss_serial.out
     PHOENIX_SWEEP_THREADS=4 \
         cargo run --release --offline -p phoenix-bench --bin loss_sweep -- --small \
         | grep '^sweep: ' | tee -a /tmp/loss_parallel.out
-    cmp results/BENCH_loss.json /tmp/BENCH_loss_serial.json || {
-        echo "FAIL: parallel BENCH_loss.json differs from serial (determinism gate)" >&2
+    cmp results/BENCH_loss.json /tmp/BENCH_loss.json.serial || {
+        echo "FAIL: parallel BENCH_loss.json differs from serial (determinism gate, run $again)" >&2
         exit 1
     }
-    if [ "$again" -lt 3 ]; then
-        cargo run --release --offline -p phoenix-bench --bin loss_sweep -- --small --serial \
-            | grep '^sweep: ' | tee -a /tmp/loss_serial.out
-    fi
 done
 least_ms() {
     sed -n 's/.*sweep: [0-9]* runs on [0-9]* thread(s), \([0-9]*\) ms wall/\1/p' "$1" | sort -n | head -1
@@ -253,111 +265,6 @@ cargo run --release --offline -p phoenix-chaos --bin chaos -- --lossy 20 --repla
 }
 grep -q 'NicDegrade' /tmp/chaos_flap.out || {
     echo "FAIL: seed 4 schedule no longer contains NIC flaps — re-pin" >&2
-    exit 1
-}
-
-echo "== smoke: nic_asymmetry (--small) writes results/BENCH_nic.json =="
-rm -f results/BENCH_nic.json
-# The bin exits non-zero on any spurious takeover or a detection mean more
-# than 25% above the clean baseline — the adaptive-routing acceptance gate.
-cargo run --release --offline -p phoenix-bench --bin nic_asymmetry -- --small
-
-test -s results/BENCH_nic.json || {
-    echo "FAIL: results/BENCH_nic.json missing or empty" >&2
-    exit 1
-}
-for needle in '"nic_curve"' '"spurious_takeovers"' '"detect_ratio_vs_clean"' '"worst_detect_ratio"' '"nic0_routed_share"'; do
-    grep -q "$needle" results/BENCH_nic.json || {
-        echo "FAIL: $needle not found in results/BENCH_nic.json" >&2
-        exit 1
-    }
-done
-
-echo "== smoke: partition_sweep (--small) writes results/BENCH_partition.json =="
-rm -f results/BENCH_partition.json
-# The bin exits non-zero on any sampled double-leader instant, an
-# unfrozen minority, or an episode that fails to re-converge after heal.
-cargo run --release --offline -p phoenix-bench --bin partition_sweep -- --small
-
-test -s results/BENCH_partition.json || {
-    echo "FAIL: results/BENCH_partition.json missing or empty" >&2
-    exit 1
-}
-for needle in '"episodes"' '"double_leader_instants"' '"freeze_ms"' '"dir_converge_ms"' '"unfrozen_minorities"'; do
-    grep -q "$needle" results/BENCH_partition.json || {
-        echo "FAIL: $needle not found in results/BENCH_partition.json" >&2
-        exit 1
-    }
-done
-
-echo "== smoke: chaos_sweep writes results/BENCH_chaos.json =="
-rm -f results/BENCH_chaos.json
-cargo run --release --offline -p phoenix-bench --bin chaos_sweep -- --seeds 25 --small
-
-test -s results/BENCH_chaos.json || {
-    echo "FAIL: results/BENCH_chaos.json missing or empty" >&2
-    exit 1
-}
-for needle in '"schedules_run"' '"faults_injected"' '"violating_schedules"' '"shrink"' '"schedules"'; do
-    grep -q "$needle" results/BENCH_chaos.json || {
-        echo "FAIL: $needle not found in results/BENCH_chaos.json" >&2
-        exit 1
-    }
-done
-
-echo "== smoke: quorum_sweep (--small --serial) writes results/BENCH_quorum.json =="
-rm -f results/BENCH_quorum.json
-# The bin exits non-zero on a double-leader or both-sides-frozen instant,
-# an undecided split, a failed re-convergence, or an adaptive-delay
-# episode that never recovers the killed GSD.
-cargo run --release --offline -p phoenix-bench --bin quorum_sweep -- --small --serial
-
-test -s results/BENCH_quorum.json || {
-    echo "FAIL: results/BENCH_quorum.json missing or empty" >&2
-    exit 1
-}
-for needle in '"double_leader_instants"' '"both_frozen_instants"' '"undecided_splits"' \
-    '"availability_mean"' '"takeover_adaptive_ms_mean"' '"takeover_fixed31_ms_mean"'; do
-    grep -q "$needle" results/BENCH_quorum.json || {
-        echo "FAIL: $needle not found in results/BENCH_quorum.json" >&2
-        exit 1
-    }
-done
-
-echo "== determinism gate: parallel quorum_sweep must be byte-identical to serial =="
-cp results/BENCH_quorum.json /tmp/BENCH_quorum_serial.json
-PHOENIX_SWEEP_THREADS=4 \
-    cargo run --release --offline -p phoenix-bench --bin quorum_sweep -- --small
-cmp results/BENCH_quorum.json /tmp/BENCH_quorum_serial.json || {
-    echo "FAIL: parallel quorum_sweep report differs from serial (determinism gate)" >&2
-    exit 1
-}
-
-echo "== smoke: slow_sweep (--small --serial) writes results/BENCH_slow.json =="
-rm -f results/BENCH_slow.json
-# The bin exits non-zero on any dead diagnosis of a slow-but-alive node,
-# an unsuspected/unquarantined episode, an undrained member-gray episode,
-# an unyielded leader-gray episode, or a failed reinstatement.
-cargo run --release --offline -p phoenix-bench --bin slow_sweep -- --small --serial
-
-test -s results/BENCH_slow.json || {
-    echo "FAIL: results/BENCH_slow.json missing or empty" >&2
-    exit 1
-}
-for needle in '"false_dead_diagnoses"' '"unyielded_leader_episodes"' '"unreinstated_episodes"' \
-    '"suspect_ms_mean"' '"factor_permille"' '"curve"'; do
-    grep -q "$needle" results/BENCH_slow.json || {
-        echo "FAIL: $needle not found in results/BENCH_slow.json" >&2
-        exit 1
-    }
-done
-
-echo "== determinism gate: parallel slow_sweep must be byte-identical to serial =="
-cp results/BENCH_slow.json /tmp/BENCH_slow_serial.json
-PHOENIX_SWEEP_THREADS=4 \
-    cargo run --release --offline -p phoenix-bench --bin slow_sweep -- --small
-cmp results/BENCH_slow.json /tmp/BENCH_slow_serial.json || {
-    echo "FAIL: parallel slow_sweep report differs from serial (determinism gate)" >&2
     exit 1
 }
 
@@ -395,22 +302,21 @@ for d in crates/*/src; do
     # shellcheck disable=SC2046
     printf '%6d  %s (total)\n' "$(code_lines $(find "$d" -name '*.rs'))" "$d"
 done
-gsd=$(code_lines crates/phoenix-kernel/src/group/gsd.rs)
-# shellcheck disable=SC2046
-kernel=$(code_lines $(find crates/phoenix-kernel/src -name '*.rs'))
-# shellcheck disable=SC2046
-workspace=$(code_lines $(find crates/*/src -name '*.rs'))
 while read -r what limit; do
     case $what in
         '#'* | '') continue ;;
-        gsd) have=$gsd ;;
-        kernel) have=$kernel ;;
-        workspace) have=$workspace ;;
+        gsd) where=crates/phoenix-kernel/src/group/gsd.rs ;;
+        kernel) where=crates/phoenix-kernel/src ;;
+        chaos) where=crates/phoenix-chaos/src ;;
+        bench) where=crates/bench/src ;;
+        workspace) where=crates/*/src ;;
         *)
             echo "FAIL: scripts/code_budget.txt: no such count: $what" >&2
             exit 1
             ;;
     esac
+    # shellcheck disable=SC2046,SC2086
+    have=$(code_lines $(find $where -name '*.rs'))
     printf '%6d  %s (budget %d)\n' "$have" "$what" "$limit"
     [ "$have" -le "$limit" ] || {
         echo "FAIL: $what has $have non-test code lines, over its budget of $limit" >&2
