@@ -5,7 +5,7 @@
 //! collector actor on a node and exposes its inbox to the driving code.
 
 use phoenix_proto::KernelMsg;
-use phoenix_sim::{Actor, Ctx, NodeId, Pid, World};
+use phoenix_sim::{Actor, Ctx, NodeId, Pid, SimDuration, World};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -52,14 +52,20 @@ impl ClientHandle {
         world.send_from(self.pid, to, msg);
     }
 
-    /// Take all received messages.
-    pub fn drain(&self) -> Vec<(Pid, KernelMsg)> {
-        self.inbox.borrow_mut().drain(..).collect()
-    }
-
-    /// Number of messages waiting.
-    pub fn len(&self) -> usize {
-        self.inbox.borrow().len()
+    /// One question: send `msg` to `to`, run the world for `wait`, and give
+    /// the first waiting reply `pick` accepts. Everything else that had
+    /// arrived is dropped with it.
+    pub fn ask<T>(
+        &self,
+        world: &mut World<KernelMsg>,
+        to: Pid,
+        msg: KernelMsg,
+        wait: SimDuration,
+        mut pick: impl FnMut(KernelMsg) -> Option<T>,
+    ) -> Option<T> {
+        self.send(world, to, msg);
+        world.run_for(wait);
+        self.drain().into_iter().find_map(|(_, m)| pick(m))
     }
 
     /// True if no messages are waiting.
@@ -67,16 +73,16 @@ impl ClientHandle {
         self.inbox.borrow().is_empty()
     }
 
-    /// Pop the first waiting message, if any.
-    pub fn pop(&self) -> Option<(Pid, KernelMsg)> {
-        self.inbox.borrow_mut().pop_front()
+    /// Take all received messages.
+    pub fn drain(&self) -> Vec<(Pid, KernelMsg)> {
+        self.inbox.borrow_mut().drain(..).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phoenix_sim::{ClusterBuilder, NodeSpec, SimDuration};
+    use phoenix_sim::{ClusterBuilder, NodeSpec};
 
     struct EchoReq;
     impl Actor<KernelMsg> for EchoReq {
@@ -92,22 +98,20 @@ mod tests {
             .build::<KernelMsg>();
         let echo = w.spawn(NodeId(1), Box::new(EchoReq));
         let client = ClientHandle::spawn(&mut w, NodeId(0));
-        client.send(
+        let probe = KernelMsg::ProbeReq {
+            req: phoenix_proto::RequestId(5),
+        };
+        let echoed = client.ask(
             &mut w,
             echo,
-            KernelMsg::ProbeReq {
-                req: phoenix_proto::RequestId(5),
+            probe,
+            SimDuration::from_millis(5),
+            |m| match m {
+                KernelMsg::ProbeReq { req } => Some(req),
+                _ => None,
             },
         );
-        w.run_for(SimDuration::from_millis(5));
-        let got = client.drain();
-        assert_eq!(got.len(), 1);
-        assert!(matches!(
-            got[0].1,
-            KernelMsg::ProbeReq {
-                req: phoenix_proto::RequestId(5)
-            }
-        ));
+        assert_eq!(echoed, Some(phoenix_proto::RequestId(5)));
         assert!(client.is_empty());
     }
 }

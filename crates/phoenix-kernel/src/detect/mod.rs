@@ -63,21 +63,6 @@ impl Detector {
         }
     }
 
-    /// Respawned detector with explicit wiring (after node restart).
-    pub fn respawn(
-        node: NodeId,
-        partition: PartitionId,
-        params: KernelParams,
-        bulletin: Pid,
-        event: Pid,
-    ) -> Self {
-        Detector {
-            bulletin,
-            event,
-            ..Detector::new(node, partition, params)
-        }
-    }
-
     /// Self-introspection: compute the node's current resource usage from
     /// the OS baseline plus the load of every live application.
     fn compute_usage(&mut self, ctx: &mut Ctx<'_, KernelMsg>) -> ResourceUsage {

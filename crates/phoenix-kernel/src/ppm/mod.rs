@@ -15,7 +15,7 @@
 //! configured resource load, and exit after their run time.
 
 use crate::rpc::DedupWindow;
-use phoenix_proto::{JobId, KernelMsg, NodeServices, TaskSpec};
+use phoenix_proto::{JobId, KernelMsg, NodeServices, RequestId, ServiceDirectory, TaskSpec};
 use phoenix_sim::{Actor, Ctx, NodeId, Pid, SimDuration, TraceEvent};
 use std::collections::HashMap;
 
@@ -28,17 +28,6 @@ pub struct AppProc {
 }
 
 const TOK_DONE: u64 = 1;
-
-impl AppProc {
-    pub fn new(job: JobId, task: TaskSpec, detector: Pid, agent: Pid) -> Self {
-        AppProc {
-            job,
-            task,
-            detector,
-            agent,
-        }
-    }
-}
 
 impl Actor<KernelMsg> for AppProc {
     fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
@@ -75,6 +64,58 @@ impl Actor<KernelMsg> for AppProc {
     }
 }
 
+/// The agent a request for `targets` is handed to: the tree fan-out starts
+/// at the first target. `None` when `directory` does not know that node.
+fn entry(directory: &ServiceDirectory, targets: &[NodeId]) -> Option<Pid> {
+    directory.node(*targets.first()?).map(|ns| ns.ppm)
+}
+
+/// Client side of a load: start `task` of `job` on `targets`, each of which
+/// acks to the caller. False, and nothing sent, when [`entry`] finds no agent.
+pub fn exec(
+    ctx: &mut Ctx<'_, KernelMsg>,
+    directory: &ServiceDirectory,
+    req: RequestId,
+    job: JobId,
+    task: TaskSpec,
+    targets: Vec<NodeId>,
+) -> bool {
+    let Some(agent) = entry(directory, &targets) else {
+        return false;
+    };
+    let load = KernelMsg::PpmExec {
+        req,
+        job,
+        task,
+        targets,
+        reply_to: ctx.pid(),
+    };
+    ctx.send(agent, load);
+    true
+}
+
+/// Client side of a delete: kill `job`'s tasks on `targets` and clean up
+/// (idempotent), each target acking to the caller. False as for [`exec`].
+pub fn delete(
+    ctx: &mut Ctx<'_, KernelMsg>,
+    directory: &ServiceDirectory,
+    req: RequestId,
+    job: JobId,
+    targets: Vec<NodeId>,
+) -> bool {
+    let Some(agent) = entry(directory, &targets) else {
+        return false;
+    };
+    let delete = KernelMsg::PpmDelete {
+        req,
+        job,
+        targets,
+        reply_to: ctx.pid(),
+    };
+    ctx.send(agent, delete);
+    true
+}
+
 /// The per-node PPM agent.
 pub struct PpmAgent {
     node: NodeId,
@@ -100,17 +141,6 @@ impl PpmAgent {
         }
     }
 
-    /// Respawned agent with explicit wiring.
-    pub fn respawn(node: NodeId, detector: Pid, table: HashMap<NodeId, Pid>) -> Self {
-        PpmAgent {
-            node,
-            table,
-            detector,
-            jobs: HashMap::new(),
-            seen: DedupWindow::new(64),
-        }
-    }
-
     /// Forward `targets` (not containing self) down the binomial tree:
     /// repeatedly delegate the far half to its first node.
     fn forward<F>(&self, ctx: &mut Ctx<'_, KernelMsg>, mut targets: Vec<NodeId>, make: F)
@@ -127,6 +157,28 @@ impl PpmAgent {
             // An unknown head silently drops that subtree; the requester's
             // ack count exposes the loss.
         }
+    }
+
+    /// Front of both tree requests. A duplicate (network duplication or an
+    /// upstream retry) gets its recorded ack replayed and is neither
+    /// re-executed nor re-forwarded: `None`. Otherwise this node is taken out
+    /// of `targets`, and the answer is whether it was one.
+    fn admit(
+        &mut self,
+        ctx: &mut Ctx<'_, KernelMsg>,
+        reply_to: Pid,
+        req: RequestId,
+        targets: &mut Vec<NodeId>,
+    ) -> Option<bool> {
+        if let Some(cached) = self.seen.replay(&(reply_to, req.0)) {
+            if let Some(ack) = cached.clone() {
+                ctx.send(reply_to, ack);
+            }
+            return None;
+        }
+        let asked = targets.len();
+        targets.retain(|&t| t != self.node);
+        Some(targets.len() < asked)
     }
 
     fn ingest_table(&mut self, nodes: &[NodeServices]) {
@@ -159,29 +211,13 @@ impl Actor<KernelMsg> for PpmAgent {
                 req,
                 job,
                 task,
-                targets,
+                mut targets,
                 reply_to,
             } => {
-                // Duplicate tree message (network duplication or an
-                // upstream retry): replay the recorded ack, never
-                // re-execute or re-forward.
-                if let Some(cached) = self.seen.replay(&(reply_to, req.0)) {
-                    if let Some(ack) = cached.clone() {
-                        ctx.send(reply_to, ack);
-                    }
+                let Some(mine) = self.admit(ctx, reply_to, req, &mut targets) else {
                     return;
-                }
-                let mut rest: Vec<NodeId> = Vec::with_capacity(targets.len());
-                let mut mine = false;
-                for t in targets {
-                    if t == self.node {
-                        mine = true;
-                    } else {
-                        rest.push(t);
-                    }
-                }
-                let mut ack = None;
-                if mine {
+                };
+                let ack = mine.then(|| {
                     phoenix_telemetry::counter_add("ppm.execs.handled", 1);
                     phoenix_telemetry::measure(
                         "ppm.fanout.flight",
@@ -191,25 +227,26 @@ impl Actor<KernelMsg> for PpmAgent {
                     );
                     let ok = !self.jobs.contains_key(&job);
                     if ok {
-                        let app = AppProc::new(job, task.clone(), self.detector, ctx.pid());
+                        let (task, detector, agent) = (task.clone(), self.detector, ctx.pid());
+                        let app = AppProc {
+                            job,
+                            task,
+                            detector,
+                            agent,
+                        };
                         let pid = ctx.spawn(self.node, Box::new(app));
                         self.jobs.insert(job, pid);
                     }
-                    let msg = KernelMsg::PpmExecAck {
-                        req,
-                        job,
-                        node: self.node,
-                        ok,
-                    };
-                    ctx.send(reply_to, msg.clone());
-                    ack = Some(msg);
-                }
+                    let node = self.node;
+                    let ack = KernelMsg::PpmExecAck { req, job, node, ok };
+                    ctx.send(reply_to, ack.clone());
+                    ack
+                });
                 self.seen.record((reply_to, req.0), ack);
-                let task2 = task;
-                self.forward(ctx, rest, move |sub| KernelMsg::PpmExec {
+                self.forward(ctx, targets, move |sub| KernelMsg::PpmExec {
                     req,
                     job,
-                    task: task2.clone(),
+                    task: task.clone(),
                     targets: sub,
                     reply_to,
                 });
@@ -217,49 +254,27 @@ impl Actor<KernelMsg> for PpmAgent {
             KernelMsg::PpmDelete {
                 req,
                 job,
-                targets,
+                mut targets,
                 reply_to,
             } => {
-                if let Some(cached) = self.seen.replay(&(reply_to, req.0)) {
-                    if let Some(ack) = cached.clone() {
-                        ctx.send(reply_to, ack);
-                    }
+                let Some(mine) = self.admit(ctx, reply_to, req, &mut targets) else {
                     return;
-                }
-                let mut rest: Vec<NodeId> = Vec::with_capacity(targets.len());
-                let mut mine = false;
-                for t in targets {
-                    if t == self.node {
-                        mine = true;
-                    } else {
-                        rest.push(t);
-                    }
-                }
-                let mut ack = None;
-                if mine {
+                };
+                let ack = mine.then(|| {
                     // Kill the task and clean up: the detector is told the
                     // app is gone so resource accounting resets.
                     if let Some(pid) = self.jobs.remove(&job) {
                         ctx.kill(pid);
-                        ctx.send(
-                            self.detector,
-                            KernelMsg::AppExited {
-                                job,
-                                pid,
-                                failed: false,
-                            },
-                        );
+                        let failed = false;
+                        ctx.send(self.detector, KernelMsg::AppExited { job, pid, failed });
                     }
-                    let msg = KernelMsg::PpmDeleteAck {
-                        req,
-                        job,
-                        node: self.node,
-                    };
-                    ctx.send(reply_to, msg.clone());
-                    ack = Some(msg);
-                }
+                    let node = self.node;
+                    let ack = KernelMsg::PpmDeleteAck { req, job, node };
+                    ctx.send(reply_to, ack.clone());
+                    ack
+                });
                 self.seen.record((reply_to, req.0), ack);
-                self.forward(ctx, rest, move |sub| KernelMsg::PpmDelete {
+                self.forward(ctx, targets, move |sub| KernelMsg::PpmDelete {
                     req,
                     job,
                     targets: sub,
