@@ -20,6 +20,7 @@
 use phoenix_kernel::federation::{Member, TOK_HB};
 use phoenix_kernel::group::RespawnArgs;
 use phoenix_kernel::params::KernelParams;
+use phoenix_kernel::ppm;
 use phoenix_proto::{
     BulletinKey, BulletinQuery, BulletinValue, CheckpointData, ConsumerReg, EventFilter,
     EventPayload, EventType, JobId, KernelMsg, PartitionId, RequestId, ServiceDirectory,
@@ -142,17 +143,7 @@ impl BizRuntime {
 
     fn launch(&mut self, ctx: &mut Ctx<'_, KernelMsg>, job: JobId, task: TaskSpec, node: NodeId) {
         let req = self.req();
-        if let Some(ns) = self.directory.node(node) {
-            ctx.send(
-                ns.ppm,
-                KernelMsg::PpmExec {
-                    req,
-                    job,
-                    task,
-                    targets: vec![node],
-                    reply_to: ctx.pid(),
-                },
-            );
+        if ppm::exec(ctx, &self.directory, req, job, task, vec![node]) {
             self.instances.insert(
                 job,
                 Instance {

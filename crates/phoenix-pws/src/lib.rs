@@ -11,6 +11,7 @@
 
 pub mod pbs;
 pub mod policy;
+pub mod pool;
 pub mod scheduler;
 pub mod setup;
 pub mod ui;
@@ -18,6 +19,7 @@ pub mod workload;
 
 pub use pbs::PbsServer;
 pub use policy::{pick, PolicyCtx, PolicyKind};
+pub use pool::{Placement, Pool};
 pub use scheduler::{pool_directory, PoolConfig, PoolDirectory, PwsScheduler};
 pub use setup::{install_pbs, install_pws, login, queue_status, submit, PwsHandle};
 pub use workload::{generate as generate_workload, Arrival, WorkloadParams};

@@ -13,23 +13,21 @@
 //! Job launch reuses the same PPM agents so the comparison isolates the
 //! resource-collection and HA design, which is what Sec 5.4 compares.
 
-use phoenix_proto::{
-    JobId, JobSpec, KernelMsg, QueueRow, RequestId, ServiceDirectory,
-};
+use crate::policy::PolicyKind;
+use crate::pool::{Placement, Pool};
+use phoenix_kernel::ppm;
+use phoenix_proto::{JobId, KernelMsg, RequestId, ServiceDirectory};
 use phoenix_sim::{Actor, Ctx, NodeId, Pid, ResourceUsage, SimDuration, TraceEvent};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 const TOK_POLL: u64 = 1;
 const TOK_SCHED: u64 = 2;
 
-/// A running PBS job.
-struct PbsJob {
-    spec: JobSpec,
-    nodes: Vec<NodeId>,
-    /// Nodes still reporting the job in their poll responses. A job is
-    /// complete when consecutive polls show it nowhere.
-    last_seen_poll: u64,
-    started_poll: u64,
+/// The poll rounds that bracket a running job: it is complete when
+/// consecutive polls show it nowhere.
+struct PollStamp {
+    started: u64,
+    last_seen: u64,
 }
 
 /// The central PBS server actor.
@@ -40,9 +38,10 @@ pub struct PbsServer {
     sched_interval: SimDuration,
 
     usage: HashMap<NodeId, ResourceUsage>,
-    queued: Vec<JobSpec>,
-    running: HashMap<JobId, PbsJob>,
-    free: BTreeSet<NodeId>,
+    /// Queue, placements and free nodes: one global pool, strict FIFO.
+    pool: Pool,
+    /// Ordered by job id, like the pool's running table: completion sends.
+    stamps: BTreeMap<JobId, PollStamp>,
     poll_round: u64,
     next_req: u64,
 }
@@ -53,16 +52,14 @@ impl PbsServer {
         nodes: Vec<NodeId>,
         poll_interval: SimDuration,
     ) -> Self {
-        let free = nodes.iter().copied().collect();
         PbsServer {
+            pool: Pool::new("pbs", &nodes, PolicyKind::Fifo),
             directory,
             nodes,
             poll_interval,
             sched_interval: SimDuration::from_millis(500),
             usage: HashMap::new(),
-            queued: Vec::new(),
-            running: HashMap::new(),
-            free,
+            stamps: BTreeMap::new(),
             poll_round: 0,
             next_req: 0,
         }
@@ -87,46 +84,16 @@ impl PbsServer {
     }
 
     fn schedule_pass(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        // Strict FIFO, single pool.
-        while let Some(head) = self.queued.first() {
-            if (head.nodes as usize) > self.free.len() {
-                break;
-            }
-            let spec = self.queued.remove(0);
-            let nodes: Vec<NodeId> = {
-                let picked: Vec<NodeId> =
-                    self.free.iter().take(spec.nodes as usize).copied().collect();
-                for n in &picked {
-                    self.free.remove(n);
-                }
-                picked
-            };
+        // Completion is polled for: PBS never asks the pool what is overdue.
+        while let Some(Placement { job, task, nodes }) = self.pool.place(ctx.now().as_nanos()) {
             let req = self.req();
-            if let Some(first) = nodes.first().and_then(|n| self.directory.node(*n)) {
-                ctx.send(
-                    first.ppm,
-                    KernelMsg::PpmExec {
-                        req,
-                        job: spec.id,
-                        task: spec.task.clone(),
-                        targets: nodes.clone(),
-                        reply_to: ctx.pid(),
-                    },
-                );
-            }
+            ppm::exec(ctx, &self.directory, req, job, task, nodes);
             ctx.trace(TraceEvent::Milestone {
                 label: "pbs-job-dispatched",
-                value: spec.id.0 as f64,
+                value: job.0 as f64,
             });
-            self.running.insert(
-                spec.id,
-                PbsJob {
-                    spec,
-                    nodes,
-                    last_seen_poll: self.poll_round,
-                    started_poll: self.poll_round,
-                },
-            );
+            let (started, last_seen) = (self.poll_round, self.poll_round);
+            self.stamps.insert(job, PollStamp { started, last_seen });
         }
     }
 
@@ -134,24 +101,19 @@ impl PbsServer {
     /// rounds (after a warm-up round) is finished.
     fn reap(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         let round = self.poll_round;
-        let mut done: Vec<JobId> = self
-            .running
+        let gone = |j: &PollStamp| round > j.started + 1 && round > j.last_seen + 1;
+        let done = self
+            .stamps
             .iter()
-            .filter(|(_, j)| round > j.started_poll + 1 && round > j.last_seen_poll + 1)
-            .map(|(&id, _)| id)
-            .collect();
-        // Sorted: `running` is a HashMap and completion sends messages.
-        done.sort_unstable();
-        for id in done {
-            if let Some(j) = self.running.remove(&id) {
-                for n in j.nodes {
-                    self.free.insert(n);
-                }
-                ctx.trace(TraceEvent::Milestone {
-                    label: "pbs-job-completed",
-                    value: id.0 as f64,
-                });
-            }
+            .filter(|(_, j)| gone(j))
+            .map(|(&id, _)| id);
+        for id in done.collect::<Vec<JobId>>() {
+            self.stamps.remove(&id);
+            self.pool.finish(id);
+            ctx.trace(TraceEvent::Milestone {
+                label: "pbs-job-completed",
+                value: id.0 as f64,
+            });
         }
     }
 }
@@ -174,8 +136,8 @@ impl Actor<KernelMsg> for PbsServer {
             } => {
                 self.usage.insert(node, usage);
                 for job in jobs {
-                    if let Some(j) = self.running.get_mut(&job) {
-                        j.last_seen_poll = self.poll_round;
+                    if let Some(j) = self.stamps.get_mut(&job) {
+                        j.last_seen = self.poll_round;
                     }
                 }
             }
@@ -184,7 +146,7 @@ impl Actor<KernelMsg> for PbsServer {
             KernelMsg::PwsSubmit { req, spec, .. } => {
                 let mut spec = spec;
                 spec.submitted_ns = ctx.now().as_nanos();
-                self.queued.push(spec);
+                self.pool.submit(spec);
                 ctx.send(
                     from,
                     KernelMsg::PwsSubmitResp {
@@ -196,25 +158,7 @@ impl Actor<KernelMsg> for PbsServer {
                 self.schedule_pass(ctx);
             }
             KernelMsg::PwsQueueStatus { req, .. } => {
-                let mut rows: Vec<QueueRow> = self
-                    .queued
-                    .iter()
-                    .map(|j| QueueRow {
-                        job: j.id,
-                        pool: "pbs".into(),
-                        user: j.user.clone(),
-                        state: phoenix_proto::JobState::Queued,
-                        nodes: vec![],
-                    })
-                    .collect();
-                rows.extend(self.running.values().map(|j| QueueRow {
-                    job: j.spec.id,
-                    pool: "pbs".into(),
-                    user: j.spec.user.clone(),
-                    state: phoenix_proto::JobState::Running,
-                    nodes: j.nodes.clone(),
-                }));
-                rows.sort_by_key(|r| r.job);
+                let rows = self.pool.rows();
                 ctx.send(from, KernelMsg::PwsQueueStatusResp { req, rows });
             }
             KernelMsg::PpmExecAck { .. } => {
