@@ -125,12 +125,12 @@ pub struct Split {
 /// the world ~50 virtual ms for the answer.
 fn directory_converged(w: &mut World<KernelMsg>, cluster: &PhoenixCluster, req: u64) -> bool {
     let client = ClientHandle::spawn(w, cluster.topology.partitions[1].server);
-    client.send(w, cluster.config(), KernelMsg::CfgQueryDirectory { req: RequestId(req) });
-    w.run_for(SimDuration::from_millis(50));
-    let Some(dir) = client.drain().into_iter().find_map(|(_, m)| match m {
+    let query = KernelMsg::CfgQueryDirectory { req: RequestId(req) };
+    let answer = client.ask(w, cluster.config(), query, SimDuration::from_millis(50), |m| match m {
         KernelMsg::CfgDirectory { directory, .. } => Some(*directory),
         _ => None,
-    }) else {
+    });
+    let Some(dir) = answer else {
         return false;
     };
     let stale_clear = w

@@ -433,23 +433,17 @@ fn query_directory(
     client: &ClientHandle,
     cluster: &PhoenixCluster,
 ) -> Option<ServiceDirectory> {
-    let mut directory = None;
-    let send = |world: &mut World<KernelMsg>, attempt| {
-        let req = RequestId(91_000 + attempt);
-        client.send(
-            world,
-            cluster.config(),
-            KernelMsg::CfgQueryDirectory { req },
-        );
-    };
-    ask(world, SimDuration::from_millis(200), send, || {
-        directory = client.drain().into_iter().find_map(|(_, msg)| match msg {
+    // Asked up to three times, like every question here (see `ask`).
+    (0..3u64).find_map(|attempt| {
+        let query = KernelMsg::CfgQueryDirectory {
+            req: RequestId(91_000 + attempt),
+        };
+        let wait = SimDuration::from_millis(200);
+        client.ask(world, cluster.config(), query, wait, |msg| match msg {
             KernelMsg::CfgDirectory { directory, .. } => Some(*directory),
             _ => None,
-        });
-        directory.is_some()
-    });
-    directory
+        })
+    })
 }
 
 /// Only the last answer's completeness counts (earlier attempts may have

@@ -106,26 +106,20 @@ pub fn login(
     user: &str,
     secret: &str,
 ) -> AuthToken {
-    client.send(
-        world,
-        cluster.security(),
-        KernelMsg::SecLogin {
-            req: RequestId(u64::MAX),
-            user: UserId::new(user),
-            secret: secret.to_string(),
-        },
-    );
-    world.run_for(SimDuration::from_millis(5));
-    for (_, m) in client.drain() {
-        if let KernelMsg::SecLoginResp {
+    let login = KernelMsg::SecLogin {
+        req: RequestId(u64::MAX),
+        user: UserId::new(user),
+        secret: secret.to_string(),
+    };
+    let wait = SimDuration::from_millis(5);
+    let answer = client.ask(world, cluster.security(), login, wait, |m| match m {
+        KernelMsg::SecLoginResp {
             req: RequestId(u64::MAX),
             token,
-        } = m
-        {
-            return token.expect("login rejected");
-        }
-    }
-    panic!("no login response");
+        } => Some(token),
+        _ => None,
+    });
+    answer.expect("no login response").expect("login rejected")
 }
 
 /// Submit a job and wait for the accept/reject response.
@@ -137,18 +131,15 @@ pub fn submit(
     spec: JobSpec,
 ) -> bool {
     let req = RequestId(spec.id.0 | (1 << 62));
-    client.send(world, scheduler, KernelMsg::PwsSubmit { req, token, spec });
-    world.run_for(SimDuration::from_millis(10));
-    client
-        .drain()
-        .into_iter()
-        .find_map(|(_, m)| match m {
-            KernelMsg::PwsSubmitResp {
-                req: r, accepted, ..
-            } if r == req => Some(accepted),
-            _ => None,
-        })
-        .unwrap_or(false)
+    let submit = KernelMsg::PwsSubmit { req, token, spec };
+    let wait = SimDuration::from_millis(10);
+    let accepted = client.ask(world, scheduler, submit, wait, |m| match m {
+        KernelMsg::PwsSubmitResp {
+            req: r, accepted, ..
+        } if r == req => Some(accepted),
+        _ => None,
+    });
+    accepted.unwrap_or(false)
 }
 
 /// Fetch the queue status of a scheduler.
@@ -157,21 +148,14 @@ pub fn queue_status(
     client: &ClientHandle,
     scheduler: Pid,
 ) -> Vec<QueueRow> {
-    client.send(
-        world,
-        scheduler,
-        KernelMsg::PwsQueueStatus {
-            req: RequestId(u64::MAX - 1),
-            pool: None,
-        },
-    );
-    world.run_for(SimDuration::from_millis(10));
-    client
-        .drain()
-        .into_iter()
-        .find_map(|(_, m)| match m {
-            KernelMsg::PwsQueueStatusResp { rows, .. } => Some(rows),
-            _ => None,
-        })
-        .unwrap_or_default()
+    let query = KernelMsg::PwsQueueStatus {
+        req: RequestId(u64::MAX - 1),
+        pool: None,
+    };
+    let wait = SimDuration::from_millis(10);
+    let rows = client.ask(world, scheduler, query, wait, |m| match m {
+        KernelMsg::PwsQueueStatusResp { rows, .. } => Some(rows),
+        _ => None,
+    });
+    rows.unwrap_or_default()
 }
