@@ -98,7 +98,7 @@ pub fn run_one(
     // Stabilize for two heartbeat rounds.
     world.run_until(SimTime::ZERO + hb * 2 + SimDuration::from_millis(10));
 
-    let inj = plan_injection(&world, &cluster, component, kind);
+    let inj = plan_injection(&cluster, component, kind);
     // Inject just after the heartbeat round at 2×interval, as the paper's
     // numbers imply (detecting time ≈ the full interval).
     let t0 = world.now();
@@ -109,91 +109,51 @@ pub fn run_one(
     extract_row(&world, t0, &inj, component, kind, &cluster)
 }
 
-fn plan_injection(
-    world: &World<KernelMsg>,
-    cluster: &PhoenixCluster,
-    component: Component,
-    kind: FaultKind,
-) -> Injection {
-    let _ = world;
-    match component {
-        Component::Wd => {
+/// The 3 × 3 plan of Tables 1–3: the component names the victim (process,
+/// node, monitored NIC) and who observes it; the kind names the fault, what
+/// is detected and the diagnosis.
+fn plan_injection(cluster: &PhoenixCluster, component: Component, kind: FaultKind) -> Injection {
+    // Partition 1's GSD; its ring observer is partition 2's GSD.
+    let member = cluster.directory.partitions[1];
+    let ring_observer = Some(cluster.directory.partitions[2].gsd);
+    let (victim, node, nic, observer) = match (component, kind) {
+        (Component::Wd, _) => {
             // A computing node of partition 0.
             let node = cluster.topology.partitions[0].compute[0];
             let wd = cluster.directory.node(node).unwrap().wd;
-            match kind {
-                FaultKind::Process => Injection {
-                    fault: Fault::KillProcess(wd),
-                    observer: None,
-                    detect_target: FaultTarget::Process(wd),
-                    diagnosis: Diagnosis::ProcessFailure,
-                },
-                FaultKind::Node => Injection {
-                    fault: Fault::CrashNode(node),
-                    observer: None,
-                    detect_target: FaultTarget::Process(wd),
-                    diagnosis: Diagnosis::NodeFailure,
-                },
-                FaultKind::Network => Injection {
-                    fault: Fault::NicDown(node, NicId(1)),
-                    observer: None,
-                    detect_target: FaultTarget::Nic(node, NicId(1)),
-                    diagnosis: Diagnosis::NetworkFailure,
-                },
-            }
+            (wd, node, NicId(1), None)
         }
-        Component::Gsd => {
-            // Partition 1's GSD; its ring observer is partition 2's GSD.
-            let member = cluster.directory.partitions[1];
-            let observer = cluster.directory.partitions[2].gsd;
-            match kind {
-                FaultKind::Process => Injection {
-                    fault: Fault::KillProcess(member.gsd),
-                    observer: Some(observer),
-                    detect_target: FaultTarget::Process(member.gsd),
-                    diagnosis: Diagnosis::ProcessFailure,
-                },
-                FaultKind::Node => Injection {
-                    fault: Fault::CrashNode(member.node),
-                    observer: Some(observer),
-                    detect_target: FaultTarget::Process(member.gsd),
-                    diagnosis: Diagnosis::NodeFailure,
-                },
-                FaultKind::Network => Injection {
-                    fault: Fault::NicDown(member.node, NicId(1)),
-                    observer: Some(observer),
-                    detect_target: FaultTarget::Nic(member.node, NicId(1)),
-                    diagnosis: Diagnosis::NetworkFailure,
-                },
-            }
+        // Table 3's node row is Table 2's injection (the ES dies with its
+        // node); recovery is the migrated ES coming up.
+        (Component::Gsd, _) | (Component::Es, FaultKind::Node) => {
+            (member.gsd, member.node, NicId(1), ring_observer)
         }
-        Component::Es => {
-            let member = cluster.directory.partitions[1];
-            let local_gsd = member.gsd;
-            match kind {
-                FaultKind::Process => Injection {
-                    fault: Fault::KillProcess(member.event),
-                    observer: Some(local_gsd),
-                    detect_target: FaultTarget::Process(member.event),
-                    diagnosis: Diagnosis::ProcessFailure,
-                },
-                FaultKind::Node => Injection {
-                    // Same injection as Table 2's node row (ES dies with
-                    // its node); recovery is the migrated ES coming up.
-                    fault: Fault::CrashNode(member.node),
-                    observer: Some(cluster.directory.partitions[2].gsd),
-                    detect_target: FaultTarget::Process(member.gsd),
-                    diagnosis: Diagnosis::NodeFailure,
-                },
-                FaultKind::Network => Injection {
-                    // Local GSD introspects its own node's NIC (12 µs path).
-                    fault: Fault::NicDown(member.node, NicId(2)),
-                    observer: Some(local_gsd),
-                    detect_target: FaultTarget::Nic(member.node, NicId(2)),
-                    diagnosis: Diagnosis::NetworkFailure,
-                },
-            }
-        }
+        // The local GSD watches its ES, and introspects its own node's NIC
+        // (12 µs path).
+        (Component::Es, _) => (member.event, member.node, NicId(2), Some(member.gsd)),
+    };
+    let (fault, detect_target, diagnosis) = match kind {
+        FaultKind::Process => (
+            Fault::KillProcess(victim),
+            FaultTarget::Process(victim),
+            Diagnosis::ProcessFailure,
+        ),
+        FaultKind::Node => (
+            Fault::CrashNode(node),
+            FaultTarget::Process(victim),
+            Diagnosis::NodeFailure,
+        ),
+        FaultKind::Network => (
+            Fault::NicDown(node, nic),
+            FaultTarget::Nic(node, nic),
+            Diagnosis::NetworkFailure,
+        ),
+    };
+    Injection {
+        fault,
+        observer,
+        detect_target,
+        diagnosis,
     }
 }
 
