@@ -379,7 +379,8 @@ mod tests {
     #[test]
     fn each_policy_places_its_pick_on_the_lowest_free_ids() {
         // Free nodes in id order: own 2, 5, 7 with borrowed 3, 6 between them.
-        let table: [(PolicyKind, &[(u64, &[u32])]); 4] = [
+        type Placements = &'static [(u64, &'static [u32])];
+        let table: [(PolicyKind, Placements); 4] = [
             // The head needs 6 of 5 nodes: strict FIFO starts nothing.
             (PolicyKind::Fifo, &[]),
             // First that fits, again and again.
