@@ -19,7 +19,7 @@ pub mod workload;
 
 pub use pbs::PbsServer;
 pub use policy::{pick, PolicyCtx, PolicyKind};
-pub use pool::{Placement, Pool};
+pub use pool::{Lender, Placement, Pool};
 pub use scheduler::{pool_directory, PoolConfig, PoolDirectory, PwsScheduler};
 pub use setup::{install_pbs, install_pws, login, queue_status, submit, PwsHandle};
 pub use workload::{generate as generate_workload, Arrival, WorkloadParams};

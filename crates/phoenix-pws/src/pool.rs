@@ -28,12 +28,21 @@ enum Hold {
     Dead,
 }
 
+/// Where a borrowed node goes back to.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum Lender {
+    Pool(String),
+    /// Found under a restored placement: a snapshot does not say whose the
+    /// nodes are.
+    Unknown,
+}
+
 /// One ledger record.
 #[derive(Clone, PartialEq, Eq, Debug)]
 struct Slot {
     hold: Hold,
-    /// The pool a borrowed node goes back to; `None` on one of our own.
-    lender: Option<String>,
+    /// `None` on one of our own.
+    lender: Option<Lender>,
 }
 
 /// A dispatched job.
@@ -164,11 +173,11 @@ impl Pool {
     /// duration (node-seconds) and free its nodes; a dead one stays dead.
     /// Borrowed nodes leave the ledger instead, and the answer lists them
     /// per lender, in the order first met. `None` if the job is not running.
-    pub fn finish(&mut self, job: JobId) -> Option<Vec<(String, Vec<NodeId>)>> {
+    pub fn finish(&mut self, job: JobId) -> Option<Vec<(Lender, Vec<NodeId>)>> {
         let r = self.running.remove(&job)?;
         let secs = r.spec.task.duration_ns.map_or(0.0, |d| d as f64 / 1e9);
         *self.usage.entry(r.spec.user.clone()).or_default() += r.nodes.len() as f64 * secs;
-        let mut returns: Vec<(String, Vec<NodeId>)> = Vec::new();
+        let mut returns: Vec<(Lender, Vec<NodeId>)> = Vec::new();
         for node in r.nodes {
             let Some(slot) = self.ledger.get_mut(&node) else {
                 continue;
@@ -231,7 +240,7 @@ impl Pool {
     /// `nodes` arrived on lease from `lender`: free here until their job ends.
     pub fn borrow(&mut self, lender: &str, nodes: &[NodeId]) {
         for &n in nodes {
-            let lender = Some(lender.to_string());
+            let lender = Some(Lender::Pool(lender.to_string()));
             self.ledger.insert(
                 n,
                 Slot {
@@ -310,7 +319,8 @@ impl Pool {
 
     /// Take over a [`snapshot`](Self::snapshot). Restored placements are
     /// assumed still running — task exits will complete them — and, the
-    /// original durations being lost, all become overdue at `reap_at_ns`.
+    /// original durations being lost, all become overdue at `reap_at_ns`. A
+    /// placed node that is not one of ours is borrowed, from a lender unknown.
     pub fn restore(
         &mut self,
         queued: Vec<JobSpec>,
@@ -320,11 +330,12 @@ impl Pool {
         self.queued = queued;
         for (job, nodes) in running {
             for &n in &nodes {
-                let own = Slot {
+                // Placed on a node that is not ours: it was on lease.
+                let leased = Slot {
                     hold: Hold::Free,
-                    lender: None,
+                    lender: Some(Lender::Unknown),
                 };
-                self.ledger.entry(n).or_insert(own).hold = Hold::Busy(job);
+                self.ledger.entry(n).or_insert(leased).hold = Hold::Busy(job);
             }
             let restored = Running {
                 spec: JobSpec::simple(job.0, "restored", &self.name, 0),
@@ -499,8 +510,8 @@ mod tests {
         assert_eq!(
             returns,
             vec![
-                ("lender".to_string(), ids(&[2])),
-                ("other".to_string(), ids(&[20]))
+                (Lender::Pool("lender".to_string()), ids(&[2])),
+                (Lender::Pool("other".to_string()), ids(&[20]))
             ]
         );
         assert_eq!(census(&short), [1, 0, 0, 0]);
@@ -547,6 +558,18 @@ mod tests {
         assert_eq!(place_all(&mut q), vec![(6, ids(&[3, 4]))]);
     }
 
+    #[test]
+    fn restored_placement_on_a_foreign_node_is_a_lease_of_unknown_lender() {
+        let mut p = Pool::new("p", &ids(&[1, 2]), PolicyKind::Fifo);
+        p.restore(vec![], vec![(JobId(1), ids(&[1, 2, 9]))], 1_000);
+        assert_eq!(census(&p), [0, 3, 0, 0]);
+        // The node goes home when its job ends, and is never lent on or
+        // placed on again.
+        assert_eq!(p.finish(JobId(1)), Some(vec![(Lender::Unknown, ids(&[9]))]));
+        assert_eq!(census(&p), [2, 0, 0, 0]);
+        assert_eq!(p.grant(5), ids(&[1, 2]));
+    }
+
     /// Two pools lease to each other under a few thousand random operations;
     /// after each one every ledger adds up and no node is usable twice.
     #[test]
@@ -563,7 +586,7 @@ mod tests {
             // The router's part of a job's end: borrowed nodes go home.
             let finish = |pools: &mut [Pool; 2], at: usize, job: JobId| {
                 for (lender, nodes) in pools[at].finish(job).unwrap_or_default() {
-                    assert_eq!(lender, pools[1 - at].name);
+                    assert_eq!(lender, Lender::Pool(pools[1 - at].name.clone()));
                     pools[1 - at].take_back(&nodes);
                 }
             };

@@ -14,7 +14,7 @@
 //! what is queued, what runs where and who holds which node are there.
 
 use crate::policy::PolicyKind;
-use crate::pool::{Placement, Pool};
+use crate::pool::{Lender, Placement, Pool};
 use phoenix_kernel::federation::{Member, TOK_HB};
 use phoenix_kernel::group::RespawnArgs;
 use phoenix_kernel::params::KernelParams;
@@ -239,10 +239,15 @@ impl PwsScheduler {
         let Some(returns) = self.pool.finish(job) else {
             return;
         };
-        // Leased nodes go back to their owners.
+        // Leased nodes go back to their owners. A restart forgets who they
+        // are: then every peer hears, and only the owner takes a node back.
         for (lender, nodes) in returns {
-            let target = self.pools.borrow().get(&lender).copied();
-            if let Some(pid) = target {
+            let homes = match lender {
+                Lender::Pool(name) => Vec::from_iter(self.pools.borrow().get(&name).copied()),
+                Lender::Unknown => self.peers(),
+            };
+            for pid in homes {
+                let nodes = nodes.clone();
                 ctx.send(pid, KernelMsg::PoolLeaseReturn { nodes });
             }
         }

@@ -150,6 +150,65 @@ fn multi_pool_leasing_moves_nodes() {
     assert_eq!(done, 1, "donor pool regained its leased node");
 }
 
+/// A job runs on a leased node when its scheduler dies. The replacement
+/// restores the placement from the checkpoint, which does not say whose the
+/// nodes are: the node that is not its own must still go home when the job
+/// ends, or the donor never sees it again.
+#[test]
+fn restored_job_returns_its_leased_node() {
+    let (mut w, cluster) = cluster_2x4();
+    let nodes = compute_nodes(&cluster);
+    let (a, b) = nodes.split_at(2);
+    let pws = install_pws(
+        &mut w,
+        &cluster,
+        vec![
+            PoolConfig::new("small", a.to_vec(), PolicyKind::Fifo),
+            PoolConfig::new("donor", b.to_vec(), PolicyKind::Fifo),
+        ],
+    );
+    w.run_for(SimDuration::from_millis(100));
+    let sched = pws.scheduler("small").unwrap();
+    let client = ClientHandle::spawn(&mut w, NodeId(2));
+    let token = login(&mut w, &cluster, &client, "alice", "alice-secret");
+    assert!(submit(
+        &mut w,
+        &client,
+        sched,
+        token,
+        short_job(1, "alice", "small", 3, 6),
+    ));
+    w.run_for(SimDuration::from_secs(1));
+    let rows = queue_status(&mut w, &client, sched);
+    assert_eq!(rows[0].nodes.len(), 3, "job running on leased capacity");
+
+    // The borrower's scheduler dies; its GSD respawns it from the registry.
+    w.kill_process(sched);
+    w.run_for(SimDuration::from_secs(4));
+    let respawned = pws.scheduler("small").unwrap();
+    assert_ne!(respawned, sched, "a replacement scheduler registered");
+    let rows = queue_status(&mut w, &client, respawned);
+    assert_eq!(rows[0].nodes.len(), 3, "the placement survived the restart");
+
+    // The job ends under the replacement, and the donor can place a job
+    // that needs every node it owns — on its own nodes, not on a lease taken
+    // the other way.
+    w.run_for(SimDuration::from_secs(4));
+    assert!(queue_status(&mut w, &client, respawned).is_empty());
+    let donor = pws.scheduler("donor").unwrap();
+    let token2 = login(&mut w, &cluster, &client, "bob", "bob-secret");
+    assert!(submit(
+        &mut w,
+        &client,
+        donor,
+        token2,
+        short_job(2, "bob", "donor", 2, 3),
+    ));
+    w.run_for(SimDuration::from_secs(1));
+    let rows = queue_status(&mut w, &client, donor);
+    assert_eq!(rows[0].nodes, b, "donor pool regained its leased node");
+}
+
 #[test]
 fn scheduler_failure_recovers_with_queue() {
     let (mut w, cluster) = cluster_2x4();
