@@ -53,12 +53,16 @@
 # by: under crates/phoenix-kernel/src/group/ only the actors (gsd.rs, wd.rs,
 # flat.rs) and the factory registry may name the simulator's Ctx, and only
 # gsd.rs and wd.rs may name phoenix_telemetry; regroup.rs, slow_detect.rs
-# and nic_health.rs name neither telemetry.
+# and nic_health.rs name neither telemetry. Job management is held to the
+# same rule: phoenix-pws/src/pool.rs names neither, and the PPM requests are
+# built by the two helpers beside the agent (phoenix-kernel/src/ppm/), so a
+# KernelMsg::PpmExec or KernelMsg::PpmDelete literal under phoenix-pws/src or
+# phoenix-biz/src fails the stage.
 #
 # The last stage prints the non-test code-line counts ROADMAP item 4 quotes
-# and fails when group/gsd.rs, phoenix-kernel, phoenix-chaos, crates/bench or
-# the workspace exceeds its line in scripts/code_budget.txt, whose numbers
-# may only be lowered.
+# and fails when group/gsd.rs, phoenix-kernel, phoenix-pws, phoenix-chaos,
+# crates/bench or the workspace exceeds its line in scripts/code_budget.txt,
+# whose numbers may only be lowered.
 
 set -eu
 
@@ -287,6 +291,15 @@ if grep -n 'phoenix_telemetry' $(ls $group/*.rs | grep -vE '/(gsd|wd)\.rs$') \
     exit 1
 fi
 
+if grep -nw 'Ctx' crates/phoenix-pws/src/pool.rs || grep -n 'phoenix_telemetry' crates/phoenix-pws/src/pool.rs; then
+    echo "FAIL: phoenix-pws/src/pool.rs names the simulator's Ctx or phoenix_telemetry (the schedulers route, the pool decides)" >&2
+    exit 1
+fi
+if grep -rnE 'KernelMsg::Ppm(Exec|Delete) \{' crates/phoenix-pws/src crates/phoenix-biz/src; then
+    echo "FAIL: a PPM request is built outside phoenix-kernel/src/ppm/ (call ppm::exec / ppm::delete)" >&2
+    exit 1
+fi
+
 echo "== ratchet: non-test code lines stay within scripts/code_budget.txt (ROADMAP aim 2, item 4) =="
 # The roadmap's number: each file cut at its first #[cfg(test)], then its
 # non-blank, non-comment lines.
@@ -307,6 +320,7 @@ while read -r what limit; do
         '#'* | '') continue ;;
         gsd) where=crates/phoenix-kernel/src/group/gsd.rs ;;
         kernel) where=crates/phoenix-kernel/src ;;
+        pws) where=crates/phoenix-pws/src ;;
         chaos) where=crates/phoenix-chaos/src ;;
         bench) where=crates/bench/src ;;
         workspace) where=crates/*/src ;;
