@@ -33,8 +33,8 @@ pub enum FaultKind {
 /// One row of a Table 1–3: seconds per phase.
 #[derive(Clone, Debug)]
 pub struct FtRow {
-    pub component: Component,
-    pub kind: FaultKind,
+    pub(crate) component: Component,
+    pub(crate) kind: FaultKind,
     pub detect_s: f64,
     pub diagnose_s: f64,
     pub recover_s: f64,
@@ -55,7 +55,7 @@ impl FtRow {
     }
 
     /// Render like the paper's table rows.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         format!(
             "{:<8} {:>10} {:>12} {:>10} {:>10}",
             format!("{:?}", self.kind),

@@ -13,15 +13,12 @@ use phoenix_sim::{NodeId, SimDuration, TraceEvent};
 #[derive(Clone, Debug)]
 pub struct RunStats {
     pub system: &'static str,
-    pub nodes: usize,
-    pub jobs_submitted: usize,
     pub jobs_completed: usize,
     /// Bytes of resource-collection + job-control traffic.
     pub collection_bytes: u64,
     pub collection_msgs: u64,
     /// Did the job manager survive a scheduler-process kill?
     pub survived_scheduler_fault: bool,
-    pub virtual_secs: f64,
 }
 
 fn workload(count: usize, duration_s: u64, pool: &str) -> Vec<JobSpec> {
@@ -57,7 +54,6 @@ pub fn run(
         .iter()
         .flat_map(|p| p.compute.iter().copied())
         .collect();
-    let n_nodes = cluster.topology.node_count();
 
     let (target, pws_handle) = if use_pbs {
         (
@@ -84,12 +80,8 @@ pub fn run(
 
     let client = ClientHandle::spawn(&mut w, nodes[0]);
     let token = login(&mut w, &cluster, &client, "alice", "alice-secret");
-    let specs = workload(jobs, 2, "batch");
-    let mut submitted = 0;
-    for s in specs {
-        if submit(&mut w, &client, target, token.clone(), s) {
-            submitted += 1;
-        }
+    for s in workload(jobs, 2, "batch") {
+        submit(&mut w, &client, target, token.clone(), s);
     }
 
     let mut survived = true;
@@ -106,10 +98,7 @@ pub fn run(
         survived = w.is_alive(now_target) && (now_target != target || !rows.is_empty());
     }
 
-    let t0 = w.now();
     w.run_for(SimDuration::from_secs(secs));
-    let virtual_secs = w.now().as_secs_f64();
-    let _ = t0;
 
     let m = w.metrics();
     let (collection_msgs, collection_bytes) = if use_pbs {
@@ -131,13 +120,10 @@ pub fn run(
 
     RunStats {
         system: if use_pbs { "PBS" } else { "PWS" },
-        nodes: n_nodes,
-        jobs_submitted: submitted,
         jobs_completed,
         collection_bytes,
         collection_msgs,
         survived_scheduler_fault: survived,
-        virtual_secs,
     }
 }
 

@@ -50,7 +50,7 @@ pub struct SweepOutcome<R> {
 }
 
 /// Resolve the worker-thread count for `n_items` parallel jobs.
-pub fn thread_count(n_items: usize) -> usize {
+pub(crate) fn thread_count(n_items: usize) -> usize {
     let configured = std::env::var("PHOENIX_SWEEP_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())

@@ -36,12 +36,12 @@ const TOK_RECONCILE: u64 = 2;
 /// One tier of a multi-tier business application.
 #[derive(Clone, Debug)]
 pub struct TierSpec {
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Job id namespace for this tier's instances (instance i runs as
     /// `JobId(base + i)`).
-    pub job_base: u64,
-    pub replicas: u32,
-    pub task: TaskSpec,
+    pub(crate) job_base: u64,
+    pub(crate) replicas: u32,
+    pub(crate) task: TaskSpec,
 }
 
 impl TierSpec {
@@ -69,7 +69,7 @@ struct Instance {
 }
 
 /// The business application runtime actor.
-pub struct BizRuntime {
+pub(crate) struct BizRuntime {
     member: Member,
     params: KernelParams,
     directory: ServiceDirectory,
@@ -84,7 +84,7 @@ pub struct BizRuntime {
 }
 
 impl BizRuntime {
-    pub fn new(
+    pub(crate) fn new(
         partition: PartitionId,
         params: KernelParams,
         directory: ServiceDirectory,
@@ -105,7 +105,7 @@ impl BizRuntime {
     }
 
     /// Respawned runtime: restores its deployment map from checkpoint.
-    pub fn respawn(
+    pub(crate) fn respawn(
         args: &RespawnArgs,
         directory: ServiceDirectory,
         tiers: Vec<TierSpec>,

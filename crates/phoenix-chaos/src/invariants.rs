@@ -30,13 +30,13 @@ impl fmt::Display for Violation {
 /// Where checks report. [`check`] sets the invariant being checked; the
 /// check only says what is wrong.
 #[derive(Default)]
-pub struct Violations {
+pub(crate) struct Violations {
     list: Vec<Violation>,
     invariant: &'static str,
 }
 
 impl Violations {
-    pub fn fail(&mut self, detail: impl Into<String>) {
+    pub(crate) fn fail(&mut self, detail: impl Into<String>) {
         self.list.push(Violation {
             invariant: self.invariant,
             detail: detail.into(),
@@ -46,20 +46,20 @@ impl Violations {
     /// Report unless this invariant already has a violation in this run: a
     /// sampled invariant that breaks stays broken for many samples, and a
     /// run reports each once.
-    pub fn fail_once(&mut self, detail: impl Into<String>) {
+    pub(crate) fn fail_once(&mut self, detail: impl Into<String>) {
         if !self.list.iter().any(|v| v.invariant == self.invariant) {
             self.fail(detail);
         }
     }
 
-    pub fn into_vec(self) -> Vec<Violation> {
+    pub(crate) fn into_vec(self) -> Vec<Violation> {
         self.list
     }
 }
 
 /// When a row of the table is checked.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum When {
+pub(crate) enum When {
     /// Every 100 ms while an island split is active — a split brain is
     /// precisely a *transient* with two sides acting at once, which no
     /// post-quiescence check can see.
@@ -70,10 +70,10 @@ pub enum When {
 
 /// A row of the table: the name violations are reported under, when it is
 /// checked, and the check.
-pub type Invariant = (&'static str, When, fn(&Observed, &mut Violations));
+pub(crate) type Invariant = (&'static str, When, fn(&Observed, &mut Violations));
 
 /// Every invariant, in the order a run reports them.
-pub const INVARIANTS: &[Invariant] = &[
+pub(crate) const INVARIANTS: &[Invariant] = &[
     ("split-brain", When::Sampled, split_brain),
     ("minority-leader", When::Sampled, minority_leader),
     ("quorum-dark", When::Sampled, quorum_dark),
@@ -90,7 +90,7 @@ pub const INVARIANTS: &[Invariant] = &[
 ];
 
 /// Check every `when` row of the table against `obs`.
-pub fn check(when: When, obs: &Observed, violations: &mut Violations) {
+pub(crate) fn check(when: When, obs: &Observed, violations: &mut Violations) {
     for &(name, _, check) in INVARIANTS.iter().filter(|row| row.1 == when) {
         violations.invariant = name;
         check(obs, violations);
@@ -103,79 +103,79 @@ pub fn check(when: When, obs: &Observed, violations: &mut Violations) {
 
 /// What one check reads: `split` for the [`When::Sampled`] rows, `settled`
 /// for the [`When::Quiesced`] ones.
-pub struct Observed<'a> {
-    pub topology: &'a ClusterTopology,
-    pub hb_interval: SimDuration,
-    pub now: SimTime,
+pub(crate) struct Observed<'a> {
+    pub(crate) topology: &'a ClusterTopology,
+    pub(crate) hb_interval: SimDuration,
+    pub(crate) now: SimTime,
     /// Every live GSD, by node then pid.
-    pub gsds: Vec<GsdView>,
+    pub(crate) gsds: Vec<GsdView>,
     /// Sampled: the active island split.
-    pub split: Option<Split<'a>>,
+    pub(crate) split: Option<Split<'a>>,
     /// Quiesced: what the settled (or unsettled) cluster answered.
-    pub settled: Option<Settled>,
+    pub(crate) settled: Option<Settled>,
 }
 
 /// An active island split, as one sample sees it.
-pub struct Split<'a> {
+pub(crate) struct Split<'a> {
     /// Node `n` is on the island iff bit `n` is set.
     pub island: u64,
     /// How long the island has stood.
-    pub held: SimDuration,
+    pub(crate) held: SimDuration,
     /// Time since the last schedule step. The sampled checks grant the
     /// protocol a reaction window after *any* step, not just island
     /// formation: a GSD kill or node repair mid-split shifts the weighted
     /// verdict instantly in the oracle, while the cluster needs a detection
     /// pipeline to catch up.
-    pub since_step: SimDuration,
+    pub(crate) since_step: SimDuration,
     /// The weighted rule's inputs; `None` under the count rule.
-    pub votes: Option<Votes<'a>>,
+    pub(crate) votes: Option<Votes<'a>>,
 }
 
-pub struct Votes<'a> {
-    pub table: &'a VoteTable,
+pub(crate) struct Votes<'a> {
+    pub(crate) table: &'a VoteTable,
     /// The witness may have failed over mid-run: the freshest witness view
     /// off the live GSDs, else the configured one.
-    pub witness: PartitionId,
+    pub(crate) witness: PartitionId,
     /// Whether node `n` is up, by node id.
-    pub up: Vec<bool>,
+    pub(crate) up: Vec<bool>,
 }
 
-pub struct Settled {
+pub(crate) struct Settled {
     /// `Some((window, deadline))`: the trace never went quiet.
-    pub unquiet: Option<(SimDuration, SimDuration)>,
+    pub(crate) unquiet: Option<(SimDuration, SimDuration)>,
     /// What followed a fresh directory from the config service; `None`
     /// when it never answered, which leaves invariants 2-7 unchecked.
-    pub directory: Option<Answers>,
-    pub slow_windows: Vec<SlowWindow>,
+    pub(crate) directory: Option<Answers>,
+    pub(crate) slow_windows: Vec<SlowWindow>,
     /// Every `NodeFailure` diagnosis in the trace.
-    pub dead_verdicts: Vec<(NodeId, SimTime)>,
+    pub(crate) dead_verdicts: Vec<(NodeId, SimTime)>,
     /// Each live GSD's quarantine view once all slowness healed (gathered
     /// only with the fail-slow detector on).
-    pub quarantines: Vec<(PartitionId, Vec<PartitionId>)>,
+    pub(crate) quarantines: Vec<(PartitionId, Vec<PartitionId>)>,
 }
 
-pub struct Answers {
+pub(crate) struct Answers {
     /// Whom the WD of every up node heartbeats.
-    pub wiring: Vec<(NodeId, Wiring)>,
+    pub(crate) wiring: Vec<(NodeId, Wiring)>,
     /// A step killed a live GSD (directly or by crashing its node).
-    pub gsd_died: bool,
+    pub(crate) gsd_died: bool,
     /// No network fault and no baseline loss: nothing but a death may raise
     /// suspicion.
-    pub clean_network: bool,
+    pub(crate) clean_network: bool,
     /// Growth of the `gsd.takeover` histogram over the run.
-    pub takeovers: u64,
-    pub bulletin: Bulletin,
+    pub(crate) takeovers: u64,
+    pub(crate) bulletin: Bulletin,
     /// Per partition with a live event service, whether its consumer got
     /// the published event.
-    pub deliveries: Vec<(PartitionId, bool)>,
+    pub(crate) deliveries: Vec<(PartitionId, bool)>,
     /// Spans still open, and marks younger than 5 virtual seconds.
-    pub marks: (usize, usize),
-    pub node_count: usize,
-    pub pool: ArenaStats,
-    pub queued: usize,
+    pub(crate) marks: (usize, usize),
+    pub(crate) node_count: usize,
+    pub(crate) pool: ArenaStats,
+    pub(crate) queued: usize,
 }
 
-pub enum Wiring {
+pub(crate) enum Wiring {
     /// The node is missing from the service directory.
     Unlisted,
     WdDead(Pid),
@@ -187,25 +187,25 @@ pub enum Wiring {
     },
 }
 
-pub struct Bulletin {
-    pub pid: Pid,
+pub(crate) struct Bulletin {
+    pub(crate) pid: Pid,
     /// `Some(complete)` of the last answer.
-    pub answer: Option<bool>,
+    pub(crate) answer: Option<bool>,
     /// Nodes with a resource entry in any answer.
-    pub seen: Vec<NodeId>,
+    pub(crate) seen: Vec<NodeId>,
     /// Nodes up once the query was over.
-    pub up: Vec<NodeId>,
+    pub(crate) up: Vec<NodeId>,
 }
 
 /// One fail-slow episode as applied to the world. `clean` means no network
 /// fault touched the node (or the whole network) while it was slow, so a
 /// dead-diagnosis inside the window is unambiguously a false positive of
 /// the fail-stop pipeline — the node was answering the whole time, late.
-pub struct SlowWindow {
-    pub node: NodeId,
-    pub from: SimTime,
-    pub to: Option<SimTime>,
-    pub clean: bool,
+pub(crate) struct SlowWindow {
+    pub(crate) node: NodeId,
+    pub(crate) from: SimTime,
+    pub(crate) to: Option<SimTime>,
+    pub(crate) clean: bool,
 }
 
 // ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ fn outlived<'a>(obs: &'a Observed, beats: u64) -> Option<&'a Split<'a>> {
 /// side's reachable votes come from the partitions whose live GSDs
 /// actually sit on it — a migrated GSD votes where it runs, not where its
 /// home server is.
-pub fn side_wins(obs: &Observed, split: &Split, votes: &Votes, inside: bool) -> bool {
+pub(crate) fn side_wins(obs: &Observed, split: &Split, votes: &Votes, inside: bool) -> bool {
     let here = |n: NodeId| on_island(split.island, n) == inside;
     let weights = &votes.table.weights;
     let weight = |p: PartitionId| -> u32 {

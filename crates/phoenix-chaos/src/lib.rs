@@ -28,9 +28,9 @@
 //! * [`shrink`] — from a failing seed to a reproducer: `shrink`, the replay
 //!   spec and command, and `run_seed`, the one per-seed sweep driver.
 
-pub mod invariants;
-pub mod run;
-pub mod schedule;
+pub(crate) mod invariants;
+pub(crate) mod run;
+pub(crate) mod schedule;
 pub mod shrink;
 
 pub use invariants::Violation;
@@ -198,7 +198,7 @@ impl ChaosConfig {
     /// The paper's testbed shape (8 partitions x 17 nodes) with the paper's
     /// 30 s heartbeat. Virtual time is cheap; wall-clock cost comes from
     /// node count, so this is the `--seeds`-few deep configuration.
-    pub fn paper() -> ChaosConfig {
+    pub(crate) fn paper() -> ChaosConfig {
         ChaosConfig {
             partitions: 8,
             nodes_per_partition: 17,
@@ -219,7 +219,7 @@ impl ChaosConfig {
 /// A named configuration: the command-line flag that selects it, and its
 /// constructor. `chaos`, `chaos_sweep`, the differential suite and every
 /// printed replay command name a configuration by its flag.
-pub type Preset = (&'static str, fn() -> ChaosConfig);
+pub(crate) type Preset = (&'static str, fn() -> ChaosConfig);
 
 /// `--lossy` takes its loss rate as an argument; the table lists it at the
 /// one rate the pinned seeds, the ratchet and the benchmark use.

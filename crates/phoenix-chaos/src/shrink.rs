@@ -13,7 +13,7 @@ use crate::{fmt_ns, full_mask, run_schedule, ChaosConfig, RunOutcome, MAX_STEPS}
 #[derive(Clone, Copy, Debug)]
 pub struct ShrinkOutcome {
     /// Minimal failing mask found.
-    pub mask: u64,
+    pub(crate) mask: u64,
     /// Steps remaining in the minimal schedule.
     pub steps: usize,
     /// Schedule executions spent shrinking.

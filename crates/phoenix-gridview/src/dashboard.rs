@@ -17,7 +17,7 @@ fn bar(frac: f64, width: usize) -> String {
 }
 
 /// Render a snapshot and the tail of the event feed.
-pub fn render(snapshot: &Snapshot, feed: &[FeedItem]) -> String {
+pub(crate) fn render(snapshot: &Snapshot, feed: &[FeedItem]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "=== Phoenix GridView — system status ===");
     let _ = writeln!(
@@ -62,7 +62,7 @@ pub fn render(snapshot: &Snapshot, feed: &[FeedItem]) -> String {
 /// Render the kernel-telemetry panel from this thread's metrics registry:
 /// one line per instrumented latency path (count, p50/p99 in µs) and one
 /// per counter. The admin console view of `phoenix_telemetry`.
-pub fn render_telemetry() -> String {
+pub(crate) fn render_telemetry() -> String {
     phoenix_telemetry::with(|reg| {
         let mut out = String::new();
         let _ = writeln!(out, "--- kernel telemetry ---");

@@ -14,8 +14,9 @@
 //! paper's Fig 6 shows average memory / CPU / swap), keeps a rolling event
 //! feed, and renders a text dashboard (our stand-in for the GUI).
 
-pub mod dashboard;
+pub(crate) mod dashboard;
 
+use phoenix_kernel::ALARM_CPU;
 use phoenix_proto::{
     BulletinKey, BulletinQuery, BulletinValue, ConsumerReg, EventFilter, EventType, KernelMsg,
     PartitionId, RequestId,
@@ -30,40 +31,39 @@ const TOK_REFRESH: u64 = 1;
 /// One dashboard snapshot: what Fig 6 displays.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
-    pub at_ns: u64,
+    pub(crate) at_ns: u64,
     pub nodes_reporting: usize,
-    pub avg_cpu: f64,
-    pub avg_memory: f64,
-    pub avg_swap: f64,
-    pub max_cpu: f64,
-    pub overloaded_nodes: usize,
+    pub(crate) avg_cpu: f64,
+    pub(crate) avg_memory: f64,
+    pub(crate) avg_swap: f64,
+    pub(crate) max_cpu: f64,
+    pub(crate) overloaded_nodes: usize,
     /// Whether the last federation pull was complete.
     pub complete: bool,
-    pub running_apps: usize,
+    pub(crate) running_apps: usize,
 }
 
 /// A line in the event feed.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FeedItem {
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     pub etype: EventType,
-    pub origin: NodeId,
+    pub(crate) origin: NodeId,
 }
 
 /// Shared state the driving code can read while the simulation runs.
 #[derive(Default)]
-pub struct GvState {
-    pub snapshot: Snapshot,
-    pub history: Vec<Snapshot>,
-    pub feed: Vec<FeedItem>,
-    pub refreshes: u64,
-    pub events_received: u64,
+pub(crate) struct GvState {
+    pub(crate) snapshot: Snapshot,
+    pub(crate) history: Vec<Snapshot>,
+    pub(crate) feed: Vec<FeedItem>,
+    pub(crate) refreshes: u64,
+    pub(crate) events_received: u64,
 }
 
 /// Handle to a spawned GridView.
 #[derive(Clone)]
 pub struct GridViewHandle {
-    pub pid: Pid,
     state: Rc<RefCell<GvState>>,
 }
 
@@ -113,7 +113,6 @@ pub struct GridView {
     config: Pid,
     home_partition: PartitionId,
     refresh: SimDuration,
-    alarm_cpu: f64,
     state: Rc<RefCell<GvState>>,
     next_req: u64,
     /// Refresh request currently awaiting a reply.
@@ -152,13 +151,12 @@ impl GridView {
             config,
             home_partition,
             refresh,
-            alarm_cpu: 0.95,
             state: state.clone(),
             next_req: 0,
             awaiting: None,
         };
-        let pid = world.spawn(node, Box::new(gv));
-        GridViewHandle { pid, state }
+        world.spawn(node, Box::new(gv));
+        GridViewHandle { state }
     }
 
     fn pull(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
@@ -249,7 +247,7 @@ impl GridView {
             avg_memory: sum.1 / n,
             avg_swap: sum.2 / n,
             max_cpu: sum.3,
-            overloaded_nodes: per_node.values().filter(|u| u.cpu >= self.alarm_cpu).count(),
+            overloaded_nodes: per_node.values().filter(|u| u.cpu >= ALARM_CPU).count(),
             complete,
             running_apps,
         };

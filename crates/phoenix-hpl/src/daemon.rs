@@ -9,7 +9,6 @@
 //! the knob. The paper's result (Table 4: 97–102 % of baseline, "little
 //! impact") corresponds to a sub-percent duty cycle.
 
-use std::sync::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -49,9 +48,8 @@ impl DaemonLoad {
 /// Running daemon set; stops and joins on drop.
 pub struct DaemonSet {
     stop: Arc<AtomicBool>,
+    /// One per daemon; each returns how many busy rounds it ran.
     handles: Vec<JoinHandle<u64>>,
-    /// Total busy-work iterations, for sanity checks.
-    pub work_done: Arc<Mutex<u64>>,
 }
 
 /// Spin for roughly `busy` doing arithmetic that will not be optimized out.
@@ -69,41 +67,35 @@ fn busy_work(busy: Duration) -> u64 {
 /// Start the daemon set.
 pub fn start(load: &DaemonLoad) -> DaemonSet {
     let stop = Arc::new(AtomicBool::new(false));
-    let work_done = Arc::new(Mutex::new(0u64));
     let mut handles = Vec::with_capacity(load.daemons);
     for d in 0..load.daemons {
         let stop = stop.clone();
-        let work_done = work_done.clone();
         let interval = load.interval;
         let busy = load.busy;
         handles.push(std::thread::spawn(move || {
             // Stagger daemons so their bursts do not align.
             std::thread::sleep(interval.mul_f64(d as f64 / 3.0));
-            let mut acc = 0u64;
+            let mut rounds = 0u64;
             while !stop.load(Ordering::Relaxed) {
-                acc = acc.wrapping_add(busy_work(busy));
-                *work_done.lock().unwrap() += 1;
+                std::hint::black_box(busy_work(busy));
+                rounds += 1;
                 std::thread::sleep(interval);
             }
-            acc
+            rounds
         }));
     }
-    DaemonSet {
-        stop,
-        handles,
-        work_done,
-    }
+    DaemonSet { stop, handles }
 }
 
 impl DaemonSet {
-    /// Stop and join all daemons.
-    pub fn stop(mut self) -> u64 {
+    /// Stop and join all daemons; returns the busy rounds they ran.
+    pub(crate) fn stop(mut self) -> u64 {
         self.stop.store(true, Ordering::Relaxed);
-        let mut acc = 0u64;
+        let mut rounds = 0u64;
         for h in self.handles.drain(..) {
-            acc = acc.wrapping_add(h.join().unwrap_or(0));
+            rounds += h.join().unwrap_or(0);
         }
-        acc
+        rounds
     }
 }
 
@@ -135,8 +127,7 @@ mod tests {
             busy: Duration::from_micros(100),
         });
         std::thread::sleep(Duration::from_millis(60));
-        let done = *set.work_done.lock().unwrap();
-        set.stop();
+        let done = set.stop();
         assert!(done >= 4, "daemons woke several times, got {done}");
     }
 }

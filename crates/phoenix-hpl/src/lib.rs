@@ -13,9 +13,9 @@
 //! * [`measure_impact`] — runs the kernel with and without the daemons
 //!   and reports the ratio, i.e. a Table 4 row.
 
-pub mod daemon;
-pub mod lu;
-pub mod matrix;
+pub(crate) mod daemon;
+pub(crate) mod lu;
+pub(crate) mod matrix;
 
 pub use daemon::{start as start_daemons, DaemonLoad, DaemonSet};
 pub use lu::{lu_factor, lu_solve, LuResult, DEFAULT_NB};

@@ -22,8 +22,7 @@ pub struct LuResult {
     /// Row permutation: `pivots[k]` is the row swapped into row `k` at
     /// step `k`.
     pub pivots: Vec<usize>,
-    pub seconds: f64,
-    pub gflops: f64,
+    pub(crate) seconds: f64,
 }
 
 /// Factor `a` in place (L below the unit diagonal, U on and above) using
@@ -98,12 +97,9 @@ pub fn lu_factor(a: &mut Matrix, threads: usize, nb: usize) -> LuResult {
         k += kb;
     }
 
-    let seconds = start.elapsed().as_secs_f64();
-    let flops = 2.0 / 3.0 * (n as f64).powi(3);
     LuResult {
         pivots,
-        seconds,
-        gflops: flops / seconds / 1e9,
+        seconds: start.elapsed().as_secs_f64(),
     }
 }
 
@@ -224,7 +220,7 @@ mod tests {
     fn gflops_reported_positive() {
         let mut a = Matrix::random(48, 5);
         let r = lu_factor(&mut a, 1, 16);
-        assert!(r.gflops > 0.0);
+        // `measure_impact` turns the elapsed time into GFLOP/s.
         assert!(r.seconds > 0.0);
     }
 }

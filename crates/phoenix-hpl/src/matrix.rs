@@ -5,14 +5,14 @@ use phoenix_sim::SimRng;
 /// A dense `n × n` matrix in column-major order.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Matrix {
-    pub n: usize,
+    pub(crate) n: usize,
     /// Column-major storage: element `(i, j)` at `data[j * n + i]`.
     pub data: Vec<f64>,
 }
 
 impl Matrix {
     /// Zero matrix.
-    pub fn zeros(n: usize) -> Matrix {
+    pub(crate) fn zeros(n: usize) -> Matrix {
         Matrix {
             n,
             data: vec![0.0; n * n],
@@ -54,18 +54,6 @@ impl Matrix {
         }
         y
     }
-
-    /// Infinity norm (max absolute row sum).
-    pub fn norm_inf(&self) -> f64 {
-        let n = self.n;
-        let mut rowsum = vec![0.0f64; n];
-        for j in 0..n {
-            for i in 0..n {
-                rowsum[i] += self.get(i, j).abs();
-            }
-        }
-        rowsum.into_iter().fold(0.0, f64::max)
-    }
 }
 
 /// Infinity norm of a vector.
@@ -104,10 +92,6 @@ mod tests {
 
     #[test]
     fn norms() {
-        let mut m = Matrix::zeros(2);
-        m.set(0, 0, -3.0);
-        m.set(0, 1, 4.0);
-        assert_eq!(m.norm_inf(), 7.0);
         assert_eq!(vec_norm_inf(&[1.0, -9.0, 2.0]), 9.0);
     }
 }

@@ -31,8 +31,6 @@ pub struct PhoenixCluster {
     pub params: KernelParams,
     pub directory: ServiceDirectory,
     pub registry: SharedRegistry,
-    /// Signing key of the security service (tests mint tokens through it).
-    pub security_key: u64,
 }
 
 impl PhoenixCluster {
@@ -115,7 +113,7 @@ pub struct GsdView {
 }
 
 /// Default user accounts installed at boot.
-pub fn default_accounts() -> Vec<(&'static str, &'static str, Role)> {
+pub(crate) fn default_accounts() -> Vec<(&'static str, &'static str, Role)> {
     vec![
         ("constructor", "c0nstruct", Role::SystemConstructor),
         ("admin", "adm1n", Role::SystemAdministrator),
@@ -300,7 +298,6 @@ pub fn boot_onto(
         params,
         directory,
         registry,
-        security_key,
     };
     (world, cluster)
 }
@@ -365,17 +362,19 @@ mod tests {
     fn registry_has_factories_for_all_partitions() {
         let topo = ClusterTopology::uniform(4, 3, 1);
         let (_w, cluster) = boot_and_stabilize(topo, KernelParams::fast(), 4);
-        let reg = cluster.registry.borrow();
+        let mut reg = cluster.registry.borrow_mut();
         for p in 0..4u32 {
+            let partition = phoenix_proto::PartitionId(p);
+            let local = *cluster.directory.partition(partition).unwrap();
+            let action = phoenix_sim::RecoveryAction::RestartedInPlace;
+            let args = crate::federation::respawn_args(&local, &[local], action, &cluster.params);
             for kind in [
                 ServiceKind::Event,
                 ServiceKind::DataBulletin,
                 ServiceKind::Checkpoint,
             ] {
-                assert!(reg.contains(&kernel_factory_key(
-                    kind,
-                    phoenix_proto::PartitionId(p)
-                )));
+                let key = kernel_factory_key(kind, partition);
+                assert!(reg.build(&key, &args).is_some(), "no factory for {key}");
             }
         }
     }

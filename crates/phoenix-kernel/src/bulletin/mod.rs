@@ -41,7 +41,7 @@ struct PendingQuery {
 }
 
 /// The data-bulletin actor.
-pub struct DataBulletin {
+pub(crate) struct DataBulletin {
     member: Member,
     params: KernelParams,
     entries: BTreeMap<phoenix_proto::BulletinKey, (phoenix_proto::BulletinValue, u64)>,
@@ -56,7 +56,7 @@ pub struct DataBulletin {
 
 impl DataBulletin {
     /// Boot-time instance.
-    pub fn new(partition: PartitionId, params: KernelParams) -> Self {
+    pub(crate) fn new(partition: PartitionId, params: KernelParams) -> Self {
         let key = kernel_factory_key(KIND, partition);
         let member = Member::new(KIND, key, MemberInfo::unwired(partition));
         Self::with(member, params)
@@ -64,7 +64,7 @@ impl DataBulletin {
 
     /// Respawned instance; restores its soft state from checkpoint so it
     /// can answer queries before detectors re-push.
-    pub fn respawn(args: &RespawnArgs) -> Self {
+    pub(crate) fn respawn(args: &RespawnArgs) -> Self {
         let member = Member::respawn(KIND, kernel_factory_key(KIND, args.partition), args);
         Self::with(member, args.params.clone())
     }
@@ -101,17 +101,6 @@ impl DataBulletin {
     fn save_state(&self, ctx: &mut Ctx<'_, KernelMsg>) {
         let entries = self.entries().collect();
         self.member.save(ctx, CheckpointData::Bulletin { entries });
-    }
-
-    /// Read-only snapshot of the locally stored entries (introspection
-    /// for the chaos harness's ground-truth comparison).
-    pub fn snapshot(&self) -> Vec<BulletinEntry> {
-        self.entries().collect()
-    }
-
-    /// Partition this instance serves.
-    pub fn partition_id(&self) -> PartitionId {
-        self.member.partition()
     }
 
     fn finish_query(&mut self, ctx: &mut Ctx<'_, KernelMsg>, fed: u64, complete: bool) {

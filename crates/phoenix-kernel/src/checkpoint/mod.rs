@@ -34,10 +34,10 @@ const TOK_SYNC_TIMEOUT: u64 = 2;
 const TOK_SYNC_RETRY: u64 = 3;
 
 /// Key of a checkpointed snapshot: which service instance saved it.
-pub type CkKey = (ServiceKind, PartitionId);
+pub(crate) type CkKey = (ServiceKind, PartitionId);
 
 /// The checkpoint-service actor.
-pub struct CheckpointService {
+pub(crate) struct CheckpointService {
     member: Member,
     params: KernelParams,
     store: BTreeMap<CkKey, Shared<CheckpointData>>,
@@ -52,7 +52,7 @@ pub struct CheckpointService {
 impl CheckpointService {
     /// A boot-time instance: wired later by the `Boot` message; starts
     /// synced (there is nothing to recover).
-    pub fn new(partition: PartitionId, params: KernelParams) -> Self {
+    pub(crate) fn new(partition: PartitionId, params: KernelParams) -> Self {
         let key = kernel_factory_key(KIND, partition);
         let member = Member::new(KIND, key, MemberInfo::unwired(partition));
         Self::with(member, params)
@@ -60,7 +60,7 @@ impl CheckpointService {
 
     /// A respawned instance: the store starts empty and is pulled from the
     /// surviving federation members, if there are any.
-    pub fn respawn(args: &RespawnArgs) -> Self {
+    pub(crate) fn respawn(args: &RespawnArgs) -> Self {
         let member = Member::respawn(KIND, kernel_factory_key(KIND, args.partition), args);
         Self::with(member, args.params.clone())
     }
@@ -355,7 +355,7 @@ mod tests {
         // answers only once a peer's `CkSyncResp` has filled it.
         w.kill_process(members[2].checkpoint);
         let action = RecoveryAction::RestartedInPlace;
-        let args = respawn_args(KIND, &members[2], &members, action, &KernelParams::fast());
+        let args = respawn_args(&members[2], &members, action, &KernelParams::fast());
         let respawned = Box::new(CheckpointService::respawn(&args));
         members[2].checkpoint = w.spawn(NodeId(2), respawned);
         assert_eq!(loads(&mut w, &members, &client), everywhere);

@@ -68,11 +68,6 @@ impl ClientHandle {
         self.drain().into_iter().find_map(|(_, m)| pick(m))
     }
 
-    /// True if no messages are waiting.
-    pub fn is_empty(&self) -> bool {
-        self.inbox.borrow().is_empty()
-    }
-
     /// Take all received messages.
     pub fn drain(&self) -> Vec<(Pid, KernelMsg)> {
         self.inbox.borrow_mut().drain(..).collect()
@@ -112,6 +107,6 @@ mod tests {
             },
         );
         assert_eq!(echoed, Some(phoenix_proto::RequestId(5)));
-        assert!(client.is_empty());
+        assert!(client.drain().is_empty());
     }
 }

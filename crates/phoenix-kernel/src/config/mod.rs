@@ -61,7 +61,7 @@ pub struct ConfigService {
 }
 
 impl ConfigService {
-    pub fn new(topology: ClusterTopology, params: KernelParams) -> Self {
+    pub(crate) fn new(topology: ClusterTopology, params: KernelParams) -> Self {
         ConfigService {
             topology,
             params,
@@ -77,13 +77,6 @@ impl ConfigService {
     /// Partitions currently flagged stale by a regroup round (sorted).
     pub fn stale_partitions(&self) -> Vec<phoenix_proto::PartitionId> {
         self.stale.iter().copied().collect()
-    }
-
-    /// The regroup witness last reported by the majority side, with its
-    /// witness epoch. `None` until a failover has been reported (the
-    /// initial witness is implicit in the vote-table configuration).
-    pub fn regroup_witness(&self) -> Option<(phoenix_proto::PartitionId, u64)> {
-        self.witness
     }
 
     /// Spacing between wiring re-assertions: 4× the retry base keeps them
@@ -420,17 +413,17 @@ mod tests {
         client.send(&mut w, cfg, report("2:1"));
         w.run_for(SimDuration::from_millis(5));
         let svc = w.actor_as::<ConfigService>(cfg).unwrap();
-        assert_eq!(svc.regroup_witness(), Some((phoenix_proto::PartitionId(2), 1)));
+        assert_eq!(svc.witness, Some((phoenix_proto::PartitionId(2), 1)));
         // A stale duplicate (same epoch) must not roll the view back.
         client.send(&mut w, cfg, report("0:1"));
         client.send(&mut w, cfg, report("garbage"));
         w.run_for(SimDuration::from_millis(5));
         let svc = w.actor_as::<ConfigService>(cfg).unwrap();
-        assert_eq!(svc.regroup_witness(), Some((phoenix_proto::PartitionId(2), 1)));
+        assert_eq!(svc.witness, Some((phoenix_proto::PartitionId(2), 1)));
         client.send(&mut w, cfg, report("3:2"));
         w.run_for(SimDuration::from_millis(5));
         let svc = w.actor_as::<ConfigService>(cfg).unwrap();
-        assert_eq!(svc.regroup_witness(), Some((phoenix_proto::PartitionId(3), 2)));
+        assert_eq!(svc.witness, Some((phoenix_proto::PartitionId(3), 2)));
     }
 
     #[test]

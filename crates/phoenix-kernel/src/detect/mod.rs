@@ -25,6 +25,17 @@ use std::collections::HashMap;
 
 const TOK_SAMPLE: u64 = 1;
 
+/// CPU fraction at or above which a node is overloaded: the detector
+/// publishes a ResourceAlarm, and GridView counts the node in its banner.
+pub const ALARM_CPU: f64 = 0.95;
+/// Baseline OS load on an idle node (CPU fraction).
+const BASE_CPU_LOAD: f64 = 0.02;
+/// Baseline memory footprint of the OS (fraction).
+const BASE_MEM_LOAD: f64 = 0.15;
+/// Baseline swap usage (fraction); the paper's Fig 6 snapshot shows
+/// 0.72 % average swap.
+const BASE_SWAP_LOAD: f64 = 0.0072;
+
 /// A tracked application instance on this node.
 struct TrackedApp {
     pid: Pid,
@@ -33,7 +44,7 @@ struct TrackedApp {
 }
 
 /// The per-node detector actor.
-pub struct Detector {
+pub(crate) struct Detector {
     node: NodeId,
     partition: PartitionId,
     params: KernelParams,
@@ -49,7 +60,7 @@ pub struct Detector {
 }
 
 impl Detector {
-    pub fn new(node: NodeId, partition: PartitionId, params: KernelParams) -> Self {
+    pub(crate) fn new(node: NodeId, partition: PartitionId, params: KernelParams) -> Self {
         Detector {
             node,
             partition,
@@ -68,9 +79,9 @@ impl Detector {
     fn compute_usage(&mut self, ctx: &mut Ctx<'_, KernelMsg>) -> ResourceUsage {
         // Small deterministic jitter models OS noise.
         let jitter = ctx.rng().gen_range(-0.005..0.005);
-        let mut cpu = self.params.base_cpu_load + jitter;
-        let mut mem = self.params.base_mem_load;
-        let swap = self.params.base_swap_load;
+        let mut cpu = BASE_CPU_LOAD + jitter;
+        let mut mem = BASE_MEM_LOAD;
+        let swap = BASE_SWAP_LOAD;
         // Summed in job order: float addition is order-sensitive and
         // `apps` is a HashMap, so hash order would make usage (and every
         // decision derived from it) differ run to run.
@@ -154,7 +165,7 @@ impl Detector {
         ctx.send(self.bulletin, KernelMsg::DbPut { entries });
 
         // Resource alarming (GridView's "System Overload" banner).
-        if usage.cpu >= self.params.alarm_cpu && !self.alarm_active {
+        if usage.cpu >= ALARM_CPU && !self.alarm_active {
             self.alarm_active = true;
             let event = Event::new(
                 EventType::ResourceAlarm,
@@ -162,7 +173,7 @@ impl Detector {
                 EventPayload::Metric(usage.cpu),
             );
             ctx.send(self.event, KernelMsg::EsPublish { event });
-        } else if usage.cpu < self.params.alarm_cpu {
+        } else if usage.cpu < ALARM_CPU {
             self.alarm_active = false;
         }
     }

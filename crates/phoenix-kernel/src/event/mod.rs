@@ -30,7 +30,7 @@ const TOK_RESTORE_TIMEOUT: u64 = 2;
 const SEQ_SAVE_STRIDE: u64 = 16;
 
 /// The event-service actor.
-pub struct EventService {
+pub(crate) struct EventService {
     member: Member,
     params: KernelParams,
     consumers: Vec<ConsumerReg>,
@@ -42,7 +42,7 @@ pub struct EventService {
 
 impl EventService {
     /// Boot-time instance; wired by the `Boot` message.
-    pub fn new(partition: PartitionId, params: KernelParams) -> Self {
+    pub(crate) fn new(partition: PartitionId, params: KernelParams) -> Self {
         let key = kernel_factory_key(KIND, partition);
         let member = Member::new(KIND, key, MemberInfo::unwired(partition));
         Self::with(member, params)
@@ -50,7 +50,7 @@ impl EventService {
 
     /// Respawned instance: restores registrations from the checkpoint
     /// service before resuming notification.
-    pub fn respawn(args: &RespawnArgs) -> Self {
+    pub(crate) fn respawn(args: &RespawnArgs) -> Self {
         let member = Member::respawn(KIND, kernel_factory_key(KIND, args.partition), args);
         Self::with(member, args.params.clone())
     }
@@ -396,6 +396,6 @@ mod tests {
             },
         );
         w.run_for(SimDuration::from_millis(5));
-        assert!(client.is_empty());
+        assert!(client.drain().is_empty());
     }
 }

@@ -89,7 +89,7 @@ impl Member {
         }
     }
 
-    pub fn partition(&self) -> PartitionId {
+    pub(crate) fn partition(&self) -> PartitionId {
         self.info.partition
     }
 
@@ -98,16 +98,16 @@ impl Member {
         &self.info
     }
 
-    pub fn peers(&self) -> &[(PartitionId, Pid)] {
+    pub(crate) fn peers(&self) -> &[(PartitionId, Pid)] {
         &self.peers
     }
 
-    pub fn peer_pids(&self) -> impl Iterator<Item = Pid> + '_ {
+    pub(crate) fn peer_pids(&self) -> impl Iterator<Item = Pid> + '_ {
         self.peers.iter().map(|&(_, pid)| pid)
     }
 
     /// Does this instance know its supervisor yet?
-    pub fn wired(&self) -> bool {
+    pub(crate) fn wired(&self) -> bool {
         self.info.gsd != Pid(0)
     }
 
@@ -126,7 +126,7 @@ impl Member {
     }
 
     /// [`wire`](Self::wire) from the boot directory.
-    pub fn wire_boot(&mut self, dir: &ServiceDirectory) {
+    pub(crate) fn wire_boot(&mut self, dir: &ServiceDirectory) {
         let local = dir.partition(self.info.partition).copied();
         self.wire(local.unwrap_or(self.info), &dir.partitions);
     }
@@ -188,7 +188,7 @@ impl Member {
 
 /// Save `data` under `(kind, partition)` at the partition's checkpoint
 /// instance.
-pub fn ck_save(
+pub(crate) fn ck_save(
     ctx: &mut Ctx<'_, KernelMsg>,
     local: &MemberInfo,
     kind: ServiceKind,
@@ -205,7 +205,7 @@ pub fn ck_save(
 }
 
 /// Ask the partition's checkpoint instance for `(kind, partition)`.
-pub fn ck_load(ctx: &mut Ctx<'_, KernelMsg>, local: &MemberInfo, kind: ServiceKind) {
+pub(crate) fn ck_load(ctx: &mut Ctx<'_, KernelMsg>, local: &MemberInfo, kind: ServiceKind) {
     ctx.send(
         local.checkpoint,
         KernelMsg::CkLoad {
@@ -218,17 +218,14 @@ pub fn ck_load(ctx: &mut Ctx<'_, KernelMsg>, local: &MemberInfo, kind: ServiceKi
 
 /// What a factory gets to rebuild a `kind` instance under the GSD
 /// described by `local`.
-pub fn respawn_args(
-    kind: ServiceKind,
+pub(crate) fn respawn_args(
     local: &MemberInfo,
     members: &[MemberInfo],
     action: RecoveryAction,
     params: &KernelParams,
 ) -> RespawnArgs {
     RespawnArgs {
-        kind,
         partition: local.partition,
-        node: local.node,
         gsd: local.gsd,
         checkpoint: local.checkpoint,
         members: members.to_vec(),
@@ -238,16 +235,16 @@ pub fn respawn_args(
 }
 
 /// Cost to restart the event service in place (Table 3: 0.12 s).
-pub const ES_RESTART_COST: SimDuration = SimDuration::from_millis(118);
+pub(crate) const ES_RESTART_COST: SimDuration = SimDuration::from_millis(118);
 /// Cost to restart a data-bulletin instance in place.
-pub const DB_RESTART_COST: SimDuration = SimDuration::from_millis(150);
+pub(crate) const DB_RESTART_COST: SimDuration = SimDuration::from_millis(150);
 /// Cost to restart a checkpoint instance in place.
-pub const CK_RESTART_COST: SimDuration = SimDuration::from_millis(150);
+pub(crate) const CK_RESTART_COST: SimDuration = SimDuration::from_millis(150);
 /// Cost to restart a user-environment service (PWS scheduler) in place.
-pub const USERENV_RESTART_COST: SimDuration = SimDuration::from_millis(200);
+pub(crate) const USERENV_RESTART_COST: SimDuration = SimDuration::from_millis(200);
 
 /// Virtual time a restart of a `kind` instance takes (paper Table 3).
-pub fn restart_cost(kind: ServiceKind) -> SimDuration {
+pub(crate) fn restart_cost(kind: ServiceKind) -> SimDuration {
     match kind {
         ServiceKind::Event => ES_RESTART_COST,
         ServiceKind::DataBulletin => DB_RESTART_COST,
@@ -264,15 +261,15 @@ struct Track {
 
 /// A registered member whose heartbeats stopped.
 #[derive(Debug, PartialEq, Eq)]
-pub struct Lapsed {
-    pub pid: Pid,
-    pub kind: ServiceKind,
-    pub factory: String,
+pub(crate) struct Lapsed {
+    pub(crate) pid: Pid,
+    pub(crate) kind: ServiceKind,
+    pub(crate) factory: String,
 }
 
 /// What a `SvcRegister` meant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Registered {
+pub(crate) enum Registered {
     /// Tracked; the partition's slots are unchanged.
     Tracked,
     /// An older instance than the live one holding the slot (left over
@@ -286,7 +283,7 @@ pub enum Registered {
 
 /// How a restored roster entry comes back under a respawned GSD.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Rejoin {
+pub(crate) enum Rejoin {
     /// The old instance survived: show it the partition view so it
     /// re-registers here.
     Rebind(Pid),
@@ -298,7 +295,7 @@ pub enum Rejoin {
 /// pid — every answer that drives sends, kills or spawns comes out in pid
 /// order, never in hash order.
 #[derive(Default)]
-pub struct Supervisor {
+pub(crate) struct Supervisor {
     tracks: BTreeMap<Pid, Track>,
     /// The user-environment roster changed since it was last checkpointed.
     roster_dirty: bool,
@@ -307,7 +304,7 @@ pub struct Supervisor {
 impl Supervisor {
     /// `pid` registers as a `kind` instance. For the federated kernel kinds
     /// the newest live pid owns the partition's slot in `local`.
-    pub fn on_register(
+    pub(crate) fn on_register(
         &mut self,
         local: &mut MemberInfo,
         kind: ServiceKind,
@@ -338,7 +335,7 @@ impl Supervisor {
         Registered::Adopted { displaced }
     }
 
-    pub fn on_heartbeat(&mut self, pid: Pid, now: SimTime) {
+    pub(crate) fn on_heartbeat(&mut self, pid: Pid, now: SimTime) {
         if let Some(t) = self.tracks.get_mut(&pid) {
             t.last = now;
         }
@@ -346,7 +343,7 @@ impl Supervisor {
 
     /// Drop every member silent for longer than `window` and report it,
     /// in pid order.
-    pub fn scan(&mut self, now: SimTime, window: SimDuration) -> Vec<Lapsed> {
+    pub(crate) fn scan(&mut self, now: SimTime, window: SimDuration) -> Vec<Lapsed> {
         let mut lapsed = Vec::new();
         self.tracks.retain(|&pid, t| {
             let stale = liveness::stale(now, t.last, window);
@@ -363,12 +360,12 @@ impl Supervisor {
     }
 
     /// Every tracked member, in pid order.
-    pub fn pids(&self) -> impl Iterator<Item = Pid> + '_ {
+    pub(crate) fn pids(&self) -> impl Iterator<Item = Pid> + '_ {
         self.tracks.keys().copied()
     }
 
     /// The tracked user-environment services, `(factory, pid)` in pid order.
-    pub fn roster(&self) -> impl Iterator<Item = (&str, Pid)> {
+    pub(crate) fn roster(&self) -> impl Iterator<Item = (&str, Pid)> {
         self.tracks
             .iter()
             .filter(|(_, t)| t.kind == ServiceKind::UserEnvironment)
@@ -376,13 +373,13 @@ impl Supervisor {
     }
 
     /// The roster to checkpoint, if it changed since this was last asked.
-    pub fn roster_to_save(&mut self) -> Option<Vec<(String, Pid)>> {
+    pub(crate) fn roster_to_save(&mut self) -> Option<Vec<(String, Pid)>> {
         std::mem::take(&mut self.roster_dirty)
             .then(|| self.roster().map(|(f, pid)| (f.to_string(), pid)).collect())
     }
 
     /// The steps that bring a checkpointed roster back, in roster order.
-    pub fn rejoin(roster: Vec<(String, Pid)>, alive: impl Fn(Pid) -> bool) -> Vec<Rejoin> {
+    pub(crate) fn rejoin(roster: Vec<(String, Pid)>, alive: impl Fn(Pid) -> bool) -> Vec<Rejoin> {
         let step = |(factory, pid)| match alive(pid) {
             true => Rejoin::Rebind(pid),
             false => Rejoin::Respawn(factory),
@@ -688,13 +685,7 @@ mod tests {
         let args = {
             let s = w.actor_as::<Sup>(sup).expect("supervisor introspectable");
             let action = RecoveryAction::RestartedInPlace;
-            respawn_args(
-                EVENT,
-                &s.local,
-                &[s.local, peer],
-                action,
-                &KernelParams::fast(),
-            )
+            respawn_args(&s.local, &[s.local, peer], action, &KernelParams::fast())
         };
         assert_eq!(
             (args.gsd, args.checkpoint, args.partition),

@@ -70,9 +70,9 @@ const TOK_REGROUP: u64 = 4;
 const TOK_REGROUP_RETRY: u64 = 5;
 /// Per-NIC heartbeat pattern analysis cost (Tables 1–2 network rows:
 /// 348 µs).
-pub const NIC_ANALYSIS_DELAY: SimDuration = SimDuration::from_micros(348);
+pub(crate) const NIC_ANALYSIS_DELAY: SimDuration = SimDuration::from_micros(348);
 /// Same-host failure classification cost (Table 3 process row: 12 µs).
-pub const LOCAL_DIAG_DELAY: SimDuration = SimDuration::from_micros(12);
+pub(crate) const LOCAL_DIAG_DELAY: SimDuration = SimDuration::from_micros(12);
 
 /// Telemetry key for a `gsd.takeover` mark/measure/unmark. Scoped by the
 /// observing pid, the partition, AND a per-plan sequence number: one
@@ -292,7 +292,7 @@ pub struct Gsd {
 
 impl Gsd {
     /// Boot-time GSD.
-    pub fn new(
+    pub(crate) fn new(
         partition: PartitionId,
         params: KernelParams,
         topology: ClusterTopology,
@@ -737,7 +737,7 @@ impl Gsd {
             ] {
                 let key = kernel_factory_key(kind, self.partition);
                 // Their peers are the rescuer's snapshot, as it held it.
-                let pid = self.respawn_service(ctx, kind, &key, action, &members);
+                let pid = self.respawn_service(ctx, &key, action, &members);
                 if let Some(slot) = self.local.service_mut(kind) {
                     *slot = pid.unwrap_or(Pid(0));
                 }
@@ -791,12 +791,11 @@ impl Gsd {
     fn respawn_service(
         &self,
         ctx: &mut Ctx<'_, KernelMsg>,
-        kind: ServiceKind,
         factory: &str,
         action: RecoveryAction,
         members: &[MemberInfo],
     ) -> Option<Pid> {
-        let args = federation::respawn_args(kind, &self.local, members, action, &self.params);
+        let args = federation::respawn_args(&self.local, members, action, &self.params);
         let actor = self.registry.borrow_mut().build(factory, &args)?;
         Some(ctx.spawn(ctx.node(), actor))
     }
@@ -1114,10 +1113,10 @@ impl Gsd {
                 let cost = federation::restart_cost(lapsed.kind);
                 self.schedule(ctx, cost, DelayedOp::RestartSvc(lapsed));
             }
-            DelayedOp::RestartSvc(Lapsed { kind, factory, .. }) => {
+            DelayedOp::RestartSvc(Lapsed { factory, .. }) => {
                 let action = RecoveryAction::RestartedInPlace;
                 let members = self.ring.members();
-                if self.respawn_service(ctx, kind, &factory, action, members).is_none() {
+                if self.respawn_service(ctx, &factory, action, members).is_none() {
                     milestone(ctx, "no-factory", 0.0);
                 }
             }
@@ -1944,9 +1943,8 @@ impl Actor<KernelMsg> for Gsd {
                     match step {
                         Rejoin::Rebind(pid) => ctx.send(pid, self.partition_view()),
                         Rejoin::Respawn(factory) => {
-                            let kind = ServiceKind::UserEnvironment;
                             let action = RecoveryAction::Migrated(ctx.node());
-                            self.respawn_service(ctx, kind, &factory, action, self.ring.members());
+                            self.respawn_service(ctx, &factory, action, self.ring.members());
                         }
                     }
                 }

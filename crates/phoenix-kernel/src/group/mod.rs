@@ -22,13 +22,13 @@
 
 pub(crate) mod dirsync;
 pub(crate) mod failover;
-pub mod flat;
-pub mod gsd;
+pub(crate) mod flat;
+pub(crate) mod gsd;
 pub(crate) mod liveness;
 pub(crate) mod probe;
-pub mod registry;
+pub(crate) mod registry;
 pub(crate) mod ring;
-pub mod wd;
+pub(crate) mod wd;
 
 pub use flat::FlatMember;
 pub use gsd::Gsd;

@@ -9,7 +9,7 @@
 
 use crate::params::KernelParams;
 use phoenix_proto::{KernelMsg, MemberInfo, PartitionId, ServiceKind};
-use phoenix_sim::{Actor, NodeId, Pid, RecoveryAction};
+use phoenix_sim::{Actor, Pid, RecoveryAction};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -17,17 +17,14 @@ use std::rc::Rc;
 /// Everything a factory needs to rebuild a service instance.
 #[derive(Clone, Debug)]
 pub struct RespawnArgs {
-    pub kind: ServiceKind,
     pub partition: PartitionId,
-    /// Node the replacement will run on.
-    pub node: NodeId,
     /// The supervising GSD.
-    pub gsd: Pid,
+    pub(crate) gsd: Pid,
     /// The partition's (possibly freshly spawned) checkpoint instance.
-    pub checkpoint: Pid,
+    pub(crate) checkpoint: Pid,
     /// Current meta-group membership (for federation peer lists).
-    pub members: Vec<MemberInfo>,
-    pub action: RecoveryAction,
+    pub(crate) members: Vec<MemberInfo>,
+    pub(crate) action: RecoveryAction,
     pub params: KernelParams,
 }
 
@@ -48,23 +45,12 @@ impl FactoryRegistry {
     }
 
     /// Build a replacement actor, if a recipe exists.
-    pub fn build(&mut self, key: &str, args: &RespawnArgs) -> Option<Box<dyn Actor<KernelMsg>>> {
+    pub(crate) fn build(
+        &mut self,
+        key: &str,
+        args: &RespawnArgs,
+    ) -> Option<Box<dyn Actor<KernelMsg>>> {
         self.map.get_mut(key).map(|f| f(args))
-    }
-
-    /// Is a recipe registered?
-    pub fn contains(&self, key: &str) -> bool {
-        self.map.contains_key(key)
-    }
-
-    /// Number of registered recipes.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no recipes are registered.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -94,9 +80,7 @@ mod tests {
 
     fn args() -> RespawnArgs {
         RespawnArgs {
-            kind: ServiceKind::Event,
             partition: PartitionId(0),
-            node: NodeId(0),
             gsd: Pid(1),
             checkpoint: Pid(2),
             members: vec![],
@@ -110,8 +94,6 @@ mod tests {
         let reg = shared_registry();
         reg.borrow_mut()
             .register("event:p0", Box::new(|_| Box::new(Nop)));
-        assert!(reg.borrow().contains("event:p0"));
-        assert_eq!(reg.borrow().len(), 1);
         let built = reg.borrow_mut().build("event:p0", &args());
         assert!(built.is_some());
         assert!(reg.borrow_mut().build("missing", &args()).is_none());

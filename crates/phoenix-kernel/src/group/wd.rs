@@ -41,7 +41,7 @@ const ACK_RESTART_WINDOW: u64 = 64;
 
 impl Wd {
     /// Boot-time WD; the GSD pid arrives via `Boot`.
-    pub fn new(node: NodeId, partition: PartitionId, params: FtParams) -> Self {
+    pub(crate) fn new(node: NodeId, partition: PartitionId, params: FtParams) -> Self {
         let nic = params.nic.clone();
         Wd {
             node,
@@ -57,7 +57,7 @@ impl Wd {
     }
 
     /// A WD restarted by its GSD after a process failure.
-    pub fn respawn(
+    pub(crate) fn respawn(
         node: NodeId,
         partition: PartitionId,
         params: FtParams,
@@ -105,14 +105,6 @@ impl Wd {
     /// the chaos harness's convergence invariant). `Pid(0)` before boot.
     pub fn gsd_pid(&self) -> Pid {
         self.gsd
-    }
-
-    /// Per-NIC health scores as observed from this WD's ack stream
-    /// (read-only introspection; all 1.0 when the layer is disabled).
-    pub fn nic_scores(&self) -> Vec<f64> {
-        (0..self.nic_health.nic_count())
-            .map(|i| self.nic_health.score(NicId(i as u8)))
-            .collect()
     }
 
     /// An ack for heartbeat `seq` came back over `nic`: the round trip on
@@ -322,7 +314,8 @@ mod tests {
             gsd.send(&mut w, wd_pid, KernelMsg::WdHeartbeatAck { nic: NicId(1), seq });
             w.run_for(SimDuration::from_millis(5));
         }
-        let scores = w.actor_as::<Wd>(wd_pid).unwrap().nic_scores();
+        let wd = w.actor_as::<Wd>(wd_pid).unwrap();
+        let scores: Vec<f64> = wd.nic_health.gauges().map(|(_, score)| score).collect();
         assert_eq!(scores[0], 1.0, "fully acked NIC stays perfect");
         assert!(scores[1] < scores[0], "gappy NIC scores below: {scores:?}");
         assert_eq!(scores[2], 1.0, "no evidence, no penalty");

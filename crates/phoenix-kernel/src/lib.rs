@@ -22,27 +22,28 @@
 //! paper's user environments (GridView, Phoenix-PWS) are built on.
 
 pub mod boot;
-pub mod bulletin;
-pub mod checkpoint;
+pub(crate) mod bulletin;
+pub(crate) mod checkpoint;
 pub mod client;
 pub mod config;
-pub mod detect;
-pub mod event;
+pub(crate) mod detect;
+pub(crate) mod event;
 pub mod federation;
 pub mod group;
-pub mod nic_health;
+pub(crate) mod nic_health;
 pub mod params;
 pub mod ppm;
 pub mod regroup;
-pub mod rpc;
+pub(crate) mod rpc;
 pub mod security;
-pub mod slow_detect;
+pub(crate) mod slow_detect;
 
 pub use boot::{
     boot_and_stabilize, boot_cluster, boot_cluster_custom, boot_cluster_with_net, boot_onto,
     PhoenixCluster,
 };
 pub use client::ClientHandle;
+pub use detect::ALARM_CPU;
 pub use nic_health::{HealthTransition, NicHealth, NicHealthParams};
 pub use params::{FtParams, KernelParams};
 pub use regroup::{Regroup, RegroupParams};

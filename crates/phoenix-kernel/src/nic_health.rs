@@ -48,7 +48,7 @@ const GAUGES: [&str; 4] = [
 pub struct NicHealthParams {
     /// Master switch: when false no acks are sent, no scores move, and
     /// routing falls back to the default first-healthy-NIC policy.
-    pub enabled: bool,
+    pub(crate) enabled: bool,
 }
 
 impl NicHealthParams {
@@ -106,30 +106,19 @@ impl NicHealth {
         }
     }
 
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.params.enabled
     }
 
-    pub fn nic_count(&self) -> usize {
+    pub(crate) fn nic_count(&self) -> usize {
         self.nics.len()
     }
 
-    pub fn score(&self, nic: NicId) -> f64 {
-        self.nics.get(nic.0 as usize).map(|n| n.score).unwrap_or(1.0)
-    }
-
     /// `(gauge name, score)` per interface; nothing while the layer is off.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
+    pub(crate) fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
         let n = if self.params.enabled { self.nics.len() } else { 0 };
         let named = |(i, nic): (usize, &NicState)| (GAUGES[i.min(GAUGES.len() - 1)], nic.score);
         self.nics[..n].iter().enumerate().map(named)
-    }
-
-    pub fn is_demoted(&self, nic: NicId) -> bool {
-        self.nics
-            .get(nic.0 as usize)
-            .map(|n| n.demoted)
-            .unwrap_or(false)
     }
 
     /// One message observed arriving over `nic`. Returns `Promoted` when
@@ -173,7 +162,7 @@ impl NicHealth {
     /// Interfaces ordered best-first: healthy before demoted, then by
     /// score (descending), ties broken by the lowest index so ordering is
     /// deterministic and the default NIC wins when everything is clean.
-    pub fn ranked(&self) -> Vec<NicId> {
+    pub(crate) fn ranked(&self) -> Vec<NicId> {
         let mut order: Vec<usize> = (0..self.nics.len()).collect();
         order.sort_by(|&a, &b| {
             let (sa, sb) = (&self.nics[a], &self.nics[b]);
@@ -188,7 +177,7 @@ impl NicHealth {
     /// The best interface satisfying `usable` (typically "up at both
     /// endpoints"); falls back through the ranking, `None` if nothing
     /// qualifies.
-    pub fn best_where<F: Fn(NicId) -> bool>(&self, usable: F) -> Option<NicId> {
+    pub(crate) fn best_where<F: Fn(NicId) -> bool>(&self, usable: F) -> Option<NicId> {
         self.ranked().into_iter().find(|&nic| usable(nic))
     }
 }
@@ -201,6 +190,11 @@ mod tests {
         NicHealth::new(NicHealthParams::lossy(), 3)
     }
 
+    /// Score of one interface as the owner publishes it (`gauges`).
+    fn score(h: &NicHealth, nic: NicId) -> f64 {
+        h.gauges().nth(nic.0 as usize).expect("layer enabled").1
+    }
+
     #[test]
     fn disabled_profile_is_inert() {
         let mut h = NicHealth::new(NicHealthParams::default(), 3);
@@ -208,15 +202,14 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(h.observe_misses(NicId(0), 5), None);
         }
-        assert_eq!(h.score(NicId(0)), 1.0);
-        assert!(!h.is_demoted(NicId(0)));
+        assert_eq!(h.gauges().count(), 0, "a disabled layer publishes nothing");
         assert_eq!(h.ranked(), vec![NicId(0), NicId(1), NicId(2)]);
     }
 
     #[test]
     fn scores_start_perfect_and_rank_by_index() {
         let h = lossy_health();
-        assert_eq!(h.score(NicId(0)), 1.0);
+        assert_eq!(score(&h, NicId(0)), 1.0);
         assert_eq!(h.ranked(), vec![NicId(0), NicId(1), NicId(2)]);
     }
 
@@ -226,14 +219,12 @@ mod tests {
         // alpha = 0.2: score after n misses = 0.8^n. 0.8^3 = 0.512,
         // 0.8^4 = 0.4096 < 0.5 — the 4th miss crosses the threshold.
         assert_eq!(h.observe_misses(NicId(1), 3), None);
-        assert!(!h.is_demoted(NicId(1)));
         assert_eq!(
             h.observe_misses(NicId(1), 1),
             Some(HealthTransition::Demoted(NicId(1)))
         );
         // Further misses do not re-announce.
         assert_eq!(h.observe_misses(NicId(1), 2), None);
-        assert!(h.is_demoted(NicId(1)));
         // The demoted NIC ranks last even against lower-scored healthy ones.
         assert_eq!(h.ranked(), vec![NicId(0), NicId(2), NicId(1)]);
     }
@@ -241,8 +232,10 @@ mod tests {
     #[test]
     fn promotion_needs_score_and_streak() {
         let mut h = lossy_health();
-        h.observe_misses(NicId(0), 4);
-        assert!(h.is_demoted(NicId(0)));
+        assert_eq!(
+            h.observe_misses(NicId(0), 4),
+            Some(HealthTransition::Demoted(NicId(0)))
+        );
         // Recover: score climbs back as deliveries arrive, but promotion
         // waits for both the score bar and the clean streak.
         let mut promoted_at = None;
@@ -258,8 +251,7 @@ mod tests {
             at >= PROMOTE_STREAK,
             "promotion before the {PROMOTE_STREAK}-delivery hysteresis window (at {at})"
         );
-        assert!(h.score(NicId(0)) > 0.8);
-        assert!(!h.is_demoted(NicId(0)));
+        assert!(score(&h, NicId(0)) > 0.8);
     }
 
     #[test]
@@ -274,7 +266,6 @@ mod tests {
         for _ in 0..7 {
             assert_eq!(h.observe_delivery(NicId(2)), None);
         }
-        assert!(h.is_demoted(NicId(2)), "streak must restart after a miss");
         let mut promoted = false;
         for _ in 0..4 {
             if h.observe_delivery(NicId(2)).is_some() {
@@ -289,8 +280,8 @@ mod tests {
         let mut h = lossy_health();
         h.observe_misses(NicId(0), u64::MAX);
         // Capped at MAX_MISSES_PER_GAP decays, not driven to 0.
-        assert!(h.score(NicId(0)) > 0.9f64.powi(30));
-        assert!((h.score(NicId(0)) - 0.8f64.powi(8)).abs() < 1e-12);
+        assert!(score(&h, NicId(0)) > 0.9f64.powi(30));
+        assert!((score(&h, NicId(0)) - 0.8f64.powi(8)).abs() < 1e-12);
     }
 
     #[test]
@@ -300,15 +291,15 @@ mod tests {
         // above 0.5 in steady state: fixed point of 0.9 delivery share).
         let mut h = lossy_health();
         for i in 0..1000u64 {
-            if i % 10 == 0 {
-                h.observe_misses(NicId(0), 1);
+            let edge = if i % 10 == 0 {
+                h.observe_misses(NicId(0), 1)
             } else {
-                h.observe_delivery(NicId(0));
-            }
+                h.observe_delivery(NicId(0))
+            };
+            assert_eq!(edge, None, "no demotion edge at step {i}");
             h.observe_delivery(NicId(1));
         }
-        assert!(!h.is_demoted(NicId(0)));
-        assert!(h.score(NicId(0)) < h.score(NicId(1)));
+        assert!(score(&h, NicId(0)) < score(&h, NicId(1)));
         assert_eq!(h.ranked()[0], NicId(1), "clean NIC preferred");
     }
 

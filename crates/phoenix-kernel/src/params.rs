@@ -25,34 +25,34 @@ pub struct FtParams {
     pub hb_interval: SimDuration,
     /// Extra slack past the interval before a heartbeat counts as missed
     /// (absorbs network latency and jitter).
-    pub hb_grace: SimDuration,
+    pub(crate) hb_grace: SimDuration,
     /// How often a GSD scans its heartbeat deadlines.
-    pub check_interval: SimDuration,
+    pub(crate) check_interval: SimDuration,
     /// Probe rounds used to confirm a process failure (node answers, the
     /// daemon does not).
-    pub probe_rounds: u32,
+    pub(crate) probe_rounds: u32,
     /// Spacing between probe rounds. `probe_rounds × spacing` reproduces
     /// the paper's ≈0.29 s process-fault diagnosing time.
-    pub probe_round_interval: SimDuration,
+    pub(crate) probe_round_interval: SimDuration,
     /// Silence window after which a WD-monitored node is declared dead
     /// (Table 1 node row: 2 s).
-    pub wd_node_probe_timeout: SimDuration,
+    pub(crate) wd_node_probe_timeout: SimDuration,
     /// Silence window for a meta-group neighbour's node (Tables 2–3 node
     /// rows: 0.3 s — the ring observer already has corroborating state).
-    pub meta_node_probe_timeout: SimDuration,
+    pub(crate) meta_node_probe_timeout: SimDuration,
     /// How many consecutive heartbeats must go missing (on every NIC)
     /// before the GSD suspects a peer. 1 reproduces the paper's
     /// single-deadline detector exactly; loss-tolerant profiles raise it so
     /// one dropped beat never starts a diagnosis.
-    pub suspect_beats: u32,
+    pub(crate) suspect_beats: u32,
     /// Re-check heartbeat freshness when a probe concludes and abort the
     /// diagnosis if beats resumed meanwhile (they were merely lost, not
     /// stopped). Off by default to keep the paper pipeline byte-identical.
-    pub probe_abort_on_fresh: bool,
+    pub(crate) probe_abort_on_fresh: bool,
     /// Per-NIC health scoring and adaptive routing (heartbeat acks, EWMA
     /// scores, best-NIC preference for probes/meta-ring traffic). Disabled
     /// by default so the paper pipeline stays byte-identical.
-    pub nic: NicHealthParams,
+    pub(crate) nic: NicHealthParams,
     /// MSCS-style quorum regroup (epochs, majority quorum, minority
     /// freeze). Disabled by default so the paper pipeline stays
     /// byte-identical; partition-tolerant profiles opt in.
@@ -100,7 +100,7 @@ impl FtParams {
 
     /// Fast profile hardened for a lossy network: suspicion only after
     /// several silent beats, and probes that abort when beats resume.
-    pub fn fast_lossy() -> FtParams {
+    pub(crate) fn fast_lossy() -> FtParams {
         FtParams {
             suspect_beats: 3,
             probe_abort_on_fresh: true,
@@ -113,7 +113,7 @@ impl FtParams {
     /// for every partition-fault scenario. The regroup round must conclude
     /// well before a suspicion ripens into a takeover, so a minority side
     /// freezes before the majority elects a replacement leader.
-    pub fn fast_partition() -> FtParams {
+    pub(crate) fn fast_partition() -> FtParams {
         FtParams {
             regroup: RegroupParams::fast(),
             ..FtParams::fast_lossy()
@@ -122,7 +122,7 @@ impl FtParams {
 
     /// Partition profile plus the weighted/witness vote table and the
     /// adaptive takeover delay: even splits keep exactly one side live.
-    pub fn fast_quorum() -> FtParams {
+    pub(crate) fn fast_quorum() -> FtParams {
         FtParams {
             regroup: RegroupParams::quorum(),
             ..FtParams::fast_lossy()
@@ -133,7 +133,7 @@ impl FtParams {
     /// hysteretic quarantine and the slow-leader handoff. Runs with the
     /// full regroup/vote machinery on so "slow ≠ down" is tested against
     /// the takeover licence, not in isolation.
-    pub fn fast_slow() -> FtParams {
+    pub(crate) fn fast_slow() -> FtParams {
         FtParams {
             slow: SlowDetectParams::slow(),
             ..FtParams::fast_quorum()
@@ -150,15 +150,6 @@ pub struct KernelParams {
     /// How long a bulletin waits for federation peers before answering a
     /// query with `complete = false`.
     pub fed_query_timeout: SimDuration,
-    /// CPU fraction above which the detector publishes a ResourceAlarm.
-    pub alarm_cpu: f64,
-    /// Baseline OS load on an idle node (CPU fraction).
-    pub base_cpu_load: f64,
-    /// Baseline memory footprint of the OS (fraction).
-    pub base_mem_load: f64,
-    /// Baseline swap usage (fraction); the paper's Fig 6 snapshot shows
-    /// 0.72 % average swap.
-    pub base_swap_load: f64,
     /// Retry policy for kernel request/reply paths (config, checkpoint,
     /// bulletin federation, event registration). The default policy makes
     /// no retries, preserving the original single-shot behaviour.
@@ -171,10 +162,6 @@ impl Default for KernelParams {
             ft: FtParams::default(),
             detector_sample: SimDuration::from_secs(10),
             fed_query_timeout: SimDuration::from_millis(500),
-            alarm_cpu: 0.95,
-            base_cpu_load: 0.02,
-            base_mem_load: 0.15,
-            base_swap_load: 0.0072,
             rpc: RetryPolicy::none(),
         }
     }

@@ -20,7 +20,7 @@ use phoenix_sim::{Actor, Ctx, NodeId, Pid, SimDuration, TraceEvent};
 use std::collections::HashMap;
 
 /// A simulated application process: one task of a job on one node.
-pub struct AppProc {
+pub(crate) struct AppProc {
     job: JobId,
     task: TaskSpec,
     detector: Pid,
@@ -117,7 +117,7 @@ pub fn delete(
 }
 
 /// The per-node PPM agent.
-pub struct PpmAgent {
+pub(crate) struct PpmAgent {
     node: NodeId,
     /// PPM agents of every node (for tree forwarding).
     table: HashMap<NodeId, Pid>,
@@ -131,7 +131,7 @@ pub struct PpmAgent {
 }
 
 impl PpmAgent {
-    pub fn new(node: NodeId) -> Self {
+    pub(crate) fn new(node: NodeId) -> Self {
         PpmAgent {
             node,
             table: HashMap::new(),

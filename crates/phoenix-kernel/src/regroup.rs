@@ -60,15 +60,15 @@ use std::collections::BTreeMap;
 /// How long a round collects acks before concluding. Must be shorter
 /// than the suspicion→diagnosis pipeline (probe rounds + node timeout) so
 /// a minority freezes *before* the majority elects a replacement leader.
-pub const ROUND_WINDOW: SimDuration = SimDuration::from_millis(60);
+pub(crate) const ROUND_WINDOW: SimDuration = SimDuration::from_millis(60);
 /// Spacing between heal-probe rounds while frozen.
-pub const FROZEN_RETRY: SimDuration = SimDuration::from_millis(400);
+pub(crate) const FROZEN_RETRY: SimDuration = SimDuration::from_millis(400);
 /// How long a concluded majority verdict stays valid as a takeover
 /// licence. A diagnosis may only ripen into a takeover if a round
 /// concluded with majority within this window (a suspicion always opens a
 /// fresh round, so the licence is at most one round old by the time the
 /// probe pipeline completes).
-pub const VERDICT_VALIDITY: SimDuration = SimDuration::from_secs(1);
+pub(crate) const VERDICT_VALIDITY: SimDuration = SimDuration::from_secs(1);
 /// Adaptive clamp floor: the proven-safe fast-profile constant. The
 /// derived delay never drops below it, so adaptation can never license a
 /// takeover earlier than the fixed fast profile would.
@@ -82,7 +82,7 @@ pub struct RegroupParams {
     /// Master switch. Off ⇒ the GSD never sends or reacts to regroup
     /// traffic and the paper pipeline is byte-identical to a build
     /// without this module.
-    pub enabled: bool,
+    pub(crate) enabled: bool,
     /// How long an *unbroken chain* of majority verdicts must stand
     /// before a takeover is licensed. This is MSCS's "wait out the
     /// regroup period": the two sides of a split suspect at different
@@ -140,7 +140,7 @@ impl RegroupParams {
     /// inside the probe pipeline, and 1.5 s of held majority out-waits
     /// the ≤ ~1.1 s worst-case skew between the majority's takeover
     /// licence and the minority's freeze.
-    pub fn fast() -> RegroupParams {
+    pub(crate) fn fast() -> RegroupParams {
         RegroupParams {
             enabled: true,
             takeover_delay: SimDuration::from_millis(1500),
@@ -185,53 +185,51 @@ pub struct Conclusion {
     /// This side holds a strict (weighted) majority of the configured
     /// partitions. Otherwise it is a minority island, and frozen.
     pub majority: bool,
-    /// Partitions reachable this round (self included), sorted.
-    pub reachable: Vec<PartitionId>,
     /// Partitions confirmed dead by their own home nodes this round and
     /// discounted from the quorum denominator (sorted; empty while the
     /// vote table is off). A non-empty set means the verdict leans on
     /// testimony rather than pure reachability, so the all-frozen
     /// re-seed additionally out-waits the takeover delay.
-    pub dead: Vec<PartitionId>,
+    pub(crate) dead: Vec<PartitionId>,
     /// Set when this conclusion failed the witness over to a new
     /// partition (majority held, old witness unreachable for a full
     /// takeover-delay period).
-    pub witness_failover: Option<PartitionId>,
+    pub(crate) witness_failover: Option<PartitionId>,
     /// ...and this partition, the lowest reachable, is the one that tells
     /// the config service `(witness, witness epoch)`, so an operator can
     /// see the new quorum anchor.
-    pub report_witness: Option<(PartitionId, u64)>,
+    pub(crate) report_witness: Option<(PartitionId, u64)>,
     /// This conclusion froze the partition (the edge, not the state).
-    pub froze: bool,
+    pub(crate) froze: bool,
     /// Unreachable partitions whose directory entries this partition
     /// flags stale, so clients stop routing to daemons nobody can vouch
     /// for. Only an unfrozen majority's lowest reachable partition does.
-    pub stale: Vec<PartitionId>,
+    pub(crate) stale: Vec<PartitionId>,
     /// Frozen, and a majority answered — the partition healed: the
     /// freshest unfrozen acker (highest epoch, then pid), to be asked to
     /// take us back in. The thaw itself waits for a membership that names
     /// us.
-    pub ask_back_in: Option<Pid>,
+    pub(crate) ask_back_in: Option<Pid>,
     /// Frozen, a majority answered and every one of them is frozen too
     /// (the whole cluster fragmented and re-healed): this partition
     /// re-seeds the group — the witness's when the witness is reachable
     /// (the rebuilt group forms around the quorum anchor), else the lowest
     /// reachable.
-    pub reseed: bool,
+    pub(crate) reseed: bool,
     /// Open another round after [`FROZEN_RETRY`]: frozen (heal detection),
     /// or a majority that cannot reach its witness (so the failover fires
     /// the moment the licence ripens, and a healed witness is seen).
-    pub keep_polling: bool,
+    pub(crate) keep_polling: bool,
 }
 
 /// A round just opened: what to send.
 #[derive(Clone, Debug)]
-pub struct Round {
+pub(crate) struct Round {
     /// For the best-known GSD of every other *configured* partition, not
     /// just current members: a frozen side keeps pinging partitions its
     /// stale membership may have lost, and a majority side pings the
     /// minority it removed.
-    pub ping: KernelMsg,
+    pub(crate) ping: KernelMsg,
     /// Vote-table profiles also collect home-node testimony: for the
     /// watch daemon of every node outside this partition. A partition
     /// that never acks but whose own nodes unanimously report its GSD
@@ -241,12 +239,12 @@ pub struct Round {
     /// may testify: they are the nodes an in-place respawn lands on, so
     /// the evidence cannot sit on the far side of a split from a rescued
     /// replacement.
-    pub home_probe: Option<KernelMsg>,
+    pub(crate) home_probe: Option<KernelMsg>,
 }
 
 /// Why a round is asked for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Why {
+pub(crate) enum Why {
     /// The topology may have changed: a ring predecessor fell silent, a
     /// takeover was deferred, a peer's round is echoed.
     Suspicion,
@@ -259,9 +257,9 @@ pub enum Why {
 #[derive(Debug, Default)]
 pub struct Heard {
     /// The gossip it carried moved the witness view: the new one.
-    pub witness: Option<(PartitionId, u64)>,
+    pub(crate) witness: Option<(PartitionId, u64)>,
     /// Send this back (the ack of a ping).
-    pub reply: Option<KernelMsg>,
+    pub(crate) reply: Option<KernelMsg>,
     /// Open a round of our own. A peer opening one suspects the topology
     /// changed. On an even split the losing side's leader can have its
     /// entire ring neighbourhood on its own island (predecessor reachable,
@@ -269,12 +267,12 @@ pub struct Heard {
     /// makes every reachable GSD conclude a verdict within one window of
     /// the first detector. Echoes only chain while pings keep arriving,
     /// so steady state stays quiet. Vote-table profiles only.
-    pub echo: bool,
+    pub(crate) echo: bool,
 }
 
 /// May a ripened diagnosis of a ring predecessor become a takeover?
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Licence {
+pub(crate) enum Licence {
     Granted,
     /// This side is frozen: it takes nobody over.
     Suppressed,
@@ -291,15 +289,15 @@ pub enum Licence {
 /// The numbers a dashboard or an invariant checker reads; no decision
 /// hangs on them.
 #[derive(Clone, Copy, Debug)]
-pub struct Outlook {
+pub(crate) struct Outlook {
     /// Bumps on every concluded round.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// `(witness, witness epoch)` while the vote table is active.
-    pub witness: Option<(PartitionId, u64)>,
+    pub(crate) witness: Option<(PartitionId, u64)>,
     /// Smoothed first-ping→last-ack latency, once a round has sampled.
-    pub round_latency: Option<SimDuration>,
+    pub(crate) round_latency: Option<SimDuration>,
     /// The takeover delay currently enforced.
-    pub takeover_delay: SimDuration,
+    pub(crate) takeover_delay: SimDuration,
 }
 
 /// Pure regroup state machine. The GSD owns one and drives it from its
@@ -361,7 +359,7 @@ impl Regroup {
         }
     }
 
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.params.enabled
     }
 
@@ -415,7 +413,7 @@ impl Regroup {
         (witness, self.witness_epoch)
     }
 
-    pub fn outlook(&self) -> Outlook {
+    pub(crate) fn outlook(&self) -> Outlook {
         Outlook {
             epoch: self.epoch,
             witness: self.witness_view(),
@@ -430,7 +428,11 @@ impl Regroup {
     /// minority island can never install one, and ranking churn can never
     /// move a healthy witness. An empty ranking keeps the lowest-reachable
     /// pick.
-    pub fn rank_witness(&mut self, now: SimTime, ranking: impl FnOnce() -> Vec<PartitionId>) {
+    pub(crate) fn rank_witness(
+        &mut self,
+        now: SimTime,
+        ranking: impl FnOnce() -> Vec<PartitionId>,
+    ) {
         if self.votes_enabled() && self.takeover_licensed(now) {
             self.witness_pref = ranking();
         }
@@ -510,7 +512,7 @@ impl Regroup {
     /// On a minority island: alive and answering pings, but every
     /// membership-changing action (diagnosis, takeover, rescue, rejoin,
     /// directory writes) is suppressed.
-    pub fn frozen(&self) -> bool {
+    pub(crate) fn frozen(&self) -> bool {
         self.frozen
     }
 
@@ -543,7 +545,7 @@ impl Regroup {
     /// say what to send; the caller concludes it [`ROUND_WINDOW`] later.
     /// `None`: the layer is off, a round is already collecting, or there
     /// is nothing to [`Why::Poll`] for.
-    pub fn open_round(
+    pub(crate) fn open_round(
         &mut self,
         me: PartitionId,
         ring_epoch: u64,
@@ -780,7 +782,6 @@ impl Regroup {
         Some(Conclusion {
             majority,
             keep_polling: self.frozen || self.witness_lost(),
-            reachable,
             dead,
             report_witness: witness_failover.filter(|_| lowest).map(|w| (w, self.witness_epoch)),
             witness_failover,
@@ -794,7 +795,7 @@ impl Regroup {
     /// Leave the frozen state: a majority-side membership named us, or
     /// this partition re-seeds the group. Returns true on the thaw edge,
     /// so callers fire side effects exactly once.
-    pub fn thaw(&mut self) -> bool {
+    pub(crate) fn thaw(&mut self) -> bool {
         std::mem::take(&mut self.frozen)
     }
 
@@ -833,7 +834,7 @@ impl Regroup {
     /// A round opened with the suspicion has concluded by now, so the
     /// verdict is in. Anything but `Granted` unwinds the probe session;
     /// the next scan suspects again.
-    pub fn licence(&self, partition: PartitionId, now: SimTime) -> Licence {
+    pub(crate) fn licence(&self, partition: PartitionId, now: SimTime) -> Licence {
         if !self.params.enabled {
             Licence::Granted
         } else if self.frozen {
@@ -927,7 +928,7 @@ mod tests {
         rg.on_ack(r + 7, PartitionId(2), ack(11, 0, false), t(0)); // stale round id
         let c = rg.conclude(PartitionId(0), t(0)).unwrap();
         assert!(c.majority);
-        assert_eq!(c.reachable, vec![PartitionId(0), PartitionId(1)]);
+        assert_eq!(rg.last_reachable, vec![PartitionId(0), PartitionId(1)]);
         assert!(!rg.round.is_some());
         assert_eq!(rg.epoch(), 1);
         assert!(rg.conclude(PartitionId(0), t(0)).is_none(), "stale timer");
@@ -940,7 +941,7 @@ mod tests {
         let _ = rg.begin_round(t(0));
         let c = rg.conclude(PartitionId(2), t(0)).unwrap();
         assert!(!c.majority);
-        assert_eq!(c.reachable, vec![PartitionId(2)]);
+        assert_eq!(rg.last_reachable, vec![PartitionId(2)]);
         assert!(c.froze && rg.frozen(), "freeze edge fires once");
         assert!(c.keep_polling, "a frozen side probes for the heal");
         let _ = rg.begin_round(t(0));
@@ -1629,7 +1630,7 @@ mod tests {
         votes.on_message(P2, 0, Pid(50), &report(P2), t(0));
         votes.on_message(P2, 0, Pid(51), &report(P3), t(0));
         let c = votes.conclude(P2, t(0)).unwrap();
-        assert_eq!(c.reachable, vec![P0, P2], "one ack, the stale one dropped");
+        assert_eq!(votes.last_reachable, vec![P0, P2], "one ack, the stale one dropped");
         assert_eq!(c.dead, vec![P3]);
     }
 

@@ -24,12 +24,12 @@ pub struct RetryPolicy {
     /// Total send attempts (1 = the original send only, no retries).
     pub max_attempts: u32,
     /// Delay before the first retry; doubles per subsequent attempt.
-    pub base: SimDuration,
+    pub(crate) base: SimDuration,
     /// Ceiling on any single backoff delay.
-    pub max_backoff: SimDuration,
+    pub(crate) max_backoff: SimDuration,
     /// Random jitter added on top of the delay, as a permille fraction of
     /// it (0 draws no randomness at all).
-    pub jitter_permille: u16,
+    pub(crate) jitter_permille: u16,
 }
 
 impl RetryPolicy {
@@ -126,14 +126,6 @@ impl<K: Hash + Eq + Clone, V> DedupWindow<K, V> {
             }
         }
     }
-
-    pub fn len(&self) -> usize {
-        self.replies.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.replies.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -198,7 +190,7 @@ mod tests {
         assert_eq!(w.replay(&1), Some(&"ack-1"));
         // Re-recording the same key does not grow the window.
         w.record(1, "ack-1b");
-        assert_eq!(w.len(), 1);
+        assert_eq!(w.order.len(), 1);
         assert_eq!(w.replay(&1), Some(&"ack-1b"));
     }
 
@@ -208,7 +200,7 @@ mod tests {
         for k in 0..5u64 {
             w.record(k, k * 10);
         }
-        assert_eq!(w.len(), 3);
+        assert_eq!(w.order.len(), 3);
         assert_eq!(w.replay(&0), None, "oldest evicted");
         assert_eq!(w.replay(&1), None);
         assert_eq!(w.replay(&2), Some(&20));

@@ -2,7 +2,7 @@
 //! (paper Sec 4.2: "It provides authorization, authentication and
 //! encryption functions for users"). One instance runs cluster-wide.
 
-pub mod mac;
+pub(crate) mod mac;
 
 use crate::params::KernelParams;
 use phoenix_proto::{Action, AuthToken, KernelMsg, Role, UserId};
@@ -22,7 +22,7 @@ struct UserRecord {
 }
 
 /// The cluster-wide security service actor.
-pub struct SecurityService {
+pub(crate) struct SecurityService {
     key: u64,
     users: HashMap<UserId, UserRecord>,
     #[allow(dead_code)]
@@ -32,7 +32,7 @@ pub struct SecurityService {
 impl SecurityService {
     /// Create the service with a signing key and a set of
     /// `(user, secret, role)` accounts.
-    pub fn new(key: u64, accounts: &[(&str, &str, Role)], params: KernelParams) -> Self {
+    pub(crate) fn new(key: u64, accounts: &[(&str, &str, Role)], params: KernelParams) -> Self {
         let mut users = HashMap::new();
         for (name, secret, role) in accounts {
             users.insert(

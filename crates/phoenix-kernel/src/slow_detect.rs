@@ -81,7 +81,7 @@ const GAUGES: [(&str, &str); 9] = [
 ];
 
 /// `(verdict gauge, score gauge)` for `node`.
-pub fn gauges(node: NodeId) -> (&'static str, &'static str) {
+pub(crate) fn gauges(node: NodeId) -> (&'static str, &'static str) {
     GAUGES[(node.0 as usize).min(GAUGES.len() - 1)]
 }
 
@@ -178,25 +178,25 @@ impl SlowDetect {
         }
     }
 
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.params.enabled
     }
 
     /// Current verdict for a peer (Healthy when never observed).
-    pub fn verdict(&self, peer: NodeId) -> Verdict {
+    pub(crate) fn verdict(&self, peer: NodeId) -> Verdict {
         self.peers
             .get(&peer)
             .map(|p| p.verdict)
             .unwrap_or(Verdict::Healthy)
     }
 
-    pub fn is_slow(&self, peer: NodeId) -> bool {
+    pub(crate) fn is_slow(&self, peer: NodeId) -> bool {
         self.verdict(peer) == Verdict::Slow
     }
 
     /// Slowness score: smoothed RTT as a multiple of the peer's baseline
     /// (1.0 = at baseline; unobserved peers read 1.0).
-    pub fn score(&self, peer: NodeId) -> f64 {
+    pub(crate) fn score(&self, peer: NodeId) -> f64 {
         self.peers
             .get(&peer)
             .map(|p| {
@@ -212,7 +212,7 @@ impl SlowDetect {
     /// Whether a peer has cleared the warmup window: its baseline has
     /// enough samples for the verdict to mean anything. A reinstatement
     /// decision must never ride on a cold, unwarmed Healthy default.
-    pub fn warmed(&self, peer: NodeId) -> bool {
+    pub(crate) fn warmed(&self, peer: NodeId) -> bool {
         self.peers
             .get(&peer)
             .map(|p| p.samples >= WARMUP)
@@ -220,7 +220,7 @@ impl SlowDetect {
     }
 
     /// Every observed peer with its current verdict, ascending node id.
-    pub fn verdicts(&self) -> Vec<(NodeId, Verdict)> {
+    pub(crate) fn verdicts(&self) -> Vec<(NodeId, Verdict)> {
         self.peers.iter().map(|(&n, p)| (n, p.verdict)).collect()
     }
 
@@ -285,7 +285,7 @@ impl SlowDetect {
 
     /// The fail-stop pipeline diagnosed this peer dead. Recorded for the
     /// verdict panel; any later RTT sample (life) clears it.
-    pub fn mark_dead(&mut self, peer: NodeId) {
+    pub(crate) fn mark_dead(&mut self, peer: NodeId) {
         if !self.params.enabled {
             return;
         }
@@ -299,7 +299,7 @@ impl SlowDetect {
     // ---- pings and evidence of life ---------------------------------------
 
     /// A ping leaves for `node` at `now`: the sequence number it carries.
-    pub fn ping(&mut self, node: NodeId, now: SimTime) -> u64 {
+    pub(crate) fn ping(&mut self, node: NodeId, now: SimTime) -> u64 {
         self.ping_seq += 1;
         self.pings.insert(self.ping_seq, (node, now));
         self.ping_seq
@@ -307,21 +307,26 @@ impl SlowDetect {
 
     /// Forget the pings out for more than the horizon, in beats of
     /// `hb_interval`.
-    pub fn expire_pings(&mut self, now: SimTime, hb_interval: SimDuration) {
+    pub(crate) fn expire_pings(&mut self, now: SimTime, hb_interval: SimDuration) {
         let horizon = hb_interval * PING_HORIZON_BEATS;
         self.pings.retain(|_, (_, at)| now.since(*at) <= horizon);
     }
 
     /// The pong for ping `seq` arrived: one RTT sample for its target. A
     /// pong for no ping still out (expired, duplicated) is nothing.
-    pub fn on_pong(&mut self, seq: u64, now: SimTime) -> Option<SlowTransition> {
+    pub(crate) fn on_pong(&mut self, seq: u64, now: SimTime) -> Option<SlowTransition> {
         let (node, at) = self.pings.remove(&seq)?;
         self.observe(node, now.since(at).as_nanos(), now)
     }
 
     /// [`observe_rtt`](Self::observe_rtt), for a sample that ended `now`:
     /// also the peer's latest evidence of life.
-    pub fn observe(&mut self, peer: NodeId, rtt_ns: u64, now: SimTime) -> Option<SlowTransition> {
+    pub(crate) fn observe(
+        &mut self,
+        peer: NodeId,
+        rtt_ns: u64,
+        now: SimTime,
+    ) -> Option<SlowTransition> {
         let transition = self.observe_rtt(peer, rtt_ns);
         if let Some(s) = self.peers.get_mut(&peer) {
             s.last_seen = Some(now);
@@ -335,7 +340,7 @@ impl SlowDetect {
     /// genuinely dies stops answering, the evidence goes stale within one
     /// suspicion window, and the fail-stop pipeline proceeds as if the
     /// veto never existed.
-    pub fn alive_veto(&self, peer: NodeId, now: SimTime, window: SimDuration) -> bool {
+    pub(crate) fn alive_veto(&self, peer: NodeId, now: SimTime, window: SimDuration) -> bool {
         self.peers.get(&peer).is_some_and(|p| {
             p.verdict == Verdict::Slow && p.last_seen.is_some_and(|at| now.since(at) <= window)
         })
@@ -349,7 +354,7 @@ impl SlowDetect {
     /// verdicts must not be used *against* peers (no quarantine additions,
     /// no yield requests, no placement vetoes) — a degraded node handing
     /// out quarantines would decapitate a healthy cluster.
-    pub fn gray_self(&self) -> bool {
+    pub(crate) fn gray_self(&self) -> bool {
         let (mut warmed, mut slow) = (0u32, 0u32);
         for p in self.peers.values() {
             if p.verdict != Verdict::Dead && p.samples >= WARMUP {
@@ -374,7 +379,7 @@ impl SlowDetect {
     /// candidate both ticks. Removal requires a *warmed* Healthy verdict,
     /// not the absence of a Slow one: a fresh leader whose detector never
     /// saw the node slow must re-earn the reinstatement, not inherit it.
-    pub fn converge_quarantine(
+    pub(crate) fn converge_quarantine(
         &mut self,
         me: PartitionId,
         members: &[MemberInfo],
@@ -406,7 +411,7 @@ impl SlowDetect {
     /// partitions before quarantined or slow ones, then by slowness score,
     /// ties by partition id — so with no slowness observed this is exactly
     /// the lowest-id order.
-    pub fn witness_preference(
+    pub(crate) fn witness_preference(
         &self,
         members: &[MemberInfo],
         quarantined: &BTreeSet<PartitionId>,

@@ -71,28 +71,9 @@ pub enum JobState {
     Cancelled,
 }
 
-impl JobState {
-    /// Terminal states never transition again.
-    pub fn is_terminal(self) -> bool {
-        matches!(
-            self,
-            JobState::Completed | JobState::Failed | JobState::Cancelled
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn terminal_states() {
-        assert!(!JobState::Queued.is_terminal());
-        assert!(!JobState::Running.is_terminal());
-        assert!(JobState::Completed.is_terminal());
-        assert!(JobState::Failed.is_terminal());
-        assert!(JobState::Cancelled.is_terminal());
-    }
 
     #[test]
     fn simple_job_defaults() {

@@ -6,16 +6,16 @@
 //! [`wire::encoded_size`], a dependency-free byte counter used to charge
 //! realistic wire sizes to the simulated network.
 
-pub mod bulletin;
+pub(crate) mod bulletin;
 pub mod checkpoint;
-pub mod event;
-pub mod ids;
-pub mod job;
-pub mod msg;
-pub mod security;
-pub mod shared;
-pub mod topology;
-pub mod view;
+pub(crate) mod event;
+pub(crate) mod ids;
+pub(crate) mod job;
+pub(crate) mod msg;
+pub(crate) mod security;
+pub(crate) mod shared;
+pub(crate) mod topology;
+pub(crate) mod view;
 pub mod wire;
 
 pub use bulletin::{AppState, AppStatus, BulletinEntry, BulletinKey, BulletinQuery, BulletinValue};

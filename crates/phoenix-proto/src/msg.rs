@@ -500,7 +500,7 @@ pub enum KernelMsg {
 impl KernelMsg {
     /// Traffic-class label. Groups variants by the subsystem that owns
     /// them so experiments can break down wire load.
-    pub fn traffic_label(&self) -> &'static str {
+    pub(crate) fn traffic_label(&self) -> &'static str {
         use KernelMsg::*;
         match self {
             Boot(_) => "boot",

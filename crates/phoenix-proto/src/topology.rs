@@ -29,13 +29,8 @@ impl PartitionSpec {
     }
 
     /// Number of nodes in the partition.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         1 + self.backups.len() + self.compute.len()
-    }
-
-    /// Partitions are never empty (they always have a server).
-    pub fn is_empty(&self) -> bool {
-        false
     }
 }
 
@@ -105,11 +100,6 @@ impl ClusterTopology {
     pub fn partition(&self, id: PartitionId) -> Option<&PartitionSpec> {
         self.partitions.get(id.index())
     }
-
-    /// All server nodes, in partition order.
-    pub fn servers(&self) -> Vec<NodeId> {
-        self.partitions.iter().map(|p| p.server).collect()
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +124,6 @@ mod tests {
         let t = ClusterTopology::uniform(8, 17, 1);
         assert_eq!(t.node_count(), 136);
         assert_eq!(t.partitions.len(), 8);
-        assert_eq!(t.servers().len(), 8);
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl Sink for Vec<u8> {
 }
 
 /// Counts bytes without storing them.
-pub struct Counter(pub usize);
+pub(crate) struct Counter(pub(crate) usize);
 
 impl Sink for Counter {
     fn put_bytes(&mut self, bytes: &[u8]) {
@@ -127,16 +127,16 @@ pub struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    pub fn new(buf: &'a [u8]) -> Reader<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Consume exactly `n` bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Eof);
         }
@@ -147,13 +147,13 @@ impl<'a> Reader<'a> {
 
     /// Read a length-prefixed byte run without copying: the returned slice
     /// borrows the encode buffer for the reader's lifetime.
-    pub fn get_bytes(&mut self) -> Result<&'a [u8], WireError> {
+    pub(crate) fn get_bytes(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.take_len()?;
         self.take(len)
     }
 
     /// Read a length-prefixed UTF-8 string without allocating.
-    pub fn get_str(&mut self) -> Result<&'a str, WireError> {
+    pub(crate) fn get_str(&mut self) -> Result<&'a str, WireError> {
         std::str::from_utf8(self.get_bytes()?).map_err(|_| WireError::BadUtf8)
     }
 

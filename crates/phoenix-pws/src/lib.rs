@@ -9,11 +9,11 @@
 //! PBS-style monolith the paper compares against (central server, polling
 //! resource monitor, no HA).
 
-pub mod pbs;
-pub mod policy;
-pub mod pool;
-pub mod scheduler;
-pub mod setup;
+pub(crate) mod pbs;
+pub(crate) mod policy;
+pub(crate) mod pool;
+pub(crate) mod scheduler;
+pub(crate) mod setup;
 pub mod ui;
 pub mod workload;
 
@@ -22,4 +22,3 @@ pub use policy::{pick, PolicyCtx, PolicyKind};
 pub use pool::{Lender, Placement, Pool};
 pub use scheduler::{pool_directory, PoolConfig, PoolDirectory, PwsScheduler};
 pub use setup::{install_pbs, install_pws, login, queue_status, submit, PwsHandle};
-pub use workload::{generate as generate_workload, Arrival, WorkloadParams};

@@ -47,7 +47,7 @@ pub struct PbsServer {
 }
 
 impl PbsServer {
-    pub fn new(
+    pub(crate) fn new(
         directory: ServiceDirectory,
         nodes: Vec<NodeId>,
         poll_interval: SimDuration,

@@ -62,9 +62,9 @@ struct Running {
 /// A job the pool has just placed: what to launch, and where.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Placement {
-    pub job: JobId,
-    pub task: TaskSpec,
-    pub nodes: Vec<NodeId>,
+    pub(crate) job: JobId,
+    pub(crate) task: TaskSpec,
+    pub(crate) nodes: Vec<NodeId>,
 }
 
 /// Queue, running table, per-user usage and node ledger of one pool.
@@ -83,7 +83,7 @@ pub struct Pool {
 
 impl Pool {
     /// A pool owning `nodes`, all free.
-    pub fn new(name: &str, nodes: &[NodeId], policy: PolicyKind) -> Pool {
+    pub(crate) fn new(name: &str, nodes: &[NodeId], policy: PolicyKind) -> Pool {
         let own = Slot {
             hold: Hold::Free,
             lender: None,
@@ -110,20 +110,20 @@ impl Pool {
 
     /// Take a job that has not started out of the queue; false if none is
     /// queued under that id.
-    pub fn cancel_queued(&mut self, job: JobId) -> bool {
+    pub(crate) fn cancel_queued(&mut self, job: JobId) -> bool {
         let pos = self.queued.iter().position(|j| j.id == job);
         pos.map(|i| self.queued.remove(i)).is_some()
     }
 
     /// Where `job` runs, if it does.
-    pub fn nodes_of(&self, job: JobId) -> Option<Vec<NodeId>> {
+    pub(crate) fn nodes_of(&self, job: JobId) -> Option<Vec<NodeId>> {
         self.running.get(&job).map(|r| r.nodes.clone())
     }
 
     /// Start the next job the policy allows on the lowest free node ids. A
     /// bounded job is overdue once its own duration has passed after
     /// `reap_base_ns`. `None` when nothing may start now.
-    pub fn place(&mut self, reap_base_ns: u64) -> Option<Placement> {
+    pub(crate) fn place(&mut self, reap_base_ns: u64) -> Option<Placement> {
         let ctx = PolicyCtx {
             free_nodes: self.free().count(),
             usage: &self.usage,
@@ -154,14 +154,14 @@ impl Pool {
 
     /// How many nodes the queue head lacks ("dynamic leasing": what to ask
     /// the other pools for).
-    pub fn shortfall(&self) -> usize {
+    pub(crate) fn shortfall(&self) -> usize {
         let need = self.queued.first().map_or(0, |head| head.nodes as usize);
         need.saturating_sub(self.free().count())
     }
 
     /// The task of `job` on `node` is gone. True when it was the last one
     /// outstanding: the job is over and the caller finishes it.
-    pub fn exited(&mut self, job: JobId, node: NodeId) -> bool {
+    pub(crate) fn exited(&mut self, job: JobId, node: NodeId) -> bool {
         let Some(r) = self.running.get_mut(&job) else {
             return false;
         };
@@ -173,7 +173,7 @@ impl Pool {
     /// duration (node-seconds) and free its nodes; a dead one stays dead.
     /// Borrowed nodes leave the ledger instead, and the answer lists them
     /// per lender, in the order first met. `None` if the job is not running.
-    pub fn finish(&mut self, job: JobId) -> Option<Vec<(Lender, Vec<NodeId>)>> {
+    pub(crate) fn finish(&mut self, job: JobId) -> Option<Vec<(Lender, Vec<NodeId>)>> {
         let r = self.running.remove(&job)?;
         let secs = r.spec.task.duration_ns.map_or(0.0, |d| d as f64 / 1e9);
         *self.usage.entry(r.spec.user.clone()).or_default() += r.nodes.len() as f64 * secs;
@@ -197,7 +197,7 @@ impl Pool {
 
     /// `node` went down. A job with a task there must fail: the answer is
     /// that job and its other nodes, for the caller to tear down and finish.
-    pub fn node_down(&mut self, node: NodeId) -> Option<(JobId, Vec<NodeId>)> {
+    pub(crate) fn node_down(&mut self, node: NodeId) -> Option<(JobId, Vec<NodeId>)> {
         let slot = self.ledger.get_mut(&node)?;
         let was = std::mem::replace(&mut slot.hold, Hold::Dead);
         let Hold::Busy(job) = was else {
@@ -213,7 +213,7 @@ impl Pool {
     }
 
     /// `node` came back: one of our own that was dead is free again.
-    pub fn node_up(&mut self, node: NodeId) {
+    pub(crate) fn node_up(&mut self, node: NodeId) {
         self.turn(node, Hold::Dead, Hold::Free);
     }
 
@@ -228,7 +228,7 @@ impl Pool {
 
     /// Lend up to `want` of our own free nodes, lowest id first. A borrowed
     /// node is never lent on.
-    pub fn grant(&mut self, want: usize) -> Vec<NodeId> {
+    pub(crate) fn grant(&mut self, want: usize) -> Vec<NodeId> {
         let own_free = self.free().filter(|n| self.ledger[n].lender.is_none());
         let granted: Vec<NodeId> = own_free.take(want).collect();
         for &n in &granted {
@@ -238,7 +238,7 @@ impl Pool {
     }
 
     /// `nodes` arrived on lease from `lender`: free here until their job ends.
-    pub fn borrow(&mut self, lender: &str, nodes: &[NodeId]) {
+    pub(crate) fn borrow(&mut self, lender: &str, nodes: &[NodeId]) {
         for &n in nodes {
             let lender = Some(Lender::Pool(lender.to_string()));
             self.ledger.insert(
@@ -252,14 +252,14 @@ impl Pool {
     }
 
     /// A borrower sent `nodes` home. Only what we lent comes back.
-    pub fn take_back(&mut self, nodes: &[NodeId]) {
+    pub(crate) fn take_back(&mut self, nodes: &[NodeId]) {
         for &n in nodes {
             self.turn(n, Hold::Lent, Hold::Free);
         }
     }
 
     /// Jobs past their reap deadline at `now_ns` with no sweep issued yet.
-    pub fn overdue(&self, now_ns: u64) -> Vec<JobId> {
+    pub(crate) fn overdue(&self, now_ns: u64) -> Vec<JobId> {
         let late = |r: &Running| !r.reaping && r.reap_deadline_ns.is_some_and(|d| now_ns > d);
         let jobs = self.running.iter().filter(|(_, r)| late(r));
         jobs.map(|(&id, _)| id).collect()
@@ -268,7 +268,7 @@ impl Pool {
     /// A sweep of overdue `job` begins. A node that is not `up` can never ack
     /// the cleanup: its task counts as finished up front. The answer is what
     /// stays outstanding — the nodes to sweep.
-    pub fn reap(&mut self, job: JobId, up: impl Fn(NodeId) -> bool) -> Vec<NodeId> {
+    pub(crate) fn reap(&mut self, job: JobId, up: impl Fn(NodeId) -> bool) -> Vec<NodeId> {
         let Some(r) = self.running.get_mut(&job) else {
             return Vec::new();
         };
@@ -278,7 +278,7 @@ impl Pool {
     }
 
     /// State and placement of `job`; `None` if the pool does not hold it.
-    pub fn status(&self, job: JobId) -> (Option<JobState>, Vec<NodeId>) {
+    pub(crate) fn status(&self, job: JobId) -> (Option<JobState>, Vec<NodeId>) {
         if self.queued.iter().any(|j| j.id == job) {
             return (Some(JobState::Queued), vec![]);
         }
@@ -289,7 +289,7 @@ impl Pool {
     }
 
     /// Every job the pool holds, sorted by job id.
-    pub fn rows(&self) -> Vec<QueueRow> {
+    pub(crate) fn rows(&self) -> Vec<QueueRow> {
         let row = |spec: &JobSpec, state, nodes: &[NodeId]| QueueRow {
             job: spec.id,
             pool: self.name.clone(),
@@ -309,7 +309,7 @@ impl Pool {
 
     /// What a restarted scheduler needs: the queue in order and every
     /// placement.
-    pub fn snapshot(&self) -> CheckpointData {
+    pub(crate) fn snapshot(&self) -> CheckpointData {
         let placed = self.running.iter().map(|(&id, r)| (id, r.nodes.clone()));
         CheckpointData::Scheduler {
             queued: self.queued.clone(),
@@ -321,7 +321,7 @@ impl Pool {
     /// assumed still running — task exits will complete them — and, the
     /// original durations being lost, all become overdue at `reap_at_ns`. A
     /// placed node that is not one of ours is borrowed, from a lender unknown.
-    pub fn restore(
+    pub(crate) fn restore(
         &mut self,
         queued: Vec<JobSpec>,
         running: Vec<(JobId, Vec<NodeId>)>,

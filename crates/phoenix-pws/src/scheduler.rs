@@ -29,6 +29,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 const TOK_TICK: u64 = 2;
+/// Scheduling pass interval.
+const TICK: SimDuration = SimDuration::from_millis(500);
 
 /// Shared pool→scheduler-pid directory (a stand-in for a name service;
 /// updated by each scheduler instance as it starts). Ordered by pool name:
@@ -43,14 +45,10 @@ pub fn pool_directory() -> PoolDirectory {
 /// Static configuration of one scheduling pool.
 #[derive(Clone, Debug)]
 pub struct PoolConfig {
-    pub name: String,
+    pub(crate) name: String,
     /// Nodes the pool owns.
-    pub nodes: Vec<NodeId>,
-    pub policy: PolicyKind,
-    /// Scheduling pass interval.
-    pub tick: SimDuration,
-    /// May this pool lease nodes from / lend nodes to others?
-    pub leasing: bool,
+    pub(crate) nodes: Vec<NodeId>,
+    pub(crate) policy: PolicyKind,
 }
 
 impl PoolConfig {
@@ -59,8 +57,6 @@ impl PoolConfig {
             name: name.to_string(),
             nodes,
             policy,
-            tick: SimDuration::from_millis(500),
-            leasing: true,
         }
     }
 }
@@ -92,7 +88,7 @@ pub struct PwsScheduler {
 
 impl PwsScheduler {
     /// Boot-time scheduler.
-    pub fn new(
+    pub(crate) fn new(
         cfg: PoolConfig,
         partition: PartitionId,
         params: KernelParams,
@@ -118,7 +114,7 @@ impl PwsScheduler {
     }
 
     /// Respawned scheduler: restores queue/placements from checkpoint.
-    pub fn respawn(
+    pub(crate) fn respawn(
         pool: PoolConfig,
         args: &RespawnArgs,
         directory: ServiceDirectory,
@@ -136,7 +132,7 @@ impl PwsScheduler {
     }
 
     /// Registry key of the respawn factory of the scheduler of `pool`.
-    pub fn factory_key(pool: &str) -> String {
+    pub(crate) fn factory_key(pool: &str) -> String {
         format!("sched:{pool}")
     }
 
@@ -167,7 +163,7 @@ impl PwsScheduler {
         }
         // Leasing: if the queue head still cannot run, ask peers for the
         // shortfall ("dynamic leasing among different pools").
-        if self.cfg.leasing && self.pending_lease.is_none() {
+        if self.pending_lease.is_none() {
             let shortfall = self.pool.shortfall() as u32;
             if shortfall > 0 {
                 self.request_lease(ctx, shortfall);
@@ -355,7 +351,7 @@ impl Actor<KernelMsg> for PwsScheduler {
                 },
             },
         );
-        ctx.set_timer(self.cfg.tick, TOK_TICK);
+        ctx.set_timer(TICK, TOK_TICK);
         if self.member.restoring() {
             self.member.load(ctx);
         }
@@ -490,7 +486,7 @@ impl Actor<KernelMsg> for PwsScheduler {
             TOK_TICK => {
                 self.reap_overdue(ctx);
                 self.schedule_pass(ctx);
-                ctx.set_timer(self.cfg.tick, TOK_TICK);
+                ctx.set_timer(TICK, TOK_TICK);
             }
             _ => {}
         }

@@ -13,14 +13,10 @@ use phoenix_kernel::boot::PhoenixCluster;
 use phoenix_kernel::client::ClientHandle;
 use phoenix_proto::{AuthToken, JobSpec, KernelMsg, PartitionId, QueueRow, RequestId, UserId};
 use phoenix_sim::{NodeId, Pid, SimDuration, World};
-use std::collections::HashMap;
 
 /// Handle to an installed PWS.
 pub struct PwsHandle {
-    /// Scheduler pid per pool name (as of installation; respawns update
-    /// the shared pool directory instead).
-    pub schedulers: HashMap<String, Pid>,
-    pub pools: PoolDirectory,
+    pub(crate) pools: PoolDirectory,
 }
 
 impl PwsHandle {
@@ -38,7 +34,6 @@ pub fn install_pws(
     pools: Vec<PoolConfig>,
 ) -> PwsHandle {
     let dir = pool_directory();
-    let mut schedulers = HashMap::new();
     let nparts = cluster.topology.partitions.len();
     for (i, pool) in pools.into_iter().enumerate() {
         // Spread schedulers across partitions ("scheduling service group").
@@ -70,13 +65,9 @@ pub fn install_pws(
             cluster.directory.clone(),
             dir.clone(),
         );
-        let pid = world.spawn(server, Box::new(sched));
-        schedulers.insert(pool.name.clone(), pid);
+        world.spawn(server, Box::new(sched));
     }
-    PwsHandle {
-        schedulers,
-        pools: dir,
-    }
+    PwsHandle { pools: dir }
 }
 
 /// Spawn the PBS baseline server on a node.

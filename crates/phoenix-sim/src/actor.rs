@@ -46,7 +46,7 @@ pub trait Actor<M: Message> {
 
 /// Side effects an actor may request; applied by the world after the
 /// handler returns, in order.
-pub enum Command<M: Message> {
+pub(crate) enum Command<M: Message> {
     Send {
         to: Pid,
         via: Option<NicId>,
@@ -87,7 +87,7 @@ pub struct Ctx<'a, M: Message> {
 }
 
 /// Immutable facts about the world that actors may consult.
-pub struct WorldView<'a> {
+pub(crate) struct WorldView<'a> {
     pub(crate) nodes: &'a [NodeState],
     /// The liveness column of the world's process table.
     pub(crate) live: &'a [Option<NodeId>],
@@ -241,7 +241,7 @@ impl<'a, M: Message> Ctx<'a, M> {
     }
 
     /// Node a live process runs on.
-    pub fn node_of(&self, pid: Pid) -> Option<NodeId> {
+    pub(crate) fn node_of(&self, pid: Pid) -> Option<NodeId> {
         live_node(self.view.live, pid)
     }
 

@@ -15,7 +15,7 @@
 /// Reference to a live arena slot. Cheap to copy (8 bytes); invalidated by
 /// `take`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Handle {
+pub(crate) struct Handle {
     idx: u32,
     gen: u32,
 }
@@ -56,7 +56,7 @@ impl<T> Default for EventArena<T> {
 }
 
 impl<T> EventArena<T> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventArena {
             slots: Vec::new(),
             free: Vec::new(),
@@ -67,7 +67,7 @@ impl<T> EventArena<T> {
     }
 
     /// Store `val`, reusing a freed slot when one exists.
-    pub fn alloc(&mut self, val: T) -> Handle {
+    pub(crate) fn alloc(&mut self, val: T) -> Handle {
         self.allocs += 1;
         self.live += 1;
         match self.free.pop() {
@@ -91,7 +91,7 @@ impl<T> EventArena<T> {
     /// Move the value out and return the slot to the free list. Panics on a
     /// stale or double-freed handle — a recycled slot must never alias a
     /// live event.
-    pub fn take(&mut self, h: Handle) -> T {
+    pub(crate) fn take(&mut self, h: Handle) -> T {
         let slot = &mut self.slots[h.idx as usize];
         assert_eq!(
             slot.gen, h.gen,
@@ -109,12 +109,7 @@ impl<T> EventArena<T> {
         val
     }
 
-    /// Number of live values.
-    pub fn live(&self) -> usize {
-        self.live
-    }
-
-    pub fn stats(&self) -> ArenaStats {
+    pub(crate) fn stats(&self) -> ArenaStats {
         ArenaStats {
             live: self.live,
             capacity: self.slots.len(),
@@ -133,10 +128,10 @@ mod tests {
         let mut a = EventArena::new();
         let h1 = a.alloc("one");
         let h2 = a.alloc("two");
-        assert_eq!(a.live(), 2);
+        assert_eq!(a.stats().live, 2);
         assert_eq!(a.take(h1), "one");
         assert_eq!(a.take(h2), "two");
-        assert_eq!(a.live(), 0);
+        assert_eq!(a.stats().live, 0);
         let s = a.stats();
         assert_eq!((s.allocs, s.frees, s.capacity), (2, 2, 2));
     }

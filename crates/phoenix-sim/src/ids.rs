@@ -9,7 +9,7 @@ pub struct NodeId(pub u32);
 impl NodeId {
     /// The raw index of this node.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -64,7 +64,7 @@ impl fmt::Display for Pid {
 /// Token identifying a timer registration; returned by `Ctx::set_timer` and
 /// passed back to `Actor::on_timer`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-pub struct TimerId(pub u64);
+pub struct TimerId(pub(crate) u64);
 
 #[cfg(test)]
 mod tests {

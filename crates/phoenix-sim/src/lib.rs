@@ -28,19 +28,19 @@
 //! assert_eq!(world.metrics().total.delivered, 1);
 //! ```
 
-pub mod actor;
-pub mod arena;
-pub mod fault;
-pub mod ids;
-pub mod message;
-pub mod metrics;
-pub mod network;
-pub mod node;
-pub mod rng;
+pub(crate) mod actor;
+pub(crate) mod arena;
+pub(crate) mod fault;
+pub(crate) mod ids;
+pub(crate) mod message;
+pub(crate) mod metrics;
+pub(crate) mod network;
+pub(crate) mod node;
+pub(crate) mod rng;
 pub mod sched;
-pub mod time;
-pub mod trace;
-pub mod world;
+pub(crate) mod time;
+pub(crate) mod trace;
+pub(crate) mod world;
 
 pub use actor::{Actor, Ctx};
 pub use arena::{ArenaStats, EventArena};

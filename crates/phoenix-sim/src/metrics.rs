@@ -23,7 +23,7 @@ pub struct LabelStats {
 pub struct Metrics {
     pub by_label: BTreeMap<&'static str, LabelStats>,
     pub total: LabelStats,
-    pub drops_by_reason: BTreeMap<&'static str, u64>,
+    pub(crate) drops_by_reason: BTreeMap<&'static str, u64>,
     pub events_processed: u64,
     pub timers_fired: u64,
     pub spawns: u64,
@@ -67,11 +67,6 @@ impl Metrics {
         self.by_label.get(label).copied().unwrap_or_default()
     }
 
-    /// Total bytes put on the wire (sent, whether or not delivered).
-    pub fn wire_bytes(&self) -> u64 {
-        self.total.sent_bytes
-    }
-
     /// Render a compact table of per-label traffic, sorted by label.
     pub fn traffic_table(&self) -> String {
         let mut out = String::from(
@@ -108,7 +103,7 @@ mod tests {
         assert_eq!(s.dropped, 1);
         assert_eq!(m.total.sent, 2);
         assert_eq!(m.drops_by_reason["node_down"], 1);
-        assert_eq!(m.wire_bytes(), 64);
+        assert_eq!(m.total.sent_bytes, 64);
     }
 
     #[test]

@@ -19,14 +19,16 @@ use crate::rng::SimRng;
 use crate::time::SimDuration;
 use std::collections::{HashMap, HashSet};
 
-/// Latency and unreliability parameters of the interconnect.
+/// One-way latency for messages between actors on the same node: loopback
+/// or unix socket cost.
+pub(crate) const LOCAL_LATENCY: SimDuration = SimDuration::from_micros(5);
+/// Base one-way latency across the LAN: typical 2005-era cluster ethernet.
+pub(crate) const LAN_LATENCY: SimDuration = SimDuration::from_micros(120);
+
+/// Jitter and unreliability parameters of the interconnect.
 #[derive(Clone, Debug)]
 pub struct NetParams {
-    /// One-way latency for messages between actors on the same node.
-    pub local_latency: SimDuration,
-    /// Base one-way latency across the LAN.
-    pub lan_latency: SimDuration,
-    /// Uniform jitter added on top of `lan_latency` (0..=jitter).
+    /// Uniform jitter added on top of `LAN_LATENCY` (0..=jitter).
     pub jitter: SimDuration,
     /// Probability (in permille, 0..=1000) that a cross-node message is
     /// silently lost. Zero (the default) draws no randomness at all, so
@@ -38,23 +40,19 @@ pub struct NetParams {
     /// Extra uniform jitter (0..=reorder_extra) added per cross-node
     /// message when non-zero: widens the reorder window well beyond the
     /// base `jitter` without shifting the latency floor.
-    pub reorder_extra: SimDuration,
+    pub(crate) reorder_extra: SimDuration,
     /// Per-network loss overrides: index `i` replaces `loss_permille` for
     /// messages carried over network `i`. Networks beyond the vector's
     /// length keep the uniform base rate, so the empty default changes
     /// nothing.
-    pub nic_loss_permille: Vec<u16>,
+    pub(crate) nic_loss_permille: Vec<u16>,
     /// Per-network duplication overrides, same indexing rules.
-    pub nic_dup_permille: Vec<u16>,
+    pub(crate) nic_dup_permille: Vec<u16>,
 }
 
 impl Default for NetParams {
     fn default() -> Self {
         NetParams {
-            // Loopback / unix socket cost.
-            local_latency: SimDuration::from_micros(5),
-            // Typical 2005-era cluster ethernet one-way latency.
-            lan_latency: SimDuration::from_micros(120),
             jitter: SimDuration::from_micros(30),
             loss_permille: 0,
             dup_permille: 0,
@@ -99,7 +97,7 @@ impl NetParams {
     }
 
     /// Base loss rate of network `nic` (override if set, uniform otherwise).
-    pub fn nic_loss(&self, nic: NicId) -> u16 {
+    pub(crate) fn nic_loss(&self, nic: NicId) -> u16 {
         *self
             .nic_loss_permille
             .get(nic.0 as usize)
@@ -107,7 +105,7 @@ impl NetParams {
     }
 
     /// Base duplication rate of network `nic`.
-    pub fn nic_dup(&self, nic: NicId) -> u16 {
+    pub(crate) fn nic_dup(&self, nic: NicId) -> u16 {
         *self
             .nic_dup_permille
             .get(nic.0 as usize)
@@ -118,9 +116,9 @@ impl NetParams {
 /// Unreliability of one routed path: the rates the world rolls against for
 /// a message that crossed the wire on a specific network.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct LinkQuality {
-    pub loss_permille: u16,
-    pub dup_permille: u16,
+pub(crate) struct LinkQuality {
+    pub(crate) loss_permille: u16,
+    pub(crate) dup_permille: u16,
 }
 
 /// Reasons a message could not be carried.
@@ -140,7 +138,7 @@ pub enum DropReason {
 /// Connectivity state of the interconnect (partitions between node pairs).
 #[derive(Debug, Default)]
 pub struct Network {
-    pub params: NetParams,
+    pub(crate) params: NetParams,
     /// Unordered blocked pairs, stored with min id first.
     blocked: HashSet<(NodeId, NodeId)>,
     /// Transient loss burst (`Fault::LossBurst`); the effective loss rate
@@ -163,7 +161,7 @@ pub struct Network {
 }
 
 impl Network {
-    pub fn new(params: NetParams) -> Network {
+    pub(crate) fn new(params: NetParams) -> Network {
         Network {
             params,
             blocked: HashSet::new(),
@@ -183,39 +181,34 @@ impl Network {
     }
 
     /// Block all traffic between `a` and `b` (both directions, all networks).
-    pub fn partition(&mut self, a: NodeId, b: NodeId) {
+    pub(crate) fn partition(&mut self, a: NodeId, b: NodeId) {
         self.blocked.insert(Self::key(a, b));
     }
 
     /// Restore traffic between `a` and `b`.
-    pub fn heal(&mut self, a: NodeId, b: NodeId) {
+    pub(crate) fn heal(&mut self, a: NodeId, b: NodeId) {
         self.blocked.remove(&Self::key(a, b));
     }
 
-    /// Remove every partition.
-    pub fn heal_all(&mut self) {
-        self.blocked.clear();
-    }
-
     /// Is the pair currently partitioned?
-    pub fn is_partitioned(&self, a: NodeId, b: NodeId) -> bool {
+    pub(crate) fn is_partitioned(&self, a: NodeId, b: NodeId) -> bool {
         self.blocked.contains(&Self::key(a, b))
     }
 
     /// Split the cluster into two islands (`Fault::Partition`): nodes with
     /// their bit set in `island` on one side, everyone else on the other.
     /// Replaces any previous split.
-    pub fn set_island(&mut self, island: u64) {
+    pub(crate) fn set_island(&mut self, island: u64) {
         self.island = island;
     }
 
     /// Heal the island split (`Fault::Heal`).
-    pub fn clear_island(&mut self) {
+    pub(crate) fn clear_island(&mut self) {
         self.island = 0;
     }
 
     /// The active island mask (0 when the cluster is whole).
-    pub fn island(&self) -> u64 {
+    pub(crate) fn island(&self) -> u64 {
         self.island
     }
 
@@ -226,49 +219,43 @@ impl Network {
     }
 
     /// Does the active island split separate the pair?
-    pub fn island_separates(&self, a: NodeId, b: NodeId) -> bool {
+    pub(crate) fn island_separates(&self, a: NodeId, b: NodeId) -> bool {
         self.island != 0 && self.island_side(a) != self.island_side(b)
     }
 
     /// Degrade the whole interconnect to at least `permille` loss
     /// (`Fault::LossBurst`).
-    pub fn set_loss_burst(&mut self, permille: u16) {
+    pub(crate) fn set_loss_burst(&mut self, permille: u16) {
         self.burst_permille = permille.min(1000);
     }
 
     /// End a loss burst (`Fault::LossClear`); the configured base rate
     /// stays in effect.
-    pub fn clear_loss_burst(&mut self) {
+    pub(crate) fn clear_loss_burst(&mut self) {
         self.burst_permille = 0;
-    }
-
-    /// Loss probability currently in effect for a path with no per-NIC
-    /// override or degradation, in permille.
-    pub fn effective_loss_permille(&self) -> u16 {
-        self.params.loss_permille.max(self.burst_permille)
     }
 
     /// Degrade one interface of one node to at least `permille` loss on
     /// every path that touches it (`Fault::NicDegrade`). The NIC stays up:
     /// routing still succeeds, messages just die more often.
-    pub fn degrade_nic(&mut self, node: NodeId, nic: NicId, permille: u16) {
+    pub(crate) fn degrade_nic(&mut self, node: NodeId, nic: NicId, permille: u16) {
         self.degraded.insert((node, nic), permille.min(1000));
     }
 
     /// End an interface degradation (`Fault::NicRestore`).
-    pub fn restore_nic(&mut self, node: NodeId, nic: NicId) {
+    pub(crate) fn restore_nic(&mut self, node: NodeId, nic: NicId) {
         self.degraded.remove(&(node, nic));
     }
 
     /// Current degradation of an interface (0 when healthy).
-    pub fn nic_degradation(&self, node: NodeId, nic: NicId) -> u16 {
+    pub(crate) fn nic_degradation(&self, node: NodeId, nic: NicId) -> u16 {
         *self.degraded.get(&(node, nic)).unwrap_or(&0)
     }
 
     /// Mark a node fail-slow (`Fault::SlowNode`): every message it sends,
     /// receives, or services locally takes `factor_permille` extra latency
     /// (1000 = 2× the base). Replaces any previous factor for the node.
-    pub fn set_slow(&mut self, node: NodeId, factor_permille: u16) {
+    pub(crate) fn set_slow(&mut self, node: NodeId, factor_permille: u16) {
         if factor_permille == 0 {
             self.slow.remove(&node);
         } else {
@@ -277,19 +264,19 @@ impl Network {
     }
 
     /// End a fail-slow episode (`Fault::SlowClear`).
-    pub fn clear_slow(&mut self, node: NodeId) {
+    pub(crate) fn clear_slow(&mut self, node: NodeId) {
         self.slow.remove(&node);
     }
 
     /// Current fail-slow factor of a node (0 when healthy).
-    pub fn slow_factor(&self, node: NodeId) -> u16 {
+    pub(crate) fn slow_factor(&self, node: NodeId) -> u16 {
         *self.slow.get(&node).unwrap_or(&0)
     }
 
     /// Combined slowness of a path: the worse of the two endpoints. A slow
     /// node drags both directions of every conversation it takes part in,
     /// including node-local service (same-node messages).
-    pub fn path_slow_factor(&self, src: NodeId, dst: NodeId) -> u16 {
+    pub(crate) fn path_slow_factor(&self, src: NodeId, dst: NodeId) -> u16 {
         if self.slow.is_empty() {
             return 0; // fast path: no map lookups in healthy worlds
         }
@@ -299,25 +286,13 @@ impl Network {
     /// Roll one permille-probability event. Draws from the RNG only when
     /// the rate is non-zero, so reliable runs consume exactly the same
     /// random stream as before the unreliability model existed.
-    pub fn roll(permille: u16, rng: &mut SimRng) -> bool {
+    pub(crate) fn roll(permille: u16, rng: &mut SimRng) -> bool {
         permille > 0 && rng.gen_range(0..1000u64) < permille.min(1000) as u64
-    }
-
-    /// Roll the dice for one cross-node message over a path with no
-    /// per-NIC override: `true` means the message is lost.
-    pub fn loss_roll(&self, rng: &mut SimRng) -> bool {
-        Self::roll(self.effective_loss_permille(), rng)
-    }
-
-    /// Roll for duplication at the uniform base rate: `true` means deliver
-    /// a second copy.
-    pub fn dup_roll(&self, rng: &mut SimRng) -> bool {
-        Self::roll(self.params.dup_permille, rng)
     }
 
     /// Extra reorder jitter for one cross-node message (ZERO when the
     /// model is off; no RNG draw in that case).
-    pub fn reorder_extra(&self, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn reorder_extra(&self, rng: &mut SimRng) -> SimDuration {
         if self.params.reorder_extra.as_nanos() == 0 {
             SimDuration::ZERO
         } else {
@@ -331,16 +306,16 @@ impl Network {
     /// node smears its traffic, it doesn't just shift it); with no slow
     /// node involved the stretch branch draws no RNG, keeping pre-existing
     /// seeded runs byte-identical.
-    pub fn latency(&self, src: NodeId, dst: NodeId, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn latency(&self, src: NodeId, dst: NodeId, rng: &mut SimRng) -> SimDuration {
         let base = if src == dst {
-            self.params.local_latency
+            LOCAL_LATENCY
         } else {
             let jitter_ns = if self.params.jitter.as_nanos() == 0 {
                 0
             } else {
                 rng.gen_range(0..=self.params.jitter.as_nanos())
             };
-            self.params.lan_latency + SimDuration::from_nanos(jitter_ns)
+            LAN_LATENCY + SimDuration::from_nanos(jitter_ns)
         };
         let slow = self.path_slow_factor(src, dst);
         if slow == 0 {
@@ -361,7 +336,7 @@ impl Network {
     /// routed path is the worst of: the network's configured rate (per-NIC
     /// override or uniform base), an active cluster-wide loss burst, and
     /// any degradation of the two endpoint interfaces.
-    pub fn route(
+    pub(crate) fn route(
         &self,
         src: NodeId,
         dst: NodeId,
@@ -409,21 +384,11 @@ mod tests {
     }
 
     #[test]
-    fn heal_all_clears_everything() {
-        let mut net = Network::new(NetParams::default());
-        net.partition(NodeId(0), NodeId(1));
-        net.partition(NodeId(2), NodeId(3));
-        net.heal_all();
-        assert!(!net.is_partitioned(NodeId(0), NodeId(1)));
-        assert!(!net.is_partitioned(NodeId(2), NodeId(3)));
-    }
-
-    #[test]
     fn local_latency_is_constant() {
         let net = Network::new(NetParams::default());
         let mut rng = SimRng::seed_from_u64(1);
         let l = net.latency(NodeId(0), NodeId(0), &mut rng);
-        assert_eq!(l, NetParams::default().local_latency);
+        assert_eq!(l, LOCAL_LATENCY);
     }
 
     #[test]
@@ -433,8 +398,8 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(7);
         for _ in 0..100 {
             let l = net.latency(NodeId(0), NodeId(1), &mut rng);
-            assert!(l >= p.lan_latency);
-            assert!(l <= p.lan_latency + p.jitter);
+            assert!(l >= LAN_LATENCY);
+            assert!(l <= LAN_LATENCY + p.jitter);
         }
     }
 
@@ -571,10 +536,14 @@ mod tests {
         net.set_island(0b0110);
         let mut rng = SimRng::seed_from_u64(11);
         let before = SimRng::seed_from_u64(11).next_u64();
-        // Routing across and within the split is a pure membership test.
-        let _ = net.route(NodeId(1), NodeId(3), NicId(0), true, true);
-        let _ = net.route(NodeId(1), NodeId(2), NicId(0), true, true);
-        assert!(!net.loss_roll(&mut rng));
+        // Routing across and within the split is a pure membership test,
+        // and the path that stays up rolls against a zero rate.
+        assert_eq!(
+            net.route(NodeId(1), NodeId(3), NicId(0), true, true),
+            Err(DropReason::Partitioned)
+        );
+        let within = net.route(NodeId(1), NodeId(2), NicId(0), true, true).unwrap();
+        assert!(!Network::roll(within.loss_permille, &mut rng));
         assert_eq!(rng.next_u64(), before);
     }
 
@@ -584,8 +553,9 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(11);
         let before = rng.next_u64();
         let mut rng = SimRng::seed_from_u64(11);
-        assert!(!net.loss_roll(&mut rng));
-        assert!(!net.dup_roll(&mut rng));
+        let q = net.route(NodeId(0), NodeId(1), NicId(0), true, true).unwrap();
+        assert!(!Network::roll(q.loss_permille, &mut rng));
+        assert!(!Network::roll(q.dup_permille, &mut rng));
         assert_eq!(net.reorder_extra(&mut rng), SimDuration::ZERO);
         // The rolls consumed nothing: the next draw matches a fresh rng.
         assert_eq!(rng.next_u64(), before);
@@ -601,21 +571,21 @@ mod tests {
             // Outgoing and incoming paths both stretch.
             for (a, b) in [(NodeId(1), NodeId(0)), (NodeId(0), NodeId(1))] {
                 let l = net.latency(a, b, &mut rng);
-                let floor = p.lan_latency * 4;
-                let ceil = p.lan_latency * 4 + (p.lan_latency + p.jitter) * 11 / 2;
+                let floor = LAN_LATENCY * 4;
+                let ceil = LAN_LATENCY * 4 + (LAN_LATENCY + p.jitter) * 11 / 2;
                 assert!(l >= floor, "{l:?} < {floor:?}");
                 assert!(l <= ceil, "{l:?} > {ceil:?}");
             }
         }
         // Node-local service time stretches too (the node is slow, not a link).
         let l = net.latency(NodeId(1), NodeId(1), &mut rng);
-        assert!(l >= p.local_latency * 4);
+        assert!(l >= LOCAL_LATENCY * 4);
         // Uninvolved pairs keep the normal bounds.
         let l = net.latency(NodeId(0), NodeId(2), &mut rng);
-        assert!(l <= p.lan_latency + p.jitter);
+        assert!(l <= LAN_LATENCY + p.jitter);
         net.clear_slow(NodeId(1));
         let l = net.latency(NodeId(0), NodeId(1), &mut rng);
-        assert!(l <= p.lan_latency + p.jitter);
+        assert!(l <= LAN_LATENCY + p.jitter);
     }
 
     #[test]
@@ -657,23 +627,31 @@ mod tests {
             loss_permille: 100, // 10%
             ..NetParams::default()
         });
+        let q = net.route(NodeId(0), NodeId(1), NicId(0), true, true).unwrap();
         let mut rng = SimRng::seed_from_u64(42);
-        let lost = (0..10_000).filter(|_| net.loss_roll(&mut rng)).count();
+        let lost = (0..10_000)
+            .filter(|_| Network::roll(q.loss_permille, &mut rng))
+            .count();
         assert!((800..1200).contains(&lost), "10% loss drew {lost}/10000");
     }
 
     #[test]
     fn burst_overrides_lower_base_rate() {
         let mut net = Network::new(NetParams::default());
-        assert_eq!(net.effective_loss_permille(), 0);
+        let loss = |net: &Network| {
+            net.route(NodeId(0), NodeId(1), NicId(0), true, true)
+                .unwrap()
+                .loss_permille
+        };
+        assert_eq!(loss(&net), 0);
         net.set_loss_burst(300);
-        assert_eq!(net.effective_loss_permille(), 300);
+        assert_eq!(loss(&net), 300);
         net.clear_loss_burst();
-        assert_eq!(net.effective_loss_permille(), 0);
+        assert_eq!(loss(&net), 0);
         // A burst never lowers a higher base rate.
         net.params.loss_permille = 500;
         net.set_loss_burst(300);
-        assert_eq!(net.effective_loss_permille(), 500);
+        assert_eq!(loss(&net), 500);
     }
 
     #[test]

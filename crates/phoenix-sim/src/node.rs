@@ -43,20 +43,12 @@ impl ResourceUsage {
 #[derive(Clone, Debug)]
 pub struct NodeSpec {
     /// Number of network interfaces. The Dawning 4000A had three networks.
-    pub nics: usize,
-    /// Number of CPUs, used by compute models and job scheduling.
-    pub cpus: u32,
-    /// Memory capacity in MiB (reported by the configuration service).
-    pub memory_mib: u64,
+    pub(crate) nics: usize,
 }
 
 impl Default for NodeSpec {
     fn default() -> Self {
-        NodeSpec {
-            nics: 3,
-            cpus: 4,
-            memory_mib: 8192,
-        }
+        NodeSpec { nics: 3 }
     }
 }
 
@@ -64,7 +56,6 @@ impl Default for NodeSpec {
 #[derive(Debug)]
 pub struct NodeState {
     pub id: NodeId,
-    pub spec: NodeSpec,
     pub up: bool,
     pub nic_up: Vec<bool>,
     pub usage: ResourceUsage,
@@ -72,30 +63,17 @@ pub struct NodeState {
 
 impl NodeState {
     pub fn new(id: NodeId, spec: NodeSpec) -> NodeState {
-        let nics = spec.nics;
         NodeState {
             id,
-            spec,
             up: true,
-            nic_up: vec![true; nics],
+            nic_up: vec![true; spec.nics],
             usage: ResourceUsage::IDLE,
         }
     }
 
     /// Is the given NIC present and healthy (node must be up too)?
-    pub fn nic_healthy(&self, nic: NicId) -> bool {
+    pub(crate) fn nic_healthy(&self, nic: NicId) -> bool {
         self.up && self.nic_up.get(nic.0 as usize).copied().unwrap_or(false)
-    }
-
-    /// First healthy NIC, if any.
-    pub fn first_healthy_nic(&self) -> Option<NicId> {
-        if !self.up {
-            return None;
-        }
-        self.nic_up
-            .iter()
-            .position(|&ok| ok)
-            .map(|i| NicId(i as u8))
     }
 }
 
@@ -108,8 +86,7 @@ mod tests {
         let n = NodeState::new(NodeId(0), NodeSpec::default());
         assert!(n.up);
         assert_eq!(n.nic_up.len(), 3);
-        assert!(n.nic_healthy(NicId(0)));
-        assert_eq!(n.first_healthy_nic(), Some(NicId(0)));
+        assert!((0..3).all(|i| n.nic_healthy(NicId(i))));
     }
 
     #[test]
@@ -117,18 +94,17 @@ mod tests {
         let mut n = NodeState::new(NodeId(0), NodeSpec::default());
         n.nic_up[0] = false;
         assert!(!n.nic_healthy(NicId(0)));
-        assert_eq!(n.first_healthy_nic(), Some(NicId(1)));
+        assert!(n.nic_healthy(NicId(1)));
         n.nic_up[1] = false;
         n.nic_up[2] = false;
-        assert_eq!(n.first_healthy_nic(), None);
+        assert!(!(0..3).any(|i| n.nic_healthy(NicId(i))));
     }
 
     #[test]
     fn downed_node_has_no_healthy_nic() {
         let mut n = NodeState::new(NodeId(0), NodeSpec::default());
         n.up = false;
-        assert!(!n.nic_healthy(NicId(0)));
-        assert_eq!(n.first_healthy_nic(), None);
+        assert!(!(0..3).any(|i| n.nic_healthy(NicId(i))));
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl SimRng {
     }
 
     /// Uniform in `[0, 1)` with 53 bits of precision.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 

@@ -65,12 +65,10 @@ pub trait Scheduler<T> {
     /// Pool accounting for leak tests. Implementations without a real
     /// arena report `live == len` and mirror push/pop counts.
     fn arena_stats(&self) -> ArenaStats;
-
-    fn kind(&self) -> SchedulerKind;
 }
 
 /// Construct the scheduler implementation for `kind`.
-pub fn make_scheduler<T: 'static>(kind: SchedulerKind) -> Box<dyn Scheduler<T>> {
+pub(crate) fn make_scheduler<T: 'static>(kind: SchedulerKind) -> Box<dyn Scheduler<T>> {
     match kind {
         SchedulerKind::Heap => Box::new(HeapScheduler::new()),
         SchedulerKind::Wheel => Box::new(WheelScheduler::new()),
@@ -164,10 +162,6 @@ impl<T> Scheduler<T> for HeapScheduler<T> {
             allocs: self.allocs,
             frees: self.frees,
         }
-    }
-
-    fn kind(&self) -> SchedulerKind {
-        SchedulerKind::Heap
     }
 }
 
@@ -464,10 +458,6 @@ impl<T> Scheduler<T> for WheelScheduler<T> {
 
     fn arena_stats(&self) -> ArenaStats {
         self.arena.stats()
-    }
-
-    fn kind(&self) -> SchedulerKind {
-        SchedulerKind::Wheel
     }
 }
 

@@ -68,15 +68,6 @@ impl SimDuration {
         SimDuration(ns)
     }
 
-    /// Construct from fractional virtual seconds. Negative values clamp to 0.
-    pub fn from_secs_f64(s: f64) -> SimDuration {
-        if s <= 0.0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration((s * 1e9).round() as u64)
-        }
-    }
-
     /// The duration in nanoseconds.
     #[inline]
     pub fn as_nanos(self) -> u64 {
@@ -221,12 +212,6 @@ mod tests {
             SimDuration::from_micros(1_000)
         );
         assert_eq!(SimDuration::from_micros(1), SimDuration::from_nanos(1_000));
-    }
-
-    #[test]
-    fn from_secs_f64_rounds_and_clamps() {
-        assert_eq!(SimDuration::from_secs_f64(0.5), SimDuration::from_millis(500));
-        assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
     }
 
     #[test]

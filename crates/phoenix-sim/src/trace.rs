@@ -105,11 +105,6 @@ impl TraceLog {
         self.records.len()
     }
 
-    /// True when no records have been logged.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// First record (at or after `after`) matching `pred`.
     pub fn find_after<F>(&self, after: SimTime, mut pred: F) -> Option<&TraceRecord>
     where

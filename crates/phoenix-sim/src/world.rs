@@ -5,13 +5,13 @@ use crate::fault::Fault;
 use crate::ids::{NicId, NodeId, Pid, TimerId};
 use crate::message::Message;
 use crate::metrics::Metrics;
-use crate::network::{DropReason, LinkQuality, NetParams, Network};
+use crate::network::{DropReason, LinkQuality, NetParams, Network, LOCAL_LATENCY};
 use crate::arena::ArenaStats;
 use crate::node::{NodeSpec, NodeState, ResourceUsage};
 use crate::sched::{make_scheduler, Scheduler, SchedulerKind};
 use crate::time::{SimDuration, SimTime};
 use crate::rng::SimRng;
-use crate::trace::{TraceEvent, TraceLog};
+use crate::trace::TraceLog;
 use std::collections::HashSet;
 
 /// Builder for a simulated cluster.
@@ -44,12 +44,6 @@ impl ClusterBuilder {
     /// Add `n` identical nodes.
     pub fn nodes(mut self, n: usize, spec: NodeSpec) -> Self {
         self.nodes.extend(std::iter::repeat(spec).take(n));
-        self
-    }
-
-    /// Add one node with a custom spec.
-    pub fn node(mut self, spec: NodeSpec) -> Self {
-        self.nodes.push(spec);
         self
     }
 
@@ -139,9 +133,9 @@ enum SimEvent<M: Message> {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SchedulePastError {
     /// The requested (past) virtual time.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// The world clock when the request was made.
-    pub now: SimTime,
+    pub(crate) now: SimTime,
 }
 
 impl std::fmt::Display for SchedulePastError {
@@ -241,13 +235,8 @@ impl<M: Message> World<M> {
     }
 
     /// Node a live process runs on.
-    pub fn node_of(&self, pid: Pid) -> Option<NodeId> {
+    pub(crate) fn node_of(&self, pid: Pid) -> Option<NodeId> {
         live_node(&self.live, pid)
-    }
-
-    /// Set a node's resource gauges directly (workload generators).
-    pub fn set_usage(&mut self, node: NodeId, usage: ResourceUsage) {
-        self.nodes[node.index()].usage = usage.clamped();
     }
 
     /// Spawn an actor on `node`. Its `on_start` runs at the current virtual
@@ -286,7 +275,7 @@ impl<M: Message> World<M> {
         let label = msg.label();
         let bytes = msg.wire_size();
         self.metrics.on_send(label, bytes);
-        let at = self.clock + self.network.params.local_latency;
+        let at = self.clock + LOCAL_LATENCY;
         self.push(
             at,
             SimEvent::Deliver {
@@ -492,11 +481,6 @@ impl<M: Message> World<M> {
             Some(log) => std::mem::take(log),
             None => String::new(),
         }
-    }
-
-    /// Which scheduler implementation this world runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.queue.kind()
     }
 
     /// Event-pool accounting from the active scheduler (leak tests; the
@@ -770,11 +754,6 @@ impl<M: Message> World<M> {
         }
     }
 
-    /// Record a trace event from outside any actor (experiment harnesses).
-    pub fn trace_event(&mut self, ev: TraceEvent) {
-        self.trace.push(self.clock, ev);
-    }
-
     /// Live process count (for assertions in tests).
     pub fn live_processes(&self) -> usize {
         self.pids_on.iter().map(Vec::len).sum()
@@ -783,12 +762,6 @@ impl<M: Message> World<M> {
     /// Number of events waiting in the queue.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Virtual time of the next pending event, if any. Introspection
-    /// only — may scan the queue (O(n) under the wheel scheduler).
-    pub fn next_event_at(&self) -> Option<SimTime> {
-        self.queue.earliest()
     }
 
     /// Borrow a live actor for read-only inspection. `None` for dead pids.
@@ -841,6 +814,7 @@ fn nic_routed_counter(nic: NicId) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceEvent;
 
     /// Echoes every message back to the sender, incremented.
     struct Echo;
@@ -1097,7 +1071,7 @@ mod tests {
         assert!(w.is_alive(echo));
         // Exactly "now" is valid: the fault fires before time advances.
         w.schedule_fault(w.now(), Fault::KillProcess(echo)).unwrap();
-        assert_eq!(w.next_event_at(), Some(w.now()));
+        assert_eq!(w.queue.earliest(), Some(w.now()));
         w.run_until(w.now());
         assert!(!w.is_alive(echo));
         assert_eq!(w.now(), SimTime(1_000_000), "clock must not move");
@@ -1566,12 +1540,12 @@ mod tests {
     fn queue_introspection_sees_pending_events() {
         let mut w = two_node_world();
         assert_eq!(w.queue_len(), 0);
-        assert_eq!(w.next_event_at(), None);
+        assert_eq!(w.queue.earliest(), None);
         let echo = w.spawn(NodeId(1), Box::new(Echo));
         w.schedule_fault(SimTime(5_000), Fault::KillProcess(echo))
             .unwrap();
         assert_eq!(w.queue_len(), 2); // Start + Fault
-        assert_eq!(w.next_event_at(), Some(SimTime::ZERO));
+        assert_eq!(w.queue.earliest(), Some(SimTime::ZERO));
     }
 
     #[test]
@@ -1619,7 +1593,7 @@ mod tests {
     #[test]
     fn wheel_world_reuses_arena_slots_and_leaks_none() {
         let mut w = two_node_world();
-        assert_eq!(w.scheduler_kind(), SchedulerKind::Wheel);
+        assert_eq!(SchedulerKind::default(), SchedulerKind::Wheel);
         let echo = w.spawn(NodeId(1), Box::new(Echo));
         for i in 0..200 {
             w.inject(echo, i);
@@ -1642,10 +1616,14 @@ mod tests {
         let mut w = two_node_world();
         let echo = w.spawn(NodeId(1), Box::new(Echo));
         w.run_for(SimDuration::from_millis(1));
-        w.trace_event(TraceEvent::Milestone {
-            label: "noise",
-            value: 0.0,
-        });
+        let now = w.now();
+        w.trace_mut().push(
+            now,
+            TraceEvent::Milestone {
+                label: "noise",
+                value: 0.0,
+            },
+        );
         let quiet = w.run_until_quiet(
             SimDuration::from_secs(1),
             w.now() + SimDuration::from_secs(10),

@@ -19,7 +19,7 @@ pub fn set_now(nanos: u64) {
 }
 
 /// The most recently published virtual time in nanoseconds.
-pub fn now() -> u64 {
+pub(crate) fn now() -> u64 {
     NOW.with(|n| n.get())
 }
 

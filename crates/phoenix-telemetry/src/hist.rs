@@ -8,7 +8,7 @@
 //! the shard-merge test pins.
 
 /// Number of buckets: one for zero plus one per bit of a `u64`.
-pub const BUCKETS: usize = 65;
+pub(crate) const BUCKETS: usize = 65;
 
 #[derive(Clone, Debug)]
 pub struct Histogram {
@@ -88,7 +88,7 @@ impl Histogram {
     /// bucket containing the `ceil(q * count)`-th observation, clamped to
     /// the exact observed max (so p100 == max and a one-bucket histogram
     /// reports its true extreme).
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }

@@ -36,10 +36,10 @@
 //! ```
 
 pub mod clock;
-pub mod hist;
+pub(crate) mod hist;
 mod json;
-pub mod recorder;
-pub mod registry;
+pub(crate) mod recorder;
+pub(crate) mod registry;
 pub mod report;
 
 pub use hist::{Histogram, Summary};

@@ -34,14 +34,14 @@ impl SpanRecord {
 
 /// A span with its children, assembled by [`FlightRecorder::span_forest`].
 #[derive(Clone, Debug)]
-pub struct SpanNode {
-    pub record: SpanRecord,
-    pub children: Vec<SpanNode>,
+pub(crate) struct SpanNode {
+    pub(crate) record: SpanRecord,
+    pub(crate) children: Vec<SpanNode>,
 }
 
 impl SpanNode {
     /// Depth-first walk (self before children), calling `f(depth, record)`.
-    pub fn walk(&self, f: &mut impl FnMut(usize, &SpanRecord)) {
+    pub(crate) fn walk(&self, f: &mut impl FnMut(usize, &SpanRecord)) {
         self.walk_at(0, f);
     }
 
@@ -61,7 +61,7 @@ pub struct FlightRecorder {
 }
 
 /// Default per-node ring capacity.
-pub const DEFAULT_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_CAPACITY: usize = 1024;
 
 impl Default for FlightRecorder {
     fn default() -> Self {
@@ -72,10 +72,6 @@ impl Default for FlightRecorder {
 impl FlightRecorder {
     pub fn with_capacity(capacity: usize) -> Self {
         FlightRecorder { capacity: capacity.max(1), rings: BTreeMap::new(), evicted: 0 }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Total spans evicted across all nodes since creation.
@@ -92,11 +88,6 @@ impl FlightRecorder {
         ring.push_back(record);
     }
 
-    /// Recent spans for one node, oldest first.
-    pub fn node(&self, node: u32) -> impl Iterator<Item = &SpanRecord> {
-        self.rings.get(&node).into_iter().flatten()
-    }
-
     /// All retained spans, grouped by node id ascending, oldest first
     /// within a node.
     pub fn iter(&self) -> impl Iterator<Item = &SpanRecord> {
@@ -107,17 +98,13 @@ impl FlightRecorder {
         self.rings.values().map(|r| r.len()).sum()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Merge another recorder's rings into this one. Per node, the union
     /// of both rings is interleaved by `start_ns` (stable: on ties, this
     /// recorder's spans sort before `other`'s) and then re-bounded to
     /// `self.capacity`, evicting from the oldest end exactly as `push`
     /// would have. `other`'s eviction count carries over so the merged
     /// total still answers "how many spans were lost to the ring bound".
-    pub fn merge(&mut self, other: &FlightRecorder) {
+    pub(crate) fn merge(&mut self, other: &FlightRecorder) {
         for (&node, ring) in &other.rings {
             let ours = self.rings.entry(node).or_default();
             ours.extend(ring.iter().cloned());
@@ -140,7 +127,7 @@ impl FlightRecorder {
     /// its ring (or never completed) becomes a root. Roots and sibling
     /// lists are ordered by start time, ties by span id, so the forest
     /// from a seeded run is bit-identical across repetitions.
-    pub fn span_forest(&self) -> Vec<SpanNode> {
+    pub(crate) fn span_forest(&self) -> Vec<SpanNode> {
         let mut all: Vec<&SpanRecord> = self.iter().collect();
         all.sort_by_key(|r| (r.start_ns, r.id.0));
         let retained: HashSet<u64> = all.iter().map(|r| r.id.0).collect();
@@ -235,7 +222,7 @@ mod tests {
         for i in 0..5u64 {
             fr.push(rec(0, i + 1, i * 100));
         }
-        let kept: Vec<u64> = fr.node(0).map(|r| r.id.0).collect();
+        let kept: Vec<u64> = fr.iter().map(|r| r.id.0).collect();
         assert_eq!(kept, vec![3, 4, 5]);
         assert_eq!(fr.evicted(), 2);
         assert_eq!(fr.len(), 3);
@@ -248,8 +235,9 @@ mod tests {
         fr.push(rec(2, 2, 0));
         fr.push(rec(1, 3, 50));
         fr.push(rec(1, 4, 90));
-        assert_eq!(fr.node(1).count(), 2, "node 1 ring evicted independently");
-        assert_eq!(fr.node(2).count(), 1);
+        let on = |n: u32| fr.iter().filter(|r| r.node == n).count();
+        assert_eq!(on(1), 2, "node 1 ring evicted independently");
+        assert_eq!(on(2), 1);
         let all: Vec<u32> = fr.iter().map(|r| r.node).collect();
         assert_eq!(all, vec![1, 1, 2], "dump order: node id ascending");
     }
@@ -265,9 +253,9 @@ mod tests {
         b.push(rec(8, 5, 50));
         a.merge(&b);
         // Node 7 union is 4 spans; capacity 3 evicts the oldest (start 100).
-        let kept: Vec<u64> = a.node(7).map(|r| r.start_ns).collect();
+        let kept: Vec<u64> = a.iter().filter(|r| r.node == 7).map(|r| r.start_ns).collect();
         assert_eq!(kept, vec![200, 300, 400]);
-        assert_eq!(a.node(8).count(), 1);
+        assert_eq!(a.iter().filter(|r| r.node == 8).count(), 1);
         assert_eq!(a.evicted(), 1);
     }
 
@@ -355,7 +343,7 @@ mod tests {
         let mut b = FlightRecorder::with_capacity(8);
         b.push(rec(1, 20, 500));
         a.merge(&b);
-        let ids: Vec<u64> = a.node(1).map(|r| r.id.0).collect();
+        let ids: Vec<u64> = a.iter().map(|r| r.id.0).collect();
         assert_eq!(ids, vec![10, 20], "stable: self's span first on tied start_ns");
     }
 }

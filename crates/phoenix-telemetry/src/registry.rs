@@ -50,12 +50,12 @@ pub struct PathStats {
     pub hist: Histogram,
 }
 
-/// Default TTL for outstanding marks, in virtual nanoseconds. Legitimate
+/// TTL for outstanding marks, in virtual nanoseconds. Legitimate
 /// cross-actor flights (heartbeats, probes, detect→diagnose episodes) are
 /// milliseconds-to-seconds scale even under the paper's 30 s-heartbeat
 /// profile, so 120 virtual seconds only ever reaps marks whose measuring
 /// message was lost.
-pub const DEFAULT_MARK_TTL_NS: u64 = 120_000_000_000;
+pub(crate) const MARK_TTL_NS: u64 = 120_000_000_000;
 
 #[derive(Debug)]
 pub struct MetricsRegistry {
@@ -66,7 +66,6 @@ pub struct MetricsRegistry {
     open: BTreeMap<SpanId, OpenSpan>,
     next_span: u64,
     recorder: FlightRecorder,
-    mark_ttl_ns: u64,
     last_mark_sweep_ns: u64,
 }
 
@@ -86,14 +85,13 @@ impl MetricsRegistry {
             open: BTreeMap::new(),
             next_span: 1,
             recorder: FlightRecorder::default(),
-            mark_ttl_ns: DEFAULT_MARK_TTL_NS,
             last_mark_sweep_ns: 0,
         }
     }
 
     // --- counters / gauges -------------------------------------------------
 
-    pub fn counter_add(&mut self, name: &'static str, by: u64) {
+    pub(crate) fn counter_add(&mut self, name: &'static str, by: u64) {
         *self.counters.entry(name).or_insert(0) += by;
     }
 
@@ -105,7 +103,7 @@ impl MetricsRegistry {
         self.counters.iter().map(|(&k, &v)| (k, v))
     }
 
-    pub fn gauge_set(&mut self, name: &'static str, value: f64) {
+    pub(crate) fn gauge_set(&mut self, name: &'static str, value: f64) {
         self.gauges.insert(name, value);
     }
 
@@ -120,7 +118,7 @@ impl MetricsRegistry {
     // --- histograms --------------------------------------------------------
 
     /// Record a raw latency observation (nanoseconds) under `path`.
-    pub fn observe(&mut self, path: &'static str, service: &'static str, nanos: u64) {
+    pub(crate) fn observe(&mut self, path: &'static str, service: &'static str, nanos: u64) {
         self.hists
             .entry(path)
             .or_insert_with(|| PathStats { service, hist: Histogram::new() })
@@ -175,7 +173,7 @@ impl MetricsRegistry {
     /// the flight recorder — with `aborted: true` and the abort time as
     /// `end_ns` — so post-mortems can see what was in progress, but the
     /// `path` histogram stays untouched. Unknown ids are ignored.
-    pub fn span_abort(&mut self, id: SpanId) {
+    pub(crate) fn span_abort(&mut self, id: SpanId) {
         let Some(span) = self.open.remove(&id) else { return };
         self.counter_add("telemetry.spans.aborted", 1);
         self.recorder.push(SpanRecord {
@@ -219,17 +217,17 @@ impl MetricsRegistry {
     /// retransmission semantics).
     ///
     /// Marks whose measuring message was lost would otherwise live
-    /// forever, so every `mark_ttl_ns` of virtual time this lazily sweeps
+    /// forever, so every `MARK_TTL_NS` of virtual time this lazily sweeps
     /// out entries older than the TTL (see [`expire_marks_older_than`]).
     ///
     /// [`expire_marks_older_than`]: MetricsRegistry::expire_marks_older_than
-    pub fn mark(&mut self, path: &'static str, key: u64) {
+    pub(crate) fn mark(&mut self, path: &'static str, key: u64) {
         let now = clock::now();
         if now < self.last_mark_sweep_ns {
             // Virtual clock rewound (fresh run on a reused registry).
             self.last_mark_sweep_ns = now;
-        } else if now.saturating_sub(self.last_mark_sweep_ns) >= self.mark_ttl_ns {
-            self.expire_marks_older_than(self.mark_ttl_ns);
+        } else if now.saturating_sub(self.last_mark_sweep_ns) >= MARK_TTL_NS {
+            self.expire_marks_older_than(MARK_TTL_NS);
             self.last_mark_sweep_ns = now;
         }
         self.marks.insert((path, key), now);
@@ -254,17 +252,11 @@ impl MetricsRegistry {
         expired
     }
 
-    /// Override the stale-mark TTL (virtual nanoseconds). Mostly for
-    /// tests; the default is [`DEFAULT_MARK_TTL_NS`].
-    pub fn set_mark_ttl(&mut self, ttl_ns: u64) {
-        self.mark_ttl_ns = ttl_ns.max(1);
-    }
-
     /// Consume the mark for `(path, key)`: records `now - mark` under
     /// `path` and returns the elapsed nanoseconds. `None` if no mark is
     /// outstanding (e.g. the originating message was dropped or the mark
     /// was already measured).
-    pub fn measure(
+    pub(crate) fn measure(
         &mut self,
         path: &'static str,
         service: &'static str,
@@ -292,7 +284,7 @@ impl MetricsRegistry {
     /// Drop an outstanding mark without recording a measurement — the
     /// flight was retracted (e.g. a suspicion cleared mid-probe), not
     /// completed or lost. Returns whether a mark was outstanding.
-    pub fn unmark(&mut self, path: &'static str, key: u64) -> bool {
+    pub(crate) fn unmark(&mut self, path: &'static str, key: u64) -> bool {
         self.marks.remove(&(path, key)).is_some()
     }
 
@@ -367,7 +359,7 @@ mod tests {
         assert_eq!(r.histogram("outer").unwrap().summary().max_ns, 200);
         assert_eq!(r.open_spans(), 0);
 
-        let recs: Vec<_> = r.recorder().node(3).collect();
+        let recs: Vec<_> = r.recorder().iter().filter(|s| s.node == 3).collect();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].path, "inner");
         assert_eq!(recs[0].parent, root);
@@ -398,17 +390,17 @@ mod tests {
     #[test]
     fn stale_marks_expire_after_ttl() {
         let mut r = MetricsRegistry::new();
-        r.set_mark_ttl(1_000);
         clock::set_now(0);
         r.mark("lost", 1); // its measure will never arrive
         clock::set_now(100);
         r.mark("lost", 2);
-        clock::set_now(2_000); // > last sweep (0) + ttl -> lazy sweep fires
+        let later = MARK_TTL_NS + 2_000;
+        clock::set_now(later); // > last sweep (0) + ttl -> lazy sweep fires
         r.mark("fresh", 3);
         assert_eq!(r.outstanding_marks(), 1, "stale marks reaped, fresh kept");
         assert_eq!(r.counter("telemetry.marks.expired"), 2);
         // The fresh mark is still measurable.
-        clock::set_now(2_050);
+        clock::set_now(later + 50);
         assert_eq!(r.measure("fresh", "s", 0, 3), Some(50));
     }
 
@@ -433,7 +425,7 @@ mod tests {
         r.span_abort(id);
         assert_eq!(r.open_spans(), 0);
         assert!(r.histogram("doomed").is_none(), "aborted span records no latency");
-        let rec: Vec<_> = r.recorder().node(4).collect();
+        let rec: Vec<_> = r.recorder().iter().filter(|s| s.node == 4).collect();
         assert_eq!(rec.len(), 1);
         assert!(rec[0].aborted);
         assert_eq!(rec[0].end_ns, 90);

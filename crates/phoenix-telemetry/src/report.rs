@@ -14,7 +14,7 @@ use crate::json::Json;
 use crate::registry::MetricsRegistry;
 
 /// Default output path, relative to the workspace root.
-pub const DEFAULT_PATH: &str = "results/BENCH_kernel.json";
+pub(crate) const DEFAULT_PATH: &str = "results/BENCH_kernel.json";
 
 /// Flight-recorder records a written report keeps (the newest ones), so the
 /// committed `results/` files stay small enough to diff.

@@ -92,7 +92,7 @@ fn main() {
     );
     world.run_for(SimDuration::from_secs(3));
     println!("{}", ui::render_node_board(world.nodes(), 12));
-    println!("{}", gv.render());
+    println!("{}", gv.render_full());
     println!(
         "console saw {} kernel events in total",
         gv.events_received()
