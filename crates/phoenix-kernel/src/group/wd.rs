@@ -225,6 +225,7 @@ impl Actor<KernelMsg> for Wd {
 mod tests {
     use super::*;
     use crate::client::ClientHandle;
+    use crate::params::KernelParams;
     use phoenix_sim::{ClusterBuilder, Fault, NodeSpec, SimDuration};
 
     #[test]
@@ -296,7 +297,7 @@ mod tests {
             Box::new(Wd::respawn(
                 NodeId(1),
                 PartitionId(0),
-                FtParams::fast_lossy(),
+                KernelParams::fast_lossy().ft,
                 gsd.pid,
                 RecoveryAction::NoneNeeded,
             )),

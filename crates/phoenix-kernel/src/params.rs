@@ -97,48 +97,6 @@ impl FtParams {
             ..FtParams::default()
         }
     }
-
-    /// Fast profile hardened for a lossy network: suspicion only after
-    /// several silent beats, and probes that abort when beats resume.
-    pub(crate) fn fast_lossy() -> FtParams {
-        FtParams {
-            suspect_beats: 3,
-            probe_abort_on_fresh: true,
-            nic: NicHealthParams::lossy(),
-            ..FtParams::fast()
-        }
-    }
-
-    /// Fast lossy profile with quorum regroup enabled: the configuration
-    /// for every partition-fault scenario. The regroup round must conclude
-    /// well before a suspicion ripens into a takeover, so a minority side
-    /// freezes before the majority elects a replacement leader.
-    pub(crate) fn fast_partition() -> FtParams {
-        FtParams {
-            regroup: RegroupParams::fast(),
-            ..FtParams::fast_lossy()
-        }
-    }
-
-    /// Partition profile plus the weighted/witness vote table and the
-    /// adaptive takeover delay: even splits keep exactly one side live.
-    pub(crate) fn fast_quorum() -> FtParams {
-        FtParams {
-            regroup: RegroupParams::quorum(),
-            ..FtParams::fast_lossy()
-        }
-    }
-
-    /// Quorum profile plus fail-slow detection: per-peer RTT scoring,
-    /// hysteretic quarantine and the slow-leader handoff. Runs with the
-    /// full regroup/vote machinery on so "slow ≠ down" is tested against
-    /// the takeover licence, not in isolation.
-    pub(crate) fn fast_slow() -> FtParams {
-        FtParams {
-            slow: SlowDetectParams::slow(),
-            ..FtParams::fast_quorum()
-        }
-    }
 }
 
 /// All kernel parameters.
@@ -179,44 +137,45 @@ impl KernelParams {
     }
 
     /// Fast profile hardened for a lossy network: K-of-N suspicion,
-    /// probe-freshness aborts and bounded retries with backoff on every
-    /// request/reply path.
+    /// probe-freshness aborts, per-NIC health scoring and bounded retries
+    /// with backoff on every request/reply path.
     pub fn fast_lossy() -> KernelParams {
-        KernelParams {
-            ft: FtParams::fast_lossy(),
-            rpc: RetryPolicy::lossy(),
-            ..KernelParams::fast()
-        }
+        let mut p = KernelParams::fast();
+        p.ft.suspect_beats = 3;
+        p.ft.probe_abort_on_fresh = true;
+        p.ft.nic = NicHealthParams::lossy();
+        p.rpc = RetryPolicy::lossy();
+        p
     }
 
     /// Lossy profile plus MSCS-style quorum regroup: partition faults
-    /// freeze the minority side instead of letting it elect a leader.
+    /// freeze the minority side instead of letting it elect a leader. The
+    /// regroup round must conclude well before a suspicion ripens into a
+    /// takeover, so a minority side freezes before the majority elects a
+    /// replacement leader.
     pub fn fast_partition() -> KernelParams {
-        KernelParams {
-            ft: FtParams::fast_partition(),
-            rpc: RetryPolicy::lossy(),
-            ..KernelParams::fast()
-        }
+        let mut p = KernelParams::fast_lossy();
+        p.ft.regroup = RegroupParams::fast();
+        p
     }
 
     /// Partition profile plus weighted/witness quorum and adaptive
     /// takeover delay: the configuration for every even-split scenario.
     pub fn fast_quorum() -> KernelParams {
-        KernelParams {
-            ft: FtParams::fast_quorum(),
-            rpc: RetryPolicy::lossy(),
-            ..KernelParams::fast()
-        }
+        let mut p = KernelParams::fast_partition();
+        p.ft.regroup = RegroupParams::quorum();
+        p
     }
 
-    /// Quorum profile plus fail-slow detection: the configuration for
-    /// every gray-failure scenario.
+    /// Quorum profile plus fail-slow detection (per-peer RTT scoring,
+    /// hysteretic quarantine and the slow-leader handoff): the
+    /// configuration for every gray-failure scenario. The full
+    /// regroup/vote machinery stays on so "slow ≠ down" is tested against
+    /// the takeover licence, not in isolation.
     pub fn fast_slow() -> KernelParams {
-        KernelParams {
-            ft: FtParams::fast_slow(),
-            rpc: RetryPolicy::lossy(),
-            ..KernelParams::fast()
-        }
+        let mut p = KernelParams::fast_quorum();
+        p.ft.slow = SlowDetectParams::slow();
+        p
     }
 }
 

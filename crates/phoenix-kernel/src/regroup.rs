@@ -135,7 +135,7 @@ impl Default for RegroupParams {
 }
 
 impl RegroupParams {
-    /// Profile matched to `FtParams::fast_lossy()` timing (1 s beats,
+    /// Profile matched to `KernelParams::fast_lossy()` timing (1 s beats,
     /// 25 ms scans, 3-beat suspicion): a 60 ms round concludes well
     /// inside the probe pipeline, and 1.5 s of held majority out-waits
     /// the ≤ ~1.1 s worst-case skew between the majority's takeover

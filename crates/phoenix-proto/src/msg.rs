@@ -557,9 +557,9 @@ impl KernelMsg {
 
 impl Message for KernelMsg {
     fn wire_size(&self) -> usize {
-        // O(1) for the fixed-shape heartbeat/probe/ping family and for
-        // `Shared` broadcast payloads (memoized); only irregular owned
-        // shapes pay a tree walk. See `Wire::fixed_size`.
+        // The encoder itself, counting instead of writing, so this is
+        // `encode(self).len()` by construction. A `Shared` payload is
+        // walked once per broadcast, not once per send.
         encoded_size(self)
     }
 

@@ -6,11 +6,11 @@
 //! bulletin result pages) never deep-copy the payload. The wrapper is
 //! wire-transparent — it encodes exactly the bytes its payload would, so
 //! swapping `Box<T>`/`Vec<T>` for `Shared<T>` in a message is invisible on
-//! the wire — and it memoizes one sizing walk per value, so repeated
-//! `wire_size()` calls on the same broadcast payload are O(1) after the
-//! first (see [`crate::wire::Wire::fixed_size`]).
+//! the wire — and it memoizes one sizing walk per value: every later
+//! `wire_size()` of a message holding any clone of it, at any depth, counts
+//! the payload with a load (through [`crate::wire::Sink::put_known`]).
 
-use crate::wire::{Reader, Sink, Wire, WireError};
+use crate::wire::{encoded_size, Reader, Sink, Wire, WireError};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
@@ -95,29 +95,23 @@ impl<T: Default> Default for Shared<T> {
 
 impl<T: Wire> Wire for Shared<T> {
     fn put<S: Sink>(&self, sink: &mut S) {
-        self.inner.value.put(sink)
+        // One sizing walk per wrapped value, ever: a counting sink takes
+        // the memo for every later size of any clone of this payload.
+        let value = &self.inner.value;
+        sink.put_known(value, || *self.inner.size.get_or_init(|| encoded_size(value)));
     }
 
     fn get(reader: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(Shared::new(T::get(reader)?))
-    }
-
-    fn fixed_size(&self) -> Option<usize> {
-        // One walk per wrapped value, ever: every later `encoded_size` /
-        // `encode` of any clone of this payload is a load.
-        Some(
-            *self
-                .inner
-                .size
-                .get_or_init(|| crate::wire::encoded_size(&self.inner.value)),
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode, encode, encoded_size};
+    use crate::ids::{PartitionId, ServiceKind};
+    use crate::wire::{decode, encode};
+    use std::cell::Cell;
 
     #[test]
     fn shared_is_wire_transparent() {
@@ -129,13 +123,32 @@ mod tests {
         assert_eq!(back, shared);
     }
 
+    /// A payload that counts the walks the encoder makes over it.
+    #[derive(Default)]
+    struct Probe {
+        walks: Cell<usize>,
+    }
+
+    impl Wire for Probe {
+        fn put<S: Sink>(&self, sink: &mut S) {
+            self.walks.set(self.walks.get() + 1);
+            sink.put_bytes(b"payload");
+        }
+    }
+
     #[test]
-    fn shared_memoizes_size_across_clones() {
-        let shared = Shared::new(vec![String::from("alpha"), String::from("beta")]);
-        let first = shared.fixed_size().expect("memoized");
-        let clone = shared.clone();
-        assert_eq!(clone.fixed_size(), Some(first));
-        assert_eq!(first, encoded_size(&*shared));
+    fn shared_payload_is_walked_once() {
+        let shared = Shared::new(Probe::default());
+        // The `CkSyncResp.items` shape: the memo holds inside a Vec of tuples.
+        let items: Vec<_> = (0..3)
+            .map(|p| (ServiceKind::Checkpoint, PartitionId(p), shared.clone()))
+            .collect();
+        assert_eq!(encoded_size(&items), 8 + 3 * (4 + 4 + 7));
+        assert_eq!(encoded_size(&shared), 7);
+        assert_eq!(encoded_size(&shared.clone()), 7);
+        assert_eq!(shared.walks.get(), 1, "sized through every clone by one walk");
+        assert_eq!(encode(&items).len(), 8 + 3 * (4 + 4 + 7));
+        assert_eq!(shared.walks.get(), 4, "encode writes every copy in full");
     }
 
     #[test]

@@ -9,50 +9,34 @@
 //! byte counter the crate used before the workspace went offline-only,
 //! producing byte-for-byte identical sizes.
 //!
-//! [`encoded_size`] counts without allocating — and returns in O(1) for
-//! any value whose size is knowable without a tree walk ([`Wire::fixed_size`]:
-//! every fixed-shape message, plus memoized [`crate::shared::Shared`]
-//! payloads). [`Wire::put`] into a `Vec<u8>` produces real bytes in a
-//! single pass (capacity pre-reserved from the same fast path) and
-//! [`Wire::get`] decodes them back, so checkpoint replication and
-//! federation payloads can round-trip through an actual encoding in tests.
-//! Decoding is strictly canonical: `bool` and `Option` flag bytes other
-//! than 0/1 are rejected, so decode∘encode is the identity on valid bytes
-//! and every decoded value re-encodes to the exact input buffer.
+//! There is one path: [`Wire::put`]. Into a `Vec<u8>` it produces real
+//! bytes ([`encode`]); into a [`Counter`] it counts them without allocating
+//! ([`encoded_size`]). So a size is the length of the encoding by
+//! construction, for every value. [`Wire::get`] decodes the bytes back, so
+//! checkpoint replication and federation payloads can round-trip through an
+//! actual encoding in tests. Decoding is strictly canonical: `bool` and
+//! `Option` flag bytes other than 0/1 are rejected, so decode∘encode is the
+//! identity on valid bytes and every decoded value re-encodes to the exact
+//! input buffer.
 //!
 //! Every [`Wire`] impl in the workspace lives here (the trait is local, so
 //! impls for `phoenix_sim` types are allowed), written with the
 //! [`wire_struct!`], [`wire_newtype!`] and [`wire_enum!`] macros.
 
 use phoenix_sim::{Diagnosis, NicId, NodeId, Pid, ResourceUsage};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Compute the compact binary encoded size of any [`Wire`] value without
-/// producing bytes. O(1) whenever the value reports a [`Wire::fixed_size`];
-/// only irregular shapes pay the `Counter` walk.
+/// The compact binary encoded size of any [`Wire`] value: its encoding,
+/// counted instead of stored.
 pub fn encoded_size<T: Wire + ?Sized>(value: &T) -> usize {
-    if let Some(n) = value.fixed_size() {
-        debug_assert_eq!(n, {
-            let mut c = Counter(0);
-            value.put(&mut c);
-            c.0
-        }, "fixed_size disagrees with the encoder");
-        return n;
-    }
     let mut c = Counter(0);
     value.put(&mut c);
     c.0
 }
 
-/// Encode a value to bytes in a single pass over the value: the writer is
-/// pre-reserved from the O(1) [`Wire::fixed_size`] fast path when one is
-/// available, never from a second tree walk.
+/// Encode a value to bytes in a single pass over the value.
 pub fn encode<T: Wire + ?Sized>(value: &T) -> Vec<u8> {
-    let mut buf = match value.fixed_size() {
-        Some(n) => Vec::with_capacity(n),
-        None => Vec::new(),
-    };
+    let mut buf = Vec::new();
     value.put(&mut buf);
     buf
 }
@@ -101,8 +85,16 @@ impl std::error::Error for WireError {}
 
 /// Byte consumer: a real buffer (`Vec<u8>`) or the allocation-free
 /// [`Counter`] used by [`encoded_size`].
-pub trait Sink {
+pub trait Sink: Sized {
     fn put_bytes(&mut self, bytes: &[u8]);
+
+    /// Emit `value`, whose encoded size `known` returns without walking it.
+    /// A sink that keeps bytes writes them; one that only counts may take
+    /// the number instead.
+    fn put_known<T: Wire + ?Sized>(&mut self, value: &T, known: impl FnOnce() -> usize) {
+        let _ = known;
+        value.put(self);
+    }
 }
 
 impl Sink for Vec<u8> {
@@ -112,11 +104,15 @@ impl Sink for Vec<u8> {
 }
 
 /// Counts bytes without storing them.
-pub(crate) struct Counter(pub(crate) usize);
+struct Counter(usize);
 
 impl Sink for Counter {
     fn put_bytes(&mut self, bytes: &[u8]) {
         self.0 += bytes.len();
+    }
+
+    fn put_known<T: Wire + ?Sized>(&mut self, _: &T, known: impl FnOnce() -> usize) {
+        self.0 += known();
     }
 }
 
@@ -180,16 +176,6 @@ pub trait Wire {
         let _ = reader;
         Err(WireError::Unsupported)
     }
-
-    /// The encoded size of *this value* when it is known in O(1), without
-    /// walking the value tree: `Some(n)` must equal what `put` would emit.
-    /// Fixed-shape types return a constant, composites sum their fields
-    /// (bailing to `None` at the first irregular field), and
-    /// [`crate::shared::Shared`] memoizes one walk for arbitrary payloads.
-    /// The default `None` falls back to the [`Counter`] walk.
-    fn fixed_size(&self) -> Option<usize> {
-        None
-    }
 }
 
 // --- primitives -----------------------------------------------------------
@@ -204,14 +190,11 @@ macro_rules! wire_prim {
                 let bytes = reader.take(std::mem::size_of::<$t>())?;
                 Ok(<$t>::from_le_bytes(bytes.try_into().expect("exact take")))
             }
-            fn fixed_size(&self) -> Option<usize> {
-                Some(std::mem::size_of::<$t>())
-            }
         }
     )+};
 }
 
-wire_prim!(u8, i8, u16, i16, u32, i32, u64, i64, f32, f64);
+wire_prim!(u8, u16, u32, i32, u64, f64);
 
 impl Wire for bool {
     fn put<S: Sink>(&self, sink: &mut S) {
@@ -227,31 +210,12 @@ impl Wire for bool {
             other => Err(WireError::BadTag(other as u32)),
         }
     }
-    fn fixed_size(&self) -> Option<usize> {
-        Some(1)
-    }
-}
-
-impl Wire for char {
-    fn put<S: Sink>(&self, sink: &mut S) {
-        (*self as u32).put(sink);
-    }
-    fn get(reader: &mut Reader<'_>) -> Result<Self, WireError> {
-        let v = u32::get(reader)?;
-        char::from_u32(v).ok_or(WireError::BadTag(v))
-    }
-    fn fixed_size(&self) -> Option<usize> {
-        Some(4)
-    }
 }
 
 impl Wire for str {
     fn put<S: Sink>(&self, sink: &mut S) {
         (self.len() as u64).put(sink);
         sink.put_bytes(self.as_bytes());
-    }
-    fn fixed_size(&self) -> Option<usize> {
-        Some(8 + self.len())
     }
 }
 
@@ -263,9 +227,6 @@ impl Wire for String {
         // Validate borrowed, allocate once at the end.
         Ok(reader.get_str()?.to_owned())
     }
-    fn fixed_size(&self) -> Option<usize> {
-        Some(8 + self.len())
-    }
 }
 
 /// Exactly `String`'s bytes, so a name may be held either way.
@@ -275,9 +236,6 @@ impl Wire for Arc<str> {
     }
     fn get(reader: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(reader.get_str()?.into())
-    }
-    fn fixed_size(&self) -> Option<usize> {
-        (**self).fixed_size()
     }
 }
 
@@ -295,26 +253,6 @@ impl<T: Wire> Wire for Vec<T> {
             v.push(T::get(reader)?);
         }
         Ok(v)
-    }
-}
-
-impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
-    fn put<S: Sink>(&self, sink: &mut S) {
-        (self.len() as u64).put(sink);
-        for (k, v) in self {
-            k.put(sink);
-            v.put(sink);
-        }
-    }
-    fn get(reader: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = reader.take_len()?;
-        let mut m = BTreeMap::new();
-        for _ in 0..len {
-            let k = K::get(reader)?;
-            let v = V::get(reader)?;
-            m.insert(k, v);
-        }
-        Ok(m)
     }
 }
 
@@ -336,12 +274,6 @@ impl<T: Wire> Wire for Option<T> {
             other => Err(WireError::BadTag(other as u32)),
         }
     }
-    fn fixed_size(&self) -> Option<usize> {
-        match self {
-            None => Some(1),
-            Some(v) => Some(1 + v.fixed_size()?),
-        }
-    }
 }
 
 impl<T: Wire> Wire for Box<T> {
@@ -350,9 +282,6 @@ impl<T: Wire> Wire for Box<T> {
     }
     fn get(reader: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(Box::new(T::get(reader)?))
-    }
-    fn fixed_size(&self) -> Option<usize> {
-        (**self).fixed_size()
     }
 }
 
@@ -365,9 +294,6 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
         let a = A::get(reader)?;
         let b = B::get(reader)?;
         Ok((a, b))
-    }
-    fn fixed_size(&self) -> Option<usize> {
-        Some(self.0.fixed_size()? + self.1.fixed_size()?)
     }
 }
 
@@ -382,9 +308,6 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
         let b = B::get(reader)?;
         let c = C::get(reader)?;
         Ok((a, b, c))
-    }
-    fn fixed_size(&self) -> Option<usize> {
-        Some(self.0.fixed_size()? + self.1.fixed_size()? + self.2.fixed_size()?)
     }
 }
 
@@ -402,13 +325,6 @@ macro_rules! wire_struct {
             fn get(reader: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
                 Ok($ty { $( $field: $crate::wire::Wire::get(reader)?, )+ })
             }
-            fn fixed_size(&self) -> Option<usize> {
-                // Sums field sizes, bailing to `None` (Counter walk) at the
-                // first irregular field. All-primitive structs const-fold.
-                let mut n = 0usize;
-                $( n += $crate::wire::Wire::fixed_size(&self.$field)?; )+
-                Some(n)
-            }
         }
     };
 }
@@ -424,9 +340,6 @@ macro_rules! wire_newtype {
             }
             fn get(reader: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
                 Ok($ty($crate::wire::Wire::get(reader)?))
-            }
-            fn fixed_size(&self) -> Option<usize> {
-                $crate::wire::Wire::fixed_size(&self.0)
             }
         }
     };
@@ -476,23 +389,6 @@ macro_rules! wire_enum {
                     other => Err($crate::wire::WireError::BadTag(other)),
                 }
             }
-            fn fixed_size(&self) -> Option<usize> {
-                match self {
-                    $(
-                        $ty::$variant $( ( $($tf),+ ) )? $( { $($sf),+ } )? => {
-                            // 4-byte tag plus each field's O(1) size; any
-                            // irregular field bails the whole variant to the
-                            // Counter walk. Fixed-shape variants (heartbeats,
-                            // probes, pings) const-fold to a literal.
-                            #[allow(unused_mut)]
-                            let mut n = 4usize;
-                            $( $( n += $crate::wire::Wire::fixed_size($tf)?; )+ )?
-                            $( $( n += $crate::wire::Wire::fixed_size($sf)?; )+ )?
-                            Some(n)
-                        }
-                    )+
-                }
-            }
         }
         impl $crate::wire::WireVariants for $ty {
             const VARIANT_COUNT: usize = [$($idx as u32),+].len();
@@ -512,42 +408,9 @@ pub trait WireVariants {
 
 // --- phoenix-sim types (the trait is local, so these are not orphans) ------
 
-impl Wire for NodeId {
-    fn put<S: Sink>(&self, sink: &mut S) {
-        self.0.put(sink);
-    }
-    fn get(reader: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(NodeId(u32::get(reader)?))
-    }
-    fn fixed_size(&self) -> Option<usize> {
-        Some(std::mem::size_of::<u32>())
-    }
-}
-
-impl Wire for NicId {
-    fn put<S: Sink>(&self, sink: &mut S) {
-        self.0.put(sink);
-    }
-    fn get(reader: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(NicId(u8::get(reader)?))
-    }
-    fn fixed_size(&self) -> Option<usize> {
-        Some(std::mem::size_of::<u8>())
-    }
-}
-
-impl Wire for Pid {
-    fn put<S: Sink>(&self, sink: &mut S) {
-        self.0.put(sink);
-    }
-    fn get(reader: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Pid(u64::get(reader)?))
-    }
-    fn fixed_size(&self) -> Option<usize> {
-        Some(std::mem::size_of::<u64>())
-    }
-}
-
+wire_newtype!(NodeId);
+wire_newtype!(NicId);
+wire_newtype!(Pid);
 wire_struct!(ResourceUsage { cpu, memory, swap, disk_io, net_io });
 
 wire_enum! { Diagnosis {
@@ -839,13 +702,6 @@ mod tests {
         let none: Option<u32> = None;
         assert_eq!(encoded_size(&some), 1 + 4);
         assert_eq!(encoded_size(&none), 1);
-    }
-
-    #[test]
-    fn maps() {
-        let mut m = BTreeMap::new();
-        m.insert(1u32, 2u64);
-        assert_eq!(encoded_size(&m), 8 + 4 + 8);
     }
 
     #[test]
