@@ -4,8 +4,8 @@
 //! majority to keep running — but a 2-vs-2 split of an even partition
 //! count has no count majority, and the pre-vote-table protocol froze
 //! both sides. This bench drives exactly those splits against the
-//! `KernelParams::fast_quorum()` profile (per-partition weights, witness
-//! vote doubled, adaptive takeover delay) and gates the tentpole claim:
+//! `KernelParams::fast_quorum()` profile (one vote per partition, the
+//! witness's doubled, adaptive takeover delay) and gates the claim:
 //! **exactly one side stays alive through an even split**.
 //!
 //! Two split shapes per seed on the 4 × 3-node testbed (witness p1):

@@ -8,7 +8,6 @@
 use std::fmt;
 
 use phoenix_kernel::boot::GsdView;
-use phoenix_kernel::regroup::VoteTable;
 use phoenix_proto::{ClusterTopology, PartitionId, PartitionSpec};
 use phoenix_sim::{ArenaStats, NodeId, Pid, SimDuration, SimTime};
 
@@ -110,13 +109,13 @@ pub(crate) struct Observed<'a> {
     /// Every live GSD, by node then pid.
     pub(crate) gsds: Vec<GsdView>,
     /// Sampled: the active island split.
-    pub(crate) split: Option<Split<'a>>,
+    pub(crate) split: Option<Split>,
     /// Quiesced: what the settled (or unsettled) cluster answered.
     pub(crate) settled: Option<Settled>,
 }
 
 /// An active island split, as one sample sees it.
-pub(crate) struct Split<'a> {
+pub(crate) struct Split {
     /// Node `n` is on the island iff bit `n` is set.
     pub island: u64,
     /// How long the island has stood.
@@ -128,11 +127,10 @@ pub(crate) struct Split<'a> {
     /// pipeline to catch up.
     pub(crate) since_step: SimDuration,
     /// The weighted rule's inputs; `None` under the count rule.
-    pub(crate) votes: Option<Votes<'a>>,
+    pub(crate) votes: Option<Votes>,
 }
 
-pub(crate) struct Votes<'a> {
-    pub(crate) table: &'a VoteTable,
+pub(crate) struct Votes {
     /// The witness may have failed over mid-run: the freshest witness view
     /// off the live GSDs, else the configured one.
     pub(crate) witness: PartitionId,
@@ -236,7 +234,7 @@ fn split_brain(obs: &Observed, v: &mut Violations) {
 
 /// The split, once it has out-lived `beats` heartbeat intervals since it
 /// formed and since the last step.
-fn outlived<'a>(obs: &'a Observed, beats: u64) -> Option<&'a Split<'a>> {
+fn outlived<'a>(obs: &'a Observed, beats: u64) -> Option<&'a Split> {
     let deadline = obs.hb_interval * beats;
     obs.split
         .as_ref()
@@ -254,14 +252,7 @@ fn outlived<'a>(obs: &'a Observed, beats: u64) -> Option<&'a Split<'a>> {
 /// home server is.
 pub(crate) fn side_wins(obs: &Observed, split: &Split, votes: &Votes, inside: bool) -> bool {
     let here = |n: NodeId| on_island(split.island, n) == inside;
-    let weights = &votes.table.weights;
-    let weight = |p: PartitionId| -> u32 {
-        let w = weights
-            .iter()
-            .find(|(id, _)| *id == p)
-            .map_or(1, |&(_, w)| w);
-        w * if p == votes.witness { 2 } else { 1 }
-    };
+    let weight = |p: PartitionId| -> u32 { if p == votes.witness { 2 } else { 1 } };
     let member = |p: &PartitionId| obs.gsds.iter().any(|g| g.partition == *p && here(g.node));
     let dead_for_side = |p: &PartitionSpec| {
         obs.gsds.iter().all(|g| g.partition != p.id)
@@ -701,7 +692,7 @@ mod tests {
         topology: &'a ClusterTopology,
         island_parts: &[u32],
         held_s: u64,
-        votes: Option<Votes<'a>>,
+        votes: Option<Votes>,
     ) -> Observed<'a> {
         let mut island = 0u64;
         let mut gsds = healthy_gsds(topology);
@@ -726,9 +717,8 @@ mod tests {
         }
     }
 
-    fn votes(table: &VoteTable, witness: u32, nodes: usize) -> Votes<'_> {
+    fn votes(witness: u32, nodes: usize) -> Votes {
         Votes {
-            table,
             witness: PartitionId(witness),
             up: vec![true; nodes],
         }
@@ -759,8 +749,7 @@ mod tests {
             Vec::<&str>::new()
         );
         let quad = ClusterTopology::uniform(4, 3, 1);
-        let table = RegroupParams::quorum().votes;
-        let weighted = sample(&quad, &[2, 3], 20, Some(votes(&table, 1, 12)));
+        let weighted = sample(&quad, &[2, 3], 20, Some(votes(1, 12)));
         assert_eq!(names(When::Sampled, &weighted), Vec::<&str>::new());
     }
 
@@ -943,16 +932,15 @@ mod tests {
         // Weighted rule on the 4 x 3 quorum testbed, witness p1: {p2, p3}
         // loses 2 votes to 3, so its leader may not stand...
         let quad = ClusterTopology::uniform(4, 3, 1);
-        let table = RegroupParams::quorum().votes;
-        let mut obs = sample(&quad, &[2, 3], 6, Some(votes(&table, 1, 12)));
+        let mut obs = sample(&quad, &[2, 3], 6, Some(votes(1, 12)));
         obs.gsds[0].role = "member";
         obs.gsds[2].role = "leader";
         assert_eq!(names(When::Sampled, &obs), ["minority-leader"]);
         // ...and {p1, p2} wins 3 to 2, so p0's must not.
-        let obs = sample(&quad, &[1, 2], 6, Some(votes(&table, 1, 12)));
+        let obs = sample(&quad, &[1, 2], 6, Some(votes(1, 12)));
         assert_eq!(names(When::Sampled, &obs), ["minority-leader"]);
         // quorum-dark: the winning side entirely frozen, past eight beats.
-        let mut obs = sample(&quad, &[2, 3], 9, Some(votes(&table, 1, 12)));
+        let mut obs = sample(&quad, &[2, 3], 9, Some(votes(1, 12)));
         obs.gsds[0].role = "frozen";
         obs.gsds[1].role = "frozen";
         assert_eq!(names(When::Sampled, &obs), ["quorum-dark"]);
@@ -985,7 +973,7 @@ mod tests {
                 let mut obs = sample(&topo, &island_parts, 20, None);
                 obs.gsds.retain(|g| !in_set(dead_set, g.partition));
                 let split = obs.split.as_ref().unwrap();
-                let votes = votes(&params.votes, witness, 12);
+                let votes = votes(witness, 12);
                 for inside in [true, false] {
                     let on_side = |p: &&PartitionId| in_set(island_set, **p) == inside;
                     let (dead, live): (Vec<PartitionId>, Vec<PartitionId>) = parts

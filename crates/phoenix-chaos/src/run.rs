@@ -297,7 +297,6 @@ fn observe<'a>(
     let gsds = PhoenixCluster::live_gsds(world);
     let table = &cfg.params.ft.regroup.votes;
     let votes = || Votes {
-        table,
         witness: gsds
             .iter()
             .filter_map(|g| world.actor_as::<Gsd>(g.pid).and_then(|a| a.witness_view()))

@@ -35,9 +35,11 @@ struct PendingQuery {
     acc: Vec<BulletinEntry>,
     waiting: Vec<PartitionId>,
     timer: TimerId,
-    /// Federation-timeout fires so far; under a retrying policy each fire
-    /// short of the budget re-asks the peers that have not answered.
-    attempts: u32,
+    /// Fan-outs sent so far.
+    sends: u32,
+    /// The retry policy allows another: the next federation timeout
+    /// re-asks the peers that have not answered instead of giving up.
+    resend: bool,
 }
 
 /// The data-bulletin actor.
@@ -219,6 +221,8 @@ impl Actor<KernelMsg> for DataBulletin {
                 }
                 let timer =
                     ctx.set_timer(self.params.fed_query_timeout, TOK_FED_BASE + fed);
+                let mut sends = 0;
+                let resend = self.params.ft.retry().on_send(&mut sends, None).is_some();
                 self.pending.insert(
                     fed,
                     PendingQuery {
@@ -228,7 +232,8 @@ impl Actor<KernelMsg> for DataBulletin {
                         acc,
                         waiting,
                         timer,
-                        attempts: 0,
+                        sends,
+                        resend,
                     },
                 );
             }
@@ -293,20 +298,15 @@ impl Actor<KernelMsg> for DataBulletin {
             }
             t if t >= TOK_FED_BASE => {
                 let fed = t - TOK_FED_BASE;
-                // Federation timeout. Under a retrying policy, re-ask the
+                // Federation timeout. Under the lossy switch, re-ask the
                 // peers that have not answered before giving up — the
                 // fan-out request or its reply may simply have been lost.
-                let retry = if self.params.rpc.retries_enabled() {
-                    self.pending.get_mut(&fed).and_then(|p| {
-                        p.attempts += 1;
-                        (p.attempts < self.params.rpc.max_attempts)
-                            .then(|| (p.query, p.waiting.clone()))
-                    })
-                } else {
-                    None
-                };
+                let policy = self.params.ft.retry();
+                let retry = self.pending.get_mut(&fed).filter(|p| p.resend).map(|p| {
+                    p.resend = policy.on_send(&mut p.sends, None).is_some();
+                    (p.query, p.waiting.clone())
+                });
                 if let Some((query, waiting)) = retry {
-                    phoenix_telemetry::counter_add("rpc.retries", 1);
                     let targets: Vec<Pid> = self
                         .member
                         .peers()

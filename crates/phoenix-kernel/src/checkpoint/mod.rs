@@ -45,7 +45,7 @@ pub(crate) struct CheckpointService {
     synced: bool,
     pending_loads: Vec<(Pid, RequestId, CkKey)>,
     /// Send attempts for the post-respawn sync fan-out (a lost request
-    /// or reply is retried with backoff under a retrying policy).
+    /// or reply is retried with backoff under the lossy switch).
     sync_attempts: u32,
 }
 
@@ -96,14 +96,9 @@ impl CheckpointService {
         for p in self.member.peer_pids() {
             ctx.send(p, KernelMsg::CkSyncReq { req: RequestId(0) });
         }
-        self.sync_attempts += 1;
-        if self.sync_attempts > 1 {
-            phoenix_telemetry::counter_add("rpc.retries", 1);
-        }
-        if self.params.rpc.retries_enabled() {
-            if let Some(delay) = self.params.rpc.delay(self.sync_attempts, ctx.rng()) {
-                ctx.set_timer(delay, TOK_SYNC_RETRY);
-            }
+        let retry = self.params.ft.retry();
+        if let Some(delay) = retry.on_send(&mut self.sync_attempts, Some(ctx.rng())) {
+            ctx.set_timer(delay, TOK_SYNC_RETRY);
         }
     }
 }

@@ -24,12 +24,15 @@ use phoenix_proto::{
 use phoenix_sim::{Actor, Ctx, NodeId, Pid, SimDuration, TraceEvent};
 use std::collections::HashMap;
 
-/// Under a retrying profile, a restarted node's wiring pushes (`Boot` to
+/// Under the lossy switch, a restarted node's wiring pushes (`Boot` to
 /// its daemons, `DirectoryUpdateNode` to the GSD and PPM agents) are
 /// re-asserted this many times: each push is fire-and-forget, and a single
 /// lost `Boot` otherwise leaves the fresh WD pointed at `Pid(0)` forever.
 /// Every push is idempotent, so blind re-sends are safe.
 const REWIRE_RESENDS: u32 = 3;
+/// Spacing between wiring re-assertions: 4× the lossy retry base keeps
+/// them off the hot retry path but well inside the detection window.
+const REWIRE_INTERVAL: SimDuration = SimDuration::from_millis(160);
 
 /// Timer-token namespace for per-node rewire timers (token = base + node).
 const REWIRE_TOK_BASE: u64 = 1 << 32;
@@ -77,14 +80,6 @@ impl ConfigService {
     /// Partitions currently flagged stale by a regroup round (sorted).
     pub fn stale_partitions(&self) -> Vec<phoenix_proto::PartitionId> {
         self.stale.iter().copied().collect()
-    }
-
-    /// Spacing between wiring re-assertions: 4× the retry base keeps them
-    /// off the hot retry path but well inside the detection window.
-    fn rewire_interval(&self) -> SimDuration {
-        SimDuration::from_nanos(
-            self.params.rpc.base.as_nanos().saturating_mul(4).max(1_000_000),
-        )
     }
 
     /// (Re-)send the full wiring batch for a node's daemons: `Boot` with
@@ -170,10 +165,10 @@ impl ConfigService {
         // supervising GSD (resumes monitoring, publishes NodeRecovery) and
         // every PPM agent (routing tables).
         self.wire_node(ctx, services);
-        if self.params.rpc.retries_enabled() {
+        if self.params.ft.lossy {
             // Lossy profile: any wiring push may be dropped; re-assert.
             self.rewire.insert(node, REWIRE_RESENDS);
-            ctx.set_timer(self.rewire_interval(), REWIRE_TOK_BASE + node.0 as u64);
+            ctx.set_timer(REWIRE_INTERVAL, REWIRE_TOK_BASE + node.0 as u64);
         }
         ctx.trace(TraceEvent::Milestone {
             label: "node-started",
@@ -342,7 +337,7 @@ impl Actor<KernelMsg> for ConfigService {
         };
         self.wire_node(ctx, services);
         if again {
-            ctx.set_timer(self.rewire_interval(), token);
+            ctx.set_timer(REWIRE_INTERVAL, token);
         }
     }
 

@@ -3,7 +3,7 @@
 //! A respawned GSD asks config for the directory until it is wired, and a
 //! GSD that changed a directory entry — its own after a takeover or a
 //! service restart, a node's after a watch-daemon restart — pushes the
-//! change fire-and-forget. Under a retrying policy a lost push must not
+//! change fire-and-forget. Under the lossy switch a lost push must not
 //! leave the directory pointing at a dead pid for ever, so every change is
 //! re-asserted for a bounded number of ticks. [`DirSync`] counts the
 //! queries and the repeats still due. No sends, no telemetry, no simulator
@@ -19,9 +19,10 @@ use std::collections::BTreeMap;
 const RESEND_TICKS: u32 = 20;
 
 pub(crate) struct DirSync {
-    /// The retry policy allows repeats at all.
+    /// The lossy switch is on: repeats happen at all.
     retrying: bool,
-    queries: u32,
+    /// Directory queries sent so far, for the retry policy to count.
+    pub(crate) queries: u32,
     /// Repeats of our own `DirectoryUpdate` still due.
     local_left: u32,
     /// Node entries this GSD changed, with the repeats still due.
@@ -36,12 +37,6 @@ impl DirSync {
             local_left: 0,
             nodes: BTreeMap::new(),
         }
-    }
-
-    /// A directory query is being sent: how many went before it.
-    pub(crate) fn next_query(&mut self) -> u32 {
-        self.queries += 1;
-        self.queries - 1
     }
 
     /// Our own directory entry was just pushed.
@@ -95,7 +90,6 @@ mod tests {
     #[test]
     fn changes_are_repeated_a_bounded_number_of_ticks_in_node_order() {
         let mut d = DirSync::new(true);
-        assert_eq!((d.next_query(), d.next_query()), (0, 1));
         assert_eq!(d.tick(), (false, vec![]), "nothing changed, nothing due");
         d.local_changed();
         d.node_changed(services(7, 70));

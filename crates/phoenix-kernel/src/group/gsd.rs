@@ -243,7 +243,7 @@ pub struct Gsd {
     supervisor: Supervisor,
     my_nic_known: Vec<bool>,
     /// EWMA delivery-health per parallel network, fed by heartbeat seq
-    /// gaps (WD and meta-ring). Inert unless `params.ft.nic.enabled`.
+    /// gaps (WD and meta-ring). Inert unless `params.ft.lossy`.
     nic_health: NicHealth,
 
     probes: Probes,
@@ -320,10 +320,10 @@ impl Gsd {
         registry: SharedRegistry,
         init: GsdInit,
     ) -> Self {
-        let nic_health = NicHealth::new(params.ft.nic.clone(), 0);
+        let nic_health = NicHealth::new(params.ft.nic_health(), 0);
         let regroup = Regroup::new(params.ft.regroup.clone());
         let slow = SlowDetect::new(params.ft.slow.clone());
-        let dir = DirSync::new(params.rpc.retries_enabled());
+        let dir = DirSync::new(params.ft.lossy);
         let probes = Probes::new(&params.ft);
         Gsd {
             partition,
@@ -596,14 +596,14 @@ impl Gsd {
         matches!(self.init, Some(GsdInit::Respawn(_)))
     }
 
-    /// Ask config for the current directory (respawn wiring). Under a
-    /// retrying policy a lost query or reply re-sends with backoff —
+    /// Ask config for the current directory (respawn wiring). Under the
+    /// lossy switch a lost query or reply re-sends with backoff —
     /// otherwise the takeover would stall forever on a single lost message.
     fn send_directory_query(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         // Under NIC-health routing each resend rotates one step down the
         // health ranking: a query whose preferred path eats packets escapes
         // to an independent network instead of re-rolling the same dice.
-        let earlier = self.dir.next_query();
+        let earlier = self.dir.queries;
         let via = if self.nic_health.enabled() && self.nic_health.nic_count() > 0 {
             let ranked = self.nic_health.ranked();
             Some(ranked[earlier as usize % ranked.len()])
@@ -615,19 +615,15 @@ impl Gsd {
             Some(nic) => ctx.send_via(self.config, nic, query),
             None => ctx.send(self.config, query),
         }
-        if earlier > 0 {
-            phoenix_telemetry::counter_add("rpc.retries", 1);
-        }
-        if self.params.rpc.retries_enabled() {
-            if let Some(delay) = self.params.rpc.delay(earlier + 1, ctx.rng()) {
-                ctx.set_timer(delay, TOK_DIR_RETRY);
-            } else if self.regroup.enabled() {
-                // Retry budget exhausted while still unwired. An island
-                // split can out-last every bounded attempt, and a respawned
-                // GSD that gives up on wiring is a permanent orphan — keep
-                // asking at heartbeat cadence until the directory answers.
-                ctx.set_timer(self.params.ft.hb_interval, TOK_DIR_RETRY);
-            }
+        let retry = self.params.ft.retry();
+        if let Some(delay) = retry.on_send(&mut self.dir.queries, Some(ctx.rng())) {
+            ctx.set_timer(delay, TOK_DIR_RETRY);
+        } else if self.params.ft.lossy && self.regroup.enabled() {
+            // Retry budget exhausted while still unwired. An island
+            // split can out-last every bounded attempt, and a respawned
+            // GSD that gives up on wiring is a permanent orphan — keep
+            // asking at heartbeat cadence until the directory answers.
+            ctx.set_timer(self.params.ft.hb_interval, TOK_DIR_RETRY);
         }
     }
 
@@ -656,7 +652,7 @@ impl Gsd {
             .map(|i| ctx.nic_is_up(ctx.node(), NicId(i as u8)))
             .collect();
         if self.nic_health.nic_count() != nics {
-            self.nic_health = NicHealth::new(self.params.ft.nic.clone(), nics);
+            self.nic_health = NicHealth::new(self.params.ft.nic_health(), nics);
         }
         if let Some(ns) = self.node_daemons.get(&ctx.node()) {
             self.local.host_ppm = ns.ppm;
@@ -1209,7 +1205,7 @@ impl Gsd {
     }
 
     /// Re-assert recently changed directory entries to config. Only active
-    /// under a retrying policy; a bounded number of repeats per change.
+    /// under the lossy switch; a bounded number of repeats per change.
     fn directory_anti_entropy(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         let (local, nodes) = self.dir.tick();
         if local {

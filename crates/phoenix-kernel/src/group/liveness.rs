@@ -62,11 +62,16 @@ pub(crate) enum Silence {
     Total,
 }
 
-/// K-of-N suspicion window: with `suspect_beats` > 1 a peer is only
-/// suspected after that many consecutive intervals of silence, so a
-/// single heartbeat lost to the network never starts a diagnosis.
+/// Consecutive heartbeat intervals of silence (on every NIC) before the
+/// lossy profile suspects a peer: a single beat lost to the network never
+/// starts a diagnosis.
+const LOSSY_SUSPECT_BEATS: u64 = 3;
+
+/// K-of-N suspicion window. Off the lossy switch one missed beat suspects,
+/// the paper's single-deadline detector exactly.
 pub(crate) fn window(ft: &FtParams) -> SimDuration {
-    ft.hb_interval * ft.suspect_beats as u64 + ft.hb_grace
+    let beats = if ft.lossy { LOSSY_SUSPECT_BEATS } else { 1 };
+    ft.hb_interval * beats + ft.hb_grace
 }
 
 /// Has `last` fallen out of the suspicion `window` by `now`?
@@ -294,15 +299,16 @@ mod tests {
 
     #[test]
     fn suspicion_window_boundary() {
-        // (suspect_beats, last instant still inside the window)
-        for (beats, edge_ms) in [(1u32, 1_050u64), (3, 3_050)] {
+        // (lossy switch, last instant still inside the window)
+        for (lossy, edge_ms) in [(false, 1_050u64), (true, 3_050)] {
             let ft = FtParams {
                 hb_interval: SimDuration::from_secs(1),
                 hb_grace: SimDuration::from_millis(50),
-                suspect_beats: beats,
+                lossy,
                 ..FtParams::default()
             };
             let window = window(&ft);
+            let beats = if lossy { 3 } else { 1 };
             assert_eq!(window.as_nanos(), edge_ms * MS, "{beats} beats");
             for (now, want) in [
                 (SimTime(edge_ms * MS - 1), Silence::None),

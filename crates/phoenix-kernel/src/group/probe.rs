@@ -60,7 +60,7 @@ struct Session {
 /// The probe sessions of one GSD, by the id the actor gave each.
 pub(crate) struct Probes {
     rounds: u32,
-    abort_on_fresh: bool,
+    pub(crate) abort_on_fresh: bool,
     sessions: BTreeMap<u64, Session>,
 }
 
@@ -68,7 +68,7 @@ impl Probes {
     pub(crate) fn new(ft: &FtParams) -> Probes {
         Probes {
             rounds: ft.probe_rounds,
-            abort_on_fresh: ft.probe_abort_on_fresh,
+            abort_on_fresh: ft.lossy,
             sessions: BTreeMap::new(),
         }
     }
@@ -172,7 +172,7 @@ mod tests {
     fn probes(abort_on_fresh: bool) -> Probes {
         let ft = FtParams {
             probe_rounds: 3,
-            probe_abort_on_fresh: abort_on_fresh,
+            lossy: abort_on_fresh,
             ..FtParams::default()
         };
         Probes::new(&ft)

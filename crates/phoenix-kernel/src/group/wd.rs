@@ -42,7 +42,7 @@ const ACK_RESTART_WINDOW: u64 = 64;
 impl Wd {
     /// Boot-time WD; the GSD pid arrives via `Boot`.
     pub(crate) fn new(node: NodeId, partition: PartitionId, params: FtParams) -> Self {
-        let nic = params.nic.clone();
+        let nic = params.nic_health();
         Wd {
             node,
             partition,
@@ -79,7 +79,7 @@ impl Wd {
         let nics = ctx.nic_count(self.node);
         if self.nic_health.nic_count() < nics {
             // Sized on first beat, when the node's NIC count is known.
-            self.nic_health = NicHealth::new(self.params.nic.clone(), nics);
+            self.nic_health = NicHealth::new(self.params.nic_health(), nics);
             self.acked_seq = vec![0; nics];
         }
         phoenix_telemetry::counter_add("wd.heartbeats.sent", nics as u64);

@@ -18,7 +18,7 @@
 //!
 //! Everything here is plain arithmetic on observed traffic: no RNG, no
 //! clock, fully deterministic, and completely dormant (no acks sent, no
-//! routing changes) unless a lossy parameter profile opts in.
+//! routing changes) unless the lossy switch is on.
 
 use phoenix_sim::NicId;
 
@@ -42,8 +42,8 @@ const GAUGES: [&str; 4] = [
 ];
 
 /// The per-NIC health layer's one option. Default: disabled, so the paper
-/// pipeline (and every pre-existing seeded trace) is untouched;
-/// `KernelParams::fast_lossy()` opts in.
+/// pipeline (and every pre-existing seeded trace) is untouched; the kernel
+/// derives it from the lossy switch (`FtParams::nic_health`).
 #[derive(Clone, Debug, Default)]
 pub struct NicHealthParams {
     /// Master switch: when false no acks are sent, no scores move, and
@@ -52,7 +52,7 @@ pub struct NicHealthParams {
 }
 
 impl NicHealthParams {
-    /// The profile enabled by `KernelParams::fast_lossy()`.
+    /// The layer switched on, as `KernelParams::fast_lossy()` runs it.
     pub fn lossy() -> NicHealthParams {
         NicHealthParams { enabled: true }
     }

@@ -40,19 +40,14 @@ pub struct FtParams {
     /// Silence window for a meta-group neighbour's node (Tables 2–3 node
     /// rows: 0.3 s — the ring observer already has corroborating state).
     pub(crate) meta_node_probe_timeout: SimDuration,
-    /// How many consecutive heartbeats must go missing (on every NIC)
-    /// before the GSD suspects a peer. 1 reproduces the paper's
-    /// single-deadline detector exactly; loss-tolerant profiles raise it so
-    /// one dropped beat never starts a diagnosis.
-    pub(crate) suspect_beats: u32,
-    /// Re-check heartbeat freshness when a probe concludes and abort the
-    /// diagnosis if beats resumed meanwhile (they were merely lost, not
-    /// stopped). Off by default to keep the paper pipeline byte-identical.
-    pub(crate) probe_abort_on_fresh: bool,
-    /// Per-NIC health scoring and adaptive routing (heartbeat acks, EWMA
-    /// scores, best-NIC preference for probes/meta-ring traffic). Disabled
-    /// by default so the paper pipeline stays byte-identical.
-    pub(crate) nic: NicHealthParams,
+    /// The loss-hardening rung, one switch for every layer it touches:
+    /// K-of-N suspicion (`liveness::window`), probe-freshness aborts
+    /// (`Probes`), per-NIC health scoring and routing (`NicHealth`),
+    /// bounded retries with backoff on request/reply paths
+    /// (`FtParams::retry`), and directory and wiring re-assertion
+    /// (`DirSync`, config). Off by default so the paper pipeline stays
+    /// byte-identical; `KernelParams::fast_lossy()` turns it on.
+    pub(crate) lossy: bool,
     /// MSCS-style quorum regroup (epochs, majority quorum, minority
     /// freeze). Disabled by default so the paper pipeline stays
     /// byte-identical; partition-tolerant profiles opt in.
@@ -73,9 +68,7 @@ impl Default for FtParams {
             probe_round_interval: SimDuration::from_millis(95),
             wd_node_probe_timeout: SimDuration::from_secs(2),
             meta_node_probe_timeout: SimDuration::from_millis(295),
-            suspect_beats: 1,
-            probe_abort_on_fresh: false,
-            nic: NicHealthParams::default(),
+            lossy: false,
             regroup: RegroupParams::default(),
             slow: SlowDetectParams::default(),
         }
@@ -97,6 +90,22 @@ impl FtParams {
             ..FtParams::default()
         }
     }
+
+    /// The per-NIC health layer, on with the lossy switch.
+    pub(crate) fn nic_health(&self) -> NicHealthParams {
+        NicHealthParams {
+            enabled: self.lossy,
+        }
+    }
+
+    /// The retry policy every kernel request/reply path follows.
+    pub(crate) fn retry(&self) -> RetryPolicy {
+        if self.lossy {
+            RetryPolicy::lossy()
+        } else {
+            RetryPolicy::none()
+        }
+    }
 }
 
 /// All kernel parameters.
@@ -108,10 +117,6 @@ pub struct KernelParams {
     /// How long a bulletin waits for federation peers before answering a
     /// query with `complete = false`.
     pub fed_query_timeout: SimDuration,
-    /// Retry policy for kernel request/reply paths (config, checkpoint,
-    /// bulletin federation, event registration). The default policy makes
-    /// no retries, preserving the original single-shot behaviour.
-    pub rpc: RetryPolicy,
 }
 
 impl Default for KernelParams {
@@ -120,7 +125,6 @@ impl Default for KernelParams {
             ft: FtParams::default(),
             detector_sample: SimDuration::from_secs(10),
             fed_query_timeout: SimDuration::from_millis(500),
-            rpc: RetryPolicy::none(),
         }
     }
 }
@@ -136,15 +140,13 @@ impl KernelParams {
         }
     }
 
-    /// Fast profile hardened for a lossy network: K-of-N suspicion,
-    /// probe-freshness aborts, per-NIC health scoring and bounded retries
-    /// with backoff on every request/reply path.
+    /// Fast profile hardened for a lossy network: the `FtParams::lossy`
+    /// switch on, and with it 3-beat suspicion, probe-freshness aborts,
+    /// per-NIC health scoring and bounded retries with backoff on the
+    /// checkpoint sync, directory query and bulletin federation paths.
     pub fn fast_lossy() -> KernelParams {
         let mut p = KernelParams::fast();
-        p.ft.suspect_beats = 3;
-        p.ft.probe_abort_on_fresh = true;
-        p.ft.nic = NicHealthParams::lossy();
-        p.rpc = RetryPolicy::lossy();
+        p.ft.lossy = true;
         p
     }
 
@@ -200,51 +202,40 @@ mod tests {
         assert!(f.wd_node_probe_timeout < FtParams::default().wd_node_probe_timeout);
     }
 
+    /// What every layer derives from each named profile, one row per
+    /// constructor: a rung change shows up as one row moving. The paper
+    /// profiles (`default`, `fast`) must keep every hardening layer off so
+    /// the paper pipeline stays byte-identical.
     #[test]
-    fn defaults_disable_loss_hardening() {
-        // The paper pipeline must stay byte-identical: no K-of-N widening,
-        // no probe aborts, no retries unless a lossy profile opts in.
-        let p = KernelParams::default();
-        assert_eq!(p.ft.suspect_beats, 1);
-        assert!(!p.ft.probe_abort_on_fresh);
-        assert!(!p.rpc.retries_enabled());
-        assert!(!p.ft.nic.enabled, "NIC-health layer must default off");
-        assert!(!p.ft.regroup.enabled, "regroup layer must default off");
-        assert!(!KernelParams::fast().ft.nic.enabled);
-        assert!(!KernelParams::fast().ft.regroup.enabled);
-        let l = KernelParams::fast_lossy();
-        assert!(l.ft.suspect_beats > 1);
-        assert!(l.ft.probe_abort_on_fresh);
-        assert!(l.rpc.retries_enabled());
-        assert!(l.ft.nic.enabled);
-        assert!(!l.ft.regroup.enabled, "lossy profile stays regroup-free");
-        let q = KernelParams::fast_partition();
-        assert!(q.ft.regroup.enabled);
-        assert!(q.ft.nic.enabled, "partition profile keeps loss hardening");
-        assert!(q.rpc.retries_enabled());
-        // The vote table and adaptive delay are a further opt-in layer:
-        // the partition profile (and every pinned seed that uses it)
-        // must stay on plain count majority with the fixed delay.
-        assert!(!q.ft.regroup.votes.enabled, "partition profile: no votes");
-        assert!(!q.ft.regroup.adaptive_delay, "partition profile: fixed delay");
-        let w = KernelParams::fast_quorum();
-        assert!(w.ft.regroup.enabled);
-        assert!(w.ft.regroup.votes.enabled);
-        assert!(w.ft.regroup.adaptive_delay);
-        assert!(w.ft.nic.enabled, "quorum profile keeps loss hardening");
-        assert!(w.rpc.retries_enabled());
-        // The fail-slow layer is a further opt-in: every profile below
-        // fast_slow() (and every pinned seed using them) stays fail-stop.
-        assert!(!p.ft.slow.enabled, "fail-slow layer must default off");
-        assert!(!KernelParams::fast().ft.slow.enabled);
-        assert!(!l.ft.slow.enabled);
-        assert!(!q.ft.slow.enabled);
-        assert!(!w.ft.slow.enabled, "quorum profile stays fail-stop");
-        let s = KernelParams::fast_slow();
-        assert!(s.ft.slow.enabled);
-        assert!(s.ft.regroup.enabled, "slow profile keeps quorum regroup");
-        assert!(s.ft.regroup.votes.enabled);
-        assert!(s.ft.nic.enabled, "slow profile keeps loss hardening");
-        assert!(s.rpc.retries_enabled());
+    fn every_profile_pins_what_each_layer_derives() {
+        use crate::group::liveness::window;
+        use crate::group::probe::Probes;
+        use crate::nic_health::NicHealth;
+        use KernelParams as K;
+        // (suspicion window ms, abort on fresh beats, NIC health, send
+        //  attempts, regroup, vote table, adaptive delay, fail-slow)
+        type Row = (u64, bool, bool, u32, bool, bool, bool, bool);
+        let rows: [(&str, fn() -> K, Row); 6] = [
+            ("default", K::default, (30200, false, false, 1, false, false, false, false)),
+            ("fast", K::fast, (1050, false, false, 1, false, false, false, false)),
+            ("fast_lossy", K::fast_lossy, (3050, true, true, 4, false, false, false, false)),
+            ("fast_partition", K::fast_partition, (3050, true, true, 4, true, false, false, false)),
+            ("fast_quorum", K::fast_quorum, (3050, true, true, 4, true, true, true, false)),
+            ("fast_slow", K::fast_slow, (3050, true, true, 4, true, true, true, true)),
+        ];
+        for (name, profile, want) in rows {
+            let ft = &profile().ft;
+            let got = (
+                window(ft).as_nanos() / 1_000_000,
+                Probes::new(ft).abort_on_fresh,
+                NicHealth::new(ft.nic_health(), 0).enabled(),
+                ft.retry().max_attempts,
+                ft.regroup.enabled,
+                ft.regroup.votes.enabled,
+                ft.regroup.adaptive_delay,
+                ft.slow.enabled,
+            );
+            assert_eq!(got, want, "{name}");
+        }
     }
 }

@@ -34,13 +34,14 @@
 //!
 //! Strict node-count majority freezes *both* sides of an exact 50/50
 //! split — correct but a total outage. MSCS answers this with a quorum
-//! resource; the equivalent here is a [`VoteTable`]: per-partition
-//! weights (default 1) plus a designated **witness** partition whose
-//! vote counts double. An even split then has a strict weighted winner
-//! (the witness's side), and on a weight tie the side holding the
-//! lowest configured partition wins — deterministic because exactly one
-//! side can hold it. If the majority observes the witness unreachable
-//! for a full held-majority period it *fails the witness over* to the
+//! resource; the equivalent here is a [`VoteTable`]: one vote per
+//! partition plus a designated **witness** partition whose vote counts
+//! double. An even split then has a strict weighted winner (the
+//! witness's side), and on a tie — possible only once the witness is
+//! unreachable from both sides — the side holding the lowest configured
+//! partition wins, deterministic because exactly one side can hold it.
+//! If the majority observes the witness unreachable for a full
+//! held-majority period it *fails the witness over* to the
 //! lowest reachable partition under a bumped witness epoch, gossiped in
 //! regroup traffic so a healed minority adopts the new identity. The
 //! vote table has its own switch ([`VoteTable::enabled`]) so every
@@ -100,23 +101,16 @@ pub struct RegroupParams {
     pub adaptive_delay: bool,
 }
 
-/// Per-partition vote weights plus the witness designation.
-///
-/// Weights default to 1 per configured partition; `weights` only lists
-/// overrides. The witness's vote counts double; `None` designates the
-/// lowest configured partition (the config-service host). With weights
-/// left uniform a weight tie implies the witness is unreachable from
-/// *both* sides, which is what makes the lowest-partition tie-breaker
-/// safe; custom tables should preserve that property (a tie while the
-/// witness is alive on one side would otherwise let the lowest-partition
-/// rule fire on the witness-less side too).
+/// The witness designation: every configured partition has one vote, the
+/// witness's counts double; `None` designates the lowest configured
+/// partition (the config-service host). With votes uniform a tie implies
+/// the witness is unreachable from *both* sides, which is what makes the
+/// lowest-partition tie-breaker safe.
 #[derive(Clone, Debug, Default)]
 pub struct VoteTable {
     /// Vote-table switch, independent of `RegroupParams::enabled` so
     /// pinned count-majority scenarios stay byte-identical.
     pub enabled: bool,
-    /// Weight overrides; partitions not listed weigh 1.
-    pub weights: Vec<(PartitionId, u32)>,
     /// Initial witness partition; `None` ⇒ lowest configured partition.
     pub witness: Option<PartitionId>,
 }
@@ -172,9 +166,9 @@ pub struct AckInfo {
     pub epoch: u64,
     /// Whether the acker itself is frozen.
     pub frozen: bool,
-    /// The acker's configured vote weight (witness doubling is applied
-    /// by the *receiver* against its own witness view). 1 when the
-    /// sender runs without a vote table.
+    /// The acker's vote weight as the wire carries it: always 1. The
+    /// tally counts one vote per partition and doubles the witness's
+    /// against its own witness view.
     pub weight: u32,
 }
 
@@ -387,17 +381,6 @@ impl Regroup {
         self.params.enabled && self.params.votes.enabled && !self.parts.is_empty()
     }
 
-    /// This partition's configured weight (no witness doubling — that is
-    /// applied by whoever tallies, against their own witness view).
-    fn configured_weight(&self, p: PartitionId) -> u32 {
-        self.params
-            .votes
-            .weights
-            .iter()
-            .find(|(id, _)| *id == p)
-            .map_or(1, |&(_, w)| w)
-    }
-
     /// Current `(witness, witness epoch)`; `None` while the vote table is
     /// off. The epoch bumps on every failover and is gossiped in regroup
     /// traffic; the higher one wins on conflict.
@@ -449,13 +432,13 @@ impl Regroup {
         None
     }
 
-    /// A partition's vote as tallied by this side: configured weight,
-    /// doubled for the current witness.
-    fn vote_of(&self, p: PartitionId, carried: u32) -> u32 {
+    /// A partition's vote as tallied by this side: one, doubled for the
+    /// current witness.
+    fn vote_of(&self, p: PartitionId) -> u32 {
         if self.witness == Some(p) {
-            carried * 2
+            2
         } else {
-            carried
+            1
         }
     }
 
@@ -469,14 +452,14 @@ impl Regroup {
         self.parts
             .iter()
             .filter(|p| !dead.contains(p))
-            .map(|&p| self.vote_of(p, self.configured_weight(p)))
+            .map(|&p| self.vote_of(p))
             .sum()
     }
 
-    /// Weighted-majority verdict for this side. `reachable_votes` sums
-    /// the carried ack weights (plus our own configured weight), each
-    /// doubled for the witness. Strict majority wins; on an exact tie
-    /// the witness's side wins, else the side holding the lowest
+    /// Weighted-majority verdict for this side: the votes of the acking
+    /// partitions plus our own, the witness's doubled. Strict majority
+    /// wins; on an exact tie the witness's side wins, else the side
+    /// holding the lowest
     /// *live* configured partition (exactly one side can hold it; if it
     /// is dead both sides freeze, conservatively).
     fn weighted_majority(
@@ -485,10 +468,10 @@ impl Regroup {
         reachable: &[PartitionId],
         dead: &[PartitionId],
     ) -> bool {
-        let mut rv = self.vote_of(me, self.configured_weight(me));
-        for (&p, a) in &self.acks {
+        let mut rv = self.vote_of(me);
+        for &p in self.acks.keys() {
             if p != me {
-                rv += self.vote_of(p, a.weight);
+                rv += self.vote_of(p);
             }
         }
         let tv = self.total_votes(dead);
@@ -603,7 +586,7 @@ impl Regroup {
                     epoch: ring_epoch,
                     round,
                     frozen: self.frozen,
-                    weight: self.configured_weight(me),
+                    weight: 1,
                     witness,
                     witness_epoch,
                 });
@@ -1160,9 +1143,7 @@ mod tests {
         rg.set_partitions(&parts(4));
         let r = rg.begin_round(t(0));
         rg.on_ack(r, PartitionId(3), ack(103, 0, false), t(0));
-        let mut witness_ack = ack(101, 0, false);
-        witness_ack.weight = 1;
-        rg.on_ack(r, PartitionId(1), witness_ack, t(0));
+        rg.on_ack(r, PartitionId(1), ack(101, 0, false), t(0));
         rg.on_home_report(r, PartitionId(1), false);
         let c = rg.conclude(PartitionId(0), t(0)).unwrap();
         assert!(c.dead.is_empty(), "an acker is alive by definition");
@@ -1196,40 +1177,43 @@ mod tests {
 
     #[test]
     fn tie_breaks_to_witness_side_then_lowest_partition() {
-        // Weight override p3=2, witness p0: total votes 6, and a
-        // {p0,p1} / {p2,p3} split ties at 3 votes each. The witness's
-        // side wins; the other loses both tie-break clauses.
-        let mut p = RegroupParams::quorum();
-        p.votes.weights = vec![(PartitionId(3), 2)];
-        let mut a = Regroup::new(p.clone());
-        a.set_partitions(&parts(4));
-        let r = a.begin_round(t(0));
-        a.on_ack(r, PartitionId(1), ack(101, 0, false), t(0));
+        // Three partitions, witness p0: total votes 4, and a {p0} /
+        // {p1,p2} split ties at 2 each. The witness's side wins; the other
+        // loses both tie-break clauses.
+        let mut a = Regroup::new(RegroupParams::quorum());
+        a.set_partitions(&parts(3));
+        let _ = a.begin_round(t(0));
         let c = a.conclude(PartitionId(0), t(0)).unwrap();
         assert!(c.majority, "tie + witness reachable");
 
-        let mut b = Regroup::new(p.clone());
-        b.set_partitions(&parts(4));
+        let mut b = Regroup::new(RegroupParams::quorum());
+        b.set_partitions(&parts(3));
         let r = b.begin_round(t(0));
-        let mut heavy = ack(103, 0, false);
-        heavy.weight = 2;
-        b.on_ack(r, PartitionId(3), heavy, t(0));
-        let c = b.conclude(PartitionId(2), t(0)).unwrap();
+        b.on_ack(r, PartitionId(2), ack(102, 0, false), t(0));
+        let c = b.conclude(PartitionId(1), t(0)).unwrap();
         assert!(!c.majority, "tie, no witness, no p0");
 
-        // Witness dead entirely: p0 weight 2, witness p3. {p0,p1} ties
-        // at 3 of 6 and wins via the lowest-configured-partition clause.
+        // Witness p4 dead by its home nodes' testimony: the other four
+        // partitions hold 4 votes, {p0,p1} ties at 2 and wins via the
+        // lowest-configured-partition clause; {p2,p3} loses.
         let mut q = RegroupParams::quorum();
-        q.votes.weights = vec![(PartitionId(0), 2)];
-        q.votes.witness = Some(PartitionId(3));
-        let mut d = Regroup::new(q);
-        d.set_partitions(&parts(4));
-        let r = d.begin_round(t(0));
-        let mut heavy = ack(100, 0, false);
-        heavy.weight = 2;
-        d.on_ack(r, PartitionId(0), heavy, t(0));
-        let c = d.conclude(PartitionId(1), t(0)).unwrap();
-        assert!(c.majority, "tie broken by lowest pid");
+        q.votes.witness = Some(PartitionId(4));
+        for (me, peer, wins) in [(0, 1, true), (2, 3, false)] {
+            let mut d = Regroup::new(q.clone());
+            d.set_partitions(&parts(5));
+            let round = d.begin_round(t(0));
+            d.on_ack(round, PartitionId(peer), ack(100 + u64::from(peer), 0, false), t(0));
+            let dead_witness = KernelMsg::RegroupProbeAck {
+                round,
+                partition: PartitionId(4),
+                gsd: Pid(0),
+                alive: false,
+            };
+            d.on_message(PartitionId(me), 0, Pid(0), &dead_witness, t(0));
+            let c = d.conclude(PartitionId(me), t(0)).unwrap();
+            assert_eq!(c.dead, vec![PartitionId(4)]);
+            assert_eq!(c.majority, wins, "p{me}'s side: tie broken by lowest partition");
+        }
     }
 
     #[test]
@@ -1591,17 +1575,15 @@ mod tests {
         assert!(concluded(&mut rg, P0, &[], t(0)).froze);
         let heard = rg.on_message(P0, 5, Pid(11), &ping(P0, 0), t(1));
         assert!(matches!(heard.reply, Some(KernelMsg::RegroupAck { frozen: true, .. })));
-        // Vote table: configured weight, newer witness adopted and gossiped
-        // back, and the pinger's round echoed.
-        let mut params = RegroupParams::quorum();
-        params.votes.weights = vec![(P2, 3)];
-        let mut votes = four(params);
+        // Vote table: one vote on the wire, newer witness adopted and
+        // gossiped back, and the pinger's round echoed.
+        let mut votes = four(RegroupParams::quorum());
         let heard = votes.on_message(P2, 0, Pid(11), &ping(P3, 2), t(0));
         assert_eq!(heard.witness, Some((P3, 2)));
         assert!(heard.echo);
         let reply = heard.reply.unwrap();
         assert!(
-            matches!(reply, KernelMsg::RegroupAck { weight: 3, witness: P3, witness_epoch: 2, .. }),
+            matches!(reply, KernelMsg::RegroupAck { weight: 1, witness: P3, witness_epoch: 2, .. }),
             "{reply:?}"
         );
         // An ack counts for the round it names, from the pid that sent it;

@@ -5,14 +5,15 @@
 //!
 //! * a **retry policy** — bounded attempts with exponential backoff and
 //!   seeded jitter (deterministic under the simulator's RNG); each client
-//!   counts its own attempts;
+//!   keeps its own send count and hands it to [`RetryPolicy::on_send`],
+//!   the one place `rpc.retries` is counted;
 //! * a **dedup window** — server-side request-id memory that replays the
 //!   cached reply for a retried request instead of re-executing it, making
 //!   non-idempotent operations (like `CfgNodeOp::Start`) safe to retry.
 //!
 //! The default policy performs no retries at all, so services adopting this
-//! module behave exactly as before unless a lossy profile opts in
-//! (`KernelParams::fast_lossy`).
+//! module behave exactly as before unless the lossy switch is on
+//! (`FtParams::retry`, `KernelParams::fast_lossy`).
 
 use phoenix_sim::{SimDuration, SimRng};
 use std::collections::{HashMap, VecDeque};
@@ -54,11 +55,21 @@ impl RetryPolicy {
         }
     }
 
-    /// Does this policy ever retry? Adoption sites skip arming retry
-    /// timers entirely when it does not, so the default profile schedules
-    /// no extra events.
-    pub fn retries_enabled(&self) -> bool {
-        self.max_attempts > 1
+    /// Count one send of a request already sent `*sends` times, adding
+    /// `rpc.retries` from the second send on, and say whether another may
+    /// follow: `None` once the attempt budget is spent. A site that backs
+    /// off passes `rng` and gets the backoff before the next send, drawn as
+    /// [`RetryPolicy::delay`] draws it; a site on its own timer passes
+    /// `None` and gets zero. `none()` allows no second send and never draws.
+    pub(crate) fn on_send(&self, sends: &mut u32, rng: Option<&mut SimRng>) -> Option<SimDuration> {
+        *sends += 1;
+        if *sends > 1 {
+            phoenix_telemetry::counter_add("rpc.retries", 1);
+        }
+        match rng {
+            Some(rng) => self.delay(*sends, rng),
+            None => (*sends < self.max_attempts).then_some(SimDuration::ZERO),
+        }
     }
 
     /// Backoff before retry number `attempt` (1-based: attempt 1 is the
@@ -135,9 +146,48 @@ mod tests {
     #[test]
     fn none_policy_never_retries() {
         let p = RetryPolicy::none();
-        assert!(!p.retries_enabled());
         let mut rng = SimRng::seed_from_u64(1);
         assert_eq!(p.delay(1, &mut rng), None);
+    }
+
+    fn retries() -> u64 {
+        phoenix_telemetry::with(|reg| reg.counter("rpc.retries"))
+    }
+
+    #[test]
+    fn on_send_counts_every_send_after_the_first() {
+        for policy in [RetryPolicy::none(), RetryPolicy::lossy()] {
+            phoenix_telemetry::reset();
+            let mut sends = 0;
+            for n in 1..=5u32 {
+                let next = policy.on_send(&mut sends, None);
+                assert_eq!((sends, retries()), (n, u64::from(n - 1)), "send {n}");
+                let more = n < policy.max_attempts;
+                assert_eq!(next, more.then_some(SimDuration::ZERO), "send {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn on_send_draws_what_delay_draws() {
+        let seeded = SimRng::seed_from_u64(3);
+        // `none()` allows no second send and leaves the stream untouched.
+        let mut rng = seeded.clone();
+        let mut sends = 0;
+        for _ in 0..3 {
+            assert_eq!(RetryPolicy::none().on_send(&mut sends, Some(&mut rng)), None);
+        }
+        assert_eq!(rng.next_u64(), seeded.clone().next_u64());
+        // `lossy()` backs off by `delay(n)` drawn from the same stream.
+        let p = RetryPolicy::lossy();
+        let (mut rng, mut twin) = (seeded.clone(), seeded.clone());
+        let mut sends = 0;
+        for n in 1..=p.max_attempts + 1 {
+            let next = p.on_send(&mut sends, Some(&mut rng));
+            assert_eq!(next, p.delay(n, &mut twin), "send {n}");
+            assert_eq!(next.is_some(), n < p.max_attempts, "send {n}");
+        }
+        assert_eq!(rng.next_u64(), twin.next_u64());
     }
 
     #[test]

@@ -195,9 +195,9 @@ pub enum KernelMsg {
         epoch: u64,
         round: u64,
         frozen: bool,
-        /// The responder's configured vote weight; the receiver applies
-        /// witness doubling against its own witness view. 1 without a
-        /// vote table.
+        /// The responder's vote weight: always 1. The receiver tallies
+        /// one vote per partition and doubles the witness's against its
+        /// own witness view.
         weight: u32,
         /// The responder's witness view (same gossip as `RegroupPing`).
         witness: PartitionId,

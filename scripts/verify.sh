@@ -286,13 +286,15 @@ cores=$(nproc 2>/dev/null || echo 1)
 }
 speedup=$(awk "BEGIN { printf \"%.2f\", $serial_ms / ($par_ms + 0.001) }")
 echo "loss_sweep wall-clock, best of 3: serial ${serial_ms} ms, parallel ${par_ms} ms, speedup x${speedup} (${cores} core(s))"
-if [ "$cores" -ge 2 ]; then
+# The gate compares 4 workers against one, so it holds only where 4 cores
+# can run them; below that the ratio is reported, not judged.
+if [ "$cores" -ge 4 ]; then
     awk "BEGIN { exit !($serial_ms / ($par_ms + 0.001) > 1.5) }" || {
         echo "FAIL: parallel speedup x${speedup} <= 1.5 on a ${cores}-core machine" >&2
         exit 1
     }
 else
-    echo "(single-core runner: speedup gate skipped, determinism gate enforced)"
+    echo "(${cores}-core runner, fewer than 4: speedup gate skipped, determinism gate enforced)"
 fi
 
 echo "== smoke: flapping-NIC chaos pin (seed 4, lossy) =="
@@ -333,6 +335,17 @@ if grep -nw 'Ctx' crates/phoenix-pws/src/pool.rs || grep -n 'phoenix_telemetry' 
 fi
 if grep -rnE 'KernelMsg::Ppm(Exec|Delete) \{' crates/phoenix-pws/src crates/phoenix-biz/src; then
     echo "FAIL: a PPM request is built outside phoenix-kernel/src/ppm/ (call ppm::exec / ppm::delete)" >&2
+    exit 1
+fi
+# One counter for every retry: RetryPolicy::on_send. Each kernel file is cut
+# at its first #[cfg(test)], so only non-test source is searched.
+retry_sites=$(for f in $(find $kernel_src -name '*.rs'); do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -F '"rpc.retries"' | sed "s|^|$f: |"
+done)
+if [ "$(printf '%s\n' "$retry_sites" | grep -c .)" -ne 1 ] \
+    || ! printf '%s\n' "$retry_sites" | grep -q "^$kernel_src/rpc.rs: "; then
+    printf '%s\n' "$retry_sites" >&2
+    echo "FAIL: \"rpc.retries\" must be counted once, in $kernel_src/rpc.rs (call RetryPolicy::on_send)" >&2
     exit 1
 fi
 

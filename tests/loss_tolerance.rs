@@ -207,7 +207,7 @@ fn backoff_jitter_is_seed_deterministic() {
 fn no_retry_policy_never_delays() {
     let policy = RetryPolicy::none();
     let mut rng = SimRng::seed_from_u64(1);
-    assert!(!policy.retries_enabled());
+    assert_eq!(policy.max_attempts, 1);
     assert_eq!(policy.delay(1, &mut rng), None);
 }
 

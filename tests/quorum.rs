@@ -2,7 +2,7 @@
 //!
 //! A 2-vs-2 split of a four-partition cluster has no count majority, and
 //! the plain regroup layer froze both sides. The vote table
-//! (`KernelParams::fast_quorum()`: per-partition weights, witness vote
+//! (`KernelParams::fast_quorum()`: one vote per partition, witness vote
 //! doubled, adaptive takeover delay) must guarantee:
 //!
 //!   * the witness's side of an even split wins the weighted vote and
