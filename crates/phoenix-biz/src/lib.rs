@@ -17,7 +17,7 @@
 //!   restarted by the GSD if it dies, restoring its deployment from the
 //!   **checkpoint service**.
 
-use phoenix_kernel::federation::{Member, TOK_HB};
+use phoenix_kernel::federation::Member;
 use phoenix_kernel::group::RespawnArgs;
 use phoenix_kernel::params::KernelParams;
 use phoenix_kernel::ppm;
@@ -93,7 +93,7 @@ impl BizRuntime {
     ) -> Self {
         let info = directory.partition(partition).copied().unwrap();
         BizRuntime {
-            member: Member::new(ServiceKind::UserEnvironment, NAME, info),
+            member: Member::new(ServiceKind::UserEnvironment, NAME, info, &params),
             params,
             directory,
             tiers,
@@ -250,9 +250,7 @@ impl BizRuntime {
 
 impl Actor<KernelMsg> for BizRuntime {
     fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        self.member.started(ctx, NAME);
-        self.member.register(ctx);
-        self.member.beat(ctx, self.params.ft.hb_interval);
+        self.member.start(ctx, NAME);
         ctx.send(
             self.member.info().event,
             KernelMsg::EsRegisterConsumer {
@@ -266,9 +264,7 @@ impl Actor<KernelMsg> for BizRuntime {
                 },
             },
         );
-        if self.member.restoring() {
-            self.member.load(ctx);
-        } else {
+        if !self.member.restore(ctx) {
             self.deploy_all(ctx);
         }
         ctx.set_timer(self.params.detector_sample, TOK_RECONCILE);
@@ -315,27 +311,21 @@ impl Actor<KernelMsg> for BizRuntime {
                     }
                 }
             }
-            KernelMsg::PartitionView { members, local } => {
-                // On every view, like the PWS scheduler.
-                self.member.wire(local, &members);
-                self.member.register(ctx);
-            }
-            KernelMsg::CkLoadResp { data, .. } => {
-                if self.member.restoring() {
-                    if let Some(CheckpointData::Scheduler { running, .. }) = data.as_deref() {
-                        for &(job, ref nodes) in running {
-                            if let Some(&node) = nodes.first() {
-                                self.instances.insert(job, Instance { job, node, up: true });
-                            }
+            KernelMsg::CkLoadResp { data, .. } if self.member.restoring() => {
+                if let Some(CheckpointData::Scheduler { running, .. }) =
+                    self.member.recovered(ctx, data)
+                {
+                    for (job, nodes) in running {
+                        if let Some(&node) = nodes.first() {
+                            self.instances.insert(job, Instance { job, node, up: true });
                         }
                     }
-                    self.member.restored(ctx);
-                    // Fill any gaps (instances that died while we were down
-                    // get re-deployed by deploy_all's contains_key check —
-                    // dead ones are still in the map, so reconcile via
-                    // liveness events going forward).
-                    self.deploy_all(ctx);
                 }
+                // Fill any gaps (instances that died while we were down
+                // get re-deployed by deploy_all's contains_key check —
+                // dead ones are still in the map, so reconcile via
+                // liveness events going forward).
+                self.deploy_all(ctx);
             }
             // Queue-status style introspection: reuse PwsQueueStatus as the
             // endpoints query (the console asks "what's serving where").
@@ -358,15 +348,14 @@ impl Actor<KernelMsg> for BizRuntime {
                     .collect();
                 ctx.send(_from, KernelMsg::PwsQueueStatusResp { req, rows });
             }
-            _ => {}
+            other => self.member.on_message(ctx, other),
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, KernelMsg>, token: u64) {
         match token {
-            TOK_HB => self.member.beat(ctx, self.params.ft.hb_interval),
             TOK_RECONCILE => self.reconcile(ctx),
-            _ => {}
+            _ => self.member.on_timer(ctx, token),
         }
     }
 

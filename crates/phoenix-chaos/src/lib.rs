@@ -52,6 +52,33 @@ pub(crate) fn fmt_ns(ns: u64) -> String {
     format!("{:.3}s", ns as f64 / 1e9)
 }
 
+/// The storm kind a configuration adds to its schedules. Every kind but
+/// the loss bursts rides a salted RNG stream of its own and is appended
+/// after the base steps, so the base steps are the same per seed whichever
+/// kind is chosen; each is meaningful only with the kernel layer it
+/// exercises switched on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Storms {
+    /// The base draw only: kills, crashes and repairs, NIC and link faults.
+    None,
+    /// Cluster-wide loss bursts in the base draw (which widens it, so every
+    /// seed's schedule differs from `None`'s), plus flapping-NIC storms:
+    /// degrade/restore cycles on one interface of one node
+    /// (`KernelParams::fast_lossy()`).
+    Lossy,
+    /// Island storms: whole topology partitions severed into a link-level
+    /// island, held, healed (`KernelParams::fast_partition()`).
+    Partition,
+    /// Even-split storms: exactly half the partitions islanded past the
+    /// regroup takeover delay, then healed (`KernelParams::fast_quorum()`;
+    /// without a witness both sides of an even split freeze by design).
+    Quorum,
+    /// Fail-slow storms: a node's latency stretched by a large factor for a
+    /// bounded window, then cleared (`KernelParams::fast_slow()`; without
+    /// the detector there is no quarantine to converge).
+    Slow,
+}
+
 /// Everything that shapes a chaos run besides the seed.
 #[derive(Clone)]
 pub struct ChaosConfig {
@@ -71,34 +98,8 @@ pub struct ChaosConfig {
     /// reordering). All-zero by default, which keeps every pre-existing
     /// schedule byte-for-byte identical.
     pub net: NetParams,
-    /// Include loss-burst steps in generated schedules. Off by default:
-    /// enabling it widens the fault-kind draw, which changes the schedule
-    /// of every seed — pinned regression seeds rely on it staying off for
-    /// the small/paper configurations.
-    pub loss_steps: bool,
-    /// Append flapping-NIC storms (degrade/restore cycles on one interface
-    /// of one node) to generated schedules. Drawn from a separate salted
-    /// RNG stream, so the main schedule steps stay identical per seed.
-    pub nic_flap_steps: bool,
-    /// Append island-partition storms (whole topology partitions severed
-    /// into a link-level island, then healed) to generated schedules. Only
-    /// meaningful with regroup-enabled kernel parameters
-    /// (`KernelParams::fast_partition()`); off by default so every pinned
-    /// seed's schedule stays byte-identical.
-    pub partition_steps: bool,
-    /// Append even-split storms: exactly half the configured partitions
-    /// severed into an island, held past the regroup takeover delay, then
-    /// healed. Only meaningful with vote-table kernel parameters
-    /// (`KernelParams::fast_quorum()`) — without a witness both sides of
-    /// an even split freeze by design. Off by default; rides its own
-    /// salted stream like the other optional shapes.
-    pub quorum_steps: bool,
-    /// Append fail-slow storms: a node's send/serve latency stretched by a
-    /// large factor for a bounded window, then cleared. Only meaningful
-    /// with the fail-slow detector on (`KernelParams::fast_slow()`) —
-    /// without it the kernel has no quarantine to converge. Off by
-    /// default; rides its own salted stream like the other shapes.
-    pub slow_steps: bool,
+    /// The storm kind generated schedules carry beyond the base fault draw.
+    pub storms: Storms,
     /// Which event-queue implementation the simulated world runs on. Runs
     /// must be byte-identical under every kind — the differential suite
     /// replays pinned seeds under each and compares the streams.
@@ -123,11 +124,7 @@ impl ChaosConfig {
             settle_deadline: SimDuration::from_secs(120),
             params: KernelParams::fast(),
             net: NetParams::default(),
-            loss_steps: false,
-            nic_flap_steps: false,
-            partition_steps: false,
-            quorum_steps: false,
-            slow_steps: false,
+            storms: Storms::None,
             scheduler: SchedulerKind::default(),
             record_streams: false,
         }
@@ -140,8 +137,7 @@ impl ChaosConfig {
         ChaosConfig {
             params: KernelParams::fast_lossy(),
             net: NetParams::unreliable(loss_permille),
-            loss_steps: true,
-            nic_flap_steps: true,
+            storms: Storms::Lossy,
             ..ChaosConfig::small()
         }
     }
@@ -155,7 +151,7 @@ impl ChaosConfig {
         ChaosConfig {
             params: KernelParams::fast_partition(),
             horizon: SimDuration::from_secs(20),
-            partition_steps: true,
+            storms: Storms::Partition,
             ..ChaosConfig::small()
         }
     }
@@ -176,7 +172,7 @@ impl ChaosConfig {
             max_faults: 5,
             horizon: SimDuration::from_secs(20),
             params,
-            quorum_steps: true,
+            storms: Storms::Quorum,
             ..ChaosConfig::small()
         }
     }
@@ -190,7 +186,7 @@ impl ChaosConfig {
         ChaosConfig {
             params: KernelParams::fast_slow(),
             horizon: SimDuration::from_secs(20),
-            slow_steps: true,
+            storms: Storms::Slow,
             ..ChaosConfig::small()
         }
     }
@@ -323,7 +319,7 @@ mod tests {
         for line in ["--max-faults 3 --partition", "--partition --max-faults 3"] {
             let cli = parse_args(&args(line)).unwrap();
             assert_eq!(cli.flag, "--partition", "{line}");
-            assert!(cli.cfg.partition_steps, "{line}");
+            assert_eq!(cli.cfg.storms, Storms::Partition, "{line}");
             assert_eq!(cli.cfg.max_faults, 3, "{line}");
         }
         for line in [
@@ -335,7 +331,7 @@ mod tests {
                 cli.flag, "--lossy 20",
                 "--lossy wins over another preset: {line}"
             );
-            assert!(cli.cfg.loss_steps && !cli.cfg.quorum_steps, "{line}");
+            assert_eq!(cli.cfg.storms, Storms::Lossy, "{line}");
             assert_eq!(cli.cfg.max_faults, 3, "{line}");
         }
     }

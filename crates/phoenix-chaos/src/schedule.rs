@@ -12,7 +12,7 @@ use phoenix_kernel::PhoenixCluster;
 use phoenix_proto::PartitionId;
 use phoenix_sim::{Fault, NicId, NodeId, Pid, SimDuration, SimRng};
 
-use crate::ChaosConfig;
+use crate::{ChaosConfig, Storms};
 
 /// Salt mixed into the schedule RNG so the schedule stream is independent
 /// of the boot/network RNG stream seeded from the same user-facing seed.
@@ -125,7 +125,7 @@ pub fn generate_schedule(seed: u64, cfg: &ChaosConfig, cluster: &PhoenixCluster)
         let at = SimDuration::from_millis(rng.gen_range(0..horizon_ms));
         // The extra loss-burst kind is only in the draw when enabled, so
         // schedules of the default configurations are unchanged.
-        let kinds = if cfg.loss_steps { 5u64 } else { 4 };
+        let kinds = if cfg.storms == Storms::Lossy { 5u64 } else { 4 };
         match rng.gen_range(0..kinds) {
             0 => {
                 let pid = killable[rng.gen_range(0..killable.len() as u64) as usize];
@@ -198,7 +198,7 @@ pub fn generate_schedule(seed: u64, cfg: &ChaosConfig, cluster: &PhoenixCluster)
     // cycle; a naive detector would declare the NIC down). Drawn from a
     // separate salted stream and appended, so the steps above are
     // byte-identical whether or not flaps are enabled.
-    if cfg.nic_flap_steps {
+    if cfg.storms == Storms::Lossy {
         let mut frng = SimRng::seed_from_u64(seed ^ FLAP_SALT);
         let storms = 1 + frng.gen_range(0..2u64);
         for _ in 0..storms {
@@ -232,7 +232,7 @@ pub fn generate_schedule(seed: u64, cfg: &ChaosConfig, cluster: &PhoenixCluster)
     // cluster reconverge". The island is a nonempty proper subset of the
     // configured partitions, so one side always holds a strict majority or
     // the split is even (both sides freeze).
-    if cfg.partition_steps {
+    if cfg.storms == Storms::Partition {
         let prng = SimRng::seed_from_u64(seed ^ PARTITION_SALT);
         let parts = topo.partitions.len() as u64;
         let size = |rng: &mut SimRng| 1 + rng.gen_range(0..parts - 1) as usize;
@@ -247,7 +247,7 @@ pub fn generate_schedule(seed: u64, cfg: &ChaosConfig, cluster: &PhoenixCluster)
     // full suspicion + held-majority + election pipeline before its
     // leader stands, and the sampled exactly-one-live-side check needs
     // instants past that deadline to bite on.
-    if cfg.quorum_steps && cfg.partitions >= 2 {
+    if cfg.storms == Storms::Quorum && cfg.partitions >= 2 {
         let qrng = SimRng::seed_from_u64(seed ^ QUORUM_SALT);
         let half = |_: &mut SimRng| topo.partitions.len() / 2;
         let (hold_ms, gap_ms) = (9_000..12_000, 12_000..18_000);
@@ -260,7 +260,7 @@ pub fn generate_schedule(seed: u64, cfg: &ChaosConfig, cluster: &PhoenixCluster)
     // clean slow window is unambiguously a false positive). Each episode
     // is paired with its `SlowClear` so every schedule ends healed and the
     // quarantine-convergence invariant is meaningful.
-    if cfg.slow_steps {
+    if cfg.storms == Storms::Slow {
         let mut srng = SimRng::seed_from_u64(seed ^ SLOW_SALT);
         let episodes = 1 + srng.gen_range(0..2u64);
         let mut slowed: Vec<NodeId> = Vec::new();

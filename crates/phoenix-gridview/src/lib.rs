@@ -265,11 +265,7 @@ impl GridView {
 
 impl Actor<KernelMsg> for GridView {
     fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        ctx.trace(TraceEvent::ServiceUp {
-            pid: ctx.pid(),
-            service: "gridview",
-            node: ctx.node(),
-        });
+        ctx.service_up("gridview");
         // Register for the fault/recovery event classes Fig 6 displays.
         self.register_consumer(ctx);
         self.pull(ctx);

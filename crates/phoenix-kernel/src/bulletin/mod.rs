@@ -13,12 +13,12 @@
 //! the reply is delivered with `complete = false`: "only the state of one
 //! partition can't be obtained".
 
-use crate::federation::{Member, TOK_HB};
+use crate::federation::Member;
 use crate::group::registry::{kernel_factory_key, RespawnArgs};
 use crate::params::KernelParams;
 use phoenix_proto::{
     BulletinEntry, BulletinQuery, CheckpointData, KernelMsg, MemberInfo, PartitionId, RequestId,
-    ServiceKind, Shared,
+    ServiceKind,
 };
 use phoenix_sim::{Actor, Ctx, Pid, TimerId};
 use std::collections::{BTreeMap, HashMap};
@@ -60,7 +60,7 @@ impl DataBulletin {
     /// Boot-time instance.
     pub(crate) fn new(partition: PartitionId, params: KernelParams) -> Self {
         let key = kernel_factory_key(KIND, partition);
-        let member = Member::new(KIND, key, MemberInfo::unwired(partition));
+        let member = Member::new(KIND, key, MemberInfo::unwired(partition), &params);
         Self::with(member, params)
     }
 
@@ -133,30 +133,17 @@ impl DataBulletin {
 
 impl Actor<KernelMsg> for DataBulletin {
     fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        self.member.started(ctx, "bulletin");
-        if self.member.wired() {
-            self.member.register(ctx);
-            self.member.beat(ctx, self.params.ft.hb_interval);
+        if self.member.start(ctx, "bulletin") {
             ctx.set_timer(self.params.detector_sample * 2, TOK_CKPT);
         }
-        if self.member.restoring() {
-            self.member.load(ctx);
-        }
+        self.member.restore(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, from: Pid, msg: KernelMsg) {
         match msg {
             KernelMsg::Boot(dir) => {
-                self.member.wire_boot(&dir);
-                self.member.register(ctx);
-                self.member.beat(ctx, self.params.ft.hb_interval);
+                self.member.boot(ctx, &dir);
                 ctx.set_timer(self.params.detector_sample * 2, TOK_CKPT);
-            }
-            KernelMsg::PartitionView { members, local } => {
-                let supervisor_changed = self.member.wire(local, &members);
-                if supervisor_changed {
-                    self.member.register(ctx);
-                }
             }
             KernelMsg::DbPut { entries } => {
                 phoenix_telemetry::counter_add("bulletin.puts", entries.len() as u64);
@@ -274,24 +261,19 @@ impl Actor<KernelMsg> for DataBulletin {
                 }
             }
             KernelMsg::CkLoadResp { data, .. } => {
-                if self.member.restoring() {
-                    if let Some(CheckpointData::Bulletin { entries }) =
-                        data.map(Shared::unwrap_or_clone)
-                    {
-                        for e in entries {
-                            self.entries.insert(e.key, (e.value, e.stamp_ns));
-                        }
+                if let Some(CheckpointData::Bulletin { entries }) = self.member.recovered(ctx, data)
+                {
+                    for e in entries {
+                        self.entries.insert(e.key, (e.value, e.stamp_ns));
                     }
-                    self.member.restored(ctx);
                 }
             }
-            _ => {}
+            other => self.member.on_message(ctx, other),
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, KernelMsg>, token: u64) {
         match token {
-            TOK_HB => self.member.beat(ctx, self.params.ft.hb_interval),
             TOK_CKPT => {
                 self.save_state(ctx);
                 ctx.set_timer(self.params.detector_sample * 2, TOK_CKPT);
@@ -328,7 +310,7 @@ impl Actor<KernelMsg> for DataBulletin {
                 // partition can't be obtained".
                 self.finish_query(ctx, fed, false);
             }
-            _ => {}
+            _ => self.member.on_timer(ctx, token),
         }
     }
 

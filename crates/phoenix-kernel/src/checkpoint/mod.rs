@@ -19,7 +19,7 @@
 //! by pointer, sized once. Replicating to `n` peers costs `n` refcount
 //! bumps, whatever the snapshot's depth.
 
-use crate::federation::{Member, TOK_HB};
+use crate::federation::Member;
 use crate::group::registry::{kernel_factory_key, RespawnArgs};
 use crate::params::KernelParams;
 use phoenix_proto::{
@@ -54,7 +54,7 @@ impl CheckpointService {
     /// synced (there is nothing to recover).
     pub(crate) fn new(partition: PartitionId, params: KernelParams) -> Self {
         let key = kernel_factory_key(KIND, partition);
-        let member = Member::new(KIND, key, MemberInfo::unwired(partition));
+        let member = Member::new(KIND, key, MemberInfo::unwired(partition), &params);
         Self::with(member, params)
     }
 
@@ -105,11 +105,7 @@ impl CheckpointService {
 
 impl Actor<KernelMsg> for CheckpointService {
     fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        self.member.started(ctx, "checkpoint");
-        if self.member.wired() {
-            self.member.register(ctx);
-            self.member.beat(ctx, self.params.ft.hb_interval);
-        }
+        self.member.start(ctx, "checkpoint");
         if !self.synced {
             // Pull the federation's replicated state from every peer; the
             // first answer wins, the rest merge idempotently.
@@ -121,17 +117,6 @@ impl Actor<KernelMsg> for CheckpointService {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, from: Pid, msg: KernelMsg) {
         match msg {
-            KernelMsg::Boot(dir) => {
-                self.member.wire_boot(&dir);
-                self.member.register(ctx);
-                self.member.beat(ctx, self.params.ft.hb_interval);
-            }
-            KernelMsg::PartitionView { members, local } => {
-                let supervisor_changed = self.member.wire(local, &members);
-                if supervisor_changed {
-                    self.member.register(ctx);
-                }
-            }
             KernelMsg::CkSave {
                 service,
                 partition,
@@ -195,16 +180,15 @@ impl Actor<KernelMsg> for CheckpointService {
                 if !self.synced {
                     self.synced = true;
                     self.flush_pending(ctx);
-                    self.member.restored(ctx);
+                    self.member.recovered(ctx, None);
                 }
             }
-            _ => {}
+            other => self.member.on_message(ctx, other),
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, KernelMsg>, token: u64) {
         match token {
-            TOK_HB => self.member.beat(ctx, self.params.ft.hb_interval),
             TOK_SYNC_TIMEOUT => {
                 if !self.synced {
                     self.synced = true;
@@ -216,7 +200,7 @@ impl Actor<KernelMsg> for CheckpointService {
                     self.send_sync_reqs(ctx);
                 }
             }
-            _ => {}
+            _ => self.member.on_timer(ctx, token),
         }
     }
 

@@ -14,7 +14,7 @@
 
 use crate::detect::Detector;
 use crate::group::Wd;
-use crate::params::KernelParams;
+use crate::params::{self, KernelParams};
 use crate::ppm::PpmAgent;
 use crate::rpc::DedupWindow;
 use phoenix_proto::{
@@ -189,11 +189,7 @@ impl ConfigService {
 
 impl Actor<KernelMsg> for ConfigService {
     fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        ctx.trace(TraceEvent::ServiceUp {
-            pid: ctx.pid(),
-            service: "config",
-            node: ctx.node(),
-        });
+        ctx.service_up("config");
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, from: Pid, msg: KernelMsg) {
@@ -224,8 +220,10 @@ impl Actor<KernelMsg> for ConfigService {
                 ctx.send(from, KernelMsg::CfgAck { req, ok: true });
                 // Dynamic reconfiguration: push tunables to the daemons
                 // that consume them ("the interval for sending heartbeat
-                // can be configured as a system parameter").
-                if key == "hb_interval_ms" {
+                // can be configured as a system parameter"), and keep the
+                // new interval for the WDs a node repair starts later.
+                if let Some(interval) = params::pushed_hb_interval(&key, &value) {
+                    self.params.ft.hb_interval = interval;
                     let push = KernelMsg::CfgSetParam {
                         req: RequestId(0),
                         key: key.clone(),

@@ -20,7 +20,7 @@ use phoenix_proto::{
     AppState, AppStatus, BulletinEntry, BulletinKey, BulletinValue, Event, EventPayload,
     EventType, JobId, KernelMsg, PartitionId, TaskSpec,
 };
-use phoenix_sim::{Actor, Ctx, NodeId, Pid, ResourceUsage, TraceEvent};
+use phoenix_sim::{Actor, Ctx, NodeId, Pid, ResourceUsage};
 use std::collections::HashMap;
 
 const TOK_SAMPLE: u64 = 1;
@@ -192,11 +192,7 @@ impl Detector {
 
 impl Actor<KernelMsg> for Detector {
     fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        ctx.trace(TraceEvent::ServiceUp {
-            pid: ctx.pid(),
-            service: "detector",
-            node: ctx.node(),
-        });
+        ctx.service_up("detector");
         if self.bulletin != Pid(0) {
             self.start_sampling(ctx);
         }

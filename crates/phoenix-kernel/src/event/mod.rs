@@ -13,7 +13,7 @@
 //! registrations and the publish cursor are checkpointed so a restarted or
 //! migrated instance keeps serving its consumers (paper Fig 4).
 
-use crate::federation::{Member, TOK_HB};
+use crate::federation::Member;
 use crate::group::registry::{kernel_factory_key, RespawnArgs};
 use crate::params::KernelParams;
 use phoenix_proto::{
@@ -44,7 +44,7 @@ impl EventService {
     /// Boot-time instance; wired by the `Boot` message.
     pub(crate) fn new(partition: PartitionId, params: KernelParams) -> Self {
         let key = kernel_factory_key(KIND, partition);
-        let member = Member::new(KIND, key, MemberInfo::unwired(partition));
+        let member = Member::new(KIND, key, MemberInfo::unwired(partition), &params);
         Self::with(member, params)
     }
 
@@ -113,8 +113,19 @@ impl EventService {
         }
     }
 
-    fn finish_restore(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        self.member.restored(ctx);
+    /// The restore is over, with `data` loaded or given up on: take up the
+    /// saved registrations, then the publishes held back meanwhile.
+    fn finish_restore(
+        &mut self,
+        ctx: &mut Ctx<'_, KernelMsg>,
+        data: Option<Shared<CheckpointData>>,
+    ) {
+        if let Some(CheckpointData::EventService { consumers, next_seq }) =
+            self.member.recovered(ctx, data)
+        {
+            self.consumers = consumers;
+            self.next_seq = next_seq;
+        }
         let queued = std::mem::take(&mut self.queued);
         for (_from, ev) in queued {
             self.publish(ctx, ev);
@@ -124,33 +135,14 @@ impl EventService {
 
 impl Actor<KernelMsg> for EventService {
     fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        self.member.started(ctx, "event");
-        if self.member.wired() {
-            self.member.register(ctx);
-            self.member.beat(ctx, self.params.ft.hb_interval);
-        }
-        if self.member.restoring() {
-            self.member.load(ctx);
+        self.member.start(ctx, "event");
+        if self.member.restore(ctx) {
             ctx.set_timer(self.params.fed_query_timeout * 8, TOK_RESTORE_TIMEOUT);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, from: Pid, msg: KernelMsg) {
         match msg {
-            KernelMsg::Boot(dir) => {
-                self.member.wire_boot(&dir);
-                self.member.register(ctx);
-                self.member.beat(ctx, self.params.ft.hb_interval);
-            }
-            KernelMsg::PartitionView { members, local } => {
-                // Register only when the supervisor changed: an
-                // unconditional register would echo every view push into
-                // another membership announcement.
-                let supervisor_changed = self.member.wire(local, &members);
-                if supervisor_changed {
-                    self.member.register(ctx);
-                }
-            }
             KernelMsg::EsRegisterConsumer { req, reg } => {
                 // Idempotent: re-registration replaces the previous filter,
                 // so a retried registration is harmless.
@@ -184,30 +176,17 @@ impl Actor<KernelMsg> for EventService {
                 );
                 self.notify_local(ctx, &event);
             }
-            KernelMsg::CkLoadResp { data, .. } => {
-                if self.member.restoring() {
-                    if let Some(CheckpointData::EventService { consumers, next_seq }) =
-                        data.map(Shared::unwrap_or_clone)
-                    {
-                        self.consumers = consumers;
-                        self.next_seq = next_seq;
-                    }
-                    self.finish_restore(ctx);
-                }
+            KernelMsg::CkLoadResp { data, .. } if self.member.restoring() => {
+                self.finish_restore(ctx, data)
             }
-            _ => {}
+            other => self.member.on_message(ctx, other),
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, KernelMsg>, token: u64) {
         match token {
-            TOK_HB => self.member.beat(ctx, self.params.ft.hb_interval),
-            TOK_RESTORE_TIMEOUT => {
-                if self.member.restoring() {
-                    self.finish_restore(ctx);
-                }
-            }
-            _ => {}
+            TOK_RESTORE_TIMEOUT if self.member.restoring() => self.finish_restore(ctx, None),
+            _ => self.member.on_timer(ctx, token),
         }
     }
 

@@ -10,9 +10,12 @@
 //!
 //! * [`Member`] is the service's half. The three kernel services (event,
 //!   bulletin, checkpoint) and the user-environment services embed one and
-//!   drive it from their own handlers: wire from `Boot` / `PartitionView`,
-//!   `SvcRegister`, the `SvcHeartbeat` timer, `CkSave` / `CkLoad` against
-//!   the partition's checkpoint instance, the `Recovered` trace.
+//!   hand it their start, the supervision messages and timer, and the end
+//!   of a restore; it runs the conversation: the `ServiceUp` trace,
+//!   `SvcRegister` and the first beat, wiring from `Boot` / `PartitionView`
+//!   and when to re-register, the `SvcHeartbeat` timer at a cadence it
+//!   holds (retuned by a runtime push), `CkSave` / `CkLoad` against the
+//!   partition's checkpoint instance, the `Recovered` trace.
 //! * [`Supervisor`] is the GSD's half: who is registered, who displaced
 //!   whom, who fell silent, what a restart costs, and the roster a migrated
 //!   GSD rebuilds its user-environment services from. It takes no actor
@@ -21,15 +24,18 @@
 
 use crate::group::liveness;
 use crate::group::registry::RespawnArgs;
-use crate::params::KernelParams;
+use crate::params::{self, KernelParams};
 use phoenix_proto::{
     CheckpointData, KernelMsg, MemberInfo, PartitionId, RequestId, ServiceDirectory, ServiceKind,
+    Shared,
 };
-use phoenix_sim::{Ctx, FaultTarget, Pid, RecoveryAction, SimDuration, SimTime, TraceEvent};
+use phoenix_sim::{
+    Ctx, FaultTarget, Pid, RecoveryAction, SimDuration, SimTime, TimerId, TraceEvent,
+};
 use std::collections::BTreeMap;
 
 /// Timer token of every member's supervision heartbeat.
-pub const TOK_HB: u64 = 1;
+const TOK_HB: u64 = 1;
 
 /// The same-kind instances of every partition but `partition`.
 fn peers_of(
@@ -45,7 +51,10 @@ fn peers_of(
 }
 
 /// The member half: one supervised service instance's view of its
-/// supervisor, its partition and its federation.
+/// supervisor, its partition and its federation, and the whole supervision
+/// conversation with that supervisor. The embedding actor hands it its
+/// start, the supervision messages and timer, and the end of its restore;
+/// `Member` decides what is sent when.
 pub struct Member {
     kind: ServiceKind,
     /// Registry key the supervisor rebuilds this instance from.
@@ -58,19 +67,31 @@ pub struct Member {
     /// do not federate).
     peers: Vec<(PartitionId, Pid)>,
     hb_seq: u64,
+    /// The heartbeat cadence: the kernel parameters' interval until a
+    /// runtime push retunes it.
+    hb_interval: SimDuration,
+    /// The pending heartbeat timer, once beats have started.
+    hb_timer: Option<TimerId>,
     /// How this instance came back, until its state is back too.
     recovery: Option<RecoveryAction>,
 }
 
 impl Member {
     /// A boot-time instance: nothing to recover.
-    pub fn new(kind: ServiceKind, factory: impl Into<String>, info: MemberInfo) -> Member {
+    pub fn new(
+        kind: ServiceKind,
+        factory: impl Into<String>,
+        info: MemberInfo,
+        params: &KernelParams,
+    ) -> Member {
         Member {
             kind,
             factory: factory.into(),
             info,
             peers: Vec::new(),
             hb_seq: 0,
+            hb_interval: params.ft.hb_interval,
+            hb_timer: None,
             recovery: None,
         }
     }
@@ -85,7 +106,7 @@ impl Member {
         Member {
             peers: peers_of(kind, args.partition, &args.members),
             recovery: Some(args.action),
-            ..Member::new(kind, factory, info)
+            ..Member::new(kind, factory, info, &args.params)
         }
     }
 
@@ -106,41 +127,116 @@ impl Member {
         self.peers.iter().map(|&(_, pid)| pid)
     }
 
-    /// Does this instance know its supervisor yet?
-    pub(crate) fn wired(&self) -> bool {
-        self.info.gsd != Pid(0)
-    }
-
     /// Respawned and still waiting for its state.
     pub fn restoring(&self) -> bool {
         self.recovery.is_some()
     }
 
-    /// Record that the instance is up.
-    pub fn started(&self, ctx: &mut Ctx<'_, KernelMsg>, service: &'static str) {
-        ctx.trace(TraceEvent::ServiceUp {
-            pid: ctx.pid(),
-            service,
-            node: ctx.node(),
-        });
+    /// The instance is up: trace it and, when it already knows its
+    /// supervisor (a replacement does), register and send the first beat.
+    /// Returns whether it did.
+    pub fn start(&mut self, ctx: &mut Ctx<'_, KernelMsg>, service: &'static str) -> bool {
+        ctx.service_up(service);
+        let wired = self.info.gsd != Pid(0);
+        if wired {
+            self.register(ctx);
+            self.beat(ctx);
+        }
+        wired
     }
 
-    /// [`wire`](Self::wire) from the boot directory.
-    pub(crate) fn wire_boot(&mut self, dir: &ServiceDirectory) {
+    /// The boot directory arrived: take up the partition's entry, register
+    /// and send the first beat.
+    pub fn boot(&mut self, ctx: &mut Ctx<'_, KernelMsg>, dir: &ServiceDirectory) {
         let local = dir.partition(self.info.partition).copied();
         self.wire(local.unwrap_or(self.info), &dir.partitions);
+        self.register(ctx);
+        self.beat(ctx);
+    }
+
+    /// The supervision messages: `Boot`, `PartitionView` and the runtime
+    /// heartbeat-interval push. Anything else is ignored, so an actor can
+    /// hand over every message it does not handle itself.
+    pub fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, msg: KernelMsg) {
+        match msg {
+            KernelMsg::Boot(dir) => self.boot(ctx, &dir),
+            KernelMsg::PartitionView { members, local } => {
+                let supervisor_changed = self.wire(local, &members);
+                // Kernel kinds register again only with a new supervisor:
+                // an unconditional register would echo every view push into
+                // another membership announcement. A user-environment
+                // registration announces nothing, and it makes the GSD
+                // re-save its roster to the checkpoint instance the view
+                // may have replaced.
+                if supervisor_changed || self.kind == ServiceKind::UserEnvironment {
+                    self.register(ctx);
+                }
+            }
+            KernelMsg::CfgSetParam { key, value, .. } => {
+                let Some(interval) = params::pushed_hb_interval(&key, &value) else {
+                    return;
+                };
+                self.hb_interval = interval;
+                // The pending beat was timed for the old cadence: beat now
+                // instead, and from now on at the new one.
+                if let Some(pending) = self.hb_timer {
+                    ctx.cancel_timer(pending);
+                    self.beat(ctx);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The member's own timer (the next heartbeat); other tokens are
+    /// ignored. Embedding actors number their own timers from 2.
+    pub fn on_timer(&mut self, ctx: &mut Ctx<'_, KernelMsg>, token: u64) {
+        if token == TOK_HB {
+            self.beat(ctx);
+        }
+    }
+
+    /// Checkpoint this instance's state under `(kind, partition)`.
+    pub fn save(&self, ctx: &mut Ctx<'_, KernelMsg>, data: CheckpointData) {
+        ck_save(ctx, &self.info, self.kind, data);
+    }
+
+    /// A respawned instance asks for the state [`save`](Self::save) stored;
+    /// the reply goes to [`recovered`](Self::recovered). Returns whether it
+    /// asked.
+    pub fn restore(&self, ctx: &mut Ctx<'_, KernelMsg>) -> bool {
+        if self.restoring() {
+            ck_load(ctx, &self.info, self.kind);
+        }
+        self.restoring()
+    }
+
+    /// The restore is over, with `data` loaded (or given up on, `None`):
+    /// trace `Recovered` once and hand the state back. `None` when no
+    /// restore was under way.
+    pub fn recovered(
+        &mut self,
+        ctx: &mut Ctx<'_, KernelMsg>,
+        data: Option<Shared<CheckpointData>>,
+    ) -> Option<CheckpointData> {
+        let action = self.recovery.take()?;
+        ctx.trace(TraceEvent::Recovered {
+            target: FaultTarget::Process(ctx.pid()),
+            action,
+        });
+        data.map(Shared::unwrap_or_clone)
     }
 
     /// Adopt the partition's services and the federation's membership.
     /// Returns whether the supervisor changed.
-    pub fn wire(&mut self, local: MemberInfo, members: &[MemberInfo]) -> bool {
+    fn wire(&mut self, local: MemberInfo, members: &[MemberInfo]) -> bool {
         let supervisor_changed = self.info.gsd != local.gsd;
         self.info = local;
         self.peers = peers_of(self.kind, local.partition, members);
         supervisor_changed
     }
 
-    pub fn register(&self, ctx: &mut Ctx<'_, KernelMsg>) {
+    fn register(&self, ctx: &mut Ctx<'_, KernelMsg>) {
         ctx.send(
             self.info.gsd,
             KernelMsg::SvcRegister {
@@ -152,7 +248,7 @@ impl Member {
     }
 
     /// One heartbeat to the supervisor, and the timer for the next.
-    pub fn beat(&mut self, ctx: &mut Ctx<'_, KernelMsg>, interval: SimDuration) {
+    fn beat(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         self.hb_seq += 1;
         ctx.send(
             self.info.gsd,
@@ -162,27 +258,7 @@ impl Member {
                 seq: self.hb_seq,
             },
         );
-        ctx.set_timer(interval, TOK_HB);
-    }
-
-    /// Checkpoint this instance's state under `(kind, partition)`.
-    pub fn save(&self, ctx: &mut Ctx<'_, KernelMsg>, data: CheckpointData) {
-        ck_save(ctx, &self.info, self.kind, data);
-    }
-
-    /// Ask for the state [`save`](Self::save) stored.
-    pub fn load(&self, ctx: &mut Ctx<'_, KernelMsg>) {
-        ck_load(ctx, &self.info, self.kind);
-    }
-
-    /// State is back (or given up on): record the recovery, once.
-    pub fn restored(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        if let Some(action) = self.recovery.take() {
-            ctx.trace(TraceEvent::Recovered {
-                target: FaultTarget::Process(ctx.pid()),
-                action,
-            });
-        }
+        self.hb_timer = Some(ctx.set_timer(self.hb_interval, TOK_HB));
     }
 }
 
@@ -359,6 +435,13 @@ impl Supervisor {
         lapsed
     }
 
+    /// The cadence changed: restart every member's window at `now`, and
+    /// name them, in pid order, to be told of the change.
+    pub(crate) fn rebase(&mut self, now: SimTime) -> Vec<Pid> {
+        self.tracks.values_mut().for_each(|t| t.last = now);
+        self.pids().collect()
+    }
+
     /// Every tracked member, in pid order.
     pub(crate) fn pids(&self) -> impl Iterator<Item = Pid> + '_ {
         self.tracks.keys().copied()
@@ -373,24 +456,31 @@ impl Supervisor {
     }
 
     /// The roster to checkpoint, if it changed since this was last asked.
-    pub(crate) fn roster_to_save(&mut self) -> Option<Vec<(String, Pid)>> {
-        std::mem::take(&mut self.roster_dirty)
-            .then(|| self.roster().map(|(f, pid)| (f.to_string(), pid)).collect())
+    pub(crate) fn roster_to_save(&mut self) -> Option<CheckpointData> {
+        std::mem::take(&mut self.roster_dirty).then(|| {
+            let entries = self.roster().map(|(f, pid)| (f.to_string(), pid)).collect();
+            CheckpointData::Supervision { entries }
+        })
     }
 
-    /// The steps that bring a checkpointed roster back, in roster order.
-    pub(crate) fn rejoin(roster: Vec<(String, Pid)>, alive: impl Fn(Pid) -> bool) -> Vec<Rejoin> {
-        let step = |(factory, pid)| match alive(pid) {
-            true => Rejoin::Rebind(pid),
-            false => Rejoin::Respawn(factory),
+    /// The steps that bring a checkpointed roster back, in roster order
+    /// (none for a snapshot that is not a roster).
+    pub(crate) fn rejoin(saved: &CheckpointData, alive: impl Fn(Pid) -> bool) -> Vec<Rejoin> {
+        let CheckpointData::Supervision { entries } = saved else {
+            return Vec::new();
         };
-        roster.into_iter().map(step).collect()
+        let step = |(factory, pid): &(String, Pid)| match alive(*pid) {
+            true => Rejoin::Rebind(*pid),
+            false => Rejoin::Respawn(factory.clone()),
+        };
+        entries.iter().map(step).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::ClientHandle;
     use crate::params::FtParams;
     use phoenix_sim::{Actor, ClusterBuilder, NodeId, NodeSpec};
 
@@ -513,13 +603,11 @@ mod tests {
         let roster = sup
             .roster_to_save()
             .expect("user-environment registrations dirty it");
-        assert_eq!(
-            roster,
-            vec![
-                ("biz".to_string(), Pid(17)),
-                ("sched:b".to_string(), Pid(41))
-            ]
-        );
+        let entries = vec![
+            ("biz".to_string(), Pid(17)),
+            ("sched:b".to_string(), Pid(41)),
+        ];
+        assert_eq!(roster, CheckpointData::Supervision { entries });
         assert_eq!(sup.roster_to_save(), None, "saved once per change");
         sup.on_register(&mut local, USER, Pid(17), "biz".into(), at(5), |_| true);
         assert_eq!(
@@ -530,16 +618,15 @@ mod tests {
 
         // Over the wire to the checkpoint service and back into a
         // respawned supervisor.
-        let saved = phoenix_proto::wire::encode(&CheckpointData::Supervision { entries: roster });
-        let Ok(CheckpointData::Supervision { entries }) = phoenix_proto::wire::decode(&saved)
-        else {
-            panic!("the roster decodes as what was saved");
-        };
-        let steps = Supervisor::rejoin(entries, |p| p == Pid(41));
+        let saved = phoenix_proto::wire::encode(&roster);
+        let restored = phoenix_proto::wire::decode(&saved).expect("the roster decodes");
+        let steps = Supervisor::rejoin(&restored, |p| p == Pid(41));
         assert_eq!(
             steps,
             vec![Rejoin::Respawn("biz".to_string()), Rejoin::Rebind(Pid(41))]
         );
+        let other = CheckpointData::Raw(vec![1]);
+        assert_eq!(Supervisor::rejoin(&other, |_| true), [], "not a roster");
     }
 
     /// The supervisor half behind the thinnest possible actor: it scans
@@ -580,45 +667,49 @@ mod tests {
         }
     }
 
-    /// The member half behind the thinnest possible actor, with the kernel
-    /// kinds' registration policy.
+    /// The member half behind the thinnest possible actor.
     struct Svc(Member);
 
     impl Actor<KernelMsg> for Svc {
         fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-            self.0.started(ctx, "svc");
-            if self.0.wired() {
-                self.0.register(ctx);
-                self.0.beat(ctx, SimDuration::from_millis(100));
-            }
-            if self.0.restoring() {
-                self.0.load(ctx);
-            }
+            self.0.start(ctx, "svc");
+            self.0.restore(ctx);
         }
 
         fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, _from: Pid, msg: KernelMsg) {
             match msg {
-                KernelMsg::PartitionView { members, local } => {
-                    let supervisor_changed = self.0.wire(local, &members);
-                    if supervisor_changed {
-                        self.0.register(ctx);
-                        self.0.beat(ctx, SimDuration::from_millis(100));
-                    }
+                KernelMsg::CkLoadResp { data, .. } => {
+                    self.0.recovered(ctx, data);
                 }
-                KernelMsg::CkLoadResp { .. } => self.0.restored(ctx),
-                _ => {}
+                other => self.0.on_message(ctx, other),
             }
         }
 
         fn on_timer(&mut self, ctx: &mut Ctx<'_, KernelMsg>, token: u64) {
-            if token == TOK_HB {
-                self.0.beat(ctx, SimDuration::from_millis(100));
-            }
+            self.0.on_timer(ctx, token);
         }
 
         fn as_any(&self) -> Option<&dyn std::any::Any> {
             Some(self)
         }
+    }
+
+    /// A boot directory holding `partitions`.
+    fn boot(partitions: Vec<MemberInfo>) -> KernelMsg {
+        let dir = ServiceDirectory {
+            config: Pid(0),
+            security: Pid(0),
+            partitions,
+            nodes: vec![],
+        };
+        KernelMsg::Boot(dir.into())
+    }
+
+    /// Fast parameters beating every 100 ms, well inside `WINDOW`.
+    fn beat_100ms() -> KernelParams {
+        let mut params = KernelParams::fast();
+        params.ft.hb_interval = SimDuration::from_millis(100);
+        params
     }
 
     #[test]
@@ -643,8 +734,15 @@ mod tests {
             s.lapsed.iter().map(|l| l.pid).collect::<Vec<_>>()
         };
 
-        // A boot-time member: silent until a view names its supervisor.
-        let unwired = Member::new(EVENT, "event:p0", MemberInfo::unwired(PartitionId(0)));
+        // A boot-time member: silent until the boot directory names its
+        // supervisor.
+        let params = beat_100ms();
+        let unwired = Member::new(
+            EVENT,
+            "event:p0",
+            MemberInfo::unwired(PartitionId(0)),
+            &params,
+        );
         let first = w.spawn(NodeId(1), Box::new(Svc(unwired)));
         w.run_for(SimDuration::from_millis(300));
         assert_eq!(state(&w), (Pid(0), vec![]));
@@ -657,17 +755,15 @@ mod tests {
             event: Pid(77),
             ..MemberInfo::unwired(PartitionId(1))
         };
-        let view = KernelMsg::PartitionView {
-            members: vec![local, peer],
-            local,
-        };
-        w.inject(first, view.clone());
+        w.inject(first, boot(vec![local, peer]));
         w.run_for(SimDuration::from_millis(300));
         assert_eq!(state(&w), (first, vec![first]), "registered and adopted");
         let member = &w.actor_as::<Svc>(first).expect("member introspectable").0;
         assert_eq!(member.peers(), [(PartitionId(1), Pid(77))]);
-        // The same supervisor again: no second registration, beats go on.
-        w.inject(first, view);
+        // A view naming the same supervisor: no second registration, beats
+        // go on.
+        let members = vec![local, peer];
+        w.inject(first, KernelMsg::PartitionView { members, local });
         w.run_for(SimDuration::from_secs(1));
         assert_eq!(scan(&mut w), [], "heartbeats flow");
 
@@ -685,7 +781,7 @@ mod tests {
         let args = {
             let s = w.actor_as::<Sup>(sup).expect("supervisor introspectable");
             let action = RecoveryAction::RestartedInPlace;
-            respawn_args(&s.local, &[s.local, peer], action, &KernelParams::fast())
+            respawn_args(&s.local, &[s.local, peer], action, &params)
         };
         assert_eq!(
             (args.gsd, args.checkpoint, args.partition),
@@ -705,5 +801,100 @@ mod tests {
                 if *p == second && *action == RecoveryAction::RestartedInPlace)
         });
         assert_eq!(recovered, 1);
+        w.run_for(SimDuration::from_secs(1));
+        assert_eq!(
+            scan(&mut w),
+            [first],
+            "the replacement beats at its arguments' cadence: only its predecessor lapsed"
+        );
+    }
+
+    /// `SvcRegister`s each of `sups` received since last asked.
+    fn registers(sups: &[&ClientHandle]) -> Vec<usize> {
+        let register = |(_, m): &&(Pid, KernelMsg)| matches!(m, KernelMsg::SvcRegister { .. });
+        sups.iter()
+            .map(|s| s.drain().iter().filter(register).count())
+            .collect()
+    }
+
+    /// Kernel kinds re-register only with a new supervisor; the
+    /// user-environment kind on every view.
+    #[test]
+    fn each_kind_re_registers_by_its_own_policy() {
+        // Registrations at (old, new) supervisor after boot, after a view
+        // naming the same supervisor, after a view naming a new one.
+        let kernel = [[1, 0], [0, 0], [0, 1]];
+        let user = [[1, 0], [1, 0], [0, 1]];
+        for (kind, want) in [(EVENT, kernel), (USER, user)] {
+            let mut w = ClusterBuilder::new()
+                .nodes(2, NodeSpec::default())
+                .build::<KernelMsg>();
+            let old = ClientHandle::spawn(&mut w, NodeId(0));
+            let new = ClientHandle::spawn(&mut w, NodeId(0));
+            let under = |gsd| MemberInfo {
+                gsd,
+                ..MemberInfo::unwired(PartitionId(0))
+            };
+            let view = |local| KernelMsg::PartitionView {
+                members: vec![local],
+                local,
+            };
+            let member = Member::new(
+                kind,
+                "f",
+                MemberInfo::unwired(PartitionId(0)),
+                &beat_100ms(),
+            );
+            let svc = w.spawn(NodeId(1), Box::new(Svc(member)));
+            let steps = [
+                boot(vec![under(old.pid)]),
+                view(under(old.pid)),
+                view(under(new.pid)),
+            ];
+            for (step, want) in steps.into_iter().zip(want) {
+                w.inject(svc, step);
+                w.run_for(SimDuration::from_millis(10));
+                assert_eq!(registers(&[&old, &new]), want, "{kind:?}");
+            }
+        }
+    }
+
+    /// A heartbeat-interval push retunes a beating member at once: one
+    /// beat on arrival, then the new cadence, and the beat pending on the
+    /// old cadence never fires.
+    #[test]
+    fn a_pushed_interval_replaces_the_pending_beat() {
+        let mut w = ClusterBuilder::new()
+            .nodes(2, NodeSpec::default())
+            .build::<KernelMsg>();
+        let sup = ClientHandle::spawn(&mut w, NodeId(0));
+        let info = MemberInfo {
+            gsd: sup.pid,
+            ..MemberInfo::unwired(PartitionId(0))
+        };
+        let svc = w.spawn(
+            NodeId(1),
+            Box::new(Svc(Member::new(EVENT, "f", info, &beat_100ms()))),
+        );
+        w.run_for(SimDuration::from_millis(150));
+        let beats = |sup: &ClientHandle| {
+            let beat = |(_, m): &&(Pid, KernelMsg)| matches!(m, KernelMsg::SvcHeartbeat { .. });
+            sup.drain().iter().filter(beat).count()
+        };
+        assert_eq!(beats(&sup), 2, "t = 0 and 100 ms");
+        let push = |value: &str| KernelMsg::CfgSetParam {
+            req: RequestId(0),
+            key: "hb_interval_ms".into(),
+            value: value.into(),
+        };
+        w.inject(svc, push("not a number"));
+        w.inject(svc, push("1000"));
+        w.run_for(SimDuration::from_millis(2_020));
+        assert_eq!(beats(&sup), 3, "on arrival, then 1 s and 2 s later");
+        assert_eq!(
+            w.cancelled_timers(),
+            0,
+            "the replaced timer came due unfired"
+        );
     }
 }

@@ -46,16 +46,16 @@ use crate::group::ring::{Adoption, Join, Ring, Role};
 use crate::group::wd::Wd;
 use crate::nic_health::{HealthTransition, NicHealth};
 use crate::group::probe::{Outcome, Probes};
-use crate::params::{FtParams, KernelParams};
+use crate::params::{self, FtParams, KernelParams};
 use crate::regroup::{self, Licence, Regroup, Why};
 use crate::slow_detect::{self, SlowDetect, SlowTransition, Verdict as SlowVerdict};
 use phoenix_proto::{
-    CheckpointData, ClusterTopology, Event, EventPayload, EventType, KernelMsg, MemberInfo,
-    NodeServices, PartitionId, RequestId, ServiceKind,
+    ClusterTopology, Event, EventPayload, EventType, KernelMsg, MemberInfo, NodeServices,
+    PartitionId, RequestId, ServiceKind,
 };
 use phoenix_sim::{
     Actor, Ctx, Diagnosis, FaultTarget, NicId, NodeId, Pid, RecoveryAction, SimDuration, SimTime,
-    TraceEvent,
+    TimerId, TraceEvent,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -263,6 +263,8 @@ pub struct Gsd {
     /// Ring-heartbeat sequence counter (bumped once per tick; carried in
     /// every `MetaHeartbeat` so successors can discard duplicates).
     hb_seq: u64,
+    /// The pending tick, once wiring has started the ring heartbeat.
+    tick_timer: Option<TimerId>,
     /// Directory queries sent and directory pushes still to be repeated.
     dir: DirSync,
     /// MSCS-style quorum regroup state (inert unless
@@ -348,6 +350,7 @@ impl Gsd {
             failover: Failover::default(),
             needs_rejoin: false,
             hb_seq: 0,
+            tick_timer: None,
             dir,
             regroup,
             frozen_span: None,
@@ -676,7 +679,7 @@ impl Gsd {
 
         self.refresh_roles(ctx);
         ctx.set_timer(self.params.ft.check_interval, TOK_SCAN);
-        ctx.set_timer(self.params.ft.hb_interval, TOK_TICK);
+        self.tick_timer = Some(ctx.set_timer(self.params.ft.hb_interval, TOK_TICK));
         // Register as an event supplier (fault/recovery events).
         ctx.send(
             self.local.event,
@@ -1228,8 +1231,7 @@ impl Gsd {
         // rejoin toward a leader view that predates the partition.
         if !self.regroup.frozen() {
             self.directory_anti_entropy(ctx);
-            if let Some(entries) = self.supervisor.roster_to_save() {
-                let roster = CheckpointData::Supervision { entries };
+            if let Some(roster) = self.supervisor.roster_to_save() {
                 federation::ck_save(ctx, &self.local, ServiceKind::Group, roster);
             }
             self.rescue_sweep(ctx);
@@ -1241,7 +1243,7 @@ impl Gsd {
                 self.join_leader(ctx, self.local);
             }
         }
-        ctx.set_timer(self.params.ft.hb_interval, TOK_TICK);
+        self.tick_timer = Some(ctx.set_timer(self.params.ft.hb_interval, TOK_TICK));
     }
 
     /// Leader safety net: if a topology partition has no meta-group member
@@ -1771,11 +1773,7 @@ impl Gsd {
 
 impl Actor<KernelMsg> for Gsd {
     fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        ctx.trace(TraceEvent::ServiceUp {
-            pid: ctx.pid(),
-            service: "gsd",
-            node: ctx.node(),
-        });
+        ctx.service_up("gsd");
         self.local.gsd = ctx.pid();
         self.local.node = ctx.node();
         if self.awaits_directory() {
@@ -1888,18 +1886,25 @@ impl Actor<KernelMsg> for Gsd {
             KernelMsg::RegroupPing { .. }
             | KernelMsg::RegroupAck { .. }
             | KernelMsg::RegroupProbeAck { .. } => self.on_regroup_msg(ctx, from, &msg),
-            KernelMsg::CfgSetParam { key, value, .. } => {
-                if key == "hb_interval_ms" {
-                    if let Ok(ms) = value.parse::<u64>() {
-                        self.params.ft.hb_interval =
-                            phoenix_sim::SimDuration::from_millis(ms.max(1));
-                        // Reset heartbeat baselines so a *longer* interval
-                        // does not trip deadlines computed from beats that
-                        // were sent on the old cadence.
-                        let now = ctx.now();
-                        for p in &mut self.peers {
-                            p.live.rebase(now);
-                        }
+            KernelMsg::CfgSetParam { req, key, value } => {
+                if let Some(interval) = params::pushed_hb_interval(&key, &value) {
+                    self.params.ft.hb_interval = interval;
+                    // Judge every watched daemon, ring predecessor and
+                    // supervised service from the change: beats sent on the
+                    // old cadence must not be held to the new window. The
+                    // services hear of the change from us.
+                    let now = ctx.now();
+                    for p in &mut self.peers {
+                        p.live.rebase(now);
+                    }
+                    let push = KernelMsg::CfgSetParam { req, key, value };
+                    for pid in self.supervisor.rebase(now) {
+                        ctx.send(pid, push.clone());
+                    }
+                    // Tick now, and from now on at the new cadence.
+                    if let Some(pending) = self.tick_timer {
+                        ctx.cancel_timer(pending);
+                        self.tick(ctx);
                     }
                 }
             }
@@ -1931,11 +1936,8 @@ impl Actor<KernelMsg> for Gsd {
             KernelMsg::CkLoadResp {
                 data: Some(data), ..
             } => {
-                let CheckpointData::Supervision { entries } = &*data else {
-                    return;
-                };
                 // Supervision roster restore after GSD respawn.
-                for step in Supervisor::rejoin(entries.clone(), |p| ctx.process_is_alive(p)) {
+                for step in Supervisor::rejoin(&data, |p| ctx.process_is_alive(p)) {
                     match step {
                         Rejoin::Rebind(pid) => ctx.send(pid, self.partition_view()),
                         Rejoin::Respawn(factory) => {

@@ -7,10 +7,10 @@
 //! monitor status of nodes and networks in a partition."
 
 use crate::nic_health::NicHealth;
-use crate::params::FtParams;
+use crate::params::{self, FtParams};
 use phoenix_proto::{KernelMsg, PartitionId};
 use phoenix_sim::{
-    Actor, Ctx, FaultTarget, NicId, NodeId, Pid, RecoveryAction, TraceEvent,
+    Actor, Ctx, FaultTarget, NicId, NodeId, Pid, RecoveryAction, TimerId, TraceEvent,
 };
 
 const TOK_HB: u64 = 1;
@@ -22,10 +22,10 @@ pub struct Wd {
     gsd: Pid,
     params: FtParams,
     seq: u64,
-    /// Whether the heartbeat timer chain is running. `Boot` may arrive
+    /// The pending heartbeat timer, once the chain runs. `Boot` may arrive
     /// more than once (config re-asserts node wiring under a lossy
     /// profile); only the first may start the chain or beats double up.
-    beating: bool,
+    hb_timer: Option<TimerId>,
     /// Set on a respawned instance; emits the recovery trace on start.
     recovery: Option<RecoveryAction>,
     /// Per-NIC delivery evidence from GSD heartbeat acks (only fed when
@@ -49,7 +49,7 @@ impl Wd {
             gsd: Pid(0),
             params,
             seq: 0,
-            beating: false,
+            hb_timer: None,
             recovery: None,
             nic_health: NicHealth::new(nic, 0),
             acked_seq: Vec::new(),
@@ -74,7 +74,6 @@ impl Wd {
     /// per-NIC fan-out is what lets the GSD distinguish a NIC failure
     /// (some interfaces silent) from a node failure (all silent).
     fn beat(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        self.beating = true;
         self.seq += 1;
         let nics = ctx.nic_count(self.node);
         if self.nic_health.nic_count() < nics {
@@ -98,7 +97,7 @@ impl Wd {
                 },
             );
         }
-        ctx.set_timer(self.params.hb_interval, TOK_HB);
+        self.hb_timer = Some(ctx.set_timer(self.params.hb_interval, TOK_HB));
     }
 
     /// The GSD this WD currently heartbeats (read-only introspection for
@@ -132,11 +131,7 @@ impl Wd {
 
 impl Actor<KernelMsg> for Wd {
     fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        ctx.trace(TraceEvent::ServiceUp {
-            pid: ctx.pid(),
-            service: "wd",
-            node: ctx.node(),
-        });
+        ctx.service_up("wd");
         if let Some(action) = self.recovery.take() {
             ctx.trace(TraceEvent::Recovered {
                 target: FaultTarget::Process(ctx.pid()),
@@ -154,7 +149,7 @@ impl Actor<KernelMsg> for Wd {
                 if let Some(me) = dir.partition(self.partition) {
                     self.gsd = me.gsd;
                 }
-                if !self.beating {
+                if self.hb_timer.is_none() {
                     self.beat(ctx);
                 }
             }
@@ -193,12 +188,13 @@ impl Actor<KernelMsg> for Wd {
             }
             KernelMsg::CfgSetParam { key, value, .. } => {
                 // Dynamic reconfiguration pushed by the config service.
-                if key == "hb_interval_ms" {
-                    if let Ok(ms) = value.parse::<u64>() {
-                        self.params.hb_interval =
-                            phoenix_sim::SimDuration::from_millis(ms.max(1));
-                        // Takes effect at the next beat (the pending timer
-                        // still fires on the old schedule once).
+                if let Some(interval) = params::pushed_hb_interval(&key, &value) {
+                    self.params.hb_interval = interval;
+                    // The pending beat was timed for the old cadence: beat
+                    // now instead, and from now on at the new one.
+                    if let Some(pending) = self.hb_timer {
+                        ctx.cancel_timer(pending);
+                        self.beat(ctx);
                     }
                 }
             }

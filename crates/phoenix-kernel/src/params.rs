@@ -108,6 +108,16 @@ impl FtParams {
     }
 }
 
+/// The heartbeat interval a `CfgSetParam` push sets, if it sets one: key
+/// `hb_interval_ms`, a whole number of milliseconds (0 reads as 1).
+pub(crate) fn pushed_hb_interval(key: &str, value: &str) -> Option<SimDuration> {
+    if key != "hb_interval_ms" {
+        return None;
+    }
+    let ms: u64 = value.parse().ok()?;
+    Some(SimDuration::from_millis(ms.max(1)))
+}
+
 /// All kernel parameters.
 #[derive(Clone, Debug)]
 pub struct KernelParams {

@@ -16,7 +16,7 @@
 
 use crate::rpc::DedupWindow;
 use phoenix_proto::{JobId, KernelMsg, NodeServices, RequestId, ServiceDirectory, TaskSpec};
-use phoenix_sim::{Actor, Ctx, NodeId, Pid, SimDuration, TraceEvent};
+use phoenix_sim::{Actor, Ctx, NodeId, Pid, SimDuration};
 use std::collections::HashMap;
 
 /// A simulated application process: one task of a job on one node.
@@ -193,11 +193,7 @@ impl PpmAgent {
 
 impl Actor<KernelMsg> for PpmAgent {
     fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        ctx.trace(TraceEvent::ServiceUp {
-            pid: ctx.pid(),
-            service: "ppm",
-            node: ctx.node(),
-        });
+        ctx.service_up("ppm");
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, from: Pid, msg: KernelMsg) {

@@ -98,11 +98,7 @@ fn role_code(role: Role) -> u8 {
 
 impl Actor<KernelMsg> for SecurityService {
     fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        ctx.trace(phoenix_sim::TraceEvent::ServiceUp {
-            pid: ctx.pid(),
-            service: "security",
-            node: ctx.node(),
-        });
+        ctx.service_up("security");
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, from: Pid, msg: KernelMsg) {

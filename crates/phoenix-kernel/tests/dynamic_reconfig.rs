@@ -8,8 +8,8 @@
 use phoenix_kernel::boot::boot_and_stabilize;
 use phoenix_kernel::client::ClientHandle;
 use phoenix_kernel::KernelParams;
-use phoenix_proto::{ClusterTopology, KernelMsg, RequestId};
-use phoenix_sim::{FaultTarget, NodeId, SimDuration, TraceEvent};
+use phoenix_proto::{ClusterTopology, KernelMsg, NodeOp, RequestId};
+use phoenix_sim::{Fault, FaultTarget, NodeId, SimDuration, TraceEvent};
 
 #[test]
 fn heartbeat_interval_reconfigures_at_runtime() {
@@ -82,4 +82,96 @@ fn heartbeat_interval_reconfigures_at_runtime() {
         detect > 1.5 && detect < 4.5,
         "detection ({detect:.2}s) should track the new 3s interval"
     );
+}
+
+/// Lowering the interval is the direction that can trip detectors: every
+/// GSD judges from the change with the new, shorter window, while each
+/// sender's pending beat was timed for the old cadence and supervised
+/// services hear of the change only through their GSD. A fault-free
+/// cluster must stay fault-free, and a real fault must still be caught
+/// inside the new window.
+#[test]
+fn lowering_the_interval_trips_no_detector() {
+    phoenix_telemetry::reset();
+    let (mut w, cluster) =
+        boot_and_stabilize(ClusterTopology::uniform(2, 4, 1), KernelParams::fast(), 81);
+    w.run_for(SimDuration::from_secs(2));
+
+    // Lower the heartbeat interval from 1 s to 300 ms cluster-wide.
+    let client = ClientHandle::spawn(&mut w, NodeId(2));
+    client.send(
+        &mut w,
+        cluster.config(),
+        KernelMsg::CfgSetParam {
+            req: RequestId(1),
+            key: "hb_interval_ms".into(),
+            value: "300".into(),
+        },
+    );
+    w.run_for(SimDuration::from_secs(10));
+    let detected = w
+        .trace()
+        .count(|e| matches!(e, TraceEvent::FaultDetected { .. }));
+    let takeovers = phoenix_telemetry::with(|reg| reg.counter("gsd.takeovers"));
+    assert_eq!(
+        (detected, takeovers),
+        (0, 0),
+        "(faults detected, GSD takeovers) on a fault-free cluster after lowering the interval"
+    );
+
+    // A WD killed now is found within the new 350 ms window (300 ms plus
+    // 50 ms grace) and one 25 ms scan, not the old 1.05 s one.
+    let wd = cluster.directory.node(NodeId(3)).unwrap().wd;
+    let t0 = w.now();
+    w.kill_process(wd);
+    w.run_for(SimDuration::from_secs(2));
+    let detected = w
+        .trace()
+        .find_after(t0, |e| {
+            matches!(e, TraceEvent::FaultDetected { target: FaultTarget::Process(p), .. } if *p == wd)
+        })
+        .map(|r| r.at)
+        .expect("the killed WD is detected");
+    let detect = detected.since(t0).as_secs_f64();
+    assert!(
+        detect < 0.4,
+        "detection ({detect:.3}s) should track the new 300 ms interval"
+    );
+}
+
+/// A node the configuration service brings back after the interval was
+/// lowered runs WDs that beat at the new interval, so the GSD's new,
+/// shorter window does not take its fresh WD for a dead one.
+#[test]
+fn a_node_repaired_after_lowering_beats_at_the_new_interval() {
+    let (mut w, cluster) =
+        boot_and_stabilize(ClusterTopology::uniform(2, 4, 1), KernelParams::fast(), 81);
+    w.run_for(SimDuration::from_secs(2));
+    let admin = ClientHandle::spawn(&mut w, NodeId(2));
+    let set = KernelMsg::CfgSetParam {
+        req: RequestId(1),
+        key: "hb_interval_ms".into(),
+        value: "300".into(),
+    };
+    admin.send(&mut w, cluster.config(), set);
+    w.run_for(SimDuration::from_secs(1));
+
+    let node = NodeId(7);
+    w.apply_fault(Fault::CrashNode(node));
+    w.run_for(SimDuration::from_secs(2));
+    let start = KernelMsg::CfgNodeOp {
+        req: RequestId(2),
+        node,
+        op: NodeOp::Start,
+    };
+    admin.send(&mut w, cluster.config(), start);
+    let t0 = w.now();
+    w.run_for(SimDuration::from_secs(5));
+    let detected: Vec<_> = w
+        .trace()
+        .records()
+        .iter()
+        .filter(|r| r.at >= t0 && matches!(r.event, TraceEvent::FaultDetected { .. }))
+        .collect();
+    assert!(detected.is_empty(), "after the repair: {detected:?}");
 }

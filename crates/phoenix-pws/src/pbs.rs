@@ -120,11 +120,7 @@ impl PbsServer {
 
 impl Actor<KernelMsg> for PbsServer {
     fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        ctx.trace(TraceEvent::ServiceUp {
-            pid: ctx.pid(),
-            service: "pbs-server",
-            node: ctx.node(),
-        });
+        ctx.service_up("pbs-server");
         self.poll_all(ctx);
         ctx.set_timer(self.sched_interval, TOK_SCHED);
     }

@@ -15,13 +15,13 @@
 
 use crate::policy::PolicyKind;
 use crate::pool::{Lender, Placement, Pool};
-use phoenix_kernel::federation::{Member, TOK_HB};
+use phoenix_kernel::federation::Member;
 use phoenix_kernel::group::RespawnArgs;
 use phoenix_kernel::params::KernelParams;
 use phoenix_kernel::ppm;
 use phoenix_proto::{
     Action, CheckpointData, ConsumerReg, Event, EventFilter, EventPayload, EventType, JobId,
-    JobSpec, KernelMsg, MemberInfo, PartitionId, RequestId, ServiceDirectory, ServiceKind, Shared,
+    JobSpec, KernelMsg, MemberInfo, PartitionId, RequestId, ServiceDirectory, ServiceKind,
 };
 use phoenix_sim::{Actor, Ctx, NodeId, Pid, SimDuration, TraceEvent};
 use std::cell::RefCell;
@@ -100,7 +100,7 @@ impl PwsScheduler {
         let key = Self::factory_key(&cfg.name);
         PwsScheduler {
             pool: Pool::new(&cfg.name, &cfg.nodes, cfg.policy),
-            member: Member::new(ServiceKind::UserEnvironment, key, info),
+            member: Member::new(ServiceKind::UserEnvironment, key, info, &params),
             security: directory.security,
             config: directory.config,
             cfg,
@@ -330,12 +330,10 @@ impl PwsScheduler {
 
 impl Actor<KernelMsg> for PwsScheduler {
     fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        self.member.started(ctx, "pws-sched");
         self.pools
             .borrow_mut()
             .insert(self.cfg.name.clone(), ctx.pid());
-        self.member.register(ctx);
-        self.member.beat(ctx, self.params.ft.hb_interval);
+        self.member.start(ctx, "pws-sched");
         // Event-driven resource view: app lifecycle + node health.
         ctx.send(
             self.member.info().event,
@@ -352,20 +350,11 @@ impl Actor<KernelMsg> for PwsScheduler {
             },
         );
         ctx.set_timer(TICK, TOK_TICK);
-        if self.member.restoring() {
-            self.member.load(ctx);
-        }
+        self.member.restore(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, from: Pid, msg: KernelMsg) {
         match msg {
-            KernelMsg::PartitionView { members, local } => {
-                // On every view, unlike the kernel kinds: this registration
-                // announces nothing, and it makes the GSD re-save its roster
-                // to the checkpoint instance the view may have replaced.
-                self.member.wire(local, &members);
-                self.member.register(ctx);
-            }
             KernelMsg::PwsSubmit { req, token, spec } => {
                 let (check, action) = (self.req(), Action::SubmitJob);
                 ctx.send(
@@ -464,7 +453,7 @@ impl Actor<KernelMsg> for PwsScheduler {
             }
             KernelMsg::CkLoadResp { data, .. } if self.member.restoring() => {
                 if let Some(CheckpointData::Scheduler { queued, running }) =
-                    data.map(Shared::unwrap_or_clone)
+                    self.member.recovered(ctx, data)
                 {
                     // Restored across a restart: we no longer know the
                     // original durations, so give every placement one
@@ -473,22 +462,20 @@ impl Actor<KernelMsg> for PwsScheduler {
                     self.pool
                         .restore(queued, running, ctx.now().as_nanos() + window);
                 }
-                self.member.restored(ctx);
                 self.schedule_pass(ctx);
             }
-            _ => {}
+            other => self.member.on_message(ctx, other),
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, KernelMsg>, token: u64) {
         match token {
-            TOK_HB => self.member.beat(ctx, self.params.ft.hb_interval),
             TOK_TICK => {
                 self.reap_overdue(ctx);
                 self.schedule_pass(ctx);
                 ctx.set_timer(TICK, TOK_TICK);
             }
-            _ => {}
+            _ => self.member.on_timer(ctx, token),
         }
     }
 

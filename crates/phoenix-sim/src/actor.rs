@@ -180,6 +180,12 @@ impl<'a, M: Message> Ctx<'a, M> {
         self.commands.push(Command::Trace(ev));
     }
 
+    /// Record that the running actor is up, as `service`.
+    pub fn service_up(&mut self, service: &'static str) {
+        let (pid, node) = (self.self_pid, self.self_node);
+        self.trace(TraceEvent::ServiceUp { pid, service, node });
+    }
+
     /// Power a node off (killing its processes) or back on. This is the
     /// mechanism behind administrative start/shutdown-node operations.
     pub fn set_node_power(&mut self, node: NodeId, up: bool) {

@@ -84,7 +84,15 @@ echo "== tier-1: cargo build --release =="
 cargo build --release --offline
 
 echo "== tier-1: cargo test -q =="
-cargo test -q --offline
+# The count CHANGES.md and ROADMAP quote: every `test result:` line summed.
+rc=0
+cargo test -q --offline > /tmp/tier1.out 2>&1 || rc=$?
+cat /tmp/tier1.out
+awk '/^test result:/ { p += $4; f += $6 } END { printf "tier-1: %d passed, %d failed\n", p, f }' /tmp/tier1.out
+[ "$rc" -eq 0 ] || {
+    echo "FAIL: cargo test exited $rc" >&2
+    exit 1
+}
 
 echo "== lint: the workspace and benchmark/ build with -D warnings =="
 RUSTFLAGS='-D warnings' cargo check --offline --workspace --all-targets --target-dir target/lint

@@ -17,7 +17,7 @@
 //! multi-megabyte streams; a golden mismatch names the surfaces that moved.
 
 use phoenix::chaos::{
-    flight_recorder_dump, replay_command, run_schedule, ChaosConfig, RunOutcome, PRESETS,
+    flight_recorder_dump, replay_command, run_schedule, ChaosConfig, RunOutcome, Storms, PRESETS,
 };
 use phoenix::sim::SchedulerKind;
 use phoenix::telemetry::BenchReport;
@@ -306,7 +306,7 @@ fn slow_stream_is_rng_neutral() {
             phoenix::kernel::boot_cluster(cfg.topology(), cfg.params.clone(), seed);
         let with_slow = generate_schedule(seed, &cfg, &cluster);
         let mut base = cfg.clone();
-        base.slow_steps = false;
+        base.storms = Storms::None;
         let without = generate_schedule(seed, &base, &cluster);
         let filtered: Vec<Step> = with_slow
             .iter()
