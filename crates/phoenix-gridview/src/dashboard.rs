@@ -216,12 +216,10 @@ mod tests {
     #[test]
     fn render_mentions_key_figures() {
         let snap = Snapshot {
-            at_ns: 0,
             nodes_reporting: 640,
             avg_cpu: 0.19,
             avg_memory: 0.20,
             avg_swap: 0.0072,
-            max_cpu: 0.9,
             overloaded_nodes: 0,
             complete: true,
             running_apps: 3,

@@ -31,12 +31,10 @@ const TOK_REFRESH: u64 = 1;
 /// One dashboard snapshot: what Fig 6 displays.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
-    pub(crate) at_ns: u64,
     pub nodes_reporting: usize,
     pub(crate) avg_cpu: f64,
     pub(crate) avg_memory: f64,
     pub(crate) avg_swap: f64,
-    pub(crate) max_cpu: f64,
     pub(crate) overloaded_nodes: usize,
     /// Whether the last federation pull was complete.
     pub complete: bool,
@@ -232,21 +230,14 @@ impl GridView {
             }
         }
         let n = per_node.len().max(1) as f64;
-        let sum = per_node.values().fold((0.0, 0.0, 0.0, 0.0f64), |acc, u| {
-            (
-                acc.0 + u.cpu,
-                acc.1 + u.memory,
-                acc.2 + u.swap,
-                acc.3.max(u.cpu),
-            )
+        let sum = per_node.values().fold((0.0, 0.0, 0.0), |acc, u| {
+            (acc.0 + u.cpu, acc.1 + u.memory, acc.2 + u.swap)
         });
         let snapshot = Snapshot {
-            at_ns: ctx.now().as_nanos(),
             nodes_reporting: per_node.len(),
             avg_cpu: sum.0 / n,
             avg_memory: sum.1 / n,
             avg_swap: sum.2 / n,
-            max_cpu: sum.3,
             overloaded_nodes: per_node.values().filter(|u| u.cpu >= ALARM_CPU).count(),
             complete,
             running_apps,

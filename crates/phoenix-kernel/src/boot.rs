@@ -156,27 +156,13 @@ pub fn boot_cluster_custom(
     scheduler: SchedulerKind,
     record_events: bool,
 ) -> (World<KernelMsg>, PhoenixCluster) {
-    let world = ClusterBuilder::new()
+    let mut world = ClusterBuilder::new()
         .nodes(topology.node_count(), NodeSpec::default())
         .net(net)
         .seed(seed)
         .scheduler(scheduler)
         .record_events(record_events)
         .build::<KernelMsg>();
-    boot_onto(world, topology, params)
-}
-
-/// Boot Phoenix onto an existing world (which must have at least
-/// `topology.node_count()` nodes).
-pub fn boot_onto(
-    mut world: World<KernelMsg>,
-    topology: ClusterTopology,
-    params: KernelParams,
-) -> (World<KernelMsg>, PhoenixCluster) {
-    assert!(
-        world.node_count() >= topology.node_count(),
-        "world too small for topology"
-    );
     let registry = shared_registry();
     let security_key = 0x5EC0_0151;
 
@@ -230,7 +216,7 @@ pub fn boot_onto(
     let mut nodes: Vec<NodeServices> = Vec::with_capacity(topology.node_count());
     for spec in &topology.partitions {
         for node in spec.all_nodes() {
-            let wd = world.spawn(node, Box::new(Wd::new(node, spec.id, params.ft.clone())));
+            let wd = world.spawn(node, Box::new(Wd::new(node, spec.id, params.ft.hb_interval)));
             let detector = world.spawn(
                 node,
                 Box::new(Detector::new(node, spec.id, params.clone())),

@@ -42,8 +42,6 @@ pub struct ConfigService {
     topology: ClusterTopology,
     params: KernelParams,
     directory: ServiceDirectory,
-    /// Dynamic key/value parameters set through `CfgSetParam`.
-    kv: HashMap<String, String>,
     /// Idempotency window for `CfgNodeOp`: `start_node` spawns daemons and
     /// fans directory updates cluster-wide, so a retried request must
     /// replay the cached ack instead of re-executing.
@@ -69,7 +67,6 @@ impl ConfigService {
             topology,
             params,
             directory: ServiceDirectory::default(),
-            kv: HashMap::new(),
             node_ops_seen: DedupWindow::new(64),
             rewire: HashMap::new(),
             stale: std::collections::BTreeSet::new(),
@@ -145,7 +142,7 @@ impl ConfigService {
         };
         let wd = ctx.spawn(
             node,
-            Box::new(Wd::new(node, partition, self.params.ft.clone())),
+            Box::new(Wd::new(node, partition, self.params.ft.hb_interval)),
         );
         let detector = ctx.spawn(
             node,
@@ -216,7 +213,6 @@ impl Actor<KernelMsg> for ConfigService {
                 );
             }
             KernelMsg::CfgSetParam { req, key, value } => {
-                self.kv.insert(key.clone(), value.clone());
                 ctx.send(from, KernelMsg::CfgAck { req, ok: true });
                 // Dynamic reconfiguration: push tunables to the daemons
                 // that consume them ("the interval for sending heartbeat

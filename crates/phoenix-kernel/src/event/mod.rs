@@ -17,11 +17,10 @@ use crate::federation::Member;
 use crate::group::registry::{kernel_factory_key, RespawnArgs};
 use crate::params::KernelParams;
 use phoenix_proto::{
-    CheckpointData, ConsumerReg, Event, EventType, KernelMsg, MemberInfo, PartitionId, RequestId,
-    ServiceKind, Shared,
+    CheckpointData, ConsumerReg, Event, KernelMsg, MemberInfo, PartitionId, RequestId, ServiceKind,
+    Shared,
 };
 use phoenix_sim::{Actor, Ctx, Pid};
-use std::collections::HashMap;
 
 const KIND: ServiceKind = ServiceKind::Event;
 const TOK_RESTORE_TIMEOUT: u64 = 2;
@@ -34,10 +33,9 @@ pub(crate) struct EventService {
     member: Member,
     params: KernelParams,
     consumers: Vec<ConsumerReg>,
-    suppliers: HashMap<Pid, Vec<EventType>>,
     next_seq: u64,
     /// Publishes held back while waiting for checkpoint state.
-    queued: Vec<(Pid, Event)>,
+    queued: Vec<Event>,
 }
 
 impl EventService {
@@ -60,7 +58,6 @@ impl EventService {
             member,
             params,
             consumers: Vec::new(),
-            suppliers: HashMap::new(),
             next_seq: 1,
             queued: Vec::new(),
         }
@@ -127,7 +124,7 @@ impl EventService {
             self.next_seq = next_seq;
         }
         let queued = std::mem::take(&mut self.queued);
-        for (_from, ev) in queued {
+        for ev in queued {
             self.publish(ctx, ev);
         }
     }
@@ -157,12 +154,9 @@ impl Actor<KernelMsg> for EventService {
                 self.consumers.retain(|r| r.consumer != consumer);
                 self.save_state(ctx);
             }
-            KernelMsg::EsRegisterSupplier { supplier, types } => {
-                self.suppliers.insert(supplier, types);
-            }
             KernelMsg::EsPublish { event } => {
                 if self.member.restoring() {
-                    self.queued.push((from, event));
+                    self.queued.push(event);
                 } else {
                     self.publish(ctx, event);
                 }
@@ -203,7 +197,7 @@ impl Actor<KernelMsg> for EventService {
 mod tests {
     use super::*;
     use crate::client::ClientHandle;
-    use phoenix_proto::{EventFilter, EventPayload, MemberInfo, ServiceDirectory};
+    use phoenix_proto::{EventFilter, EventPayload, EventType, MemberInfo, ServiceDirectory};
     use phoenix_sim::{ClusterBuilder, NodeId, NodeSpec, SimDuration, World};
 
     fn setup() -> (World<KernelMsg>, Pid, Pid) {

@@ -1020,7 +1020,7 @@ impl Gsd {
         let wd = Wd::respawn(
             node,
             self.partition,
-            self.params.ft.clone(),
+            self.params.ft.hb_interval,
             ctx.pid(),
             RecoveryAction::RestartedInPlace,
         );
@@ -1717,8 +1717,9 @@ impl Gsd {
         };
         let wd = matches!(watched, Watched::Wd(_));
         if wd && self.nic_health.enabled() {
-            // Echo the beat over the same interface — the WD's only window
-            // onto its per-NIC round trips (it sends, we receive).
+            // Echo the beat over the same interface. The WD discards it;
+            // the send stays because every cross-node send draws the
+            // world's RNG, so dropping it would reshuffle seeded runs.
             ctx.send_via(from, nic, KernelMsg::WdHeartbeatAck { nic, seq });
         }
         // The seq jump on this interface is per-NIC loss evidence; the

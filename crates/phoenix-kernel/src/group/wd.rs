@@ -6,21 +6,22 @@
 //! node. Through receiving and analyzing heartbeat from WD, GSD can
 //! monitor status of nodes and networks in a partition."
 
-use crate::nic_health::NicHealth;
-use crate::params::{self, FtParams};
+use crate::params;
 use phoenix_proto::{KernelMsg, PartitionId};
 use phoenix_sim::{
-    Actor, Ctx, FaultTarget, NicId, NodeId, Pid, RecoveryAction, TimerId, TraceEvent,
+    Actor, Ctx, FaultTarget, NicId, NodeId, Pid, RecoveryAction, SimDuration, TimerId, TraceEvent,
 };
 
 const TOK_HB: u64 = 1;
 
-/// The watch-daemon actor.
+/// The watch-daemon actor. It only sends: the analysis is the GSD's, and
+/// the heartbeat acks a lossy-profile GSD echoes back fall through the
+/// catch-all arm unread.
 pub struct Wd {
     node: NodeId,
     partition: PartitionId,
     gsd: Pid,
-    params: FtParams,
+    hb_interval: SimDuration,
     seq: u64,
     /// The pending heartbeat timer, once the chain runs. `Boot` may arrive
     /// more than once (config re-asserts node wiring under a lossy
@@ -28,31 +29,19 @@ pub struct Wd {
     hb_timer: Option<TimerId>,
     /// Set on a respawned instance; emits the recovery trace on start.
     recovery: Option<RecoveryAction>,
-    /// Per-NIC delivery evidence from GSD heartbeat acks (only fed when
-    /// the NIC-health layer is enabled; otherwise permanently pristine).
-    nic_health: NicHealth,
-    /// Highest acked heartbeat seq per NIC, for gap detection.
-    acked_seq: Vec<u64>,
 }
-
-/// A round-trip seq this far behind the current beat is a stale straggler
-/// (or an ack for a previous WD incarnation), not loss evidence.
-const ACK_RESTART_WINDOW: u64 = 64;
 
 impl Wd {
     /// Boot-time WD; the GSD pid arrives via `Boot`.
-    pub(crate) fn new(node: NodeId, partition: PartitionId, params: FtParams) -> Self {
-        let nic = params.nic_health();
+    pub(crate) fn new(node: NodeId, partition: PartitionId, hb_interval: SimDuration) -> Self {
         Wd {
             node,
             partition,
             gsd: Pid(0),
-            params,
+            hb_interval,
             seq: 0,
             hb_timer: None,
             recovery: None,
-            nic_health: NicHealth::new(nic, 0),
-            acked_seq: Vec::new(),
         }
     }
 
@@ -60,11 +49,11 @@ impl Wd {
     pub(crate) fn respawn(
         node: NodeId,
         partition: PartitionId,
-        params: FtParams,
+        hb_interval: SimDuration,
         gsd: Pid,
         action: RecoveryAction,
     ) -> Self {
-        let mut wd = Wd::new(node, partition, params);
+        let mut wd = Wd::new(node, partition, hb_interval);
         wd.gsd = gsd;
         wd.recovery = Some(action);
         wd
@@ -76,11 +65,6 @@ impl Wd {
     fn beat(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         self.seq += 1;
         let nics = ctx.nic_count(self.node);
-        if self.nic_health.nic_count() < nics {
-            // Sized on first beat, when the node's NIC count is known.
-            self.nic_health = NicHealth::new(self.params.nic_health(), nics);
-            self.acked_seq = vec![0; nics];
-        }
         phoenix_telemetry::counter_add("wd.heartbeats.sent", nics as u64);
         for i in 0..nics {
             phoenix_telemetry::mark(
@@ -97,35 +81,13 @@ impl Wd {
                 },
             );
         }
-        self.hb_timer = Some(ctx.set_timer(self.params.hb_interval, TOK_HB));
+        self.hb_timer = Some(ctx.set_timer(self.hb_interval, TOK_HB));
     }
 
     /// The GSD this WD currently heartbeats (read-only introspection for
     /// the chaos harness's convergence invariant). `Pid(0)` before boot.
     pub fn gsd_pid(&self) -> Pid {
         self.gsd
-    }
-
-    /// An ack for heartbeat `seq` came back over `nic`: the round trip on
-    /// that interface worked. A gap since the last acked seq on the same
-    /// interface means earlier beats (or their acks) died on that wire —
-    /// per-NIC loss evidence the WD gets without any extra probe traffic.
-    fn on_ack(&mut self, nic: NicId, seq: u64) {
-        if !self.nic_health.enabled() {
-            return;
-        }
-        let Some(last) = self.acked_seq.get_mut(nic.0 as usize) else {
-            return;
-        };
-        if seq <= *last || seq > self.seq {
-            return; // duplicate, reordered straggler, or foreign incarnation
-        }
-        let gap = seq - *last - 1;
-        if *last > 0 && gap > 0 && gap < ACK_RESTART_WINDOW {
-            self.nic_health.observe_misses(nic, gap);
-        }
-        *last = seq;
-        self.nic_health.observe_delivery(nic);
     }
 }
 
@@ -169,8 +131,8 @@ impl Actor<KernelMsg> for Wd {
                 // Home-node testimony for a peer GSD's regroup round: the
                 // GSD pid this daemon heartbeats, and whether that pid is
                 // still alive (the sim shortcut for "K consecutive
-                // heartbeat acks missing"). An unbooted WD abstains — it
-                // tracks no pid and has no ack stream to testify from.
+                // heartbeat acks missing"). An unbooted WD abstains: it
+                // tracks no pid.
                 if self.gsd != Pid(0) {
                     ctx.send(
                         from,
@@ -183,13 +145,10 @@ impl Actor<KernelMsg> for Wd {
                     );
                 }
             }
-            KernelMsg::WdHeartbeatAck { nic, seq } => {
-                self.on_ack(nic, seq);
-            }
             KernelMsg::CfgSetParam { key, value, .. } => {
                 // Dynamic reconfiguration pushed by the config service.
                 if let Some(interval) = params::pushed_hb_interval(&key, &value) {
-                    self.params.hb_interval = interval;
+                    self.hb_interval = interval;
                     // The pending beat was timed for the old cadence: beat
                     // now instead, and from now on at the new one.
                     if let Some(pending) = self.hb_timer {
@@ -221,8 +180,8 @@ impl Actor<KernelMsg> for Wd {
 mod tests {
     use super::*;
     use crate::client::ClientHandle;
-    use crate::params::KernelParams;
-    use phoenix_sim::{ClusterBuilder, Fault, NodeSpec, SimDuration};
+    use crate::params::FtParams;
+    use phoenix_sim::{ClusterBuilder, Fault, NodeSpec};
 
     #[test]
     fn heartbeats_flow_on_every_nic() {
@@ -233,7 +192,7 @@ mod tests {
         let wd = Wd::respawn(
             NodeId(1),
             PartitionId(0),
-            FtParams::fast(),
+            FtParams::fast().hb_interval,
             gsd.pid,
             RecoveryAction::NoneNeeded,
         );
@@ -263,7 +222,7 @@ mod tests {
         let wd = Wd::respawn(
             NodeId(1),
             PartitionId(0),
-            FtParams::fast(),
+            FtParams::fast().hb_interval,
             gsd.pid,
             RecoveryAction::NoneNeeded,
         );
@@ -283,49 +242,17 @@ mod tests {
     }
 
     #[test]
-    fn acks_feed_per_nic_health() {
-        let mut w = ClusterBuilder::new()
-            .nodes(2, NodeSpec::default())
-            .build::<KernelMsg>();
-        let gsd = ClientHandle::spawn(&mut w, NodeId(0));
-        let wd_pid = w.spawn(
-            NodeId(1),
-            Box::new(Wd::respawn(
-                NodeId(1),
-                PartitionId(0),
-                KernelParams::fast_lossy().ft,
-                gsd.pid,
-                RecoveryAction::NoneNeeded,
-            )),
-        );
-        w.run_for(SimDuration::from_millis(10_500)); // seq reaches 11
-        gsd.drain();
-        // NIC 0: every beat acked. NIC 1: only 1, 5 and 11 came back —
-        // the gaps are loss evidence against that interface. Spaced out in
-        // virtual time so latency jitter cannot reorder them.
-        for seq in 1..=11u64 {
-            gsd.send(&mut w, wd_pid, KernelMsg::WdHeartbeatAck { nic: NicId(0), seq });
-            w.run_for(SimDuration::from_millis(5));
-        }
-        for seq in [1u64, 5, 11] {
-            gsd.send(&mut w, wd_pid, KernelMsg::WdHeartbeatAck { nic: NicId(1), seq });
-            w.run_for(SimDuration::from_millis(5));
-        }
-        let wd = w.actor_as::<Wd>(wd_pid).unwrap();
-        let scores: Vec<f64> = wd.nic_health.gauges().map(|(_, score)| score).collect();
-        assert_eq!(scores[0], 1.0, "fully acked NIC stays perfect");
-        assert!(scores[1] < scores[0], "gappy NIC scores below: {scores:?}");
-        assert_eq!(scores[2], 1.0, "no evidence, no penalty");
-    }
-
-    #[test]
     fn probe_is_answered() {
         let mut w = ClusterBuilder::new()
             .nodes(2, NodeSpec::default())
             .build::<KernelMsg>();
         let wd_pid = w.spawn(
             NodeId(1),
-            Box::new(Wd::new(NodeId(1), PartitionId(0), FtParams::fast())),
+            Box::new(Wd::new(
+                NodeId(1),
+                PartitionId(0),
+                FtParams::fast().hb_interval,
+            )),
         );
         let client = ClientHandle::spawn(&mut w, NodeId(0));
         client.send(

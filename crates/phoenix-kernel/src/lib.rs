@@ -39,13 +39,12 @@ pub mod security;
 pub(crate) mod slow_detect;
 
 pub use boot::{
-    boot_and_stabilize, boot_cluster, boot_cluster_custom, boot_cluster_with_net, boot_onto,
-    PhoenixCluster,
+    boot_and_stabilize, boot_cluster, boot_cluster_custom, boot_cluster_with_net, PhoenixCluster,
 };
 pub use client::ClientHandle;
 pub use detect::ALARM_CPU;
-pub use nic_health::{HealthTransition, NicHealth, NicHealthParams};
+pub use nic_health::{NicHealth, NicHealthParams};
 pub use params::{FtParams, KernelParams};
 pub use regroup::{Regroup, RegroupParams};
 pub use rpc::{DedupWindow, RetryPolicy};
-pub use slow_detect::{SlowDetect, SlowDetectParams, SlowTransition, Verdict as SlowVerdict};
+pub use slow_detect::{SlowDetect, SlowDetectParams};

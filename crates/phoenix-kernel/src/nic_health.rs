@@ -3,12 +3,12 @@
 //! The paper's WDs heartbeat over *all* network interfaces so the GSD can
 //! tell a NIC failure from a node failure; that redundancy is pure
 //! replication. This module turns it into routing: every per-NIC delivery
-//! observation (a heartbeat or ack that arrived, a sequence gap that says
-//! earlier beats on that interface died on the wire) feeds an EWMA health
-//! score per interface. Single-path traffic — probes, meta-ring control
-//! messages, retried RPCs — then prefers the healthiest interface, so one
-//! asymmetric lossy NIC degrades detection gracefully instead of eating
-//! every probe.
+//! observation the GSD makes (a WD or ring heartbeat that arrived, a
+//! sequence gap that says earlier beats on that interface died on the wire)
+//! feeds an EWMA health score per interface. Single-path traffic — probes,
+//! meta-ring control messages, retried RPCs — then prefers the healthiest
+//! interface, so one asymmetric lossy NIC degrades detection gracefully
+//! instead of eating every probe.
 //!
 //! Demotion/promotion is hysteretic: an interface whose score falls below
 //! `DEMOTE_BELOW` is demoted (and the GSD publishes `NetworkDegraded`);
@@ -17,8 +17,9 @@
 //! flapping NIC cannot oscillate the routing preference every beat.
 //!
 //! Everything here is plain arithmetic on observed traffic: no RNG, no
-//! clock, fully deterministic, and completely dormant (no acks sent, no
-//! routing changes) unless the lossy switch is on.
+//! clock, fully deterministic, and completely dormant (no scores, no
+//! routing changes) unless the lossy switch is on. The heartbeat acks the
+//! GSD sends under the same switch feed nothing here: the WD discards them.
 
 use phoenix_sim::NicId;
 
@@ -46,8 +47,9 @@ const GAUGES: [&str; 4] = [
 /// derives it from the lossy switch (`FtParams::nic_health`).
 #[derive(Clone, Debug, Default)]
 pub struct NicHealthParams {
-    /// Master switch: when false no acks are sent, no scores move, and
-    /// routing falls back to the default first-healthy-NIC policy.
+    /// Master switch: when false no scores move and routing falls back to
+    /// the default first-healthy-NIC policy. The GSD also sends its
+    /// heartbeat acks only when it is on.
     pub(crate) enabled: bool,
 }
 

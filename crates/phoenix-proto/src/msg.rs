@@ -139,9 +139,10 @@ pub enum KernelMsg {
     ProbeReq { req: RequestId },
     ProbeResp { req: RequestId },
     /// GSD acknowledgement of a WD heartbeat, echoed back over the same
-    /// NIC the beat arrived on. Only sent when NIC-health scoring is
-    /// enabled: the ack stream gives the WD per-interface delivery
-    /// evidence without changing the fan-out-over-all-NICs semantics.
+    /// NIC the beat arrived on, only when NIC-health scoring is enabled.
+    /// The WD discards it. It still flows because every cross-node send
+    /// draws the world's RNG: removing the stream reshuffles every seeded
+    /// hardened run, so it waits for a chaos re-baseline.
     WdHeartbeatAck { nic: NicId, seq: u64 },
 
     // ---- group service: meta-group ring ("meta") ------------------------

@@ -45,8 +45,8 @@
 # schedules read as leaks (spurious telemetry-leak lines).
 #
 # The digest stage runs every BENCHMARK.json workload for one host second on
-# seed 1 and compares its sim_digest with scripts/bench_digests.txt: a PR
-# that must not alter behaviour no longer copies ten digests by hand.
+# seeds 1 and 2 and compares each sim_digest with scripts/bench_digests.txt:
+# a PR that must not alter behaviour no longer copies ten digests by hand.
 #
 # The sweep stage is one stanza over loss_sweep, nic_asymmetry,
 # partition_sweep, quorum_sweep, slow_sweep and chaos_sweep: each runs
@@ -223,7 +223,7 @@ while read -r workload seed want; do
     fi
     have=$(sed -n "s/^$workload sim_digest \([0-9a-f]*\) .*/\1/p" "/tmp/bench_digest_$workload.out")
     echo "$workload seed $seed: sim_digest ${have:-missing} (pinned $want)"
-    [ "$have" = "$want" ] || moved="$moved $workload"
+    [ "$have" = "$want" ] || moved="$moved $workload/$seed"
 done < scripts/bench_digests.txt
 [ -z "$moved" ] || {
     echo "FAIL: behaviour moved on:$moved (sim_digest differs from scripts/bench_digests.txt)" >&2
