@@ -35,9 +35,9 @@ pub enum FaultKind {
 pub struct FtRow {
     pub(crate) component: Component,
     pub(crate) kind: FaultKind,
-    pub detect_s: f64,
-    pub diagnose_s: f64,
-    pub recover_s: f64,
+    pub(crate) detect_s: f64,
+    pub(crate) diagnose_s: f64,
+    pub(crate) recover_s: f64,
     pub sum_s: f64,
 }
 
@@ -73,7 +73,7 @@ pub fn paper_testbed() -> (ClusterTopology, KernelParams) {
 }
 
 /// A smaller testbed for quick runs (same mechanism, less virtual time).
-pub fn small_testbed() -> (ClusterTopology, KernelParams) {
+pub(crate) fn small_testbed() -> (ClusterTopology, KernelParams) {
     (ClusterTopology::uniform(3, 5, 1), KernelParams::fast())
 }
 
@@ -253,7 +253,7 @@ fn extract_row(
 }
 
 /// Regenerate a whole table (three rows) for one component.
-pub fn run_table(
+pub(crate) fn run_table(
     topology: ClusterTopology,
     params: KernelParams,
     component: Component,
@@ -271,18 +271,6 @@ pub fn run_table(
             )
         })
         .collect()
-}
-
-/// Print a table with the paper's column headers.
-pub fn print_table(title: &str, rows: &[FtRow]) {
-    println!("\n{title}");
-    println!(
-        "{:<8} {:>10} {:>12} {:>10} {:>10}",
-        "Fault", "Detecting", "Diagnosing", "Recovery", "Sum"
-    );
-    for r in rows {
-        println!("{}", r.render());
-    }
 }
 
 #[cfg(test)]

@@ -7,18 +7,20 @@ use phoenix_kernel::client::ClientHandle;
 use phoenix_kernel::KernelParams;
 use phoenix_proto::{ClusterTopology, JobSpec, TaskSpec};
 use phoenix_pws::{install_pbs, install_pws, login, queue_status, submit, PolicyKind, PoolConfig};
-use phoenix_sim::{NodeId, SimDuration, TraceEvent};
+use phoenix_sim::{SimDuration, TraceEvent};
+
+use crate::compute_nodes;
 
 /// Traffic and outcome of one run.
 #[derive(Clone, Debug)]
-pub struct RunStats {
-    pub system: &'static str,
-    pub jobs_completed: usize,
+pub(crate) struct RunStats {
+    pub(crate) system: &'static str,
+    pub(crate) jobs_completed: usize,
     /// Bytes of resource-collection + job-control traffic.
-    pub collection_bytes: u64,
-    pub collection_msgs: u64,
+    pub(crate) collection_bytes: u64,
+    pub(crate) collection_msgs: u64,
     /// Did the job manager survive a scheduler-process kill?
-    pub survived_scheduler_fault: bool,
+    pub(crate) survived_scheduler_fault: bool,
 }
 
 fn workload(count: usize, duration_s: u64, pool: &str) -> Vec<JobSpec> {
@@ -35,7 +37,7 @@ fn workload(count: usize, duration_s: u64, pool: &str) -> Vec<JobSpec> {
 
 /// Run the workload under PWS or PBS; `inject_fault` kills the scheduler
 /// mid-run to compare HA.
-pub fn run(
+pub(crate) fn run(
     use_pbs: bool,
     partitions: usize,
     per_partition: usize,
@@ -48,12 +50,7 @@ pub fn run(
     let params = KernelParams::fast();
     let (mut w, cluster) = boot_cluster(topo, params, seed);
     w.run_for(SimDuration::from_millis(100));
-    let nodes: Vec<NodeId> = cluster
-        .topology
-        .partitions
-        .iter()
-        .flat_map(|p| p.compute.iter().copied())
-        .collect();
+    let nodes = compute_nodes(&cluster);
 
     let (target, pws_handle) = if use_pbs {
         (

@@ -16,13 +16,10 @@
 //!   in the meta-group, in which seat, and who may join; where a
 //!   replacement GSD goes, at what cost, and whether it rebuilds the
 //!   partition's services; what the config directory is still owed;
-//! * [`registry`] — respawn-policy registration for supervised services;
-//! * [`flat`] — the flat all-to-all membership baseline the paper argues
-//!   against, kept for the scalability ablation.
+//! * [`registry`] — respawn-policy registration for supervised services.
 
 pub(crate) mod dirsync;
 pub(crate) mod failover;
-pub(crate) mod flat;
 pub(crate) mod gsd;
 pub(crate) mod liveness;
 pub(crate) mod probe;
@@ -30,7 +27,6 @@ pub(crate) mod registry;
 pub(crate) mod ring;
 pub(crate) mod wd;
 
-pub use flat::FlatMember;
 pub use gsd::Gsd;
 pub use registry::{
     kernel_factory_key, shared_registry, Factory, FactoryRegistry, RespawnArgs, SharedRegistry,

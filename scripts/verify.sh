@@ -14,10 +14,16 @@
 # each exits 0 and prints what it exists to show: business_hosting the tier
 # its runtime re-placed, operations_console the kernel-telemetry panel.
 #
-# The telemetry smoke drives table1_wd on the tiny testbed and asserts that
-# the export landed in results/BENCH_kernel.json with latency percentiles
-# for the instrumented kernel paths, and that the service-exercise pass
-# shares a single booted world (it used to boot four).
+# The paper stage regenerates every simulated paper artifact with the paper
+# bin and cmps each results/*.txt against the committed copy, naming the
+# first that differs: a change that moves a paper number must commit the
+# regenerated file. The bin itself exits non-zero when a number leaves its
+# tolerance. table4_linpack.txt is left out: it times real threads, so it is
+# the host's, not the code's. The same run writes results/BENCH_kernel.json,
+# which must carry latency percentiles for the instrumented kernel paths;
+# Tables 1-2 must cross-check against the kernel's histograms, and the
+# service-exercise pass must share a single booted world (it used to boot
+# four).
 #
 # The chaos smoke runs 25 seeded random fault schedules against the kernel
 # and fails on any invariant violation. Every violation the chaos binary
@@ -60,8 +66,8 @@
 # 4's NIC degrade/restore storms end-to-end.
 #
 # The layering stage holds the rule the group service's layers were built
-# by: under crates/phoenix-kernel/src/group/ only the actors (gsd.rs, wd.rs,
-# flat.rs) and the factory registry may name the simulator's Ctx, and only
+# by: under crates/phoenix-kernel/src/group/ only the actors (gsd.rs, wd.rs)
+# and the factory registry may name the simulator's Ctx, and only
 # gsd.rs and wd.rs may name phoenix_telemetry; regroup.rs, slow_detect.rs
 # and nic_health.rs name neither telemetry. Job management is held to the
 # same rule: phoenix-pws/src/pool.rs names neither, and the PPM requests are
@@ -145,11 +151,30 @@ smoke() {
     done
 }
 
-smoke BENCH_kernel.json p50_ns,p99_ns,wd.heartbeat.flight,counters,table1 table1_wd -- --small
+echo "== paper: every simulated results/*.txt regenerates byte for byte =="
+# Set the committed files aside and remove them, so a file the bin no
+# longer writes shows up as missing rather than as equal to itself.
+rm -rf /tmp/paper_committed
+mkdir -p /tmp/paper_committed
+for f in results/*.txt; do
+    [ "$f" = results/table4_linpack.txt ] && continue
+    cp "$f" /tmp/paper_committed/
+    rm "$f"
+done
+smoke BENCH_kernel.json p50_ns,p99_ns,wd.heartbeat.flight,counters,table1 paper
+for f in /tmp/paper_committed/*.txt; do
+    name=results/$(basename "$f")
+    cmp "$f" "$name" || {
+        diff "$f" "$name" >&2 || true
+        echo "FAIL: $name differs from the committed file (run the paper bin and commit what it writes)" >&2
+        exit 1
+    }
+done
+grep '^paper: ' /tmp/paper.out
 
 # The trace-mined table rows must agree with the kernel's own histograms
 # (the bin panics on divergence, but assert the check actually ran).
-grep -q 'telemetry cross-check' /tmp/table1_wd.out || {
+grep -q 'telemetry cross-check' /tmp/paper.out || {
     echo "FAIL: telemetry cross-check did not run" >&2
     exit 1
 }
@@ -157,11 +182,11 @@ grep -q 'telemetry cross-check' /tmp/table1_wd.out || {
 # The service-exercise pass must share ONE world (the pre-refactor pass
 # booted four for the same path coverage) and stay fast: generous 10 s
 # bound vs ~tens of ms observed.
-grep -q 'exercise pass: 1 world' /tmp/table1_wd.out || {
+grep -q 'exercise pass: 1 world' /tmp/paper.out || {
     echo "FAIL: exercise pass no longer shares a single world" >&2
     exit 1
 }
-wall_ms=$(sed -n 's/.*exercise pass: 1 world.*, \([0-9]*\) ms wall/\1/p' /tmp/table1_wd.out)
+wall_ms=$(sed -n 's/.*exercise pass: 1 world.*, \([0-9]*\) ms wall/\1/p' /tmp/paper.out)
 [ -n "$wall_ms" ] && [ "$wall_ms" -lt 10000 ] || {
     echo "FAIL: exercise pass took ${wall_ms:-?} ms (speedup regressed)" >&2
     exit 1
@@ -326,8 +351,8 @@ echo "== layering: the group service's layers name neither Ctx nor phoenix_telem
 group=crates/phoenix-kernel/src/group
 kernel_src=crates/phoenix-kernel/src
 # shellcheck disable=SC2046
-if grep -nw 'Ctx' $(ls $group/*.rs | grep -vE '/(gsd|wd|flat|registry)\.rs$'); then
-    echo "FAIL: a group/ layer names the simulator's Ctx (only gsd.rs, wd.rs, flat.rs and registry.rs may)" >&2
+if grep -nw 'Ctx' $(ls $group/*.rs | grep -vE '/(gsd|wd|registry)\.rs$'); then
+    echo "FAIL: a group/ layer names the simulator's Ctx (only gsd.rs, wd.rs and registry.rs may)" >&2
     exit 1
 fi
 # shellcheck disable=SC2046
