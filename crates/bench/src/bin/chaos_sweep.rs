@@ -2,10 +2,10 @@
 //! through `phoenix-chaos`, shrinks any failures, and records schedule /
 //! fault / shrink statistics to `results/BENCH_chaos.json`.
 //!
-//! This is the bench-suite face of the chaos harness: where the `chaos`
-//! binary is the interactive explore/replay tool, this bin produces the
-//! machine-readable artifact the verify pipeline asserts on. It takes the
-//! `chaos` binary's flags (any preset; not `--replay`).
+//! This is the one seeded chaos sweep: it prints each failing seed with its
+//! shrunk reproducer and the `chaos --replay` command that re-runs it, and
+//! writes the machine-readable artifact the verify pipeline asserts on. It
+//! takes the `chaos` binary's flags (any preset; not `--replay`).
 //!
 //! Seeds run through the parallel sweep runner (`phoenix_bench::sweep`):
 //! each seeded schedule (plus its shrink, if it fails) is one work item
@@ -38,13 +38,13 @@ fn main() {
         "chaos_sweep: {seeds} schedules ({shape} topology {}x{}), seeds {seed_base}..{}",
         cfg.partitions,
         cfg.nodes_per_partition,
-        seed_base + seeds - 1
+        seed_base + (seeds - 1)
     );
 
     // One work item per seed: the schedule and, if it fails, its shrink
     // (the shrink re-runs are deterministic per seed). Printing happens
     // after the join, in seed order.
-    let seed_list: Vec<u64> = (seed_base..seed_base + seeds).collect();
+    let seed_list: Vec<u64> = (seed_base..=seed_base + (seeds - 1)).collect();
     let outcome = run_sweep(&seed_list, |&seed| run_seed(seed, cfg, &cli.flag));
     println!(
         "sweep: {} schedules on {} thread(s), {} ms wall",
@@ -55,7 +55,7 @@ fn main() {
 
     let runs = &outcome.results;
     let failed: Vec<_> = runs.iter().filter_map(|run| run.shrunk.as_ref()).collect();
-    for run in runs.iter().filter(|run| run.out.failed()) {
+    for run in runs {
         print!("{run}");
     }
     let total_faults: usize = runs.iter().map(|run| run.out.faults_injected).sum();

@@ -17,8 +17,9 @@
 //! By layer:
 //!
 //! * this file — [`ChaosConfig`], the [`PRESETS`] table every front end
-//!   names a configuration by, and the command line both sweep binaries
-//!   share ([`parse_args`]);
+//!   names a configuration by, and the command line ([`parse_args`]) of
+//!   both: `chaos_sweep`, the one seeded sweep, and `chaos`, which only
+//!   replays;
 //! * [`schedule`] — what a seed means: `generate_schedule` and the shape
 //!   classifiers; runs no world;
 //! * [`run`] — the only code that drives a world: `run_schedule` applies
@@ -210,13 +211,14 @@ pub struct Cli {
 /// `[--seeds N] [--seed-base S] [PRESET] [--lossy PERMILLE]
 /// [--replay SEED[:MASK_HEX]]` in any order. A preset flag names the whole
 /// configuration: `--lossy` wins over any other, the last one given
-/// otherwise, `--small` when none is.
+/// otherwise, `--small` when none is. The seed range must be non-empty and
+/// end at or below `u64::MAX`.
 pub fn parse_args(args: &[String]) -> Result<Cli, String> {
     fn number<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
         v.and_then(|v| v.parse().ok())
             .ok_or_else(|| format!("{flag} needs a number"))
     }
-    let (mut seeds, mut seed_base, mut replay) = (50, 1, None);
+    let (mut seeds, mut seed_base, mut replay) = (50, 1u64, None);
     let mut preset = &PRESETS[0];
     let mut lossy: Option<u16> = None;
     let mut args = args.iter();
@@ -236,6 +238,12 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
                     .ok_or_else(|| format!("unknown argument {flag:?}"))?
             }
         }
+    }
+    if seeds == 0 {
+        return Err("--seeds must be at least 1".into());
+    }
+    if seed_base.checked_add(seeds - 1).is_none() {
+        return Err(format!("{seeds} seeds from {seed_base} run past u64::MAX"));
     }
     let (flag, cfg) = match lossy {
         Some(permille) => (
@@ -306,6 +314,8 @@ mod tests {
             "--replay x",
             "--lossy 20 30",
             "--max-faults 3",
+            "--seeds 0",
+            "--seed-base 18446744073709551615 --seeds 2",
         ] {
             assert!(parse_args(&args(bad)).is_err(), "{bad:?} parsed");
         }

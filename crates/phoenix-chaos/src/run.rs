@@ -21,7 +21,7 @@ use crate::invariants::{
     check, Answers, Bulletin, Observed, Settled, SlowWindow, Split, Violation, Violations, Votes,
     When, Wiring,
 };
-use crate::{fmt_ns, generate_schedule, ChaosConfig, StepAction};
+use crate::{fmt_ns, full_mask, generate_schedule, ChaosConfig, StepAction};
 
 /// The byte-comparison streams of a run, captured when
 /// [`ChaosConfig::record_streams`] is set. Two runs of the same seed are
@@ -87,7 +87,9 @@ struct Progress {
 }
 
 /// Boot a cluster, apply the masked subset of the seed's schedule, wait for
-/// quiescence, and check every invariant.
+/// quiescence, and check every invariant. `verbose` prints what a replay
+/// shows: the schedule with the masked steps starred, then each step as it
+/// is applied.
 pub fn run_schedule(seed: u64, cfg: &ChaosConfig, mask: u64, verbose: bool) -> RunOutcome {
     let (mut world, cluster) = boot_cluster_custom(
         cfg.topology(),
@@ -101,6 +103,18 @@ pub fn run_schedule(seed: u64, cfg: &ChaosConfig, mask: u64, verbose: bool) -> R
     world.run_until(SimTime::ZERO + hb * 2 + SimDuration::from_millis(10));
 
     let steps = generate_schedule(seed, cfg, &cluster);
+    if verbose {
+        println!(
+            "replay seed {seed} mask {:#x} — schedule ({} steps):",
+            mask & full_mask(steps.len()),
+            steps.len()
+        );
+        for (i, step) in steps.iter().enumerate() {
+            let selected = mask & (1u64 << i) != 0;
+            println!("  {} [{i:>2}] {step}", if selected { "*" } else { " " });
+        }
+        println!("running:");
+    }
     let t0 = world.now();
     let client = ClientHandle::spawn(&mut world, cluster.topology.partitions[0].server);
     world.run_for(SimDuration::from_millis(1));

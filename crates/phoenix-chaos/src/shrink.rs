@@ -1,7 +1,7 @@
 //! From a failing seed to a reproducer: the greedy shrinker, the
 //! `SEED[:MASK]` replay spec and command, the flight-recorder dump a replay
 //! ends with, and [`run_seed`] — the one run → shrink → report sequence
-//! behind both `chaos --seeds` and `chaos_sweep`.
+//! behind `chaos_sweep`, the one seeded chaos sweep.
 
 use std::fmt;
 
@@ -85,19 +85,12 @@ pub fn run_seed(seed: u64, cfg: &ChaosConfig, flag: &str) -> SeedRun {
     SeedRun { out, shrunk }
 }
 
-/// The lines a sweep prints for this seed.
+/// The lines a sweep prints for this seed: none when it ran clean.
 impl fmt::Display for SeedRun {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let out = &self.out;
         let Some((s, replay)) = &self.shrunk else {
-            return writeln!(
-                f,
-                "  seed {:>5}: ok   ({} steps, {} faults, settled at {:.1}s virtual)",
-                out.seed,
-                out.applied_steps,
-                out.faults_injected,
-                out.virtual_ns as f64 / 1e9
-            );
+            return Ok(());
         };
         writeln!(
             f,
@@ -214,4 +207,53 @@ pub fn flight_recorder_dump(limit: usize) -> String {
         }
         out
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Violation;
+
+    fn seed_run(violations: Vec<Violation>, shrunk: Option<(ShrinkOutcome, String)>) -> SeedRun {
+        let out = RunOutcome {
+            seed: 347,
+            total_steps: 9,
+            applied_steps: 9,
+            faults_injected: 6,
+            gsd_died: true,
+            quiesced: true,
+            virtual_ns: 41_500_000_000,
+            violations,
+            streams: None,
+        };
+        SeedRun { out, shrunk }
+    }
+
+    /// The ratchet in scripts/verify.sh reads failing seeds off the
+    /// `  seed N: FAIL` line, and a failure is only useful with its replay
+    /// command: pin what a sweep prints, and that a clean seed prints
+    /// nothing.
+    #[test]
+    fn a_failing_seed_prints_its_violations_and_replay_a_clean_one_nothing() {
+        let shrunk = ShrinkOutcome {
+            mask: 0x90,
+            steps: 2,
+            runs: 14,
+        };
+        let replay = replay_command(347, shrunk.mask, 9, "--lossy 20");
+        let violation = Violation {
+            invariant: "wd-convergence",
+            detail: "node 4 has no live WD".into(),
+        };
+        let failing = seed_run(vec![violation], Some((shrunk, replay)));
+        assert_eq!(
+            failing.to_string(),
+            "  seed   347: FAIL (9 steps, 6 faults) — 1 violation(s):\n\
+             \x20     [wd-convergence] node 4 has no live WD\n\
+             \x20     shrunk 9 -> 2 steps in 14 runs; minimal mask 0x90\n\
+             \x20     replay: cargo run --release -p phoenix-chaos --bin chaos -- \
+             --lossy 20 --replay 347:90\n"
+        );
+        assert_eq!(seed_run(Vec::new(), None).to_string(), "");
+    }
 }

@@ -25,10 +25,9 @@
 # service-exercise pass must share a single booted world (it used to boot
 # four).
 #
-# The chaos smoke runs 25 seeded random fault schedules against the kernel
-# and fails on any invariant violation. Every violation the chaos binary
-# reports comes with a shrunk reproducer and a ready-to-paste replay
-# command of the form:
+# Every seeded chaos sweep is phoenix-bench's chaos_sweep; the chaos binary
+# only replays. Every violation chaos_sweep reports comes with a shrunk
+# reproducer and a ready-to-paste replay command of the form:
 #
 #   cargo run --release -p phoenix-chaos --bin chaos -- --small --replay SEED:MASKHEX
 #
@@ -46,9 +45,11 @@
 # regression, a listed seed that passes must be deleted from the list. The
 # lowest listed seed is 99, so the 25-seed smokes these presets used to
 # have were prefixes of this stage and are gone. The lossy sweep also
-# guards the chaos binary itself: every schedule must get a telemetry
-# registry of its own, or from about seed 100 the marks of earlier
-# schedules read as leaks (spurious telemetry-leak lines).
+# guards chaos_sweep itself: every schedule must get a telemetry registry
+# of its own, or from about seed 100 the marks of earlier schedules read as
+# leaks (spurious telemetry-leak lines). The stage runs ahead of the sweep
+# stanza: its runs overwrite results/BENCH_chaos.json, and the stanza's
+# chaos_sweep row writes the committed report back.
 #
 # The digest stage runs every BENCHMARK.json workload for one host second on
 # seeds 1 and 2 and compares each sim_digest with scripts/bench_digests.txt:
@@ -192,9 +193,6 @@ wall_ms=$(sed -n 's/.*exercise pass: 1 world.*, \([0-9]*\) ms wall/\1/p' /tmp/pa
     exit 1
 }
 
-echo "== smoke: chaos, 25 seeded fault schedules =="
-cargo run --release --offline -p phoenix-chaos --bin chaos -- --seeds 25 --small
-
 echo "== ratchet: 300 chaos schedules per preset fail exactly as scripts/known_chaos_failures.txt says =="
 # The sweep exits 1 when any seed failed, which says nothing about which;
 # the gate is the set of failing seeds. A failing seed that is not listed is
@@ -208,9 +206,9 @@ for preset in lossy partition quorum slow; do
     esac
     rc=0
     # shellcheck disable=SC2086
-    cargo run --release --offline -p phoenix-chaos --bin chaos -- --seeds 300 $flags \
+    cargo run --release --offline -p phoenix-bench --bin chaos_sweep -- --seeds 300 $flags \
         > "/tmp/chaos_300_$preset.out" || rc=$?
-    [ "$rc" -le 1 ] && grep 'chaos sweep done' "/tmp/chaos_300_$preset.out" || {
+    [ "$rc" -le 1 ] && grep 'chaos_sweep done' "/tmp/chaos_300_$preset.out" || {
         echo "FAIL: the 300-seed $preset chaos sweep did not finish (exit $rc)" >&2
         exit 1
     }
@@ -226,7 +224,7 @@ sort /tmp/chaos_failing.txt | diff /tmp/chaos_known.txt - || {
 # Every schedule must get a telemetry registry of its own, or from about
 # seed 100 the marks of earlier schedules read as leaks.
 if grep 'telemetry-leak' /tmp/chaos_300_lossy.out; then
-    echo "FAIL: chaos --seeds 300 reports telemetry-leak (registry not isolated per schedule?)" >&2
+    echo "FAIL: chaos_sweep --seeds 300 reports telemetry-leak (registry not isolated per schedule?)" >&2
     exit 1
 fi
 
