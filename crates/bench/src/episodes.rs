@@ -1,9 +1,9 @@
-//! The fault episodes the sweep binaries share, each one boot → inject →
-//! sample → answer as [`Facts`]. Two families: a *rate* sweep (`loss_sweep`,
-//! `nic_asymmetry`: the same two runs under a network the preset builds
-//! from a rate) and a *split-and-heal* episode (`partition_sweep`,
-//! `quorum_sweep`: the same cut, sampling and heal, told which partitions
-//! to island and which side must win).
+//! The fault episodes the `sweep` bin's presets share, each one boot →
+//! inject → sample → answer as [`Facts`]. Two families: a *rate* sweep
+//! (`loss_sweep`, `nic_asymmetry`: the same two runs under a network the
+//! preset builds from a rate) and a *split-and-heal* episode
+//! (`partition_sweep`, `quorum_sweep`: the same cut, sampling and heal, told
+//! which partitions to island and which side must win).
 
 use phoenix_kernel::boot::{boot_and_stabilize, boot_cluster_with_net, GsdView};
 use phoenix_kernel::config::ConfigService;

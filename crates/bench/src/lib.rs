@@ -13,7 +13,7 @@
 //!
 //! Table 4 (Linpack impact) is the `table4_linpack` bin over
 //! `phoenix-hpl::measure_impact`, since it runs on real threads, not the
-//! simulator. The five sweeps are presets of [`sweep`] over [`episodes`].
+//! simulator. The `sweep` bin runs five presets of [`sweep`] over [`episodes`].
 //! Host time is measured by the repo-level perf ledger
 //! (`benchmark/run.sh`), not here.
 

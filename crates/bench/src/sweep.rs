@@ -1,9 +1,9 @@
 //! The sweep runner: parallel seeded runs with a deterministic telemetry
-//! merge ([`run_sweep`]), and on top of it the whole life of a sweep binary
-//! ([`main`]) — flags, job list, `sweep:` line, per-group folding of what
-//! the runs measured, report file, gate exit. A sweep binary is a
-//! [`Sweep`]: data, and two functions that say what to run and how to word
-//! the result.
+//! merge ([`run_sweep`]), and on top of it the whole life of one ablation
+//! sweep ([`run`]) — job list, `sweep:` line, per-group folding of what the
+//! runs measured, report file, gate verdict. A sweep is a [`Sweep`]: data,
+//! and two functions that say what to run and how to word the result. The
+//! `sweep` bin runs its table of five.
 //!
 //! The simulator is single-threaded and deterministic; a sweep over seeds
 //! (or `(seed, rate)` pairs) is embarrassingly parallel as long as each run
@@ -113,7 +113,7 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// A sweep binary, start to exit
+// One ablation sweep, plan to verdict
 // ---------------------------------------------------------------------------
 
 /// What one seeded run measured, by name: a latency in ms that may never
@@ -231,11 +231,11 @@ pub struct Report {
     pub lines: Vec<String>,
     /// The report file's sections, in order.
     pub sections: Vec<(&'static str, Json)>,
-    /// Why the sweep fails its gate, if it does: printed to stderr, exit 1.
+    /// Why the sweep fails its gate, if it does.
     pub failure: Option<String>,
 }
 
-/// A sweep binary.
+/// One ablation sweep.
 pub struct Sweep {
     /// The report's `name`.
     pub name: &'static str,
@@ -243,23 +243,14 @@ pub struct Sweep {
     pub file: &'static str,
     /// What the `sweep:` line counts ("runs", "episodes").
     pub noun: &'static str,
-    pub plan: fn(small: bool) -> Plan,
-    pub report: fn(small: bool, &Outcome) -> Report,
+    pub plan: fn() -> Plan,
+    pub report: fn(&Outcome) -> Report,
 }
 
-/// Run `sweep` as this process: read the one flag, `--small` (the
-/// smoke-sized shape), run the plan, print, write `results/<file>`, and
-/// exit 1 if the sweep's gate fails. Any other argument exits 2.
-pub fn main(sweep: &Sweep) {
-    let mut small = false;
-    for arg in std::env::args().skip(1) {
-        if arg != "--small" {
-            eprintln!("{0}: unknown argument {arg:?}\nusage: {0} [--small]", sweep.name);
-            std::process::exit(2);
-        }
-        small = true;
-    }
-    let Plan { header, jobs } = (sweep.plan)(small);
+/// Run `sweep`: run the plan, print, write `results/<file>`, and return why
+/// the sweep fails its gate, if it does.
+pub fn run(sweep: &Sweep) -> Option<String> {
+    let Plan { header, jobs } = (sweep.plan)();
     println!("{header}");
     let ran = run_sweep(&jobs, |job| (job.run)(job.seed));
     println!(
@@ -281,7 +272,7 @@ pub fn main(sweep: &Sweep) {
         outcome.groups[job.group].add(facts);
         outcome.all.add(facts);
     }
-    let report = (sweep.report)(small, &outcome);
+    let report = (sweep.report)(&outcome);
     for line in &report.lines {
         println!("{line}");
     }
@@ -296,10 +287,7 @@ pub fn main(sweep: &Sweep) {
         .write_to(&ran.merged, workspace_root().join("results").join(sweep.file))
         .unwrap_or_else(|e| panic!("write {}: {e}", sweep.file));
     println!("report written: {}", path.display());
-    if let Some(why) = report.failure {
-        eprintln!("{}: {why}", sweep.name);
-        std::process::exit(1);
-    }
+    report.failure
 }
 
 #[cfg(test)]

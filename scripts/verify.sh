@@ -39,12 +39,14 @@
 # random loss plus generated loss bursts, loss-tolerant profile),
 # --partition (whole-partition splits and heals, split-brain invariants
 # sampled during the splits), --quorum (even 4x3 testbed with a witness,
-# weighted invariants) and --slow (3x5 testbed, slow-node episodes,
-# slow-not-dead and quarantine convergence) and compares the set of failing
-# seeds with scripts/known_chaos_failures.txt: an unlisted failure is a
-# regression, a listed seed that passes must be deleted from the list. The
-# lowest listed seed is 99, so the 25-seed smokes these presets used to
-# have were prefixes of this stage and are gone. The lossy sweep also
+# weighted invariants), --slow (3x5 testbed, slow-node episodes,
+# slow-not-dead and quarantine convergence) and --small (the paper rung:
+# fast profile, reliable network, 3x5 testbed) and compares the set of
+# failing seeds with scripts/known_chaos_failures.txt: an unlisted failure
+# is a regression, a listed seed that passes must be deleted from the list.
+# The lowest listed seed is 99, so the 25-seed smokes the hardened presets
+# used to have were prefixes of this stage and are gone; the sweep stanza's
+# `--seeds 25 --small` row is a prefix of the --small sweep. The lossy sweep also
 # guards chaos_sweep itself: every schedule must get a telemetry registry
 # of its own, or from about seed 100 the marks of earlier schedules read as
 # leaks (spurious telemetry-leak lines). The stage runs ahead of the sweep
@@ -55,16 +57,17 @@
 # seeds 1 and 2 and compares each sim_digest with scripts/bench_digests.txt:
 # a PR that must not alter behaviour no longer copies ten digests by hand.
 #
-# The sweep stage is one stanza over loss_sweep, nic_asymmetry,
-# partition_sweep, quorum_sweep, slow_sweep and chaos_sweep: each runs on
-# one worker (its exit status is its gate, and its report must land under
-# results/ with the keys listed there), then on 4 forced worker threads,
-# and the two reports must be byte-identical (sharded-telemetry determinism
-# gate). On multi-core machines loss_sweep's parallel run must also be >1.5x
-# faster than its serial one; host time on a shared box is noisy and
-# interference only ever adds to it, so each side is timed three times and
-# the gate reads the best of each. The flapping-NIC pin replays chaos seed
-# 4's NIC degrade/restore storms end-to-end.
+# The sweep stage runs the sweep bin (the five ablation sweeps: loss_sweep,
+# nic_asymmetry, partition_sweep, quorum_sweep, slow_sweep) and chaos_sweep,
+# each on one worker (its exit status is its gate, and every report must
+# land under results/ with the keys listed there), then on 4 forced worker
+# threads, and each report must be byte-identical across the two
+# (sharded-telemetry determinism gate). On multi-core machines loss_sweep's
+# parallel run must also be >1.5x faster than its serial one; host time on
+# a shared box is noisy and interference only ever adds to it, so each side
+# is timed three times and the gate reads the best of each. The
+# flapping-NIC pin replays chaos seed 4's NIC degrade/restore storms
+# end-to-end.
 #
 # The layering stage holds the rule the group service's layers were built
 # by: under crates/phoenix-kernel/src/group/ only the actors (gsd.rs, wd.rs)
@@ -125,10 +128,26 @@ for example in quickstart hpc_batch_cluster business_hosting operations_console;
     echo "$example: ok"
 done
 
+# landed FILE NEEDLES: assert that results/FILE landed and names every
+# comma-separated NEEDLE as a JSON key.
+landed() {
+    file=$1 needles=$2
+    test -s "results/$file" || {
+        echo "FAIL: results/$file missing or empty" >&2
+        exit 1
+    }
+    for needle in $(echo "$needles" | tr ',' ' '); do
+        grep -q "\"$needle\"" "results/$file" || {
+            echo "FAIL: \"$needle\" not found in results/$file" >&2
+            exit 1
+        }
+    done
+}
+
 # smoke FILE NEEDLES BIN [ARGS...]: run a bench bin (its exit status is its
 # own gate: every sweep exits non-zero when what it measures regressed), keep
-# its output in /tmp/BIN.out, and assert that results/FILE landed and names
-# every comma-separated NEEDLE as a JSON key.
+# its output in /tmp/BIN.out, and assert that results/FILE landed with its
+# NEEDLES.
 smoke() {
     file=$1 needles=$2
     shift 2
@@ -140,16 +159,7 @@ smoke() {
         exit 1
     }
     cat "/tmp/$1.out"
-    test -s "results/$file" || {
-        echo "FAIL: results/$file missing or empty" >&2
-        exit 1
-    }
-    for needle in $(echo "$needles" | tr ',' ' '); do
-        grep -q "\"$needle\"" "results/$file" || {
-            echo "FAIL: \"$needle\" not found in results/$file" >&2
-            exit 1
-        }
-    done
+    landed "$file" "$needles"
 }
 
 echo "== paper: every simulated results/*.txt regenerates byte for byte =="
@@ -199,7 +209,7 @@ echo "== ratchet: 300 chaos schedules per preset fail exactly as scripts/known_c
 # a regression; a listed seed that passes was fixed and must leave the
 # list, so the list can only shrink.
 : > /tmp/chaos_failing.txt
-for preset in lossy partition quorum slow; do
+for preset in lossy partition quorum slow small; do
     case $preset in
         lossy) flags="--lossy 20" ;;
         *) flags="--$preset" ;;
@@ -253,55 +263,75 @@ done < scripts/bench_digests.txt
     exit 1
 }
 
-# The five sweeps and chaos_sweep, one stanza: the smoke run is on one
-# worker (PHOENIX_SWEEP_THREADS=1), then the same sweep on 4 forced workers —
-# so shard hand-off and the in-order merge are genuinely exercised even on a
-# single-core runner — must write a byte-identical report (sharded-telemetry
-# determinism gate).
-# What each bin's exit status gates: loss_sweep any spurious takeover;
-# nic_asymmetry that, or detection more than 25% above the clean baseline;
-# partition_sweep a double-leader instant, an unfrozen minority or an episode
-# that fails to re-converge after heal; quorum_sweep a double-leader or
-# both-sides-frozen instant, an undecided split, a failed re-convergence or
-# an adaptive-delay episode that never recovers the killed GSD; slow_sweep a
-# dead diagnosis of a slow-but-alive node, an unsuspected, unquarantined,
-# undrained or unyielded episode, or a failed reinstatement; chaos_sweep any
-# invariant violation.
-while read -r bin file needles args; do
+# The sweep bin and chaos_sweep, one stanza: the smoke run is on one worker
+# (PHOENIX_SWEEP_THREADS=1), then the same bin on 4 forced workers — so shard
+# hand-off and the in-order merge are genuinely exercised even on a
+# single-core runner — must write byte-identical reports (sharded-telemetry
+# determinism gate). Every report must land under results/ with the JSON
+# keys REPORTS lists for it.
+# What sweep's exit status gates, per sweep: loss_sweep any spurious
+# takeover, or more duplicates delivered than scheduled; nic_asymmetry a
+# spurious takeover, a missed detection, or detection more than 25% above
+# the clean baseline; partition_sweep a double-leader instant, an unfrozen
+# minority or an episode that fails to re-converge after heal; quorum_sweep
+# a double-leader or both-sides-frozen instant, an undecided split, a failed
+# re-convergence or an adaptive-delay episode that never recovers the killed
+# GSD; slow_sweep a dead diagnosis of a slow-but-alive node, an unsuspected,
+# unquarantined, undrained or unyielded episode, or a failed reinstatement.
+# chaos_sweep's gates any invariant violation.
+REPORTS='sweep BENCH_loss.json loss_curve,spurious_takeovers,detect_ms_mean,net_loss_dropped
+sweep BENCH_nic.json nic_curve,spurious_takeovers,detect_ratio_vs_clean,worst_detect_ratio,nic0_routed_share
+sweep BENCH_partition.json episodes,double_leader_instants,freeze_ms,dir_converge_ms,unfrozen_minorities
+sweep BENCH_quorum.json double_leader_instants,both_frozen_instants,undecided_splits,availability_mean,takeover_adaptive_ms_mean,takeover_fixed31_ms_mean
+sweep BENCH_slow.json false_dead_diagnoses,unyielded_leader_episodes,unreinstated_episodes,suspect_ms_mean,factor_permille,curve
+chaos_sweep BENCH_chaos.json schedules_run,faults_injected,violating_schedules,shrink,schedules'
+for run in sweep 'chaos_sweep --seeds 25 --small'; do
+    bin=${run%% *}
+    args=${run#"$bin"}
+    echo "$REPORTS" | grep "^$bin " > "/tmp/$bin.reports"
+    while read -r _ file _; do
+        rm -f "results/$file"
+    done < "/tmp/$bin.reports"
+    echo "== smoke: $run writes its reports under results/ =="
     # shellcheck disable=SC2086
-    PHOENIX_SWEEP_THREADS=1 smoke "$file" "$needles" "$bin" -- $args
-    cp "results/$file" "/tmp/$file.serial"
-    echo "== determinism gate: parallel $bin must be byte-identical to serial =="
+    PHOENIX_SWEEP_THREADS=1 cargo run --release --offline -p phoenix-bench --bin "$bin" -- $args \
+        > "/tmp/$bin.out" 2>&1 < /dev/null || {
+        cat "/tmp/$bin.out" >&2
+        echo "FAIL: $run exited non-zero" >&2
+        exit 1
+    }
+    cat "/tmp/$bin.out"
+    while read -r _ file needles; do
+        landed "$file" "$needles"
+        cp "results/$file" "/tmp/$file.serial"
+    done < "/tmp/$bin.reports"
+    echo "== determinism gate: parallel $bin must write byte-identical reports =="
     # shellcheck disable=SC2086
     PHOENIX_SWEEP_THREADS=4 cargo run --release --offline -p phoenix-bench --bin "$bin" -- $args \
         > "/tmp/$bin.parallel.out" < /dev/null
-    cmp "results/$file" "/tmp/$file.serial" || {
-        echo "FAIL: parallel $file differs from serial (determinism gate)" >&2
-        exit 1
-    }
-done <<'SWEEPS'
-loss_sweep BENCH_loss.json loss_curve,spurious_takeovers,detect_ms_mean,net_loss_dropped --small
-nic_asymmetry BENCH_nic.json nic_curve,spurious_takeovers,detect_ratio_vs_clean,worst_detect_ratio,nic0_routed_share --small
-partition_sweep BENCH_partition.json episodes,double_leader_instants,freeze_ms,dir_converge_ms,unfrozen_minorities --small
-quorum_sweep BENCH_quorum.json double_leader_instants,both_frozen_instants,undecided_splits,availability_mean,takeover_adaptive_ms_mean,takeover_fixed31_ms_mean --small
-slow_sweep BENCH_slow.json false_dead_diagnoses,unyielded_leader_episodes,unreinstated_episodes,suspect_ms_mean,factor_permille,curve --small
-chaos_sweep BENCH_chaos.json schedules_run,faults_injected,violating_schedules,shrink,schedules --seeds 25 --small
-SWEEPS
+    while read -r _ file _; do
+        cmp "results/$file" "/tmp/$file.serial" || {
+            echo "FAIL: parallel $file differs from serial (determinism gate)" >&2
+            exit 1
+        }
+    done < "/tmp/$bin.reports"
+done
 
 echo "== speedup gate: loss_sweep on 4 workers against one =="
 # Host time on a shared box is noisy, and interference only ever adds to
 # it: each side of the speedup gate is timed three times (the stanza above
 # was the first), serial and parallel runs alternating so both see the same
-# minute of the host, and the gate reads the least of each.
-grep '^sweep: ' /tmp/loss_sweep.out > /tmp/loss_serial.out
-grep '^sweep: ' /tmp/loss_sweep.parallel.out > /tmp/loss_parallel.out
+# minute of the host, and the gate reads the least of each. The sweep bin
+# runs loss_sweep first, so its first `sweep:` line is loss_sweep's.
+grep -m1 '^sweep: ' /tmp/sweep.out > /tmp/loss_serial.out
+grep -m1 '^sweep: ' /tmp/sweep.parallel.out > /tmp/loss_parallel.out
 for again in 2 3; do
-    PHOENIX_SWEEP_THREADS=1 \
-        cargo run --release --offline -p phoenix-bench --bin loss_sweep -- --small \
-        | grep '^sweep: ' | tee -a /tmp/loss_serial.out
-    PHOENIX_SWEEP_THREADS=4 \
-        cargo run --release --offline -p phoenix-bench --bin loss_sweep -- --small \
-        | grep '^sweep: ' | tee -a /tmp/loss_parallel.out
+    PHOENIX_SWEEP_THREADS=1 cargo run --release --offline -p phoenix-bench --bin sweep \
+        > /tmp/sweep.again.out < /dev/null
+    grep -m1 '^sweep: ' /tmp/sweep.again.out | tee -a /tmp/loss_serial.out
+    PHOENIX_SWEEP_THREADS=4 cargo run --release --offline -p phoenix-bench --bin sweep \
+        > /tmp/sweep.again.out < /dev/null
+    grep -m1 '^sweep: ' /tmp/sweep.again.out | tee -a /tmp/loss_parallel.out
     cmp results/BENCH_loss.json /tmp/BENCH_loss.json.serial || {
         echo "FAIL: parallel BENCH_loss.json differs from serial (determinism gate, run $again)" >&2
         exit 1
