@@ -72,11 +72,6 @@ pub fn paper_testbed() -> (ClusterTopology, KernelParams) {
     (ClusterTopology::uniform(8, 17, 1), KernelParams::default())
 }
 
-/// A smaller testbed for quick runs (same mechanism, less virtual time).
-pub(crate) fn small_testbed() -> (ClusterTopology, KernelParams) {
-    (ClusterTopology::uniform(3, 5, 1), KernelParams::fast())
-}
-
 struct Injection {
     fault: Fault,
     /// Trace filters for the three milestones.
@@ -276,6 +271,11 @@ pub(crate) fn run_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A smaller testbed for quick runs (same mechanism, less virtual time).
+    fn small_testbed() -> (ClusterTopology, KernelParams) {
+        (ClusterTopology::uniform(3, 5, 1), KernelParams::fast())
+    }
 
     /// The full pipeline on the small testbed: sane phase ordering.
     #[test]

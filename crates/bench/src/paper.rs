@@ -10,9 +10,9 @@
 //!
 //! `paper` (the bin) runs every artifact in virtual time, writes each file
 //! with the artifact's rows rendered at its foot, prints every row against
-//! its measurement, writes `results/BENCH_kernel.json` after one exercise
-//! pass, and exits 1 when a row is outside its tolerance or was never
-//! measured.
+//! its measurement, writes `results/BENCH_kernel.json` from the telemetry
+//! every artifact recorded, and exits 1 when a row is outside its tolerance
+//! or was never measured.
 
 use std::fs;
 use std::time::Instant;
@@ -28,11 +28,11 @@ use phoenix_pws::workload::{generate, WorkloadParams};
 use phoenix_pws::{install_pws, login, queue_status, submit, ui, PolicyKind, PoolConfig};
 use phoenix_sim::{Fault, NodeId, Pid, RecoveryAction, SimDuration, SimTime, TraceEvent, World};
 use phoenix_telemetry::report::workspace_root;
-use phoenix_telemetry::Json;
+use phoenix_telemetry::{Json, MetricsRegistry};
 
 use crate::compute_nodes;
 use crate::ft::{paper_testbed, run_one, run_table, Component, FaultKind};
-use crate::report::{cross_check_histograms, exercise_services, table_json, write_report};
+use crate::report::{cross_check_histograms, table_json, write_report};
 use crate::scale::monitor_run;
 
 /// What one artifact leaves: the text of its file, the measurements its
@@ -161,10 +161,14 @@ pub fn main() {
     let dir = workspace_root().join("results");
     fs::create_dir_all(&dir).expect("create results/");
     let (mut sections, mut failing) = (Vec::new(), 0);
+    let mut merged = MetricsRegistry::new();
     for &(name, run) in ARTIFACTS {
-        phoenix_telemetry::reset();
+        // Each artifact records on a fresh registry of its own; the report
+        // merges them in table order.
+        let shard = phoenix_telemetry::shard_begin();
         let mut o = Out::default();
         run(&mut o);
+        merged.merge(&shard.take());
         let measured = |row: &str| o.measured.iter().find(|m| m.0 == row).map(|m| m.1);
         let judged: Vec<(String, bool)> = ROWS
             .iter()
@@ -187,10 +191,7 @@ pub fn main() {
         }
         sections.extend(o.sections);
     }
-    // One pass over every instrumented path, on a registry of its own.
-    phoenix_telemetry::reset();
-    exercise_services(41);
-    write_report("paper", sections);
+    write_report("paper", sections, &merged);
     let (n, rows, ms) = (ARTIFACTS.len(), ROWS.len(), wall.elapsed().as_millis());
     println!("paper: {n} artifacts, {rows} paper rows, {failing} outside tolerance, {ms} ms wall");
     if failing > 0 {

@@ -1,96 +1,10 @@
-//! Telemetry glue for the `paper` bin: a service-exercise pass that drives
-//! every instrumented kernel path on one small cluster, the cross-check of
-//! the Table 1–3 rows against the kernel's own histograms, and the
-//! registry → `results/BENCH_kernel.json` dump.
-//!
-//! The fault-injection tables alone populate the heartbeat/probe/diagnosis
-//! histograms; the exercise pass adds job fan-out (PWS → PPM tree) and a
-//! federated bulletin query, so the report carries samples from every
-//! instrumented service.
+//! Telemetry glue for the `paper` bin: the cross-check of the Table 1–3
+//! rows against the kernel's own histograms, and the merged artifact
+//! registries → `results/BENCH_kernel.json` dump.
 
-use phoenix_kernel::boot::boot_cluster;
-use phoenix_kernel::client::ClientHandle;
-use phoenix_proto::{BulletinQuery, JobSpec, KernelMsg, RequestId, TaskSpec};
-use phoenix_pws::{install_pws, login, submit, PolicyKind, PoolConfig};
-use phoenix_sim::{Fault, SimDuration};
-use phoenix_telemetry::{BenchReport, Json};
+use phoenix_telemetry::{BenchReport, Json, MetricsRegistry};
 
-use crate::compute_nodes;
-use crate::ft::{small_testbed, Component, FaultKind, FtRow};
-
-/// Drive every instrumented kernel path at least once — a PWS job workload
-/// (PPM tree fan-out + heartbeats + federated job events), two fault
-/// pipelines (probe RTT, detect→diagnose, GSD takeover), and a federated
-/// bulletin query — all against ONE booted world. Earlier versions booted
-/// four separate worlds for the same coverage; sharing the cluster cuts the
-/// exercise pass to a quarter of the boots and keeps every path exercised
-/// under realistic steady-state load (heartbeats from the job phase are
-/// still flowing when the faults land).
-pub(crate) fn exercise_services(seed: u64) {
-    let wall = std::time::Instant::now();
-    let (topo, params) = small_testbed();
-    let hb = params.ft.hb_interval;
-    let (mut w, cluster) = boot_cluster(topo, params, seed);
-    w.run_for(SimDuration::from_millis(100));
-
-    // 1. Jobs through PWS → PPM: ppm.fanout.flight, wd/meta heartbeats,
-    //    job lifecycle events federated through the event service.
-    let compute = compute_nodes(&cluster);
-    let h = install_pws(
-        &mut w,
-        &cluster,
-        vec![PoolConfig::new("batch", compute.clone(), PolicyKind::Backfill)],
-    );
-    w.run_for(SimDuration::from_millis(100));
-    let scheduler = h.scheduler("batch").expect("batch scheduler");
-    let client = ClientHandle::spawn(&mut w, compute[0]);
-    let token = login(&mut w, &cluster, &client, "alice", "alice-secret");
-    for i in 0..3u64 {
-        let spec = JobSpec {
-            task: TaskSpec {
-                duration_ns: Some(2_000_000_000),
-                ..TaskSpec::default()
-            },
-            ..JobSpec::simple(i + 1, "alice", "batch", 2)
-        };
-        submit(&mut w, &client, scheduler, token.clone(), spec);
-    }
-    w.run_for(SimDuration::from_secs(4)); // jobs run to completion
-
-    // 2. Fault pipelines on the same (still-busy) cluster: a WD process
-    //    kill (gsd.probe.rtt + gsd.detect_to_diagnose), then a GSD kill
-    //    (ring detection + gsd.takeover).
-    let victim_wd = cluster
-        .directory
-        .node(cluster.topology.partitions[0].compute[1])
-        .expect("directory entry")
-        .wd;
-    w.apply_fault(Fault::KillProcess(victim_wd));
-    w.run_for(hb * 2 + SimDuration::from_secs(2));
-    let victim_gsd = cluster.directory.partitions[1].gsd;
-    w.apply_fault(Fault::KillProcess(victim_gsd));
-    w.run_for(hb * 2 + SimDuration::from_secs(6));
-
-    // 3. Federated bulletin query: bulletin.query.fed.
-    client.send(
-        &mut w,
-        cluster.directory.partitions[0].bulletin,
-        KernelMsg::DbQuery {
-            req: RequestId(1),
-            query: BulletinQuery::Resources,
-        },
-    );
-    w.run_for(SimDuration::from_millis(400));
-
-    // The "1 world" marker and wall time are asserted by scripts/verify.sh
-    // (the pre-refactor pass booted 4 worlds for the same path coverage).
-    println!(
-        "exercise pass: 1 world ({} nodes), {:.2}s virtual, {} ms wall",
-        cluster.topology.node_count(),
-        w.now().as_secs_f64(),
-        wall.elapsed().as_millis()
-    );
-}
+use crate::ft::{Component, FaultKind, FtRow};
 
 /// Cross-check the trace-extracted phase times of a fault-tolerance table
 /// against the kernel's own telemetry histograms, panicking on divergence.
@@ -103,7 +17,7 @@ pub(crate) fn exercise_services(seed: u64) {
 /// allows one power-of-two of slack plus a small absolute epsilon.
 ///
 /// Call this on a registry that holds the table's own faults and nothing
-/// else: `paper` resets it before each artifact. Table 3 is left out: the
+/// else: `paper` runs each artifact on a registry shard of its own. Table 3 is left out: the
 /// event service's own GSD sees it die without probing, so its process row
 /// has no `gsd.detect_to_diagnose` sample to agree with.
 pub(crate) fn cross_check_histograms(rows: &[FtRow], component: Component) {
@@ -206,28 +120,21 @@ pub(crate) fn table_json(rows: &[FtRow]) -> Json {
     )
 }
 
-/// Dump this thread's registry (plus experiment-specific `sections`) to
+/// Dump `reg` (plus experiment-specific `sections`) to
 /// `results/BENCH_kernel.json` and print a per-path latency summary.
-pub(crate) fn write_report(name: &str, sections: Vec<(&str, Json)>) {
+pub(crate) fn write_report(name: &str, sections: Vec<(&str, Json)>, reg: &MetricsRegistry) {
     let mut rep = BenchReport::new(name);
     for (k, v) in sections {
         rep.section(k, v);
     }
-    let path = phoenix_telemetry::with(|reg| {
-        let mut paths: Vec<_> = reg
-            .histograms()
-            .map(|(p, st)| (p, st.service, st.hist.summary()))
-            .collect();
-        paths.sort_by_key(|(p, ..)| *p);
-        println!("\nTelemetry: {} instrumented paths", paths.len());
-        for (p, service, s) in paths {
-            println!(
-                "  {p:<28} [{service:<8}] count={:<6} p50={}ns p90={}ns p99={}ns max={}ns",
-                s.count, s.p50_ns, s.p90_ns, s.p99_ns, s.max_ns
-            );
-        }
-        rep.write_default(reg)
-    })
-    .expect("write BENCH_kernel.json");
+    println!("\nTelemetry: {} instrumented paths", reg.histograms().count());
+    for (p, st) in reg.histograms() {
+        let (service, s) = (st.service, st.hist.summary());
+        println!(
+            "  {p:<28} [{service:<8}] count={:<6} p50={}ns p90={}ns p99={}ns max={}ns",
+            s.count, s.p50_ns, s.p90_ns, s.p99_ns, s.max_ns
+        );
+    }
+    let path = rep.write_default(reg).expect("write BENCH_kernel.json");
     println!("report written: {}", path.display());
 }

@@ -361,13 +361,7 @@ fn question(
         takeovers,
         bulletin: query_bulletin(world, client, dir.partitions[0].bulletin),
         deliveries: probe_event_delivery(world, &dir),
-        // The background mark TTL is 120 virtual seconds; the leak check
-        // forces a much tighter sweep and bounds what remains.
-        marks: phoenix_telemetry::with(|reg| {
-            reg.expire_marks_older_than(5_000_000_000);
-            (reg.open_spans(), reg.outstanding_marks())
-        }),
-        node_count: world.node_count(),
+        open_spans: phoenix_telemetry::with(|reg| reg.open_spans()),
         pool: world.scheduler_stats(),
         queued: world.queue_len(),
     });

@@ -42,10 +42,10 @@ pub fn shrink(cfg: &ChaosConfig, failed: &RunOutcome) -> ShrinkOutcome {
             }
             let candidate = mask & !bit;
             runs += 1;
-            // Each candidate boots a world whose clock restarts at 0, so
-            // marks left by earlier runs would all look recent to the
-            // telemetry-leak check: give it a registry of its own (dropped
-            // with the shard; the caller's registry is untouched).
+            // A candidate's world is dropped with whatever spans it left
+            // open, which the next candidate's telemetry-leak check would
+            // count: give it a registry of its own (dropped with the shard;
+            // the caller's registry is untouched).
             let _isolated = phoenix_telemetry::shard_begin();
             let out = run_schedule(seed, cfg, candidate, false);
             if out.failed() && out.violations.first().map(|v| v.invariant) == reported {
@@ -73,9 +73,8 @@ pub struct SeedRun {
 
 /// Run `seed`'s whole schedule under `cfg` — the preset `flag` selects —
 /// and shrink it if it fails. Records into the caller's telemetry registry,
-/// which must be fresh: every schedule's virtual clock restarts at 0, so
-/// marks left by earlier schedules would all look recent to the
-/// telemetry-leak check.
+/// which must be fresh: spans an earlier schedule's world was dropped with
+/// would read as leaks to the telemetry-leak check.
 pub fn run_seed(seed: u64, cfg: &ChaosConfig, flag: &str) -> SeedRun {
     let out = run_schedule(seed, cfg, u64::MAX, false);
     let shrunk = out.failed().then(|| {

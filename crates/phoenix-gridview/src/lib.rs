@@ -113,8 +113,8 @@ pub struct GridView {
     refresh: SimDuration,
     state: Rc<RefCell<GvState>>,
     next_req: u64,
-    /// Refresh request currently awaiting a reply.
-    awaiting: Option<u64>,
+    /// Refresh request currently awaiting a reply, and when it was sent.
+    awaiting: Option<(u64, SimTime)>,
 }
 
 impl GridView {
@@ -171,12 +171,8 @@ impl GridView {
             );
         }
         self.next_req += 1;
-        self.awaiting = Some(self.next_req);
+        self.awaiting = Some((self.next_req, ctx.now()));
         phoenix_telemetry::counter_add("gridview.refreshes.requested", 1);
-        phoenix_telemetry::mark(
-            "gridview.refresh.pull",
-            phoenix_telemetry::key(&[ctx.pid().0, self.next_req]),
-        );
         ctx.send(
             self.bulletin,
             KernelMsg::DbQuery {
@@ -269,14 +265,9 @@ impl Actor<KernelMsg> for GridView {
                 entries,
                 complete,
             } => {
-                if self.awaiting == Some(req.0) {
-                    self.awaiting = None;
-                    phoenix_telemetry::measure(
-                        "gridview.refresh.pull",
-                        "gridview",
-                        ctx.node().0,
-                        phoenix_telemetry::key(&[ctx.pid().0, req.0]),
-                    );
+                if let Some((_, sent)) = self.awaiting.take_if(|(asked, _)| *asked == req.0) {
+                    let (path, node, now) = ("gridview.refresh.pull", ctx.node().0, ctx.now().0);
+                    phoenix_telemetry::flight(path, "gridview", node, sent.0, now);
                 }
                 self.ingest(ctx, entries.unwrap_or_clone(), complete);
             }

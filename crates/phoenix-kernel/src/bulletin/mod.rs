@@ -20,7 +20,7 @@ use phoenix_proto::{
     BulletinEntry, BulletinQuery, CheckpointData, KernelMsg, MemberInfo, PartitionId, RequestId,
     ServiceKind,
 };
-use phoenix_sim::{Actor, Ctx, Pid, TimerId};
+use phoenix_sim::{Actor, Ctx, Pid, SimTime, TimerId};
 use std::collections::{BTreeMap, HashMap};
 
 const KIND: ServiceKind = ServiceKind::DataBulletin;
@@ -35,6 +35,8 @@ struct PendingQuery {
     acc: Vec<BulletinEntry>,
     waiting: Vec<PartitionId>,
     timer: TimerId,
+    /// When the fan-out went out (`bulletin.query.fed` times it from here).
+    started: SimTime,
     /// Fan-outs sent so far.
     sends: u32,
     /// The retry policy allows another: the next federation timeout
@@ -107,12 +109,8 @@ impl DataBulletin {
 
     fn finish_query(&mut self, ctx: &mut Ctx<'_, KernelMsg>, fed: u64, complete: bool) {
         if let Some(p) = self.pending.remove(&fed) {
-            phoenix_telemetry::measure(
-                "bulletin.query.fed",
-                "bulletin",
-                ctx.node().0,
-                phoenix_telemetry::key(&[self.member.partition().0 as u64, fed]),
-            );
+            let (node, now) = (ctx.node().0, ctx.now().0);
+            phoenix_telemetry::flight("bulletin.query.fed", "bulletin", node, p.started.0, now);
             if complete {
                 ctx.cancel_timer(p.timer);
             } else {
@@ -197,10 +195,6 @@ impl Actor<KernelMsg> for DataBulletin {
                 self.next_fed += 1;
                 let fed = self.next_fed;
                 let fed_req = RequestId(fed);
-                phoenix_telemetry::mark(
-                    "bulletin.query.fed",
-                    phoenix_telemetry::key(&[self.member.partition().0 as u64, fed]),
-                );
                 for (p, pid) in self.member.peers() {
                     if query.wants_partition(*p) {
                         ctx.send(*pid, KernelMsg::DbFedQuery { req: fed_req, query });
@@ -219,6 +213,7 @@ impl Actor<KernelMsg> for DataBulletin {
                         acc,
                         waiting,
                         timer,
+                        started: ctx.now(),
                         sends,
                         resend,
                     },

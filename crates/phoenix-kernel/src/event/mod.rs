@@ -94,14 +94,6 @@ impl EventService {
         self.next_seq += 1;
         phoenix_telemetry::counter_add("es.events.published", 1);
         self.notify_local(ctx, &event);
-        if !self.member.peers().is_empty() {
-            // One mark per publish: the first peer to receive the forward
-            // consumes it, giving one federation flight sample per event.
-            phoenix_telemetry::mark(
-                "es.federation.flight",
-                phoenix_telemetry::key(&[event.partition.0 as u64, event.seq]),
-            );
-        }
         for peer in self.member.peer_pids() {
             ctx.send(peer, KernelMsg::EsFedForward { event: event.clone() });
         }
@@ -162,12 +154,9 @@ impl Actor<KernelMsg> for EventService {
                 }
             }
             KernelMsg::EsFedForward { event } => {
-                phoenix_telemetry::measure(
-                    "es.federation.flight",
-                    "es",
-                    ctx.node().0,
-                    phoenix_telemetry::key(&[event.partition.0 as u64, event.seq]),
-                );
+                // Every receiver times its own forward: one sample per peer.
+                let (node, sent, now) = (ctx.node().0, ctx.sent_at().0, ctx.now().0);
+                phoenix_telemetry::flight("es.federation.flight", "es", node, sent, now);
                 self.notify_local(ctx, &event);
             }
             KernelMsg::CkLoadResp { data, .. } if self.member.restoring() => {

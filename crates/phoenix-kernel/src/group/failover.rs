@@ -9,9 +9,9 @@
 //! while that can still run it, else on the partition's first live backup
 //! or compute node, healthy ones first. [`rebuild_services`] is the
 //! replacement's own question once it runs: adopt the partition's kernel
-//! services, or start them again here. [`Failover`] numbers the plans and
-//! remembers which partitions a rescue is already under way for. No
-//! sends, no telemetry, no simulator context.
+//! services, or start them again here. [`Failover`] remembers which
+//! partitions a rescue is already under way for. No sends, no telemetry,
+//! no simulator context.
 
 use phoenix_proto::{MemberInfo, PartitionId, PartitionSpec};
 use phoenix_sim::{Diagnosis, NodeId, Pid, RecoveryAction, SimDuration};
@@ -102,24 +102,16 @@ pub(crate) fn rebuild_services(
         || services.iter().any(|&pid| pid == Pid(0) || !alive(pid))
 }
 
-/// The planner's bookkeeping: plan ids and rescues under way.
+/// The planner's bookkeeping: the rescues under way.
 #[derive(Default)]
 pub(crate) struct Failover {
-    plans: u64,
     rescuing: BTreeSet<PartitionId>,
 }
 
 impl Failover {
-    /// A fresh plan id. It keys the plan's telemetry mark, so overlapping
-    /// plans for one partition cannot clobber each other's.
-    pub(crate) fn next_plan(&mut self) -> u64 {
-        self.plans += 1;
-        self.plans
-    }
-
-    /// Start a rescue of `partition` unless one is under way: its plan id.
-    pub(crate) fn begin_rescue(&mut self, partition: PartitionId) -> Option<u64> {
-        self.rescuing.insert(partition).then(|| self.next_plan())
+    /// Start a rescue of `partition` unless one is under way.
+    pub(crate) fn begin_rescue(&mut self, partition: PartitionId) -> bool {
+        self.rescuing.insert(partition)
     }
 
     /// The rescue of `partition` fired.
@@ -229,17 +221,16 @@ mod tests {
     }
 
     #[test]
-    fn plans_are_numbered_and_a_partition_is_rescued_once_at_a_time() {
+    fn a_partition_is_rescued_once_at_a_time() {
         let (p1, p2) = (PartitionId(1), PartitionId(2));
         let mut f = Failover::default();
-        assert_eq!(f.next_plan(), 1);
-        assert_eq!(f.begin_rescue(p1), Some(2));
-        assert_eq!(f.begin_rescue(p1), None, "already under way");
-        assert_eq!(f.begin_rescue(p2), Some(3));
+        assert!(f.begin_rescue(p1));
+        assert!(!f.begin_rescue(p1), "already under way");
+        assert!(f.begin_rescue(p2));
         f.end_rescue(p1);
-        assert_eq!(f.begin_rescue(p1), Some(4), "fired: may be rescued again");
+        assert!(f.begin_rescue(p1), "fired: may be rescued again");
         f.forget_present(|p| p == p2);
-        assert_eq!(f.begin_rescue(p2), Some(5), "rejoined meanwhile: forgotten");
-        assert_eq!(f.begin_rescue(p1), None);
+        assert!(f.begin_rescue(p2), "rejoined meanwhile: forgotten");
+        assert!(!f.begin_rescue(p1));
     }
 }

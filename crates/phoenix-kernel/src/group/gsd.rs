@@ -74,17 +74,6 @@ pub(crate) const NIC_ANALYSIS_DELAY: SimDuration = SimDuration::from_micros(348)
 /// Same-host failure classification cost (Table 3 process row: 12 µs).
 pub(crate) const LOCAL_DIAG_DELAY: SimDuration = SimDuration::from_micros(12);
 
-/// Telemetry key for a `gsd.takeover` mark/measure/unmark. Scoped by the
-/// observing pid, the partition, AND a per-plan sequence number: one
-/// leader can have two takeover plans for the same partition in flight
-/// (a diagnosis-driven migrate racing its own rescue sweep), and a plan
-/// that aborts its spawn must not retract the other plan's pending mark —
-/// that would silently swallow the surviving plan's measure. The mark and
-/// its matching measure/unmark always happen on the same actor, so pid
-/// scoping is safe; the plan id travels inside `RestartWhat`.
-fn takeover_key(observer: Pid, partition: PartitionId, plan: u64) -> u64 {
-    phoenix_telemetry::key(&[3, partition.0 as u64, observer.0, plan])
-}
 const OP_BASE: u64 = 100;
 
 fn milestone(ctx: &mut Ctx<'_, KernelMsg>, label: &'static str, value: impl Into<f64>) {
@@ -123,9 +112,9 @@ fn role_change(ctx: &mut Ctx<'_, KernelMsg>, role: &'static str) {
     ctx.trace(TraceEvent::RoleChange { pid, role });
 }
 
-/// Close a mark→measure flight observed by this GSD.
-fn measure(ctx: &Ctx<'_, KernelMsg>, name: &'static str, key: u64) {
-    phoenix_telemetry::measure(name, "gsd", ctx.node().0, key);
+/// Record a flight this GSD saw end, from `start` to now, on its node.
+fn flight(ctx: &Ctx<'_, KernelMsg>, path: &'static str, start: SimTime) {
+    phoenix_telemetry::flight(path, "gsd", ctx.node().0, start.0, ctx.now().0);
 }
 
 fn quarantine_msg(epoch: u64, set: &BTreeSet<PartitionId>) -> KernelMsg {
@@ -204,15 +193,20 @@ enum DelayedOp {
     RestartSvc(Lapsed),
     /// Respawn a failed member's GSD on the node it was placed `on`: its
     /// old host for an in-place restart, a backup node for a migration.
+    /// `planned` is when the takeover was decided (`gsd.takeover` times
+    /// the spawn from it).
     GsdTakeover {
         handover: Handover,
         on: NodeId,
-        plan: u64,
+        planned: SimTime,
     },
     /// Leader safety net: a partition has had no meta-group member for a
     /// whole tick — whoever planned its takeover died before executing
     /// it. Decide restart-vs-migrate at fire time.
-    GsdRescue { partition: PartitionId, plan: u64 },
+    GsdRescue {
+        partition: PartitionId,
+        planned: SimTime,
+    },
 }
 
 /// The GSD actor.
@@ -248,14 +242,16 @@ pub struct Gsd {
 
     probes: Probes,
     /// Telemetry span covering each probe session (open → resolution), by
-    /// session id; aborted (not closed) if this GSD dies mid-probe.
-    probe_spans: BTreeMap<u64, phoenix_telemetry::SpanId>,
+    /// session id, with the instant it opened (the suspicion, which
+    /// `gsd.detect_to_diagnose` times from); the span is aborted if this
+    /// GSD dies mid-probe.
+    probe_spans: BTreeMap<u64, (phoenix_telemetry::SpanId, SimTime)>,
     ops: HashMap<u64, DelayedOp>,
     next_id: u64,
     /// The role last announced in a `RoleChange`; `None` before the first
     /// and after "frozen", which is no seat in the ring.
     last_role: Option<Role>,
-    /// Takeover plan ids and the partitions the leader is rescuing.
+    /// The partitions the leader is rescuing.
     failover: Failover,
     /// Re-announce ourselves to the leader at the next tick (set when a
     /// membership broadcast was missing us).
@@ -800,14 +796,6 @@ impl Gsd {
 
     // ---- scanning --------------------------------------------------------
 
-    /// Detect→diagnose telemetry key for a suspicion of `watched`.
-    fn suspicion_key(watched: Watched) -> u64 {
-        match watched {
-            Watched::Wd(node) => phoenix_telemetry::key(&[1, node.0 as u64]),
-            Watched::Ring(partition) => phoenix_telemetry::key(&[2, partition.0 as u64]),
-        }
-    }
-
     /// Suspicion cleared: beats resumed while the probe was in flight, so
     /// they were lost in the network, not stopped at the source. Ends the
     /// session without a diagnosis (no trace events — the paper pipeline
@@ -817,16 +805,11 @@ impl Gsd {
         if let Some(p) = self.peer_of_mut(watched) {
             p.live.end_probe(false);
         }
-        // Retract the detect→diagnose mark stamped at suspicion time — the
-        // suspicion was false, so there is no diagnose latency to measure
-        // and the mark must not leak.
-        phoenix_telemetry::unmark("gsd.detect_to_diagnose", Self::suspicion_key(watched));
     }
 
     /// Judge every watched daemon, in table order — the scan order decides
-    /// the order probes are sent (and suspicion marks stamped) in, and the
-    /// event queue and the seeded network draws depend on it — then the
-    /// supervised services.
+    /// the order probes are sent in, and the event queue and the seeded
+    /// network draws depend on it — then the supervised services.
     fn scan(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         let (own_node, now) = (ctx.node(), ctx.now());
         let window = liveness::window(&self.params.ft);
@@ -844,7 +827,6 @@ impl Gsd {
                     detected(ctx, FaultTarget::Process(pid));
                     phoenix_telemetry::counter_add("gsd.faults.detected", 1);
                     phoenix_telemetry::counter_add("gsd.suspicion.raised", 1);
-                    phoenix_telemetry::mark("gsd.detect_to_diagnose", Self::suspicion_key(watched));
                     let ring = matches!(watched, Watched::Ring(_));
                     let timeout = if ring {
                         self.params.ft.meta_node_probe_timeout
@@ -853,7 +835,7 @@ impl Gsd {
                     };
                     let session = self.fresh_id();
                     let span = phoenix_telemetry::span_start("gsd.probe.session", "gsd", own_node.0);
-                    self.probe_spans.insert(session, span);
+                    self.probe_spans.insert(session, (span, now));
                     self.probes.open(session, watched, ppm);
                     let spacing = self.params.ft.probe_round_interval;
                     self.schedule(ctx, spacing, DelayedOp::ProbeRound(session));
@@ -889,7 +871,6 @@ impl Gsd {
             return;
         };
         phoenix_telemetry::counter_add("gsd.probes.sent", 1);
-        phoenix_telemetry::mark("gsd.probe.rtt", phoenix_telemetry::key(&[session]));
         // Probes are single-path: route them over the healthiest usable
         // interface so a degraded NIC cannot eat the very traffic that
         // decides whether a silent peer is dead.
@@ -907,7 +888,9 @@ impl Gsd {
         let Some(resp) = self.probes.on_response(session, ctx.now(), fresh) else {
             return;
         };
-        measure(ctx, "gsd.probe.rtt", phoenix_telemetry::key(&[session]));
+        if let Some(rtt) = resp.rtt {
+            flight(ctx, "gsd.probe.rtt", SimTime(ctx.now().0 - rtt.as_nanos()));
+        }
         let peer = self.peer_of(resp.watched).map(|p| p.node);
         if let (Some(node), Some(rtt)) = (peer, resp.rtt) {
             let transition = self.slow.observe(node, rtt.as_nanos(), ctx.now());
@@ -933,9 +916,10 @@ impl Gsd {
         watched: Watched,
         outcome: Outcome,
     ) {
-        if let Some(span) = self.probe_spans.remove(&session) {
+        let suspected = self.probe_spans.remove(&session).map(|(span, opened)| {
             phoenix_telemetry::span_end(span);
-        }
+            opened
+        });
         let verdict = match outcome {
             Outcome::Aborted => return self.abort_probe(watched),
             Outcome::NodeFailure => Diagnosis::NodeFailure,
@@ -945,7 +929,7 @@ impl Gsd {
                 Diagnosis::ProcessFailure
             }
         };
-        self.diagnose(ctx, watched, verdict);
+        self.diagnose(ctx, watched, verdict, suspected);
     }
 
     // ---- diagnoses & recovery ---------------------------------------------
@@ -954,8 +938,15 @@ impl Gsd {
     /// (`ProcessFailure`) or never did (`NodeFailure`). One pipeline for
     /// both kinds of peer; what differs is the recovery — a WD is restarted
     /// in place, or needs nothing when its node died; a ring predecessor is
-    /// taken over, and only under the regroup layer's licence.
-    fn diagnose(&mut self, ctx: &mut Ctx<'_, KernelMsg>, watched: Watched, verdict: Diagnosis) {
+    /// taken over, and only under the regroup layer's licence. `suspected`
+    /// is when the session opened.
+    fn diagnose(
+        &mut self,
+        ctx: &mut Ctx<'_, KernelMsg>,
+        watched: Watched,
+        verdict: Diagnosis,
+        suspected: Option<SimTime>,
+    ) {
         if let Watched::Ring(partition) = watched {
             if !self.regroup_licenses_takeover(ctx, partition) {
                 return;
@@ -982,19 +973,13 @@ impl Gsd {
         if node_down {
             self.slow.mark_dead(node);
         }
-        measure(ctx, "gsd.detect_to_diagnose", Self::suspicion_key(watched));
-        let takeover = member.map(|failed| {
-            let plan = self.failover.next_plan();
-            phoenix_telemetry::mark(
-                "gsd.takeover",
-                takeover_key(ctx.pid(), failed.partition, plan),
-            );
-            (failed, plan)
-        });
+        if let Some(suspected) = suspected {
+            flight(ctx, "gsd.detect_to_diagnose", suspected);
+        }
         let target = if node_down { FaultTarget::Node(node) } else { FaultTarget::Process(pid) };
         diagnosed(ctx, target, verdict);
         if node_down {
-            if takeover.is_none() {
+            if member.is_none() {
                 // "for WD, in case of node failure, the recovery time is
                 // 0, because ... migrating WD means nothing."
                 recovered(ctx, FaultTarget::Node(node), RecoveryAction::NoneNeeded);
@@ -1007,8 +992,8 @@ impl Gsd {
             };
             self.publish(ctx, EventType::ServiceFault, EventPayload::Service(kind, node));
         }
-        match takeover {
-            Some((failed, plan)) => self.plan_takeover(ctx, failed, verdict, plan),
+        match member {
+            Some(failed) => self.plan_takeover(ctx, failed, verdict),
             None if node_down => {}
             // Restart in place, at once: Table 1 reports 0 µs.
             None => self.restart_wd(ctx, node),
@@ -1052,8 +1037,8 @@ impl Gsd {
     }
 
     /// The spawn of `hint`'s replacement as placed, on the membership held
-    /// now (`hint` is out of it).
-    fn takeover(&self, hint: MemberInfo, placed: Placement, plan: u64) -> DelayedOp {
+    /// now (`hint` is out of it), for a takeover decided at `planned`.
+    fn takeover(&self, hint: MemberInfo, placed: Placement, planned: SimTime) -> DelayedOp {
         let handover = Handover {
             hint,
             members: self.ring.members().to_vec(),
@@ -1061,7 +1046,11 @@ impl Gsd {
             action: placed.action,
         };
         let on = placed.to;
-        DelayedOp::GsdTakeover { handover, on, plan }
+        DelayedOp::GsdTakeover {
+            handover,
+            on,
+            planned,
+        }
     }
 
     /// The ring predecessor `failed` is diagnosed: drop it from the
@@ -1072,25 +1061,17 @@ impl Gsd {
         ctx: &mut Ctx<'_, KernelMsg>,
         failed: MemberInfo,
         verdict: Diagnosis,
-        plan: u64,
     ) {
         self.ring.remove(failed.partition);
         let (partition, diagnosis) = (failed.partition, verdict);
         self.broadcast_meta(ctx, KernelMsg::MetaMemberDown { partition, diagnosis });
         self.refresh_roles(ctx);
         let Some(placed) = self.place(ctx, &failed, Cause::Diagnosed(verdict)) else {
-            self.retract_takeover(ctx, failed.partition, plan);
             milestone(ctx, "no-backup-node", failed.partition.0);
             return;
         };
-        let takeover = self.takeover(failed, placed, plan);
+        let takeover = self.takeover(failed, placed, ctx.now());
         self.schedule(ctx, placed.cost, takeover);
-    }
-
-    /// Retract a takeover plan's mark: the plan was abandoned, and a
-    /// pending mark must not linger or swallow another plan's measure.
-    fn retract_takeover(&self, ctx: &Ctx<'_, KernelMsg>, partition: PartitionId, plan: u64) {
-        phoenix_telemetry::unmark("gsd.takeover", takeover_key(ctx.pid(), partition, plan));
     }
 
     /// A delayed op's instant came.
@@ -1121,12 +1102,11 @@ impl Gsd {
             DelayedOp::GsdTakeover {
                 mut handover,
                 on,
-                plan,
+                planned,
             } => {
                 let hint = handover.hint;
                 if self.ring.get(hint.partition).is_some() {
                     // Already rejoined (rescued by someone else).
-                    self.retract_takeover(ctx, hint.partition, plan);
                     return;
                 }
                 if !ctx.node_reachable(on) {
@@ -1134,26 +1114,24 @@ impl Gsd {
                     // can route to: remote exec across a severed island
                     // is a connection failure, not a silent success. The
                     // rescue sweep retries once the partition heals.
-                    self.retract_takeover(ctx, hint.partition, plan);
                     milestone(ctx, "gsd-spawn-unreachable", hint.partition.0);
                     return;
                 }
                 phoenix_telemetry::counter_add("gsd.takeovers", 1);
-                measure(ctx, "gsd.takeover", takeover_key(ctx.pid(), hint.partition, plan));
+                flight(ctx, "gsd.takeover", planned);
                 handover.epoch = handover.epoch.max(self.ring.epoch());
                 ctx.spawn(on, Box::new(self.replacement(handover)));
             }
-            DelayedOp::GsdRescue { partition, plan } => {
+            DelayedOp::GsdRescue { partition, planned } => {
                 self.failover.end_rescue(partition);
                 let rejoined = self.ring.get(partition).is_some();
                 let hint = self.ring.known(partition).filter(|_| !rejoined);
                 let placed = hint.and_then(|hint| self.place(ctx, &hint, Cause::Rescue));
                 let (Some(hint), Some(placed)) = (hint, placed) else {
                     // Rejoined meanwhile, never known, or nowhere to go.
-                    self.retract_takeover(ctx, partition, plan);
                     return;
                 };
-                let takeover = self.takeover(hint, placed, plan);
+                let takeover = self.takeover(hint, placed, planned);
                 self.run_op(ctx, takeover);
             }
         }
@@ -1169,13 +1147,6 @@ impl Gsd {
                 self.my_nic_known.len() as u64,
             );
             for i in 0..self.my_nic_known.len() {
-                // Keyed on (partition, nic, seq): the successor measures the
-                // same tuple from the message fields, and the per-beat seq
-                // keeps duplicated deliveries from re-measuring a stale mark.
-                phoenix_telemetry::mark(
-                    "meta.heartbeat.flight",
-                    phoenix_telemetry::key(&[self.partition.0 as u64, i as u64, self.hb_seq]),
-                );
                 ctx.send_via(
                     succ.gsd,
                     NicId(i as u8),
@@ -1255,12 +1226,12 @@ impl Gsd {
         }
         let configured = self.topology.partitions.iter().map(|p| p.id);
         for partition in self.ring.missing(configured) {
-            let Some(plan) = self.failover.begin_rescue(partition) else {
+            if !self.failover.begin_rescue(partition) {
                 continue;
-            };
-            phoenix_telemetry::mark("gsd.takeover", takeover_key(ctx.pid(), partition, plan));
+            }
             milestone(ctx, "gsd-rescue-scheduled", partition.0);
-            let rescue = DelayedOp::GsdRescue { partition, plan };
+            let planned = ctx.now();
+            let rescue = DelayedOp::GsdRescue { partition, planned };
             self.schedule(ctx, failover::RESCUE_AFTER, rescue);
         }
     }
@@ -1376,7 +1347,7 @@ impl Gsd {
     /// existing Migrate/duplicate-resolution machinery does the rest (the
     /// replacement joins, the leader replaces our entry, the membership
     /// naming the newer pid makes us yield). No `FaultDiagnosed`, no
-    /// takeover marks: nothing died.
+    /// `gsd.takeover` flight: nothing died.
     fn maybe_drain(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         let ring = &self.ring;
         if self.draining || self.drained || !ring.quarantined().contains(&self.partition) {
@@ -1526,10 +1497,9 @@ impl Gsd {
         role_change(ctx, "frozen");
         self.last_role = None;
         // Abort in-flight probe sessions: a pending diagnosis must not
-        // ripen into a takeover after we lost quorum. `abort_probe`
-        // retracts the suspicion marks so they cannot leak.
+        // ripen into a takeover after we lost quorum.
         for (session, watched) in self.probes.abandon() {
-            if let Some(span) = self.probe_spans.remove(&session) {
+            if let Some((span, _)) = self.probe_spans.remove(&session) {
                 phoenix_telemetry::span_end(span);
             }
             self.abort_probe(watched);
@@ -1564,8 +1534,8 @@ impl Gsd {
     }
 
     /// A ripened meta diagnosis goes ahead only under the regroup layer's
-    /// licence. Refused, the probe session is unwound (suspicion mark
-    /// retracted, probing flag cleared) so the next scan re-suspects.
+    /// licence. Refused, the probe session is unwound (probing flag
+    /// cleared) so the next scan re-suspects.
     fn regroup_licenses_takeover(
         &mut self,
         ctx: &mut Ctx<'_, KernelMsg>,
@@ -1710,9 +1680,9 @@ impl Gsd {
             phoenix_telemetry::counter_add("gsd.dedup.dropped", 1);
             return;
         };
-        let (flight, service, at, id) = match watched {
-            Watched::Wd(node) => ("wd.heartbeat.flight", "wd", node.0, node.0 as u64),
-            Watched::Ring(p) => ("meta.heartbeat.flight", "gsd", ctx.node().0, p.0 as u64),
+        let (flight, service, at) = match watched {
+            Watched::Wd(node) => ("wd.heartbeat.flight", "wd", node.0),
+            Watched::Ring(_) => ("meta.heartbeat.flight", "gsd", ctx.node().0),
         };
         let wd = matches!(watched, Watched::Wd(_));
         if wd && self.nic_health.enabled() {
@@ -1734,12 +1704,7 @@ impl Gsd {
         if wd {
             phoenix_telemetry::counter_add("gsd.wd_heartbeats.received", 1);
         }
-        phoenix_telemetry::measure(
-            flight,
-            service,
-            at,
-            phoenix_telemetry::key(&[id, nic.0 as u64, seq]),
-        );
+        phoenix_telemetry::flight(flight, service, at, ctx.sent_at().0, now.0);
         let Some((node, _)) = tracked else {
             return;
         };
@@ -1975,24 +1940,6 @@ impl Actor<KernelMsg> for Gsd {
                 }
             }
             _ => {}
-        }
-    }
-
-    fn on_kill(&mut self, _now: phoenix_sim::SimTime) {
-        // Probe sessions die with this GSD: abandon their spans with an
-        // `aborted` disposition so `open_spans()` cannot climb across
-        // fault schedules.
-        for span in std::mem::take(&mut self.probe_spans).into_values() {
-            phoenix_telemetry::span_abort(span);
-        }
-        // A GSD that dies frozen (most often: yielding to the majority's
-        // replacement after a heal) abandons its frozen-episode span, and
-        // any round still collecting goes with it.
-        if let Some(span) = self.round_span.take() {
-            phoenix_telemetry::span_abort(span);
-        }
-        if let Some(span) = self.frozen_span.take() {
-            phoenix_telemetry::span_abort(span);
         }
     }
 

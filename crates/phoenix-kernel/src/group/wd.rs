@@ -67,10 +67,6 @@ impl Wd {
         let nics = ctx.nic_count(self.node);
         phoenix_telemetry::counter_add("wd.heartbeats.sent", nics as u64);
         for i in 0..nics {
-            phoenix_telemetry::mark(
-                "wd.heartbeat.flight",
-                phoenix_telemetry::key(&[self.node.0 as u64, i as u64, self.seq]),
-            );
             ctx.send_via(
                 self.gsd,
                 NicId(i as u8),

@@ -215,12 +215,6 @@ impl Actor<KernelMsg> for PpmAgent {
                 };
                 let ack = mine.then(|| {
                     phoenix_telemetry::counter_add("ppm.execs.handled", 1);
-                    phoenix_telemetry::measure(
-                        "ppm.fanout.flight",
-                        "ppm",
-                        self.node.0,
-                        phoenix_telemetry::key(&[req.0, job.0, self.node.0 as u64]),
-                    );
                     let ok = !self.jobs.contains_key(&job);
                     if ok {
                         let (task, detector, agent) = (task.clone(), self.detector, ctx.pid());

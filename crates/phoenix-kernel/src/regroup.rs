@@ -479,11 +479,6 @@ impl Regroup {
         self.epoch
     }
 
-    /// Strict-majority test over the configured partition count.
-    fn is_majority(&self, reachable: u32) -> bool {
-        2 * reachable > self.parts.len() as u32
-    }
-
     /// Open a new round; returns its id. No-op (returns the live round's
     /// id) if one is already collecting. `now` timestamps the round open
     /// for the adaptive-latency sample.
@@ -666,11 +661,7 @@ impl Regroup {
         } else {
             Vec::new()
         };
-        let majority = if self.votes_enabled() {
-            self.weighted_majority(me, &reachable, &dead)
-        } else {
-            self.is_majority(reachable.len() as u32)
-        };
+        let majority = self.weighted_majority(me, &reachable, &dead);
         if majority {
             // A lapsed chain (no majority within the validity window)
             // restarts the takeover-delay clock.
@@ -869,16 +860,22 @@ mod tests {
 
     #[test]
     fn quorum_is_strict_majority() {
-        let mut rg = Regroup::new(fast());
-        rg.set_partitions(&parts(3));
-        assert!(!rg.is_majority(1));
-        assert!(rg.is_majority(2));
-        rg.set_partitions(&parts(4));
-        assert!(!rg.is_majority(2), "even split: neither side wins");
-        assert!(rg.is_majority(3));
-        rg.set_partitions(&parts(8));
-        assert!(!rg.is_majority(4));
-        assert!(rg.is_majority(5));
+        // (partitions, reachable including me, majority)
+        let rows = [
+            (3, 1, false),
+            (3, 2, true),
+            (4, 2, false),
+            (4, 3, true),
+            (8, 4, false),
+            (8, 5, true),
+        ];
+        for (n, reachable, majority) in rows {
+            let mut rg = Regroup::new(fast());
+            rg.set_partitions(&parts(n));
+            let others: Vec<u64> = (1..reachable).collect();
+            let c = conclude_side(&mut rg, PartitionId(0), &others, t(0));
+            assert_eq!(c.majority, majority, "{reachable} of {n}");
+        }
     }
 
     #[test]
@@ -1146,13 +1143,21 @@ mod tests {
 
     #[test]
     fn vote_table_off_keeps_count_majority() {
-        // `fast()` with a configured partition set still runs plain
-        // count majority: both sides of a 2/2 split freeze.
-        let mut a = Regroup::new(fast());
-        a.set_partitions(&parts(4));
-        assert_eq!(witness(&a), None);
-        let c = conclude_side(&mut a, PartitionId(0), &[1], t(0));
-        assert!(!c.majority);
+        // Below the quorum rung there is no witness and no home-node
+        // testimony, so the weighted rule is the strict count majority:
+        // both sides of a 2/2 split of four partitions freeze.
+        // (me, acking peers, majority)
+        let rows: [(u32, &[u64], bool); 3] = [
+            (0, &[1], false),
+            (2, &[3], false),
+            (0, &[1, 2], true),
+        ];
+        for (me, others, majority) in rows {
+            let mut rg = four(fast());
+            assert_eq!(witness(&rg), None);
+            let c = conclude_side(&mut rg, PartitionId(me), others, t(0));
+            assert_eq!(c.majority, majority, "p{me} with {others:?}");
+        }
     }
 
     #[test]

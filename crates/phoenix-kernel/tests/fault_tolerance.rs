@@ -8,10 +8,11 @@ use phoenix_kernel::client::ClientHandle;
 use phoenix_kernel::group::Gsd;
 use phoenix_kernel::KernelParams;
 use phoenix_proto::{
-    BulletinQuery, ClusterTopology, ConsumerReg, EventFilter, EventType, KernelMsg, RequestId,
+    BulletinQuery, ClusterTopology, ConsumerReg, EventFilter, EventType, KernelMsg, PartitionId,
+    RequestId,
 };
 use phoenix_sim::{
-    Diagnosis, Fault, FaultTarget, NicId, NodeId, RecoveryAction, SimDuration, SimTime,
+    Diagnosis, Fault, FaultTarget, NicId, NodeId, Pid, RecoveryAction, SimDuration, SimTime,
     TraceEvent, World,
 };
 
@@ -114,6 +115,43 @@ fn repeated_wd_restarts_leave_no_probe_session_behind() {
         )
     });
     assert_eq!(restarts, 10, "every cycle ran a probe to its verdict");
+}
+
+/// Kill node 2's WD and run until partition 0's GSD probes for it: the
+/// world, the GSD and its node, with the GSD's probe-session span open.
+fn gsd_mid_probe() -> (World<KernelMsg>, Pid, NodeId) {
+    let (mut w, cluster) = small();
+    let gsd = cluster.directory.partition(PartitionId(0)).unwrap();
+    let (pid, node) = (gsd.gsd, gsd.node);
+    w.kill_process(cluster.directory.node(NodeId(2)).unwrap().wd);
+    while w.actor_as::<Gsd>(pid).unwrap().probes_in_flight() == 0 {
+        w.run_for(SimDuration::from_millis(10));
+    }
+    (w, pid, node)
+}
+
+#[test]
+fn a_killed_gsd_aborts_its_probe_session_span() {
+    for crash in [false, true] {
+        phoenix_telemetry::reset();
+        let (mut w, gsd, node) = gsd_mid_probe();
+        let outside = phoenix_telemetry::span_start("test.outside", "test", node.0);
+        let open = || phoenix_telemetry::with(|r| r.open_spans());
+        assert_eq!(open(), 2, "the probe session and the driver's span");
+        if crash {
+            w.apply_fault(Fault::CrashNode(node));
+        } else {
+            w.kill_process(gsd);
+        }
+        assert_eq!(open(), 1, "crash {crash}: only the driver's span survives");
+        let aborted: Vec<_> = phoenix_telemetry::with(|r| {
+            let aborted = r.recorder().iter().filter(|s| s.aborted);
+            aborted.map(|s| (s.path, s.node)).collect()
+        });
+        assert_eq!(aborted, [("gsd.probe.session", node.0)], "crash {crash}");
+        phoenix_telemetry::span_end(outside);
+        assert_eq!(open(), 0);
+    }
 }
 
 #[test]

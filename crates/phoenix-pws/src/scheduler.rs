@@ -20,10 +20,10 @@ use phoenix_kernel::group::RespawnArgs;
 use phoenix_kernel::params::KernelParams;
 use phoenix_kernel::ppm;
 use phoenix_proto::{
-    Action, CheckpointData, ConsumerReg, Event, EventFilter, EventPayload, EventType, JobId,
+    Action, AuthToken, CheckpointData, ConsumerReg, Event, EventFilter, EventPayload, EventType, JobId,
     JobSpec, KernelMsg, MemberInfo, PartitionId, RequestId, ServiceDirectory, ServiceKind,
 };
-use phoenix_sim::{Actor, Ctx, NodeId, Pid, SimDuration, TraceEvent};
+use phoenix_sim::{Actor, Ctx, NodeId, Pid, SimDuration, SimTime, TraceEvent};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
@@ -84,6 +84,9 @@ pub struct PwsScheduler {
     pending_auth: HashMap<u64, (Pid, RequestId, Asked)>,
     pending_lease: Option<u64>,
     next_req: u64,
+    /// Each running job's launch: when it went out, and the targets that
+    /// have not acked it yet (`ppm.fanout.flight`).
+    launches: HashMap<JobId, (SimTime, Vec<NodeId>)>,
 }
 
 impl PwsScheduler {
@@ -110,6 +113,7 @@ impl PwsScheduler {
             pending_auth: HashMap::new(),
             pending_lease: None,
             next_req: 0,
+            launches: HashMap::new(),
         }
     }
 
@@ -141,16 +145,8 @@ impl PwsScheduler {
     }
 
     fn publish_job_event(&self, ctx: &mut Ctx<'_, KernelMsg>, job: JobId) {
-        ctx.send(
-            self.member.info().event,
-            KernelMsg::EsPublish {
-                event: Event::new(
-                    EventType::JobStateChange,
-                    ctx.node(),
-                    EventPayload::Job(job),
-                ),
-            },
-        );
+        let event = Event::new(EventType::JobStateChange, ctx.node(), EventPayload::Job(job));
+        ctx.send(self.member.info().event, KernelMsg::EsPublish { event });
     }
 
     /// One scheduling pass: start as many jobs as the policy allows.
@@ -200,14 +196,9 @@ impl PwsScheduler {
     /// Launch a placement through PPM, announce it and save.
     fn launch(&mut self, ctx: &mut Ctx<'_, KernelMsg>, placed: Placement) {
         let (req, Placement { job, task, nodes }) = (self.req(), placed);
-        // Each target measures its own tree-propagation latency when the
-        // exec reaches it (ppm.fanout.flight in the PPM agent).
         if ppm::exec(ctx, &self.directory, req, job, task, nodes.clone()) {
             phoenix_telemetry::counter_add("pws.jobs.dispatched", 1);
-            for node in nodes {
-                let key = phoenix_telemetry::key(&[req.0, job.0, node.0 as u64]);
-                phoenix_telemetry::mark("ppm.fanout.flight", key);
-            }
+            self.launches.insert(job, (ctx.now(), nodes));
         }
         self.publish_job_event(ctx, job);
         self.save_state(ctx);
@@ -232,6 +223,7 @@ impl PwsScheduler {
     }
 
     fn finish_job(&mut self, ctx: &mut Ctx<'_, KernelMsg>, job: JobId, failed: bool) {
+        self.launches.remove(&job);
         let Some(returns) = self.pool.finish(job) else {
             return;
         };
@@ -279,6 +271,20 @@ impl PwsScheduler {
 
     /// The security service answered the token check behind a submit or a
     /// cancel.
+    /// Ask the security service whether `token` may do `action`; `asked`
+    /// (who asked, under which request id, for what) waits for the answer.
+    fn authorize(
+        &mut self,
+        ctx: &mut Ctx<'_, KernelMsg>,
+        token: AuthToken,
+        action: Action,
+        asked: (Pid, RequestId, Asked),
+    ) {
+        let req = self.req();
+        ctx.send(self.security, KernelMsg::SecCheck { req, token, action });
+        self.pending_auth.insert(req.0, asked);
+    }
+
     fn on_checked(&mut self, ctx: &mut Ctx<'_, KernelMsg>, check: RequestId, allowed: bool) {
         let Some((client, req, asked)) = self.pending_auth.remove(&check.0) else {
             return;
@@ -356,32 +362,24 @@ impl Actor<KernelMsg> for PwsScheduler {
     fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, from: Pid, msg: KernelMsg) {
         match msg {
             KernelMsg::PwsSubmit { req, token, spec } => {
-                let (check, action) = (self.req(), Action::SubmitJob);
-                ctx.send(
-                    self.security,
-                    KernelMsg::SecCheck {
-                        req: check,
-                        token,
-                        action,
-                    },
-                );
-                self.pending_auth
-                    .insert(check.0, (from, req, Asked::Submit(spec)));
+                self.authorize(ctx, token, Action::SubmitJob, (from, req, Asked::Submit(spec)))
             }
             KernelMsg::PwsCancel { req, token, job } => {
-                let (check, action) = (self.req(), Action::CancelJob);
-                ctx.send(
-                    self.security,
-                    KernelMsg::SecCheck {
-                        req: check,
-                        token,
-                        action,
-                    },
-                );
-                self.pending_auth
-                    .insert(check.0, (from, req, Asked::Cancel(job)));
+                self.authorize(ctx, token, Action::CancelJob, (from, req, Asked::Cancel(job)))
             }
             KernelMsg::SecCheckResp { req, allowed } => self.on_checked(ctx, req, allowed),
+            KernelMsg::PpmExecAck { job, node, ok: true, .. } => {
+                // The exec reached `node` when its first ok ack left: that
+                // is the tree fan-out's flight to it.
+                if let Some((at, unacked)) = self.launches.get_mut(&job) {
+                    let before = unacked.len();
+                    unacked.retain(|&n| n != node);
+                    if unacked.len() < before {
+                        let sent = ctx.sent_at().0;
+                        phoenix_telemetry::flight("ppm.fanout.flight", "ppm", node.0, at.0, sent);
+                    }
+                }
+            }
             KernelMsg::PpmExecAck { job, ok: false, .. } => {
                 // Launch failure: tear down and mark failed.
                 if let Some(nodes) = self.pool.nodes_of(job) {

@@ -26,10 +26,6 @@ pub trait Actor<M: Message> {
     /// passed to [`Ctx::set_timer`].
     fn on_timer(&mut self, _ctx: &mut Ctx<'_, M>, _token: u64) {}
 
-    /// Called when the actor is killed or its node crashes. Must not
-    /// schedule new work (the process is already dead); useful for tests.
-    fn on_kill(&mut self, _now: SimTime) {}
-
     /// Short human-readable name used in traces.
     fn name(&self) -> &str {
         "actor"
@@ -77,6 +73,7 @@ pub(crate) enum Command<M: Message> {
 /// handlers.
 pub struct Ctx<'a, M: Message> {
     pub(crate) now: SimTime,
+    pub(crate) sent_at: SimTime,
     pub(crate) self_pid: Pid,
     pub(crate) self_node: NodeId,
     pub(crate) commands: &'a mut Vec<Command<M>>,
@@ -106,6 +103,14 @@ impl<'a, M: Message> Ctx<'a, M> {
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// When the message being handled was sent: the instant its sender's
+    /// handler ran (a duplicated copy carries the original's). [`Ctx::now`]
+    /// in start and timer handlers.
+    #[inline]
+    pub fn sent_at(&self) -> SimTime {
+        self.sent_at
     }
 
     /// The pid of the running actor.

@@ -114,6 +114,8 @@ enum SimEvent<M: Message> {
         msg: M,
         label: &'static str,
         bytes: usize,
+        /// When the sender sent it (a duplicated copy keeps the original's).
+        sent: SimTime,
         /// True for the extra copy a duplicating link scheduled; counted
         /// as `net.dup.delivered` only if it actually reaches a live
         /// process (a dup whose target dies in flight is just a drop).
@@ -284,6 +286,7 @@ impl<M: Message> World<M> {
                 msg,
                 label,
                 bytes,
+                sent: self.clock,
                 dup: false,
             },
         );
@@ -380,9 +383,9 @@ impl<M: Message> World<M> {
     }
 
     fn dispatch(&mut self, seq: u64, ev: SimEvent<M>) {
-        // Publish virtual time to the telemetry layer so spans and
-        // mark/measure pairs opened inside handlers are stamped with the
-        // simulator's clock, not wall time.
+        // Publish virtual time to the telemetry layer so spans opened
+        // inside handlers are stamped with the simulator's clock, not wall
+        // time.
         phoenix_telemetry::clock::set_now(self.clock.0);
         self.metrics.events_processed += 1;
         if self.event_log.is_some() {
@@ -390,7 +393,7 @@ impl<M: Message> World<M> {
         }
         match ev {
             SimEvent::Start { pid } => {
-                self.with_actor(pid, |actor, ctx| actor.on_start(ctx));
+                self.with_actor(pid, self.clock, |actor, ctx| actor.on_start(ctx));
             }
             SimEvent::Deliver {
                 to,
@@ -398,9 +401,10 @@ impl<M: Message> World<M> {
                 msg,
                 label,
                 bytes,
+                sent,
                 dup,
             } => {
-                if self.with_actor(to, |actor, ctx| actor.on_message(ctx, from, msg)) {
+                if self.with_actor(to, sent, |actor, ctx| actor.on_message(ctx, from, msg)) {
                     if dup {
                         phoenix_telemetry::counter_add("net.dup.delivered", 1);
                     }
@@ -413,7 +417,7 @@ impl<M: Message> World<M> {
                 if self.cancelled.remove(&id) {
                     return;
                 }
-                if self.with_actor(pid, |actor, ctx| actor.on_timer(ctx, token)) {
+                if self.with_actor(pid, self.clock, |actor, ctx| actor.on_timer(ctx, token)) {
                     self.metrics.timers_fired += 1;
                     // The handler may have cancelled the timer that just
                     // fired; nothing is left to suppress.
@@ -489,9 +493,11 @@ impl<M: Message> World<M> {
         self.queue.arena_stats()
     }
 
-    /// Run one handler of a live actor, then apply the commands it issued.
-    /// Returns false, running nothing, when `pid` is not alive.
-    fn with_actor<F>(&mut self, pid: Pid, f: F) -> bool
+    /// Run one handler of a live actor, for an event sent at `sent`, then
+    /// apply the commands it issued. Returns false, running nothing, when
+    /// `pid` is not alive. While the handler runs, telemetry sees `pid` as
+    /// the owner of the spans it opens.
+    fn with_actor<F>(&mut self, pid: Pid, sent: SimTime, f: F) -> bool
     where
         F: FnOnce(&mut dyn Actor<M>, &mut Ctx<'_, M>),
     {
@@ -504,6 +510,7 @@ impl<M: Message> World<M> {
         let mut buf = std::mem::take(&mut self.cmdbuf);
         let mut ctx = Ctx {
             now: self.clock,
+            sent_at: sent,
             self_pid: pid,
             self_node: node,
             commands: &mut buf,
@@ -516,7 +523,9 @@ impl<M: Message> World<M> {
                 island: self.network.island(),
             },
         };
+        phoenix_telemetry::clock::set_owner(pid.0);
         f(actor, &mut ctx);
+        phoenix_telemetry::clock::set_owner(0);
         self.apply_commands(pid, &mut buf);
         self.cmdbuf = buf;
         true
@@ -614,6 +623,7 @@ impl<M: Message> World<M> {
                             msg: msg.clone(),
                             label,
                             bytes,
+                            sent: self.clock,
                             dup: true,
                         },
                     );
@@ -627,6 +637,7 @@ impl<M: Message> World<M> {
                         msg,
                         label,
                         bytes,
+                        sent: self.clock,
                         dup: false,
                     },
                 );
@@ -682,16 +693,16 @@ impl<M: Message> World<M> {
         }
     }
 
-    /// Kill one process immediately.
+    /// Kill one process immediately. The telemetry spans its handlers
+    /// left open are recorded as aborted, in span-id order.
     pub fn kill_process(&mut self, pid: Pid) {
         let Some(node) = self.node_of(pid) else {
             return;
         };
         let slot = pid.0 as usize;
         self.live[slot] = None;
-        if let Some(mut actor) = self.actors[slot].take() {
-            actor.on_kill(self.clock);
-        }
+        self.actors[slot] = None;
+        phoenix_telemetry::with(|r| r.abort_spans_of(pid.0));
         let on_node = &mut self.pids_on[node.index()];
         if let Ok(at) = on_node.binary_search(&pid) {
             on_node.remove(at);
@@ -709,15 +720,11 @@ impl<M: Message> World<M> {
                 }
                 n.up = false;
                 n.usage = ResourceUsage::IDLE;
-                // Ascending pid order: telemetry recorded from on_kill
-                // hooks (aborted spans) depends on it.
+                // Ascending pid order: the order aborted spans land in the
+                // flight recorder depends on it.
                 for pid in std::mem::take(&mut self.pids_on[node.index()]) {
                     self.kill_process(pid);
                 }
-                // Backstop for the span leak: any span still open on the
-                // crashed node — whether or not its owning actor's on_kill
-                // closed it — is recorded as aborted rather than leaked.
-                phoenix_telemetry::with(|r| r.abort_node_spans(node.0));
             }
             Fault::RestartNode(node) => {
                 let n = &mut self.nodes[node.index()];
@@ -1404,6 +1411,90 @@ mod tests {
         assert_eq!(w.metrics().total.delivered, 20);
     }
 
+    /// Logs `(handler, now, sent_at)` for every handler it runs, and sets
+    /// one timer on its first message.
+    struct Stamps(std::rc::Rc<std::cell::RefCell<Vec<(&'static str, SimTime, SimTime)>>>);
+    impl Actor<u64> for Stamps {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+            self.0.borrow_mut().push(("start", ctx.now(), ctx.sent_at()));
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, _from: Pid, _msg: u64) {
+            let first = self.0.borrow().iter().all(|&(h, ..)| h != "message");
+            self.0.borrow_mut().push(("message", ctx.now(), ctx.sent_at()));
+            if first {
+                ctx.set_timer(SimDuration::from_millis(5), 0);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, _token: u64) {
+            self.0.borrow_mut().push(("timer", ctx.now(), ctx.sent_at()));
+        }
+    }
+
+    #[test]
+    fn sent_at_is_the_send_instant_and_now_outside_messages() {
+        let (mut w, _) = lossy_world(
+            NetParams {
+                dup_permille: 1000, // every message duplicated
+                ..NetParams::default()
+            },
+            3,
+        );
+        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let rx = w.spawn(NodeId(1), Box::new(Stamps(log.clone())));
+        w.run_for(SimDuration::from_millis(1));
+        let sent = w.now();
+        w.spawn(NodeId(0), Box::new(Flood { peer: rx, n: 1 }));
+        w.run_for(SimDuration::from_secs(1));
+        let log = log.borrow();
+        let handlers: Vec<_> = log.iter().map(|&(h, ..)| h).collect();
+        assert_eq!(handlers, ["start", "message", "message", "timer"]);
+        for &(handler, now, sent_at) in log.iter() {
+            if handler == "message" {
+                assert_eq!(sent_at, sent, "both copies carry the original's send instant");
+                assert!(now > sent, "delivered after a network latency");
+            } else {
+                assert_eq!(sent_at, now, "{handler}: sent_at is now");
+            }
+        }
+    }
+
+    /// Opens one telemetry span on start, another on every message.
+    struct Spanner;
+    impl Actor<u64> for Spanner {
+        fn on_start(&mut self, _ctx: &mut Ctx<'_, u64>) {
+            let _ = phoenix_telemetry::span_start("test.start", "test", 0);
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, u64>, _from: Pid, _msg: u64) {
+            let _ = phoenix_telemetry::span_start("test.message", "test", 0);
+        }
+    }
+
+    #[test]
+    fn a_killed_process_aborts_the_spans_it_opened() {
+        phoenix_telemetry::reset();
+        let mut w = two_node_world();
+        let a = w.spawn(NodeId(1), Box::new(Spanner));
+        let b = w.spawn(NodeId(1), Box::new(Spanner));
+        let c = w.spawn(NodeId(1), Box::new(Spanner));
+        w.run_for(SimDuration::from_millis(1));
+        w.inject(a, 0);
+        w.run_for(SimDuration::from_millis(1));
+        let outside = phoenix_telemetry::span_start("test.outside", "test", 1);
+        let open = || phoenix_telemetry::with(|r| r.open_spans());
+        assert_eq!(open(), 5);
+        w.kill_process(b);
+        assert_eq!(open(), 4, "only b's span");
+        w.apply_fault(Fault::CrashNode(NodeId(1)));
+        assert_eq!(open(), 1, "the crash killed a and c");
+        let aborted: Vec<_> = phoenix_telemetry::with(|r| {
+            r.recorder().iter().filter(|s| s.aborted).map(|s| s.path).collect()
+        });
+        assert_eq!(aborted, ["test.start", "test.start", "test.message", "test.start"]);
+        phoenix_telemetry::span_end(outside);
+        assert_eq!(open(), 0, "a span opened outside any handler outlives every kill");
+        assert!(!w.is_alive(c));
+    }
+
     #[test]
     fn island_partition_blocks_and_heals() {
         let mut w = two_node_world();
@@ -1658,14 +1749,16 @@ mod tests {
         assert_eq!(live_slots(&w), 4);
     }
 
-    /// Appends its tag to a shared list when killed.
+    /// Appends its tag to a shared list when killed (its actor dropped).
     struct KillLog {
         tag: u64,
         order: std::rc::Rc<std::cell::RefCell<Vec<u64>>>,
     }
     impl Actor<u64> for KillLog {
         fn on_message(&mut self, _ctx: &mut Ctx<'_, u64>, _from: Pid, _msg: u64) {}
-        fn on_kill(&mut self, _now: SimTime) {
+    }
+    impl Drop for KillLog {
+        fn drop(&mut self) {
             self.order.borrow_mut().push(self.tag);
         }
     }

@@ -11,9 +11,10 @@
 //!   [`Histogram`]s (mergeable, with p50/p90/p99/max summaries).
 //! * **Spans** keyed to the simulator's *virtual* clock ([`clock`]), so a
 //!   trace taken from a seeded run is bit-identical across repetitions.
-//!   Spans nest (parent/child) and carry a service label. Cross-actor
-//!   latencies (a heartbeat in flight, a federated query fan-out) use the
-//!   keyed [`MetricsRegistry::mark`]/[`MetricsRegistry::measure`] pair.
+//!   Spans nest (parent/child), carry a service label and belong to the
+//!   process whose handler opened them: killing it aborts them. A latency
+//!   whose start the ending actor already knows (a heartbeat's send
+//!   instant, a query's start) is recorded whole with [`flight`].
 //! * [`FlightRecorder`] — a bounded per-node ring buffer of recently
 //!   completed spans for post-mortem dumps after fault injection.
 //! * [`BenchReport`] — serializes a run's registry into
@@ -144,50 +145,16 @@ pub fn span_abort(id: SpanId) {
     with(|r| r.span_abort(id));
 }
 
-/// Start a keyed cross-actor measurement (e.g. heartbeat leaves the WD).
-pub fn mark(path: &'static str, key: u64) {
-    with(|r| r.mark(path, key));
-}
-
-/// Finish a keyed cross-actor measurement (e.g. heartbeat reaches the
-/// GSD); records the elapsed virtual time under `path` and returns it.
-pub fn measure(path: &'static str, service: &'static str, node: u32, key: u64) -> Option<u64> {
-    with(|r| r.measure(path, service, node, key))
-}
-
-/// Retract a keyed measurement without recording it (the flight was
-/// cancelled rather than lost); returns whether a mark was outstanding.
-pub fn unmark(path: &'static str, key: u64) -> bool {
-    with(|r| r.unmark(path, key))
-}
-
-/// Mix a set of identifying fields into a single `mark`/`measure` key.
-///
-/// Both sides of a cross-actor measurement must derive the key from fields
-/// present in the message itself (node, nic, sequence number, …); this
-/// folds them through a splitmix64-style finalizer so distinct tuples do
-/// not collide on simple sums.
-pub fn key(parts: &[u64]) -> u64 {
-    let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
-    for &p in parts {
-        let mut z = h ^ p.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        h = z ^ (z >> 31);
-    }
-    h
+/// Record a completed flight from `start_ns` to `end_ns` (virtual
+/// nanoseconds), timed by the actor that saw it end: one `path` histogram
+/// sample and one flight-recorder record on `node`.
+pub fn flight(path: &'static str, service: &'static str, node: u32, start_ns: u64, end_ns: u64) {
+    with(|r| r.flight(path, service, node, start_ns, end_ns));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn keys_separate_tuples() {
-        assert_ne!(key(&[1, 2]), key(&[2, 1]));
-        assert_ne!(key(&[0, 3]), key(&[3, 0]));
-        assert_eq!(key(&[4, 5, 6]), key(&[4, 5, 6]));
-    }
 
     #[test]
     fn shards_isolate_and_restore() {
@@ -238,14 +205,11 @@ mod tests {
         counter_add("x", 2);
         counter_add("x", 3);
         gauge_set("g", 0.5);
-        mark("flight", 7);
-        clock::set_now(250);
-        assert_eq!(measure("flight", "svc", 1, 7), Some(250));
-        assert_eq!(measure("flight", "svc", 1, 7), None, "mark consumed");
+        flight("flight", "svc", 1, 0, 250);
         with(|r| {
             assert_eq!(r.counter("x"), 5);
             assert_eq!(r.gauge("g"), Some(0.5));
-            assert_eq!(r.histogram("flight").unwrap().summary().count, 1);
+            assert_eq!(r.histogram("flight").unwrap().summary().max_ns, 250);
         });
         reset();
         with(|r| assert_eq!(r.counter("x"), 0));

@@ -1,24 +1,25 @@
-//! The metrics registry: counters, gauges, latency histograms, spans, and
-//! cross-actor mark/measure pairs.
+//! The metrics registry: counters, gauges, latency histograms, spans and
+//! flights.
 //!
 //! All names are `&'static str` — instrumentation sites use literals, so
 //! the registry never allocates for keys and map order (BTreeMap) is the
 //! literal's lexicographic order, keeping report output deterministic.
 //!
-//! Two latency idioms:
+//! Spans ([`MetricsRegistry::span_start`]/[`span_end`]) are regions whose
+//! start and end the *same* actor observes — e.g. a GSD probe session that
+//! opens on one timer event and resolves on a later one. Closing a span
+//! records its virtual-time duration into the `path` histogram and appends
+//! a [`SpanRecord`] to the flight recorder. A span belongs to the process
+//! whose handler opened it ([`clock::set_owner`]); killing that process
+//! aborts it ([`MetricsRegistry::abort_spans_of`]).
 //!
-//! * **Spans** ([`MetricsRegistry::span_start`]/[`span_end`]) for regions
-//!   whose start and end the *same* actor observes — e.g. a GSD membership
-//!   scan that begins on one timer event and concludes on a later one.
-//!   Closing a span records its virtual-time duration into the `path`
-//!   histogram and appends a [`SpanRecord`] to the flight recorder.
-//! * **Mark/measure** ([`MetricsRegistry::mark`]/[`measure`]) for
-//!   latencies that cross actors — a heartbeat in flight, a federated
-//!   query fan-out — where no span id can ride along in the message; the
-//!   two sides agree on a `u64` key derived from message fields.
+//! A latency that crosses actors — a heartbeat in flight, a federated
+//! query fan-out — is timed whole by the actor that sees it end, from an
+//! instant it already holds (the simulator's send stamp, a request's start):
+//! [`MetricsRegistry::flight`] records the same sample and record a closed
+//! span would.
 //!
 //! [`span_end`]: MetricsRegistry::span_end
-//! [`measure`]: MetricsRegistry::measure
 
 use std::collections::BTreeMap;
 
@@ -41,6 +42,8 @@ struct OpenSpan {
     service: &'static str,
     node: u32,
     start_ns: u64,
+    /// The pid whose handler opened the span, 0 outside any handler.
+    owner: u64,
 }
 
 /// A histogram plus the service label it was first recorded under.
@@ -50,23 +53,14 @@ pub struct PathStats {
     pub hist: Histogram,
 }
 
-/// TTL for outstanding marks, in virtual nanoseconds. Legitimate
-/// cross-actor flights (heartbeats, probes, detect→diagnose episodes) are
-/// milliseconds-to-seconds scale even under the paper's 30 s-heartbeat
-/// profile, so 120 virtual seconds only ever reaps marks whose measuring
-/// message was lost.
-pub(crate) const MARK_TTL_NS: u64 = 120_000_000_000;
-
 #[derive(Debug)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
     hists: BTreeMap<&'static str, PathStats>,
-    marks: BTreeMap<(&'static str, u64), u64>,
     open: BTreeMap<SpanId, OpenSpan>,
     next_span: u64,
     recorder: FlightRecorder,
-    last_mark_sweep_ns: u64,
 }
 
 impl Default for MetricsRegistry {
@@ -81,11 +75,9 @@ impl MetricsRegistry {
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
             hists: BTreeMap::new(),
-            marks: BTreeMap::new(),
             open: BTreeMap::new(),
             next_span: 1,
             recorder: FlightRecorder::default(),
-            last_mark_sweep_ns: 0,
         }
     }
 
@@ -136,7 +128,8 @@ impl MetricsRegistry {
 
     // --- spans -------------------------------------------------------------
 
-    /// Open a span at the current virtual time ([`clock::now`]).
+    /// Open a span at the current virtual time ([`clock::now`]), owned by
+    /// the running handler's pid ([`clock::owner`]).
     pub fn span_start(
         &mut self,
         path: &'static str,
@@ -146,7 +139,8 @@ impl MetricsRegistry {
     ) -> SpanId {
         let id = SpanId(self.next_span);
         self.next_span += 1;
-        self.open.insert(id, OpenSpan { parent, path, service, node, start_ns: clock::now() });
+        let (start_ns, owner) = (clock::now(), clock::owner());
+        self.open.insert(id, OpenSpan { parent, path, service, node, start_ns, owner });
         id
     }
 
@@ -169,7 +163,7 @@ impl MetricsRegistry {
     }
 
     /// Abandon a span without recording a latency observation: the region
-    /// never completed (its node died mid-flight). The span still lands in
+    /// never completed (its process died mid-flight). The span still lands in
     /// the flight recorder — with `aborted: true` and the abort time as
     /// `end_ns` — so post-mortems can see what was in progress, but the
     /// `path` histogram stays untouched. Unknown ids are ignored.
@@ -188,17 +182,19 @@ impl MetricsRegistry {
         });
     }
 
-    /// Abort every open span owned by `node` (chaos killed it). Returns
-    /// the number of spans aborted.
-    pub fn abort_node_spans(&mut self, node: u32) -> usize {
-        // In span-id order (`open` is a `BTreeMap`): the abort order decides
-        // how the records land in the flight recorder (same abort timestamp).
-        let doomed: Vec<SpanId> =
-            self.open.iter().filter(|(_, s)| s.node == node).map(|(&id, _)| id).collect();
-        for id in &doomed {
-            self.span_abort(*id);
+    /// Abort every open span owned by the process `pid` (it was killed),
+    /// in span-id order: the abort order decides how the records land in
+    /// the flight recorder (same abort timestamp). Spans opened outside any
+    /// handler have no owner and are never aborted here.
+    pub fn abort_spans_of(&mut self, pid: u64) {
+        if pid == 0 {
+            return;
         }
-        doomed.len()
+        let doomed: Vec<SpanId> =
+            self.open.iter().filter(|(_, s)| s.owner == pid).map(|(&id, _)| id).collect();
+        for id in doomed {
+            self.span_abort(id);
+        }
     }
 
     /// Spans opened but not yet closed (leak detector for tests).
@@ -210,87 +206,31 @@ impl MetricsRegistry {
         &self.recorder
     }
 
-    // --- cross-actor mark/measure ------------------------------------------
+    // --- flights -------------------------------------------------------------
 
-    /// Stamp the current virtual time under `(path, key)`. A second mark
-    /// with the same key overwrites (latest send wins — matches
-    /// retransmission semantics).
-    ///
-    /// Marks whose measuring message was lost would otherwise live
-    /// forever, so every `MARK_TTL_NS` of virtual time this lazily sweeps
-    /// out entries older than the TTL (see [`expire_marks_older_than`]).
-    ///
-    /// [`expire_marks_older_than`]: MetricsRegistry::expire_marks_older_than
-    pub(crate) fn mark(&mut self, path: &'static str, key: u64) {
-        let now = clock::now();
-        if now < self.last_mark_sweep_ns {
-            // Virtual clock rewound (fresh run on a reused registry).
-            self.last_mark_sweep_ns = now;
-        } else if now.saturating_sub(self.last_mark_sweep_ns) >= MARK_TTL_NS {
-            self.expire_marks_older_than(MARK_TTL_NS);
-            self.last_mark_sweep_ns = now;
-        }
-        self.marks.insert((path, key), now);
-    }
-
-    /// Drop every outstanding mark older than `age_ns` (virtual time),
-    /// bumping the `telemetry.marks.expired` counter per reaped entry.
-    /// Returns how many were expired. Called lazily from [`mark`] with the
-    /// TTL; tests and invariant checks may call it directly with a tighter
-    /// window.
-    ///
-    /// [`mark`]: MetricsRegistry::mark
-    pub fn expire_marks_older_than(&mut self, age_ns: u64) -> u64 {
-        let now = clock::now();
-        let cutoff = now.saturating_sub(age_ns);
-        let before = self.marks.len();
-        self.marks.retain(|_, &mut stamped| stamped >= cutoff);
-        let expired = (before - self.marks.len()) as u64;
-        if expired > 0 {
-            self.counter_add("telemetry.marks.expired", expired);
-        }
-        expired
-    }
-
-    /// Consume the mark for `(path, key)`: records `now - mark` under
-    /// `path` and returns the elapsed nanoseconds. `None` if no mark is
-    /// outstanding (e.g. the originating message was dropped or the mark
-    /// was already measured).
-    pub(crate) fn measure(
+    /// Record a flight that started at `start_ns` and ended at `end_ns`: its
+    /// duration under `path`, and a root record on `node`'s ring that takes
+    /// the next span id, as a span opened and closed at those instants would.
+    pub(crate) fn flight(
         &mut self,
         path: &'static str,
         service: &'static str,
         node: u32,
-        key: u64,
-    ) -> Option<u64> {
-        let start = self.marks.remove(&(path, key))?;
-        let end = clock::now();
-        let elapsed = end.saturating_sub(start);
-        self.observe(path, service, elapsed);
+        start_ns: u64,
+        end_ns: u64,
+    ) {
+        self.observe(path, service, end_ns.saturating_sub(start_ns));
         self.recorder.push(SpanRecord {
             id: SpanId(self.next_span),
             parent: SpanId::NONE,
             path,
             service,
             node,
-            start_ns: start,
-            end_ns: end,
+            start_ns,
+            end_ns,
             aborted: false,
         });
         self.next_span += 1;
-        Some(elapsed)
-    }
-
-    /// Drop an outstanding mark without recording a measurement — the
-    /// flight was retracted (e.g. a suspicion cleared mid-probe), not
-    /// completed or lost. Returns whether a mark was outstanding.
-    pub(crate) fn unmark(&mut self, path: &'static str, key: u64) -> bool {
-        self.marks.remove(&(path, key)).is_some()
-    }
-
-    /// Marks stamped but never measured (messages still in flight or lost).
-    pub fn outstanding_marks(&self) -> usize {
-        self.marks.len()
     }
 
     // --- shard merge -------------------------------------------------------
@@ -305,8 +245,6 @@ impl MetricsRegistry {
     ///   shared names (the later shard in merge order is "most recent");
     /// * **histograms** — exact [`Histogram::merge`] (shard-merge == whole
     ///   is pinned by the histogram tests);
-    /// * **marks** — union, `other` wins on key collision (same
-    ///   latest-send-wins rule as re-marking);
     /// * **open spans** — re-numbered into this registry's id space and
     ///   kept open (shards handed to `merge` at end-of-run normally have
     ///   zero — the leak invariants gate that);
@@ -325,9 +263,6 @@ impl MetricsRegistry {
                 .or_insert_with(|| PathStats { service: stats.service, hist: Histogram::new() })
                 .hist
                 .merge(&stats.hist);
-        }
-        for (&key, &stamped) in &other.marks {
-            self.marks.insert(key, stamped);
         }
         for span in other.open.values() {
             let id = SpanId(self.next_span);
@@ -380,40 +315,20 @@ mod tests {
     }
 
     #[test]
-    fn measure_without_mark_is_none() {
-        let mut r = MetricsRegistry::new();
-        assert_eq!(r.measure("p", "s", 0, 9), None);
-        r.mark("p", 9);
-        assert_eq!(r.outstanding_marks(), 1);
-    }
-
-    #[test]
-    fn stale_marks_expire_after_ttl() {
+    fn a_flight_lands_one_sample_and_one_record() {
         let mut r = MetricsRegistry::new();
         clock::set_now(0);
-        r.mark("lost", 1); // its measure will never arrive
-        clock::set_now(100);
-        r.mark("lost", 2);
-        let later = MARK_TTL_NS + 2_000;
-        clock::set_now(later); // > last sweep (0) + ttl -> lazy sweep fires
-        r.mark("fresh", 3);
-        assert_eq!(r.outstanding_marks(), 1, "stale marks reaped, fresh kept");
-        assert_eq!(r.counter("telemetry.marks.expired"), 2);
-        // The fresh mark is still measurable.
-        clock::set_now(later + 50);
-        assert_eq!(r.measure("fresh", "s", 0, 3), Some(50));
-    }
-
-    #[test]
-    fn expire_marks_older_than_is_callable_directly() {
-        let mut r = MetricsRegistry::new();
-        clock::set_now(0);
-        r.mark("a", 1);
-        clock::set_now(500);
-        r.mark("b", 2);
-        clock::set_now(600);
-        assert_eq!(r.expire_marks_older_than(200), 1, "only the 600ns-old mark reaped");
-        assert_eq!(r.outstanding_marks(), 1);
+        let before = r.span_start("p", "s", 0, SpanId::NONE);
+        r.flight("hb", "wd", 5, 1_000, 1_250);
+        let h = r.histogram("hb").unwrap().summary();
+        assert_eq!((h.count, h.max_ns), (1, 250));
+        let recs: Vec<_> = r.recorder().iter().filter(|s| s.node == 5).collect();
+        assert_eq!(recs.len(), 1);
+        let rec = recs[0];
+        assert_eq!((rec.path, rec.service, rec.start_ns, rec.end_ns), ("hb", "wd", 1_000, 1_250));
+        assert_eq!((rec.parent, rec.aborted), (SpanId::NONE, false));
+        assert_eq!(rec.id.0, before.0 + 1, "numbered like a span");
+        assert_eq!(r.span_start("p", "s", 0, SpanId::NONE).0, before.0 + 2);
     }
 
     #[test]
@@ -435,31 +350,37 @@ mod tests {
     }
 
     #[test]
-    fn abort_node_spans_only_hits_that_node() {
+    fn a_kill_aborts_the_spans_its_process_opened() {
         let mut r = MetricsRegistry::new();
         clock::set_now(0);
-        let _a = r.span_start("p", "s", 1, SpanId::NONE);
-        let _b = r.span_start("p", "s", 2, SpanId::NONE);
-        let _c = r.span_start("p", "s", 1, SpanId::NONE);
-        assert_eq!(r.abort_node_spans(1), 2);
-        assert_eq!(r.open_spans(), 1, "node 2's span untouched");
+        clock::set_owner(7);
+        let a = r.span_start("p", "s", 1, SpanId::NONE);
+        clock::set_owner(8);
+        let _b = r.span_start("p", "s", 1, SpanId::NONE);
+        clock::set_owner(7);
+        let c = r.span_start("p", "s", 2, a);
+        clock::set_owner(0);
+        let _outside = r.span_start("p", "s", 1, SpanId::NONE);
+        r.abort_spans_of(7);
+        assert_eq!(r.open_spans(), 2, "pid 8's span and the ownerless one stay");
+        let ids: Vec<_> = r.recorder().iter().map(|s| (s.id, s.aborted)).collect();
+        assert_eq!(ids, [(a, true), (c, true)], "in id order, across nodes");
+        r.abort_spans_of(0);
+        assert_eq!(r.open_spans(), 2, "no owner, nothing to abort");
     }
 
     #[test]
-    fn merge_counters_gauges_hists_marks() {
+    fn merge_counters_gauges_hists() {
         clock::set_now(0);
         let mut a = MetricsRegistry::new();
         a.counter_add("c", 2);
         a.gauge_set("g", 1.0);
         a.observe("h", "s", 100);
-        a.mark("m", 7);
         let mut b = MetricsRegistry::new();
         b.counter_add("c", 3);
         b.counter_add("only_b", 1);
         b.gauge_set("g", 9.0);
         b.observe("h", "s", 300);
-        clock::set_now(40);
-        b.mark("m", 7); // collides: other's (later) stamp must win
 
         a.merge(&b);
         assert_eq!(a.counter("c"), 5);
@@ -468,8 +389,6 @@ mod tests {
         let h = a.histogram("h").unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.summary().max_ns, 300);
-        clock::set_now(100);
-        assert_eq!(a.measure("m", "s", 0, 7), Some(60), "other's mark stamp won");
     }
 
     #[test]

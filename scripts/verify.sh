@@ -20,10 +20,9 @@
 # regenerated file. The bin itself exits non-zero when a number leaves its
 # tolerance. table4_linpack.txt is left out: it times real threads, so it is
 # the host's, not the code's. The same run writes results/BENCH_kernel.json,
-# which must carry latency percentiles for the instrumented kernel paths;
-# Tables 1-2 must cross-check against the kernel's histograms, and the
-# service-exercise pass must share a single booted world (it used to boot
-# four).
+# the merge of the telemetry every artifact recorded, which must carry
+# latency percentiles for the instrumented kernel paths; Tables 1-2 must
+# cross-check against the kernel's histograms.
 #
 # Every seeded chaos sweep is phoenix-bench's chaos_sweep; the chaos binary
 # only replays. Every violation chaos_sweep reports comes with a shrunk
@@ -48,14 +47,16 @@
 # used to have were prefixes of this stage and are gone; the sweep stanza's
 # `--seeds 25 --small` row is a prefix of the --small sweep. The lossy sweep also
 # guards chaos_sweep itself: every schedule must get a telemetry registry
-# of its own, or from about seed 100 the marks of earlier schedules read as
+# of its own, or spans earlier schedules' worlds were dropped with read as
 # leaks (spurious telemetry-leak lines). The stage runs ahead of the sweep
 # stanza: its runs overwrite results/BENCH_chaos.json, and the stanza's
 # chaos_sweep row writes the committed report back.
 #
 # The digest stage runs every BENCHMARK.json workload for one host second on
-# seeds 1 and 2 and compares each sim_digest with scripts/bench_digests.txt:
-# a PR that must not alter behaviour no longer copies ten digests by hand.
+# seeds 1 and 2 and compares every `exact` line of each run (sim_digest,
+# takeover percentiles, failed_ops_share, event counts, ...) with
+# scripts/bench_digests.txt, naming each line that moved: a PR that must not
+# alter behaviour no longer compares 120 lines by hand.
 #
 # The sweep stage runs the sweep bin (the five ablation sweeps: loss_sweep,
 # nic_asymmetry, partition_sweep, quorum_sweep, slow_sweep) and chaos_sweep,
@@ -190,19 +191,6 @@ grep -q 'telemetry cross-check' /tmp/paper.out || {
     exit 1
 }
 
-# The service-exercise pass must share ONE world (the pre-refactor pass
-# booted four for the same path coverage) and stay fast: generous 10 s
-# bound vs ~tens of ms observed.
-grep -q 'exercise pass: 1 world' /tmp/paper.out || {
-    echo "FAIL: exercise pass no longer shares a single world" >&2
-    exit 1
-}
-wall_ms=$(sed -n 's/.*exercise pass: 1 world.*, \([0-9]*\) ms wall/\1/p' /tmp/paper.out)
-[ -n "$wall_ms" ] && [ "$wall_ms" -lt 10000 ] || {
-    echo "FAIL: exercise pass took ${wall_ms:-?} ms (speedup regressed)" >&2
-    exit 1
-}
-
 echo "== ratchet: 300 chaos schedules per preset fail exactly as scripts/known_chaos_failures.txt says =="
 # The sweep exits 1 when any seed failed, which says nothing about which;
 # the gate is the set of failing seeds. A failing seed that is not listed is
@@ -231,35 +219,45 @@ sort /tmp/chaos_failing.txt | diff /tmp/chaos_known.txt - || {
     echo "      ('<' listed but passes: delete the line; '>' fails but unlisted: a regression)" >&2
     exit 1
 }
-# Every schedule must get a telemetry registry of its own, or from about
-# seed 100 the marks of earlier schedules read as leaks.
+# Every schedule must get a telemetry registry of its own, or spans earlier
+# schedules' worlds were dropped with read as leaks.
 if grep 'telemetry-leak' /tmp/chaos_300_lossy.out; then
     echo "FAIL: chaos_sweep --seeds 300 reports telemetry-leak (registry not isolated per schedule?)" >&2
     exit 1
 fi
 
-echo "== ratchet: benchmark sim_digests equal scripts/bench_digests.txt =="
+echo "== ratchet: benchmark exact lines equal scripts/bench_digests.txt =="
 # Every event a workload dispatches goes into its digest, so an unchanged
-# digest is unchanged behaviour on that workload. The stage only calls the
+# digest is unchanged behaviour on that workload; the other exact lines are
+# what the perf ledger reports from those events. The stage only calls the
 # benchmark; nothing under benchmark/ is written but its ignored results/.
 moved=""
-while read -r workload seed want; do
-    case $workload in
-        '#'* | '') continue ;;
-    esac
+for pair in $(grep -v '^#' scripts/bench_digests.txt | awk 'NF { print $1 ":" $2 }' | uniq); do
+    workload=${pair%:*} seed=${pair#*:}
+    out=/tmp/bench_exact_${workload}_$seed.out
     rc=0
-    bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 1 \
-        > "/tmp/bench_digest_$workload.out" || rc=$?
-    if [ "$rc" -ne 0 ] || grep 'CHECK-FAILED' "/tmp/bench_digest_$workload.out"; then
+    bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 1 > "$out" || rc=$?
+    if [ "$rc" -ne 0 ] || grep 'CHECK-FAILED' "$out"; then
         echo "FAIL: benchmark/run.sh --workload $workload --seed $seed failed a check (exit $rc)" >&2
         exit 1
     fi
-    have=$(sed -n "s/^$workload sim_digest \([0-9a-f]*\) .*/\1/p" "/tmp/bench_digest_$workload.out")
-    echo "$workload seed $seed: sim_digest ${have:-missing} (pinned $want)"
-    [ "$have" = "$want" ] || moved="$moved $workload/$seed"
-done < scripts/bench_digests.txt
+    sed -n "s/^$workload \(.*\) exact$/$workload $seed \1/p" "$out" > "$out.have"
+    grep "^$workload $seed " scripts/bench_digests.txt > "$out.want"
+    # One line per exact line that moved, went missing or is not pinned.
+    awk 'NR == FNR { have[$3] = $4 " " $5; next }
+        !($3 in have) { print "  " $3 ": pinned " $4 ", missing"; next }
+        have[$3] != $4 " " $5 { print "  " $3 ": pinned " $4 " " $5 ", now " have[$3] }
+        { delete have[$3] }
+        END { for (n in have) print "  " n ": not pinned, now " have[n] }' \
+        "$out.have" "$out.want" > "$out.moved"
+    echo "$workload seed $seed: $(grep -c . "$out.have") exact lines, $(grep -c . "$out.moved") moved"
+    if [ -s "$out.moved" ]; then
+        cat "$out.moved"
+        moved="$moved $workload/$seed"
+    fi
+done
 [ -z "$moved" ] || {
-    echo "FAIL: behaviour moved on:$moved (sim_digest differs from scripts/bench_digests.txt)" >&2
+    echo "FAIL: behaviour moved on:$moved (exact lines differ from scripts/bench_digests.txt)" >&2
     exit 1
 }
 

@@ -183,8 +183,8 @@ fn differential_lossy_shrunk_mask_8_88() {
         Golden {
             events: 0x15c7_88d7_ca8b_3fe7,
             trace: 0x6fdc_043f_0dfa_5bfb,
-            flight: 0x615b_1d61_1de7_a7aa,
-            registry: 0x817d_e925_dd85_f6dd,
+            flight: 0x1418_44b1_7b70_968a,
+            registry: 0xbb79_6e29_db90_1d56,
         },
     );
 }
@@ -199,8 +199,8 @@ fn differential_lossy_shrunk_mask_15_5ee() {
         Golden {
             events: 0x29e5_1362_e84b_6ed3,
             trace: 0x7d45_f66c_aaac_d85f,
-            flight: 0x201c_94a2_c83d_2699,
-            registry: 0xb6b9_0c20_5d8c_1556,
+            flight: 0x1826_4772_5ddf_58c3,
+            registry: 0xebff_4f6a_2a77_7455,
         },
     );
 }
@@ -215,8 +215,8 @@ fn differential_partition_island_split_seed_26() {
         Golden {
             events: 0xb993_e699_b1af_c43e,
             trace: 0x2270_0f07_a90e_2732,
-            flight: 0x1dea_fe0f_1fd3_784f,
-            registry: 0x7b61_ab58_885d_a53a,
+            flight: 0xefa7_849b_33e1_9b96,
+            registry: 0x0795_d534_7194_e975,
         },
     );
 }
@@ -231,8 +231,8 @@ fn differential_nic_flap_seed_4() {
         Golden {
             events: 0xa36e_a42c_f8e5_f87c,
             trace: 0x4a96_45ae_7fbc_ac15,
-            flight: 0xf969_4c0b_5362_f66f,
-            registry: 0x102f_24b1_d0a4_6532,
+            flight: 0xbeb4_cdfc_b2b5_86d2,
+            registry: 0xd4ac_a5fb_df4e_d64b,
         },
     );
 }
@@ -247,8 +247,8 @@ fn differential_lossy_seed_178() {
         Golden {
             events: 0x93da_8e83_27f9_fff5,
             trace: 0x79ad_ed7e_fe48_7ad1,
-            flight: 0x4ece_1ad6_a285_6dcf,
-            registry: 0xb68a_7cf1_c700_fcfe,
+            flight: 0x5d2b_8b62_6e19_2335,
+            registry: 0x4cfc_48b5_619c_2ad6,
         },
     );
 }
@@ -266,8 +266,8 @@ fn differential_quorum_even_split_seed_21() {
         Golden {
             events: 0x69a1_ad83_9707_2ae7,
             trace: 0x2f84_cbb3_7d5f_bf62,
-            flight: 0x5899_9cdc_3880_c46f,
-            registry: 0xf4a8_8a6d_8b3a_f689,
+            flight: 0x960c_b0e8_43be_366e,
+            registry: 0x01e6_045f_ef0f_bdfe,
         },
     );
 }
@@ -285,8 +285,8 @@ fn differential_slow_double_gray_seed_1() {
         Golden {
             events: 0xeff6_16f2_01e1_525a,
             trace: 0x5d4d_fdb5_dd6c_ee07,
-            flight: 0xf3e1_e1f4_503c_6829,
-            registry: 0xcb9b_daab_91d9_7087,
+            flight: 0x66c0_9c68_b383_4b80,
+            registry: 0x82e4_e670_7cd9_f3ee,
         },
     );
 }
