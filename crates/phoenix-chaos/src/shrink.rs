@@ -177,9 +177,8 @@ pub fn flight_recorder_dump(limit: usize) -> String {
     use std::fmt::Write as _;
     phoenix_telemetry::with(|reg| {
         let mut out = String::new();
-        let mut spans: Vec<_> = reg.recorder().iter().collect();
-        spans.sort_by_key(|s| s.end_ns);
-        let skip = spans.len().saturating_sub(limit);
+        let spans = reg.recorder().newest(limit);
+        let skip = reg.recorder().len() - spans.len();
         if skip > 0 || reg.recorder().evicted() > 0 {
             let _ = writeln!(
                 out,
@@ -188,7 +187,7 @@ pub fn flight_recorder_dump(limit: usize) -> String {
                 reg.recorder().evicted()
             );
         }
-        for s in spans.into_iter().skip(skip) {
+        for s in spans {
             let _ = writeln!(
                 out,
                 "  [{:>10} - {:>10}] node {:>2} {:<12} {}{}",

@@ -1680,9 +1680,9 @@ impl Gsd {
             phoenix_telemetry::counter_add("gsd.dedup.dropped", 1);
             return;
         };
-        let (flight, service, at) = match watched {
-            Watched::Wd(node) => ("wd.heartbeat.flight", "wd", node.0),
-            Watched::Ring(_) => ("meta.heartbeat.flight", "gsd", ctx.node().0),
+        let (flight, service) = match watched {
+            Watched::Wd(_) => ("wd.heartbeat.flight", "wd"),
+            Watched::Ring(_) => ("meta.heartbeat.flight", "gsd"),
         };
         let wd = matches!(watched, Watched::Wd(_));
         if wd && self.nic_health.enabled() {
@@ -1704,7 +1704,9 @@ impl Gsd {
         if wd {
             phoenix_telemetry::counter_add("gsd.wd_heartbeats.received", 1);
         }
-        phoenix_telemetry::flight(flight, service, at, ctx.sent_at().0, now.0);
+        // A beat is a histogram sample, not a flight-recorder record: a
+        // steady cluster leaves the recorder to its episodes.
+        phoenix_telemetry::observe(flight, service, now.0.saturating_sub(ctx.sent_at().0));
         let Some((node, _)) = tracked else {
             return;
         };

@@ -13,10 +13,12 @@
 //!   trace taken from a seeded run is bit-identical across repetitions.
 //!   Spans nest (parent/child), carry a service label and belong to the
 //!   process whose handler opened them: killing it aborts them. A latency
-//!   whose start the ending actor already knows (a heartbeat's send
-//!   instant, a query's start) is recorded whole with [`flight`].
+//!   whose start the ending actor already knows (a message's send instant,
+//!   a query's start) is recorded whole with [`flight`]; one that is only a
+//!   sample, like a heartbeat's, goes to [`observe`] and leaves no record.
 //! * [`FlightRecorder`] — a bounded per-node ring buffer of recently
-//!   completed spans for post-mortem dumps after fault injection.
+//!   completed spans and flights for post-mortem dumps after fault
+//!   injection: episodes, not steady-state beats.
 //! * [`BenchReport`] — serializes a run's registry into
 //!   `results/BENCH_kernel.json` with a hand-rolled JSON writer (no serde).
 //!
@@ -118,7 +120,8 @@ pub fn gauge_set(name: &'static str, value: f64) {
     with(|r| r.gauge_set(name, value));
 }
 
-/// Record a latency observation directly (nanoseconds) under `path`.
+/// Record a latency observation directly (nanoseconds) under `path`: a
+/// histogram sample with no flight-recorder record and no span id.
 pub fn observe(path: &'static str, service: &'static str, nanos: u64) {
     with(|r| r.observe(path, service, nanos));
 }
@@ -137,12 +140,6 @@ pub fn span_child(path: &'static str, service: &'static str, node: u32, parent: 
 /// completed record in the flight recorder.
 pub fn span_end(id: SpanId) {
     with(|r| r.span_end(id));
-}
-
-/// Abandon a span (its node died): recorded in the flight recorder with
-/// an `aborted` disposition, no latency observation.
-pub fn span_abort(id: SpanId) {
-    with(|r| r.span_abort(id));
 }
 
 /// Record a completed flight from `start_ns` to `end_ns` (virtual

@@ -94,6 +94,14 @@ impl FlightRecorder {
         self.rings.values().flatten()
     }
 
+    /// The `n` retained spans that ended last, oldest first: a stable sort
+    /// by `end_ns` over [`iter`](Self::iter), so ties keep node order.
+    pub fn newest(&self, n: usize) -> Vec<&SpanRecord> {
+        let mut all: Vec<&SpanRecord> = self.iter().collect();
+        all.sort_by_key(|r| r.end_ns);
+        all.split_off(all.len().saturating_sub(n))
+    }
+
     pub fn len(&self) -> usize {
         self.rings.values().map(|r| r.len()).sum()
     }

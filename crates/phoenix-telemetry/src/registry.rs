@@ -13,11 +13,13 @@
 //! whose handler opened it ([`clock::set_owner`]); killing that process
 //! aborts it ([`MetricsRegistry::abort_spans_of`]).
 //!
-//! A latency that crosses actors — a heartbeat in flight, a federated
-//! query fan-out — is timed whole by the actor that sees it end, from an
-//! instant it already holds (the simulator's send stamp, a request's start):
-//! [`MetricsRegistry::flight`] records the same sample and record a closed
-//! span would.
+//! A latency that crosses actors — an event forwarded to a peer, a
+//! federated query fan-out — is timed whole by the actor that sees it end,
+//! from an instant it already holds (the simulator's send stamp, a
+//! request's start): [`MetricsRegistry::flight`] records the same sample
+//! and record a closed span would. A latency that is only a sample — a
+//! heartbeat in flight — is [`observe`](MetricsRegistry::observe)d: the
+//! histogram without a record, so the recorder keeps episodes.
 //!
 //! [`span_end`]: MetricsRegistry::span_end
 

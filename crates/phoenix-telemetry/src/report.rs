@@ -44,8 +44,9 @@ impl BenchReport {
         self.document(reg, usize::MAX)
     }
 
-    /// The document with at most the newest `recent_cap` flight-recorder
-    /// records; `retained` and `evicted` report the true counts either way.
+    /// The document with at most the `recent_cap` flight-recorder records
+    /// that ended last, in end order; `retained` and `evicted` report the
+    /// true counts either way.
     fn document(&self, reg: &MetricsRegistry, recent_cap: usize) -> Json {
         let mut hists = Json::obj();
         for (path, stats) in reg.histograms() {
@@ -78,8 +79,7 @@ impl BenchReport {
         }
 
         let mut flight = Vec::new();
-        let skip = reg.recorder().len().saturating_sub(recent_cap);
-        for rec in reg.recorder().iter().skip(skip) {
+        for rec in reg.recorder().newest(recent_cap) {
             flight.push(
                 Json::obj()
                     .set("node", Json::UInt(rec.node as u64))
@@ -205,5 +205,17 @@ mod tests {
         assert!(written.contains(&format!("\"retained\": {total}")));
         assert!(!written.contains("\"start_ns\": 43,"), "oldest dropped");
         assert!(written.contains(&format!("\"start_ns\": {}", total - 1)));
+    }
+
+    #[test]
+    fn a_capped_report_keeps_the_records_that_ended_last_across_nodes() {
+        let mut reg = MetricsRegistry::new();
+        for (node, end) in [(1, 300), (1, 400), (2, 100), (2, 200)] {
+            reg.flight("p", "svc", node, end - 10, end);
+        }
+        let text = BenchReport::new("t").document(&reg, 2).render();
+        assert_eq!(text.matches("\"node\": 1,").count(), 2, "node 1 ended last: {text}");
+        assert!(text.contains("\"end_ns\": 300") && text.contains("\"end_ns\": 400"));
+        assert!(!text.contains("\"node\": 2,"), "node 2's records ended first");
     }
 }

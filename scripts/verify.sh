@@ -130,13 +130,19 @@ for example in quickstart hpc_batch_cluster business_hosting operations_console;
 done
 
 # landed FILE NEEDLES: assert that results/FILE landed and names every
-# comma-separated NEEDLE as a JSON key.
+# comma-separated NEEDLE as a JSON key, and that its flight recorder holds
+# no heartbeat: a beat is a histogram sample, so the recorder keeps
+# episodes.
 landed() {
     file=$1 needles=$2
     test -s "results/$file" || {
         echo "FAIL: results/$file missing or empty" >&2
         exit 1
     }
+    if grep -qE '"path": "(wd|meta)\.heartbeat\.flight"' "results/$file"; then
+        echo "FAIL: results/$file holds a heartbeat flight-recorder record (beats are histogram samples)" >&2
+        exit 1
+    fi
     for needle in $(echo "$needles" | tr ',' ' '); do
         grep -q "\"$needle\"" "results/$file" || {
             echo "FAIL: \"$needle\" not found in results/$file" >&2
@@ -371,7 +377,7 @@ grep -q 'NicDegrade' /tmp/chaos_flap.out || {
     exit 1
 }
 
-echo "== report: results/ sizes in KB (ROADMAP Small, results/: written reports keep the newest 256 recorder spans) =="
+echo "== report: results/ sizes in KB (written reports keep the 256 recorder records that ended last) =="
 du -k results/*
 du -sk results
 

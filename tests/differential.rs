@@ -183,8 +183,8 @@ fn differential_lossy_shrunk_mask_8_88() {
         Golden {
             events: 0x15c7_88d7_ca8b_3fe7,
             trace: 0x6fdc_043f_0dfa_5bfb,
-            flight: 0x1418_44b1_7b70_968a,
-            registry: 0xbb79_6e29_db90_1d56,
+            flight: 0x6932_0fbd_621a_d1b1,
+            registry: 0xd7e1_e421_664c_d521,
         },
     );
 }
@@ -199,8 +199,8 @@ fn differential_lossy_shrunk_mask_15_5ee() {
         Golden {
             events: 0x29e5_1362_e84b_6ed3,
             trace: 0x7d45_f66c_aaac_d85f,
-            flight: 0x1826_4772_5ddf_58c3,
-            registry: 0xebff_4f6a_2a77_7455,
+            flight: 0xac3d_e311_941a_f96f,
+            registry: 0xd088_83fa_1d9b_2bfc,
         },
     );
 }
@@ -215,8 +215,8 @@ fn differential_partition_island_split_seed_26() {
         Golden {
             events: 0xb993_e699_b1af_c43e,
             trace: 0x2270_0f07_a90e_2732,
-            flight: 0xefa7_849b_33e1_9b96,
-            registry: 0x0795_d534_7194_e975,
+            flight: 0x54ca_f09d_b2a4_d490,
+            registry: 0x269b_eaa7_03ff_50ee,
         },
     );
 }
@@ -231,8 +231,8 @@ fn differential_nic_flap_seed_4() {
         Golden {
             events: 0xa36e_a42c_f8e5_f87c,
             trace: 0x4a96_45ae_7fbc_ac15,
-            flight: 0xbeb4_cdfc_b2b5_86d2,
-            registry: 0xd4ac_a5fb_df4e_d64b,
+            flight: 0x4e4e_1827_6b4b_96eb,
+            registry: 0x4ee9_16a9_23f6_6395,
         },
     );
 }
@@ -247,8 +247,8 @@ fn differential_lossy_seed_178() {
         Golden {
             events: 0x93da_8e83_27f9_fff5,
             trace: 0x79ad_ed7e_fe48_7ad1,
-            flight: 0x5d2b_8b62_6e19_2335,
-            registry: 0x4cfc_48b5_619c_2ad6,
+            flight: 0x8e43_ce99_f766_7946,
+            registry: 0xd1dc_ac30_7e12_1bd6,
         },
     );
 }
@@ -266,8 +266,8 @@ fn differential_quorum_even_split_seed_21() {
         Golden {
             events: 0x69a1_ad83_9707_2ae7,
             trace: 0x2f84_cbb3_7d5f_bf62,
-            flight: 0x960c_b0e8_43be_366e,
-            registry: 0x01e6_045f_ef0f_bdfe,
+            flight: 0xf7a7_e29c_9362_b149,
+            registry: 0xa56d_d432_cc91_4830,
         },
     );
 }
@@ -285,8 +285,8 @@ fn differential_slow_double_gray_seed_1() {
         Golden {
             events: 0xeff6_16f2_01e1_525a,
             trace: 0x5d4d_fdb5_dd6c_ee07,
-            flight: 0x66c0_9c68_b383_4b80,
-            registry: 0x82e4_e670_7cd9_f3ee,
+            flight: 0x90c2_afec_7ddf_de8a,
+            registry: 0x7c5c_d0a8_f180_1936,
         },
     );
 }

@@ -1,8 +1,9 @@
 //! Workspace-level telemetry integration tests: the observability
 //! subsystem measured against the live kernel rather than synthetic
 //! inputs — shard-merge associativity of the histograms, bit-identical
-//! span streams across identically seeded runs, and flight-recorder
-//! eviction behaviour at capacity.
+//! span streams across identically seeded runs, no recorder writes from a
+//! fault-free cluster in steady state, and flight-recorder eviction
+//! behaviour at capacity.
 
 use phoenix::kernel::boot::boot_and_stabilize;
 use phoenix::kernel::KernelParams;
@@ -77,13 +78,33 @@ fn span_stream_is_deterministic_across_runs() {
     let b = span_stream(71);
     assert!(!a.is_empty(), "scenario produced spans");
     assert!(
-        a.iter().any(|(p, ..)| *p == "wd.heartbeat.flight"),
-        "heartbeat spans present: {:?}",
+        a.iter().any(|(p, ..)| *p == "gsd.detect_to_diagnose"),
+        "the WD kill's detection episode present: {:?}",
         &a[..a.len().min(5)]
     );
     assert_eq!(a, b, "identical seeds → identical span streams");
     let c = span_stream(72);
     assert_ne!(a, c, "different seed → different span stream");
+}
+
+/// A fault-free cluster writes nothing to the flight recorder in steady
+/// state: every accepted WD beat is one `wd.heartbeat.flight` histogram
+/// sample and no record, so the recorder keeps its rings for episodes.
+#[test]
+fn a_fault_free_cluster_records_no_steady_state() {
+    for params in [KernelParams::fast(), KernelParams::fast_slow()] {
+        let shard = phoenix::telemetry::shard_begin();
+        phoenix::telemetry::clock::set_now(0);
+        let (mut w, _) = boot_and_stabilize(ClusterTopology::uniform(3, 5, 1), params, 7);
+        w.run_for(SimDuration::from_secs(10));
+        let settled = phoenix::telemetry::with(|r| r.recorder().len());
+        w.run_for(SimDuration::from_secs(60));
+        let reg = shard.take();
+        assert_eq!(reg.recorder().len(), settled, "60 quiet seconds left records behind");
+        let beats = reg.counter("gsd.wd_heartbeats.received");
+        assert!(beats > 0, "the WDs beat");
+        assert_eq!(reg.histogram("wd.heartbeat.flight").unwrap().count(), beats);
+    }
 }
 
 /// Run one boot + WD-kill scenario against the live kernel, leaving its
