@@ -320,13 +320,7 @@ impl Actor<KernelMsg> for ConfigService {
         }
         // Re-send with the *current* directory entry: the GSD may have
         // restarted the WD (new pid) since the node came up.
-        let Some(services) = self
-            .directory
-            .nodes
-            .iter()
-            .find(|n| n.node == node)
-            .copied()
-        else {
+        let Some(services) = self.directory.node(node).copied() else {
             return;
         };
         self.wire_node(ctx, services);

@@ -37,6 +37,7 @@
 //! It keeps the watch table, the delayed-op table and the telemetry span
 //! ids, which are no decisions.
 
+use crate::directory::NodeTable;
 use crate::federation::{self, Lapsed, Registered, Rejoin, Supervisor};
 use crate::group::dirsync::DirSync;
 use crate::group::failover::{self, Cause, Failover, Placement};
@@ -51,7 +52,7 @@ use crate::regroup::{self, Licence, Regroup, Why};
 use crate::slow_detect::{self, SlowDetect, SlowTransition, Verdict as SlowVerdict};
 use phoenix_proto::{
     ClusterTopology, Event, EventPayload, EventType, KernelMsg, MemberInfo, NodeServices,
-    PartitionId, RequestId, ServiceKind,
+    PartitionId, RequestId, ServiceDirectory, ServiceKind, Shared,
 };
 use phoenix_sim::{
     Actor, Ctx, Diagnosis, FaultTarget, NicId, NodeId, Pid, RecoveryAction, SimDuration, SimTime,
@@ -222,14 +223,13 @@ pub struct Gsd {
     /// The meta-group as this GSD holds it: members in ring order, epoch,
     /// quarantine set, last known coordinates.
     ring: Ring,
-    /// This partition's per-node daemons, by node.
-    node_daemons: BTreeMap<NodeId, NodeServices>,
-    /// Watch-daemon pids for *every* cluster node (not just our own
-    /// partition's): regroup rounds probe a silent partition's home-node
-    /// WDs for dead-GSD testimony. Seeded from the boot/respawn
-    /// directory; foreign entries refreshed by config's
-    /// `DirectoryUpdateNode` fan-out (vote-table profiles only).
-    cluster_wds: BTreeMap<NodeId, Pid>,
+    /// Every cluster node's daemons: this partition's nodes (the topology
+    /// says which) are watched and told about views and freezes; regroup
+    /// rounds probe a silent partition's home-node WDs for dead-GSD
+    /// testimony. Wired from the boot/respawn directory; refreshed by
+    /// config's `DirectoryUpdateNode` pushes (foreign nodes under
+    /// vote-table profiles only) and by this GSD's WD restarts.
+    table: NodeTable,
 
     /// Every daemon this GSD watches, in scan order: the partition's WDs
     /// by node, then the ring predecessor (at most one).
@@ -331,8 +331,7 @@ impl Gsd {
             init: Some(init),
             local: MemberInfo::unwired(partition),
             ring: Ring::new(partition),
-            node_daemons: BTreeMap::new(),
-            cluster_wds: BTreeMap::new(),
+            table: NodeTable::default(),
             peers: Vec::new(),
             supervisor: Supervisor::default(),
             my_nic_known: Vec::new(),
@@ -459,7 +458,7 @@ impl Gsd {
             watched: Watched::Wd(node),
             pid: wd,
             node,
-            ppm: self.node_daemons.get(&node).map_or(Pid(0), |n| n.ppm),
+            ppm: self.table.get(node).map_or(Pid(0), |n| n.ppm),
             member: None,
             live: Liveness::new(self.my_nic_known.len(), now),
         };
@@ -548,7 +547,7 @@ impl Gsd {
         for pid in self.kernel_services().chain(self.supervisor.roster().map(|(_, pid)| pid)) {
             ctx.send(pid, view.clone());
         }
-        for ns in self.node_daemons.values() {
+        for ns in self.own_rows() {
             ctx.send(ns.wd, view.clone());
             ctx.send(ns.detector, view.clone());
         }
@@ -625,17 +624,21 @@ impl Gsd {
         }
     }
 
-    fn ingest_node_daemons(&mut self, nodes: &[NodeServices]) {
-        let Some(spec) = self.topology.partition(self.partition) else {
-            return;
-        };
-        let mine = spec.all_nodes();
-        for ns in nodes {
-            self.cluster_wds.insert(ns.node, ns.wd);
-            if mine.contains(&ns.node) {
-                self.node_daemons.insert(ns.node, *ns);
-            }
-        }
+    /// Whether `node` is one of this partition's nodes.
+    fn owns(&self, node: NodeId) -> bool {
+        let spec = self.topology.partition(self.partition);
+        spec.is_some_and(|s| {
+            s.server == node || s.backups.contains(&node) || s.compute.contains(&node)
+        })
+    }
+
+    /// This partition's node daemons, in ascending node order.
+    fn own_rows(&self) -> Vec<NodeServices> {
+        let spec = self.topology.partition(self.partition);
+        let mut nodes = spec.map_or(Vec::new(), |spec| spec.all_nodes());
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes.into_iter().filter_map(|node| self.table.get(node)).collect()
     }
 
     fn finish_wiring(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
@@ -652,7 +655,7 @@ impl Gsd {
         if self.nic_health.nic_count() != nics {
             self.nic_health = NicHealth::new(self.params.ft.nic_health(), nics);
         }
-        if let Some(ns) = self.node_daemons.get(&ctx.node()) {
+        if let Some(ns) = self.table.get(ctx.node()).filter(|ns| self.owns(ns.node)) {
             self.local.host_ppm = ns.ppm;
         }
 
@@ -660,7 +663,7 @@ impl Gsd {
         let now = ctx.now();
         if let Some(spec) = self.topology.partition(self.partition).cloned() {
             for node in spec.all_nodes() {
-                let wd = self.node_daemons.get(&node).map(|ns| ns.wd);
+                let wd = self.table.get(node).map(|ns| ns.wd);
                 match (self.peer_of_mut(Watched::Wd(node)), wd) {
                     // A track config already pushed (`DirectoryUpdateNode`
                     // ahead of the wiring reply) stays, sized to the
@@ -700,11 +703,10 @@ impl Gsd {
     /// wired from the boot directory's own entry and membership; a
     /// replacement from its rescuer's hint and snapshot — and it alone has
     /// a recovery to finish.
-    fn wire(&mut self, ctx: &mut Ctx<'_, KernelMsg>, dir: &phoenix_proto::ServiceDirectory) {
+    fn wire(&mut self, ctx: &mut Ctx<'_, KernelMsg>, dir: Shared<ServiceDirectory>) {
         let Some(init) = self.init.take() else {
             return;
         };
-        self.ingest_node_daemons(&dir.nodes);
         let (hint, members, epoch, recovery) = match init {
             // The directory was built before spawn order: our own entry
             // is ours.
@@ -714,6 +716,7 @@ impl Gsd {
             }
             GsdInit::Respawn(h) => (h.hint, h.members, h.epoch, Some(h.action)),
         };
+        self.table.wire(dir);
         self.local = hint;
         self.local.gsd = ctx.pid();
         self.local.node = ctx.node();
@@ -1009,11 +1012,11 @@ impl Gsd {
             RecoveryAction::RestartedInPlace,
         );
         let new_pid = ctx.spawn(node, Box::new(wd));
-        if let Some(ns) = self.node_daemons.get_mut(&node) {
+        if let Some(mut ns) = self.table.get(node) {
             ns.wd = new_pid;
-            let updated = *ns;
-            ctx.send(self.config, KernelMsg::DirectoryUpdateNode { services: updated });
-            self.dir.node_changed(updated);
+            self.table.update(ns);
+            ctx.send(self.config, KernelMsg::DirectoryUpdateNode { services: ns });
+            self.dir.node_changed(ns);
         }
         self.watch_wd(node, new_pid, ctx.now());
         let recovered = EventPayload::Service(ServiceKind::WatchDaemon, node);
@@ -1260,7 +1263,7 @@ impl Gsd {
         targets.extend(self.ring.predecessor().map(|p| (p.node, p.gsd)));
         if self.ring.role() == Role::Leader {
             targets.extend(self.ring.others().map(|m| (m.node, m.gsd)));
-            targets.extend(self.node_daemons.values().map(|ns| (ns.node, ns.wd)));
+            targets.extend(self.own_rows().iter().map(|ns| (ns.node, ns.wd)));
         }
         let own = ctx.node();
         let mut seen: BTreeSet<NodeId> = BTreeSet::new();
@@ -1413,9 +1416,9 @@ impl Gsd {
             }
         }
         if let Some(probe) = round.home_probe {
-            for (&node, &wd) in &self.cluster_wds {
-                if wd != Pid(0) && !self.node_daemons.contains_key(&node) {
-                    self.send_routed(ctx, wd, node, probe.clone());
+            for ns in self.table.rows() {
+                if ns.wd != Pid(0) && !self.owns(ns.node) {
+                    self.send_routed(ctx, ns.wd, ns.node, probe.clone());
                 }
             }
         }
@@ -1527,7 +1530,7 @@ impl Gsd {
     /// frozen detector stops exporting.
     fn freeze_fanout(&self, ctx: &mut Ctx<'_, KernelMsg>, frozen: bool) {
         let msg = KernelMsg::RegroupFreeze { frozen };
-        let detectors = self.node_daemons.values().map(|ns| ns.detector);
+        let detectors = self.own_rows().into_iter().map(|ns| ns.detector);
         for pid in self.kernel_services().chain(detectors) {
             ctx.send(pid, msg.clone());
         }
@@ -1750,11 +1753,9 @@ impl Actor<KernelMsg> for Gsd {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, from: Pid, msg: KernelMsg) {
         match msg {
-            KernelMsg::Boot(dir) if matches!(self.init, Some(GsdInit::Boot)) => {
-                self.wire(ctx, &dir)
-            }
+            KernelMsg::Boot(dir) if matches!(self.init, Some(GsdInit::Boot)) => self.wire(ctx, dir),
             KernelMsg::CfgDirectory { directory, .. } if self.awaits_directory() => {
-                self.wire(ctx, &directory)
+                self.wire(ctx, Shared::new(*directory))
             }
             KernelMsg::WdHeartbeat { node, nic, seq } => {
                 self.on_heartbeat(ctx, from, Watched::Wd(node), nic, seq)
@@ -1878,20 +1879,15 @@ impl Actor<KernelMsg> for Gsd {
             KernelMsg::DirectoryUpdateNode { services } => {
                 // Config respawned a node's daemons (node brought back up).
                 let node = services.node;
-                self.cluster_wds.insert(node, services.wd);
+                self.table.update(services);
                 // Vote-table profiles fan this out to *every* GSD so
                 // regroup probes reach fresh WD pids; only the owning
                 // partition tracks the node for fault monitoring.
-                let mine = self
-                    .topology
-                    .partition(self.partition)
-                    .is_some_and(|spec| spec.all_nodes().contains(&node));
-                if !mine {
+                if !self.owns(node) {
                     return;
                 }
                 // Config's push supersedes anything we were re-asserting.
                 self.dir.node_superseded(node);
-                self.node_daemons.insert(node, services);
                 let was_down = self
                     .peer_of(Watched::Wd(node))
                     .is_some_and(|p| p.live.is_down());

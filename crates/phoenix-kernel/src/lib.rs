@@ -26,6 +26,7 @@ pub(crate) mod bulletin;
 pub(crate) mod checkpoint;
 pub mod client;
 pub mod config;
+pub(crate) mod directory;
 pub(crate) mod detect;
 pub(crate) mod event;
 pub mod federation;

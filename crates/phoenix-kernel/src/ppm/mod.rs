@@ -14,8 +14,9 @@
 //! that register with the node's application-state detector, drive their
 //! configured resource load, and exit after their run time.
 
+use crate::directory::NodeTable;
 use crate::rpc::DedupWindow;
-use phoenix_proto::{JobId, KernelMsg, NodeServices, RequestId, ServiceDirectory, TaskSpec};
+use phoenix_proto::{JobId, KernelMsg, RequestId, ServiceDirectory, TaskSpec};
 use phoenix_sim::{Actor, Ctx, NodeId, Pid, SimDuration};
 use std::collections::HashMap;
 
@@ -64,14 +65,8 @@ impl Actor<KernelMsg> for AppProc {
     }
 }
 
-/// The agent a request for `targets` is handed to: the tree fan-out starts
-/// at the first target. `None` when `directory` does not know that node.
-fn entry(directory: &ServiceDirectory, targets: &[NodeId]) -> Option<Pid> {
-    directory.node(*targets.first()?).map(|ns| ns.ppm)
-}
-
 /// Client side of a load: start `task` of `job` on `targets`, each of which
-/// acks to the caller. False, and nothing sent, when [`entry`] finds no agent.
+/// acks to the caller. False, and nothing sent, when [`request`] finds no agent.
 pub fn exec(
     ctx: &mut Ctx<'_, KernelMsg>,
     directory: &ServiceDirectory,
@@ -80,18 +75,15 @@ pub fn exec(
     task: TaskSpec,
     targets: Vec<NodeId>,
 ) -> bool {
-    let Some(agent) = entry(directory, &targets) else {
-        return false;
-    };
+    let reply_to = ctx.pid();
     let load = KernelMsg::PpmExec {
         req,
         job,
         task,
         targets,
-        reply_to: ctx.pid(),
+        reply_to,
     };
-    ctx.send(agent, load);
-    true
+    request(ctx, directory, load)
 }
 
 /// Client side of a delete: kill `job`'s tasks on `targets` and clean up
@@ -103,25 +95,42 @@ pub fn delete(
     job: JobId,
     targets: Vec<NodeId>,
 ) -> bool {
-    let Some(agent) = entry(directory, &targets) else {
-        return false;
-    };
+    let reply_to = ctx.pid();
     let delete = KernelMsg::PpmDelete {
         req,
         job,
         targets,
-        reply_to: ctx.pid(),
+        reply_to,
     };
-    ctx.send(agent, delete);
+    request(ctx, directory, delete)
+}
+
+/// Hand a load or delete to the agent of its first target, where the tree
+/// fan-out starts. False, and nothing sent, when `directory` does not know
+/// that node.
+fn request(ctx: &mut Ctx<'_, KernelMsg>, directory: &ServiceDirectory, mut msg: KernelMsg) -> bool {
+    let first = targets_mut(&mut msg).and_then(|targets| targets.first().copied());
+    let Some(agent) = first.and_then(|node| directory.node(node)) else {
+        return false;
+    };
+    ctx.send(agent.ppm, msg);
     true
+}
+
+/// The targets of a load or delete.
+fn targets_mut(msg: &mut KernelMsg) -> Option<&mut Vec<NodeId>> {
+    match msg {
+        KernelMsg::PpmExec { targets, .. } | KernelMsg::PpmDelete { targets, .. } => Some(targets),
+        _ => None,
+    }
 }
 
 /// The per-node PPM agent.
 pub(crate) struct PpmAgent {
     node: NodeId,
-    /// PPM agents of every node (for tree forwarding).
-    table: HashMap<NodeId, Pid>,
-    detector: Pid,
+    /// Every node's daemons: PPM agents for tree forwarding, this node's
+    /// detector for the apps it starts.
+    table: NodeTable,
     /// Local app processes by job.
     jobs: HashMap<JobId, Pid>,
     /// Requests already processed, with the ack sent for them (if this
@@ -134,59 +143,89 @@ impl PpmAgent {
     pub(crate) fn new(node: NodeId) -> Self {
         PpmAgent {
             node,
-            table: HashMap::new(),
-            detector: Pid(0),
+            table: NodeTable::default(),
             jobs: HashMap::new(),
             seen: DedupWindow::new(64),
         }
     }
 
-    /// Forward `targets` (not containing self) down the binomial tree:
-    /// repeatedly delegate the far half to its first node.
-    fn forward<F>(&self, ctx: &mut Ctx<'_, KernelMsg>, mut targets: Vec<NodeId>, make: F)
-    where
-        F: Fn(Vec<NodeId>) -> KernelMsg,
-    {
-        while !targets.is_empty() {
-            let take = targets.len().div_ceil(2);
-            let sub: Vec<NodeId> = targets.split_off(targets.len() - take);
-            if let Some(&head_pid) = self.table.get(&sub[0]) {
-                phoenix_telemetry::counter_add("ppm.tree.forwards", 1);
-                ctx.send(head_pid, make(sub));
-            }
-            // An unknown head silently drops that subtree; the requester's
-            // ack count exposes the loss.
-        }
+    /// This node's detector, told about the apps the agent starts and kills.
+    fn detector(&self) -> Pid {
+        self.table.get(self.node).map_or(Pid(0), |ns| ns.detector)
     }
 
-    /// Front of both tree requests. A duplicate (network duplication or an
-    /// upstream retry) gets its recorded ack replayed and is neither
-    /// re-executed nor re-forwarded: `None`. Otherwise this node is taken out
-    /// of `targets`, and the answer is whether it was one.
-    fn admit(
-        &mut self,
-        ctx: &mut Ctx<'_, KernelMsg>,
-        reply_to: Pid,
-        req: RequestId,
-        targets: &mut Vec<NodeId>,
-    ) -> Option<bool> {
+    /// A load or delete: this node's part if it is a target, acked to the
+    /// requester, then the other targets down the binomial tree. A
+    /// duplicate (network duplication or an upstream retry) gets its
+    /// recorded ack replayed and is neither re-executed nor re-forwarded.
+    fn on_request(&mut self, ctx: &mut Ctx<'_, KernelMsg>, mut msg: KernelMsg) {
+        let (KernelMsg::PpmExec {
+            req, job, reply_to, ..
+        }
+        | KernelMsg::PpmDelete {
+            req, job, reply_to, ..
+        }) = msg
+        else {
+            return;
+        };
         if let Some(cached) = self.seen.replay(&(reply_to, req.0)) {
             if let Some(ack) = cached.clone() {
                 ctx.send(reply_to, ack);
             }
-            return None;
+            return;
         }
+        let mut targets = targets_mut(&mut msg)
+            .map(std::mem::take)
+            .unwrap_or_default();
         let asked = targets.len();
         targets.retain(|&t| t != self.node);
-        Some(targets.len() < asked)
-    }
-
-    fn ingest_table(&mut self, nodes: &[NodeServices]) {
-        for ns in nodes {
-            self.table.insert(ns.node, ns.ppm);
-            if ns.node == self.node {
-                self.detector = ns.detector;
+        let node = self.node;
+        let ack = (targets.len() < asked).then(|| {
+            let ack = match &msg {
+                KernelMsg::PpmExec { task, .. } => {
+                    phoenix_telemetry::counter_add("ppm.execs.handled", 1);
+                    let ok = !self.jobs.contains_key(&job);
+                    if ok {
+                        let (task, detector, agent) = (task.clone(), self.detector(), ctx.pid());
+                        let app = AppProc {
+                            job,
+                            task,
+                            detector,
+                            agent,
+                        };
+                        self.jobs.insert(job, ctx.spawn(node, Box::new(app)));
+                    }
+                    KernelMsg::PpmExecAck { req, job, node, ok }
+                }
+                _ => {
+                    // Kill the task and clean up: the detector is told the
+                    // app is gone so resource accounting resets.
+                    if let Some(pid) = self.jobs.remove(&job) {
+                        ctx.kill(pid);
+                        let failed = false;
+                        ctx.send(self.detector(), KernelMsg::AppExited { job, pid, failed });
+                    }
+                    KernelMsg::PpmDeleteAck { req, job, node }
+                }
+            };
+            ctx.send(reply_to, ack.clone());
+            ack
+        });
+        self.seen.record((reply_to, req.0), ack);
+        // Repeatedly delegate the far half to its first node.
+        while !targets.is_empty() {
+            let take = targets.len().div_ceil(2);
+            let sub: Vec<NodeId> = targets.split_off(targets.len() - take);
+            if let Some(head) = self.table.get(sub[0]) {
+                phoenix_telemetry::counter_add("ppm.tree.forwards", 1);
+                let mut forward = msg.clone();
+                if let Some(targets) = targets_mut(&mut forward) {
+                    *targets = sub;
+                }
+                ctx.send(head.ppm, forward);
             }
+            // An unknown head silently drops that subtree; the requester's
+            // ack count exposes the loss.
         }
     }
 }
@@ -198,79 +237,12 @@ impl Actor<KernelMsg> for PpmAgent {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, from: Pid, msg: KernelMsg) {
         match msg {
-            KernelMsg::Boot(dir) => self.ingest_table(&dir.nodes),
-            KernelMsg::DirectoryUpdateNode { services } => self.ingest_table(&[services]),
+            KernelMsg::Boot(dir) => self.table.wire(dir),
+            KernelMsg::DirectoryUpdateNode { services } => self.table.update(services),
             KernelMsg::ProbeReq { req } => {
                 ctx.send(from, KernelMsg::ProbeResp { req });
             }
-            KernelMsg::PpmExec {
-                req,
-                job,
-                task,
-                mut targets,
-                reply_to,
-            } => {
-                let Some(mine) = self.admit(ctx, reply_to, req, &mut targets) else {
-                    return;
-                };
-                let ack = mine.then(|| {
-                    phoenix_telemetry::counter_add("ppm.execs.handled", 1);
-                    let ok = !self.jobs.contains_key(&job);
-                    if ok {
-                        let (task, detector, agent) = (task.clone(), self.detector, ctx.pid());
-                        let app = AppProc {
-                            job,
-                            task,
-                            detector,
-                            agent,
-                        };
-                        let pid = ctx.spawn(self.node, Box::new(app));
-                        self.jobs.insert(job, pid);
-                    }
-                    let node = self.node;
-                    let ack = KernelMsg::PpmExecAck { req, job, node, ok };
-                    ctx.send(reply_to, ack.clone());
-                    ack
-                });
-                self.seen.record((reply_to, req.0), ack);
-                self.forward(ctx, targets, move |sub| KernelMsg::PpmExec {
-                    req,
-                    job,
-                    task: task.clone(),
-                    targets: sub,
-                    reply_to,
-                });
-            }
-            KernelMsg::PpmDelete {
-                req,
-                job,
-                mut targets,
-                reply_to,
-            } => {
-                let Some(mine) = self.admit(ctx, reply_to, req, &mut targets) else {
-                    return;
-                };
-                let ack = mine.then(|| {
-                    // Kill the task and clean up: the detector is told the
-                    // app is gone so resource accounting resets.
-                    if let Some(pid) = self.jobs.remove(&job) {
-                        ctx.kill(pid);
-                        let failed = false;
-                        ctx.send(self.detector, KernelMsg::AppExited { job, pid, failed });
-                    }
-                    let node = self.node;
-                    let ack = KernelMsg::PpmDeleteAck { req, job, node };
-                    ctx.send(reply_to, ack.clone());
-                    ack
-                });
-                self.seen.record((reply_to, req.0), ack);
-                self.forward(ctx, targets, move |sub| KernelMsg::PpmDelete {
-                    req,
-                    job,
-                    targets: sub,
-                    reply_to,
-                });
-            }
+            KernelMsg::PpmExec { .. } | KernelMsg::PpmDelete { .. } => self.on_request(ctx, msg),
             KernelMsg::AppExited { job, .. } => {
                 self.jobs.remove(&job);
             }
@@ -287,7 +259,7 @@ impl Actor<KernelMsg> for PpmAgent {
 mod tests {
     use super::*;
     use crate::client::ClientHandle;
-    use phoenix_proto::{RequestId, ServiceDirectory};
+    use phoenix_proto::{NodeServices, RequestId, ServiceDirectory};
     use phoenix_sim::{ClusterBuilder, NodeSpec, World};
 
     /// Build n nodes each with a PPM agent and a stub detector (client).
@@ -342,6 +314,54 @@ mod tests {
             .filter(|(_, m)| matches!(m, KernelMsg::PpmExecAck { ok: true, .. }))
             .count();
         assert_eq!(acks, 16);
+    }
+
+    /// A node's daemons restarted: the forward to its subtree goes to the
+    /// agent config's `DirectoryUpdateNode` named, not the boot one.
+    #[test]
+    fn a_forward_after_a_directory_update_goes_to_the_new_head() {
+        let (mut w, agents, det) = setup(4);
+        let client = ClientHandle::spawn(&mut w, NodeId(0));
+        let new_head = ClientHandle::spawn(&mut w, NodeId(2));
+        let services = NodeServices {
+            node: NodeId(2),
+            wd: Pid(0),
+            detector: det.pid,
+            ppm: new_head.pid,
+        };
+        w.inject(agents[0], KernelMsg::DirectoryUpdateNode { services });
+        w.run_for(SimDuration::from_millis(5));
+        let targets: Vec<NodeId> = (0..4).map(NodeId).collect();
+        let exec = KernelMsg::PpmExec {
+            req: RequestId(7),
+            job: JobId(3),
+            task: TaskSpec::default(),
+            targets,
+            reply_to: client.pid,
+        };
+        client.send(&mut w, agents[0], exec);
+        w.run_for(SimDuration::from_millis(50));
+        // Agent 0 keeps node 0, hands node 1 to agent 1, and nodes 2-3 to
+        // whoever heads node 2 now.
+        let forwarded: Vec<(Pid, Vec<NodeId>)> = new_head
+            .drain()
+            .into_iter()
+            .filter_map(|(from, m)| match m {
+                KernelMsg::PpmExec { targets, .. } => Some((from, targets)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(forwarded, vec![(agents[0], vec![NodeId(2), NodeId(3)])]);
+        let mut acked: Vec<NodeId> = client
+            .drain()
+            .into_iter()
+            .filter_map(|(_, m)| match m {
+                KernelMsg::PpmExecAck { node, .. } => Some(node),
+                _ => None,
+            })
+            .collect();
+        acked.sort();
+        assert_eq!(acked, vec![NodeId(0), NodeId(1)]);
     }
 
     #[test]

@@ -9,7 +9,6 @@ use std::sync::Arc;
 pub struct PartitionId(pub u32);
 
 impl PartitionId {
-    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }

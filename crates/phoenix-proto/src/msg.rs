@@ -94,9 +94,12 @@ impl ServiceDirectory {
         self.partitions.iter().find(|m| m.partition == id)
     }
 
-    /// Daemons of a node, if known.
+    /// Daemons of a node, if known. O(1) on the boot layout, where
+    /// `nodes[i]` is node `i`; a scan once config's node restarts have
+    /// moved rows to the end.
     pub fn node(&self, id: NodeId) -> Option<&NodeServices> {
-        self.nodes.iter().find(|n| n.node == id)
+        let at = self.nodes.get(id.0 as usize).filter(|n| n.node == id);
+        at.or_else(|| self.nodes.iter().find(|n| n.node == id))
     }
 }
 
@@ -572,6 +575,29 @@ impl Message for KernelMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn node_finds_rows_on_the_boot_layout_and_after_a_node_restart() {
+        let row = |node: u32, wd: u64| NodeServices {
+            node: NodeId(node),
+            wd: Pid(wd),
+            detector: Pid(0),
+            ppm: Pid(0),
+        };
+        let mut dir = ServiceDirectory {
+            nodes: (0..4).map(|i| row(i, 10 + i as u64)).collect(),
+            ..ServiceDirectory::default()
+        };
+        assert_eq!(dir.node(NodeId(2)), Some(&row(2, 12)));
+        // Config's node restart: the node's row leaves and is pushed last,
+        // so `nodes[1]` is node 2 and node 1 sits at the end.
+        dir.nodes.retain(|n| n.node != NodeId(1));
+        dir.nodes.push(row(1, 99));
+        for (node, wd) in [(0, 10), (1, 99), (2, 12), (3, 13)] {
+            assert_eq!(dir.node(NodeId(node)), Some(&row(node, wd)), "node {node}");
+        }
+        assert_eq!(dir.node(NodeId(4)), None);
+    }
 
     #[test]
     fn heartbeat_is_small() {

@@ -19,7 +19,10 @@
 //!   from coarser levels; events beyond the wheel horizon wait in an
 //!   overflow heap. Payloads are parked in a generation-checked
 //!   [`EventArena`] so cascades move 24-byte references, not whole
-//!   messages, and the hot path stops round-tripping the allocator.
+//!   messages, and the hot path stops round-tripping the allocator. A
+//!   slot's buffer is freed when the slot drains, so the wheel holds
+//!   memory for the events pending, not for the largest burst a slot
+//!   ever held.
 
 use crate::arena::{ArenaStats, EventArena, Handle};
 use crate::time::SimTime;
@@ -352,9 +355,10 @@ impl<T> WheelScheduler<T> {
         }
 
         // Cascade every slot whose span now contains the cursor, coarsest
-        // first so entries settle at their finest level in one pass. The
-        // slot's buffer is swapped out for the drain and swapped back after
-        // so its capacity is recycled instead of freed every revolution.
+        // first so entries settle at their finest level in one pass. A
+        // drained slot's buffer is freed with the drain: a slot that once
+        // held a burst does not keep the burst's capacity, so the wheel's
+        // memory follows the events pending, not the largest past burst.
         for lvl in (1..LEVELS).rev() {
             let shift = SLOT_BITS * lvl as u32;
             let idx = ((self.cursor >> shift) & (SLOTS - 1)) as usize;
@@ -362,21 +366,14 @@ impl<T> WheelScheduler<T> {
                 continue;
             }
             self.occ[lvl] &= !(1 << idx);
-            let mut entries = std::mem::take(&mut self.slots[lvl * SLOTS as usize + idx]);
-            for e in entries.drain(..) {
+            for e in std::mem::take(&mut self.slots[lvl * SLOTS as usize + idx]) {
                 self.place(e);
             }
-            // A drained entry never re-enters the slot it came from (it
-            // always settles strictly finer or in `ready`), so the slot is
-            // still the empty placeholder — give it its buffer back.
-            std::mem::swap(&mut self.slots[lvl * SLOTS as usize + idx], &mut entries);
         }
         let idx0 = (self.cursor & (SLOTS - 1)) as usize;
         if self.occ[0] & (1 << idx0) != 0 {
             self.occ[0] &= !(1 << idx0);
-            let mut entries = std::mem::take(&mut self.slots[idx0]);
-            self.ready.append(&mut entries);
-            std::mem::swap(&mut self.slots[idx0], &mut entries);
+            self.ready.append(&mut std::mem::take(&mut self.slots[idx0]));
         }
         // One batch sort instead of per-entry heap sifts; `ready` was empty
         // on entry, so everything in it arrived during this advance.
@@ -535,6 +532,26 @@ mod tests {
         w.push(SimTime(3), 3, ());
         assert_eq!(w.earliest(), Some(SimTime(3)), "cursor slot (ready)");
         assert_eq!(w.len(), 3);
+    }
+
+    /// A burst passes through one slot per level on its way down; once it
+    /// has drained, none of those slots keeps a buffer sized for it.
+    #[test]
+    fn a_drained_slot_keeps_no_capacity_for_its_burst() {
+        let mut w = WheelScheduler::new();
+        // One level-0 slot's worth of instants, 1 s ahead: a level-2 slot.
+        for i in 0..10_000u64 {
+            w.push(SimTime(1_000_000_000 + i), i, ());
+        }
+        let held = |w: &WheelScheduler<()>| w.slots.iter().map(Vec::capacity).max();
+        assert!(held(&w) >= Some(10_000));
+        let popped = drain(&mut w);
+        assert_eq!(popped.len(), 10_000);
+        assert!(popped.windows(2).all(|p| p[0] < p[1]));
+        assert_eq!(held(&w), Some(0), "a drained slot kept its buffer");
+        // The wheel still schedules after the slots let go.
+        w.push(SimTime(2_000_000_000), 10_000, ());
+        assert_eq!(drain(&mut w), vec![(2_000_000_000, 10_000)]);
     }
 
     #[test]

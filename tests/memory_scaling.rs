@@ -1,0 +1,88 @@
+//! What a cluster keeps on the heap, counted rather than sampled from the
+//! operating system.
+//!
+//! A node adds a fixed set of daemons, so what the cluster holds per node
+//! should not grow with the number of nodes: an actor that keeps its own
+//! copy of the cluster directory makes it grow with the square of the
+//! cluster instead. And a cluster in steady state holds what its pending
+//! events and its actors need, so its live bytes should stay flat over
+//! time: a buffer that keeps the capacity of the largest burst it ever held
+//! makes them creep up. This test boots the benchmark's steady shape at 128
+//! and 512 nodes and bounds both. The counts are the same on every machine.
+//!
+//! Its own test binary, and one `#[test]`: the allocator counts for the
+//! whole process.
+
+use phoenix::kernel::boot::boot_cluster;
+use phoenix::kernel::KernelParams;
+use phoenix::proto::ClusterTopology;
+use phoenix::sim::SimDuration;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
+
+struct Counting;
+
+/// Bytes allocated and not yet freed.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one the caller upholds; the counter touches no memory the
+// allocator hands out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size() as i64, Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Relaxed);
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Live bytes a cluster of `partitions` x 16 nodes holds after 2 virtual
+/// seconds and after 12: `(nodes, at_2s, at_12s)`.
+fn live_bytes(partitions: usize) -> (usize, i64, i64) {
+    let before = LIVE.load(Relaxed);
+    let topology = ClusterTopology::uniform(partitions, 16, 1);
+    let nodes = topology.node_count();
+    let (mut world, cluster) = boot_cluster(topology, KernelParams::fast_slow(), 1);
+    world.run_for(SimDuration::from_secs(2));
+    let at_2s = LIVE.load(Relaxed) - before;
+    world.run_for(SimDuration::from_secs(10));
+    let at_12s = LIVE.load(Relaxed) - before;
+    drop((world, cluster));
+    (nodes, at_2s, at_12s)
+}
+
+#[test]
+fn live_bytes_are_flat_per_node_and_over_time() {
+    let (small_nodes, small, _) = live_bytes(8);
+    let (large_nodes, large_2s, large_12s) = live_bytes(32);
+    let per_node = |bytes: i64, nodes: usize| bytes as f64 / nodes as f64;
+    let (small_per, large_per) = (per_node(small, small_nodes), per_node(large_2s, large_nodes));
+    println!(
+        "live bytes per node at 2 s: {small_nodes} nodes {:.1} KB, {large_nodes} nodes {:.1} KB; \
+         {large_nodes} nodes at 2 s {:.2} MB, at 12 s {:.2} MB",
+        small_per / 1e3,
+        large_per / 1e3,
+        large_2s as f64 / 1e6,
+        large_12s as f64 / 1e6,
+    );
+    assert!(
+        large_per <= 1.5 * small_per,
+        "live bytes per node grow with the cluster: {small_per:.0} B at {small_nodes} nodes, \
+         {large_per:.0} B at {large_nodes} (a per-actor copy of the directory?)"
+    );
+    assert!(
+        large_12s as f64 <= 1.1 * large_2s as f64,
+        "live bytes creep in steady state: {large_2s} B at 2 s, {large_12s} B at 12 s \
+         (a buffer kept at its largest burst?)"
+    );
+}

@@ -20,9 +20,12 @@
 use phoenix::kernel::boot::{boot_and_stabilize, GsdView};
 use phoenix::kernel::group::Gsd;
 use phoenix::kernel::regroup::{DELAY_CEIL, DELAY_FLOOR};
-use phoenix::kernel::{boot_cluster_with_net, ClientHandle, KernelParams, PhoenixCluster, Rung};
+use phoenix::kernel::{
+    boot_cluster_custom, boot_cluster_with_net, ClientHandle, KernelParams, PhoenixCluster, Rung,
+};
 use phoenix::proto::{ClusterTopology, KernelMsg, NodeOp, PartitionId, RequestId};
-use phoenix::sim::{Fault, NetParams, NodeId, SimDuration, TraceEvent, World};
+use phoenix::sim::{Fault, NetParams, NodeId, SchedulerKind, SimDuration, TraceEvent, World};
+use std::collections::HashMap;
 
 /// The even testbed: 4 partitions × 3 nodes, witness designated away
 /// from the config partition (p0) so splits can island it.
@@ -302,4 +305,78 @@ fn quorum_split_cycle_is_deterministic() {
     let b = run();
     assert!(!a.is_empty(), "trace captured something");
     assert_eq!(a, b, "identical seeds replay to byte-identical traces");
+}
+
+/// Under the vote table config pushes a repaired node's new daemons to
+/// every GSD, so a foreign node's row changes after wiring, and config's
+/// directory lists the node last. A regroup round still probes the
+/// foreign home nodes' watch daemons in ascending node order, the
+/// repaired node in its place and at its new pid.
+#[test]
+fn regroup_home_probes_go_out_in_node_order_after_a_repair() {
+    let topology = ClusterTopology::uniform(4, 3, 1);
+    let net = NetParams::default();
+    let (mut w, cluster) =
+        boot_cluster_custom(topology, quorum_params(), 606, net, SchedulerKind::Wheel, true);
+    w.run_for(SimDuration::from_secs(3));
+    let repaired = NodeId(2);
+    w.apply_fault(Fault::CrashNode(repaired));
+    w.run_for(SimDuration::from_secs(3));
+    let client = ClientHandle::spawn(&mut w, NodeId(0));
+    let start = KernelMsg::CfgNodeOp {
+        req: RequestId(1),
+        node: repaired,
+        op: NodeOp::Start,
+    };
+    client.send(&mut w, cluster.config(), start);
+    w.run_for(SimDuration::from_secs(1));
+    client.send(&mut w, cluster.config(), KernelMsg::CfgQueryDirectory { req: RequestId(2) });
+    w.run_for(SimDuration::from_millis(50));
+    let dir = client
+        .drain()
+        .into_iter()
+        .find_map(|(_, m)| match m {
+            KernelMsg::CfgDirectory { directory, .. } => Some(*directory),
+            _ => None,
+        })
+        .expect("config answers");
+    assert_eq!(dir.nodes.last().map(|n| n.node), Some(repaired));
+
+    // Partition 1's GSD dies: its ring successor suspects it and opens a
+    // round that probes every foreign home node.
+    w.take_event_log();
+    w.kill_process(cluster.gsd(1));
+    w.run_for(SimDuration::from_secs(8));
+    let log = w.take_event_log();
+    let node_of_wd: HashMap<u64, NodeId> = dir.nodes.iter().map(|n| (n.wd.0, n.node)).collect();
+    // (send sequence, sending pid, probed node) of every regroup message
+    // delivered to a watch daemon.
+    let mut probes: Vec<(u64, u64, NodeId)> = log
+        .lines()
+        .filter_map(|line| {
+            let f: Vec<&str> = line.split(' ').collect();
+            if f.get(2) != Some(&"deliver") || f.get(5) != Some(&"label=regroup") {
+                return None;
+            }
+            let to: u64 = f[3].strip_prefix("to=")?.parse().ok()?;
+            let from: u64 = f[4].strip_prefix("from=")?.parse().ok()?;
+            Some((f[1].parse().ok()?, from, *node_of_wd.get(&to)?))
+        })
+        .collect();
+    probes.sort();
+    let observer = probes.first().expect("a regroup round probed home nodes").1;
+    let own = (0..4)
+        .find(|&p| cluster.gsd(p).0 == observer)
+        .and_then(|p| cluster.topology.partition(PartitionId(p as u32)))
+        .expect("a boot GSD opened the round")
+        .all_nodes();
+    let foreign: Vec<NodeId> = (0..12).map(NodeId).filter(|n| !own.contains(n)).collect();
+    assert!(foreign.contains(&repaired), "the round probes the repaired node");
+    let first_round: Vec<NodeId> = probes
+        .iter()
+        .filter(|p| p.1 == observer)
+        .take(foreign.len())
+        .map(|p| p.2)
+        .collect();
+    assert_eq!(first_round, foreign);
 }
