@@ -13,13 +13,14 @@ use crate::checkpoint::CheckpointService;
 use crate::config::ConfigService;
 use crate::detect::Detector;
 use crate::event::EventService;
+use crate::group::gsd::BootMembers;
 use crate::group::{kernel_factory_key, shared_registry, Gsd, SharedRegistry, Wd};
 use crate::params::KernelParams;
 use crate::ppm::PpmAgent;
 use crate::security::SecurityService;
 use phoenix_proto::{
     ClusterTopology, KernelMsg, MemberInfo, NodeServices, PartitionId, Role, ServiceDirectory,
-    ServiceKind,
+    ServiceKind, Shared,
 };
 use phoenix_sim::{
     ClusterBuilder, NetParams, NodeId, NodeSpec, Pid, SchedulerKind, SimDuration, World,
@@ -27,7 +28,8 @@ use phoenix_sim::{
 
 /// Handle to a booted Phoenix cluster.
 pub struct PhoenixCluster {
-    pub topology: ClusterTopology,
+    /// The one topology config and every GSD hold.
+    pub topology: Shared<ClusterTopology>,
     pub params: KernelParams,
     pub directory: ServiceDirectory,
     pub registry: SharedRegistry,
@@ -164,13 +166,15 @@ pub fn boot_cluster_custom(
         .record_events(record_events)
         .build::<KernelMsg>();
     let registry = shared_registry();
+    let topology = Shared::new(topology);
+    let boot_members = BootMembers::default();
     let security_key = 0x5EC0_0151;
 
     // Cluster-wide singletons live on the first server node.
     let first_server = topology.partitions[0].server;
     let config = world.spawn(
         first_server,
-        Box::new(ConfigService::new(topology.clone(), params.clone())),
+        Box::new(ConfigService::new(Shared::clone(&topology), params.clone())),
     );
     let security = world.spawn(
         first_server,
@@ -185,16 +189,9 @@ pub fn boot_cluster_custom(
     let mut partitions: Vec<MemberInfo> = Vec::with_capacity(topology.partitions.len());
     for spec in &topology.partitions {
         let p = spec.id;
-        let gsd = world.spawn(
-            spec.server,
-            Box::new(Gsd::new(
-                p,
-                params.clone(),
-                topology.clone(),
-                config,
-                registry.clone(),
-            )),
-        );
+        let topo = Shared::clone(&topology);
+        let gsd = Gsd::new(p, params.clone(), topo, config, registry.clone(), boot_members.clone());
+        let gsd = world.spawn(spec.server, Box::new(gsd));
         let event = world.spawn(spec.server, Box::new(EventService::new(p, params.clone())));
         let bulletin = world.spawn(spec.server, Box::new(DataBulletin::new(p, params.clone())));
         let checkpoint = world.spawn(
@@ -265,7 +262,8 @@ pub fn boot_cluster_custom(
         }
     }
 
-    // Deliver the directory to every service.
+    // Deliver the directory to every service; the GSDs share one ring list.
+    let _ = boot_members.set(Shared::new(directory.partitions.clone()));
     let boot = KernelMsg::Boot(directory.clone().into());
     world.inject(config, boot.clone());
     for m in &directory.partitions {
@@ -353,7 +351,8 @@ mod tests {
             let partition = phoenix_proto::PartitionId(p);
             let local = *cluster.directory.partition(partition).unwrap();
             let action = phoenix_sim::RecoveryAction::RestartedInPlace;
-            let args = crate::federation::respawn_args(&local, &[local], action, &cluster.params);
+            let list = phoenix_proto::Shared::new(vec![local]);
+            let args = crate::federation::respawn_args(&local, &list, action, &cluster.params);
             for kind in [
                 ServiceKind::Event,
                 ServiceKind::DataBulletin,

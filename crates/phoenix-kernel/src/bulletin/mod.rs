@@ -140,7 +140,7 @@ impl Actor<KernelMsg> for DataBulletin {
     fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, from: Pid, msg: KernelMsg) {
         match msg {
             KernelMsg::Boot(dir) => {
-                self.member.boot(ctx, &dir);
+                self.member.on_message(ctx, KernelMsg::Boot(dir));
                 ctx.set_timer(self.params.detector_sample * 2, TOK_CKPT);
             }
             KernelMsg::DbPut { entries } => {
@@ -177,9 +177,8 @@ impl Actor<KernelMsg> for DataBulletin {
                 let waiting: Vec<PartitionId> = self
                     .member
                     .peers()
-                    .iter()
-                    .filter(|(p, _)| query.wants_partition(*p))
-                    .map(|(p, _)| *p)
+                    .filter(|&(p, _)| query.wants_partition(p))
+                    .map(|(p, _)| p)
                     .collect();
                 if waiting.is_empty() {
                     ctx.send(
@@ -196,8 +195,8 @@ impl Actor<KernelMsg> for DataBulletin {
                 let fed = self.next_fed;
                 let fed_req = RequestId(fed);
                 for (p, pid) in self.member.peers() {
-                    if query.wants_partition(*p) {
-                        ctx.send(*pid, KernelMsg::DbFedQuery { req: fed_req, query });
+                    if query.wants_partition(p) {
+                        ctx.send(pid, KernelMsg::DbFedQuery { req: fed_req, query });
                     }
                 }
                 let timer =
@@ -287,9 +286,8 @@ impl Actor<KernelMsg> for DataBulletin {
                     let targets: Vec<Pid> = self
                         .member
                         .peers()
-                        .iter()
                         .filter(|(p, _)| waiting.contains(p))
-                        .map(|&(_, pid)| pid)
+                        .map(|(_, pid)| pid)
                         .collect();
                     for pid in targets {
                         ctx.send(pid, KernelMsg::DbFedQuery { req: RequestId(fed), query });

@@ -67,7 +67,7 @@ impl CheckpointService {
 
     fn with(member: Member, params: KernelParams) -> Self {
         CheckpointService {
-            synced: !member.restoring() || member.peers().is_empty(),
+            synced: !member.restoring() || member.peers().next().is_none(),
             member,
             params,
             store: BTreeMap::new(),
@@ -93,7 +93,7 @@ impl CheckpointService {
     /// the attempt budget is spent; the give-up timer remains the final
     /// fallback either way.
     fn send_sync_reqs(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        for p in self.member.peer_pids() {
+        for (_, p) in self.member.peers() {
             ctx.send(p, KernelMsg::CkSyncReq { req: RequestId(0) });
         }
         let retry = self.params.ft.retry();
@@ -125,7 +125,7 @@ impl Actor<KernelMsg> for CheckpointService {
                 // Moved, never cloned: the store and every replica share
                 // this one allocation and its memoized size.
                 let data = Shared::new(data);
-                for p in self.member.peer_pids() {
+                for (_, p) in self.member.peers() {
                     ctx.send(
                         p,
                         KernelMsg::CkReplicate {
@@ -159,8 +159,8 @@ impl Actor<KernelMsg> for CheckpointService {
             KernelMsg::CkDelete { service, partition } => {
                 self.store.remove(&(service, partition));
                 // Forward once; peers recognise each other and stop.
-                if !self.member.peer_pids().any(|p| p == from) {
-                    for p in self.member.peer_pids() {
+                if !self.member.peers().any(|(_, p)| p == from) {
+                    for (_, p) in self.member.peers() {
                         ctx.send(p, KernelMsg::CkDelete { service, partition });
                     }
                 }
@@ -240,8 +240,9 @@ mod tests {
     }
 
     fn rewire(w: &mut World<KernelMsg>, members: &[MemberInfo]) {
+        let list = Shared::new(members.to_vec());
         for &local in members {
-            let members = members.to_vec();
+            let members = list.clone();
             w.inject(
                 local.checkpoint,
                 KernelMsg::PartitionView { members, local },
@@ -334,7 +335,8 @@ mod tests {
         // answers only once a peer's `CkSyncResp` has filled it.
         w.kill_process(members[2].checkpoint);
         let action = RecoveryAction::RestartedInPlace;
-        let args = respawn_args(&members[2], &members, action, &KernelParams::fast());
+        let list = Shared::new(members.clone());
+        let args = respawn_args(&members[2], &list, action, &KernelParams::fast());
         let respawned = Box::new(CheckpointService::respawn(&args));
         members[2].checkpoint = w.spawn(NodeId(2), respawned);
         assert_eq!(loads(&mut w, &members, &client), everywhere);

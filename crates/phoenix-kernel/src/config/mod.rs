@@ -19,7 +19,7 @@ use crate::ppm::PpmAgent;
 use crate::rpc::DedupWindow;
 use phoenix_proto::{
     ClusterTopology, Event, EventPayload, EventType, KernelMsg, NodeOp, NodeServices,
-    RequestId, ServiceDirectory,
+    RequestId, ServiceDirectory, Shared,
 };
 use phoenix_sim::{Actor, Ctx, NodeId, Pid, SimDuration, TraceEvent};
 use std::collections::HashMap;
@@ -39,7 +39,8 @@ const REWIRE_TOK_BASE: u64 = 1 << 32;
 
 /// The configuration-service actor.
 pub struct ConfigService {
-    topology: ClusterTopology,
+    /// The cluster's one topology, shared with the GSDs and every reply.
+    topology: Shared<ClusterTopology>,
     params: KernelParams,
     directory: ServiceDirectory,
     /// Idempotency window for `CfgNodeOp`: `start_node` spawns daemons and
@@ -62,7 +63,7 @@ pub struct ConfigService {
 }
 
 impl ConfigService {
-    pub(crate) fn new(topology: ClusterTopology, params: KernelParams) -> Self {
+    pub(crate) fn new(topology: Shared<ClusterTopology>, params: KernelParams) -> Self {
         ConfigService {
             topology,
             params,
@@ -195,13 +196,8 @@ impl Actor<KernelMsg> for ConfigService {
                 self.directory = dir.unwrap_or_clone();
             }
             KernelMsg::CfgQueryTopology { req } => {
-                ctx.send(
-                    from,
-                    KernelMsg::CfgTopology {
-                        req,
-                        topology: Box::new(self.topology.clone()),
-                    },
-                );
+                let topology = Shared::clone(&self.topology);
+                ctx.send(from, KernelMsg::CfgTopology { req, topology });
             }
             KernelMsg::CfgQueryDirectory { req } => {
                 ctx.send(
@@ -353,7 +349,7 @@ mod tests {
         let topo = ClusterTopology::uniform(2, 2, 1);
         let cfg = w.spawn(
             NodeId(0),
-            Box::new(ConfigService::new(topo.clone(), KernelParams::fast())),
+            Box::new(ConfigService::new(topo.clone().into(), KernelParams::fast())),
         );
         let client = ClientHandle::spawn(&mut w, NodeId(1));
         client.send(&mut w, cfg, KernelMsg::CfgQueryTopology { req: RequestId(1) });
@@ -385,7 +381,7 @@ mod tests {
         let topo = ClusterTopology::uniform(2, 2, 1);
         let cfg = w.spawn(
             NodeId(0),
-            Box::new(ConfigService::new(topo, KernelParams::fast())),
+            Box::new(ConfigService::new(topo.into(), KernelParams::fast())),
         );
         let client = ClientHandle::spawn(&mut w, NodeId(1));
         let report = |val: &str| KernelMsg::CfgSetParam {
@@ -417,7 +413,7 @@ mod tests {
         let topo = ClusterTopology::uniform(1, 4, 1);
         let cfg = w.spawn(
             NodeId(0),
-            Box::new(ConfigService::new(topo, KernelParams::fast())),
+            Box::new(ConfigService::new(topo.into(), KernelParams::fast())),
         );
         let client = ClientHandle::spawn(&mut w, NodeId(0));
         client.send(
@@ -460,7 +456,7 @@ mod tests {
         let topo = ClusterTopology::uniform(1, 4, 1);
         let cfg = w.spawn(
             NodeId(0),
-            Box::new(ConfigService::new(topo, KernelParams::fast())),
+            Box::new(ConfigService::new(topo.into(), KernelParams::fast())),
         );
         let client = ClientHandle::spawn(&mut w, NodeId(0));
         let op = KernelMsg::CfgNodeOp {

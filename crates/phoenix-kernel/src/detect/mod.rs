@@ -21,7 +21,7 @@ use phoenix_proto::{
     EventType, JobId, KernelMsg, PartitionId, TaskSpec,
 };
 use phoenix_sim::{Actor, Ctx, NodeId, Pid, ResourceUsage};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 const TOK_SAMPLE: u64 = 1;
 
@@ -50,7 +50,9 @@ pub(crate) struct Detector {
     params: KernelParams,
     bulletin: Pid,
     event: Pid,
-    apps: HashMap<JobId, TrackedApp>,
+    /// By job: every walk (the usage sum, the export, a poll reply) goes
+    /// in job order, whatever order jobs started in.
+    apps: BTreeMap<JobId, TrackedApp>,
     alarm_active: bool,
     started: bool,
     /// Set by the GSD's `RegroupFreeze` while the partition sits on a
@@ -67,7 +69,7 @@ impl Detector {
             params,
             bulletin: Pid(0),
             event: Pid(0),
-            apps: HashMap::new(),
+            apps: BTreeMap::new(),
             alarm_active: false,
             started: false,
             frozen: false,
@@ -82,17 +84,10 @@ impl Detector {
         let mut cpu = BASE_CPU_LOAD + jitter;
         let mut mem = BASE_MEM_LOAD;
         let swap = BASE_SWAP_LOAD;
-        // Summed in job order: float addition is order-sensitive and
-        // `apps` is a HashMap, so hash order would make usage (and every
-        // decision derived from it) differ run to run.
-        let mut jobs: Vec<JobId> = self.apps.keys().copied().collect();
-        jobs.sort_unstable();
-        for job in jobs {
-            let app = &self.apps[&job];
-            if app.status == AppStatus::Running {
-                cpu += app.task.cpu_load;
-                mem += app.task.mem_load;
-            }
+        // Summed in job order: float addition is order-sensitive.
+        for app in self.apps.values().filter(|app| app.status == AppStatus::Running) {
+            cpu += app.task.cpu_load;
+            mem += app.task.mem_load;
         }
         ResourceUsage {
             cpu,
@@ -113,7 +108,6 @@ impl Detector {
                 failed.push(job);
             }
         }
-        failed.sort_unstable();
         for job in failed {
             if let Some(app) = self.apps.get_mut(&job) {
                 app.status = AppStatus::Failed;
@@ -145,10 +139,7 @@ impl Detector {
             value: BulletinValue::Resource(usage),
             stamp_ns,
         }];
-        let mut jobs: Vec<JobId> = self.apps.keys().copied().collect();
-        jobs.sort_unstable();
-        for job in jobs {
-            let app = &self.apps[&job];
+        for (&job, app) in &self.apps {
             entries.push(BulletinEntry {
                 key: BulletinKey::App(self.node, job),
                 value: BulletinValue::App(AppState {
@@ -245,8 +236,7 @@ impl Actor<KernelMsg> for Detector {
             KernelMsg::PbsPoll { req } => {
                 // PBS-baseline resource poll: answer directly.
                 let usage = self.compute_usage(ctx);
-                let mut jobs: Vec<JobId> = self.apps.keys().copied().collect();
-                jobs.sort_unstable();
+                let jobs: Vec<JobId> = self.apps.keys().copied().collect();
                 ctx.send(
                     from,
                     KernelMsg::PbsPollResp {

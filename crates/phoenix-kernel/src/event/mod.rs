@@ -94,7 +94,7 @@ impl EventService {
         self.next_seq += 1;
         phoenix_telemetry::counter_add("es.events.published", 1);
         self.notify_local(ctx, &event);
-        for peer in self.member.peer_pids() {
+        for (_, peer) in self.member.peers() {
             ctx.send(peer, KernelMsg::EsFedForward { event: event.clone() });
         }
         if self.next_seq % SEQ_SAVE_STRIDE == 0 {

@@ -15,7 +15,11 @@
 //!   `SvcRegister` and the first beat, wiring from `Boot` / `PartitionView`
 //!   and when to re-register, the `SvcHeartbeat` timer at a cadence it
 //!   holds (retuned by a runtime push), `CkSave` / `CkLoad` against the
-//!   partition's checkpoint instance, the `Recovered` trace.
+//!   partition's checkpoint instance, the `Recovered` trace. Its peers are
+//!   read from what it was last wired from, kept as it came: the boot
+//!   directory every boot-time instance shares, or the supervising GSD's
+//!   ring list (a view, or a replacement's respawn arguments). No instance
+//!   keeps a peer list of its own.
 //! * [`Supervisor`] is the GSD's half: who is registered, who displaced
 //!   whom, who fell silent, what a restart costs, and the roster a migrated
 //!   GSD rebuilds its user-environment services from. It takes no actor
@@ -37,17 +41,11 @@ use std::collections::BTreeMap;
 /// Timer token of every member's supervision heartbeat.
 const TOK_HB: u64 = 1;
 
-/// The same-kind instances of every partition but `partition`.
-fn peers_of(
-    kind: ServiceKind,
-    partition: PartitionId,
-    members: &[MemberInfo],
-) -> Vec<(PartitionId, Pid)> {
-    members
-        .iter()
-        .filter(|m| m.partition != partition)
-        .filter_map(|m| Some((m.partition, m.service(kind)?)))
-        .collect()
+/// What a member was last wired from: both hold every partition's
+/// services, and both are shared with whoever else was wired from them.
+enum Wiring {
+    Boot(Shared<ServiceDirectory>),
+    Ring(Shared<Vec<MemberInfo>>),
 }
 
 /// The member half: one supervised service instance's view of its
@@ -63,9 +61,8 @@ pub struct Member {
     /// `gsd` is whom to register with and heartbeat, `checkpoint` is where
     /// state is saved, the rest are the siblings.
     info: MemberInfo,
-    /// Same-kind instances of the other partitions (empty for kinds that
-    /// do not federate).
-    peers: Vec<(PartitionId, Pid)>,
+    /// Where [`peers`](Self::peers) are read from; `None` until wired.
+    wiring: Option<Wiring>,
     hb_seq: u64,
     /// The heartbeat cadence: the kernel parameters' interval until a
     /// runtime push retunes it.
@@ -88,7 +85,7 @@ impl Member {
             kind,
             factory: factory.into(),
             info,
-            peers: Vec::new(),
+            wiring: None,
             hb_seq: 0,
             hb_interval: params.ft.hb_interval,
             hb_timer: None,
@@ -104,7 +101,7 @@ impl Member {
         info.gsd = args.gsd;
         info.checkpoint = args.checkpoint;
         Member {
-            peers: peers_of(kind, args.partition, &args.members),
+            wiring: Some(Wiring::Ring(args.members.clone())),
             recovery: Some(args.action),
             ..Member::new(kind, factory, info, &args.params)
         }
@@ -119,12 +116,17 @@ impl Member {
         &self.info
     }
 
-    pub(crate) fn peers(&self) -> &[(PartitionId, Pid)] {
-        &self.peers
-    }
-
-    pub(crate) fn peer_pids(&self) -> impl Iterator<Item = Pid> + '_ {
-        self.peers.iter().map(|&(_, pid)| pid)
+    /// Same-kind instances of the other partitions, in wiring order (none
+    /// for kinds that do not federate).
+    pub(crate) fn peers(&self) -> impl Iterator<Item = (PartitionId, Pid)> + '_ {
+        let members: &[MemberInfo] = match &self.wiring {
+            Some(Wiring::Boot(dir)) => &dir.partitions,
+            Some(Wiring::Ring(list)) => list,
+            None => &[],
+        };
+        let (kind, own) = (self.kind, self.info.partition);
+        let others = members.iter().filter(move |m| m.partition != own);
+        others.filter_map(move |m| Some((m.partition, m.service(kind)?)))
     }
 
     /// Respawned and still waiting for its state.
@@ -145,23 +147,21 @@ impl Member {
         wired
     }
 
-    /// The boot directory arrived: take up the partition's entry, register
-    /// and send the first beat.
-    pub fn boot(&mut self, ctx: &mut Ctx<'_, KernelMsg>, dir: &ServiceDirectory) {
-        let local = dir.partition(self.info.partition).copied();
-        self.wire(local.unwrap_or(self.info), &dir.partitions);
-        self.register(ctx);
-        self.beat(ctx);
-    }
-
     /// The supervision messages: `Boot`, `PartitionView` and the runtime
     /// heartbeat-interval push. Anything else is ignored, so an actor can
     /// hand over every message it does not handle itself.
     pub fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, msg: KernelMsg) {
         match msg {
-            KernelMsg::Boot(dir) => self.boot(ctx, &dir),
+            // The boot directory: take up the partition's entry, register
+            // and send the first beat.
+            KernelMsg::Boot(dir) => {
+                let local = dir.partition(self.info.partition).copied();
+                self.wire(local.unwrap_or(self.info), Wiring::Boot(dir));
+                self.register(ctx);
+                self.beat(ctx);
+            }
             KernelMsg::PartitionView { members, local } => {
-                let supervisor_changed = self.wire(local, &members);
+                let supervisor_changed = self.wire(local, Wiring::Ring(members));
                 // Kernel kinds register again only with a new supervisor:
                 // an unconditional register would echo every view push into
                 // another membership announcement. A user-environment
@@ -229,10 +229,10 @@ impl Member {
 
     /// Adopt the partition's services and the federation's membership.
     /// Returns whether the supervisor changed.
-    fn wire(&mut self, local: MemberInfo, members: &[MemberInfo]) -> bool {
+    fn wire(&mut self, local: MemberInfo, wiring: Wiring) -> bool {
         let supervisor_changed = self.info.gsd != local.gsd;
         self.info = local;
-        self.peers = peers_of(self.kind, local.partition, members);
+        self.wiring = Some(wiring);
         supervisor_changed
     }
 
@@ -296,7 +296,7 @@ pub(crate) fn ck_load(ctx: &mut Ctx<'_, KernelMsg>, local: &MemberInfo, kind: Se
 /// described by `local`.
 pub(crate) fn respawn_args(
     local: &MemberInfo,
-    members: &[MemberInfo],
+    members: &Shared<Vec<MemberInfo>>,
     action: RecoveryAction,
     params: &KernelParams,
 ) -> RespawnArgs {
@@ -304,7 +304,7 @@ pub(crate) fn respawn_args(
         partition: local.partition,
         gsd: local.gsd,
         checkpoint: local.checkpoint,
-        members: members.to_vec(),
+        members: members.clone(),
         action,
         params: params.clone(),
     }
@@ -759,10 +759,10 @@ mod tests {
         w.run_for(SimDuration::from_millis(300));
         assert_eq!(state(&w), (first, vec![first]), "registered and adopted");
         let member = &w.actor_as::<Svc>(first).expect("member introspectable").0;
-        assert_eq!(member.peers(), [(PartitionId(1), Pid(77))]);
+        assert!(member.peers().eq([(PartitionId(1), Pid(77))]));
         // A view naming the same supervisor: no second registration, beats
         // go on.
-        let members = vec![local, peer];
+        let members = Shared::new(vec![local, peer]);
         w.inject(first, KernelMsg::PartitionView { members, local });
         w.run_for(SimDuration::from_secs(1));
         assert_eq!(scan(&mut w), [], "heartbeats flow");
@@ -781,7 +781,7 @@ mod tests {
         let args = {
             let s = w.actor_as::<Sup>(sup).expect("supervisor introspectable");
             let action = RecoveryAction::RestartedInPlace;
-            respawn_args(&s.local, &[s.local, peer], action, &params)
+            respawn_args(&s.local, &Shared::new(vec![s.local, peer]), action, &params)
         };
         assert_eq!(
             (args.gsd, args.checkpoint, args.partition),
@@ -795,7 +795,7 @@ mod tests {
         assert_eq!(state(&w), (second, vec![second]));
         let member = &w.actor_as::<Svc>(second).expect("member introspectable").0;
         assert!(!member.restoring(), "the load reply ended the restore");
-        assert_eq!(member.peers(), [(PartitionId(1), Pid(77))]);
+        assert!(member.peers().eq([(PartitionId(1), Pid(77))]));
         let recovered = w.trace().count(|e| {
             matches!(e, TraceEvent::Recovered { target: FaultTarget::Process(p), action }
                 if *p == second && *action == RecoveryAction::RestartedInPlace)
@@ -836,7 +836,7 @@ mod tests {
                 ..MemberInfo::unwired(PartitionId(0))
             };
             let view = |local| KernelMsg::PartitionView {
-                members: vec![local],
+                members: Shared::new(vec![local]),
                 local,
             };
             let member = Member::new(

@@ -43,7 +43,7 @@ use crate::group::dirsync::DirSync;
 use crate::group::failover::{self, Cause, Failover, Placement};
 use crate::group::liveness::{self, Beat, Liveness, Silence, Watched};
 use crate::group::registry::{kernel_factory_key, SharedRegistry};
-use crate::group::ring::{Adoption, Join, Ring, Role};
+use crate::group::ring::{Adoption, Join, Members, Ring, Role};
 use crate::group::wd::Wd;
 use crate::nic_health::{HealthTransition, NicHealth};
 use crate::group::probe::{Outcome, Probes};
@@ -125,10 +125,16 @@ fn quarantine_msg(epoch: u64, set: &BTreeSet<PartitionId>) -> KernelMsg {
     }
 }
 
+/// The boot directory's member list, one for every boot-time GSD of a
+/// cluster: `boot_cluster` sets it once every pid exists, before the
+/// `Boot` message goes out.
+pub(crate) type BootMembers = std::rc::Rc<std::cell::OnceCell<Members>>;
+
 /// How this GSD instance came to exist.
 enum GsdInit {
-    /// Spawned by the boot driver; wiring arrives in the `Boot` message.
-    Boot,
+    /// Spawned by `boot_cluster`; wiring arrives in the `Boot` message,
+    /// the ring from the list `boot_cluster` shares.
+    Boot(BootMembers),
     /// Spawned by a ring neighbour taking over a failed member, or by a
     /// draining member itself.
     Respawn(Handover),
@@ -140,7 +146,7 @@ struct Handover {
     /// pids are still valid.
     hint: MemberInfo,
     /// The membership as the rescuer held it, replaced member removed.
-    members: Vec<MemberInfo>,
+    members: Members,
     /// The rescuer's membership epoch. The respawn adopts it so its own
     /// announcements are credible: a rescued partition that sorts to ring
     /// position 0 *is* the leader and broadcasts directly — from epoch 0
@@ -214,14 +220,16 @@ enum DelayedOp {
 pub struct Gsd {
     partition: PartitionId,
     params: KernelParams,
-    topology: ClusterTopology,
+    /// The cluster's one topology, shared with config and every GSD.
+    topology: Shared<ClusterTopology>,
     config: Pid,
     registry: SharedRegistry,
     init: Option<GsdInit>,
 
     local: MemberInfo,
-    /// The meta-group as this GSD holds it: members in ring order, epoch,
-    /// quarantine set, last known coordinates.
+    /// The meta-group as this GSD holds it: members in ring order (a list
+    /// shared with every GSD that holds the same one), epoch, quarantine
+    /// set, the coordinates of partitions that left.
     ring: Ring,
     /// Every cluster node's daemons: this partition's nodes (the topology
     /// says which) are watched and told about views and freezes; regroup
@@ -292,18 +300,19 @@ impl Gsd {
     pub(crate) fn new(
         partition: PartitionId,
         params: KernelParams,
-        topology: ClusterTopology,
+        topology: Shared<ClusterTopology>,
         config: Pid,
         registry: SharedRegistry,
+        members: BootMembers,
     ) -> Self {
-        Self::build(partition, params, topology, config, registry, GsdInit::Boot)
+        Self::build(partition, params, topology, config, registry, GsdInit::Boot(members))
     }
 
     /// A GSD to replace a failed (or draining) member's, configured like
     /// this one.
     fn replacement(&self, handover: Handover) -> Self {
         let partition = handover.hint.partition;
-        let (params, topology) = (self.params.clone(), self.topology.clone());
+        let (params, topology) = (self.params.clone(), Shared::clone(&self.topology));
         let (config, registry) = (self.config, self.registry.clone());
         let init = GsdInit::Respawn(handover);
         Self::build(partition, params, topology, config, registry, init)
@@ -312,7 +321,7 @@ impl Gsd {
     fn build(
         partition: PartitionId,
         params: KernelParams,
-        topology: ClusterTopology,
+        topology: Shared<ClusterTopology>,
         config: Pid,
         registry: SharedRegistry,
         init: GsdInit,
@@ -534,7 +543,7 @@ impl Gsd {
 
     fn partition_view(&self) -> KernelMsg {
         KernelMsg::PartitionView {
-            members: self.ring.members().to_vec(),
+            members: self.ring.members().clone(),
             local: self.local,
         }
     }
@@ -557,7 +566,7 @@ impl Gsd {
     fn membership_at(&self, epoch: u64) -> KernelMsg {
         KernelMsg::MetaMembership {
             epoch,
-            members: self.ring.members().to_vec().into(),
+            members: self.ring.members().clone(),
         }
     }
 
@@ -710,9 +719,10 @@ impl Gsd {
         let (hint, members, epoch, recovery) = match init {
             // The directory was built before spawn order: our own entry
             // is ours.
-            GsdInit::Boot => {
+            GsdInit::Boot(list) => {
                 let own = dir.partition(self.partition).copied().unwrap_or(self.local);
-                (own, dir.partitions.clone(), self.ring.epoch(), None)
+                let members = list.get().cloned().expect("boot_cluster sets it before Boot");
+                (own, members, self.ring.epoch(), None)
             }
             GsdInit::Respawn(h) => (h.hint, h.members, h.epoch, Some(h.action)),
         };
@@ -790,7 +800,7 @@ impl Gsd {
         ctx: &mut Ctx<'_, KernelMsg>,
         factory: &str,
         action: RecoveryAction,
-        members: &[MemberInfo],
+        members: &Members,
     ) -> Option<Pid> {
         let args = federation::respawn_args(&self.local, members, action, &self.params);
         let actor = self.registry.borrow_mut().build(factory, &args)?;
@@ -1044,7 +1054,7 @@ impl Gsd {
     fn takeover(&self, hint: MemberInfo, placed: Placement, planned: SimTime) -> DelayedOp {
         let handover = Handover {
             hint,
-            members: self.ring.members().to_vec(),
+            members: self.ring.members().clone(),
             epoch: self.ring.epoch(),
             action: placed.action,
         };
@@ -1145,11 +1155,9 @@ impl Gsd {
     fn send_meta_heartbeats(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         if let Some(succ) = self.ring.successor() {
             self.hb_seq += 1;
-            phoenix_telemetry::counter_add(
-                "gsd.meta_heartbeats.sent",
-                self.my_nic_known.len() as u64,
-            );
-            for i in 0..self.my_nic_known.len() {
+            let nics = self.my_nic_known.len();
+            phoenix_telemetry::counter_add("gsd.meta_heartbeats.sent", nics as u64);
+            for i in 0..nics {
                 ctx.send_via(
                     succ.gsd,
                     NicId(i as u8),
@@ -1365,7 +1373,7 @@ impl Gsd {
         let ring = &self.ring;
         let mut gsd = self.replacement(Handover {
             hint: self.local,
-            members: ring.others().copied().collect(),
+            members: Shared::new(ring.others().copied().collect()),
             epoch: ring.epoch(),
             action: placed.action,
         });
@@ -1613,7 +1621,7 @@ impl Gsd {
         }
     }
 
-    fn on_membership(&mut self, ctx: &mut Ctx<'_, KernelMsg>, epoch: u64, members: &[MemberInfo]) {
+    fn on_membership(&mut self, ctx: &mut Ctx<'_, KernelMsg>, epoch: u64, members: Members) {
         match self.ring.on_membership(epoch, members, self.local) {
             Adoption::Stale => {}
             Adoption::Yield => {
@@ -1753,7 +1761,7 @@ impl Actor<KernelMsg> for Gsd {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, from: Pid, msg: KernelMsg) {
         match msg {
-            KernelMsg::Boot(dir) if matches!(self.init, Some(GsdInit::Boot)) => self.wire(ctx, dir),
+            KernelMsg::Boot(dir) if !self.awaits_directory() => self.wire(ctx, dir),
             KernelMsg::CfgDirectory { directory, .. } if self.awaits_directory() => {
                 self.wire(ctx, Shared::new(*directory))
             }
@@ -1767,9 +1775,7 @@ impl Actor<KernelMsg> for Gsd {
                 ..
             } => self.on_heartbeat(ctx, from, Watched::Ring(from_partition), nic, seq),
             KernelMsg::MetaJoin { member } => self.on_join(ctx, member),
-            KernelMsg::MetaMembership { epoch, members } => {
-                self.on_membership(ctx, epoch, &members)
-            }
+            KernelMsg::MetaMembership { epoch, members } => self.on_membership(ctx, epoch, members),
             KernelMsg::MetaMemberDown { partition, .. } => {
                 if partition != self.partition {
                     self.ring.remove(partition);
@@ -1947,5 +1953,61 @@ impl Actor<KernelMsg> for Gsd {
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::group::registry::shared_registry;
+    use phoenix_proto::wire::encode;
+    use phoenix_sim::Message;
+
+    fn member(p: u32) -> MemberInfo {
+        MemberInfo {
+            gsd: Pid(10 + p as u64),
+            ..MemberInfo::unwired(PartitionId(p))
+        }
+    }
+
+    /// Partition `p`'s GSD, holding `list` as its ring.
+    fn gsd(p: u32, list: &Members, topology: &Shared<ClusterTopology>) -> Gsd {
+        let (params, registry) = (KernelParams::fast(), shared_registry());
+        let (topology, boot) = (Shared::clone(topology), BootMembers::default());
+        let mut g = Gsd::new(PartitionId(p), params, topology, Pid(1), registry, boot);
+        g.local = member(p);
+        g.ring.install(list.clone(), g.local);
+        g
+    }
+
+    /// A ring change builds a new list with a size of its own: what a GSD
+    /// builds from the list before the change and after it, and what a
+    /// peer builds from the broadcast it adopted, each sizes as it encodes.
+    #[test]
+    fn ring_messages_size_as_they_encode_after_a_change() {
+        let topology = Shared::new(ClusterTopology::uniform(4, 3, 1));
+        let list = Shared::new((0..4).map(member).collect());
+        let (mut leader, mut peer) = (gsd(0, &list, &topology), gsd(1, &list, &topology));
+        let before = [leader.membership_msg(), leader.partition_view(), peer.partition_view()];
+        let sized: Vec<usize> = before.iter().map(|m| m.wire_size()).collect();
+
+        leader.ring.remove(PartitionId(2));
+        leader.ring.bump_epoch();
+        let KernelMsg::MetaMembership { epoch, members } = leader.membership_msg() else {
+            unreachable!("membership_msg builds a MetaMembership");
+        };
+        let adopted = peer.ring.on_membership(epoch, members, peer.local);
+        assert!(matches!(adopted, Adoption::Adopted { .. }));
+        let after = [
+            leader.membership_msg(),
+            leader.partition_view(),
+            peer.membership_msg(),
+            peer.partition_view(),
+        ];
+        for msg in before.iter().chain(&after) {
+            assert_eq!(msg.wire_size(), encode(msg).len(), "{msg:?}");
+        }
+        assert!(after[0].wire_size() < sized[0], "the removal shrank the list");
+        assert_eq!(after[2].wire_size(), after[0].wire_size(), "one list, one size");
     }
 }

@@ -8,7 +8,7 @@
 //! single-threaded, so `Rc<RefCell<…>>` is the right tool.
 
 use crate::params::KernelParams;
-use phoenix_proto::{KernelMsg, MemberInfo, PartitionId, ServiceKind};
+use phoenix_proto::{KernelMsg, MemberInfo, PartitionId, ServiceKind, Shared};
 use phoenix_sim::{Actor, Pid, RecoveryAction};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -22,8 +22,8 @@ pub struct RespawnArgs {
     pub(crate) gsd: Pid,
     /// The partition's (possibly freshly spawned) checkpoint instance.
     pub(crate) checkpoint: Pid,
-    /// Current meta-group membership (for federation peer lists).
-    pub(crate) members: Vec<MemberInfo>,
+    /// The supervising GSD's ring list, shared (for federation peers).
+    pub(crate) members: Shared<Vec<MemberInfo>>,
     pub(crate) action: RecoveryAction,
     pub params: KernelParams,
 }
@@ -83,7 +83,7 @@ mod tests {
             partition: PartitionId(0),
             gsd: Pid(1),
             checkpoint: Pid(2),
-            members: vec![],
+            members: Shared::default(),
             action: RecoveryAction::RestartedInPlace,
             params: KernelParams::fast(),
         }

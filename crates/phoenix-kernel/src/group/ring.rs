@@ -8,13 +8,19 @@
 //! quarantined (fail-slow) partitions at the tail so they can hold neither
 //! leading seat, lowest partition first otherwise, one entry per
 //! partition — together with the membership epoch, the quarantine set and
-//! the last coordinates ever seen for each partition, and it makes the
+//! the last coordinates held for each partition that left, and it makes the
 //! membership decisions: what a `MetaJoin` means here, and whether a
 //! `MetaMembership` broadcast is to be adopted, ignored or yielded to.
 //! No sends, no telemetry, no simulator context: the `Gsd` actor turns
 //! the answers into messages, traces and re-armed watches.
+//!
+//! The list is `Shared` and never changed in place: a change builds a new
+//! list (with a fresh wire-size memo), and a list that comes out as held
+//! is not copied. So every GSD that adopted the same broadcast, or was
+//! booted from the same directory, holds one list, and the views and
+//! broadcasts built from it carry that list too.
 
-use phoenix_proto::{MemberInfo, PartitionId};
+use phoenix_proto::{MemberInfo, PartitionId, Shared};
 use phoenix_sim::Pid;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -89,45 +95,74 @@ pub(crate) enum Adoption {
     },
 }
 
+/// A ring's member list, as held and handed on.
+pub(crate) type Members = Shared<Vec<MemberInfo>>;
+
 pub(crate) struct Ring {
     me: PartitionId,
-    members: Vec<MemberInfo>,
+    members: Members,
     epoch: u64,
     quarantined: BTreeSet<PartitionId>,
     /// Guards `MetaQuarantine` broadcasts: stale ones are ignored.
     quarantine_epoch: u64,
-    /// Every partition's coordinates as last held, kept after it leaves:
-    /// where a rescue restarts it and where a regroup round pings it.
-    last_known: BTreeMap<PartitionId, MemberInfo>,
+    /// The partitions that left the ring, with their coordinates as of the
+    /// last settle: where a rescue restarts one and where a regroup round
+    /// pings it. A settled ring holds no entry for a member.
+    departed: BTreeMap<PartitionId, MemberInfo>,
 }
 
 impl Ring {
     pub(crate) fn new(me: PartitionId) -> Ring {
         Ring {
             me,
-            members: Vec::new(),
+            members: Shared::default(),
             epoch: 0,
             quarantined: BTreeSet::new(),
             quarantine_epoch: 0,
-            last_known: BTreeMap::new(),
+            departed: BTreeMap::new(),
         }
     }
 
-    /// Put the list back in ring order and remember where everyone is.
+    /// Put the list back in ring order — a copy only when it is out of
+    /// order — and forget the departure of every member.
     fn settle(&mut self) {
         let q = &self.quarantined;
-        self.members
-            .sort_by_key(|m| (q.contains(&m.partition), m.partition));
-        self.members.dedup_by_key(|m| m.partition);
-        for m in &self.members {
-            self.last_known.insert(m.partition, *m);
+        let key = |m: &MemberInfo| (q.contains(&m.partition), m.partition);
+        if !self.members.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
+            let mut list = self.members.to_vec();
+            list.sort_by_key(key);
+            list.dedup_by_key(|m| m.partition);
+            self.members = Shared::new(list);
         }
+        self.departed
+            .retain(|&p, _| self.members.iter().all(|m| m.partition != p));
+    }
+
+    /// Hold `list` from now on; whoever it leaves out departs. (A member's
+    /// entry differs from its settled one only after `refresh_own`, which
+    /// has kept the settled one already.)
+    fn replace(&mut self, list: Members) {
+        let left = |m: &&MemberInfo| list.iter().all(|n| n.partition != m.partition);
+        for m in self.members.iter().filter(left) {
+            self.departed.entry(m.partition).or_insert(*m);
+        }
+        self.members = list;
+    }
+
+    /// The list with `member` in its partition's entry, or added.
+    fn with(&self, member: MemberInfo) -> Members {
+        let mut list = self.members.to_vec();
+        match self.index_of(member.partition) {
+            Some(i) => list[i] = member,
+            None => list.push(member),
+        }
+        Shared::new(list)
     }
 
     // ---- geometry ---------------------------------------------------------
 
-    /// The members, in ring order.
-    pub(crate) fn members(&self) -> &[MemberInfo] {
+    /// The members, in ring order: the list itself, to be handed on.
+    pub(crate) fn members(&self) -> &Members {
         &self.members
     }
 
@@ -162,7 +197,7 @@ impl Ring {
     /// `partition`'s coordinates: as a member, else as last held.
     pub(crate) fn known(&self, partition: PartitionId) -> Option<MemberInfo> {
         self.get(partition)
-            .or_else(|| self.last_known.get(&partition).copied())
+            .or_else(|| self.departed.get(&partition).copied())
     }
 
     pub(crate) fn role(&self) -> Role {
@@ -214,36 +249,44 @@ impl Ring {
     // ---- changes ----------------------------------------------------------
 
     /// Start over from `members`, with `me` in.
-    pub(crate) fn install(&mut self, members: Vec<MemberInfo>, me: MemberInfo) {
-        self.members = members;
+    pub(crate) fn install(&mut self, members: Members, me: MemberInfo) {
+        self.replace(members);
         self.upsert(me);
     }
 
     /// `member` takes its partition's entry, or enters.
     pub(crate) fn upsert(&mut self, member: MemberInfo) {
-        match self.index_of(member.partition) {
-            Some(i) => self.members[i] = member,
-            None => self.members.push(member),
+        if self.get(member.partition) != Some(member) {
+            self.members = self.with(member);
         }
         self.settle();
     }
 
     /// Our own coordinates changed (a partition service was replaced): the
-    /// entry held for ourselves, if there is one yet, follows.
+    /// entry held for ourselves, if there is one yet, follows. Until the
+    /// next settle the coordinates it replaces stay what a removal keeps.
     pub(crate) fn refresh_own(&mut self, me: MemberInfo) {
-        if let Some(i) = self.index_of(me.partition) {
-            self.members[i] = me;
+        if let Some(old) = self.get(me.partition).filter(|&old| old != me) {
+            self.departed.entry(me.partition).or_insert(old);
+            self.members = self.with(me);
         }
     }
 
     pub(crate) fn remove(&mut self, partition: PartitionId) {
-        self.members.retain(|m| m.partition != partition);
+        self.retain(|m| m.partition != partition);
     }
 
     /// Shrink to ourselves: the group is rebuilt around this member.
     pub(crate) fn reseed_singleton(&mut self) {
         let me = self.me;
-        self.members.retain(|m| m.partition == me);
+        self.retain(|m| m.partition == me);
+    }
+
+    fn retain(&mut self, keep: impl Fn(&MemberInfo) -> bool) {
+        if !self.members.iter().all(&keep) {
+            let kept = self.members.iter().copied().filter(keep).collect();
+            self.replace(Shared::new(kept));
+        }
     }
 
     /// Adopt the quarantine set broadcast under `epoch` and re-derive the
@@ -298,7 +341,7 @@ impl Ring {
     pub(crate) fn on_membership(
         &mut self,
         epoch: u64,
-        members: &[MemberInfo],
+        members: Members,
         me: MemberInfo,
     ) -> Adoption {
         // Duplicate resolution first, whatever the epoch.
@@ -313,7 +356,7 @@ impl Ring {
             .filter(|&i| members[i].gsd == me.gsd)
             .map(|i| Role::at(Some(i)));
         self.epoch = epoch;
-        self.install(members.to_vec(), me);
+        self.install(members, me);
         Adoption::Adopted {
             named_as,
             rejoin: mine.is_none(),
@@ -342,8 +385,8 @@ mod tests {
     /// The ring of `me`, holding partitions `parts` with gsd pid 10 + id.
     fn ring(me: PartitionId, parts: &[PartitionId]) -> Ring {
         let mut r = Ring::new(me);
-        let members = parts.iter().map(|&p| member(p, 10 + p.0 as u64)).collect();
-        r.install(members, member(me, 10 + me.0 as u64));
+        let members: Vec<_> = parts.iter().map(|&p| member(p, 10 + p.0 as u64)).collect();
+        r.install(members.into(), member(me, 10 + me.0 as u64));
         r
     }
 
@@ -489,13 +532,13 @@ mod tests {
     fn membership_is_adopted_ignored_or_yielded_to() {
         use Adoption::*;
         let me = member(P1, 11);
-        let list = |gsd1: u64| vec![member(P0, 10), member(P1, gsd1), member(P2, 12)];
+        let list = |gsd1: u64| Shared::new(vec![member(P0, 10), member(P1, gsd1), member(P2, 12)]);
         let mut r = ring(P1, &[P0, P1, P2]);
         r.set_epoch(5);
 
         // A newer GSD for our partition wins whatever the epoch says.
-        assert_eq!(r.on_membership(0, &list(99), me), Yield);
-        assert_eq!(r.on_membership(4, &list(11), me), Stale);
+        assert_eq!(r.on_membership(0, list(99), me), Yield);
+        assert_eq!(r.on_membership(4, list(11), me), Stale);
         assert_eq!(r.epoch(), 5);
 
         let named = Adopted {
@@ -503,7 +546,7 @@ mod tests {
             rejoin: false,
         };
         assert_eq!(
-            r.on_membership(5, &list(11), me),
+            r.on_membership(5, list(11), me),
             named,
             "same epoch still adopts"
         );
@@ -513,26 +556,26 @@ mod tests {
             named_as: None,
             rejoin: false,
         };
-        assert_eq!(r.on_membership(6, &list(3), me), unnamed);
+        assert_eq!(r.on_membership(6, list(3), me), unnamed);
         assert_eq!((r.epoch(), r.get(P1)), (6, Some(me)));
 
         // A broadcast that lost us: we stay in our own ring, and rejoin.
-        let without = [member(P2, 12), member(P0, 10)];
+        let without = Shared::new(vec![member(P2, 12), member(P0, 10)]);
         let lost = Adopted {
             named_as: None,
             rejoin: true,
         };
-        assert_eq!(r.on_membership(7, &without, me), lost);
+        assert_eq!(r.on_membership(7, without, me), lost);
         assert_eq!(order(&r), [P0, P1, P2]);
 
         // The seat named is the one the *sender's* order gives us.
         let mut q = ring(P0, &[P0, P1]);
-        let sent = [member(P1, 11), member(P0, 10)];
+        let sent = Shared::new(vec![member(P1, 11), member(P0, 10)]);
         let tail = Adopted {
             named_as: Some(Role::Princess),
             rejoin: false,
         };
-        assert_eq!(q.on_membership(1, &sent, member(P0, 10)), tail);
+        assert_eq!(q.on_membership(1, sent, member(P0, 10)), tail);
         assert_eq!(q.role(), Role::Leader, "our own order seats us first");
     }
 
@@ -552,6 +595,113 @@ mod tests {
         assert_eq!(order(&r), [P0]);
         assert_eq!(r.role(), Role::Leader);
         assert_eq!(r.others().count(), 0);
+    }
+
+    /// Every way a member leaves, and a return. `known` answers what a
+    /// map written with every member at every settle, and never at a
+    /// removal, answers: a removed partition's coordinates as last settled.
+    /// A settled ring with nobody gone keeps no departure.
+    #[test]
+    fn known_keeps_the_settled_coordinates_of_whoever_left() {
+        enum Op {
+            Remove(PartitionId),
+            Install(Vec<PartitionId>),
+            Reseed,
+            Join(MemberInfo),
+            Refresh(MemberInfo),
+        }
+        use Op::*;
+        let moved = |m: MemberInfo| MemberInfo {
+            node: NodeId(99),
+            ..m
+        };
+        let all = [P0, P1, P2, P3];
+        // (me, operations, departures left)
+        let rows = [
+            (P0, vec![Remove(P1)], 1),
+            (P0, vec![Remove(P1), Remove(P2), Remove(P1)], 2),
+            (P1, vec![Install(vec![P0, P2])], 1),
+            (P2, vec![Install(vec![P3, P2, P3])], 2),
+            (P0, vec![Reseed], 3),
+            (P0, vec![Remove(P2), Reseed, Join(member(P2, 50))], 2),
+            (P0, vec![Remove(P2), Join(member(P2, 50))], 0),
+            (
+                P0,
+                vec![Install(vec![P0]), Install(vec![P0, P1, P2, P3])],
+                0,
+            ),
+            (P0, vec![Refresh(moved(member(P0, 10))), Remove(P0)], 1),
+            (
+                P0,
+                vec![
+                    Refresh(moved(member(P0, 10))),
+                    Join(member(P2, 50)),
+                    Remove(P0),
+                ],
+                1,
+            ),
+            (
+                P3,
+                vec![
+                    Refresh(moved(member(P3, 13))),
+                    Refresh(member(P3, 70)),
+                    Remove(P3),
+                ],
+                1,
+            ),
+            (P1, vec![Refresh(member(P1, 11)), Remove(P2)], 1),
+        ];
+        for (row, (me, ops, left)) in rows.into_iter().enumerate() {
+            let mut r = ring(me, &all);
+            let mut list: Vec<MemberInfo> = r.members().to_vec();
+            let mut full: BTreeMap<PartitionId, MemberInfo> = BTreeMap::new();
+            let settled = |list: &Vec<MemberInfo>, full: &mut BTreeMap<_, _>| {
+                full.extend(list.iter().map(|m| (m.partition, *m)));
+            };
+            settled(&list, &mut full);
+            for op in ops {
+                match op {
+                    Remove(p) => {
+                        r.remove(p);
+                        list.retain(|m| m.partition != p);
+                    }
+                    Install(parts) => {
+                        let members: Vec<_> =
+                            parts.iter().map(|&p| member(p, 10 + p.0 as u64)).collect();
+                        r.install(members.clone().into(), member(me, 10 + me.0 as u64));
+                        list = members;
+                        list.push(member(me, 10 + me.0 as u64));
+                        list.sort_by_key(|m| m.partition);
+                        list.dedup_by_key(|m| m.partition);
+                        settled(&list, &mut full);
+                    }
+                    Reseed => {
+                        r.reseed_singleton();
+                        list.retain(|m| m.partition == me);
+                    }
+                    Join(m) => {
+                        r.upsert(m);
+                        list.retain(|x| x.partition != m.partition);
+                        list.push(m);
+                        list.sort_by_key(|m| m.partition);
+                        settled(&list, &mut full);
+                    }
+                    Refresh(m) => {
+                        r.refresh_own(m);
+                        list.iter_mut()
+                            .filter(|x| x.partition == me)
+                            .for_each(|x| *x = m);
+                    }
+                }
+                assert_eq!(**r.members(), list, "row {row}");
+                for p in (0..5).map(PartitionId) {
+                    let held = list.iter().find(|m| m.partition == p).copied();
+                    let want = held.or_else(|| full.get(&p).copied());
+                    assert_eq!(r.known(p), want, "row {row}: {p:?}");
+                }
+            }
+            assert_eq!(r.departed.len(), left, "row {row}");
+        }
     }
 
     /// 1,000 random operation sequences: the order the ring keeps is the
@@ -585,7 +735,7 @@ mod tests {
                 }
                 model.sort_by_key(|m| (quarantined.contains(&m.partition), m.partition));
                 model.dedup_by_key(|m| m.partition);
-                assert_eq!(ring.members(), model);
+                assert_eq!(**ring.members(), model);
             }
         }
     }

@@ -272,8 +272,9 @@ pub enum KernelMsg {
     },
     /// GSD pushes the current meta-group view to partition services and
     /// node daemons (federation peers + replacement pids flow through it).
+    /// The list is the GSD's own ring list, `Shared` with every recipient.
     PartitionView {
-        members: Vec<MemberInfo>,
+        members: Shared<Vec<MemberInfo>>,
         local: MemberInfo,
     },
 
@@ -360,9 +361,10 @@ pub enum KernelMsg {
 
     // ---- configuration service ("config") --------------------------------
     CfgQueryTopology { req: RequestId },
+    /// `Shared`: the topology config and the GSDs hold, not a copy.
     CfgTopology {
         req: RequestId,
-        topology: Box<ClusterTopology>,
+        topology: Shared<ClusterTopology>,
     },
     CfgQueryDirectory { req: RequestId },
     CfgDirectory {

@@ -79,7 +79,10 @@
 # same rule: phoenix-pws/src/pool.rs names neither, and the PPM requests are
 # built by the two helpers beside the agent (phoenix-kernel/src/ppm/), so a
 # KernelMsg::PpmExec or KernelMsg::PpmDelete literal under phoenix-pws/src or
-# phoenix-biz/src fails the stage.
+# phoenix-biz/src fails the stage. A cluster keeps one copy of each
+# cluster-wide view: non-test kernel source that says `topology.clone()` or
+# `.members().to_vec()` (a per-actor copy of the topology or of a ring list,
+# where the Shared one should be handed on) fails it too.
 #
 # The last stage prints the non-test code-line counts ROADMAP item 4 quotes
 # and fails when group/gsd.rs, phoenix-kernel, phoenix-proto, phoenix-pws,
@@ -416,6 +419,15 @@ if [ "$(printf '%s\n' "$retry_sites" | grep -c .)" -ne 1 ] \
     || ! printf '%s\n' "$retry_sites" | grep -q "^$kernel_src/rpc.rs: "; then
     printf '%s\n' "$retry_sites" >&2
     echo "FAIL: \"rpc.retries\" must be counted once, in $kernel_src/rpc.rs (call RetryPolicy::on_send)" >&2
+    exit 1
+fi
+# One copy of each cluster-wide view, with the same cut.
+copies=$(for f in $(find $kernel_src -name '*.rs'); do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -nF -e 'topology.clone()' -e '.members().to_vec()' | sed "s|^|$f: |"
+done)
+if [ -n "$copies" ]; then
+    printf '%s\n' "$copies" >&2
+    echo "FAIL: a per-actor copy of the topology or a ring list (hand the Shared on: Shared::clone, .members().clone())" >&2
     exit 1
 fi
 

@@ -8,7 +8,10 @@
 //! events and its actors need, so its live bytes should stay flat over
 //! time: a buffer that keeps the capacity of the largest burst it ever held
 //! makes them creep up. This test boots the benchmark's steady shape at 128
-//! and 512 nodes and bounds both. The counts are the same on every machine.
+//! and 512 nodes and bounds both, then at 640 and 2,560 nodes, where a
+//! per-actor copy of any cluster-wide list (the topology, the ring, a
+//! service's peers) shows as the per-node figure growing with partitions.
+//! The counts are the same on every machine.
 //!
 //! Its own test binary, and one `#[test]`: the allocator counts for the
 //! whole process.
@@ -16,7 +19,7 @@
 use phoenix::kernel::boot::boot_cluster;
 use phoenix::kernel::KernelParams;
 use phoenix::proto::ClusterTopology;
-use phoenix::sim::SimDuration;
+use phoenix::sim::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 
@@ -46,26 +49,29 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Live bytes a cluster of `partitions` x 16 nodes holds after 2 virtual
-/// seconds and after 12: `(nodes, at_2s, at_12s)`.
-fn live_bytes(partitions: usize) -> (usize, i64, i64) {
+/// Live bytes a cluster of `partitions` x 16 nodes holds at each virtual
+/// second in `at` (ascending): `(nodes, bytes)`.
+fn live_bytes<const N: usize>(partitions: usize, at: [u64; N]) -> (usize, [i64; N]) {
     let before = LIVE.load(Relaxed);
     let topology = ClusterTopology::uniform(partitions, 16, 1);
     let nodes = topology.node_count();
     let (mut world, cluster) = boot_cluster(topology, KernelParams::fast_slow(), 1);
-    world.run_for(SimDuration::from_secs(2));
-    let at_2s = LIVE.load(Relaxed) - before;
-    world.run_for(SimDuration::from_secs(10));
-    let at_12s = LIVE.load(Relaxed) - before;
+    let bytes = at.map(|secs| {
+        world.run_until(SimTime::ZERO + SimDuration::from_secs(secs));
+        LIVE.load(Relaxed) - before
+    });
     drop((world, cluster));
-    (nodes, at_2s, at_12s)
+    (nodes, bytes)
+}
+
+fn per_node(bytes: i64, nodes: usize) -> f64 {
+    bytes as f64 / nodes as f64
 }
 
 #[test]
 fn live_bytes_are_flat_per_node_and_over_time() {
-    let (small_nodes, small, _) = live_bytes(8);
-    let (large_nodes, large_2s, large_12s) = live_bytes(32);
-    let per_node = |bytes: i64, nodes: usize| bytes as f64 / nodes as f64;
+    let (small_nodes, [small]) = live_bytes(8, [2]);
+    let (large_nodes, [large_2s, large_12s]) = live_bytes(32, [2, 12]);
     let (small_per, large_per) = (per_node(small, small_nodes), per_node(large_2s, large_nodes));
     println!(
         "live bytes per node at 2 s: {small_nodes} nodes {:.1} KB, {large_nodes} nodes {:.1} KB; \
@@ -84,5 +90,25 @@ fn live_bytes_are_flat_per_node_and_over_time() {
         large_12s as f64 <= 1.1 * large_2s as f64,
         "live bytes creep in steady state: {large_2s} B at 2 s, {large_12s} B at 12 s \
          (a buffer kept at its largest burst?)"
+    );
+
+    // The paper's 640-node shape and four times it. What still grows here
+    // is the event arena, sized by the bulletin's boot burst.
+    let (n640, [b640]) = live_bytes(40, [2]);
+    let (n2560, [b2560]) = live_bytes(160, [2]);
+    let (per_640, per_2560) = (per_node(b640, n640), per_node(b2560, n2560));
+    println!(
+        "live bytes per node at 2 s: {n640} nodes {:.2} KB ({:.2} MB), \
+         {n2560} nodes {:.2} KB ({:.2} MB), x{:.2}",
+        per_640 / 1e3,
+        b640 as f64 / 1e6,
+        per_2560 / 1e3,
+        b2560 as f64 / 1e6,
+        per_2560 / per_640,
+    );
+    assert!(
+        per_2560 <= 1.65 * per_640,
+        "live bytes per node grow with the cluster: {per_640:.0} B at {n640} nodes, \
+         {per_2560:.0} B at {n2560} (a per-actor copy of a cluster-wide list?)"
     );
 }

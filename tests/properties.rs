@@ -339,7 +339,7 @@ fn kernel_msg_surface() -> Vec<phoenix::proto::KernelMsg> {
             factory: "es".into(),
         },
         KernelMsg::SvcHeartbeat { kind: ServiceKind::DataBulletin, pid: Pid(51), seq: 3 },
-        KernelMsg::PartitionView { members: vec![member], local: member },
+        KernelMsg::PartitionView { members: vec![member].into(), local: member },
         KernelMsg::EsRegisterConsumer {
             req: RequestId(55),
             reg: ConsumerReg {
@@ -408,7 +408,7 @@ fn kernel_msg_surface() -> Vec<phoenix::proto::KernelMsg> {
         KernelMsg::CfgQueryTopology { req: RequestId(11) },
         KernelMsg::CfgTopology {
             req: RequestId(11),
-            topology: Box::new(ClusterTopology::uniform(2, 4, 1)),
+            topology: ClusterTopology::uniform(2, 4, 1).into(),
         },
         KernelMsg::CfgQueryDirectory { req: RequestId(12) },
         KernelMsg::CfgDirectory {
