@@ -67,16 +67,25 @@ mod tests {
     use super::*;
 
     /// The headline property of Table 4: Phoenix's daemons cost almost
-    /// nothing. Generous bound: the ratio stays above 70 % even on a
-    /// noisy single-core CI box (the paper reports 97–102 %).
+    /// nothing. Generous bound: the median ratio of five interleaved
+    /// without/with pairs stays above 60 % (the paper reports 97–102 %).
+    /// Each pair times real threads, so other work on the host can sink
+    /// one pair; the median only falls when three of the five do.
     #[test]
     fn daemon_impact_is_small() {
-        let row = measure_impact(256, 1, &DaemonLoad::phoenix_default(), 2);
+        let mut ratios: Vec<f64> = (0..5)
+            .map(|_| {
+                let row = measure_impact(256, 1, &DaemonLoad::phoenix_default(), 1);
+                assert!(row.gflops_without > 0.0 && row.gflops_with > 0.0);
+                row.ratio_pct
+            })
+            .collect();
+        let pairs = format!("{ratios:.1?}");
+        ratios.sort_by(f64::total_cmp);
         assert!(
-            row.ratio_pct > 60.0,
-            "ratio {:.1}% too low — daemons steal too much",
-            row.ratio_pct
+            ratios[2] > 60.0,
+            "median ratio {:.1}% too low — daemons steal too much (pairs {pairs} %)",
+            ratios[2]
         );
-        assert!(row.gflops_without > 0.0 && row.gflops_with > 0.0);
     }
 }

@@ -14,7 +14,7 @@
 
 /// Reference to a live arena slot. Cheap to copy (8 bytes); invalidated by
 /// `take`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub(crate) struct Handle {
     idx: u32,
     gen: u32,

@@ -14,20 +14,22 @@
 //! * [`WheelScheduler`] — a hierarchical timer wheel. Heartbeats and retry
 //!   timers — the overwhelming majority of events — are regular and
 //!   short-horizon, so they land in O(1) bucketed slots; only the events
-//!   sharing the *current* slot pass through a (tiny) ready heap to
-//!   restore exact `(time, seq)` order. Far-future events cascade down
-//!   from coarser levels; events beyond the wheel horizon wait in an
-//!   overflow heap. Payloads are parked in a generation-checked
+//!   sharing the *current* slot pass through a ready queue kept in exact
+//!   `(time, seq)` order. A push into that slot almost always sorts after
+//!   everything queued (same instant, higher seq), so it appends in O(1);
+//!   the rare earlier one shifts the shorter side. Far-future events
+//!   cascade down from coarser levels; events beyond the wheel horizon
+//!   wait in an overflow heap. Payloads are parked in a generation-checked
 //!   [`EventArena`] so cascades move 24-byte references, not whole
 //!   messages, and the hot path stops round-tripping the allocator. A
-//!   slot's buffer is freed when the slot drains, so the wheel holds
-//!   memory for the events pending, not for the largest burst a slot
-//!   ever held.
+//!   slot's buffer is freed when the slot drains (the level-0 one becomes
+//!   the ready queue's, whose own is freed), so the wheel holds memory for
+//!   the events pending, not for the largest burst a slot ever held.
 
 use crate::arena::{ArenaStats, EventArena, Handle};
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Which event-queue implementation a world runs on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -185,50 +187,35 @@ const G0_SHIFT: u32 = 16;
 const LEVELS: usize = 5;
 
 /// Compact reference moved through slots and heaps: the `(at, seq)` sort
-/// key plus the arena handle of the payload.
-#[derive(Clone, Copy)]
+/// key plus the arena handle of the payload. The derived order is the
+/// contract's, ascending by time and FIFO on ties: `seq` is unique, so
+/// `handle` never decides. The overflow heap wraps entries in `Reverse`
+/// to pop the earliest.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct EntryRef {
     at: u64,
     seq: u64,
     handle: Handle,
 }
 
-impl PartialEq for EntryRef {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for EntryRef {}
-impl PartialOrd for EntryRef {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for EntryRef {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Earliest-first inside a max-BinaryHeap, FIFO on ties.
-        Reverse((self.at, self.seq)).cmp(&Reverse((other.at, other.seq)))
-    }
-}
-
 /// Hierarchical timer wheel.
 ///
 /// `cursor` is the absolute level-0 slot the wheel has drained up to.
-/// Entries in slots at or before the cursor live in `ready` (a small heap
-/// restoring exact `(at, seq)` order within the slot); wheel slots at every
+/// Entries in slots at or before the cursor live in `ready` (a queue in
+/// exact `(at, seq)` order, earliest at the front); wheel slots at every
 /// level only hold entries strictly after the cursor, within 63 slots of it
 /// at that level's granularity; everything past the top level's horizon
 /// sits in `overflow`.
 pub struct WheelScheduler<T> {
     cursor: u64,
-    /// Entries at or before the cursor, sorted descending by `(at, seq)`
-    /// (so the earliest event is at the back, popped in O(1)). Refilled in
-    /// batch by `advance` (one sort), trickle-fed by binary insertion when
-    /// a push lands at or before the cursor.
-    ready: Vec<EntryRef>,
+    /// Entries at or before the cursor, sorted ascending by `(at, seq)`
+    /// and popped from the front. Refilled in batch by `advance` (one
+    /// sort); a push at or before the cursor appends when it sorts last,
+    /// which every same-instant push does, else is inserted in place.
+    ready: VecDeque<EntryRef>,
     slots: Vec<Vec<EntryRef>>,
     occ: [u64; LEVELS],
-    overflow: BinaryHeap<EntryRef>,
+    overflow: BinaryHeap<Reverse<EntryRef>>,
     arena: EventArena<T>,
     len: usize,
 }
@@ -248,7 +235,7 @@ impl<T> WheelScheduler<T> {
     pub fn new() -> Self {
         WheelScheduler {
             cursor: 0,
-            ready: Vec::new(),
+            ready: VecDeque::new(),
             slots: (0..LEVELS as u64 * SLOTS).map(|_| Vec::new()).collect(),
             occ: [0; LEVELS],
             overflow: BinaryHeap::new(),
@@ -282,7 +269,7 @@ impl<T> WheelScheduler<T> {
             self.slots[lvl * SLOTS as usize + idx].push(e);
             self.occ[lvl] |= 1 << idx;
         } else {
-            self.overflow.push(e);
+            self.overflow.push(Reverse(e));
         }
     }
 
@@ -292,19 +279,24 @@ impl<T> WheelScheduler<T> {
     /// (see `place_sorted`).
     fn place(&mut self, e: EntryRef) {
         if slot0(e.at) <= self.cursor {
-            self.ready.push(e);
+            self.ready.push_back(e);
         } else {
             self.insert(e);
         }
     }
 
-    /// `place` for the public push path: keeps `ready` sorted by inserting
-    /// at the right position (EntryRef's `Ord` is earliest-last, matching
-    /// the descending sort).
+    /// `place` for the public push path: keeps `ready` sorted. An entry
+    /// after the back (the common case: seq only grows) is appended;
+    /// anything else is inserted at its position, and `VecDeque::insert`
+    /// shifts the shorter side.
     fn place_sorted(&mut self, e: EntryRef) {
         if slot0(e.at) <= self.cursor {
-            let pos = self.ready.binary_search(&e).unwrap_or_else(|p| p);
-            self.ready.insert(pos, e);
+            if self.ready.back().is_none_or(|b| *b < e) {
+                self.ready.push_back(e);
+            } else {
+                let pos = self.ready.partition_point(|r| *r < e);
+                self.ready.insert(pos, e);
+            }
         } else {
             self.insert(e);
         }
@@ -336,7 +328,7 @@ impl<T> WheelScheduler<T> {
             let start = ((self.cursor >> shift) + dist) << shift;
             best = Some(best.map_or(start, |b| b.min(start)));
         }
-        if let Some(e) = self.overflow.peek() {
+        if let Some(Reverse(e)) = self.overflow.peek() {
             let start = slot0(e.at);
             best = Some(best.map_or(start, |b| b.min(start)));
         }
@@ -345,7 +337,7 @@ impl<T> WheelScheduler<T> {
         // Overflow entries now within the top level's horizon join the
         // wheel (or `ready`, if the jump landed exactly on them).
         let top_shift = SLOT_BITS * (LEVELS as u32 - 1);
-        while let Some(e) = self.overflow.peek().copied() {
+        while let Some(&Reverse(e)) = self.overflow.peek() {
             if (slot0(e.at) >> top_shift) - (self.cursor >> top_shift) < SLOTS {
                 self.overflow.pop();
                 self.place(e);
@@ -370,14 +362,19 @@ impl<T> WheelScheduler<T> {
                 self.place(e);
             }
         }
+        // `ready` takes over the level-0 slot's buffer and drops its own:
+        // a queue that pops from the front walks its whole capacity, so a
+        // buffer kept from a burst would stay resident for good.
         let idx0 = (self.cursor & (SLOTS - 1)) as usize;
         if self.occ[0] & (1 << idx0) != 0 {
             self.occ[0] &= !(1 << idx0);
-            self.ready.append(&mut std::mem::take(&mut self.slots[idx0]));
+            let slot = std::mem::take(&mut self.slots[idx0]);
+            let cascaded = std::mem::replace(&mut self.ready, slot.into());
+            self.ready.extend(cascaded);
         }
         // One batch sort instead of per-entry heap sifts; `ready` was empty
         // on entry, so everything in it arrived during this advance.
-        self.ready.sort_unstable();
+        self.ready.make_contiguous().sort_unstable();
     }
 
     fn fill_ready(&mut self) {
@@ -409,7 +406,7 @@ impl<T> Scheduler<T> for WheelScheduler<T> {
             return None;
         }
         self.fill_ready();
-        let e = self.ready.pop().unwrap();
+        let e = self.ready.pop_front().unwrap();
         Some(self.take(e))
     }
 
@@ -418,22 +415,25 @@ impl<T> Scheduler<T> for WheelScheduler<T> {
             return None;
         }
         self.fill_ready();
-        if self.ready.last().unwrap().at > deadline.0 {
+        if self.ready.front().unwrap().at > deadline.0 {
             return None;
         }
-        let e = self.ready.pop().unwrap();
+        let e = self.ready.pop_front().unwrap();
         Some(self.take(e))
     }
 
+    /// `ready`'s front when it is non-empty: wheel slots hold only entries
+    /// after the cursor's slot and overflow is later still. Otherwise a scan
+    /// of every occupied slot and the overflow minimum.
     fn earliest(&self) -> Option<SimTime> {
+        if let Some(e) = self.ready.front() {
+            return Some(SimTime(e.at));
+        }
         let mut best: Option<u64> = None;
         let mut consider = |at: u64| {
             best = Some(best.map_or(at, |b: u64| b.min(at)));
         };
-        for e in &self.ready {
-            consider(e.at);
-        }
-        if let Some(e) = self.overflow.peek() {
+        if let Some(Reverse(e)) = self.overflow.peek() {
             consider(e.at);
         }
         for lvl in 0..LEVELS {
@@ -534,6 +534,22 @@ mod tests {
         assert_eq!(w.len(), 3);
     }
 
+    /// The cursor can reach a slot through two levels at once: one entry
+    /// filed at level 1 while the cursor was far, one at level 0 once it
+    /// was near. `advance` must merge the cascaded entry into the level-0
+    /// slot's buffer that `ready` takes over.
+    #[test]
+    fn a_slot_reached_from_two_levels_pops_both() {
+        let mut w = WheelScheduler::new();
+        let slot = |s: u64| s << G0_SHIFT;
+        w.push(SimTime(slot(128) + 5), 1, "far");
+        w.push(SimTime(slot(100)), 2, "near");
+        assert_eq!(w.pop().map(|(_, _, v)| v), Some("near"));
+        w.push(SimTime(slot(128) + 1), 3, "late");
+        let order: Vec<_> = std::iter::from_fn(|| w.pop()).map(|(_, _, v)| v).collect();
+        assert_eq!(order, ["late", "far"]);
+    }
+
     /// A burst passes through one slot per level on its way down; once it
     /// has drained, none of those slots keeps a buffer sized for it.
     #[test]
@@ -552,6 +568,56 @@ mod tests {
         // The wheel still schedules after the slots let go.
         w.push(SimTime(2_000_000_000), 10_000, ());
         assert_eq!(drain(&mut w), vec![(2_000_000_000, 10_000)]);
+    }
+
+    /// Pushes into `ready` while it drains, which the interleaved test
+    /// (every push before the first pop) never makes: a boot-sized burst
+    /// at one instant, then pops that push zero-delay, sub-slot and
+    /// next-slot follow-ups. A zero-delay push lands before a queued
+    /// sub-slot one, so the out-of-order insert runs too.
+    #[test]
+    fn heap_and_wheel_agree_on_pushes_into_a_live_slot() {
+        let mut h: HeapScheduler<u64> = HeapScheduler::new();
+        let mut w: WheelScheduler<u64> = WheelScheduler::new();
+        let (mut seq, mut appends, mut inserts) = (0u64, 0u32, 0u32);
+        let mut push = |h: &mut HeapScheduler<u64>, w: &mut WheelScheduler<u64>, at: u64| {
+            seq += 1;
+            if slot0(at) <= w.cursor {
+                match w.ready.back() {
+                    Some(b) if (b.at, b.seq) > (at, seq) => inserts += 1,
+                    Some(_) => appends += 1,
+                    None => {}
+                }
+            }
+            h.push(SimTime(at), seq, seq);
+            w.push(SimTime(at), seq, seq);
+        };
+        let pop = |h: &mut HeapScheduler<u64>, w: &mut WheelScheduler<u64>| {
+            let a = h.pop().map(|(t, s, v)| (t.0, s, v));
+            assert_eq!(a, w.pop().map(|(t, s, v)| (t.0, s, v)));
+            a
+        };
+        let t0 = 7 << G0_SHIFT;
+        push(&mut h, &mut w, t0);
+        pop(&mut h, &mut w);
+        for _ in 0..20_000 {
+            push(&mut h, &mut w, t0);
+        }
+        let mut popped = 0u64;
+        while let Some((at, _, _)) = pop(&mut h, &mut w) {
+            popped += 1;
+            if popped <= 60_000 {
+                match popped % 4 {
+                    0 => push(&mut h, &mut w, at),
+                    1 => push(&mut h, &mut w, at + 700),
+                    2 => push(&mut h, &mut w, at + 100_000),
+                    _ => {}
+                }
+            }
+        }
+        assert_eq!(popped, 20_000 + 45_000);
+        assert!(appends >= 19_999, "appends {appends}");
+        assert!(inserts > 0, "no push sorted before ready's back");
     }
 
     #[test]

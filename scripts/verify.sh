@@ -57,7 +57,8 @@
 # takeover percentiles, failed_ops_share, event counts, ...) with
 # scripts/bench_digests.txt, naming each line that moved: a PR that must not
 # alter behaviour no longer compares 120 lines by hand. Each run's line also
-# prints its peak_rss_mb, for the log only (host memory is not gated here).
+# prints its setup_s and peak_rss_mb, for the log only (host time and memory
+# are not gated here).
 #
 # The sweep stage runs the sweep bin (the five ablation sweeps: loss_sweep,
 # nic_asymmetry, partition_sweep, quorum_sweep, slow_sweep) and chaos_sweep,
@@ -260,9 +261,11 @@ for pair in $(grep -v '^#' scripts/bench_digests.txt | awk 'NF { print $1 ":" $2
         { delete have[$3] }
         END { for (n in have) print "  " n ": not pinned, now " have[n] }' \
         "$out.have" "$out.want" > "$out.moved"
-    # Peak RSS is a log line, not a gate: a memory jump shows in every log.
+    # Set-up time and peak RSS are log lines, not gates: a jump in either
+    # shows in every log.
+    setup=$(sed -n "s/^$workload setup_s \([^ ]*\) s host$/\1/p" "$out")
     rss=$(sed -n "s/^$workload peak_rss_mb \([^ ]*\) MB host$/\1/p" "$out")
-    echo "$workload seed $seed: $(grep -c . "$out.have") exact lines, $(grep -c . "$out.moved") moved, peak_rss_mb ${rss:-?}"
+    echo "$workload seed $seed: $(grep -c . "$out.have") exact lines, $(grep -c . "$out.moved") moved, setup_s ${setup:-?}, peak_rss_mb ${rss:-?}"
     if [ -s "$out.moved" ]; then
         cat "$out.moved"
         moved="$moved $workload/$seed"
