@@ -178,11 +178,7 @@ pub fn boot_cluster_custom(
     );
     let security = world.spawn(
         first_server,
-        Box::new(SecurityService::new(
-            security_key,
-            &default_accounts(),
-            params.clone(),
-        )),
+        Box::new(SecurityService::new(security_key, &default_accounts())),
     );
 
     // Per-partition services on each server node.

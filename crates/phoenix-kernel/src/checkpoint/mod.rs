@@ -6,17 +6,20 @@
 //! by calling interface of checkpoint service."
 //!
 //! One instance runs per partition on the server node. Instances form a
-//! federation: every save is replicated to the peers, so every respawned
-//! instance — restarted in place after a process fault, or migrated to a
-//! backup node after a server-node crash — starts empty and resynchronizes
-//! the partition's state from any surviving peer (`CkSyncReq` /
-//! `CkSyncResp`) before it answers a load.
+//! federation: every save is replicated to the instance's `SUCCESSORS`
+//! successors, the peers after it in cyclic partition-id order, so every
+//! respawned instance — restarted in place after a process fault, or
+//! migrated to a backup node after a server-node crash — starts empty and
+//! resynchronizes the partition's state from a surviving successor
+//! (`CkSyncReq` / `CkSyncResp`) before it answers a load. With four
+//! partitions or fewer the successors are every peer. Per-instance traffic
+//! and storage stay flat as partitions are added.
 //!
 //! A snapshot is built once, by the service that saves it. `CkSave` is the
 //! one hop that carries it by value; the instance that receives it moves it
 //! into a `Shared<CheckpointData>`, and the store, every `CkReplicate`,
 //! every `CkLoadResp` and every `CkSyncResp` item hold that one allocation
-//! by pointer, sized once. Replicating to `n` peers costs `n` refcount
+//! by pointer, sized once. Replicating to `n` successors costs `n` refcount
 //! bumps, whatever the snapshot's depth.
 
 use crate::federation::Member;
@@ -32,6 +35,8 @@ const KIND: ServiceKind = ServiceKind::Checkpoint;
 const TOK_SYNC_TIMEOUT: u64 = 2;
 /// Backoff timer for re-sending `CkSyncReq` while still unsynced.
 const TOK_SYNC_RETRY: u64 = 3;
+/// How many peers hold a replica of an instance's saves.
+const SUCCESSORS: usize = 3;
 
 /// Key of a checkpointed snapshot: which service instance saved it.
 pub(crate) type CkKey = (ServiceKind, PartitionId);
@@ -76,24 +81,43 @@ impl CheckpointService {
         }
     }
 
+    /// Where this instance's saves are replicated and deleted, and whom it
+    /// asks for them when respawned: its successors, in wiring order.
+    fn successors(&self) -> impl Iterator<Item = Pid> + '_ {
+        let own = self.member.partition();
+        let reach = reach(own, self.member.peers().map(|(p, _)| p));
+        let near = move |(p, pid)| (after(own, p) <= reach).then_some(pid);
+        self.member.peers().filter_map(near)
+    }
+
+    /// Whether this instance holds `of`'s saves: its own, or a partition's
+    /// whose successor it is.
+    fn keeps(&self, of: PartitionId) -> bool {
+        let own = self.member.partition();
+        let others = self.member.peers().map(|(p, _)| p).filter(|&p| p != of);
+        of == own || after(of, own) <= reach(of, others.chain([own]))
+    }
+
     fn answer(&self, ctx: &mut Ctx<'_, KernelMsg>, to: Pid, req: RequestId, key: CkKey) {
         let data = self.store.get(&key).cloned();
         ctx.send(to, KernelMsg::CkLoadResp { req, data });
     }
 
-    fn flush_pending(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        let pending = std::mem::take(&mut self.pending_loads);
-        for (to, req, key) in pending {
+    /// The store is as complete as it will get: answer the loads that
+    /// waited for it.
+    fn sync_done(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
+        self.synced = true;
+        for (to, req, key) in std::mem::take(&mut self.pending_loads) {
             self.answer(ctx, to, req, key);
         }
     }
 
-    /// Fan the sync request to every surviving peer. Under a retrying
-    /// policy the fan-out re-fires with backoff until a response lands or
-    /// the attempt budget is spent; the give-up timer remains the final
-    /// fallback either way.
+    /// Fan the sync request to the successors, which hold this instance's
+    /// saves. Under a retrying policy the fan-out re-fires with backoff
+    /// until a response lands or the attempt budget is spent; the give-up
+    /// timer remains the final fallback either way.
     fn send_sync_reqs(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        for (_, p) in self.member.peers() {
+        for p in self.successors() {
             ctx.send(p, KernelMsg::CkSyncReq { req: RequestId(0) });
         }
         let retry = self.params.ft.retry();
@@ -107,8 +131,8 @@ impl Actor<KernelMsg> for CheckpointService {
     fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         self.member.start(ctx, "checkpoint");
         if !self.synced {
-            // Pull the federation's replicated state from every peer; the
-            // first answer wins, the rest merge idempotently.
+            // Pull the replicated state from the successors; the first
+            // answer wins, the rest merge idempotently.
             self.send_sync_reqs(ctx);
             // Give up after a bounded wait (all peers dead): serve empty.
             ctx.set_timer(self.params.fed_query_timeout * 4, TOK_SYNC_TIMEOUT);
@@ -125,7 +149,7 @@ impl Actor<KernelMsg> for CheckpointService {
                 // Moved, never cloned: the store and every replica share
                 // this one allocation and its memoized size.
                 let data = Shared::new(data);
-                for (_, p) in self.member.peers() {
+                for p in self.successors() {
                     ctx.send(
                         p,
                         KernelMsg::CkReplicate {
@@ -160,7 +184,7 @@ impl Actor<KernelMsg> for CheckpointService {
                 self.store.remove(&(service, partition));
                 // Forward once; peers recognise each other and stop.
                 if !self.member.peers().any(|(_, p)| p == from) {
-                    for (_, p) in self.member.peers() {
+                    for p in self.successors() {
                         ctx.send(p, KernelMsg::CkDelete { service, partition });
                     }
                 }
@@ -175,11 +199,12 @@ impl Actor<KernelMsg> for CheckpointService {
             }
             KernelMsg::CkSyncResp { items, .. } => {
                 for (s, p, d) in items {
-                    self.store.entry((s, p)).or_insert(d);
+                    if self.keeps(p) {
+                        self.store.entry((s, p)).or_insert(d);
+                    }
                 }
                 if !self.synced {
-                    self.synced = true;
-                    self.flush_pending(ctx);
+                    self.sync_done(ctx);
                     self.member.recovered(ctx, None);
                 }
             }
@@ -189,17 +214,8 @@ impl Actor<KernelMsg> for CheckpointService {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, KernelMsg>, token: u64) {
         match token {
-            TOK_SYNC_TIMEOUT => {
-                if !self.synced {
-                    self.synced = true;
-                    self.flush_pending(ctx);
-                }
-            }
-            TOK_SYNC_RETRY => {
-                if !self.synced {
-                    self.send_sync_reqs(ctx);
-                }
-            }
+            TOK_SYNC_TIMEOUT if !self.synced => self.sync_done(ctx),
+            TOK_SYNC_RETRY if !self.synced => self.send_sync_reqs(ctx),
             _ => self.member.on_timer(ctx, token),
         }
     }
@@ -207,6 +223,25 @@ impl Actor<KernelMsg> for CheckpointService {
     fn name(&self) -> &str {
         "checkpoint"
     }
+}
+
+/// Distance from partition `from` forward to `to` in cyclic partition-id
+/// order.
+fn after(from: PartitionId, to: PartitionId) -> u32 {
+    to.0.wrapping_sub(from.0)
+}
+
+/// The distance after `of` within which `others` hold `of`'s replicas: the
+/// `SUCCESSORS`-th smallest, or all of them when there are no more.
+fn reach(of: PartitionId, others: impl Iterator<Item = PartitionId>) -> u32 {
+    let mut near = [u32::MAX; SUCCESSORS];
+    for d in others.map(|p| after(of, p)) {
+        if d < near[SUCCESSORS - 1] {
+            near[SUCCESSORS - 1] = d;
+            near.sort_unstable();
+        }
+    }
+    near[SUCCESSORS - 1]
 }
 
 #[cfg(test)]
@@ -223,6 +258,7 @@ mod tests {
     fn federation(n: u32) -> (World<KernelMsg>, Vec<MemberInfo>, ClientHandle) {
         let mut w = ClusterBuilder::new()
             .nodes(n as usize + 1, NodeSpec::default())
+            .record_events(true)
             .build::<KernelMsg>();
         let members: Vec<MemberInfo> = (0..n)
             .map(|i| {
@@ -252,7 +288,15 @@ mod tests {
     }
 
     fn save(w: &mut World<KernelMsg>, at: Pid, data: CheckpointData) {
-        let (service, partition) = KEY;
+        save_as(w, at, KEY, data);
+    }
+
+    fn save_as(
+        w: &mut World<KernelMsg>,
+        at: Pid,
+        (service, partition): CkKey,
+        data: CheckpointData,
+    ) {
         w.inject(
             at,
             KernelMsg::CkSave {
@@ -270,7 +314,17 @@ mod tests {
         members: &[MemberInfo],
         client: &ClientHandle,
     ) -> Vec<Option<Shared<CheckpointData>>> {
-        let (service, partition) = KEY;
+        loads_of(w, members, client, KEY)
+    }
+
+    /// What every instance answers to a load of `(service, partition)`, in
+    /// member order.
+    fn loads_of(
+        w: &mut World<KernelMsg>,
+        members: &[MemberInfo],
+        client: &ClientHandle,
+        (service, partition): CkKey,
+    ) -> Vec<Option<Shared<CheckpointData>>> {
         let load = |m: &MemberInfo| {
             let req = RequestId(9);
             client.send(
@@ -351,5 +405,120 @@ mod tests {
         );
         w.run_for(SimDuration::from_millis(10));
         assert_eq!(loads(&mut w, &members, &client), [None, None, None]);
+    }
+
+    /// Which instances `from` sent checkpoint messages to, in send order
+    /// (answers to the client left out), from the recorded event stream.
+    fn ckpt_sends(w: &World<KernelMsg>, from: Pid, client: &ClientHandle) -> Vec<Pid> {
+        let from = format!("from={} label=ckpt", from.0);
+        let mut sends: Vec<(u64, Pid)> = w
+            .event_log()
+            .lines()
+            .filter(|line| line.contains(&from))
+            .map(|line| {
+                let mut fields = line.split(' ').skip(1);
+                let seq = fields.next().unwrap().parse().unwrap();
+                let to = fields.nth(1).unwrap().trim_start_matches("to=");
+                (seq, Pid(to.parse().unwrap()))
+            })
+            .filter(|&(_, to)| to != client.pid)
+            .collect();
+        sends.sort_unstable();
+        sends.into_iter().map(|(_, to)| to).collect()
+    }
+
+    /// Six instances: a save at p0 is replicated to its three successors
+    /// p1-p3 and nowhere else; one at p4 wraps round to p5, p0 and p1, sent
+    /// in wiring order.
+    #[test]
+    fn a_save_is_replicated_to_the_three_successors_only() {
+        let (mut w, members, client) = federation(6);
+        let saved = Shared::new(CheckpointData::Raw(vec![6]));
+        save(&mut w, members[0].checkpoint, (*saved).clone());
+        let held = |at: &[usize]| {
+            (0..6)
+                .map(|i| at.contains(&i).then(|| saved.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(loads(&mut w, &members, &client), held(&[0, 1, 2, 3]));
+        let replicas = [1, 2, 3].map(|i| members[i].checkpoint);
+        assert_eq!(ckpt_sends(&w, members[0].checkpoint, &client), replicas);
+
+        let key = (ServiceKind::Event, PartitionId(4));
+        save_as(&mut w, members[4].checkpoint, key, (*saved).clone());
+        assert_eq!(
+            loads_of(&mut w, &members, &client, key),
+            held(&[0, 1, 4, 5])
+        );
+        let replicas = [0, 1, 5].map(|i| members[i].checkpoint);
+        assert_eq!(ckpt_sends(&w, members[4].checkpoint, &client), replicas);
+    }
+
+    /// Six instances: a respawned p0 asks only its successors p1-p3, keeps
+    /// its own save and p3's (p0 succeeds p3) but not p1's, and answers the
+    /// load that arrived before its state did.
+    #[test]
+    fn a_respawned_instance_resyncs_from_its_successors() {
+        let (mut w, mut members, client) = federation(6);
+        let data = |b| CheckpointData::Raw(vec![b]);
+        let key = |p| (ServiceKind::Event, PartitionId(p));
+        for p in [0, 1, 3] {
+            save_as(
+                &mut w,
+                members[p as usize].checkpoint,
+                key(p),
+                data(p as u8),
+            );
+        }
+
+        w.kill_process(members[0].checkpoint);
+        let action = RecoveryAction::RestartedInPlace;
+        let list = Shared::new(members.clone());
+        let args = respawn_args(&members[0], &list, action, &KernelParams::fast());
+        let respawned = w.spawn(NodeId(0), Box::new(CheckpointService::respawn(&args)));
+        members[0].checkpoint = respawned;
+        // Sent before the first `CkSyncResp` can land: held, then answered.
+        let (service, partition) = key(0);
+        let req = RequestId(5);
+        let load = KernelMsg::CkLoad {
+            req,
+            service,
+            partition,
+        };
+        client.send(&mut w, respawned, load);
+        w.run_for(SimDuration::from_millis(10));
+        match &client.drain()[..] {
+            [(
+                from,
+                KernelMsg::CkLoadResp {
+                    req: RequestId(5),
+                    data: Some(d),
+                },
+            )] => {
+                assert_eq!((*from, &**d), (respawned, &data(0)));
+            }
+            other => panic!("the held load was not answered: {other:?}"),
+        }
+        let successors = [1, 2, 3].map(|i| members[i].checkpoint);
+        assert_eq!(ckpt_sends(&w, respawned, &client), successors);
+
+        let at_p0 =
+            |w: &mut World<KernelMsg>, p| loads_of(w, &members[..1], &client, key(p))[0].clone();
+        assert_eq!(at_p0(&mut w, 3), Some(Shared::new(data(3))));
+        assert_eq!(at_p0(&mut w, 1), None);
+    }
+
+    /// With four partitions the successors are every peer: a save reaches
+    /// all three, sent in the order the instances were wired in.
+    #[test]
+    fn four_instances_replicate_to_every_peer_in_wiring_order() {
+        let (mut w, members, client) = federation(4);
+        let wiring: Vec<MemberInfo> = [2, 0, 3, 1].map(|i| members[i]).to_vec();
+        rewire(&mut w, &wiring);
+        save(&mut w, members[0].checkpoint, CheckpointData::Raw(vec![4]));
+        let everywhere = vec![Some(Shared::new(CheckpointData::Raw(vec![4]))); 4];
+        assert_eq!(loads(&mut w, &members, &client), everywhere);
+        let replicas = [2, 3, 1].map(|i| members[i].checkpoint);
+        assert_eq!(ckpt_sends(&w, members[0].checkpoint, &client), replicas);
     }
 }

@@ -4,7 +4,6 @@
 
 pub(crate) mod mac;
 
-use crate::params::KernelParams;
 use phoenix_proto::{Action, AuthToken, KernelMsg, Role, UserId};
 use phoenix_sim::{Actor, Ctx, Pid, SimDuration};
 use std::collections::HashMap;
@@ -25,14 +24,12 @@ struct UserRecord {
 pub(crate) struct SecurityService {
     key: u64,
     users: HashMap<UserId, UserRecord>,
-    #[allow(dead_code)]
-    params: KernelParams,
 }
 
 impl SecurityService {
     /// Create the service with a signing key and a set of
     /// `(user, secret, role)` accounts.
-    pub(crate) fn new(key: u64, accounts: &[(&str, &str, Role)], params: KernelParams) -> Self {
+    pub(crate) fn new(key: u64, accounts: &[(&str, &str, Role)]) -> Self {
         let mut users = HashMap::new();
         for (name, secret, role) in accounts {
             users.insert(
@@ -43,16 +40,12 @@ impl SecurityService {
                 },
             );
         }
-        SecurityService {
-            key,
-            users,
-            params,
-        }
+        SecurityService { key, users }
     }
 
     /// Compute the MAC of a token body.
     fn token_mac(key: u64, user: &UserId, role: Role, expires_ns: u64) -> u64 {
-        let role_byte = [role_code(role)];
+        let role_byte = [role as u8];
         mac::keyed_hash_fields(
             key,
             &[user.0.as_bytes(), &role_byte, &expires_ns.to_le_bytes()],
@@ -83,16 +76,6 @@ impl SecurityService {
             return false;
         }
         token.role.may(action)
-    }
-}
-
-fn role_code(role: Role) -> u8 {
-    match role {
-        Role::SystemConstructor => 0,
-        Role::SystemAdministrator => 1,
-        Role::ScientificUser => 2,
-        Role::BusinessUser => 3,
-        Role::Guest => 4,
     }
 }
 
@@ -131,7 +114,6 @@ mod tests {
                 ("alice", "wonderland", Role::ScientificUser),
                 ("root", "toor", Role::SystemConstructor),
             ],
-            KernelParams::fast(),
         )
     }
 

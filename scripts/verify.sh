@@ -39,10 +39,13 @@
 # --partition (whole-partition splits and heals, split-brain invariants
 # sampled during the splits), --quorum (even 4x3 testbed with a witness,
 # weighted invariants), --slow (3x5 testbed, slow-node episodes,
-# slow-not-dead and quarantine convergence) and --small (the paper rung:
-# fast profile, reliable network, 3x5 testbed) and compares the set of
-# failing seeds with scripts/known_chaos_failures.txt: an unlisted failure
-# is a regression, a listed seed that passes must be deleted from the list.
+# slow-not-dead and quarantine convergence), --small (the paper rung:
+# fast profile, reliable network, 3x5 testbed) and --paper (the paper rung
+# on the paper's 8x17 testbed: the one preset with more than four
+# partitions, so the one whose checkpoint restores depend on replica
+# placement) and compares the set of failing seeds with
+# scripts/known_chaos_failures.txt: an unlisted failure is a regression, a
+# listed seed that passes must be deleted from the list.
 # The lowest listed seed is 99, so the 25-seed smokes the hardened presets
 # used to have were prefixes of this stage and are gone; the sweep stanza's
 # `--seeds 25 --small` row is a prefix of the --small sweep. The lossy sweep also
@@ -208,7 +211,7 @@ echo "== ratchet: 300 chaos schedules per preset fail exactly as scripts/known_c
 # a regression; a listed seed that passes was fixed and must leave the
 # list, so the list can only shrink.
 : > /tmp/chaos_failing.txt
-for preset in lossy partition quorum slow small; do
+for preset in lossy partition quorum slow small paper; do
     case $preset in
         lossy) flags="--lossy 20" ;;
         *) flags="--$preset" ;;

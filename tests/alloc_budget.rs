@@ -7,8 +7,8 @@
 //! queue, the saver's, and by no allocation call per job or per replica.
 //! This test measures one accepted submit at two queue depths on the
 //! benchmark's PWS shape and bounds the difference; the counts are the same
-//! on every machine. With a deep clone per replica it is nine copies of the
-//! queue, and with `String` job names some 16,000 calls.
+//! on every machine. With a deep clone per replica it is one more copy of
+//! the queue per replica, and with `String` job names some 16,000 calls.
 //!
 //! Its own test binary, and one `#[test]`: the allocator counts for the
 //! whole process.
@@ -52,7 +52,7 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// The window one submit is measured over: the security check, the save and
-/// the replication to all seven peers finish well inside it.
+/// the replication to the saver's three successors finish well inside it.
 const WINDOW: SimDuration = SimDuration::from_millis(50);
 /// Where in the virtual second a window opens. Every periodic sender
 /// (heartbeats, detector samples, bulletin saves, the scheduler's tick) has
@@ -94,8 +94,9 @@ impl Pws {
         self.world.run_until(opens + WINDOW);
         let after = (CALLS.load(Relaxed), BYTES.load(Relaxed));
         assert!(accepted, "submit {} was accepted", depth + 1);
-        // The window reached the last replica: every instance holds the
-        // queue this submit saved.
+        // The window reached the last replica: the saver (partition 0) and
+        // its three successors hold the queue this submit saved, the other
+        // four hold nothing.
         for member in &self.cluster.directory.partitions {
             let load = KernelMsg::CkLoad {
                 req: RequestId(0),
@@ -105,22 +106,25 @@ impl Pws {
             self.client.send(&mut self.world, member.checkpoint, load);
         }
         self.world.run_for(SimDuration::from_millis(10));
-        let stored: Vec<usize> = self
-            .client
-            .drain()
-            .into_iter()
-            .filter_map(|(_, m)| match m {
-                KernelMsg::CkLoadResp { data, .. } => match data.as_deref() {
-                    Some(CheckpointData::Scheduler { queued, .. }) => Some(queued.len()),
+        let answers = self.client.drain();
+        let stored: Vec<Option<usize>> = (self.cluster.directory.partitions.iter())
+            .map(|member| {
+                answers.iter().find_map(|(from, m)| match m {
+                    KernelMsg::CkLoadResp { data, .. } if *from == member.checkpoint => {
+                        match data.as_deref() {
+                            Some(CheckpointData::Scheduler { queued, .. }) => Some(queued.len()),
+                            _ => None,
+                        }
+                    }
                     _ => None,
-                },
-                _ => None,
+                })
             })
             .collect();
+        let held = Some(depth as usize + 1);
         assert_eq!(
             stored,
-            vec![depth as usize + 1; 8],
-            "replicas at depth {depth}"
+            [[held; 4], [None; 4]].concat(),
+            "replicas at depth {depth}, in partition order"
         );
         (after.0 - before.0, after.1 - before.1)
     }
