@@ -503,33 +503,46 @@ pub enum KernelMsg {
     },
 }
 
-impl KernelMsg {
-    /// Traffic-class label. Groups variants by the subsystem that owns
-    /// them so experiments can break down wire load.
-    pub(crate) fn traffic_label(&self) -> &'static str {
+impl Message for KernelMsg {
+    const LABELS: &'static [&'static str] = &[
+        "boot", "hb", "probe", "meta", "regroup", "slow", "svc", "event", "bulletin", "ckpt",
+        "config", "security", "ppm", "app", "pws", "pbs",
+    ];
+
+    fn wire_size(&self) -> usize {
+        // The encoder itself, counting instead of writing, so this is
+        // `encode(self).len()` by construction. A `Shared` payload is
+        // walked once per broadcast, not once per send.
+        encoded_size(self)
+    }
+
+    /// Traffic class: the variants grouped by the subsystem that owns
+    /// them, so experiments can break down wire load. The arms return
+    /// their row of `LABELS` and run in its order.
+    fn tag(&self) -> usize {
         use KernelMsg::*;
         match self {
-            Boot(_) => "boot",
-            WdHeartbeat { .. } | WdHeartbeatAck { .. } => "hb",
-            ProbeReq { .. } | ProbeResp { .. } => "probe",
+            Boot(_) => 0,
+            WdHeartbeat { .. } | WdHeartbeatAck { .. } => 1,
+            ProbeReq { .. } | ProbeResp { .. } => 2,
             MetaHeartbeat { .. } | MetaJoin { .. } | MetaMembership { .. }
-            | MetaMemberDown { .. } => "meta",
+            | MetaMemberDown { .. } => 3,
             RegroupPing { .. } | RegroupAck { .. } | RegroupFreeze { .. }
-            | RegroupProbe { .. } | RegroupProbeAck { .. } => "regroup",
+            | RegroupProbe { .. } | RegroupProbeAck { .. } => 4,
             SlowPing { .. } | SlowPong { .. } | SlowLeaderYield { .. }
-            | MetaQuarantine { .. } => "slow",
-            SvcRegister { .. } | SvcHeartbeat { .. } | PartitionView { .. } => "svc",
+            | MetaQuarantine { .. } => 5,
+            SvcRegister { .. } | SvcHeartbeat { .. } | PartitionView { .. } => 6,
             EsRegisterConsumer { .. }
             | EsUnregisterConsumer { .. }
             | EsRegisterSupplier { .. }
             | EsPublish { .. }
             | EsNotify { .. }
             | EsFedForward { .. }
-            | EsRegisterAck { .. } => "event",
+            | EsRegisterAck { .. } => 7,
             DbPut { .. } | DbQuery { .. } | DbResp { .. } | DbFedQuery { .. }
-            | DbFedResp { .. } => "bulletin",
+            | DbFedResp { .. } => 8,
             CkSave { .. } | CkLoad { .. } | CkLoadResp { .. } | CkDelete { .. }
-            | CkReplicate { .. } | CkSyncReq { .. } | CkSyncResp { .. } => "ckpt",
+            | CkReplicate { .. } | CkSyncReq { .. } | CkSyncResp { .. } => 9,
             CfgQueryTopology { .. }
             | CfgTopology { .. }
             | CfgQueryDirectory { .. }
@@ -539,12 +552,10 @@ impl KernelMsg {
             | DirectoryUpdate { .. }
             | DirectoryUpdateNode { .. }
             | DirectoryStale { .. }
-            | CfgNodeOp { .. } => "config",
-            SecLogin { .. } | SecLoginResp { .. } | SecCheck { .. } | SecCheckResp { .. } => {
-                "security"
-            }
-            PpmExec { .. } | PpmExecAck { .. } | PpmDelete { .. } | PpmDeleteAck { .. } => "ppm",
-            AppStarted { .. } | AppExited { .. } => "app",
+            | CfgNodeOp { .. } => 10,
+            SecLogin { .. } | SecLoginResp { .. } | SecCheck { .. } | SecCheckResp { .. } => 11,
+            PpmExec { .. } | PpmExecAck { .. } | PpmDelete { .. } | PpmDeleteAck { .. } => 12,
+            AppStarted { .. } | AppExited { .. } => 13,
             PwsSubmit { .. }
             | PwsSubmitResp { .. }
             | PwsCancel { .. }
@@ -555,22 +566,9 @@ impl KernelMsg {
             | PwsQueueStatusResp { .. }
             | PoolLeaseReq { .. }
             | PoolLeaseResp { .. }
-            | PoolLeaseReturn { .. } => "pws",
-            PbsPoll { .. } | PbsPollResp { .. } => "pbs",
+            | PoolLeaseReturn { .. } => 14,
+            PbsPoll { .. } | PbsPollResp { .. } => 15,
         }
-    }
-}
-
-impl Message for KernelMsg {
-    fn wire_size(&self) -> usize {
-        // The encoder itself, counting instead of writing, so this is
-        // `encode(self).len()` by construction. A `Shared` payload is
-        // walked once per broadcast, not once per send.
-        encoded_size(self)
-    }
-
-    fn label(&self) -> &'static str {
-        self.traffic_label()
     }
 }
 

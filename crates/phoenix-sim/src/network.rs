@@ -131,7 +131,8 @@ pub enum DropReason {
     DeadProcess,
     NoRoute,
     /// Probabilistic loss from the unreliability model (base rate or an
-    /// injected loss burst).
+    /// injected loss burst). Stays last: the world's drop table is sized
+    /// from it.
     RandomLoss,
 }
 
@@ -162,22 +163,11 @@ pub struct Network {
 
 impl Network {
     pub(crate) fn new(params: NetParams) -> Network {
-        Network {
-            params,
-            blocked: HashSet::new(),
-            burst_permille: 0,
-            degraded: HashMap::new(),
-            island: 0,
-            slow: HashMap::new(),
-        }
+        Network { params, ..Network::default() }
     }
 
     fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-        if a <= b {
-            (a, b)
-        } else {
-            (b, a)
-        }
+        (a.min(b), a.max(b))
     }
 
     /// Block all traffic between `a` and `b` (both directions, all networks).
@@ -197,14 +187,9 @@ impl Network {
 
     /// Split the cluster into two islands (`Fault::Partition`): nodes with
     /// their bit set in `island` on one side, everyone else on the other.
-    /// Replaces any previous split.
+    /// Replaces any previous split; 0 heals it (`Fault::Heal`).
     pub(crate) fn set_island(&mut self, island: u64) {
         self.island = island;
-    }
-
-    /// Heal the island split (`Fault::Heal`).
-    pub(crate) fn clear_island(&mut self) {
-        self.island = 0;
     }
 
     /// The active island mask (0 when the cluster is whole).
@@ -224,15 +209,10 @@ impl Network {
     }
 
     /// Degrade the whole interconnect to at least `permille` loss
-    /// (`Fault::LossBurst`).
+    /// (`Fault::LossBurst`). 0 ends the burst (`Fault::LossClear`); the
+    /// configured base rate stays in effect.
     pub(crate) fn set_loss_burst(&mut self, permille: u16) {
         self.burst_permille = permille.min(1000);
-    }
-
-    /// End a loss burst (`Fault::LossClear`); the configured base rate
-    /// stays in effect.
-    pub(crate) fn clear_loss_burst(&mut self) {
-        self.burst_permille = 0;
     }
 
     /// Degrade one interface of one node to at least `permille` loss on
@@ -254,18 +234,14 @@ impl Network {
 
     /// Mark a node fail-slow (`Fault::SlowNode`): every message it sends,
     /// receives, or services locally takes `factor_permille` extra latency
-    /// (1000 = 2× the base). Replaces any previous factor for the node.
+    /// (1000 = 2× the base). Replaces any previous factor for the node;
+    /// 0 ends the episode (`Fault::SlowClear`).
     pub(crate) fn set_slow(&mut self, node: NodeId, factor_permille: u16) {
         if factor_permille == 0 {
             self.slow.remove(&node);
         } else {
             self.slow.insert(node, factor_permille);
         }
-    }
-
-    /// End a fail-slow episode (`Fault::SlowClear`).
-    pub(crate) fn clear_slow(&mut self, node: NodeId) {
-        self.slow.remove(&node);
     }
 
     /// Current fail-slow factor of a node (0 when healthy).
@@ -470,7 +446,7 @@ mod tests {
         let q1 = net.route(NodeId(0), NodeId(1), NicId(1), true, true).unwrap();
         assert_eq!(q0.loss_permille, 300);
         assert_eq!(q1.loss_permille, 300);
-        net.clear_loss_burst();
+        net.set_loss_burst(0);
         let q0 = net.route(NodeId(0), NodeId(1), NicId(0), true, true).unwrap();
         assert_eq!(q0.loss_permille, 100);
     }
@@ -501,7 +477,7 @@ mod tests {
         // Same-side traffic is untouched, on both sides.
         assert!(net.route(NodeId(0), NodeId(1), NicId(0), true, true).is_ok());
         assert!(net.route(NodeId(2), NodeId(3), NicId(2), true, true).is_ok());
-        net.clear_island();
+        net.set_island(0);
         assert!(net.route(NodeId(0), NodeId(2), NicId(0), true, true).is_ok());
     }
 
@@ -525,7 +501,7 @@ mod tests {
             Err(DropReason::Partitioned)
         );
         // Heal clears only the island; the rest persists.
-        net.clear_island();
+        net.set_island(0);
         assert!(net.route(NodeId(0), NodeId(2), NicId(1), true, true).is_ok());
         assert!(net.route(NodeId(2), NodeId(3), NicId(1), true, true).is_err());
     }
@@ -583,7 +559,7 @@ mod tests {
         // Uninvolved pairs keep the normal bounds.
         let l = net.latency(NodeId(0), NodeId(2), &mut rng);
         assert!(l <= LAN_LATENCY + p.jitter);
-        net.clear_slow(NodeId(1));
+        net.set_slow(NodeId(1), 0);
         let l = net.latency(NodeId(0), NodeId(1), &mut rng);
         assert!(l <= LAN_LATENCY + p.jitter);
     }
@@ -596,7 +572,7 @@ mod tests {
         let clean = Network::new(p.clone());
         let mut net = Network::new(p);
         net.set_slow(NodeId(7), 2000);
-        net.clear_slow(NodeId(7));
+        net.set_slow(NodeId(7), 0);
         net.set_slow(NodeId(8), 0); // zero factor is a no-op, not an entry
         let mut a = SimRng::seed_from_u64(13);
         let mut b = SimRng::seed_from_u64(13);
@@ -617,7 +593,7 @@ mod tests {
         assert_eq!(net.slow_factor(NodeId(2)), 5000);
         assert_eq!(net.path_slow_factor(NodeId(2), NodeId(0)), 5000);
         assert_eq!(net.path_slow_factor(NodeId(0), NodeId(1)), 0);
-        net.clear_slow(NodeId(2));
+        net.set_slow(NodeId(2), 0);
         assert_eq!(net.slow_factor(NodeId(2)), 0);
     }
 
@@ -646,7 +622,7 @@ mod tests {
         assert_eq!(loss(&net), 0);
         net.set_loss_burst(300);
         assert_eq!(loss(&net), 300);
-        net.clear_loss_burst();
+        net.set_loss_burst(0);
         assert_eq!(loss(&net), 0);
         // A burst never lowers a higher base rate.
         net.params.loss_permille = 500;

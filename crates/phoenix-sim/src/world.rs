@@ -4,7 +4,7 @@ use crate::actor::{live_node, Actor, Command, Ctx, WorldView};
 use crate::fault::Fault;
 use crate::ids::{NicId, NodeId, Pid, TimerId};
 use crate::message::Message;
-use crate::metrics::Metrics;
+use crate::metrics::{Counts, Metrics};
 use crate::network::{DropReason, LinkQuality, NetParams, Network, LOCAL_LATENCY};
 use crate::arena::ArenaStats;
 use crate::node::{NodeSpec, NodeState, ResourceUsage};
@@ -93,7 +93,7 @@ impl ClusterBuilder {
             pids_on: vec![Vec::new(); nodes.len()],
             nodes,
             network: Network::new(self.net),
-            metrics: Metrics::default(),
+            counts: Counts::new(M::LABELS),
             trace: TraceLog::default(),
             rng: SimRng::seed_from_u64(self.seed),
             next_pid: 0,
@@ -112,7 +112,8 @@ enum SimEvent<M: Message> {
         to: Pid,
         from: Pid,
         msg: M,
-        label: &'static str,
+        /// The message's class: its row in `M::LABELS`.
+        tag: usize,
         bytes: usize,
         /// When the sender sent it (a duplicated copy keeps the original's).
         sent: SimTime,
@@ -176,7 +177,7 @@ pub struct World<M: Message> {
     pids_on: Vec<Vec<Pid>>,
     nodes: Vec<NodeState>,
     network: Network,
-    metrics: Metrics,
+    counts: Counts,
     trace: TraceLog,
     rng: SimRng,
     next_pid: u64,
@@ -206,9 +207,10 @@ impl<M: Message> World<M> {
         &self.nodes
     }
 
-    /// Traffic and event counters.
+    /// Traffic and event counters, as of the last time control returned
+    /// to the caller.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.counts.metrics
     }
 
     /// The active island-split mask (`Fault::Partition`), 0 when whole.
@@ -267,16 +269,14 @@ impl<M: Message> World<M> {
         let on_node = &mut self.pids_on[node.index()];
         debug_assert!(on_node.last().is_none_or(|&last| last < pid));
         on_node.push(pid);
-        self.metrics.spawns += 1;
+        self.counts.metrics.spawns += 1;
         self.push(self.clock, SimEvent::Start { pid });
     }
 
     /// Inject a message from "outside" the cluster (test driver, user
     /// client). Delivered with local latency, no NIC involved.
     pub fn inject(&mut self, to: Pid, msg: M) {
-        let label = msg.label();
-        let bytes = msg.wire_size();
-        self.metrics.on_send(label, bytes);
+        let (tag, bytes) = self.counts.on_send(&msg);
         let at = self.clock + LOCAL_LATENCY;
         self.push(
             at,
@@ -284,19 +284,26 @@ impl<M: Message> World<M> {
                 to,
                 from: Pid(0),
                 msg,
-                label,
+                tag,
                 bytes,
                 sent: self.clock,
                 dup: false,
             },
         );
+        self.counts.publish(self.queue.len());
     }
 
     /// Send a message on behalf of a live process (driver-side RPC
     /// initiation: the reply comes back to `from`). Routed like any actor
     /// send, including NIC and partition checks.
+    ///
+    /// This, [`World::inject`], [`World::run_until`] and [`World::step`]
+    /// are where new traffic is counted before control returns to the
+    /// caller, so each ends by publishing the world's counts to
+    /// [`World::metrics`] and the telemetry registry.
     pub fn send_from(&mut self, from: Pid, to: Pid, msg: M) {
         self.do_send(from, to, None, msg);
+        self.counts.publish(self.queue.len());
     }
 
     /// Schedule a fault (or repair) at an absolute virtual time.
@@ -325,21 +332,16 @@ impl<M: Message> World<M> {
 
     /// Run until virtual time `deadline` (inclusive of events at the
     /// deadline instant). The clock ends at `deadline` even if the queue
-    /// drains early.
+    /// drains early. Ends by publishing (see [`World::send_from`]).
     pub fn run_until(&mut self, deadline: SimTime) {
-        let mut dispatched = 0u64;
         while let Some((at, seq, ev)) = self.queue.pop_before(deadline) {
             self.clock = at;
             self.dispatch(seq, ev);
-            dispatched += 1;
         }
         if self.clock < deadline {
             self.clock = deadline;
         }
-        if dispatched > 0 {
-            phoenix_telemetry::counter_add("sim.events.dispatched", dispatched);
-            phoenix_telemetry::gauge_set("sim.queue.depth", self.queue.len() as f64);
-        }
+        self.counts.publish(self.queue.len());
     }
 
     /// Run for a virtual duration from the current clock.
@@ -371,11 +373,13 @@ impl<M: Message> World<M> {
     }
 
     /// Process a single event; returns false when the queue is empty.
+    /// Ends by publishing (see [`World::send_from`]).
     pub fn step(&mut self) -> bool {
         match self.queue.pop() {
             Some((at, seq, ev)) => {
                 self.clock = at;
                 self.dispatch(seq, ev);
+                self.counts.publish(self.queue.len());
                 true
             }
             None => false,
@@ -387,7 +391,7 @@ impl<M: Message> World<M> {
         // inside handlers are stamped with the simulator's clock, not wall
         // time.
         phoenix_telemetry::clock::set_now(self.clock.0);
-        self.metrics.events_processed += 1;
+        self.counts.on_event();
         if self.event_log.is_some() {
             self.log_event(seq, &ev);
         }
@@ -399,18 +403,15 @@ impl<M: Message> World<M> {
                 to,
                 from,
                 msg,
-                label,
+                tag,
                 bytes,
                 sent,
                 dup,
             } => {
                 if self.with_actor(to, sent, |actor, ctx| actor.on_message(ctx, from, msg)) {
-                    if dup {
-                        phoenix_telemetry::counter_add("net.dup.delivered", 1);
-                    }
-                    self.metrics.on_deliver(label, bytes);
+                    self.counts.on_deliver(tag, bytes, dup);
                 } else {
-                    self.metrics.on_drop(label, DropReason::DeadProcess);
+                    self.counts.on_drop(tag, DropReason::DeadProcess);
                 }
             }
             SimEvent::Timer { id, pid, token } => {
@@ -418,7 +419,7 @@ impl<M: Message> World<M> {
                     return;
                 }
                 if self.with_actor(pid, self.clock, |actor, ctx| actor.on_timer(ctx, token)) {
-                    self.metrics.timers_fired += 1;
+                    self.counts.metrics.timers_fired += 1;
                     // The handler may have cancelled the timer that just
                     // fired; nothing is left to suppress.
                     if !self.cancelled.is_empty() {
@@ -449,10 +450,11 @@ impl<M: Message> World<M> {
             SimEvent::Deliver {
                 to,
                 from,
-                label,
+                tag,
                 bytes,
                 ..
             } => {
+                let label = M::LABELS[*tag];
                 let _ = writeln!(
                     log,
                     "{at} {seq} deliver to={} from={} label={label} bytes={bytes}",
@@ -571,13 +573,11 @@ impl<M: Message> World<M> {
     }
 
     fn do_send(&mut self, from: Pid, to: Pid, via: Option<NicId>, msg: M) {
-        let label = msg.label();
-        let bytes = msg.wire_size();
-        self.metrics.on_send(label, bytes);
+        let (tag, bytes) = self.counts.on_send(&msg);
 
         // A dead sender killed itself earlier in the same handler.
         let (Some(src), Some(dst)) = (self.node_of(from), self.node_of(to)) else {
-            self.metrics.on_drop(label, DropReason::DeadProcess);
+            self.counts.on_drop(tag, DropReason::DeadProcess);
             return;
         };
 
@@ -594,13 +594,11 @@ impl<M: Message> World<M> {
                 // over it.
                 let crossing = src != dst;
                 if crossing {
-                    phoenix_telemetry::counter_add(nic_routed_counter(nic), 1);
-                }
-                if crossing && Network::roll(quality.loss_permille, &mut self.rng) {
-                    self.metrics.on_drop(label, DropReason::RandomLoss);
-                    phoenix_telemetry::counter_add("net.loss.dropped", 1);
-                    phoenix_telemetry::counter_add(nic_drop_counter(nic), 1);
-                    return;
+                    let lost = Network::roll(quality.loss_permille, &mut self.rng);
+                    self.counts.on_routed(tag, nic, lost);
+                    if lost {
+                        return;
+                    }
                 }
                 let latency = self.network.latency(src, dst, &mut self.rng);
                 let extra = if crossing {
@@ -611,7 +609,7 @@ impl<M: Message> World<M> {
                 if crossing && Network::roll(quality.dup_permille, &mut self.rng) {
                     let dup_latency =
                         self.network.latency(src, dst, &mut self.rng) + extra;
-                    phoenix_telemetry::counter_add("net.dup.scheduled", 1);
+                    self.counts.on_dup_scheduled();
                     // `msg.clone()` here is the fan-out clone `Shared`
                     // payloads make a refcount bump; delivery is counted
                     // at dispatch, where we know the target survived.
@@ -621,7 +619,7 @@ impl<M: Message> World<M> {
                             to,
                             from,
                             msg: msg.clone(),
-                            label,
+                            tag,
                             bytes,
                             sent: self.clock,
                             dup: true,
@@ -635,14 +633,14 @@ impl<M: Message> World<M> {
                         to,
                         from,
                         msg,
-                        label,
+                        tag,
                         bytes,
                         sent: self.clock,
                         dup: false,
                     },
                 );
             }
-            Err(reason) => self.metrics.on_drop(label, reason),
+            Err(reason) => self.counts.on_drop(tag, reason),
         }
     }
 
@@ -707,7 +705,7 @@ impl<M: Message> World<M> {
         if let Ok(at) = on_node.binary_search(&pid) {
             on_node.remove(at);
         }
-        self.metrics.kills += 1;
+        self.counts.metrics.kills += 1;
     }
 
     fn do_fault(&mut self, fault: Fault) {
@@ -746,18 +744,18 @@ impl<M: Message> World<M> {
             Fault::PartitionLink(a, b) => self.network.partition(a, b),
             Fault::HealLink(a, b) => self.network.heal(a, b),
             Fault::LossBurst { permille } => self.network.set_loss_burst(permille),
-            Fault::LossClear => self.network.clear_loss_burst(),
+            Fault::LossClear => self.network.set_loss_burst(0),
             Fault::NicDegrade(node, nic, permille) => {
                 self.network.degrade_nic(node, nic, permille)
             }
             Fault::NicRestore(node, nic) => self.network.restore_nic(node, nic),
             Fault::Partition { island } => self.network.set_island(island),
-            Fault::Heal => self.network.clear_island(),
+            Fault::Heal => self.network.set_island(0),
             Fault::SlowNode {
                 node,
                 factor_permille,
             } => self.network.set_slow(node, factor_permille),
-            Fault::SlowClear(node) => self.network.clear_slow(node),
+            Fault::SlowClear(node) => self.network.set_slow(node, 0),
         }
     }
 
@@ -794,27 +792,6 @@ impl<M: Message> World<M> {
     /// tests).
     pub fn cancelled_timers(&self) -> usize {
         self.cancelled.len()
-    }
-}
-
-/// Telemetry requires `&'static str` keys, so per-NIC counter names are a
-/// fixed family (three networks mirror the Dawning 4000A testbed; anything
-/// wider shares a bucket).
-fn nic_drop_counter(nic: NicId) -> &'static str {
-    match nic.0 {
-        0 => "net.loss.dropped.nic0",
-        1 => "net.loss.dropped.nic1",
-        2 => "net.loss.dropped.nic2",
-        _ => "net.loss.dropped.nicN",
-    }
-}
-
-fn nic_routed_counter(nic: NicId) -> &'static str {
-    match nic.0 {
-        0 => "net.routed.nic0",
-        1 => "net.routed.nic1",
-        2 => "net.routed.nic2",
-        _ => "net.routed.nicN",
     }
 }
 
@@ -889,7 +866,7 @@ mod tests {
         w.inject(echo, 7);
         w.run_for(SimDuration::from_millis(1));
         assert_eq!(w.metrics().total.dropped, 1);
-        assert_eq!(w.metrics().drops_by_reason["dead_process"], 1);
+        assert_eq!(w.counts.drops[DropReason::DeadProcess as usize], 1);
     }
 
     #[test]
@@ -1051,7 +1028,7 @@ mod tests {
         }
         w.run_for(SimDuration::from_millis(1));
         // Four targets by Ctx::send, send_from and inject: one drop each.
-        assert_eq!(w.metrics().drops_by_reason["dead_process"], 12);
+        assert_eq!(w.counts.drops[DropReason::DeadProcess as usize], 12);
         assert_eq!(w.metrics().total.dropped, 12);
         assert_eq!(w.metrics().total.delivered, 0);
         assert_eq!(w.metrics().kills, 1);
@@ -1141,7 +1118,7 @@ mod tests {
         );
         w.run_for(SimDuration::from_millis(10));
         assert_eq!(got.get(), 0);
-        assert_eq!(w.metrics().drops_by_reason["no_route"], 1);
+        assert_eq!(w.counts.drops[DropReason::NoRoute as usize], 1);
     }
 
     #[test]
@@ -1388,7 +1365,7 @@ mod tests {
             w.spawn(NodeId(0), Box::new(Flood { peer: sink, n: 500 }));
             w.run_for(SimDuration::from_secs(1));
             let m = w.metrics();
-            let lost = m.drops_by_reason["random_loss"];
+            let lost = w.counts.drops[DropReason::RandomLoss as usize];
             assert!(m.total.delivered + lost == m.total.sent);
             assert!((50..200).contains(&lost), "20% of 500 lost, got {lost}");
             lost
@@ -1512,7 +1489,7 @@ mod tests {
         w.run_for(SimDuration::from_millis(10));
         assert_eq!(got.get(), 0, "cross-island message must be dropped");
         // Default routing tries every NIC; all are island-blocked.
-        assert_eq!(w.metrics().drops_by_reason["no_route"], 1);
+        assert_eq!(w.counts.drops[DropReason::NoRoute as usize], 1);
         w.apply_fault(Fault::Heal);
         assert_eq!(w.island(), 0);
         let _p2 = w.spawn(
@@ -1533,7 +1510,7 @@ mod tests {
         w.spawn(NodeId(0), Box::new(Flood { peer: sink, n: 5 }));
         w.run_for(SimDuration::from_millis(10));
         assert_eq!(w.metrics().total.delivered, 0);
-        assert_eq!(w.metrics().drops_by_reason["random_loss"], 5);
+        assert_eq!(w.counts.drops[DropReason::RandomLoss as usize], 5);
         w.apply_fault(Fault::LossClear);
         w.spawn(NodeId(0), Box::new(Flood { peer: sink, n: 5 }));
         w.run_for(SimDuration::from_millis(10));
@@ -1550,7 +1527,7 @@ mod tests {
         w.spawn(NodeId(0), Box::new(Flood { peer: sink, n: 5 }));
         w.run_for(SimDuration::from_millis(10));
         assert_eq!(w.metrics().total.delivered, 0);
-        assert_eq!(w.metrics().drops_by_reason["random_loss"], 5);
+        assert_eq!(w.counts.drops[DropReason::RandomLoss as usize], 5);
         let nic0_drops = phoenix_telemetry::with(|reg| reg.counter("net.loss.dropped.nic0"));
         assert_eq!(nic0_drops, 5, "drops attributed to the degraded NIC");
         w.apply_fault(Fault::NicRestore(NodeId(1), NicId(0)));

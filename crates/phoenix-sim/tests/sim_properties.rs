@@ -17,11 +17,9 @@ use std::rc::Rc;
 #[derive(Clone, Debug)]
 struct Seq(u64);
 impl Message for Seq {
+    const LABELS: &'static [&'static str] = &["seq"];
     fn wire_size(&self) -> usize {
         8
-    }
-    fn label(&self) -> &'static str {
-        "seq"
     }
 }
 
@@ -159,4 +157,94 @@ fn seeded_runs_are_reproducible() {
         let seed = gen.next_u64();
         assert_eq!(run(seed), run(seed), "seed {seed} not reproducible");
     }
+}
+
+/// Every virtual millisecond, sends one `Seq` to each peer, cycling over
+/// the three NICs, for `rounds` rounds.
+struct Chatter {
+    peers: Rc<RefCell<Vec<Pid>>>,
+    round: u64,
+    rounds: u64,
+}
+impl Actor<Seq> for Chatter {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Seq>) {
+        ctx.set_timer(SimDuration::from_millis(1), 0);
+    }
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, Seq>, _from: Pid, _msg: Seq) {}
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Seq>, _token: u64) {
+        let me = ctx.pid();
+        for &peer in self.peers.borrow().iter().filter(|&&p| p != me) {
+            ctx.send_via(peer, NicId((self.round % 3) as u8), Seq(self.round));
+        }
+        self.round += 1;
+        if self.round < self.rounds {
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+    }
+}
+
+/// The registry's `sim.*` and `net.*` counters agree with the world's own
+/// counts whenever control is back with the caller, whichever call
+/// returned it: `run_until`, `step` or `send_from`.
+#[test]
+fn the_registry_mirrors_the_world_after_every_call() {
+    phoenix_telemetry::reset();
+    let mut w = ClusterBuilder::new()
+        .nodes(3, NodeSpec::default())
+        .net(NetParams::unreliable(200))
+        .seed(0x3A1C)
+        .build::<Seq>();
+    let peers = Rc::new(RefCell::new(Vec::new()));
+    for n in 0..3 {
+        let pid = w.spawn(
+            NodeId(n),
+            Box::new(Chatter {
+                peers: peers.clone(),
+                round: 0,
+                rounds: 40,
+            }),
+        );
+        peers.borrow_mut().push(pid);
+    }
+    let (first, last) = (peers.borrow()[0], peers.borrow()[2]);
+    // Every send crosses nodes and every target lives, so all sends are
+    // routed and every drop is a random loss.
+    let check = |w: &phoenix_sim::World<Seq>, after: &str| {
+        let m = w.metrics();
+        phoenix_telemetry::with(|r| {
+            let routed: u64 = ["nic0", "nic1", "nic2", "nicN"]
+                .iter()
+                .map(|nic| r.counter(&format!("net.routed.{nic}")))
+                .sum();
+            assert_eq!(r.counter("sim.events.dispatched"), m.events_processed, "after {after}");
+            assert_eq!(r.counter("net.loss.dropped"), m.total.dropped, "after {after}");
+            assert_eq!(routed, m.total.sent, "after {after}");
+        });
+    };
+    for i in 0..60 {
+        w.run_until(w.now() + SimDuration::from_micros(700));
+        check(&w, "run_until");
+        for _ in 0..i % 4 {
+            w.step();
+            check(&w, "step");
+        }
+        w.send_from(first, last, Seq(i));
+        check(&w, "send_from");
+    }
+    while w.step() {
+        check(&w, "step");
+    }
+    let m = w.metrics();
+    phoenix_telemetry::with(|r| {
+        for nic in ["nic0", "nic1", "nic2"] {
+            assert!(r.counter(&format!("net.routed.{nic}")) > 0, "{nic} carried traffic");
+        }
+        assert!(r.counter("net.loss.dropped") > 0 && r.counter("net.dup.delivered") > 0);
+        assert_eq!(r.counter("net.dup.scheduled"), r.counter("net.dup.delivered"));
+        assert_eq!(
+            m.total.delivered + m.total.dropped,
+            m.total.sent + r.counter("net.dup.delivered"),
+            "drained: each send is lost or delivered, plus the duplicates"
+        );
+    });
 }

@@ -53,7 +53,13 @@ fn main() {
         }
     }
 
-    println!("\nper-class traffic:\n{}", world.metrics().traffic_table());
+    println!("\nper-class traffic:");
+    println!("label                       sent     bytes  delivered   dropped");
+    for (label, s) in &world.metrics().by_label {
+        let (sent, bytes, del, drop) = (s.sent, s.sent_bytes, s.delivered, s.dropped);
+        println!("{label:<24} {sent:>8} {bytes:>9} {del:>10} {drop:>9}");
+    }
+    println!();
     println!("quickstart done — see examples/hpc_batch_cluster.rs for jobs,");
     println!("examples/business_hosting.rs for the HA story, and");
     println!("examples/operations_console.rs for monitoring + node ops.");

@@ -86,7 +86,10 @@
 # phoenix-biz/src fails the stage. A cluster keeps one copy of each
 # cluster-wide view: non-test kernel source that says `topology.clone()` or
 # `.members().to_vec()` (a per-actor copy of the topology or of a ring list,
-# where the Shared one should be handed on) fails it too.
+# where the Shared one should be handed on) fails it too. The simulator
+# counts each message once, in its own table: non-test phoenix-sim source
+# that names counter_add or gauge_set outside the publish function, or
+# walks a label-keyed map with `.entry(label)`, fails the stage.
 #
 # The last stage prints the non-test code-line counts ROADMAP item 4 quotes
 # and fails when group/gsd.rs, phoenix-kernel, phoenix-proto, phoenix-pws,
@@ -434,6 +437,22 @@ done)
 if [ -n "$copies" ]; then
     printf '%s\n' "$copies" >&2
     echo "FAIL: a per-actor copy of the topology or a ring list (hand the Shared on: Shared::clone, .members().clone())" >&2
+    exit 1
+fi
+
+# One count per message: the world counts each message once, by index, in
+# phoenix-sim's metrics.rs table, and only Counts::publish writes that
+# table's counters and gauge into the telemetry registry. Non-test simulator
+# source that names counter_add or gauge_set outside a `fn publish(` body,
+# or walks a map keyed by label (`.entry(label)`), fails the stage.
+sim_src=crates/phoenix-sim/src
+writes=$(for f in $(find $sim_src -name '*.rs'); do
+    sed '/#\[cfg(test)\]/,$d' "$f" | sed '/fn publish(/,/^    }$/d' \
+        | grep -nE '\b(counter_add|gauge_set)\b|\.entry\(label\)' | sed "s|^|$f: |"
+done)
+if [ -n "$writes" ]; then
+    printf '%s\n' "$writes" >&2
+    echo "FAIL: the simulator counts a message outside its table (count in $sim_src/metrics.rs; only Counts::publish writes telemetry)" >&2
     exit 1
 fi
 

@@ -541,6 +541,20 @@ fn kernel_msg_full_surface_round_trips() {
     }
 }
 
+/// The traffic classes `Metrics::by_label` is keyed by: `KernelMsg::LABELS`
+/// has 16 distinct rows and each is the `label()` of at least one variant,
+/// so no row counts nothing and no two classes share a key.
+#[test]
+fn kernel_msg_labels_are_sixteen_rows_each_in_use() {
+    use phoenix::proto::KernelMsg;
+    use phoenix::sim::Message;
+    use std::collections::BTreeSet;
+    let rows: BTreeSet<&str> = KernelMsg::LABELS.iter().copied().collect();
+    assert_eq!((KernelMsg::LABELS.len(), rows.len()), (16, 16), "{:?}", KernelMsg::LABELS);
+    let used: BTreeSet<&str> = kernel_msg_surface().iter().map(|m| m.label()).collect();
+    assert_eq!(used, rows);
+}
+
 /// Canonicality over the whole message surface: every byte string the
 /// encoder can produce decodes back, and re-encoding the decoded value
 /// reproduces the input *byte for byte*. Sits next to the VARIANT_COUNT
