@@ -47,7 +47,7 @@ pub use shrink::{
 
 use phoenix_kernel::{KernelParams, Rung};
 use phoenix_proto::{ClusterTopology, PartitionId};
-use phoenix_sim::{NetParams, SchedulerKind, SimDuration};
+use phoenix_sim::{NetParams, SimDuration};
 
 pub(crate) fn fmt_ns(ns: u64) -> String {
     format!("{:.3}s", ns as f64 / 1e9)
@@ -75,10 +75,6 @@ pub struct ChaosConfig {
     /// reordering). All-zero by default, which keeps every pre-existing
     /// schedule byte-for-byte identical.
     pub net: NetParams,
-    /// Which event-queue implementation the simulated world runs on. Runs
-    /// must be byte-identical under every kind — the differential suite
-    /// replays pinned seeds under each and compares the streams.
-    pub scheduler: SchedulerKind,
     /// Record the per-event dispatch log and rendered trace into
     /// [`RunOutcome::streams`] for byte comparison. Off by default (the
     /// log allocates per event).
@@ -99,7 +95,6 @@ impl ChaosConfig {
             settle_deadline: SimDuration::from_secs(120),
             params: KernelParams::fast(),
             net: NetParams::default(),
-            scheduler: SchedulerKind::default(),
             record_streams: false,
         }
     }

@@ -14,7 +14,8 @@ use phoenix_proto::{
     KernelMsg, NodeOp, PartitionId, RequestId, ServiceDirectory,
 };
 use phoenix_sim::{
-    Diagnosis, Fault, FaultTarget, NodeId, Pid, SimDuration, SimTime, TraceEvent, World,
+    Diagnosis, Fault, FaultTarget, NodeId, Pid, SchedulerKind, SimDuration, SimTime, TraceEvent,
+    World,
 };
 
 use crate::invariants::{
@@ -96,7 +97,7 @@ pub fn run_schedule(seed: u64, cfg: &ChaosConfig, mask: u64, verbose: bool) -> R
         cfg.params.clone(),
         seed,
         cfg.net.clone(),
-        cfg.scheduler,
+        SchedulerKind::default(),
         cfg.record_streams,
     );
     let hb = cfg.params.ft.hb_interval;

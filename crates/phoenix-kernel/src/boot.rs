@@ -146,23 +146,22 @@ pub fn boot_cluster_with_net(
     boot_cluster_custom(topology, params, seed, net, SchedulerKind::default(), false)
 }
 
-/// [`boot_cluster_with_net`] with full control over the simulator's event
-/// core: which [`SchedulerKind`] drives the queue and whether the world
-/// records its dispatched-event stream. The differential harness boots the
-/// same seed once per scheduler and compares the recorded streams.
+/// [`boot_cluster_with_net`], optionally recording the world's
+/// dispatched-event stream (the differential suite checks and pins it).
+/// Every world runs the timer wheel; the [`SchedulerKind`] argument has
+/// one value and stays only because the benchmark passes it.
 pub fn boot_cluster_custom(
     topology: ClusterTopology,
     params: KernelParams,
     seed: u64,
     net: NetParams,
-    scheduler: SchedulerKind,
+    _scheduler: SchedulerKind,
     record_events: bool,
 ) -> (World<KernelMsg>, PhoenixCluster) {
     let mut world = ClusterBuilder::new()
         .nodes(topology.node_count(), NodeSpec::default())
         .net(net)
         .seed(seed)
-        .scheduler(scheduler)
         .record_events(record_events)
         .build::<KernelMsg>();
     let registry = shared_registry();

@@ -1,49 +1,50 @@
-//! Event schedulers: the priority queue at the core of the simulator.
+//! The simulator's event queue and its reference.
 //!
 //! Every event in the world is keyed by `(SimTime, seq)` — virtual time
 //! with FIFO tie-breaking by insertion sequence. That total order *is* the
-//! determinism contract: any two [`Scheduler`] implementations must pop an
-//! identical stream for an identical push stream, byte for byte.
+//! determinism contract: a correct queue pops an identical stream for an
+//! identical push stream, byte for byte, so no caller can tell which one
+//! runs.
 //!
-//! Two implementations live here:
-//!
-//! * [`HeapScheduler`] — the original global `BinaryHeap`. O(log n) per
-//!   operation with n = every pending event in the cluster. Kept as the
-//!   reference/baseline for the differential harness (`tests/differential.rs`,
-//!   `tests/sched_properties.rs`) and the perf ledger's replay probes.
-//! * [`WheelScheduler`] — a hierarchical timer wheel. Heartbeats and retry
-//!   timers — the overwhelming majority of events — are regular and
-//!   short-horizon, so they land in O(1) bucketed slots; only the events
-//!   sharing the *current* slot pass through a ready queue kept in exact
-//!   `(time, seq)` order. A push into that slot almost always sorts after
-//!   everything queued (same instant, higher seq), so it appends in O(1);
-//!   the rare earlier one shifts the shorter side. Far-future events
-//!   cascade down from coarser levels; events beyond the wheel horizon
-//!   wait in an overflow heap. Payloads are parked in a generation-checked
+//! * [`WheelScheduler`] — the queue every `World` runs, held by value. A
+//!   hierarchical timer wheel: heartbeats and retry timers — the
+//!   overwhelming majority of events — are regular and short-horizon, so
+//!   they land in O(1) bucketed slots; only the events sharing the
+//!   *current* slot pass through a ready queue kept in exact `(time, seq)`
+//!   order. A push into that slot almost always sorts after everything
+//!   queued (same instant, higher seq), so it appends in O(1); the rare
+//!   earlier one shifts the shorter side. Far-future events cascade down
+//!   from coarser levels; events beyond the wheel horizon wait in an
+//!   overflow heap. Payloads are parked in a generation-checked
 //!   [`EventArena`] so cascades move 24-byte references, not whole
-//!   messages, and the hot path stops round-tripping the allocator. A
-//!   slot's buffer is freed when the slot drains (the level-0 one becomes
-//!   the ready queue's, whose own is freed), so the wheel holds memory for
-//!   the events pending, not for the largest burst a slot ever held.
+//!   messages. A slot's buffer is freed when the slot drains (the level-0
+//!   one becomes the ready queue's, whose own is freed), so the wheel
+//!   holds memory for the events pending, not for the largest burst a slot
+//!   ever held.
+//! * [`HeapScheduler`] — one global `BinaryHeap`, O(log n) per operation.
+//!   The reference implementation: the property tests
+//!   (`tests/sched_properties.rs`) compare the wheel against it element by
+//!   element, and the perf ledger's replay probe times both.
 
 use crate::arena::{ArenaStats, EventArena, Handle};
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Which event-queue implementation a world runs on.
+/// The one event queue a world runs on. It stays only because the
+/// benchmark passes `SchedulerKind::default()` to `boot_cluster_custom`;
+/// it goes when the benchmark stops naming it (ROADMAP item 7).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SchedulerKind {
-    /// The original global binary heap (differential baseline).
-    Heap,
-    /// Hierarchical timer wheel + message arena (production default).
+    /// Hierarchical timer wheel + message arena.
     #[default]
     Wheel,
 }
 
-/// The event-queue interface the world drives. `seq` is assigned by the
-/// caller (one global counter) — the scheduler must order by `(at, seq)`
-/// ascending and never invent or drop entries.
+/// What the wheel and its reference share, for the tests and the replay
+/// probe that drive both. `seq` is assigned by the caller (one global
+/// counter) — a scheduler must order by `(at, seq)` ascending and never
+/// invent or drop entries.
 pub trait Scheduler<T> {
     /// Insert an event. `at` is never earlier than the last popped time
     /// (the world only schedules with non-negative delays).
@@ -56,27 +57,11 @@ pub trait Scheduler<T> {
     /// `deadline` — the single-operation hot path of `run_until`.
     fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, u64, T)>;
 
-    /// Virtual time of the earliest pending event. Introspection only; may
-    /// cost O(n) for bucketed implementations.
-    fn earliest(&self) -> Option<SimTime>;
-
     /// Number of pending events.
     fn len(&self) -> usize;
 
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Pool accounting for leak tests. Implementations without a real
-    /// arena report `live == len` and mirror push/pop counts.
-    fn arena_stats(&self) -> ArenaStats;
-}
-
-/// Construct the scheduler implementation for `kind`.
-pub(crate) fn make_scheduler<T: 'static>(kind: SchedulerKind) -> Box<dyn Scheduler<T>> {
-    match kind {
-        SchedulerKind::Heap => Box::new(HeapScheduler::new()),
-        SchedulerKind::Wheel => Box::new(WheelScheduler::new()),
     }
 }
 
@@ -109,11 +94,10 @@ impl<T> Ord for HeapEntry<T> {
     }
 }
 
-/// The pre-wheel event queue: one global binary heap.
+/// The reference event queue: one global binary heap, which the wheel
+/// must match pop for pop.
 pub struct HeapScheduler<T> {
     heap: BinaryHeap<HeapEntry<T>>,
-    allocs: u64,
-    frees: u64,
 }
 
 impl<T> Default for HeapScheduler<T> {
@@ -126,23 +110,17 @@ impl<T> HeapScheduler<T> {
     pub fn new() -> Self {
         HeapScheduler {
             heap: BinaryHeap::new(),
-            allocs: 0,
-            frees: 0,
         }
     }
 }
 
 impl<T> Scheduler<T> for HeapScheduler<T> {
     fn push(&mut self, at: SimTime, seq: u64, item: T) {
-        self.allocs += 1;
         self.heap.push(HeapEntry { at, seq, item });
     }
 
     fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        self.heap.pop().map(|e| {
-            self.frees += 1;
-            (e.at, e.seq, e.item)
-        })
+        self.heap.pop().map(|e| (e.at, e.seq, e.item))
     }
 
     fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, u64, T)> {
@@ -152,21 +130,8 @@ impl<T> Scheduler<T> for HeapScheduler<T> {
         }
     }
 
-    fn earliest(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     fn len(&self) -> usize {
         self.heap.len()
-    }
-
-    fn arena_stats(&self) -> ArenaStats {
-        ArenaStats {
-            live: self.heap.len(),
-            capacity: self.heap.capacity(),
-            allocs: self.allocs,
-            frees: self.frees,
-        }
     }
 }
 
@@ -387,6 +352,13 @@ impl<T> WheelScheduler<T> {
         self.len -= 1;
         (SimTime(e.at), e.seq, self.arena.take(e.handle))
     }
+
+    /// The arena's accounting: `live` equals the pending events and
+    /// `allocs - frees == live` while nothing leaks (the chaos
+    /// `arena-leak` invariant and the leak tests read it).
+    pub fn arena_stats(&self) -> ArenaStats {
+        self.arena.stats()
+    }
 }
 
 impl<T> Scheduler<T> for WheelScheduler<T> {
@@ -422,39 +394,8 @@ impl<T> Scheduler<T> for WheelScheduler<T> {
         Some(self.take(e))
     }
 
-    /// `ready`'s front when it is non-empty: wheel slots hold only entries
-    /// after the cursor's slot and overflow is later still. Otherwise a scan
-    /// of every occupied slot and the overflow minimum.
-    fn earliest(&self) -> Option<SimTime> {
-        if let Some(e) = self.ready.front() {
-            return Some(SimTime(e.at));
-        }
-        let mut best: Option<u64> = None;
-        let mut consider = |at: u64| {
-            best = Some(best.map_or(at, |b: u64| b.min(at)));
-        };
-        if let Some(Reverse(e)) = self.overflow.peek() {
-            consider(e.at);
-        }
-        for lvl in 0..LEVELS {
-            let mut occ = self.occ[lvl];
-            while occ != 0 {
-                let idx = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                for e in &self.slots[lvl * SLOTS as usize + idx] {
-                    consider(e.at);
-                }
-            }
-        }
-        best.map(SimTime)
-    }
-
     fn len(&self) -> usize {
         self.len
-    }
-
-    fn arena_stats(&self) -> ArenaStats {
-        self.arena.stats()
     }
 }
 
@@ -462,7 +403,7 @@ impl<T> Scheduler<T> for WheelScheduler<T> {
 mod tests {
     use super::*;
 
-    fn drain<T>(s: &mut dyn Scheduler<T>) -> Vec<(u64, u64)> {
+    fn drain<T>(s: &mut WheelScheduler<T>) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         while let Some((at, seq, _)) = s.pop() {
             out.push((at.0, seq));
@@ -518,20 +459,6 @@ mod tests {
         assert_eq!(w.len(), 1);
         assert!(w.pop_before(SimTime(2_000_000)).is_some());
         assert!(w.pop_before(SimTime(u64::MAX)).is_none());
-    }
-
-    #[test]
-    fn earliest_scans_every_region() {
-        let mut w: WheelScheduler<()> = WheelScheduler::new();
-        assert_eq!(w.earliest(), None);
-        let day = 86_400u64 * 1_000_000_000;
-        w.push(SimTime(day), 1, ());
-        assert_eq!(w.earliest(), Some(SimTime(day)), "overflow only");
-        w.push(SimTime(7_000_000_000), 2, ());
-        assert_eq!(w.earliest(), Some(SimTime(7_000_000_000)), "wheel slot");
-        w.push(SimTime(3), 3, ());
-        assert_eq!(w.earliest(), Some(SimTime(3)), "cursor slot (ready)");
-        assert_eq!(w.len(), 3);
     }
 
     /// The cursor can reach a slot through two levels at once: one entry

@@ -8,7 +8,7 @@ use crate::metrics::{Counts, Metrics};
 use crate::network::{DropReason, LinkQuality, NetParams, Network, LOCAL_LATENCY};
 use crate::arena::ArenaStats;
 use crate::node::{NodeSpec, NodeState, ResourceUsage};
-use crate::sched::{make_scheduler, Scheduler, SchedulerKind};
+use crate::sched::{Scheduler, WheelScheduler};
 use crate::time::{SimDuration, SimTime};
 use crate::rng::SimRng;
 use crate::trace::TraceLog;
@@ -20,7 +20,6 @@ pub struct ClusterBuilder {
     nodes: Vec<NodeSpec>,
     net: NetParams,
     seed: u64,
-    sched: SchedulerKind,
     record: bool,
 }
 
@@ -30,7 +29,6 @@ impl Default for ClusterBuilder {
             nodes: Vec::new(),
             net: NetParams::default(),
             seed: 0x5EED,
-            sched: SchedulerKind::default(),
             record: false,
         }
     }
@@ -59,14 +57,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Choose the event-queue implementation (defaults to the timer
-    /// wheel). The heap baseline exists for differential testing — any
-    /// seeded run must be byte-identical under either.
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.sched = kind;
-        self
-    }
-
     /// Record one line per dispatched event into an in-world event log
     /// (see [`World::event_log`]). Costs allocation per event; meant for
     /// the differential harness, not production sweeps.
@@ -86,7 +76,7 @@ impl ClusterBuilder {
         World {
             clock: SimTime::ZERO,
             seq: 0,
-            queue: make_scheduler(self.sched),
+            queue: WheelScheduler::new(),
             event_log: if self.record { Some(String::new()) } else { None },
             actors: Vec::new(),
             live: Vec::new(),
@@ -158,7 +148,7 @@ impl std::error::Error for SchedulePastError {}
 pub struct World<M: Message> {
     clock: SimTime,
     seq: u64,
-    queue: Box<dyn Scheduler<SimEvent<M>>>,
+    queue: WheelScheduler<SimEvent<M>>,
     /// One compact line per dispatched event when event recording is on
     /// (`ClusterBuilder::record_events`) — the differential harness's
     /// byte-comparison stream.
@@ -489,7 +479,7 @@ impl<M: Message> World<M> {
         }
     }
 
-    /// Event-pool accounting from the active scheduler (leak tests; the
+    /// Event-pool accounting from the wheel's arena (leak tests; the
     /// chaos arena-leak invariant).
     pub fn scheduler_stats(&self) -> ArenaStats {
         self.queue.arena_stats()
@@ -1055,8 +1045,9 @@ mod tests {
         assert!(w.is_alive(echo));
         // Exactly "now" is valid: the fault fires before time advances.
         w.schedule_fault(w.now(), Fault::KillProcess(echo)).unwrap();
-        assert_eq!(w.queue.earliest(), Some(w.now()));
+        assert_eq!(w.queue_len(), 1);
         w.run_until(w.now());
+        assert_eq!(w.queue_len(), 0, "the fault was due now");
         assert!(!w.is_alive(echo));
         assert_eq!(w.now(), SimTime(1_000_000), "clock must not move");
     }
@@ -1608,60 +1599,18 @@ mod tests {
     fn queue_introspection_sees_pending_events() {
         let mut w = two_node_world();
         assert_eq!(w.queue_len(), 0);
-        assert_eq!(w.queue.earliest(), None);
         let echo = w.spawn(NodeId(1), Box::new(Echo));
         w.schedule_fault(SimTime(5_000), Fault::KillProcess(echo))
             .unwrap();
         assert_eq!(w.queue_len(), 2); // Start + Fault
-        assert_eq!(w.queue.earliest(), Some(SimTime::ZERO));
-    }
-
-    #[test]
-    fn heap_and_wheel_worlds_agree_end_to_end() {
-        // The same seeded workload must produce identical metrics, trace,
-        // and event streams under both schedulers.
-        let run = |kind: SchedulerKind| {
-            let mut w = ClusterBuilder::new()
-                .nodes(4, NodeSpec::default())
-                .net(NetParams {
-                    loss_permille: 100,
-                    dup_permille: 50,
-                    ..NetParams::default()
-                })
-                .seed(77)
-                .scheduler(kind)
-                .record_events(true)
-                .build::<u64>();
-            let e1 = w.spawn(NodeId(1), Box::new(Echo));
-            let got = std::rc::Rc::new(std::cell::Cell::new(0));
-            for n in 0..4 {
-                w.spawn(
-                    NodeId(n),
-                    Box::new(Pinger {
-                        peer: e1,
-                        got: got.clone(),
-                    }),
-                );
-                w.spawn(NodeId(n), Box::new(Flood { peer: e1, n: 50 }));
-            }
-            w.run_for(SimDuration::from_secs(2));
-            (
-                w.metrics().total.sent,
-                w.metrics().total.delivered,
-                w.metrics().events_processed,
-                w.take_event_log(),
-            )
-        };
-        let heap = run(SchedulerKind::Heap);
-        let wheel = run(SchedulerKind::Wheel);
-        assert_eq!(heap, wheel);
-        assert!(!heap.3.is_empty(), "event log must actually record");
+        assert!(w.step());
+        assert_eq!(w.now(), SimTime::ZERO, "the Start was due first");
+        assert_eq!(w.queue_len(), 1);
     }
 
     #[test]
     fn wheel_world_reuses_arena_slots_and_leaks_none() {
         let mut w = two_node_world();
-        assert_eq!(SchedulerKind::default(), SchedulerKind::Wheel);
         let echo = w.spawn(NodeId(1), Box::new(Echo));
         for i in 0..200 {
             w.inject(echo, i);

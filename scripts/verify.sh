@@ -89,11 +89,15 @@
 # where the Shared one should be handed on) fails it too. The simulator
 # counts each message once, in its own table: non-test phoenix-sim source
 # that names counter_add or gauge_set outside the publish function, or
-# walks a label-keyed map with `.entry(label)`, fails the stage.
+# walks a label-keyed map with `.entry(label)`, fails the stage. A world
+# runs one event queue, the timer wheel, held by value: non-test source
+# under crates/ that names `dyn Scheduler`, make_scheduler or
+# SchedulerKind::Heap, or names HeapScheduler (the reference queue) outside
+# phoenix-sim's sched.rs and lib.rs's re-export, fails it too.
 #
 # The last stage prints the non-test code-line counts ROADMAP item 4 quotes
 # and fails when group/gsd.rs, phoenix-kernel, phoenix-proto, phoenix-pws,
-# phoenix-chaos, crates/bench or the workspace exceeds its line in
+# phoenix-sim, phoenix-chaos, crates/bench or the workspace exceeds its line in
 # scripts/code_budget.txt, whose numbers may only be lowered. The same file
 # bounds the lines of library source that start with a bare `pub`, so a
 # public name has to earn its caller.
@@ -456,6 +460,20 @@ if [ -n "$writes" ]; then
     exit 1
 fi
 
+# One event queue per world, with the same cut: the heap is the wheel's
+# reference in tests and the benchmark's replay probe, never a world's.
+queues=$(for f in $(find crates -name '*.rs' -not -path '*/tests/*'); do
+    names='dyn Scheduler|make_scheduler|SchedulerKind::Heap'
+    [ "$f" = $sim_src/sched.rs ] || names="$names|HeapScheduler"
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE "$names" | grep -v '^[0-9]*:pub use sched::' \
+        | sed "s|^|$f: |"
+done)
+if [ -n "$queues" ]; then
+    printf '%s\n' "$queues" >&2
+    echo "FAIL: a world's event queue is chosen at run time, or the reference heap is named outside $sim_src/sched.rs (a World holds its WheelScheduler by value)" >&2
+    exit 1
+fi
+
 echo "== ratchet: non-test code lines stay within scripts/code_budget.txt (ROADMAP aim 2, item 4) =="
 # The roadmap's number: each file cut at its first #[cfg(test)], then its
 # non-blank, non-comment lines.
@@ -485,6 +503,7 @@ while read -r what limit; do
         gsd) where=crates/phoenix-kernel/src/group/gsd.rs ;;
         kernel) where=crates/phoenix-kernel/src ;;
         proto) where=crates/phoenix-proto/src ;;
+        sim) where=crates/phoenix-sim/src ;;
         pws) where=crates/phoenix-pws/src ;;
         chaos) where=crates/phoenix-chaos/src ;;
         bench) where=crates/bench/src ;;

@@ -1,25 +1,29 @@
-//! Differential regression suite: heap vs wheel scheduler, byte for byte.
+//! Differential regression suite: every pinned chaos scenario, replayed
+//! once, against the event queue's contract and its golden digests.
 //!
-//! The event core's determinism contract says the scheduler implementation
-//! is *unobservable*: for any seed, the heap baseline and the timer wheel
-//! must produce the same event stream, the same structured trace, the same
-//! flight-recorder spans, and the same telemetry registry — byte for byte.
-//! This suite replays every pinned chaos regression scenario (including
-//! the shrunk lossy masks) once per scheduler and compares all four
-//! surfaces. The serial-vs-parallel `cmp` gate from the sweep runner is
-//! the template; here the axis is the scheduler, not the thread count.
+//! The event core's determinism contract: events pop in strictly ascending
+//! `(time, seq)` order, so no caller can observe which queue runs. Every
+//! world runs the timer wheel; the heap it replaced is the reference the
+//! property tests (`phoenix-sim/tests/sched_properties.rs`) compare it to,
+//! element by element. This suite replays each pinned chaos regression
+//! scenario (including the shrunk lossy masks) and checks two things:
 //!
-//! Each scenario also carries a pinned FNV-1a digest per surface (see
-//! [`Golden`]): heap ≡ wheel cannot see a change that shifts both
-//! schedulers the same way; the digests can.
+//! * the contract on the run itself: each line of the recorded event
+//!   stream starts `time seq`, the pairs ascend strictly line by line, and
+//!   the event pool closes at the end (`live == queue_len`,
+//!   `allocs - frees == live`: chaos invariant 7, `arena-leak`, which the
+//!   run checks and this suite requires to be clean);
+//! * a pinned FNV-1a digest per observable surface (see [`Golden`]): the
+//!   event stream, the structured trace, the flight-recorder spans and the
+//!   telemetry registry. The digests pin the kernel across commits, so a
+//!   change that moves behaviour fails here.
 //!
-//! A divergence report names the first differing line, not the full
-//! multi-megabyte streams; a golden mismatch names the surfaces that moved.
+//! A contract failure names the first pair out of order, not the
+//! multi-megabyte stream; a golden mismatch names every surface that moved.
 
 use phoenix::chaos::{
     flight_recorder_dump, replay_command, run_schedule, ChaosConfig, RunOutcome, PRESETS,
 };
-use phoenix::sim::SchedulerKind;
 use phoenix::telemetry::BenchReport;
 
 /// Everything observable from one run: the chaos outcome, the recorded
@@ -31,9 +35,8 @@ struct Observed {
     registry: String,
 }
 
-fn observe(seed: u64, mask: u64, mut cfg: ChaosConfig, kind: SchedulerKind) -> Observed {
+fn observe(seed: u64, mask: u64, mut cfg: ChaosConfig) -> Observed {
     phoenix::telemetry::reset();
-    cfg.scheduler = kind;
     cfg.record_streams = true;
     let outcome = run_schedule(seed, &cfg, mask, false);
     let flight = flight_recorder_dump(usize::MAX);
@@ -48,39 +51,26 @@ fn observe(seed: u64, mask: u64, mut cfg: ChaosConfig, kind: SchedulerKind) -> O
     }
 }
 
-/// One surface of one scenario: heap and wheel must agree byte for byte
-/// (else panic with the first differing line, and which side still matches
-/// the golden), and both must hash to `want` (else return a line saying so,
-/// so the caller can name every surface that moved at once).
-fn check_surface(what: &str, seed: u64, heap: &str, wheel: &str, want: u64) -> Option<String> {
-    if heap == wheel {
-        let now = fnv1a(heap);
-        return (now != want).then(|| {
-            format!(
-                "  {what}: pinned {want:#018x}, now {now:#018x} ({} lines)",
-                heap.lines().count()
-            )
-        });
-    }
-    let still = match (fnv1a(heap) == want, fnv1a(wheel) == want) {
-        (true, _) => "heap still matches the golden",
-        (_, true) => "wheel still matches the golden",
-        _ => "neither matches the golden",
-    };
-    let mut h = heap.lines();
-    let mut w = wheel.lines();
-    let mut line = 0usize;
-    loop {
-        line += 1;
-        match (h.next(), w.next()) {
-            (Some(a), Some(b)) if a == b => continue,
-            (a, b) => panic!(
-                "seed {seed}: {what} streams diverge at line {line} \
-                 ({} vs {} total lines; {still})\n  heap:  {a:?}\n  wheel: {b:?}",
-                heap.lines().count(),
-                wheel.lines().count(),
+/// The queue's contract on one run's recorded event stream: it pops in
+/// strictly ascending `(time, seq)` order. Panics naming the first line out
+/// of order.
+fn check_ascending(seed: u64, events: &str) {
+    let mut last = (0u64, 0u64);
+    for (n, line) in events.lines().enumerate() {
+        let mut fields = line.split(' ').map(str::parse::<u64>);
+        let key = match (fields.next(), fields.next()) {
+            (Some(Ok(at)), Some(Ok(seq))) => (at, seq),
+            _ => panic!(
+                "seed {seed}: event line {} does not start `time seq`: {line:?}",
+                n + 1
             ),
-        }
+        };
+        assert!(
+            last < key,
+            "seed {seed}: event line {} pops out of (time, seq) order: {last:?} then {key:?}",
+            n + 1
+        );
+        last = key;
     }
 }
 
@@ -91,11 +81,10 @@ fn fnv1a(text: &str) -> u64 {
 }
 
 /// FNV-1a digests of one scenario's four surfaces, computed at the commit
-/// that last changed behaviour on purpose. Heap ≡ wheel only proves the
-/// scheduler is unobservable *within* a commit; these pin the kernel
-/// *across* commits, so a refactor that shifts both schedulers the same
-/// way fails here. A constant may change only together with a CHANGES.md
-/// line saying which behaviour changed and why.
+/// that last changed behaviour on purpose. The contract check holds
+/// *within* a run; these pin the kernel *across* commits, so a refactor
+/// that moves any event fails here. A constant may change only together
+/// with a CHANGES.md line saying which behaviour changed and why.
 struct Golden {
     events: u64,
     trace: u64,
@@ -103,72 +92,50 @@ struct Golden {
     registry: u64,
 }
 
-/// Replay `seed` (restricted to `mask`) of the preset `flag` names under
-/// both schedulers and require byte-identity on every observable surface,
-/// with each other and with the pinned `golden` digests.
-fn assert_byte_identical(seed: u64, mask: u64, flag: &str, golden: Golden) {
+/// Replay `seed` (restricted to `mask`) of the preset `flag` names, check
+/// the queue's contract on the run, and require every observable surface
+/// to hash to its pinned `golden` digest.
+fn assert_pinned(seed: u64, mask: u64, flag: &str, golden: Golden) {
     let preset = PRESETS.iter().find(|p| p.0 == flag).expect("a PRESETS flag");
-    let cfg = preset.1();
-    let heap = observe(seed, mask, cfg.clone(), SchedulerKind::Heap);
-    let wheel = observe(seed, mask, cfg, SchedulerKind::Wheel);
-
-    let hs = heap.outcome.streams.as_ref().expect("heap streams recorded");
-    let ws = wheel
-        .outcome
-        .streams
-        .as_ref()
-        .expect("wheel streams recorded");
+    let run = observe(seed, mask, preset.1());
+    let streams = run.outcome.streams.as_ref().expect("streams recorded");
     assert!(
-        !hs.events.is_empty(),
+        !streams.events.is_empty(),
         "seed {seed}: event stream is empty — recording is broken"
     );
+    check_ascending(seed, &streams.events);
+
     let moved: Vec<String> = [
-        ("event", &hs.events, &ws.events, golden.events),
-        ("trace", &hs.trace, &ws.trace, golden.trace),
-        (
-            "flight-recorder",
-            &heap.flight,
-            &wheel.flight,
-            golden.flight,
-        ),
-        (
-            "telemetry-registry",
-            &heap.registry,
-            &wheel.registry,
-            golden.registry,
-        ),
+        ("event", &streams.events, golden.events),
+        ("trace", &streams.trace, golden.trace),
+        ("flight-recorder", &run.flight, golden.flight),
+        ("telemetry-registry", &run.registry, golden.registry),
     ]
     .into_iter()
-    .filter_map(|(what, h, w, want)| check_surface(what, seed, h, w, want))
+    .filter_map(|(what, text, want)| {
+        let now = fnv1a(text);
+        (now != want).then(|| {
+            format!(
+                "  {what}: pinned {want:#018x}, now {now:#018x} ({} lines)",
+                text.lines().count()
+            )
+        })
+    })
     .collect();
     assert!(
         moved.is_empty(),
-        "seed {seed}:{mask:x}: behaviour moved against the cross-commit golden \
-         (heap and wheel still agree):\n{}\nreplay: {}",
+        "seed {seed}:{mask:x}: behaviour moved against the cross-commit golden:\n{}\nreplay: {}",
         moved.join("\n"),
-        replay_command(seed, mask, heap.outcome.total_steps, flag)
-    );
-
-    // Scalar outcome fields must agree too (violations carry strings).
-    assert_eq!(heap.outcome.virtual_ns, wheel.outcome.virtual_ns, "seed {seed}");
-    assert_eq!(
-        heap.outcome.faults_injected, wheel.outcome.faults_injected,
-        "seed {seed}"
-    );
-    assert_eq!(heap.outcome.quiesced, wheel.outcome.quiesced, "seed {seed}");
-    assert_eq!(
-        heap.outcome.violations.len(),
-        wheel.outcome.violations.len(),
-        "seed {seed}: {:?} vs {:?}",
-        heap.outcome.violations,
-        wheel.outcome.violations
+        replay_command(seed, mask, run.outcome.total_steps, flag)
     );
     // These pinned scenarios are green in chaos_regressions; a violation
-    // here means the scheduler (not the kernel) broke something.
+    // here means the event core broke something. `arena-leak` among them
+    // is the pool not closing: `live != queue_len` or
+    // `allocs - frees != live` once the run settled.
     assert!(
-        wheel.outcome.violations.is_empty(),
-        "seed {seed} violated invariants under the wheel: {:?}",
-        wheel.outcome.violations
+        run.outcome.violations.is_empty(),
+        "seed {seed} violated invariants: {:?}",
+        run.outcome.violations
     );
 }
 
@@ -176,7 +143,7 @@ fn assert_byte_identical(seed: u64, mask: u64, flag: &str, golden: Golden) {
 /// seed 8's schedule that once broke loss tolerance.
 #[test]
 fn differential_lossy_shrunk_mask_8_88() {
-    assert_byte_identical(
+    assert_pinned(
         8,
         0x88,
         "--lossy 20",
@@ -192,7 +159,7 @@ fn differential_lossy_shrunk_mask_8_88() {
 /// Pinned shrunk reproducer 15:5ee (lossy).
 #[test]
 fn differential_lossy_shrunk_mask_15_5ee() {
-    assert_byte_identical(
+    assert_pinned(
         15,
         0x5ee,
         "--lossy 20",
@@ -208,7 +175,7 @@ fn differential_lossy_shrunk_mask_15_5ee() {
 /// Seed 26: island split storm overlapping a GSD kill (partition config).
 #[test]
 fn differential_partition_island_split_seed_26() {
-    assert_byte_identical(
+    assert_pinned(
         26,
         u64::MAX,
         "--partition",
@@ -224,7 +191,7 @@ fn differential_partition_island_split_seed_26() {
 /// Seed 4: the flapping-NIC storm pin (lossy config).
 #[test]
 fn differential_nic_flap_seed_4() {
-    assert_byte_identical(
+    assert_pinned(
         4,
         u64::MAX,
         "--lossy 20",
@@ -240,7 +207,7 @@ fn differential_nic_flap_seed_4() {
 /// Seed 178: loss bursts plus a GSD kill on a 2% lossy network.
 #[test]
 fn differential_lossy_seed_178() {
-    assert_byte_identical(
+    assert_pinned(
         178,
         u64::MAX,
         "--lossy 20",
@@ -259,7 +226,7 @@ fn differential_lossy_seed_178() {
 /// home-node testimony and the weighted vote table all ride this replay.
 #[test]
 fn differential_quorum_even_split_seed_21() {
-    assert_byte_identical(
+    assert_pinned(
         21,
         u64::MAX,
         "--quorum",
@@ -274,11 +241,10 @@ fn differential_quorum_even_split_seed_21() {
 
 /// Seed 1 (slow profile): both member-partition servers gray at once —
 /// RTT scoring, quarantine broadcast, drain migration and reinstatement
-/// all ride this replay, and every one of them must be byte-identical
-/// under either scheduler.
+/// all ride this replay.
 #[test]
 fn differential_slow_double_gray_seed_1() {
-    assert_byte_identical(
+    assert_pinned(
         1,
         u64::MAX,
         "--slow",
