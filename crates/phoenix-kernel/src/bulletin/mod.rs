@@ -12,15 +12,24 @@
 //! the "single access point". If a peer cannot answer before the timeout,
 //! the reply is delivered with `complete = false`: "only the state of one
 //! partition can't be obtained".
+//!
+//! The table holds current state only. A detector's `DbPut` is its node's
+//! whole state (the `Resource` row first, then one `App` row per
+//! application it tracks), so a put replaces every `App` row the node had:
+//! a finished job's row lives until its node's next sample and no longer.
+//! A node whose detector died keeps its last rows, aged by their
+//! `stamp_ns`, until something restarts the detector. A respawned instance
+//! restores the rows its predecessor saved, but a restored row never
+//! overwrites a fresher one a detector has already put.
 
 use crate::federation::Member;
 use crate::group::registry::{kernel_factory_key, RespawnArgs};
 use crate::params::KernelParams;
 use phoenix_proto::{
-    BulletinEntry, BulletinQuery, CheckpointData, KernelMsg, MemberInfo, PartitionId, RequestId,
-    ServiceKind,
+    BulletinEntry, BulletinKey, BulletinQuery, BulletinValue, CheckpointData, JobId, KernelMsg,
+    MemberInfo, PartitionId, RequestId, ServiceKind,
 };
-use phoenix_sim::{Actor, Ctx, Pid, SimTime, TimerId};
+use phoenix_sim::{Actor, Ctx, NodeId, Pid, SimTime, TimerId};
 use std::collections::{BTreeMap, HashMap};
 
 const KIND: ServiceKind = ServiceKind::DataBulletin;
@@ -48,7 +57,7 @@ struct PendingQuery {
 pub(crate) struct DataBulletin {
     member: Member,
     params: KernelParams,
-    entries: BTreeMap<phoenix_proto::BulletinKey, (phoenix_proto::BulletinValue, u64)>,
+    entries: BTreeMap<BulletinKey, (BulletinValue, u64)>,
     pending: HashMap<u64, PendingQuery>,
     next_fed: u64,
     /// Set by the GSD's `RegroupFreeze` while this partition sits on a
@@ -102,9 +111,29 @@ impl DataBulletin {
             })
     }
 
-    fn save_state(&self, ctx: &mut Ctx<'_, KernelMsg>) {
-        let entries = self.entries().collect();
-        self.member.save(ctx, CheckpointData::Bulletin { entries });
+    /// Drop every `App` row of `node`. Keys order every `Resource` row
+    /// before every `App` row, so a table whose last key is not an `App`
+    /// row holds none, and a node without apps costs one range search.
+    fn forget_apps(&mut self, node: NodeId) {
+        if !matches!(self.entries.last_key_value(), Some((BulletinKey::App(..), _))) {
+            return;
+        }
+        let apps = BulletinKey::App(node, JobId(0))..=BulletinKey::App(node, JobId(u64::MAX));
+        while let Some((&key, _)) = self.entries.range(apps.clone()).next() {
+            self.entries.remove(&key);
+        }
+    }
+
+    /// Store `rows`. A restored row lands only where the table holds no
+    /// row for its key or an older one: a detector's put since the respawn
+    /// is fresher than any save.
+    fn apply(&mut self, rows: Vec<BulletinEntry>, restored: bool) {
+        for e in rows {
+            let older = |&(_, stamp_ns): &(BulletinValue, u64)| stamp_ns < e.stamp_ns;
+            if !restored || self.entries.get(&e.key).is_none_or(older) {
+                self.entries.insert(e.key, (e.value, e.stamp_ns));
+            }
+        }
     }
 
     fn finish_query(&mut self, ctx: &mut Ctx<'_, KernelMsg>, fed: u64, complete: bool) {
@@ -145,9 +174,10 @@ impl Actor<KernelMsg> for DataBulletin {
             }
             KernelMsg::DbPut { entries } => {
                 phoenix_telemetry::counter_add("bulletin.puts", entries.len() as u64);
-                for e in entries {
-                    self.entries.insert(e.key, (e.value, e.stamp_ns));
+                if let Some(BulletinKey::Resource(node)) = entries.first().map(|e| e.key) {
+                    self.forget_apps(node);
                 }
+                self.apply(entries, false);
             }
             KernelMsg::RegroupFreeze { frozen } => {
                 if frozen && !self.frozen {
@@ -157,38 +187,21 @@ impl Actor<KernelMsg> for DataBulletin {
             }
             KernelMsg::DbQuery { req, query } => {
                 phoenix_telemetry::counter_add("bulletin.queries", 1);
-                if self.frozen {
-                    // Minority island: answer what we hold, honestly
-                    // partial, without burning a federation timeout on
-                    // peers quorum says we cannot reach.
-                    phoenix_telemetry::counter_add("bulletin.frozen_queries", 1);
-                    ctx.send(
-                        from,
-                        KernelMsg::DbResp {
-                            req,
-                            entries: self.local_matches(query).into(),
-                            complete: false,
-                        },
-                    );
-                    return;
-                }
                 let acc = self.local_matches(query);
-                // Which peers need to contribute?
-                let waiting: Vec<PartitionId> = self
-                    .member
-                    .peers()
-                    .filter(|&(p, _)| query.wants_partition(p))
-                    .map(|(p, _)| p)
-                    .collect();
+                // Which peers need to contribute? On a minority island,
+                // none: answer what we hold, honestly partial, without
+                // burning a federation timeout on peers quorum says we
+                // cannot reach.
+                let waiting: Vec<PartitionId> = if self.frozen {
+                    phoenix_telemetry::counter_add("bulletin.frozen_queries", 1);
+                    Vec::new()
+                } else {
+                    let peers = self.member.peers().map(|(p, _)| p);
+                    peers.filter(|&p| query.wants_partition(p)).collect()
+                };
                 if waiting.is_empty() {
-                    ctx.send(
-                        from,
-                        KernelMsg::DbResp {
-                            req,
-                            entries: acc.into(),
-                            complete: true,
-                        },
-                    );
+                    let (entries, complete) = (acc.into(), !self.frozen);
+                    ctx.send(from, KernelMsg::DbResp { req, entries, complete });
                     return;
                 }
                 self.next_fed += 1;
@@ -257,9 +270,7 @@ impl Actor<KernelMsg> for DataBulletin {
             KernelMsg::CkLoadResp { data, .. } => {
                 if let Some(CheckpointData::Bulletin { entries }) = self.member.recovered(ctx, data)
                 {
-                    for e in entries {
-                        self.entries.insert(e.key, (e.value, e.stamp_ns));
-                    }
+                    self.apply(entries, true);
                 }
             }
             other => self.member.on_message(ctx, other),
@@ -269,7 +280,8 @@ impl Actor<KernelMsg> for DataBulletin {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, KernelMsg>, token: u64) {
         match token {
             TOK_CKPT => {
-                self.save_state(ctx);
+                let entries = self.entries().collect();
+                self.member.save(ctx, CheckpointData::Bulletin { entries });
                 ctx.set_timer(self.params.detector_sample * 2, TOK_CKPT);
             }
             t if t >= TOK_FED_BASE => {
@@ -278,25 +290,13 @@ impl Actor<KernelMsg> for DataBulletin {
                 // peers that have not answered before giving up — the
                 // fan-out request or its reply may simply have been lost.
                 let policy = self.params.ft.retry();
-                let retry = self.pending.get_mut(&fed).filter(|p| p.resend).map(|p| {
+                if let Some(p) = self.pending.get_mut(&fed).filter(|p| p.resend) {
                     p.resend = policy.on_send(&mut p.sends, None).is_some();
-                    (p.query, p.waiting.clone())
-                });
-                if let Some((query, waiting)) = retry {
-                    let targets: Vec<Pid> = self
-                        .member
-                        .peers()
-                        .filter(|(p, _)| waiting.contains(p))
-                        .map(|(_, pid)| pid)
-                        .collect();
-                    for pid in targets {
-                        ctx.send(pid, KernelMsg::DbFedQuery { req: RequestId(fed), query });
+                    let (req, query) = (RequestId(fed), p.query);
+                    for (_, pid) in self.member.peers().filter(|(q, _)| p.waiting.contains(q)) {
+                        ctx.send(pid, KernelMsg::DbFedQuery { req, query });
                     }
-                    let timer =
-                        ctx.set_timer(self.params.fed_query_timeout, TOK_FED_BASE + fed);
-                    if let Some(p) = self.pending.get_mut(&fed) {
-                        p.timer = timer;
-                    }
+                    p.timer = ctx.set_timer(self.params.fed_query_timeout, TOK_FED_BASE + fed);
                     return;
                 }
                 // Partial data: the paper's "only the state of one
@@ -320,8 +320,11 @@ impl Actor<KernelMsg> for DataBulletin {
 mod tests {
     use super::*;
     use crate::client::ClientHandle;
-    use phoenix_proto::{BulletinKey, BulletinValue, MemberInfo, ServiceDirectory};
-    use phoenix_sim::{ClusterBuilder, NodeId, NodeSpec, ResourceUsage, SimDuration, World};
+    use crate::federation::respawn_args;
+    use phoenix_proto::{AppState, AppStatus, ServiceDirectory, Shared};
+    use phoenix_sim::{
+        ClusterBuilder, NodeSpec, RecoveryAction, ResourceUsage, SimDuration, World,
+    };
 
     fn setup(n: usize) -> (World<KernelMsg>, Vec<Pid>) {
         let mut w = ClusterBuilder::new()
@@ -361,13 +364,43 @@ mod tests {
     }
 
     fn resource_entry(node: u32, cpu: f64) -> BulletinEntry {
-        BulletinEntry {
-            key: BulletinKey::Resource(NodeId(node)),
-            value: BulletinValue::Resource(ResourceUsage {
+        stamped(BulletinKey::Resource(NodeId(node)), cpu, 0)
+    }
+
+    /// A row of `key` reading `cpu`, taken at `stamp_ns`.
+    fn stamped(key: BulletinKey, cpu: f64, stamp_ns: u64) -> BulletinEntry {
+        let value = match key {
+            BulletinKey::Resource(_) => BulletinValue::Resource(ResourceUsage {
                 cpu,
                 ..ResourceUsage::IDLE
             }),
-            stamp_ns: 0,
+            BulletinKey::App(node, job) => BulletinValue::App(AppState {
+                job,
+                node,
+                cpu,
+                memory: 0.1,
+                status: AppStatus::Running,
+                sla_ok: true,
+            }),
+        };
+        BulletinEntry {
+            key,
+            value,
+            stamp_ns,
+        }
+    }
+
+    /// `(key, stamp_ns)` of every row `db` answers a `BulletinQuery::All` with.
+    fn rows(w: &mut World<KernelMsg>, db: Pid) -> Vec<(BulletinKey, u64)> {
+        let client = ClientHandle::spawn(w, NodeId(0));
+        let query = BulletinQuery::All;
+        client.send(w, db, KernelMsg::DbQuery { req: RequestId(9), query });
+        w.run_for(SimDuration::from_millis(10));
+        match client.drain().pop() {
+            Some((_, KernelMsg::DbResp { entries, .. })) => {
+                entries.iter().map(|e| (e.key, e.stamp_ns)).collect()
+            }
+            other => panic!("unexpected: {other:?}"),
         }
     }
 
@@ -541,5 +574,55 @@ mod tests {
             }
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    /// A put is its node's whole state: an app it no longer lists leaves
+    /// the table, and other nodes' apps stay.
+    #[test]
+    fn a_put_replaces_its_nodes_app_rows() {
+        let (mut w, dbs) = setup(1);
+        let app = |node, job| BulletinKey::App(NodeId(node), JobId(job));
+        let put = |keys: &[BulletinKey], stamp_ns| KernelMsg::DbPut {
+            entries: keys.iter().map(|&k| stamped(k, 0.5, stamp_ns)).collect(),
+        };
+        let (r0, r1) = (BulletinKey::Resource(NodeId(0)), BulletinKey::Resource(NodeId(1)));
+        w.inject(dbs[0], put(&[r0, app(0, 1), app(0, 2)], 1));
+        w.inject(dbs[0], put(&[r1, app(1, 3)], 1));
+        w.run_for(SimDuration::from_millis(5));
+        w.inject(dbs[0], put(&[r0, app(0, 2)], 2));
+        w.run_for(SimDuration::from_millis(5));
+        let want = [(r0, 2), (r1, 1), (app(0, 2), 2), (app(1, 3), 1)];
+        assert_eq!(rows(&mut w, dbs[0]), want);
+    }
+
+    /// A respawned instance that hears its node's detector before its
+    /// checkpoint reply keeps the put's rows; the restore only fills in
+    /// rows it lacks or holds older.
+    #[test]
+    fn a_restore_never_overwrites_a_fresher_put() {
+        let mut w = ClusterBuilder::new()
+            .nodes(1, NodeSpec::default())
+            .build::<KernelMsg>();
+        // One stand-in is both the supervisor and the checkpoint instance.
+        let stub = ClientHandle::spawn(&mut w, NodeId(0));
+        let info = MemberInfo {
+            gsd: stub.pid,
+            checkpoint: stub.pid,
+            ..MemberInfo::unwired(PartitionId(0))
+        };
+        let action = RecoveryAction::RestartedInPlace;
+        let args = respawn_args(&info, &Shared::new(vec![info]), action, &KernelParams::fast());
+        let db = w.spawn(NodeId(0), Box::new(DataBulletin::respawn(&args)));
+        let (r0, r1) = (BulletinKey::Resource(NodeId(0)), BulletinKey::Resource(NodeId(1)));
+        let r2 = BulletinKey::Resource(NodeId(2));
+        let entries = vec![stamped(r0, 0.8, 20), stamped(r2, 0.1, 5)];
+        w.inject(db, KernelMsg::DbPut { entries });
+        w.run_for(SimDuration::from_millis(5));
+        assert!(stub.drain().iter().any(|(_, m)| matches!(m, KernelMsg::CkLoad { .. })));
+        let saved = vec![stamped(r0, 0.2, 10), stamped(r1, 0.5, 10), stamped(r2, 0.3, 10)];
+        let data = Some(Shared::new(CheckpointData::Bulletin { entries: saved }));
+        stub.send(&mut w, db, KernelMsg::CkLoadResp { req: RequestId(0), data });
+        w.run_for(SimDuration::from_millis(5));
+        assert_eq!(rows(&mut w, db), [(r0, 20), (r1, 10), (r2, 10)]);
     }
 }

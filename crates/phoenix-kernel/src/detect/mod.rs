@@ -14,6 +14,13 @@
 //! daemon / GSD heartbeat analysis in [`crate::group`], exactly as the
 //! paper describes GSD "monitoring status of nodes and networks in a
 //! partition" through heartbeat analysis.
+//!
+//! Each export is the node's whole state: the `Resource` row, then one
+//! `App` row per application still tracked, and the bulletin replaces the
+//! node's rows with it. An application is tracked from `AppStarted` until
+//! the export that first reports it `Exited` or `Failed` (announced by
+//! `AppExited`, or found by the liveness check when its process vanished),
+//! so that export is its last row and the next one drops it.
 
 use crate::params::KernelParams;
 use phoenix_proto::{
@@ -100,7 +107,8 @@ impl Detector {
     }
 
     /// Check liveness of tracked app processes: a process that vanished
-    /// without announcing exit has failed.
+    /// without announcing exit has failed. It stays tracked until the next
+    /// export has reported it.
     fn check_app_liveness(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         let mut failed: Vec<JobId> = Vec::new();
         for (&job, app) in &self.apps {
@@ -256,6 +264,8 @@ impl Actor<KernelMsg> for Detector {
             if !self.frozen {
                 self.check_app_liveness(ctx);
                 self.export(ctx);
+                // Failed apps drop out of tracking after their final export.
+                self.apps.retain(|_, app| app.status == AppStatus::Running);
             }
             ctx.set_timer(self.params.detector_sample, TOK_SAMPLE);
         }
@@ -270,7 +280,7 @@ impl Actor<KernelMsg> for Detector {
 mod tests {
     use super::*;
     use crate::client::ClientHandle;
-    use phoenix_proto::{MemberInfo, RequestId, ServiceDirectory};
+    use phoenix_proto::{BulletinQuery, MemberInfo, RequestId, ServiceDirectory};
     use phoenix_sim::{ClusterBuilder, NodeSpec, SimDuration, World};
 
     fn setup() -> (World<KernelMsg>, Pid, ClientHandle, ClientHandle) {
@@ -379,5 +389,69 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// A vanished app is reported `Failed` once, then leaves tracking: two
+    /// samples after its pid dies, neither the bulletin nor a PBS poll
+    /// names it.
+    #[test]
+    fn a_failed_app_is_exported_once_then_dropped() {
+        let mut w = ClusterBuilder::new()
+            .nodes(2, NodeSpec::default())
+            .build::<KernelMsg>();
+        let params = KernelParams::fast();
+        let det = w.spawn(
+            NodeId(0),
+            Box::new(Detector::new(NodeId(0), PartitionId(0), params.clone())),
+        );
+        let bulletin = crate::bulletin::DataBulletin::new(PartitionId(0), params.clone());
+        let bulletin = w.spawn(NodeId(1), Box::new(bulletin));
+        let event = ClientHandle::spawn(&mut w, NodeId(1));
+        let local = MemberInfo {
+            event: event.pid,
+            bulletin,
+            ..MemberInfo::unwired(PartitionId(0))
+        };
+        let dir = ServiceDirectory {
+            config: Pid(0),
+            security: Pid(0),
+            partitions: vec![local],
+            nodes: vec![],
+        };
+        w.inject(det, KernelMsg::Boot(dir.into()));
+        let app = ClientHandle::spawn(&mut w, NodeId(0));
+        let task = TaskSpec::default();
+        w.inject(det, KernelMsg::AppStarted { job: JobId(3), pid: app.pid, task });
+        w.run_for(params.detector_sample);
+        let client = ClientHandle::spawn(&mut w, NodeId(1));
+        let tracked = |w: &mut World<KernelMsg>| {
+            let query = BulletinQuery::Apps;
+            client.send(w, bulletin, KernelMsg::DbQuery { req: RequestId(1), query });
+            client.send(w, det, KernelMsg::PbsPoll { req: RequestId(2) });
+            w.run_for(SimDuration::from_millis(10));
+            let mut seen = (vec![], vec![]);
+            for (_, m) in client.drain() {
+                match m {
+                    KernelMsg::DbResp { entries, .. } => {
+                        seen.0 = entries.iter().map(|e| e.key).collect();
+                    }
+                    KernelMsg::PbsPollResp { jobs, .. } => seen.1 = jobs,
+                    other => panic!("unexpected: {other:?}"),
+                }
+            }
+            seen
+        };
+        let row = BulletinKey::App(NodeId(0), JobId(3));
+        assert_eq!(tracked(&mut w), (vec![row], vec![JobId(3)]));
+        w.kill_process(app.pid);
+        w.run_for(params.detector_sample * 2);
+        assert_eq!(tracked(&mut w), (vec![], vec![]));
+        let downs = (event.drain().iter())
+            .filter(|(_, m)| {
+                matches!(m, KernelMsg::EsPublish { event }
+                    if matches!(event.payload, EventPayload::AppLifecycle { up: false, .. }))
+            })
+            .count();
+        assert_eq!(downs, 1, "one down event for the failed app");
     }
 }

@@ -125,6 +125,23 @@ fn targets_mut(msg: &mut KernelMsg) -> Option<&mut Vec<NodeId>> {
     }
 }
 
+/// The ack an agent sent as a target, kept to replay for a duplicate: a
+/// `KernelMsg` is 144 B, this is 24.
+#[derive(Clone, Copy)]
+enum Ack {
+    Exec { req: RequestId, job: JobId, ok: bool },
+    Delete { req: RequestId, job: JobId },
+}
+
+impl Ack {
+    fn msg(self, node: NodeId) -> KernelMsg {
+        match self {
+            Ack::Exec { req, job, ok } => KernelMsg::PpmExecAck { req, job, node, ok },
+            Ack::Delete { req, job } => KernelMsg::PpmDeleteAck { req, job, node },
+        }
+    }
+}
+
 /// The per-node PPM agent.
 pub(crate) struct PpmAgent {
     node: NodeId,
@@ -136,7 +153,7 @@ pub(crate) struct PpmAgent {
     /// Requests already processed, with the ack sent for them (if this
     /// node was a target). A duplicated tree message replays the ack and
     /// is not re-executed or re-forwarded.
-    seen: DedupWindow<(Pid, u64), Option<KernelMsg>>,
+    seen: DedupWindow<(Pid, u64), Option<Ack>>,
 }
 
 impl PpmAgent {
@@ -169,8 +186,8 @@ impl PpmAgent {
             return;
         };
         if let Some(cached) = self.seen.replay(&(reply_to, req.0)) {
-            if let Some(ack) = cached.clone() {
-                ctx.send(reply_to, ack);
+            if let Some(ack) = *cached {
+                ctx.send(reply_to, ack.msg(self.node));
             }
             return;
         }
@@ -195,7 +212,7 @@ impl PpmAgent {
                         };
                         self.jobs.insert(job, ctx.spawn(node, Box::new(app)));
                     }
-                    KernelMsg::PpmExecAck { req, job, node, ok }
+                    Ack::Exec { req, job, ok }
                 }
                 _ => {
                     // Kill the task and clean up: the detector is told the
@@ -205,10 +222,10 @@ impl PpmAgent {
                         let failed = false;
                         ctx.send(self.detector(), KernelMsg::AppExited { job, pid, failed });
                     }
-                    KernelMsg::PpmDeleteAck { req, job, node }
+                    Ack::Delete { req, job }
                 }
             };
-            ctx.send(reply_to, ack.clone());
+            ctx.send(reply_to, ack.msg(node));
             ack
         });
         self.seen.record((reply_to, req.0), ack);
@@ -440,37 +457,54 @@ mod tests {
         let _ = det.drain();
     }
 
+    /// The acks a client received, by request id.
+    fn acks(client: &ClientHandle) -> Vec<KernelMsg> {
+        let mut acks: Vec<(u64, KernelMsg)> = (client.drain().into_iter())
+            .filter_map(|(_, m)| match m {
+                KernelMsg::PpmExecAck { req, .. } | KernelMsg::PpmDeleteAck { req, .. } => {
+                    Some((req.0, m))
+                }
+                _ => None,
+            })
+            .collect();
+        acks.sort_by_key(|&(req, _)| req);
+        acks.into_iter().map(|(_, m)| m).collect()
+    }
+
+    /// Run job 1 on node 1 until deleted, acking to `client`.
+    fn exec_job1(client: &ClientHandle, req: u64) -> KernelMsg {
+        KernelMsg::PpmExec {
+            req: RequestId(req),
+            job: JobId(1),
+            task: TaskSpec {
+                duration_ns: None,
+                ..TaskSpec::default()
+            },
+            targets: vec![NodeId(1)],
+            reply_to: client.pid,
+        }
+    }
+
+    /// A second exec of a running job is refused, and a duplicate of
+    /// either request replays its own ack, `ok: true` and `ok: false`
+    /// alike, field for field.
     #[test]
     fn duplicate_exec_rejected() {
         let (mut w, agents, _det) = setup(2);
         let client = ClientHandle::spawn(&mut w, NodeId(0));
         for req in [5u64, 6] {
-            client.send(
-                &mut w,
-                agents[1],
-                KernelMsg::PpmExec {
-                    req: RequestId(req),
-                    job: JobId(1),
-                    task: TaskSpec {
-                        duration_ns: None,
-                        ..TaskSpec::default()
-                    },
-                    targets: vec![NodeId(1)],
-                    reply_to: client.pid,
-                },
-            );
+            client.send(&mut w, agents[1], exec_job1(&client, req));
         }
         w.run_for(SimDuration::from_millis(50));
-        let oks: Vec<bool> = client
-            .drain()
-            .into_iter()
-            .filter_map(|(_, m)| match m {
-                KernelMsg::PpmExecAck { ok, .. } => Some(ok),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(oks.len(), 2);
-        assert!(oks.contains(&true) && oks.contains(&false));
+        let first = acks(&client);
+        let ok = |m: &KernelMsg| matches!(m, KernelMsg::PpmExecAck { ok: true, .. });
+        assert_eq!(first.len(), 2);
+        assert!(ok(&first[0]) != ok(&first[1]), "one ran, one was refused: {first:?}");
+        for req in [5u64, 6] {
+            client.send(&mut w, agents[1], exec_job1(&client, req));
+        }
+        w.run_for(SimDuration::from_millis(50));
+        assert_eq!(acks(&client), first, "replayed acks equal the first copies");
     }
 
     /// A duplicated tree message (same req, e.g. network duplication or an
@@ -479,36 +513,49 @@ mod tests {
     fn duplicate_delivery_replays_ack_once() {
         let (mut w, agents, det) = setup(2);
         let client = ClientHandle::spawn(&mut w, NodeId(0));
-        let exec = KernelMsg::PpmExec {
-            req: RequestId(5),
-            job: JobId(1),
-            task: TaskSpec {
-                duration_ns: None,
-                ..TaskSpec::default()
-            },
-            targets: vec![NodeId(1)],
-            reply_to: client.pid,
-        };
+        let exec = exec_job1(&client, 5);
         client.send(&mut w, agents[1], exec.clone());
         client.send(&mut w, agents[1], exec);
         w.run_for(SimDuration::from_millis(50));
         // Both deliveries are acked (the retry got its answer), but the
-        // app process was only spawned once and both acks say ok.
-        let oks: Vec<bool> = client
-            .drain()
-            .into_iter()
-            .filter_map(|(_, m)| match m {
-                KernelMsg::PpmExecAck { ok, .. } => Some(ok),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(oks, vec![true, true]);
+        // app process was only spawned once and both acks are the same.
+        let ok = KernelMsg::PpmExecAck {
+            req: RequestId(5),
+            job: JobId(1),
+            node: NodeId(1),
+            ok: true,
+        };
+        assert_eq!(acks(&client), vec![ok.clone(), ok]);
         let started = det
             .drain()
             .into_iter()
             .filter(|(_, m)| matches!(m, KernelMsg::AppStarted { job: JobId(1), .. }))
             .count();
         assert_eq!(started, 1);
+        // The same for a delete: one kill, two equal acks.
+        let delete = KernelMsg::PpmDelete {
+            req: RequestId(6),
+            job: JobId(1),
+            targets: vec![NodeId(1)],
+            reply_to: client.pid,
+        };
+        client.send(&mut w, agents[1], delete.clone());
+        client.send(&mut w, agents[1], delete);
+        w.run_for(SimDuration::from_millis(50));
+        let deleted = KernelMsg::PpmDeleteAck {
+            req: RequestId(6),
+            job: JobId(1),
+            node: NodeId(1),
+        };
+        assert_eq!(acks(&client), vec![deleted.clone(), deleted]);
+        let exited = det
+            .drain()
+            .into_iter()
+            .filter(|(_, m)| matches!(m, KernelMsg::AppExited { job: JobId(1), .. }))
+            .count();
+        assert_eq!(exited, 1);
+        // What the window keeps per request.
+        assert!(std::mem::size_of::<Option<Ack>>() <= 24);
     }
 
     #[test]

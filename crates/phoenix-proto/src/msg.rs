@@ -298,7 +298,10 @@ pub enum KernelMsg {
     EsRegisterAck { req: RequestId },
 
     // ---- data bulletin ("bulletin") --------------------------------------
-    /// Detector export of fresh readings to its partition bulletin.
+    /// Detector export to its partition bulletin: the node's whole state,
+    /// its `Resource` row first, then one `App` row per application the
+    /// detector tracks. The bulletin replaces the node's `App` rows with
+    /// the put's, so an application missing from it leaves the table.
     DbPut { entries: Vec<BulletinEntry> },
     /// Client query against any instance (the single access point).
     DbQuery {

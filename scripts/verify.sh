@@ -93,7 +93,10 @@
 # runs one event queue, the timer wheel, held by value: non-test source
 # under crates/ that names `dyn Scheduler`, make_scheduler or
 # SchedulerKind::Heap, or names HeapScheduler (the reference queue) outside
-# phoenix-sim's sched.rs and lib.rs's re-export, fails it too.
+# phoenix-sim's sched.rs and lib.rs's re-export, fails it too. A dedup
+# window keeps a small reply it can rebuild the message from: non-test
+# source under crates/ that declares a DedupWindow whose value type names
+# KernelMsg (144 B a request, 64 requests an agent) fails the stage.
 #
 # The last stage prints the non-test code-line counts ROADMAP item 4 quotes
 # and fails when group/gsd.rs, phoenix-kernel, phoenix-proto, phoenix-pws,
@@ -471,6 +474,16 @@ done)
 if [ -n "$queues" ]; then
     printf '%s\n' "$queues" >&2
     echo "FAIL: a world's event queue is chosen at run time, or the reference heap is named outside $sim_src/sched.rs (a World holds its WheelScheduler by value)" >&2
+    exit 1
+fi
+
+# A cached reply is small, with the same cut.
+windows=$(for f in $(find crates -name '*.rs' -not -path '*/tests/*'); do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'DedupWindow<.*KernelMsg' | sed "s|^|$f: |"
+done)
+if [ -n "$windows" ]; then
+    printf '%s\n' "$windows" >&2
+    echo "FAIL: a DedupWindow caches whole KernelMsg replies (cache a small Copy ack and rebuild the message on replay)" >&2
     exit 1
 fi
 
