@@ -67,8 +67,7 @@ mod tests {
     use phoenix_kernel::FtParams;
     use phoenix_proto::PartitionId;
     use phoenix_sim::{
-        Actor, ClusterBuilder, Ctx, Diagnosis, FaultTarget, NicId, NodeId, NodeSpec, Pid, SimTime,
-        TraceEvent,
+        Actor, ClusterBuilder, Ctx, FaultTarget, NicId, NodeId, NodeSpec, Pid, SimTime, TraceEvent,
     };
     use std::collections::HashMap;
 
@@ -84,7 +83,7 @@ mod tests {
         hb_interval: SimDuration,
         last: HashMap<Pid, SimTime>,
         down: Vec<Pid>,
-        epoch: u64,
+        seq: u64,
     }
 
     const TOK_HB: u64 = 1;
@@ -101,20 +100,19 @@ mod tests {
                 hb_interval,
                 last: HashMap::new(),
                 down: Vec::new(),
-                epoch: 0,
+                seq: 0,
             }
         }
 
         fn beat(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-            self.epoch += 1;
+            self.seq += 1;
             let me = ctx.pid();
             for &p in &self.peers {
                 if p != me {
                     let beat = KernelMsg::MetaHeartbeat {
                         from_partition: PartitionId(0),
                         nic: NicId(0),
-                        epoch: self.epoch,
-                        seq: self.epoch,
+                        seq: self.seq,
                     };
                     ctx.send(p, beat);
                 }
@@ -142,7 +140,6 @@ mod tests {
                         if q != me && q != p {
                             let down = KernelMsg::MetaMemberDown {
                                 partition: PartitionId(0),
-                                diagnosis: Diagnosis::ProcessFailure,
                             };
                             ctx.send(q, down);
                         }

@@ -980,7 +980,6 @@ mod tests {
                         let said = KernelMsg::RegroupProbeAck {
                             round,
                             partition,
-                            gsd: Pid(0),
                             alive: false,
                         };
                         regroup.on_message(me, 0, Pid(0), &said, now);

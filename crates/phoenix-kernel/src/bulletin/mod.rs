@@ -380,7 +380,6 @@ mod tests {
                 cpu,
                 memory: 0.1,
                 status: AppStatus::Running,
-                sla_ok: true,
             }),
         };
         BulletinEntry {

@@ -3,12 +3,12 @@
 //! Paper Sec 4.2 names four detectors. This actor — one per node —
 //! implements the two data-producing ones directly:
 //!
-//! * the **physical resource detector** samples CPU, memory, swap, disk and
-//!   network I/O of its node ("fundamental for job management's
-//!   schedulers") and exports them to the partition's data bulletin;
+//! * the **physical resource detector** samples CPU, memory and swap of its
+//!   node ("fundamental for job management's schedulers") and exports them
+//!   to the partition's data bulletin;
 //! * the **application state detector** tracks the applications running on
-//!   the node — resources consumed, living status, and SLA flag
-//!   ("fundamental for business application runtime environment").
+//!   the node — resources consumed and living status ("fundamental for
+//!   business application runtime environment").
 //!
 //! The node-state and network-state detectors are realized by the watch
 //! daemon / GSD heartbeat analysis in [`crate::group`], exactly as the
@@ -100,8 +100,6 @@ impl Detector {
             cpu,
             memory: mem,
             swap,
-            disk_io: 0.01,
-            net_io: 0.01,
         }
         .clamped()
     }
@@ -156,7 +154,6 @@ impl Detector {
                     cpu: app.task.cpu_load,
                     memory: app.task.mem_load,
                     status: app.status,
-                    sla_ok: app.status == AppStatus::Running,
                 }),
                 stamp_ns,
             });

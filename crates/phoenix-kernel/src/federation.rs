@@ -63,7 +63,6 @@ pub struct Member {
     info: MemberInfo,
     /// Where [`peers`](Self::peers) are read from; `None` until wired.
     wiring: Option<Wiring>,
-    hb_seq: u64,
     /// The heartbeat cadence: the kernel parameters' interval until a
     /// runtime push retunes it.
     hb_interval: SimDuration,
@@ -86,7 +85,6 @@ impl Member {
             factory: factory.into(),
             info,
             wiring: None,
-            hb_seq: 0,
             hb_interval: params.ft.hb_interval,
             hb_timer: None,
             recovery: None,
@@ -249,15 +247,7 @@ impl Member {
 
     /// One heartbeat to the supervisor, and the timer for the next.
     fn beat(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        self.hb_seq += 1;
-        ctx.send(
-            self.info.gsd,
-            KernelMsg::SvcHeartbeat {
-                kind: self.kind,
-                pid: ctx.pid(),
-                seq: self.hb_seq,
-            },
-        );
+        ctx.send(self.info.gsd, KernelMsg::SvcHeartbeat { pid: ctx.pid() });
         self.hb_timer = Some(ctx.set_timer(self.hb_interval, TOK_HB));
     }
 }
@@ -653,7 +643,7 @@ mod tests {
                     self.sup
                         .on_register(local, kind, pid, factory, ctx.now(), alive);
                 }
-                KernelMsg::SvcHeartbeat { pid, .. } => self.sup.on_heartbeat(pid, ctx.now()),
+                KernelMsg::SvcHeartbeat { pid } => self.sup.on_heartbeat(pid, ctx.now()),
                 KernelMsg::ProbeReq { .. } => self.lapsed.extend(self.sup.scan(ctx.now(), WINDOW)),
                 KernelMsg::CkLoad { req, .. } => {
                     ctx.send(from, KernelMsg::CkLoadResp { req, data: None })

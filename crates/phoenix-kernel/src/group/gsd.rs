@@ -1076,8 +1076,7 @@ impl Gsd {
         verdict: Diagnosis,
     ) {
         self.ring.remove(failed.partition);
-        let (partition, diagnosis) = (failed.partition, verdict);
-        self.broadcast_meta(ctx, KernelMsg::MetaMemberDown { partition, diagnosis });
+        self.broadcast_meta(ctx, KernelMsg::MetaMemberDown { partition: failed.partition });
         self.refresh_roles(ctx);
         let Some(placed) = self.place(ctx, &failed, Cause::Diagnosed(verdict)) else {
             milestone(ctx, "no-backup-node", failed.partition.0);
@@ -1164,7 +1163,6 @@ impl Gsd {
                     KernelMsg::MetaHeartbeat {
                         from_partition: self.partition,
                         nic: NicId(i as u8),
-                        epoch: self.ring.epoch(),
                         seq: self.hb_seq,
                     },
                 );
@@ -1400,8 +1398,7 @@ impl Gsd {
     /// Open a regroup round if the layer wants one: send what it says and
     /// arm the round-window timer.
     fn start_regroup_round(&mut self, ctx: &mut Ctx<'_, KernelMsg>, why: Why) {
-        let (me, epoch) = (self.partition, self.ring.epoch());
-        let Some(round) = self.regroup.open_round(me, epoch, ctx.now(), why) else {
+        let Some(round) = self.regroup.open_round(ctx.now(), why) else {
             return;
         };
         phoenix_telemetry::counter_add("gsd.regroup.rounds", 1);
@@ -1700,7 +1697,7 @@ impl Gsd {
             // Echo the beat over the same interface. The WD discards it;
             // the send stays because every cross-node send draws the
             // world's RNG, so dropping it would reshuffle seeded runs.
-            ctx.send_via(from, nic, KernelMsg::WdHeartbeatAck { nic, seq });
+            ctx.send_via(from, nic, KernelMsg::WdHeartbeatAck);
         }
         // The seq jump on this interface is per-NIC loss evidence; the
         // arrival itself is delivery evidence.
@@ -1799,7 +1796,7 @@ impl Actor<KernelMsg> for Gsd {
                     }
                 }
             }
-            KernelMsg::SvcHeartbeat { pid, .. } => self.supervisor.on_heartbeat(pid, ctx.now()),
+            KernelMsg::SvcHeartbeat { pid } => self.supervisor.on_heartbeat(pid, ctx.now()),
             KernelMsg::ProbeResp { req } => self.on_probe_resp(ctx, req.0),
             KernelMsg::ProbeReq { req } => {
                 ctx.send(from, KernelMsg::ProbeResp { req });

@@ -124,9 +124,9 @@ impl Actor<KernelMsg> for Wd {
                 ctx.send(from, KernelMsg::SlowPong { seq });
             }
             KernelMsg::RegroupProbe { round } => {
-                // Home-node testimony for a peer GSD's regroup round: the
-                // GSD pid this daemon heartbeats, and whether that pid is
-                // still alive (the sim shortcut for "K consecutive
+                // Home-node testimony for a peer GSD's regroup round:
+                // whether the GSD pid this daemon heartbeats is still
+                // alive (the sim shortcut for "K consecutive
                 // heartbeat acks missing"). An unbooted WD abstains: it
                 // tracks no pid.
                 if self.gsd != Pid(0) {
@@ -135,7 +135,6 @@ impl Actor<KernelMsg> for Wd {
                         KernelMsg::RegroupProbeAck {
                             round,
                             partition: self.partition,
-                            gsd: self.gsd,
                             alive: ctx.process_is_alive(self.gsd),
                         },
                     );

@@ -51,7 +51,6 @@ impl Actor<KernelMsg> for AppProc {
         if token == TOK_DONE {
             let exited = KernelMsg::AppExited {
                 job: self.job,
-                pid: ctx.pid(),
                 failed: false,
             };
             ctx.send(self.detector, exited.clone());
@@ -220,7 +219,7 @@ impl PpmAgent {
                     if let Some(pid) = self.jobs.remove(&job) {
                         ctx.kill(pid);
                         let failed = false;
-                        ctx.send(self.detector(), KernelMsg::AppExited { job, pid, failed });
+                        ctx.send(self.detector(), KernelMsg::AppExited { job, failed });
                     }
                     Ack::Delete { req, job }
                 }

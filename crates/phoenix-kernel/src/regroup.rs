@@ -143,9 +143,10 @@ pub struct AckInfo {
     pub epoch: u64,
     /// Whether the acker itself is frozen.
     pub frozen: bool,
-    /// The acker's vote weight as the wire carries it: always 1. The
-    /// tally counts one vote per partition and doubles the witness's
-    /// against its own witness view.
+    /// Always 1: the tally counts one vote per partition and doubles the
+    /// witness's against its own witness view. Nothing reads it and the
+    /// wire does not carry it; it stays only because the frozen benchmark
+    /// builds an `AckInfo` by its fields (ROADMAP item 7).
     pub weight: u32,
 }
 
@@ -495,17 +496,10 @@ impl Regroup {
         self.next_round
     }
 
-    /// Open a round for `me`, whose membership epoch is `ring_epoch`, and
-    /// say what to send; the caller concludes it [`ROUND_WINDOW`] later.
-    /// `None`: the layer is off, a round is already collecting, or there
-    /// is nothing to [`Why::Poll`] for.
-    pub(crate) fn open_round(
-        &mut self,
-        me: PartitionId,
-        ring_epoch: u64,
-        now: SimTime,
-        why: Why,
-    ) -> Option<Round> {
+    /// Open a round and say what to send; the caller concludes it
+    /// [`ROUND_WINDOW`] later. `None`: the layer is off, a round is already
+    /// collecting, or there is nothing to [`Why::Poll`] for.
+    pub(crate) fn open_round(&mut self, now: SimTime, why: Why) -> Option<Round> {
         let wanted = why == Why::Suspicion || self.frozen || self.witness_lost();
         if !self.enabled() || self.round.is_some() || !wanted {
             return None;
@@ -514,8 +508,6 @@ impl Regroup {
         let (witness, witness_epoch) = self.gossip();
         Some(Round {
             ping: KernelMsg::RegroupPing {
-                from_partition: me,
-                epoch: ring_epoch,
                 round,
                 witness,
                 witness_epoch,
@@ -545,7 +537,6 @@ impl Regroup {
                 round,
                 witness,
                 witness_epoch,
-                ..
             } => {
                 heard.witness = self.observe_witness(witness, witness_epoch);
                 // Always answered, even frozen — reachability is
@@ -557,7 +548,6 @@ impl Regroup {
                     epoch: ring_epoch,
                     round,
                     frozen: self.frozen,
-                    weight: 1,
                     witness,
                     witness_epoch,
                 });
@@ -568,7 +558,6 @@ impl Regroup {
                 epoch,
                 round,
                 frozen,
-                weight,
                 witness,
                 witness_epoch,
             } => {
@@ -577,7 +566,7 @@ impl Regroup {
                     gsd: from,
                     epoch,
                     frozen,
-                    weight,
+                    weight: 1,
                 };
                 self.on_ack(round, from_partition, info, now);
             }
@@ -587,7 +576,6 @@ impl Regroup {
                 round,
                 partition,
                 alive,
-                ..
             } if partition != me => self.on_home_report(round, partition, alive),
             _ => {}
         }
@@ -1191,7 +1179,6 @@ mod tests {
             let dead_witness = KernelMsg::RegroupProbeAck {
                 round,
                 partition: PartitionId(4),
-                gsd: Pid(0),
                 alive: false,
             };
             d.on_message(PartitionId(me), 0, Pid(0), &dead_witness, t(0));
@@ -1486,13 +1473,11 @@ mod tests {
     #[test]
     fn rounds_open_on_suspicion_and_poll_only_for_a_reason() {
         let mut off = four(RegroupParams::default());
-        assert!(off.open_round(P0, 7, t(0), Why::Suspicion).is_none(), "disabled");
+        assert!(off.open_round(t(0), Why::Suspicion).is_none(), "disabled");
         let mut rg = four(fast());
-        assert!(rg.open_round(P0, 7, t(0), Why::Poll).is_none(), "nothing to poll for");
-        let opened = rg.open_round(P0, 7, t(0), Why::Suspicion).unwrap();
+        assert!(rg.open_round(t(0), Why::Poll).is_none(), "nothing to poll for");
+        let opened = rg.open_round(t(0), Why::Suspicion).unwrap();
         let KernelMsg::RegroupPing {
-            from_partition,
-            epoch,
             round,
             witness,
             witness_epoch,
@@ -1500,16 +1485,16 @@ mod tests {
         else {
             panic!("not a ping: {:?}", opened.ping);
         };
-        assert_eq!((from_partition, epoch, round), (P0, 7, 1));
+        assert_eq!(round, 1);
         assert_eq!((witness, witness_epoch), (P0, 0), "no vote table: zeroes");
         assert!(opened.home_probe.is_none(), "no vote table: no testimony");
-        assert!(rg.open_round(P0, 7, t(0), Why::Suspicion).is_none(), "one at a time");
+        assert!(rg.open_round(t(0), Why::Suspicion).is_none(), "one at a time");
         // Frozen by that round: the poll timer now opens the next.
         assert!(rg.conclude(P0, t(0)).unwrap().froze);
-        assert!(rg.open_round(P0, 7, t(1), Why::Poll).is_some());
+        assert!(rg.open_round(t(1), Why::Poll).is_some());
         // A vote table adds the home-node probe and gossips its witness.
         let mut votes = four(RegroupParams::quorum());
-        let opened = votes.open_round(P2, 0, t(0), Why::Suspicion).unwrap();
+        let opened = votes.open_round(t(0), Why::Suspicion).unwrap();
         assert!(matches!(opened.ping, KernelMsg::RegroupPing { witness: P0, .. }));
         assert!(matches!(opened.home_probe, Some(KernelMsg::RegroupProbe { round: 1 })));
         // Unfrozen, but the witness was not in the last round: keep polling.
@@ -1517,14 +1502,12 @@ mod tests {
         votes.on_ack(1, P1, ack(101, 0, false), t(0));
         let c = votes.conclude(P2, t(0)).unwrap();
         assert!(c.majority && !c.froze && c.keep_polling);
-        assert!(votes.open_round(P2, 0, t(1), Why::Poll).is_some());
+        assert!(votes.open_round(t(1), Why::Poll).is_some());
     }
 
     #[test]
     fn regroup_traffic_table() {
         let ping = |witness, witness_epoch| KernelMsg::RegroupPing {
-            from_partition: P1,
-            epoch: 3,
             round: 9,
             witness,
             witness_epoch,
@@ -1542,7 +1525,6 @@ mod tests {
             epoch,
             round,
             frozen,
-            weight,
             witness,
             witness_epoch,
         } = heard.reply.unwrap()
@@ -1550,21 +1532,21 @@ mod tests {
             panic!("a ping is acked");
         };
         assert_eq!((from_partition, epoch, round), (P0, 5, 9), "the pinger's round");
-        assert_eq!((frozen, weight, witness, witness_epoch), (false, 1, P0, 0));
+        assert_eq!((frozen, witness, witness_epoch), (false, P0, 0));
         assert!(heard.witness.is_none() && !heard.echo);
         // A frozen side still acks, and says so.
         assert!(concluded(&mut rg, P0, &[], t(0)).froze);
         let heard = rg.on_message(P0, 5, Pid(11), &ping(P0, 0), t(1));
         assert!(matches!(heard.reply, Some(KernelMsg::RegroupAck { frozen: true, .. })));
-        // Vote table: one vote on the wire, newer witness adopted and
-        // gossiped back, and the pinger's round echoed.
+        // Vote table: newer witness adopted and gossiped back, and the
+        // pinger's round echoed.
         let mut votes = four(RegroupParams::quorum());
         let heard = votes.on_message(P2, 0, Pid(11), &ping(P3, 2), t(0));
         assert_eq!(heard.witness, Some((P3, 2)));
         assert!(heard.echo);
         let reply = heard.reply.unwrap();
         assert!(
-            matches!(reply, KernelMsg::RegroupAck { weight: 1, witness: P3, witness_epoch: 2, .. }),
+            matches!(reply, KernelMsg::RegroupAck { witness: P3, witness_epoch: 2, .. }),
             "{reply:?}"
         );
         // An ack counts for the round it names, from the pid that sent it;
@@ -1575,7 +1557,6 @@ mod tests {
             epoch: 8,
             round,
             frozen: false,
-            weight: 1,
             witness: P1,
             witness_epoch,
         };
@@ -1587,7 +1568,6 @@ mod tests {
         let report = |partition| KernelMsg::RegroupProbeAck {
             round: r,
             partition,
-            gsd: Pid(0),
             alive: false,
         };
         votes.on_message(P2, 0, Pid(50), &report(P2), t(0));

@@ -15,8 +15,7 @@ pub enum AppStatus {
 }
 
 /// Application state exported by the application-state detector: resources
-/// consumed by a specific application, its living status, and the SLA flag
-/// the paper says business runtimes depend on.
+/// consumed by a specific application and its living status.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct AppState {
     pub job: JobId,
@@ -24,8 +23,6 @@ pub struct AppState {
     pub cpu: f64,
     pub memory: f64,
     pub status: AppStatus,
-    /// Whether the application currently meets its system-level agreement.
-    pub sla_ok: bool,
 }
 
 /// Key of a bulletin entry.
@@ -112,7 +109,6 @@ mod tests {
                 cpu: 0.5,
                 memory: 0.2,
                 status: AppStatus::Running,
-                sla_ok: true,
             }),
         };
         BulletinEntry {

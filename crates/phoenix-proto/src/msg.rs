@@ -15,7 +15,7 @@ use crate::security::{Action, AuthToken};
 use crate::shared::Shared;
 use crate::wire::encoded_size;
 use crate::topology::ClusterTopology;
-use phoenix_sim::{Diagnosis, Message, NicId, NodeId, Pid, ResourceUsage};
+use phoenix_sim::{Message, NicId, NodeId, Pid, ResourceUsage};
 
 /// The per-partition service pids of one meta-group member, as carried in
 /// membership broadcasts. Federation peers find each other through this.
@@ -143,21 +143,20 @@ pub enum KernelMsg {
     ProbeResp { req: RequestId },
     /// GSD acknowledgement of a WD heartbeat, echoed back over the same
     /// NIC the beat arrived on, only when NIC-health scoring is enabled.
-    /// The WD discards it. It still flows because every cross-node send
-    /// draws the world's RNG: removing the stream reshuffles every seeded
-    /// hardened run, so it waits for a chaos re-baseline.
-    WdHeartbeatAck { nic: NicId, seq: u64 },
+    /// It carries nothing and the WD discards it. It still flows only
+    /// because every cross-node send draws the world's RNG: removing the
+    /// stream reshuffles every seeded hardened run, so it waits for
+    /// per-sender random streams (ROADMAP item 14).
+    WdHeartbeatAck,
 
     // ---- group service: meta-group ring ("meta") ------------------------
     /// Ring heartbeat from a GSD to its successor, sent over every NIC so
     /// the observer can tell a network failure from a daemon failure.
     /// `seq` counts beats (per sender) so a lossy network's duplicates and
-    /// stragglers can be deduplicated; `epoch` only moves on membership
-    /// changes.
+    /// stragglers can be deduplicated.
     MetaHeartbeat {
         from_partition: PartitionId,
         nic: NicId,
-        epoch: u64,
         seq: u64,
     },
     /// A (re)started GSD announces itself to the meta-group leader.
@@ -169,19 +168,13 @@ pub enum KernelMsg {
         members: Shared<Vec<MemberInfo>>,
     },
     /// A GSD announces a peer's failure to the whole meta-group.
-    MetaMemberDown {
-        partition: PartitionId,
-        diagnosis: Diagnosis,
-    },
+    MetaMemberDown { partition: PartitionId },
 
     // ---- group service: quorum regroup ("regroup") ----------------------
     /// Reachability probe of a regroup round (MSCS-style): a GSD that
     /// suspects its leader or lost a majority of beats pings every known
     /// peer to compute its connected component.
     RegroupPing {
-        from_partition: PartitionId,
-        /// Sender's regroup epoch (moves once per concluded round).
-        epoch: u64,
         /// Round id, echoed in the ack so stale acks are discarded.
         round: u64,
         /// Sender's current witness partition (vote-table gossip; the
@@ -199,10 +192,6 @@ pub enum KernelMsg {
         epoch: u64,
         round: u64,
         frozen: bool,
-        /// The responder's vote weight: always 1. The receiver tallies
-        /// one vote per partition and doubles the witness's against its
-        /// own witness view.
-        weight: u32,
         /// The responder's witness view (same gossip as `RegroupPing`).
         witness: PartitionId,
         witness_epoch: u64,
@@ -220,13 +209,12 @@ pub enum KernelMsg {
     /// nodes an in-place respawn would land on, so evidence and rescue
     /// cannot end up on opposite sides of a split.
     RegroupProbe { round: u64 },
-    /// WD answer to a `RegroupProbe`: the GSD pid this daemon heartbeats
-    /// for its partition, and whether that pid is currently alive (the
-    /// sim shortcut for "K consecutive heartbeat acks missing").
+    /// WD answer to a `RegroupProbe`: whether the GSD this daemon
+    /// heartbeats for its partition is currently alive (the sim shortcut
+    /// for "K consecutive heartbeat acks missing").
     RegroupProbeAck {
         round: u64,
         partition: PartitionId,
-        gsd: Pid,
         alive: bool,
     },
     /// Majority-side leader → config service: mark a partition's directory
@@ -265,11 +253,7 @@ pub enum KernelMsg {
         factory: String,
     },
     /// Supervised-service heartbeat to the local GSD.
-    SvcHeartbeat {
-        kind: ServiceKind,
-        pid: Pid,
-        seq: u64,
-    },
+    SvcHeartbeat { pid: Pid },
     /// GSD pushes the current meta-group view to partition services and
     /// node daemons (federation peers + replacement pids flow through it).
     /// The list is the GSD's own ring list, `Shared` with every recipient.
@@ -445,11 +429,7 @@ pub enum KernelMsg {
         pid: Pid,
         task: TaskSpec,
     },
-    AppExited {
-        job: JobId,
-        pid: Pid,
-        failed: bool,
-    },
+    AppExited { job: JobId, failed: bool },
 
     // ---- PWS job management ("pws") -----------------------------------------
     PwsSubmit {
@@ -526,7 +506,7 @@ impl Message for KernelMsg {
         use KernelMsg::*;
         match self {
             Boot(_) => 0,
-            WdHeartbeat { .. } | WdHeartbeatAck { .. } => 1,
+            WdHeartbeat { .. } | WdHeartbeatAck => 1,
             ProbeReq { .. } | ProbeResp { .. } => 2,
             MetaHeartbeat { .. } | MetaJoin { .. } | MetaMembership { .. }
             | MetaMemberDown { .. } => 3,
@@ -641,7 +621,6 @@ mod tests {
             KernelMsg::MetaHeartbeat {
                 from_partition: PartitionId(0),
                 nic: NicId(0),
-                epoch: 0,
                 seq: 0
             }
             .label(),

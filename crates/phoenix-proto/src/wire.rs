@@ -23,7 +23,7 @@
 //! impls for `phoenix_sim` types are allowed), written with the
 //! [`wire_struct!`], [`wire_newtype!`] and [`wire_enum!`] macros.
 
-use phoenix_sim::{Diagnosis, NicId, NodeId, Pid, ResourceUsage};
+use phoenix_sim::{NicId, NodeId, Pid, ResourceUsage};
 use std::sync::Arc;
 
 /// The compact binary encoded size of any [`Wire`] value: its encoding,
@@ -411,13 +411,7 @@ pub trait WireVariants {
 wire_newtype!(NodeId);
 wire_newtype!(NicId);
 wire_newtype!(Pid);
-wire_struct!(ResourceUsage { cpu, memory, swap, disk_io, net_io });
-
-wire_enum! { Diagnosis {
-    0 => ProcessFailure,
-    1 => NodeFailure,
-    2 => NetworkFailure,
-}}
+wire_struct!(ResourceUsage { cpu, memory, swap });
 
 // --- phoenix-proto types ----------------------------------------------------
 
@@ -491,7 +485,7 @@ wire_enum! { AppStatus {
     2 => Failed,
 }}
 
-wire_struct!(AppState { job, node, cpu, memory, status, sla_ok });
+wire_struct!(AppState { job, node, cpu, memory, status });
 
 wire_enum! { BulletinKey {
     0 => Resource(node),
@@ -571,12 +565,12 @@ wire_enum! { KernelMsg {
     1 => WdHeartbeat { node, nic, seq },
     2 => ProbeReq { req },
     3 => ProbeResp { req },
-    4 => MetaHeartbeat { from_partition, nic, epoch, seq },
+    4 => MetaHeartbeat { from_partition, nic, seq },
     5 => MetaJoin { member },
     6 => MetaMembership { epoch, members },
-    7 => MetaMemberDown { partition, diagnosis },
+    7 => MetaMemberDown { partition },
     8 => SvcRegister { kind, pid, factory },
-    9 => SvcHeartbeat { kind, pid, seq },
+    9 => SvcHeartbeat { pid },
     10 => PartitionView { members, local },
     11 => EsRegisterConsumer { req, reg },
     12 => EsUnregisterConsumer { consumer },
@@ -614,7 +608,7 @@ wire_enum! { KernelMsg {
     44 => PpmDelete { req, job, targets, reply_to },
     45 => PpmDeleteAck { req, job, node },
     46 => AppStarted { job, pid, task },
-    47 => AppExited { job, pid, failed },
+    47 => AppExited { job, failed },
     48 => PwsSubmit { req, token, spec },
     49 => PwsSubmitResp { req, accepted, reason },
     50 => PwsCancel { req, token, job },
@@ -629,13 +623,13 @@ wire_enum! { KernelMsg {
     59 => PbsPoll { req },
     60 => PbsPollResp { req, node, usage, jobs },
     61 => EsRegisterAck { req },
-    62 => WdHeartbeatAck { nic, seq },
-    63 => RegroupPing { from_partition, epoch, round, witness, witness_epoch },
-    64 => RegroupAck { from_partition, epoch, round, frozen, weight, witness, witness_epoch },
+    62 => WdHeartbeatAck,
+    63 => RegroupPing { round, witness, witness_epoch },
+    64 => RegroupAck { from_partition, epoch, round, frozen, witness, witness_epoch },
     65 => RegroupFreeze { frozen },
     66 => DirectoryStale { partition, stale },
     67 => RegroupProbe { round },
-    68 => RegroupProbeAck { round, partition, gsd, alive },
+    68 => RegroupProbeAck { round, partition, alive },
     69 => SlowPing { seq },
     70 => SlowPong { seq },
     71 => SlowLeaderYield { from_partition },
@@ -708,10 +702,7 @@ mod tests {
     fn kernel_msg_round_trips() {
         let msgs = vec![
             KernelMsg::WdHeartbeat { node: NodeId(3), nic: NicId(1), seq: 99 },
-            KernelMsg::MetaMemberDown {
-                partition: PartitionId(2),
-                diagnosis: Diagnosis::NodeFailure,
-            },
+            KernelMsg::MetaMemberDown { partition: PartitionId(2) },
             KernelMsg::DbQuery { req: RequestId(7), query: BulletinQuery::Node(NodeId(4)) },
             KernelMsg::EsPublish {
                 event: Event::new(
@@ -761,10 +752,44 @@ mod tests {
 
     #[test]
     fn sim_types_sizes() {
+        use phoenix_sim::Message;
         assert_eq!(encoded_size(&NodeId(1)), 4);
         assert_eq!(encoded_size(&NicId(1)), 1);
         assert_eq!(encoded_size(&Pid(1)), 8);
-        assert_eq!(encoded_size(&ResourceUsage::IDLE), 40);
-        assert_eq!(encoded_size(&Diagnosis::NodeFailure), 4);
+        // cpu, memory, swap: three f64 gauges.
+        assert_eq!(encoded_size(&ResourceUsage::IDLE), 24);
+        assert_eq!(encode(&ResourceUsage::IDLE).len(), 24);
+        // The heartbeat, regroup and bulletin shapes, each at its size.
+        let p = PartitionId(2);
+        let resource = BulletinEntry {
+            key: BulletinKey::Resource(NodeId(3)),
+            value: BulletinValue::Resource(ResourceUsage::IDLE),
+            stamp_ns: 5,
+        };
+        let rows = [
+            (KernelMsg::WdHeartbeatAck, 4),
+            (KernelMsg::MetaHeartbeat { from_partition: p, nic: NicId(1), seq: 9 }, 4 + 4 + 1 + 8),
+            (KernelMsg::SvcHeartbeat { pid: Pid(7) }, 4 + 8),
+            (KernelMsg::RegroupPing { round: 3, witness: p, witness_epoch: 1 }, 4 + 8 + 4 + 8),
+            (
+                KernelMsg::RegroupAck {
+                    from_partition: p,
+                    epoch: 4,
+                    round: 3,
+                    frozen: false,
+                    witness: p,
+                    witness_epoch: 1,
+                },
+                4 + 4 + 8 + 8 + 1 + 4 + 8,
+            ),
+            (KernelMsg::RegroupProbeAck { round: 3, partition: p, alive: true }, 4 + 8 + 4 + 1),
+            // tag, row count, Resource key (tag + node), value (tag +
+            // usage), stamp.
+            (KernelMsg::DbPut { entries: vec![resource] }, 4 + 8 + 8 + 28 + 8),
+        ];
+        for (msg, size) in rows {
+            assert_eq!(msg.wire_size(), size, "{msg:?}");
+            assert_eq!(msg.wire_size(), encode(&msg).len(), "{msg:?}");
+        }
     }
 }

@@ -3,15 +3,13 @@
 use crate::ids::{NicId, NodeId};
 
 /// Instantaneous resource readings on a node, as fractions in `0.0..=1.0`
-/// (percentages / 100). These are the quantities the paper's physical
-/// resource detector samples: CPU, memory, swap, disk I/O and network I/O.
+/// (percentages / 100): CPU, memory and swap, the gauges the physical
+/// resource detector computes and GridView shows.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct ResourceUsage {
     pub cpu: f64,
     pub memory: f64,
     pub swap: f64,
-    pub disk_io: f64,
-    pub net_io: f64,
 }
 
 impl ResourceUsage {
@@ -20,19 +18,11 @@ impl ResourceUsage {
         cpu: 0.0,
         memory: 0.0,
         swap: 0.0,
-        disk_io: 0.0,
-        net_io: 0.0,
     };
 
     /// Clamp all gauges into `0.0..=1.0`.
     pub fn clamped(mut self) -> ResourceUsage {
-        for v in [
-            &mut self.cpu,
-            &mut self.memory,
-            &mut self.swap,
-            &mut self.disk_io,
-            &mut self.net_io,
-        ] {
+        for v in [&mut self.cpu, &mut self.memory, &mut self.swap] {
             *v = v.clamp(0.0, 1.0);
         }
         self
@@ -119,13 +109,10 @@ mod tests {
             cpu: 1.7,
             memory: -0.2,
             swap: 0.5,
-            disk_io: 2.0,
-            net_io: 0.0,
         }
         .clamped();
         assert_eq!(u.cpu, 1.0);
         assert_eq!(u.memory, 0.0);
         assert_eq!(u.swap, 0.5);
-        assert_eq!(u.disk_io, 1.0);
     }
 }

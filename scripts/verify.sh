@@ -109,15 +109,21 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Every scratch file of this run goes to one directory of its own, removed
+# on exit, so two trees can be verified side by side.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+trap 'exit 1' HUP INT TERM
+
 echo "== tier-1: cargo build --release =="
 cargo build --release --offline
 
 echo "== tier-1: cargo test -q =="
 # The count CHANGES.md and ROADMAP quote: every `test result:` line summed.
 rc=0
-cargo test -q --offline > /tmp/tier1.out 2>&1 || rc=$?
-cat /tmp/tier1.out
-awk '/^test result:/ { p += $4; f += $6 } END { printf "tier-1: %d passed, %d failed\n", p, f }' /tmp/tier1.out
+cargo test -q --offline > "$tmp/tier1.out" 2>&1 || rc=$?
+cat "$tmp/tier1.out"
+awk '/^test result:/ { p += $4; f += $6 } END { printf "tier-1: %d passed, %d failed\n", p, f }' "$tmp/tier1.out"
 [ "$rc" -eq 0 ] || {
     echo "FAIL: cargo test exited $rc" >&2
     exit 1
@@ -134,13 +140,13 @@ for example in quickstart hpc_batch_cluster business_hosting operations_console;
         operations_console) needle='--- kernel telemetry ---' ;;
         *) needle='' ;;
     esac
-    cargo run --release --offline -q -p phoenix --example "$example" > "/tmp/example_$example.out" 2>&1 || {
-        cat "/tmp/example_$example.out" >&2
+    cargo run --release --offline -q -p phoenix --example "$example" > "$tmp/example_$example.out" 2>&1 || {
+        cat "$tmp/example_$example.out" >&2
         echo "FAIL: example $example exited non-zero" >&2
         exit 1
     }
-    [ -z "$needle" ] || grep -qF -- "$needle" "/tmp/example_$example.out" || {
-        cat "/tmp/example_$example.out" >&2
+    [ -z "$needle" ] || grep -qF -- "$needle" "$tmp/example_$example.out" || {
+        cat "$tmp/example_$example.out" >&2
         echo "FAIL: example $example no longer prints '$needle'" >&2
         exit 1
     }
@@ -171,34 +177,33 @@ landed() {
 
 # smoke FILE NEEDLES BIN [ARGS...]: run a bench bin (its exit status is its
 # own gate: every sweep exits non-zero when what it measures regressed), keep
-# its output in /tmp/BIN.out, and assert that results/FILE landed with its
+# its output in $tmp/BIN.out, and assert that results/FILE landed with its
 # NEEDLES.
 smoke() {
     file=$1 needles=$2
     shift 2
     echo "== smoke: $* writes results/$file =="
     rm -f "results/$file"
-    cargo run --release --offline -p phoenix-bench --bin "$@" > "/tmp/$1.out" 2>&1 < /dev/null || {
-        cat "/tmp/$1.out" >&2
+    cargo run --release --offline -p phoenix-bench --bin "$@" > "$tmp/$1.out" 2>&1 < /dev/null || {
+        cat "$tmp/$1.out" >&2
         echo "FAIL: $* exited non-zero" >&2
         exit 1
     }
-    cat "/tmp/$1.out"
+    cat "$tmp/$1.out"
     landed "$file" "$needles"
 }
 
 echo "== paper: every simulated results/*.txt regenerates byte for byte =="
 # Set the committed files aside and remove them, so a file the bin no
 # longer writes shows up as missing rather than as equal to itself.
-rm -rf /tmp/paper_committed
-mkdir -p /tmp/paper_committed
+mkdir "$tmp/paper_committed"
 for f in results/*.txt; do
     [ "$f" = results/table4_linpack.txt ] && continue
-    cp "$f" /tmp/paper_committed/
+    cp "$f" "$tmp/paper_committed/"
     rm "$f"
 done
 smoke BENCH_kernel.json p50_ns,p99_ns,wd.heartbeat.flight,counters,table1 paper
-for f in /tmp/paper_committed/*.txt; do
+for f in "$tmp/paper_committed"/*.txt; do
     name=results/$(basename "$f")
     cmp "$f" "$name" || {
         diff "$f" "$name" >&2 || true
@@ -206,11 +211,11 @@ for f in /tmp/paper_committed/*.txt; do
         exit 1
     }
 done
-grep '^paper: ' /tmp/paper.out
+grep '^paper: ' "$tmp/paper.out"
 
 # The trace-mined table rows must agree with the kernel's own histograms
 # (the bin panics on divergence, but assert the check actually ran).
-grep -q 'telemetry cross-check' /tmp/paper.out || {
+grep -q 'telemetry cross-check' "$tmp/paper.out" || {
     echo "FAIL: telemetry cross-check did not run" >&2
     exit 1
 }
@@ -220,7 +225,7 @@ echo "== ratchet: 300 chaos schedules per preset fail exactly as scripts/known_c
 # the gate is the set of failing seeds. A failing seed that is not listed is
 # a regression; a listed seed that passes was fixed and must leave the
 # list, so the list can only shrink.
-: > /tmp/chaos_failing.txt
+: > "$tmp/chaos_failing.txt"
 for preset in lossy partition quorum slow small paper; do
     case $preset in
         lossy) flags="--lossy 20" ;;
@@ -229,23 +234,23 @@ for preset in lossy partition quorum slow small paper; do
     rc=0
     # shellcheck disable=SC2086
     cargo run --release --offline -p phoenix-bench --bin chaos_sweep -- --seeds 300 $flags \
-        > "/tmp/chaos_300_$preset.out" || rc=$?
-    [ "$rc" -le 1 ] && grep 'chaos_sweep done' "/tmp/chaos_300_$preset.out" || {
+        > "$tmp/chaos_300_$preset.out" || rc=$?
+    [ "$rc" -le 1 ] && grep 'chaos_sweep done' "$tmp/chaos_300_$preset.out" || {
         echo "FAIL: the 300-seed $preset chaos sweep did not finish (exit $rc)" >&2
         exit 1
     }
-    sed -n "s/^ *seed *\([0-9]*\): FAIL.*/$preset \1/p" "/tmp/chaos_300_$preset.out" \
-        >> /tmp/chaos_failing.txt
+    sed -n "s/^ *seed *\([0-9]*\): FAIL.*/$preset \1/p" "$tmp/chaos_300_$preset.out" \
+        >> "$tmp/chaos_failing.txt"
 done
-grep -v '^#' scripts/known_chaos_failures.txt | sort > /tmp/chaos_known.txt
-sort /tmp/chaos_failing.txt | diff /tmp/chaos_known.txt - || {
+grep -v '^#' scripts/known_chaos_failures.txt | sort > "$tmp/chaos_known.txt"
+sort "$tmp/chaos_failing.txt" | diff "$tmp/chaos_known.txt" - || {
     echo "FAIL: failing chaos seeds differ from scripts/known_chaos_failures.txt" >&2
     echo "      ('<' listed but passes: delete the line; '>' fails but unlisted: a regression)" >&2
     exit 1
 }
 # Every schedule must get a telemetry registry of its own, or spans earlier
 # schedules' worlds were dropped with read as leaks.
-if grep 'telemetry-leak' /tmp/chaos_300_lossy.out; then
+if grep 'telemetry-leak' "$tmp/chaos_300_lossy.out"; then
     echo "FAIL: chaos_sweep --seeds 300 reports telemetry-leak (registry not isolated per schedule?)" >&2
     exit 1
 fi
@@ -258,7 +263,7 @@ echo "== ratchet: benchmark exact lines equal scripts/bench_digests.txt =="
 moved=""
 for pair in $(grep -v '^#' scripts/bench_digests.txt | awk 'NF { print $1 ":" $2 }' | uniq); do
     workload=${pair%:*} seed=${pair#*:}
-    out=/tmp/bench_exact_${workload}_$seed.out
+    out=$tmp/bench_exact_${workload}_$seed.out
     rc=0
     bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 1 > "$out" || rc=$?
     if [ "$rc" -ne 0 ] || grep 'CHECK-FAILED' "$out"; then
@@ -314,33 +319,33 @@ chaos_sweep BENCH_chaos.json schedules_run,faults_injected,violating_schedules,s
 for run in sweep 'chaos_sweep --seeds 25 --small'; do
     bin=${run%% *}
     args=${run#"$bin"}
-    echo "$REPORTS" | grep "^$bin " > "/tmp/$bin.reports"
+    echo "$REPORTS" | grep "^$bin " > "$tmp/$bin.reports"
     while read -r _ file _; do
         rm -f "results/$file"
-    done < "/tmp/$bin.reports"
+    done < "$tmp/$bin.reports"
     echo "== smoke: $run writes its reports under results/ =="
     # shellcheck disable=SC2086
     PHOENIX_SWEEP_THREADS=1 cargo run --release --offline -p phoenix-bench --bin "$bin" -- $args \
-        > "/tmp/$bin.out" 2>&1 < /dev/null || {
-        cat "/tmp/$bin.out" >&2
+        > "$tmp/$bin.out" 2>&1 < /dev/null || {
+        cat "$tmp/$bin.out" >&2
         echo "FAIL: $run exited non-zero" >&2
         exit 1
     }
-    cat "/tmp/$bin.out"
+    cat "$tmp/$bin.out"
     while read -r _ file needles; do
         landed "$file" "$needles"
-        cp "results/$file" "/tmp/$file.serial"
-    done < "/tmp/$bin.reports"
+        cp "results/$file" "$tmp/$file.serial"
+    done < "$tmp/$bin.reports"
     echo "== determinism gate: parallel $bin must write byte-identical reports =="
     # shellcheck disable=SC2086
     PHOENIX_SWEEP_THREADS=4 cargo run --release --offline -p phoenix-bench --bin "$bin" -- $args \
-        > "/tmp/$bin.parallel.out" < /dev/null
+        > "$tmp/$bin.parallel.out" < /dev/null
     while read -r _ file _; do
-        cmp "results/$file" "/tmp/$file.serial" || {
+        cmp "results/$file" "$tmp/$file.serial" || {
             echo "FAIL: parallel $file differs from serial (determinism gate)" >&2
             exit 1
         }
-    done < "/tmp/$bin.reports"
+    done < "$tmp/$bin.reports"
 done
 
 echo "== speedup gate: loss_sweep on 4 workers against one =="
@@ -349,16 +354,16 @@ echo "== speedup gate: loss_sweep on 4 workers against one =="
 # was the first), serial and parallel runs alternating so both see the same
 # minute of the host, and the gate reads the least of each. The sweep bin
 # runs loss_sweep first, so its first `sweep:` line is loss_sweep's.
-grep -m1 '^sweep: ' /tmp/sweep.out > /tmp/loss_serial.out
-grep -m1 '^sweep: ' /tmp/sweep.parallel.out > /tmp/loss_parallel.out
+grep -m1 '^sweep: ' "$tmp/sweep.out" > "$tmp/loss_serial.out"
+grep -m1 '^sweep: ' "$tmp/sweep.parallel.out" > "$tmp/loss_parallel.out"
 for again in 2 3; do
     PHOENIX_SWEEP_THREADS=1 cargo run --release --offline -p phoenix-bench --bin sweep \
-        > /tmp/sweep.again.out < /dev/null
-    grep -m1 '^sweep: ' /tmp/sweep.again.out | tee -a /tmp/loss_serial.out
+        > "$tmp/sweep.again.out" < /dev/null
+    grep -m1 '^sweep: ' "$tmp/sweep.again.out" | tee -a "$tmp/loss_serial.out"
     PHOENIX_SWEEP_THREADS=4 cargo run --release --offline -p phoenix-bench --bin sweep \
-        > /tmp/sweep.again.out < /dev/null
-    grep -m1 '^sweep: ' /tmp/sweep.again.out | tee -a /tmp/loss_parallel.out
-    cmp results/BENCH_loss.json /tmp/BENCH_loss.json.serial || {
+        > "$tmp/sweep.again.out" < /dev/null
+    grep -m1 '^sweep: ' "$tmp/sweep.again.out" | tee -a "$tmp/loss_parallel.out"
+    cmp results/BENCH_loss.json "$tmp/BENCH_loss.json.serial" || {
         echo "FAIL: parallel BENCH_loss.json differs from serial (determinism gate, run $again)" >&2
         exit 1
     }
@@ -366,8 +371,8 @@ done
 least_ms() {
     sed -n 's/.*sweep: [0-9]* runs on [0-9]* thread(s), \([0-9]*\) ms wall/\1/p' "$1" | sort -n | head -1
 }
-serial_ms=$(least_ms /tmp/loss_serial.out)
-par_ms=$(least_ms /tmp/loss_parallel.out)
+serial_ms=$(least_ms "$tmp/loss_serial.out")
+par_ms=$(least_ms "$tmp/loss_parallel.out")
 cores=$(nproc 2>/dev/null || echo 1)
 [ -n "$serial_ms" ] && [ -n "$par_ms" ] || {
     echo "FAIL: sweep wall-clock lines missing from loss_sweep output" >&2
@@ -389,12 +394,12 @@ fi
 echo "== smoke: flapping-NIC chaos pin (seed 4, lossy) =="
 # Replays the pinned flapping-NIC storm end-to-end (exit 1 on violation).
 cargo run --release --offline -p phoenix-chaos --bin chaos -- --lossy 20 --replay 4 \
-    > /tmp/chaos_flap.out || {
-    cat /tmp/chaos_flap.out >&2
+    > "$tmp/chaos_flap.out" || {
+    cat "$tmp/chaos_flap.out" >&2
     echo "FAIL: flapping-NIC replay (seed 4) violated invariants" >&2
     exit 1
 }
-grep -q 'NicDegrade' /tmp/chaos_flap.out || {
+grep -q 'NicDegrade' "$tmp/chaos_flap.out" || {
     echo "FAIL: seed 4 schedule no longer contains NIC flaps — re-pin" >&2
     exit 1
 }

@@ -14,9 +14,11 @@
 //!   `allocs - frees == live`: chaos invariant 7, `arena-leak`, which the
 //!   run checks and this suite requires to be clean);
 //! * a pinned FNV-1a digest per observable surface (see [`Golden`]): the
-//!   event stream, the structured trace, the flight-recorder spans and the
-//!   telemetry registry. The digests pin the kernel across commits, so a
-//!   change that moves behaviour fails here.
+//!   event stream, the same stream with its wire sizes cut out, the
+//!   structured trace, the flight-recorder spans and the telemetry
+//!   registry. The digests pin the kernel across commits, so a change that
+//!   moves behaviour fails here, and a change that only resizes messages
+//!   moves the event digest alone.
 //!
 //! A contract failure names the first pair out of order, not the
 //! multi-megabyte stream; a golden mismatch names every surface that moved.
@@ -74,19 +76,35 @@ fn check_ascending(seed: u64, events: &str) {
     }
 }
 
+/// The event stream with every ` bytes=N` field removed: what was
+/// delivered, to whom and when, but not how large it was on the wire.
+fn event_order(events: &str) -> String {
+    let mut out = String::with_capacity(events.len());
+    let mut rest = events;
+    while let Some(at) = rest.find(" bytes=") {
+        out.push_str(&rest[..at]);
+        rest = rest[at + " bytes=".len()..].trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
 fn fnv1a(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
 
-/// FNV-1a digests of one scenario's four surfaces, computed at the commit
+/// FNV-1a digests of one scenario's five surfaces, computed at the commit
 /// that last changed behaviour on purpose. The contract check holds
 /// *within* a run; these pin the kernel *across* commits, so a refactor
 /// that moves any event fails here. A constant may change only together
 /// with a CHANGES.md line saying which behaviour changed and why.
+/// `event_order` is the event stream without wire sizes: a change that
+/// only resizes messages moves `events` and leaves it alone.
 struct Golden {
     events: u64,
+    event_order: u64,
     trace: u64,
     flight: u64,
     registry: u64,
@@ -105,8 +123,10 @@ fn assert_pinned(seed: u64, mask: u64, flag: &str, golden: Golden) {
     );
     check_ascending(seed, &streams.events);
 
+    let order = event_order(&streams.events);
     let moved: Vec<String> = [
         ("event", &streams.events, golden.events),
+        ("event-order", &order, golden.event_order),
         ("trace", &streams.trace, golden.trace),
         ("flight-recorder", &run.flight, golden.flight),
         ("telemetry-registry", &run.registry, golden.registry),
@@ -148,7 +168,8 @@ fn differential_lossy_shrunk_mask_8_88() {
         0x88,
         "--lossy 20",
         Golden {
-            events: 0x15c7_88d7_ca8b_3fe7,
+            events: 0xe82c_3181_60da_2d6f,
+            event_order: 0x7a9c_e9a4_ed15_33c5,
             trace: 0x6fdc_043f_0dfa_5bfb,
             flight: 0x6932_0fbd_621a_d1b1,
             registry: 0xd7e1_e421_664c_d521,
@@ -164,7 +185,8 @@ fn differential_lossy_shrunk_mask_15_5ee() {
         0x5ee,
         "--lossy 20",
         Golden {
-            events: 0x29e5_1362_e84b_6ed3,
+            events: 0x3bc7_343f_0e7d_be05,
+            event_order: 0x38c0_ba27_1391_6c42,
             trace: 0x7d45_f66c_aaac_d85f,
             flight: 0xac3d_e311_941a_f96f,
             registry: 0xd088_83fa_1d9b_2bfc,
@@ -180,7 +202,8 @@ fn differential_partition_island_split_seed_26() {
         u64::MAX,
         "--partition",
         Golden {
-            events: 0xb993_e699_b1af_c43e,
+            events: 0x1ed0_ef45_0b33_0207,
+            event_order: 0xb204_8a1a_1317_e55f,
             trace: 0x2270_0f07_a90e_2732,
             flight: 0x54ca_f09d_b2a4_d490,
             registry: 0x269b_eaa7_03ff_50ee,
@@ -196,7 +219,8 @@ fn differential_nic_flap_seed_4() {
         u64::MAX,
         "--lossy 20",
         Golden {
-            events: 0xa36e_a42c_f8e5_f87c,
+            events: 0x82bb_64f9_44f8_2ab2,
+            event_order: 0x811a_1d8e_15b5_a9e3,
             trace: 0x4a96_45ae_7fbc_ac15,
             flight: 0x4e4e_1827_6b4b_96eb,
             registry: 0x4ee9_16a9_23f6_6395,
@@ -212,7 +236,8 @@ fn differential_lossy_seed_178() {
         u64::MAX,
         "--lossy 20",
         Golden {
-            events: 0x93da_8e83_27f9_fff5,
+            events: 0x9316_b6ad_3b42_9045,
+            event_order: 0x60e2_a30f_059a_063a,
             trace: 0x79ad_ed7e_fe48_7ad1,
             flight: 0x8e43_ce99_f766_7946,
             registry: 0xd1dc_ac30_7e12_1bd6,
@@ -231,7 +256,8 @@ fn differential_quorum_even_split_seed_21() {
         u64::MAX,
         "--quorum",
         Golden {
-            events: 0x69a1_ad83_9707_2ae7,
+            events: 0x3475_7c16_4dd7_a128,
+            event_order: 0x3cf7_4bd3_a7e4_a26a,
             trace: 0x2f84_cbb3_7d5f_bf62,
             flight: 0xf7a7_e29c_9362_b149,
             registry: 0xa56d_d432_cc91_4830,
@@ -249,7 +275,8 @@ fn differential_slow_double_gray_seed_1() {
         u64::MAX,
         "--slow",
         Golden {
-            events: 0xeff6_16f2_01e1_525a,
+            events: 0x1f1a_333d_59cf_9da6,
+            event_order: 0x7303_16a4_042c_3317,
             trace: 0x5d4d_fdb5_dd6c_ee07,
             flight: 0x90c2_afec_7ddf_de8a,
             registry: 0x7c5c_d0a8_f180_1936,

@@ -222,7 +222,7 @@ fn kernel_msg_surface() -> Vec<phoenix::proto::KernelMsg> {
         JobState, KernelMsg, MemberInfo, NodeOp, NodeServices, PartitionId, QueueRow, RequestId,
         Role, ServiceDirectory, ServiceKind, TaskSpec, UserId,
     };
-    use phoenix::sim::{Diagnosis, NicId, NodeId, Pid, ResourceUsage};
+    use phoenix::sim::{NicId, NodeId, Pid, ResourceUsage};
 
     let member = MemberInfo {
         partition: PartitionId(2),
@@ -249,8 +249,6 @@ fn kernel_msg_surface() -> Vec<phoenix::proto::KernelMsg> {
         cpu: 0.25,
         memory: 0.5,
         swap: 0.125,
-        disk_io: 0.75,
-        net_io: 0.0625,
     };
     let entry = BulletinEntry {
         key: BulletinKey::Resource(NodeId(3)),
@@ -265,7 +263,6 @@ fn kernel_msg_surface() -> Vec<phoenix::proto::KernelMsg> {
             cpu: 0.5,
             memory: 0.25,
             status: AppStatus::Running,
-            sla_ok: true,
         }),
         stamp_ns: 67_890,
     };
@@ -295,28 +292,16 @@ fn kernel_msg_surface() -> Vec<phoenix::proto::KernelMsg> {
         KernelMsg::WdHeartbeat { node: NodeId(3), nic: NicId(1), seq: 99 },
         KernelMsg::ProbeReq { req: RequestId(5) },
         KernelMsg::ProbeResp { req: RequestId(5) },
-        KernelMsg::WdHeartbeatAck { nic: NicId(1), seq: 99 },
-        KernelMsg::MetaHeartbeat {
-            from_partition: PartitionId(2),
-            nic: NicId(2),
-            epoch: 17,
-            seq: 41,
-        },
+        KernelMsg::WdHeartbeatAck,
+        KernelMsg::MetaHeartbeat { from_partition: PartitionId(2), nic: NicId(2), seq: 41 },
         KernelMsg::MetaJoin { member },
         KernelMsg::MetaMembership { epoch: 18, members: vec![member, member].into() },
-        KernelMsg::RegroupPing {
-            from_partition: PartitionId(3),
-            epoch: 7,
-            round: 21,
-            witness: PartitionId(1),
-            witness_epoch: 4,
-        },
+        KernelMsg::RegroupPing { round: 21, witness: PartitionId(1), witness_epoch: 4 },
         KernelMsg::RegroupAck {
             from_partition: PartitionId(5),
             epoch: 9,
             round: 21,
             frozen: true,
-            weight: 3,
             witness: PartitionId(2),
             witness_epoch: 5,
         },
@@ -325,20 +310,16 @@ fn kernel_msg_surface() -> Vec<phoenix::proto::KernelMsg> {
         KernelMsg::RegroupProbeAck {
             round: 22,
             partition: PartitionId(6),
-            gsd: Pid(91),
             alive: true,
         },
         KernelMsg::DirectoryStale { partition: PartitionId(4), stale: true },
-        KernelMsg::MetaMemberDown {
-            partition: PartitionId(1),
-            diagnosis: Diagnosis::NetworkFailure,
-        },
+        KernelMsg::MetaMemberDown { partition: PartitionId(1) },
         KernelMsg::SvcRegister {
             kind: ServiceKind::Event,
             pid: Pid(50),
             factory: "es".into(),
         },
-        KernelMsg::SvcHeartbeat { kind: ServiceKind::DataBulletin, pid: Pid(51), seq: 3 },
+        KernelMsg::SvcHeartbeat { pid: Pid(51) },
         KernelMsg::PartitionView { members: vec![member].into(), local: member },
         KernelMsg::EsRegisterConsumer {
             req: RequestId(55),
@@ -457,7 +438,7 @@ fn kernel_msg_surface() -> Vec<phoenix::proto::KernelMsg> {
         },
         KernelMsg::PpmDeleteAck { req: RequestId(18), job: JobId(21), node: NodeId(1) },
         KernelMsg::AppStarted { job: JobId(21), pid: Pid(91), task },
-        KernelMsg::AppExited { job: JobId(21), pid: Pid(91), failed: true },
+        KernelMsg::AppExited { job: JobId(21), failed: true },
         KernelMsg::PwsSubmit { req: RequestId(19), token: token.clone(), spec: spec.clone() },
         KernelMsg::PwsSubmitResp {
             req: RequestId(19),
@@ -606,15 +587,14 @@ fn kernel_msg_rejects_noncanonical_flag_bytes() {
     use phoenix::proto::wire::{decode, encode, WireError};
     use phoenix::proto::{KernelMsg, PartitionId, RequestId};
 
-    // RegroupAck's `frozen` bool is the 25th byte region: tag(4) +
-    // from_partition(8) + epoch(8) + round(8). Locate it by diffing the
-    // true/false encodings instead of hand-counting offsets.
+    // RegroupAck's `frozen` bool follows tag(4) + from_partition(4) +
+    // epoch(8) + round(8). Locate it by diffing the true/false encodings
+    // instead of hand-counting offsets.
     let mk = |frozen| KernelMsg::RegroupAck {
         from_partition: PartitionId(5),
         epoch: 9,
         round: 21,
         frozen,
-        weight: 3,
         witness: PartitionId(2),
         witness_epoch: 5,
     };
