@@ -297,7 +297,6 @@ mod tests {
     fn job(item: &u64) -> u64 {
         phoenix_telemetry::counter_add("sweep.jobs", 1);
         phoenix_telemetry::observe("sweep.latency", "test", item * 100);
-        phoenix_telemetry::gauge_set("sweep.last_item", *item as f64);
         *item * 2
     }
 
@@ -321,11 +320,6 @@ mod tests {
             "merged parallel report must be byte-identical to serial"
         );
         assert_eq!(serial.merged.counter("sweep.jobs"), 16);
-        assert_eq!(
-            serial.merged.gauge("sweep.last_item"),
-            Some(16.0),
-            "gauges resolve by item order: last item wins"
-        );
     }
 
     #[test]

@@ -428,4 +428,33 @@ mod tests {
         assert!(count >= 3, "refresh pulls measured: {count}");
         phoenix_telemetry::reset();
     }
+
+    #[test]
+    fn telemetry_panel_lists_fail_slow_evidence() {
+        phoenix_telemetry::reset();
+        let (mut w, cluster) =
+            boot_and_stabilize(ClusterTopology::uniform(3, 4, 1), KernelParams::fast_slow(), 23);
+        let gv = GridView::spawn(
+            &mut w,
+            NodeId(2),
+            cluster.bulletin(),
+            cluster.event(),
+            SimDuration::from_millis(500),
+        );
+        w.run_for(SimDuration::from_secs(5));
+        w.apply_fault(phoenix_sim::Fault::SlowNode {
+            node: cluster.topology.partitions[2].server,
+            factor_permille: 20_000,
+        });
+        w.run_for(SimDuration::from_secs(20));
+        let suspected = phoenix_telemetry::with(|r| r.counter("gsd.slow.suspected"));
+        assert!(suspected > 0, "the slow server was suspected");
+        let full = gv.render_full();
+        let row = ["gsd.slow.suspected".to_string(), suspected.to_string()];
+        assert!(
+            full.lines().any(|l| l.split_whitespace().eq(row.iter().map(String::as_str))),
+            "the counter listing carries the fail-slow evidence: {full}"
+        );
+        phoenix_telemetry::reset();
+    }
 }

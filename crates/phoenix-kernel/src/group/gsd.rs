@@ -49,7 +49,7 @@ use crate::nic_health::{HealthTransition, NicHealth};
 use crate::group::probe::{Outcome, Probes};
 use crate::params::{self, FtParams, KernelParams};
 use crate::regroup::{self, Licence, Regroup, Why};
-use crate::slow_detect::{self, SlowDetect, SlowTransition, Verdict as SlowVerdict};
+use crate::slow_detect::{SlowDetect, SlowTransition};
 use phoenix_proto::{
     ClusterTopology, Event, EventPayload, EventType, KernelMsg, MemberInfo, NodeServices,
     PartitionId, RequestId, ServiceDirectory, ServiceKind, Shared,
@@ -80,14 +80,6 @@ const OP_BASE: u64 = 100;
 fn milestone(ctx: &mut Ctx<'_, KernelMsg>, label: &'static str, value: impl Into<f64>) {
     let value = value.into();
     ctx.trace(TraceEvent::Milestone { label, value });
-}
-
-/// Keep the witness gauges current.
-fn export_witness(view: Option<(PartitionId, u64)>) {
-    if let Some((witness, epoch)) = view {
-        phoenix_telemetry::gauge_set("gsd.regroup.witness", witness.0 as f64);
-        phoenix_telemetry::gauge_set("gsd.regroup.witness_epoch", epoch as f64);
-    }
 }
 
 fn detected(ctx: &mut Ctx<'_, KernelMsg>, target: FaultTarget) {
@@ -395,12 +387,12 @@ impl Gsd {
     /// quorum bench read it to evaluate the weighted win rule the same
     /// way the GSDs themselves do.
     pub fn witness_view(&self) -> Option<(PartitionId, u64)> {
-        self.regroup.outlook().witness
+        self.regroup.witness_view()
     }
 
     /// Effective takeover delay currently enforced by the regroup layer.
     pub fn effective_takeover_delay(&self) -> phoenix_sim::SimDuration {
-        self.regroup.outlook().takeover_delay
+        self.regroup.effective_takeover_delay()
     }
 
     /// Test/introspection: probe sessions opened and not yet resolved.
@@ -408,12 +400,10 @@ impl Gsd {
         self.probes.in_flight()
     }
 
-    /// The ring changed: export its size, drop the rescues the change made
-    /// moot, announce a new role, and watch the predecessor the new order
-    /// gives.
+    /// The ring changed: drop the rescues the change made moot, announce a
+    /// new role, and watch the predecessor the new order gives.
     fn refresh_roles(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         let ring = &self.ring;
-        phoenix_telemetry::gauge_set("gsd.meta_group.members", ring.members().len() as f64);
         self.failover.forget_present(|p| ring.get(p).is_some());
         let role = ring.role();
         if Some(role) != self.last_role {
@@ -1201,9 +1191,6 @@ impl Gsd {
     fn tick(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         self.send_meta_heartbeats(ctx);
         self.introspect_own_nics(ctx);
-        for (gauge, score) in self.nic_health.gauges() {
-            phoenix_telemetry::gauge_set(gauge, score);
-        }
         // A frozen GSD keeps beating (so its same-island successor never
         // mistakes the freeze for a death) but performs no authoritative
         // work: no directory writes, no checkpoints, no rescues, no
@@ -1313,18 +1300,7 @@ impl Gsd {
         if self.ring.role() != Role::Leader {
             return;
         }
-        for (node, v) in self.slow.verdicts() {
-            let (verdict, score) = slow_detect::gauges(node);
-            let val = match v {
-                SlowVerdict::Healthy => 0.0,
-                SlowVerdict::Slow => 1.0,
-                SlowVerdict::Dead => 2.0,
-            };
-            phoenix_telemetry::gauge_set(verdict, val);
-            phoenix_telemetry::gauge_set(score, self.slow.score(node));
-        }
         let held = self.ring.quarantined();
-        phoenix_telemetry::gauge_set("gsd.slow.quarantined", held.len() as f64);
         // Converge the quarantine set from member-server-node verdicts.
         let next = self.slow.converge_quarantine(self.partition, self.ring.members(), held);
         if next != *held {
@@ -1341,7 +1317,6 @@ impl Gsd {
     /// convergence pass and by a leader self-quarantining on yield.
     fn set_quarantine(&mut self, ctx: &mut Ctx<'_, KernelMsg>, next: BTreeSet<PartitionId>) {
         let epoch = self.ring.quarantine_epoch() + 1;
-        phoenix_telemetry::gauge_set("gsd.slow.quarantined", next.len() as f64);
         milestone(ctx, "slow-quarantine", next.len() as f64);
         // Peers hear of the change in the order the ring had before it.
         self.broadcast_meta(ctx, quarantine_msg(epoch, &next));
@@ -1439,16 +1414,6 @@ impl Gsd {
         if let Some(span) = self.round_span.take() {
             phoenix_telemetry::span_end(span);
         }
-        let outlook = self.regroup.outlook();
-        phoenix_telemetry::gauge_set("gsd.regroup.epoch", outlook.epoch as f64);
-        if let Some(lat) = outlook.round_latency {
-            phoenix_telemetry::gauge_set("gsd.regroup.round_latency", lat.as_secs_f64() * 1e3);
-            phoenix_telemetry::gauge_set(
-                "gsd.regroup.takeover_delay",
-                outlook.takeover_delay.as_secs_f64() * 1e3,
-            );
-        }
-        export_witness(outlook.witness);
         if !c.dead.is_empty() {
             // Quorum denominator shrank on home-node dead testimony.
             phoenix_telemetry::counter_add("gsd.regroup.dead_discounts", c.dead.len() as u64);
@@ -1498,7 +1463,6 @@ impl Gsd {
     /// ripen into a takeover.
     fn enter_frozen(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         phoenix_telemetry::counter_add("gsd.regroup.freezes", 1);
-        phoenix_telemetry::gauge_set("gsd.regroup.frozen", 1.0);
         self.frozen_span =
             Some(phoenix_telemetry::span_start("gsd.regroup.frozen", "gsd", ctx.node().0));
         milestone(ctx, "gsd-frozen", self.partition.0);
@@ -1520,7 +1484,6 @@ impl Gsd {
         if !self.regroup.thaw() {
             return;
         }
-        phoenix_telemetry::gauge_set("gsd.regroup.frozen", 0.0);
         if let Some(span) = self.frozen_span.take() {
             phoenix_telemetry::span_end(span);
         }
@@ -1568,7 +1531,6 @@ impl Gsd {
     fn on_regroup_msg(&mut self, ctx: &mut Ctx<'_, KernelMsg>, from: Pid, msg: &KernelMsg) {
         let (me, epoch) = (self.partition, self.ring.epoch());
         let heard = self.regroup.on_message(me, epoch, from, msg, ctx.now());
-        export_witness(heard.witness);
         if let Some(reply) = heard.reply {
             ctx.send(from, reply);
         }

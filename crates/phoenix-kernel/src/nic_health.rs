@@ -32,15 +32,6 @@ const DEMOTE_BELOW: f64 = 0.5;
 const PROMOTE_ABOVE: f64 = 0.8;
 /// ...and must also have this many consecutive clean deliveries.
 const PROMOTE_STREAK: u32 = 8;
-/// Score gauge per parallel network. The telemetry registry wants
-/// `&'static str`; clusters model up to a handful of networks, and every
-/// one past the table shares its last name.
-const GAUGES: [&str; 4] = [
-    "nic.health.nic0",
-    "nic.health.nic1",
-    "nic.health.nic2",
-    "nic.health.nicN",
-];
 
 /// The per-NIC health layer's one option. Default: disabled, so the paper
 /// pipeline (and every pre-existing seeded trace) is untouched; the kernel
@@ -116,13 +107,6 @@ impl NicHealth {
         self.nics.len()
     }
 
-    /// `(gauge name, score)` per interface; nothing while the layer is off.
-    pub(crate) fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
-        let n = if self.params.enabled { self.nics.len() } else { 0 };
-        let named = |(i, nic): (usize, &NicState)| (GAUGES[i.min(GAUGES.len() - 1)], nic.score);
-        self.nics[..n].iter().enumerate().map(named)
-    }
-
     /// One message observed arriving over `nic`. Returns `Promoted` when
     /// this delivery closes the hysteresis window of a demoted interface.
     pub fn observe_delivery(&mut self, nic: NicId) -> Option<HealthTransition> {
@@ -192,9 +176,8 @@ mod tests {
         NicHealth::new(NicHealthParams::lossy(), 3)
     }
 
-    /// Score of one interface as the owner publishes it (`gauges`).
     fn score(h: &NicHealth, nic: NicId) -> f64 {
-        h.gauges().nth(nic.0 as usize).expect("layer enabled").1
+        h.nics[nic.0 as usize].score
     }
 
     #[test]
@@ -204,7 +187,7 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(h.observe_misses(NicId(0), 5), None);
         }
-        assert_eq!(h.gauges().count(), 0, "a disabled layer publishes nothing");
+        assert_eq!(score(&h, NicId(0)), 1.0, "a disabled layer moves no score");
         assert_eq!(h.ranked(), vec![NicId(0), NicId(1), NicId(2)]);
     }
 

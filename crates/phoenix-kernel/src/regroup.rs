@@ -228,8 +228,6 @@ pub(crate) enum Why {
 /// What a piece of regroup traffic meant.
 #[derive(Debug, Default)]
 pub struct Heard {
-    /// The gossip it carried moved the witness view: the new one.
-    pub(crate) witness: Option<(PartitionId, u64)>,
     /// Send this back (the ack of a ping).
     pub(crate) reply: Option<KernelMsg>,
     /// Open a round of our own. A peer opening one suspects the topology
@@ -258,26 +256,12 @@ pub(crate) enum Licence {
     Deferred,
 }
 
-/// The numbers a dashboard or an invariant checker reads; no decision
-/// hangs on them.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Outlook {
-    /// Bumps on every concluded round.
-    pub(crate) epoch: u64,
-    /// `(witness, witness epoch)` while the vote table is active.
-    pub(crate) witness: Option<(PartitionId, u64)>,
-    /// Smoothed first-ping→last-ack latency, once a round has sampled.
-    pub(crate) round_latency: Option<SimDuration>,
-    /// The takeover delay currently enforced.
-    pub(crate) takeover_delay: SimDuration,
-}
-
 /// Pure regroup state machine. The GSD owns one and drives it from its
 /// message/timer handlers.
 #[derive(Default)]
 pub struct Regroup {
     params: RegroupParams,
-    /// Regroup epoch: bumps on every concluded round. Telemetry-visible.
+    /// Regroup epoch: bumps on every concluded round.
     epoch: u64,
     /// Current round id; `None` when idle.
     round: Option<u64>,
@@ -361,7 +345,7 @@ impl Regroup {
     /// Current `(witness, witness epoch)`; `None` while the vote table is
     /// off. The epoch bumps on every failover and is gossiped in regroup
     /// traffic; the higher one wins on conflict.
-    fn witness_view(&self) -> Option<(PartitionId, u64)> {
+    pub(crate) fn witness_view(&self) -> Option<(PartitionId, u64)> {
         let witness = self.witness.filter(|_| self.votes_enabled())?;
         Some((witness, self.witness_epoch))
     }
@@ -371,15 +355,6 @@ impl Regroup {
     fn gossip(&self) -> (PartitionId, u64) {
         let witness = self.witness_view().map_or(PartitionId(0), |(w, _)| w);
         (witness, self.witness_epoch)
-    }
-
-    pub(crate) fn outlook(&self) -> Outlook {
-        Outlook {
-            epoch: self.epoch,
-            witness: self.witness_view(),
-            round_latency: self.latency_ewma_ns.map(SimDuration::from_nanos),
-            takeover_delay: self.effective_takeover_delay(),
-        }
     }
 
     /// The fail-slow layer's health-ranked witness candidates (best
@@ -399,14 +374,12 @@ impl Regroup {
     }
 
     /// Adopt a gossiped witness identity if it carries a higher witness
-    /// epoch than ours: the view, when it changed.
-    fn observe_witness(&mut self, witness: PartitionId, epoch: u64) -> Option<(PartitionId, u64)> {
+    /// epoch than ours.
+    fn observe_witness(&mut self, witness: PartitionId, epoch: u64) {
         if self.votes_enabled() && epoch > self.witness_epoch {
             self.witness = Some(witness);
             self.witness_epoch = epoch;
-            return Some((witness, epoch));
         }
-        None
     }
 
     /// A partition's vote as tallied by this side: one, doubled for the
@@ -538,7 +511,7 @@ impl Regroup {
                 witness,
                 witness_epoch,
             } => {
-                heard.witness = self.observe_witness(witness, witness_epoch);
+                self.observe_witness(witness, witness_epoch);
                 // Always answered, even frozen — reachability is
                 // reachability; the `frozen` bit tells the pinger whether
                 // we can vouch for a membership.
@@ -561,7 +534,7 @@ impl Regroup {
                 witness,
                 witness_epoch,
             } => {
-                heard.witness = self.observe_witness(witness, witness_epoch);
+                self.observe_witness(witness, witness_epoch);
                 let info = AckInfo {
                     gsd: from,
                     epoch,
@@ -791,7 +764,7 @@ impl Regroup {
     /// multiple of the smoothed round latency clamped to `[DELAY_FLOOR,
     /// DELAY_CEIL]`. The floor is the proven-safe fast-profile constant, so
     /// adaptation can only ever *lengthen* the wait relative to it.
-    fn effective_takeover_delay(&self) -> SimDuration {
+    pub(crate) fn effective_takeover_delay(&self) -> SimDuration {
         if let Some(fixed) = self.params.takeover_delay {
             return fixed;
         }
@@ -1259,15 +1232,14 @@ mod tests {
     fn observe_witness_adopts_higher_epoch_only() {
         let mut rg = Regroup::new(RegroupParams::quorum());
         rg.set_partitions(&parts(4));
-        let adopted = rg.observe_witness(PartitionId(2), 1);
-        assert_eq!(adopted, Some((PartitionId(2), 1)), "higher epoch wins");
-        assert_eq!(witness(&rg), Some(PartitionId(2)));
-        assert_eq!(rg.observe_witness(PartitionId(1), 1), None, "same epoch ignored");
-        assert_eq!(witness(&rg), Some(PartitionId(2)));
+        rg.observe_witness(PartitionId(2), 1);
+        assert_eq!(rg.witness_view(), Some((PartitionId(2), 1)), "higher epoch wins");
+        rg.observe_witness(PartitionId(1), 1);
+        assert_eq!(rg.witness_view(), Some((PartitionId(2), 1)), "same epoch ignored");
         let mut off = Regroup::new(fast());
         off.set_partitions(&parts(4));
-        assert_eq!(off.observe_witness(PartitionId(2), 9), None, "vote table off");
-        assert_eq!(witness(&off), None);
+        off.observe_witness(PartitionId(2), 9);
+        assert_eq!(witness(&off), None, "vote table off");
     }
 
     #[test]
@@ -1277,7 +1249,7 @@ mod tests {
         let floor = DELAY_FLOOR;
         let ceil = DELAY_CEIL;
         assert_eq!(
-            rg.outlook().takeover_delay,
+            rg.effective_takeover_delay(),
             DELAY_FLOOR,
             "no samples yet: fixed constant"
         );
@@ -1291,16 +1263,16 @@ mod tests {
             rg.on_ack(r, PartitionId(2), ack(102, 0, false), now + lat);
             rg.conclude(PartitionId(0), now + lat).unwrap();
             now = now + SimDuration::from_millis(500);
-            let eff = rg.outlook().takeover_delay;
+            let eff = rg.effective_takeover_delay();
             assert!(eff >= floor && eff <= ceil, "never exits the clamp");
         }
-        let ewma = rg.outlook().round_latency.unwrap();
+        let ewma = SimDuration::from_nanos(rg.latency_ewma_ns.unwrap());
         assert!(
             ewma.as_nanos().abs_diff(lat.as_nanos()) < lat.as_nanos() / 10,
             "EWMA converged near the true latency: {ewma:?}"
         );
         let expect = floor + SimDuration::from_nanos(16 * ewma.as_nanos());
-        assert_eq!(rg.outlook().takeover_delay, expect);
+        assert_eq!(rg.effective_takeover_delay(), expect);
 
         // Pathological latencies pin to the clamp edges.
         for _ in 0..32 {
@@ -1309,14 +1281,14 @@ mod tests {
             rg.conclude(PartitionId(0), now + SimDuration::from_secs(10)).unwrap();
             now = now + SimDuration::from_secs(11);
         }
-        assert_eq!(rg.outlook().takeover_delay, ceil, "clamped to paper ceiling");
+        assert_eq!(rg.effective_takeover_delay(), ceil, "clamped to paper ceiling");
         for _ in 0..160 {
             let r = rg.begin_round(now);
             rg.on_ack(r, PartitionId(1), ack(101, 0, false), now);
             rg.conclude(PartitionId(0), now).unwrap();
             now = now + SimDuration::from_millis(500);
         }
-        assert_eq!(rg.outlook().takeover_delay, floor, "clamped to fast floor");
+        assert_eq!(rg.effective_takeover_delay(), floor, "clamped to fast floor");
     }
 
     #[test]
@@ -1329,10 +1301,10 @@ mod tests {
         let r = rg.begin_round(t(0));
         rg.on_ack(r, PartitionId(1), ack(101, 0, false), t(50_000_000));
         rg.conclude(PartitionId(0), t(60_000_000)).unwrap();
-        let before = rg.outlook().round_latency.unwrap();
+        let before = rg.latency_ewma_ns.unwrap();
         let _ = rg.begin_round(t(100_000_000));
         rg.conclude(PartitionId(0), t(160_000_000)).unwrap();
-        assert_eq!(rg.outlook().round_latency.unwrap(), before);
+        assert_eq!(rg.latency_ewma_ns.unwrap(), before);
     }
 
     // ---- the answers the GSD acts on, one table per decision -------------
@@ -1461,7 +1433,7 @@ mod tests {
         let c = testified(&mut rg, t(1));
         assert_eq!((c.majority, c.dead.as_slice()), (true, &[P1][..]));
         assert!(!c.reseed && c.keep_polling, "testimony is not reachability");
-        let delay = rg.outlook().takeover_delay;
+        let delay = rg.effective_takeover_delay();
         let mut now = t(1);
         while now.since(t(1)) < delay {
             now = now + SimDuration::from_millis(400);
@@ -1515,7 +1487,7 @@ mod tests {
         // Disabled: not even an ack.
         let mut off = four(RegroupParams::default());
         let heard = off.on_message(P0, 5, Pid(11), &ping(P1, 4), t(0));
-        assert!(heard.reply.is_none() && heard.witness.is_none() && !heard.echo);
+        assert!(heard.reply.is_none() && !heard.echo);
         // Count majority: acked with our epoch and freeze bit, no echo, and
         // witness gossip falls on deaf ears.
         let mut rg = four(fast());
@@ -1533,7 +1505,7 @@ mod tests {
         };
         assert_eq!((from_partition, epoch, round), (P0, 5, 9), "the pinger's round");
         assert_eq!((frozen, witness, witness_epoch), (false, P0, 0));
-        assert!(heard.witness.is_none() && !heard.echo);
+        assert!(rg.witness_view().is_none() && !heard.echo);
         // A frozen side still acks, and says so.
         assert!(concluded(&mut rg, P0, &[], t(0)).froze);
         let heard = rg.on_message(P0, 5, Pid(11), &ping(P0, 0), t(1));
@@ -1542,7 +1514,7 @@ mod tests {
         // pinger's round echoed.
         let mut votes = four(RegroupParams::quorum());
         let heard = votes.on_message(P2, 0, Pid(11), &ping(P3, 2), t(0));
-        assert_eq!(heard.witness, Some((P3, 2)));
+        assert_eq!(votes.witness_view(), Some((P3, 2)));
         assert!(heard.echo);
         let reply = heard.reply.unwrap();
         assert!(
@@ -1561,9 +1533,10 @@ mod tests {
             witness_epoch,
         };
         let stale = votes.on_message(P2, 0, Pid(40), &acked(r + 1, 2), t(0));
-        assert!(stale.reply.is_none() && stale.witness.is_none() && !stale.echo);
-        let heard = votes.on_message(P2, 0, Pid(40), &acked(r, 5), t(0));
-        assert_eq!(heard.witness, Some((P1, 5)));
+        assert!(stale.reply.is_none() && !stale.echo);
+        assert_eq!(votes.witness_view(), Some((P3, 2)), "an equal witness epoch moves nothing");
+        votes.on_message(P2, 0, Pid(40), &acked(r, 5), t(0));
+        assert_eq!(votes.witness_view(), Some((P1, 5)));
         // Home-node testimony: never about ourselves.
         let report = |partition| KernelMsg::RegroupProbeAck {
             round: r,

@@ -64,27 +64,6 @@ const WARMUP: u32 = 3;
 /// stay bounded under loss.
 const PING_HORIZON_BEATS: u64 = 8;
 
-/// Gauge names for a node's verdict (0 = healthy, 1 = slow, 2 = dead) and
-/// slowness score, as the meta-group leader exports them. The telemetry
-/// registry wants `&'static str`; simulated clusters use small node ids,
-/// and every node past the table shares its last row.
-const GAUGES: [(&str, &str); 9] = [
-    ("slow.verdict.node0", "slow.score.node0"),
-    ("slow.verdict.node1", "slow.score.node1"),
-    ("slow.verdict.node2", "slow.score.node2"),
-    ("slow.verdict.node3", "slow.score.node3"),
-    ("slow.verdict.node4", "slow.score.node4"),
-    ("slow.verdict.node5", "slow.score.node5"),
-    ("slow.verdict.node6", "slow.score.node6"),
-    ("slow.verdict.node7", "slow.score.node7"),
-    ("slow.verdict.nodeN", "slow.score.nodeN"),
-];
-
-/// `(verdict gauge, score gauge)` for `node`.
-pub(crate) fn gauges(node: NodeId) -> (&'static str, &'static str) {
-    GAUGES[(node.0 as usize).min(GAUGES.len() - 1)]
-}
-
 /// The fail-slow detector's one option, as `FtParams::slow` derives it from
 /// the hardening rung. Default: disabled, so the fail-stop pipeline (and
 /// every pre-existing seeded trace) is untouched.
@@ -218,11 +197,6 @@ impl SlowDetect {
             .get(&peer)
             .map(|p| p.samples >= WARMUP)
             .unwrap_or(false)
-    }
-
-    /// Every observed peer with its current verdict, ascending node id.
-    pub(crate) fn verdicts(&self) -> Vec<(NodeId, Verdict)> {
-        self.peers.iter().map(|(&n, p)| (n, p.verdict)).collect()
     }
 
     /// One RTT sample for a peer. Returns the quarantine / reinstatement
@@ -433,6 +407,11 @@ mod tests {
 
     const BASE: u64 = 300_000; // 300µs round trip
 
+    /// Every observed peer with its current verdict, ascending node id.
+    fn verdicts(d: &SlowDetect) -> Vec<(NodeId, Verdict)> {
+        d.peers.iter().map(|(&n, p)| (n, p.verdict)).collect()
+    }
+
     fn detector() -> SlowDetect {
         SlowDetect::new(SlowDetectParams::slow())
     }
@@ -452,7 +431,7 @@ mod tests {
         }
         assert_eq!(d.verdict(NodeId(1)), Verdict::Healthy);
         assert_eq!(d.score(NodeId(1)), 1.0);
-        assert!(d.verdicts().is_empty());
+        assert!(verdicts(&d).is_empty());
     }
 
     #[test]
@@ -482,7 +461,7 @@ mod tests {
         // Hysteresis: not before the streak window (warmup already done).
         assert!(edges[0].0 >= 2, "streak must gate the edge (at {})", edges[0].0);
         assert_eq!(d.verdict(NodeId(3)), Verdict::Slow);
-        assert_eq!(d.verdicts(), vec![(NodeId(3), Verdict::Slow)]);
+        assert_eq!(verdicts(&d), vec![(NodeId(3), Verdict::Slow)]);
         assert!(d.score(NodeId(3)) > 3.0);
     }
 
@@ -590,9 +569,9 @@ mod tests {
         d.expire_pings(at(8_000), beat);
         d.expire_pings(at(8_001), beat); // `old` is now past 8 beats
         assert_eq!(d.on_pong(old, at(8_002)), None);
-        assert_eq!(d.verdicts(), vec![], "a pong that late is no sample");
+        assert_eq!(verdicts(&d), vec![], "a pong that late is no sample");
         assert_eq!(d.on_pong(new, at(8_002)), None);
-        assert_eq!(d.verdicts(), vec![(NodeId(2), Verdict::Healthy)]);
+        assert_eq!(verdicts(&d), vec![(NodeId(2), Verdict::Healthy)]);
         assert!((d.score(NodeId(2)) - 1.0).abs() < 1e-9);
         // A duplicated pong finds its ping gone: one sample per ping.
         d.on_pong(new, at(9_000));

@@ -9,8 +9,7 @@
 //! the world hands control back to its caller:
 //! - [`Metrics`], which `World::metrics` lends out, keyed by class label;
 //! - the thread-local telemetry registry's `sim.events.dispatched`,
-//!   `sim.queue.depth`, `net.routed.*`, `net.loss.dropped[.nic*]` and
-//!   `net.dup.*`.
+//!   `net.routed.*`, `net.loss.dropped[.nic*]` and `net.dup.*` counters.
 
 use crate::ids::NicId;
 use crate::message::Message;
@@ -143,12 +142,11 @@ impl Counts {
     /// last call: copy each changed row into `metrics.by_label` (a row
     /// changes first by a send, so the map holds exactly the classes that
     /// sent), and hand the thread-local telemetry registry the counter
-    /// deltas (a counter that did not move is not written), setting
-    /// `sim.queue.depth` when events ran. The only place the simulator
-    /// writes counters or gauges: the world calls it wherever control
+    /// deltas (a counter that did not move is not written). The only place
+    /// the simulator writes counters: the world calls it wherever control
     /// returns to its caller, so both views are current whenever a test,
     /// bench, sweep or console reads them. No handler reads either.
-    pub(crate) fn publish(&mut self, queue_depth: usize) {
+    pub(crate) fn publish(&mut self) {
         while self.dirty != 0 {
             let tag = self.dirty.trailing_zeros() as usize;
             self.dirty &= self.dirty - 1;
@@ -161,9 +159,6 @@ impl Counts {
             }
         };
         add("sim.events.dispatched", p.events);
-        if p.events > 0 {
-            phoenix_telemetry::gauge_set("sim.queue.depth", queue_depth as f64);
-        }
         for (b, &(routed, lost)) in NICS.iter().enumerate() {
             add(routed, p.routed[b]);
             add(lost, p.lost[b]);
@@ -200,7 +195,7 @@ mod tests {
         c.on_send(&Msg(0, 32));
         c.on_deliver(0, 32, false);
         c.on_drop(0, DropReason::NodeDown);
-        c.publish(0);
+        c.publish();
         let m = &c.metrics;
         let s = m.label("hb");
         assert_eq!(s.sent, 2);
@@ -224,7 +219,7 @@ mod tests {
         assert_eq!(c.drops[DropReason::Partitioned as usize], 1);
         assert_eq!(c.pending.routed, [1, 1, 0, 1]);
         assert_eq!(c.pending.lost, [1, 0, 0, 1], "NIC 7 shares the last bucket");
-        c.publish(0);
+        c.publish();
         assert_eq!(c.metrics.label("hb").dropped, 3);
     }
 
@@ -232,19 +227,19 @@ mod tests {
     fn a_snapshot_holds_the_classes_that_sent() {
         let mut c = Counts::new(LABELS);
         c.on_send(&Msg(1, 100));
-        c.publish(0);
+        c.publish();
         c.on_send(&Msg(0, 8));
         let keys = |c: &Counts| c.metrics.by_label.keys().copied().collect::<Vec<_>>();
         assert_eq!(keys(&c), ["query"], "as of the last publish");
         assert_eq!(c.metrics.label("query").sent_bytes, 100);
-        c.publish(0);
+        c.publish();
         assert_eq!(keys(&c), ["hb", "query"]);
     }
 
     #[test]
     fn unknown_label_is_zero() {
         let mut c = Counts::new(LABELS);
-        c.publish(0);
+        c.publish();
         let m = &c.metrics;
         assert_eq!(m.label("nope"), LabelStats::default());
         assert_eq!(m.label("hb"), LabelStats::default(), "a class that never sent");
@@ -255,17 +250,16 @@ mod tests {
         phoenix_telemetry::reset();
         let mut c = Counts::new(LABELS);
         c.on_routed(0, NicId(1), false);
-        c.publish(5);
-        c.publish(5);
+        c.publish();
+        c.publish();
         c.on_event();
         c.on_routed(0, NicId(1), false);
         c.on_dup_scheduled();
-        c.publish(3);
+        c.publish();
         phoenix_telemetry::with(|r| {
             assert_eq!(r.counter("net.routed.nic1"), 2);
             assert_eq!(r.counter("sim.events.dispatched"), 1);
             assert_eq!(r.counter("net.dup.scheduled"), 1);
-            assert_eq!(r.gauge("sim.queue.depth"), Some(3.0));
             let names: Vec<_> = r.counters().map(|(name, _)| name).collect();
             assert_eq!(names, ["net.dup.scheduled", "net.routed.nic1", "sim.events.dispatched"]);
         });

@@ -280,7 +280,7 @@ impl<M: Message> World<M> {
                 dup: false,
             },
         );
-        self.counts.publish(self.queue.len());
+        self.counts.publish();
     }
 
     /// Send a message on behalf of a live process (driver-side RPC
@@ -293,7 +293,7 @@ impl<M: Message> World<M> {
     /// [`World::metrics`] and the telemetry registry.
     pub fn send_from(&mut self, from: Pid, to: Pid, msg: M) {
         self.do_send(from, to, None, msg);
-        self.counts.publish(self.queue.len());
+        self.counts.publish();
     }
 
     /// Schedule a fault (or repair) at an absolute virtual time.
@@ -331,7 +331,7 @@ impl<M: Message> World<M> {
         if self.clock < deadline {
             self.clock = deadline;
         }
-        self.counts.publish(self.queue.len());
+        self.counts.publish();
     }
 
     /// Run for a virtual duration from the current clock.
@@ -369,7 +369,7 @@ impl<M: Message> World<M> {
             Some((at, seq, ev)) => {
                 self.clock = at;
                 self.dispatch(seq, ev);
-                self.counts.publish(self.queue.len());
+                self.counts.publish();
                 true
             }
             None => false,

@@ -7,8 +7,9 @@
 //!
 //! Four pieces:
 //!
-//! * [`MetricsRegistry`] — counters, gauges, and log-bucketed latency
-//!   [`Histogram`]s (mergeable, with p50/p90/p99/max summaries).
+//! * [`MetricsRegistry`] — counters and log-bucketed latency [`Histogram`]s
+//!   (with p50/p90/p99/max summaries), both of which merge exactly across
+//!   shards.
 //! * **Spans** keyed to the simulator's *virtual* clock ([`clock`]), so a
 //!   trace taken from a seeded run is bit-identical across repetitions.
 //!   Spans nest (parent/child), carry a service label and belong to the
@@ -115,11 +116,6 @@ pub fn counter_add(name: &'static str, by: u64) {
     with(|r| r.counter_add(name, by));
 }
 
-/// Set a named gauge.
-pub fn gauge_set(name: &'static str, value: f64) {
-    with(|r| r.gauge_set(name, value));
-}
-
 /// Record a latency observation directly (nanoseconds) under `path`: a
 /// histogram sample with no flight-recorder record and no span id.
 pub fn observe(path: &'static str, service: &'static str, nanos: u64) {
@@ -201,11 +197,9 @@ mod tests {
         clock::set_now(0);
         counter_add("x", 2);
         counter_add("x", 3);
-        gauge_set("g", 0.5);
         flight("flight", "svc", 1, 0, 250);
         with(|r| {
             assert_eq!(r.counter("x"), 5);
-            assert_eq!(r.gauge("g"), Some(0.5));
             assert_eq!(r.histogram("flight").unwrap().summary().max_ns, 250);
         });
         reset();

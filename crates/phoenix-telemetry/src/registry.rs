@@ -1,5 +1,9 @@
-//! The metrics registry: counters, gauges, latency histograms, spans and
-//! flights.
+//! The metrics registry: counters, latency histograms, spans and flights.
+//!
+//! Every family merges exactly across shards: counters are sums, histograms
+//! are samples, the flight recorder is records. There are no gauges: a
+//! value each writer overwrites keeps only whichever wrote last, and in a
+//! world of many GSDs that is no one node's state.
 //!
 //! All names are `&'static str` — instrumentation sites use literals, so
 //! the registry never allocates for keys and map order (BTreeMap) is the
@@ -58,7 +62,6 @@ pub struct PathStats {
 #[derive(Debug)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
     hists: BTreeMap<&'static str, PathStats>,
     open: BTreeMap<SpanId, OpenSpan>,
     next_span: u64,
@@ -75,7 +78,6 @@ impl MetricsRegistry {
     pub fn new() -> Self {
         MetricsRegistry {
             counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
             hists: BTreeMap::new(),
             open: BTreeMap::new(),
             next_span: 1,
@@ -83,7 +85,7 @@ impl MetricsRegistry {
         }
     }
 
-    // --- counters / gauges -------------------------------------------------
+    // --- counters ----------------------------------------------------------
 
     pub(crate) fn counter_add(&mut self, name: &'static str, by: u64) {
         *self.counters.entry(name).or_insert(0) += by;
@@ -95,18 +97,6 @@ impl MetricsRegistry {
 
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(&k, &v)| (k, v))
-    }
-
-    pub(crate) fn gauge_set(&mut self, name: &'static str, value: f64) {
-        self.gauges.insert(name, value);
-    }
-
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
-        self.gauges.iter().map(|(&k, &v)| (k, v))
     }
 
     // --- histograms --------------------------------------------------------
@@ -243,8 +233,6 @@ impl MetricsRegistry {
     /// report byte-identical to the serial run's. Semantics per family:
     ///
     /// * **counters** — added;
-    /// * **gauges** — last write wins: `other`'s value replaces ours for
-    ///   shared names (the later shard in merge order is "most recent");
     /// * **histograms** — exact [`Histogram::merge`] (shard-merge == whole
     ///   is pinned by the histogram tests);
     /// * **open spans** — re-numbered into this registry's id space and
@@ -255,9 +243,6 @@ impl MetricsRegistry {
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (&name, &v) in &other.counters {
             self.counter_add(name, v);
-        }
-        for (&name, &v) in &other.gauges {
-            self.gauges.insert(name, v);
         }
         for (&path, stats) in &other.hists {
             self.hists
@@ -372,22 +357,19 @@ mod tests {
     }
 
     #[test]
-    fn merge_counters_gauges_hists() {
+    fn merge_counters_hists() {
         clock::set_now(0);
         let mut a = MetricsRegistry::new();
         a.counter_add("c", 2);
-        a.gauge_set("g", 1.0);
         a.observe("h", "s", 100);
         let mut b = MetricsRegistry::new();
         b.counter_add("c", 3);
         b.counter_add("only_b", 1);
-        b.gauge_set("g", 9.0);
         b.observe("h", "s", 300);
 
         a.merge(&b);
         assert_eq!(a.counter("c"), 5);
         assert_eq!(a.counter("only_b"), 1);
-        assert_eq!(a.gauge("g"), Some(9.0), "gauge: later shard in merge order wins");
         let h = a.histogram("h").unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.summary().max_ns, 300);

@@ -2,9 +2,8 @@
 //!
 //! The report is the machine-readable face of the paper's tables: every
 //! instrumented kernel path shows up with count + p50/p90/p99/max in
-//! nanoseconds, alongside counters, gauges, and arbitrary
-//! experiment-specific sections (e.g. a fault-tolerance table) attached
-//! by the bench binary.
+//! nanoseconds, alongside counters and arbitrary experiment-specific
+//! sections (e.g. a fault-tolerance table) attached by the bench binary.
 
 use std::fs;
 use std::io;
@@ -73,10 +72,6 @@ impl BenchReport {
         for (name, v) in reg.counters() {
             counters = counters.set(name, Json::UInt(v));
         }
-        let mut gauges = Json::obj();
-        for (name, v) in reg.gauges() {
-            gauges = gauges.set(name, Json::Num(v));
-        }
 
         let mut flight = Vec::new();
         for rec in reg.recorder().newest(recent_cap) {
@@ -96,7 +91,6 @@ impl BenchReport {
             .set("schema", Json::str("phoenix-telemetry/v1"))
             .set("histograms", hists)
             .set("counters", counters)
-            .set("gauges", gauges)
             .set(
                 "flight_recorder",
                 Json::obj()
@@ -159,7 +153,6 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         clock::set_now(0);
         reg.counter_add("hb.sent", 7);
-        reg.gauge_set("nodes.up", 5.0);
         reg.observe("wd.heartbeat.flight", "wd", 120_000);
         reg.observe("wd.heartbeat.flight", "wd", 130_000);
         reg.observe("gsd.scan", "gsd", 2_000_000);
@@ -172,7 +165,7 @@ mod tests {
         assert!(text.contains("\"service\": \"wd\""));
         assert!(text.contains("\"count\": 2"));
         assert!(text.contains("\"hb.sent\": 7"));
-        assert!(text.contains("\"nodes.up\": 5.0"));
+        assert!(!text.contains("\"gauges\""), "the registry holds no gauges");
         assert!(text.contains("\"extra\""));
     }
 

@@ -88,15 +88,18 @@
 # `.members().to_vec()` (a per-actor copy of the topology or of a ring list,
 # where the Shared one should be handed on) fails it too. The simulator
 # counts each message once, in its own table: non-test phoenix-sim source
-# that names counter_add or gauge_set outside the publish function, or
-# walks a label-keyed map with `.entry(label)`, fails the stage. A world
+# that names counter_add outside the publish function, or walks a
+# label-keyed map with `.entry(label)`, fails the stage. A world
 # runs one event queue, the timer wheel, held by value: non-test source
 # under crates/ that names `dyn Scheduler`, make_scheduler or
 # SchedulerKind::Heap, or names HeapScheduler (the reference queue) outside
 # phoenix-sim's sched.rs and lib.rs's re-export, fails it too. A dedup
 # window keeps a small reply it can rebuild the message from: non-test
 # source under crates/ that declares a DedupWindow whose value type names
-# KernelMsg (144 B a request, 64 requests an agent) fails the stage.
+# KernelMsg (144 B a request, 64 requests an agent) fails the stage. The
+# telemetry registry holds sums and samples only: non-test source under
+# crates/ that names gauge_set, `.gauge(` or `.gauges()` (a value each GSD
+# overwrites, so the last writer's) fails it too.
 #
 # The last stage prints the non-test code-line counts ROADMAP item 4 quotes
 # and fails when group/gsd.rs, phoenix-kernel, phoenix-proto, phoenix-pws,
@@ -453,14 +456,14 @@ if [ -n "$copies" ]; then
 fi
 
 # One count per message: the world counts each message once, by index, in
-# phoenix-sim's metrics.rs table, and only Counts::publish writes that
-# table's counters and gauge into the telemetry registry. Non-test simulator
-# source that names counter_add or gauge_set outside a `fn publish(` body,
-# or walks a map keyed by label (`.entry(label)`), fails the stage.
+# phoenix-sim's metrics.rs table, and only Counts::publish adds that
+# table's counters to the telemetry registry. Non-test simulator source
+# that names counter_add outside a `fn publish(` body, or walks a map keyed
+# by label (`.entry(label)`), fails the stage.
 sim_src=crates/phoenix-sim/src
 writes=$(for f in $(find $sim_src -name '*.rs'); do
     sed '/#\[cfg(test)\]/,$d' "$f" | sed '/fn publish(/,/^    }$/d' \
-        | grep -nE '\b(counter_add|gauge_set)\b|\.entry\(label\)' | sed "s|^|$f: |"
+        | grep -nE '\bcounter_add\b|\.entry\(label\)' | sed "s|^|$f: |"
 done)
 if [ -n "$writes" ]; then
     printf '%s\n' "$writes" >&2
@@ -489,6 +492,17 @@ done)
 if [ -n "$windows" ]; then
     printf '%s\n' "$windows" >&2
     echo "FAIL: a DedupWindow caches whole KernelMsg replies (cache a small Copy ack and rebuild the message on replay)" >&2
+    exit 1
+fi
+
+# Sums and samples only, with the same cut: a gauge every GSD overwrites
+# holds whichever wrote last.
+gauges=$(for f in $(find crates -name '*.rs' -not -path '*/tests/*'); do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE '\bgauge_set\b|\.gauges?\(' | sed "s|^|$f: |"
+done)
+if [ -n "$gauges" ]; then
+    printf '%s\n' "$gauges" >&2
+    echo "FAIL: non-test source names a gauge (count with counter_add, sample with observe)" >&2
     exit 1
 fi
 

@@ -172,7 +172,7 @@ fn differential_lossy_shrunk_mask_8_88() {
             event_order: 0x7a9c_e9a4_ed15_33c5,
             trace: 0x6fdc_043f_0dfa_5bfb,
             flight: 0x6932_0fbd_621a_d1b1,
-            registry: 0xd7e1_e421_664c_d521,
+            registry: 0x2450_a995_31eb_4fcb,
         },
     );
 }
@@ -189,7 +189,7 @@ fn differential_lossy_shrunk_mask_15_5ee() {
             event_order: 0x38c0_ba27_1391_6c42,
             trace: 0x7d45_f66c_aaac_d85f,
             flight: 0xac3d_e311_941a_f96f,
-            registry: 0xd088_83fa_1d9b_2bfc,
+            registry: 0x290c_88f3_4385_8ce0,
         },
     );
 }
@@ -206,7 +206,7 @@ fn differential_partition_island_split_seed_26() {
             event_order: 0xb204_8a1a_1317_e55f,
             trace: 0x2270_0f07_a90e_2732,
             flight: 0x54ca_f09d_b2a4_d490,
-            registry: 0x269b_eaa7_03ff_50ee,
+            registry: 0x67f7_aea4_bc8b_b7b1,
         },
     );
 }
@@ -223,7 +223,7 @@ fn differential_nic_flap_seed_4() {
             event_order: 0x811a_1d8e_15b5_a9e3,
             trace: 0x4a96_45ae_7fbc_ac15,
             flight: 0x4e4e_1827_6b4b_96eb,
-            registry: 0x4ee9_16a9_23f6_6395,
+            registry: 0x5cd8_703a_a1b0_fd13,
         },
     );
 }
@@ -240,7 +240,7 @@ fn differential_lossy_seed_178() {
             event_order: 0x60e2_a30f_059a_063a,
             trace: 0x79ad_ed7e_fe48_7ad1,
             flight: 0x8e43_ce99_f766_7946,
-            registry: 0xd1dc_ac30_7e12_1bd6,
+            registry: 0x9afb_6298_3e93_17f3,
         },
     );
 }
@@ -260,7 +260,7 @@ fn differential_quorum_even_split_seed_21() {
             event_order: 0x3cf7_4bd3_a7e4_a26a,
             trace: 0x2f84_cbb3_7d5f_bf62,
             flight: 0xf7a7_e29c_9362_b149,
-            registry: 0xa56d_d432_cc91_4830,
+            registry: 0x1907_74c8_24f5_4d6e,
         },
     );
 }
@@ -279,7 +279,7 @@ fn differential_slow_double_gray_seed_1() {
             event_order: 0x7303_16a4_042c_3317,
             trace: 0x5d4d_fdb5_dd6c_ee07,
             flight: 0x90c2_afec_7ddf_de8a,
-            registry: 0x7c5c_d0a8_f180_1936,
+            registry: 0xc5de_3de6_94cd_7aae,
         },
     );
 }

@@ -122,7 +122,7 @@ fn run_scenario(seed: u64) {
     w.run_for(SimDuration::from_secs(5));
 }
 
-/// Shard-merge == whole for counters, gauges, and histograms on real
+/// Shard-merge == whole for counters and histograms on real
 /// kernel telemetry: two seeded runs recorded into one registry must equal
 /// the same two runs recorded into per-run shards merged in run order.
 #[test]
@@ -148,11 +148,6 @@ fn registry_merge_of_shards_equals_whole_on_kernel_runs() {
     assert!(!counters.is_empty(), "scenario recorded counters");
     for (name, v) in counters {
         assert_eq!(merged.counter(name), v, "counter {name} must add across shards");
-    }
-    let gauges: Vec<_> = whole.gauges().collect();
-    assert!(!gauges.is_empty(), "scenario recorded gauges");
-    for (name, v) in gauges {
-        assert_eq!(merged.gauge(name), Some(v), "gauge {name}: last shard in order wins");
     }
     let mut hist_paths = 0;
     for (path, stats) in whole.histograms() {
